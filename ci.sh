@@ -31,62 +31,60 @@ if "${QLINT[@]}" --sf 0.001 --deny tests/corpus/findings.sql >/dev/null 2>&1; th
   exit 1
 fi
 
-# qconc gate: the lock-discipline analyzer over the serving-layer crates.
-# The full report (including which findings the allowlist covered, and
-# why) must match the golden file byte-for-byte, and deny mode must pass —
-# i.e. every finding is either fixed or carries a checked-in justification,
-# and no allowlist entry is stale.
-echo "==> qconc (lock discipline: golden file + deny gate)"
-cargo run -q --release --bin qconc | diff -u tests/corpus/qconc.golden - \
-  || { echo "qconc output drifted (regenerate tests/corpus/qconc.golden if intended)"; exit 1; }
-cargo run -q --release --bin qconc -- --deny >/dev/null
+# qcheck gate: the lock-discipline rules over the serving-layer crates
+# plus the panic-path and contract-drift audits over every crate. The full
+# report (panic-surface summary, vocabulary counts, which findings the
+# allowlist covered, and why) must match the golden file byte-for-byte,
+# and deny mode must pass — i.e. every finding is either fixed or carries
+# a checked-in justification, zero contract drift, and no allowlist entry
+# is stale. The golden doubles as the shared-lexer refactor guard: all
+# three analyses lex through cse-source, and their output must not move.
+echo "==> qcheck (lock discipline + panic paths + contracts: golden, deny, probes)"
+QCHECK=(cargo run -q --release -p cse-audit --bin qcheck --)
+"${QCHECK[@]}" | diff -u tests/corpus/qcheck.golden - \
+  || { echo "qcheck output drifted (regenerate tests/corpus/qcheck.golden if intended)"; exit 1; }
+"${QCHECK[@]}" --deny >/dev/null
 
 # The breaker is the serving layer's hottest lock (every admit() crosses
-# it); it must stay clean under the discipline rules with NO allowlist
-# entries at all — a regression that needs a justification here is a
-# regression, full stop.
-echo "==> qconc (breaker: allowlist-free)"
-cargo run -q --release --bin qconc -- --deny --allow /dev/null \
-  crates/serve/src/breaker.rs >/dev/null
+# it); it must stay clean with NO allowlist entries at all — a regression
+# that needs a justification here is a regression, full stop.
+"${QCHECK[@]}" --deny --allow /dev/null crates/serve/src/breaker.rs >/dev/null
 
-# qaudit gate: panic-path + contract-drift audits over every crate. Same
-# contract as qconc: the full report (panic-surface summary, vocabulary
-# counts, allowlist coverage) must match the golden byte-for-byte, and
-# deny mode must pass — zero unjustified hot-reachable panic sites, zero
-# contract drift. Note the qconc golden check above doubles as the
-# shared-lexer refactor guard: cse-conc now lexes through cse-source,
-# and its output must not move.
-echo "==> qaudit (panic paths + contracts: golden file + deny gate)"
-cargo run -q --release --bin qaudit | diff -u tests/corpus/qaudit.golden - \
-  || { echo "qaudit output drifted (regenerate tests/corpus/qaudit.golden if intended)"; exit 1; }
-cargo run -q --release --bin qaudit -- --deny >/dev/null
-
-# Stale-allowlist detection must itself be live: an allowlist entry that
-# matches nothing has to flip deny mode to failure.
-echo "==> qaudit (stale allowlist entry is fatal)"
-stale_allow=$(mktemp)
-cat qaudit.allow > "$stale_allow"
-echo "audit/hot-panic  crates/nonexistent/src/void.rs  nothing  ci stale-entry probe" >> "$stale_allow"
-if cargo run -q --release --bin qaudit -- --deny --allow "$stale_allow" >/dev/null 2>&1; then
+# Stale-allowlist detection must itself be live for both rule families:
+# an allowlist entry that matches nothing has to flip deny mode to failure.
+for stale_entry in \
+  "conc/hot-path-lock  crates/nonexistent/src/void.rs  nothing  ci stale-entry probe" \
+  "audit/hot-panic  crates/nonexistent/src/void.rs  nothing  ci stale-entry probe"; do
+  stale_allow=$(mktemp)
+  cat qcheck.allow > "$stale_allow"
+  echo "$stale_entry" >> "$stale_allow"
+  if "${QCHECK[@]}" --deny --allow "$stale_allow" >/dev/null 2>&1; then
+    rm -f "$stale_allow"
+    echo "qcheck --deny accepted a stale allowlist entry: $stale_entry"
+    exit 1
+  fi
   rm -f "$stale_allow"
-  echo "qaudit --deny accepted a stale allowlist entry"
-  exit 1
-fi
-rm -f "$stale_allow"
+done
+
+# The runtime crates must not link the analysis tooling: the non-dev
+# dependency graph of the root package, the server and the governor stays
+# free of the analyzer crates.
+echo "==> dependency graph (runtime crates link no analysis tooling)"
+for pkg in similar-subexpr cse-serve cse-govern; do
+  if cargo tree --offline -e normal -p "$pkg" | grep -E "cse-(conc|source|audit)"; then
+    echo "$pkg links an analysis crate in its normal dependency graph"
+    exit 1
+  fi
+done
 
 # Interleaving explorer: the exhaustive suites over the queue / breaker /
 # cancel / memory-governor models run as part of `cargo test` above; the
 # deep seeded sampling arm is opt-in because it is slow. Set
 # QCONC_SAMPLE=seed[:n] (e.g. QCONC_SAMPLE=7:20000) to run it.
 if [[ -n "${QCONC_SAMPLE:-}" ]]; then
-  echo "==> qconc deep sampling arm (QCONC_SAMPLE=$QCONC_SAMPLE)"
+  echo "==> cse-conc deep sampling arm (QCONC_SAMPLE=$QCONC_SAMPLE)"
   QCONC_SAMPLE="$QCONC_SAMPLE" cargo test -q -p cse-conc env_gated_deep_sampling_arm
 fi
-
-# The lock-stats instrumentation build must stay green even though the
-# default build compiles it out.
-echo "==> lock-stats feature build"
-cargo build -q --features lock-stats -p cse-bench -p cse-serve -p cse-conc
 
 # Fault-injection seed matrix: the adversarial robustness suite and the
 # concurrent serving stress suite must hold for every seed, not just the
@@ -173,5 +171,21 @@ fi
 grep -q "WAL_CORRUPT_FRAME" <<<"$out" \
   || { echo "corrupted WAL rejection missing WAL_CORRUPT_FRAME: $out"; exit 1; }
 rm -rf "$data_dir"
+
+# Benchmark-of-record smoke: verdict only, no timing gate. One workload
+# that bypasses sharing and one through the server; each run ends with a
+# result line whose first field is the correctness verdict. Building
+# benchmark/ without --locked lets cargo prune its Cargo.lock of packages
+# the tree no longer has; that file is frozen, so put it back.
+echo "==> benchmark smoke (no-share, serve-mix: verdict only)"
+lock_backup=$(mktemp)
+cp benchmark/Cargo.lock "$lock_backup"
+trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
+for workload in no-share serve-mix; do
+  verdict=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seconds 2 --trace 0 | tail -n 1)
+  [[ "$verdict" == '{"correct": true,'* ]] \
+    || { echo "benchmark $workload verdict: $verdict"; exit 1; }
+done
 
 echo "==> ci.sh: all green"

@@ -3,25 +3,22 @@
 //! The workspace exposes several string-keyed contracts that clients and
 //! operators depend on: rejection/downgrade **reason codes**
 //! (`SHED_QUEUE_FULL`, `OPT_FORCED`, ...), diagnostic **rule ids**
-//! (`lint/contradiction`, `conc/guard-across-await`, ...), **failpoint
-//! site names** (`spool.materialize`, ...), and the top-level **JSON
-//! keys** of the `BENCH_*.json` artifacts. None of these are types — the
+//! (`lint/contradiction`, `conc/guard-across-await`, ...) and **failpoint
+//! site names** (`spool.materialize`, ...). None of these are types — the
 //! compiler cannot notice when the docs and the code drift apart.
 //!
 //! This module extracts each vocabulary from source with the shared
 //! lexer (skipping `#[cfg(test)]` regions), then cross-checks:
 //!
 //! - the generated reference table in `DESIGN.md` (between
-//!   `<!-- qaudit:vocab:begin -->` / `<!-- qaudit:vocab:end -->`) must
+//!   `<!-- qcheck:vocab:begin -->` / `<!-- qcheck:vocab:end -->`) must
 //!   equal the extracted vocabulary exactly, both directions;
 //! - every code/rule-id mentioned in free text (`DESIGN.md`,
 //!   `README.md`, outside the table) must still exist in source;
 //! - every rule id appearing in a `tests/corpus/*.golden` file must
 //!   still have a live declaration;
 //! - the failpoint `sites` module's individual consts and its `ALL`
-//!   array must reference the same set;
-//! - every top-level key in a committed `BENCH_*.json` must be emitted
-//!   somewhere by the bench writers.
+//!   array must reference the same set.
 //!
 //! Recognition is whitelist-scoped (code prefixes, rule-id families) so
 //! that prose like `TPC-H` or file names like `server.rs` never
@@ -53,8 +50,8 @@ pub const RULE_FAMILIES: &[&str] = &[
     "catalog",
 ];
 
-pub const VOCAB_BEGIN: &str = "<!-- qaudit:vocab:begin -->";
-pub const VOCAB_END: &str = "<!-- qaudit:vocab:end -->";
+pub const VOCAB_BEGIN: &str = "<!-- qcheck:vocab:begin -->";
+pub const VOCAB_END: &str = "<!-- qcheck:vocab:end -->";
 
 /// Everything the source tree declares, each name mapped to the file
 /// that first declares it (deterministic: files are fed in sorted order).
@@ -63,7 +60,6 @@ pub struct Vocabulary {
     pub reason_codes: BTreeMap<String, String>,
     pub rule_ids: BTreeMap<String, String>,
     pub failpoint_sites: BTreeMap<String, String>,
-    pub bench_keys: BTreeMap<String, String>,
     /// `(const name, value)` pairs declared inside `mod sites`.
     pub site_consts: Vec<(String, String)>,
     /// Const names referenced by the `ALL` array inside `mod sites`.
@@ -71,18 +67,6 @@ pub struct Vocabulary {
 }
 
 impl Vocabulary {
-    /// Total names across the four public vocabularies.
-    pub fn len(&self) -> usize {
-        self.reason_codes.len()
-            + self.rule_ids.len()
-            + self.failpoint_sites.len()
-            + self.bench_keys.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// All `(kind, name, file)` rows in reference-table order.
     pub fn rows(&self) -> Vec<(&'static str, &str, &str)> {
         let mut out = Vec::new();
@@ -94,9 +78,6 @@ impl Vocabulary {
         }
         for (n, f) in &self.failpoint_sites {
             out.push(("failpoint-site", n.as_str(), f.as_str()));
-        }
-        for (n, f) in &self.bench_keys {
-            out.push(("bench-key", n.as_str(), f.as_str()));
         }
         out
     }
@@ -149,9 +130,7 @@ fn string_lit(text: &str) -> Option<&str> {
 /// - `"CODE" =>` or `=> "CODE"` match arms whose literal has a known
 ///   reason-code prefix;
 /// - `const NAME: &str = "family/rule"` / `"dotted.site"` declarations;
-/// - inside `mod sites`: the individual consts and the `ALL` array;
-/// - `\"key\":` fragments inside any string literal (bench JSON writers
-///   emit keys with `write!`-style templates).
+/// - inside `mod sites`: the individual consts and the `ALL` array.
 pub fn extract_source(file: &str, src: &str, vocab: &mut Vocabulary) {
     let toks = lex(src);
     let mut tracker = ScopeTracker::new();
@@ -196,27 +175,6 @@ pub fn extract_source(file: &str, src: &str, vocab: &mut Vocabulary) {
                         .reason_codes
                         .entry(inner.to_string())
                         .or_insert_with(|| file.to_string());
-                }
-                // Embedded JSON keys in writer templates: `\"key\":`.
-                let mut rest = inner;
-                while let Some(p) = rest.find("\\\"") {
-                    rest = &rest[p + 2..];
-                    if let Some(q) = rest.find("\\\"") {
-                        let key = &rest[..q];
-                        let tail = &rest[q + 2..];
-                        if tail.starts_with(':')
-                            && !key.is_empty()
-                            && key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
-                        {
-                            vocab
-                                .bench_keys
-                                .entry(key.to_string())
-                                .or_insert_with(|| file.to_string());
-                        }
-                        rest = tail;
-                    } else {
-                        break;
-                    }
                 }
             }
             _ => {}
@@ -345,10 +303,7 @@ pub fn parse_vocab_table(text: &str) -> Option<BTreeSet<(String, String)>> {
             continue;
         }
         let kind = cells[0];
-        if !matches!(
-            kind,
-            "reason-code" | "rule-id" | "failpoint-site" | "bench-key"
-        ) {
+        if !matches!(kind, "reason-code" | "rule-id" | "failpoint-site") {
             continue;
         }
         let name = cells[1].trim_matches('`');
@@ -384,49 +339,6 @@ fn drift(kind: &str, file: &str, msg: String) -> Finding {
     }
 }
 
-/// Top-level keys of a JSON object file, parsed with a minimal scanner
-/// (no serde in the workspace). Returns an empty set for non-object or
-/// malformed input.
-pub fn json_top_level_keys(text: &str) -> BTreeSet<String> {
-    let mut keys = BTreeSet::new();
-    let bytes = text.as_bytes();
-    let mut depth = 0i32;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth -= 1;
-                i += 1;
-            }
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                let end = j.min(bytes.len());
-                let mut k = end + 1;
-                while k < bytes.len() && (bytes[k] as char).is_ascii_whitespace() {
-                    k += 1;
-                }
-                if depth == 1 && k < bytes.len() && bytes[k] == b':' {
-                    keys.insert(text[start..end].to_string());
-                }
-                i = end + 1;
-            }
-            _ => i += 1,
-        }
-    }
-    keys
-}
-
 /// Inputs for the cross-checks that are not `.rs` sources.
 pub struct ContractInputs {
     /// `(path, text)` of the documentation files (DESIGN.md, README.md).
@@ -434,8 +346,6 @@ pub struct ContractInputs {
     pub docs: Vec<(String, String)>,
     /// `(path, text)` of `tests/corpus/*.golden` files.
     pub goldens: Vec<(String, String)>,
-    /// `(path, text)` of committed `BENCH_*.json` artifacts.
-    pub bench_json: Vec<(String, String)>,
 }
 
 /// Run every contract cross-check. Findings are returned in a
@@ -546,21 +456,6 @@ pub fn check(vocab: &Vocabulary, inputs: &ContractInputs) -> Vec<Finding> {
         }
     }
 
-    // 5. Committed bench artifacts: top-level keys must be emitted keys.
-    for (path, text) in &inputs.bench_json {
-        for key in json_top_level_keys(text) {
-            if !vocab.bench_keys.contains_key(&key) {
-                out.push(drift(
-                    "bench-key",
-                    path,
-                    format!(
-                        "committed artifact has top-level key `{key}` that no bench writer emits"
-                    ),
-                ));
-            }
-        }
-    }
-
     out.sort_by(|a, b| (&a.file, &a.func, &a.message).cmp(&(&b.file, &b.func, &b.message)));
     out
 }
@@ -635,13 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_keys_from_writer_templates() {
-        let v = vocab_of(r#"fn w() { out.push_str("{\"schema\": 1, \"p50_ms\": 2}"); }"#);
-        assert!(v.bench_keys.contains_key("schema"));
-        assert!(v.bench_keys.contains_key("p50_ms"));
-    }
-
-    #[test]
     fn doc_scan_whitelists_and_strips_punctuation() {
         let m = scan_doc(
             "Codes SHED_QUEUE_FULL and OPT_FORCED, rule conc/stale-allow. Globs like \
@@ -667,7 +555,6 @@ mod tests {
         let inputs = ContractInputs {
             docs: vec![("DESIGN.md".into(), doc)],
             goldens: vec![],
-            bench_json: vec![],
         };
         assert!(check(&v, &inputs).is_empty());
 
@@ -692,7 +579,6 @@ mod tests {
                 ("README.md".into(), "emits SHED_OLD_CODE on overload".into()),
             ],
             goldens: vec![],
-            bench_json: vec![],
         };
         let f = check(&v, &inputs);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -715,22 +601,12 @@ mod tests {
         let inputs = ContractInputs {
             docs: vec![],
             goldens: vec![],
-            bench_json: vec![],
         };
         let f = check(&v, &inputs);
         assert_eq!(f.len(), 1);
         assert!(f[0]
             .message
             .contains("`B` is declared but missing from `sites::ALL`"));
-    }
-
-    #[test]
-    fn json_top_level_keys_ignore_nested() {
-        let keys = json_top_level_keys(
-            r#"{ "schema": 1, "rows": [{"inner": 2}], "stats": {"deep": 3}, "p50_ms": 4.5 }"#,
-        );
-        let got: Vec<&str> = keys.iter().map(|s| s.as_str()).collect();
-        assert_eq!(got, vec!["p50_ms", "rows", "schema", "stats"]);
     }
 
     #[test]
@@ -744,7 +620,6 @@ mod tests {
                 "tests/corpus/x.golden".into(),
                 "error[lint/contradiction] ...\nwarn[lint/removed-rule] ...".into(),
             )],
-            bench_json: vec![],
         };
         let f = check(&v, &inputs);
         assert_eq!(f.len(), 1);

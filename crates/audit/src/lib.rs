@@ -1,36 +1,38 @@
-//! # cse-audit — panic-path & contract-drift static analysis
+//! # cse-audit — the workspace's static checks, and `qcheck` that runs them
 //!
-//! `qconc` (in `cse-conc`) checks the *lock discipline* of the serving
-//! layer; this crate checks two other things the compiler cannot:
+//! Three analyses the compiler cannot do, one binary (`qcheck`), one
+//! allowlist (`qcheck.allow`), one golden report:
 //!
-//! 1. **Panic-path audit** ([`callgraph`], [`panic_audit`]) — an
+//! 1. **Lock discipline** (`cse_conc::discipline`) — the serving layer's
+//!    `conc/*` rules; this crate only drives them.
+//! 2. **Panic-path audit** ([`callgraph`], [`panic_audit`]) — an
 //!    approximate function-level call graph is flooded from the
 //!    serve/exec entry points, and every `unwrap`/`expect`/panic-macro
 //!    and in-loop indexing site is classified *hot-reachable* (a panic
 //!    there unwinds a serving request — the circuit breaker treats it as
 //!    `EXEC_FAULT`, see DESIGN.md §13) or *cold* (CLI/bench/test-only).
 //!    Hot sites are findings; they either get fixed or get a justified
-//!    entry in `qaudit.allow`.
-//! 2. **Contract-drift audit** ([`contract`]) — the string vocabularies
+//!    entry in `qcheck.allow`.
+//! 3. **Contract-drift audit** ([`contract`]) — the string vocabularies
 //!    shared with clients and docs (reason codes, diagnostic rule ids,
-//!    failpoint site names, bench JSON keys) are extracted from source
-//!    and cross-checked against `DESIGN.md`/`README.md`, the golden test
-//!    corpus, the `sites::ALL` registry, and committed `BENCH_*.json`
-//!    artifacts.
+//!    failpoint site names) are extracted from source and cross-checked
+//!    against `DESIGN.md`/`README.md`, the golden test corpus and the
+//!    `sites::ALL` registry.
 //!
-//! Both analyses are built on the shared token-level framework in
-//! `cse-source` (lexer, brace-scope tracker, allowlist) — the same
-//! foundation `cse-conc` uses — so the whole audit stack stays
-//! dependency-free and tolerant of mid-edit source.
+//! All three are built on the shared token-level framework in
+//! `cse-source` (lexer, brace-scope tracker, allowlist), so the whole
+//! stack stays dependency-free and tolerant of mid-edit source.
 //!
-//! Findings carry stable rule ids (see [`rules`]) and byte spans, and
-//! are rendered through `cse-diag` by the `qaudit` binary.
+//! Findings carry stable rule ids (see [`rules`] and
+//! `cse_conc::discipline::rules`) and byte spans, and are rendered
+//! through `cse-diag` by the `qcheck` binary.
 
 pub mod callgraph;
 pub mod contract;
 
 use callgraph::{CallGraph, FnDef, PanicKind};
 use cse_diag::Severity;
+use cse_source::AllowEntry;
 pub use cse_source::Finding;
 
 /// Stable rule identifiers for audit findings.
@@ -44,8 +46,8 @@ pub mod rules {
     /// Direct slice indexing inside a loop of a hot-reachable function
     /// in the executor or server crates.
     pub const INDEX_HOT_LOOP: &str = "audit/index-hot-loop";
-    /// A declared vocabulary (reason codes, rule ids, failpoint sites,
-    /// bench keys) disagrees with docs, goldens, or a registry.
+    /// A declared vocabulary (reason codes, rule ids, failpoint sites)
+    /// disagrees with docs, goldens, or a registry.
     pub const CONTRACT_DRIFT: &str = "audit/contract-drift";
     /// An allowlist entry no longer matches any finding.
     pub const STALE_ALLOW: &str = "audit/stale-allow";
@@ -57,6 +59,25 @@ pub mod rules {
         CONTRACT_DRIFT,
         STALE_ALLOW,
     ];
+}
+
+/// Parse `qcheck.allow`: entries of both rule families (`conc/*` from
+/// `cse-conc`, `audit/*` from this crate) in one list, any other rule id
+/// rejected.
+pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
+    let known = [cse_conc::rules::ALL, rules::ALL].concat();
+    cse_source::parse_allowlist(text, &known)
+}
+
+/// A stale entry rendered as a deniable finding under its own family's
+/// stale-entry rule id.
+pub fn stale_finding(e: &AllowEntry) -> Finding {
+    let rule = if e.rule.starts_with("conc/") {
+        cse_conc::rules::STALE_ALLOW
+    } else {
+        rules::STALE_ALLOW
+    };
+    cse_source::stale_finding(e, "qcheck.allow", rule)
 }
 
 /// What the panic-path audit treats as hot roots and where the
@@ -206,6 +227,23 @@ mod tests {
             roots: roots.to_vec(),
             index_paths: vec!["crates/exec/", "crates/serve/"],
         }
+    }
+
+    #[test]
+    fn allowlist_takes_both_rule_families_and_rejects_unknown_ids() {
+        let text = "\
+conc/relaxed-ordering crates/serve/src/server.rs bump monotonic counter
+audit/hot-panic       crates/core/src/pipeline.rs tighten documented invariant
+";
+        let entries = parse_allowlist(text).expect("both families parse");
+        assert_eq!(entries.len(), 2);
+        let stale: Vec<_> = entries.iter().map(stale_finding).collect();
+        assert_eq!(stale[0].rule, cse_conc::rules::STALE_ALLOW);
+        assert_eq!(stale[1].rule, rules::STALE_ALLOW);
+        assert!(stale.iter().all(|f| f.file == "qcheck.allow"));
+
+        let err = parse_allowlist("lint/contradiction a.rs f not an analyzer rule").unwrap_err();
+        assert!(err.contains("unknown rule"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run --release -p cse-bench --bin report [-- <experiment>] [--sf <f>]`
 //! where `<experiment>` is one of `table1 table2 table3 table4 fig8
-//! viewmaint overhead verify lint robustness serve overload recovery all`
+//! viewmaint overhead verify lint robustness overload recovery all`
 //! (default `all`). The `overload` arm also honours `--requests <n>`
 //! (default 10000), `--seed <u64>` (default 42) and `--out <path>`
 //! (default `BENCH_overload.json`); `recovery` honours `--out` too
@@ -182,52 +182,6 @@ fn main() {
         assert!(
             rows.iter().all(|r| r.correct),
             "robustness scenarios must all stay correct"
-        );
-    }
-    if run_all || which == "serve" {
-        println!("\n=== serving: concurrent batch server (1/4/8 workers) ===");
-        println!(
-            "{:>7} {:>8} {:>9} {:>8} {:>7} {:>7} {:>10} {:>9} {:>9}",
-            "workers", "requests", "completed", "degraded", "shed", "retries", "rps", "p50", "p99"
-        );
-        let rows = experiments::serve_bench(&catalog, &[1, 4, 8], 24);
-        for r in &rows {
-            println!(
-                "{:>7} {:>8} {:>9} {:>8} {:>7} {:>7} {:>10.1} {:>7.2}ms {:>7.2}ms",
-                r.workers,
-                r.requests,
-                r.completed,
-                r.degraded,
-                r.shed,
-                r.retries,
-                r.throughput_rps,
-                r.p50.as_secs_f64() * 1e3,
-                r.p99.as_secs_f64() * 1e3
-            );
-        }
-        if rows.first().is_some_and(|r| r.lock_stats_recorded) {
-            println!("per-lock contention (lock-stats build):");
-            for r in &rows {
-                for site in &r.lock_sites {
-                    println!(
-                        "  workers={:<2} {:<14} acquisitions={:<7} contended={:<6} hold={:.2}ms",
-                        r.workers,
-                        site.site,
-                        site.acquisitions,
-                        site.contended,
-                        site.hold_nanos as f64 / 1e6
-                    );
-                }
-            }
-        } else {
-            println!("per-lock contention: not measured (build with --features lock-stats)");
-        }
-        let json = experiments::serve_json(sf, &rows);
-        std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-        println!("wrote BENCH_serve.json");
-        assert!(
-            rows.iter().all(|r| r.completed == r.requests as u64),
-            "healthy serving runs must complete every request"
         );
     }
     // Not part of `all`: a 10k-request open-loop run takes a while and

@@ -361,161 +361,6 @@ pub fn robustness_json(sf: f64, rows: &[RobustnessOutcome]) -> String {
     s
 }
 
-/// One row of the serving benchmark: one worker-pool size driven through
-/// the same request mix.
-#[derive(Debug)]
-pub struct ServePoint {
-    pub workers: usize,
-    pub requests: usize,
-    pub completed: u64,
-    pub degraded: u64,
-    pub rejected: u64,
-    pub shed: u64,
-    pub retries: u64,
-    pub breaker_trips: u64,
-    /// Requests per second, submit of the first to reply of the last.
-    pub throughput_rps: f64,
-    /// Latency percentiles over completed requests (submit → reply).
-    pub p50: Duration,
-    pub p99: Duration,
-    /// Per-lock acquisition/contention/hold-time counters from the
-    /// server's `TrackedMutex` sites (queue, breaker, inflight table).
-    /// All zeros unless built with `--features lock-stats`;
-    /// [`ServePoint::lock_stats_recorded`] distinguishes "not measured"
-    /// from "uncontended".
-    pub lock_sites: Vec<cse_serve::LockSiteStats>,
-    pub lock_stats_recorded: bool,
-    /// Largest per-request execution memory high-water mark
-    /// (`ExecMetrics::peak_bytes`, final attempt only) observed this point.
-    pub peak_bytes_max: usize,
-}
-
-/// The serving benchmark's request mix: paper batches (heavy, sharing-rich)
-/// interleaved with light single-statement queries, `n` requests total.
-pub fn serve_requests(n: usize) -> Vec<String> {
-    let mix = [
-        workloads::table1_batch(),
-        "select c_mktsegment, count(*) as n from customer group by c_mktsegment".to_string(),
-        workloads::scaleup_batch(3),
-        "select o_orderstatus, sum(o_totalprice) as s from orders group by o_orderstatus"
-            .to_string(),
-    ];
-    (0..n).map(|i| mix[i % mix.len()].clone()).collect()
-}
-
-/// Throughput/latency of the batch server at each worker-pool size, over
-/// the same request mix. Backpressure admission (no shedding) so every
-/// point serves the identical workload; the breaker stays at its default
-/// configuration and must not trip on a healthy run.
-pub fn serve_bench(catalog: &Catalog, worker_counts: &[usize], requests: usize) -> Vec<ServePoint> {
-    use cse_serve::{AdmitPolicy, Outcome, Server, ServerConfig};
-    use std::sync::Arc;
-
-    let shared = Arc::new(catalog.clone());
-    let sqls = serve_requests(requests);
-    worker_counts
-        .iter()
-        .map(|&workers| {
-            let mut server = Server::new(
-                Arc::clone(&shared),
-                ServerConfig {
-                    workers,
-                    queue_capacity: 16,
-                    admit: AdmitPolicy::Block,
-                    ..ServerConfig::default()
-                },
-            );
-            let started = Instant::now();
-            let tickets: Vec<_> = sqls
-                .iter()
-                .map(|sql| server.submit(sql).expect("blocking admission never sheds"))
-                .collect();
-            let mut latencies: Vec<Duration> = Vec::new();
-            let mut peak_bytes_max = 0usize;
-            for t in tickets {
-                match t.wait() {
-                    Outcome::Done(reply) => {
-                        peak_bytes_max = peak_bytes_max.max(reply.metrics.peak_bytes);
-                        latencies.push(reply.latency);
-                    }
-                    Outcome::Rejected(r) => panic!("healthy bench run rejected: {r:?}"),
-                }
-            }
-            let elapsed = started.elapsed();
-            let stats = server.drain();
-            let lock_sites = server.lock_stats();
-            latencies.sort();
-            let pct = |p: f64| -> Duration {
-                let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-                latencies[idx]
-            };
-            ServePoint {
-                workers,
-                requests,
-                completed: stats.completed,
-                degraded: stats.degraded,
-                rejected: stats.rejected,
-                shed: stats.shed,
-                retries: stats.retries,
-                breaker_trips: stats.breaker.trips,
-                throughput_rps: requests as f64 / elapsed.as_secs_f64().max(1e-9),
-                p50: pct(0.50),
-                p99: pct(0.99),
-                lock_sites,
-                lock_stats_recorded: cse_serve::lock_stats_recording(),
-                peak_bytes_max,
-            }
-        })
-        .collect()
-}
-
-/// Hand-rolled JSON for the serving report (this tree has no serde).
-pub fn serve_json(sf: f64, rows: &[ServePoint]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"experiment\": \"serve\",");
-    let _ = writeln!(s, "  \"sf\": {sf},");
-    s.push_str("  \"points\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"workers\": {}, \"requests\": {}, \"completed\": {}, \"degraded\": {}, \
-             \"rejected\": {}, \"shed\": {}, \"retries\": {}, \"breaker_trips\": {}, \
-             \"throughput_rps\": {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"peak_bytes_max\": {}, \"lock_stats_recorded\": {}, \"lock_sites\": [",
-            r.workers,
-            r.requests,
-            r.completed,
-            r.degraded,
-            r.rejected,
-            r.shed,
-            r.retries,
-            r.breaker_trips,
-            r.throughput_rps,
-            r.p50.as_secs_f64() * 1e3,
-            r.p99.as_secs_f64() * 1e3,
-            r.peak_bytes_max,
-            r.lock_stats_recorded,
-        );
-        for (j, site) in r.lock_sites.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{{\"site\": \"{}\", \"acquisitions\": {}, \"contended\": {}, \
-                 \"hold_nanos\": {}}}",
-                if j == 0 { "" } else { ", " },
-                site.site,
-                site.acquisitions,
-                site.contended,
-                site.hold_nanos,
-            );
-        }
-        s.push_str("]}");
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Latency-histogram bucket upper bounds, in milliseconds (the last
 /// bucket is open-ended). Powers of two so the buckets are stable across
 /// runs and machines.

@@ -21,8 +21,8 @@
 //! | `conc/relaxed-ordering`    | `Ordering::Relaxed` anywhere (allowlist the justified ones) |
 //!
 //! Intentional exceptions live in a checked-in allowlist
-//! ([`crate::allow`]) keyed by `(rule, file suffix, function)` with a
-//! mandatory justification, so `qconc --deny` stays a clean CI gate while
+//! ([`cse_source::allow`]) keyed by `(rule, file suffix, function)` with a
+//! mandatory justification, so `qcheck --deny` stays a clean CI gate while
 //! every exception remains visible and reviewed.
 //!
 //! ## Known approximations

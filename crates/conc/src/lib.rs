@@ -1,10 +1,10 @@
 //! # cse-conc — concurrency analysis for the serving layer
 //!
-//! Three coupled parts, one theme: make the serving layer's concurrency
+//! Two coupled parts, one theme: make the serving layer's concurrency
 //! *checkable* instead of vibes-based.
 //!
-//! 1. [`discipline`] + [`allow`] (on the shared [`cse_source`] lexer and
-//!    scope tracker): a dependency-free static
+//! 1. [`discipline`] (on the shared [`cse_source`] lexer, scope tracker
+//!    and allowlist): a dependency-free static
 //!    analyzer over the workspace's own source, enforcing the lock
 //!    discipline the server relies on (no guard across an optimizer or
 //!    engine call, global lock order, no locks in declared hot paths, no
@@ -12,7 +12,8 @@
 //!    `Ordering::Relaxed`). Findings are `cse_diag` diagnostics with
 //!    stable rule ids; intentional exceptions live in a checked-in,
 //!    justified allowlist whose stale entries are themselves findings.
-//!    The `qconc` binary drives this as a CI gate (`qconc --deny`).
+//!    The `qcheck` binary (in `cse-audit`) drives this as a CI gate
+//!    (`qcheck --deny`).
 //!
 //! 2. [`explore`] + [`models`]: a deterministic interleaving explorer
 //!    ("shuttle-lite") plus step-function models of the bounded queue,
@@ -22,28 +23,14 @@
 //!    request — over *every* interleaving up to a bound; the seeded
 //!    sampling arm extends coverage beyond it.
 //!
-//! 3. [`track`]: `TrackedMutex`, feature-gated (`lock-stats`) lock
-//!    instrumentation recording per-site acquisitions, contention and
-//!    hold time, surfaced by the serve bench arm so `BENCH_serve.json`
-//!    carries contention evidence instead of anecdotes.
-//!
-//! The three parts reinforce each other: the discipline rules guarantee
+//! The two parts reinforce each other: the discipline rules guarantee
 //! critical sections stay small and single-lock, which is the soundness
 //! condition for modeling each locked operation as one atomic explorer
-//! step, and the tracker measures that the sections stay cheap in practice.
+//! step.
 
-pub mod allow;
 pub mod discipline;
 pub mod explore;
 pub mod models;
-pub mod track;
 
-/// The Rust token scanner now lives in the shared source-analysis
-/// foundation (`cse-source`), where `cse-audit` reuses it; this re-export
-/// keeps the original `cse_conc::lexer` paths working.
-pub use cse_source::lexer;
-
-pub use allow::{apply_allowlist, parse_allowlist, stale_finding, AllowEntry, Filtered};
 pub use discipline::{rules, scan_file, DisciplineConfig, Finding};
 pub use explore::{explore, explore_with, replay, sample, Explored, Model, Violation};
-pub use track::{lock_stats_recording, LockSiteStats, TrackedGuard, TrackedMutex};

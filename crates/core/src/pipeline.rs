@@ -11,8 +11,7 @@
 //!    return the cheapest plan.
 
 use crate::candidates::{
-    cost_candidate, estimate_cse, generate_for_set, h4_prune_contained, CostBounds,
-    CostedCandidate, GenConfig,
+    generate_for_set, h4_prune_contained, CostBounds, CostedCandidate, GenConfig,
 };
 use crate::enumerate::choose_best;
 use crate::lca::least_common_ancestor;
@@ -21,6 +20,7 @@ use crate::required::{compute_required, required_of, RequiredCols};
 use crate::view_match::build_substitute;
 use cse_algebra::{ColRef, LogicalPlan, PlanContext, Scalar};
 use cse_cost::{CostModel, StatsCatalog};
+use cse_diag::Report as VerifyReport;
 use cse_govern::{
     sites, Budget, BudgetClock, BudgetTrip, CancelToken, DegradationEvent, ExecLimits,
     FailpointRegistry, Reason, Rung,
@@ -31,10 +31,24 @@ use cse_optimizer::{
     CseCandidate, CseId, FullPlan, IndexInfo, Optimizer, OptimizerConfig, Substitute,
 };
 use cse_storage::Catalog;
-use cse_verify::{CandidateAudit, CostAudit, MemberAudit, Report as VerifyReport};
+use cse_verify::{CandidateAudit, CostAudit, MemberAudit};
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+/// Whether `CSE_TRACE` is set: stage timings go to stderr. Read once per
+/// process, not per request.
+fn trace_enabled() -> bool {
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| std::env::var("CSE_TRACE").is_ok())
+}
+
+fn trace_stage(name: &str, since: Instant) {
+    if trace_enabled() {
+        eprintln!("[cse-trace] {}: {:?}", name, since.elapsed());
+    }
+}
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -324,14 +338,6 @@ pub fn optimize_plan_with_facts(
     cfg: &CseConfig,
     facts: cse_memo::ProvenFacts,
 ) -> Result<Optimized, String> {
-    let trace = std::env::var("CSE_TRACE").is_ok();
-    macro_rules! stage {
-        ($name:expr, $t:expr) => {
-            if trace {
-                eprintln!("[cse-trace] {}: {:?}", $name, $t.elapsed());
-            }
-        };
-    }
     let t_start = Instant::now();
     cfg.cancel.check("pipeline/entry").map_err(abort_message)?;
     let mut memo = Memo::new(ctx);
@@ -339,7 +345,7 @@ pub fn optimize_plan_with_facts(
     let root = memo.insert_plan(&plan);
     memo.set_root(root);
     explore(&mut memo, &cfg.explore);
-    stage!("insert+explore", t_start);
+    trace_stage("insert+explore", t_start);
     cfg.cancel
         .check("pipeline/explored")
         .map_err(abort_message)?;
@@ -366,7 +372,7 @@ pub fn optimize_plan_with_facts(
         opt.optimize_full(root, 0)
     };
     let baseline_time = t_start.elapsed();
-    stage!("baseline", t_start);
+    trace_stage("baseline", t_start);
     cfg.cancel
         .check("pipeline/baseline")
         .map_err(abort_message)?;
@@ -601,14 +607,6 @@ fn cse_phase(
     baseline: &FullPlan,
     root: GroupId,
 ) -> Result<PhaseOutput, BudgetTrip> {
-    let trace = std::env::var("CSE_TRACE").is_ok();
-    macro_rules! stage {
-        ($name:expr, $t:expr) => {
-            if trace {
-                eprintln!("[cse-trace] {}: {:?}", $name, $t.elapsed());
-            }
-        };
-    }
     clock.check_time("cse-phase")?;
     if cfg.failpoints.should_fail(sites::OPT_CSE_PHASE) {
         // The optimizer-side failpoint panics on purpose: it exercises the
@@ -638,7 +636,7 @@ fn cse_phase(
         &BTreeSet::new(),
         clock,
     )?;
-    stage!("generation", t_gen);
+    trace_stage("generation", t_gen);
     if caps.trip_on_overflow {
         clock.check_candidates(candidates.len(), "generation")?;
     }
@@ -681,7 +679,7 @@ fn cse_phase(
         registered.push((c, def_root));
     }
     explore(&mut memo, &cfg.explore);
-    stage!("def-insert+explore", t_gen);
+    trace_stage("def-insert+explore", t_gen);
     clock.check_time("def-explore")?;
     clock.check_memo(memo.num_gexprs(), "def-explore")?;
 
@@ -695,7 +693,7 @@ fn cse_phase(
         let def_roots: BTreeSet<GroupId> = registered.iter().map(|(_, d)| *d).collect();
         let t_ext = Instant::now();
         extend_with_stacked_consumers(&memo, &mut registered, &def_roots);
-        stage!("stacked-extension", t_ext);
+        trace_stage("stacked-extension", t_ext);
         clock.check_time("stacked-extension")?;
     }
 
@@ -716,7 +714,7 @@ fn cse_phase(
 
     let t_mgr = Instant::now();
     let mgr = CseManager::build(&memo);
-    stage!("manager-rebuild", t_mgr);
+    trace_stage("manager-rebuild", t_mgr);
     let mut roots = vec![root];
     roots.extend(registered.iter().map(|(_, d)| *d));
     let required = compute_required(&memo, &roots);
@@ -803,7 +801,7 @@ fn cse_phase(
         cfg.max_cse_optimizations,
         clock,
     )?;
-    stage!("enumeration", t_enum);
+    trace_stage("enumeration", t_enum);
     out.cse_optimizations = outcome.optimizations;
 
     out.plan = if outcome.plan.cost < baseline.cost {
@@ -1057,7 +1055,6 @@ fn run_generation(
     let mut roots = vec![root];
     roots.extend(exclude_consumers.iter().copied());
     let required: RequiredCols = compute_required(memo, &roots);
-    let trace = std::env::var("CSE_TRACE").is_ok();
     let mut all: Vec<CostedCandidate> = Vec::new();
     for (sig, consumers) in sets {
         clock.check_time("generation")?;
@@ -1075,11 +1072,11 @@ fn run_generation(
             &cfg.gen,
             clock,
         )?);
-        if trace && t.elapsed().as_millis() > 50 {
+        if trace_enabled() && t.elapsed().as_millis() > 50 {
             eprintln!(
                 "[cse-trace]   set {} consumers={} -> +{} candidates in {:?}",
                 sig,
-                0,
+                consumers.len(),
                 all.len() - before,
                 t.elapsed()
             );
@@ -1089,18 +1086,4 @@ fn run_generation(
         all = h4_prune_contained(&mgr, all, cfg.gen.beta);
     }
     Ok((all, bounds))
-}
-
-/// Convenience: recost a constructed CSE after memo changes (used by
-/// maintenance and tests).
-pub fn recost(
-    memo: &Memo,
-    stats: &StatsCatalog,
-    model: &CostModel,
-    bounds: &CostBounds,
-    c: crate::construct::ConstructedCse,
-    signature: cse_memo::TableSignature,
-) -> CostedCandidate {
-    let _ = estimate_cse(memo, stats, &c);
-    cost_candidate(memo, stats, model, bounds, signature, c)
 }

@@ -28,7 +28,7 @@ pub struct RecoveryInfo {
     pub tail: TailStatus,
     /// Diagnostics from the `cse-verify` catalog invariant pass (clean
     /// when recovery returns `Ok`).
-    pub verify: cse_verify::Report,
+    pub verify: cse_diag::Report,
 }
 
 /// Rebuild the catalog from a store's snapshot + WAL.

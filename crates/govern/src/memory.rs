@@ -22,10 +22,10 @@
 //!
 //! Determinism: the [`crate::sites::MEM_RESERVE`] failpoint makes grant
 //! growth fail on demand, so reservation-fault recovery is testable without
-//! a real budget squeeze. Concurrency: the pool mutex is a
-//! [`TrackedMutex`] (site `govern.memory`, measurable under `lock-stats`)
-//! and the blocking-reserve / release-unblocks-waiter protocol is
-//! model-checked by `cse_conc::models::GovernorModel`.
+//! a real budget squeeze. Concurrency: the pool mutex recovers from
+//! poisoning (every update leaves `Pool` valid at every step), and the
+//! blocking-reserve / release-unblocks-waiter protocol is model-checked
+//! by `cse_conc::models::GovernorModel`.
 //!
 //! Charging is lock-free in the common case: `used` and `granted` are
 //! atomics, and the pool lock is taken only when the grant must grow
@@ -33,10 +33,9 @@
 //! the governor.
 
 use crate::{sites, CancelToken, FailpointRegistry, Reason};
-use cse_conc::TrackedMutex;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Grant growth quantum: a reservation that outgrows its grant asks the
@@ -132,8 +131,14 @@ struct GovernorInner {
     budget: usize,
     elevated_at: usize,
     critical_at: usize,
-    pool: TrackedMutex<Pool>,
+    pool: Mutex<Pool>,
     released: Condvar,
+}
+
+impl GovernorInner {
+    fn lock(&self) -> MutexGuard<'_, Pool> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The shared byte pool. Cloning is cheap and shares the pool.
@@ -167,7 +172,7 @@ impl MemoryGovernor {
                 budget,
                 elevated_at: frac(elevated),
                 critical_at: frac(critical),
-                pool: TrackedMutex::new("govern.memory", Pool { reserved: 0 }),
+                pool: Mutex::new(Pool { reserved: 0 }),
                 released: Condvar::new(),
             }),
         }
@@ -180,7 +185,7 @@ impl MemoryGovernor {
 
     /// Bytes currently reserved across all live reservations.
     pub fn reserved(&self) -> usize {
-        self.inner.pool.lock().reserved
+        self.inner.lock().reserved
     }
 
     /// Bytes still available for new reservations.
@@ -200,11 +205,6 @@ impl MemoryGovernor {
         }
     }
 
-    /// This governor's pool-lock counters (zeros unless `lock-stats`).
-    pub fn lock_site_stats(&self) -> cse_conc::LockSiteStats {
-        self.inner.pool.stats()
-    }
-
     /// Reserve `bytes` immediately or refuse. The failpoint is evaluated
     /// before the pool is touched, so an injected fault never perturbs
     /// accounting.
@@ -218,7 +218,7 @@ impl MemoryGovernor {
         }
         let available;
         {
-            let mut pool = self.inner.pool.lock();
+            let mut pool = self.inner.lock();
             if pool.reserved + bytes <= self.inner.budget {
                 pool.reserved += bytes;
                 drop(pool);
@@ -251,7 +251,7 @@ impl MemoryGovernor {
                 available: self.inner.budget,
             });
         }
-        let mut pool = self.inner.pool.lock();
+        let mut pool = self.inner.lock();
         loop {
             if cancel.is_explicitly_canceled() {
                 return Err(ReserveError::Canceled { deadline: false });
@@ -266,8 +266,12 @@ impl MemoryGovernor {
             }
             // Timed wait so a cancel with no accompanying notify is still
             // observed promptly.
-            let (g, _timed_out) = pool.wait_timeout_on(&self.inner.released, POLL_TICK);
-            pool = g;
+            pool = self
+                .inner
+                .released
+                .wait_timeout(pool, POLL_TICK)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -289,7 +293,7 @@ impl MemoryGovernor {
     /// Grow an existing grant by `extra` bytes; refuses rather than
     /// over-committing.
     fn grow(&self, extra: usize) -> Result<(), ReserveError> {
-        let mut pool = self.inner.pool.lock();
+        let mut pool = self.inner.lock();
         if pool.reserved + extra <= self.inner.budget {
             pool.reserved += extra;
             Ok(())
@@ -307,7 +311,7 @@ impl MemoryGovernor {
     /// governor model checks release always unblocks a fitting waiter).
     fn release(&self, bytes: usize) {
         {
-            let mut pool = self.inner.pool.lock();
+            let mut pool = self.inner.lock();
             pool.reserved = pool.reserved.saturating_sub(bytes);
         }
         self.inner.released.notify_all();

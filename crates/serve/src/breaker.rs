@@ -22,15 +22,14 @@
 //!             probe downgraded / failed ──▶ Open again
 //! ```
 //!
-//! The mutex around the state is a tracked, poison-recovering wrapper
-//! ([`TrackedMutex`]), matching the convention in `cse-govern`: a
-//! panicking worker must not freeze admission policy for the whole
-//! server, and `lock-stats` builds report this lock's contention. The
-//! trip/probe/close protocol itself is model-checked exhaustively by
+//! The mutex around the state recovers from poisoning, matching the
+//! convention in `cse-govern`: a panicking worker must not freeze
+//! admission policy for the whole server. The trip/probe/close protocol
+//! itself is model-checked exhaustively by
 //! `cse_conc::models::BreakerModel` (single half-open probe invariant).
 
-use cse_conc::{LockSiteStats, TrackedGuard, TrackedMutex};
 use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Breaker tuning.
@@ -123,33 +122,25 @@ pub struct BreakerSnapshot {
 #[derive(Debug)]
 pub struct Breaker {
     cfg: BreakerConfig,
-    inner: TrackedMutex<Inner>,
+    inner: Mutex<Inner>,
 }
 
 impl Breaker {
     pub fn new(cfg: BreakerConfig) -> Self {
         Breaker {
             cfg,
-            inner: TrackedMutex::new(
-                "serve.breaker",
-                Inner {
-                    state: St::Closed,
-                    window: VecDeque::new(),
-                    trips: 0,
-                    probes: 0,
-                    baseline_served: 0,
-                },
-            ),
+            inner: Mutex::new(Inner {
+                state: St::Closed,
+                window: VecDeque::new(),
+                trips: 0,
+                probes: 0,
+                baseline_served: 0,
+            }),
         }
     }
 
-    fn lock(&self) -> TrackedGuard<'_, Inner> {
-        self.inner.lock()
-    }
-
-    /// This breaker's lock counters (zeros unless built with `lock-stats`).
-    pub fn lock_site_stats(&self) -> LockSiteStats {
-        self.inner.stats()
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Decide what the next request may do.

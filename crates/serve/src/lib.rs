@@ -34,14 +34,12 @@
 //! Shared state here follows the repo's poisoned-lock convention: every
 //! lock recovers from poisoning rather than propagating it, because a
 //! worker that panicked mid-request must not take the queue or the breaker
-//! down with it. The queue, breaker and inflight-table mutexes are
-//! `cse_conc::TrackedMutex` (poison recovery built in; per-site
-//! contention counters under the `lock-stats` feature, surfaced by
-//! [`Server::lock_stats`]), server counters are independent atomics, and
-//! the discipline itself — no guard across planning/execution, no locks
-//! in hot paths, `stats` before `inflight` — is enforced statically by
-//! the `qconc` binary and model-checked by `cse-conc`'s interleaving
-//! explorer.
+//! down with it. The queue, breaker and inflight-table mutexes are plain
+//! `std::sync::Mutex` behind private poison-recovering `lock()` helpers,
+//! server counters are independent atomics, and the discipline itself —
+//! no guard across planning/execution, no locks in hot paths, `stats`
+//! before `inflight` — is enforced statically by the `qcheck` binary and
+//! model-checked by `cse-conc`'s interleaving explorer.
 
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -51,7 +49,6 @@ pub mod queue;
 pub mod server;
 
 pub use breaker::{Admission, Breaker, BreakerConfig, BreakerSnapshot, BreakerState};
-pub use cse_conc::{lock_stats_recording, LockSiteStats};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{
     AdmitPolicy, BatchReply, Outcome, RejectReason, Rejection, Server, ServerConfig, ServerStats,

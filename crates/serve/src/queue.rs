@@ -1,28 +1,25 @@
 //! The bounded admission queue.
 //!
-//! A minimal MPMC queue built from a tracked mutex over a `VecDeque` plus
+//! A minimal MPMC queue built from a mutex over a `VecDeque` plus
 //! two condvars — the build environment has no crossbeam, and the server
 //! needs exactly three behaviours from it: bounded capacity with an
 //! *immediate* full signal (so admission control can shed), an optional
 //! blocking push (backpressure), and a close that lets consumers drain
 //! what was already admitted before they exit.
 //!
-//! The mutex is a [`TrackedMutex`], so `lock-stats` builds report this
-//! queue's acquisition/contention/hold-time counters per site; the
-//! semantics of these operations are model-checked exhaustively by
-//! `cse_conc::models::QueueModel`. Lock acquisitions recover from
-//! poisoning (built into the tracked wrapper): a panicking producer or
-//! consumer must not wedge the whole server. Poison recovery is sound
-//! here because every critical section leaves `Inner` consistent at every
-//! statement boundary — a `VecDeque` push/pop either happens or does not.
+//! The semantics of these operations are model-checked exhaustively by
+//! `cse_conc::models::QueueModel`. Lock acquisitions and condvar waits
+//! recover from poisoning: a panicking producer or consumer must not
+//! wedge the whole server. Poison recovery is sound here because every
+//! critical section leaves `Inner` consistent at every statement
+//! boundary — a `VecDeque` push/pop either happens or does not.
 //!
 //! Test expectations on push/pop results use `expect` with context rather
 //! than bare `unwrap()`: when a queue invariant breaks, the panic message
 //! should say which behaviour died, not `Option::unwrap` on line N.
 
-use cse_conc::{LockSiteStats, TrackedGuard, TrackedMutex};
 use std::collections::VecDeque;
-use std::sync::Condvar;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Why a push was refused.
 #[derive(Debug)]
@@ -41,7 +38,7 @@ struct Inner<T> {
 
 /// A bounded, closeable MPMC queue.
 pub struct BoundedQueue<T> {
-    inner: TrackedMutex<Inner<T>>,
+    inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     not_full: Condvar,
 }
@@ -49,26 +46,18 @@ pub struct BoundedQueue<T> {
 impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         BoundedQueue {
-            inner: TrackedMutex::new(
-                "serve.queue",
-                Inner {
-                    items: VecDeque::new(),
-                    capacity: capacity.max(1),
-                    closed: false,
-                },
-            ),
+            inner: Mutex::new(Inner {
+                items: VecDeque::new(),
+                capacity: capacity.max(1),
+                closed: false,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> TrackedGuard<'_, Inner<T>> {
-        self.inner.lock()
-    }
-
-    /// This queue's lock counters (zeros unless built with `lock-stats`).
-    pub fn lock_site_stats(&self) -> LockSiteStats {
-        self.inner.stats()
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Admit `item` if there is room, else refuse immediately.
@@ -100,7 +89,10 @@ impl<T> BoundedQueue<T> {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            g = g.wait_on(&self.not_full);
+            g = self
+                .not_full
+                .wait(g)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -118,7 +110,10 @@ impl<T> BoundedQueue<T> {
             if g.closed {
                 return None;
             }
-            g = g.wait_on(&self.not_empty);
+            g = self
+                .not_empty
+                .wait(g)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 

@@ -31,7 +31,6 @@
 
 use crate::breaker::{Admission, Breaker, BreakerConfig, BreakerSnapshot};
 use crate::queue::{BoundedQueue, PushError};
-use cse_conc::{LockSiteStats, TrackedGuard, TrackedMutex};
 use cse_core::CseConfig;
 use cse_exec::{Engine, ExecError, ExecMetrics, ResultSet};
 use cse_govern::{
@@ -43,7 +42,7 @@ use cse_storage::Catalog;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -258,7 +257,7 @@ impl Counter {
 }
 
 /// Server counters. Formerly a `Mutex<StatsInner>` that every request
-/// locked several times on its hot path — the contention `qconc`'s
+/// locked several times on its hot path — the contention `qcheck`'s
 /// `conc/hot-path-lock` rule now rejects. Independent atomic counters
 /// need no critical section at all.
 #[derive(Debug, Default)]
@@ -327,15 +326,15 @@ struct Shared {
     cfg: ServerConfig,
     breaker: Breaker,
     stats: Stats,
-    inflight: TrackedMutex<Inflight>,
+    inflight: Mutex<Inflight>,
     shutdown: AtomicBool,
     /// The global memory pool (`None` = memory governance off).
     governor: Option<MemoryGovernor>,
 }
 
 impl Shared {
-    fn inflight(&self) -> TrackedGuard<'_, Inflight> {
-        self.inflight.lock()
+    fn inflight(&self) -> MutexGuard<'_, Inflight> {
+        self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -363,7 +362,7 @@ impl Server {
             cfg,
             breaker,
             stats: Stats::default(),
-            inflight: TrackedMutex::new("serve.inflight", HashMap::new()),
+            inflight: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             governor,
         });
@@ -509,23 +508,6 @@ impl Server {
             shed_memory: s.shed_memory.get(),
             breaker,
         }
-    }
-
-    /// Per-site lock counters for the server's three mutexes (admission
-    /// queue, breaker, inflight table). All zeros unless the build enables
-    /// the `lock-stats` feature; `cse_conc::TrackedMutex::recording()`
-    /// says which. The serve bench arm emits these into `BENCH_serve.json`
-    /// so multi-worker contention claims come with evidence attached.
-    pub fn lock_stats(&self) -> Vec<LockSiteStats> {
-        let mut sites = vec![
-            self.queue.lock_site_stats(),
-            self.shared.breaker.lock_site_stats(),
-            self.shared.inflight.stats(),
-        ];
-        if let Some(gov) = &self.shared.governor {
-            sites.push(gov.lock_site_stats());
-        }
-        sites
     }
 
     /// Racy queue depth, for monitoring only.

@@ -132,7 +132,7 @@ pub fn apply_allowlist(findings: Vec<Finding>, entries: &[AllowEntry]) -> Filter
 }
 
 /// A stale entry rendered as a deniable finding. `list_name` is the
-/// allowlist's display name (`qconc.allow`, `qaudit.allow`) and
+/// allowlist's display name (`qcheck.allow`) and
 /// `stale_rule` the owning analyzer's stale-entry rule id.
 pub fn stale_finding(e: &AllowEntry, list_name: &str, stale_rule: &'static str) -> Finding {
     Finding {

@@ -15,8 +15,8 @@
 //!   type, and `#[cfg(test)]` / `#[test]` region detection.
 //! - [`finding`] — the carrier type analyzers hand to allowlists and
 //!   `cse_diag::Report`.
-//! - [`allow`] — the checked-in, justified allowlist shared by `qconc`
-//!   and `qaudit`: `(rule, file-suffix, function)` keys, mandatory
+//! - [`allow`] — the checked-in, justified allowlist read by `qcheck`:
+//!   `(rule, file-suffix, function)` keys, mandatory
 //!   justifications, stale-entry detection so lists can only shrink back
 //!   to truth.
 //! - [`walk`] — deterministic `.rs` file collection for the CLI drivers.

@@ -22,11 +22,12 @@
 //! compensation predicate — must be served by the covering projection
 //! (step 5).
 
-use crate::diag::{rules, Report};
+use crate::diag::rules;
 use cse_algebra::{
     classes_to_conjuncts, derive_compatibility_compositional, implies, intersect_all, is_connected,
     AggExpr, ColRef, EquivClasses, RelSet, Scalar,
 };
+use cse_diag::Report;
 use cse_memo::GroupId;
 use std::collections::BTreeSet;
 

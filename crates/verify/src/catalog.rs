@@ -8,7 +8,8 @@
 //! that fails this pass, but it is equally applicable to a live catalog
 //! after a mutation storm.
 
-use crate::diag::{rules, Report};
+use crate::diag::rules;
+use cse_diag::Report;
 use cse_storage::{Catalog, CatalogEntry};
 
 fn check_entry(report: &mut Report, name: &str, entry: &CatalogEntry) {

@@ -12,7 +12,8 @@
 //! width estimates) are validated by [`crate::verify_candidates`] with the
 //! same `costing/*` rules.
 
-use crate::diag::{rules, Report};
+use crate::diag::rules;
+use cse_diag::Report;
 use cse_memo::GroupId;
 use std::collections::HashMap;
 

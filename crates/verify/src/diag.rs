@@ -2,12 +2,10 @@
 //! these types so callers (pipeline, CLI, bench report, tests) can filter
 //! by rule and severity instead of parsing strings.
 //!
-//! The carrier types ([`Severity`], [`Diagnostic`], [`Report`]) live in the
+//! The carrier types (`Severity`, `Diagnostic`, `Report`) live in the
 //! shared `cse-diag` crate so the frontend linter (`cse-lint`) can emit the
-//! same shape; this module re-exports them and keeps the verifier's own
-//! rule-id catalogue (the `lint/…` namespace belongs to `cse-lint`).
-
-pub use cse_diag::{Diagnostic, Report, Severity};
+//! same shape; this module keeps the verifier's own rule-id catalogue (the
+//! `lint/…` namespace belongs to `cse-lint`).
 
 /// Stable rule identifiers, one per invariant. Grouped by pass family.
 pub mod rules {
@@ -90,6 +88,7 @@ pub mod rules {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cse_diag::Report;
     use std::collections::BTreeSet;
 
     #[test]

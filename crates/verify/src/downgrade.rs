@@ -6,7 +6,8 @@
 //! reads after the consumers were rewritten away) would silently return
 //! wrong answers or leak work.
 
-use crate::diag::{rules, Report};
+use crate::diag::rules;
+use cse_diag::Report;
 use cse_optimizer::{FullPlan, PhysicalPlan};
 
 /// Verify that `plan` is a valid baseline plan: no `CseRead` operators in

@@ -28,7 +28,8 @@
 //!    (or forced) optimization budget is a genuine baseline plan — no
 //!    `CseRead` operators, no retained spool definitions.
 //!
-//! Each pass emits structured [`Diagnostic`]s collected into a [`Report`].
+//! Each pass emits structured `cse_diag::Diagnostic`s collected into a
+//! [`cse_diag::Report`].
 //! The pipeline (`cse-core`) runs the verifier behind `CseConfig::verify`
 //! (on by default in debug/test builds); `qsql --verify` and the
 //! `cse-bench` `verify` report expose it on demand.
@@ -47,11 +48,12 @@ pub mod sigcheck;
 pub use candidate::{verify_candidates, CandidateAudit, MemberAudit};
 pub use catalog::verify_catalog;
 pub use costing::{verify_costs, CostAudit};
-pub use diag::{rules, Diagnostic, Report, Severity};
+pub use diag::rules;
 pub use downgrade::verify_downgrade;
 pub use provenance::verify_provenance;
 pub use sigcheck::verify_signatures;
 
+use cse_diag::Report;
 use cse_memo::{GroupId, Memo};
 
 /// Run the memo-level passes (provenance + signature audit) and merge the

@@ -15,8 +15,9 @@
 //!   table signatures (paper §3, Fig. 2: `S_e = ∅`), so any interior
 //!   occurrence would silently hide sharable subexpressions.
 
-use crate::diag::{rules, Report};
+use crate::diag::rules;
 use cse_algebra::{ColRef, RelKind, Scalar};
+use cse_diag::Report;
 use cse_memo::{GroupId, Memo, Op};
 use std::collections::BTreeSet;
 

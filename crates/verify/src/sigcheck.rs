@@ -14,7 +14,8 @@
 //! under Fig. 2 even though the group has one — the signature belongs to
 //! the logical class, and the first expression mirrors the inserted plan.
 
-use crate::diag::{rules, Report};
+use crate::diag::rules;
+use cse_diag::Report;
 use cse_memo::{compute_signature, GroupId, Memo, TableSignature};
 use std::collections::HashMap;
 

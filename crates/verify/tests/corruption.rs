@@ -13,7 +13,7 @@ use cse_verify::{
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-fn fired(report: &cse_verify::Report) -> Vec<&'static str> {
+fn fired(report: &cse_diag::Report) -> Vec<&'static str> {
     report.fired_rules().into_iter().collect()
 }
 

@@ -38,7 +38,6 @@
 pub mod session;
 
 pub use cse_algebra as algebra;
-pub use cse_conc as conc;
 pub use cse_core as core;
 pub use cse_cost as cost;
 pub use cse_diag as diag;

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The site list this test drives is *derived from source text* by the
-/// qaudit vocabulary extractor, not copied from `sites::ALL` — so a
+/// qcheck vocabulary extractor, not copied from `sites::ALL` — so a
 /// site const added to `crates/govern/src/lib.rs` is exercised here
 /// even if its author forgot every registry. (`sites::ALL` itself is
 /// cross-checked against the same extraction below.)
@@ -221,7 +221,7 @@ fn site_list_and_validator_agree() {
 
 /// The source-text extraction, `sites::ALL`, and the per-site consts
 /// must all name the same set. This is the same registry cross-check
-/// `qaudit` runs in CI, pinned here so a failure points at the exact
+/// `qcheck` runs in CI, pinned here so a failure points at the exact
 /// direction of the drift.
 #[test]
 fn extracted_vocabulary_matches_site_registry() {

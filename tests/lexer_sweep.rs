@@ -1,6 +1,6 @@
 //! Workspace sweep for the shared source lexer (`cse-source`).
 //!
-//! qconc and qaudit both trust `cse_source::lex` to tokenize the
+//! Every qcheck analysis trusts `cse_source::lex` to tokenize the
 //! workspace's own source. The lexer is total by construction (it never
 //! fails, it skips what it does not understand), so the property worth
 //! pinning is *span discipline*: over every `.rs` file in the repo, the
