@@ -104,10 +104,7 @@ impl AuditConfig {
                 "watchdog_loop",
                 // Session/engine execution surface (crates/exec).
                 "Engine::execute",
-                "Engine::execute_strict",
-                "Engine::execute_cancelable",
-                "Engine::execute_governed",
-                "Engine::execute_reserved",
+                "Engine::execute_in",
                 "Session::query",
                 "lint_batch",
                 // Optimizer pipeline (src/pipeline.rs and below).

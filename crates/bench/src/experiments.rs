@@ -195,7 +195,7 @@ pub struct RobustnessOutcome {
 /// budget. Every scenario must still deliver correct results — the whole
 /// point of the ladder.
 pub fn robustness(catalog: &Catalog) -> Vec<RobustnessOutcome> {
-    use cse_exec::Engine;
+    use cse_exec::{Engine, ExecCtx};
     use cse_govern::{sites, Budget, ExecLimits, FailSpec, FailpointRegistry};
 
     let sql = workloads::table1_batch();
@@ -273,7 +273,10 @@ pub fn robustness(catalog: &Catalog) -> Vec<RobustnessOutcome> {
         let optimized = cse_core::optimize_sql(catalog, sql, &cfg).expect("governed optimization");
         let engine = Engine::new(catalog, &optimized.ctx);
         let out = engine
-            .execute_governed(&optimized.plan, &cfg.failpoints, &cfg.exec_limits)
+            .execute_in(
+                &optimized.plan,
+                &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
+            )
             .expect("governed execution");
         let mut events: Vec<String> = optimized
             .report

@@ -174,9 +174,7 @@ impl DisciplineConfig {
                 "optimize_plan",
                 "optimize_plan_with_facts",
                 "execute",
-                "execute_strict",
-                "execute_cancelable",
-                "execute_governed",
+                "execute_in",
                 "lint_batch",
             ],
         }
@@ -443,7 +441,7 @@ mod tests {
             ],
             lock_order: vec!["stats", "inflight"],
             hot_paths: vec!["hot"],
-            entry_points: vec!["optimize_sql", "execute_strict"],
+            entry_points: vec!["optimize_sql", "execute_in"],
         }
     }
 
@@ -497,7 +495,7 @@ mod tests {
         let src = r#"
             fn serve(&self) {
                 self.state.lock().bump();
-                execute_strict(plan);
+                execute_in(plan, ctx);
             }
         "#;
         assert!(rules_of(src).is_empty());

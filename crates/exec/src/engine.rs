@@ -4,25 +4,32 @@
 //! (on first read) and shared by every consumer, which is precisely the
 //! runtime behaviour the covering-subexpression optimization banks on.
 //!
-//! Execution is *governed*: [`Engine::execute_governed`] threads a
-//! deterministic fault-injection registry and per-statement
-//! materialization limits through the interpreter. When a spool faults or
+//! Execution is *governed*: [`Engine::execute_in`] threads an [`ExecCtx`]
+//! — a deterministic fault-injection registry, per-statement
+//! materialization limits, a cancellation token and an optional memory
+//! reservation — through the interpreter. When a spool faults or
 //! a budget trips, the affected statement is retried against the retained
 //! baseline plan (its original non-covering expression) and the recovery
 //! is recorded in the result's provenance — a fault degrades the plan, it
 //! never degrades the answer.
+//!
+//! Operators bind their expressions once against their input's columns
+//! ([`Bound`]), hash join and group-by keys in place ([`crate::keys`]),
+//! and are told which columns their ancestors read ([`Need`]) so joins
+//! materialize only those.
 
 use crate::error::ExecError;
-use crate::eval::{accepts, agg_input, eval, AggState, Layout};
-use cse_algebra::{AggExpr, ColRef, PlanContext, SortOrder};
+use crate::eval::{position, AggState, Bound};
+use crate::keys::{key_eq, key_hash, KeyTable};
+use cse_algebra::{AggExpr, ColRef, PlanContext, Scalar, SortOrder};
 use cse_govern::{
     sites, CancelToken, DegradationEvent, ExecLimits, FailpointRegistry, MemReservation, MemScope,
     Reason, ReserveError,
 };
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan};
 use cse_storage::{Catalog, Row, Value};
-use std::collections::HashMap;
-use std::ops::Bound;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Bound as RangeBound;
 
 /// A delivered result set (one per batch statement).
 #[derive(Debug, Clone)]
@@ -127,19 +134,62 @@ pub struct ExecOutput {
     pub events: Vec<DegradationEvent>,
 }
 
-/// Intermediate rows + their layout.
+/// Intermediate rows and the global column id of each row position.
 struct Chunk {
-    layout: Layout,
     cols: Vec<ColRef>,
     rows: Vec<Row>,
 }
 
-impl Chunk {
-    fn new(cols: Vec<ColRef>, rows: Vec<Row>) -> Self {
-        Chunk {
-            layout: Layout::new(&cols),
-            cols,
-            rows,
+/// The columns an operator's ancestors read, handed down as the plan is
+/// walked. An operator may emit more than is needed (scans deliver stored
+/// rows as they are), never less: a parent binds against the columns its
+/// input actually produced, so an over-pruned column is a bind error.
+type Need = BTreeSet<ColRef>;
+
+/// How one [`Engine::execute_in`] call is governed. The default is
+/// ungoverned: nothing armed, no limits, never canceled, no reservation.
+#[derive(Debug, Clone)]
+pub struct ExecCtx<'a> {
+    /// Armed failpoints may inject faults at the executor's sites.
+    pub failpoints: FailpointRegistry,
+    /// Per-statement materialization limits.
+    pub limits: ExecLimits,
+    /// Checked at every operator boundary and every [`CANCEL_STRIDE`]
+    /// rows inside scans and joins, so a watchdog can stop a runaway
+    /// batch without killing the executing thread.
+    pub cancel: CancelToken,
+    /// Global memory reservation that all operator output bytes (and
+    /// spool work tables, which outlive their statement) are charged to;
+    /// a refused charge is a recoverable fault like a breached limit.
+    pub reservation: Option<&'a MemReservation>,
+    /// Retry a statement that hit a recoverable fault (injected failpoint,
+    /// breached limit, refused reservation) against the retained baseline
+    /// plan — or, when the plan has no retained baseline, against the same
+    /// statement with governance suppressed — and record the recovery in
+    /// the result's provenance and [`ExecOutput::events`]. Serving layers
+    /// that own the retry policy turn this off; the fault then bubbles.
+    pub recover: bool,
+}
+
+impl ExecCtx<'_> {
+    /// The default context with these failpoints and limits.
+    pub fn governed(failpoints: &FailpointRegistry, limits: &ExecLimits) -> Self {
+        ExecCtx {
+            failpoints: failpoints.clone(),
+            limits: limits.clone(),
+            ..ExecCtx::default()
+        }
+    }
+}
+
+impl Default for ExecCtx<'_> {
+    fn default() -> Self {
+        ExecCtx {
+            failpoints: FailpointRegistry::disabled(),
+            limits: ExecLimits::none(),
+            cancel: CancelToken::never(),
+            reservation: None,
+            recover: true,
         }
     }
 }
@@ -154,11 +204,7 @@ struct RunState<'p> {
     plan: &'p FullPlan,
     spools: HashMap<CseId, (Vec<ColRef>, Vec<Row>)>,
     metrics: ExecMetrics,
-    failpoints: &'p FailpointRegistry,
-    limits: &'p ExecLimits,
-    /// Cooperative cancellation, checked at every operator boundary and
-    /// every [`CANCEL_STRIDE`] rows inside the scan/join loops.
-    cancel: &'p CancelToken,
+    ctx: &'p ExecCtx<'p>,
     /// Rows / approximate bytes materialized by the current statement.
     rows_materialized: usize,
     bytes_materialized: usize,
@@ -207,7 +253,7 @@ const CANCEL_STRIDE: usize = 4096;
 impl RunState<'_> {
     /// Evaluate an armed failpoint at `site` (no-op while recovering).
     fn maybe_fail(&self, site: &str) -> Result<(), ExecError> {
-        if !self.recovering && self.failpoints.should_fail(site) {
+        if !self.recovering && self.ctx.failpoints.should_fail(site) {
             return Err(ExecError::Injected {
                 site: site.to_string(),
             });
@@ -217,10 +263,10 @@ impl RunState<'_> {
 
     /// Stop if the request was canceled or its deadline expired.
     fn check_cancel(&self) -> Result<(), ExecError> {
-        if self.cancel.is_explicitly_canceled() {
+        if self.ctx.cancel.is_explicitly_canceled() {
             return Err(ExecError::Canceled { deadline: false });
         }
-        if self.cancel.deadline_expired() {
+        if self.ctx.cancel.deadline_expired() {
             return Err(ExecError::Canceled { deadline: true });
         }
         Ok(())
@@ -251,10 +297,10 @@ impl RunState<'_> {
                 scope.charge(bytes).map_err(reserve_to_exec)?;
             }
         }
-        if self.recovering || self.limits.is_unlimited() {
+        if self.recovering || self.ctx.limits.is_unlimited() {
             return Ok(());
         }
-        if let Some(cap) = self.limits.max_rows {
+        if let Some(cap) = self.ctx.limits.max_rows {
             if self.rows_materialized > cap {
                 return Err(ExecError::ResourceBudget {
                     what: "rows",
@@ -263,7 +309,7 @@ impl RunState<'_> {
                 });
             }
         }
-        if let Some(cap) = self.limits.max_bytes {
+        if let Some(cap) = self.ctx.limits.max_bytes {
             if self.bytes_materialized > cap {
                 return Err(ExecError::ResourceBudget {
                     what: "bytes",
@@ -311,93 +357,21 @@ impl<'a> Engine<'a> {
     /// Execute a full plan; batch roots deliver one result set per child.
     /// Ungoverned: no fault injection, no limits.
     pub fn execute(&self, plan: &FullPlan) -> Result<ExecOutput, ExecError> {
-        self.execute_governed(plan, &FailpointRegistry::disabled(), &ExecLimits::none())
+        self.execute_in(plan, &ExecCtx::default())
     }
 
-    /// Execute under governance: armed failpoints may inject faults, and
-    /// per-statement materialization limits are enforced. A recoverable
-    /// failure (injected fault, budget breach) retries the affected
-    /// statement against the retained baseline plan — or, when the plan
-    /// has no retained baseline, against the same statement with
-    /// governance suppressed — and records the recovery in both the
-    /// result's provenance and [`ExecOutput::events`].
-    pub fn execute_governed(
-        &self,
-        plan: &FullPlan,
-        failpoints: &FailpointRegistry,
-        limits: &ExecLimits,
-    ) -> Result<ExecOutput, ExecError> {
-        self.execute_with(plan, failpoints, limits, &CancelToken::never(), true)
-    }
-
-    /// [`Engine::execute_governed`] plus cooperative cancellation: the
-    /// token is checked at every operator boundary and every
-    /// [`CANCEL_STRIDE`] rows inside scans and joins, so a watchdog can
-    /// stop a runaway batch without killing the executing thread.
-    pub fn execute_cancelable(
-        &self,
-        plan: &FullPlan,
-        failpoints: &FailpointRegistry,
-        limits: &ExecLimits,
-        cancel: &CancelToken,
-    ) -> Result<ExecOutput, ExecError> {
-        self.execute_with(plan, failpoints, limits, cancel, true)
-    }
-
-    /// Strict governance: like [`Engine::execute_cancelable`] but with the
-    /// in-engine baseline recovery *disabled* — a recoverable fault (an
-    /// injected failpoint trip, a breached limit) bubbles to the caller
-    /// instead of retrying the statement here. Serving layers use this to
-    /// own the retry policy (jittered backoff, attempt caps, structured
-    /// rejection) rather than hiding transient faults inside the engine.
-    pub fn execute_strict(
-        &self,
-        plan: &FullPlan,
-        failpoints: &FailpointRegistry,
-        limits: &ExecLimits,
-        cancel: &CancelToken,
-    ) -> Result<ExecOutput, ExecError> {
-        self.execute_with(plan, failpoints, limits, cancel, false)
-    }
-
-    fn execute_with(
-        &self,
-        plan: &FullPlan,
-        failpoints: &FailpointRegistry,
-        limits: &ExecLimits,
-        cancel: &CancelToken,
-        recover: bool,
-    ) -> Result<ExecOutput, ExecError> {
-        self.execute_reserved(plan, failpoints, limits, cancel, None, recover)
-    }
-
-    /// The fully-governed entry point: everything the other `execute_*`
-    /// methods thread, plus an optional global memory reservation. All
-    /// operator output bytes (and spool work tables, which outlive their
-    /// statement) are charged against the reservation; a refused charge is
-    /// a recoverable fault that walks the same baseline-retry path as an
-    /// injected failpoint or a breached [`ExecLimits`].
-    pub fn execute_reserved(
-        &self,
-        plan: &FullPlan,
-        failpoints: &FailpointRegistry,
-        limits: &ExecLimits,
-        cancel: &CancelToken,
-        reservation: Option<&MemReservation>,
-        recover: bool,
-    ) -> Result<ExecOutput, ExecError> {
+    /// Execute under the governance `ctx` describes (see [`ExecCtx`]).
+    pub fn execute_in(&self, plan: &FullPlan, ctx: &ExecCtx<'_>) -> Result<ExecOutput, ExecError> {
         let mut st = RunState {
             plan,
             spools: HashMap::new(),
             metrics: ExecMetrics::default(),
-            failpoints,
-            limits,
-            cancel,
+            ctx,
             rows_materialized: 0,
             bytes_materialized: 0,
             spool_bytes_total: 0,
-            stmt_scope: reservation.map(MemReservation::scope),
-            spool_scope: reservation.map(MemReservation::scope),
+            stmt_scope: ctx.reservation.map(MemReservation::scope),
+            spool_scope: ctx.reservation.map(MemReservation::scope),
             recovering: false,
         };
         let statements: Vec<&PhysicalPlan> = match &plan.root {
@@ -417,7 +391,7 @@ impl<'a> Engine<'a> {
             let snapshot = st.metrics.clone();
             match self.deliver(stmt, &mut st) {
                 Ok(rs) => results.push(rs),
-                Err(e) if recover && e.is_recoverable() => {
+                Err(e) if ctx.recover && e.is_recoverable() => {
                     let reason = match &e {
                         ExecError::Injected { .. } => Reason::ExecFaultInjected,
                         ExecError::ResourceBudget { what: "rows", .. } => Reason::ExecRowBudget,
@@ -458,61 +432,56 @@ impl<'a> Engine<'a> {
 
     /// Run one statement subtree and name its output columns.
     fn deliver(&self, plan: &PhysicalPlan, st: &mut RunState<'_>) -> Result<ResultSet, ExecError> {
-        match plan {
-            PhysicalPlan::Project { input, exprs } => {
-                let chunk = self.run(input, st)?;
-                let mut rows = Vec::with_capacity(chunk.rows.len());
-                for r in &chunk.rows {
-                    let vals: Vec<Value> = exprs
-                        .iter()
-                        .map(|(_, e)| eval(e, &chunk.layout, r))
-                        .collect();
-                    rows.push(cse_storage::row(vals));
-                }
-                Ok(ResultSet::new(
-                    exprs.iter().map(|(n, _)| n.clone()).collect(),
-                    rows,
-                ))
-            }
-            PhysicalPlan::Sort { input, keys } => {
-                // Sort above Project is not generated; Sort below Project is
-                // handled inside run(). A bare Sort root delivers positional
-                // columns.
-                let chunk = self.run(
-                    &PhysicalPlan::Sort {
-                        input: input.clone(),
-                        keys: keys.clone(),
-                    },
-                    st,
-                )?;
-                Ok(ResultSet::new(
-                    chunk.cols.iter().map(|c| self.ctx.col_name(*c)).collect(),
-                    chunk.rows,
-                ))
-            }
-            other => {
-                let chunk = self.run(other, st)?;
-                Ok(ResultSet::new(
-                    chunk.cols.iter().map(|c| self.ctx.col_name(*c)).collect(),
-                    chunk.rows,
-                ))
-            }
+        if let PhysicalPlan::Project { input, exprs } = plan {
+            let need = columns_of(exprs.iter().map(|(_, e)| e));
+            let chunk = self.run(input, &need, st)?;
+            let rows = project(
+                chunk.rows.iter(),
+                &chunk.cols,
+                exprs.iter().map(|(_, e)| e),
+                "Project",
+            )?;
+            let names = exprs.iter().map(|(n, _)| n.clone()).collect();
+            return Ok(ResultSet::new(names, rows));
         }
+        // Any other root (Sort above Project is not generated) delivers
+        // its whole layout under the catalog's column names.
+        let need = plan.layout().iter().copied().collect();
+        let chunk = self.run(plan, &need, st)?;
+        Ok(ResultSet::new(
+            chunk.cols.iter().map(|c| self.ctx.col_name(*c)).collect(),
+            chunk.rows,
+        ))
     }
 
     /// Evaluate one operator and charge its output against the statement
     /// budget. The budget counts rows (and approximate bytes) materialized
     /// by *every* operator, spool definitions included — a runaway join
     /// inside a spool trips the consumer statement that first reads it.
-    fn run(&self, plan: &PhysicalPlan, st: &mut RunState<'_>) -> Result<Chunk, ExecError> {
+    fn run(
+        &self,
+        plan: &PhysicalPlan,
+        need: &Need,
+        st: &mut RunState<'_>,
+    ) -> Result<Chunk, ExecError> {
         st.check_cancel()?;
-        let chunk = self.run_inner(plan, st)?;
+        let chunk = self.run_inner(plan, need, st)?;
         let bytes = chunk.rows.len() * chunk.cols.len().max(1) * std::mem::size_of::<Value>();
         st.charge(chunk.rows.len(), bytes)?;
         Ok(chunk)
     }
 
-    fn run_inner(&self, plan: &PhysicalPlan, st: &mut RunState<'_>) -> Result<Chunk, ExecError> {
+    fn run_inner(
+        &self,
+        plan: &PhysicalPlan,
+        need: &Need,
+        st: &mut RunState<'_>,
+    ) -> Result<Chunk, ExecError> {
+        let bind_opt = |p: &Option<Scalar>, cols: &[ColRef]| {
+            p.as_ref()
+                .map(|p| Bound::bind(p, cols, plan.name()))
+                .transpose()
+        };
         match plan {
             PhysicalPlan::TableScan {
                 rel,
@@ -525,19 +494,19 @@ impl<'a> Engine<'a> {
                     .catalog
                     .table(&info.name)
                     .map_err(|e| ExecError::Storage(e.to_string()))?;
-                let lay = Layout::new(layout);
+                let filter = bind_opt(filter, layout)?;
                 let mut rows = Vec::new();
                 st.metrics.base_rows_scanned += table.row_count();
                 for (i, r) in table.scan().enumerate() {
                     st.check_cancel_at(i)?;
-                    if let Some(p) = filter {
-                        if !accepts(p, &lay, r) {
-                            continue;
-                        }
+                    if filter.as_ref().is_none_or(|p| p.accepts(r)) {
+                        rows.push(r.clone());
                     }
-                    rows.push(r.clone());
                 }
-                Ok(Chunk::new(layout.clone(), rows))
+                Ok(Chunk {
+                    cols: layout.clone(),
+                    rows,
+                })
             }
             PhysicalPlan::IndexRangeScan {
                 rel,
@@ -554,21 +523,21 @@ impl<'a> Engine<'a> {
                     .get(&info.name)
                     .map_err(|e| ExecError::Storage(e.to_string()))?;
                 let table = entry.table.clone();
-                let lay = Layout::new(layout);
+                let residual = bind_opt(residual, layout)?;
                 let idx = entry
                     .btree_indexes
                     .iter()
                     .find(|i| i.column == col.col as usize);
                 let mut rows = Vec::new();
                 let lo_b = match lo {
-                    Some((v, true)) => Bound::Included(v),
-                    Some((v, false)) => Bound::Excluded(v),
-                    None => Bound::Unbounded,
+                    Some((v, true)) => RangeBound::Included(v),
+                    Some((v, false)) => RangeBound::Excluded(v),
+                    None => RangeBound::Unbounded,
                 };
                 let hi_b = match hi {
-                    Some((v, true)) => Bound::Included(v),
-                    Some((v, false)) => Bound::Excluded(v),
-                    None => Bound::Unbounded,
+                    Some((v, true)) => RangeBound::Included(v),
+                    Some((v, false)) => RangeBound::Excluded(v),
+                    None => RangeBound::Unbounded,
                 };
                 match idx {
                     Some(idx) => {
@@ -583,12 +552,9 @@ impl<'a> Engine<'a> {
                                     info.name
                                 ))
                             })?;
-                            if let Some(p) = residual {
-                                if !accepts(p, &lay, r) {
-                                    continue;
-                                }
+                            if residual.as_ref().is_none_or(|p| p.accepts(r)) {
+                                rows.push(r.clone());
                             }
-                            rows.push(r.clone());
                         }
                         st.metrics.base_rows_scanned += rows.len();
                     }
@@ -608,116 +574,71 @@ impl<'a> Engine<'a> {
                             };
                             lo_ok && hi_ok
                         };
-                        let pos = lay.position(*col).ok_or_else(|| {
-                            ExecError::MissingColumn(format!("index column {col}"))
-                        })?;
+                        let pos = position(layout, *col, plan.name())?;
                         for (i, r) in table.scan().enumerate() {
                             st.check_cancel_at(i)?;
-                            if !in_range(&r[pos]) {
-                                continue;
+                            if r.get(pos).is_some_and(in_range)
+                                && residual.as_ref().is_none_or(|p| p.accepts(r))
+                            {
+                                rows.push(r.clone());
                             }
-                            if let Some(p) = residual {
-                                if !accepts(p, &lay, r) {
-                                    continue;
-                                }
-                            }
-                            rows.push(r.clone());
                         }
                     }
                 }
-                Ok(Chunk::new(layout.clone(), rows))
+                Ok(Chunk {
+                    cols: layout.clone(),
+                    rows,
+                })
             }
             PhysicalPlan::Filter { input, pred } => {
-                let chunk = self.run(input, st)?;
-                let rows = chunk
-                    .rows
-                    .iter()
-                    .filter(|r| accepts(pred, &chunk.layout, r))
-                    .cloned()
-                    .collect();
-                Ok(Chunk::new(chunk.cols, rows))
+                let mut chunk = self.run(input, &with_columns(need, [pred]), st)?;
+                let pred = Bound::bind(pred, &chunk.cols, plan.name())?;
+                chunk.rows.retain(|r| pred.accepts(r));
+                Ok(chunk)
             }
             PhysicalPlan::HashJoin {
                 left,
                 right,
                 keys,
                 residual,
-                layout,
+                ..
             } => {
-                let lchunk = self.run(left, st)?;
-                let rchunk = self.run(right, st)?;
-                let lkeys: Vec<usize> =
-                    keys.iter()
-                        .map(|(a, _)| {
-                            lchunk.layout.position(*a).ok_or_else(|| {
-                                ExecError::MissingColumn(format!("left join key {a}"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                let rkeys: Vec<usize> =
-                    keys.iter()
-                        .map(|(_, b)| {
-                            rchunk.layout.position(*b).ok_or_else(|| {
-                                ExecError::MissingColumn(format!("right join key {b}"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
-                for r in &lchunk.rows {
-                    let k: Vec<Value> = lkeys.iter().map(|i| r[*i].clone()).collect();
-                    if k.iter().any(Value::is_null) {
-                        continue; // NULL never joins
-                    }
-                    table.entry(k).or_default().push(r);
-                }
-                let out_layout = Layout::new(layout);
-                let mut rows = Vec::new();
-                for (pi, rrow) in rchunk.rows.iter().enumerate() {
-                    st.check_cancel_at(pi)?;
-                    let k: Vec<Value> = rkeys.iter().map(|i| rrow[*i].clone()).collect();
-                    if k.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    if let Some(matches) = table.get(&k) {
-                        for lrow in matches {
-                            let mut vals: Vec<Value> = Vec::with_capacity(layout.len());
-                            vals.extend(lrow.iter().cloned());
-                            vals.extend(rrow.iter().cloned());
-                            let joined = cse_storage::row(vals);
-                            if let Some(p) = residual {
-                                if !accepts(p, &out_layout, &joined) {
-                                    continue;
-                                }
-                            }
-                            rows.push(joined);
-                        }
-                    }
-                }
-                Ok(Chunk::new(layout.clone(), rows))
+                // Output what the ancestors read plus what the residual
+                // reads (it is tested on the joined row); the inputs must
+                // also carry the join keys.
+                let out_need = with_columns(need, residual);
+                let mut in_need = out_need.clone();
+                in_need.extend(keys.iter().flat_map(|(a, b)| [*a, *b]));
+                let lchunk = self.run(left, &in_need, st)?;
+                let rchunk = self.run(right, &in_need, st)?;
+                hash_join(&lchunk, &rchunk, keys, residual.as_ref(), &out_need, st)
             }
             PhysicalPlan::NlJoin {
-                left,
-                right,
-                pred,
-                layout,
+                left, right, pred, ..
             } => {
-                let lchunk = self.run(left, st)?;
-                let rchunk = self.run(right, st)?;
-                let out_layout = Layout::new(layout);
+                let out_need = with_columns(need, [pred]);
+                let lchunk = self.run(left, &out_need, st)?;
+                let rchunk = self.run(right, &out_need, st)?;
+                let join = JoinOutput::new(&lchunk.cols, &rchunk.cols, &out_need);
+                let pred = if pred.is_true() {
+                    None
+                } else {
+                    Some(Bound::bind(pred, &join.cols, plan.name())?)
+                };
                 let mut rows = Vec::new();
                 for (li, lrow) in lchunk.rows.iter().enumerate() {
                     st.check_cancel_at(li)?;
                     for rrow in &rchunk.rows {
-                        let mut vals: Vec<Value> = Vec::with_capacity(layout.len());
-                        vals.extend(lrow.iter().cloned());
-                        vals.extend(rrow.iter().cloned());
-                        let joined = cse_storage::row(vals);
-                        if pred.is_true() || accepts(pred, &out_layout, &joined) {
+                        let joined = join.row(lrow, rrow);
+                        if pred.as_ref().is_none_or(|p| p.accepts(&joined)) {
                             rows.push(joined);
                         }
                     }
                 }
-                Ok(Chunk::new(layout.clone(), rows))
+                Ok(Chunk {
+                    cols: join.cols,
+                    rows,
+                })
             }
             PhysicalPlan::HashAggregate {
                 input,
@@ -726,18 +647,25 @@ impl<'a> Engine<'a> {
                 layout,
                 ..
             } => {
-                let chunk = self.run(input, st)?;
-                let rows = aggregate(&chunk, keys, aggs)?;
-                Ok(Chunk::new(layout.clone(), rows))
+                let mut in_need = columns_of(aggs.iter().filter_map(|a| a.arg.as_ref()));
+                in_need.extend(keys);
+                let chunk = self.run(input, &in_need, st)?;
+                let rows = aggregate(chunk.rows.iter(), &chunk.cols, keys, aggs, plan.name())?;
+                Ok(Chunk {
+                    cols: layout.clone(),
+                    rows,
+                })
             }
             PhysicalPlan::Sort { input, keys } => {
-                let chunk = self.run(input, st)?;
-                let mut rows = chunk.rows;
-                rows.sort_by(|a, b| {
-                    for (k, dir) in keys {
-                        let va = eval(k, &chunk.layout, a);
-                        let vb = eval(k, &chunk.layout, b);
-                        let mut o = va.total_cmp(&vb);
+                let in_need = with_columns(need, keys.iter().map(|(k, _)| k));
+                let mut chunk = self.run(input, &in_need, st)?;
+                let keys: Vec<(Bound, SortOrder)> = keys
+                    .iter()
+                    .map(|(k, dir)| Ok((Bound::bind(k, &chunk.cols, plan.name())?, *dir)))
+                    .collect::<Result<_, ExecError>>()?;
+                chunk.rows.sort_by(|a, b| {
+                    for (k, dir) in &keys {
+                        let mut o = k.eval(a).total_cmp(&k.eval(b));
                         if *dir == SortOrder::Desc {
                             o = o.reverse();
                         }
@@ -747,57 +675,45 @@ impl<'a> Engine<'a> {
                     }
                     std::cmp::Ordering::Equal
                 });
-                Ok(Chunk::new(chunk.cols, rows))
+                Ok(chunk)
             }
-            PhysicalPlan::Project { input, exprs } => {
-                // Interior projection (rare): deliver positionally with
-                // synthetic cols — only valid at roots, guarded here.
-                let _ = (input, exprs);
-                Err(ExecError::Unsupported(
-                    "interior Project operators are not supported",
-                ))
-            }
+            // Only valid at a statement root, where `deliver` handles it.
+            PhysicalPlan::Project { .. } => Err(ExecError::Unsupported(
+                "interior Project operators are not supported",
+            )),
             PhysicalPlan::CseRead {
                 cse,
                 filter,
                 reagg,
                 output_map,
-                layout,
+                ..
             } => {
                 self.ensure_spool(*cse, st)?;
                 *st.metrics.spool_reads.entry(*cse).or_insert(0) += 1;
                 // `ensure_spool` just materialized it; report rather than
-                // panic if that invariant ever breaks.
-                let (spool_cols, spool_rows) = st
-                    .spools
-                    .get(cse)
-                    .ok_or(ExecError::MissingSpool(*cse))?
-                    .clone();
-                let spool_layout = Layout::new(&spool_cols);
-                let mut rows: Vec<Row> = spool_rows;
-                if let Some(p) = filter {
-                    rows.retain(|r| accepts(p, &spool_layout, r));
-                }
-                let (cur_cols, cur_rows) = match reagg {
+                // panic if that invariant ever breaks. The stored rows are
+                // filtered and re-aggregated in place, never copied.
+                let (spool_cols, spool_rows) =
+                    st.spools.get(cse).ok_or(ExecError::MissingSpool(*cse))?;
+                let filter = bind_opt(filter, spool_cols)?;
+                let kept = spool_rows
+                    .iter()
+                    .filter(|r| filter.as_ref().is_none_or(|p| p.accepts(r)));
+                let outputs = || output_map.iter().filter(|(c, _)| need.contains(c));
+                let exprs = outputs().map(|(_, e)| e);
+                let rows = match reagg {
                     Some(r) => {
-                        let chunk = Chunk::new(spool_cols.clone(), rows);
-                        let agg_rows = aggregate(&chunk, &r.keys, &r.aggs)?;
+                        let agg_rows = aggregate(kept, spool_cols, &r.keys, &r.aggs, plan.name())?;
                         let mut cols = r.keys.clone();
                         cols.extend((0..r.aggs.len()).map(|i| ColRef::new(r.out, i as u16)));
-                        (cols, agg_rows)
+                        project(agg_rows.iter(), &cols, exprs, plan.name())?
                     }
-                    None => (spool_cols, rows),
+                    None => project(kept, spool_cols, exprs, plan.name())?,
                 };
-                let cur_layout = Layout::new(&cur_cols);
-                let mut out_rows = Vec::with_capacity(cur_rows.len());
-                for r in &cur_rows {
-                    let vals: Vec<Value> = output_map
-                        .iter()
-                        .map(|(_, e)| eval(e, &cur_layout, r))
-                        .collect();
-                    out_rows.push(cse_storage::row(vals));
-                }
-                Ok(Chunk::new(layout.clone(), out_rows))
+                Ok(Chunk {
+                    cols: outputs().map(|(c, _)| *c).collect(),
+                    rows,
+                })
             }
             PhysicalPlan::Batch { .. } => Err(ExecError::Unsupported(
                 "nested Batch operators are not supported",
@@ -815,13 +731,9 @@ impl<'a> Engine<'a> {
         // partial spool behind, so a later statement (or the baseline
         // retry) sees clean state.
         st.maybe_fail(sites::SPOOL_MATERIALIZE)?;
-        let def = st
-            .plan
-            .spools
-            .get(&cse)
-            .ok_or(ExecError::MissingSpool(cse))?
-            .clone();
-        let chunk = self.run(&def.plan, st)?;
+        let plan = st.plan;
+        let def = plan.spools.get(&cse).ok_or(ExecError::MissingSpool(cse))?;
+        let chunk = self.run(&def.plan, &def.layout.iter().copied().collect(), st)?;
         // Re-layout the definition output into the spool's column order.
         let rows: Vec<Row> = if chunk.cols == def.layout {
             chunk.rows
@@ -829,16 +741,12 @@ impl<'a> Engine<'a> {
             let positions: Vec<usize> = def
                 .layout
                 .iter()
-                .map(|c| {
-                    chunk.layout.position(*c).ok_or_else(|| {
-                        ExecError::MissingColumn(format!("spool column {c} in definition"))
-                    })
-                })
+                .map(|c| position(&chunk.cols, *c, "Spool"))
                 .collect::<Result<_, _>>()?;
             chunk
                 .rows
                 .iter()
-                .map(|r| cse_storage::row(positions.iter().map(|i| r[*i].clone()).collect()))
+                .map(|r| positions.iter().map(|i| r[*i].clone()).collect())
                 .collect()
         };
         // The spool outlives its statement, so its bytes move to the
@@ -863,45 +771,185 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Hash aggregation shared by HashAggregate and CseRead re-aggregation.
-fn aggregate(chunk: &Chunk, keys: &[ColRef], aggs: &[AggExpr]) -> Result<Vec<Row>, ExecError> {
+/// Every column the expressions read.
+fn columns_of<'s>(exprs: impl IntoIterator<Item = &'s Scalar>) -> Need {
+    exprs.into_iter().flat_map(Scalar::columns).collect()
+}
+
+/// `need` plus every column the expressions read.
+fn with_columns<'s>(need: &Need, exprs: impl IntoIterator<Item = &'s Scalar>) -> Need {
+    let mut out = columns_of(exprs);
+    out.extend(need);
+    out
+}
+
+/// Evaluate `exprs` over each row: one output row per input row.
+fn project<'r, 's>(
+    rows: impl Iterator<Item = &'r Row>,
+    cols: &[ColRef],
+    exprs: impl Iterator<Item = &'s Scalar>,
+    op: &str,
+) -> Result<Vec<Row>, ExecError> {
+    let exprs: Vec<Bound> = exprs
+        .map(|e| Bound::bind(e, cols, op))
+        .collect::<Result<_, _>>()?;
+    Ok(rows
+        .map(|r| exprs.iter().map(|e| e.eval(r).into_owned()).collect())
+        .collect())
+}
+
+/// The columns a join emits: those of its inputs, left then right, that
+/// are in `need` — not the concatenation of both sides.
+struct JoinOutput {
+    cols: Vec<ColRef>,
+    left: Vec<usize>,
+    right: Vec<usize>,
+}
+
+impl JoinOutput {
+    fn new(lcols: &[ColRef], rcols: &[ColRef], need: &Need) -> Self {
+        let keep = |cols: &[ColRef]| -> Vec<usize> {
+            let kept = cols.iter().enumerate().filter(|(_, c)| need.contains(c));
+            kept.map(|(i, _)| i).collect()
+        };
+        let (left, right) = (keep(lcols), keep(rcols));
+        let cols = left.iter().map(|i| lcols[*i]);
+        let cols = cols.chain(right.iter().map(|i| rcols[*i])).collect();
+        JoinOutput { cols, left, right }
+    }
+
+    /// The joined row, allocated once at its final width.
+    #[inline]
+    fn row(&self, l: &[Value], r: &[Value]) -> Row {
+        let left = self.left.iter().map(|i| l[*i].clone());
+        left.chain(self.right.iter().map(|i| r[*i].clone()))
+            .collect()
+    }
+}
+
+/// Hash join; the left side builds, the right side probes. Output is in
+/// probe order, build-side insertion order among the matches of one probe
+/// row. A NULL key column never joins.
+fn hash_join(
+    build: &Chunk,
+    probe: &Chunk,
+    keys: &[(ColRef, ColRef)],
+    residual: Option<&Scalar>,
+    need: &Need,
+    st: &RunState<'_>,
+) -> Result<Chunk, ExecError> {
+    const OP: &str = "HashJoin";
+    let bkeys = keys.iter().map(|(b, _)| position(&build.cols, *b, OP));
+    let bkeys: Vec<usize> = bkeys.collect::<Result<_, _>>()?;
+    let pkeys = keys.iter().map(|(_, p)| position(&probe.cols, *p, OP));
+    let pkeys: Vec<usize> = pkeys.collect::<Result<_, _>>()?;
+    let has_null = |r: &[Value], pos: &[usize]| pos.iter().any(|p| r[*p].is_null());
+    let join = JoinOutput::new(&build.cols, &probe.cols, need);
+    let residual = residual
+        .map(|p| Bound::bind(p, &join.cols, OP))
+        .transpose()?;
+
+    // One table entry per distinct key; the build rows of an entry are
+    // chained through `next` in insertion order (`first`/`last` by entry).
+    const END: u32 = u32::MAX;
+    let mut table = KeyTable::with_capacity(build.rows.len());
+    let (mut first, mut last) = (Vec::<u32>::new(), Vec::<u32>::new());
+    let mut next = vec![END; build.rows.len()];
+    for (i, row) in build.rows.iter().enumerate() {
+        if has_null(row, &bkeys) {
+            continue;
+        }
+        let (entry, added) = table.find_or_insert(key_hash(row, &bkeys), |e| {
+            key_eq(&build.rows[first[e] as usize], &bkeys, row, &bkeys)
+        });
+        if added {
+            first.push(i as u32);
+            last.push(i as u32);
+        } else {
+            next[last[entry] as usize] = i as u32;
+            last[entry] = i as u32;
+        }
+    }
+
+    let mut rows = Vec::new();
+    for (pi, prow) in probe.rows.iter().enumerate() {
+        st.check_cancel_at(pi)?;
+        if has_null(prow, &pkeys) {
+            continue;
+        }
+        let entry = table.find(key_hash(prow, &pkeys), |e| {
+            key_eq(&build.rows[first[e] as usize], &bkeys, prow, &pkeys)
+        });
+        let mut at = entry.map_or(END, |e| first[e]);
+        while at != END {
+            let joined = join.row(&build.rows[at as usize], prow);
+            if residual.as_ref().is_none_or(|p| p.accepts(&joined)) {
+                rows.push(joined);
+            }
+            at = next[at as usize];
+        }
+    }
+    Ok(Chunk {
+        cols: join.cols,
+        rows,
+    })
+}
+
+/// Hash aggregation shared by HashAggregate and CseRead re-aggregation:
+/// one output row per group, key columns then aggregates, groups in
+/// first-seen order. NULL is a key value like any other.
+fn aggregate<'r>(
+    rows: impl Iterator<Item = &'r Row>,
+    cols: &[ColRef],
+    keys: &[ColRef],
+    aggs: &[AggExpr],
+    op: &str,
+) -> Result<Vec<Row>, ExecError> {
     let key_pos: Vec<usize> = keys
         .iter()
-        .map(|k| {
-            chunk
-                .layout
-                .position(*k)
-                .ok_or_else(|| ExecError::MissingColumn(format!("group key {k}")))
+        .map(|k| position(cols, *k, op))
+        .collect::<Result<_, _>>()?;
+    // CountStar has no argument; it counts every row it is shown.
+    let one = Bound::Lit(Value::Int(1));
+    let args: Vec<Bound> = aggs
+        .iter()
+        .map(|a| {
+            a.arg
+                .as_ref()
+                .map_or(Ok(one.clone()), |e| Bound::bind(e, cols, op))
         })
         .collect::<Result<_, _>>()?;
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    // Deterministic output order: remember first-seen order.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for r in &chunk.rows {
-        let k: Vec<Value> = key_pos.iter().map(|i| r[*i].clone()).collect();
-        let states = groups.entry(k.clone()).or_insert_with(|| {
-            order.push(k);
-            aggs.iter().map(|a| AggState::new(a.func)).collect()
+    // Group `g` is its first-seen row `firsts[g]` (for its key) and the
+    // states `g * aggs.len() ..` of one flat vector.
+    let mut table = KeyTable::with_capacity(0);
+    let mut firsts: Vec<&'r Row> = Vec::new();
+    let mut states: Vec<AggState> = Vec::new();
+    for row in rows {
+        let (g, added) = table.find_or_insert(key_hash(row, &key_pos), |g| {
+            key_eq(firsts[g], &key_pos, row, &key_pos)
         });
-        for (a, s) in aggs.iter().zip(states.iter_mut()) {
-            let v = agg_input(a, &chunk.layout, r);
-            s.update(&v);
+        if added {
+            firsts.push(row);
+            states.extend(aggs.iter().map(|a| AggState::new(a.func)));
+        }
+        let group = &mut states[g * args.len()..][..args.len()];
+        for (state, arg) in group.iter_mut().zip(&args) {
+            state.update(&arg.eval(row));
         }
     }
     // Scalar aggregate over an empty input produces one row.
-    if keys.is_empty() && groups.is_empty() {
-        let vals: Vec<Value> = aggs
-            .iter()
-            .map(|a| AggState::new(a.func).finish())
-            .collect();
-        return Ok(vec![cse_storage::row(vals)]);
+    if keys.is_empty() && firsts.is_empty() {
+        let empty = aggs.iter().map(|a| AggState::new(a.func).finish());
+        return Ok(vec![empty.collect()]);
     }
-    let mut out = Vec::with_capacity(groups.len());
-    for k in order {
-        let states = &groups[&k];
-        let mut vals = k.clone();
-        vals.extend(states.iter().map(AggState::finish));
-        out.push(cse_storage::row(vals));
-    }
-    Ok(out)
+    let n = args.len();
+    Ok(firsts
+        .iter()
+        .enumerate()
+        .map(|(g, first)| {
+            let key = key_pos.iter().map(|p| first[*p].clone());
+            key.chain(states[g * n..(g + 1) * n].iter().map(AggState::finish))
+                .collect()
+        })
+        .collect())
 }

@@ -21,8 +21,9 @@ pub enum ExecError {
     /// A `CseRead` referenced a spool with no definition in the plan, or
     /// the spool failed to materialize before its first read.
     MissingSpool(CseId),
-    /// A column required by an operator is absent from its input layout —
-    /// always a planning bug.
+    /// A column an operator reads is absent from its input layout — always
+    /// a planning bug, found when the operator binds its expressions. The
+    /// message reads `"<operator>: column <c> not in input layout"`.
     MissingColumn(String),
     /// A failpoint injected a fault at the named site (deterministic fault
     /// injection; armed only via configuration or `CSE_FAIL`).
@@ -68,7 +69,7 @@ impl fmt::Display for ExecError {
             ExecError::Storage(m) => write!(f, "storage error: {m}"),
             ExecError::Unsupported(m) => write!(f, "unsupported plan shape: {m}"),
             ExecError::MissingSpool(id) => write!(f, "missing spool definition for {id}"),
-            ExecError::MissingColumn(m) => write!(f, "column missing from layout: {m}"),
+            ExecError::MissingColumn(m) => f.write_str(m),
             ExecError::Injected { site } => write!(f, "injected fault at {site}"),
             ExecError::ResourceBudget { what, limit, used } => {
                 write!(f, "{what} budget breached: {used} used, limit {limit}")

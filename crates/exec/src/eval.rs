@@ -1,139 +1,150 @@
-//! Scalar and aggregate evaluation against physical row layouts.
+//! Scalar and aggregate evaluation over physical rows.
+//!
+//! An operator binds each of its expressions once against its input's
+//! column list ([`Bound::bind`]: column → row position, a missing column
+//! is an error there, never a per-row NULL) and then evaluates the bound
+//! form *by reference*: columns and literals are read in place, an owned
+//! [`Value`] exists only for arithmetic and boolean results.
 
-use cse_algebra::{AggExpr, AggFunc, ArithOp, CmpOp, ColRef, Scalar};
+use crate::error::ExecError;
+use cse_algebra::{AggFunc, ArithOp, CmpOp, ColRef, Scalar};
 use cse_storage::Value;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
-/// Maps global column ids to row positions for one operator's output.
-#[derive(Debug, Clone, Default)]
-pub struct Layout {
-    pos: HashMap<ColRef, usize>,
+/// Row position of column `c` in `cols`; `op` names the operator asking.
+pub(crate) fn position(cols: &[ColRef], c: ColRef, op: &str) -> Result<usize, ExecError> {
+    cols.iter()
+        .position(|x| *x == c)
+        .ok_or_else(|| ExecError::MissingColumn(format!("{op}: column {c} not in input layout")))
 }
 
-impl Layout {
-    pub fn new(cols: &[ColRef]) -> Self {
-        Layout {
-            pos: cols.iter().enumerate().map(|(i, c)| (*c, i)).collect(),
+/// A [`Scalar`] with every column resolved to a position in the rows of
+/// one operator's input. Rows passed to [`Bound::eval`] must be as wide as
+/// the column list it was bound against.
+#[derive(Debug, Clone)]
+pub enum Bound {
+    Col(usize),
+    Lit(Value),
+    Cmp(CmpOp, Box<Bound>, Box<Bound>),
+    And(Vec<Bound>),
+    Or(Vec<Bound>),
+    Not(Box<Bound>),
+    Arith(ArithOp, Box<Bound>, Box<Bound>),
+    IsNull(Box<Bound>),
+}
+
+impl Bound {
+    pub fn bind(s: &Scalar, cols: &[ColRef], op: &str) -> Result<Bound, ExecError> {
+        let bx = |x: &Scalar| Bound::bind(x, cols, op).map(Box::new);
+        let all = |xs: &[Scalar]| -> Result<Vec<Bound>, ExecError> {
+            xs.iter().map(|x| Bound::bind(x, cols, op)).collect()
+        };
+        Ok(match s {
+            Scalar::Col(c) => Bound::Col(position(cols, *c, op)?),
+            Scalar::Lit(v) => Bound::Lit(v.clone()),
+            Scalar::Cmp(o, a, b) => Bound::Cmp(*o, bx(a)?, bx(b)?),
+            Scalar::And(parts) => Bound::And(all(parts)?),
+            Scalar::Or(parts) => Bound::Or(all(parts)?),
+            Scalar::Not(x) => Bound::Not(bx(x)?),
+            Scalar::Arith(o, a, b) => Bound::Arith(*o, bx(a)?, bx(b)?),
+            Scalar::IsNull(x) => Bound::IsNull(bx(x)?),
+        })
+    }
+
+    /// Evaluate over one row; columns and literals are borrowed.
+    pub fn eval<'a>(&'a self, row: &'a [Value]) -> Cow<'a, Value> {
+        match self {
+            Bound::Col(i) => Cow::Borrowed(&row[*i]),
+            Bound::Lit(v) => Cow::Borrowed(v),
+            Bound::Arith(op, a, b) => Cow::Owned(arith(*op, &a.eval(row), &b.eval(row))),
+            _ => Cow::Owned(self.truth(row).map_or(Value::Null, Value::Bool)),
         }
     }
 
-    pub fn position(&self, c: ColRef) -> Option<usize> {
-        self.pos.get(&c).copied()
+    /// Three-valued truth of the expression: `None` is SQL unknown (NULL,
+    /// or a non-boolean value where a boolean is expected).
+    pub fn truth(&self, row: &[Value]) -> Option<bool> {
+        match self {
+            Bound::Cmp(op, a, b) => a.eval(row).sql_cmp(&b.eval(row)).map(|ord| match op {
+                CmpOp::Eq => ord.is_eq(),
+                CmpOp::Ne => ord.is_ne(),
+                CmpOp::Lt => ord.is_lt(),
+                CmpOp::Le => ord.is_le(),
+                CmpOp::Gt => ord.is_gt(),
+                CmpOp::Ge => ord.is_ge(),
+            }),
+            // Three-valued AND: false dominates, then unknown.
+            Bound::And(parts) => {
+                let mut unknown = false;
+                for p in parts {
+                    match p.truth(row) {
+                        Some(false) => return Some(false),
+                        Some(true) => {}
+                        None => unknown = true,
+                    }
+                }
+                (!unknown).then_some(true)
+            }
+            Bound::Or(parts) => {
+                let mut unknown = false;
+                for p in parts {
+                    match p.truth(row) {
+                        Some(true) => return Some(true),
+                        Some(false) => {}
+                        None => unknown = true,
+                    }
+                }
+                (!unknown).then_some(false)
+            }
+            Bound::Not(x) => x.truth(row).map(|b| !b),
+            Bound::IsNull(x) => Some(x.eval(row).is_null()),
+            Bound::Col(_) | Bound::Lit(_) | Bound::Arith(..) => self.eval(row).as_bool(),
+        }
     }
 
-    pub fn len(&self) -> usize {
-        self.pos.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.pos.is_empty()
+    /// Does the predicate accept this row (SQL semantics: NULL rejects)?
+    pub fn accepts(&self, row: &[Value]) -> bool {
+        self.truth(row) == Some(true)
     }
 }
 
-/// Evaluate a scalar expression over one row.
-pub fn eval(s: &Scalar, layout: &Layout, row: &[Value]) -> Value {
-    match s {
-        Scalar::Col(c) => match layout.position(*c) {
-            Some(i) => row[i].clone(),
-            None => Value::Null,
-        },
-        Scalar::Lit(v) => v.clone(),
-        Scalar::Cmp(op, a, b) => {
-            let (va, vb) = (eval(a, layout, row), eval(b, layout, row));
-            match va.sql_cmp(&vb) {
-                None => Value::Null,
-                Some(ord) => Value::Bool(match op {
-                    CmpOp::Eq => ord.is_eq(),
-                    CmpOp::Ne => ord.is_ne(),
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                }),
-            }
-        }
-        Scalar::And(parts) => {
-            // Three-valued AND: false dominates, then null.
-            let mut saw_null = false;
-            for p in parts {
-                match eval(p, layout, row) {
-                    Value::Bool(false) => return Value::Bool(false),
-                    Value::Bool(true) => {}
-                    _ => saw_null = true,
-                }
-            }
-            if saw_null {
-                Value::Null
-            } else {
-                Value::Bool(true)
-            }
-        }
-        Scalar::Or(parts) => {
-            let mut saw_null = false;
-            for p in parts {
-                match eval(p, layout, row) {
-                    Value::Bool(true) => return Value::Bool(true),
-                    Value::Bool(false) => {}
-                    _ => saw_null = true,
-                }
-            }
-            if saw_null {
-                Value::Null
-            } else {
-                Value::Bool(false)
-            }
-        }
-        Scalar::Not(inner) => match eval(inner, layout, row) {
-            Value::Bool(b) => Value::Bool(!b),
-            _ => Value::Null,
-        },
-        Scalar::Arith(op, a, b) => {
-            let (va, vb) = (eval(a, layout, row), eval(b, layout, row));
-            arith(*op, &va, &vb)
-        }
-        Scalar::IsNull(inner) => Value::Bool(eval(inner, layout, row).is_null()),
-    }
+/// Bind and evaluate `s` over a single row laid out as `cols`.
+pub fn eval(s: &Scalar, cols: &[ColRef], row: &[Value]) -> Result<Value, ExecError> {
+    Ok(Bound::bind(s, cols, "eval")?.eval(row).into_owned())
+}
+
+/// Bind `pred` and test a single row laid out as `cols`.
+pub fn accepts(pred: &Scalar, cols: &[ColRef], row: &[Value]) -> Result<bool, ExecError> {
+    Ok(Bound::bind(pred, cols, "accepts")?.accepts(row))
 }
 
 fn arith(op: ArithOp, a: &Value, b: &Value) -> Value {
     if a.is_null() || b.is_null() {
         return Value::Null;
     }
-    // Integer arithmetic stays integral except division.
+    // Integer arithmetic stays integral except division; a result that
+    // does not fit an i64 is computed in floating point below.
     if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        return match op {
-            ArithOp::Add => Value::Int(x + y),
-            ArithOp::Sub => Value::Int(x - y),
-            ArithOp::Mul => Value::Int(x * y),
-            ArithOp::Div => {
-                if *y == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(*x as f64 / *y as f64)
-                }
-            }
+        let exact = match op {
+            ArithOp::Add => x.checked_add(*y),
+            ArithOp::Sub => x.checked_sub(*y),
+            ArithOp::Mul => x.checked_mul(*y),
+            ArithOp::Div => None,
         };
+        if let Some(v) = exact {
+            return Value::Int(v);
+        }
     }
     match (a.as_f64(), b.as_f64()) {
         (Some(x), Some(y)) => match op {
             ArithOp::Add => Value::Float(x + y),
             ArithOp::Sub => Value::Float(x - y),
             ArithOp::Mul => Value::Float(x * y),
-            ArithOp::Div => {
-                if y == 0.0 {
-                    Value::Null
-                } else {
-                    Value::Float(x / y)
-                }
-            }
+            ArithOp::Div if y == 0.0 => Value::Null,
+            ArithOp::Div => Value::Float(x / y),
         },
         _ => Value::Null,
     }
-}
-
-/// Does the predicate accept this row (SQL semantics: NULL rejects)?
-pub fn accepts(pred: &Scalar, layout: &Layout, row: &[Value]) -> bool {
-    matches!(eval(pred, layout, row), Value::Bool(true))
 }
 
 /// Running state of one aggregate.
@@ -175,8 +186,13 @@ impl AggState {
                 }
                 self.saw_value = true;
                 match v {
+                    // `sum_f` runs alongside, so an integer sum that
+                    // leaves the i64 range carries on as a float.
                     Value::Int(i) => {
-                        self.sum_i += i;
+                        match self.sum_i.checked_add(*i) {
+                            Some(s) => self.sum_i = s,
+                            None => self.int_only = false,
+                        }
                         self.sum_f += *i as f64;
                     }
                     _ => {
@@ -226,21 +242,18 @@ impl AggState {
     }
 }
 
-/// Evaluate the argument of an aggregate for one row (CountStar has none).
-pub fn agg_input(a: &AggExpr, layout: &Layout, row: &[Value]) -> Value {
-    match &a.arg {
-        Some(arg) => eval(arg, layout, row),
-        None => Value::Int(1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cse_algebra::RelId;
 
-    fn layout2() -> Layout {
-        Layout::new(&[ColRef::new(RelId(0), 0), ColRef::new(RelId(0), 1)])
+    fn layout2() -> Vec<ColRef> {
+        vec![ColRef::new(RelId(0), 0), ColRef::new(RelId(0), 1)]
+    }
+
+    fn arith_lit(op: ArithOp, a: Value, b: Value) -> Value {
+        let s = Scalar::Arith(op, Box::new(Scalar::Lit(a)), Box::new(Scalar::Lit(b)));
+        eval(&s, &[], &[]).unwrap()
     }
 
     #[test]
@@ -252,9 +265,9 @@ mod tests {
             Scalar::col(RelId(0), 0),
             Scalar::col(RelId(0), 1),
         );
-        assert!(accepts(&p, &l, &row));
+        assert!(accepts(&p, &l, &row).unwrap());
         let q = Scalar::eq(Scalar::col(RelId(0), 0), Scalar::int(5));
-        assert!(accepts(&q, &l, &row));
+        assert!(accepts(&q, &l, &row).unwrap());
     }
 
     #[test]
@@ -262,7 +275,20 @@ mod tests {
         let l = layout2();
         let row = vec![Value::Null, Value::Int(9)];
         let p = Scalar::cmp(CmpOp::Lt, Scalar::col(RelId(0), 0), Scalar::int(10));
-        assert!(!accepts(&p, &l, &row));
+        assert!(!accepts(&p, &l, &row).unwrap());
+    }
+
+    #[test]
+    fn unknown_column_is_a_bind_error() {
+        let p = Scalar::eq(Scalar::col(RelId(7), 3), Scalar::int(1));
+        let err = Bound::bind(&p, &layout2(), "Filter").unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::MissingColumn(format!(
+                "Filter: column {} not in input layout",
+                ColRef::new(RelId(7), 3)
+            ))
+        );
     }
 
     #[test]
@@ -273,55 +299,55 @@ mod tests {
         let true_p = Scalar::cmp(CmpOp::Lt, Scalar::col(RelId(0), 1), Scalar::int(10));
         // unknown AND true = unknown
         assert_eq!(
-            eval(&Scalar::and([isnull.clone(), true_p.clone()]), &l, &row),
+            eval(&Scalar::and([isnull.clone(), true_p.clone()]), &l, &row).unwrap(),
             Value::Null
         );
         // unknown OR true = true
         assert_eq!(
-            eval(&Scalar::or([isnull, true_p]), &l, &row),
+            eval(&Scalar::or([isnull, true_p]), &l, &row).unwrap(),
             Value::Bool(true)
         );
     }
 
     #[test]
     fn arithmetic() {
-        let l = Layout::default();
+        let int = Value::Int;
+        assert_eq!(arith_lit(ArithOp::Add, int(2), int(3)), int(5));
+        assert_eq!(arith_lit(ArithOp::Div, int(7), int(2)), Value::Float(3.5));
+        assert_eq!(arith_lit(ArithOp::Div, int(7), int(0)), Value::Null);
+    }
+
+    #[test]
+    fn integer_overflow_promotes_to_float() {
+        let int = Value::Int;
         assert_eq!(
-            eval(
-                &Scalar::Arith(
-                    ArithOp::Add,
-                    Box::new(Scalar::int(2)),
-                    Box::new(Scalar::int(3))
-                ),
-                &l,
-                &[]
-            ),
-            Value::Int(5)
+            arith_lit(ArithOp::Add, int(i64::MAX), int(1)),
+            Value::Float(i64::MAX as f64 + 1.0)
         );
         assert_eq!(
-            eval(
-                &Scalar::Arith(
-                    ArithOp::Div,
-                    Box::new(Scalar::int(7)),
-                    Box::new(Scalar::int(2))
-                ),
-                &l,
-                &[]
-            ),
-            Value::Float(3.5)
+            arith_lit(ArithOp::Sub, int(i64::MIN), int(1)),
+            Value::Float(i64::MIN as f64 - 1.0)
         );
         assert_eq!(
-            eval(
-                &Scalar::Arith(
-                    ArithOp::Div,
-                    Box::new(Scalar::int(7)),
-                    Box::new(Scalar::int(0))
-                ),
-                &l,
-                &[]
-            ),
-            Value::Null
+            arith_lit(ArithOp::Mul, int(i64::MAX), int(2)),
+            Value::Float(i64::MAX as f64 * 2.0)
         );
+        // In-range results stay integral.
+        assert_eq!(arith_lit(ArithOp::Mul, int(1 << 31), int(2)), int(1 << 32));
+    }
+
+    #[test]
+    fn sum_crossing_i64_max_promotes_to_float() {
+        let mut sum = AggState::new(AggFunc::Sum);
+        for v in [i64::MAX - 1, 1] {
+            sum.update(&Value::Int(v));
+        }
+        assert_eq!(sum.finish(), Value::Int(i64::MAX));
+        sum.update(&Value::Int(5));
+        assert_eq!(sum.finish(), Value::Float(i64::MAX as f64 + 5.0));
+        // ... and keeps accumulating as a float afterwards.
+        sum.update(&Value::Int(-10));
+        assert!(matches!(sum.finish(), Value::Float(_)));
     }
 
     #[test]

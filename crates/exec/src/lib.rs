@@ -7,7 +7,8 @@
 pub mod engine;
 pub mod error;
 pub mod eval;
+mod keys;
 
-pub use engine::{Engine, ExecMetrics, ExecOutput, ResultSet};
+pub use engine::{Engine, ExecCtx, ExecMetrics, ExecOutput, ResultSet};
 pub use error::ExecError;
-pub use eval::{accepts, eval, AggState, Layout};
+pub use eval::{accepts, eval, AggState, Bound};

@@ -12,7 +12,6 @@
 //! row satisfies all conjuncts under engine evaluation.
 
 use cse_algebra::{ArithOp, CmpOp, ColRef, PlanContext, RelId, Scalar};
-use cse_exec::{accepts, eval, Layout};
 use cse_lint::fold::fold;
 use cse_lint::ranges::prove_unsat;
 use cse_storage::testkit::TestRng;
@@ -21,6 +20,16 @@ use std::sync::Arc;
 
 /// Columns the generated expressions draw from: (int, float, date).
 const N_COLS: u16 = 3;
+
+/// Engine evaluation; every generated expression reads the three layout
+/// columns only.
+fn eval(s: &Scalar, cols: &[ColRef], row: &[Value]) -> Value {
+    cse_exec::eval(s, cols, row).expect("generated columns are in the layout")
+}
+
+fn accepts(s: &Scalar, cols: &[ColRef], row: &[Value]) -> bool {
+    cse_exec::accepts(s, cols, row).expect("generated columns are in the layout")
+}
 
 fn context() -> (PlanContext, RelId) {
     let mut ctx = PlanContext::new();
@@ -171,7 +180,7 @@ fn same_value(a: &Value, b: &Value) -> bool {
 #[test]
 fn folding_never_changes_evaluation() {
     let (_ctx, r) = context();
-    let layout = Layout::new(&[ColRef::new(r, 0), ColRef::new(r, 1), ColRef::new(r, 2)]);
+    let layout = [ColRef::new(r, 0), ColRef::new(r, 1), ColRef::new(r, 2)];
     let mut rng = TestRng::new(0x000C_5E11);
     let mut folded_to_literal = 0usize;
     for case in 0..400 {
@@ -203,7 +212,7 @@ fn normalization_then_folding_also_preserves_evaluation() {
     // `lint_batch` folds the *normalized* conjuncts the lowerer traced;
     // check the composition too.
     let (_ctx, r) = context();
-    let layout = Layout::new(&[ColRef::new(r, 0), ColRef::new(r, 1), ColRef::new(r, 2)]);
+    let layout = [ColRef::new(r, 0), ColRef::new(r, 1), ColRef::new(r, 2)];
     let mut rng = TestRng::new(0xBEEF);
     for _ in 0..200 {
         let s = random_scalar(&mut rng, r, 3);
@@ -227,7 +236,7 @@ fn normalization_then_folding_also_preserves_evaluation() {
 #[test]
 fn prove_unsat_is_refutation_sound() {
     let (ctx, r) = context();
-    let layout = Layout::new(&[ColRef::new(r, 0), ColRef::new(r, 1), ColRef::new(r, 2)]);
+    let layout = [ColRef::new(r, 0), ColRef::new(r, 1), ColRef::new(r, 2)];
     let mut rng = TestRng::new(0x5EED);
     let mut proven = 0usize;
     for _ in 0..600 {

@@ -16,7 +16,7 @@
 //!    `Full` runs the whole CSE phase (and reports its downgrade bit back),
 //!    `BaselineOnly` forces the baseline rung, `Probe` runs full CSE and
 //!    reports health. Planning + execution then run under the session
-//!    pipeline; `strict_faults` selects [`Engine::execute_strict`] so
+//!    pipeline; `strict_faults` turns [`ExecCtx::recover`] off so
 //!    transient faults bubble here instead of being retried in-engine.
 //! 4. Transient failures (injected faults, breached limits, expired
 //!    attempt deadlines, `serve.worker` trips) are retried after a
@@ -32,7 +32,7 @@
 use crate::breaker::{Admission, Breaker, BreakerConfig, BreakerSnapshot};
 use crate::queue::{BoundedQueue, PushError};
 use cse_core::CseConfig;
-use cse_exec::{Engine, ExecError, ExecMetrics, ResultSet};
+use cse_exec::{Engine, ExecCtx, ExecError, ExecMetrics, ResultSet};
 use cse_govern::{
     sites, CancelToken, DegradationEvent, FailpointRegistry, MemReservation, MemoryGovernor,
     Pressure, ReserveError, Rung,
@@ -73,7 +73,7 @@ pub struct ServerConfig {
     /// Seed for the deterministic backoff jitter (testkit PRNG, mixed with
     /// the request id so concurrent requests do not share a schedule).
     pub retry_seed: u64,
-    /// Use [`Engine::execute_strict`]: recoverable faults bubble to the
+    /// Execute with [`ExecCtx::recover`] off: recoverable faults bubble to the
     /// server's retry loop instead of being retried in-engine against the
     /// baseline plan. Off reproduces the single-session behaviour
     /// (faults recovered invisibly, never rejected).
@@ -806,13 +806,15 @@ fn run_attempt_inner(
     }
 
     let engine = Engine::new(&shared.catalog, &optimized.ctx);
-    let run = engine.execute_reserved(
+    let run = engine.execute_in(
         &optimized.plan,
-        &cfg.failpoints,
-        &cfg.exec_limits,
-        attempt_token,
-        reservation,
-        !shared.cfg.strict_faults,
+        &ExecCtx {
+            failpoints: cfg.failpoints.clone(),
+            limits: cfg.exec_limits.clone(),
+            cancel: attempt_token.clone(),
+            reservation,
+            recover: !shared.cfg.strict_faults,
+        },
     );
     match run {
         Ok(out) => {

@@ -63,7 +63,7 @@ pub mod prelude {
         Optimized,
     };
     pub use cse_durable::{DurableCatalog, DurableOptions, FileStore, SimStore};
-    pub use cse_exec::{Engine, ExecOutput, ResultSet};
+    pub use cse_exec::{Engine, ExecCtx, ExecOutput, ResultSet};
     pub use cse_govern::{
         Budget, CancelToken, DegradationEvent, ExecLimits, FailSpec, FailpointRegistry,
         MemReservation, MemoryGovernor, Pressure, Reason, Rung,

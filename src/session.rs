@@ -6,7 +6,7 @@
 //! underneath.
 
 use cse_core::{CseConfig, CseReport, MaintenanceReport, Optimized};
-use cse_exec::{Engine, ExecMetrics, ResultSet};
+use cse_exec::{Engine, ExecCtx, ExecMetrics, ResultSet};
 use cse_govern::{CancelToken, DegradationEvent};
 use cse_storage::{Catalog, Row, Table};
 use std::fmt;
@@ -116,10 +116,9 @@ impl Session {
         let optimized = self.plan(sql)?;
         let engine = Engine::new(&self.catalog, &optimized.ctx);
         let out = engine
-            .execute_governed(
+            .execute_in(
                 &optimized.plan,
-                &self.config.failpoints,
-                &self.config.exec_limits,
+                &ExecCtx::governed(&self.config.failpoints, &self.config.exec_limits),
             )
             .map_err(|e| Error::Execution(e.to_string()))?;
         let mut events = optimized.report.degradations.clone();
@@ -150,11 +149,12 @@ impl Session {
             cse_core::optimize_sql(&self.catalog, sql, &config).map_err(Error::Planning)?;
         let engine = Engine::new(&self.catalog, &optimized.ctx);
         let out = engine
-            .execute_cancelable(
+            .execute_in(
                 &optimized.plan,
-                &config.failpoints,
-                &config.exec_limits,
-                cancel,
+                &ExecCtx {
+                    cancel: cancel.clone(),
+                    ..ExecCtx::governed(&config.failpoints, &config.exec_limits)
+                },
             )
             .map_err(|e| Error::Execution(e.to_string()))?;
         let mut events = optimized.report.degradations.clone();

@@ -68,7 +68,10 @@ fn exercise(site: &str) -> FailpointRegistry {
                 );
             }
             Engine::new(&catalog, &optimized.ctx)
-                .execute_governed(&optimized.plan, &cfg.failpoints, &cfg.exec_limits)
+                .execute_in(
+                    &optimized.plan,
+                    &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
+                )
                 .expect("governed execution recovers");
         }
         // Any table scan reaches this hook.
@@ -77,7 +80,10 @@ fn exercise(site: &str) -> FailpointRegistry {
             let sql = "select c_mktsegment, count(*) as n from customer group by c_mktsegment";
             let optimized = optimize_sql(&catalog, sql, &cfg).expect("optimize");
             Engine::new(&catalog, &optimized.ctx)
-                .execute_governed(&optimized.plan, &cfg.failpoints, &cfg.exec_limits)
+                .execute_in(
+                    &optimized.plan,
+                    &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
+                )
                 .expect("governed execution recovers");
         }
         // The index hook needs a plan that chooses an index: a point
@@ -91,7 +97,10 @@ fn exercise(site: &str) -> FailpointRegistry {
                        where o_orderdate = '1995-01-01'";
             let optimized = optimize_sql(&catalog, sql, &cfg).expect("optimize");
             Engine::new(&catalog, &optimized.ctx)
-                .execute_governed(&optimized.plan, &cfg.failpoints, &cfg.exec_limits)
+                .execute_in(
+                    &optimized.plan,
+                    &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
+                )
                 .expect("governed execution recovers");
         }
         // The serving-layer hook fires inside a worker's attempt loop.

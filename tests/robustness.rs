@@ -53,7 +53,10 @@ fn governed(catalog: &Catalog, sql: &str, cfg: &CseConfig) -> (Optimized, ExecOu
     let optimized = optimize_sql(catalog, sql, cfg).expect("governed optimize must not fail");
     let engine = Engine::new(catalog, &optimized.ctx);
     let out = engine
-        .execute_governed(&optimized.plan, &cfg.failpoints, &cfg.exec_limits)
+        .execute_in(
+            &optimized.plan,
+            &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
+        )
         .expect("governed execute must not fail");
     (optimized, out)
 }
