@@ -1,6 +1,6 @@
 //! Experiment drivers: one function per paper table/figure. Each returns
-//! the measured outcomes so benches, tests and the report binary share the
-//! same code path.
+//! the measured outcomes so tests and the report binary share the same code
+//! path.
 
 use crate::harness::{self, RunOutcome};
 use crate::workloads;

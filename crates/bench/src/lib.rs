@@ -2,8 +2,8 @@
 //!
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation (§6): workload definitions, a three-configuration
-//! measurement harness, and the experiment drivers used by both the
-//! Criterion benches and the `report` binary.
+//! measurement harness, and the experiment drivers behind the `report`
+//! binary.
 
 pub mod experiments;
 pub mod harness;

@@ -4,9 +4,9 @@
 use crate::compat::{partition_compatible, prepare_consumers, CompatibleGroup, PreparedConsumer};
 use crate::construct::{construct, ConstructedCse};
 use crate::manager::CseManager;
-use crate::required::RequiredCols;
-use cse_cost::{Cardinality, CostModel, Selectivity, StatsCatalog};
-use cse_govern::{BudgetClock, BudgetTrip};
+use crate::pipeline::PhaseCtx;
+use cse_cost::{Cardinality, Selectivity, StatsCatalog};
+use cse_govern::BudgetTrip;
 use cse_memo::{GroupId, Memo, TableSignature};
 use std::collections::HashMap;
 
@@ -97,19 +97,18 @@ pub fn estimate_cse(memo: &Memo, stats: &StatsCatalog, cse: &ConstructedCse) -> 
 /// Cost a constructed CSE.
 pub fn cost_candidate(
     memo: &Memo,
-    stats: &StatsCatalog,
-    model: &CostModel,
-    bounds: &CostBounds,
+    ctx: &PhaseCtx,
     signature: TableSignature,
     cse: ConstructedCse,
 ) -> CostedCandidate {
-    let (est_rows, est_width) = estimate_cse(memo, stats, &cse);
+    let (est_rows, est_width) = estimate_cse(memo, ctx.stats, &cse);
+    let model = &ctx.cfg.cost_model;
     let cw = model.spool_write(est_rows, est_width);
     let cr = model.spool_read(est_rows, est_width);
     let ce_lower = cse
         .members
         .iter()
-        .map(|m| bounds.lower(m.group))
+        .map(|m| ctx.bounds.lower(m.group))
         .fold(0.0, f64::max);
     CostedCandidate {
         cse,
@@ -144,25 +143,23 @@ pub fn h1_worthwhile(
 /// sharing. Returns the surviving members.
 pub fn h2_filter_consumers(
     memo: &mut Memo,
-    stats: &StatsCatalog,
-    model: &CostModel,
-    bounds: &CostBounds,
-    required: &RequiredCols,
+    ctx: &PhaseCtx,
     members: Vec<PreparedConsumer>,
 ) -> Vec<PreparedConsumer> {
     let n = members.len() as f64;
+    let model = &ctx.cfg.cost_model;
     members
         .into_iter()
         .filter(|m| {
             // Trivial CSE covering this member alone gives its C_W / C_R.
-            let trivial = match construct(memo, vec![m.clone()], required) {
+            let trivial = match construct(memo, vec![m.clone()], ctx.required) {
                 Some(t) => t,
                 None => return false,
             };
-            let (rows, width) = estimate_cse(memo, stats, &trivial);
+            let (rows, width) = estimate_cse(memo, ctx.stats, &trivial);
             let cw = model.spool_write(rows, width);
             let cr = model.spool_read(rows, width);
-            let upper = bounds.upper(m.group);
+            let upper = ctx.bounds.upper(m.group);
             // Discard if computing from scratch is cheaper than even the
             // best-case shared usage: C_upper < C_R + (C_upper + C_W)/N.
             upper >= cr + (upper + cw) / n
@@ -173,124 +170,65 @@ pub fn h2_filter_consumers(
 /// Algorithm 1: greedily merge trivial candidates while the benefit Δ is
 /// positive; restart over the leftovers. Returns the merged candidates.
 ///
-/// The `clock` is the optimization budget: the greedy merge loop is the
-/// combinatorial heart of candidate generation (quadratic trials per
-/// round), so the wall-clock deadline is re-checked on every round and a
-/// trip aborts the whole set — the degradation ladder in `pipeline`
-/// decides what happens next.
-#[allow(clippy::too_many_arguments)]
+/// The greedy merge loop is the combinatorial heart of candidate
+/// generation (quadratic trials per round), so the budget clock's
+/// wall-clock deadline is re-checked on every round and a trip aborts the
+/// whole set — the degradation ladder in `pipeline` decides what happens
+/// next.
 pub fn create_candidates(
     memo: &mut Memo,
-    stats: &StatsCatalog,
-    model: &CostModel,
-    bounds: &CostBounds,
-    required: &RequiredCols,
+    ctx: &PhaseCtx,
     signature: &TableSignature,
     group: &CompatibleGroup,
-    cfg: &GenConfig,
-    clock: &BudgetClock,
 ) -> Result<Vec<CostedCandidate>, BudgetTrip> {
     let members = group.members.clone();
     if members.len() < 2 {
         return Ok(Vec::new());
     }
-    if !cfg.heuristics {
+    if !ctx.cfg.gen.heuristics {
         // One candidate covering every compatible consumer.
-        return Ok(construct(memo, members, required)
-            .map(|c| {
-                vec![cost_candidate(
-                    memo,
-                    stats,
-                    model,
-                    bounds,
-                    signature.clone(),
-                    c,
-                )]
-            })
-            .unwrap_or_default());
+        return Ok(construct(memo, members, ctx.required)
+            .map(|c| cost_candidate(memo, ctx, signature.clone(), c))
+            .into_iter()
+            .collect());
     }
     let mut rest: Vec<PreparedConsumer> = members;
     let mut out: Vec<CostedCandidate> = Vec::new();
     while rest.len() > 1 {
-        clock.check_time("generation/algorithm1")?;
-        // Seed with the first trivial candidate.
+        ctx.clock.check_time("generation/algorithm1")?;
+        // Seed with the first trivial candidate. Alone it computes from
+        // scratch; once merged, the current set costs what its winning
+        // trial did, and that trial is the candidate the round ends with.
         let seed = rest.remove(0);
+        let mut sep_current = ctx.bounds.lower(seed.group);
         let mut current: Vec<PreparedConsumer> = vec![seed];
-        let mut merged_any = false;
+        let mut merged: Option<CostedCandidate> = None;
         loop {
-            clock.check_time("generation/algorithm1")?;
-            // Pick the remaining member with the best merge benefit.
+            ctx.clock.check_time("generation/algorithm1")?;
+            // Pick the remaining member with the best merge benefit Δ:
+            // separate costs minus the merged candidate's shared cost.
             let mut best: Option<(usize, f64, CostedCandidate)> = None;
             for (i, m) in rest.iter().enumerate() {
                 let mut trial_members = current.clone();
                 trial_members.push(m.clone());
-                let trial = match construct(memo, trial_members, required) {
-                    Some(t) => t,
+                let trial = match construct(memo, trial_members, ctx.required) {
+                    Some(t) => cost_candidate(memo, ctx, signature.clone(), t),
                     None => continue,
                 };
-                let trial = cost_candidate(memo, stats, model, bounds, signature.clone(), trial);
-                let delta =
-                    merge_benefit(memo, stats, model, bounds, required, &current, m, &trial);
+                let delta = sep_current + ctx.bounds.lower(m.group) - shared_cost(&trial);
                 if delta > 0.0 && best.as_ref().map(|(_, d, _)| delta > *d).unwrap_or(true) {
                     best = Some((i, delta, trial));
                 }
             }
-            match best {
-                Some((i, _, _)) => {
-                    current.push(rest.remove(i));
-                    merged_any = true;
-                }
-                None => break,
-            }
+            let Some((i, _, trial)) = best else { break };
+            current.push(rest.remove(i));
+            sep_current = shared_cost(&trial);
+            merged = Some(trial);
         }
-        if merged_any {
-            if let Some(c) = construct(memo, current, required) {
-                out.push(cost_candidate(
-                    memo,
-                    stats,
-                    model,
-                    bounds,
-                    signature.clone(),
-                    c,
-                ));
-            }
-        }
-        // Unmerged seed is dropped; the loop restarts over the leftovers.
+        // An unmerged seed is dropped; the loop restarts over the leftovers.
+        out.extend(merged);
     }
     Ok(out)
-}
-
-/// Δ of merging `addition` into `current` (positive = beneficial):
-/// separate costs minus the merged candidate's shared cost.
-#[allow(clippy::too_many_arguments)]
-fn merge_benefit(
-    memo: &mut Memo,
-    stats: &StatsCatalog,
-    model: &CostModel,
-    bounds: &CostBounds,
-    required: &RequiredCols,
-    current: &[PreparedConsumer],
-    addition: &PreparedConsumer,
-    merged: &CostedCandidate,
-) -> f64 {
-    let sep_current = if current.len() == 1 {
-        // A single consumer computes from scratch.
-        bounds.lower(current[0].group)
-    } else {
-        match construct(memo, current.to_vec(), required) {
-            Some(c) => shared_cost(&cost_candidate(
-                memo,
-                stats,
-                model,
-                bounds,
-                merged.signature.clone(),
-                c,
-            )),
-            None => return f64::NEG_INFINITY,
-        }
-    };
-    let sep_add = bounds.lower(addition.group);
-    sep_current + sep_add - shared_cost(merged)
 }
 
 /// Heuristic 4: containment pruning across candidates (possibly from
@@ -347,19 +285,14 @@ pub fn is_contained(mgr: &CseManager, child: &CostedCandidate, parent: &CostedCa
 
 /// Full generation for one sharable set: H1 → compatibility → H1 → H2 →
 /// Algorithm 1 (H3). H4 runs across sets afterwards.
-#[allow(clippy::too_many_arguments)]
 pub fn generate_for_set(
     memo: &mut Memo,
-    stats: &StatsCatalog,
-    model: &CostModel,
-    bounds: &CostBounds,
-    required: &RequiredCols,
+    ctx: &PhaseCtx,
     signature: &TableSignature,
     consumers: &[GroupId],
     query_cost: f64,
-    cfg: &GenConfig,
-    clock: &BudgetClock,
 ) -> Result<Vec<CostedCandidate>, BudgetTrip> {
+    let (cfg, bounds) = (&ctx.cfg.gen, ctx.bounds);
     if cfg.heuristics && !h1_worthwhile(bounds, consumers, query_cost, cfg.alpha) {
         return Ok(Vec::new());
     }
@@ -392,14 +325,12 @@ pub fn generate_for_set(
             if !h1_worthwhile(bounds, &ids, query_cost, cfg.alpha) {
                 continue;
             }
-            g.members = h2_filter_consumers(memo, stats, model, bounds, required, g.members);
+            g.members = h2_filter_consumers(memo, ctx, g.members);
             if g.members.len() < 2 {
                 continue;
             }
         }
-        out.extend(create_candidates(
-            memo, stats, model, bounds, required, signature, &g, cfg, clock,
-        )?);
+        out.extend(create_candidates(memo, ctx, signature, &g)?);
     }
     // Re-attach duplicate groups: a duplicate consumes the candidate
     // exactly like the representative it mirrors.

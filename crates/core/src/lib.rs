@@ -42,8 +42,7 @@ pub use lca::{competing, least_common_ancestor};
 pub use maintenance::{create_materialized_view, maintain_insert, MaintenanceReport};
 pub use manager::CseManager;
 pub use pipeline::{
-    optimize_plan, optimize_plan_with_facts, optimize_sql, CandidateSummary, CseConfig, CseReport,
-    Optimized,
+    optimize_plan, optimize_sql, CandidateSummary, CseConfig, CseReport, Optimized, PhaseCtx,
 };
 pub use required::{compute_required, RequiredCols};
 pub use view_match::build_substitute;

@@ -9,6 +9,13 @@
 //!    themselves (stacked CSEs, §5.5);
 //! 4. resume optimization with candidate sets enabled (Step 3, §5.3) and
 //!    return the cheapest plan.
+//!
+//! Every fact is derived once per memo state and handed down. The explored
+//! memo yields the baseline winners (read back as [`CostBounds`]), the
+//! required columns and a [`CseManager`] for detection and H4; the memo
+//! grown by the candidate definitions yields a second manager (stacked
+//! consumers, LCAs, enumeration), its required columns and the Step 3
+//! optimizer.
 
 use crate::candidates::{
     generate_for_set, h4_prune_contained, CostBounds, CostedCandidate, GenConfig,
@@ -26,13 +33,13 @@ use cse_govern::{
     FailpointRegistry, Reason, Rung,
 };
 use cse_lint::{lint_batch, LintMode};
-use cse_memo::{explore, ExploreConfig, GroupId, Memo};
+use cse_memo::{explore, ExploreConfig, GroupId, Memo, TableSignature};
 use cse_optimizer::{
     CseCandidate, CseId, FullPlan, IndexInfo, Optimizer, OptimizerConfig, Substitute,
 };
 use cse_storage::Catalog;
 use cse_verify::{CandidateAudit, CostAudit, MemberAudit};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -44,7 +51,9 @@ fn trace_enabled() -> bool {
     *ENABLED.get_or_init(|| std::env::var("CSE_TRACE").is_ok())
 }
 
-fn trace_stage(name: &str, since: Instant) {
+/// Report one stage under `CSE_TRACE`. `since` is the stage's own start,
+/// so every line reads that stage's cost and nothing before it.
+fn trace_stage(name: impl std::fmt::Display, since: Instant) {
     if trace_enabled() {
         eprintln!("[cse-trace] {}: {:?}", name, since.elapsed());
     }
@@ -329,9 +338,51 @@ pub fn optimize_plan(
     optimize_plan_with_facts(catalog, ctx, plan, cfg, cse_memo::ProvenFacts::default())
 }
 
+/// What one ladder rung's CSE phase reads and never changes: the rung's
+/// effective configuration, the catalog's statistics and indexes, the
+/// rung's started budget clock, and the two facts normal optimization left
+/// behind on the explored memo — per-group cost bounds and required
+/// columns, derived once per request and shared by every rung.
+pub struct PhaseCtx<'a> {
+    pub cfg: &'a CseConfig,
+    pub stats: &'a StatsCatalog,
+    pub indexes: &'a IndexInfo,
+    pub clock: &'a BudgetClock,
+    pub bounds: &'a CostBounds,
+    pub required: &'a RequiredCols,
+}
+
+/// What a request has recorded besides its plan: the report handed back to
+/// the caller and, under [`CseConfig::verify`], the verifier's diagnostics
+/// and the pass-5 input. A rung works on a copy and hands it back only on
+/// success, so a tripped or panicked attempt leaves no trace in it.
+#[derive(Clone)]
+struct Findings {
+    report: CseReport,
+    vreport: VerifyReport,
+    cost_audit: Option<CostAudit>,
+}
+
+/// An optimizer over one memo state; cost model, switches and indexes are
+/// the request's and do not change between rungs.
+fn optimizer_over<'a>(
+    memo: &'a Memo,
+    stats: &'a StatsCatalog,
+    indexes: &IndexInfo,
+    cfg: &CseConfig,
+) -> Optimizer<'a> {
+    Optimizer::new(
+        memo,
+        stats,
+        cfg.cost_model.clone(),
+        cfg.optimizer.clone(),
+        indexes.clone(),
+    )
+}
+
 /// [`optimize_plan`] with analyzer-proven facts threaded into the memo
 /// (see `cse_memo::ProvenFacts` for the soundness contract).
-pub fn optimize_plan_with_facts(
+fn optimize_plan_with_facts(
     catalog: &Catalog,
     ctx: PlanContext,
     plan: LogicalPlan,
@@ -349,6 +400,8 @@ pub fn optimize_plan_with_facts(
     cfg.cancel
         .check("pipeline/explored")
         .map_err(abort_message)?;
+    // The explored memo is final from here on: rungs clone it.
+    let memo = memo;
 
     // Pass 1+2 of the verifier: provenance + signature audit over the
     // explored query memo.
@@ -360,59 +413,87 @@ pub fn optimize_plan_with_facts(
     let stats = StatsCatalog::from_catalog(catalog);
     let indexes = IndexInfo::from_catalog(catalog);
 
-    // Normal optimization phases: baseline plan + cost bounds.
-    let baseline = {
-        let mut opt = Optimizer::new(
-            &memo,
-            &stats,
-            cfg.cost_model.clone(),
-            cfg.optimizer.clone(),
-            indexes.clone(),
-        );
-        opt.optimize_full(root, 0)
-    };
+    // Normal optimization phases: the baseline plan, and memoized mask-0
+    // winners the CSE phase reads its cost bounds from.
+    let t_baseline = Instant::now();
+    let mut normal = optimizer_over(&memo, &stats, &indexes, cfg);
+    let baseline = normal.optimize_full(root, 0);
     let baseline_time = t_start.elapsed();
-    trace_stage("baseline", t_start);
+    trace_stage("baseline", t_baseline);
     cfg.cancel
         .check("pipeline/baseline")
         .map_err(abort_message)?;
-    let mut report = CseReport {
-        baseline_cost: baseline.cost,
-        final_cost: baseline.cost,
-        baseline_time,
-        total_time: baseline_time,
-        ..Default::default()
+    let mut found = Findings {
+        report: CseReport {
+            baseline_cost: baseline.cost,
+            final_cost: baseline.cost,
+            baseline_time,
+            total_time: baseline_time,
+            ..Default::default()
+        },
+        vreport,
+        cost_audit: None,
     };
 
     if !cfg.enable_cse || baseline.cost < cfg.min_query_cost {
-        return finish(
-            baseline,
-            memo.ctx.clone(),
-            report,
-            cfg.verify,
-            vreport,
-            None,
-        );
+        return finish(baseline, memo.ctx.clone(), found, cfg.verify);
     }
     if cfg.fallback_only {
-        report.rung = Rung::Baseline;
-        report.degradations.push(DegradationEvent::opt(
+        found.report.rung = Rung::Baseline;
+        found.report.degradations.push(DegradationEvent::opt(
             Reason::OptForced,
             "pipeline",
             Rung::FullCse,
             Rung::Baseline,
             "baseline rung forced by configuration",
         ));
-        report.total_time = t_start.elapsed();
-        return finish(
-            baseline,
-            memo.ctx.clone(),
-            report,
-            cfg.verify,
-            vreport,
-            None,
-        );
+        found.report.total_time = t_start.elapsed();
+        return finish(baseline, memo.ctx.clone(), found, cfg.verify);
     }
+
+    // A panic is a bug, not a resource shortage: it sends the request
+    // straight to the floor instead of retrying a broken phase.
+    let panicked = |rung: Rung, payload: Box<dyn std::any::Any + Send>| {
+        DegradationEvent::opt(
+            Reason::OptPanic,
+            "cse-phase",
+            rung,
+            Rung::Baseline,
+            panic_message(payload.as_ref()),
+        )
+    };
+    let mut rung = cfg.start_rung;
+    if rung != Rung::FullCse {
+        found.report.degradations.push(DegradationEvent::opt(
+            Reason::MemPressure,
+            "admission",
+            Rung::FullCse,
+            rung,
+            "memory pressure capped the starting rung",
+        ));
+    }
+
+    // Facts of the explored memo every rung shares (normal-phase history,
+    // §5.4/§4.3): each group's bound is its winner under the empty CSE set,
+    // which the baseline optimization above already memoized. A group that
+    // exploration left unreachable from the root is costed here for the
+    // first time, so the read sits under the same panic net as the rungs.
+    let facts = catch_unwind(AssertUnwindSafe(|| {
+        let bounds = CostBounds::new(
+            memo.groups()
+                .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
+                .collect(),
+        );
+        (bounds, compute_required(&memo, &[root]))
+    }));
+    // Its winners are read; they must not sit beside the rungs' own.
+    drop(normal);
+    cfg.cancel.check("pipeline/bounds").map_err(abort_message)?;
+    let (bounds, required) = facts.unwrap_or_else(|payload| {
+        found.report.degradations.push(panicked(rung, payload));
+        rung = Rung::Baseline;
+        Default::default()
+    });
 
     // The degradation ladder: run the full CSE phase; if the budget trips,
     // retry with tightened heuristics and hard caps; if that trips too (or
@@ -424,39 +505,31 @@ pub fn optimize_plan_with_facts(
     //
     // Unwind-safety audit (re-asserted when `CancelToken` landed): the
     // closure borrows only state that is either consumed by the attempt
-    // (the memo clone), read-only (`stats`, `indexes`, `baseline`), or
-    // write-once-atomic (the token's cancel flag; the failpoint registry's
-    // mutex recovers poisoning via `into_inner`). No partially-mutated
-    // structure outlives a panicking attempt, so `AssertUnwindSafe` holds.
-    let mut rung = cfg.start_rung;
-    if rung != Rung::FullCse {
-        report.degradations.push(DegradationEvent::opt(
-            Reason::MemPressure,
-            "admission",
-            Rung::FullCse,
-            rung,
-            "memory pressure capped the starting rung",
-        ));
-    }
-    let mut phase: Option<PhaseOutput> = None;
+    // (the memo and findings copies), read-only (`stats`, `indexes`,
+    // `bounds`, `required`), or write-once-atomic (the token's cancel flag;
+    // the failpoint registry's mutex recovers poisoning via `into_inner`).
+    // No partially-mutated structure outlives a panicking attempt (the
+    // guarded read above mutates only `normal`, dropped right after it), so
+    // `AssertUnwindSafe` holds.
+    let mut shared: Option<FullPlan> = None;
     while rung != Rung::Baseline {
         let (eff, caps) = tighten(cfg, rung);
         let clock = eff.budget.start_with(&cfg.cancel);
+        let phase = PhaseCtx {
+            cfg: &eff,
+            stats: &stats,
+            indexes: &indexes,
+            clock: &clock,
+            bounds: &bounds,
+            required: &required,
+        };
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            cse_phase(
-                memo.clone(),
-                &stats,
-                &indexes,
-                &eff,
-                &caps,
-                &clock,
-                &baseline,
-                root,
-            )
+            cse_phase(memo.clone(), &phase, &caps, root, found.clone())
         }));
         match attempt {
-            Ok(Ok(out)) => {
-                phase = Some(out);
+            Ok(Ok((plan, done))) => {
+                shared = plan.filter(|p| p.cost < baseline.cost);
+                found = done;
                 break;
             }
             Ok(Err(trip)) if trip.reason.is_cancellation() => {
@@ -466,65 +539,33 @@ pub fn optimize_plan_with_facts(
             }
             Ok(Err(trip)) => {
                 let next = rung.next_down().unwrap_or(Rung::Baseline);
-                report.degradations.push(trip.event(rung, next));
+                found.report.degradations.push(trip.event(rung, next));
                 rung = next;
             }
             Err(payload) => {
-                // A panic is a bug, not a resource shortage: go straight to
-                // the floor instead of retrying a broken phase.
-                report.degradations.push(DegradationEvent::opt(
-                    Reason::OptPanic,
-                    "cse-phase",
-                    rung,
-                    Rung::Baseline,
-                    panic_message(payload.as_ref()),
-                ));
+                found.report.degradations.push(panicked(rung, payload));
                 rung = Rung::Baseline;
             }
         }
     }
-    report.rung = rung;
+    found.report.rung = rung;
 
-    let (mut final_plan, cost_audit) = match phase {
-        Some(out) => {
-            report.sharable_signatures = out.sharable_signatures;
-            report.candidates = out.candidates;
-            report.cse_optimizations = out.cse_optimizations;
-            vreport.merge(out.vreport);
-            (out.plan, out.cost_audit)
-        }
-        None => (baseline.clone(), None),
-    };
-    if !final_plan.spools.is_empty() {
-        // Retain the no-CSE plan alongside the shared one: the engine
+    let final_plan = match shared {
+        // Retain the no-CSE plan alongside a sharing one: the engine
         // retries against it per statement when a spool faults or an
         // execution budget trips.
-        final_plan.baseline = Some(Box::new(baseline.root.clone()));
-    }
-    report.final_cost = final_plan.cost;
-    report.spools_used = final_plan.spools.len();
-    report.total_time = t_start.elapsed();
+        Some(mut plan) if !plan.spools.is_empty() => {
+            plan.baseline = Some(Box::new(baseline.root));
+            plan
+        }
+        Some(plan) => plan,
+        None => baseline,
+    };
+    found.report.final_cost = final_plan.cost;
+    found.report.spools_used = final_plan.spools.len();
+    found.report.total_time = t_start.elapsed();
 
-    finish(
-        final_plan,
-        memo.ctx.clone(),
-        report,
-        cfg.verify,
-        vreport,
-        cost_audit,
-    )
-}
-
-/// Output of one successful CSE-phase attempt (one ladder rung).
-struct PhaseOutput {
-    plan: FullPlan,
-    sharable_signatures: usize,
-    candidates: Vec<CandidateSummary>,
-    cse_optimizations: u32,
-    /// Verifier diagnostics accumulated during this attempt.
-    vreport: VerifyReport,
-    /// Pass-5 costing audit input (populated only under `verify`).
-    cost_audit: Option<CostAudit>,
+    finish(final_plan, memo.ctx.clone(), found, cfg.verify)
 }
 
 /// Per-rung candidate caps derived by [`tighten`].
@@ -594,19 +635,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One attempt at the CSE phase (Steps 2 + 3) on a private memo clone,
-/// under a started budget clock. Returns the chosen plan (never worse than
-/// the baseline) or the budget trip that aborted the attempt.
-#[allow(clippy::too_many_arguments)]
+/// under the rung's started budget clock. Returns the best plan found with
+/// candidates enabled (`None` when no candidate survived; the caller keeps
+/// the baseline unless the plan beats it) with the findings extended by
+/// this attempt, or the budget trip that aborted it.
 fn cse_phase(
     mut memo: Memo,
-    stats: &StatsCatalog,
-    indexes: &IndexInfo,
-    cfg: &CseConfig,
+    ctx: &PhaseCtx,
     caps: &RungCaps,
-    clock: &BudgetClock,
-    baseline: &FullPlan,
     root: GroupId,
-) -> Result<PhaseOutput, BudgetTrip> {
+    mut found: Findings,
+) -> Result<(Option<FullPlan>, Findings), BudgetTrip> {
+    let (cfg, clock) = (ctx.cfg, ctx.clock);
     clock.check_time("cse-phase")?;
     if cfg.failpoints.should_fail(sites::OPT_CSE_PHASE) {
         // The optimizer-side failpoint panics on purpose: it exercises the
@@ -615,73 +655,60 @@ fn cse_phase(
     }
     clock.check_memo(memo.num_gexprs(), "cse-phase")?;
 
-    let mut vreport = VerifyReport::new();
-    let mut out = PhaseOutput {
-        plan: baseline.clone(),
-        sharable_signatures: 0,
-        candidates: Vec::new(),
-        cse_optimizations: 0,
-        vreport: VerifyReport::new(),
-        cost_audit: None,
-    };
-
-    // Step 2: detection + candidate generation (phase A).
-    let t_gen = Instant::now();
-    let (candidates, bounds) = run_generation(
-        &mut memo,
-        stats,
-        indexes,
-        cfg,
-        root,
-        &BTreeSet::new(),
-        clock,
-    )?;
-    trace_stage("generation", t_gen);
+    // Step 2: detection + candidate generation (phase A). This manager
+    // indexes the explored memo; it stays valid through generation because
+    // construction adds no groups (it only allocates aggregate-output rels).
+    let t = Instant::now();
+    let mgr = CseManager::build(&memo);
+    trace_stage("manager-explored", t);
+    let sets = mgr.sharable_sets();
+    found.report.sharable_signatures = sets.len();
+    let t = Instant::now();
+    let candidates = run_generation(&mut memo, ctx, &mgr, sets, root)?;
+    trace_stage("generation", t);
     if caps.trip_on_overflow {
         clock.check_candidates(candidates.len(), "generation")?;
     }
 
     // Pass 5 setup: snapshot the claimed per-group bounds and recompute the
-    // winners on the *same* memo state (later exploration may legitimately
-    // find cheaper plans, which would make a fresh winner undercut a bound
-    // that was correct when recorded).
-    let mut cost_audit = CostAudit::default();
+    // winners independently on the *same* memo state (later exploration may
+    // legitimately find cheaper plans, which would make a fresh winner
+    // undercut a bound that was correct when recorded).
     if cfg.verify {
-        cost_audit.bounds = bounds.iter().collect();
-        let mut opt = Optimizer::new(
-            &memo,
-            stats,
-            cfg.cost_model.clone(),
-            cfg.optimizer.clone(),
-            indexes.clone(),
-        );
-        cost_audit.winners = cost_audit
-            .bounds
-            .iter()
-            .map(|&(g, _)| (g, opt.optimize_group(g, 0).cost))
-            .collect();
-    }
-
-    {
-        let mgr = CseManager::build(&memo);
-        out.sharable_signatures = mgr.sharable_sets().len();
+        let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, cfg);
+        let bounds: Vec<(GroupId, f64)> = ctx.bounds.iter().collect();
+        found.cost_audit = Some(CostAudit {
+            winners: bounds
+                .iter()
+                .map(|&(g, _)| (g, opt.optimize_group(g, 0).cost))
+                .collect(),
+            bounds,
+            ..Default::default()
+        });
     }
     if candidates.is_empty() {
-        out.vreport = vreport;
-        out.cost_audit = Some(cost_audit);
-        return Ok(out);
+        return Ok((None, found));
     }
 
     // Register definitions in the memo for costing.
-    let mut registered: Vec<(CostedCandidate, GroupId)> = Vec::new();
-    for c in candidates {
-        let def_root = memo.insert_plan(&c.cse.plan);
-        registered.push((c, def_root));
-    }
+    let t = Instant::now();
+    let mut registered: Vec<(CostedCandidate, GroupId)> = candidates
+        .into_iter()
+        .map(|c| {
+            let def_root = memo.insert_plan(&c.cse.plan);
+            (c, def_root)
+        })
+        .collect();
     explore(&mut memo, &cfg.explore);
-    trace_stage("def-insert+explore", t_gen);
+    trace_stage("def-insert+explore", t);
     clock.check_time("def-explore")?;
     clock.check_memo(memo.num_gexprs(), "def-explore")?;
+
+    // The memo is grown and stays as it is: the second and last manager
+    // serves the stacked round, the LCAs and the enumeration.
+    let t = Instant::now();
+    let mgr = CseManager::build(&memo);
+    trace_stage("manager-grown", t);
 
     // Stacked round (§5.5): candidate definitions are themselves query
     // expressions — a narrower candidate may pick up additional consumers
@@ -690,10 +717,9 @@ fn cse_phase(
     // customer⋈orders⋈lineitem CSE's definition). The candidate set is
     // fixed at this point; only consumer sets are extended.
     if cfg.stacked {
-        let def_roots: BTreeSet<GroupId> = registered.iter().map(|(_, d)| *d).collect();
-        let t_ext = Instant::now();
-        extend_with_stacked_consumers(&memo, &mut registered, &def_roots);
-        trace_stage("stacked-extension", t_ext);
+        let t = Instant::now();
+        extend_with_stacked_consumers(&memo, &mgr, &mut registered);
+        trace_stage("stacked-extension", t);
         clock.check_time("stacked-extension")?;
     }
 
@@ -712,9 +738,6 @@ fn cse_phase(
     let keep = caps.keep.min(clock.max_candidates.unwrap_or(usize::MAX));
     registered.truncate(keep);
 
-    let t_mgr = Instant::now();
-    let mgr = CseManager::build(&memo);
-    trace_stage("manager-rebuild", t_mgr);
     let mut roots = vec![root];
     roots.extend(registered.iter().map(|(_, d)| *d));
     let required = compute_required(&memo, &roots);
@@ -722,7 +745,7 @@ fn cse_phase(
     // Pass 1+2 again over the grown memo: candidate definitions (and the
     // exploration they triggered) must preserve the same invariants.
     if cfg.verify {
-        vreport.merge(cse_verify::verify_memo(&memo, &roots));
+        found.vreport.merge(cse_verify::verify_memo(&memo, &roots));
     }
 
     let mut cse_candidates: Vec<CseCandidate> = Vec::new();
@@ -749,7 +772,7 @@ fn cse_phase(
             substitutes.retain(|s| s.cse != id);
             continue;
         }
-        out.candidates.push(CandidateSummary {
+        found.report.candidates.push(CandidateSummary {
             id,
             tables: c.signature.tables.clone(),
             grouped: c.signature.grouped,
@@ -773,26 +796,16 @@ fn cse_phase(
     // Passes 3+4 (+ candidate-level costing sanity) over every constructed
     // candidate, matched or not.
     if cfg.verify {
-        vreport.merge(cse_verify::verify_candidates(&audits));
+        found.vreport.merge(cse_verify::verify_candidates(&audits));
     }
-
     if cse_candidates.is_empty() {
-        out.candidates.clear();
-        out.vreport = vreport;
-        out.cost_audit = Some(cost_audit);
-        return Ok(out);
+        return Ok((None, found));
     }
 
     // Step 3: resume optimization with candidates enabled.
-    let mut opt = Optimizer::new(
-        &memo,
-        stats,
-        cfg.cost_model.clone(),
-        cfg.optimizer.clone(),
-        indexes.clone(),
-    );
+    let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, cfg);
     opt.register_candidates(cse_candidates, substitutes);
-    let t_enum = Instant::now();
+    let t = Instant::now();
     let outcome = choose_best(
         &mut opt,
         &mgr,
@@ -801,17 +814,9 @@ fn cse_phase(
         cfg.max_cse_optimizations,
         clock,
     )?;
-    trace_stage("enumeration", t_enum);
-    out.cse_optimizations = outcome.optimizations;
-
-    out.plan = if outcome.plan.cost < baseline.cost {
-        outcome.plan
-    } else {
-        baseline.clone()
-    };
-    out.vreport = vreport;
-    out.cost_audit = Some(cost_audit);
-    Ok(out)
+    trace_stage("enumeration", t);
+    found.report.cse_optimizations = outcome.optimizations;
+    Ok((Some(outcome.plan), found))
 }
 
 /// Terminate `optimize_plan`: run the end-to-end costing audit (pass 5),
@@ -820,11 +825,14 @@ fn cse_phase(
 fn finish(
     plan: FullPlan,
     ctx: PlanContext,
-    mut report: CseReport,
+    found: Findings,
     verify: bool,
-    mut vreport: VerifyReport,
-    cost_audit: Option<CostAudit>,
 ) -> Result<Optimized, String> {
+    let Findings {
+        mut report,
+        mut vreport,
+        cost_audit,
+    } = found;
     if verify {
         if let Some(mut audit) = cost_audit {
             audit.baseline_cost = report.baseline_cost;
@@ -916,15 +924,14 @@ fn candidate_audit(
 /// — its keys and aggregates are subsumed by the candidate's.
 fn extend_with_stacked_consumers(
     memo: &Memo,
+    mgr: &CseManager,
     registered: &mut [(CostedCandidate, GroupId)],
-    def_roots: &BTreeSet<GroupId>,
 ) {
-    let mgr = CseManager::build(memo);
     let mut def_internal: BTreeSet<GroupId> = BTreeSet::new();
-    for &d in def_roots {
-        def_internal.extend(memo.descendants(d));
+    for (_, d) in registered.iter() {
+        def_internal.extend(memo.descendants(*d));
     }
-    for d in def_roots {
+    for (_, d) in registered.iter() {
         def_internal.remove(d);
     }
     for (cand, own_def) in registered.iter_mut() {
@@ -1006,84 +1013,36 @@ fn extend_with_stacked_consumers(
     }
 }
 
-/// One round of detection + candidate generation over the current memo.
-/// Also returns the per-group cost bounds the candidates were generated
-/// against, so the costing audit (pass 5) can diff them against freshly
-/// recomputed winners.
-#[allow(clippy::too_many_arguments)]
+/// Candidate generation over the explored memo's sharable sets: per-set
+/// generation (H1–H3), then H4 across sets.
 fn run_generation(
     memo: &mut Memo,
-    stats: &StatsCatalog,
-    indexes: &IndexInfo,
-    cfg: &CseConfig,
+    ctx: &PhaseCtx,
+    mgr: &CseManager,
+    sets: Vec<(TableSignature, Vec<GroupId>)>,
     root: GroupId,
-    exclude_consumers: &BTreeSet<GroupId>,
-    clock: &BudgetClock,
-) -> Result<(Vec<CostedCandidate>, CostBounds), BudgetTrip> {
-    // Cost bounds for every group (normal-phase history, §5.4/§4.3).
-    let bounds = {
-        let mut opt = Optimizer::new(
-            memo,
-            stats,
-            cfg.cost_model.clone(),
-            cfg.optimizer.clone(),
-            indexes.clone(),
-        );
-        let mut costs: HashMap<GroupId, f64> = HashMap::new();
-        let ids: Vec<GroupId> = memo.groups().map(|g| g.id).collect();
-        for g in ids {
-            costs.insert(g, opt.optimize_group(g, 0).cost);
-        }
-        CostBounds::new(costs)
-    };
-    let query_cost = bounds.lower(root);
-    let mgr = CseManager::build(memo);
-    let sets: Vec<_> = mgr
-        .sharable_sets()
-        .into_iter()
-        .map(|(sig, consumers)| {
-            (
-                sig,
-                consumers
-                    .into_iter()
-                    .filter(|g| !exclude_consumers.contains(g))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .filter(|(_, consumers)| consumers.len() >= 2)
-        .collect();
-    let mut roots = vec![root];
-    roots.extend(exclude_consumers.iter().copied());
-    let required: RequiredCols = compute_required(memo, &roots);
+) -> Result<Vec<CostedCandidate>, BudgetTrip> {
+    let query_cost = ctx.bounds.lower(root);
     let mut all: Vec<CostedCandidate> = Vec::new();
     for (sig, consumers) in sets {
-        clock.check_time("generation")?;
-        let t = std::time::Instant::now();
+        ctx.clock.check_time("generation")?;
+        let t = Instant::now();
         let before = all.len();
-        all.extend(generate_for_set(
-            memo,
-            stats,
-            &cfg.cost_model,
-            &bounds,
-            &required,
-            &sig,
-            &consumers,
-            query_cost,
-            &cfg.gen,
-            clock,
-        )?);
+        all.extend(generate_for_set(memo, ctx, &sig, &consumers, query_cost)?);
         if trace_enabled() && t.elapsed().as_millis() > 50 {
-            eprintln!(
-                "[cse-trace]   set {} consumers={} -> +{} candidates in {:?}",
-                sig,
-                consumers.len(),
-                all.len() - before,
-                t.elapsed()
+            trace_stage(
+                format_args!(
+                    "  set {} consumers={} -> +{} candidates",
+                    sig,
+                    consumers.len(),
+                    all.len() - before
+                ),
+                t,
             );
         }
     }
-    if cfg.gen.heuristics {
-        all = h4_prune_contained(&mgr, all, cfg.gen.beta);
+    if ctx.cfg.gen.heuristics {
+        all = h4_prune_contained(mgr, all, ctx.cfg.gen.beta);
     }
-    Ok((all, bounds))
+    Ok(all)
 }

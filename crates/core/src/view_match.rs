@@ -19,7 +19,6 @@ use cse_memo::Memo;
 use cse_optimizer::{CseId, Substitute, SubstituteReAgg};
 
 /// Build the substitute rewriting `member` over the CSE's work table.
-#[allow(clippy::too_many_arguments)]
 pub fn build_substitute(
     memo: &Memo,
     cse_id: CseId,

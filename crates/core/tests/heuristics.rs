@@ -3,11 +3,16 @@
 
 use cse_algebra::{CmpOp, LogicalPlan, PlanContext, Scalar};
 use cse_core::candidates::{
-    cost_candidate, h1_worthwhile, h4_prune_contained, shared_cost, CostBounds,
+    cost_candidate, create_candidates, h1_worthwhile, h4_prune_contained, shared_cost, CostBounds,
 };
-use cse_core::{compute_required, construct, prepare_consumers, CseManager};
-use cse_cost::{CostModel, StatsCatalog};
+use cse_core::{
+    compute_required, construct, partition_compatible, prepare_consumers, CseConfig, CseManager,
+    PhaseCtx, RequiredCols,
+};
+use cse_cost::StatsCatalog;
+use cse_govern::BudgetClock;
 use cse_memo::{explore, ExploreConfig, GroupId, Memo};
+use cse_optimizer::IndexInfo;
 use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
 use std::collections::HashMap;
 
@@ -34,6 +39,11 @@ fn catalog(n: i64) -> Catalog {
 
 /// Memo with two similar joins (different filter bounds) + batch root.
 fn memo_two_joins(catalog: &Catalog) -> (Memo, Vec<GroupId>) {
+    memo_joins(catalog, &[5, 8])
+}
+
+/// Memo with one `ta ⋈ tb` join per filter bound in `his` + batch root.
+fn memo_joins(catalog: &Catalog, his: &[i64]) -> (Memo, Vec<GroupId>) {
     let mut ctx = PlanContext::new();
     let sa = catalog.table("ta").unwrap().schema().clone();
     let sb = catalog.table("tb").unwrap().schema().clone();
@@ -52,18 +62,50 @@ fn memo_two_joins(catalog: &Catalog) -> (Memo, Vec<GroupId>) {
                 ("w".into(), Scalar::col(b, 1)),
             ])
     };
-    let q1 = mk(&mut ctx, 5);
-    let q2 = mk(&mut ctx, 8);
+    let children = his.iter().map(|&hi| mk(&mut ctx, hi)).collect();
     let mut memo = Memo::new(ctx);
-    let root = memo.insert_plan(&LogicalPlan::Batch {
-        children: vec![q1, q2],
-    });
+    let root = memo.insert_plan(&LogicalPlan::Batch { children });
     memo.set_root(root);
     explore(&mut memo, &ExploreConfig::default());
     let mgr = CseManager::build(&memo);
     let sets = mgr.sharable_sets();
     assert_eq!(sets.len(), 1);
     (memo, sets.into_iter().next().unwrap().1)
+}
+
+/// Owner of what a [`PhaseCtx`] borrows: default configuration, no
+/// indexes, an unlimited clock, and the bounds a test dictates.
+struct Phase {
+    cfg: CseConfig,
+    stats: StatsCatalog,
+    indexes: IndexInfo,
+    clock: BudgetClock,
+    bounds: CostBounds,
+    required: RequiredCols,
+}
+
+impl Phase {
+    fn new(cat: &Catalog, memo: &Memo, bounds: CostBounds) -> Self {
+        Phase {
+            cfg: CseConfig::default(),
+            stats: StatsCatalog::from_catalog(cat),
+            indexes: IndexInfo::default(),
+            clock: BudgetClock::unlimited(),
+            bounds,
+            required: compute_required(memo, &[memo.root()]),
+        }
+    }
+
+    fn ctx(&self) -> PhaseCtx<'_> {
+        PhaseCtx {
+            cfg: &self.cfg,
+            stats: &self.stats,
+            indexes: &self.indexes,
+            clock: &self.clock,
+            bounds: &self.bounds,
+            required: &self.required,
+        }
+    }
 }
 
 #[test]
@@ -89,19 +131,18 @@ fn h1_rejects_cheap_sets_and_accepts_expensive_ones() {
 fn shared_cost_includes_all_three_components() {
     let cat = catalog(500);
     let (mut memo, consumers) = memo_two_joins(&cat);
-    let stats = StatsCatalog::from_catalog(&cat);
-    let required = compute_required(&memo, &[memo.root()]);
+    let bounds = CostBounds::new(HashMap::from([
+        (consumers[0], 100.0),
+        (consumers[1], 150.0),
+    ]));
+    let phase = Phase::new(&cat, &memo, bounds);
     let prepared = prepare_consumers(&memo, &consumers);
     let sig = memo
         .signature_of(consumers[0])
         .expect("consumer has signature")
         .clone();
-    let cse = construct(&mut memo, prepared, &required).unwrap();
-    let bounds = CostBounds::new(HashMap::from([
-        (consumers[0], 100.0),
-        (consumers[1], 150.0),
-    ]));
-    let costed = cost_candidate(&memo, &stats, &CostModel::default(), &bounds, sig, cse);
+    let cse = construct(&mut memo, prepared, &phase.required).unwrap();
+    let costed = cost_candidate(&memo, &phase.ctx(), sig, cse);
     // ce_lower = max of member bounds = 150.
     assert_eq!(costed.ce_lower, 150.0);
     assert!(costed.cw > 0.0);
@@ -121,34 +162,48 @@ fn shared_cost_includes_all_three_components() {
 fn h4_discards_contained_candidate_with_larger_result() {
     let cat = catalog(500);
     let (mut memo, consumers) = memo_two_joins(&cat);
-    let stats = StatsCatalog::from_catalog(&cat);
-    let required = compute_required(&memo, &[memo.root()]);
+    let phase = Phase::new(&cat, &memo, CostBounds::default());
     let mgr = CseManager::build(&memo);
     let sig = memo.signature_of(consumers[0]).unwrap().clone();
     let prepared = prepare_consumers(&memo, &consumers);
-    let cse = construct(&mut memo, prepared, &required).unwrap();
-    let bounds = CostBounds::default();
-    let model = CostModel::default();
+    let cse = construct(&mut memo, prepared, &phase.required).unwrap();
     // Two copies of the same candidate: mutually contained, equal size —
     // with β=0.9, size_c > 0.9·size_p holds, so one dies.
-    let a = cost_candidate(&memo, &stats, &model, &bounds, sig.clone(), cse.clone());
-    let b = cost_candidate(&memo, &stats, &model, &bounds, sig, cse);
-    let kept = h4_prune_contained(&mgr, vec![a, b], 0.90);
+    let a = cost_candidate(&memo, &phase.ctx(), sig.clone(), cse.clone());
+    let b = cost_candidate(&memo, &phase.ctx(), sig, cse);
+    let kept = h4_prune_contained(&mgr, vec![a.clone(), b.clone()], 0.90);
     assert_eq!(kept.len(), 1, "one of two identical candidates must die");
     // With β above 1.0 nothing dies (a candidate is never bigger than
     // itself times >1).
-    let cat2 = catalog(500);
-    let (mut memo2, consumers2) = memo_two_joins(&cat2);
-    let stats2 = StatsCatalog::from_catalog(&cat2);
-    let required2 = compute_required(&memo2, &[memo2.root()]);
-    let mgr2 = CseManager::build(&memo2);
-    let sig2 = memo2.signature_of(consumers2[0]).unwrap().clone();
-    let prepared2 = prepare_consumers(&memo2, &consumers2);
-    let cse2 = construct(&mut memo2, prepared2, &required2).unwrap();
-    let a2 = cost_candidate(&memo2, &stats2, &model, &bounds, sig2.clone(), cse2.clone());
-    let b2 = cost_candidate(&memo2, &stats2, &model, &bounds, sig2, cse2);
-    let kept2 = h4_prune_contained(&mgr2, vec![a2, b2], 1.5);
-    assert_eq!(kept2.len(), 2);
+    let kept = h4_prune_contained(&mgr, vec![a, b], 1.5);
+    assert_eq!(kept.len(), 2);
+}
+
+#[test]
+fn algorithm1_candidate_is_its_member_set_constructed_and_costed() {
+    // Algorithm 1 hands out the winning trial of its last merge round; that
+    // must be exactly what constructing and costing the merged member set
+    // from scratch gives, over two merge rounds.
+    let cat = catalog(500);
+    let (mut memo, consumers) = memo_joins(&cat, &[3, 5, 8]);
+    let bounds = CostBounds::new(consumers.iter().map(|&g| (g, 1e6)).collect());
+    let phase = Phase::new(&cat, &memo, bounds);
+    let sig = memo.signature_of(consumers[0]).unwrap().clone();
+    let prepared = prepare_consumers(&memo, &consumers);
+    let groups = partition_compatible(&memo.ctx, prepared);
+    assert_eq!(groups.len(), 1, "the three joins are join-compatible");
+    let out = create_candidates(&mut memo, &phase.ctx(), &sig, &groups[0]).unwrap();
+    assert_eq!(out.len(), 1, "expensive consumers merge into one candidate");
+    let got = &out[0];
+    assert_eq!(got.cse.members.len(), 3);
+    let fresh = construct(&mut memo, got.cse.members.clone(), &phase.required).unwrap();
+    let fresh = cost_candidate(&memo, &phase.ctx(), sig, fresh);
+    assert_eq!(got.cse.plan, fresh.cse.plan);
+    assert_eq!(got.cse.covering, fresh.cse.covering);
+    assert_eq!(got.cse.output, fresh.cse.output);
+    assert_eq!(got.cse.simplified, fresh.cse.simplified);
+    assert_eq!(shared_cost(got), shared_cost(&fresh));
+    assert_eq!(got.est_rows, fresh.est_rows);
 }
 
 #[test]

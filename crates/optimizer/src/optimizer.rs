@@ -22,23 +22,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
 /// Optimizer switches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OptimizerConfig {
-    /// Consider B-tree index range scans for filtered base tables.
-    pub enable_index_scan: bool,
     /// Ablation: charge every CSE's initial cost at final assembly instead
     /// of at the least common ancestor (§5.2 discusses why the LCA is the
     /// better placement).
     pub charge_at_root: bool,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            enable_index_scan: true,
-            charge_at_root: false,
-        }
-    }
 }
 
 /// Which (table, column ordinal) pairs have a B-tree index.
@@ -344,10 +333,8 @@ impl<'a> Optimizer<'a> {
                 });
                 // Index range scan: Filter directly over a Get whose
                 // filtered column carries a B-tree index.
-                if self.cfg.enable_index_scan {
-                    if let Some(alt) = self.try_index_scan(g, e.children[0], pred, out_rows) {
-                        alts.push(alt);
-                    }
+                if let Some(alt) = self.try_index_scan(g, e.children[0], pred, out_rows) {
+                    alts.push(alt);
                 }
             }
             Op::Join { pred } => {

@@ -199,7 +199,6 @@ fn charge_at_root_ablation_reaches_same_decision() {
             &f,
             OptimizerConfig {
                 charge_at_root: true,
-                ..Default::default()
             },
         );
         opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());

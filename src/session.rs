@@ -113,22 +113,7 @@ impl Session {
     /// under the configured governance: optimization budget, fault
     /// injection and execution limits.
     pub fn query(&self, sql: &str) -> Result<BatchOutcome, Error> {
-        let optimized = self.plan(sql)?;
-        let engine = Engine::new(&self.catalog, &optimized.ctx);
-        let out = engine
-            .execute_in(
-                &optimized.plan,
-                &ExecCtx::governed(&self.config.failpoints, &self.config.exec_limits),
-            )
-            .map_err(|e| Error::Execution(e.to_string()))?;
-        let mut events = optimized.report.degradations.clone();
-        events.extend(out.events);
-        Ok(BatchOutcome {
-            results: out.results,
-            report: optimized.report,
-            metrics: out.metrics,
-            events,
-        })
+        self.query_under(sql, &self.config)
     }
 
     /// [`Session::query`] under a cancellation token: the token is checked
@@ -145,14 +130,20 @@ impl Session {
     ) -> Result<BatchOutcome, Error> {
         let mut config = self.config.clone();
         config.cancel = cancel.clone();
+        self.query_under(sql, &config)
+    }
+
+    /// Optimize under `config`, execute under its failpoints, limits and
+    /// cancellation token, and merge both sides' degradation events.
+    fn query_under(&self, sql: &str, config: &CseConfig) -> Result<BatchOutcome, Error> {
         let optimized =
-            cse_core::optimize_sql(&self.catalog, sql, &config).map_err(Error::Planning)?;
+            cse_core::optimize_sql(&self.catalog, sql, config).map_err(Error::Planning)?;
         let engine = Engine::new(&self.catalog, &optimized.ctx);
         let out = engine
             .execute_in(
                 &optimized.plan,
                 &ExecCtx {
-                    cancel: cancel.clone(),
+                    cancel: config.cancel.clone(),
                     ..ExecCtx::governed(&config.failpoints, &config.exec_limits)
                 },
             )

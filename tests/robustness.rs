@@ -8,6 +8,7 @@
 //! The fault-injection seed comes from `CSE_FAIL_SEED` (default 42) so CI
 //! can sweep a seed matrix; every assertion here must hold for *any* seed.
 
+use cse_bench::workloads;
 use similar_subexpr::govern::sites;
 use similar_subexpr::prelude::*;
 use similar_subexpr::storage::row;
@@ -162,6 +163,69 @@ fn candidate_cap_trips_full_rung_then_recovers_on_capped() {
     );
     assert!(codes(&opt.report.degradations).contains(&"OPT_CAND_CAP"));
     assert_matches_reference(&out.results, &want, "candidate-cap");
+}
+
+/// Cost bounds and required columns are derived once per request and shared
+/// down the ladder. A request whose full rung trips on the candidate cap and
+/// lands on the capped rung must therefore plan exactly like the same request
+/// started on the capped rung, where those facts serve one rung only. (Both
+/// run under `verify`, so pass 5 also diffs the shared bounds against freshly
+/// recomputed winners.)
+#[test]
+fn tripped_full_rung_plans_like_a_capped_start() {
+    let catalog = catalog();
+    let summary = |o: &Optimized| {
+        let candidates: Vec<_> = o
+            .report
+            .candidates
+            .iter()
+            .map(|c| (c.tables.clone(), c.consumers, c.est_rows))
+            .collect();
+        let mut plan = o.plan.root.render();
+        for (id, spool) in &o.plan.spools {
+            plan.push_str(&format!("spool {id}:\n{}", spool.plan.render()));
+        }
+        (
+            candidates,
+            o.report.cse_optimizations,
+            o.report.final_cost,
+            plan,
+        )
+    };
+    for (name, sql) in [
+        ("table2", workloads::table2_batch()),
+        ("table4", workloads::complex_join_batch()),
+    ] {
+        let capped_budget = CseConfig {
+            budget: Budget {
+                max_candidates: Some(1),
+                ..Budget::unlimited()
+            },
+            ..CseConfig::default()
+        };
+        let tripped = optimize_sql(&catalog, &sql, &capped_budget).expect("tripped optimize");
+        assert_eq!(tripped.report.rung, Rung::CappedCse, "{name}");
+        assert!(
+            codes(&tripped.report.degradations).contains(&"OPT_CAND_CAP"),
+            "{name}: the full rung must trip on the cap: {:?}",
+            tripped.report.degradations
+        );
+        assert!(
+            !tripped.report.candidates.is_empty(),
+            "{name}: the capped rung must still share"
+        );
+        let started = optimize_sql(
+            &catalog,
+            &sql,
+            &CseConfig {
+                start_rung: Rung::CappedCse,
+                ..capped_budget
+            },
+        )
+        .expect("capped-start optimize");
+        assert_eq!(started.report.rung, Rung::CappedCse, "{name}");
+        assert_eq!(summary(&tripped), summary(&started), "{name}");
+    }
 }
 
 /// `fallback_only` skips the CSE phase outright and says so.
