@@ -172,17 +172,19 @@ grep -q "WAL_CORRUPT_FRAME" <<<"$out" \
   || { echo "corrupted WAL rejection missing WAL_CORRUPT_FRAME: $out"; exit 1; }
 rm -rf "$data_dir"
 
-# Benchmark-of-record smoke: verdict only, no timing gate. One workload
-# that bypasses sharing, one through the server, the one where every plan
-# writes and reads a spool, and the one the CSE phase dominates; each run
-# ends with a result line whose first field is the correctness verdict.
+# Benchmark-of-record smoke: verdict only, no timing gate. All five
+# workloads: the one that bypasses sharing, the one through the server,
+# the one where every plan writes and reads a spool, the one the CSE phase
+# dominates, and the write path (inserts maintaining the §6.4 views, every
+# view compared with recomputation); each run ends with a result line
+# whose first field is the correctness verdict.
 # Building benchmark/ without --locked lets cargo prune its Cargo.lock of
 # packages the tree no longer has; that file is frozen, so put it back.
-echo "==> benchmark smoke (no-share, serve-mix, share-batch, opt-heavy: verdict only)"
+echo "==> benchmark smoke (no-share, serve-mix, share-batch, opt-heavy, view-maint: verdict only)"
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
-for workload in no-share serve-mix share-batch opt-heavy; do
+for workload in no-share serve-mix share-batch opt-heavy view-maint; do
   verdict=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seconds 2 --trace 0 | tail -n 1)
   [[ "$verdict" == '{"correct": true,'* ]] \

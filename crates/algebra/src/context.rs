@@ -8,21 +8,20 @@ use std::sync::Arc;
 /// What kind of relation a [`RelId`] denotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelKind {
-    /// A base table (or materialized view contents) from the catalog.
+    /// A table from the catalog: a base table, materialized-view contents,
+    /// or a delta work table driving view maintenance (§6.4), which gets
+    /// its own signature from its own table name.
     Base,
     /// Synthetic outputs of an aggregate operator: column `i` of the rel is
     /// the i-th aggregation expression's result.
     AggOutput,
-    /// A delta work table driving view maintenance (paper §6.4). Treated
-    /// like a base table but signature generation marks it specially.
-    Delta,
 }
 
 /// Metadata for one table instance.
 #[derive(Debug, Clone)]
 pub struct RelInfo {
     pub kind: RelKind,
-    /// Base table name in the catalog (for `Base`/`Delta`), or a synthetic
+    /// Table name in the catalog (for `Base`), or a synthetic
     /// name for aggregate outputs.
     pub name: String,
     /// The alias used in the query text, for diagnostics.
@@ -67,23 +66,6 @@ impl PlanContext {
             kind: RelKind::Base,
             name: name.into(),
             alias: alias.into(),
-            schema,
-            block,
-        })
-    }
-
-    /// Register a delta-table instance (view maintenance).
-    pub fn add_delta_rel(
-        &mut self,
-        name: impl Into<String>,
-        schema: SchemaRef,
-        block: BlockId,
-    ) -> RelId {
-        let name = name.into();
-        self.push(RelInfo {
-            kind: RelKind::Delta,
-            alias: name.clone(),
-            name,
             schema,
             block,
         })

@@ -13,6 +13,7 @@
 use crate::ids::ColRef;
 use crate::scalar::{CmpOp, Scalar};
 use cse_storage::Value;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A one-column interval with optional inclusive/exclusive bounds, plus an
@@ -24,13 +25,17 @@ pub struct Interval {
 }
 
 impl Interval {
+    // Bounds are ordered by `Value::sql_cmp`, the comparison the executor
+    // evaluates. A bound of another comparison class (a DATE against a
+    // STRING) is incomparable: it never replaces the current bound, and
+    // `within` proves nothing across it.
     fn tighten_lo(&mut self, v: Value, inclusive: bool) {
         let better = match &self.lo {
             None => true,
-            Some((cur, cur_inc)) => match v.total_cmp(cur) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => *cur_inc && !inclusive,
-                std::cmp::Ordering::Less => false,
+            Some((cur, cur_inc)) => match v.sql_cmp(cur) {
+                Some(Ordering::Greater) => true,
+                Some(Ordering::Equal) => *cur_inc && !inclusive,
+                Some(Ordering::Less) | None => false,
             },
         };
         if better {
@@ -41,10 +46,10 @@ impl Interval {
     fn tighten_hi(&mut self, v: Value, inclusive: bool) {
         let better = match &self.hi {
             None => true,
-            Some((cur, cur_inc)) => match v.total_cmp(cur) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => *cur_inc && !inclusive,
-                std::cmp::Ordering::Greater => false,
+            Some((cur, cur_inc)) => match v.sql_cmp(cur) {
+                Some(Ordering::Less) => true,
+                Some(Ordering::Equal) => *cur_inc && !inclusive,
+                Some(Ordering::Greater) | None => false,
             },
         };
         if better {
@@ -57,19 +62,19 @@ impl Interval {
         let lo_ok = match (&outer.lo, &self.lo) {
             (None, _) => true,
             (Some(_), None) => false,
-            (Some((ov, oi)), Some((sv, si))) => match sv.total_cmp(ov) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => *oi || !*si,
-                std::cmp::Ordering::Less => false,
+            (Some((ov, oi)), Some((sv, si))) => match sv.sql_cmp(ov) {
+                Some(Ordering::Greater) => true,
+                Some(Ordering::Equal) => *oi || !*si,
+                Some(Ordering::Less) | None => false,
             },
         };
         let hi_ok = match (&outer.hi, &self.hi) {
             (None, _) => true,
             (Some(_), None) => false,
-            (Some((ov, oi)), Some((sv, si))) => match sv.total_cmp(ov) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => *oi || !*si,
-                std::cmp::Ordering::Greater => false,
+            (Some((ov, oi)), Some((sv, si))) => match sv.sql_cmp(ov) {
+                Some(Ordering::Less) => true,
+                Some(Ordering::Equal) => *oi || !*si,
+                Some(Ordering::Greater) | None => false,
             },
         };
         lo_ok && hi_ok
@@ -222,6 +227,25 @@ mod tests {
         let covering = Scalar::or([q1.clone(), q2.clone()]);
         assert!(implies(&q1, &covering));
         assert!(implies(&q2, &covering));
+    }
+
+    #[test]
+    fn bounds_of_different_comparison_classes_prove_nothing() {
+        // `c < DATE` against `c < 'text'`: the executor's comparison is NULL
+        // for every row on one side, so neither implies the other, and a
+        // conjunction keeps the bound it saw first instead of "tightening"
+        // across classes.
+        let by_date = Scalar::cmp(CmpOp::Lt, c(0), Scalar::Lit(Value::Date(9678)));
+        let by_text = Scalar::cmp(CmpOp::Lt, c(0), Scalar::Lit(Value::str("1996-13-26")));
+        assert!(!implies(&by_date, &by_text));
+        assert!(!implies(&by_text, &by_date));
+        let both = Scalar::and([by_date.clone(), by_text.clone()]);
+        let iv = &column_ranges(&both)[&ColRef::new(RelId(0), 0)];
+        assert_eq!(iv.hi, Some((Value::Date(9678), false)));
+        assert!(!iv.within(&column_ranges(&by_text)[&ColRef::new(RelId(0), 0)]));
+        // INT and FLOAT are one class.
+        let lt_float = Scalar::cmp(CmpOp::Lt, c(0), Scalar::Lit(Value::Float(10.5)));
+        assert!(implies(&lt(c(0), 5), &lt_float));
     }
 
     #[test]

@@ -21,6 +21,8 @@ use cse_algebra::{
     RelSet, Scalar,
 };
 use cse_memo::Memo;
+use cse_storage::Value;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// A constructed covering subexpression (pre-costing).
@@ -313,59 +315,30 @@ pub fn simplify_covering(simplified: &[Scalar]) -> Scalar {
         }
         // Hull per column constrained in every branch.
         let mut hull_conjuncts: Vec<Scalar> = Vec::new();
+        let mut incomparable = false;
+        let branch_ranges: Vec<_> = residual_branches
+            .iter()
+            .map(|b| cse_algebra::column_ranges(&Scalar::and(b.iter().cloned())))
+            .collect();
+        let open = cse_algebra::Interval::default();
         for col in &cols {
-            let mut lo: Option<(cse_storage::Value, bool)> = None;
-            let mut hi: Option<(cse_storage::Value, bool)> = None;
-            let mut all_bounded_lo = true;
-            let mut all_bounded_hi = true;
-            for b in &residual_branches {
-                let pred = Scalar::and(b.iter().cloned());
-                let ranges = cse_algebra::column_ranges(&pred);
-                let iv = ranges.get(col).cloned().unwrap_or_default();
-                match iv.lo {
-                    Some((v, inc)) => {
-                        lo = Some(match lo {
-                            None => (v, inc),
-                            Some((cur, cinc)) => match v.total_cmp(&cur) {
-                                std::cmp::Ordering::Less => (v, inc),
-                                std::cmp::Ordering::Equal => (cur, cinc || inc),
-                                std::cmp::Ordering::Greater => (cur, cinc),
-                            },
-                        });
-                    }
-                    None => all_bounded_lo = false,
-                }
-                match iv.hi {
-                    Some((v, inc)) => {
-                        hi = Some(match hi {
-                            None => (v, inc),
-                            Some((cur, cinc)) => match v.total_cmp(&cur) {
-                                std::cmp::Ordering::Greater => (v, inc),
-                                std::cmp::Ordering::Equal => (cur, cinc || inc),
-                                std::cmp::Ordering::Less => (cur, cinc),
-                            },
-                        });
-                    }
-                    None => all_bounded_hi = false,
-                }
+            let ivs = || branch_ranges.iter().map(|r| r.get(col).unwrap_or(&open));
+            let lo = hull_bound(ivs().map(|iv| &iv.lo), Ordering::Less);
+            let hi = hull_bound(ivs().map(|iv| &iv.hi), Ordering::Greater);
+            incomparable |= lo.is_err() || hi.is_err();
+            if let Ok(Some((v, inc))) = lo {
+                hull_conjuncts.push(Scalar::cmp(
+                    if inc { CmpOp::Ge } else { CmpOp::Gt },
+                    Scalar::Col(*col),
+                    Scalar::Lit(v),
+                ));
             }
-            if all_bounded_lo {
-                if let Some((v, inc)) = lo {
-                    hull_conjuncts.push(Scalar::cmp(
-                        if inc { CmpOp::Ge } else { CmpOp::Gt },
-                        Scalar::Col(*col),
-                        Scalar::Lit(v),
-                    ));
-                }
-            }
-            if all_bounded_hi {
-                if let Some((v, inc)) = hi {
-                    hull_conjuncts.push(Scalar::cmp(
-                        if inc { CmpOp::Le } else { CmpOp::Lt },
-                        Scalar::Col(*col),
-                        Scalar::Lit(v),
-                    ));
-                }
+            if let Ok(Some((v, inc))) = hi {
+                hull_conjuncts.push(Scalar::cmp(
+                    if inc { CmpOp::Le } else { CmpOp::Lt },
+                    Scalar::Col(*col),
+                    Scalar::Lit(v),
+                ));
             }
         }
         // The hull is sound for any branch shape; it is *exact* (no
@@ -377,7 +350,8 @@ pub fn simplify_covering(simplified: &[Scalar]) -> Scalar {
                 .filter_map(|c| c.as_col_vs_lit().map(|(col, _, _)| col))
                 .collect();
             bc.len() == 1 && cols.iter().any(|c| bc.contains(c))
-        }) && cols.len() == 1;
+        }) && cols.len() == 1
+            && !incomparable;
         top_conjuncts.extend(hull_conjuncts);
         if !exact {
             top_conjuncts.push(Scalar::or(
@@ -395,6 +369,33 @@ pub fn simplify_covering(simplified: &[Scalar]) -> Scalar {
             .map(|b| Scalar::and(b.iter().cloned())),
     ));
     Scalar::and(top_conjuncts).normalize()
+}
+
+/// The loosest of the branches' bounds on one side of a column (`looser` is
+/// how a looser bound compares to a tighter one: `Less` for lower bounds).
+/// `Ok(None)` when some branch leaves the side open. `Err` when two bounds
+/// are incomparable under SQL comparison (a DATE and a STRING): no single
+/// literal bounds both branches, so the side stays open and the caller
+/// keeps the OR of the branches.
+fn hull_bound<'a>(
+    bounds: impl Iterator<Item = &'a Option<(Value, bool)>>,
+    looser: Ordering,
+) -> Result<Option<(Value, bool)>, ()> {
+    let mut hull: Option<(Value, bool)> = None;
+    for bound in bounds {
+        let Some((v, inc)) = bound else {
+            return Ok(None);
+        };
+        hull = Some(match hull {
+            None => (v.clone(), *inc),
+            Some((cur, cinc)) => match v.sql_cmp(&cur).ok_or(())? {
+                Ordering::Equal => (cur, cinc || *inc),
+                o if o == looser => (v.clone(), *inc),
+                _ => (cur, cinc),
+            },
+        });
+    }
+    Ok(hull)
 }
 
 /// Build a left-deep, connected join tree over `rels`: single-rel covering
@@ -462,12 +463,6 @@ fn take_covered(remaining: &mut Vec<Scalar>, set: RelSet) -> Vec<Scalar> {
     out
 }
 
-/// Does the covering predicate of a CSE admit this member (sanity check
-/// used by tests and view matching)?
-pub fn member_implies_covering(member_pred: &Scalar, covering: &Scalar) -> bool {
-    implies(member_pred, covering)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,13 +498,45 @@ mod tests {
         let cs = cov.conjuncts();
         assert_eq!(cs.len(), 3, "covering = date ∧ hull-lo ∧ hull-hi: {cov}");
         for b in &branches {
-            assert!(member_implies_covering(b, &cov), "{b} must imply {cov}");
+            assert!(implies(b, &cov), "{b} must imply {cov}");
         }
         // And the hull is (0, 25).
         let ranges = cse_algebra::column_ranges(&cov);
         let iv = &ranges[&cse_algebra::ColRef::new(RelId(0), 3)];
         assert_eq!(iv.lo.as_ref().unwrap().0, cse_storage::Value::Int(0));
         assert_eq!(iv.hi.as_ref().unwrap().0, cse_storage::Value::Int(25));
+    }
+
+    #[test]
+    fn hull_never_spans_comparison_classes() {
+        // ROADMAP 1a: Q1 cuts o_orderdate at a DATE, its sibling at a string
+        // that is not a date. No literal bounds both: the column stays open
+        // on that side and the OR keeps each branch's own cut, so rows Q1
+        // accepts still pass the covering predicate.
+        let by_date = Scalar::cmp(CmpOp::Lt, col(1, 4), Scalar::Lit(Value::Date(9678)));
+        let by_text = Scalar::cmp(CmpOp::Lt, col(1, 4), Scalar::Lit(Value::str("1996-13-26")));
+        let branches = vec![by_date.normalize(), by_text.normalize()];
+        let cov = simplify_covering(&branches);
+        assert!(
+            matches!(cov, Scalar::Or(_)),
+            "covering must stay an OR: {cov}"
+        );
+        assert!(cse_algebra::column_ranges(&cov).is_empty());
+        for b in &branches {
+            assert!(implies(b, &cov), "{b} must imply {cov}");
+        }
+        assert!(!implies(&cov, &branches[0]), "Q1 must keep its own cut");
+        // Comparable sides still merge: a shared DATE lower bound is hulled
+        // while the mixed upper bound keeps the OR.
+        let since = |d| Scalar::cmp(CmpOp::Ge, col(1, 4), Scalar::Lit(Value::Date(d)));
+        let cov = simplify_covering(&[
+            Scalar::and([since(9000), by_date.clone()]).normalize(),
+            Scalar::and([since(9100), by_text.clone()]).normalize(),
+        ]);
+        let iv = &cse_algebra::column_ranges(&cov)[&ColRef::new(RelId(1), 4)];
+        assert_eq!(iv.lo, Some((Value::Date(9000), true)));
+        assert_eq!(iv.hi, None);
+        assert!(cov.conjuncts().iter().any(|c| matches!(c, Scalar::Or(_))));
     }
 
     #[test]
@@ -526,8 +553,8 @@ mod tests {
         let b1 = Scalar::cmp(CmpOp::Lt, col(0, 0), Scalar::int(5)).normalize();
         let b2 = Scalar::cmp(CmpOp::Gt, col(0, 1), Scalar::int(7)).normalize();
         let cov = simplify_covering(&[b1.clone(), b2.clone()]);
-        assert!(member_implies_covering(&b1, &cov));
-        assert!(member_implies_covering(&b2, &cov));
+        assert!(implies(&b1, &cov));
+        assert!(implies(&b2, &cov));
         assert!(!cov.is_true());
     }
 

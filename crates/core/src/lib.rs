@@ -12,7 +12,8 @@
 //! - [`lca`] / [`enumerate`]: least-common-ancestor costing and the
 //!   multi-candidate set enumeration with Propositions 5.4–5.6;
 //! - [`pipeline`]: the end-to-end optimizer entry points;
-//! - [`maintenance`]: materialized-view maintenance over the pipeline.
+//! - [`maintenance`]: materialized-view maintenance over the pipeline,
+//!   planned as `CatalogMutation`s over the storage layer's delta table.
 
 // Fallible paths must surface `Result`s, not panic; tests may unwrap.
 #![warn(clippy::unwrap_used)]
@@ -39,7 +40,10 @@ pub use construct::{
 };
 pub use enumerate::{choose_best, EnumOutcome};
 pub use lca::{competing, least_common_ancestor};
-pub use maintenance::{create_materialized_view, maintain_insert, MaintenanceReport};
+pub use maintenance::{
+    create_materialized_view, maintain_insert, plan_insert, plan_materialized_view,
+    MaintenanceReport,
+};
 pub use manager::CseManager;
 pub use pipeline::{
     optimize_plan, optimize_sql, CandidateSummary, CseConfig, CseReport, Optimized, PhaseCtx,

@@ -1,29 +1,34 @@
-//! Materialized-view maintenance via the CSE pipeline (paper §6.4).
+//! Materialized-view maintenance via the CSE pipeline (paper §6.4), as
+//! *plan, then apply*.
 //!
-//! When a base table receives inserts, the new tuples are captured in a
-//! delta work table; each affected view's definition is rewritten to read
-//! the delta instead of the base table, the rewritten maintenance queries
-//! are optimized *as one batch* — letting the covering-subexpression
-//! machinery share the common joins — and the per-view delta results are
-//! merged into the stored view contents.
+//! Inserted tuples are captured in the storage layer's [`DeltaTable`]
+//! (arity, type and nullability errors surface there, before any work).
+//! Each affected view's definition is parsed once, its base `FROM` item is
+//! swapped for the delta's insert table at the AST level, and the rewritten
+//! statements are lowered and optimized *as one batch* — so the covering-
+//! subexpression machinery shares the common joins — against a working
+//! clone of the catalog that alone sees the delta table. The delta results
+//! are merged into the stored view contents, and only then is the whole
+//! change emitted as [`CatalogMutation`]s: `ReplaceTable` per view,
+//! `ApplyDelta` for the base. The planning halves return that list, so a
+//! `DurableCatalog` journals exactly what a plain [`Catalog`] applies; this
+//! module changes a catalog only through [`Catalog::apply_mutation`], and a
+//! request that fails anywhere leaves the caller's catalog as it was. The
+//! batch is generated from definitions accepted (and, under `cfg.lint`,
+//! linted) at creation, so it is not linted again.
 
-use crate::pipeline::{optimize_sql, CseConfig, CseReport};
+use crate::pipeline::{optimize_plan, optimize_sql, CseConfig, CseReport};
 use cse_exec::Engine;
 use cse_sql::ast::{AggName, Expr, ExprKind, SelectItem, Statement};
-use cse_storage::{row, Catalog, MaterializedView, Row, Table, TableStats, Value};
-use std::collections::HashMap;
-use std::sync::Arc;
+use cse_sql::SelectStmt;
+use cse_storage::delta::{DeltaAction, DeltaTable};
+use cse_storage::{row, Catalog, CatalogMutation, Row, Table, Value};
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
-/// How one output column of a view merges on refresh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MergeKind {
-    Key,
-    Sum,
-    Count,
-    Min,
-    Max,
-}
+/// How one output column of a view merges on refresh: by its aggregate
+/// function, or not at all (`None`: a group key).
+type MergeKind = Option<AggName>;
 
 /// Result of a maintenance run.
 #[derive(Debug)]
@@ -38,23 +43,17 @@ pub struct MaintenanceReport {
     pub total_time: std::time::Duration,
 }
 
-/// Create a materialized view: execute its definition and store the result
-/// as a table named after the view.
-pub fn create_materialized_view(
-    catalog: &mut Catalog,
+/// Plan a materialized view: check that its definition is maintainable,
+/// execute it, and return the mutations that store the result as a table
+/// named after the view and register the definition.
+pub fn plan_materialized_view(
+    catalog: &Catalog,
     name: &str,
     definition_sql: &str,
     cfg: &CseConfig,
-) -> Result<(), String> {
-    let stmt = cse_sql::parse_one(definition_sql)?;
-    let select = match stmt {
-        Statement::Select(s) => s,
-        Statement::CreateMaterializedView { .. } => {
-            return Err("pass the defining SELECT, not CREATE MATERIALIZED VIEW".into())
-        }
-    };
+) -> Result<Vec<CatalogMutation>, String> {
     // Validate mergeability now so maintenance cannot fail later.
-    merge_plan_of(&select)?;
+    merge_plan_of(&parse_definition(definition_sql)?)?;
     let optimized = optimize_sql(catalog, definition_sql, cfg)?;
     let engine = Engine::new(catalog, &optimized.ctx);
     let out = engine.execute(&optimized.plan)?;
@@ -64,20 +63,106 @@ pub fn create_materialized_view(
         .next()
         .ok_or("view definition produced no result")?;
     let schema = infer_schema(&result.columns, &result.rows);
-    let table = Table::with_rows(name, schema, result.rows);
-    let stats = Arc::new(TableStats::analyze(&table));
-    catalog
-        .register_table_with_stats(stats, table)
-        .map_err(|e| e.to_string())?;
-    catalog.register_view(MaterializedView {
-        name: name.to_string(),
-        definition_sql: definition_sql.to_string(),
-    });
-    Ok(())
+    Ok(vec![
+        CatalogMutation::RegisterTable {
+            table: Table::with_rows(name, schema, result.rows),
+        },
+        CatalogMutation::RegisterView {
+            name: name.to_string(),
+            definition_sql: definition_sql.to_string(),
+        },
+    ])
 }
 
-/// Apply `inserts` to `base` and maintain every affected materialized view
-/// through one CSE-optimized batch.
+/// Create a materialized view: [`plan_materialized_view`], applied.
+pub fn create_materialized_view(
+    catalog: &mut Catalog,
+    name: &str,
+    definition_sql: &str,
+    cfg: &CseConfig,
+) -> Result<(), String> {
+    let mutations = plan_materialized_view(catalog, name, definition_sql, cfg)?;
+    apply(catalog, &mutations)
+}
+
+/// Plan the insert of `inserts` into `base`: maintain every affected
+/// materialized view through one CSE-optimized batch over the captured
+/// delta and return the whole change — `ReplaceTable` per refreshed view,
+/// then `ApplyDelta` for the base — without touching `catalog`.
+pub fn plan_insert(
+    catalog: &Catalog,
+    base: &str,
+    inserts: Vec<Row>,
+    cfg: &CseConfig,
+) -> Result<(Vec<CatalogMutation>, MaintenanceReport), String> {
+    let t0 = Instant::now();
+    let base_table = catalog.table(base)?;
+    let mut delta = DeltaTable::new(base_table.name(), base_table.schema());
+    for r in inserts {
+        delta.record(DeltaAction::Insert, r)?;
+    }
+
+    // Affected views, by name: each definition that reads the base is
+    // parsed once and its base FROM item swapped for the delta, aliased as
+    // the base so column references still resolve (same schema).
+    let mut stored: Vec<_> = catalog.views().collect();
+    stored.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut views = Vec::new();
+    let mut batch = Vec::new();
+    let mut merge_plans = Vec::new();
+    for v in stored {
+        let mut select =
+            parse_definition(&v.definition_sql).map_err(|e| format!("view {}: {e}", v.name))?;
+        let Some(item) = select
+            .from
+            .iter_mut()
+            .find(|f| f.table.eq_ignore_ascii_case(base))
+        else {
+            continue;
+        };
+        let base_name = std::mem::replace(&mut item.table, delta.inserts.name().to_string());
+        item.alias.get_or_insert(base_name);
+        merge_plans.push(merge_plan_of(&select)?);
+        batch.push(select);
+        views.push(v.name.clone());
+    }
+
+    let mut mutations = Vec::with_capacity(views.len() + 1);
+    let mut cse = CseReport::default();
+    if !batch.is_empty() {
+        // Only this clone ever holds the delta table (no rows are copied).
+        let mut work = catalog.clone();
+        let table = delta.inserts.clone();
+        apply(&mut work, &[CatalogMutation::RegisterTable { table }])?;
+        let (ctx, plan) = cse_sql::lower_batch(&work, &batch)?;
+        let optimized = optimize_plan(&work, ctx, plan, cfg)?;
+        let engine = Engine::new(&work, &optimized.ctx);
+        let out = engine.execute(&optimized.plan)?;
+        if out.results.len() != views.len() {
+            return Err("maintenance batch produced the wrong number of results".into());
+        }
+        for ((name, result), merge) in views.iter().zip(out.results).zip(&merge_plans) {
+            let stored = catalog.table(name)?;
+            let merged = merge_rows(&stored, &result.rows, merge)?;
+            mutations.push(CatalogMutation::ReplaceTable {
+                table: Table::with_rows(name, stored.schema().as_ref().clone(), merged),
+            });
+        }
+        cse = optimized.report;
+    }
+    let delta_rows = delta.insert_count();
+    mutations.push(CatalogMutation::ApplyDelta { delta });
+    let report = MaintenanceReport {
+        views,
+        delta_rows,
+        cse,
+        total_time: t0.elapsed(),
+    };
+    Ok((mutations, report))
+}
+
+/// Apply `inserts` to `base` and maintain every affected materialized
+/// view: [`plan_insert`], applied.
 pub fn maintain_insert(
     catalog: &mut Catalog,
     base: &str,
@@ -85,142 +170,98 @@ pub fn maintain_insert(
     cfg: &CseConfig,
 ) -> Result<MaintenanceReport, String> {
     let t0 = Instant::now();
-    let base_entry = catalog.get(base).map_err(|e| e.to_string())?;
-    let base_schema = base_entry.table.schema().as_ref().clone();
-    let delta_name = format!("delta_{}", base.to_ascii_lowercase());
-
-    // Affected views: definition references the base table.
-    let affected: Vec<MaterializedView> = catalog
-        .views()
-        .filter(|v| {
-            definition_tables(&v.definition_sql)
-                .map(|ts| ts.iter().any(|t| t.eq_ignore_ascii_case(base)))
-                .unwrap_or(false)
-        })
-        .cloned()
-        .collect();
-
-    // Register the delta work table.
-    let delta_rows = inserts.len();
-    let delta_table = Table::with_rows(&delta_name, base_schema.clone(), inserts.clone());
-    catalog.replace_table(delta_table);
-
-    let mut views = Vec::new();
-    let mut cse_report = CseReport::default();
-    if !affected.is_empty() {
-        // Build the maintenance batch: each view's definition with the
-        // base table swapped for the delta.
-        let mut batch_sql = String::new();
-        let mut merge_plans = Vec::new();
-        for v in &affected {
-            let rewritten = rewrite_from(&v.definition_sql, base, &delta_name)?;
-            let stmt = cse_sql::parse_one(&rewritten)?;
-            let select = match stmt {
-                Statement::Select(s) => s,
-                _ => return Err("view definition must be a SELECT".into()),
-            };
-            merge_plans.push(merge_plan_of(&select)?);
-            batch_sql.push_str(&rewritten);
-            batch_sql.push(';');
-            views.push(v.name.clone());
-        }
-        let optimized = optimize_sql(catalog, &batch_sql, cfg)?;
-        cse_report = optimized.report.clone();
-        let engine = Engine::new(catalog, &optimized.ctx);
-        let out = engine.execute(&optimized.plan)?;
-        if out.results.len() != affected.len() {
-            return Err("maintenance batch produced the wrong number of results".into());
-        }
-        for ((v, result), merge) in affected.iter().zip(out.results).zip(&merge_plans) {
-            let stored = catalog.table(&v.name).map_err(|e| e.to_string())?;
-            let merged = merge_rows(stored.as_ref(), &result.rows, merge)?;
-            catalog.replace_table(Table::with_rows(
-                &v.name,
-                stored.schema().as_ref().clone(),
-                merged,
-            ));
-        }
-    }
-
-    // Apply the base-table inserts.
-    let base_table = catalog.table(base).map_err(|e| e.to_string())?;
-    let mut rows: Vec<Row> = base_table.rows().to_vec();
-    rows.extend(inserts);
-    catalog.replace_table(Table::with_rows(base, base_schema, rows));
-    catalog.drop_table(&delta_name);
-
-    Ok(MaintenanceReport {
-        views,
-        delta_rows,
-        cse: cse_report,
-        total_time: t0.elapsed(),
-    })
+    let (mutations, mut report) = plan_insert(catalog, base, inserts, cfg)?;
+    apply(catalog, &mutations)?;
+    report.total_time = t0.elapsed();
+    Ok(report)
 }
 
-/// Which output column merges how; errors on non-self-maintainable
-/// definitions (AVG, HAVING, ORDER BY).
-fn merge_plan_of(select: &cse_sql::SelectStmt) -> Result<Vec<MergeKind>, String> {
+/// The one way this module changes a catalog.
+fn apply(catalog: &mut Catalog, mutations: &[CatalogMutation]) -> Result<(), String> {
+    for m in mutations {
+        catalog.apply_mutation(m)?;
+    }
+    Ok(())
+}
+
+/// A view definition as the SELECT it must be.
+fn parse_definition(sql: &str) -> Result<SelectStmt, String> {
+    match cse_sql::parse_one(sql)? {
+        Statement::Select(s) => Ok(s),
+        Statement::CreateMaterializedView { .. } => {
+            Err("pass the defining SELECT, not CREATE MATERIALIZED VIEW".into())
+        }
+    }
+}
+
+/// Which output column merges how. Errors on every definition a delta
+/// alone cannot maintain, so an accepted view cannot fail at its first
+/// insert: the rewrite swaps one FROM item for the delta, so no table may
+/// be read twice (self-join) or out of its sight (subquery), and a stored
+/// row must merge column by column (no AVG, HAVING, ORDER BY, or
+/// expression over aggregates).
+fn merge_plan_of(select: &SelectStmt) -> Result<Vec<MergeKind>, String> {
     if select.having.is_some() || !select.order_by.is_empty() {
         return Err("materialized views cannot use HAVING or ORDER BY".into());
     }
-    let mut out = Vec::new();
-    for item in &select.select {
-        match item {
-            SelectItem::Star => {
-                return Err("materialized views must list output columns explicitly".into())
-            }
-            SelectItem::Expr { expr, .. } => match &expr.kind {
-                ExprKind::Agg { func, .. } => out.push(match func {
-                    AggName::Sum => MergeKind::Sum,
-                    AggName::Count => MergeKind::Count,
-                    AggName::Min => MergeKind::Min,
-                    AggName::Max => MergeKind::Max,
-                    AggName::Avg => {
-                        return Err(
-                            "AVG is not self-maintainable; define SUM and COUNT columns".into()
-                        )
-                    }
-                }),
-                _ => out.push(MergeKind::Key),
-            },
-        }
+    let mut tables: Vec<_> = select
+        .from
+        .iter()
+        .map(|f| f.table.to_ascii_lowercase())
+        .collect();
+    tables.sort();
+    if tables.windows(2).any(|w| w[0] == w[1]) {
+        return Err("self-joins are not self-maintainable: the delta replaces one table".into());
     }
-    if select.group_by.is_empty() && out.contains(&MergeKind::Key) {
-        return Err("mixing keys and aggregates requires GROUP BY".into());
+    let subquery = |k: &ExprKind| matches!(k, ExprKind::Subquery(_));
+    let aggregate = |k: &ExprKind| matches!(k, ExprKind::Agg { .. });
+    let mut out = Vec::new();
+    let mut exprs: Vec<&Expr> = select.where_clause.iter().collect();
+    for item in &select.select {
+        let SelectItem::Expr { expr, .. } = item else {
+            return Err("materialized views must list output columns explicitly".into());
+        };
+        exprs.push(expr);
+        out.push(match &expr.kind {
+            ExprKind::Agg { func, .. } if *func != AggName::Avg => Some(*func),
+            _ if expr.any(&aggregate) => {
+                return Err("AVG (or any expression over aggregates) is not \
+                            self-maintainable; define SUM and COUNT columns"
+                    .into())
+            }
+            _ => None,
+        });
+    }
+    if exprs.into_iter().any(|e| e.any(&subquery)) {
+        return Err("subqueries are not self-maintainable: the delta cannot see them".into());
+    }
+    if select.group_by.is_empty() && out.contains(&None) {
+        return Err("a view without GROUP BY must list aggregates only".into());
     }
     Ok(out)
 }
 
-/// Merge delta rows into stored rows according to the per-column plan.
+/// Merge delta rows into stored rows: a delta row updates the stored row of
+/// its group (without keys, the single stored row); new groups are appended.
 fn merge_rows(stored: &Table, delta: &[Row], plan: &[MergeKind]) -> Result<Vec<Row>, String> {
-    let key_idx: Vec<usize> = plan
-        .iter()
-        .enumerate()
-        .filter(|(_, k)| **k == MergeKind::Key)
-        .map(|(i, _)| i)
-        .collect();
-    if key_idx.is_empty() {
-        // Pure SPJ view: append.
-        let mut rows = stored.rows().to_vec();
-        rows.extend(delta.iter().cloned());
-        return Ok(rows);
-    }
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::with_capacity(stored.row_count());
+    let key_of = |r: &[Value]| -> Vec<Value> {
+        let keys = plan.iter().zip(r).filter(|(k, _)| k.is_none());
+        keys.map(|(_, v)| v.clone()).collect()
+    };
     let mut rows: Vec<Vec<Value>> = stored.rows().iter().map(|r| r.to_vec()).collect();
+    let mut index: HashMap<Vec<Value>, usize> = HashMap::with_capacity(rows.len());
     for (i, r) in rows.iter().enumerate() {
-        index.insert(key_idx.iter().map(|k| r[*k].clone()).collect(), i);
+        index.insert(key_of(r), i);
     }
     for d in delta {
-        let key: Vec<Value> = key_idx.iter().map(|k| d[*k].clone()).collect();
-        match index.get(&key) {
-            Some(&i) => {
-                for (c, kind) in plan.iter().enumerate() {
-                    let old = rows[i][c].clone();
-                    rows[i][c] = combine(*kind, &old, &d[c])?;
+        match index.entry(key_of(d)) {
+            Entry::Occupied(at) => {
+                for ((old, new), kind) in rows[*at.get()].iter_mut().zip(d.iter()).zip(plan) {
+                    *old = combine(*kind, old, new)?;
                 }
             }
-            None => {
-                index.insert(key, rows.len());
+            Entry::Vacant(at) => {
+                at.insert(rows.len());
                 rows.push(d.to_vec());
             }
         }
@@ -229,9 +270,11 @@ fn merge_rows(stored: &Table, delta: &[Row], plan: &[MergeKind]) -> Result<Vec<R
 }
 
 fn combine(kind: MergeKind, old: &Value, new: &Value) -> Result<Value, String> {
+    let pick_new = |wanted: std::cmp::Ordering| {
+        old.is_null() || (!new.is_null() && new.total_cmp(old) == wanted)
+    };
     Ok(match kind {
-        MergeKind::Key => old.clone(),
-        MergeKind::Sum | MergeKind::Count => match (old, new) {
+        Some(AggName::Sum | AggName::Count) => match (old, new) {
             (Value::Null, v) | (v, Value::Null) => v.clone(),
             (Value::Int(a), Value::Int(b)) => Value::Int(a + b),
             (a, b) => match (a.as_f64(), b.as_f64()) {
@@ -239,184 +282,18 @@ fn combine(kind: MergeKind, old: &Value, new: &Value) -> Result<Value, String> {
                 _ => return Err("cannot merge non-numeric aggregate".into()),
             },
         },
-        MergeKind::Min => {
-            if old.is_null() || (!new.is_null() && new.total_cmp(old).is_lt()) {
-                new.clone()
-            } else {
-                old.clone()
-            }
-        }
-        MergeKind::Max => {
-            if old.is_null() || (!new.is_null() && new.total_cmp(old).is_gt()) {
-                new.clone()
-            } else {
-                old.clone()
-            }
-        }
+        Some(AggName::Min) if pick_new(std::cmp::Ordering::Less) => new.clone(),
+        Some(AggName::Max) if pick_new(std::cmp::Ordering::Greater) => new.clone(),
+        _ => old.clone(),
     })
-}
-
-/// Tables referenced in the FROM clause of a definition.
-fn definition_tables(sql: &str) -> Result<Vec<String>, String> {
-    let stmt = cse_sql::parse_one(sql)?;
-    match stmt {
-        Statement::Select(s) => Ok(s.from.iter().map(|f| f.table.clone()).collect()),
-        _ => Err("view definition must be a SELECT".into()),
-    }
-}
-
-/// Rewrite a definition's FROM clause, replacing `base` with `delta`.
-/// Works at the AST level and re-renders via a minimal SQL printer.
-fn rewrite_from(sql: &str, base: &str, delta: &str) -> Result<String, String> {
-    let stmt = cse_sql::parse_one(sql)?;
-    let mut select = match stmt {
-        Statement::Select(s) => s,
-        _ => return Err("view definition must be a SELECT".into()),
-    };
-    let mut replaced = 0;
-    for f in &mut select.from {
-        if f.table.eq_ignore_ascii_case(base) {
-            // Keep column references working: the delta shares the base's
-            // schema; alias the delta as the original table name unless an
-            // alias already exists.
-            if f.alias.is_none() {
-                f.alias = Some(f.table.clone());
-            }
-            f.table = delta.to_string();
-            replaced += 1;
-        }
-    }
-    if replaced == 0 {
-        return Err(format!("view does not reference {base}"));
-    }
-    if replaced > 1 {
-        return Err("self-joins over the updated table are not supported".into());
-    }
-    Ok(render_select(&select))
-}
-
-/// Minimal SQL renderer (inverse of the parser for the supported subset).
-pub fn render_select(s: &cse_sql::SelectStmt) -> String {
-    let mut out = String::from("select ");
-    let items: Vec<String> = s
-        .select
-        .iter()
-        .map(|i| match i {
-            SelectItem::Star => "*".to_string(),
-            SelectItem::Expr { expr, alias } => {
-                let e = render_expr(expr);
-                match alias {
-                    Some(a) => format!("{e} as {a}"),
-                    None => e,
-                }
-            }
-        })
-        .collect();
-    out.push_str(&items.join(", "));
-    out.push_str(" from ");
-    let from: Vec<String> = s
-        .from
-        .iter()
-        .map(|f| match &f.alias {
-            Some(a) if !a.eq_ignore_ascii_case(&f.table) => format!("{} {}", f.table, a),
-            Some(a) => format!("{} {}", f.table, a),
-            None => f.table.clone(),
-        })
-        .collect();
-    out.push_str(&from.join(", "));
-    if let Some(w) = &s.where_clause {
-        out.push_str(" where ");
-        out.push_str(&render_expr(w));
-    }
-    if !s.group_by.is_empty() {
-        out.push_str(" group by ");
-        let g: Vec<String> = s.group_by.iter().map(render_expr).collect();
-        out.push_str(&g.join(", "));
-    }
-    out
-}
-
-fn render_expr(e: &Expr) -> String {
-    use cse_sql::BinOp;
-    match &e.kind {
-        ExprKind::Column { qualifier, name } => match qualifier {
-            Some(q) => format!("{q}.{name}"),
-            None => name.clone(),
-        },
-        ExprKind::Int(i) => i.to_string(),
-        ExprKind::Float(f) => format!("{f}"),
-        ExprKind::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        ExprKind::Binary(op, a, b) => {
-            let o = match op {
-                BinOp::Eq => "=",
-                BinOp::Ne => "<>",
-                BinOp::Lt => "<",
-                BinOp::Le => "<=",
-                BinOp::Gt => ">",
-                BinOp::Ge => ">=",
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Div => "/",
-            };
-            format!("({} {o} {})", render_expr(a), render_expr(b))
-        }
-        ExprKind::And(a, b) => format!("({} and {})", render_expr(a), render_expr(b)),
-        ExprKind::Or(a, b) => format!("({} or {})", render_expr(a), render_expr(b)),
-        ExprKind::Not(a) => format!("(not {})", render_expr(a)),
-        ExprKind::IsNull(a, neg) => format!(
-            "({} is {}null)",
-            render_expr(a),
-            if *neg { "not " } else { "" }
-        ),
-        ExprKind::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => format!(
-            "({} {}between {} and {})",
-            render_expr(expr),
-            if *negated { "not " } else { "" },
-            render_expr(lo),
-            render_expr(hi)
-        ),
-        ExprKind::Agg { func, arg } => {
-            let f = match func {
-                AggName::Sum => "sum",
-                AggName::Count => "count",
-                AggName::Min => "min",
-                AggName::Max => "max",
-                AggName::Avg => "avg",
-            };
-            match arg {
-                Some(a) => format!("{f}({})", render_expr(a)),
-                None => "count(*)".to_string(),
-            }
-        }
-        ExprKind::Subquery(s) => format!("({})", render_select(s)),
-    }
 }
 
 /// Infer a storage schema from delivered result columns and rows.
 fn infer_schema(columns: &[String], rows: &[Row]) -> cse_storage::Schema {
     use cse_storage::{ColumnDef, DataType};
-    let types: Vec<DataType> = (0..columns.len())
-        .map(|i| {
-            rows.iter()
-                .find_map(|r| r[i].data_type())
-                .unwrap_or(DataType::Int)
-        })
-        .collect();
-    cse_storage::Schema::new(
-        columns
-            .iter()
-            .zip(types)
-            .map(|(n, t)| {
-                let mut c = ColumnDef::new(n.clone(), t);
-                c.nullable = true;
-                c
-            })
-            .collect(),
-    )
+    let column = |(i, name): (usize, &String)| {
+        let seen = rows.iter().find_map(|r| r[i].data_type());
+        ColumnDef::new(name.clone(), seen.unwrap_or(DataType::Int)).nullable()
+    };
+    cse_storage::Schema::new(columns.iter().enumerate().map(column).collect())
 }

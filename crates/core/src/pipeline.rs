@@ -69,8 +69,6 @@ pub struct CseConfig {
     pub explore: ExploreConfig,
     pub optimizer: OptimizerConfig,
     pub cost_model: CostModel,
-    /// Cap on CSE re-optimizations (§5.3 enumeration).
-    pub max_cse_optimizations: u32,
     /// Cheap-query gate: skip the CSE phase below this baseline cost.
     pub min_query_cost: f64,
     /// Detect CSEs over candidate definitions too (§5.5).
@@ -120,7 +118,6 @@ impl Default for CseConfig {
             explore: ExploreConfig::default(),
             optimizer: OptimizerConfig::default(),
             cost_model: CostModel::default(),
-            max_cse_optimizations: 64,
             min_query_cost: 0.0,
             stacked: true,
             verify: cfg!(debug_assertions),
@@ -576,6 +573,8 @@ struct RungCaps {
     /// Whether exceeding `budget.max_candidates` trips the rung (full rung)
     /// or silently truncates the candidate list (capped rung).
     trip_on_overflow: bool,
+    /// Cap on CSE re-optimizations (§5.3 enumeration).
+    max_cse_opts: u32,
 }
 
 /// Derive the effective configuration and caps for one ladder rung. The
@@ -590,6 +589,7 @@ fn tighten(cfg: &CseConfig, rung: Rung) -> (CseConfig, RungCaps) {
             RungCaps {
                 keep: 60,
                 trip_on_overflow: true,
+                max_cse_opts: 64,
             },
         ),
         Rung::CappedCse => {
@@ -597,13 +597,13 @@ fn tighten(cfg: &CseConfig, rung: Rung) -> (CseConfig, RungCaps) {
             c.gen.alpha = (cfg.gen.alpha * 2.0).max(0.2);
             c.gen.beta = cfg.gen.beta / 2.0;
             c.stacked = false;
-            c.max_cse_optimizations = cfg.max_cse_optimizations.min(8);
             c.explore.max_gexprs = cfg.explore.max_gexprs / 4;
             (
                 c,
                 RungCaps {
                     keep: 8,
                     trip_on_overflow: false,
+                    max_cse_opts: 8,
                 },
             )
         }
@@ -806,14 +806,7 @@ fn cse_phase(
     let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, cfg);
     opt.register_candidates(cse_candidates, substitutes);
     let t = Instant::now();
-    let outcome = choose_best(
-        &mut opt,
-        &mgr,
-        root,
-        &lca_list,
-        cfg.max_cse_optimizations,
-        clock,
-    )?;
+    let outcome = choose_best(&mut opt, &mgr, root, &lca_list, caps.max_cse_opts, clock)?;
     trace_stage("enumeration", t);
     found.report.cse_optimizations = outcome.optimizations;
     Ok((Some(outcome.plan), found))

@@ -41,7 +41,7 @@ impl StatsCatalog {
     pub fn rel_rows(&self, ctx: &PlanContext, rel: cse_algebra::RelId) -> f64 {
         let info = ctx.rel(rel);
         match info.kind {
-            RelKind::Base | RelKind::Delta => self
+            RelKind::Base => self
                 .get(&info.name)
                 .map(|s| s.row_count as f64)
                 .unwrap_or(1000.0)
@@ -50,11 +50,11 @@ impl StatsCatalog {
         }
     }
 
-    /// Column statistics for a base/delta column, if known.
+    /// Column statistics for a catalog-table column, if known.
     pub fn col_stats(&self, ctx: &PlanContext, c: ColRef) -> Option<&ColumnStats> {
         let info = ctx.rel(c.rel);
         match info.kind {
-            RelKind::Base | RelKind::Delta => self
+            RelKind::Base => self
                 .get(&info.name)
                 .and_then(|s| s.columns.get(c.col as usize)),
             RelKind::AggOutput => None,

@@ -14,7 +14,7 @@
 //! tests (a `lint/share-hint` on statements that the pipeline then covers
 //! with a spool).
 
-use cse_algebra::{join_compatible, ColRef, LogicalPlan, PlanContext, RelId, RelKind, SpjgNormal};
+use cse_algebra::{join_compatible, ColRef, LogicalPlan, PlanContext, RelId, SpjgNormal};
 use cse_memo::TableSignature;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -34,20 +34,13 @@ pub fn strip_root(plan: &LogicalPlan) -> &LogicalPlan {
 
 /// The table signature of an SPJG normal form, computed without a memo:
 /// `grouped` from the normal form, tables as the sorted multiset of base
-/// names (`Δ`-prefixed for delta rels, matching
-/// `cse-memo::compute_signature`).
+/// names (matching `cse-memo::compute_signature`).
 pub fn static_signature(ctx: &PlanContext, normal: &SpjgNormal) -> TableSignature {
     let mut tables: Vec<String> = normal
         .spj
         .rels
         .iter()
-        .map(|r| {
-            let info = ctx.rel(*r);
-            match info.kind {
-                RelKind::Delta => format!("Δ{}", info.name),
-                _ => info.name.clone(),
-            }
-        })
+        .map(|r| ctx.rel(*r).name.clone())
         .collect();
     tables.sort();
     TableSignature {

@@ -7,9 +7,10 @@
 //! computes them incrementally as groups are created — the "extremely
 //! lightweight" property the paper requires.
 //!
-//! Delta tables (view maintenance, §6.4) are included with a `Δ` prefix so
-//! a delta-driven expression never shares a signature with a base-table
-//! expression over the same table.
+//! A delta table (view maintenance, §6.4) is a catalog table under its own
+//! name (chosen in `cse-storage::delta`), so a delta-driven expression
+//! never shares a signature with a base-table expression over the table it
+//! shadows.
 
 use crate::op::Op;
 use cse_algebra::{PlanContext, RelKind};
@@ -78,7 +79,6 @@ pub fn compute_signature(
             let info = ctx.rel(*rel);
             let name = match info.kind {
                 RelKind::Base => info.name.clone(),
-                RelKind::Delta => format!("Δ{}", info.name),
                 // Aggregate outputs never appear as Get leaves.
                 RelKind::AggOutput => return None,
             };

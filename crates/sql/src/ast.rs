@@ -76,6 +76,24 @@ impl Expr {
     pub fn new(kind: ExprKind, span: Span) -> Self {
         Expr { kind, span }
     }
+
+    /// Does this expression, or any expression below it in the same query
+    /// block, satisfy `hit`? (A subquery is a node; its body is not
+    /// entered.)
+    pub fn any(&self, hit: &dyn Fn(&ExprKind) -> bool) -> bool {
+        hit(&self.kind)
+            || match &self.kind {
+                ExprKind::Binary(_, a, b) | ExprKind::And(a, b) | ExprKind::Or(a, b) => {
+                    a.any(hit) || b.any(hit)
+                }
+                ExprKind::Not(a) | ExprKind::IsNull(a, _) => a.any(hit),
+                ExprKind::Between { expr, lo, hi, .. } => {
+                    expr.any(hit) || lo.any(hit) || hi.any(hit)
+                }
+                ExprKind::Agg { arg, .. } => arg.as_deref().is_some_and(|a| a.any(hit)),
+                _ => false,
+            }
+    }
 }
 
 // Equality ignores spans: the same expression parsed from different

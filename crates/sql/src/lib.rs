@@ -15,7 +15,7 @@ pub mod span;
 pub use ast::{AggName, BinOp, Expr, ExprKind, FromItem, SelectItem, SelectStmt, Statement};
 pub use error::SqlError;
 pub use lexer::{tokenize, tokenize_spanned, LexError, Token};
-pub use lower::{collect_conjunct_exprs, lower_batch_sql, LowerTrace, SqlLowerer};
+pub use lower::{collect_conjunct_exprs, lower_batch, lower_batch_sql, LowerTrace, SqlLowerer};
 pub use parser::{
     parse_batch, parse_batch_recovering, parse_one, ParseError, ParsedBatch, ParsedStatement,
 };

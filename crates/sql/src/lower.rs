@@ -52,14 +52,24 @@ pub fn lower_batch_sql(
             )),
         })
         .collect::<Result<_, _>>()?;
+    lower_batch(catalog, &selects)
+}
+
+/// Lower already-parsed statements as one batch over one shared context
+/// (single statements stay unwrapped). View maintenance enters here with
+/// definitions it rewrote at the AST level.
+pub fn lower_batch(
+    catalog: &Catalog,
+    selects: &[SelectStmt],
+) -> Result<(PlanContext, LogicalPlan), SqlError> {
     let mut lowerer = SqlLowerer::new(catalog);
     let mut children = Vec::with_capacity(selects.len());
-    for s in &selects {
+    for s in selects {
         children.push(lowerer.lower_select(s)?);
     }
-    // A single statement stays unwrapped; `parse_batch` rejects empty input,
-    // so popping here cannot fail — surface an Internal error instead of
-    // panicking if that invariant ever breaks.
+    // A single statement stays unwrapped. Callers never pass an empty list
+    // (`parse_batch` rejects empty input), so popping cannot fail — surface
+    // an Internal error instead of panicking if that invariant ever breaks.
     let plan = if children.len() == 1 {
         children
             .pop()
@@ -800,17 +810,7 @@ fn extract_join_preds(remaining: &mut Vec<Scalar>, covered: cse_algebra::RelSet)
 }
 
 fn contains_agg(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Agg { .. } => true,
-        ExprKind::Binary(_, a, b) | ExprKind::And(a, b) | ExprKind::Or(a, b) => {
-            contains_agg(a) || contains_agg(b)
-        }
-        ExprKind::Not(a) | ExprKind::IsNull(a, _) => contains_agg(a),
-        ExprKind::Between { expr, lo, hi, .. } => {
-            contains_agg(expr) || contains_agg(lo) || contains_agg(hi)
-        }
-        _ => false,
-    }
+    e.any(&|k| matches!(k, ExprKind::Agg { .. }))
 }
 
 /// Split an AST predicate into its top-level conjuncts (the `AND` spine).

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 /// A registered materialized view: its name doubles as a table in the
 /// catalog, plus the SQL text of its definition (the maintenance planner
-/// re-parses the definition to build maintenance expressions).
+/// parses it once per insert and rewrites it, at the AST level, to read
+/// the delta's insert table instead of the updated base table).
 #[derive(Debug, Clone)]
 pub struct MaterializedView {
     pub name: String,
@@ -110,18 +111,12 @@ impl Catalog {
         Ok(())
     }
 
-    /// Replace a table's contents (used by maintenance and by tests). The
-    /// statistics are recomputed.
+    /// Replace a table's contents (or register it, if new). The statistics
+    /// are recomputed; indexes over the old contents are stale and dropped
+    /// with the old entry — callers rebuild the ones they need.
     pub fn replace_table(&mut self, table: Table) {
         let key = table.name().to_ascii_lowercase();
         let stats = Arc::new(TableStats::analyze(&table));
-        let (h, b) = match self.entries.remove(&key) {
-            Some(e) => (e.hash_indexes, e.btree_indexes),
-            None => (Vec::new(), Vec::new()),
-        };
-        // Indexes referencing the old contents are dropped; callers rebuild
-        // the ones they need.
-        let _ = (h, b);
         self.entries.insert(
             key,
             CatalogEntry {

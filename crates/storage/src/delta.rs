@@ -3,14 +3,16 @@
 //! When a base table is updated, the inserted/deleted tuples are captured in
 //! an internal work table — the *delta table* — which then drives
 //! maintenance for every affected view. The paper treats delta tables as
-//! special tables when generating table signatures; here a delta is just a
-//! [`Table`] named `Δtable` plus the action column, and the catalog knows
-//! which base table it shadows.
+//! special tables when generating table signatures; here each side of a
+//! delta is just a [`Table`] under a name of its own (`Δtable+` for the
+//! inserts, `Δtable-` for the deletes), chosen once in [`DeltaTable::new`].
+//! The maintenance planner registers the insert side under that name in its
+//! working catalog, so an expression over a delta gets a table signature no
+//! expression over the base table shares.
 
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::table::{Row, Table};
-use std::sync::Arc;
 
 /// Kind of change captured by a delta row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,12 +94,6 @@ impl DeltaTable {
     pub fn is_empty(&self) -> bool {
         self.insert_count() == 0 && self.delete_count() == 0
     }
-
-    /// The delta's insert side as a shareable table named like the paper's
-    /// internal work table, for registration in a catalog.
-    pub fn insert_table(&self) -> Arc<Table> {
-        Arc::new(self.inserts.clone())
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +116,7 @@ mod tests {
         assert_eq!(d.insert_count(), 2);
         assert_eq!(d.delete_count(), 1);
         assert!(!d.is_empty());
-        assert_eq!(d.insert_table().name(), "Δcustomer+");
+        assert_eq!(d.inserts.name(), "Δcustomer+");
     }
 
     #[test]

@@ -61,3 +61,9 @@ impl fmt::Display for StorageError {
 }
 
 impl std::error::Error for StorageError {}
+
+impl From<StorageError> for String {
+    fn from(e: StorageError) -> String {
+        e.to_string()
+    }
+}

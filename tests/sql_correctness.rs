@@ -225,3 +225,47 @@ fn errors_are_reported() {
     )
     .is_err());
 }
+
+/// ROADMAP 1a, the poisoned sibling: Q2's cut-off is a string that is not a
+/// date, so its comparison is NULL for every row and Q2 is empty — which
+/// must not leak into Q1 through a covering predicate the two share.
+#[test]
+fn ill_typed_sibling_does_not_poison_the_covering_predicate() {
+    let catalog = generate_catalog(&TpchConfig::new(0.002));
+    let sql =
+        "select c_nationkey, c_mktsegment, sum(l_extendedprice) as le, sum(l_quantity) as lq \
+         from customer, orders, lineitem \
+         where c_custkey = o_custkey and o_orderkey = l_orderkey \
+           and o_orderdate < '1996-07-01' and c_nationkey > 0 and c_nationkey < 20 \
+         group by c_nationkey, c_mktsegment; \
+         select c_nationkey, sum(l_extendedprice) as le, sum(l_quantity) as lq \
+         from customer, orders, lineitem \
+         where c_custkey = o_custkey and o_orderkey = l_orderkey \
+           and o_orderdate < '1996-13-26' and c_nationkey > 5 and c_nationkey < 25 \
+         group by c_nationkey";
+    let run = |cfg: CseConfig| {
+        // The plan must also pass cse-verify (its covering pass included).
+        let cfg = CseConfig {
+            verify: true,
+            ..cfg
+        };
+        let o = optimize_sql(&catalog, sql, &cfg).expect("optimize");
+        let engine = Engine::new(&catalog, &o.ctx);
+        engine.execute(&o.plan).expect("execute").results
+    };
+    let reference = run(CseConfig::no_cse());
+    assert!(!reference[0].rows.is_empty(), "Q1 has rows");
+    assert!(reference[1].rows.is_empty(), "Q2 compares a date with text");
+    for (name, cfg) in [
+        ("default", CseConfig::default()),
+        ("no_heuristics", CseConfig::no_heuristics()),
+    ] {
+        let got = run(cfg);
+        for (i, (g, w)) in got.iter().zip(&reference).enumerate() {
+            assert!(
+                g.approx_eq(w, 1e-9),
+                "{name}: statement {i} differs from no_cse()"
+            );
+        }
+    }
+}

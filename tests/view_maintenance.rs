@@ -131,3 +131,205 @@ fn rejects_non_self_maintainable_views() {
     .unwrap_err();
     assert!(err.contains("AVG"), "unexpected error: {err}");
 }
+
+// ---------------------------------------------------------------------
+// Plan-then-apply: validation at capture, atomicity, merge semantics.
+
+use similar_subexpr::storage::schema::{ColumnDef, Schema};
+use similar_subexpr::storage::table::row;
+use similar_subexpr::storage::value::DataType;
+
+/// What a caller can see of a catalog: every table with its row count
+/// (sorted), and the registered views (sorted).
+fn visible(catalog: &Catalog) -> (Vec<(String, usize)>, Vec<String>) {
+    let mut tables: Vec<(String, usize)> = catalog
+        .table_names()
+        .map(|n| (n.to_string(), catalog.table(n).unwrap().row_count()))
+        .collect();
+    tables.sort();
+    let mut views: Vec<String> = catalog.views().map(|v| v.name.clone()).collect();
+    views.sort();
+    (tables, views)
+}
+
+/// The stored view equals its definition recomputed from the catalog's
+/// current contents (as a bag of rows).
+fn assert_view_is_fresh(catalog: &Catalog, view: &str) {
+    let def = &catalog.view(view).unwrap().definition_sql;
+    let o = optimize_sql(catalog, def, &CseConfig::no_cse()).unwrap();
+    let engine = Engine::new(catalog, &o.ctx);
+    let fresh = engine.execute(&o.plan).unwrap().results.remove(0);
+    let stored = catalog.table(view).unwrap().rows().to_vec();
+    let maintained = ResultSet::new(fresh.columns.clone(), stored);
+    assert!(
+        maintained.approx_eq(&fresh, 1e-9),
+        "view {view} diverged from recomputation:\n maintained {:?}\n recomputed {:?}",
+        maintained.rows,
+        fresh.rows
+    );
+}
+
+/// `t(k nullable, v)` with groups 1, 2 and NULL, and a grouped view over it.
+fn small_catalog() -> Catalog {
+    let schema = Schema::new(vec![
+        ColumnDef::new("k", DataType::Int).nullable(),
+        ColumnDef::new("v", DataType::Int),
+    ]);
+    let rows = [(Some(1), 10), (Some(2), 20), (None, 5), (Some(1), 1)]
+        .into_iter()
+        .map(|(k, v)| row(vec![k.map_or(Value::Null, Value::Int), Value::Int(v)]))
+        .collect();
+    let mut catalog = Catalog::new();
+    catalog
+        .register_table(Table::with_rows("t", schema, rows))
+        .unwrap();
+    create_materialized_view(
+        &mut catalog,
+        "v_by_k",
+        "select k, sum(v) as total, count(*) as n, min(v) as lo, max(v) as hi from t group by k",
+        &CseConfig::default(),
+    )
+    .unwrap();
+    catalog
+}
+
+fn kv(k: Option<i64>, v: i64) -> similar_subexpr::storage::Row {
+    row(vec![k.map_or(Value::Null, Value::Int), Value::Int(v)])
+}
+
+#[test]
+fn malformed_rows_are_errors_and_leave_the_catalog_untouched() {
+    let cfg = CseConfig::default();
+    let mut catalog = generate_catalog(&TpchConfig::new(0.001));
+    for (name, def) in workloads::maintenance_views() {
+        create_materialized_view(&mut catalog, name, &def, &cfg).unwrap();
+    }
+    let before = visible(&catalog);
+    let good = experiments::new_customers(&catalog, 2);
+
+    // Wrong arity: one column short.
+    let short = row(good[0].iter().skip(1).cloned().collect());
+    let err = maintain_insert(&mut catalog, "customer", vec![good[1].clone(), short], &cfg)
+        .expect_err("a short row must be refused");
+    assert!(err.contains("arity"), "unexpected error: {err}");
+    assert_eq!(visible(&catalog), before);
+
+    // Wrong type: a string where c_custkey's integer belongs.
+    let mut cells = good[0].to_vec();
+    cells[0] = Value::str("not a key");
+    let err = maintain_insert(&mut catalog, "customer", vec![row(cells)], &cfg)
+        .expect_err("an ill-typed row must be refused");
+    assert!(err.contains("type mismatch"), "unexpected error: {err}");
+    assert_eq!(visible(&catalog), before);
+
+    // The same catalog still takes a well-formed insert.
+    maintain_insert(&mut catalog, "customer", good, &cfg).unwrap();
+    assert!(visible(&catalog).0.iter().all(|(n, _)| !n.contains('Δ')));
+}
+
+#[test]
+fn scalar_aggregate_view_merges_into_its_single_row() {
+    let cfg = CseConfig::default();
+    let mut catalog = generate_catalog(&TpchConfig::new(0.001));
+    create_materialized_view(
+        &mut catalog,
+        "mv_totals",
+        "select sum(c_acctbal) as s, count(*) as n, min(c_custkey) as lo, max(c_custkey) as hi \
+         from customer",
+        &cfg,
+    )
+    .unwrap();
+    for round in 0..2 {
+        let inserts = experiments::new_customers(&catalog, 7);
+        maintain_insert(&mut catalog, "customer", inserts, &cfg).unwrap();
+        let stored = catalog.table("mv_totals").unwrap();
+        assert_eq!(stored.row_count(), 1, "round {round}: {:?}", stored.rows());
+        assert_view_is_fresh(&catalog, "mv_totals");
+    }
+}
+
+#[test]
+fn new_groups_null_keys_empty_and_consecutive_deltas() {
+    let cfg = CseConfig::default();
+    let mut catalog = small_catalog();
+    let stored_keys = |c: &Catalog| -> Vec<Value> {
+        let t = c.table("v_by_k").unwrap();
+        t.rows().iter().map(|r| r[0].clone()).collect()
+    };
+    let original = stored_keys(&catalog);
+    assert_eq!(original.len(), 3);
+
+    // An empty delta changes nothing and still reports the view.
+    let before = sorted_rows(&catalog.table("v_by_k").unwrap());
+    let report = maintain_insert(&mut catalog, "t", Vec::new(), &cfg).unwrap();
+    assert_eq!((report.delta_rows, report.views.len()), (0, 1));
+    assert_eq!(sorted_rows(&catalog.table("v_by_k").unwrap()), before);
+    assert_eq!(catalog.table("t").unwrap().row_count(), 4);
+
+    // New groups 7 and 9 are appended after the stored rows; group 1 and
+    // the NULL group merge in place (NULL keys form one group).
+    let delta = vec![
+        kv(Some(7), 70),
+        kv(None, 3),
+        kv(Some(1), 100),
+        kv(Some(9), -4),
+        kv(None, 50),
+    ];
+    maintain_insert(&mut catalog, "t", delta, &cfg).unwrap();
+    let keys = stored_keys(&catalog);
+    assert_eq!(keys[..3], original[..], "stored rows keep their positions");
+    assert_eq!(keys.len(), 5);
+    assert_eq!(keys.iter().filter(|k| k.is_null()).count(), 1);
+    assert_view_is_fresh(&catalog, "v_by_k");
+    assert_eq!(catalog.stats("t").unwrap().row_count, 9);
+
+    // A second insert on top of the first, touching old and new groups.
+    let delta = vec![kv(Some(9), 1), kv(Some(2), 2), kv(Some(11), 0)];
+    maintain_insert(&mut catalog, "t", delta, &cfg).unwrap();
+    assert_eq!(stored_keys(&catalog).len(), 6);
+    assert_view_is_fresh(&catalog, "v_by_k");
+    assert_eq!(catalog.stats("t").unwrap().row_count, 12);
+}
+
+#[test]
+fn a_request_that_fails_after_capture_changes_nothing() {
+    let mut catalog = small_catalog();
+    let before = visible(&catalog);
+    let view_before = sorted_rows(&catalog.table("v_by_k").unwrap());
+    let cfg = CseConfig::default();
+    cfg.cancel.cancel();
+    let err = maintain_insert(&mut catalog, "t", vec![kv(Some(1), 1)], &cfg)
+        .expect_err("a canceled request must not be applied");
+    assert!(err.contains("REQ_CANCELED"), "unexpected error: {err}");
+    assert_eq!(visible(&catalog), before);
+    assert_eq!(sorted_rows(&catalog.table("v_by_k").unwrap()), view_before);
+}
+
+#[test]
+fn self_maintainability_is_decided_at_creation() {
+    let cfg = CseConfig::default();
+    let mut catalog = generate_catalog(&TpchConfig::new(0.001));
+    let before = visible(&catalog);
+    for (definition, hint) in [
+        (
+            "select a.c_nationkey, count(*) as n from customer a, customer b \
+             where a.c_custkey = b.c_custkey group by a.c_nationkey",
+            "self-join",
+        ),
+        (
+            "select c_nationkey, count(*) as n from customer \
+             where c_acctbal > (select min(c_acctbal) from customer) group by c_nationkey",
+            "subquer",
+        ),
+        (
+            "select c_nationkey, sum(c_acctbal) / count(*) as mean from customer \
+             group by c_nationkey",
+            "SUM and COUNT",
+        ),
+    ] {
+        let err = create_materialized_view(&mut catalog, "mv_bad", definition, &cfg)
+            .expect_err(definition);
+        assert!(err.contains(hint), "{definition}: unexpected error: {err}");
+        assert_eq!(visible(&catalog), before);
+    }
+}
