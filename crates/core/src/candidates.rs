@@ -1,39 +1,15 @@
 //! Candidate generation (paper §4.3): Algorithm 1's greedy merging plus
 //! the four cost-based heuristics.
 
-use crate::compat::{partition_compatible, prepare_consumers, CompatibleGroup, PreparedConsumer};
+use crate::compat::{
+    partition_compatible, prepare_consumers, prepare_onto, CompatibleGroup, PreparedConsumer,
+};
+use crate::config::{CostBounds, PhaseCtx};
 use crate::construct::{construct, ConstructedCse};
 use crate::manager::CseManager;
-use crate::pipeline::PhaseCtx;
 use cse_cost::{Cardinality, Selectivity, StatsCatalog};
 use cse_govern::BudgetTrip;
 use cse_memo::{GroupId, Memo, TableSignature};
-use std::collections::HashMap;
-
-/// Generation knobs (paper values: α = 10%, β = 90%).
-#[derive(Debug, Clone)]
-pub struct GenConfig {
-    /// Apply the pruning heuristics H1/H2/H3/H4. When off, every
-    /// join-compatible set yields one all-covering candidate (the paper's
-    /// "no heuristics" configuration that produced 5 candidates for
-    /// Example 1 and 51 for the 8-table batch).
-    pub heuristics: bool,
-    /// H1 threshold: consumers must sum to at least `alpha · C_Q`.
-    pub alpha: f64,
-    /// H4 threshold: a contained candidate survives only if its result is
-    /// at most `beta` of the container's.
-    pub beta: f64,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            heuristics: true,
-            alpha: 0.10,
-            beta: 0.90,
-        }
-    }
-}
 
 /// A constructed candidate plus its cost ingredients.
 #[derive(Debug, Clone)]
@@ -48,34 +24,6 @@ pub struct CostedCandidate {
     /// Lower bound on the evaluation cost C_E (highest of the members'
     /// lower cost bounds, per §4.3.3).
     pub ce_lower: f64,
-}
-
-/// Per-group baseline costs from the normal optimization phases. Both
-/// bounds coincide here because the baseline search is exhaustive over the
-/// explored memo; the API keeps them separate to mirror the paper.
-#[derive(Debug, Clone, Default)]
-pub struct CostBounds {
-    costs: HashMap<GroupId, f64>,
-}
-
-impl CostBounds {
-    pub fn new(costs: HashMap<GroupId, f64>) -> Self {
-        CostBounds { costs }
-    }
-
-    pub fn lower(&self, g: GroupId) -> f64 {
-        self.costs.get(&g).copied().unwrap_or(f64::INFINITY)
-    }
-
-    pub fn upper(&self, g: GroupId) -> f64 {
-        self.costs.get(&g).copied().unwrap_or(0.0)
-    }
-
-    /// Iterate the recorded per-group costs (used by the costing audit in
-    /// `cse-verify` to diff bounds against freshly recomputed winners).
-    pub fn iter(&self) -> impl Iterator<Item = (GroupId, f64)> + '_ {
-        self.costs.iter().map(|(&g, &c)| (g, c))
-    }
 }
 
 /// Estimate a constructed CSE's work-table cardinality and width.
@@ -350,4 +298,39 @@ pub fn generate_for_set(
         }
     }
     Ok(out)
+}
+
+/// Add def-internal consumers to existing candidates (§5.5): candidate
+/// definitions are themselves query expressions, so a group inside one
+/// definition that carries another candidate's signature and that the
+/// candidate [admits](ConstructedCse::admit) reads its work table too.
+/// `registered` pairs each candidate with its definition's root group in
+/// the grown memo `mgr` indexes; the candidate set is fixed, only consumer
+/// sets are extended.
+pub(crate) fn extend_with_stacked_consumers(
+    memo: &Memo,
+    mgr: &CseManager,
+    registered: &mut [(CostedCandidate, GroupId)],
+) {
+    let def_roots: Vec<GroupId> = registered.iter().map(|(_, d)| *d).collect();
+    let def_internal =
+        |g: GroupId| !def_roots.contains(&g) && def_roots.iter().any(|&d| mgr.is_ancestor(d, g));
+    for (cand, own_def) in registered.iter_mut() {
+        for &g in mgr.groups_of(&cand.signature) {
+            if !def_internal(g)
+                || mgr.is_ancestor(*own_def, g)
+                || cand.cse.members.iter().any(|m| m.group == g)
+            {
+                continue;
+            }
+            let anchor = &cand.cse.members[0].normal.spj.rels;
+            let Some(consumer) = prepare_onto(memo, Some(anchor), g) else {
+                continue;
+            };
+            if let Some(simplified) = cand.cse.admit(&consumer) {
+                cand.cse.members.push(consumer);
+                cand.cse.simplified.push(simplified);
+            }
+        }
+    }
 }

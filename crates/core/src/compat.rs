@@ -6,7 +6,7 @@
 //! intersected equijoin graph).
 
 use crate::align::Alignment;
-use cse_algebra::{intersect_classes, is_connected, ColRef, PlanContext, SpjgNormal};
+use cse_algebra::{intersect_classes, is_connected, ColRef, PlanContext, RelId, SpjgNormal};
 use cse_memo::{GroupId, Memo};
 use std::collections::BTreeSet;
 
@@ -22,37 +22,39 @@ pub struct PreparedConsumer {
     pub alignment: Alignment,
 }
 
-/// Extract + align the consumers of one sharable set. Consumers whose
-/// tree cannot be normalized (non-SPJG shapes) or aligned are dropped.
+/// Extract + align the consumers of one sharable set; the first that
+/// normalizes is the anchor. Consumers whose tree cannot be normalized
+/// (non-SPJG shapes) or aligned are dropped.
 pub fn prepare_consumers(memo: &Memo, groups: &[GroupId]) -> Vec<PreparedConsumer> {
     let mut prepared: Vec<PreparedConsumer> = Vec::new();
-    let mut anchor_rels: Option<Vec<cse_algebra::RelId>> = None;
     for &g in groups {
-        let tree = memo.extract_first_tree(g);
-        let normal = match SpjgNormal::from_plan(&tree) {
-            Some(n) => n,
-            None => continue,
-        };
-        let alignment = match &anchor_rels {
-            None => {
-                anchor_rels = Some(normal.spj.rels.clone());
-                Alignment::identity(&normal.spj.rels)
-            }
-            Some(anchor) => match Alignment::new(&memo.ctx, anchor, &normal.spj.rels) {
-                Some(a) => a,
-                None => continue,
-            },
-        };
-        let aligned = alignment.normal_form(&normal);
-        let classes = aligned.spj.equiv_classes();
-        prepared.push(PreparedConsumer {
-            group: g,
-            normal: aligned,
-            classes,
-            alignment,
-        });
+        let anchor = prepared.first().map(|p| p.normal.spj.rels.as_slice());
+        let consumer = prepare_onto(memo, anchor, g);
+        prepared.extend(consumer);
     }
     prepared
+}
+
+/// Extract group `g`'s originally inserted tree, normalize it and align it
+/// onto `anchor_rels` (`None`: the consumer is its own anchor). `None` when
+/// the tree is not SPJG or references another multiset of tables.
+pub(crate) fn prepare_onto(
+    memo: &Memo,
+    anchor_rels: Option<&[RelId]>,
+    g: GroupId,
+) -> Option<PreparedConsumer> {
+    let normal = SpjgNormal::from_plan(&memo.extract_first_tree(g))?;
+    let alignment = match anchor_rels {
+        None => Alignment::identity(&normal.spj.rels),
+        Some(anchor) => Alignment::new(&memo.ctx, anchor, &normal.spj.rels)?,
+    };
+    let aligned = alignment.normal_form(&normal);
+    Some(PreparedConsumer {
+        group: g,
+        classes: aligned.spj.equiv_classes(),
+        normal: aligned,
+        alignment,
+    })
 }
 
 /// Split prepared consumers into mutually join-compatible groups.

@@ -1,0 +1,224 @@
+//! What the pipeline and candidate generation both read: the request's
+//! configuration, the per-request facts handed down to every ladder rung,
+//! and the report handed back. This module sits below `pipeline` and
+//! `candidates` so neither imports the other's types.
+
+use crate::manager::CseManager;
+use crate::required::RequiredCols;
+use cse_cost::{CostModel, StatsCatalog};
+use cse_diag::Report as VerifyReport;
+use cse_govern::{
+    Budget, BudgetClock, CancelToken, DegradationEvent, ExecLimits, FailpointRegistry, Rung,
+};
+use cse_lint::LintMode;
+use cse_memo::{ExploreConfig, GroupId, TableSignature};
+use cse_optimizer::{CseId, IndexInfo};
+use std::collections::HashMap;
+use std::time::Duration;
+
+/// Pipeline configuration.
+#[derive(Debug, Clone)]
+pub struct CseConfig {
+    /// Master switch: off reproduces the "No CSE" columns of the paper.
+    pub enable_cse: bool,
+    /// Candidate-generation knobs (heuristics on/off, α, β).
+    pub gen: GenConfig,
+    pub explore: ExploreConfig,
+    pub cost_model: CostModel,
+    /// Cheap-query gate: skip the CSE phase below this baseline cost.
+    pub min_query_cost: f64,
+    /// Detect CSEs over candidate definitions too (§5.5).
+    pub stacked: bool,
+    /// Run the `cse-verify` invariant passes during optimization and fail
+    /// the query on any error-severity diagnostic. Defaults to on in debug
+    /// and test builds, off in release (the audits redo whole-memo work).
+    pub verify: bool,
+    /// Optimization budget (wall-clock deadline, memo and candidate caps).
+    /// Tripping it never fails the query: the pipeline walks the
+    /// degradation ladder (full CSE → capped CSE → baseline) instead.
+    pub budget: Budget,
+    /// Force the baseline rung outright (`--no-cse-fallback-only`): the
+    /// CSE phase is skipped and an `OPT_FORCED` event is recorded. Unlike
+    /// `enable_cse = false`, this *reports* the skip as a degradation.
+    pub fallback_only: bool,
+    /// Where the degradation ladder starts. The serving layer lowers this
+    /// under global memory pressure (Elevated → capped CSE) rather than
+    /// letting a full-sharing plan materialize spools the pool cannot
+    /// hold; a lowered start is recorded as a `MEM_PRESSURE` degradation.
+    pub start_rung: Rung,
+    /// Deterministic fault-injection registry, shared with the engine.
+    /// Disabled unless armed explicitly or via the `CSE_FAIL` env var.
+    pub failpoints: FailpointRegistry,
+    /// Per-statement execution limits, enforced by the engine.
+    pub exec_limits: ExecLimits,
+    /// Cooperative cancellation for the whole request (explicit cancel or
+    /// watchdog deadline). Checked at the pipeline's stage boundaries and,
+    /// via the budget clock, inside the candidate-generation and
+    /// enumeration hot loops. Unlike a budget trip, a cancellation *fails*
+    /// the optimization — a canceled request must stop, not degrade.
+    pub cancel: CancelToken,
+    /// qlint mode (`--lint[=deny]`): run the static analyzer over the SQL
+    /// batch before optimization, report its diagnostics in
+    /// [`CseReport::lint`], and feed proven facts forward (redundant
+    /// conjuncts into covering construction, unsatisfiable statements
+    /// into a constant-FALSE short circuit). `Deny` additionally fails
+    /// the batch on any warning-or-worse diagnostic.
+    pub lint: LintMode,
+}
+
+impl Default for CseConfig {
+    fn default() -> Self {
+        CseConfig {
+            enable_cse: true,
+            gen: GenConfig::default(),
+            explore: ExploreConfig::default(),
+            cost_model: CostModel::default(),
+            min_query_cost: 0.0,
+            stacked: true,
+            verify: cfg!(debug_assertions),
+            budget: Budget::unlimited(),
+            fallback_only: false,
+            start_rung: Rung::FullCse,
+            failpoints: FailpointRegistry::from_env(),
+            exec_limits: ExecLimits::none(),
+            cancel: CancelToken::never(),
+            lint: LintMode::Off,
+        }
+    }
+}
+
+impl CseConfig {
+    /// The paper's "No CSE" configuration.
+    pub fn no_cse() -> Self {
+        CseConfig {
+            enable_cse: false,
+            ..Default::default()
+        }
+    }
+
+    /// The paper's "Using CSEs (no heuristics)" configuration.
+    pub fn no_heuristics() -> Self {
+        CseConfig {
+            gen: GenConfig {
+                heuristics: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+}
+
+/// Diagnostic summary of one candidate.
+#[derive(Debug, Clone)]
+pub struct CandidateSummary {
+    pub id: CseId,
+    pub tables: Vec<String>,
+    pub grouped: bool,
+    pub consumers: usize,
+    pub est_rows: f64,
+    pub est_width: f64,
+}
+
+/// What happened during optimization — the numbers the paper's tables
+/// report.
+#[derive(Debug, Clone, Default)]
+pub struct CseReport {
+    /// Signatures shared by ≥2 expressions (detection output).
+    pub sharable_signatures: usize,
+    /// Candidates given to the optimizer (paper: "# of CSEs").
+    pub candidates: Vec<CandidateSummary>,
+    /// CSE re-optimizations performed (paper: bracketed count).
+    pub cse_optimizations: u32,
+    /// Estimated cost of the plan without CSEs.
+    pub baseline_cost: f64,
+    /// Estimated cost of the final plan.
+    pub final_cost: f64,
+    /// Spools actually used in the final plan.
+    pub spools_used: usize,
+    /// Wall-clock of the normal optimization phases.
+    pub baseline_time: Duration,
+    /// Wall-clock of the whole optimization including the CSE phase.
+    pub total_time: Duration,
+    /// Diagnostics of the `cse-verify` passes (present iff
+    /// [`CseConfig::verify`] was set; clean when the query succeeded).
+    pub verification: Option<VerifyReport>,
+    /// The degradation-ladder rung the plan was produced on.
+    pub rung: Rung,
+    /// Every downgrade recorded on the way (empty in the common case).
+    pub degradations: Vec<DegradationEvent>,
+    /// qlint diagnostics (present iff [`CseConfig::lint`] was enabled and
+    /// the batch came in as SQL text).
+    pub lint: Option<cse_lint::Report>,
+}
+
+/// Generation knobs (paper values: α = 10%, β = 90%).
+#[derive(Debug, Clone)]
+pub struct GenConfig {
+    /// Apply the pruning heuristics H1/H2/H3/H4. When off, every
+    /// join-compatible set yields one all-covering candidate (the paper's
+    /// "no heuristics" configuration that produced 5 candidates for
+    /// Example 1 and 51 for the 8-table batch).
+    pub heuristics: bool,
+    /// H1 threshold: consumers must sum to at least `alpha · C_Q`.
+    pub alpha: f64,
+    /// H4 threshold: a contained candidate survives only if its result is
+    /// at most `beta` of the container's.
+    pub beta: f64,
+}
+
+impl Default for GenConfig {
+    fn default() -> Self {
+        GenConfig {
+            heuristics: true,
+            alpha: 0.10,
+            beta: 0.90,
+        }
+    }
+}
+
+/// Per-group baseline costs from the normal optimization phases. Both
+/// bounds coincide here because the baseline search is exhaustive over the
+/// explored memo; the API keeps them separate to mirror the paper.
+#[derive(Debug, Clone, Default)]
+pub struct CostBounds {
+    costs: HashMap<GroupId, f64>,
+}
+
+impl CostBounds {
+    pub fn new(costs: HashMap<GroupId, f64>) -> Self {
+        CostBounds { costs }
+    }
+
+    pub fn lower(&self, g: GroupId) -> f64 {
+        self.costs.get(&g).copied().unwrap_or(f64::INFINITY)
+    }
+
+    pub fn upper(&self, g: GroupId) -> f64 {
+        self.costs.get(&g).copied().unwrap_or(0.0)
+    }
+
+    /// Iterate the recorded per-group costs (used by the costing audit in
+    /// `cse-verify` to diff bounds against freshly recomputed winners).
+    pub fn iter(&self) -> impl Iterator<Item = (GroupId, f64)> + '_ {
+        self.costs.iter().map(|(&g, &c)| (g, c))
+    }
+}
+
+/// What one ladder rung's CSE phase reads and never changes: the rung's
+/// effective configuration, the catalog's statistics and indexes, the
+/// rung's started budget clock, and the facts normal optimization left
+/// behind on the explored memo — per-group cost bounds, required columns,
+/// the CSE manager and its sharable sets — derived once per request and
+/// shared by every rung.
+pub struct PhaseCtx<'a> {
+    pub cfg: &'a CseConfig,
+    pub stats: &'a StatsCatalog,
+    pub indexes: &'a IndexInfo,
+    pub clock: &'a BudgetClock,
+    pub bounds: &'a CostBounds,
+    pub required: &'a RequiredCols,
+    /// Signature table and ancestor relation of the explored memo.
+    pub manager: &'a CseManager,
+    /// Detection output: the explored memo's potentially sharable sets.
+    pub sharable: &'a [(TableSignature, Vec<GroupId>)],
+}

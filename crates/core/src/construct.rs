@@ -37,6 +37,8 @@ pub struct ConstructedCse {
     /// Covering selection predicate (TRUE when consumers' predicates
     /// union to everything).
     pub covering: Scalar,
+    /// The members' intersected equivalence classes (step 1).
+    pub join_classes: Vec<BTreeSet<ColRef>>,
     /// Equijoin conjuncts from the intersected classes.
     pub join_conjuncts: Vec<Scalar>,
     /// Per-member simplified predicate (step 2), parallel to `members`.
@@ -68,24 +70,10 @@ pub fn construct(
     let join_conjuncts = classes_to_conjuncts(&inter);
 
     // Step 2: simplify each member's predicate.
-    let implied_by_join = |c: &Scalar| -> bool {
-        match c.as_col_eq_col() {
-            Some((a, b)) => inter.iter().any(|cl| cl.contains(&a) && cl.contains(&b)),
-            None => false,
-        }
-    };
     let simplified: Vec<Scalar> = members
         .iter()
         .map(|m| {
-            let pred = Scalar::and(
-                m.normal
-                    .spj
-                    .conjuncts
-                    .iter()
-                    .filter(|c| !implied_by_join(c))
-                    .cloned(),
-            )
-            .normalize();
+            let pred = beyond_joins(&m.normal.spj.conjuncts, &inter);
             // Step 2b (analyzer feedback): drop conjuncts qlint proved
             // redundant — after re-verifying the implication locally.
             prune_proven_redundant(&pred, &memo.facts.redundant_conjuncts)
@@ -193,10 +181,52 @@ pub fn construct(
         plan,
         output,
         covering,
+        join_classes: inter,
         join_conjuncts,
         simplified,
         group,
     })
+}
+
+/// Do the equivalence classes put `a` and `b` in one class?
+fn same_class(classes: &[BTreeSet<ColRef>], a: ColRef, b: ColRef) -> bool {
+    classes.iter().any(|cl| cl.contains(&a) && cl.contains(&b))
+}
+
+/// Step 2: a consumer's predicate without the column equalities the
+/// covering join (`join_classes`) already enforces.
+fn beyond_joins(conjuncts: &[Scalar], join_classes: &[BTreeSet<ColRef>]) -> Scalar {
+    let implied_by_join = |c: &Scalar| {
+        c.as_col_eq_col()
+            .is_some_and(|(a, b)| same_class(join_classes, a, b))
+    };
+    Scalar::and(conjuncts.iter().filter(|c| !implied_by_join(c)).cloned()).normalize()
+}
+
+impl ConstructedCse {
+    /// Can `consumer` (aligned onto this CSE's anchor rels) read the work
+    /// table although the CSE was not constructed for it (§5.5)? It must
+    /// enforce every join the spool applied, its predicate must imply the
+    /// covering predicate, and a grouped CSE's keys and aggregates must
+    /// subsume its own. Returns the consumer's simplified predicate
+    /// (step 2), the entry `simplified` holds for a member.
+    pub(crate) fn admit(&self, consumer: &PreparedConsumer) -> Option<Scalar> {
+        let joins_enforced = self.join_conjuncts.iter().all(|j| {
+            j.as_col_eq_col()
+                .is_some_and(|(a, b)| a == b || same_class(&consumer.classes, a, b))
+        });
+        if !joins_enforced || !implies(&consumer.normal.spj.predicate(), &self.covering) {
+            return None;
+        }
+        let subsumed = match (&self.group, &consumer.normal.group) {
+            (Some((keys, aggs, _)), Some(g)) => {
+                g.keys.iter().all(|k| keys.contains(k)) && g.aggs.iter().all(|a| aggs.contains(a))
+            }
+            (None, None) => true,
+            _ => false,
+        };
+        subsumed.then(|| beyond_joins(&consumer.normal.spj.conjuncts, &self.join_classes))
+    }
 }
 
 /// Drop conjuncts of `pred` that the analyzer proved redundant

@@ -2,7 +2,6 @@
 //! pruned with the competing/independent analysis and Propositions
 //! 5.4–5.6.
 
-use crate::lca::competing;
 use crate::manager::CseManager;
 use cse_govern::{BudgetClock, BudgetTrip};
 use cse_memo::GroupId;
@@ -56,7 +55,7 @@ pub fn choose_best(
     let mut comp = vec![vec![false; n]; n];
     for i in 0..n {
         for j in 0..n {
-            if i != j && competing(mgr, candidates[i].1, candidates[j].1) {
+            if i != j && mgr.competing(candidates[i].1, candidates[j].1) {
                 comp[i][j] = true;
             }
         }
@@ -148,7 +147,7 @@ pub fn choose_best(
                 // Proposition 5.5: with T the members of `s` independent of
                 // every other enabled member, any proper submask of T (and
                 // nothing from R = s \ T) needs no further optimization.
-                let t = independent_part(&ids, s, candidates, mgr);
+                let t = independent_part(members, s, candidates, &comp);
                 let mut sub = t;
                 while sub != 0 {
                     sub = (sub - 1) & t;
@@ -184,30 +183,16 @@ pub fn choose_best(
 }
 
 /// The sub-mask of `enabled` whose members are independent of every other
-/// enabled member.
+/// enabled member. `members` index `candidates` and the competing matrix.
 fn independent_part(
-    ids: &[CseId],
+    members: &[usize],
     enabled: CseMask,
     candidates: &[(CseId, Option<GroupId>)],
-    mgr: &CseManager,
+    comp: &[Vec<bool>],
 ) -> CseMask {
-    let lca_of = |id: CseId| {
-        candidates
-            .iter()
-            .find(|(c, _)| *c == id)
-            .and_then(|(_, l)| *l)
-    };
-    let mut t = 0u64;
-    for &a in ids {
-        if enabled & bit(a) == 0 {
-            continue;
-        }
-        let indep = ids
-            .iter()
-            .all(|&b| b == a || enabled & bit(b) == 0 || !competing(mgr, lca_of(a), lca_of(b)));
-        if indep {
-            t |= bit(a);
-        }
-    }
-    t
+    let on = |i: usize| enabled & bit(candidates[i].0) != 0;
+    members
+        .iter()
+        .filter(|&&a| on(a) && !members.iter().any(|&b| on(b) && comp[a][b]))
+        .fold(0, |t, &a| t | bit(candidates[a].0))
 }

@@ -4,13 +4,16 @@
 //! exploitation of similar subexpressions ("Efficient Exploitation of
 //! Similar Subexpressions for Query Processing", SIGMOD 2007).
 //!
-//! - [`manager`]: table-signature hash table, sharable-set detection;
+//! - [`config`]: the configuration, per-request facts and report every
+//!   stage reads;
+//! - [`manager`]: table-signature hash table, sharable-set detection, and
+//!   the memo's ancestor relation with least-common-ancestor lookup;
 //! - [`align`] / [`compat`]: consumer alignment and join compatibility;
 //! - [`mod@construct`]: the six-step covering-subexpression builder;
 //! - [`candidates`]: Algorithm 1 with heuristics H1–H4;
 //! - [`view_match`]: substitute (compensation) construction;
-//! - [`lca`] / [`enumerate`]: least-common-ancestor costing and the
-//!   multi-candidate set enumeration with Propositions 5.4–5.6;
+//! - [`enumerate`]: the multi-candidate set enumeration with
+//!   Propositions 5.4–5.6;
 //! - [`pipeline`]: the end-to-end optimizer entry points;
 //! - [`maintenance`]: materialized-view maintenance over the pipeline,
 //!   planned as `CatalogMutation`s over the storage layer's delta table.
@@ -22,9 +25,9 @@
 pub mod align;
 pub mod candidates;
 pub mod compat;
+pub mod config;
 pub mod construct;
 pub mod enumerate;
-pub mod lca;
 pub mod maintenance;
 pub mod manager;
 pub mod pipeline;
@@ -32,21 +35,19 @@ pub mod required;
 pub mod view_match;
 
 pub use align::Alignment;
-pub use candidates::{CostBounds, CostedCandidate, GenConfig};
+pub use candidates::CostedCandidate;
 pub use compat::{partition_compatible, prepare_consumers, CompatibleGroup, PreparedConsumer};
+pub use config::{CandidateSummary, CostBounds, CseConfig, CseReport, GenConfig, PhaseCtx};
 pub use construct::{
     construct, prune_proven_redundant, simplify_covering, simplify_covering_with_facts,
     ConstructedCse,
 };
 pub use enumerate::{choose_best, EnumOutcome};
-pub use lca::{competing, least_common_ancestor};
 pub use maintenance::{
     create_materialized_view, maintain_insert, plan_insert, plan_materialized_view,
     MaintenanceReport,
 };
 pub use manager::CseManager;
-pub use pipeline::{
-    optimize_plan, optimize_sql, CandidateSummary, CseConfig, CseReport, Optimized, PhaseCtx,
-};
+pub use pipeline::{optimize_plan, optimize_sql, Optimized};
 pub use required::{compute_required, RequiredCols};
 pub use view_match::build_substitute;

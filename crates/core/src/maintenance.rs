@@ -17,7 +17,8 @@
 //! batch is generated from definitions accepted (and, under `cfg.lint`,
 //! linted) at creation, so it is not linted again.
 
-use crate::pipeline::{optimize_plan, optimize_sql, CseConfig, CseReport};
+use crate::config::{CseConfig, CseReport};
+use crate::pipeline::{optimize_plan, optimize_sql};
 use cse_exec::Engine;
 use cse_sql::ast::{AggName, Expr, ExprKind, SelectItem, Statement};
 use cse_sql::SelectStmt;

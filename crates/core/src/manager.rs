@@ -1,16 +1,22 @@
 //! The CSE manager (paper §2.2 / §3): a hash table from table signatures
-//! to the memo groups carrying them, and detection of potentially sharable
-//! expression sets.
+//! to the memo groups carrying them, detection of potentially sharable
+//! expression sets, and the memo's one "above/below" relation — ancestor
+//! tests, least common ancestors (§5.2) and the competing relation
+//! (Definition 5.2) all read the same bit matrix.
 
 use cse_memo::{GroupId, Memo, TableSignature};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
-/// Signature hash table plus ancestor bookkeeping.
+/// Signature hash table plus the ancestor relation of one memo state.
+#[derive(Default)]
 pub struct CseManager {
     /// signature -> groups with that signature (registration order).
     table: BTreeMap<TableSignature, Vec<GroupId>>,
-    /// Upward-reachability: group -> all ancestor groups (inclusive).
-    ancestors: HashMap<GroupId, BTreeSet<GroupId>>,
+    /// Upward reachability as a dense bit matrix, row-major, `words` words
+    /// per row: bit `a` of row `g` is set iff group `a` is an ancestor of
+    /// group `g` (inclusive). Rows and bits are indexed by `GroupId.0`.
+    ancestors: Vec<u64>,
+    words: usize,
 }
 
 impl CseManager {
@@ -36,28 +42,28 @@ impl CseManager {
                 }
             }
         }
-        let ancestors = compute_ancestors(memo);
-        CseManager { table, ancestors }
+        let words = memo.num_groups().div_ceil(64);
+        CseManager {
+            table,
+            ancestors: ancestor_matrix(memo, words),
+            words,
+        }
     }
 
-    /// Is `anc` an ancestor of `g` (or equal)?
+    fn row(&self, g: GroupId) -> &[u64] {
+        &self.ancestors[g.0 as usize * self.words..][..self.words]
+    }
+
+    /// Is `anc` an ancestor of `g` (or equal)? Groups the memo did not
+    /// hold when the manager was built are related to nothing.
     pub fn is_ancestor(&self, anc: GroupId, g: GroupId) -> bool {
-        self.ancestors
-            .get(&g)
-            .map(|s| s.contains(&anc))
-            .unwrap_or(false)
-    }
-
-    pub fn ancestors_of(&self, g: GroupId) -> &BTreeSet<GroupId> {
-        static EMPTY: std::sync::OnceLock<BTreeSet<GroupId>> = std::sync::OnceLock::new();
-        self.ancestors
-            .get(&g)
-            .unwrap_or_else(|| EMPTY.get_or_init(BTreeSet::new))
-    }
-
-    /// All signatures observed, for diagnostics.
-    pub fn signatures(&self) -> impl Iterator<Item = (&TableSignature, &Vec<GroupId>)> {
-        self.table.iter()
+        let groups = self.words * 64;
+        let (a, g) = (anc.0 as usize, g.0 as usize);
+        a < groups
+            && self
+                .ancestors
+                .get(g * self.words + a / 64)
+                .is_some_and(|w| w >> (a % 64) & 1 == 1)
     }
 
     /// Groups registered under one signature.
@@ -76,16 +82,10 @@ impl CseManager {
             if groups.len() < 2 {
                 continue;
             }
-            let set: BTreeSet<GroupId> = groups.iter().copied().collect();
             let maximal: Vec<GroupId> = groups
                 .iter()
                 .copied()
-                .filter(|g| {
-                    !self
-                        .ancestors_of(*g)
-                        .iter()
-                        .any(|a| a != g && set.contains(a))
-                })
+                .filter(|&g| !groups.iter().any(|&a| a != g && self.is_ancestor(a, g)))
                 .collect();
             if maximal.len() >= 2 {
                 out.push((sig.clone(), maximal));
@@ -93,35 +93,97 @@ impl CseManager {
         }
         out
     }
+
+    /// The least common ancestor group of `consumers` (paper §5.2): the
+    /// lowest group of which every consumer is a descendant, the smallest
+    /// `GroupId` when several are lowest. `None` when the consumers span
+    /// disconnected trees (e.g. a stacked CSE consumed from several spool
+    /// definitions) — the optimizer then charges the initial cost at final
+    /// assembly instead.
+    pub fn least_common_ancestor(&self, consumers: &[GroupId]) -> Option<GroupId> {
+        let (first, rest) = consumers.split_first()?;
+        let mut common: Vec<u64> = self.row(*first).to_vec();
+        for c in rest {
+            for (w, r) in common.iter_mut().zip(self.row(*c)) {
+                *w &= r;
+            }
+        }
+        let members = || {
+            common.iter().enumerate().flat_map(|(i, &w)| {
+                (0..64)
+                    .filter(move |b| w >> b & 1 == 1)
+                    .map(move |b| GroupId((i * 64 + b) as u32))
+            })
+        };
+        // Lowest: a common ancestor that is above no other common member.
+        members()
+            .find(|&x| !members().any(|y| y != x && self.is_ancestor(x, y)))
+            .or_else(|| members().next())
+    }
+
+    /// Are two candidates competing (Definition 5.2)? Their LCAs lie on one
+    /// ancestor path. Missing LCAs are conservatively treated as competing.
+    pub fn competing(&self, lca_a: Option<GroupId>, lca_b: Option<GroupId>) -> bool {
+        match (lca_a, lca_b) {
+            (Some(a), Some(b)) => self.is_ancestor(a, b) || self.is_ancestor(b, a),
+            _ => true,
+        }
+    }
 }
 
-/// Ancestor sets via reverse (parent) edges, to a fixpoint.
-fn compute_ancestors(memo: &Memo) -> HashMap<GroupId, BTreeSet<GroupId>> {
-    let mut anc: HashMap<GroupId, BTreeSet<GroupId>> = HashMap::new();
-    for g in memo.groups() {
-        anc.entry(g.id).or_default().insert(g.id);
-    }
-    // Iterate to fixpoint: ancestors(g) ⊇ ancestors(parent) for each parent.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for g in memo.groups() {
-            let mut add: BTreeSet<GroupId> = BTreeSet::new();
-            for &peid in &g.parents {
-                let pg = memo.group_of(peid);
-                if let Some(pa) = anc.get(&pg) {
-                    add.extend(pa.iter().copied());
+/// The ancestor matrix of `memo`, via reverse (parent) edges: a group's row
+/// is itself plus the rows of its parent groups. Groups are swept in
+/// parents-before-children order (reverse post-order over child edges), so
+/// the first sweep already is the closure and the second confirms it by
+/// changing nothing; the order only decides how many sweeps run, never
+/// what they converge to.
+fn ancestor_matrix(memo: &Memo, words: usize) -> Vec<u64> {
+    let n = memo.num_groups();
+    let children = |g: GroupId| {
+        memo.group(g)
+            .exprs
+            .iter()
+            .flat_map(|&e| memo.gexpr(e).children.iter().copied())
+    };
+    let mut order: Vec<GroupId> = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    for start in memo.groups().map(|g| g.id) {
+        if std::mem::replace(&mut seen[start.0 as usize], true) {
+            continue;
+        }
+        let mut stack = vec![(start, children(start))];
+        while let Some((g, kids)) = stack.last_mut() {
+            match kids.find(|c| !std::mem::replace(&mut seen[c.0 as usize], true)) {
+                Some(c) => stack.push((c, children(c))),
+                None => {
+                    order.push(*g);
+                    stack.pop();
                 }
-            }
-            let entry = anc.entry(g.id).or_default();
-            let before = entry.len();
-            entry.extend(add);
-            if entry.len() != before {
-                changed = true;
             }
         }
     }
-    anc
+    order.reverse();
+
+    let mut bits = vec![0u64; n * words];
+    for g in 0..n {
+        bits[g * words + g / 64] |= 1 << (g % 64);
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &g in &order {
+            let row = g.0 as usize * words;
+            for &peid in &memo.group(g).parents {
+                let parent = memo.group_of(peid).0 as usize * words;
+                for w in 0..words {
+                    let merged = bits[row + w] | bits[parent + w];
+                    changed |= merged != bits[row + w];
+                    bits[row + w] = merged;
+                }
+            }
+        }
+    }
+    bits
 }
 
 #[cfg(test)]
@@ -178,7 +240,16 @@ mod tests {
     fn single_table_signatures_excluded() {
         let memo = two_query_memo();
         let mgr = CseManager::build(&memo);
-        assert!(mgr.signatures().all(|(s, _)| s.table_count() >= 2));
+        for g in memo.groups() {
+            let sig = g.props.signature.as_ref();
+            if let Some(sig) = sig.filter(|s| s.table_count() < 2) {
+                assert!(mgr.groups_of(sig).is_empty(), "{sig} must not register");
+            }
+        }
+        assert!(mgr
+            .sharable_sets()
+            .iter()
+            .all(|(s, _)| s.table_count() >= 2));
     }
 
     #[test]
@@ -233,5 +304,88 @@ mod tests {
         // Query 1 contributes only its maximal σ(A⋈B) group, query 2 its
         // join group: exactly two consumers.
         assert_eq!(sets[0].1.len(), 2);
+    }
+
+    /// The two join groups of [`two_query_memo`] and the batch root above
+    /// them.
+    fn two_joins_under_a_batch() -> (Memo, Vec<GroupId>, GroupId) {
+        let memo = two_query_memo();
+        let consumers = CseManager::build(&memo).sharable_sets().remove(0).1;
+        let root = memo.root();
+        (memo, consumers, root)
+    }
+
+    #[test]
+    fn lca_of_cross_query_consumers_is_root() {
+        let (memo, consumers, root) = two_joins_under_a_batch();
+        let mgr = CseManager::build(&memo);
+        assert_eq!(mgr.least_common_ancestor(&consumers), Some(root));
+    }
+
+    #[test]
+    fn lca_of_single_consumer_is_itself() {
+        let (memo, consumers, _) = two_joins_under_a_batch();
+        let mgr = CseManager::build(&memo);
+        assert_eq!(
+            mgr.least_common_ancestor(&consumers[..1]),
+            Some(consumers[0])
+        );
+        assert_eq!(mgr.least_common_ancestor(&[]), None);
+    }
+
+    #[test]
+    fn lca_of_disconnected_trees_is_none() {
+        // Two plans inserted side by side with no batch above them: the
+        // shape of a stacked CSE consumed from several spool definitions.
+        let mut ctx = PlanContext::new();
+        let schema = Arc::new(Schema::from_pairs(&[("k", DataType::Int)]));
+        let b = ctx.new_block();
+        let a = ctx.add_base_rel("ta", "ta", schema.clone(), b);
+        let t = ctx.add_base_rel("tb", "tb", schema.clone(), b);
+        let mut memo = Memo::new(ctx);
+        let g1 = memo.insert_plan(&LogicalPlan::get(a));
+        let g2 = memo.insert_plan(&LogicalPlan::get(t));
+        let mgr = CseManager::build(&memo);
+        assert_eq!(mgr.least_common_ancestor(&[g1, g2]), None);
+        assert!(mgr.competing(None, Some(g1)), "no LCA: competing");
+    }
+
+    #[test]
+    fn lca_tie_between_two_lowest_members_takes_the_smaller_group() {
+        // One shared scan under two joins that nothing joins back together:
+        // both joins are lowest common ancestors of their two inputs'
+        // shared part, and neither is above the other.
+        let mut ctx = PlanContext::new();
+        let schema = Arc::new(Schema::from_pairs(&[("k", DataType::Int)]));
+        let b = ctx.new_block();
+        let a = ctx.add_base_rel("ta", "ta", schema.clone(), b);
+        let t = ctx.add_base_rel("tb", "tb", schema.clone(), b);
+        let join = |col| {
+            LogicalPlan::get(a).join(
+                LogicalPlan::get(t),
+                Scalar::cmp(cse_algebra::CmpOp::Lt, Scalar::col(a, 0), Scalar::int(col)),
+            )
+        };
+        let mut memo = Memo::new(ctx);
+        let j1 = memo.insert_plan(&join(1));
+        let j2 = memo.insert_plan(&join(2));
+        assert_ne!(j1, j2);
+        let ga = memo.insert_plan(&LogicalPlan::get(a));
+        let gt = memo.insert_plan(&LogicalPlan::get(t));
+        let mgr = CseManager::build(&memo);
+        assert!(!mgr.competing(Some(j1), Some(j2)));
+        assert_eq!(mgr.least_common_ancestor(&[ga, gt]), Some(j1.min(j2)));
+    }
+
+    #[test]
+    fn competing_on_same_path() {
+        let (memo, consumers, root) = two_joins_under_a_batch();
+        let mgr = CseManager::build(&memo);
+        // root is an ancestor of consumer 0: competing.
+        assert!(mgr.competing(Some(root), Some(consumers[0])));
+        // The two join groups are unrelated: independent.
+        assert!(!mgr.competing(Some(consumers[0]), Some(consumers[1])));
+        // Unknown LCA: conservatively competing.
+        assert!(mgr.competing(None, Some(consumers[0])));
     }
 }

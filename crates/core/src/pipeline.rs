@@ -11,38 +11,34 @@
 //!    return the cheapest plan.
 //!
 //! Every fact is derived once per memo state and handed down. The explored
-//! memo yields the baseline winners (read back as [`CostBounds`]), the
-//! required columns and a [`CseManager`] for detection and H4; the memo
-//! grown by the candidate definitions yields a second manager (stacked
-//! consumers, LCAs, enumeration), its required columns and the Step 3
-//! optimizer.
+//! memo yields, once per request, the baseline winners (read back as
+//! [`CostBounds`]), the required columns and a [`CseManager`] with its
+//! sharable sets (detection, H4); a rung copies that memo only when it has
+//! something to construct, and the copy grown by the candidate definitions
+//! yields the second and last manager (stacked consumers, LCAs,
+//! enumeration), its required columns and the Step 3 optimizer.
 
 use crate::candidates::{
-    generate_for_set, h4_prune_contained, CostBounds, CostedCandidate, GenConfig,
+    extend_with_stacked_consumers, generate_for_set, h4_prune_contained, CostedCandidate,
 };
+use crate::config::{CandidateSummary, CostBounds, CseConfig, CseReport, PhaseCtx};
 use crate::enumerate::choose_best;
-use crate::lca::least_common_ancestor;
 use crate::manager::CseManager;
 use crate::required::{compute_required, required_of, RequiredCols};
 use crate::view_match::build_substitute;
 use cse_algebra::{ColRef, LogicalPlan, PlanContext, Scalar};
-use cse_cost::{CostModel, StatsCatalog};
+use cse_cost::StatsCatalog;
 use cse_diag::Report as VerifyReport;
-use cse_govern::{
-    sites, Budget, BudgetClock, BudgetTrip, CancelToken, DegradationEvent, ExecLimits,
-    FailpointRegistry, Reason, Rung,
-};
-use cse_lint::{lint_batch, LintMode};
-use cse_memo::{explore, ExploreConfig, GroupId, Memo, TableSignature};
-use cse_optimizer::{
-    CseCandidate, CseId, FullPlan, IndexInfo, Optimizer, OptimizerConfig, Substitute,
-};
+use cse_govern::{sites, BudgetTrip, DegradationEvent, Reason, Rung};
+use cse_lint::lint_batch;
+use cse_memo::{explore, GroupId, Memo};
+use cse_optimizer::{CseCandidate, CseId, FullPlan, IndexInfo, Optimizer, Substitute};
 use cse_storage::Catalog;
 use cse_verify::{CandidateAudit, CostAudit, MemberAudit};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Whether `CSE_TRACE` is set: stage timings go to stderr. Read once per
 /// process, not per request.
@@ -57,143 +53,6 @@ fn trace_stage(name: impl std::fmt::Display, since: Instant) {
     if trace_enabled() {
         eprintln!("[cse-trace] {}: {:?}", name, since.elapsed());
     }
-}
-
-/// Pipeline configuration.
-#[derive(Debug, Clone)]
-pub struct CseConfig {
-    /// Master switch: off reproduces the "No CSE" columns of the paper.
-    pub enable_cse: bool,
-    /// Candidate-generation knobs (heuristics on/off, α, β).
-    pub gen: GenConfig,
-    pub explore: ExploreConfig,
-    pub optimizer: OptimizerConfig,
-    pub cost_model: CostModel,
-    /// Cheap-query gate: skip the CSE phase below this baseline cost.
-    pub min_query_cost: f64,
-    /// Detect CSEs over candidate definitions too (§5.5).
-    pub stacked: bool,
-    /// Run the `cse-verify` invariant passes during optimization and fail
-    /// the query on any error-severity diagnostic. Defaults to on in debug
-    /// and test builds, off in release (the audits redo whole-memo work).
-    pub verify: bool,
-    /// Optimization budget (wall-clock deadline, memo and candidate caps).
-    /// Tripping it never fails the query: the pipeline walks the
-    /// degradation ladder (full CSE → capped CSE → baseline) instead.
-    pub budget: Budget,
-    /// Force the baseline rung outright (`--no-cse-fallback-only`): the
-    /// CSE phase is skipped and an `OPT_FORCED` event is recorded. Unlike
-    /// `enable_cse = false`, this *reports* the skip as a degradation.
-    pub fallback_only: bool,
-    /// Where the degradation ladder starts. The serving layer lowers this
-    /// under global memory pressure (Elevated → capped CSE) rather than
-    /// letting a full-sharing plan materialize spools the pool cannot
-    /// hold; a lowered start is recorded as a `MEM_PRESSURE` degradation.
-    pub start_rung: Rung,
-    /// Deterministic fault-injection registry, shared with the engine.
-    /// Disabled unless armed explicitly or via the `CSE_FAIL` env var.
-    pub failpoints: FailpointRegistry,
-    /// Per-statement execution limits, enforced by the engine.
-    pub exec_limits: ExecLimits,
-    /// Cooperative cancellation for the whole request (explicit cancel or
-    /// watchdog deadline). Checked at the pipeline's stage boundaries and,
-    /// via the budget clock, inside the candidate-generation and
-    /// enumeration hot loops. Unlike a budget trip, a cancellation *fails*
-    /// the optimization — a canceled request must stop, not degrade.
-    pub cancel: CancelToken,
-    /// qlint mode (`--lint[=deny]`): run the static analyzer over the SQL
-    /// batch before optimization, report its diagnostics in
-    /// [`CseReport::lint`], and feed proven facts forward (redundant
-    /// conjuncts into covering construction, unsatisfiable statements
-    /// into a constant-FALSE short circuit). `Deny` additionally fails
-    /// the batch on any warning-or-worse diagnostic.
-    pub lint: LintMode,
-}
-
-impl Default for CseConfig {
-    fn default() -> Self {
-        CseConfig {
-            enable_cse: true,
-            gen: GenConfig::default(),
-            explore: ExploreConfig::default(),
-            optimizer: OptimizerConfig::default(),
-            cost_model: CostModel::default(),
-            min_query_cost: 0.0,
-            stacked: true,
-            verify: cfg!(debug_assertions),
-            budget: Budget::unlimited(),
-            fallback_only: false,
-            start_rung: Rung::FullCse,
-            failpoints: FailpointRegistry::from_env(),
-            exec_limits: ExecLimits::none(),
-            cancel: CancelToken::never(),
-            lint: LintMode::Off,
-        }
-    }
-}
-
-impl CseConfig {
-    /// The paper's "No CSE" configuration.
-    pub fn no_cse() -> Self {
-        CseConfig {
-            enable_cse: false,
-            ..Default::default()
-        }
-    }
-
-    /// The paper's "Using CSEs (no heuristics)" configuration.
-    pub fn no_heuristics() -> Self {
-        CseConfig {
-            gen: GenConfig {
-                heuristics: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-    }
-}
-
-/// Diagnostic summary of one candidate.
-#[derive(Debug, Clone)]
-pub struct CandidateSummary {
-    pub id: CseId,
-    pub tables: Vec<String>,
-    pub grouped: bool,
-    pub consumers: usize,
-    pub est_rows: f64,
-    pub est_width: f64,
-}
-
-/// What happened during optimization — the numbers the paper's tables
-/// report.
-#[derive(Debug, Clone, Default)]
-pub struct CseReport {
-    /// Signatures shared by ≥2 expressions (detection output).
-    pub sharable_signatures: usize,
-    /// Candidates given to the optimizer (paper: "# of CSEs").
-    pub candidates: Vec<CandidateSummary>,
-    /// CSE re-optimizations performed (paper: bracketed count).
-    pub cse_optimizations: u32,
-    /// Estimated cost of the plan without CSEs.
-    pub baseline_cost: f64,
-    /// Estimated cost of the final plan.
-    pub final_cost: f64,
-    /// Spools actually used in the final plan.
-    pub spools_used: usize,
-    /// Wall-clock of the normal optimization phases.
-    pub baseline_time: Duration,
-    /// Wall-clock of the whole optimization including the CSE phase.
-    pub total_time: Duration,
-    /// Diagnostics of the `cse-verify` passes (present iff
-    /// [`CseConfig::verify`] was set; clean when the query succeeded).
-    pub verification: Option<VerifyReport>,
-    /// The degradation-ladder rung the plan was produced on.
-    pub rung: Rung,
-    /// Every downgrade recorded on the way (empty in the common case).
-    pub degradations: Vec<DegradationEvent>,
-    /// qlint diagnostics (present iff [`CseConfig::lint`] was enabled and
-    /// the batch came in as SQL text).
-    pub lint: Option<cse_lint::Report>,
 }
 
 /// Optimization output: executable plan, context for the executor, report.
@@ -335,20 +194,6 @@ pub fn optimize_plan(
     optimize_plan_with_facts(catalog, ctx, plan, cfg, cse_memo::ProvenFacts::default())
 }
 
-/// What one ladder rung's CSE phase reads and never changes: the rung's
-/// effective configuration, the catalog's statistics and indexes, the
-/// rung's started budget clock, and the two facts normal optimization left
-/// behind on the explored memo — per-group cost bounds and required
-/// columns, derived once per request and shared by every rung.
-pub struct PhaseCtx<'a> {
-    pub cfg: &'a CseConfig,
-    pub stats: &'a StatsCatalog,
-    pub indexes: &'a IndexInfo,
-    pub clock: &'a BudgetClock,
-    pub bounds: &'a CostBounds,
-    pub required: &'a RequiredCols,
-}
-
 /// What a request has recorded besides its plan: the report handed back to
 /// the caller and, under [`CseConfig::verify`], the verifier's diagnostics
 /// and the pass-5 input. A rung works on a copy and hands it back only on
@@ -360,21 +205,15 @@ struct Findings {
     cost_audit: Option<CostAudit>,
 }
 
-/// An optimizer over one memo state; cost model, switches and indexes are
-/// the request's and do not change between rungs.
+/// An optimizer over one memo state; cost model and indexes are the
+/// request's and do not change between rungs.
 fn optimizer_over<'a>(
     memo: &'a Memo,
     stats: &'a StatsCatalog,
     indexes: &IndexInfo,
     cfg: &CseConfig,
 ) -> Optimizer<'a> {
-    Optimizer::new(
-        memo,
-        stats,
-        cfg.cost_model.clone(),
-        cfg.optimizer.clone(),
-        indexes.clone(),
-    )
+    Optimizer::new(memo, stats, cfg.cost_model.clone(), indexes.clone())
 }
 
 /// [`optimize_plan`] with analyzer-proven facts threaded into the memo
@@ -397,7 +236,7 @@ fn optimize_plan_with_facts(
     cfg.cancel
         .check("pipeline/explored")
         .map_err(abort_message)?;
-    // The explored memo is final from here on: rungs clone it.
+    // The explored memo is final from here on: rungs read it and grow copies.
     let memo = memo;
 
     // Pass 1+2 of the verifier: provenance + signature audit over the
@@ -472,38 +311,46 @@ fn optimize_plan_with_facts(
 
     // Facts of the explored memo every rung shares (normal-phase history,
     // §5.4/§4.3): each group's bound is its winner under the empty CSE set,
-    // which the baseline optimization above already memoized. A group that
-    // exploration left unreachable from the root is costed here for the
-    // first time, so the read sits under the same panic net as the rungs.
+    // which the baseline optimization above already memoized; detection
+    // (Step 1/2: the signature table, the ancestor relation and the
+    // sharable sets) is a read of the same memo. A group that exploration
+    // left unreachable from the root is costed here for the first time, so
+    // the reads sit under the same panic net as the rungs.
     let facts = catch_unwind(AssertUnwindSafe(|| {
         let bounds = CostBounds::new(
             memo.groups()
                 .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
                 .collect(),
         );
-        (bounds, compute_required(&memo, &[root]))
+        let required = compute_required(&memo, &[root]);
+        let t = Instant::now();
+        let manager = CseManager::build(&memo);
+        trace_stage("manager-explored", t);
+        let sharable = manager.sharable_sets();
+        (bounds, required, manager, sharable)
     }));
     // Its winners are read; they must not sit beside the rungs' own.
     drop(normal);
     cfg.cancel.check("pipeline/bounds").map_err(abort_message)?;
-    let (bounds, required) = facts.unwrap_or_else(|payload| {
+    let (bounds, required, manager, sharable) = facts.unwrap_or_else(|payload| {
         found.report.degradations.push(panicked(rung, payload));
         rung = Rung::Baseline;
         Default::default()
     });
+    found.report.sharable_signatures = sharable.len();
 
     // The degradation ladder: run the full CSE phase; if the budget trips,
     // retry with tightened heuristics and hard caps; if that trips too (or
-    // the phase panics), fall back to the baseline plan. Each rung gets its
-    // own clone of the explored memo so a tripped or panicked attempt can
-    // never leak partial mutations into the next one, and the whole phase
-    // runs under `catch_unwind` so an optimizer bug degrades the plan
-    // instead of aborting the process.
+    // the phase panics), fall back to the baseline plan. A rung only reads
+    // the explored memo and mutates its own copy, so a tripped or panicked
+    // attempt can never leak partial mutations into the next one, and the
+    // whole phase runs under `catch_unwind` so an optimizer bug degrades
+    // the plan instead of aborting the process.
     //
     // Unwind-safety audit (re-asserted when `CancelToken` landed): the
     // closure borrows only state that is either consumed by the attempt
-    // (the memo and findings copies), read-only (`stats`, `indexes`,
-    // `bounds`, `required`), or write-once-atomic (the token's cancel flag;
+    // (the findings copy), read-only (the explored memo, `stats`, `indexes`
+    // and the facts above), or write-once-atomic (the token's cancel flag;
     // the failpoint registry's mutex recovers poisoning via `into_inner`).
     // No partially-mutated structure outlives a panicking attempt (the
     // guarded read above mutates only `normal`, dropped right after it), so
@@ -519,9 +366,11 @@ fn optimize_plan_with_facts(
             clock: &clock,
             bounds: &bounds,
             required: &required,
+            manager: &manager,
+            sharable: &sharable,
         };
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            cse_phase(memo.clone(), &phase, &caps, root, found.clone())
+            cse_phase(&memo, &phase, &caps, root, found.clone())
         }));
         match attempt {
             Ok(Ok((plan, done))) => {
@@ -634,13 +483,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One attempt at the CSE phase (Steps 2 + 3) on a private memo clone,
-/// under the rung's started budget clock. Returns the best plan found with
-/// candidates enabled (`None` when no candidate survived; the caller keeps
-/// the baseline unless the plan beats it) with the findings extended by
-/// this attempt, or the budget trip that aborted it.
+/// One attempt at the CSE phase (Steps 2 + 3) under the rung's started
+/// budget clock. Returns the best plan found with candidates enabled
+/// (`None` when no candidate survived; the caller keeps the baseline unless
+/// the plan beats it) with the findings extended by this attempt, or the
+/// budget trip that aborted it.
 fn cse_phase(
-    mut memo: Memo,
+    explored: &Memo,
     ctx: &PhaseCtx,
     caps: &RungCaps,
     root: GroupId,
@@ -653,29 +502,14 @@ fn cse_phase(
         // `catch_unwind` isolation of the ladder, not the trip path.
         panic!("injected failpoint: {}", sites::OPT_CSE_PHASE);
     }
-    clock.check_memo(memo.num_gexprs(), "cse-phase")?;
-
-    // Step 2: detection + candidate generation (phase A). This manager
-    // indexes the explored memo; it stays valid through generation because
-    // construction adds no groups (it only allocates aggregate-output rels).
-    let t = Instant::now();
-    let mgr = CseManager::build(&memo);
-    trace_stage("manager-explored", t);
-    let sets = mgr.sharable_sets();
-    found.report.sharable_signatures = sets.len();
-    let t = Instant::now();
-    let candidates = run_generation(&mut memo, ctx, &mgr, sets, root)?;
-    trace_stage("generation", t);
-    if caps.trip_on_overflow {
-        clock.check_candidates(candidates.len(), "generation")?;
-    }
+    clock.check_memo(explored.num_gexprs(), "cse-phase")?;
 
     // Pass 5 setup: snapshot the claimed per-group bounds and recompute the
-    // winners independently on the *same* memo state (later exploration may
-    // legitimately find cheaper plans, which would make a fresh winner
-    // undercut a bound that was correct when recorded).
+    // winners independently on the memo state they were read from (later
+    // exploration may legitimately find cheaper plans, which would make a
+    // fresh winner undercut a bound that was correct when recorded).
     if cfg.verify {
-        let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, cfg);
+        let mut opt = optimizer_over(explored, ctx.stats, ctx.indexes, cfg);
         let bounds: Vec<(GroupId, f64)> = ctx.bounds.iter().collect();
         found.cost_audit = Some(CostAudit {
             winners: bounds
@@ -685,6 +519,22 @@ fn cse_phase(
             bounds,
             ..Default::default()
         });
+    }
+    if ctx.sharable.is_empty() {
+        return Ok((None, found));
+    }
+
+    // Step 2: candidate generation (phase A) over the sharable sets the
+    // request detected. Construction allocates aggregate-output rels and
+    // the definitions are inserted below, so the rung works on its own copy
+    // from here; the explored manager stays valid through generation
+    // because construction adds no groups.
+    let mut memo = explored.clone();
+    let t = Instant::now();
+    let candidates = run_generation(&mut memo, ctx, root)?;
+    trace_stage("generation", t);
+    if caps.trip_on_overflow {
+        clock.check_candidates(candidates.len(), "generation")?;
     }
     if candidates.is_empty() {
         return Ok((None, found));
@@ -755,7 +605,7 @@ fn cse_phase(
     for (i, (c, def_root)) in registered.iter().enumerate() {
         let id = CseId(i as u32);
         let consumers: Vec<GroupId> = c.cse.members.iter().map(|m| m.group).collect();
-        let lca = least_common_ancestor(&mgr, &consumers);
+        let lca = mgr.least_common_ancestor(&consumers);
         let mut member_matched = vec![false; c.cse.members.len()];
         for (mi, _) in c.cse.members.iter().enumerate() {
             if let Some(s) = build_substitute(&memo, id, &c.cse, mi, &required) {
@@ -909,119 +759,20 @@ fn candidate_audit(
     }
 }
 
-/// Add def-internal consumers to existing candidates (§5.5). A group
-/// inside a definition qualifies when it has the candidate's signature,
-/// aligns onto the anchor rels, *requires* every covering join (its
-/// equivalence classes entail the candidate's join conjuncts), its
-/// predicate implies the covering predicate, and — for grouped candidates
-/// — its keys and aggregates are subsumed by the candidate's.
-fn extend_with_stacked_consumers(
-    memo: &Memo,
-    mgr: &CseManager,
-    registered: &mut [(CostedCandidate, GroupId)],
-) {
-    let mut def_internal: BTreeSet<GroupId> = BTreeSet::new();
-    for (_, d) in registered.iter() {
-        def_internal.extend(memo.descendants(*d));
-    }
-    for (_, d) in registered.iter() {
-        def_internal.remove(d);
-    }
-    for (cand, own_def) in registered.iter_mut() {
-        let own_tree: BTreeSet<GroupId> = memo.descendants(*own_def).into_iter().collect();
-        let groups: Vec<GroupId> = mgr.groups_of(&cand.signature).to_vec();
-        for g in groups {
-            if !def_internal.contains(&g)
-                || own_tree.contains(&g)
-                || cand.cse.members.iter().any(|m| m.group == g)
-            {
-                continue;
-            }
-            let tree = memo.extract_first_tree(g);
-            let normal = match cse_algebra::SpjgNormal::from_plan(&tree) {
-                Some(n) => n,
-                None => continue,
-            };
-            let anchor = &cand.cse.members[0].normal.spj.rels;
-            let alignment = match crate::align::Alignment::new(&memo.ctx, anchor, &normal.spj.rels)
-            {
-                Some(a) => a,
-                None => continue,
-            };
-            let aligned = alignment.normal_form(&normal);
-            let classes = aligned.spj.equiv_classes();
-            let ec = cse_algebra::EquivClasses::from_conjuncts(&aligned.spj.conjuncts);
-            // The consumer must enforce every join the spool applied.
-            let joins_ok = cand.cse.join_conjuncts.iter().all(|j| {
-                j.as_col_eq_col()
-                    .map(|(a, b)| ec.are_equal(a, b))
-                    .unwrap_or(false)
-            });
-            if !joins_ok {
-                continue;
-            }
-            if !cse_algebra::implies(&aligned.spj.predicate(), &cand.cse.covering) {
-                continue;
-            }
-            if let Some((keys, aggs, _)) = &cand.cse.group {
-                let mg = match &aligned.group {
-                    Some(mg) => mg,
-                    None => continue,
-                };
-                if !mg.keys.iter().all(|k| keys.contains(k))
-                    || !mg.aggs.iter().all(|a| aggs.contains(a))
-                {
-                    continue;
-                }
-            } else if aligned.group.is_some() {
-                continue;
-            }
-            // Simplified predicate: conjuncts beyond the covering joins.
-            let implied_by_join = |c: &cse_algebra::Scalar| -> bool {
-                c.as_col_eq_col()
-                    .map(|(a, b)| {
-                        let jec =
-                            cse_algebra::EquivClasses::from_conjuncts(&cand.cse.join_conjuncts);
-                        jec.are_equal(a, b)
-                    })
-                    .unwrap_or(false)
-            };
-            let simplified = cse_algebra::Scalar::and(
-                aligned
-                    .spj
-                    .conjuncts
-                    .iter()
-                    .filter(|c| !implied_by_join(c))
-                    .cloned(),
-            )
-            .normalize();
-            cand.cse.members.push(crate::compat::PreparedConsumer {
-                group: g,
-                normal: aligned,
-                classes,
-                alignment,
-            });
-            cand.cse.simplified.push(simplified);
-        }
-    }
-}
-
 /// Candidate generation over the explored memo's sharable sets: per-set
 /// generation (H1–H3), then H4 across sets.
 fn run_generation(
     memo: &mut Memo,
     ctx: &PhaseCtx,
-    mgr: &CseManager,
-    sets: Vec<(TableSignature, Vec<GroupId>)>,
     root: GroupId,
 ) -> Result<Vec<CostedCandidate>, BudgetTrip> {
     let query_cost = ctx.bounds.lower(root);
     let mut all: Vec<CostedCandidate> = Vec::new();
-    for (sig, consumers) in sets {
+    for (sig, consumers) in ctx.sharable {
         ctx.clock.check_time("generation")?;
         let t = Instant::now();
         let before = all.len();
-        all.extend(generate_for_set(memo, ctx, &sig, &consumers, query_cost)?);
+        all.extend(generate_for_set(memo, ctx, sig, consumers, query_cost)?);
         if trace_enabled() && t.elapsed().as_millis() > 50 {
             trace_stage(
                 format_args!(
@@ -1035,7 +786,7 @@ fn run_generation(
         }
     }
     if ctx.cfg.gen.heuristics {
-        all = h4_prune_contained(mgr, all, ctx.cfg.gen.beta);
+        all = h4_prune_contained(ctx.manager, all, ctx.cfg.gen.beta);
     }
     Ok(all)
 }

@@ -1,0 +1,91 @@
+//! The manager's ancestor matrix against a reference written here: for the
+//! explored memo of every paper batch, and for the same memo grown by
+//! covering-subexpression definitions, `is_ancestor(a, g)` must say exactly
+//! what a naive upward walk over `Group::parents` says.
+
+use cse_bench::workloads;
+use cse_core::{compute_required, construct, partition_compatible, prepare_consumers, CseManager};
+use cse_memo::{explore, ExploreConfig, GroupId, Memo};
+use cse_storage::Catalog;
+use cse_tpch::{generate_catalog, TpchConfig};
+
+/// Reference: every group reachable from `g` through parent expressions,
+/// `g` included.
+fn ancestors_by_walking(memo: &Memo, g: GroupId) -> Vec<bool> {
+    let mut seen = vec![false; memo.num_groups()];
+    let mut stack = vec![g];
+    while let Some(cur) = stack.pop() {
+        if std::mem::replace(&mut seen[cur.0 as usize], true) {
+            continue;
+        }
+        stack.extend(memo.group(cur).parents.iter().map(|&e| memo.group_of(e)));
+    }
+    seen
+}
+
+fn assert_matrix_is_the_walk(memo: &Memo, what: &str) {
+    let mgr = CseManager::build(memo);
+    for g in memo.groups().map(|g| g.id) {
+        let want = ancestors_by_walking(memo, g);
+        for a in memo.groups().map(|a| a.id) {
+            assert_eq!(
+                mgr.is_ancestor(a, g),
+                want[a.0 as usize],
+                "{what}: is {a} above {g}?"
+            );
+        }
+    }
+    // Groups the memo does not hold are related to nothing, themselves
+    // included.
+    let outside = GroupId(memo.num_groups() as u32);
+    assert!(!mgr.is_ancestor(outside, memo.root()));
+    assert!(!mgr.is_ancestor(memo.root(), outside));
+    assert!(!mgr.is_ancestor(outside, outside));
+}
+
+fn explored(catalog: &Catalog, sql: &str) -> Memo {
+    let (ctx, plan) = cse_sql::lower_batch_sql(catalog, sql).expect("lower");
+    let mut memo = Memo::new(ctx);
+    let root = memo.insert_plan(&plan);
+    memo.set_root(root);
+    explore(&mut memo, &ExploreConfig::default());
+    memo
+}
+
+/// Insert one covering definition per join-compatible set (the
+/// no-heuristics candidate set) and explore again, as the CSE phase does.
+fn grow(memo: &mut Memo) {
+    let required = compute_required(memo, &[memo.root()]);
+    for (_, consumers) in CseManager::build(memo).sharable_sets() {
+        let prepared = prepare_consumers(memo, &consumers);
+        for set in partition_compatible(&memo.ctx, prepared) {
+            if set.members.len() < 2 {
+                continue;
+            }
+            if let Some(cse) = construct(memo, set.members, &required) {
+                memo.insert_plan(&cse.plan);
+            }
+        }
+    }
+    explore(memo, &ExploreConfig::default());
+}
+
+#[test]
+fn ancestor_matrix_equals_the_upward_walk_on_the_paper_batches() {
+    let catalog = generate_catalog(&TpchConfig::new(0.001));
+    let mut batches = vec![
+        ("table1".to_string(), workloads::table1_batch()),
+        ("table2".to_string(), workloads::table2_batch()),
+        ("table3".to_string(), workloads::NESTED.to_string()),
+        ("table4".to_string(), workloads::complex_join_batch()),
+    ];
+    batches.extend((2..=10).map(|n| (format!("scaleup{n}"), workloads::scaleup_batch(n))));
+    for (name, sql) in batches {
+        let mut memo = explored(&catalog, &sql);
+        assert_matrix_is_the_walk(&memo, &format!("{name} explored"));
+        let before = memo.num_groups();
+        grow(&mut memo);
+        assert!(memo.num_groups() > before, "{name}: definitions add groups");
+        assert_matrix_is_the_walk(&memo, &format!("{name} grown"));
+    }
+}

@@ -3,15 +3,15 @@
 
 use cse_algebra::{CmpOp, LogicalPlan, PlanContext, Scalar};
 use cse_core::candidates::{
-    cost_candidate, create_candidates, h1_worthwhile, h4_prune_contained, shared_cost, CostBounds,
+    cost_candidate, create_candidates, h1_worthwhile, h4_prune_contained, shared_cost,
 };
 use cse_core::{
-    compute_required, construct, partition_compatible, prepare_consumers, CseConfig, CseManager,
-    PhaseCtx, RequiredCols,
+    compute_required, construct, partition_compatible, prepare_consumers, CostBounds, CseConfig,
+    CseManager, PhaseCtx, RequiredCols,
 };
 use cse_cost::StatsCatalog;
 use cse_govern::BudgetClock;
-use cse_memo::{explore, ExploreConfig, GroupId, Memo};
+use cse_memo::{explore, ExploreConfig, GroupId, Memo, TableSignature};
 use cse_optimizer::IndexInfo;
 use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
 use std::collections::HashMap;
@@ -82,10 +82,13 @@ struct Phase {
     clock: BudgetClock,
     bounds: CostBounds,
     required: RequiredCols,
+    manager: CseManager,
+    sharable: Vec<(TableSignature, Vec<GroupId>)>,
 }
 
 impl Phase {
     fn new(cat: &Catalog, memo: &Memo, bounds: CostBounds) -> Self {
+        let manager = CseManager::build(memo);
         Phase {
             cfg: CseConfig::default(),
             stats: StatsCatalog::from_catalog(cat),
@@ -93,6 +96,8 @@ impl Phase {
             clock: BudgetClock::unlimited(),
             bounds,
             required: compute_required(memo, &[memo.root()]),
+            sharable: manager.sharable_sets(),
+            manager,
         }
     }
 
@@ -104,6 +109,8 @@ impl Phase {
             clock: &self.clock,
             bounds: &self.bounds,
             required: &self.required,
+            manager: &self.manager,
+            sharable: &self.sharable,
         }
     }
 }
@@ -163,7 +170,7 @@ fn h4_discards_contained_candidate_with_larger_result() {
     let cat = catalog(500);
     let (mut memo, consumers) = memo_two_joins(&cat);
     let phase = Phase::new(&cat, &memo, CostBounds::default());
-    let mgr = CseManager::build(&memo);
+    let mgr = &phase.manager;
     let sig = memo.signature_of(consumers[0]).unwrap().clone();
     let prepared = prepare_consumers(&memo, &consumers);
     let cse = construct(&mut memo, prepared, &phase.required).unwrap();
@@ -171,11 +178,11 @@ fn h4_discards_contained_candidate_with_larger_result() {
     // with β=0.9, size_c > 0.9·size_p holds, so one dies.
     let a = cost_candidate(&memo, &phase.ctx(), sig.clone(), cse.clone());
     let b = cost_candidate(&memo, &phase.ctx(), sig, cse);
-    let kept = h4_prune_contained(&mgr, vec![a.clone(), b.clone()], 0.90);
+    let kept = h4_prune_contained(mgr, vec![a.clone(), b.clone()], 0.90);
     assert_eq!(kept.len(), 1, "one of two identical candidates must die");
     // With β above 1.0 nothing dies (a candidate is never bigger than
     // itself times >1).
-    let kept = h4_prune_contained(&mgr, vec![a, b], 1.5);
+    let kept = h4_prune_contained(mgr, vec![a, b], 1.5);
     assert_eq!(kept.len(), 2);
 }
 

@@ -10,29 +10,26 @@ use crate::memo::Memo;
 use crate::op::{GroupExpr, GroupExprId, GroupId, Op};
 use cse_algebra::{AggExpr, AggFunc, ColRef, RelSet, Scalar};
 
-/// Exploration limits and switches.
+/// Exploration limits.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
     /// Hard cap on memo expressions (exploration stops when exceeded).
     pub max_gexprs: usize,
-    /// Enable the eager-aggregation rule.
-    pub enable_eager_agg: bool,
-    /// Largest table count of the pre-aggregated join side. Pre-aggregates
-    /// over wide subsets explode the memo without ever winning (their
-    /// group-bys are huge); the paper's E4/E5-style candidates involve 2-3
-    /// tables.
-    pub max_eager_agg_rels: usize,
 }
 
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
             max_gexprs: 200_000,
-            enable_eager_agg: true,
-            max_eager_agg_rels: 3,
         }
     }
 }
+
+/// Largest table count of the join side eager aggregation pre-aggregates.
+/// Pre-aggregates over wide subsets explode the memo without ever winning
+/// (their group-bys are huge); the paper's E4/E5-style candidates involve
+/// 2-3 tables.
+const MAX_EAGER_AGG_RELS: usize = 3;
 
 /// Exhaustively apply the rules until fixpoint (or the expression cap).
 /// Returns the number of expressions added.
@@ -46,9 +43,7 @@ pub fn explore(memo: &mut Memo, cfg: &ExploreConfig) -> usize {
         let id = GroupExprId(i as u32);
         apply_join_commute(memo, id);
         apply_join_assoc(memo, id);
-        if cfg.enable_eager_agg {
-            apply_eager_agg(memo, id, cfg.max_eager_agg_rels);
-        }
+        apply_eager_agg(memo, id);
         i += 1;
     }
     memo.num_gexprs() - start
@@ -135,7 +130,7 @@ fn apply_join_assoc(memo: &mut Memo, id: GroupExprId) {
 /// needs; the final aggregate re-aggregates partial results (SUM of partial
 /// SUMs / COUNTs, MIN of MINs, ...), which is exactly the rollup the
 /// covering-subexpression consumers use too.
-fn apply_eager_agg(memo: &mut Memo, id: GroupExprId, max_rels: usize) {
+fn apply_eager_agg(memo: &mut Memo, id: GroupExprId) {
     let e = memo.gexpr(id);
     let (keys, aggs, out, child) = match &e.op {
         Op::Aggregate { keys, aggs, out } => (keys.clone(), aggs.clone(), *out, e.children[0]),
@@ -158,7 +153,7 @@ fn apply_eager_agg(memo: &mut Memo, id: GroupExprId, max_rels: usize) {
     let group = memo.group_of(id);
     for (p, l, r) in joins {
         let r_rels = memo.group(r).props.rels;
-        if r_rels.len() > max_rels {
+        if r_rels.len() > MAX_EAGER_AGG_RELS {
             continue;
         }
         // All aggregate arguments must reference only r's rels (CountStar
@@ -349,28 +344,5 @@ mod tests {
         assert!(partial.is_some(), "partial aggregate group missing");
         // And the aggregate's own group gained an eager alternative.
         assert!(memo.group(g).exprs.len() >= 2);
-    }
-
-    #[test]
-    fn eager_agg_disabled() {
-        let (mut ctx, rels) = setup(2);
-        let blk = ctx.new_block();
-        let out = ctx.add_agg_output(&[DataType::Float], blk);
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(chain_join(&rels)),
-            keys: vec![ColRef::new(rels[0], 0)],
-            aggs: vec![AggExpr::sum(Scalar::col(rels[1], 1))],
-            out,
-        };
-        let mut memo = Memo::new(ctx);
-        let g = memo.insert_plan(&plan);
-        explore(
-            &mut memo,
-            &ExploreConfig {
-                enable_eager_agg: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(memo.group(g).exprs.len(), 1);
     }
 }

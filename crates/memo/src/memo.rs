@@ -368,58 +368,6 @@ impl Memo {
             Op::Batch => LogicalPlan::Batch { children },
         }
     }
-
-    /// All groups that are descendants of `g` (including `g`), following
-    /// every expression of every group.
-    pub fn descendants(&self, g: GroupId) -> Vec<GroupId> {
-        let mut seen = vec![false; self.groups.len()];
-        let mut stack = vec![g];
-        let mut out = Vec::new();
-        while let Some(cur) = stack.pop() {
-            if seen[cur.0 as usize] {
-                continue;
-            }
-            seen[cur.0 as usize] = true;
-            out.push(cur);
-            for &eid in &self.group(cur).exprs {
-                for &c in &self.gexpr(eid).children {
-                    stack.push(c);
-                }
-            }
-        }
-        out
-    }
-
-    /// Is `desc` a descendant group of `anc` (or equal)?
-    pub fn is_descendant(&self, desc: GroupId, anc: GroupId) -> bool {
-        self.descendants(anc).contains(&desc)
-    }
-
-    /// Debug rendering of the whole memo.
-    pub fn dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for g in &self.groups {
-            let _ = writeln!(
-                s,
-                "{} rels={} sig={} ({} exprs)",
-                g.id,
-                g.props.rels,
-                g.props
-                    .signature
-                    .as_ref()
-                    .map(|x| x.to_string())
-                    .unwrap_or_else(|| "∅".into()),
-                g.exprs.len()
-            );
-            for &eid in &g.exprs {
-                let e = self.gexpr(eid);
-                let kids: Vec<String> = e.children.iter().map(|c| c.to_string()).collect();
-                let _ = writeln!(s, "  {} [{}]", e.op.name(), kids.join(","));
-            }
-        }
-        s
-    }
 }
 
 /// Convenience: the signature of a group, if any.
@@ -507,16 +455,6 @@ mod tests {
         let n1 = cse_algebra::SpjgNormal::from_plan(&p).unwrap();
         let n2 = cse_algebra::SpjgNormal::from_plan(&t).unwrap();
         assert_eq!(n1.spj, n2.spj);
-    }
-
-    #[test]
-    fn descendants_include_leaves() {
-        let (ctx, rels) = setup3();
-        let mut memo = Memo::new(ctx);
-        let g = memo.insert_plan(&join_plan(&rels));
-        let d = memo.descendants(g);
-        assert_eq!(d.len(), 5); // 3 gets + 2 joins
-        assert!(memo.is_descendant(d[d.len() - 1], g));
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub mod rows;
 pub mod substitute;
 
 pub use dot::to_dot;
-pub use optimizer::{bit, CseMask, IndexInfo, Optimizer, OptimizerConfig, PlanChoice};
+pub use optimizer::{bit, CseMask, IndexInfo, Optimizer, PlanChoice};
 pub use physical::{CseId, FullPlan, PhysicalPlan, ReAgg, SpoolDef};
 pub use rows::GroupRows;
 pub use substitute::{CseCandidate, Substitute, SubstituteReAgg};

@@ -21,15 +21,6 @@ use cse_memo::{GroupId, Memo, Op};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
-/// Optimizer switches.
-#[derive(Debug, Clone, Default)]
-pub struct OptimizerConfig {
-    /// Ablation: charge every CSE's initial cost at final assembly instead
-    /// of at the least common ancestor (§5.2 discusses why the LCA is the
-    /// better placement).
-    pub charge_at_root: bool,
-}
-
 /// Which (table, column ordinal) pairs have a B-tree index.
 #[derive(Debug, Clone, Default)]
 pub struct IndexInfo {
@@ -74,7 +65,6 @@ pub struct Optimizer<'a> {
     pub memo: &'a Memo,
     pub stats: &'a StatsCatalog,
     pub model: CostModel,
-    pub cfg: OptimizerConfig,
     pub indexes: IndexInfo,
     rows: GroupRows<'a>,
     candidates: BTreeMap<CseId, CseCandidate>,
@@ -93,7 +83,6 @@ impl<'a> Optimizer<'a> {
         memo: &'a Memo,
         stats: &'a StatsCatalog,
         model: CostModel,
-        cfg: OptimizerConfig,
         indexes: IndexInfo,
     ) -> Self {
         Optimizer {
@@ -101,7 +90,6 @@ impl<'a> Optimizer<'a> {
             stats,
             rows: GroupRows::new(memo, stats),
             model,
-            cfg,
             indexes,
             candidates: BTreeMap::new(),
             substitutes: HashMap::new(),
@@ -115,18 +103,6 @@ impl<'a> Optimizer<'a> {
     /// Estimated rows of a group (cached logical property).
     pub fn group_rows(&mut self, g: GroupId) -> f64 {
         self.rows.rows(g)
-    }
-
-    /// Estimated row width of a group's output.
-    pub fn group_width(&mut self, g: GroupId) -> f64 {
-        self.rows.width(g)
-    }
-
-    /// Best cost of a group under the empty CSE set (the paper's
-    /// "cost bound" source for the generation heuristics). Optimizes on
-    /// first use.
-    pub fn baseline_cost(&mut self, g: GroupId) -> f64 {
-        self.optimize_group(g, 0).cost
     }
 
     /// Register the candidates and substitutes of the CSE phase. Resets
@@ -147,10 +123,6 @@ impl<'a> Optimizer<'a> {
             self.substitutes.entry(s.consumer).or_default().push(s);
         }
         self.compute_relevant();
-    }
-
-    pub fn candidate(&self, id: CseId) -> Option<&CseCandidate> {
-        self.candidates.get(&id)
     }
 
     /// Propagate "has a consumer below" masks upward through the memo DAG.
@@ -227,7 +199,7 @@ impl<'a> Optimizer<'a> {
             .filter(|c| eff_mask & bit(c.id) != 0 && c.lca == Some(g))
             .map(|c| c.id)
             .collect();
-        if !lca_here.is_empty() && !self.cfg.charge_at_root {
+        if !lca_here.is_empty() {
             let mut kept: Vec<PlanChoice> = Vec::new();
             for mut alt in alts {
                 let mut feasible = true;
@@ -714,7 +686,6 @@ mod tests {
             &memo,
             &stats,
             CostModel::default(),
-            OptimizerConfig::default(),
             IndexInfo::from_catalog(&cat),
         );
         let choice = opt.optimize_group(memo.root(), 0);
@@ -730,7 +701,6 @@ mod tests {
             &memo,
             &stats,
             CostModel::default(),
-            OptimizerConfig::default(),
             IndexInfo::from_catalog(&cat),
         );
         opt.optimize_group(memo.root(), 0);
@@ -748,7 +718,6 @@ mod tests {
             &memo,
             &stats,
             CostModel::default(),
-            OptimizerConfig::default(),
             IndexInfo::from_catalog(&cat),
         );
         let choice = opt.optimize_group(memo.root(), 0);
@@ -768,7 +737,6 @@ mod tests {
             &memo,
             &stats,
             CostModel::default(),
-            OptimizerConfig::default(),
             IndexInfo::from_catalog(&cat),
         );
         let full = opt.optimize_full(memo.root(), 0);

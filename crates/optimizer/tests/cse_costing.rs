@@ -5,9 +5,7 @@
 use cse_algebra::{ColRef, LogicalPlan, PlanContext, Scalar};
 use cse_cost::{CostModel, StatsCatalog};
 use cse_memo::{explore, ExploreConfig, GroupId, Memo};
-use cse_optimizer::{
-    bit, CseCandidate, CseId, IndexInfo, Optimizer, OptimizerConfig, PhysicalPlan, Substitute,
-};
+use cse_optimizer::{bit, CseCandidate, CseId, IndexInfo, Optimizer, PhysicalPlan, Substitute};
 use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
 
 /// Two identical-shape joins (different instances) under a batch root,
@@ -111,12 +109,11 @@ fn fixture(rows: usize) -> Fixture {
     }
 }
 
-fn optimizer<'a>(f: &'a Fixture, cfg: OptimizerConfig) -> Optimizer<'a> {
+fn optimizer(f: &Fixture) -> Optimizer<'_> {
     Optimizer::new(
         &f.memo,
         &f.stats,
         CostModel::default(),
-        cfg,
         IndexInfo::default(),
     )
 }
@@ -124,7 +121,7 @@ fn optimizer<'a>(f: &'a Fixture, cfg: OptimizerConfig) -> Optimizer<'a> {
 #[test]
 fn consumer_is_charged_usage_cost_only() {
     let f = fixture(1000);
-    let mut opt = optimizer(&f, OptimizerConfig::default());
+    let mut opt = optimizer(&f);
     opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
     // Optimizing a consumer *below* the LCA with the candidate enabled:
     // the chosen plan uses the spool and carries an uncharged usage count.
@@ -140,7 +137,7 @@ fn consumer_is_charged_usage_cost_only() {
 #[test]
 fn initial_cost_added_at_lca_with_two_consumers() {
     let f = fixture(1000);
-    let mut opt = optimizer(&f, OptimizerConfig::default());
+    let mut opt = optimizer(&f);
     opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
     let with = opt.optimize_group(f.root, bit(CseId(0)));
     // Both consumers share; the CSE is charged (moved to `charged`).
@@ -158,7 +155,7 @@ fn initial_cost_added_at_lca_with_two_consumers() {
 #[test]
 fn single_consumer_plans_are_discarded() {
     let f = fixture(1000);
-    let mut opt = optimizer(&f, OptimizerConfig::default());
+    let mut opt = optimizer(&f);
     // Register with only ONE substitute: the second consumer cannot use
     // the spool, so any plan would have usage 1 and must be discarded at
     // the LCA in favour of the no-CSE plan.
@@ -177,36 +174,13 @@ fn single_consumer_plans_are_discarded() {
 #[test]
 fn optimize_full_collects_spool_definitions() {
     let f = fixture(1000);
-    let mut opt = optimizer(&f, OptimizerConfig::default());
+    let mut opt = optimizer(&f);
     opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
     let full = opt.optimize_full(f.root, bit(CseId(0)));
     assert_eq!(full.spools.len(), 1);
     let spool = full.spools.get(&CseId(0)).unwrap();
     assert_eq!(spool.layout, f.candidate.output);
     assert_eq!(full.root.cse_reads().get(&CseId(0)), Some(&2));
-}
-
-#[test]
-fn charge_at_root_ablation_reaches_same_decision() {
-    let f = fixture(1000);
-    let lca_cost = {
-        let mut opt = optimizer(&f, OptimizerConfig::default());
-        opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
-        opt.optimize_full(f.root, bit(CseId(0))).cost
-    };
-    let root_cost = {
-        let mut opt = optimizer(
-            &f,
-            OptimizerConfig {
-                charge_at_root: true,
-            },
-        );
-        opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
-        opt.optimize_full(f.root, bit(CseId(0))).cost
-    };
-    // Same final plan for this simple shape — the placement affects search
-    // pruning, not the best cost here.
-    assert!((lca_cost - root_cost).abs() < 1e-6);
 }
 
 #[test]
@@ -221,13 +195,7 @@ fn expensive_spools_are_declined() {
         spool_read_byte: 10.0,
         ..Default::default()
     };
-    let mut opt = Optimizer::new(
-        &f.memo,
-        &f.stats,
-        model,
-        OptimizerConfig::default(),
-        IndexInfo::default(),
-    );
+    let mut opt = Optimizer::new(&f.memo, &f.stats, model, IndexInfo::default());
     opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
     let full = opt.optimize_full(f.root, bit(CseId(0)));
     let baseline = opt.optimize_full(f.root, 0);
@@ -238,7 +206,7 @@ fn expensive_spools_are_declined() {
 #[test]
 fn history_reuse_skips_unrelated_groups() {
     let f = fixture(1000);
-    let mut opt = optimizer(&f, OptimizerConfig::default());
+    let mut opt = optimizer(&f);
     opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
     opt.optimize_group(f.root, 0);
     let after_baseline = opt.group_optimizations;

@@ -260,6 +260,41 @@ fn cse_phase_panic_is_isolated() {
     assert_matches_reference(&out.results, &want, "opt-panic");
 }
 
+/// The phase's entry checks run before its nothing-to-share return: a batch
+/// without any sharable signature still meets the armed failpoint.
+#[test]
+fn cse_phase_panic_is_isolated_when_nothing_is_sharable() {
+    let catalog = catalog();
+    let sql = workloads::no_sharing_batch();
+    let want = reference(&catalog, &sql);
+    let cfg = fail_config(sites::OPT_CSE_PHASE, 1.0);
+    let (opt, out) = governed(&catalog, &sql, &cfg);
+    assert_eq!(opt.report.sharable_signatures, 0);
+    assert_eq!(opt.report.rung, Rung::Baseline);
+    let seen = codes(&opt.report.degradations);
+    assert!(seen.contains(&"OPT_PANIC"), "events: {seen:?}");
+    assert_matches_reference(&out.results, &want, "opt-panic, nothing sharable");
+}
+
+/// Detection belongs to the request, not to a rung: a request whose rungs
+/// all trip reports the sharable signatures it reports untripped.
+#[test]
+fn tripped_rungs_still_report_detection() {
+    let catalog = catalog();
+    let untripped = optimize_sql(&catalog, &batch(), &CseConfig::default()).expect("optimize");
+    assert!(untripped.report.sharable_signatures > 0);
+    let cfg = CseConfig {
+        budget: Budget::with_time_ms(0),
+        ..CseConfig::default()
+    };
+    let tripped = optimize_sql(&catalog, &batch(), &cfg).expect("optimize");
+    assert_eq!(tripped.report.rung, Rung::Baseline);
+    assert_eq!(
+        tripped.report.sharable_signatures,
+        untripped.report.sharable_signatures
+    );
+}
+
 /// Tripped-budget plans must survive the downgrade verifier: a baseline
 /// rung plan contains no covering operators and retains no spools.
 #[test]
