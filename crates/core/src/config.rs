@@ -129,6 +129,10 @@ pub struct CseReport {
     pub candidates: Vec<CandidateSummary>,
     /// CSE re-optimizations performed (paper: bracketed count).
     pub cse_optimizations: u32,
+    /// `optimize_group` cache misses of the normal phases plus those of the
+    /// rung that produced the plan: the size of the search, whatever one
+    /// group optimization costs.
+    pub group_optimizations: u64,
     /// Estimated cost of the plan without CSEs.
     pub baseline_cost: f64,
     /// Estimated cost of the final plan.

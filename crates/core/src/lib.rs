@@ -50,4 +50,4 @@ pub use maintenance::{
 pub use manager::CseManager;
 pub use pipeline::{optimize_plan, optimize_sql, Optimized};
 pub use required::{compute_required, RequiredCols};
-pub use view_match::build_substitute;
+pub use view_match::build_substitutes;

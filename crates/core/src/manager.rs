@@ -131,13 +131,10 @@ impl CseManager {
     }
 }
 
-/// The ancestor matrix of `memo`, via reverse (parent) edges: a group's row
-/// is itself plus the rows of its parent groups. Groups are swept in
-/// parents-before-children order (reverse post-order over child edges), so
-/// the first sweep already is the closure and the second confirms it by
-/// changing nothing; the order only decides how many sweeps run, never
-/// what they converge to.
-fn ancestor_matrix(memo: &Memo, words: usize) -> Vec<u64> {
+/// The memo's groups in parents-before-children order (reverse post-order
+/// over child edges): on an acyclic memo every group comes after all of its
+/// parent groups.
+pub(crate) fn parents_first(memo: &Memo) -> Vec<GroupId> {
     let n = memo.num_groups();
     let children = |g: GroupId| {
         memo.group(g)
@@ -163,6 +160,17 @@ fn ancestor_matrix(memo: &Memo, words: usize) -> Vec<u64> {
         }
     }
     order.reverse();
+    order
+}
+
+/// The ancestor matrix of `memo`, via reverse (parent) edges: a group's row
+/// is itself plus the rows of its parent groups. Groups are swept in
+/// [`parents_first`] order, so the first sweep already is the closure and
+/// the second confirms it by changing nothing; the order only decides how
+/// many sweeps run, never what they converge to.
+fn ancestor_matrix(memo: &Memo, words: usize) -> Vec<u64> {
+    let n = memo.num_groups();
+    let order = parents_first(memo);
 
     let mut bits = vec![0u64; n * words];
     for g in 0..n {

@@ -25,7 +25,7 @@ use crate::config::{CandidateSummary, CostBounds, CseConfig, CseReport, PhaseCtx
 use crate::enumerate::choose_best;
 use crate::manager::CseManager;
 use crate::required::{compute_required, required_of, RequiredCols};
-use crate::view_match::build_substitute;
+use crate::view_match::build_substitutes;
 use cse_algebra::{ColRef, LogicalPlan, PlanContext, Scalar};
 use cse_cost::StatsCatalog;
 use cse_diag::Report as VerifyReport;
@@ -210,10 +210,10 @@ struct Findings {
 fn optimizer_over<'a>(
     memo: &'a Memo,
     stats: &'a StatsCatalog,
-    indexes: &IndexInfo,
-    cfg: &CseConfig,
+    indexes: &'a IndexInfo,
+    cfg: &'a CseConfig,
 ) -> Optimizer<'a> {
-    Optimizer::new(memo, stats, cfg.cost_model.clone(), indexes.clone())
+    Optimizer::new(memo, stats, &cfg.cost_model, indexes)
 }
 
 /// [`optimize_plan`] with analyzer-proven facts threaded into the memo
@@ -265,6 +265,7 @@ fn optimize_plan_with_facts(
             final_cost: baseline.cost,
             baseline_time,
             total_time: baseline_time,
+            group_optimizations: normal.group_optimizations,
             ..Default::default()
         },
         vreport,
@@ -317,12 +318,16 @@ fn optimize_plan_with_facts(
     // left unreachable from the root is costed here for the first time, so
     // the reads sit under the same panic net as the rungs.
     let facts = catch_unwind(AssertUnwindSafe(|| {
+        let t = Instant::now();
         let bounds = CostBounds::new(
             memo.groups()
                 .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
                 .collect(),
         );
+        trace_stage("bounds", t);
+        let t = Instant::now();
         let required = compute_required(&memo, &[root]);
+        trace_stage("required", t);
         let t = Instant::now();
         let manager = CseManager::build(&memo);
         trace_stage("manager-explored", t);
@@ -330,6 +335,7 @@ fn optimize_plan_with_facts(
         (bounds, required, manager, sharable)
     }));
     // Its winners are read; they must not sit beside the rungs' own.
+    found.report.group_optimizations = normal.group_optimizations;
     drop(normal);
     cfg.cancel.check("pipeline/bounds").map_err(abort_message)?;
     let (bounds, required, manager, sharable) = facts.unwrap_or_else(|payload| {
@@ -411,7 +417,11 @@ fn optimize_plan_with_facts(
     found.report.spools_used = final_plan.spools.len();
     found.report.total_time = t_start.elapsed();
 
-    finish(final_plan, memo.ctx.clone(), found, cfg.verify)
+    let done = finish(final_plan, memo.ctx.clone(), found, cfg.verify);
+    let t = Instant::now();
+    drop((bounds, required, manager, sharable, memo));
+    trace_stage("teardown", t);
+    done
 }
 
 /// Per-rung candidate caps derived by [`tighten`].
@@ -529,7 +539,9 @@ fn cse_phase(
     // the definitions are inserted below, so the rung works on its own copy
     // from here; the explored manager stays valid through generation
     // because construction adds no groups.
+    let t = Instant::now();
     let mut memo = explored.clone();
+    trace_stage("memo-clone", t);
     let t = Instant::now();
     let candidates = run_generation(&mut memo, ctx, root)?;
     trace_stage("generation", t);
@@ -590,7 +602,9 @@ fn cse_phase(
 
     let mut roots = vec![root];
     roots.extend(registered.iter().map(|(_, d)| *d));
+    let t = Instant::now();
     let required = compute_required(&memo, &roots);
+    trace_stage("required-grown", t);
 
     // Pass 1+2 again over the grown memo: candidate definitions (and the
     // exploration they triggered) must preserve the same invariants.
@@ -602,17 +616,14 @@ fn cse_phase(
     let mut substitutes: Vec<Substitute> = Vec::new();
     let mut lca_list: Vec<(CseId, Option<GroupId>)> = Vec::new();
     let mut audits: Vec<CandidateAudit> = Vec::new();
+    let t = Instant::now();
     for (i, (c, def_root)) in registered.iter().enumerate() {
         let id = CseId(i as u32);
         let consumers: Vec<GroupId> = c.cse.members.iter().map(|m| m.group).collect();
         let lca = mgr.least_common_ancestor(&consumers);
-        let mut member_matched = vec![false; c.cse.members.len()];
-        for (mi, _) in c.cse.members.iter().enumerate() {
-            if let Some(s) = build_substitute(&memo, id, &c.cse, mi, &required) {
-                substitutes.push(s);
-                member_matched[mi] = true;
-            }
-        }
+        let subs = build_substitutes(&memo, id, &c.cse, &required);
+        let member_matched: Vec<bool> = subs.iter().map(Option::is_some).collect();
+        substitutes.extend(subs.into_iter().flatten());
         let matched = member_matched.iter().filter(|&&m| m).count();
         if cfg.verify {
             audits.push(candidate_audit(id.0, c, &member_matched, &required));
@@ -642,6 +653,7 @@ fn cse_phase(
             lca,
         });
     }
+    trace_stage("substitutes", t);
 
     // Passes 3+4 (+ candidate-level costing sanity) over every constructed
     // candidate, matched or not.
@@ -659,6 +671,12 @@ fn cse_phase(
     let outcome = choose_best(&mut opt, &mgr, root, &lca_list, caps.max_cse_opts, clock)?;
     trace_stage("enumeration", t);
     found.report.cse_optimizations = outcome.optimizations;
+    found.report.group_optimizations += opt.group_optimizations;
+    // The plan owns its trees; the grown memo and every winner go here.
+    let t = Instant::now();
+    drop(opt);
+    drop((mgr, memo));
+    trace_stage("rung-teardown", t);
     Ok((Some(outcome.plan), found))
 }
 

@@ -7,6 +7,7 @@
 //! result of a potential consumer") — and this is what makes Heuristic 2
 //! bite on `SELECT *` consumers.
 
+use crate::manager::parents_first;
 use cse_algebra::{ColRef, Scalar};
 use cse_memo::{GroupId, Memo, Op};
 use std::collections::{BTreeSet, HashMap};
@@ -14,77 +15,82 @@ use std::collections::{BTreeSet, HashMap};
 /// `required[g]` = columns of g's output that some ancestor references.
 pub type RequiredCols = HashMap<GroupId, BTreeSet<ColRef>>;
 
-/// Compute required columns for every group reachable from `roots`,
-/// propagating down through every group expression to a fixpoint.
+/// Compute required columns for every group reachable from `roots`: the
+/// least fixpoint of "a child must provide what its parent expression
+/// references plus what the parent itself must pass up". One sweep in
+/// parents-before-children order over sorted column vectors reaches it; a
+/// child that grows after its own turn (possible only if the memo had a
+/// cycle) asks for another sweep.
 pub fn compute_required(memo: &Memo, roots: &[GroupId]) -> RequiredCols {
-    let mut required: RequiredCols = HashMap::new();
-    // Roots (statement outputs) require their full projection inputs; for
-    // non-Project roots require all output cols.
-    let mut work: Vec<GroupId> = Vec::new();
+    let sorted = |mut cols: Vec<ColRef>| {
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    };
+    // Every group's output columns, sorted; `need[g]` is `None` until some
+    // reached parent (or `roots`) asks group g for anything.
+    let outputs: Vec<Vec<ColRef>> = memo
+        .groups()
+        .map(|g| sorted(g.props.output_cols.clone()))
+        .collect();
+    let mut need: Vec<Option<Vec<ColRef>>> = vec![None; outputs.len()];
+    // Roots (statement outputs) require all their output columns.
     for &r in roots {
-        let all: BTreeSet<ColRef> = memo.group(r).props.output_cols.iter().copied().collect();
-        required.insert(r, all);
-        work.push(r);
+        need[r.0 as usize] = Some(outputs[r.0 as usize].clone());
     }
-    while let Some(g) = work.pop() {
-        let req_g = required.get(&g).cloned().unwrap_or_default();
-        for &eid in &memo.group(g).exprs.clone() {
-            let e = memo.gexpr(eid);
-            // Columns this operator itself consumes from its children.
-            let mut local: BTreeSet<ColRef> = BTreeSet::new();
-            let add_scalar = |s: &Scalar, acc: &mut BTreeSet<ColRef>| {
-                acc.extend(s.columns());
+    let order = parents_first(memo);
+    let mut done = vec![false; outputs.len()];
+    let mut stale = true;
+    while std::mem::take(&mut stale) {
+        done.fill(false);
+        for &g in &order {
+            done[g.0 as usize] = true;
+            let Some(req_g) = need[g.0 as usize].clone() else {
+                continue;
             };
-            match &e.op {
-                Op::Get { .. } => {}
-                Op::Filter { pred } => add_scalar(pred, &mut local),
-                Op::Join { pred } => add_scalar(pred, &mut local),
-                Op::Aggregate { keys, aggs, .. } => {
-                    local.extend(keys.iter().copied());
-                    for a in aggs {
-                        if let Some(arg) = &a.arg {
-                            add_scalar(arg, &mut local);
+            for &eid in &memo.group(g).exprs {
+                let e = memo.gexpr(eid);
+                // What the parents need passed up plus the columns this
+                // operator itself consumes from its children.
+                let mut wanted = req_g.clone();
+                e.op.for_each_scalar(&mut |s: &Scalar| {
+                    s.visit(&mut |n| {
+                        if let Scalar::Col(c) = n {
+                            wanted.push(*c);
                         }
+                    })
+                });
+                if let Op::Aggregate { keys, .. } = &e.op {
+                    wanted.extend_from_slice(keys);
+                }
+                let wanted = sorted(wanted);
+                for &c in &e.children {
+                    let out = &outputs[c.0 as usize];
+                    // Batch children are statement roots: they require all
+                    // their outputs (results are delivered in full).
+                    let ask: Vec<ColRef> = if matches!(e.op, Op::Batch) {
+                        out.clone()
+                    } else {
+                        let has = |col: &&ColRef| out.binary_search(col).is_ok();
+                        wanted.iter().filter(has).copied().collect()
+                    };
+                    let have = &mut need[c.0 as usize];
+                    let known =
+                        |h: &Vec<ColRef>| ask.iter().all(|col| h.binary_search(col).is_ok());
+                    if !have.as_ref().is_some_and(known) {
+                        let have = have.get_or_insert_with(Vec::new);
+                        have.extend(ask);
+                        *have = sorted(std::mem::take(have));
+                        stale |= done[c.0 as usize];
                     }
-                }
-                Op::Project { exprs } => {
-                    for (_, s) in exprs {
-                        add_scalar(s, &mut local);
-                    }
-                }
-                Op::Sort { keys } => {
-                    for (s, _) in keys {
-                        add_scalar(s, &mut local);
-                    }
-                }
-                Op::Batch => {}
-            }
-            for &c in &e.children {
-                let child_cols: BTreeSet<ColRef> =
-                    memo.group(c).props.output_cols.iter().copied().collect();
-                // Child must provide: pass-through requirements it can
-                // supply + the operator's own references into it.
-                let mut need: BTreeSet<ColRef> = req_g
-                    .iter()
-                    .copied()
-                    .filter(|col| child_cols.contains(col))
-                    .collect();
-                need.extend(local.iter().copied().filter(|col| child_cols.contains(col)));
-                // Batch children are statement roots: they require all
-                // their outputs (results are delivered in full).
-                if matches!(e.op, Op::Batch) {
-                    need.extend(child_cols.iter().copied());
-                }
-                let entry = required.entry(c).or_default();
-                let before = entry.len();
-                entry.extend(need);
-                if entry.len() != before || before == 0 {
-                    work.push(c);
                 }
             }
         }
     }
-    required
+    let reached = need.into_iter().enumerate();
+    reached
+        .filter_map(|(g, cols)| Some((GroupId(g as u32), cols?.into_iter().collect())))
+        .collect()
 }
 
 /// The required columns of one group (empty set if never computed).

@@ -17,47 +17,58 @@ use crate::required::{required_of, RequiredCols};
 use cse_algebra::{implies, AggFunc, ColRef, Scalar};
 use cse_memo::Memo;
 use cse_optimizer::{CseId, Substitute, SubstituteReAgg};
+use std::collections::HashMap;
 
-/// Build the substitute rewriting `member` over the CSE's work table.
-pub fn build_substitute(
+/// Build the substitute rewriting each member of `cse` over its work table,
+/// in member order; `None` for a member that does not match.
+pub fn build_substitutes(
     memo: &Memo,
     cse_id: CseId,
     cse: &ConstructedCse,
-    member_index: usize,
+    required: &RequiredCols,
+) -> Vec<Option<Substitute>> {
+    // The CSE plan's rels are exactly the anchor rels.
+    let mut cse_rels: Vec<_> = cse.plan.rels().iter().collect();
+    cse_rels.sort();
+    // Members that differ only in join order share their predicates: each
+    // distinct one is proved against the covering predicate, and reduced to
+    // its compensation, once.
+    let mut covered: HashMap<Scalar, bool> = HashMap::new();
+    let mut compensation: HashMap<&Scalar, Option<Scalar>> = HashMap::new();
+    let members = cse.members.iter().zip(&cse.simplified);
+    members
+        .map(|(member, simplified)| {
+            // Table set must match (guaranteed by same-signature detection).
+            let mut rels = member.normal.spj.rels.clone();
+            rels.sort();
+            // The member's predicate must imply the covering predicate.
+            let proved = covered
+                .entry(member.normal.spj.predicate())
+                .or_insert_with_key(|pred| implies(pred, &cse.covering));
+            if rels != cse_rels || !*proved {
+                return None;
+            }
+            // Compensation: the member's simplified conjuncts not already
+            // guaranteed by the covering predicate.
+            let filter = compensation.entry(simplified).or_insert_with(|| {
+                let mut conjuncts = simplified.conjuncts();
+                conjuncts.retain(|c| !implies(&cse.covering, c));
+                (!conjuncts.is_empty()).then(|| Scalar::and(conjuncts).normalize())
+            });
+            substitute_for(memo, cse_id, cse, member, filter.clone(), required)
+        })
+        .collect()
+}
+
+/// One member's substitute, given its compensation predicate.
+fn substitute_for(
+    memo: &Memo,
+    cse_id: CseId,
+    cse: &ConstructedCse,
+    member: &PreparedConsumer,
+    filter: Option<Scalar>,
     required: &RequiredCols,
 ) -> Option<Substitute> {
-    let member: &PreparedConsumer = cse.members.get(member_index)?;
-    let simplified = cse.simplified.get(member_index)?;
-
-    // Table set must match (guaranteed by same-signature detection).
-    if member.normal.spj.rels != cse.plan.rels().iter().collect::<Vec<_>>() {
-        // The CSE plan's rels include exactly the anchor rels.
-        let mut cse_rels: Vec<_> = cse.plan.rels().iter().collect();
-        cse_rels.sort();
-        let mut m_rels = member.normal.spj.rels.clone();
-        m_rels.sort();
-        if cse_rels != m_rels {
-            return None;
-        }
-    }
-    // The member's predicate must imply the covering predicate.
-    if !implies(&member.normal.spj.predicate(), &cse.covering) {
-        return None;
-    }
-
-    // Compensation: the member's simplified conjuncts not already
-    // guaranteed by the covering predicate.
-    let comp_conjuncts: Vec<Scalar> = simplified
-        .conjuncts()
-        .into_iter()
-        .filter(|c| !implies(&cse.covering, c))
-        .collect();
-    let filter = if comp_conjuncts.is_empty() {
-        None
-    } else {
-        Some(Scalar::and(comp_conjuncts).normalize())
-    };
-
     match (&member.normal.group, &cse.group) {
         (Some(mg), Some((cse_keys, cse_aggs, cse_out))) => {
             // Grouped consumer over grouped CSE: roll up.
@@ -224,8 +235,8 @@ mod tests {
         let cse = construct(&mut memo, groups[0].members.clone(), &required).unwrap();
         // The < 20 member's compensation... member 0 is < 10 (covering is
         // the hull < 20, so member 0 keeps its filter, member 1 may not).
-        let s0 = build_substitute(&memo, CseId(0), &cse, 0, &required).unwrap();
-        let s1 = build_substitute(&memo, CseId(0), &cse, 1, &required).unwrap();
+        let mut subs = build_substitutes(&memo, CseId(0), &cse, &required).into_iter();
+        let (s0, s1) = (subs.next().unwrap().unwrap(), subs.next().unwrap().unwrap());
         // Exactly one of them needs no compensation (the wider range).
         assert!(s0.filter.is_some() ^ s1.filter.is_some());
         assert!(!s0.output_map.is_empty());
@@ -244,7 +255,9 @@ mod tests {
         let anchor_rels = prepared[0].normal.spj.rels.clone();
         let groups = partition_compatible(&memo.ctx, prepared);
         let cse = construct(&mut memo, groups[0].members.clone(), &required).unwrap();
-        let s1 = build_substitute(&memo, CseId(0), &cse, 1, &required).unwrap();
+        let s1 = build_substitutes(&memo, CseId(0), &cse, &required)
+            .remove(1)
+            .unwrap();
         // Every defining expression references anchor rels only.
         for (_, e) in &s1.output_map {
             for c in e.columns() {

@@ -1,13 +1,16 @@
-//! The manager's ancestor matrix against a reference written here: for the
-//! explored memo of every paper batch, and for the same memo grown by
-//! covering-subexpression definitions, `is_ancestor(a, g)` must say exactly
-//! what a naive upward walk over `Group::parents` says.
+//! The memo sweeps against references written here: for the explored memo
+//! of every paper batch, and for the same memo grown by covering-
+//! subexpression definitions, `is_ancestor(a, g)` must say exactly what a
+//! naive upward walk over `Group::parents` says, and `compute_required`
+//! must return exactly the sets a naive edge-by-edge fixpoint reaches.
 
+use cse_algebra::ColRef;
 use cse_bench::workloads;
 use cse_core::{compute_required, construct, partition_compatible, prepare_consumers, CseManager};
-use cse_memo::{explore, ExploreConfig, GroupId, Memo};
+use cse_memo::{explore, ExploreConfig, GroupId, Memo, Op};
 use cse_storage::Catalog;
 use cse_tpch::{generate_catalog, TpchConfig};
+use std::collections::{BTreeSet, HashMap};
 
 /// Reference: every group reachable from `g` through parent expressions,
 /// `g` included.
@@ -43,6 +46,44 @@ fn assert_matrix_is_the_walk(memo: &Memo, what: &str) {
     assert!(!mgr.is_ancestor(outside, outside));
 }
 
+/// Reference: relax every (expression, child) edge of every reached group
+/// until nothing changes.
+fn required_by_relaxation(memo: &Memo, roots: &[GroupId]) -> HashMap<GroupId, BTreeSet<ColRef>> {
+    let outputs = |g: GroupId| -> BTreeSet<ColRef> {
+        memo.group(g).props.output_cols.iter().copied().collect()
+    };
+    let mut required: HashMap<GroupId, BTreeSet<ColRef>> =
+        roots.iter().map(|&r| (r, outputs(r))).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for g in memo.groups() {
+            let Some(passed_up) = required.get(&g.id).cloned() else {
+                continue;
+            };
+            for &eid in &g.exprs {
+                let e = memo.gexpr(eid);
+                let mut wanted = passed_up.clone();
+                e.op.for_each_scalar(&mut |s| wanted.extend(s.columns()));
+                if let Op::Aggregate { keys, .. } = &e.op {
+                    wanted.extend(keys);
+                }
+                for &c in &e.children {
+                    let need: BTreeSet<ColRef> = match e.op {
+                        Op::Batch => outputs(c),
+                        _ => wanted.intersection(&outputs(c)).copied().collect(),
+                    };
+                    changed |= !required.contains_key(&c);
+                    let have = required.entry(c).or_default();
+                    changed |= !need.is_subset(have);
+                    have.extend(need);
+                }
+            }
+        }
+    }
+    required
+}
+
 fn explored(catalog: &Catalog, sql: &str) -> Memo {
     let (ctx, plan) = cse_sql::lower_batch_sql(catalog, sql).expect("lower");
     let mut memo = Memo::new(ctx);
@@ -71,7 +112,7 @@ fn grow(memo: &mut Memo) {
 }
 
 #[test]
-fn ancestor_matrix_equals_the_upward_walk_on_the_paper_batches() {
+fn memo_sweeps_equal_their_references_on_the_paper_batches() {
     let catalog = generate_catalog(&TpchConfig::new(0.001));
     let mut batches = vec![
         ("table1".to_string(), workloads::table1_batch()),
@@ -83,9 +124,28 @@ fn ancestor_matrix_equals_the_upward_walk_on_the_paper_batches() {
     for (name, sql) in batches {
         let mut memo = explored(&catalog, &sql);
         assert_matrix_is_the_walk(&memo, &format!("{name} explored"));
-        let before = memo.num_groups();
+        let root = memo.root();
+        assert_eq!(
+            compute_required(&memo, &[root]),
+            required_by_relaxation(&memo, &[root]),
+            "{name} explored"
+        );
+        let before = memo.num_groups() as u32;
         grow(&mut memo);
-        assert!(memo.num_groups() > before, "{name}: definitions add groups");
+        assert!(
+            memo.num_groups() as u32 > before,
+            "{name}: definitions add groups"
+        );
         assert_matrix_is_the_walk(&memo, &format!("{name} grown"));
+        // Every group the definitions added as a root beside the batch's:
+        // more roots than the CSE phase uses, the same equations.
+        let roots: Vec<GroupId> = std::iter::once(root)
+            .chain((before..memo.num_groups() as u32).map(GroupId))
+            .collect();
+        assert_eq!(
+            compute_required(&memo, &roots),
+            required_by_relaxation(&memo, &roots),
+            "{name} grown"
+        );
     }
 }

@@ -4,7 +4,9 @@
 use crate::op::{GroupExpr, GroupExprId, GroupId, Op};
 use crate::signature::{compute_signature, TableSignature};
 use cse_algebra::{AggExpr, BlockId, ColRef, LogicalPlan, PlanContext, RelSet, Scalar};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
 /// Facts *proven* by a front-end analyzer (qlint) and threaded through
 /// the memo so construction can consult them without plumbing a parameter
@@ -67,7 +69,11 @@ pub struct Memo {
     groups: Vec<Group>,
     gexprs: Vec<GroupExpr>,
     gexpr_group: Vec<GroupId>,
-    dedup: HashMap<String, GroupExprId>,
+    /// Duplicate detection: structural hash -> the latest expression with
+    /// that hash; `same_hash[e]` links to the one before it (`NONE` ends the
+    /// chain). Candidates are confirmed against the arena.
+    dedup: HashMap<u64, GroupExprId>,
+    same_hash: Vec<GroupExprId>,
     /// Deterministic synthetic-out allocation for exploration-created
     /// partial aggregates: (child group, keys, aggs) -> out rel.
     agg_out_cache: HashMap<String, cse_algebra::RelId>,
@@ -77,6 +83,9 @@ pub struct Memo {
     pub facts: ProvenFacts,
 }
 
+/// End of a `same_hash` chain.
+const NONE: GroupExprId = GroupExprId(u32::MAX);
+
 impl Memo {
     pub fn new(ctx: PlanContext) -> Self {
         Memo {
@@ -85,6 +94,7 @@ impl Memo {
             gexprs: Vec::new(),
             gexpr_group: Vec::new(),
             dedup: HashMap::new(),
+            same_hash: Vec::new(),
             agg_out_cache: HashMap::new(),
             root: None,
             facts: ProvenFacts::default(),
@@ -132,9 +142,24 @@ impl Memo {
         e: GroupExpr,
         target: Option<GroupId>,
     ) -> (GroupExprId, GroupId, bool) {
-        let key = e.dedup_key();
-        if let Some(&id) = self.dedup.get(&key) {
-            return (id, self.gexpr_group[id.0 as usize], false);
+        let mut h = DefaultHasher::new();
+        e.hash(&mut h);
+        self.add_gexpr_hashed(e, target, h.finish())
+    }
+
+    fn add_gexpr_hashed(
+        &mut self,
+        e: GroupExpr,
+        target: Option<GroupId>,
+        hash: u64,
+    ) -> (GroupExprId, GroupId, bool) {
+        let head = self.dedup.get(&hash).copied().unwrap_or(NONE);
+        let mut at = head;
+        while at != NONE {
+            if self.gexprs[at.0 as usize].same_as(&e) {
+                return (at, self.gexpr_group[at.0 as usize], false);
+            }
+            at = self.same_hash[at.0 as usize];
         }
         let gid = match target {
             Some(g) => g,
@@ -146,8 +171,9 @@ impl Memo {
         }
         self.gexprs.push(e);
         self.gexpr_group.push(gid);
+        self.same_hash.push(head);
         self.groups[gid.0 as usize].exprs.push(id);
-        self.dedup.insert(key, id);
+        self.dedup.insert(hash, id);
         (id, gid, true)
     }
 
@@ -429,6 +455,33 @@ mod tests {
         let g2 = memo.insert_plan(&p);
         assert_eq!(g1, g2);
         assert_eq!(memo.num_gexprs(), before);
+    }
+
+    #[test]
+    fn identity_is_the_expression_not_its_hash() {
+        use cse_storage::Value;
+        let (ctx, rels) = setup3();
+        let mut memo = Memo::new(ctx);
+        let get = memo.insert_plan(&LogicalPlan::get(rels[0]));
+        let filter = |v: Value| {
+            let pred = Scalar::eq(Scalar::col(rels[0], 1), Scalar::lit(v));
+            GroupExpr::new(Op::Filter { pred }, vec![get])
+        };
+        // `Int(1) == Float(1.0)` under `Value`'s total order, and they hash
+        // alike: `x = 1` and `x = 1.0` still stay two expressions.
+        let (int_id, _, new) = memo.add_gexpr(filter(Value::Int(1)), None);
+        assert!(new);
+        let (float_id, _, new) = memo.add_gexpr(filter(Value::Float(1.0)), None);
+        assert!(new && float_id != int_id);
+        // Two different expressions forced into one bucket get two ids.
+        let (a, _, new_a) = memo.add_gexpr_hashed(filter(Value::Int(2)), None, 7);
+        let (b, _, new_b) = memo.add_gexpr_hashed(filter(Value::Int(3)), None, 7);
+        assert!(new_a && new_b && a != b);
+        // Re-inserting any of them finds the old id.
+        assert_eq!(memo.add_gexpr_hashed(filter(Value::Int(2)), None, 7).0, a);
+        assert_eq!(memo.add_gexpr_hashed(filter(Value::Int(3)), None, 7).0, b);
+        assert_eq!(memo.add_gexpr(filter(Value::Int(1)), None).0, int_id);
+        assert_eq!(memo.add_gexpr(filter(Value::Float(1.0)), None).0, float_id);
     }
 
     #[test]

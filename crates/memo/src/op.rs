@@ -5,7 +5,7 @@ use std::fmt;
 
 /// A memo-resident logical operator. Children are group references held by
 /// the enclosing [`GroupExpr`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Base-table (or delta-table) instance scan.
     Get { rel: RelId },
@@ -50,6 +50,17 @@ impl Op {
             Op::Batch => "Batch",
         }
     }
+
+    /// Every scalar expression of the payload, in a fixed order.
+    pub fn for_each_scalar<'a>(&'a self, f: &mut impl FnMut(&'a Scalar)) {
+        match self {
+            Op::Get { .. } | Op::Batch => {}
+            Op::Filter { pred } | Op::Join { pred } => f(pred),
+            Op::Aggregate { aggs, .. } => aggs.iter().filter_map(|a| a.arg.as_ref()).for_each(f),
+            Op::Project { exprs } => exprs.iter().for_each(|(_, s)| f(s)),
+            Op::Sort { keys } => keys.iter().for_each(|(s, _)| f(s)),
+        }
+    }
 }
 
 /// Identifier of a group in the memo.
@@ -67,7 +78,9 @@ impl fmt::Display for GroupId {
 pub struct GroupExprId(pub u32);
 
 /// A single operator referencing child groups: the memo's unit of sharing.
-#[derive(Debug, Clone, PartialEq)]
+/// `Hash` and `==` find the memo's duplicates; `==` alone is too coarse for
+/// that (see [`GroupExpr::same_as`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupExpr {
     pub op: Op,
     pub children: Vec<GroupId>,
@@ -78,12 +91,24 @@ impl GroupExpr {
         GroupExpr { op, children }
     }
 
-    /// Stable dedup key. `Op` contains f64 literals (via `Value`), which
-    /// have `PartialEq` but not `Eq`/`Hash`; keying on the debug rendering
-    /// of the normalized payload sidesteps that while remaining
-    /// deterministic.
-    pub fn dedup_key(&self) -> String {
-        format!("{:?}|{:?}", self.op, self.children)
+    /// The memo's identity: equal, and every literal stored the same way.
+    /// `Value`'s `==` is its total order, under which `Int(1)` and
+    /// `Float(1.0)` are equal; the memo never merged `x = 1` with `x = 1.0`
+    /// and does not start to. Equal expressions have one shape, so their
+    /// literals pair up in traversal order.
+    pub fn same_as(&self, other: &GroupExpr) -> bool {
+        let kinds = |e: &GroupExpr| {
+            let mut out = Vec::new();
+            e.op.for_each_scalar(&mut |s| {
+                s.visit(&mut |n| {
+                    if let Scalar::Lit(v) = n {
+                        out.push(std::mem::discriminant(v));
+                    }
+                })
+            });
+            out
+        };
+        self == other && kinds(self) == kinds(other)
     }
 }
 
@@ -105,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn dedup_key_distinguishes_children() {
+    fn identity_distinguishes_children() {
         let a = GroupExpr::new(
             Op::Join {
                 pred: Scalar::true_(),
@@ -118,8 +143,7 @@ mod tests {
             },
             vec![GroupId(1), GroupId(0)],
         );
-        assert_ne!(a.dedup_key(), b.dedup_key());
-        let a2 = a.clone();
-        assert_eq!(a.dedup_key(), a2.dedup_key());
+        assert!(!a.same_as(&b));
+        assert!(a.same_as(&a.clone()));
     }
 }

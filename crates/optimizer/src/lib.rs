@@ -3,7 +3,9 @@
 //! Cost-based physical optimization over the memo: implementation rules
 //! (scans, hash/NL joins, hash aggregation, index range scans), enabled-CSE
 //! sets as required properties, least-common-ancestor spool costing, and
-//! full-plan assembly with transitive (stacked) spool collection.
+//! full-plan assembly with transitive (stacked) spool collection. The
+//! search costs winners by reference to their children; operator trees are
+//! extracted once per returned plan.
 
 pub mod dot;
 pub mod optimizer;
@@ -12,7 +14,7 @@ pub mod rows;
 pub mod substitute;
 
 pub use dot::to_dot;
-pub use optimizer::{bit, CseMask, IndexInfo, Optimizer, PlanChoice};
+pub use optimizer::{bit, CseMask, IndexInfo, Optimizer, PlanChoice, Usage};
 pub use physical::{CseId, FullPlan, PhysicalPlan, ReAgg, SpoolDef};
 pub use rows::GroupRows;
 pub use substitute::{CseCandidate, Substitute, SubstituteReAgg};

@@ -11,14 +11,19 @@
 //! C_R; the initial cost C_E + C_W is added at the least common ancestor
 //! group of the candidate's consumers, where plans with a single consumer
 //! are discarded.
+//!
+//! The search only costs: a memoized winner records its cost, its spool
+//! bookkeeping and *how it is built* — a group expression over its
+//! children's winners — and the operator tree is built by one extraction
+//! per returned plan ([`Optimizer::optimize_full`]).
 
 use crate::physical::{CseId, FullPlan, PhysicalPlan, ReAgg, SpoolDef};
 use crate::rows::GroupRows;
 use crate::substitute::{CseCandidate, Substitute};
 use cse_algebra::{ColRef, Scalar};
 use cse_cost::{CostModel, Selectivity, StatsCatalog};
-use cse_memo::{GroupId, Memo, Op};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use cse_memo::{GroupExpr, GroupExprId, GroupId, Memo, Op};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 /// Which (table, column ordinal) pairs have a B-tree index.
@@ -41,16 +46,62 @@ impl IndexInfo {
     }
 }
 
-/// An optimized (sub)plan with its cost and CSE bookkeeping.
+/// An optimized (sub)plan: its cost, its CSE bookkeeping and how it is
+/// built. The operator tree is [`Optimizer::extract`]'s to build.
 #[derive(Debug, Clone)]
 pub struct PlanChoice {
-    pub plan: PhysicalPlan,
     pub cost: f64,
     pub rows: f64,
-    /// Uncharged spool reads below this plan, per CSE.
-    pub usage: BTreeMap<CseId, u32>,
+    /// Uncharged spool reads below this plan.
+    pub usage: Usage,
     /// CSEs whose initial cost has already been added (at their LCA).
-    pub charged: BTreeSet<CseId>,
+    pub charged: CseMask,
+    build: Build,
+}
+
+#[derive(Debug, Clone)]
+enum Build {
+    /// A finished leaf: `IndexRangeScan` or `CseRead`.
+    Leaf(PhysicalPlan),
+    /// A group expression over its children's winners.
+    Expr(GroupExprId, Vec<Rc<PlanChoice>>),
+}
+
+/// Spool reads per CSE, indexed by `CseId.0`; a missing entry reads as 0.
+#[derive(Debug, Clone, Default)]
+pub struct Usage(Vec<u32>);
+
+impl Usage {
+    pub fn get(&self, id: CseId) -> u32 {
+        self.0.get(id.0 as usize).copied().unwrap_or(0)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.iter().all(|&n| n == 0)
+    }
+
+    /// The CSEs read at least once with their counts, ascending by id.
+    pub fn iter(&self) -> impl Iterator<Item = (CseId, u32)> + '_ {
+        let counts = self.0.iter().enumerate().filter(|(_, &n)| n > 0);
+        counts.map(|(i, &n)| (CseId(i as u32), n))
+    }
+
+    fn add(&mut self, id: CseId, n: u32) {
+        let i = id.0 as usize;
+        if self.0.len() <= i {
+            self.0.resize(i + 1, 0);
+        }
+        self.0[i] += n;
+    }
+
+    fn merge(&mut self, other: &Usage) {
+        other.iter().for_each(|(id, n)| self.add(id, n));
+    }
+
+    /// Remove and return one CSE's count.
+    fn take(&mut self, id: CseId) -> u32 {
+        self.0.get_mut(id.0 as usize).map_or(0, std::mem::take)
+    }
 }
 
 /// Bitmask over candidate CSE ids (at most 64 candidates per phase, which
@@ -61,18 +112,26 @@ pub fn bit(id: CseId) -> CseMask {
     1u64 << id.0
 }
 
+/// The ids in a mask, ascending.
+fn ids(mask: CseMask) -> impl Iterator<Item = CseId> {
+    (0..64).filter(move |i| mask >> i & 1 == 1).map(CseId)
+}
+
 pub struct Optimizer<'a> {
     pub memo: &'a Memo,
     pub stats: &'a StatsCatalog,
-    pub model: CostModel,
-    pub indexes: IndexInfo,
+    pub model: &'a CostModel,
+    pub indexes: &'a IndexInfo,
     rows: GroupRows<'a>,
     candidates: BTreeMap<CseId, CseCandidate>,
     substitutes: HashMap<GroupId, Vec<Substitute>>,
     /// Per group: mask of CSEs with a consumer at or below the group.
     relevant: HashMap<GroupId, CseMask>,
+    /// Per group: mask of CSEs whose least common ancestor it is.
+    lca_at: HashMap<GroupId, CseMask>,
+    /// Per join expression: (has equi-keys, has residual conjuncts).
+    join_shape: HashMap<GroupExprId, (bool, bool)>,
     cache: HashMap<(GroupId, CseMask), Rc<PlanChoice>>,
-    def_cache: HashMap<(CseId, CseMask), Rc<PlanChoice>>,
     /// Number of `optimize_group` invocations that missed the cache —
     /// a proxy for optimization work, reported by the benchmarks.
     pub group_optimizations: u64,
@@ -82,8 +141,8 @@ impl<'a> Optimizer<'a> {
     pub fn new(
         memo: &'a Memo,
         stats: &'a StatsCatalog,
-        model: CostModel,
-        indexes: IndexInfo,
+        model: &'a CostModel,
+        indexes: &'a IndexInfo,
     ) -> Self {
         Optimizer {
             memo,
@@ -94,8 +153,9 @@ impl<'a> Optimizer<'a> {
             candidates: BTreeMap::new(),
             substitutes: HashMap::new(),
             relevant: HashMap::new(),
+            lca_at: HashMap::new(),
+            join_shape: HashMap::new(),
             cache: HashMap::new(),
-            def_cache: HashMap::new(),
             group_optimizations: 0,
         }
     }
@@ -105,9 +165,9 @@ impl<'a> Optimizer<'a> {
         self.rows.rows(g)
     }
 
-    /// Register the candidates and substitutes of the CSE phase. Resets
-    /// CSE-dependent caches (baseline entries with mask 0 stay valid and
-    /// are kept — that is the §5.4 history reuse).
+    /// Register the candidates and substitutes of the CSE phase. Winners
+    /// under the empty mask stay valid and are kept — that is the §5.4
+    /// history reuse.
     pub fn register_candidates(
         &mut self,
         candidates: Vec<CseCandidate>,
@@ -122,11 +182,18 @@ impl<'a> Optimizer<'a> {
         for s in substitutes {
             self.substitutes.entry(s.consumer).or_default().push(s);
         }
+        self.lca_at.clear();
+        for c in self.candidates.values() {
+            if let Some(lca) = c.lca {
+                *self.lca_at.entry(lca).or_insert(0) |= bit(c.id);
+            }
+        }
         self.compute_relevant();
     }
 
     /// Propagate "has a consumer below" masks upward through the memo DAG.
     fn compute_relevant(&mut self) {
+        let memo = self.memo;
         let mut relevant: HashMap<GroupId, CseMask> = HashMap::new();
         // Seed with consumers.
         for (id, cand) in &self.candidates {
@@ -138,14 +205,8 @@ impl<'a> Optimizer<'a> {
         let mut work: Vec<GroupId> = relevant.keys().copied().collect();
         while let Some(g) = work.pop() {
             let mask = relevant.get(&g).copied().unwrap_or(0);
-            let parents: Vec<GroupId> = self
-                .memo
-                .group(g)
-                .parents
-                .iter()
-                .map(|&eid| self.memo.group_of(eid))
-                .collect();
-            for p in parents {
+            for &eid in &memo.group(g).parents {
+                let p = memo.group_of(eid);
                 let cur = relevant.entry(p).or_insert(0);
                 if *cur | mask != *cur {
                     *cur |= mask;
@@ -167,72 +228,46 @@ impl<'a> Optimizer<'a> {
             return c.clone();
         }
         self.group_optimizations += 1;
+        let memo = self.memo;
+        let out_rows = self.group_rows(g);
         let mut alts: Vec<PlanChoice> = Vec::new();
-        let exprs = self.memo.group(g).exprs.clone();
-        for eid in exprs {
-            let e = self.memo.gexpr(eid).clone();
-            alts.extend(self.implement_expr(g, &e, mask));
+        for &eid in &memo.group(g).exprs {
+            self.implement_expr(eid, out_rows, mask, &mut alts);
         }
         // View-matching substitutes for enabled candidates (§5.1: the rule
         // is enabled only for registered consumer expressions).
-        let subs: Vec<Substitute> = self
-            .substitutes
-            .get(&g)
-            .map(|v| {
-                v.iter()
-                    .filter(|s| eff_mask & bit(s.cse) != 0)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        for s in subs {
-            if let Some(alt) = self.implement_cse_read(g, &s) {
-                alts.push(alt);
+        for s in self.substitutes.get(&g).into_iter().flatten() {
+            if eff_mask & bit(s.cse) != 0 {
+                alts.extend(self.implement_cse_read(out_rows, s));
             }
         }
         // LCA handling (§5.2): candidates whose least common ancestor is
         // this group get their initial cost added here, and single-consumer
         // plans are discarded.
-        let lca_here: Vec<CseId> = self
-            .candidates
-            .values()
-            .filter(|c| eff_mask & bit(c.id) != 0 && c.lca == Some(g))
-            .map(|c| c.id)
-            .collect();
-        if !lca_here.is_empty() {
+        let lca_here = eff_mask & self.lca_at.get(&g).copied().unwrap_or(0);
+        if lca_here != 0 {
             let mut kept: Vec<PlanChoice> = Vec::new();
-            for mut alt in alts {
-                let mut feasible = true;
-                for &e in &lca_here {
-                    match alt.usage.get(&e).copied().unwrap_or(0) {
+            'alt: for mut alt in alts {
+                for e in ids(lca_here) {
+                    match alt.usage.take(e) {
                         0 => {}
-                        1 => {
-                            feasible = false;
-                            break;
-                        }
+                        1 => continue 'alt,
                         _ => {
-                            let (init, def) = self.init_cost(e, mask);
-                            alt.cost += init;
-                            alt.usage.remove(&e);
-                            alt.charged.insert(e);
                             // Stacked reads inside the definition surface
                             // at this level.
-                            for (k, v) in def.usage.iter() {
-                                *alt.usage.entry(*k).or_insert(0) += v;
-                            }
-                            alt.charged.extend(def.charged.iter().copied());
+                            let (init, def) = self.init_cost(e, mask);
+                            alt.cost += init;
+                            alt.charged |= bit(e) | def.charged;
+                            alt.usage.merge(&def.usage);
                         }
                     }
                 }
-                if feasible {
-                    kept.push(alt);
-                }
+                kept.push(alt);
             }
             alts = kept;
             // Always compare against (and fall back to) the plan that does
             // not use these candidates at all.
-            let without_mask = lca_here.iter().fold(mask, |m, e| m & !bit(*e));
-            let without = self.optimize_group(g, without_mask);
+            let without = self.optimize_group(g, mask & !lca_here);
             alts.push((*without).clone());
         }
         let best = alts
@@ -247,214 +282,79 @@ impl<'a> Optimizer<'a> {
     /// C_E + C_W of a candidate under `mask` (E itself excluded), plus the
     /// definition's plan choice for stacked-usage propagation.
     fn init_cost(&mut self, e: CseId, mask: CseMask) -> (f64, Rc<PlanChoice>) {
-        let cand = self.candidates.get(&e).expect("unknown candidate").clone();
-        let sub_mask = (mask & !bit(e)) & self.relevant_mask(cand.def_root);
-        let def = if let Some(d) = self.def_cache.get(&(e, sub_mask)) {
-            d.clone()
-        } else {
-            let d = self.optimize_group(cand.def_root, sub_mask);
-            self.def_cache.insert((e, sub_mask), d.clone());
-            d
-        };
+        let cand = self.candidates.get(&e).expect("unknown candidate");
         let cw = self.model.spool_write(cand.est_rows, cand.est_width);
+        // The definition sees only the candidates relevant to it; its
+        // winner is memoized like any group's.
+        let def_root = cand.def_root;
+        let def = self.optimize_group(def_root, mask & !bit(e) & self.relevant_mask(def_root));
         (def.cost + cw, def)
     }
 
-    fn selectivity(&self, pred: &Scalar) -> f64 {
-        Selectivity::new(&self.memo.ctx, self.stats).of(pred)
-    }
-
-    /// Implement one group expression physically. Returns zero or more
-    /// alternatives.
+    /// Implement one group expression of a group with `out_rows` rows over
+    /// its children's winners; a filter may add an index scan beside it.
     fn implement_expr(
         &mut self,
-        g: GroupId,
-        e: &cse_memo::GroupExpr,
+        eid: GroupExprId,
+        out_rows: f64,
         mask: CseMask,
-    ) -> Vec<PlanChoice> {
-        let out_rows = self.group_rows(g);
-        let mut alts = Vec::new();
-        match &e.op {
-            Op::Get { rel } => {
-                let rel = *rel;
-                let layout: Vec<ColRef> = self.memo.group(g).props.output_cols.clone();
-                let width = self.rows.width(g);
-                alts.push(PlanChoice {
-                    plan: PhysicalPlan::TableScan {
-                        rel,
-                        filter: None,
-                        layout,
-                    },
-                    cost: self.model.scan(out_rows, width),
-                    rows: out_rows,
-                    usage: BTreeMap::new(),
-                    charged: BTreeSet::new(),
-                });
+        alts: &mut Vec<PlanChoice>,
+    ) {
+        let memo = self.memo;
+        let e = memo.gexpr(eid);
+        let kids: Vec<Rc<PlanChoice>> = e
+            .children
+            .iter()
+            .map(|&c| self.optimize_group(c, mask))
+            .collect();
+        let input: f64 = kids.iter().map(|k| k.cost).sum();
+        let cost = match &e.op {
+            Op::Get { .. } => {
+                let width = self.rows.width(memo.group_of(eid));
+                self.model.scan(out_rows, width)
             }
-            Op::Filter { pred } => {
-                let child = self.optimize_group(e.children[0], mask);
-                alts.push(PlanChoice {
-                    plan: PhysicalPlan::Filter {
-                        input: Box::new(child.plan.clone()),
-                        pred: pred.clone(),
-                    },
-                    cost: child.cost + self.model.filter(child.rows),
-                    rows: out_rows,
-                    usage: child.usage.clone(),
-                    charged: child.charged.clone(),
-                });
-                // Index range scan: Filter directly over a Get whose
-                // filtered column carries a B-tree index.
-                if let Some(alt) = self.try_index_scan(g, e.children[0], pred, out_rows) {
-                    alts.push(alt);
-                }
-            }
+            Op::Filter { .. } => input + self.model.filter(kids[0].rows),
             Op::Join { pred } => {
-                let left = self.optimize_group(e.children[0], mask);
-                let right = self.optimize_group(e.children[1], mask);
-                let l_rels = self.memo.group(e.children[0]).props.rels;
-                let r_rels = self.memo.group(e.children[1]).props.rels;
-                let mut keys = Vec::new();
-                let mut residual = Vec::new();
-                for c in pred.conjuncts() {
-                    match c.as_col_eq_col() {
-                        Some((a, b)) if l_rels.contains(a.rel) && r_rels.contains(b.rel) => {
-                            keys.push((a, b))
-                        }
-                        Some((a, b)) if r_rels.contains(a.rel) && l_rels.contains(b.rel) => {
-                            keys.push((b, a))
-                        }
-                        _ => residual.push(c),
-                    }
-                }
-                let mut layout: Vec<ColRef> = left.plan.layout().to_vec();
-                layout.extend_from_slice(right.plan.layout());
-                let usage = merge_usage(&left.usage, &right.usage);
-                let charged: BTreeSet<CseId> =
-                    left.charged.union(&right.charged).copied().collect();
-                if keys.is_empty() {
-                    let cost = left.cost
-                        + right.cost
-                        + self.model.nl_join(left.rows, right.rows, out_rows);
-                    alts.push(PlanChoice {
-                        plan: PhysicalPlan::NlJoin {
-                            left: Box::new(left.plan.clone()),
-                            right: Box::new(right.plan.clone()),
-                            pred: pred.clone(),
-                            layout,
-                        },
-                        cost,
-                        rows: out_rows,
-                        usage,
-                        charged,
-                    });
+                let (keyed, residual) = *self.join_shape.entry(eid).or_insert_with(|| {
+                    let (keys, residual) = split_join(memo, e, pred);
+                    (!keys.is_empty(), !residual.is_empty())
+                });
+                let (l, r) = (kids[0].rows, kids[1].rows);
+                if !keyed {
+                    input + self.model.nl_join(l, r, out_rows)
+                } else if residual {
+                    input + self.model.hash_join(l, r, out_rows) + self.model.filter(out_rows)
                 } else {
-                    let cost = left.cost
-                        + right.cost
-                        + self.model.hash_join(left.rows, right.rows, out_rows)
-                        + if residual.is_empty() {
-                            0.0
-                        } else {
-                            self.model.filter(out_rows)
-                        };
-                    alts.push(PlanChoice {
-                        plan: PhysicalPlan::HashJoin {
-                            left: Box::new(left.plan.clone()),
-                            right: Box::new(right.plan.clone()),
-                            keys,
-                            residual: if residual.is_empty() {
-                                None
-                            } else {
-                                Some(Scalar::and(residual))
-                            },
-                            layout,
-                        },
-                        cost,
-                        rows: out_rows,
-                        usage,
-                        charged,
-                    });
+                    input + self.model.hash_join(l, r, out_rows)
                 }
             }
-            Op::Aggregate { keys, aggs, out } => {
-                let child = self.optimize_group(e.children[0], mask);
-                let mut layout = keys.clone();
-                layout.extend((0..aggs.len()).map(|i| ColRef::new(*out, i as u16)));
-                alts.push(PlanChoice {
-                    plan: PhysicalPlan::HashAggregate {
-                        input: Box::new(child.plan.clone()),
-                        keys: keys.clone(),
-                        aggs: aggs.clone(),
-                        out: *out,
-                        layout,
-                    },
-                    cost: child.cost + self.model.hash_agg(child.rows, out_rows),
-                    rows: out_rows,
-                    usage: child.usage.clone(),
-                    charged: child.charged.clone(),
-                });
-            }
-            Op::Project { exprs } => {
-                let child = self.optimize_group(e.children[0], mask);
-                alts.push(PlanChoice {
-                    plan: PhysicalPlan::Project {
-                        input: Box::new(child.plan.clone()),
-                        exprs: exprs.clone(),
-                    },
-                    cost: child.cost + self.model.project(child.rows),
-                    rows: out_rows,
-                    usage: child.usage.clone(),
-                    charged: child.charged.clone(),
-                });
-            }
-            Op::Sort { keys } => {
-                let child = self.optimize_group(e.children[0], mask);
-                alts.push(PlanChoice {
-                    plan: PhysicalPlan::Sort {
-                        input: Box::new(child.plan.clone()),
-                        keys: keys.clone(),
-                    },
-                    cost: child.cost + self.model.sort(child.rows),
-                    rows: out_rows,
-                    usage: child.usage.clone(),
-                    charged: child.charged.clone(),
-                });
-            }
-            Op::Batch => {
-                let children: Vec<Rc<PlanChoice>> = e
-                    .children
-                    .iter()
-                    .map(|c| self.optimize_group(*c, mask))
-                    .collect();
-                let cost = children.iter().map(|c| c.cost).sum();
-                let mut usage = BTreeMap::new();
-                let mut charged = BTreeSet::new();
-                for c in &children {
-                    usage = merge_usage(&usage, &c.usage);
-                    charged.extend(c.charged.iter().copied());
-                }
-                alts.push(PlanChoice {
-                    plan: PhysicalPlan::Batch {
-                        children: children.iter().map(|c| c.plan.clone()).collect(),
-                    },
-                    cost,
-                    rows: out_rows,
-                    usage,
-                    charged,
-                });
-            }
+            Op::Aggregate { .. } => input + self.model.hash_agg(kids[0].rows, out_rows),
+            Op::Project { .. } => input + self.model.project(kids[0].rows),
+            Op::Sort { .. } => input + self.model.sort(kids[0].rows),
+            Op::Batch => input,
+        };
+        let mut usage = Usage::default();
+        let mut charged = 0;
+        for k in &kids {
+            usage.merge(&k.usage);
+            charged |= k.charged;
         }
-        alts
+        alts.push(PlanChoice {
+            cost,
+            rows: out_rows,
+            usage,
+            charged,
+            build: Build::Expr(eid, kids),
+        });
+        // Index range scan: Filter directly over a Get whose filtered
+        // column carries a B-tree index.
+        if let Op::Filter { pred } = &e.op {
+            alts.extend(self.try_index_scan(e.children[0], pred, out_rows));
+        }
     }
 
     /// `Filter(Get)` with a range/equality atom on an indexed column.
-    fn try_index_scan(
-        &mut self,
-        g: GroupId,
-        child: GroupId,
-        pred: &Scalar,
-        out_rows: f64,
-    ) -> Option<PlanChoice> {
+    fn try_index_scan(&self, child: GroupId, pred: &Scalar, out_rows: f64) -> Option<PlanChoice> {
         let child_expr = self.memo.gexpr(self.memo.group(child).exprs[0]);
         let rel = match child_expr.op {
             Op::Get { rel } => rel,
@@ -490,46 +390,44 @@ impl<'a> Optimizer<'a> {
             } else {
                 self.model.filter(matched)
             };
-        let _ = g;
         Some(PlanChoice {
-            plan: PhysicalPlan::IndexRangeScan {
+            cost,
+            rows: out_rows,
+            usage: Usage::default(),
+            charged: 0,
+            build: Build::Leaf(PhysicalPlan::IndexRangeScan {
                 rel,
                 col: *col,
                 lo: interval.lo.clone(),
                 hi: interval.hi.clone(),
-                residual: if residual.is_empty() {
-                    None
-                } else {
-                    Some(Scalar::and(residual))
-                },
+                residual: (!residual.is_empty()).then(|| Scalar::and(residual)),
                 layout,
-            },
-            cost,
-            rows: out_rows,
-            usage: BTreeMap::new(),
-            charged: BTreeSet::new(),
+            }),
         })
     }
 
     /// Build the consumer-side spool read alternative for a substitute.
-    fn implement_cse_read(&mut self, g: GroupId, s: &Substitute) -> Option<PlanChoice> {
-        let cand = self.candidates.get(&s.cse)?.clone();
-        let out_rows = self.group_rows(g);
+    fn implement_cse_read(&self, out_rows: f64, s: &Substitute) -> Option<PlanChoice> {
+        let cand = self.candidates.get(&s.cse)?;
         let mut cost = self.model.spool_read(cand.est_rows, cand.est_width);
         let mut rows_after = cand.est_rows;
         if let Some(f) = &s.filter {
             cost += self.model.filter(cand.est_rows);
-            rows_after *= self.selectivity(f).max(1e-9);
+            let sel = Selectivity::new(&self.memo.ctx, self.stats).of(f);
+            rows_after *= sel.max(1e-9);
         }
         if s.reagg.is_some() {
             cost += self.model.hash_agg(rows_after, out_rows);
         }
         cost += self.model.project(out_rows);
-        let layout: Vec<ColRef> = s.output_map.iter().map(|(c, _)| *c).collect();
-        let mut usage = BTreeMap::new();
-        usage.insert(s.cse, 1);
+        let mut usage = Usage::default();
+        usage.add(s.cse, 1);
         Some(PlanChoice {
-            plan: PhysicalPlan::CseRead {
+            cost,
+            rows: out_rows,
+            usage,
+            charged: 0,
+            build: Build::Leaf(PhysicalPlan::CseRead {
                 cse: s.cse,
                 filter: s.filter.clone(),
                 reagg: s.reagg.as_ref().map(|r| ReAgg {
@@ -538,92 +436,171 @@ impl<'a> Optimizer<'a> {
                     out: r.out,
                 }),
                 output_map: s.output_map.clone(),
-                layout,
-            },
-            cost,
-            rows: out_rows,
-            usage,
-            charged: BTreeSet::new(),
+                layout: s.output_map.iter().map(|(c, _)| *c).collect(),
+            }),
         })
+    }
+
+    /// Build the operator tree of a winner. Join keys, residuals and
+    /// layouts are derived here, once per returned plan.
+    pub fn extract(&self, choice: &PlanChoice) -> PhysicalPlan {
+        let (eid, kids) = match &choice.build {
+            Build::Leaf(plan) => return plan.clone(),
+            Build::Expr(eid, kids) => (*eid, kids),
+        };
+        let memo = self.memo;
+        let e = memo.gexpr(eid);
+        let mut kids = kids.iter().map(|k| self.extract(k));
+        let mut input = || Box::new(kids.next().expect("one winner per child group"));
+        match &e.op {
+            Op::Get { rel } => PhysicalPlan::TableScan {
+                rel: *rel,
+                filter: None,
+                layout: memo.group(memo.group_of(eid)).props.output_cols.clone(),
+            },
+            Op::Filter { pred } => PhysicalPlan::Filter {
+                input: input(),
+                pred: pred.clone(),
+            },
+            Op::Join { pred } => {
+                let (left, right) = (input(), input());
+                let (keys, residual) = split_join(memo, e, pred);
+                let mut layout: Vec<ColRef> = left.layout().to_vec();
+                layout.extend_from_slice(right.layout());
+                if keys.is_empty() {
+                    PhysicalPlan::NlJoin {
+                        left,
+                        right,
+                        pred: pred.clone(),
+                        layout,
+                    }
+                } else {
+                    let residual = (!residual.is_empty()).then(|| Scalar::and(residual));
+                    PhysicalPlan::HashJoin {
+                        left,
+                        right,
+                        keys,
+                        residual,
+                        layout,
+                    }
+                }
+            }
+            Op::Aggregate { keys, aggs, out } => {
+                let mut layout = keys.clone();
+                layout.extend((0..aggs.len()).map(|i| ColRef::new(*out, i as u16)));
+                PhysicalPlan::HashAggregate {
+                    input: input(),
+                    keys: keys.clone(),
+                    aggs: aggs.clone(),
+                    out: *out,
+                    layout,
+                }
+            }
+            Op::Project { exprs } => PhysicalPlan::Project {
+                input: input(),
+                exprs: exprs.clone(),
+            },
+            Op::Sort { keys } => PhysicalPlan::Sort {
+                input: input(),
+                keys: keys.clone(),
+            },
+            Op::Batch => PhysicalPlan::Batch {
+                children: kids.collect(),
+            },
+        }
     }
 
     /// Optimize the whole statement (batch) under an enabled mask and
     /// assemble the executable plan: validates usage counts, charges any
-    /// initial costs not already charged at an LCA, and collects spool
-    /// definitions (transitively, for stacked CSEs).
-    pub fn optimize_full(&mut self, root: GroupId, mask: CseMask) -> FullPlan {
-        let mut mask = mask;
-        loop {
+    /// initial costs not already charged at an LCA, collects spool
+    /// definitions (transitively, for stacked CSEs) and extracts the trees.
+    pub fn optimize_full(&mut self, root: GroupId, mut mask: CseMask) -> FullPlan {
+        'retry: loop {
             let choice = self.optimize_group(root, mask);
             // Reject CSEs that ended up with exactly one uncharged consumer.
-            if let Some((&e, _)) = choice.usage.iter().find(|(_, &n)| n == 1) {
+            if let Some((e, _)) = choice.usage.iter().find(|&(_, n)| n == 1) {
                 mask &= !bit(e);
                 continue;
             }
             let mut total = choice.cost;
-            let mut spools: BTreeMap<CseId, SpoolDef> = BTreeMap::new();
-            let mut pending: Vec<CseId> = choice.charged.iter().copied().collect();
-            // Charge remaining (root-charged) CSEs.
-            let mut extra_usage = choice.usage.clone();
-            let mut retry = false;
-            while let Some((&e, &n)) = extra_usage.iter().next() {
-                extra_usage.remove(&e);
-                if n == 0 {
-                    continue;
-                }
+            // Charge remaining (root-charged) CSEs, lowest id first; the
+            // reads of a charged definition surface here like at an LCA.
+            let mut used = choice.charged;
+            let mut uncharged = choice.usage.clone();
+            loop {
+                let Some((e, n)) = uncharged.iter().next() else {
+                    break;
+                };
+                uncharged.take(e);
                 if n == 1 {
                     mask &= !bit(e);
-                    retry = true;
-                    break;
+                    continue 'retry;
                 }
                 let (init, def) = self.init_cost(e, mask);
                 total += init;
-                pending.push(e);
-                for (k, v) in def.usage.iter() {
-                    *extra_usage.entry(*k).or_insert(0) += v;
-                }
-                pending.extend(def.charged.iter().copied());
-            }
-            if retry {
-                continue;
+                used |= bit(e) | def.charged;
+                uncharged.merge(&def.usage);
             }
             // Collect spool definitions transitively.
+            let mut spools: BTreeMap<CseId, SpoolDef> = BTreeMap::new();
+            let mut pending: Vec<CseId> = ids(used).collect();
             while let Some(e) = pending.pop() {
                 if spools.contains_key(&e) {
                     continue;
                 }
-                let cand = match self.candidates.get(&e) {
-                    Some(c) => c.clone(),
-                    None => continue,
-                };
                 let (_, def) = self.init_cost(e, mask);
-                pending.extend(def.charged.iter().copied());
-                pending.extend(def.usage.keys().copied());
-                spools.insert(
-                    e,
-                    SpoolDef {
-                        plan: def.plan.clone(),
-                        layout: cand.output.clone(),
-                        est_rows: cand.est_rows,
-                    },
-                );
+                pending.extend(ids(def.charged));
+                pending.extend(def.usage.iter().map(|(k, _)| k));
+                let cand = &self.candidates[&e];
+                let def = SpoolDef {
+                    plan: self.extract(&def),
+                    layout: cand.output.clone(),
+                    est_rows: cand.est_rows,
+                };
+                spools.insert(e, def);
             }
-            return FullPlan {
-                root: choice.plan.clone(),
+            let plan = FullPlan {
+                root: self.extract(&choice),
                 spools,
                 cost: total,
                 baseline: None,
             };
+            debug_assert!(reads_match_spools(&plan), "mask {mask:#b}");
+            return plan;
         }
     }
 }
 
-fn merge_usage(a: &BTreeMap<CseId, u32>, b: &BTreeMap<CseId, u32>) -> BTreeMap<CseId, u32> {
-    let mut out = a.clone();
-    for (k, v) in b {
-        *out.entry(*k).or_insert(0) += v;
+/// Split a join predicate into its (left column, right column) equi-keys
+/// and the residual conjuncts.
+fn split_join(memo: &Memo, e: &GroupExpr, pred: &Scalar) -> (Vec<(ColRef, ColRef)>, Vec<Scalar>) {
+    let l_rels = memo.group(e.children[0]).props.rels;
+    let r_rels = memo.group(e.children[1]).props.rels;
+    let (mut keys, mut residual) = (Vec::new(), Vec::new());
+    for c in pred.conjuncts() {
+        match c.as_col_eq_col() {
+            Some((a, b)) if l_rels.contains(a.rel) && r_rels.contains(b.rel) => keys.push((a, b)),
+            Some((a, b)) if r_rels.contains(a.rel) && l_rels.contains(b.rel) => keys.push((b, a)),
+            _ => residual.push(c),
+        }
     }
-    out
+    (keys, residual)
+}
+
+/// The §5.2 bookkeeping against the extracted trees: every spool read in
+/// the plan has its definition collected, and every collected spool is read
+/// at least twice.
+fn reads_match_spools(plan: &FullPlan) -> bool {
+    let mut reads = plan.root.cse_reads();
+    for def in plan.spools.values() {
+        for (e, n) in def.plan.cse_reads() {
+            *reads.entry(e).or_insert(0) += n;
+        }
+    }
+    reads.len() == plan.spools.len()
+        && reads
+            .iter()
+            .all(|(e, &n)| n >= 2 && plan.spools.contains_key(e))
 }
 
 #[cfg(test)]
@@ -635,7 +612,7 @@ mod tests {
     use std::sync::Arc;
 
     /// fact(k, v): 2000 rows, k in 0..200; dim(k): 200 rows unique.
-    fn setup() -> (Memo, StatsCatalog, Catalog) {
+    fn setup() -> (Memo, StatsCatalog, IndexInfo) {
         let mut fact = Table::new(
             "fact",
             Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Float)]),
@@ -676,33 +653,28 @@ mod tests {
         let mut memo = Memo::new(ctx);
         memo.insert_plan(&plan);
         explore(&mut memo, &ExploreConfig::default());
-        (memo, stats, cat)
+        (memo, stats, IndexInfo::from_catalog(&cat))
     }
 
     #[test]
     fn baseline_optimization_produces_hash_join() {
-        let (memo, stats, cat) = setup();
-        let mut opt = Optimizer::new(
-            &memo,
-            &stats,
-            CostModel::default(),
-            IndexInfo::from_catalog(&cat),
-        );
+        let (memo, stats, indexes) = setup();
+        let model = CostModel::default();
+        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
         let choice = opt.optimize_group(memo.root(), 0);
-        assert!(matches!(choice.plan, PhysicalPlan::HashJoin { .. }));
+        assert!(matches!(
+            opt.extract(&choice),
+            PhysicalPlan::HashJoin { .. }
+        ));
         assert!(choice.cost > 0.0);
         assert!(choice.usage.is_empty());
     }
 
     #[test]
     fn cache_hits_on_second_call() {
-        let (memo, stats, cat) = setup();
-        let mut opt = Optimizer::new(
-            &memo,
-            &stats,
-            CostModel::default(),
-            IndexInfo::from_catalog(&cat),
-        );
+        let (memo, stats, indexes) = setup();
+        let model = CostModel::default();
+        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
         opt.optimize_group(memo.root(), 0);
         let n = opt.group_optimizations;
         opt.optimize_group(memo.root(), 0);
@@ -713,15 +685,11 @@ mod tests {
     fn build_side_choice_prefers_smaller_build() {
         // With commuted alternatives explored, the optimizer should build
         // on the smaller (dim) side.
-        let (memo, stats, cat) = setup();
-        let mut opt = Optimizer::new(
-            &memo,
-            &stats,
-            CostModel::default(),
-            IndexInfo::from_catalog(&cat),
-        );
+        let (memo, stats, indexes) = setup();
+        let model = CostModel::default();
+        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
         let choice = opt.optimize_group(memo.root(), 0);
-        if let PhysicalPlan::HashJoin { left, .. } = &choice.plan {
+        if let PhysicalPlan::HashJoin { left, .. } = opt.extract(&choice) {
             if let PhysicalPlan::TableScan { rel, .. } = left.as_ref() {
                 assert_eq!(memo.ctx.rel(*rel).name, "dim");
                 return;
@@ -732,13 +700,9 @@ mod tests {
 
     #[test]
     fn optimize_full_without_candidates() {
-        let (memo, stats, cat) = setup();
-        let mut opt = Optimizer::new(
-            &memo,
-            &stats,
-            CostModel::default(),
-            IndexInfo::from_catalog(&cat),
-        );
+        let (memo, stats, indexes) = setup();
+        let model = CostModel::default();
+        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
         let full = opt.optimize_full(memo.root(), 0);
         assert!(full.spools.is_empty());
         assert!(full.cost > 0.0);

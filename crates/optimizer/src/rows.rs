@@ -36,8 +36,8 @@ impl<'a> GroupRows<'a> {
         // Insert a provisional value to guard against (impossible by
         // construction, but cheap to defend) cycles.
         self.cache.insert(g, 1.0);
-        let eid = self.memo.group(g).exprs[0];
-        let e = self.memo.gexpr(eid).clone();
+        let memo = self.memo;
+        let e = memo.gexpr(memo.group(g).exprs[0]);
         let card = self.card();
         let r = match &e.op {
             Op::Get { rel } => self.stats.rel_rows(&self.memo.ctx, *rel),
@@ -63,9 +63,8 @@ impl<'a> GroupRows<'a> {
     }
 
     /// Byte width of a group's output row.
-    pub fn width(&mut self, g: GroupId) -> f64 {
-        let cols = self.memo.group(g).props.output_cols.clone();
-        self.card().width_of(&cols)
+    pub fn width(&self, g: GroupId) -> f64 {
+        self.card().width_of(&self.memo.group(g).props.output_cols)
     }
 }
 
@@ -145,7 +144,7 @@ mod tests {
     #[test]
     fn width_positive() {
         let (memo, stats) = setup();
-        let mut rows = GroupRows::new(&memo, &stats);
+        let rows = GroupRows::new(&memo, &stats);
         assert!(rows.width(memo.root()) >= 16.0);
     }
 

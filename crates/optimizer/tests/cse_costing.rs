@@ -13,6 +13,8 @@ use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
 struct Fixture {
     memo: Memo,
     stats: StatsCatalog,
+    model: CostModel,
+    indexes: IndexInfo,
     root: GroupId,
     consumers: [GroupId; 2],
     candidate: CseCandidate,
@@ -102,6 +104,8 @@ fn fixture(rows: usize) -> Fixture {
     Fixture {
         memo,
         stats,
+        model: CostModel::default(),
+        indexes: IndexInfo::default(),
         root,
         consumers: [g1, g2],
         candidate,
@@ -110,12 +114,7 @@ fn fixture(rows: usize) -> Fixture {
 }
 
 fn optimizer(f: &Fixture) -> Optimizer<'_> {
-    Optimizer::new(
-        &f.memo,
-        &f.stats,
-        CostModel::default(),
-        IndexInfo::default(),
-    )
+    Optimizer::new(&f.memo, &f.stats, &f.model, &f.indexes)
 }
 
 #[test]
@@ -126,9 +125,9 @@ fn consumer_is_charged_usage_cost_only() {
     // Optimizing a consumer *below* the LCA with the candidate enabled:
     // the chosen plan uses the spool and carries an uncharged usage count.
     let choice = opt.optimize_group(f.consumers[1], bit(CseId(0)));
-    assert!(matches!(choice.plan, PhysicalPlan::CseRead { .. }));
-    assert_eq!(choice.usage.get(&CseId(0)), Some(&1));
-    assert!(choice.charged.is_empty());
+    assert!(matches!(opt.extract(&choice), PhysicalPlan::CseRead { .. }));
+    assert_eq!(choice.usage.get(CseId(0)), 1);
+    assert_eq!(choice.charged, 0);
     // Usage cost (spool read) must be far below recomputing the join.
     let baseline = opt.optimize_group(f.consumers[1], 0);
     assert!(choice.cost < baseline.cost);
@@ -141,8 +140,9 @@ fn initial_cost_added_at_lca_with_two_consumers() {
     opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
     let with = opt.optimize_group(f.root, bit(CseId(0)));
     // Both consumers share; the CSE is charged (moved to `charged`).
-    assert!(with.charged.contains(&CseId(0)), "usage: {:?}", with.usage);
+    assert_eq!(with.charged, bit(CseId(0)), "usage: {:?}", with.usage);
     assert!(with.usage.is_empty());
+    assert_eq!(opt.extract(&with).cse_reads().get(&CseId(0)), Some(&2));
     let without = opt.optimize_group(f.root, 0);
     assert!(
         with.cost < without.cost,
@@ -168,7 +168,8 @@ fn single_consumer_plans_are_discarded() {
         "single-consumer spool must not survive"
     );
     assert!(with.usage.is_empty());
-    assert!(!with.charged.contains(&CseId(0)));
+    assert_eq!(with.charged, 0);
+    assert!(opt.extract(&with).cse_reads().is_empty());
 }
 
 #[test]
@@ -195,7 +196,7 @@ fn expensive_spools_are_declined() {
         spool_read_byte: 10.0,
         ..Default::default()
     };
-    let mut opt = Optimizer::new(&f.memo, &f.stats, model, IndexInfo::default());
+    let mut opt = Optimizer::new(&f.memo, &f.stats, &model, &f.indexes);
     opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
     let full = opt.optimize_full(f.root, bit(CseId(0)));
     let baseline = opt.optimize_full(f.root, 0);
