@@ -9,26 +9,50 @@
 //! - single-column ranges (`c < 5` implies `c < 10`),
 //! - disjunction on the right (`p ⇒ q1 ∨ q2` if `p ⇒ q1` or `p ⇒ q2`),
 //! - conjunction on both sides.
+//!
+//! The single-column range is [`Interval`], the one such type in the tree:
+//! the covering hull, lint's refutation and index narrowing read it too.
 
 use crate::ids::ColRef;
 use crate::scalar::{CmpOp, Scalar};
-use cse_storage::Value;
+use cse_storage::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// A one-column interval with optional inclusive/exclusive bounds, plus an
-/// optional exact-equality pin.
+/// One side of an [`Interval`]: `(bound, inclusive)`, `None` when open.
+type Side = Option<(Value, bool)>;
+
+/// A one-column interval with optional inclusive/exclusive bounds; an
+/// equality pins both to one value. The only per-column range in the tree:
+/// implication, the covering hull, lint refutation and index narrowing all
+/// read this type. It is a *hint* — what a predicate accepts is decided by
+/// evaluating the predicate, never by a range check.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Interval {
-    pub lo: Option<(Value, bool)>, // (bound, inclusive)
-    pub hi: Option<(Value, bool)>,
+    pub lo: Side,
+    pub hi: Side,
+}
+
+/// Why [`Interval::emptiness`] finds no value of a column type inside.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Empty {
+    /// An exclusive integral bound at the edge of its domain: nothing lies
+    /// beyond it on the `lower` (else upper) side.
+    BeyondDomain { bound: Value, lower: bool },
+    /// The lower bound lies above the upper one (integral bounds closed).
+    Crossed {
+        lo: (Value, bool),
+        hi: (Value, bool),
+    },
+    /// The bounds meet at one value that at least one side excludes.
+    OpenPoint(Value),
 }
 
 impl Interval {
     // Bounds are ordered by `Value::sql_cmp`, the comparison the executor
     // evaluates. A bound of another comparison class (a DATE against a
     // STRING) is incomparable: it never replaces the current bound, and
-    // `within` proves nothing across it.
+    // `within`, `contains` and `hull` prove nothing across it.
     fn tighten_lo(&mut self, v: Value, inclusive: bool) {
         let better = match &self.lo {
             None => true,
@@ -57,8 +81,96 @@ impl Interval {
         }
     }
 
+    /// Narrow by the atom `col op v`. `<>` bounds nothing.
+    fn tighten(&mut self, op: CmpOp, v: Value) {
+        match op {
+            CmpOp::Eq => {
+                self.tighten_lo(v.clone(), true);
+                self.tighten_hi(v, true);
+            }
+            CmpOp::Lt => self.tighten_hi(v, false),
+            CmpOp::Le => self.tighten_hi(v, true),
+            CmpOp::Gt => self.tighten_lo(v, false),
+            CmpOp::Ge => self.tighten_lo(v, true),
+            CmpOp::Ne => {}
+        }
+    }
+
+    /// Does `v` satisfy every bound? NULL and a value of another comparison
+    /// class than a bound satisfy none.
+    pub fn contains(&self, v: &Value) -> bool {
+        let past = |side: &Side, beyond: Ordering| {
+            side.as_ref().is_none_or(|(b, inc)| match v.sql_cmp(b) {
+                Some(Ordering::Equal) => *inc,
+                o => o == Some(beyond),
+            })
+        };
+        past(&self.lo, Ordering::Greater) && past(&self.hi, Ordering::Less)
+    }
+
+    /// The smallest interval around all of `ivs`, and whether it could be
+    /// told: a side some interval leaves open is open; a side on which two
+    /// bounds are incomparable (a DATE and a STRING) is left open too and
+    /// reported `false` — no single literal bounds both, so the caller must
+    /// keep the intervals apart rather than trust the hull.
+    pub fn hull(ivs: &[&Interval]) -> (Interval, bool) {
+        let lo = hull_side(ivs.iter().map(|iv| &iv.lo), Ordering::Less);
+        let hi = hull_side(ivs.iter().map(|iv| &iv.hi), Ordering::Greater);
+        let comparable = lo.is_ok() && hi.is_ok();
+        let (lo, hi) = (lo.unwrap_or(None), hi.unwrap_or(None));
+        (Interval { lo, hi }, comparable)
+    }
+
+    /// Can the interval be *proven* to hold no value of a `ty` column? On
+    /// the integral types an exclusive bound is first closed onto its
+    /// neighbour (checked, so `> i64::MAX` is empty instead of wrapping),
+    /// which makes adjacency gaps (`> 4 AND < 5`) visible as crossings.
+    /// `None` means "not provably empty", never "satisfiable".
+    pub fn emptiness(&self, ty: DataType) -> Option<Empty> {
+        let (Some(lo), Some(hi)) = (&self.lo, &self.hi) else {
+            return None;
+        };
+        let (mut lo, mut hi) = (lo.clone(), hi.clone());
+        if matches!(ty, DataType::Int | DataType::Date) {
+            for (side, step, lower) in [(&mut lo, 1, true), (&mut hi, -1, false)] {
+                let closed = match side {
+                    (Value::Int(v), false) => v.checked_add(step.into()).map(Value::Int),
+                    (Value::Date(v), false) => v.checked_add(step).map(Value::Date),
+                    _ => continue,
+                };
+                let Some(closed) = closed else {
+                    let bound = side.0.clone();
+                    return Some(Empty::BeyondDomain { bound, lower });
+                };
+                *side = (closed, true);
+            }
+        }
+        match lo.0.sql_cmp(&hi.0)? {
+            Ordering::Greater => Some(Empty::Crossed { lo, hi }),
+            Ordering::Equal if !(lo.1 && hi.1) => Some(Empty::OpenPoint(lo.0)),
+            _ => None,
+        }
+    }
+
+    /// Are the bounds of a `ty` column's own comparison class (INT/FLOAT
+    /// together, DATE, STRING)? Only there does the storage layer's total
+    /// order — the B-tree's layout — agree with `sql_cmp`, so only then may
+    /// an ordered index narrow a scan to this interval.
+    pub fn in_class_of(&self, ty: DataType) -> bool {
+        self.lo.iter().chain(&self.hi).all(|(b, _)| {
+            matches!(
+                (ty, b),
+                (
+                    DataType::Int | DataType::Float,
+                    Value::Int(_) | Value::Float(_)
+                ) | (DataType::Date, Value::Date(_))
+                    | (DataType::Str, Value::Str(_))
+            )
+        })
+    }
+
     /// Does this interval lie entirely inside `outer`?
-    pub fn within(&self, outer: &Interval) -> bool {
+    fn within(&self, outer: &Interval) -> bool {
         let lo_ok = match (&outer.lo, &self.lo) {
             (None, _) => true,
             (Some(_), None) => false,
@@ -87,21 +199,31 @@ pub fn column_ranges(p: &Scalar) -> BTreeMap<ColRef, Interval> {
     let mut out: BTreeMap<ColRef, Interval> = BTreeMap::new();
     for conj in p.conjuncts() {
         if let Some((col, op, v)) = conj.as_col_vs_lit() {
-            let iv = out.entry(col).or_default();
-            match op {
-                CmpOp::Eq => {
-                    iv.tighten_lo(v.clone(), true);
-                    iv.tighten_hi(v, true);
-                }
-                CmpOp::Lt => iv.tighten_hi(v, false),
-                CmpOp::Le => iv.tighten_hi(v, true),
-                CmpOp::Gt => iv.tighten_lo(v, false),
-                CmpOp::Ge => iv.tighten_lo(v, true),
-                CmpOp::Ne => {}
-            }
+            out.entry(col).or_default().tighten(op, v);
         }
     }
     out
+}
+
+/// The loosest of the bounds on one side (`looser` is how a looser bound
+/// compares to a tighter one: `Less` for lower bounds). `Ok(None)` when a
+/// bound is open, `Err` when two are incomparable under `sql_cmp`.
+fn hull_side<'a>(bounds: impl Iterator<Item = &'a Side>, looser: Ordering) -> Result<Side, ()> {
+    let mut hull: Side = None;
+    for bound in bounds {
+        let Some((v, inc)) = bound else {
+            return Ok(None);
+        };
+        hull = Some(match hull {
+            None => (v.clone(), *inc),
+            Some((cur, cinc)) => match v.sql_cmp(&cur).ok_or(())? {
+                Ordering::Equal => (cur, cinc || *inc),
+                o if o == looser => (v.clone(), *inc),
+                _ => (cur, cinc),
+            },
+        });
+    }
+    Ok(hull)
 }
 
 /// Conservative implication: true only when provable.
@@ -139,18 +261,8 @@ pub fn implies(p: &Scalar, q: &Scalar) -> bool {
         let ranges = column_ranges(&p);
         if let Some(iv) = ranges.get(&qcol) {
             let mut target = Interval::default();
-            match qop {
-                CmpOp::Eq => {
-                    target.tighten_lo(qv.clone(), true);
-                    target.tighten_hi(qv, true);
-                }
-                CmpOp::Lt => target.tighten_hi(qv, false),
-                CmpOp::Le => target.tighten_hi(qv, true),
-                CmpOp::Gt => target.tighten_lo(qv, false),
-                CmpOp::Ge => target.tighten_lo(qv, true),
-                CmpOp::Ne => return false,
-            }
-            return iv.within(&target);
+            target.tighten(qop, qv);
+            return qop != CmpOp::Ne && iv.within(&target);
         }
     }
     false
@@ -242,7 +354,14 @@ mod tests {
         let both = Scalar::and([by_date.clone(), by_text.clone()]);
         let iv = &column_ranges(&both)[&ColRef::new(RelId(0), 0)];
         assert_eq!(iv.hi, Some((Value::Date(9678), false)));
-        assert!(!iv.within(&column_ranges(&by_text)[&ColRef::new(RelId(0), 0)]));
+        let text_iv = &column_ranges(&by_text)[&ColRef::new(RelId(0), 0)];
+        assert!(!iv.within(text_iv));
+        // Only a value of the bound's class can be inside; NULL never is.
+        assert!(iv.contains(&Value::Date(9000)) && !iv.contains(&Value::Date(9678)));
+        assert!(!iv.contains(&Value::str("1996")) && !iv.contains(&Value::Null));
+        // The B-tree's order is `sql_cmp`'s only within the column's class.
+        assert!(iv.in_class_of(DataType::Date) && !iv.in_class_of(DataType::Int));
+        assert_eq!(Interval::hull(&[iv, text_iv]), (Interval::default(), false));
         // INT and FLOAT are one class.
         let lt_float = Scalar::cmp(CmpOp::Lt, c(0), Scalar::Lit(Value::Float(10.5)));
         assert!(implies(&lt(c(0), 5), &lt_float));

@@ -143,6 +143,11 @@ pub struct CseReport {
     pub baseline_time: Duration,
     /// Wall-clock of the whole optimization including the CSE phase.
     pub total_time: Duration,
+    /// Where that time went: every pipeline stage in the order it ran, each
+    /// on its own timer (the verifier passes sit outside them). A rung that
+    /// tripped or panicked is one `tripped-rung` entry; `teardown` runs
+    /// after `total_time` is taken.
+    pub stages: Vec<(&'static str, Duration)>,
     /// Diagnostics of the `cse-verify` passes (present iff
     /// [`CseConfig::verify`] was set; clean when the query succeeded).
     pub verification: Option<VerifyReport>,

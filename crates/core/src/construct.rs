@@ -17,12 +17,10 @@
 use crate::compat::PreparedConsumer;
 use crate::required::RequiredCols;
 use cse_algebra::{
-    classes_to_conjuncts, implies, intersect_all, AggExpr, CmpOp, ColRef, LogicalPlan, RelId,
-    RelSet, Scalar,
+    classes_to_conjuncts, implies, intersect_all, AggExpr, CmpOp, ColRef, Interval, LogicalPlan,
+    RelId, RelSet, Scalar,
 };
 use cse_memo::Memo;
-use cse_storage::Value;
-use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// A constructed covering subexpression (pre-costing).
@@ -277,22 +275,6 @@ pub fn prune_proven_redundant(pred: &Scalar, facts: &BTreeSet<Scalar>) -> Scalar
     }
 }
 
-/// [`simplify_covering`] with analyzer facts: each branch is first pruned
-/// of proven-redundant conjuncts (locally re-verified, see
-/// [`prune_proven_redundant`]), which lets the factoring and range-hull
-/// rewrites below produce a strictly smaller covering predicate whenever
-/// the analyzer caught a redundancy the branches carry.
-pub fn simplify_covering_with_facts(simplified: &[Scalar], facts: &BTreeSet<Scalar>) -> Scalar {
-    if facts.is_empty() {
-        return simplify_covering(simplified);
-    }
-    let pruned: Vec<Scalar> = simplified
-        .iter()
-        .map(|s| prune_proven_redundant(s, facts))
-        .collect();
-    simplify_covering(&pruned)
-}
-
 /// OR of the simplified predicates with two equivalence-preserving /
 /// sound-weakening rewrites:
 /// - conjuncts present in every branch are factored out of the OR;
@@ -350,20 +332,24 @@ pub fn simplify_covering(simplified: &[Scalar]) -> Scalar {
             .iter()
             .map(|b| cse_algebra::column_ranges(&Scalar::and(b.iter().cloned())))
             .collect();
-        let open = cse_algebra::Interval::default();
+        let open = Interval::default();
         for col in &cols {
-            let ivs = || branch_ranges.iter().map(|r| r.get(col).unwrap_or(&open));
-            let lo = hull_bound(ivs().map(|iv| &iv.lo), Ordering::Less);
-            let hi = hull_bound(ivs().map(|iv| &iv.hi), Ordering::Greater);
-            incomparable |= lo.is_err() || hi.is_err();
-            if let Ok(Some((v, inc))) = lo {
+            let ivs: Vec<&Interval> = branch_ranges
+                .iter()
+                .map(|r| r.get(col).unwrap_or(&open))
+                .collect();
+            // An incomparable side stays open and the OR of the branches is
+            // kept below: no single literal bounds a DATE and a STRING.
+            let (hull, comparable) = Interval::hull(&ivs);
+            incomparable |= !comparable;
+            if let Some((v, inc)) = hull.lo {
                 hull_conjuncts.push(Scalar::cmp(
                     if inc { CmpOp::Ge } else { CmpOp::Gt },
                     Scalar::Col(*col),
                     Scalar::Lit(v),
                 ));
             }
-            if let Ok(Some((v, inc))) = hi {
+            if let Some((v, inc)) = hull.hi {
                 hull_conjuncts.push(Scalar::cmp(
                     if inc { CmpOp::Le } else { CmpOp::Lt },
                     Scalar::Col(*col),
@@ -399,33 +385,6 @@ pub fn simplify_covering(simplified: &[Scalar]) -> Scalar {
             .map(|b| Scalar::and(b.iter().cloned())),
     ));
     Scalar::and(top_conjuncts).normalize()
-}
-
-/// The loosest of the branches' bounds on one side of a column (`looser` is
-/// how a looser bound compares to a tighter one: `Less` for lower bounds).
-/// `Ok(None)` when some branch leaves the side open. `Err` when two bounds
-/// are incomparable under SQL comparison (a DATE and a STRING): no single
-/// literal bounds both branches, so the side stays open and the caller
-/// keeps the OR of the branches.
-fn hull_bound<'a>(
-    bounds: impl Iterator<Item = &'a Option<(Value, bool)>>,
-    looser: Ordering,
-) -> Result<Option<(Value, bool)>, ()> {
-    let mut hull: Option<(Value, bool)> = None;
-    for bound in bounds {
-        let Some((v, inc)) = bound else {
-            return Ok(None);
-        };
-        hull = Some(match hull {
-            None => (v.clone(), *inc),
-            Some((cur, cinc)) => match v.sql_cmp(&cur).ok_or(())? {
-                Ordering::Equal => (cur, cinc || *inc),
-                o if o == looser => (v.clone(), *inc),
-                _ => (cur, cinc),
-            },
-        });
-    }
-    Ok(hull)
 }
 
 /// Build a left-deep, connected join tree over `rels`: single-rel covering
@@ -496,7 +455,7 @@ fn take_covered(remaining: &mut Vec<Scalar>, set: RelSet) -> Vec<Scalar> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cse_algebra::RelId;
+    use cse_storage::Value;
 
     fn col(r: u32, c: u16) -> Scalar {
         Scalar::col(RelId(r), c)

@@ -29,7 +29,7 @@ use crate::view_match::build_substitutes;
 use cse_algebra::{ColRef, LogicalPlan, PlanContext, Scalar};
 use cse_cost::StatsCatalog;
 use cse_diag::Report as VerifyReport;
-use cse_govern::{sites, BudgetTrip, DegradationEvent, Reason, Rung};
+use cse_govern::{panic_message, sites, BudgetTrip, DegradationEvent, Reason, Rung};
 use cse_lint::lint_batch;
 use cse_memo::{explore, GroupId, Memo};
 use cse_optimizer::{CseCandidate, CseId, FullPlan, IndexInfo, Optimizer, Substitute};
@@ -37,23 +37,7 @@ use cse_storage::Catalog;
 use cse_verify::{CandidateAudit, CostAudit, MemberAudit};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Whether `CSE_TRACE` is set: stage timings go to stderr. Read once per
-/// process, not per request.
-fn trace_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("CSE_TRACE").is_ok())
-}
-
-/// Report one stage under `CSE_TRACE`. `since` is the stage's own start,
-/// so every line reads that stage's cost and nothing before it.
-fn trace_stage(name: impl std::fmt::Display, since: Instant) {
-    if trace_enabled() {
-        eprintln!("[cse-trace] {}: {:?}", name, since.elapsed());
-    }
-}
 
 /// Optimization output: executable plan, context for the executor, report.
 pub struct Optimized {
@@ -232,7 +216,9 @@ fn optimize_plan_with_facts(
     let root = memo.insert_plan(&plan);
     memo.set_root(root);
     explore(&mut memo, &cfg.explore);
-    trace_stage("insert+explore", t_start);
+    // Every stage is timed from its own start, so an entry reads that
+    // stage's cost and nothing before it.
+    let mut stages = vec![("insert+explore", t_start.elapsed())];
     cfg.cancel
         .check("pipeline/explored")
         .map_err(abort_message)?;
@@ -255,7 +241,7 @@ fn optimize_plan_with_facts(
     let mut normal = optimizer_over(&memo, &stats, &indexes, cfg);
     let baseline = normal.optimize_full(root, 0);
     let baseline_time = t_start.elapsed();
-    trace_stage("baseline", t_baseline);
+    stages.push(("baseline", t_baseline.elapsed()));
     cfg.cancel
         .check("pipeline/baseline")
         .map_err(abort_message)?;
@@ -266,6 +252,7 @@ fn optimize_plan_with_facts(
             baseline_time,
             total_time: baseline_time,
             group_optimizations: normal.group_optimizations,
+            stages,
             ..Default::default()
         },
         vreport,
@@ -324,13 +311,13 @@ fn optimize_plan_with_facts(
                 .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
                 .collect(),
         );
-        trace_stage("bounds", t);
+        found.report.stages.push(("bounds", t.elapsed()));
         let t = Instant::now();
         let required = compute_required(&memo, &[root]);
-        trace_stage("required", t);
+        found.report.stages.push(("required", t.elapsed()));
         let t = Instant::now();
         let manager = CseManager::build(&memo);
-        trace_stage("manager-explored", t);
+        found.report.stages.push(("manager-explored", t.elapsed()));
         let sharable = manager.sharable_sets();
         (bounds, required, manager, sharable)
     }));
@@ -359,8 +346,8 @@ fn optimize_plan_with_facts(
     // and the facts above), or write-once-atomic (the token's cancel flag;
     // the failpoint registry's mutex recovers poisoning via `into_inner`).
     // No partially-mutated structure outlives a panicking attempt (the
-    // guarded read above mutates only `normal`, dropped right after it), so
-    // `AssertUnwindSafe` holds.
+    // guarded read above mutates only `normal`, dropped right after it, and
+    // appends whole stage entries), so `AssertUnwindSafe` holds.
     let mut shared: Option<FullPlan> = None;
     while rung != Rung::Baseline {
         let (eff, caps) = tighten(cfg, rung);
@@ -375,9 +362,14 @@ fn optimize_plan_with_facts(
             manager: &manager,
             sharable: &sharable,
         };
+        let t = Instant::now();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             cse_phase(&memo, &phase, &caps, root, found.clone())
         }));
+        if !matches!(attempt, Ok(Ok(_))) {
+            // The attempt's own stages went with its findings copy.
+            found.report.stages.push(("tripped-rung", t.elapsed()));
+        }
         match attempt {
             Ok(Ok((plan, done))) => {
                 shared = plan.filter(|p| p.cost < baseline.cost);
@@ -417,10 +409,12 @@ fn optimize_plan_with_facts(
     found.report.spools_used = final_plan.spools.len();
     found.report.total_time = t_start.elapsed();
 
-    let done = finish(final_plan, memo.ctx.clone(), found, cfg.verify);
+    let mut done = finish(final_plan, memo.ctx.clone(), found, cfg.verify);
     let t = Instant::now();
     drop((bounds, required, manager, sharable, memo));
-    trace_stage("teardown", t);
+    if let Ok(optimized) = &mut done {
+        optimized.report.stages.push(("teardown", t.elapsed()));
+    }
     done
 }
 
@@ -482,17 +476,6 @@ fn abort_message(trip: BudgetTrip) -> String {
     )
 }
 
-/// Best-effort human-readable panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// One attempt at the CSE phase (Steps 2 + 3) under the rung's started
 /// budget clock. Returns the best plan found with candidates enabled
 /// (`None` when no candidate survived; the caller keeps the baseline unless
@@ -541,10 +524,10 @@ fn cse_phase(
     // because construction adds no groups.
     let t = Instant::now();
     let mut memo = explored.clone();
-    trace_stage("memo-clone", t);
+    found.report.stages.push(("memo-clone", t.elapsed()));
     let t = Instant::now();
     let candidates = run_generation(&mut memo, ctx, root)?;
-    trace_stage("generation", t);
+    found.report.stages.push(("generation", t.elapsed()));
     if caps.trip_on_overflow {
         clock.check_candidates(candidates.len(), "generation")?;
     }
@@ -562,7 +545,10 @@ fn cse_phase(
         })
         .collect();
     explore(&mut memo, &cfg.explore);
-    trace_stage("def-insert+explore", t);
+    found
+        .report
+        .stages
+        .push(("def-insert+explore", t.elapsed()));
     clock.check_time("def-explore")?;
     clock.check_memo(memo.num_gexprs(), "def-explore")?;
 
@@ -570,7 +556,7 @@ fn cse_phase(
     // serves the stacked round, the LCAs and the enumeration.
     let t = Instant::now();
     let mgr = CseManager::build(&memo);
-    trace_stage("manager-grown", t);
+    found.report.stages.push(("manager-grown", t.elapsed()));
 
     // Stacked round (§5.5): candidate definitions are themselves query
     // expressions — a narrower candidate may pick up additional consumers
@@ -581,7 +567,7 @@ fn cse_phase(
     if cfg.stacked {
         let t = Instant::now();
         extend_with_stacked_consumers(&memo, &mgr, &mut registered);
-        trace_stage("stacked-extension", t);
+        found.report.stages.push(("stacked-extension", t.elapsed()));
         clock.check_time("stacked-extension")?;
     }
 
@@ -604,7 +590,7 @@ fn cse_phase(
     roots.extend(registered.iter().map(|(_, d)| *d));
     let t = Instant::now();
     let required = compute_required(&memo, &roots);
-    trace_stage("required-grown", t);
+    found.report.stages.push(("required-grown", t.elapsed()));
 
     // Pass 1+2 again over the grown memo: candidate definitions (and the
     // exploration they triggered) must preserve the same invariants.
@@ -653,7 +639,7 @@ fn cse_phase(
             lca,
         });
     }
-    trace_stage("substitutes", t);
+    found.report.stages.push(("substitutes", t.elapsed()));
 
     // Passes 3+4 (+ candidate-level costing sanity) over every constructed
     // candidate, matched or not.
@@ -669,14 +655,14 @@ fn cse_phase(
     opt.register_candidates(cse_candidates, substitutes);
     let t = Instant::now();
     let outcome = choose_best(&mut opt, &mgr, root, &lca_list, caps.max_cse_opts, clock)?;
-    trace_stage("enumeration", t);
+    found.report.stages.push(("enumeration", t.elapsed()));
     found.report.cse_optimizations = outcome.optimizations;
     found.report.group_optimizations += opt.group_optimizations;
     // The plan owns its trees; the grown memo and every winner go here.
     let t = Instant::now();
     drop(opt);
     drop((mgr, memo));
-    trace_stage("rung-teardown", t);
+    found.report.stages.push(("rung-teardown", t.elapsed()));
     Ok((Some(outcome.plan), found))
 }
 
@@ -788,20 +774,7 @@ fn run_generation(
     let mut all: Vec<CostedCandidate> = Vec::new();
     for (sig, consumers) in ctx.sharable {
         ctx.clock.check_time("generation")?;
-        let t = Instant::now();
-        let before = all.len();
         all.extend(generate_for_set(memo, ctx, sig, consumers, query_cost)?);
-        if trace_enabled() && t.elapsed().as_millis() > 50 {
-            trace_stage(
-                format_args!(
-                    "  set {} consumers={} -> +{} candidates",
-                    sig,
-                    consumers.len(),
-                    all.len() - before
-                ),
-                t,
-            );
-        }
     }
     if ctx.cfg.gen.heuristics {
         all = h4_prune_contained(ctx.manager, all, ctx.cfg.gen.beta);

@@ -6,15 +6,16 @@
 //!
 //! - [`prune_proven_redundant`] drops only locally re-verified conjuncts
 //!   (a stale fact is a no-op);
-//! - [`simplify_covering_with_facts`] yields a strictly smaller — but
-//!   equivalent — covering predicate than [`simplify_covering`];
+//! - [`simplify_covering`] over pruned branches (what `construct` does)
+//!   yields a strictly smaller — but equivalent — covering predicate than
+//!   over the branches as written;
 //! - a full `construct()` run over a two-consumer sharable set produces
 //!   a strictly smaller covering predicate when the facts are present.
 
 use cse_algebra::{implies, CmpOp, LogicalPlan, PlanContext, RelId, Scalar};
 use cse_core::{
     compute_required, construct, partition_compatible, prepare_consumers, prune_proven_redundant,
-    simplify_covering, simplify_covering_with_facts, CseManager,
+    simplify_covering, CseManager,
 };
 use cse_memo::Memo;
 use cse_storage::{DataType, Schema};
@@ -75,7 +76,7 @@ fn covering_is_strictly_smaller_with_facts() {
     let facts: BTreeSet<Scalar> = [lt(v(), 100).normalize()].into_iter().collect();
 
     let plain = simplify_covering(&[b1.clone(), b2.clone()]);
-    let with = simplify_covering_with_facts(&[b1, b2], &facts);
+    let with = simplify_covering(&[b1, b2].map(|b| prune_proven_redundant(&b, &facts)));
     assert!(
         with.conjuncts().len() < plain.conjuncts().len(),
         "facts should shrink the covering: {with} vs {plain}"

@@ -27,7 +27,7 @@ use cse_govern::{
     Reason, ReserveError,
 };
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan};
-use cse_storage::{Catalog, Row, Value};
+use cse_storage::{Catalog, Row, Table, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound as RangeBound;
 
@@ -495,25 +495,16 @@ impl<'a> Engine<'a> {
                     .table(&info.name)
                     .map_err(|e| ExecError::Storage(e.to_string()))?;
                 let filter = bind_opt(filter, layout)?;
-                let mut rows = Vec::new();
-                st.metrics.base_rows_scanned += table.row_count();
-                for (i, r) in table.scan().enumerate() {
-                    st.check_cancel_at(i)?;
-                    if filter.as_ref().is_none_or(|p| p.accepts(r)) {
-                        rows.push(r.clone());
-                    }
-                }
                 Ok(Chunk {
                     cols: layout.clone(),
-                    rows,
+                    rows: scan(&table, filter.as_ref(), st)?,
                 })
             }
             PhysicalPlan::IndexRangeScan {
                 rel,
                 col,
-                lo,
-                hi,
-                residual,
+                interval,
+                pred,
                 layout,
             } => {
                 st.maybe_fail(sites::SCAN_INDEX)?;
@@ -522,26 +513,32 @@ impl<'a> Engine<'a> {
                     .catalog
                     .get(&info.name)
                     .map_err(|e| ExecError::Storage(e.to_string()))?;
-                let table = entry.table.clone();
-                let residual = bind_opt(residual, layout)?;
+                let table = &entry.table;
+                let pred = Bound::bind(pred, layout, plan.name())?;
+                // The interval is only where to look: the B-tree's order is
+                // the predicate's order just for bounds of the column's own
+                // comparison class, and every row found is decided by `pred`.
+                let ty = self.ctx.col_type(*col);
                 let idx = entry
                     .btree_indexes
                     .iter()
-                    .find(|i| i.column == col.col as usize);
-                let mut rows = Vec::new();
-                let lo_b = match lo {
-                    Some((v, true)) => RangeBound::Included(v),
-                    Some((v, false)) => RangeBound::Excluded(v),
-                    None => RangeBound::Unbounded,
-                };
-                let hi_b = match hi {
-                    Some((v, true)) => RangeBound::Included(v),
-                    Some((v, false)) => RangeBound::Excluded(v),
-                    None => RangeBound::Unbounded,
-                };
-                match idx {
+                    .find(|i| i.column == col.col as usize)
+                    .filter(|_| interval.in_class_of(ty));
+                let rows = match idx {
+                    // Index dropped since planning: degrade to a scan.
+                    None => scan(table, Some(&pred), st)?,
+                    Some(_) if interval.emptiness(ty).is_some() => Vec::new(),
                     Some(idx) => {
-                        for (i, rid) in idx.range(lo_b, hi_b).enumerate() {
+                        fn side(s: &Option<(Value, bool)>) -> RangeBound<&Value> {
+                            match s {
+                                Some((v, true)) => RangeBound::Included(v),
+                                Some((v, false)) => RangeBound::Excluded(v),
+                                None => RangeBound::Unbounded,
+                            }
+                        }
+                        let mut rows = Vec::new();
+                        let hits = idx.range(side(&interval.lo), side(&interval.hi));
+                        for (i, rid) in hits.enumerate() {
                             st.check_cancel_at(i)?;
                             // The index can lag the table (rebuild racing a
                             // shrink); a stale rowid must degrade to an
@@ -552,39 +549,14 @@ impl<'a> Engine<'a> {
                                     info.name
                                 ))
                             })?;
-                            if residual.as_ref().is_none_or(|p| p.accepts(r)) {
+                            if pred.accepts(r) {
                                 rows.push(r.clone());
                             }
                         }
                         st.metrics.base_rows_scanned += rows.len();
+                        rows
                     }
-                    None => {
-                        // Index dropped since planning: degrade to a scan.
-                        st.metrics.base_rows_scanned += table.row_count();
-                        let in_range = |v: &Value| {
-                            let lo_ok = match lo {
-                                Some((b, true)) => v.total_cmp(b).is_ge(),
-                                Some((b, false)) => v.total_cmp(b).is_gt(),
-                                None => true,
-                            };
-                            let hi_ok = match hi {
-                                Some((b, true)) => v.total_cmp(b).is_le(),
-                                Some((b, false)) => v.total_cmp(b).is_lt(),
-                                None => true,
-                            };
-                            lo_ok && hi_ok
-                        };
-                        let pos = position(layout, *col, plan.name())?;
-                        for (i, r) in table.scan().enumerate() {
-                            st.check_cancel_at(i)?;
-                            if r.get(pos).is_some_and(in_range)
-                                && residual.as_ref().is_none_or(|p| p.accepts(r))
-                            {
-                                rows.push(r.clone());
-                            }
-                        }
-                    }
-                }
+                };
                 Ok(Chunk {
                     cols: layout.clone(),
                     rows,
@@ -769,6 +741,23 @@ impl<'a> Engine<'a> {
         st.spools.insert(cse, (def.layout.clone(), rows));
         Ok(())
     }
+}
+
+/// Full scan: the rows of `table` that `filter` accepts, in table order.
+fn scan(
+    table: &Table,
+    filter: Option<&Bound>,
+    st: &mut RunState<'_>,
+) -> Result<Vec<Row>, ExecError> {
+    st.metrics.base_rows_scanned += table.row_count();
+    let mut rows = Vec::new();
+    for (i, r) in table.scan().enumerate() {
+        st.check_cancel_at(i)?;
+        if filter.is_none_or(|p| p.accepts(r)) {
+            rows.push(r.clone());
+        }
+    }
+    Ok(rows)
 }
 
 /// Every column the expressions read.

@@ -255,6 +255,18 @@ impl fmt::Display for DegradationEvent {
     }
 }
 
+/// Best-effort text of a caught panic's payload: the detail of an
+/// [`Reason::OptPanic`] downgrade and of a worker-panic rejection.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// A tripped budget: which limit, at which stage. Converted into a
 /// [`DegradationEvent`] by the ladder.
 #[derive(Debug, Clone)]

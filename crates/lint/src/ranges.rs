@@ -1,178 +1,72 @@
 //! Interval / range dataflow over scalar predicates (analyzer pass 2b).
 //!
-//! Extends the conservative interval logic of
-//! `cse-algebra::implication::column_ranges` with what a *refutation*
-//! pass additionally needs:
-//!
-//! - `<>` exclusions (so `c = 5 AND c <> 5` is refuted);
-//! - emptiness testing, including **integral-domain adjacency**: on an
-//!   `INT` or `DATE` column, `c > 4 AND c < 5` is unsatisfiable because
-//!   no integer lies strictly between 4 and 5. Exclusive integral bounds
-//!   are normalized to inclusive ones with `checked_add`/`checked_sub`,
-//!   so `c > i64::MAX` is recognized as empty instead of wrapping.
+//! The range itself is `cse_algebra::Interval` — bounds ordered by
+//! `Value::sql_cmp`, emptiness with **integral-domain adjacency** (on an
+//! `INT` or `DATE` column `c > 4 AND c < 5` is unsatisfiable, and
+//! `c > i64::MAX` is empty instead of wrapping). What a *refutation* pass
+//! adds here is the `<>` exclusions (so `c = 5 AND c <> 5` is refuted) and
+//! the wording of the findings.
 //!
 //! Everything here is *refutation-only*: a `None` verdict means "could
 //! not prove empty", never "satisfiable".
 
-use cse_algebra::{CmpOp, ColRef, PlanContext, Scalar};
+use cse_algebra::{column_ranges, CmpOp, ColRef, Empty, Interval, PlanContext, Scalar};
 use cse_storage::{DataType, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
 
-/// Per-column constraint state accumulated from conjuncts.
-#[derive(Debug, Clone, Default)]
-pub struct ColRange {
-    /// Greatest lower bound seen: `(value, inclusive)`.
-    pub lo: Option<(Value, bool)>,
-    /// Least upper bound seen: `(value, inclusive)`.
-    pub hi: Option<(Value, bool)>,
-    /// Values excluded by `<>` conjuncts.
-    pub ne: BTreeSet<Value>,
-}
-
-impl ColRange {
-    fn tighten_lo(&mut self, v: Value, inclusive: bool) {
-        let better = match &self.lo {
-            None => true,
-            Some((cur, cur_inc)) => match v.total_cmp(cur) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => *cur_inc && !inclusive,
-                std::cmp::Ordering::Less => false,
-            },
-        };
-        if better {
-            self.lo = Some((v, inclusive));
+/// Can `interval`, less the values `ne` that `<>` conjuncts exclude, be
+/// *proven* empty for a column of type `ty`? Returns a human-readable
+/// reason when it can.
+fn prove_empty(interval: &Interval, ne: &[Value], ty: DataType) -> Option<String> {
+    // A pinned point excluded by a <> conjunct.
+    if let (Some((p, true)), Some((q, true))) = (&interval.lo, &interval.hi) {
+        if p.sql_cmp(q) == Some(Ordering::Equal) && ne.iter().any(|v| interval.contains(v)) {
+            return Some(format!("pinned to {p} but excluded by <> {p}"));
         }
     }
-
-    fn tighten_hi(&mut self, v: Value, inclusive: bool) {
-        let better = match &self.hi {
-            None => true,
-            Some((cur, cur_inc)) => match v.total_cmp(cur) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => *cur_inc && !inclusive,
-                std::cmp::Ordering::Greater => false,
-            },
-        };
-        if better {
-            self.hi = Some((v, inclusive));
-        }
-    }
-
-    /// The exact value this range pins the column to, if both bounds
-    /// coincide inclusively.
-    pub fn point(&self) -> Option<&Value> {
-        match (&self.lo, &self.hi) {
-            (Some((lv, true)), Some((hv, true)))
-                if lv.total_cmp(hv) == std::cmp::Ordering::Equal =>
-            {
-                Some(lv)
-            }
-            _ => None,
-        }
-    }
-
-    /// Can this range be *proven* empty for a column of type `ty`?
-    /// Returns a human-readable reason when it can.
-    pub fn prove_empty(&self, ty: DataType) -> Option<String> {
-        // A pinned point excluded by a <> conjunct.
-        if let Some(p) = self.point() {
-            if self.ne.contains(p) {
-                return Some(format!("pinned to {p} but excluded by <> {p}"));
-            }
-        }
-        let (lo, hi) = match (&self.lo, &self.hi) {
-            (Some(lo), Some(hi)) => (lo.clone(), hi.clone()),
-            _ => return None,
-        };
-        // Integral domains: normalize exclusive bounds to inclusive ones
-        // so adjacency gaps (`> 4 AND < 5`) become visible as crossings.
-        let integral = matches!(ty, DataType::Int | DataType::Date);
-        let (lo, hi) = if integral {
-            let lo = match lo {
-                (Value::Int(v), false) => match v.checked_add(1) {
-                    Some(v1) => (Value::Int(v1), true),
-                    // c > i64::MAX: nothing above it.
-                    None => return Some(format!("> {v} exceeds the INT domain")),
-                },
-                (Value::Date(v), false) => match v.checked_add(1) {
-                    Some(v1) => (Value::Date(v1), true),
-                    None => return Some(format!("> {} exceeds the DATE domain", Value::Date(v))),
-                },
-                other => other,
+    let op = |lower, inclusive| match (lower, inclusive) {
+        (true, true) => ">=",
+        (true, false) => ">",
+        (false, true) => "<=",
+        (false, false) => "<",
+    };
+    Some(match interval.emptiness(ty)? {
+        Empty::BeyondDomain { bound, lower } => {
+            let domain = match bound {
+                Value::Date(_) => DataType::Date,
+                _ => DataType::Int,
             };
-            let hi = match hi {
-                (Value::Int(v), false) => match v.checked_sub(1) {
-                    Some(v1) => (Value::Int(v1), true),
-                    None => return Some(format!("< {v} exceeds the INT domain")),
-                },
-                (Value::Date(v), false) => match v.checked_sub(1) {
-                    Some(v1) => (Value::Date(v1), true),
-                    None => return Some(format!("< {} exceeds the DATE domain", Value::Date(v))),
-                },
-                other => other,
-            };
-            (lo, hi)
-        } else {
-            (lo, hi)
-        };
-        let (lv, li) = &lo;
-        let (hv, hi_inc) = &hi;
-        match lv.total_cmp(hv) {
-            std::cmp::Ordering::Greater => Some(format!(
-                "lower bound {} {lv} exceeds upper bound {} {hv}",
-                if *li { ">=" } else { ">" },
-                if *hi_inc { "<=" } else { "<" },
-            )),
-            std::cmp::Ordering::Equal if !(*li && *hi_inc) => Some(format!(
-                "bounds meet at {lv} but at least one side is exclusive"
-            )),
-            _ => None,
+            format!("{} {bound} exceeds the {domain} domain", op(lower, false))
         }
-    }
-}
-
-/// Accumulate per-column ranges (including `<>` exclusions) from the
-/// col-vs-literal conjuncts of a predicate list. Conjuncts that are not
-/// col-vs-literal atoms are ignored (conservative).
-pub fn collect_ranges(conjuncts: &[Scalar]) -> BTreeMap<ColRef, ColRange> {
-    let mut out: BTreeMap<ColRef, ColRange> = BTreeMap::new();
-    for conj in conjuncts {
-        if let Some((col, op, v)) = conj.as_col_vs_lit() {
-            if v.is_null() {
-                // `c < NULL` never accepts, but that is the fold pass's
-                // finding; range logic only tracks real bounds.
-                continue;
-            }
-            let r = out.entry(col).or_default();
-            match op {
-                CmpOp::Eq => {
-                    r.tighten_lo(v.clone(), true);
-                    r.tighten_hi(v, true);
-                }
-                CmpOp::Lt => r.tighten_hi(v, false),
-                CmpOp::Le => r.tighten_hi(v, true),
-                CmpOp::Gt => r.tighten_lo(v, false),
-                CmpOp::Ge => r.tighten_lo(v, true),
-                CmpOp::Ne => {
-                    r.ne.insert(v);
-                }
-            }
-        }
-    }
-    out
+        Empty::Crossed { lo, hi } => format!(
+            "lower bound {} {} exceeds upper bound {} {}",
+            op(true, lo.1),
+            lo.0,
+            op(false, hi.1),
+            hi.0
+        ),
+        Empty::OpenPoint(v) => format!("bounds meet at {v} but at least one side is exclusive"),
+    })
 }
 
 /// Try to prove the conjunction of `conjuncts` unsatisfiable through
 /// per-column range analysis. Returns `(column, reason)` for the first
-/// provably-empty column; `None` means "not provably empty".
+/// provably-empty column; `None` means "not provably empty". Conjuncts
+/// that are not col-vs-literal atoms are ignored (conservative).
 pub fn prove_unsat(ctx: &PlanContext, conjuncts: &[Scalar]) -> Option<(ColRef, String)> {
-    let ranges = collect_ranges(conjuncts);
-    for (col, r) in &ranges {
-        if let Some(reason) = r.prove_empty(ctx.col_type(*col)) {
-            return Some((*col, reason));
-        }
-    }
-    None
+    // `c < NULL` never accepts, but that is the fold pass's finding; range
+    // logic only tracks real bounds.
+    let real = |c: &&Scalar| c.as_col_vs_lit().is_some_and(|(_, _, v)| !v.is_null());
+    let ranges = column_ranges(&Scalar::and(conjuncts.iter().filter(real).cloned()));
+    ranges.iter().find_map(|(col, interval)| {
+        let ne: Vec<Value> = conjuncts
+            .iter()
+            .filter_map(Scalar::as_col_vs_lit)
+            .filter(|(c, op, _)| c == col && *op == CmpOp::Ne)
+            .map(|(_, _, v)| v)
+            .collect();
+        Some((*col, prove_empty(interval, &ne, ctx.col_type(*col))?))
+    })
 }
 
 #[cfg(test)]

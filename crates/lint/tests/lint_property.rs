@@ -241,7 +241,9 @@ fn prove_unsat_is_refutation_sound() {
     let mut proven = 0usize;
     for _ in 0..600 {
         // 2-4 random col-vs-literal conjuncts over the int column, with
-        // tight ranges so contradictions actually occur.
+        // tight ranges so contradictions actually occur; some literals are
+        // of another class (`sql_cmp` ranks a DATE with the numbers, the
+        // storage order does not, and a STRING bounds no number).
         let n = rng.range_usize(2, 5);
         let conjuncts: Vec<Scalar> = (0..n)
             .map(|_| {
@@ -253,7 +255,14 @@ fn prove_unsat_is_refutation_sound() {
                     CmpOp::Gt,
                     CmpOp::Ge,
                 ]);
-                Scalar::cmp(op, Scalar::col(r, 0), Scalar::int(rng.range_i64(-3, 4)))
+                let v = rng.range_i64(-3, 4);
+                let lit = match rng.range_usize(0, 10) {
+                    0 => Value::Float(v as f64 + 0.5),
+                    1 => Value::Date(v as i32),
+                    2 => Value::str(*rng.pick(&["", "0", "abc"])),
+                    _ => Value::Int(v),
+                };
+                Scalar::cmp(op, Scalar::col(r, 0), Scalar::Lit(lit))
             })
             .collect();
         if prove_unsat(&ctx, &conjuncts).is_some() {

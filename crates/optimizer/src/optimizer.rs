@@ -353,7 +353,9 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// `Filter(Get)` with a range/equality atom on an indexed column.
+    /// `Filter(Get)` with a range/equality atom on an indexed column. The
+    /// interval only narrows the scan; the executor decides every row the
+    /// index returns by the whole `pred`.
     fn try_index_scan(&self, child: GroupId, pred: &Scalar, out_rows: f64) -> Option<PlanChoice> {
         let child_expr = self.memo.gexpr(self.memo.group(child).exprs[0]);
         let rel = match child_expr.op {
@@ -365,27 +367,22 @@ impl<'a> Optimizer<'a> {
         let (col, interval) = ranges.iter().find(|(c, iv)| {
             c.rel == rel
                 && (iv.lo.is_some() || iv.hi.is_some())
+                && iv.in_class_of(self.memo.ctx.col_type(**c))
                 && self
                     .indexes
                     .btree
                     .contains(&(info.name.to_ascii_lowercase(), c.col))
         })?;
-        // Residual: everything except the *range/equality* conjuncts on the
-        // indexed column — those are subsumed by the interval. `<>` bounds
-        // nothing and must stay in the residual.
-        let residual: Vec<Scalar> = pred
-            .conjuncts()
-            .into_iter()
-            .filter(|c| {
-                c.as_col_vs_lit()
-                    .map(|(cc, op, _)| cc != *col || op == cse_algebra::CmpOp::Ne)
-                    .unwrap_or(true)
-            })
-            .collect();
+        // Range conjuncts on the indexed column are re-checked inside the
+        // per-match cost; anything else (`<>` included) costs a filter pass.
+        let only_ranges = pred.conjuncts().iter().all(|c| {
+            c.as_col_vs_lit()
+                .is_some_and(|(cc, op, _)| cc == *col && op != cse_algebra::CmpOp::Ne)
+        });
         let layout: Vec<ColRef> = self.memo.group(child).props.output_cols.clone();
         let matched = out_rows.max(1.0);
         let cost = self.model.index_lookup(1.0, matched)
-            + if residual.is_empty() {
+            + if only_ranges {
                 0.0
             } else {
                 self.model.filter(matched)
@@ -398,9 +395,8 @@ impl<'a> Optimizer<'a> {
             build: Build::Leaf(PhysicalPlan::IndexRangeScan {
                 rel,
                 col: *col,
-                lo: interval.lo.clone(),
-                hi: interval.hi.clone(),
-                residual: (!residual.is_empty()).then(|| Scalar::and(residual)),
+                interval: interval.clone(),
+                pred: pred.clone(),
                 layout,
             }),
         })

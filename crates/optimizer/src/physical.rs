@@ -4,7 +4,7 @@
 //! column ids its result rows contain. The executor binds scalar
 //! expressions against these layouts, so plans are self-describing.
 
-use cse_algebra::{AggExpr, ColRef, RelId, Scalar, SortOrder};
+use cse_algebra::{AggExpr, ColRef, Interval, RelId, Scalar, SortOrder};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -40,13 +40,14 @@ pub enum PhysicalPlan {
         filter: Option<Scalar>,
         layout: Vec<ColRef>,
     },
-    /// B-tree index range scan: `lo <= col <= hi` with optional residual.
+    /// B-tree index range scan. The index narrows the scan to the rows
+    /// whose `col` lies in `interval` — a hint extracted from `pred`; every
+    /// row it returns is then decided by `pred`, the whole filter.
     IndexRangeScan {
         rel: RelId,
         col: ColRef,
-        lo: Option<(cse_storage::Value, bool)>,
-        hi: Option<(cse_storage::Value, bool)>,
-        residual: Option<Scalar>,
+        interval: Interval,
+        pred: Scalar,
         layout: Vec<ColRef>,
     },
     Filter {

@@ -34,8 +34,8 @@ use crate::queue::{BoundedQueue, PushError};
 use cse_core::CseConfig;
 use cse_exec::{Engine, ExecCtx, ExecError, ExecMetrics, ResultSet};
 use cse_govern::{
-    sites, CancelToken, DegradationEvent, FailpointRegistry, MemReservation, MemoryGovernor,
-    Pressure, ReserveError, Rung,
+    panic_message, sites, CancelToken, DegradationEvent, FailpointRegistry, MemReservation,
+    MemoryGovernor, Pressure, ReserveError, Rung,
 };
 use cse_storage::testkit::TestRng;
 use cse_storage::Catalog;
@@ -603,7 +603,7 @@ fn worker_loop(shared: &Shared, queue: &BoundedQueue<Request>) {
                 Outcome::Rejected(Rejection {
                     id: req.id,
                     reason: RejectReason::ExecInternal,
-                    detail: format!("worker panic: {}", panic_text(payload.as_ref())),
+                    detail: format!("worker panic: {}", panic_message(payload.as_ref())),
                     retries: 0,
                 })
             }
@@ -880,16 +880,6 @@ fn cancellation_end(req: &Request) -> AttemptEnd {
         AttemptEnd::Terminal(RejectReason::ReqCanceled, "canceled by client".into())
     } else {
         AttemptEnd::Transient(RejectReason::ReqDeadline, "attempt deadline expired".into())
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

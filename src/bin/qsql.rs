@@ -147,7 +147,7 @@ fn command(session: &Session, cmd: &str) -> bool {
         ":quit" | ":q" | ":exit" => return false,
         ":help" => {
             println!(
-                ":explain <sql>;   show the chosen plan and spools\n\
+                ":explain <sql>;   show the chosen plan, spools and stage timings\n\
                  :lint <sql>;      run the static analyzer without executing\n\
                  :tables           list catalog tables\n\
                  :quit             leave"

@@ -158,8 +158,8 @@ impl Session {
         })
     }
 
-    /// Human-readable explanation: chosen plan, spool definitions, and the
-    /// optimizer's report.
+    /// Human-readable explanation: chosen plan, spool definitions, the
+    /// optimizer's report and where its time went, stage by stage.
     pub fn explain(&self, sql: &str) -> Result<String, Error> {
         use std::fmt::Write as _;
         let optimized = self.plan(sql)?;
@@ -185,6 +185,10 @@ impl Session {
         let _ = writeln!(s, "plan:\n{}", optimized.plan.root.render());
         for (id, spool) in &optimized.plan.spools {
             let _ = writeln!(s, "spool {id} (computed once):\n{}", spool.plan.render());
+        }
+        let _ = writeln!(s, "stages ({:.3?} in all):", optimized.report.total_time);
+        for (stage, took) in &optimized.report.stages {
+            let _ = writeln!(s, "  stage {stage}: {took:.3?}");
         }
         Ok(s)
     }

@@ -69,3 +69,26 @@ fn optimization_time_stays_bounded() {
         o.report.total_time
     );
 }
+
+#[test]
+fn stage_timings_account_for_the_optimization_time() {
+    // `CseReport::stages` is the request's own latency split: with the
+    // verifier off (its passes sit between the stage timers) the stages
+    // cover the optimization end to end.
+    let catalog = catalog();
+    let cfg = CseConfig {
+        verify: false,
+        ..CseConfig::default()
+    };
+    let o = optimize_sql(&catalog, &workloads::complex_join_batch(), &cfg).unwrap();
+    let staged: std::time::Duration = o.report.stages.iter().map(|(_, took)| *took).sum();
+    assert!(
+        staged.as_secs_f64() >= 0.9 * o.report.total_time.as_secs_f64(),
+        "stages cover {staged:?} of {:?}: {:?}",
+        o.report.total_time,
+        o.report.stages
+    );
+    for stage in ["insert+explore", "baseline", "generation", "enumeration"] {
+        assert!(o.report.stages.iter().any(|(name, _)| *name == stage));
+    }
+}

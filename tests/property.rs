@@ -25,11 +25,25 @@ fn layout() -> Vec<ColRef> {
     (0..NCOLS).map(|i| ColRef::new(RelId(0), i)).collect()
 }
 
+/// Values of every comparison class `sql_cmp` knows: INT, FLOAT and DATE
+/// compare numerically with each other, STRING only with STRING, NULL with
+/// nothing.
 fn gen_value(rng: &mut TestRng) -> Value {
-    match rng.range_usize(0, 6) {
+    match rng.range_usize(0, 9) {
         0 => Value::Null,
         1 | 2 => Value::Float(rng.range_i64(-40, 40) as f64 / 2.0),
+        3 => Value::Date(rng.range_i64(-20, 20) as i32),
+        4 => Value::str(*rng.pick(&["", "-3", "7", "abc", "1994-13-40"])),
         _ => Value::Int(rng.range_i64(-20, 20)),
+    }
+}
+
+/// A comparison literal: mostly small integers, now and then any value.
+fn gen_literal(rng: &mut TestRng) -> Scalar {
+    if rng.chance(0.7) {
+        Scalar::int(rng.range_i64(-10, 10))
+    } else {
+        Scalar::Lit(gen_value(rng))
     }
 }
 
@@ -48,17 +62,13 @@ fn gen_cmp_op(rng: &mut TestRng) -> CmpOp {
     ])
 }
 
-/// Random predicates over columns of rel 0 and small integer literals.
+/// Random predicates over columns of rel 0 and literals of every class.
 fn gen_scalar(rng: &mut TestRng, depth: usize) -> Scalar {
     if depth == 0 || rng.chance(0.4) {
         // Leaf: column-vs-literal or column-vs-column comparison.
         if rng.chance(0.7) {
             let c = rng.range_i64(0, NCOLS as i64) as u16;
-            Scalar::cmp(
-                gen_cmp_op(rng),
-                Scalar::col(RelId(0), c),
-                Scalar::int(rng.range_i64(-10, 10)),
-            )
+            Scalar::cmp(gen_cmp_op(rng), Scalar::col(RelId(0), c), gen_literal(rng))
         } else {
             let a = rng.range_i64(0, NCOLS as i64) as u16;
             let b = rng.range_i64(0, NCOLS as i64) as u16;
@@ -164,7 +174,7 @@ fn covering_accepts_every_branch_row() {
 
 #[test]
 fn column_ranges_are_sound() {
-    // Any row satisfying p lies inside every extracted interval.
+    // A row the predicate accepts is contained by every extracted interval.
     let mut rng = TestRng::new(0xE66);
     let l = layout();
     for _ in 0..CASES * 4 {
@@ -174,26 +184,84 @@ fn column_ranges_are_sound() {
             continue;
         }
         for (col, iv) in column_ranges(&p) {
-            let v = &row[col.col as usize];
-            if v.is_null() {
-                continue;
-            }
-            if let Some((lo, inc)) = &iv.lo {
-                let ord = v.total_cmp(lo);
-                assert!(
-                    if *inc { ord.is_ge() } else { ord.is_gt() },
-                    "range lo violated for {p} by {row:?}"
-                );
-            }
-            if let Some((hi, inc)) = &iv.hi {
-                let ord = v.total_cmp(hi);
-                assert!(
-                    if *inc { ord.is_le() } else { ord.is_lt() },
-                    "range hi violated for {p} by {row:?}"
-                );
-            }
+            assert!(
+                iv.contains(&row[col.col as usize]),
+                "{p} accepts {row:?} outside its range {iv:?} on {col}"
+            );
         }
     }
+}
+
+#[test]
+fn index_scan_equals_filtered_table_scan() {
+    // Conjunctions of col-vs-literal atoms over nullable, indexed columns of
+    // every type: whatever interval the optimizer hands the B-tree, the
+    // rows are the ones a full scan under the same predicate returns.
+    use similar_subexpr::algebra::{LogicalPlan, PlanContext};
+    use similar_subexpr::optimizer::PhysicalPlan;
+    use similar_subexpr::prelude::*;
+    use similar_subexpr::storage::{row, ColumnDef, DataType, Schema};
+
+    let mut rng = TestRng::new(0x1DE);
+    let types = [
+        DataType::Int,
+        DataType::Float,
+        DataType::Date,
+        DataType::Str,
+    ];
+    let schema = Schema::new(
+        (types.iter().zip(["i", "f", "d", "s"]))
+            .map(|(ty, name)| ColumnDef::new(name, *ty).nullable())
+            .collect(),
+    );
+    let mut t = Table::new("t", schema);
+    for _ in 0..400 {
+        let typed = types.map(|ty| loop {
+            let v = gen_value(&mut rng);
+            if v.is_null() || v.data_type() == Some(ty) {
+                break v;
+            }
+        });
+        t.push(row(typed.to_vec())).unwrap();
+    }
+    let mut plain = Catalog::new();
+    plain.register_table(t).unwrap();
+    let mut indexed = plain.clone();
+    for name in ["i", "f", "d", "s"] {
+        indexed.create_btree_index("t", name).unwrap();
+    }
+
+    let run = |catalog: &Catalog, pred: &Scalar| {
+        let mut ctx = PlanContext::new();
+        let block = ctx.new_block();
+        let schema = catalog.table("t").unwrap().schema().clone();
+        let rel = ctx.add_base_rel("t", "t", schema, block);
+        assert_eq!(rel, RelId(0), "generated predicates read rel 0");
+        let plan = LogicalPlan::get(rel).filter(pred.clone());
+        let o = similar_subexpr::core::optimize_plan(catalog, ctx, plan, &CseConfig::default())
+            .unwrap();
+        let by_index = matches!(o.plan.root, PhysicalPlan::IndexRangeScan { .. });
+        let out = Engine::new(catalog, &o.ctx).execute(&o.plan).unwrap();
+        (out.results.into_iter().next().unwrap(), by_index)
+    };
+    let mut index_plans = 0;
+    for _ in 0..CASES {
+        let col = Scalar::col(RelId(0), rng.range_i64(0, NCOLS as i64) as u16);
+        let atoms: Vec<Scalar> = (0..rng.range_usize(1, 4))
+            .map(|_| Scalar::cmp(gen_cmp_op(&mut rng), col.clone(), gen_literal(&mut rng)))
+            .collect();
+        let pred = Scalar::and(atoms);
+        let (want, _) = run(&plain, &pred);
+        let (got, by_index) = run(&indexed, &pred);
+        index_plans += by_index as usize;
+        assert!(
+            want.approx_eq(&got, 1e-12),
+            "{pred}: {} rows by scan, {} with indexes (index scan: {by_index})",
+            want.rows.len(),
+            got.rows.len()
+        );
+    }
+    assert!(index_plans > CASES / 4, "only {index_plans} index scans");
 }
 
 #[test]
