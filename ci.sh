@@ -16,6 +16,14 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+# The generated-batch differential suite (tests/generated_batches.rs) ran
+# its fixed seed set above; this is its deep arm, in release so that 200
+# catalogs and batches (six optimize + execute rounds each) stay cheap.
+echo "==> generated batches, deep arm (CSE_GEN_BATCHES=200, release)"
+gen_start=$(date +%s)
+CSE_GEN_BATCHES=200 cargo test -q --release --test generated_batches
+echo "    generated batches: $(( $(date +%s) - gen_start )) s wall"
+
 # qlint gate: the static analyzer's output over the committed SQL corpus
 # must match the golden files byte-for-byte (rule ids, messages, spans),
 # and deny mode must accept the clean corpus and reject the findings one.

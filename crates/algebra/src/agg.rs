@@ -26,6 +26,14 @@ impl AggFunc {
             AggFunc::Max => AggFunc::Max,
         }
     }
+
+    /// Is [`AggFunc::rollup`] over *no* partial results what the function
+    /// returns over no rows? Not for the counts — COUNT of nothing is 0,
+    /// the SUM of no partial counts is NULL — so a scalar aggregate, which
+    /// answers no rows with one, cannot be staged if it counts.
+    pub fn rolls_up_from_nothing(&self) -> bool {
+        !matches!(self, AggFunc::Count | AggFunc::CountStar)
+    }
 }
 
 impl fmt::Display for AggFunc {

@@ -14,7 +14,7 @@
 use crate::compat::PreparedConsumer;
 use crate::construct::ConstructedCse;
 use crate::required::{required_of, RequiredCols};
-use cse_algebra::{implies, AggFunc, ColRef, Scalar};
+use cse_algebra::{implies, ColRef, Scalar};
 use cse_memo::Memo;
 use cse_optimizer::{CseId, Substitute, SubstituteReAgg};
 use std::collections::HashMap;
@@ -69,6 +69,13 @@ fn substitute_for(
     filter: Option<Scalar>,
     required: &RequiredCols,
 ) -> Option<Substitute> {
+    // The compensation predicate is evaluated over the work table's rows:
+    // a consumer admitted after construction (§5.5) may filter on a column
+    // the CSE was not built to keep.
+    let provided = |f: &Scalar| f.columns().iter().all(|c| cse.output.contains(c));
+    if !filter.as_ref().is_none_or(provided) {
+        return None;
+    }
     match (&member.normal.group, &cse.group) {
         (Some(mg), Some((cse_keys, cse_aggs, cse_out))) => {
             // Grouped consumer over grouped CSE: roll up.
@@ -80,15 +87,7 @@ fn substitute_for(
             let mut rollups = Vec::with_capacity(mg.aggs.len());
             for a in &mg.aggs {
                 let idx = cse_aggs.iter().position(|x| x == a)? as u16;
-                let partial = Scalar::Col(ColRef::new(*cse_out, idx));
-                let rolled = match a.func {
-                    AggFunc::Count | AggFunc::CountStar => cse_algebra::AggExpr {
-                        func: AggFunc::Sum,
-                        arg: Some(partial),
-                    },
-                    _ => a.rollup_over(partial),
-                };
-                rollups.push(rolled);
+                rollups.push(a.rollup_over(Scalar::Col(ColRef::new(*cse_out, idx))));
             }
             // Identity fast path: same keys, no compensation — the spool
             // rows are already the consumer's groups.
@@ -120,6 +119,10 @@ fn substitute_for(
                 });
             }
             // General path: re-aggregate at the consumer's granularity.
+            // A scalar aggregate answers no rows with one row.
+            if mg.keys.is_empty() && !mg.aggs.iter().all(|a| a.func.rolls_up_from_nothing()) {
+                return None;
+            }
             let anchor_keys: Vec<ColRef> = mg.keys.clone();
             let output_map = consumer_out_cols
                 .iter()

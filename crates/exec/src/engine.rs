@@ -13,21 +13,25 @@
 //! is recorded in the result's provenance — a fault degrades the plan, it
 //! never degrades the answer.
 //!
-//! Operators bind their expressions once against their input's columns
-//! ([`Bound`]), hash join and group-by keys in place ([`crate::keys`]),
-//! and are told which columns their ancestors read ([`Need`]) so joins
-//! materialize only those.
+//! Execution is *push-based*: an operator hands its rows, borrowed and one
+//! at a time, to its parent's [`Sink`]; rows are held, and charged, only at
+//! the breakers — a join's held side, a group table, a sort buffer, a
+//! spool, a result set. Operators bind their expressions once against their
+//! input's columns ([`Bound`]; [`out_cols`] names them before the first
+//! row), hash join and group-by keys in place ([`crate::keys`]), and are
+//! told which columns their ancestors read ([`Need`]) so they hold only those.
 
 use crate::error::ExecError;
 use crate::eval::{position, AggState, Bound};
-use crate::keys::{key_eq, key_hash, KeyTable};
+use crate::keys::{key_eq, key_hash, KeyTable, RowBuf};
 use cse_algebra::{AggExpr, ColRef, PlanContext, Scalar, SortOrder};
 use cse_govern::{
     sites, CancelToken, DegradationEvent, ExecLimits, FailpointRegistry, MemReservation, MemScope,
     Reason, ReserveError,
 };
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan};
-use cse_storage::{Catalog, Row, Table, Value};
+use cse_storage::{Catalog, Row, Value};
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound as RangeBound;
 
@@ -60,7 +64,7 @@ impl ResultSet {
                     return o;
                 }
             }
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         });
         self
     }
@@ -119,8 +123,8 @@ pub struct ExecMetrics {
     pub spool_bytes: HashMap<CseId, usize>,
     /// Total rows scanned from base tables.
     pub base_rows_scanned: usize,
-    /// Per-request high-water mark of approximate bytes materialized:
-    /// the current statement's operator outputs plus all live spools.
+    /// Per-request high-water mark of approximate bytes held: what the
+    /// current statement's breakers hold plus all live spools.
     pub peak_bytes: usize,
 }
 
@@ -134,17 +138,21 @@ pub struct ExecOutput {
     pub events: Vec<DegradationEvent>,
 }
 
-/// Intermediate rows and the global column id of each row position.
-struct Chunk {
-    cols: Vec<ColRef>,
-    rows: Vec<Row>,
-}
-
 /// The columns an operator's ancestors read, handed down as the plan is
-/// walked. An operator may emit more than is needed (scans deliver stored
-/// rows as they are), never less: a parent binds against the columns its
-/// input actually produced, so an over-pruned column is a bind error.
+/// walked. An operator may emit more than is needed (scans hand out stored
+/// rows as they are), never less: a parent binds against what [`out_cols`]
+/// says its input emits, so an over-pruned column is a bind error.
 type Need = BTreeSet<ColRef>;
+
+/// Where an operator pushes its rows. A row is borrowed for the call only —
+/// a stored row, or a scratch row overwritten for the next — so a sink
+/// copies what it keeps.
+type Sink<'s> = &'s mut dyn FnMut(&[Value]) -> ExecResult;
+
+type ExecResult<T = ()> = Result<T, ExecError>;
+
+/// What one held column value is charged as.
+const CELL: usize = std::mem::size_of::<Value>();
 
 /// How one [`Engine::execute_in`] call is governed. The default is
 /// ungoverned: nothing armed, no limits, never canceled, no reservation.
@@ -158,8 +166,8 @@ pub struct ExecCtx<'a> {
     /// rows inside scans and joins, so a watchdog can stop a runaway
     /// batch without killing the executing thread.
     pub cancel: CancelToken,
-    /// Global memory reservation that all operator output bytes (and
-    /// spool work tables, which outlive their statement) are charged to;
+    /// Global memory reservation that all held rows (and spool work
+    /// tables, which outlive their statement) are charged to;
     /// a refused charge is a recoverable fault like a breached limit.
     pub reservation: Option<&'a MemReservation>,
     /// Retry a statement that hit a recoverable fault (injected failpoint,
@@ -179,6 +187,25 @@ impl ExecCtx<'_> {
             limits: limits.clone(),
             ..ExecCtx::default()
         }
+    }
+
+    /// Stop if the request was canceled or its deadline expired.
+    fn check_cancel(&self) -> ExecResult {
+        if self.cancel.is_explicitly_canceled() {
+            return Err(ExecError::Canceled { deadline: false });
+        }
+        if self.cancel.deadline_expired() {
+            return Err(ExecError::Canceled { deadline: true });
+        }
+        Ok(())
+    }
+
+    /// Strided cancellation check for per-row loops.
+    fn check_cancel_at(&self, i: usize) -> ExecResult {
+        if i.is_multiple_of(CANCEL_STRIDE) {
+            self.check_cancel()?;
+        }
+        Ok(())
     }
 }
 
@@ -202,15 +229,12 @@ pub struct Engine<'a> {
 
 struct RunState<'p> {
     plan: &'p FullPlan,
-    spools: HashMap<CseId, (Vec<ColRef>, Vec<Row>)>,
+    spools: HashMap<CseId, (Vec<ColRef>, RowBuf)>,
     metrics: ExecMetrics,
     ctx: &'p ExecCtx<'p>,
-    /// Rows / approximate bytes materialized by the current statement.
+    /// Rows / approximate bytes the current statement's breakers held.
     rows_materialized: usize,
     bytes_materialized: usize,
-    /// Approximate bytes held by live spools (sum of
-    /// [`ExecMetrics::spool_bytes`], kept as a running total).
-    spool_bytes_total: usize,
     /// Transient per-statement charge against the request's global memory
     /// reservation; recreated each statement so its bytes release on
     /// statement end. `None` when execution is not memory-governed.
@@ -229,9 +253,15 @@ struct RunState<'p> {
     recovering: bool,
 }
 
-/// Map a refused reservation charge into the interpreter's error space.
-fn reserve_to_exec(e: ReserveError) -> ExecError {
-    match e {
+/// Charge `bytes` to a reservation scope, if execution is memory-governed:
+/// a refusal is a fault, except while recovering, which cannot fault.
+fn charge_scope(scope: &mut Option<MemScope>, recovering: bool, bytes: usize) -> ExecResult {
+    let Some(scope) = scope else { return Ok(()) };
+    if recovering {
+        scope.charge_unchecked(bytes);
+        return Ok(());
+    }
+    scope.charge(bytes).map_err(|e| match e {
         ReserveError::Exhausted {
             requested,
             available,
@@ -243,7 +273,7 @@ fn reserve_to_exec(e: ReserveError) -> ExecError {
             site: sites::MEM_RESERVE.to_string(),
         },
         ReserveError::Canceled { deadline } => ExecError::Canceled { deadline },
-    }
+    })
 }
 
 /// How many rows an operator loop processes between cancellation checks.
@@ -252,7 +282,7 @@ const CANCEL_STRIDE: usize = 4096;
 
 impl RunState<'_> {
     /// Evaluate an armed failpoint at `site` (no-op while recovering).
-    fn maybe_fail(&self, site: &str) -> Result<(), ExecError> {
+    fn maybe_fail(&self, site: &str) -> ExecResult {
         if !self.recovering && self.ctx.failpoints.should_fail(site) {
             return Err(ExecError::Injected {
                 site: site.to_string(),
@@ -261,69 +291,44 @@ impl RunState<'_> {
         Ok(())
     }
 
-    /// Stop if the request was canceled or its deadline expired.
-    fn check_cancel(&self) -> Result<(), ExecError> {
-        if self.ctx.cancel.is_explicitly_canceled() {
-            return Err(ExecError::Canceled { deadline: false });
-        }
-        if self.ctx.cancel.deadline_expired() {
-            return Err(ExecError::Canceled { deadline: true });
-        }
-        Ok(())
-    }
-
-    /// Strided cancellation check for per-row loops.
-    #[inline]
-    fn check_cancel_at(&self, i: usize) -> Result<(), ExecError> {
-        if i.is_multiple_of(CANCEL_STRIDE) {
-            self.check_cancel()?;
-        }
-        Ok(())
-    }
-
-    /// Charge one operator's materialized output: the high-water metric
-    /// and the global memory reservation always see it; the per-statement
-    /// limits are enforced only outside recovery (recovery prioritizes
-    /// answering over governing).
-    fn charge(&mut self, rows: usize, bytes: usize) -> Result<(), ExecError> {
+    /// Charge the rows a breaker holds, once its input has ended: the
+    /// high-water metric and the global memory reservation always see
+    /// them; the per-statement limits are enforced only outside recovery
+    /// (recovery prioritizes answering over governing). Every breaker
+    /// counts, those of a spool definition included — a runaway join inside
+    /// a spool trips the consumer statement that first reads it.
+    fn charge(&mut self, rows: usize, bytes: usize) -> ExecResult {
         self.rows_materialized += rows;
         self.bytes_materialized += bytes;
-        let live = self.bytes_materialized + self.spool_bytes_total;
-        self.metrics.peak_bytes = self.metrics.peak_bytes.max(live);
-        if let Some(scope) = self.stmt_scope.as_mut() {
-            if self.recovering {
-                scope.charge_unchecked(bytes);
-            } else {
-                scope.charge(bytes).map_err(reserve_to_exec)?;
-            }
-        }
-        if self.recovering || self.ctx.limits.is_unlimited() {
+        self.note_peak();
+        charge_scope(&mut self.stmt_scope, self.recovering, bytes)?;
+        let limits = &self.ctx.limits;
+        if self.recovering || limits.is_unlimited() {
             return Ok(());
         }
-        if let Some(cap) = self.ctx.limits.max_rows {
-            if self.rows_materialized > cap {
-                return Err(ExecError::ResourceBudget {
-                    what: "rows",
-                    limit: cap,
-                    used: self.rows_materialized,
-                });
-            }
-        }
-        if let Some(cap) = self.ctx.limits.max_bytes {
-            if self.bytes_materialized > cap {
-                return Err(ExecError::ResourceBudget {
-                    what: "bytes",
-                    limit: cap,
-                    used: self.bytes_materialized,
-                });
+        let budgets = [
+            ("rows", limits.max_rows, self.rows_materialized),
+            ("bytes", limits.max_bytes, self.bytes_materialized),
+        ];
+        for (what, cap, used) in budgets {
+            if let Some(limit) = cap.filter(|cap| used > *cap) {
+                return Err(ExecError::ResourceBudget { what, limit, used });
             }
         }
         Ok(())
     }
 
-    /// Replace the per-statement reservation scope with a fresh one,
-    /// releasing the previous statement's transient bytes.
-    fn reset_stmt_scope(&mut self) {
+    /// The high-water mark sees what is held now: by the statement's
+    /// breakers and by every live spool.
+    fn note_peak(&mut self) {
+        let live = self.bytes_materialized + self.metrics.spool_bytes.values().sum::<usize>();
+        self.metrics.peak_bytes = self.metrics.peak_bytes.max(live);
+    }
+
+    /// A statement attempt starts with nothing held: zero counts and a fresh
+    /// per-statement scope, which releases the last attempt's transient bytes.
+    fn begin_attempt(&mut self) {
+        (self.rows_materialized, self.bytes_materialized) = (0, 0);
         self.stmt_scope = self.stmt_scope.take().map(|s| s.child());
     }
 
@@ -331,20 +336,14 @@ impl RunState<'_> {
     /// spools it materialized are dropped (and their reservation bytes
     /// returned), and metrics revert to the pre-attempt snapshot.
     fn rollback_attempt(&mut self, snapshot: &ExecMetrics) {
-        let added: Vec<CseId> = self
-            .spools
-            .keys()
-            .filter(|id| !snapshot.spool_rows.contains_key(id))
-            .copied()
-            .collect();
-        for id in added {
-            self.spools.remove(&id);
-            let bytes = self.metrics.spool_bytes.get(&id).copied().unwrap_or(0);
-            self.spool_bytes_total = self.spool_bytes_total.saturating_sub(bytes);
-            if let Some(scope) = self.spool_scope.as_mut() {
-                scope.uncharge(bytes);
+        let (metrics, scope) = (&self.metrics, &mut self.spool_scope);
+        self.spools.retain(|id, _| {
+            let older = snapshot.spool_rows.contains_key(id);
+            if let (false, Some(scope)) = (older, scope.as_mut()) {
+                scope.uncharge(metrics.spool_bytes.get(id).copied().unwrap_or(0));
             }
-        }
+            older
+        });
         self.metrics = snapshot.clone();
     }
 }
@@ -369,7 +368,6 @@ impl<'a> Engine<'a> {
             ctx,
             rows_materialized: 0,
             bytes_materialized: 0,
-            spool_bytes_total: 0,
             stmt_scope: ctx.reservation.map(MemReservation::scope),
             spool_scope: ctx.reservation.map(MemReservation::scope),
             recovering: false,
@@ -381,10 +379,8 @@ impl<'a> Engine<'a> {
         let mut results = Vec::with_capacity(statements.len());
         let mut events = Vec::new();
         for (i, stmt) in statements.iter().enumerate() {
-            st.check_cancel()?;
-            st.rows_materialized = 0;
-            st.bytes_materialized = 0;
-            st.reset_stmt_scope();
+            ctx.check_cancel()?;
+            st.begin_attempt();
             // Snapshot so a failed attempt's metric deltas (spools it
             // materialized, rows it scanned, the peak it touched) can be
             // rolled back — metrics report the final attempt only.
@@ -404,9 +400,7 @@ impl<'a> Engine<'a> {
                         format!("{e}; retried on baseline plan"),
                     );
                     st.rollback_attempt(&snapshot);
-                    st.rows_materialized = 0;
-                    st.bytes_materialized = 0;
-                    st.reset_stmt_scope();
+                    st.begin_attempt();
                     // The retained baseline is the statement's original
                     // non-covering expression. A plan without spools has
                     // nothing to retain: its statement *is* the baseline,
@@ -430,57 +424,43 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Run one statement subtree and name its output columns.
-    fn deliver(&self, plan: &PhysicalPlan, st: &mut RunState<'_>) -> Result<ResultSet, ExecError> {
-        if let PhysicalPlan::Project { input, exprs } = plan {
-            let need = columns_of(exprs.iter().map(|(_, e)| e));
-            let chunk = self.run(input, &need, st)?;
-            let rows = project(
-                chunk.rows.iter(),
-                &chunk.cols,
-                exprs.iter().map(|(_, e)| e),
-                "Project",
-            )?;
-            let names = exprs.iter().map(|(n, _)| n.clone()).collect();
-            return Ok(ResultSet::new(names, rows));
-        }
-        // Any other root (Sort above Project is not generated) delivers
-        // its whole layout under the catalog's column names.
-        let need = plan.layout().iter().copied().collect();
-        let chunk = self.run(plan, &need, st)?;
-        Ok(ResultSet::new(
-            chunk.cols.iter().map(|c| self.ctx.col_name(*c)).collect(),
-            chunk.rows,
-        ))
+    /// Run one statement subtree into its result set, the last breaker.
+    fn deliver(&self, plan: &PhysicalPlan, st: &mut RunState<'_>) -> ExecResult<ResultSet> {
+        // Any root but a Project (Sort above Project is not generated)
+        // delivers its whole layout under the catalog's column names.
+        let named = |c: &ColRef| (self.ctx.col_name(*c), Scalar::Col(*c));
+        let (input, exprs) = match plan {
+            PhysicalPlan::Project { input, exprs } => (&**input, std::borrow::Cow::from(exprs)),
+            other => (other, other.layout().iter().map(named).collect()),
+        };
+        let need = columns_of(exprs.iter().map(|(_, e)| e));
+        let cols = out_cols(input, &need);
+        let bound = bind_all(exprs.iter().map(|(_, e)| e), &cols, "Project")?;
+        let mut rows: Vec<Row> = Vec::new();
+        self.stream(input, &need, st, &mut |r| {
+            rows.push(bound.iter().map(|e| e.eval(r).into_owned()).collect());
+            Ok(())
+        })?;
+        st.charge(rows.len(), rows.len() * exprs.len().max(1) * CELL)?;
+        let columns = exprs.iter().map(|(name, _)| name.clone()).collect();
+        Ok(ResultSet::new(columns, rows))
     }
 
-    /// Evaluate one operator and charge its output against the statement
-    /// budget. The budget counts rows (and approximate bytes) materialized
-    /// by *every* operator, spool definitions included — a runaway join
-    /// inside a spool trips the consumer statement that first reads it.
-    fn run(
+    /// Push the rows of `plan` into `sink`, in the columns [`out_cols`]
+    /// names. Scans and filters hand on the stored rows; a breaker holds
+    /// what it must, charges it, and pushes on through one scratch row.
+    fn stream(
         &self,
         plan: &PhysicalPlan,
         need: &Need,
         st: &mut RunState<'_>,
-    ) -> Result<Chunk, ExecError> {
-        st.check_cancel()?;
-        let chunk = self.run_inner(plan, need, st)?;
-        let bytes = chunk.rows.len() * chunk.cols.len().max(1) * std::mem::size_of::<Value>();
-        st.charge(chunk.rows.len(), bytes)?;
-        Ok(chunk)
-    }
-
-    fn run_inner(
-        &self,
-        plan: &PhysicalPlan,
-        need: &Need,
-        st: &mut RunState<'_>,
-    ) -> Result<Chunk, ExecError> {
-        let bind_opt = |p: &Option<Scalar>, cols: &[ColRef]| {
-            p.as_ref()
-                .map(|p| Bound::bind(p, cols, plan.name()))
-                .transpose()
+        sink: Sink<'_>,
+    ) -> ExecResult {
+        let (ctx, op) = (st.ctx, plan.name());
+        ctx.check_cancel()?;
+        let entry_of = |rel| {
+            let entry = self.catalog.get(&self.ctx.rel(rel).name);
+            entry.map_err(|e| ExecError::Storage(e.to_string()))
         };
         match plan {
             PhysicalPlan::TableScan {
@@ -489,16 +469,9 @@ impl<'a> Engine<'a> {
                 layout,
             } => {
                 st.maybe_fail(sites::SCAN_TABLE)?;
-                let info = self.ctx.rel(*rel);
-                let table = self
-                    .catalog
-                    .table(&info.name)
-                    .map_err(|e| ExecError::Storage(e.to_string()))?;
-                let filter = bind_opt(filter, layout)?;
-                Ok(Chunk {
-                    cols: layout.clone(),
-                    rows: scan(&table, filter.as_ref(), st)?,
-                })
+                let filter = filter.as_ref().map(|p| Bound::bind(p, layout, op));
+                let rows = entry_of(*rel)?.table.scan().map(Ok);
+                scan_rows(rows, st, &mut filtering(filter.transpose()?, sink))
             }
             PhysicalPlan::IndexRangeScan {
                 rel,
@@ -508,26 +481,22 @@ impl<'a> Engine<'a> {
                 layout,
             } => {
                 st.maybe_fail(sites::SCAN_INDEX)?;
-                let info = self.ctx.rel(*rel);
-                let entry = self
-                    .catalog
-                    .get(&info.name)
-                    .map_err(|e| ExecError::Storage(e.to_string()))?;
+                let entry = entry_of(*rel)?;
                 let table = &entry.table;
-                let pred = Bound::bind(pred, layout, plan.name())?;
                 // The interval is only where to look: the B-tree's order is
                 // the predicate's order just for bounds of the column's own
                 // comparison class, and every row found is decided by `pred`.
+                let mut sink = filtering(Some(Bound::bind(pred, layout, op)?), sink);
                 let ty = self.ctx.col_type(*col);
                 let idx = entry
                     .btree_indexes
                     .iter()
                     .find(|i| i.column == col.col as usize)
                     .filter(|_| interval.in_class_of(ty));
-                let rows = match idx {
+                match idx {
                     // Index dropped since planning: degrade to a scan.
-                    None => scan(table, Some(&pred), st)?,
-                    Some(_) if interval.emptiness(ty).is_some() => Vec::new(),
+                    None => scan_rows(table.scan().map(Ok), st, &mut sink),
+                    Some(_) if interval.emptiness(ty).is_some() => Ok(()),
                     Some(idx) => {
                         fn side(s: &Option<(Value, bool)>) -> RangeBound<&Value> {
                             match s {
@@ -536,123 +505,120 @@ impl<'a> Engine<'a> {
                                 None => RangeBound::Unbounded,
                             }
                         }
-                        let mut rows = Vec::new();
+                        // The index can lag the table (rebuild racing a
+                        // shrink); a stale rowid must degrade to an error,
+                        // not a panic on the serving path.
+                        let stale = |rid| {
+                            let name = &self.ctx.rel(*rel).name;
+                            ExecError::Storage(format!("index rowid {rid} out of range for {name}"))
+                        };
+                        let stored = |rid| table.rows().get(rid as usize).ok_or_else(|| stale(rid));
                         let hits = idx.range(side(&interval.lo), side(&interval.hi));
-                        for (i, rid) in hits.enumerate() {
-                            st.check_cancel_at(i)?;
-                            // The index can lag the table (rebuild racing a
-                            // shrink); a stale rowid must degrade to an
-                            // error, not a panic on the serving path.
-                            let r = table.rows().get(rid as usize).ok_or_else(|| {
-                                ExecError::Storage(format!(
-                                    "index rowid {rid} out of range for {}",
-                                    info.name
-                                ))
-                            })?;
-                            if pred.accepts(r) {
-                                rows.push(r.clone());
-                            }
-                        }
-                        st.metrics.base_rows_scanned += rows.len();
-                        rows
-                    }
-                };
-                Ok(Chunk {
-                    cols: layout.clone(),
-                    rows,
-                })
-            }
-            PhysicalPlan::Filter { input, pred } => {
-                let mut chunk = self.run(input, &with_columns(need, [pred]), st)?;
-                let pred = Bound::bind(pred, &chunk.cols, plan.name())?;
-                chunk.rows.retain(|r| pred.accepts(r));
-                Ok(chunk)
-            }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
-                keys,
-                residual,
-                ..
-            } => {
-                // Output what the ancestors read plus what the residual
-                // reads (it is tested on the joined row); the inputs must
-                // also carry the join keys.
-                let out_need = with_columns(need, residual);
-                let mut in_need = out_need.clone();
-                in_need.extend(keys.iter().flat_map(|(a, b)| [*a, *b]));
-                let lchunk = self.run(left, &in_need, st)?;
-                let rchunk = self.run(right, &in_need, st)?;
-                hash_join(&lchunk, &rchunk, keys, residual.as_ref(), &out_need, st)
-            }
-            PhysicalPlan::NlJoin {
-                left, right, pred, ..
-            } => {
-                let out_need = with_columns(need, [pred]);
-                let lchunk = self.run(left, &out_need, st)?;
-                let rchunk = self.run(right, &out_need, st)?;
-                let join = JoinOutput::new(&lchunk.cols, &rchunk.cols, &out_need);
-                let pred = if pred.is_true() {
-                    None
-                } else {
-                    Some(Bound::bind(pred, &join.cols, plan.name())?)
-                };
-                let mut rows = Vec::new();
-                for (li, lrow) in lchunk.rows.iter().enumerate() {
-                    st.check_cancel_at(li)?;
-                    for rrow in &rchunk.rows {
-                        let joined = join.row(lrow, rrow);
-                        if pred.as_ref().is_none_or(|p| p.accepts(&joined)) {
-                            rows.push(joined);
-                        }
+                        scan_rows(hits.map(stored), st, &mut sink)
                     }
                 }
-                Ok(Chunk {
-                    cols: join.cols,
-                    rows,
+            }
+            PhysicalPlan::Filter { input, pred } => {
+                let in_need = with_columns(need, [pred]);
+                let pred = Bound::bind(pred, &out_cols(input, &in_need), op)?;
+                self.stream(input, &in_need, st, &mut filtering(Some(pred), sink))
+            }
+            PhysicalPlan::HashJoin { .. } | PhysicalPlan::NlJoin { .. } => {
+                let (left, right, keys, residual) = join_sides(plan).expect("a join");
+                let in_need = join_needs(need, keys, residual).1;
+                let (hcols, held) = self.hold(left, &in_need, st)?;
+                let scols = out_cols(right, &in_need);
+                let hkeys = keys.iter().map(|(h, _)| position(&hcols, *h, op));
+                let hkeys: Vec<usize> = hkeys.collect::<Result<_, _>>()?;
+                let skeys = keys.iter().map(|(_, s)| position(&scols, *s, op));
+                let skeys: Vec<usize> = skeys.collect::<Result<_, _>>()?;
+                // Where each emitted column is in a held or a streamed row.
+                let cols = out_cols(plan, need);
+                let from = |side: &[ColRef]| -> Vec<(usize, usize)> {
+                    let found = |c| side.iter().position(|x| x == c);
+                    let at = cols.iter().enumerate();
+                    at.filter_map(|(o, c)| Some((o, found(c)?))).collect()
+                };
+                let (from_held, from_streamed) = (from(&hcols), from(&scols));
+                let residual = residual.map(|p| Bound::bind(p, &cols, op)).transpose()?;
+                let has_null = |r: &[Value], pos: &[usize]| pos.iter().any(|p| r[*p].is_null());
+
+                // One table entry per distinct key: its first held row, the
+                // others chained through `next` in insertion order (filled
+                // back to front, so chains are prepended to). A NULL key
+                // never joins; without keys all held rows are one chain.
+                const END: u32 = u32::MAX;
+                let mut table = KeyTable::with_capacity(held.len());
+                let mut first: Vec<u32> = Vec::new();
+                let mut next = vec![END; held.len()];
+                for i in (0..held.len()).rev() {
+                    let row = held.row(i);
+                    if has_null(row, &hkeys) {
+                        continue;
+                    }
+                    let (entry, added) = table.find_or_insert(key_hash(row, &hkeys), |e| {
+                        key_eq(held.row(first[e] as usize), &hkeys, row, &hkeys)
+                    });
+                    if added {
+                        first.push(i as u32);
+                    } else {
+                        next[i] = std::mem::replace(&mut first[entry], i as u32);
+                    }
+                }
+
+                // Output is in the streamed side's order, insertion order
+                // among the held rows of one streamed row; the residual is
+                // tested on the scratch row, before anything is allocated.
+                let mut scratch = vec![Value::Null; cols.len()];
+                let mut n = 0;
+                self.stream(right, &in_need, st, &mut |srow| {
+                    ctx.check_cancel_at(n)?;
+                    n += 1;
+                    if has_null(srow, &skeys) {
+                        return Ok(());
+                    }
+                    let entry = table.find(key_hash(srow, &skeys), |e| {
+                        key_eq(held.row(first[e] as usize), &hkeys, srow, &skeys)
+                    });
+                    let Some(entry) = entry else { return Ok(()) };
+                    copy_cols(&mut scratch, &from_streamed, srow);
+                    let mut at = first[entry];
+                    while at != END {
+                        copy_cols(&mut scratch, &from_held, held.row(at as usize));
+                        if residual.as_ref().is_none_or(|p| p.accepts(&scratch)) {
+                            sink(&scratch)?;
+                        }
+                        at = next[at as usize];
+                    }
+                    Ok(())
                 })
             }
             PhysicalPlan::HashAggregate {
-                input,
-                keys,
-                aggs,
-                layout,
-                ..
+                input, keys, aggs, ..
             } => {
                 let mut in_need = columns_of(aggs.iter().filter_map(|a| a.arg.as_ref()));
                 in_need.extend(keys);
-                let chunk = self.run(input, &in_need, st)?;
-                let rows = aggregate(chunk.rows.iter(), &chunk.cols, keys, aggs, plan.name())?;
-                Ok(Chunk {
-                    cols: layout.clone(),
-                    rows,
-                })
+                let mut groups = Groups::bind(&out_cols(input, &in_need), keys, aggs, op)?;
+                self.stream(input, &in_need, st, &mut |r| groups.update(r))?;
+                groups.emit(st, sink)
             }
             PhysicalPlan::Sort { input, keys } => {
                 let in_need = with_columns(need, keys.iter().map(|(k, _)| k));
-                let mut chunk = self.run(input, &in_need, st)?;
-                let keys: Vec<(Bound, SortOrder)> = keys
-                    .iter()
-                    .map(|(k, dir)| Ok((Bound::bind(k, &chunk.cols, plan.name())?, *dir)))
-                    .collect::<Result<_, ExecError>>()?;
-                chunk.rows.sort_by(|a, b| {
-                    for (k, dir) in &keys {
-                        let mut o = k.eval(a).total_cmp(&k.eval(b));
-                        if *dir == SortOrder::Desc {
-                            o = o.reverse();
-                        }
-                        if !o.is_eq() {
-                            return o;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
+                let (cols, held) = self.hold(input, &in_need, st)?;
+                let by = bind_all(keys.iter().map(|(k, _)| k), &cols, op)?;
+                // A stable sort of row numbers: ties keep input order.
+                let mut order: Vec<usize> = (0..held.len()).collect();
+                order.sort_by(|a, b| {
+                    let (a, b) = (held.row(*a), held.row(*b));
+                    let cmp = |(k, (_, dir)): (&Bound, &(Scalar, SortOrder))| match dir {
+                        SortOrder::Desc => k.eval(b).total_cmp(&k.eval(a)),
+                        SortOrder::Asc => k.eval(a).total_cmp(&k.eval(b)),
+                    };
+                    let differ = by.iter().zip(keys).map(cmp).find(|o| !o.is_eq());
+                    differ.unwrap_or(Ordering::Equal)
                 });
-                Ok(chunk)
+                order.into_iter().try_for_each(|i| sink(held.row(i)))
             }
-            // Only valid at a statement root, where `deliver` handles it.
-            PhysicalPlan::Project { .. } => Err(ExecError::Unsupported(
-                "interior Project operators are not supported",
-            )),
             PhysicalPlan::CseRead {
                 cse,
                 filter,
@@ -662,102 +628,193 @@ impl<'a> Engine<'a> {
             } => {
                 self.ensure_spool(*cse, st)?;
                 *st.metrics.spool_reads.entry(*cse).or_insert(0) += 1;
-                // `ensure_spool` just materialized it; report rather than
-                // panic if that invariant ever breaks. The stored rows are
-                // filtered and re-aggregated in place, never copied.
+                // `ensure_spool` just filled it; report rather than panic if
+                // that ever breaks. Stored rows are read in place.
                 let (spool_cols, spool_rows) =
                     st.spools.get(cse).ok_or(ExecError::MissingSpool(*cse))?;
-                let filter = bind_opt(filter, spool_cols)?;
-                let kept = spool_rows
-                    .iter()
-                    .filter(|r| filter.as_ref().is_none_or(|p| p.accepts(r)));
-                let outputs = || output_map.iter().filter(|(c, _)| need.contains(c));
-                let exprs = outputs().map(|(_, e)| e);
-                let rows = match reagg {
-                    Some(r) => {
-                        let agg_rows = aggregate(kept, spool_cols, &r.keys, &r.aggs, plan.name())?;
-                        let mut cols = r.keys.clone();
-                        cols.extend((0..r.aggs.len()).map(|i| ColRef::new(r.out, i as u16)));
-                        project(agg_rows.iter(), &cols, exprs, plan.name())?
-                    }
-                    None => project(kept, spool_cols, exprs, plan.name())?,
+                let filter = filter.as_ref().map(|p| Bound::bind(p, spool_cols, op));
+                let filter = filter.transpose()?;
+                let outputs = output_map.iter().filter(|(c, _)| need.contains(c));
+                let outputs = outputs.map(|(_, e)| e);
+                let Some(r) = reagg else {
+                    let mut sink = projecting(bind_all(outputs, spool_cols, op)?, sink);
+                    return spool_rows.rows().try_for_each(filtering(filter, &mut sink));
                 };
-                Ok(Chunk {
-                    cols: outputs().map(|(c, _)| *c).collect(),
-                    rows,
-                })
+                let mut groups = Groups::bind(spool_cols, &r.keys, &r.aggs, op)?;
+                let mut update = |row: &[Value]| groups.update(row);
+                spool_rows
+                    .rows()
+                    .try_for_each(filtering(filter, &mut update))?;
+                let mut cols = r.keys.clone();
+                cols.extend((0..r.aggs.len()).map(|i| ColRef::new(r.out, i as u16)));
+                let exprs = bind_all(outputs, &cols, op)?;
+                groups.emit(st, &mut projecting(exprs, sink))
             }
-            PhysicalPlan::Batch { .. } => Err(ExecError::Unsupported(
-                "nested Batch operators are not supported",
-            )),
+            // Only valid at a statement root, where `execute_in` and
+            // `deliver` handle them.
+            PhysicalPlan::Project { .. } | PhysicalPlan::Batch { .. } => Err(
+                ExecError::Unsupported("Project and Batch operators below a statement root"),
+            ),
         }
+    }
+
+    /// Hold the rows of `plan` — the columns of them in `need` — and charge
+    /// them: a join's held side, a sort's input, a spool's definition.
+    fn hold(
+        &self,
+        plan: &PhysicalPlan,
+        need: &Need,
+        st: &mut RunState<'_>,
+    ) -> ExecResult<(Vec<ColRef>, RowBuf)> {
+        let cols = out_cols(plan, need);
+        let keep = (0..cols.len()).filter(|i| need.contains(&cols[*i]));
+        let keep: Vec<usize> = keep.collect();
+        let mut held = RowBuf::new(keep.len());
+        self.stream(plan, need, st, &mut |r| {
+            held.push(keep.iter().map(|p| r[*p].clone()));
+            Ok(())
+        })?;
+        st.charge(held.len(), held.bytes())?;
+        Ok((keep.iter().map(|i| cols[*i]).collect(), held))
     }
 
     /// Compute a spool's work table once (recursively computes narrower
     /// stacked spools it reads).
-    fn ensure_spool(&self, cse: CseId, st: &mut RunState<'_>) -> Result<(), ExecError> {
+    fn ensure_spool(&self, cse: CseId, st: &mut RunState<'_>) -> ExecResult {
         if st.spools.contains_key(&cse) {
             return Ok(());
         }
-        // Injected before any work: a failed materialization leaves no
-        // partial spool behind, so a later statement (or the baseline
-        // retry) sees clean state.
+        // Injected before any work, and the table is inserted only after its
+        // definition has ended: a failed materialization leaves no partial
+        // spool behind for a later statement (or the baseline retry).
         st.maybe_fail(sites::SPOOL_MATERIALIZE)?;
         let plan = st.plan;
         let def = plan.spools.get(&cse).ok_or(ExecError::MissingSpool(cse))?;
-        let chunk = self.run(&def.plan, &def.layout.iter().copied().collect(), st)?;
-        // Re-layout the definition output into the spool's column order.
-        let rows: Vec<Row> = if chunk.cols == def.layout {
-            chunk.rows
-        } else {
-            let positions: Vec<usize> = def
-                .layout
-                .iter()
-                .map(|c| position(&chunk.cols, *c, "Spool"))
-                .collect::<Result<_, _>>()?;
-            chunk
-                .rows
-                .iter()
-                .map(|r| positions.iter().map(|i| r[*i].clone()).collect())
-                .collect()
-        };
-        // The spool outlives its statement, so its bytes move to the
-        // persistent scope (on top of the transient charge its definition
-        // already paid above — conservative double-count within this one
-        // statement, gone when the statement scope resets).
-        let bytes = rows.len() * def.layout.len().max(1) * std::mem::size_of::<Value>();
-        if let Some(scope) = st.spool_scope.as_mut() {
-            if st.recovering {
-                scope.charge_unchecked(bytes);
-            } else {
-                scope.charge(bytes).map_err(reserve_to_exec)?;
-            }
-        }
+        // The statement that first reads a spool fills it, so `hold` charges
+        // that statement's budget and transient scope. The spool outlives
+        // it, so the persistent scope is charged as well (a conservative
+        // double count, gone when the statement scope resets).
+        let (cols, rows) = self.hold(&def.plan, &def.layout.iter().copied().collect(), st)?;
+        let bytes = rows.bytes();
+        charge_scope(&mut st.spool_scope, st.recovering, bytes)?;
         st.metrics.spool_rows.insert(cse, rows.len());
         st.metrics.spool_bytes.insert(cse, bytes);
-        st.spool_bytes_total += bytes;
-        let live = st.bytes_materialized + st.spool_bytes_total;
-        st.metrics.peak_bytes = st.metrics.peak_bytes.max(live);
-        st.spools.insert(cse, (def.layout.clone(), rows));
+        st.spools.insert(cse, (cols, rows));
+        st.note_peak();
         Ok(())
     }
 }
 
-/// Full scan: the rows of `table` that `filter` accepts, in table order.
-fn scan(
-    table: &Table,
-    filter: Option<&Bound>,
-    st: &mut RunState<'_>,
-) -> Result<Vec<Row>, ExecError> {
-    st.metrics.base_rows_scanned += table.row_count();
-    let mut rows = Vec::new();
-    for (i, r) in table.scan().enumerate() {
-        st.check_cancel_at(i)?;
-        if filter.is_none_or(|p| p.accepts(r)) {
-            rows.push(r.clone());
+/// The columns `plan` emits when its ancestors read `need`: a pure function
+/// of the two, so a parent binds its expressions before the first row.
+fn out_cols(plan: &PhysicalPlan, need: &Need) -> Vec<ColRef> {
+    match plan {
+        PhysicalPlan::TableScan { layout, .. }
+        | PhysicalPlan::IndexRangeScan { layout, .. }
+        | PhysicalPlan::HashAggregate { layout, .. } => layout.clone(),
+        PhysicalPlan::Filter { input, pred } => out_cols(input, &with_columns(need, [pred])),
+        // A sort holds, and so emits, only what it or an ancestor reads.
+        PhysicalPlan::Sort { input, keys } => {
+            let in_need = with_columns(need, keys.iter().map(|(k, _)| k));
+            let mut cols = out_cols(input, &in_need);
+            cols.retain(|c| in_need.contains(c));
+            cols
         }
+        // The columns of both inputs, left then right, that an ancestor or
+        // the residual reads — not the concatenation of both sides.
+        PhysicalPlan::HashJoin { .. } | PhysicalPlan::NlJoin { .. } => {
+            let (left, right, keys, residual) = join_sides(plan).expect("a join");
+            let (out_need, in_need) = join_needs(need, keys, residual);
+            let mut cols = out_cols(left, &in_need);
+            cols.extend(out_cols(right, &in_need));
+            cols.retain(|c| out_need.contains(c));
+            cols
+        }
+        PhysicalPlan::CseRead { output_map, .. } => {
+            let outputs = output_map.iter().filter(|(c, _)| need.contains(c));
+            outputs.map(|(c, _)| *c).collect()
+        }
+        // Roots only: `deliver` names a Project's columns itself.
+        PhysicalPlan::Project { .. } | PhysicalPlan::Batch { .. } => Vec::new(),
     }
-    Ok(rows)
+}
+
+/// Both joins as one: (held input, streamed input, their equi-keys, residual
+/// tested on the joined row); `None` unless `plan` is a join. Either holds
+/// its left side and streams the right past it: a nested-loops join is the
+/// hash join without keys, where every streamed row meets every held row.
+#[allow(clippy::type_complexity)]
+fn join_sides(
+    plan: &PhysicalPlan,
+) -> Option<(
+    &PhysicalPlan,
+    &PhysicalPlan,
+    &[(ColRef, ColRef)],
+    Option<&Scalar>,
+)> {
+    match plan {
+        PhysicalPlan::HashJoin {
+            left,
+            right,
+            keys,
+            residual,
+            ..
+        } => Some((left, right, keys, residual.as_ref())),
+        PhysicalPlan::NlJoin {
+            left, right, pred, ..
+        } => Some((left, right, &[], Some(pred).filter(|p| !p.is_true()))),
+        _ => None,
+    }
+}
+
+/// What a join's ancestors and its residual read of the joined row, and
+/// what both inputs are asked for: that plus the keys.
+fn join_needs(need: &Need, keys: &[(ColRef, ColRef)], residual: Option<&Scalar>) -> (Need, Need) {
+    let out_need = with_columns(need, residual);
+    let mut in_need = out_need.clone();
+    in_need.extend(keys.iter().flat_map(|(a, b)| [*a, *b]));
+    (out_need, in_need)
+}
+
+/// Push the stored rows `rows` finds, in its order, counting each as scanned.
+fn scan_rows<'t>(
+    rows: impl Iterator<Item = ExecResult<&'t Row>>,
+    st: &mut RunState<'_>,
+    sink: Sink<'_>,
+) -> ExecResult {
+    for (i, r) in rows.enumerate() {
+        st.ctx.check_cancel_at(i)?;
+        st.metrics.base_rows_scanned += 1;
+        sink(r?)?;
+    }
+    Ok(())
+}
+
+/// A sink that passes on the rows `pred` accepts.
+fn filtering(pred: Option<Bound>, sink: Sink<'_>) -> impl FnMut(&[Value]) -> ExecResult + '_ {
+    move |r| match &pred {
+        Some(p) if !p.accepts(r) => Ok(()),
+        _ => sink(r),
+    }
+}
+
+/// A sink that evaluates `exprs` over each row it is shown and pushes the
+/// result on through one reused row.
+fn projecting(exprs: Vec<Bound>, sink: Sink<'_>) -> impl FnMut(&[Value]) -> ExecResult + '_ {
+    let mut scratch = vec![Value::Null; exprs.len()];
+    move |r| {
+        for (slot, e) in scratch.iter_mut().zip(&exprs) {
+            *slot = e.eval(r).into_owned();
+        }
+        sink(&scratch)
+    }
+}
+
+/// `dst[to] = src[at]` for every `(to, at)` of `from`.
+fn copy_cols(dst: &mut [Value], from: &[(usize, usize)], src: &[Value]) {
+    for (to, at) in from {
+        dst[*to].clone_from(&src[*at]);
+    }
 }
 
 /// Every column the expressions read.
@@ -772,173 +829,79 @@ fn with_columns<'s>(need: &Need, exprs: impl IntoIterator<Item = &'s Scalar>) ->
     out
 }
 
-/// Evaluate `exprs` over each row: one output row per input row.
-fn project<'r, 's>(
-    rows: impl Iterator<Item = &'r Row>,
-    cols: &[ColRef],
+fn bind_all<'s>(
     exprs: impl Iterator<Item = &'s Scalar>,
-    op: &str,
-) -> Result<Vec<Row>, ExecError> {
-    let exprs: Vec<Bound> = exprs
-        .map(|e| Bound::bind(e, cols, op))
-        .collect::<Result<_, _>>()?;
-    Ok(rows
-        .map(|r| exprs.iter().map(|e| e.eval(r).into_owned()).collect())
-        .collect())
-}
-
-/// The columns a join emits: those of its inputs, left then right, that
-/// are in `need` — not the concatenation of both sides.
-struct JoinOutput {
-    cols: Vec<ColRef>,
-    left: Vec<usize>,
-    right: Vec<usize>,
-}
-
-impl JoinOutput {
-    fn new(lcols: &[ColRef], rcols: &[ColRef], need: &Need) -> Self {
-        let keep = |cols: &[ColRef]| -> Vec<usize> {
-            let kept = cols.iter().enumerate().filter(|(_, c)| need.contains(c));
-            kept.map(|(i, _)| i).collect()
-        };
-        let (left, right) = (keep(lcols), keep(rcols));
-        let cols = left.iter().map(|i| lcols[*i]);
-        let cols = cols.chain(right.iter().map(|i| rcols[*i])).collect();
-        JoinOutput { cols, left, right }
-    }
-
-    /// The joined row, allocated once at its final width.
-    #[inline]
-    fn row(&self, l: &[Value], r: &[Value]) -> Row {
-        let left = self.left.iter().map(|i| l[*i].clone());
-        left.chain(self.right.iter().map(|i| r[*i].clone()))
-            .collect()
-    }
-}
-
-/// Hash join; the left side builds, the right side probes. Output is in
-/// probe order, build-side insertion order among the matches of one probe
-/// row. A NULL key column never joins.
-fn hash_join(
-    build: &Chunk,
-    probe: &Chunk,
-    keys: &[(ColRef, ColRef)],
-    residual: Option<&Scalar>,
-    need: &Need,
-    st: &RunState<'_>,
-) -> Result<Chunk, ExecError> {
-    const OP: &str = "HashJoin";
-    let bkeys = keys.iter().map(|(b, _)| position(&build.cols, *b, OP));
-    let bkeys: Vec<usize> = bkeys.collect::<Result<_, _>>()?;
-    let pkeys = keys.iter().map(|(_, p)| position(&probe.cols, *p, OP));
-    let pkeys: Vec<usize> = pkeys.collect::<Result<_, _>>()?;
-    let has_null = |r: &[Value], pos: &[usize]| pos.iter().any(|p| r[*p].is_null());
-    let join = JoinOutput::new(&build.cols, &probe.cols, need);
-    let residual = residual
-        .map(|p| Bound::bind(p, &join.cols, OP))
-        .transpose()?;
-
-    // One table entry per distinct key; the build rows of an entry are
-    // chained through `next` in insertion order (`first`/`last` by entry).
-    const END: u32 = u32::MAX;
-    let mut table = KeyTable::with_capacity(build.rows.len());
-    let (mut first, mut last) = (Vec::<u32>::new(), Vec::<u32>::new());
-    let mut next = vec![END; build.rows.len()];
-    for (i, row) in build.rows.iter().enumerate() {
-        if has_null(row, &bkeys) {
-            continue;
-        }
-        let (entry, added) = table.find_or_insert(key_hash(row, &bkeys), |e| {
-            key_eq(&build.rows[first[e] as usize], &bkeys, row, &bkeys)
-        });
-        if added {
-            first.push(i as u32);
-            last.push(i as u32);
-        } else {
-            next[last[entry] as usize] = i as u32;
-            last[entry] = i as u32;
-        }
-    }
-
-    let mut rows = Vec::new();
-    for (pi, prow) in probe.rows.iter().enumerate() {
-        st.check_cancel_at(pi)?;
-        if has_null(prow, &pkeys) {
-            continue;
-        }
-        let entry = table.find(key_hash(prow, &pkeys), |e| {
-            key_eq(&build.rows[first[e] as usize], &bkeys, prow, &pkeys)
-        });
-        let mut at = entry.map_or(END, |e| first[e]);
-        while at != END {
-            let joined = join.row(&build.rows[at as usize], prow);
-            if residual.as_ref().is_none_or(|p| p.accepts(&joined)) {
-                rows.push(joined);
-            }
-            at = next[at as usize];
-        }
-    }
-    Ok(Chunk {
-        cols: join.cols,
-        rows,
-    })
-}
-
-/// Hash aggregation shared by HashAggregate and CseRead re-aggregation:
-/// one output row per group, key columns then aggregates, groups in
-/// first-seen order. NULL is a key value like any other.
-fn aggregate<'r>(
-    rows: impl Iterator<Item = &'r Row>,
     cols: &[ColRef],
-    keys: &[ColRef],
-    aggs: &[AggExpr],
     op: &str,
-) -> Result<Vec<Row>, ExecError> {
-    let key_pos: Vec<usize> = keys
-        .iter()
-        .map(|k| position(cols, *k, op))
-        .collect::<Result<_, _>>()?;
-    // CountStar has no argument; it counts every row it is shown.
-    let one = Bound::Lit(Value::Int(1));
-    let args: Vec<Bound> = aggs
-        .iter()
-        .map(|a| {
-            a.arg
-                .as_ref()
-                .map_or(Ok(one.clone()), |e| Bound::bind(e, cols, op))
+) -> ExecResult<Vec<Bound>> {
+    exprs.map(|e| Bound::bind(e, cols, op)).collect()
+}
+
+/// The group table of HashAggregate and of CseRead's re-aggregation: one
+/// group per distinct key (NULL is a key value like any other), in
+/// first-seen order. A group is its key values, copied when it is first
+/// seen, and the states `g * aggs.len() ..` of one flat vector.
+struct Groups {
+    key_pos: Vec<usize>,
+    args: Vec<Bound>,
+    fresh: Vec<AggState>,
+    table: KeyTable,
+    keys: RowBuf,
+    states: Vec<AggState>,
+}
+
+impl Groups {
+    fn bind(cols: &[ColRef], keys: &[ColRef], aggs: &[AggExpr], op: &str) -> ExecResult<Self> {
+        let key_pos = keys.iter().map(|k| position(cols, *k, op));
+        let key_pos: Vec<usize> = key_pos.collect::<Result<_, _>>()?;
+        // CountStar has no argument; it counts every row it is shown.
+        let one = || Ok(Bound::Lit(Value::Int(1)));
+        let bind = |e| Bound::bind(e, cols, op);
+        let args = aggs.iter().map(|a| a.arg.as_ref().map_or_else(one, bind));
+        Ok(Groups {
+            keys: RowBuf::new(key_pos.len()),
+            key_pos,
+            args: args.collect::<Result<_, _>>()?,
+            fresh: aggs.iter().map(|a| AggState::new(a.func)).collect(),
+            table: KeyTable::with_capacity(0),
+            states: Vec::new(),
         })
-        .collect::<Result<_, _>>()?;
-    // Group `g` is its first-seen row `firsts[g]` (for its key) and the
-    // states `g * aggs.len() ..` of one flat vector.
-    let mut table = KeyTable::with_capacity(0);
-    let mut firsts: Vec<&'r Row> = Vec::new();
-    let mut states: Vec<AggState> = Vec::new();
-    for row in rows {
-        let (g, added) = table.find_or_insert(key_hash(row, &key_pos), |g| {
-            key_eq(firsts[g], &key_pos, row, &key_pos)
+    }
+
+    /// A sink: the row joins its group, added if the row is its first.
+    fn update(&mut self, row: &[Value]) -> ExecResult {
+        let (keys, key_pos) = (&self.keys, &self.key_pos);
+        let (g, added) = self.table.find_or_insert(key_hash(row, key_pos), |g| {
+            keys.row(g).iter().zip(key_pos).all(|(k, p)| *k == row[*p])
         });
         if added {
-            firsts.push(row);
-            states.extend(aggs.iter().map(|a| AggState::new(a.func)));
+            self.keys.push(key_pos.iter().map(|p| row[*p].clone()));
+            self.states.extend_from_slice(&self.fresh);
         }
-        let group = &mut states[g * args.len()..][..args.len()];
-        for (state, arg) in group.iter_mut().zip(&args) {
+        let group = &mut self.states[g * self.args.len()..][..self.args.len()];
+        for (state, arg) in group.iter_mut().zip(&self.args) {
             state.update(&arg.eval(row));
         }
+        Ok(())
     }
-    // Scalar aggregate over an empty input produces one row.
-    if keys.is_empty() && firsts.is_empty() {
-        let empty = aggs.iter().map(|a| AggState::new(a.func).finish());
-        return Ok(vec![empty.collect()]);
-    }
-    let n = args.len();
-    Ok(firsts
-        .iter()
-        .enumerate()
-        .map(|(g, first)| {
-            let key = key_pos.iter().map(|p| first[*p].clone());
-            key.chain(states[g * n..(g + 1) * n].iter().map(AggState::finish))
-                .collect()
+
+    /// The input has ended: charge the table, then push every group, key
+    /// columns then aggregates, through one row.
+    fn emit(mut self, st: &mut RunState<'_>, sink: Sink<'_>) -> ExecResult {
+        // A scalar aggregate over no rows is one group.
+        if self.key_pos.is_empty() && self.keys.len() == 0 {
+            self.keys.push(std::iter::empty());
+            self.states.extend_from_slice(&self.fresh);
+        }
+        let (groups, n) = (self.keys.len(), self.args.len());
+        let width = self.key_pos.len() + n;
+        st.charge(groups, groups * width.max(1) * CELL)?;
+        let (mut scratch, mut states) = (Vec::with_capacity(width), self.states.iter());
+        self.keys.rows().try_for_each(|key| {
+            scratch.clear();
+            scratch.extend_from_slice(key);
+            scratch.extend(states.by_ref().take(n).map(AggState::finish));
+            sink(&scratch)
         })
-        .collect())
+    }
 }

@@ -1,10 +1,6 @@
-//! Structured errors for the interpreter.
-//!
-//! Execution used to report every failure as a bare `String` and panic on
-//! some broken-invariant paths (e.g. a spool read before its definition was
-//! computed). [`ExecError`] names each failure class, carries the spool id
-//! where relevant, and converts into the `String` errors the session layer
-//! threads around.
+//! Structured errors for the interpreter: [`ExecError`] names each failure
+//! class, carries the spool id where relevant, and converts into the
+//! `String` errors the session layer threads around.
 
 use cse_optimizer::CseId;
 use std::fmt;

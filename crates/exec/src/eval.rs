@@ -108,16 +108,6 @@ impl Bound {
     }
 }
 
-/// Bind and evaluate `s` over a single row laid out as `cols`.
-pub fn eval(s: &Scalar, cols: &[ColRef], row: &[Value]) -> Result<Value, ExecError> {
-    Ok(Bound::bind(s, cols, "eval")?.eval(row).into_owned())
-}
-
-/// Bind `pred` and test a single row laid out as `cols`.
-pub fn accepts(pred: &Scalar, cols: &[ColRef], row: &[Value]) -> Result<bool, ExecError> {
-    Ok(Bound::bind(pred, cols, "accepts")?.accepts(row))
-}
-
 fn arith(op: ArithOp, a: &Value, b: &Value) -> Value {
     if a.is_null() || b.is_null() {
         return Value::Null;
@@ -253,7 +243,7 @@ mod tests {
 
     fn arith_lit(op: ArithOp, a: Value, b: Value) -> Value {
         let s = Scalar::Arith(op, Box::new(Scalar::Lit(a)), Box::new(Scalar::Lit(b)));
-        eval(&s, &[], &[]).unwrap()
+        Bound::bind(&s, &[], "test").unwrap().eval(&[]).into_owned()
     }
 
     #[test]
@@ -265,9 +255,9 @@ mod tests {
             Scalar::col(RelId(0), 0),
             Scalar::col(RelId(0), 1),
         );
-        assert!(accepts(&p, &l, &row).unwrap());
+        assert!(Bound::bind(&p, &l, "test").unwrap().accepts(&row));
         let q = Scalar::eq(Scalar::col(RelId(0), 0), Scalar::int(5));
-        assert!(accepts(&q, &l, &row).unwrap());
+        assert!(Bound::bind(&q, &l, "test").unwrap().accepts(&row));
     }
 
     #[test]
@@ -275,7 +265,7 @@ mod tests {
         let l = layout2();
         let row = vec![Value::Null, Value::Int(9)];
         let p = Scalar::cmp(CmpOp::Lt, Scalar::col(RelId(0), 0), Scalar::int(10));
-        assert!(!accepts(&p, &l, &row).unwrap());
+        assert!(!Bound::bind(&p, &l, "test").unwrap().accepts(&row));
     }
 
     #[test]
@@ -297,16 +287,14 @@ mod tests {
         let row = vec![Value::Null, Value::Int(9)];
         let isnull = Scalar::cmp(CmpOp::Eq, Scalar::col(RelId(0), 0), Scalar::int(1));
         let true_p = Scalar::cmp(CmpOp::Lt, Scalar::col(RelId(0), 1), Scalar::int(10));
+        let eval = |s: &Scalar| Bound::bind(s, &l, "test").unwrap().eval(&row).into_owned();
         // unknown AND true = unknown
         assert_eq!(
-            eval(&Scalar::and([isnull.clone(), true_p.clone()]), &l, &row).unwrap(),
+            eval(&Scalar::and([isnull.clone(), true_p.clone()])),
             Value::Null
         );
         // unknown OR true = true
-        assert_eq!(
-            eval(&Scalar::or([isnull, true_p]), &l, &row).unwrap(),
-            Value::Bool(true)
-        );
+        assert_eq!(eval(&Scalar::or([isnull, true_p])), Value::Bool(true));
     }
 
     #[test]

@@ -11,4 +11,4 @@ mod keys;
 
 pub use engine::{Engine, ExecCtx, ExecMetrics, ExecOutput, ResultSet};
 pub use error::ExecError;
-pub use eval::{accepts, eval, AggState, Bound};
+pub use eval::{AggState, Bound};

@@ -4,7 +4,8 @@
 use cse_algebra::{
     AggExpr, AggFunc, CmpOp, ColRef, LogicalPlan, PlanContext, RelId, Scalar, SortOrder,
 };
-use cse_exec::Engine;
+use cse_exec::{Engine, ExecCtx, ExecError};
+use cse_govern::{sites, CancelToken, ExecLimits, FailSpec, FailpointRegistry};
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan, ReAgg, SpoolDef};
 use cse_storage::testkit::TestRng;
 use cse_storage::{row, Catalog, DataType, Row, Schema, Table, Value};
@@ -521,9 +522,10 @@ fn hash_aggregate_and_reagg_match_sort_oracle_on_generated_inputs() {
 }
 
 /// lineitem ⋈ orders ⋈ customer feeding SUM(l_extendedprice) GROUP BY
-/// c_nationkey reads two columns above each join; the joins must not
-/// materialize the 3 + 3 + 3 they are handed. Observed through the bytes
-/// charged per operator (`rows × cols × size_of::<Value>()`).
+/// c_nationkey reads two columns above each join; the joins must not hold
+/// the 3 + 3 + 3 they are handed. Observed through the bytes charged
+/// (`rows × cols × size_of::<Value>()`), which are exactly what the four
+/// breakers hold: scans and the probe sides hold nothing.
 #[test]
 fn joins_materialize_only_columns_an_ancestor_reads() {
     const N: usize = 40;
@@ -580,11 +582,289 @@ fn joins_materialize_only_columns_an_ancestor_reads() {
     assert_eq!(total, (0..N as i64).map(|i| 100 + i).sum::<i64>());
 
     let cell = std::mem::size_of::<Value>();
-    let scans = 3 * N * 3 * cell;
+    let l_build = N * 2 * cell; // l_orderkey, l_extendedprice
+    let lo_build = N * 2 * cell; // l_extendedprice, o_custkey
     let groups = 5 * 2 * cell;
-    let join_bytes = res.metrics.peak_bytes - scans - groups;
-    assert!(
-        join_bytes <= 2 * N * 4 * cell,
-        "two joins of {N} rows charged {join_bytes} bytes: wider than 4 columns a row"
+    let result = 5 * 2 * cell;
+    assert_eq!(
+        res.metrics.peak_bytes,
+        l_build + lo_build + groups + result,
+        "a join held a column no ancestor reads, or an operator that is no breaker held rows"
     );
+}
+
+// ---------------------------------------------------------------------
+// What streaming could break: order, empty streams, what is held, where
+// cancellation and faults are noticed.
+// ---------------------------------------------------------------------
+
+fn plan_of(root: PhysicalPlan) -> FullPlan {
+    FullPlan {
+        root,
+        spools: BTreeMap::new(),
+        cost: 0.0,
+        baseline: None,
+    }
+}
+
+fn int_rows(rows: &[[i64; 3]]) -> Vec<Row> {
+    let ints = |r: &[i64; 3]| row(r.iter().copied().map(Value::Int).collect());
+    rows.iter().map(ints).collect()
+}
+
+fn join_on_k1(ctx: &PlanContext, a: RelId, b: RelId) -> PhysicalPlan {
+    let cols = |r| (0..3).map(move |i| ColRef::new(r, i));
+    PhysicalPlan::HashJoin {
+        left: Box::new(scan(ctx, a)),
+        right: Box::new(scan(ctx, b)),
+        keys: vec![(ColRef::new(a, 0), ColRef::new(b, 0))],
+        residual: None,
+        layout: cols(a).chain(cols(b)).collect(),
+    }
+}
+
+/// The join pushes into the group table: its rows must arrive in the order a
+/// materializing join hands them over (probe order, build insertion order
+/// among one probe row's matches) and groups must come out first-seen.
+#[test]
+fn streamed_join_and_groups_keep_the_materializing_order() {
+    // a builds with duplicate keys; b probes out of key order, with repeats.
+    let a_rows = int_rows(&[[1, 0, 10], [2, 0, 20], [1, 0, 30], [3, 0, 40], [1, 0, 50]]);
+    let b_rows = int_rows(&[[3, 7, 0], [1, 8, 0], [9, 9, 0], [2, 7, 0], [1, 7, 0]]);
+    let (cat, mut ctx, rels) = catalog_of(&[("a", &a_rows), ("b", &b_rows)]);
+    let (a, b) = (rels[0], rels[1]);
+
+    // The reference materializes: joined rows first, then the groups.
+    let mut joined: Vec<Vec<Value>> = Vec::new();
+    for rb in &b_rows {
+        for ra in a_rows.iter().filter(|ra| ra[0] == rb[0]) {
+            joined.push(ra.iter().chain(rb.iter()).cloned().collect());
+        }
+    }
+    let got = run(&cat, &ctx, join_on_k1(&ctx, a, b));
+    let want: Vec<Row> = joined.iter().cloned().map(row).collect();
+    assert_eq!(show(&got), show(&want), "join rows and their order");
+
+    // SUM(a.v) GROUP BY b.k2: groups in the order the joined rows show them.
+    let mut groups: Vec<(Value, i64)> = Vec::new();
+    for j in &joined {
+        let v = j[2].as_i64().unwrap();
+        match groups.iter_mut().find(|(k, _)| *k == j[4]) {
+            Some((_, sum)) => *sum += v,
+            None => groups.push((j[4].clone(), v)),
+        }
+    }
+    let blk = ctx.new_block();
+    let out = ctx.add_agg_output(&[DataType::Int], blk);
+    let agg = PhysicalPlan::HashAggregate {
+        input: Box::new(join_on_k1(&ctx, a, b)),
+        keys: vec![ColRef::new(b, 1)],
+        aggs: vec![AggExpr::sum(Scalar::col(a, 2))],
+        out,
+        layout: vec![ColRef::new(b, 1), ColRef::new(out, 0)],
+    };
+    let got = run(&cat, &ctx, agg);
+    let want = groups.into_iter().map(|(k, s)| row(vec![k, Value::Int(s)]));
+    assert_eq!(
+        show(&got),
+        show(&want.collect::<Vec<_>>()),
+        "first-seen groups"
+    );
+}
+
+/// A scalar aggregate answers an empty stream with one row, whether it
+/// aggregates an operator's rows or re-aggregates a spool's.
+#[test]
+fn scalar_aggregates_over_an_empty_stream_return_one_row() {
+    let (cat, mut ctx, l, _) = setup();
+    let blk = ctx.new_block();
+    let out = ctx.add_agg_output(&[DataType::Int, DataType::Int], blk);
+    let nothing = Scalar::cmp(CmpOp::Lt, Scalar::col(l, 1), Scalar::int(0));
+    let aggs = vec![AggExpr::sum(Scalar::col(l, 1)), AggExpr::count_star()];
+    let layout: Vec<ColRef> = (0..2).map(|i| ColRef::new(out, i)).collect();
+    let agg = PhysicalPlan::HashAggregate {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(scan(&ctx, l)),
+            pred: nothing.clone(),
+        }),
+        keys: Vec::new(),
+        aggs: aggs.clone(),
+        out,
+        layout: layout.clone(),
+    };
+    let one_row = vec![row(vec![Value::Null, Value::Int(0)])];
+    assert_eq!(show(&run(&cat, &ctx, agg)), show(&one_row));
+
+    let read = PhysicalPlan::CseRead {
+        cse: CseId(0),
+        filter: Some(nothing),
+        reagg: Some(ReAgg {
+            keys: Vec::new(),
+            aggs,
+            out,
+        }),
+        output_map: layout.iter().map(|c| (*c, Scalar::Col(*c))).collect(),
+        layout,
+    };
+    let def = SpoolDef {
+        plan: scan(&ctx, l),
+        layout: (0..2).map(|i| ColRef::new(l, i)).collect(),
+        est_rows: 6.0,
+    };
+    let plan = FullPlan {
+        spools: BTreeMap::from([(CseId(0), def)]),
+        ..plan_of(read)
+    };
+    let out = Engine::new(&cat, &ctx).execute(&plan).unwrap();
+    assert_eq!(show(&out.results[0].rows), show(&one_row));
+}
+
+/// A nested-loops join tests its predicate on the scratch row: when it
+/// rejects every pair, nothing but the held (left) side was ever held.
+#[test]
+fn nl_join_that_rejects_everything_holds_only_its_left_side() {
+    let (cat, ctx, l, r) = setup();
+    let mut layout: Vec<ColRef> = (0..2).map(|i| ColRef::new(l, i)).collect();
+    layout.extend((0..2).map(|i| ColRef::new(r, i)));
+    let nl = PhysicalPlan::NlJoin {
+        left: Box::new(scan(&ctx, l)),
+        right: Box::new(scan(&ctx, r)),
+        // v is 0..6 and k is 0..3: v + 10 < k never holds.
+        pred: Scalar::cmp(
+            CmpOp::Lt,
+            Scalar::Arith(
+                cse_algebra::ArithOp::Add,
+                Box::new(Scalar::col(l, 1)),
+                Box::new(Scalar::int(10)),
+            ),
+            Scalar::col(r, 0),
+        ),
+        layout,
+    };
+    let out = Engine::new(&cat, &ctx).execute(&plan_of(nl)).unwrap();
+    assert!(out.results[0].rows.is_empty());
+    let held = 6 * 2 * std::mem::size_of::<Value>();
+    assert_eq!(out.metrics.peak_bytes, held, "six rows of l, two columns");
+}
+
+/// Cancellation is noticed by the row loops, not only where an operator
+/// starts: the token is tripped once the probe side's scan has passed its
+/// failpoint — the last operator boundary of scan → join → aggregate —
+/// so only a strided check inside the pipeline can still see it.
+#[test]
+fn cancel_mid_scan_stops_the_pipeline() {
+    let n = 32 * 4096; // CANCEL_STRIDEs of probe rows
+    let a_rows = int_rows(&[[0, 0, 1], [1, 0, 2]]);
+    let b_rows: Vec<Row> = (0..n)
+        .map(|i| row(vec![Value::Int(i % 2), Value::Null, Value::Int(i)]))
+        .collect();
+    let (cat, mut ctx, rels) = catalog_of(&[("a", &a_rows), ("b", &b_rows)]);
+    let (a, b) = (rels[0], rels[1]);
+    let blk = ctx.new_block();
+    let out = ctx.add_agg_output(&[DataType::Int], blk);
+    let agg = PhysicalPlan::HashAggregate {
+        input: Box::new(join_on_k1(&ctx, a, b)),
+        keys: vec![ColRef::new(a, 2)],
+        aggs: vec![AggExpr::sum(Scalar::col(b, 2))],
+        out,
+        layout: vec![ColRef::new(a, 2), ColRef::new(out, 0)],
+    };
+    // Armed never to fire: the registry only counts the scans that started.
+    let failpoints = FailpointRegistry::from_specs(&[FailSpec {
+        site: sites::SCAN_TABLE.to_string(),
+        probability: 0.0,
+        seed: 1,
+    }]);
+    let exec_ctx = ExecCtx {
+        cancel: CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
+        ..ExecCtx::governed(&failpoints, &ExecLimits::none())
+    };
+    let result = std::thread::scope(|s| {
+        s.spawn(|| {
+            while failpoints.counters()[sites::SCAN_TABLE].0 < 2 {
+                std::hint::spin_loop();
+            }
+            exec_ctx.cancel.cancel();
+        });
+        Engine::new(&cat, &ctx).execute_in(&plan_of(agg), &exec_ctx)
+    });
+    match result {
+        Err(ExecError::Canceled { deadline: false }) => {}
+        Ok(_) => panic!("{n} probe rows ended before the watcher's cancel was seen"),
+        Err(e) => panic!("expected a cancellation, got {e}"),
+    }
+}
+
+/// A fault on the probe side of a spool's definition — after its build
+/// side was held — leaves no partial spool: the statement is answered from
+/// its baseline, and the next reader fills the whole spool.
+#[test]
+fn probe_side_fault_in_a_spool_definition_leaves_no_partial_spool() {
+    let (cat, ctx, l, r) = setup();
+    let join = |ctx: &PlanContext| {
+        let cols = |rel| (0..2).map(move |i| ColRef::new(rel, i));
+        PhysicalPlan::HashJoin {
+            left: Box::new(scan(ctx, l)),
+            right: Box::new(scan(ctx, r)),
+            keys: vec![(ColRef::new(l, 0), ColRef::new(r, 0))],
+            residual: None,
+            layout: cols(l).chain(cols(r)).collect(),
+        }
+    };
+    let layout = join(&ctx).layout().to_vec();
+    let read = || PhysicalPlan::CseRead {
+        cse: CseId(0),
+        filter: None,
+        reagg: None,
+        output_map: layout.iter().map(|c| (*c, Scalar::Col(*c))).collect(),
+        layout: layout.clone(),
+    };
+    let def = SpoolDef {
+        plan: join(&ctx),
+        layout: layout.clone(),
+        est_rows: 6.0,
+    };
+    let plan = FullPlan {
+        root: PhysicalPlan::Batch {
+            children: vec![read(), read()],
+        },
+        spools: BTreeMap::from([(CseId(0), def)]),
+        cost: 0.0,
+        baseline: Some(Box::new(PhysicalPlan::Batch {
+            children: vec![join(&ctx), join(&ctx)],
+        })),
+    };
+    // A seed whose scans go: build passes, probe faults, then both pass.
+    let registry = |seed| {
+        FailpointRegistry::from_specs(&[FailSpec {
+            site: sites::SCAN_TABLE.to_string(),
+            probability: 0.5,
+            seed,
+        }])
+    };
+    let draws = |seed| {
+        let fp = registry(seed);
+        (0..4)
+            .map(|_| fp.should_fail(sites::SCAN_TABLE))
+            .collect::<Vec<_>>()
+    };
+    let seed = (0..).find(|s| draws(*s) == [false, true, false, false]);
+    let failpoints = registry(seed.expect("some seed draws it"));
+    let exec_ctx = ExecCtx::governed(&failpoints, &ExecLimits::none());
+    let out = Engine::new(&cat, &ctx)
+        .execute_in(&plan, &exec_ctx)
+        .unwrap();
+
+    let want = run(&cat, &ctx, join(&ctx));
+    assert_eq!(want.len(), 6);
+    assert_eq!(show(&out.results[0].rows), show(&want), "from the baseline");
+    assert_eq!(show(&out.results[1].rows), show(&want), "from the spool");
+    assert_eq!(out.events.len(), 1, "{:?}", out.events);
+    assert_eq!(out.results[0].provenance.len(), 1);
+    assert!(out.results[1].provenance.is_empty());
+    // The failed attempt's read and scans were rolled back; the spool the
+    // second statement read holds every row.
+    assert_eq!(out.metrics.spool_rows[&CseId(0)], 6);
+    assert_eq!(out.metrics.spool_reads[&CseId(0)], 1);
+    assert_eq!(out.metrics.base_rows_scanned, 2 * (6 + 3));
 }

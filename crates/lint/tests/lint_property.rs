@@ -12,6 +12,7 @@
 //! row satisfies all conjuncts under engine evaluation.
 
 use cse_algebra::{ArithOp, CmpOp, ColRef, PlanContext, RelId, Scalar};
+use cse_exec::Bound;
 use cse_lint::fold::fold;
 use cse_lint::ranges::prove_unsat;
 use cse_storage::testkit::TestRng;
@@ -24,11 +25,13 @@ const N_COLS: u16 = 3;
 /// Engine evaluation; every generated expression reads the three layout
 /// columns only.
 fn eval(s: &Scalar, cols: &[ColRef], row: &[Value]) -> Value {
-    cse_exec::eval(s, cols, row).expect("generated columns are in the layout")
+    let bound = Bound::bind(s, cols, "test").expect("generated columns are in the layout");
+    bound.eval(row).into_owned()
 }
 
 fn accepts(s: &Scalar, cols: &[ColRef], row: &[Value]) -> bool {
-    cse_exec::accepts(s, cols, row).expect("generated columns are in the layout")
+    let bound = Bound::bind(s, cols, "test").expect("generated columns are in the layout");
+    bound.accepts(row)
 }
 
 fn context() -> (PlanContext, RelId) {

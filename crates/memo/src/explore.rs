@@ -8,7 +8,7 @@
 
 use crate::memo::Memo;
 use crate::op::{GroupExpr, GroupExprId, GroupId, Op};
-use cse_algebra::{AggExpr, AggFunc, ColRef, RelSet, Scalar};
+use cse_algebra::{AggExpr, ColRef, RelSet, Scalar};
 
 /// Exploration limits.
 #[derive(Debug, Clone)]
@@ -136,6 +136,10 @@ fn apply_eager_agg(memo: &mut Memo, id: GroupExprId) {
         Op::Aggregate { keys, aggs, out } => (keys.clone(), aggs.clone(), *out, e.children[0]),
         _ => return,
     };
+    // A scalar aggregate answers no rows with one row.
+    if keys.is_empty() && !aggs.iter().all(|a| a.func.rolls_up_from_nothing()) {
+        return;
+    }
     // Only direct Join children (one level is enough to seed candidates;
     // deeper shapes arise through join reassociation first).
     let joins: Vec<(Scalar, GroupId, GroupId)> = memo
@@ -208,16 +212,7 @@ fn apply_eager_agg(memo: &mut Memo, id: GroupExprId) {
         let final_aggs: Vec<AggExpr> = aggs
             .iter()
             .enumerate()
-            .map(|(i, a)| {
-                let partial_col = Scalar::Col(ColRef::new(partial_out, i as u16));
-                match a.func {
-                    AggFunc::CountStar | AggFunc::Count => AggExpr {
-                        func: AggFunc::Sum,
-                        arg: Some(partial_col),
-                    },
-                    _ => a.rollup_over(partial_col),
-                }
-            })
+            .map(|(i, a)| a.rollup_over(Scalar::Col(ColRef::new(partial_out, i as u16))))
             .collect();
         let final_agg = GroupExpr::new(
             Op::Aggregate {

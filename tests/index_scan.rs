@@ -208,3 +208,25 @@ fn index_scan_returns_what_the_predicate_accepts() {
     let out = Engine::new(&plain, &o.ctx).execute(&o.plan).unwrap();
     assert!(!out.results[0].rows.is_empty());
 }
+
+/// `base_rows_scanned` counts rows *read*: every row of a table scan, and
+/// of an index scan the rows the index returned — not the fewer the whole
+/// predicate then accepted. With the index dropped after planning the same
+/// plan reads the whole table; the narrowing is the only difference.
+#[test]
+fn index_scan_counts_the_rows_the_index_returned() {
+    let (plain, indexed) = nullable_catalogs();
+    let sql = "select v from t where k > 3 and v < 500";
+    let o = optimize_sql(&indexed, sql, &CseConfig::default()).unwrap();
+    assert!(is_index_scan(&o), "{}", o.plan.root.render());
+    let t = plain.table("t").unwrap();
+    let in_interval = |r: &&similar_subexpr::storage::Row| r[0].as_i64().is_some_and(|k| k > 3);
+    let returned = t.scan().filter(in_interval).count();
+    let kept = Engine::new(&indexed, &o.ctx).execute(&o.plan).unwrap();
+    let dropped = Engine::new(&plain, &o.ctx).execute(&o.plan).unwrap();
+    assert!(kept.results[0].approx_eq(&dropped.results[0], 1e-12));
+    let accepted = kept.results[0].rows.len();
+    assert!(0 < accepted && accepted < returned && returned < t.row_count());
+    assert_eq!(kept.metrics.base_rows_scanned, returned);
+    assert_eq!(dropped.metrics.base_rows_scanned, t.row_count());
+}

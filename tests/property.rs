@@ -18,7 +18,9 @@ const CASES: usize = 300;
 
 /// Every generated expression reads columns of `layout()` only.
 fn eval(s: &Scalar, cols: &[ColRef], row: &[Value]) -> Value {
-    similar_subexpr::exec::eval(s, cols, row).expect("generated columns are in the layout")
+    let bound = similar_subexpr::exec::Bound::bind(s, cols, "test");
+    let bound = bound.expect("generated columns are in the layout");
+    bound.eval(row).into_owned()
 }
 
 fn layout() -> Vec<ColRef> {
