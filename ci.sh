@@ -113,15 +113,12 @@ done
 # reaches exactly one terminal outcome, every rejection carries a
 # load-shedding reason code (SHED_MEMORY / SHED_QUEUE_FULL /
 # REQ_DEADLINE), zero worker panics — so a nonzero exit here means the
-# contract broke. The JSON goes to a scratch path: the committed
-# BENCH_overload.json is regenerated deliberately, not by CI.
+# contract broke. Each point is one stdout row, its multiplier first.
 echo "==> overload smoke (500 requests, open loop)"
-overload_out=$(mktemp)
-cargo run -q --release -p cse-bench --bin report -- overload \
-  --sf 0.002 --requests 500 --out "$overload_out" >/dev/null
-grep -q '"multiplier": 4' "$overload_out" \
-  || { echo "overload smoke missing the 4x point"; exit 1; }
-rm -f "$overload_out"
+overload=$(cargo run -q --release -p cse-bench --bin report -- overload \
+  --sf 0.002 --requests 500)
+grep -qE '^ +4 ' <<<"$overload" \
+  || { echo "overload smoke missing the 4x point: $overload"; exit 1; }
 
 # qserve smoke: every corpus request must reach a terminal outcome
 # through the concurrent server. The findings corpus carries statements

@@ -3,6 +3,7 @@
 
 use crate::ids::{ColRef, RelId, RelSet};
 use cse_storage::Value;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -42,6 +43,20 @@ impl CmpOp {
             CmpOp::Ge => CmpOp::Lt,
         }
     }
+
+    /// Does the comparison hold of operands ordered `ord`? The literal
+    /// semantics the executor evaluates and the linter folds by.
+    #[inline]
+    pub fn holds(&self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
 }
 
 impl fmt::Display for CmpOp {
@@ -65,6 +80,37 @@ pub enum ArithOp {
     Sub,
     Mul,
     Div,
+}
+
+impl ArithOp {
+    /// `a op b` with the literal semantics the executor evaluates and the
+    /// linter folds by: a NULL or non-numeric operand gives NULL, integer
+    /// arithmetic stays integral except division, a result that does not
+    /// fit an i64 is computed in floating point, and `x / 0` is NULL.
+    #[inline]
+    pub fn apply(&self, a: &Value, b: &Value) -> Value {
+        if let (Value::Int(x), Value::Int(y)) = (a, b) {
+            let exact = match self {
+                ArithOp::Add => x.checked_add(*y),
+                ArithOp::Sub => x.checked_sub(*y),
+                ArithOp::Mul => x.checked_mul(*y),
+                ArithOp::Div => None,
+            };
+            if let Some(v) = exact {
+                return Value::Int(v);
+            }
+        }
+        match (a.as_f64(), b.as_f64()) {
+            (Some(x), Some(y)) => match self {
+                ArithOp::Add => Value::Float(x + y),
+                ArithOp::Sub => Value::Float(x - y),
+                ArithOp::Mul => Value::Float(x * y),
+                ArithOp::Div if y == 0.0 => Value::Null,
+                ArithOp::Div => Value::Float(x / y),
+            },
+            _ => Value::Null,
+        }
+    }
 }
 
 impl fmt::Display for ArithOp {

@@ -3,11 +3,9 @@
 //!
 //! Usage: `cargo run --release -p cse-bench --bin report [-- <experiment>] [--sf <f>]`
 //! where `<experiment>` is one of `table1 table2 table3 table4 fig8
-//! viewmaint overhead verify lint robustness overload recovery all`
-//! (default `all`). The `overload` arm also honours `--requests <n>`
-//! (default 10000), `--seed <u64>` (default 42) and `--out <path>`
-//! (default `BENCH_overload.json`); `recovery` honours `--out` too
-//! (default `BENCH_recovery.json`).
+//! viewmaint overhead verify lint overload recovery all` (default `all`).
+//! The `overload` arm also honours `--requests <n>` (default 10000) and
+//! `--seed <u64>` (default 42). Every arm prints its rows to stdout.
 
 use cse_bench::{experiments, print_table};
 
@@ -17,7 +15,6 @@ fn main() {
     let mut sf = experiments::DEFAULT_SF;
     let mut requests = 10_000usize;
     let mut seed = 42u64;
-    let mut out = "BENCH_overload.json".to_string();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -32,10 +29,6 @@ fn main() {
             "--seed" => {
                 i += 1;
                 seed = args[i].parse().expect("--seed expects a u64");
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
             }
             other => which = other.to_string(),
         }
@@ -155,41 +148,12 @@ fn main() {
         }
         println!("all workloads linted without errors (errors would have aborted).");
     }
-    if run_all || which == "robustness" {
-        println!("\n=== robustness: degradation ladder + fault injection ===");
-        println!(
-            "{:<18} {:<12} {:>8} {:>8}  events",
-            "scenario", "rung", "degraded", "correct"
-        );
-        let rows = experiments::robustness(&catalog);
-        for r in &rows {
-            println!(
-                "{:<18} {:<12} {:>8} {:>8}  {}",
-                r.scenario,
-                r.rung,
-                r.degraded,
-                r.correct,
-                if r.events.is_empty() {
-                    "-".to_string()
-                } else {
-                    r.events.join(",")
-                }
-            );
-        }
-        let json = experiments::robustness_json(sf, &rows);
-        std::fs::write("BENCH_robustness.json", &json).expect("write BENCH_robustness.json");
-        println!("wrote BENCH_robustness.json");
-        assert!(
-            rows.iter().all(|r| r.correct),
-            "robustness scenarios must all stay correct"
-        );
-    }
     // Not part of `all`: a 10k-request open-loop run takes a while and
     // its numbers only mean something at a fixed machine + seed.
     if which == "overload" {
         println!("\n=== overload: open-loop arrivals at 1x/2x/4x saturation ===");
         println!(
-            "{:>4} {:>10} {:>9} {:>8} {:>9} {:>9} {:>9} {:>10} {:>9} {:>9}",
+            "{:>4} {:>10} {:>9} {:>8} {:>9} {:>9} {:>9} {:>10} {:>9} {:>9} {:>10}",
             "mult",
             "offered",
             "completed",
@@ -199,12 +163,13 @@ fn main() {
             "deadline",
             "goodput",
             "p50",
-            "p99"
+            "p99",
+            "peak"
         );
         let rows = experiments::overload(&catalog, requests, seed);
         for r in &rows {
             println!(
-                "{:>4} {:>8.1}/s {:>9} {:>8} {:>9} {:>9} {:>9} {:>8.1}/s {:>7.2}ms {:>7.2}ms",
+                "{:>4} {:>8.1}/s {:>9} {:>8} {:>9} {:>9} {:>9} {:>8.1}/s {:>7.2}ms {:>7.2}ms {:>9}B",
                 r.multiplier,
                 r.offered_rps,
                 r.completed,
@@ -214,12 +179,10 @@ fn main() {
                 r.deadline_expired,
                 r.goodput_rps,
                 r.p50.as_secs_f64() * 1e3,
-                r.p99.as_secs_f64() * 1e3
+                r.p99.as_secs_f64() * 1e3,
+                r.peak_bytes_max
             );
         }
-        let json = experiments::overload_json(sf, seed, &rows);
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-        println!("wrote {out}");
     }
 
     // Not part of `all`: the durability bench needs no catalog and its
@@ -255,13 +218,5 @@ fn main() {
                 r.replay_rps
             );
         }
-        let json = experiments::recovery_json(&rows);
-        let path = if out == "BENCH_overload.json" {
-            "BENCH_recovery.json".to_string()
-        } else {
-            out.clone()
-        };
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
     }
 }

@@ -171,206 +171,6 @@ pub fn overhead(catalog: &Catalog) -> (RunOutcome, RunOutcome) {
     (off, on)
 }
 
-/// One scenario of the robustness drill: a governed run (budget, forced
-/// fallback, armed failpoint, or execution limit) whose results must match
-/// the ungoverned no-CSE reference.
-#[derive(Debug)]
-pub struct RobustnessOutcome {
-    pub scenario: &'static str,
-    /// Degradation-ladder rung of the final plan.
-    pub rung: String,
-    /// Stable reason codes of every degradation observed (optimizer
-    /// ladder events followed by runtime recoveries).
-    pub events: Vec<String>,
-    /// Did anything degrade at all?
-    pub degraded: bool,
-    /// Results approx-equal to the reference?
-    pub correct: bool,
-}
-
-/// Drive the degradation ladder and every failpoint site against the
-/// Table 1 batch. Covers: an ungoverned control, a zero-millisecond
-/// optimization budget, a forced baseline, each execution failpoint at
-/// probability 1.0, the optimizer-phase panic failpoint, and a tiny row
-/// budget. Every scenario must still deliver correct results — the whole
-/// point of the ladder.
-pub fn robustness(catalog: &Catalog) -> Vec<RobustnessOutcome> {
-    use cse_exec::{Engine, ExecCtx};
-    use cse_govern::{sites, Budget, ExecLimits, FailSpec, FailpointRegistry};
-
-    let sql = workloads::table1_batch();
-    // Ungoverned no-CSE reference results.
-    let reference = {
-        let optimized =
-            cse_core::optimize_sql(catalog, &sql, &CseConfig::no_cse()).expect("reference plan");
-        let engine = Engine::new(catalog, &optimized.ctx);
-        engine
-            .execute(&optimized.plan)
-            .expect("reference execution")
-            .results
-    };
-
-    let fail = |site: &str| {
-        FailpointRegistry::from_specs(&[FailSpec {
-            site: site.to_string(),
-            probability: 1.0,
-            seed: 42,
-        }])
-    };
-    let scenarios: Vec<(&'static str, CseConfig)> = vec![
-        ("ungoverned", CseConfig::default()),
-        (
-            "budget-0ms",
-            CseConfig {
-                budget: Budget::with_time_ms(0),
-                ..CseConfig::default()
-            },
-        ),
-        (
-            "fallback-only",
-            CseConfig {
-                fallback_only: true,
-                ..CseConfig::default()
-            },
-        ),
-        (
-            "fail-spool",
-            CseConfig {
-                failpoints: fail(sites::SPOOL_MATERIALIZE),
-                ..CseConfig::default()
-            },
-        ),
-        (
-            "fail-table-scan",
-            CseConfig {
-                failpoints: fail(sites::SCAN_TABLE),
-                ..CseConfig::default()
-            },
-        ),
-        (
-            "fail-opt-phase",
-            CseConfig {
-                failpoints: fail(sites::OPT_CSE_PHASE),
-                ..CseConfig::default()
-            },
-        ),
-        (
-            "rows-budget-64",
-            CseConfig {
-                exec_limits: ExecLimits {
-                    max_rows: Some(64),
-                    max_bytes: None,
-                },
-                ..CseConfig::default()
-            },
-        ),
-    ];
-    let drive = |catalog: &Catalog,
-                 sql: &str,
-                 reference: &[cse_exec::ResultSet],
-                 name: &'static str,
-                 cfg: CseConfig| {
-        let optimized = cse_core::optimize_sql(catalog, sql, &cfg).expect("governed optimization");
-        let engine = Engine::new(catalog, &optimized.ctx);
-        let out = engine
-            .execute_in(
-                &optimized.plan,
-                &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
-            )
-            .expect("governed execution");
-        let mut events: Vec<String> = optimized
-            .report
-            .degradations
-            .iter()
-            .map(|e| e.reason.code().to_string())
-            .collect();
-        events.extend(out.events.iter().map(|e| e.reason.code().to_string()));
-        let correct = reference.len() == out.results.len()
-            && reference
-                .iter()
-                .zip(out.results.iter())
-                .all(|(a, b)| a.approx_eq(b, 1e-9));
-        RobustnessOutcome {
-            scenario: name,
-            rung: optimized.report.rung.as_str().to_string(),
-            degraded: !events.is_empty(),
-            events,
-            correct,
-        }
-    };
-
-    let mut rows: Vec<RobustnessOutcome> = scenarios
-        .into_iter()
-        .map(|(name, cfg)| drive(catalog, &sql, &reference, name, cfg))
-        .collect();
-
-    // The index failpoint needs a plan that actually chooses an index:
-    // run it against an indexed copy of the catalog with a point query.
-    let mut indexed = catalog.clone();
-    indexed
-        .create_btree_index("orders", "o_orderdate")
-        .expect("index on o_orderdate");
-    let pointy = "select o_orderkey, o_totalprice from orders \
-                  where o_orderdate = '1995-01-01'";
-    let index_reference = {
-        let optimized = cse_core::optimize_sql(&indexed, pointy, &CseConfig::no_cse())
-            .expect("index reference plan");
-        Engine::new(&indexed, &optimized.ctx)
-            .execute(&optimized.plan)
-            .expect("index reference execution")
-            .results
-    };
-    rows.push(drive(
-        &indexed,
-        pointy,
-        &index_reference,
-        "fail-index-scan",
-        CseConfig {
-            failpoints: fail(sites::SCAN_INDEX),
-            ..CseConfig::default()
-        },
-    ));
-    rows
-}
-
-/// Hand-rolled JSON for the robustness report (this tree has no serde).
-pub fn robustness_json(sf: f64, rows: &[RobustnessOutcome]) -> String {
-    use std::fmt::Write as _;
-    let degraded = rows.iter().filter(|r| r.degraded).count();
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"experiment\": \"robustness\",");
-    let _ = writeln!(s, "  \"sf\": {sf},");
-    let _ = writeln!(
-        s,
-        "  \"fallback_rate\": {:.4},",
-        degraded as f64 / rows.len().max(1) as f64
-    );
-    let _ = writeln!(s, "  \"all_correct\": {},", rows.iter().all(|r| r.correct));
-    s.push_str("  \"scenarios\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let events: Vec<String> = r.events.iter().map(|e| format!("\"{e}\"")).collect();
-        let _ = write!(
-            s,
-            "    {{\"scenario\": \"{}\", \"rung\": \"{}\", \"degraded\": {}, \"correct\": {}, \"events\": [{}]}}",
-            r.scenario,
-            r.rung,
-            r.degraded,
-            r.correct,
-            events.join(", ")
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Latency-histogram bucket upper bounds, in milliseconds (the last
-/// bucket is open-ended). Powers of two so the buckets are stable across
-/// runs and machines.
-pub const OVERLOAD_BUCKETS_MS: [f64; 13] = [
-    0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-];
-
 /// One operating point of the open-loop overload experiment: Poisson
 /// arrivals at `multiplier` times the measured saturation throughput.
 #[derive(Debug)]
@@ -378,7 +178,6 @@ pub struct OverloadPoint {
     pub multiplier: f64,
     /// Target arrival rate (requests/second) this point offered.
     pub offered_rps: f64,
-    pub requests: usize,
     pub completed: u64,
     /// Completed but off a lower rung / with degradation events.
     pub degraded: u64,
@@ -389,20 +188,14 @@ pub struct OverloadPoint {
     pub shed_queue: u64,
     /// `REQ_DEADLINE`: watchdog-expired attempts, retries exhausted.
     pub deadline_expired: u64,
-    /// Any other rejection (must stay zero — asserted by the harness).
-    pub other_rejected: u64,
     /// Completed requests per second of wall clock (the goodput curve the
     /// admission controller exists to defend).
     pub goodput_rps: f64,
     /// Latency percentiles over *completed* requests.
     pub p50: Duration,
     pub p99: Duration,
-    /// Completed-request latency counts per [`OVERLOAD_BUCKETS_MS`] bucket
-    /// (one extra open-ended bucket at the end).
-    pub histogram: Vec<u64>,
     /// Largest `ExecMetrics::peak_bytes` across completed requests.
     pub peak_bytes_max: usize,
-    pub worker_panics: u64,
 }
 
 /// The overload mix: mostly light single-statement queries with an
@@ -548,9 +341,9 @@ pub fn overload(catalog: &Catalog, requests: usize, seed: u64) -> Vec<OverloadPo
             let shed_memory = count(RejectReason::ShedMemory);
             let shed_queue = count(RejectReason::ShedQueueFull);
             let deadline_expired = count(RejectReason::ReqDeadline);
-            let other_rejected = reasons.len() as u64 - shed_memory - shed_queue - deadline_expired;
             assert_eq!(
-                other_rejected, 0,
+                reasons.len() as u64,
+                shed_memory + shed_queue + deadline_expired,
                 "overload rejections must carry a load-shedding reason code, got {reasons:?}"
             );
             latencies.sort();
@@ -560,80 +353,21 @@ pub fn overload(catalog: &Catalog, requests: usize, seed: u64) -> Vec<OverloadPo
                 }
                 latencies[((latencies.len() as f64 - 1.0) * p).round() as usize]
             };
-            let mut histogram = vec![0u64; OVERLOAD_BUCKETS_MS.len() + 1];
-            for l in &latencies {
-                let ms = l.as_secs_f64() * 1e3;
-                let idx = OVERLOAD_BUCKETS_MS
-                    .iter()
-                    .position(|&ub| ms <= ub)
-                    .unwrap_or(OVERLOAD_BUCKETS_MS.len());
-                histogram[idx] += 1;
-            }
             OverloadPoint {
                 multiplier,
                 offered_rps: rate,
-                requests,
                 completed,
                 degraded,
                 shed_memory,
                 shed_queue,
                 deadline_expired,
-                other_rejected,
                 goodput_rps: completed as f64 / wall,
                 p50: pct(0.50),
                 p99: pct(0.99),
-                histogram,
                 peak_bytes_max,
-                worker_panics: stats.worker_panics,
             }
         })
         .collect()
-}
-
-/// Hand-rolled JSON for the overload report.
-pub fn overload_json(sf: f64, seed: u64, rows: &[OverloadPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"experiment\": \"overload\",");
-    let _ = writeln!(s, "  \"sf\": {sf},");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = write!(s, "  \"histogram_buckets_ms\": [");
-    for (i, ub) in OVERLOAD_BUCKETS_MS.iter().enumerate() {
-        let _ = write!(s, "{}{ub}", if i == 0 { "" } else { ", " });
-    }
-    s.push_str(", null],\n");
-    s.push_str("  \"points\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"multiplier\": {}, \"offered_rps\": {:.1}, \"requests\": {}, \
-             \"completed\": {}, \"degraded\": {}, \"shed_memory\": {}, \"shed_queue\": {}, \
-             \"deadline_expired\": {}, \"other_rejected\": {}, \"goodput_rps\": {:.2}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"peak_bytes_max\": {}, \
-             \"worker_panics\": {}, \"histogram\": [",
-            r.multiplier,
-            r.offered_rps,
-            r.requests,
-            r.completed,
-            r.degraded,
-            r.shed_memory,
-            r.shed_queue,
-            r.deadline_expired,
-            r.other_rejected,
-            r.goodput_rps,
-            r.p50.as_secs_f64() * 1e3,
-            r.p99.as_secs_f64() * 1e3,
-            r.peak_bytes_max,
-            r.worker_panics,
-        );
-        for (j, c) in r.histogram.iter().enumerate() {
-            let _ = write!(s, "{}{c}", if j == 0 { "" } else { ", " });
-        }
-        s.push_str("]}");
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// One row of the verification report: workload name, candidate count and
@@ -769,7 +503,6 @@ pub struct RecoveryPoint {
     pub commit_ns_per_mutation: f64,
     pub wal_bytes: usize,
     pub replayed: usize,
-    pub skipped: usize,
     pub recovery_ms: f64,
     /// Records replayed per second during recovery.
     pub replay_rps: f64,
@@ -864,42 +597,10 @@ pub fn recovery(log_lengths: &[usize]) -> Vec<RecoveryPoint> {
                 commit_ns_per_mutation: commit_ns,
                 wal_bytes,
                 replayed: info.replayed,
-                skipped: info.skipped,
                 recovery_ms: recovery_s * 1e3,
                 replay_rps: info.replayed as f64 / recovery_s,
             });
         }
     }
     points
-}
-
-/// Machine-readable dump of the durability bench.
-pub fn recovery_json(rows: &[RecoveryPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"experiment\": \"recovery\",");
-    s.push_str("  \"points\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"mutations\": {}, \"group_commit\": {}, \"snapshot_every\": {}, \
-             \"plain_ns_per_mutation\": {:.0}, \"commit_ns_per_mutation\": {:.0}, \
-             \"overhead_x\": {:.3}, \"wal_bytes\": {}, \"replayed\": {}, \"skipped\": {}, \
-             \"recovery_ms\": {:.3}, \"replay_rps\": {:.0}}}",
-            r.mutations,
-            r.group_commit,
-            r.snapshot_every,
-            r.plain_ns_per_mutation,
-            r.commit_ns_per_mutation,
-            r.commit_ns_per_mutation / r.plain_ns_per_mutation.max(1.0),
-            r.wal_bytes,
-            r.replayed,
-            r.skipped,
-            r.recovery_ms,
-            r.replay_rps,
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
 }

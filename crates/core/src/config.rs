@@ -7,9 +7,7 @@ use crate::manager::CseManager;
 use crate::required::RequiredCols;
 use cse_cost::{CostModel, StatsCatalog};
 use cse_diag::Report as VerifyReport;
-use cse_govern::{
-    Budget, BudgetClock, CancelToken, DegradationEvent, ExecLimits, FailpointRegistry, Rung,
-};
+use cse_govern::{Budget, BudgetClock, CancelToken, DegradationEvent, FailpointRegistry, Rung};
 use cse_lint::LintMode;
 use cse_memo::{ExploreConfig, GroupId, TableSignature};
 use cse_optimizer::{CseId, IndexInfo};
@@ -19,14 +17,10 @@ use std::time::Duration;
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct CseConfig {
-    /// Master switch: off reproduces the "No CSE" columns of the paper.
-    pub enable_cse: bool,
     /// Candidate-generation knobs (heuristics on/off, α, β).
     pub gen: GenConfig,
     pub explore: ExploreConfig,
     pub cost_model: CostModel,
-    /// Cheap-query gate: skip the CSE phase below this baseline cost.
-    pub min_query_cost: f64,
     /// Detect CSEs over candidate definitions too (§5.5).
     pub stacked: bool,
     /// Run the `cse-verify` invariant passes during optimization and fail
@@ -37,20 +31,16 @@ pub struct CseConfig {
     /// Tripping it never fails the query: the pipeline walks the
     /// degradation ladder (full CSE → capped CSE → baseline) instead.
     pub budget: Budget,
-    /// Force the baseline rung outright (`--no-cse-fallback-only`): the
-    /// CSE phase is skipped and an `OPT_FORCED` event is recorded. Unlike
-    /// `enable_cse = false`, this *reports* the skip as a degradation.
-    pub fallback_only: bool,
-    /// Where the degradation ladder starts. The serving layer lowers this
-    /// under global memory pressure (Elevated → capped CSE) rather than
-    /// letting a full-sharing plan materialize spools the pool cannot
-    /// hold; a lowered start is recorded as a `MEM_PRESSURE` degradation.
+    /// Where the degradation ladder starts, and the only input that decides
+    /// it: `Baseline` is the paper's "No CSE" configuration, returned
+    /// before any CSE fact is derived. The pipeline records no event for
+    /// the rung it is given; whoever lowered it (the server under an open
+    /// breaker or memory pressure, `qsql --no-cse-fallback-only`) reports
+    /// why.
     pub start_rung: Rung,
     /// Deterministic fault-injection registry, shared with the engine.
     /// Disabled unless armed explicitly or via the `CSE_FAIL` env var.
     pub failpoints: FailpointRegistry,
-    /// Per-statement execution limits, enforced by the engine.
-    pub exec_limits: ExecLimits,
     /// Cooperative cancellation for the whole request (explicit cancel or
     /// watchdog deadline). Checked at the pipeline's stage boundaries and,
     /// via the budget clock, inside the candidate-generation and
@@ -69,18 +59,14 @@ pub struct CseConfig {
 impl Default for CseConfig {
     fn default() -> Self {
         CseConfig {
-            enable_cse: true,
             gen: GenConfig::default(),
             explore: ExploreConfig::default(),
             cost_model: CostModel::default(),
-            min_query_cost: 0.0,
             stacked: true,
             verify: cfg!(debug_assertions),
             budget: Budget::unlimited(),
-            fallback_only: false,
             start_rung: Rung::FullCse,
             failpoints: FailpointRegistry::from_env(),
-            exec_limits: ExecLimits::none(),
             cancel: CancelToken::never(),
             lint: LintMode::Off,
         }
@@ -88,10 +74,10 @@ impl Default for CseConfig {
 }
 
 impl CseConfig {
-    /// The paper's "No CSE" configuration.
+    /// The paper's "No CSE" configuration: the ladder starts on its floor.
     pub fn no_cse() -> Self {
         CseConfig {
-            enable_cse: false,
+            start_rung: Rung::Baseline,
             ..Default::default()
         }
     }

@@ -19,7 +19,8 @@
 
 use crate::config::{CseConfig, CseReport};
 use crate::pipeline::{optimize_plan, optimize_sql};
-use cse_exec::Engine;
+use cse_algebra::AggFunc;
+use cse_exec::{AggState, Engine};
 use cse_sql::ast::{AggName, Expr, ExprKind, SelectItem, Statement};
 use cse_sql::SelectStmt;
 use cse_storage::delta::{DeltaAction, DeltaTable};
@@ -27,9 +28,10 @@ use cse_storage::{row, Catalog, CatalogMutation, Row, Table, Value};
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
-/// How one output column of a view merges on refresh: by its aggregate
-/// function, or not at all (`None`: a group key).
-type MergeKind = Option<AggName>;
+/// How one output column of a view merges on refresh: by the aggregate
+/// that rolls its function up (SUM for SUM and COUNT, MIN/MAX for
+/// themselves), or not at all (`None`: a group key).
+type MergeKind = Option<AggFunc>;
 
 /// Result of a maintenance run.
 #[derive(Debug)]
@@ -144,7 +146,7 @@ pub fn plan_insert(
         }
         for ((name, result), merge) in views.iter().zip(out.results).zip(&merge_plans) {
             let stored = catalog.table(name)?;
-            let merged = merge_rows(&stored, &result.rows, merge)?;
+            let merged = merge_rows(&stored, &result.rows, merge);
             mutations.push(CatalogMutation::ReplaceTable {
                 table: Table::with_rows(name, stored.schema().as_ref().clone(), merged),
             });
@@ -224,7 +226,11 @@ fn merge_plan_of(select: &SelectStmt) -> Result<Vec<MergeKind>, String> {
         };
         exprs.push(expr);
         out.push(match &expr.kind {
-            ExprKind::Agg { func, .. } if *func != AggName::Avg => Some(*func),
+            ExprKind::Agg { func, .. } if *func != AggName::Avg => Some(match func {
+                AggName::Min => AggFunc::Min,
+                AggName::Max => AggFunc::Max,
+                _ => AggFunc::Sum,
+            }),
             _ if expr.any(&aggregate) => {
                 return Err("AVG (or any expression over aggregates) is not \
                             self-maintainable; define SUM and COUNT columns"
@@ -244,7 +250,10 @@ fn merge_plan_of(select: &SelectStmt) -> Result<Vec<MergeKind>, String> {
 
 /// Merge delta rows into stored rows: a delta row updates the stored row of
 /// its group (without keys, the single stored row); new groups are appended.
-fn merge_rows(stored: &Table, delta: &[Row], plan: &[MergeKind]) -> Result<Vec<Row>, String> {
+/// Stored ⊕ delta is the executor's own aggregate merge, so a maintained
+/// view holds what recomputing it would (an integer sum that leaves the
+/// i64 range carries on as a float).
+fn merge_rows(stored: &Table, delta: &[Row], plan: &[MergeKind]) -> Vec<Row> {
     let key_of = |r: &[Value]| -> Vec<Value> {
         let keys = plan.iter().zip(r).filter(|(k, _)| k.is_none());
         keys.map(|(_, v)| v.clone()).collect()
@@ -258,7 +267,12 @@ fn merge_rows(stored: &Table, delta: &[Row], plan: &[MergeKind]) -> Result<Vec<R
         match index.entry(key_of(d)) {
             Entry::Occupied(at) => {
                 for ((old, new), kind) in rows[*at.get()].iter_mut().zip(d.iter()).zip(plan) {
-                    *old = combine(*kind, old, new)?;
+                    if let Some(func) = kind {
+                        let mut merged = AggState::new(*func);
+                        merged.update(old);
+                        merged.update(new);
+                        *old = merged.finish();
+                    }
                 }
             }
             Entry::Vacant(at) => {
@@ -267,26 +281,7 @@ fn merge_rows(stored: &Table, delta: &[Row], plan: &[MergeKind]) -> Result<Vec<R
             }
         }
     }
-    Ok(rows.into_iter().map(row).collect())
-}
-
-fn combine(kind: MergeKind, old: &Value, new: &Value) -> Result<Value, String> {
-    let pick_new = |wanted: std::cmp::Ordering| {
-        old.is_null() || (!new.is_null() && new.total_cmp(old) == wanted)
-    };
-    Ok(match kind {
-        Some(AggName::Sum | AggName::Count) => match (old, new) {
-            (Value::Null, v) | (v, Value::Null) => v.clone(),
-            (Value::Int(a), Value::Int(b)) => Value::Int(a + b),
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => Value::Float(x + y),
-                _ => return Err("cannot merge non-numeric aggregate".into()),
-            },
-        },
-        Some(AggName::Min) if pick_new(std::cmp::Ordering::Less) => new.clone(),
-        Some(AggName::Max) if pick_new(std::cmp::Ordering::Greater) => new.clone(),
-        _ => old.clone(),
-    })
+    rows.into_iter().map(row).collect()
 }
 
 /// Infer a storage schema from delivered result columns and rows.

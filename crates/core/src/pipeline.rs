@@ -3,10 +3,10 @@
 //! 1. lower SQL → logical plan → memo; explore; table signatures are
 //!    collected incrementally (Step 1);
 //! 2. normal optimization (baseline plan + per-group cost bounds);
-//! 3. if the query is expensive enough and the CSE manager finds sharable
-//!    signatures: generate candidate CSEs (Step 2) with heuristics H1–H4,
-//!    including a second detection round over the candidate definitions
-//!    themselves (stacked CSEs, §5.5);
+//! 3. unless the ladder starts on the baseline rung, and if the CSE
+//!    manager finds sharable signatures: generate candidate CSEs (Step 2)
+//!    with heuristics H1–H4, including a second detection round over the
+//!    candidate definitions themselves (stacked CSEs, §5.5);
 //! 4. resume optimization with candidate sets enabled (Step 3, §5.3) and
 //!    return the cheapest plan.
 //!
@@ -259,19 +259,10 @@ fn optimize_plan_with_facts(
         cost_audit: None,
     };
 
-    if !cfg.enable_cse || baseline.cost < cfg.min_query_cost {
-        return finish(baseline, memo.ctx.clone(), found, cfg.verify);
-    }
-    if cfg.fallback_only {
-        found.report.rung = Rung::Baseline;
-        found.report.degradations.push(DegradationEvent::opt(
-            Reason::OptForced,
-            "pipeline",
-            Rung::FullCse,
-            Rung::Baseline,
-            "baseline rung forced by configuration",
-        ));
-        found.report.total_time = t_start.elapsed();
+    // A ladder that starts on its floor derives no CSE fact at all.
+    let mut rung = cfg.start_rung;
+    if rung == Rung::Baseline {
+        found.report.rung = rung;
         return finish(baseline, memo.ctx.clone(), found, cfg.verify);
     }
 
@@ -286,17 +277,6 @@ fn optimize_plan_with_facts(
             panic_message(payload.as_ref()),
         )
     };
-    let mut rung = cfg.start_rung;
-    if rung != Rung::FullCse {
-        found.report.degradations.push(DegradationEvent::opt(
-            Reason::MemPressure,
-            "admission",
-            Rung::FullCse,
-            rung,
-            "memory pressure capped the starting rung",
-        ));
-    }
-
     // Facts of the explored memo every rung shares (normal-phase history,
     // §5.4/§4.3): each group's bound is its winner under the empty CSE set,
     // which the baseline optimization above already memoized; detection
@@ -396,8 +376,8 @@ fn optimize_plan_with_facts(
 
     let final_plan = match shared {
         // Retain the no-CSE plan alongside a sharing one: the engine
-        // retries against it per statement when a spool faults or an
-        // execution budget trips.
+        // retries against it per statement when a spool faults or the
+        // memory reservation refuses a charge.
         Some(mut plan) if !plan.spools.is_empty() => {
             plan.baseline = Some(Box::new(baseline.root));
             plan

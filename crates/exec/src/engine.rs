@@ -5,13 +5,12 @@
 //! runtime behaviour the covering-subexpression optimization banks on.
 //!
 //! Execution is *governed*: [`Engine::execute_in`] threads an [`ExecCtx`]
-//! — a deterministic fault-injection registry, per-statement
-//! materialization limits, a cancellation token and an optional memory
-//! reservation — through the interpreter. When a spool faults or
-//! a budget trips, the affected statement is retried against the retained
-//! baseline plan (its original non-covering expression) and the recovery
-//! is recorded in the result's provenance — a fault degrades the plan, it
-//! never degrades the answer.
+//! — a deterministic fault-injection registry, a cancellation token and an
+//! optional memory reservation — through the interpreter. When a spool
+//! faults or the reservation refuses a charge, the affected statement is
+//! retried against the retained baseline plan (its original non-covering
+//! expression) and the recovery is recorded in the result's provenance — a
+//! fault degrades the plan, it never degrades the answer.
 //!
 //! Execution is *push-based*: an operator hands its rows, borrowed and one
 //! at a time, to its parent's [`Sink`]; rows are held, and charged, only at
@@ -26,8 +25,8 @@ use crate::eval::{position, AggState, Bound};
 use crate::keys::{key_eq, key_hash, KeyTable, RowBuf};
 use cse_algebra::{AggExpr, ColRef, PlanContext, Scalar, SortOrder};
 use cse_govern::{
-    sites, CancelToken, DegradationEvent, ExecLimits, FailpointRegistry, MemReservation, MemScope,
-    Reason, ReserveError,
+    sites, CancelToken, DegradationEvent, FailpointRegistry, MemReservation, MemScope, Reason,
+    ReserveError,
 };
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan};
 use cse_storage::{Catalog, Row, Value};
@@ -155,40 +154,29 @@ type ExecResult<T = ()> = Result<T, ExecError>;
 const CELL: usize = std::mem::size_of::<Value>();
 
 /// How one [`Engine::execute_in`] call is governed. The default is
-/// ungoverned: nothing armed, no limits, never canceled, no reservation.
+/// ungoverned: nothing armed, never canceled, no reservation.
 #[derive(Debug, Clone)]
 pub struct ExecCtx<'a> {
     /// Armed failpoints may inject faults at the executor's sites.
     pub failpoints: FailpointRegistry,
-    /// Per-statement materialization limits.
-    pub limits: ExecLimits,
     /// Checked at every operator boundary and every [`CANCEL_STRIDE`]
     /// rows inside scans and joins, so a watchdog can stop a runaway
     /// batch without killing the executing thread.
     pub cancel: CancelToken,
     /// Global memory reservation that all held rows (and spool work
     /// tables, which outlive their statement) are charged to;
-    /// a refused charge is a recoverable fault like a breached limit.
+    /// a refused charge is a recoverable fault like an injected one.
     pub reservation: Option<&'a MemReservation>,
     /// Retry a statement that hit a recoverable fault (injected failpoint,
-    /// breached limit, refused reservation) against the retained baseline
-    /// plan — or, when the plan has no retained baseline, against the same
-    /// statement with governance suppressed — and record the recovery in
+    /// refused reservation) against the retained baseline plan — or, when
+    /// the plan has no retained baseline, against the same statement with
+    /// governance suppressed — and record the recovery in
     /// the result's provenance and [`ExecOutput::events`]. Serving layers
     /// that own the retry policy turn this off; the fault then bubbles.
     pub recover: bool,
 }
 
 impl ExecCtx<'_> {
-    /// The default context with these failpoints and limits.
-    pub fn governed(failpoints: &FailpointRegistry, limits: &ExecLimits) -> Self {
-        ExecCtx {
-            failpoints: failpoints.clone(),
-            limits: limits.clone(),
-            ..ExecCtx::default()
-        }
-    }
-
     /// Stop if the request was canceled or its deadline expired.
     fn check_cancel(&self) -> ExecResult {
         if self.cancel.is_explicitly_canceled() {
@@ -213,7 +201,6 @@ impl Default for ExecCtx<'_> {
     fn default() -> Self {
         ExecCtx {
             failpoints: FailpointRegistry::disabled(),
-            limits: ExecLimits::none(),
             cancel: CancelToken::never(),
             reservation: None,
             recover: true,
@@ -232,8 +219,7 @@ struct RunState<'p> {
     spools: HashMap<CseId, (Vec<ColRef>, RowBuf)>,
     metrics: ExecMetrics,
     ctx: &'p ExecCtx<'p>,
-    /// Rows / approximate bytes the current statement's breakers held.
-    rows_materialized: usize,
+    /// Approximate bytes the current statement's breakers hold.
     bytes_materialized: usize,
     /// Transient per-statement charge against the request's global memory
     /// reservation; recreated each statement so its bytes release on
@@ -242,9 +228,9 @@ struct RunState<'p> {
     /// Charge for spool work tables, which outlive their statement; bytes
     /// are uncharged individually if a spool is rolled back.
     spool_scope: Option<MemScope>,
-    /// Set while retrying a statement against its baseline plan: both
-    /// fault injection and limits are suppressed so recovery always
-    /// terminates — recovery prioritizes answering over governing.
+    /// Set while retrying a statement against its baseline plan: fault
+    /// injection is suppressed so recovery always terminates — recovery
+    /// prioritizes answering over governing.
     /// Cancellation is *not* suppressed: a watchdog must be able to stop
     /// a runaway baseline retry too. Memory-reservation charges switch to
     /// unchecked mode: the retry cannot fault, but a retry that outruns
@@ -291,31 +277,14 @@ impl RunState<'_> {
         Ok(())
     }
 
-    /// Charge the rows a breaker holds, once its input has ended: the
-    /// high-water metric and the global memory reservation always see
-    /// them; the per-statement limits are enforced only outside recovery
-    /// (recovery prioritizes answering over governing). Every breaker
+    /// Charge the bytes a breaker holds, once its input has ended: the
+    /// high-water metric and the memory reservation see them. Every breaker
     /// counts, those of a spool definition included — a runaway join inside
     /// a spool trips the consumer statement that first reads it.
-    fn charge(&mut self, rows: usize, bytes: usize) -> ExecResult {
-        self.rows_materialized += rows;
+    fn charge(&mut self, bytes: usize) -> ExecResult {
         self.bytes_materialized += bytes;
         self.note_peak();
-        charge_scope(&mut self.stmt_scope, self.recovering, bytes)?;
-        let limits = &self.ctx.limits;
-        if self.recovering || limits.is_unlimited() {
-            return Ok(());
-        }
-        let budgets = [
-            ("rows", limits.max_rows, self.rows_materialized),
-            ("bytes", limits.max_bytes, self.bytes_materialized),
-        ];
-        for (what, cap, used) in budgets {
-            if let Some(limit) = cap.filter(|cap| used > *cap) {
-                return Err(ExecError::ResourceBudget { what, limit, used });
-            }
-        }
-        Ok(())
+        charge_scope(&mut self.stmt_scope, self.recovering, bytes)
     }
 
     /// The high-water mark sees what is held now: by the statement's
@@ -325,10 +294,10 @@ impl RunState<'_> {
         self.metrics.peak_bytes = self.metrics.peak_bytes.max(live);
     }
 
-    /// A statement attempt starts with nothing held: zero counts and a fresh
+    /// A statement attempt starts with nothing held: zero bytes and a fresh
     /// per-statement scope, which releases the last attempt's transient bytes.
     fn begin_attempt(&mut self) {
-        (self.rows_materialized, self.bytes_materialized) = (0, 0);
+        self.bytes_materialized = 0;
         self.stmt_scope = self.stmt_scope.take().map(|s| s.child());
     }
 
@@ -354,7 +323,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Execute a full plan; batch roots deliver one result set per child.
-    /// Ungoverned: no fault injection, no limits.
+    /// Ungoverned: no fault injection, no reservation.
     pub fn execute(&self, plan: &FullPlan) -> Result<ExecOutput, ExecError> {
         self.execute_in(plan, &ExecCtx::default())
     }
@@ -366,7 +335,6 @@ impl<'a> Engine<'a> {
             spools: HashMap::new(),
             metrics: ExecMetrics::default(),
             ctx,
-            rows_materialized: 0,
             bytes_materialized: 0,
             stmt_scope: ctx.reservation.map(MemReservation::scope),
             spool_scope: ctx.reservation.map(MemReservation::scope),
@@ -389,10 +357,8 @@ impl<'a> Engine<'a> {
                 Ok(rs) => results.push(rs),
                 Err(e) if ctx.recover && e.is_recoverable() => {
                     let reason = match &e {
-                        ExecError::Injected { .. } => Reason::ExecFaultInjected,
-                        ExecError::ResourceBudget { what: "rows", .. } => Reason::ExecRowBudget,
                         ExecError::MemReservation { .. } => Reason::MemReservation,
-                        _ => Reason::ExecMemBudget,
+                        _ => Reason::ExecFaultInjected,
                     };
                     let event = DegradationEvent::exec(
                         reason,
@@ -441,7 +407,7 @@ impl<'a> Engine<'a> {
             rows.push(bound.iter().map(|e| e.eval(r).into_owned()).collect());
             Ok(())
         })?;
-        st.charge(rows.len(), rows.len() * exprs.len().max(1) * CELL)?;
+        st.charge(rows.len() * exprs.len().max(1) * CELL)?;
         let columns = exprs.iter().map(|(name, _)| name.clone()).collect();
         Ok(ResultSet::new(columns, rows))
     }
@@ -674,7 +640,7 @@ impl<'a> Engine<'a> {
             held.push(keep.iter().map(|p| r[*p].clone()));
             Ok(())
         })?;
-        st.charge(held.len(), held.bytes())?;
+        st.charge(held.bytes())?;
         Ok((keep.iter().map(|i| cols[*i]).collect(), held))
     }
 
@@ -895,7 +861,7 @@ impl Groups {
         }
         let (groups, n) = (self.keys.len(), self.args.len());
         let width = self.key_pos.len() + n;
-        st.charge(groups, groups * width.max(1) * CELL)?;
+        st.charge(groups * width.max(1) * CELL)?;
         let (mut scratch, mut states) = (Vec::with_capacity(width), self.states.iter());
         self.keys.rows().try_for_each(|key| {
             scratch.clear();

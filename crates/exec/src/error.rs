@@ -24,13 +24,6 @@ pub enum ExecError {
     /// A failpoint injected a fault at the named site (deterministic fault
     /// injection; armed only via configuration or `CSE_FAIL`).
     Injected { site: String },
-    /// A per-statement materialization budget was breached (`what` is
-    /// `"rows"` or `"bytes"`).
-    ResourceBudget {
-        what: &'static str,
-        limit: usize,
-        used: usize,
-    },
     /// The request's global memory reservation could not grow: the shared
     /// pool ([`cse_govern::MemoryGovernor`]) is exhausted. Recoverable —
     /// the baseline retry charges without faulting, so cross-request
@@ -46,15 +39,13 @@ pub enum ExecError {
 
 impl ExecError {
     /// Can the statement be retried against the retained baseline plan?
-    /// Injected faults and budget breaches are transient-by-construction;
+    /// Injected faults and refused reservations are transient-by-construction;
     /// cancellation must abort, and everything else is a planning or
     /// catalog bug a retry cannot fix.
     pub fn is_recoverable(&self) -> bool {
         matches!(
             self,
-            ExecError::Injected { .. }
-                | ExecError::ResourceBudget { .. }
-                | ExecError::MemReservation { .. }
+            ExecError::Injected { .. } | ExecError::MemReservation { .. }
         )
     }
 }
@@ -67,9 +58,6 @@ impl fmt::Display for ExecError {
             ExecError::MissingSpool(id) => write!(f, "missing spool definition for {id}"),
             ExecError::MissingColumn(m) => f.write_str(m),
             ExecError::Injected { site } => write!(f, "injected fault at {site}"),
-            ExecError::ResourceBudget { what, limit, used } => {
-                write!(f, "{what} budget breached: {used} used, limit {limit}")
-            }
             ExecError::MemReservation {
                 requested,
                 available,

@@ -56,7 +56,7 @@ impl Bound {
         match self {
             Bound::Col(i) => Cow::Borrowed(&row[*i]),
             Bound::Lit(v) => Cow::Borrowed(v),
-            Bound::Arith(op, a, b) => Cow::Owned(arith(*op, &a.eval(row), &b.eval(row))),
+            Bound::Arith(op, a, b) => Cow::Owned(op.apply(&a.eval(row), &b.eval(row))),
             _ => Cow::Owned(self.truth(row).map_or(Value::Null, Value::Bool)),
         }
     }
@@ -65,14 +65,7 @@ impl Bound {
     /// or a non-boolean value where a boolean is expected).
     pub fn truth(&self, row: &[Value]) -> Option<bool> {
         match self {
-            Bound::Cmp(op, a, b) => a.eval(row).sql_cmp(&b.eval(row)).map(|ord| match op {
-                CmpOp::Eq => ord.is_eq(),
-                CmpOp::Ne => ord.is_ne(),
-                CmpOp::Lt => ord.is_lt(),
-                CmpOp::Le => ord.is_le(),
-                CmpOp::Gt => ord.is_gt(),
-                CmpOp::Ge => ord.is_ge(),
-            }),
+            Bound::Cmp(op, a, b) => a.eval(row).sql_cmp(&b.eval(row)).map(|ord| op.holds(ord)),
             // Three-valued AND: false dominates, then unknown.
             Bound::And(parts) => {
                 let mut unknown = false;
@@ -105,35 +98,6 @@ impl Bound {
     /// Does the predicate accept this row (SQL semantics: NULL rejects)?
     pub fn accepts(&self, row: &[Value]) -> bool {
         self.truth(row) == Some(true)
-    }
-}
-
-fn arith(op: ArithOp, a: &Value, b: &Value) -> Value {
-    if a.is_null() || b.is_null() {
-        return Value::Null;
-    }
-    // Integer arithmetic stays integral except division; a result that
-    // does not fit an i64 is computed in floating point below.
-    if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        let exact = match op {
-            ArithOp::Add => x.checked_add(*y),
-            ArithOp::Sub => x.checked_sub(*y),
-            ArithOp::Mul => x.checked_mul(*y),
-            ArithOp::Div => None,
-        };
-        if let Some(v) = exact {
-            return Value::Int(v);
-        }
-    }
-    match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => match op {
-            ArithOp::Add => Value::Float(x + y),
-            ArithOp::Sub => Value::Float(x - y),
-            ArithOp::Mul => Value::Float(x * y),
-            ArithOp::Div if y == 0.0 => Value::Null,
-            ArithOp::Div => Value::Float(x / y),
-        },
-        _ => Value::Null,
     }
 }
 

@@ -5,7 +5,7 @@ use cse_algebra::{
     AggExpr, AggFunc, CmpOp, ColRef, LogicalPlan, PlanContext, RelId, Scalar, SortOrder,
 };
 use cse_exec::{Engine, ExecCtx, ExecError};
-use cse_govern::{sites, CancelToken, ExecLimits, FailSpec, FailpointRegistry};
+use cse_govern::{sites, CancelToken, FailSpec, FailpointRegistry};
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan, ReAgg, SpoolDef};
 use cse_storage::testkit::TestRng;
 use cse_storage::{row, Catalog, DataType, Row, Schema, Table, Value};
@@ -776,8 +776,9 @@ fn cancel_mid_scan_stops_the_pipeline() {
         seed: 1,
     }]);
     let exec_ctx = ExecCtx {
+        failpoints: failpoints.clone(),
         cancel: CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
-        ..ExecCtx::governed(&failpoints, &ExecLimits::none())
+        ..ExecCtx::default()
     };
     let result = std::thread::scope(|s| {
         s.spawn(|| {
@@ -850,7 +851,10 @@ fn probe_side_fault_in_a_spool_definition_leaves_no_partial_spool() {
     };
     let seed = (0..).find(|s| draws(*s) == [false, true, false, false]);
     let failpoints = registry(seed.expect("some seed draws it"));
-    let exec_ctx = ExecCtx::governed(&failpoints, &ExecLimits::none());
+    let exec_ctx = ExecCtx {
+        failpoints,
+        ..ExecCtx::default()
+    };
     let out = Engine::new(&cat, &ctx)
         .execute_in(&plan, &exec_ctx)
         .unwrap();

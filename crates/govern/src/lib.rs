@@ -16,9 +16,8 @@
 //!   explicit configuration (or the `CSE_FAIL` environment variable); a
 //!   disabled registry is a single `Option` check, so release hot paths
 //!   stay branch-cheap.
-//! - [`ExecLimits`]: per-statement row/byte materialization budgets the
-//!   interpreter enforces, degrading to the retained baseline plan on
-//!   breach.
+//! - [`MemoryGovernor`]: the one account for the bytes execution holds; a
+//!   refused charge degrades the statement to its retained baseline plan.
 
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -132,7 +131,7 @@ impl fmt::Display for Rung {
 
 /// Why a downgrade / recovery happened. Every variant maps to a stable
 /// reason code via [`Reason::code`]; codes are part of the public contract
-/// (tests, dashboards and the bench robustness report key on them).
+/// (tests, dashboards and serving replies key on them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Reason {
     /// The optimization wall-clock deadline expired.
@@ -143,14 +142,11 @@ pub enum Reason {
     OptCandidateCap,
     /// The CSE phase panicked; `catch_unwind` isolated it.
     OptPanic,
-    /// The operator forced the baseline rung (`--no-cse-fallback-only`).
+    /// The baseline rung was forced at admission: an open breaker,
+    /// Critical memory pressure or `qsql --no-cse-fallback-only`.
     OptForced,
     /// A failpoint injected a fault during execution.
     ExecFaultInjected,
-    /// The per-statement row materialization budget was breached.
-    ExecRowBudget,
-    /// The per-statement byte materialization budget was breached.
-    ExecMemBudget,
     /// The request's memory reservation grant could not be extended
     /// (global budget exhausted or the `mem.reserve` failpoint tripped).
     MemReservation,
@@ -172,8 +168,6 @@ impl Reason {
             Reason::OptPanic => "OPT_PANIC",
             Reason::OptForced => "OPT_FORCED",
             Reason::ExecFaultInjected => "EXEC_FAULT_INJECTED",
-            Reason::ExecRowBudget => "EXEC_ROW_BUDGET",
-            Reason::ExecMemBudget => "EXEC_MEM_BUDGET",
             Reason::MemReservation => "EXEC_MEM_RESERVATION",
             Reason::MemPressure => "MEM_PRESSURE",
             Reason::ReqCanceled => "REQ_CANCELED",
@@ -476,25 +470,6 @@ impl BudgetClock {
             }),
             _ => Ok(()),
         }
-    }
-}
-
-/// Per-statement execution limits (rows / approximate bytes materialized by
-/// scans, joins, aggregations and spools). Breaching a limit degrades the
-/// statement to the retained baseline plan; it does not fail the batch.
-#[derive(Debug, Clone, Default)]
-pub struct ExecLimits {
-    pub max_rows: Option<usize>,
-    pub max_bytes: Option<usize>,
-}
-
-impl ExecLimits {
-    pub fn none() -> Self {
-        ExecLimits::default()
-    }
-
-    pub fn is_unlimited(&self) -> bool {
-        self.max_rows.is_none() && self.max_bytes.is_none()
     }
 }
 
@@ -979,9 +954,9 @@ mod tests {
 
     #[test]
     fn event_rendering_is_stable() {
-        let ev = DegradationEvent::exec(Reason::ExecRowBudget, "statement 1", "breach");
+        let ev = DegradationEvent::exec(Reason::MemReservation, "statement 1", "refused");
         let text = ev.to_string();
-        assert!(text.contains("[EXEC_ROW_BUDGET]"));
+        assert!(text.contains("[EXEC_MEM_RESERVATION]"));
         assert!(text.contains("statement 1"));
         assert!(text.contains("full-cse -> baseline"));
     }

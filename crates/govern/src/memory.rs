@@ -1,10 +1,9 @@
 //! Global memory governance: a byte budget shared by every in-flight
-//! request.
-//!
-//! The per-statement [`crate::ExecLimits`] from the robustness PR bound one
-//! statement's materialization; they are blind to *aggregate* pressure —
-//! fifty concurrent spool-heavy batches each under its own limit can still
-//! OOM the process. This module adds the cross-request layer:
+//! request, and the one account for the bytes execution holds. A
+//! per-statement bound would be blind to *aggregate* pressure — fifty
+//! concurrent spool-heavy batches each under its own limit can still OOM
+//! the process — so a single statement is bounded the same way a server
+//! is: by the reservation it charges.
 //!
 //! - [`MemoryGovernor`]: one shared byte pool. Requests take a
 //!   [`MemReservation`] at admission; the pool can never over-commit.

@@ -12,19 +12,16 @@
 //! - `AND`/`OR` fold with dominance (`FALSE` / `TRUE`) and keep residual
 //!   NULL literals in place, because `NULL AND p` is only reducible when
 //!   `p` is known;
-//! - integer arithmetic folds with **checked** operations and declines to
-//!   fold on overflow. The executor uses native `i64` arithmetic there, so
-//!   folding an overflowing expression would silently change behavior
-//!   (wrap in release, panic in debug). Declining keeps runtime behavior
-//!   bit-identical;
-//! - division matches the engine: `x/0` is NULL, `Int/Int` divides as
-//!   float.
+//! - literal comparisons and arithmetic are decided by the engine's own
+//!   `CmpOp::holds` and `ArithOp::apply` (`cse-algebra`): `x/0` is NULL,
+//!   `Int/Int` divides as float, and an `Int ∘ Int` that leaves the i64
+//!   range folds to the float the engine computes.
 //!
 //! The result is semantics-preserving row-by-row: for every row,
 //! evaluating `fold(s)` gives the same [`Value`] as evaluating `s` (the
 //! property test in `tests/lint_property.rs` checks this on random rows).
 
-use cse_algebra::{ArithOp, Scalar};
+use cse_algebra::Scalar;
 use cse_storage::Value;
 
 /// Is this scalar the constant FALSE (either spelling)?
@@ -57,17 +54,10 @@ pub fn fold(s: &Scalar) -> Scalar {
                 return Scalar::Lit(Value::Null);
             }
             if let (Scalar::Lit(va), Scalar::Lit(vb)) = (&fa, &fb) {
-                return match va.sql_cmp(vb) {
-                    None => Scalar::Lit(Value::Null),
-                    Some(ord) => Scalar::Lit(Value::Bool(match op {
-                        cse_algebra::CmpOp::Eq => ord.is_eq(),
-                        cse_algebra::CmpOp::Ne => ord.is_ne(),
-                        cse_algebra::CmpOp::Lt => ord.is_lt(),
-                        cse_algebra::CmpOp::Le => ord.is_le(),
-                        cse_algebra::CmpOp::Gt => ord.is_gt(),
-                        cse_algebra::CmpOp::Ge => ord.is_ge(),
-                    })),
-                };
+                return Scalar::Lit(
+                    va.sql_cmp(vb)
+                        .map_or(Value::Null, |o| Value::Bool(op.holds(o))),
+                );
             }
             Scalar::Cmp(*op, Box::new(fa), Box::new(fb))
         }
@@ -124,9 +114,7 @@ pub fn fold(s: &Scalar) -> Scalar {
                 return Scalar::Lit(Value::Null);
             }
             if let (Scalar::Lit(va), Scalar::Lit(vb)) = (&fa, &fb) {
-                if let Some(v) = fold_arith(*op, va, vb) {
-                    return Scalar::Lit(v);
-                }
+                return Scalar::Lit(op.apply(va, vb));
             }
             Scalar::Arith(*op, Box::new(fa), Box::new(fb))
         }
@@ -140,47 +128,10 @@ pub fn fold(s: &Scalar) -> Scalar {
     }
 }
 
-/// Literal arithmetic, mirroring `cse-exec::eval::arith` — except that an
-/// overflowing `Int ∘ Int` returns `None` ("decline to fold") instead of
-/// wrapping, because the engine's behavior there is target-dependent.
-fn fold_arith(op: ArithOp, a: &Value, b: &Value) -> Option<Value> {
-    if a.is_null() || b.is_null() {
-        return Some(Value::Null);
-    }
-    if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        return match op {
-            ArithOp::Add => x.checked_add(*y).map(Value::Int),
-            ArithOp::Sub => x.checked_sub(*y).map(Value::Int),
-            ArithOp::Mul => x.checked_mul(*y).map(Value::Int),
-            ArithOp::Div => Some(if *y == 0 {
-                Value::Null
-            } else {
-                Value::Float(*x as f64 / *y as f64)
-            }),
-        };
-    }
-    match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => Some(match op {
-            ArithOp::Add => Value::Float(x + y),
-            ArithOp::Sub => Value::Float(x - y),
-            ArithOp::Mul => Value::Float(x * y),
-            ArithOp::Div => {
-                if y == 0.0 {
-                    Value::Null
-                } else {
-                    Value::Float(x / y)
-                }
-            }
-        }),
-        // Non-numeric operand: the engine yields NULL.
-        _ => Some(Value::Null),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cse_algebra::{CmpOp, RelId};
+    use cse_algebra::{ArithOp, CmpOp, RelId};
 
     fn c(i: u16) -> Scalar {
         Scalar::col(RelId(0), i)
@@ -223,15 +174,15 @@ mod tests {
     }
 
     #[test]
-    fn overflow_declines_to_fold() {
+    fn overflow_folds_to_the_value_the_engine_computes() {
         let e = Scalar::Arith(
             ArithOp::Add,
             Box::new(Scalar::int(i64::MAX)),
             Box::new(Scalar::int(1)),
         );
-        // Stays an Arith node: the folder refuses to commit to a value.
-        assert!(matches!(fold(&e), Scalar::Arith(..)));
-        // Saturating shapes that don't overflow still fold.
+        // The engine carries an overflowing integer result on as a float.
+        assert_eq!(fold(&e), Scalar::Lit(Value::Float(i64::MAX as f64 + 1.0)));
+        // Shapes that don't overflow stay integral.
         let ok = Scalar::Arith(
             ArithOp::Add,
             Box::new(Scalar::int(i64::MAX - 1)),

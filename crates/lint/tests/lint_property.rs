@@ -78,11 +78,9 @@ enum NumKind {
 }
 
 /// A random numeric-typed expression. Int magnitudes stay small and the
-/// arithmetic depth is bounded (≤3 via the boolean generator) so that
-/// nested *unchecked* engine arithmetic cannot overflow: the folder
-/// declines to fold overflowing shapes precisely because the engine's
-/// behavior there is target-dependent — the property would otherwise
-/// compare two target-dependent values.
+/// arithmetic depth is bounded (≤3 via the boolean generator); overflow
+/// needs no care here, since the folder and the engine compute literals
+/// through the same `ArithOp::apply`.
 fn random_num(rng: &mut TestRng, r: RelId, depth: usize, kind: NumKind) -> Scalar {
     let leaf = depth == 0 || matches!(kind, NumKind::Date) || rng.chance(0.35);
     if leaf {

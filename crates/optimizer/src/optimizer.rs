@@ -54,9 +54,21 @@ pub struct PlanChoice {
     pub rows: f64,
     /// Uncharged spool reads below this plan.
     pub usage: Usage,
-    /// CSEs whose initial cost has already been added (at their LCA).
-    pub charged: CseMask,
+    /// CSEs whose initial cost has already been added (at their LCA), each
+    /// with the definition winner it was costed as — the one its spool is
+    /// extracted from — ascending by id.
+    pub charged: Vec<(CseId, Rc<PlanChoice>)>,
     build: Build,
+}
+
+/// Add `defs` to the charged list `into`: a CSE keeps the first definition
+/// it was charged with.
+fn merge_charged(into: &mut Vec<(CseId, Rc<PlanChoice>)>, defs: &[(CseId, Rc<PlanChoice>)]) {
+    for (e, def) in defs {
+        if let Err(at) = into.binary_search_by_key(e, |(id, _)| *id) {
+            into.insert(at, (*e, def.clone()));
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -257,8 +269,9 @@ impl<'a> Optimizer<'a> {
                             // at this level.
                             let (init, def) = self.init_cost(e, mask);
                             alt.cost += init;
-                            alt.charged |= bit(e) | def.charged;
+                            merge_charged(&mut alt.charged, &def.charged);
                             alt.usage.merge(&def.usage);
+                            merge_charged(&mut alt.charged, &[(e, def)]);
                         }
                     }
                 }
@@ -334,10 +347,10 @@ impl<'a> Optimizer<'a> {
             Op::Batch => input,
         };
         let mut usage = Usage::default();
-        let mut charged = 0;
+        let mut charged = Vec::new();
         for k in &kids {
             usage.merge(&k.usage);
-            charged |= k.charged;
+            merge_charged(&mut charged, &k.charged);
         }
         alts.push(PlanChoice {
             cost,
@@ -391,7 +404,7 @@ impl<'a> Optimizer<'a> {
             cost,
             rows: out_rows,
             usage: Usage::default(),
-            charged: 0,
+            charged: Vec::new(),
             build: Build::Leaf(PhysicalPlan::IndexRangeScan {
                 rel,
                 col: *col,
@@ -422,7 +435,7 @@ impl<'a> Optimizer<'a> {
             cost,
             rows: out_rows,
             usage,
-            charged: 0,
+            charged: Vec::new(),
             build: Build::Leaf(PhysicalPlan::CseRead {
                 cse: s.cse,
                 filter: s.filter.clone(),
@@ -508,8 +521,9 @@ impl<'a> Optimizer<'a> {
 
     /// Optimize the whole statement (batch) under an enabled mask and
     /// assemble the executable plan: validates usage counts, charges any
-    /// initial costs not already charged at an LCA, collects spool
-    /// definitions (transitively, for stacked CSEs) and extracts the trees.
+    /// initial costs not already charged at an LCA, and extracts the trees —
+    /// each spool from the definition winner it was charged with, so the
+    /// plan executes exactly what it was costed as (§5.2).
     pub fn optimize_full(&mut self, root: GroupId, mut mask: CseMask) -> FullPlan {
         'retry: loop {
             let choice = self.optimize_group(root, mask);
@@ -521,7 +535,7 @@ impl<'a> Optimizer<'a> {
             let mut total = choice.cost;
             // Charge remaining (root-charged) CSEs, lowest id first; the
             // reads of a charged definition surface here like at an LCA.
-            let mut used = choice.charged;
+            let mut charged = choice.charged.clone();
             let mut uncharged = choice.usage.clone();
             loop {
                 let Some((e, n)) = uncharged.iter().next() else {
@@ -534,27 +548,22 @@ impl<'a> Optimizer<'a> {
                 }
                 let (init, def) = self.init_cost(e, mask);
                 total += init;
-                used |= bit(e) | def.charged;
+                merge_charged(&mut charged, &def.charged);
                 uncharged.merge(&def.usage);
+                merge_charged(&mut charged, &[(e, def)]);
             }
-            // Collect spool definitions transitively.
-            let mut spools: BTreeMap<CseId, SpoolDef> = BTreeMap::new();
-            let mut pending: Vec<CseId> = ids(used).collect();
-            while let Some(e) = pending.pop() {
-                if spools.contains_key(&e) {
-                    continue;
-                }
-                let (_, def) = self.init_cost(e, mask);
-                pending.extend(ids(def.charged));
-                pending.extend(def.usage.iter().map(|(k, _)| k));
-                let cand = &self.candidates[&e];
-                let def = SpoolDef {
-                    plan: self.extract(&def),
-                    layout: cand.output.clone(),
-                    est_rows: cand.est_rows,
-                };
-                spools.insert(e, def);
-            }
+            let spools = charged
+                .iter()
+                .map(|(e, def)| {
+                    let cand = &self.candidates[e];
+                    let def = SpoolDef {
+                        plan: self.extract(def),
+                        layout: cand.output.clone(),
+                        est_rows: cand.est_rows,
+                    };
+                    (*e, def)
+                })
+                .collect();
             let plan = FullPlan {
                 root: self.extract(&choice),
                 spools,

@@ -261,8 +261,8 @@ pub struct FullPlan {
     pub cost: f64,
     /// The retained baseline (no-CSE) root, present whenever `root` reads
     /// spools. The executor retries a statement against the matching
-    /// baseline child when a spool fails to materialize or a resource
-    /// budget is breached — the consumers' original, non-covering
+    /// baseline child when a spool fails to materialize or the memory
+    /// reservation refuses a charge — the consumers' original, non-covering
     /// expressions are exactly this plan's statement subtrees.
     pub baseline: Option<Box<PhysicalPlan>>,
 }

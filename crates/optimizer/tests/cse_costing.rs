@@ -127,7 +127,7 @@ fn consumer_is_charged_usage_cost_only() {
     let choice = opt.optimize_group(f.consumers[1], bit(CseId(0)));
     assert!(matches!(opt.extract(&choice), PhysicalPlan::CseRead { .. }));
     assert_eq!(choice.usage.get(CseId(0)), 1);
-    assert_eq!(choice.charged, 0);
+    assert!(choice.charged.is_empty());
     // Usage cost (spool read) must be far below recomputing the join.
     let baseline = opt.optimize_group(f.consumers[1], 0);
     assert!(choice.cost < baseline.cost);
@@ -139,8 +139,10 @@ fn initial_cost_added_at_lca_with_two_consumers() {
     let mut opt = optimizer(&f);
     opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
     let with = opt.optimize_group(f.root, bit(CseId(0)));
-    // Both consumers share; the CSE is charged (moved to `charged`).
-    assert_eq!(with.charged, bit(CseId(0)), "usage: {:?}", with.usage);
+    // Both consumers share; the CSE is charged (moved to `charged`) with
+    // the definition winner its spool is extracted from.
+    let charged: Vec<CseId> = with.charged.iter().map(|(e, _)| *e).collect();
+    assert_eq!(charged, [CseId(0)], "usage: {:?}", with.usage);
     assert!(with.usage.is_empty());
     assert_eq!(opt.extract(&with).cse_reads().get(&CseId(0)), Some(&2));
     let without = opt.optimize_group(f.root, 0);
@@ -168,7 +170,7 @@ fn single_consumer_plans_are_discarded() {
         "single-consumer spool must not survive"
     );
     assert!(with.usage.is_empty());
-    assert_eq!(with.charged, 0);
+    assert!(with.charged.is_empty());
     assert!(opt.extract(&with).cse_reads().is_empty());
 }
 

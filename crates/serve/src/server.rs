@@ -15,10 +15,13 @@
 //! 3. Before planning, the breaker decides the attempt's [`Admission`]:
 //!    `Full` runs the whole CSE phase (and reports its downgrade bit back),
 //!    `BaselineOnly` forces the baseline rung, `Probe` runs full CSE and
-//!    reports health. Planning + execution then run under the session
-//!    pipeline; `strict_faults` turns [`ExecCtx::recover`] off so
-//!    transient faults bubble here instead of being retried in-engine.
-//! 4. Transient failures (injected faults, breached limits, expired
+//!    reports health; memory pressure may lower the starting rung too. The
+//!    server records why it lowered it as the reply's first event, since
+//!    the pipeline reports nothing for the rung it is given. Planning +
+//!    execution then run under the session pipeline; `strict_faults`
+//!    turns [`ExecCtx::recover`] off so transient faults bubble here
+//!    instead of being retried in-engine.
+//! 4. Transient failures (injected faults, refused reservations, expired
 //!    attempt deadlines, `serve.worker` trips) are retried after a
 //!    deterministic jittered backoff; everything else — and exhausted
 //!    retries — becomes a structured [`Rejection`]. Success becomes a
@@ -35,7 +38,7 @@ use cse_core::CseConfig;
 use cse_exec::{Engine, ExecCtx, ExecError, ExecMetrics, ResultSet};
 use cse_govern::{
     panic_message, sites, CancelToken, DegradationEvent, FailpointRegistry, MemReservation,
-    MemoryGovernor, Pressure, ReserveError, Rung,
+    MemoryGovernor, Pressure, Reason, ReserveError, Rung,
 };
 use cse_storage::testkit::TestRng;
 use cse_storage::Catalog;
@@ -637,7 +640,7 @@ fn worker_loop(shared: &Shared, queue: &BoundedQueue<Request>) {
 /// How one attempt ended, before retry policy is applied.
 enum AttemptEnd {
     Done(Box<BatchReply>),
-    /// Transient: worth retrying (fault, breached limit, expired deadline).
+    /// Transient: worth retrying (fault, refused memory, expired deadline).
     Transient(RejectReason, String),
     /// Terminal: retrying cannot help (client cancel, plan bug, engine bug).
     Terminal(RejectReason, String),
@@ -756,31 +759,35 @@ fn run_attempt_inner(
     let admission = shared.breaker.admit();
     let mut cfg = shared.cfg.cse.clone();
     cfg.cancel = attempt_token.clone();
-    if admission == Admission::BaselineOnly {
-        // Forced baseline (not `enable_cse = false`): the skip is recorded
-        // as an OPT_FORCED degradation in the reply, so clients can see
-        // they were served under an open breaker.
-        cfg.fallback_only = true;
-    }
-    // Pressure-driven planning ladder: under memory pressure, plan fewer
-    // (Elevated) or no (Critical) spools — sharing is only a win when the
-    // materialization resource exists. A probe is exempt: it must run the
-    // full CSE phase to measure health, and its `record_probe` must not be
-    // skewed by the pool's state.
-    let mut mem_forced = false;
-    if admission != Admission::Probe {
-        match shared.governor.as_ref().map(MemoryGovernor::pressure) {
-            Some(Pressure::Critical) if !cfg.fallback_only => {
-                cfg.fallback_only = true;
-                mem_forced = true;
+    // Where the ladder starts is decided here, and reported here: an open
+    // breaker forces the baseline rung, so clients see they were served
+    // under it (OPT_FORCED); under memory pressure the plan holds fewer
+    // (Elevated, MEM_PRESSURE) or no (Critical, OPT_FORCED) spools —
+    // sharing is only a win when the materialization resource exists. A
+    // probe is exempt: it must run the full CSE phase to measure health,
+    // and its `record_probe` must not be skewed by the pool's state.
+    let lowered = match admission {
+        Admission::BaselineOnly => Some((Rung::Baseline, Reason::OptForced, "open breaker")),
+        Admission::Probe => None,
+        Admission::Full => match shared.governor.as_ref().map(MemoryGovernor::pressure) {
+            Some(Pressure::Critical) => Some((
+                Rung::Baseline,
+                Reason::OptForced,
+                "critical memory pressure",
+            )),
+            Some(Pressure::Elevated) => {
+                Some((Rung::CappedCse, Reason::MemPressure, "memory pressure"))
             }
-            Some(Pressure::Elevated) if cfg.start_rung == Rung::FullCse => {
-                cfg.start_rung = Rung::CappedCse;
-                mem_forced = true;
-            }
-            _ => {}
-        }
-    }
+            _ => None,
+        },
+    };
+    let admitted = lowered
+        .filter(|(to, ..)| *to > cfg.start_rung)
+        .map(|(to, reason, why)| {
+            let from = std::mem::replace(&mut cfg.start_rung, to);
+            let detail = format!("{why} lowered the starting rung to {to}");
+            DegradationEvent::opt(reason, "admission", from, to, detail)
+        });
 
     let optimized = match cse_core::optimize_sql(&shared.catalog, &req.sql, &cfg) {
         Ok(o) => o,
@@ -796,7 +803,7 @@ fn run_attempt_inner(
     // their own retry channel. A memory-forced downgrade says nothing
     // about CSE-phase health, so it stays out of the breaker's window.
     match admission {
-        Admission::Full if !mem_forced => shared
+        Admission::Full if admitted.is_none() => shared
             .breaker
             .record(optimized.report.rung != Rung::FullCse),
         Admission::Probe => shared
@@ -810,7 +817,6 @@ fn run_attempt_inner(
         &optimized.plan,
         &ExecCtx {
             failpoints: cfg.failpoints.clone(),
-            limits: cfg.exec_limits.clone(),
             cancel: attempt_token.clone(),
             reservation,
             recover: !shared.cfg.strict_faults,
@@ -818,7 +824,8 @@ fn run_attempt_inner(
     );
     match run {
         Ok(out) => {
-            let mut events = optimized.report.degradations.clone();
+            let mut events: Vec<DegradationEvent> = admitted.into_iter().collect();
+            events.extend(optimized.report.degradations.iter().cloned());
             events.extend(out.events);
             AttemptEnd::Done(Box::new(BatchReply {
                 id: req.id,

@@ -1,5 +1,5 @@
 //! Pass 6: downgrade audit. When the optimization budget trips (or the
-//! operator forces the baseline rung), the pipeline promises a *genuine*
+//! ladder starts on the baseline rung), the pipeline promises a *genuine*
 //! baseline plan: no covering-subexpression operators anywhere. This pass
 //! mechanically checks that promise on the final physical plan — a
 //! half-degraded hybrid (a `CseRead` with no spool, or a spool nobody

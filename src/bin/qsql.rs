@@ -24,7 +24,7 @@ fn main() {
     let mut verify = false;
     let mut lint = LintMode::Off;
     let mut budget_ms: Option<u64> = None;
-    let mut fallback_only = false;
+    let mut forced: Option<DegradationEvent> = None;
     let mut fail_specs: Vec<FailSpec> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -62,8 +62,17 @@ fn main() {
                         .expect("--budget-ms expects an integer"),
                 );
             }
-            // Skip the CSE phase outright and report it as OPT_FORCED.
-            "--no-cse-fallback-only" => fallback_only = true,
+            // Start the ladder on the baseline rung, skipping the CSE phase
+            // outright, and report it as OPT_FORCED with every batch.
+            "--no-cse-fallback-only" => {
+                forced = Some(DegradationEvent::opt(
+                    Reason::OptForced,
+                    "admission",
+                    Rung::FullCse,
+                    Rung::Baseline,
+                    "--no-cse-fallback-only forced the baseline rung",
+                ));
+            }
             // Arm deterministic failpoints (repeatable, full CSE_FAIL
             // grammar): --fail spool.materialize:1.0:42
             "--fail" => {
@@ -89,10 +98,12 @@ fn main() {
     let defaults = CseConfig::default();
     let mut config = CseConfig {
         verify: verify || defaults.verify,
-        fallback_only,
         lint,
         ..defaults
     };
+    if forced.is_some() {
+        config.start_rung = Rung::Baseline;
+    }
     if let Some(ms) = budget_ms {
         config.budget = Budget::with_time_ms(ms);
     }
@@ -121,7 +132,7 @@ fn main() {
         buffer.push_str(&line);
         buffer.push('\n');
         if trimmed.ends_with(';') {
-            run(&session, buffer.trim());
+            run(&session, buffer.trim(), forced.as_ref());
             buffer.clear();
         }
         prompt(&buffer);
@@ -177,7 +188,7 @@ fn command(session: &Session, cmd: &str) -> bool {
     true
 }
 
-fn run(session: &Session, sql: &str) {
+fn run(session: &Session, sql: &str, forced: Option<&DegradationEvent>) {
     let started = std::time::Instant::now();
     match session.query(sql) {
         Ok(out) => {
@@ -186,7 +197,7 @@ fn run(session: &Session, sql: &str) {
             }
             // Degradations (budget trips, injected faults, recoveries) go
             // to stderr so results stay machine-consumable on stdout.
-            for ev in &out.events {
+            for ev in forced.into_iter().chain(&out.events) {
                 eprintln!("-- degraded: {ev}");
             }
             // Lint diagnostics likewise go to stderr.

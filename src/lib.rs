@@ -65,8 +65,8 @@ pub mod prelude {
     pub use cse_durable::{DurableCatalog, DurableOptions, FileStore, SimStore};
     pub use cse_exec::{Engine, ExecCtx, ExecOutput, ResultSet};
     pub use cse_govern::{
-        Budget, CancelToken, DegradationEvent, ExecLimits, FailSpec, FailpointRegistry,
-        MemReservation, MemoryGovernor, Pressure, Reason, Rung,
+        Budget, CancelToken, DegradationEvent, FailSpec, FailpointRegistry, MemReservation,
+        MemoryGovernor, Pressure, Reason, Rung,
     };
     pub use cse_lint::{lint_batch, LintMode, LintOutcome};
     pub use cse_serve::{

@@ -42,8 +42,8 @@ pub struct BatchOutcome {
     pub report: CseReport,
     pub metrics: ExecMetrics,
     /// Every degradation across planning *and* execution: optimizer-side
-    /// ladder events (budget trips, panics, forced baseline) followed by
-    /// runtime recoveries (injected faults, breached limits).
+    /// ladder events (budget trips, panics) followed by runtime recoveries
+    /// (injected faults, refused reservations).
     pub events: Vec<DegradationEvent>,
 }
 
@@ -110,8 +110,8 @@ impl Session {
     }
 
     /// Optimize and execute a SQL batch (statements separated by `;`),
-    /// under the configured governance: optimization budget, fault
-    /// injection and execution limits.
+    /// under the configured governance: starting rung, optimization budget
+    /// and fault injection.
     pub fn query(&self, sql: &str) -> Result<BatchOutcome, Error> {
         self.query_under(sql, &self.config)
     }
@@ -133,7 +133,7 @@ impl Session {
         self.query_under(sql, &config)
     }
 
-    /// Optimize under `config`, execute under its failpoints, limits and
+    /// Optimize under `config`, execute under its failpoints and
     /// cancellation token, and merge both sides' degradation events.
     fn query_under(&self, sql: &str, config: &CseConfig) -> Result<BatchOutcome, Error> {
         let optimized =
@@ -143,8 +143,9 @@ impl Session {
             .execute_in(
                 &optimized.plan,
                 &ExecCtx {
+                    failpoints: config.failpoints.clone(),
                     cancel: config.cancel.clone(),
-                    ..ExecCtx::governed(&config.failpoints, &config.exec_limits)
+                    ..ExecCtx::default()
                 },
             )
             .map_err(|e| Error::Execution(e.to_string()))?;

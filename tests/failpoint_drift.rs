@@ -70,7 +70,10 @@ fn exercise(site: &str) -> FailpointRegistry {
             Engine::new(&catalog, &optimized.ctx)
                 .execute_in(
                     &optimized.plan,
-                    &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
+                    &ExecCtx {
+                        failpoints: cfg.failpoints.clone(),
+                        ..ExecCtx::default()
+                    },
                 )
                 .expect("governed execution recovers");
         }
@@ -82,7 +85,10 @@ fn exercise(site: &str) -> FailpointRegistry {
             Engine::new(&catalog, &optimized.ctx)
                 .execute_in(
                     &optimized.plan,
-                    &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
+                    &ExecCtx {
+                        failpoints: cfg.failpoints.clone(),
+                        ..ExecCtx::default()
+                    },
                 )
                 .expect("governed execution recovers");
         }
@@ -99,7 +105,10 @@ fn exercise(site: &str) -> FailpointRegistry {
             Engine::new(&catalog, &optimized.ctx)
                 .execute_in(
                     &optimized.plan,
-                    &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
+                    &ExecCtx {
+                        failpoints: cfg.failpoints.clone(),
+                        ..ExecCtx::default()
+                    },
                 )
                 .expect("governed execution recovers");
         }

@@ -10,7 +10,9 @@
 //! templates. The oracle is the plain plan: `NoCse ≡ Cse ≡
 //! CseNoHeuristics ≡ baseline-retry recovery under a spool failpoint`,
 //! and appending a duplicate statement or permuting the batch changes no
-//! statement's result.
+//! statement's result. Every plan executes exactly the spools it was
+//! charged for, and the arms that share end on the full rung: a caught
+//! optimizer panic would otherwise pass on the baseline rung unnoticed.
 //!
 //! A fixed seed set runs in `cargo test`; `CSE_GEN_BATCHES=<n>` runs seeds
 //! `0..n` instead (`ci.sh` runs 200 in release). A failing seed prints its
@@ -269,11 +271,43 @@ fn sql_of(batch: &[Stmt]) -> String {
 }
 
 /// Optimize and execute `batch` under `cfg`; the spool count of the plan,
-/// the results and the runtime recovery events.
-fn run(catalog: &Catalog, batch: &[Stmt], cfg: &CseConfig, what: &str) -> (usize, ExecOutput) {
+/// the results and the runtime recovery events. Every plan must execute
+/// the spools it was charged for (§5.2): each spool read has its
+/// definition, and each definition is read at least twice. An arm that
+/// shares (`full`) must also end on the full rung without a caught panic —
+/// the baseline rung would hide a broken plan behind a correct answer.
+fn run(
+    catalog: &Catalog,
+    batch: &[Stmt],
+    cfg: &CseConfig,
+    full: bool,
+    what: &str,
+) -> (usize, ExecOutput) {
     let sql = sql_of(batch);
     let o = optimize_sql(catalog, &sql, cfg).unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
-    let ctx = ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits);
+    let mut reads = o.plan.root.cse_reads();
+    for def in o.plan.spools.values() {
+        for (e, n) in def.plan.cse_reads() {
+            *reads.entry(e).or_insert(0) += n;
+        }
+    }
+    let spools: Vec<_> = o.plan.spools.keys().collect();
+    assert!(
+        reads.keys().eq(spools.iter().copied()) && reads.values().all(|&n| n >= 2),
+        "{what}: spool reads {reads:?} against spools {spools:?}\n{sql}"
+    );
+    if full {
+        let events = &o.report.degradations;
+        assert!(
+            o.report.rung == Rung::FullCse && !events.iter().any(|e| e.reason == Reason::OptPanic),
+            "{what}: ended on {} after {events:?}\n{sql}",
+            o.report.rung
+        );
+    }
+    let ctx = ExecCtx {
+        failpoints: cfg.failpoints.clone(),
+        ..ExecCtx::default()
+    };
     let out = Engine::new(catalog, &o.ctx)
         .execute_in(&o.plan, &ctx)
         .unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
@@ -328,16 +362,23 @@ fn check_seed(seed: u64) -> bool {
     let batch = gen_batch(&mut rng);
     let tag = |arm: &str| format!("seed {seed} [{arm}]");
 
-    let (_, reference) = run(&catalog, &batch, &CseConfig::no_cse(), &tag("no-cse"));
+    let (_, reference) = run(
+        &catalog,
+        &batch,
+        &CseConfig::no_cse(),
+        false,
+        &tag("no-cse"),
+    );
     let want = &reference.results;
     assert_same(&batch, want, want, |i| i, &tag("no-cse"));
 
-    let (spools, cse) = run(&catalog, &batch, &CseConfig::default(), &tag("cse"));
+    let (spools, cse) = run(&catalog, &batch, &CseConfig::default(), true, &tag("cse"));
     assert_same(&batch, &cse.results, want, |i| i, &tag("cse"));
     let (_, exhaustive) = run(
         &catalog,
         &batch,
         &CseConfig::no_heuristics(),
+        true,
         &tag("no-heuristics"),
     );
     assert_same(
@@ -358,7 +399,7 @@ fn check_seed(seed: u64) -> bool {
         }]),
         ..CseConfig::default()
     };
-    let (faulty_spools, recovered) = run(&catalog, &batch, &faulty, &tag("spool-fault"));
+    let (faulty_spools, recovered) = run(&catalog, &batch, &faulty, false, &tag("spool-fault"));
     assert_same(&batch, &recovered.results, want, |i| i, &tag("spool-fault"));
     assert_eq!(
         recovered.events.is_empty(),
@@ -374,7 +415,13 @@ fn check_seed(seed: u64) -> bool {
     let twin = rng.range_usize(0, batch.len());
     let mut longer = batch.clone();
     longer.push(batch[twin].clone());
-    let (_, out) = run(&catalog, &longer, &CseConfig::default(), &tag("duplicate"));
+    let (_, out) = run(
+        &catalog,
+        &longer,
+        &CseConfig::default(),
+        true,
+        &tag("duplicate"),
+    );
     let n = batch.len();
     assert_same(
         &longer,
@@ -390,7 +437,13 @@ fn check_seed(seed: u64) -> bool {
         perm.swap(i, rng.range_usize(0, i + 1));
     }
     let permuted: Vec<Stmt> = perm.iter().map(|i| batch[*i].clone()).collect();
-    let (_, out) = run(&catalog, &permuted, &CseConfig::default(), &tag("permuted"));
+    let (_, out) = run(
+        &catalog,
+        &permuted,
+        &CseConfig::default(),
+        true,
+        &tag("permuted"),
+    );
     assert_same(&permuted, &out.results, want, |i| perm[i], &tag("permuted"));
 
     spools > 0

@@ -1,6 +1,6 @@
 //! Adversarial robustness suite: drives every degradation path — tripped
-//! optimization budgets, forced fallback, deliberate panics, injected
-//! execution faults, and breached row/memory limits — and asserts that the
+//! optimization budgets, a baseline start, deliberate panics, injected
+//! execution faults, and refused memory reservations — and asserts that the
 //! engine always answers, that the answers match an ungoverned no-CSE
 //! baseline, and that every downgrade is reported with its stable reason
 //! code.
@@ -39,7 +39,7 @@ fn seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// The ungoverned no-CSE reference: plain plans, no failpoints, no limits.
+/// The ungoverned no-CSE reference: plain plans, no failpoints, no reservation.
 fn reference(catalog: &Catalog, sql: &str) -> Vec<ResultSet> {
     let optimized = optimize_sql(catalog, sql, &CseConfig::no_cse()).expect("reference optimize");
     let engine = Engine::new(catalog, &optimized.ctx);
@@ -49,17 +49,37 @@ fn reference(catalog: &Catalog, sql: &str) -> Vec<ResultSet> {
         .results
 }
 
-/// Optimize + execute `sql` under `cfg`'s governance and return everything.
-fn governed(catalog: &Catalog, sql: &str, cfg: &CseConfig) -> (Optimized, ExecOutput) {
+/// Optimize + execute `sql` under `cfg`'s failpoints and `reservation`,
+/// recovering in-engine, and return everything.
+fn drive_in(
+    catalog: &Catalog,
+    sql: &str,
+    cfg: &CseConfig,
+    reservation: Option<&MemReservation>,
+) -> (Optimized, ExecOutput) {
     let optimized = optimize_sql(catalog, sql, cfg).expect("governed optimize must not fail");
     let engine = Engine::new(catalog, &optimized.ctx);
+    let ctx = ExecCtx {
+        failpoints: cfg.failpoints.clone(),
+        reservation,
+        ..ExecCtx::default()
+    };
     let out = engine
-        .execute_in(
-            &optimized.plan,
-            &ExecCtx::governed(&cfg.failpoints, &cfg.exec_limits),
-        )
+        .execute_in(&optimized.plan, &ctx)
         .expect("governed execute must not fail");
     (optimized, out)
+}
+
+fn drive(catalog: &Catalog, sql: &str, cfg: &CseConfig) -> (Optimized, ExecOutput) {
+    drive_in(catalog, sql, cfg, None)
+}
+
+/// A reservation out of a pool it already fills: the first breaker that
+/// holds more than 1 KiB is refused.
+fn small_reservation() -> MemReservation {
+    MemoryGovernor::new(1024)
+        .try_reserve(1024, None)
+        .expect("an empty pool grants its whole budget")
 }
 
 fn assert_matches_reference(got: &[ResultSet], want: &[ResultSet], scenario: &str) {
@@ -101,7 +121,7 @@ fn zero_budget_degrades_to_baseline() {
         budget: Budget::with_time_ms(0),
         ..CseConfig::default()
     };
-    let (opt, out) = governed(&catalog, &batch(), &cfg);
+    let (opt, out) = drive(&catalog, &batch(), &cfg);
     assert_eq!(opt.report.rung, Rung::Baseline, "{:?}", opt.report.rung);
     assert!(
         opt.plan.spools.is_empty(),
@@ -131,7 +151,7 @@ fn memo_cap_trips_with_stable_code() {
         },
         ..CseConfig::default()
     };
-    let (opt, out) = governed(&catalog, &batch(), &cfg);
+    let (opt, out) = drive(&catalog, &batch(), &cfg);
     assert_eq!(opt.report.rung, Rung::Baseline);
     assert!(
         codes(&opt.report.degradations).contains(&"OPT_MEMO_CAP"),
@@ -154,7 +174,7 @@ fn candidate_cap_trips_full_rung_then_recovers_on_capped() {
         },
         ..CseConfig::default()
     };
-    let (opt, out) = governed(&catalog, &batch(), &cfg);
+    let (opt, out) = drive(&catalog, &batch(), &cfg);
     assert_eq!(
         opt.report.rung,
         Rung::CappedCse,
@@ -228,20 +248,23 @@ fn tripped_full_rung_plans_like_a_capped_start() {
     }
 }
 
-/// `fallback_only` skips the CSE phase outright and says so.
+/// A ladder started on its floor skips the CSE phase outright — detection
+/// included — and records nothing: whoever lowered the start reports why.
 #[test]
-fn fallback_only_reports_forced_baseline() {
+fn baseline_start_rung_skips_the_cse_phase() {
     let catalog = catalog();
     let want = reference(&catalog, &batch());
     let cfg = CseConfig {
-        fallback_only: true,
+        start_rung: Rung::Baseline,
         ..CseConfig::default()
     };
-    let (opt, out) = governed(&catalog, &batch(), &cfg);
+    let (opt, out) = drive(&catalog, &batch(), &cfg);
     assert_eq!(opt.report.rung, Rung::Baseline);
-    assert_eq!(codes(&opt.report.degradations), vec!["OPT_FORCED"]);
+    assert!(opt.report.degradations.is_empty());
+    assert_eq!(opt.report.sharable_signatures, 0, "detection never ran");
+    assert!(opt.report.candidates.is_empty());
     assert!(opt.plan.spools.is_empty());
-    assert_matches_reference(&out.results, &want, "fallback-only");
+    assert_matches_reference(&out.results, &want, "baseline start");
 }
 
 /// A panic inside the CSE phase (the `opt.cse-phase` failpoint panics on
@@ -252,7 +275,7 @@ fn cse_phase_panic_is_isolated() {
     let catalog = catalog();
     let want = reference(&catalog, &batch());
     let cfg = fail_config(sites::OPT_CSE_PHASE, 1.0);
-    let (opt, out) = governed(&catalog, &batch(), &cfg);
+    let (opt, out) = drive(&catalog, &batch(), &cfg);
     assert_eq!(opt.report.rung, Rung::Baseline);
     let seen = codes(&opt.report.degradations);
     assert!(seen.contains(&"OPT_PANIC"), "events: {seen:?}");
@@ -268,7 +291,7 @@ fn cse_phase_panic_is_isolated_when_nothing_is_sharable() {
     let sql = workloads::no_sharing_batch();
     let want = reference(&catalog, &sql);
     let cfg = fail_config(sites::OPT_CSE_PHASE, 1.0);
-    let (opt, out) = governed(&catalog, &sql, &cfg);
+    let (opt, out) = drive(&catalog, &sql, &cfg);
     assert_eq!(opt.report.sharable_signatures, 0);
     assert_eq!(opt.report.rung, Rung::Baseline);
     let seen = codes(&opt.report.degradations);
@@ -305,7 +328,7 @@ fn downgraded_plans_pass_the_downgrade_audit() {
         verify: true,
         ..CseConfig::default()
     };
-    let (opt, _) = governed(&catalog, &batch(), &cfg);
+    let (opt, _) = drive(&catalog, &batch(), &cfg);
     let report = opt.report.verification.expect("verification ran");
     assert_eq!(
         report.error_count(),
@@ -327,7 +350,7 @@ fn spool_failure_recovers_on_baseline() {
     let catalog = catalog();
     let want = reference(&catalog, &batch());
     let cfg = fail_config(sites::SPOOL_MATERIALIZE, 1.0);
-    let (opt, out) = governed(&catalog, &batch(), &cfg);
+    let (opt, out) = drive(&catalog, &batch(), &cfg);
     assert!(
         !opt.plan.spools.is_empty(),
         "scenario requires a shared spool to break"
@@ -352,7 +375,7 @@ fn table_scan_failure_recovers_on_baseline() {
     let catalog = catalog();
     let want = reference(&catalog, &batch());
     let cfg = fail_config(sites::SCAN_TABLE, 1.0);
-    let (_, out) = governed(&catalog, &batch(), &cfg);
+    let (_, out) = drive(&catalog, &batch(), &cfg);
     assert_matches_reference(&out.results, &want, "table-scan-fault");
     assert!(codes(&out.events).contains(&"EXEC_FAULT_INJECTED"));
     assert_eq!(out.results.len(), 2);
@@ -368,7 +391,7 @@ fn index_scan_failure_recovers_on_baseline() {
                where o_orderdate = '1995-01-01'";
     let want = reference(&indexed, sql);
     let cfg = fail_config(sites::SCAN_INDEX, 1.0);
-    let (_, out) = governed(&indexed, sql, &cfg);
+    let (_, out) = drive(&indexed, sql, &cfg);
     assert_matches_reference(&out.results, &want, "index-scan-fault");
     assert!(
         codes(&out.events).contains(&"EXEC_FAULT_INJECTED"),
@@ -377,47 +400,29 @@ fn index_scan_failure_recovers_on_baseline() {
     );
 }
 
-/// A tiny row budget breaches, the statement retries with limits
-/// suppressed, and the answer is still exact.
-#[test]
-fn row_budget_breach_recovers() {
-    let catalog = catalog();
-    let want = reference(&catalog, &batch());
-    let cfg = CseConfig {
-        exec_limits: ExecLimits {
-            max_rows: Some(16),
-            max_bytes: None,
-        },
-        ..CseConfig::default()
-    };
-    let (_, out) = governed(&catalog, &batch(), &cfg);
-    assert_matches_reference(&out.results, &want, "row-budget");
-    assert!(
-        codes(&out.events).contains(&"EXEC_ROW_BUDGET"),
-        "events: {:?}",
-        out.events
-    );
-}
-
-/// Same for the memory budget.
+/// A statement that outgrows its memory reservation is refused the charge,
+/// retried on its baseline with unchecked charges, and still answers
+/// exactly; every statement says so.
 #[test]
 fn memory_budget_breach_recovers() {
     let catalog = catalog();
     let want = reference(&catalog, &batch());
-    let cfg = CseConfig {
-        exec_limits: ExecLimits {
-            max_rows: None,
-            max_bytes: Some(1024),
-        },
-        ..CseConfig::default()
-    };
-    let (_, out) = governed(&catalog, &batch(), &cfg);
-    assert_matches_reference(&out.results, &want, "mem-budget");
-    assert!(
-        codes(&out.events).contains(&"EXEC_MEM_BUDGET"),
+    let reservation = small_reservation();
+    let (_, out) = drive_in(
+        &catalog,
+        &batch(),
+        &CseConfig::default(),
+        Some(&reservation),
+    );
+    assert_matches_reference(&out.results, &want, "mem-reservation");
+    assert_eq!(
+        codes(&out.events),
+        vec!["EXEC_MEM_RESERVATION"; 2],
         "events: {:?}",
         out.events
     );
+    assert!(out.results.iter().all(|r| r.provenance.len() == 1));
+    assert_eq!(reservation.used(), 0, "every held byte was released");
 }
 
 /// Probabilistic injection is deterministic per seed: two runs with the
@@ -428,7 +433,7 @@ fn probabilistic_injection_is_deterministic_per_seed() {
     let want = reference(&catalog, &batch());
     let run = || {
         let cfg = fail_config(sites::SCAN_TABLE, 0.5);
-        governed(&catalog, &batch(), &cfg)
+        drive(&catalog, &batch(), &cfg)
     };
     let (_, a) = run();
     let (_, b) = run();
@@ -458,20 +463,16 @@ fn probabilistic_injection_is_deterministic_per_seed() {
 fn metrics_reflect_final_attempt_after_spool_fault() {
     let catalog = catalog();
     let cfg = fail_config(sites::SPOOL_MATERIALIZE, 1.0);
-    let (opt, out) = governed(&catalog, &batch(), &cfg);
+    let (opt, out) = drive(&catalog, &batch(), &cfg);
     assert!(!opt.plan.spools.is_empty(), "scenario needs a spool");
     let m = &out.metrics;
     assert!(
         m.spool_rows.is_empty() && m.spool_bytes.is_empty() && m.spool_reads.is_empty(),
         "rolled-back spool work must not leak into the final metrics: {m:?}"
     );
-    // The baseline the engine retried on is the same baseline a forced
-    // fallback plans, so the high-water mark must match it exactly.
-    let forced = CseConfig {
-        fallback_only: true,
-        ..CseConfig::default()
-    };
-    let (_, base) = governed(&catalog, &batch(), &forced);
+    // The baseline the engine retried on is the same baseline the No-CSE
+    // configuration plans, so the high-water mark must match it exactly.
+    let (_, base) = drive(&catalog, &batch(), &CseConfig::no_cse());
     assert!(m.peak_bytes > 0);
     assert_eq!(
         m.peak_bytes, base.metrics.peak_bytes,
@@ -479,35 +480,31 @@ fn metrics_reflect_final_attempt_after_spool_fault() {
     );
 }
 
-/// Same contract when the retry is triggered by `ExecLimits` instead of a
-/// fault: a tiny row budget trips the CSE attempt, the baseline retry
-/// (limits suppressed) is what the metrics describe.
+/// Same contract when the retry is triggered by a refused memory
+/// reservation instead of a fault: the baseline retry (charged unchecked)
+/// is what the metrics describe.
 #[test]
-fn metrics_reflect_final_attempt_after_row_budget_trip() {
+fn metrics_reflect_final_attempt_after_reservation_refusal() {
     let catalog = catalog();
-    let cfg = CseConfig {
-        exec_limits: ExecLimits {
-            max_rows: Some(16),
-            max_bytes: None,
-        },
-        ..CseConfig::default()
-    };
-    let (_, out) = governed(&catalog, &batch(), &cfg);
+    let reservation = small_reservation();
+    let (opt, out) = drive_in(
+        &catalog,
+        &batch(),
+        &CseConfig::default(),
+        Some(&reservation),
+    );
+    assert!(!opt.plan.spools.is_empty(), "scenario needs a spool");
     assert!(
-        codes(&out.events).contains(&"EXEC_ROW_BUDGET"),
+        codes(&out.events).contains(&"EXEC_MEM_RESERVATION"),
         "events: {:?}",
         out.events
     );
     let m = &out.metrics;
     assert!(
         m.spool_rows.is_empty() && m.spool_bytes.is_empty(),
-        "spools of the tripped attempt must be rolled back: {m:?}"
+        "spools of the refused attempt must be rolled back: {m:?}"
     );
-    let forced = CseConfig {
-        fallback_only: true,
-        ..CseConfig::default()
-    };
-    let (_, base) = governed(&catalog, &batch(), &forced);
+    let (_, base) = drive(&catalog, &batch(), &CseConfig::no_cse());
     assert_eq!(m.peak_bytes, base.metrics.peak_bytes);
 }
 
@@ -522,7 +519,7 @@ fn seeded_fault_metrics_are_consistent_and_deterministic() {
     let want = reference(&catalog, &batch());
     let run = || {
         let cfg = fail_config(sites::SPOOL_MATERIALIZE, 0.5);
-        governed(&catalog, &batch(), &cfg)
+        drive(&catalog, &batch(), &cfg)
     };
     let (_, a) = run();
     let (_, b) = run();

@@ -119,15 +119,3 @@ fn optimization_is_deterministic() {
     assert_eq!(a.plan.spools.len(), b.plan.spools.len());
     assert_eq!(a.plan.root.render(), b.plan.root.render());
 }
-
-#[test]
-fn cheap_query_gate_skips_cse_phase() {
-    let catalog = catalog();
-    let cfg = CseConfig {
-        min_query_cost: f64::INFINITY,
-        ..Default::default()
-    };
-    let o = optimize_sql(&catalog, &workloads::table1_batch(), &cfg).unwrap();
-    assert_eq!(o.report.candidates.len(), 0);
-    assert!(o.plan.spools.is_empty());
-}

@@ -291,6 +291,25 @@ fn new_groups_null_keys_empty_and_consecutive_deltas() {
     assert_eq!(catalog.stats("t").unwrap().row_count, 12);
 }
 
+/// Stored ⊕ delta is the executor's aggregate merge: a SUM pushed past
+/// `i64::MAX` carries on as a float, exactly as recomputing the view does,
+/// instead of panicking (debug) or wrapping negative (release).
+#[test]
+fn sum_past_i64_max_merges_like_recomputation() {
+    let cfg = CseConfig::default();
+    let mut catalog = small_catalog();
+    // Group 1 holds 10 + 1; the first delta takes it just past i64::MAX,
+    // the second adds to the float it became.
+    for v in [i64::MAX - 10, 5] {
+        maintain_insert(&mut catalog, "t", vec![kv(Some(1), v)], &cfg).unwrap();
+        assert_view_is_fresh(&catalog, "v_by_k");
+    }
+    let view = catalog.table("v_by_k").unwrap();
+    let group1 = view.scan().find(|r| r[0] == Value::Int(1)).unwrap();
+    assert!(matches!(group1[1], Value::Float(f) if f >= i64::MAX as f64));
+    assert_eq!(group1[2], Value::Int(4), "COUNT stays integral");
+}
+
 #[test]
 fn a_request_that_fails_after_capture_changes_nothing() {
     let mut catalog = small_catalog();
