@@ -177,7 +177,7 @@ grep -q "WAL_CORRUPT_FRAME" <<<"$out" \
   || { echo "corrupted WAL rejection missing WAL_CORRUPT_FRAME: $out"; exit 1; }
 rm -rf "$data_dir"
 
-# Benchmark-of-record smoke: verdict only, no timing gate. All five
+# Benchmark-of-record smoke: verdicts and one count, no timing gate. All five
 # workloads: the one that bypasses sharing, the one through the server,
 # the one where every plan writes and reads a spool, the one the CSE phase
 # dominates, and the write path (inserts maintaining the §6.4 views, every
@@ -185,15 +185,25 @@ rm -rf "$data_dir"
 # whose first field is the correctness verdict.
 # Building benchmark/ without --locked lets cargo prune its Cargo.lock of
 # packages the tree no longer has; that file is frozen, so put it back.
-echo "==> benchmark smoke (no-share, serve-mix, share-batch, opt-heavy, view-maint: verdict only)"
+echo "==> benchmark smoke (no-share, serve-mix, share-batch, opt-heavy, view-maint: verdict; opt-heavy memo size)"
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
 for workload in no-share serve-mix share-batch opt-heavy view-maint; do
+  # opt-heavy runs traced: its memo size is a deterministic count.
+  trace=0
+  [[ "$workload" == opt-heavy ]] && trace=1
   verdict=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload "$workload" --seconds 2 --trace 0 | tail -n 1)
+    --workload "$workload" --seconds 2 --trace "$trace" | tail -n 1)
   [[ "$verdict" == '{"correct": true,'* ]] \
     || { echo "benchmark $workload verdict: $verdict"; exit 1; }
+  if [[ "$workload" == opt-heavy ]]; then
+    # One group per logical join: 4 137 expressions today, 15 405 when
+    # every join order reached a join got a group of its own.
+    gexprs=$(grep -oE '"memo\.gexprs": \{"value": [0-9]+' <<<"$verdict" | grep -oE '[0-9]+$')
+    [[ -n "$gexprs" && "$gexprs" -le 5000 ]] \
+      || { echo "opt-heavy memo.gexprs is '${gexprs}', above 5000"; exit 1; }
+  fi
 done
 
 echo "==> ci.sh: all green"

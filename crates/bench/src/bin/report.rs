@@ -62,7 +62,7 @@ fn main() {
     if run_all || which == "fig8" {
         println!("\n=== Figure 8: scaleup (batch size 2..10) ===");
         println!(
-            "{:>3} {:>14} {:>14} {:>14} {:>12} {:>12} {:>12} {:>6} {:>6}",
+            "{:>3} {:>14} {:>14} {:>14} {:>12} {:>12} {:>12} {:>6} {:>6} {:>10}",
             "n",
             "cost NoCSE",
             "cost CSE",
@@ -71,11 +71,12 @@ fn main() {
             "opt CSE",
             "opt CSE-noH",
             "#cand",
-            "#candH"
+            "#candH",
+            "consH"
         );
         for p in experiments::fig8(&catalog, &[2, 3, 4, 5, 6, 7, 8, 9, 10]) {
             println!(
-                "{:>3} {:>14.1} {:>14.1} {:>14.1} {:>10.1}ms {:>10.1}ms {:>10.1}ms {:>6} {:>6}",
+                "{:>3} {:>14.1} {:>14.1} {:>14.1} {:>10.1}ms {:>10.1}ms {:>10.1}ms {:>6} {:>6} {:>10}",
                 p.n,
                 p.no_cse.est_cost,
                 p.cse.est_cost,
@@ -85,6 +86,7 @@ fn main() {
                 p.cse_no_heuristics.opt_time.as_secs_f64() * 1e3,
                 p.cse_no_heuristics.candidates,
                 p.cse.candidates,
+                p.cse.consumers_summary(),
             );
         }
     }

@@ -22,7 +22,19 @@ pub struct RunOutcome {
     pub exec_time: Duration,
     /// Spools in the final plan.
     pub spools: usize,
+    /// Each candidate's consumers, in candidate order.
+    pub consumers: Vec<usize>,
     pub output: ExecOutput,
+}
+
+impl RunOutcome {
+    /// "total (most)" consumers over the candidates: one per query block
+    /// or definition that reads a candidate, however it is joined.
+    pub fn consumers_summary(&self) -> String {
+        let total: usize = self.consumers.iter().sum();
+        let most = self.consumers.iter().max().copied().unwrap_or(0);
+        format!("{total} ({most})")
+    }
 }
 
 /// Optimize + execute one workload under one configuration.
@@ -40,6 +52,12 @@ pub fn run(catalog: &Catalog, sql: &str, config: &'static str, cfg: &CseConfig) 
         est_cost: optimized.report.final_cost,
         exec_time,
         spools: optimized.plan.spools.len(),
+        consumers: optimized
+            .report
+            .candidates
+            .iter()
+            .map(|c| c.consumers)
+            .collect(),
         output,
     }
 }
@@ -84,19 +102,26 @@ pub fn assert_results_agree(outcomes: &[RunOutcome]) {
 pub fn print_table(title: &str, outcomes: &[RunOutcome]) {
     println!("\n=== {title} ===");
     println!(
-        "{:<28} {:>14} {:>16} {:>14} {:>14} {:>8}",
-        "", "# CSEs [opts]", "opt time (ms)", "est. cost", "exec (ms)", "spools"
+        "{:<28} {:>14} {:>16} {:>14} {:>14} {:>8} {:>18}",
+        "",
+        "# CSEs [opts]",
+        "opt time (ms)",
+        "est. cost",
+        "exec (ms)",
+        "spools",
+        "consumers (most)"
     );
     for o in outcomes {
         println!(
-            "{:<28} {:>9} [{:>2}] {:>16.3} {:>14.1} {:>14.3} {:>8}",
+            "{:<28} {:>9} [{:>2}] {:>16.3} {:>14.1} {:>14.3} {:>8} {:>18}",
             o.config,
             o.candidates,
             o.cse_optimizations,
             o.opt_time.as_secs_f64() * 1e3,
             o.est_cost,
             o.exec_time.as_secs_f64() * 1e3,
-            o.spools
+            o.spools,
+            o.consumers_summary()
         );
     }
     let base = &outcomes[0];

@@ -20,7 +20,7 @@ use cse_algebra::{
     classes_to_conjuncts, implies, intersect_all, AggExpr, CmpOp, ColRef, Interval, LogicalPlan,
     RelId, RelSet, Scalar,
 };
-use cse_memo::Memo;
+use cse_memo::{AggInput, Memo};
 use std::collections::BTreeSet;
 
 /// A constructed covering subexpression (pre-costing).
@@ -119,11 +119,7 @@ pub fn construct(
         let block = memo.ctx.rel(rels[0]).block;
         // Reuse one synthetic rel per (rels, keys, aggs) shape: Algorithm
         // 1's trial constructions revisit the same shapes many times.
-        let out = memo.agg_out_for_key(
-            format!("cse|{rels:?}|{keys:?}|{aggs:?}"),
-            &aggs,
-            Some(block),
-        );
+        let out = memo.agg_out_for(AggInput::Rels(rels.clone()), &keys, &aggs, Some(block));
         Some((keys, aggs, out))
     } else {
         None

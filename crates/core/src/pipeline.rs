@@ -31,7 +31,7 @@ use cse_cost::StatsCatalog;
 use cse_diag::Report as VerifyReport;
 use cse_govern::{panic_message, sites, BudgetTrip, DegradationEvent, Reason, Rung};
 use cse_lint::lint_batch;
-use cse_memo::{explore, GroupId, Memo};
+use cse_memo::{explore, explore_from, GroupId, Memo};
 use cse_optimizer::{CseCandidate, CseId, FullPlan, IndexInfo, Optimizer, Substitute};
 use cse_storage::Catalog;
 use cse_verify::{CandidateAudit, CostAudit, MemberAudit};
@@ -515,8 +515,11 @@ fn cse_phase(
         return Ok((None, found));
     }
 
-    // Register definitions in the memo for costing.
+    // Register definitions in the memo for costing. The explored memo is at
+    // its fixpoint, so exploration resumes at the definitions: the query's
+    // groups gain an alternative only where a definition adds one.
     let t = Instant::now();
+    let explored_to = memo.num_gexprs();
     let mut registered: Vec<(CostedCandidate, GroupId)> = candidates
         .into_iter()
         .map(|c| {
@@ -524,7 +527,7 @@ fn cse_phase(
             (c, def_root)
         })
         .collect();
-    explore(&mut memo, &cfg.explore);
+    explore_from(&mut memo, &cfg.explore, explored_to);
     found
         .report
         .stages

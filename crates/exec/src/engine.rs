@@ -274,6 +274,8 @@ impl RunState<'_> {
                 site: site.to_string(),
             });
         }
+        #[cfg(test)]
+        tests::after_site(self.ctx);
         Ok(())
     }
 
@@ -869,5 +871,109 @@ impl Groups {
             scratch.extend(states.by_ref().take(n).map(AggState::finish));
             sink(&scratch)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cse_govern::FailSpec;
+    use cse_storage::{row, DataType, Schema, Table};
+    use std::cell::RefCell;
+
+    type SiteHook = Box<dyn Fn(&ExecCtx<'_>)>;
+
+    thread_local! {
+        /// Runs on the executing thread after every failpoint site an
+        /// operator passes: a deterministic point inside execution.
+        static AFTER_SITE: RefCell<Option<SiteHook>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn after_site(ctx: &ExecCtx<'_>) {
+        AFTER_SITE.with(|hook| {
+            if let Some(hook) = &*hook.borrow() {
+                hook(ctx);
+            }
+        });
+    }
+
+    /// Cancellation is noticed by the row loops, not only where an operator
+    /// starts: the token is tripped once the probe side's scan has passed
+    /// its failpoint — the last operator boundary of scan → join →
+    /// aggregate — so only a strided check inside the pipeline can still
+    /// see it.
+    #[test]
+    fn cancel_mid_scan_stops_the_pipeline() {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+        let ints = |k: i64, v: i64| row(vec![Value::Int(k), Value::Int(v)]);
+        let mut cat = Catalog::new();
+        let mut ctx = PlanContext::new();
+        let blk = ctx.new_block();
+        let mut rels = Vec::new();
+        for (name, rows) in [
+            ("a", vec![ints(0, 1), ints(1, 2)]),
+            (
+                "b",
+                (0..3 * CANCEL_STRIDE as i64)
+                    .map(|i| ints(i % 2, i))
+                    .collect(),
+            ),
+        ] {
+            cat.register_table(Table::with_rows(name, schema.clone(), rows))
+                .unwrap();
+            let schema = cat.table(name).unwrap().schema().clone();
+            rels.push(ctx.add_base_rel(name, name, schema, blk));
+        }
+        let (a, b) = (rels[0], rels[1]);
+        let cols = |r| (0..2).map(move |i| ColRef::new(r, i));
+        let scan = |r| PhysicalPlan::TableScan {
+            rel: r,
+            filter: None,
+            layout: cols(r).collect(),
+        };
+        let out = ctx.add_agg_output(&[DataType::Int], blk);
+        let root = PhysicalPlan::HashAggregate {
+            input: Box::new(PhysicalPlan::HashJoin {
+                left: Box::new(scan(a)),
+                right: Box::new(scan(b)),
+                keys: vec![(ColRef::new(a, 0), ColRef::new(b, 0))],
+                residual: None,
+                layout: cols(a).chain(cols(b)).collect(),
+            }),
+            keys: vec![ColRef::new(a, 1)],
+            aggs: vec![AggExpr::sum(Scalar::col(b, 1))],
+            out,
+            layout: vec![ColRef::new(a, 1), ColRef::new(out, 0)],
+        };
+        let plan = FullPlan {
+            root,
+            spools: Default::default(),
+            cost: 0.0,
+            baseline: None,
+        };
+        // Armed never to fire: the registry only counts the scans that
+        // started. The second is the probe side's.
+        let exec_ctx = ExecCtx {
+            failpoints: FailpointRegistry::from_specs(&[FailSpec {
+                site: sites::SCAN_TABLE.to_string(),
+                probability: 0.0,
+                seed: 1,
+            }]),
+            ..ExecCtx::default()
+        };
+        AFTER_SITE.with(|hook| {
+            *hook.borrow_mut() = Some(Box::new(|ctx: &ExecCtx<'_>| {
+                if ctx.failpoints.counters()[sites::SCAN_TABLE].0 == 2 {
+                    ctx.cancel.cancel();
+                }
+            }))
+        });
+        let result = Engine::new(&cat, &ctx).execute_in(&plan, &exec_ctx);
+        AFTER_SITE.with(|hook| hook.borrow_mut().take());
+        match result {
+            Err(ExecError::Canceled { deadline: false }) => {}
+            Ok(_) => panic!("the probe scan ended without seeing the cancel"),
+            Err(e) => panic!("expected a cancellation, got {e}"),
+        }
     }
 }

@@ -4,8 +4,8 @@
 use cse_algebra::{
     AggExpr, AggFunc, CmpOp, ColRef, LogicalPlan, PlanContext, RelId, Scalar, SortOrder,
 };
-use cse_exec::{Engine, ExecCtx, ExecError};
-use cse_govern::{sites, CancelToken, FailSpec, FailpointRegistry};
+use cse_exec::{Engine, ExecCtx};
+use cse_govern::{sites, FailSpec, FailpointRegistry};
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan, ReAgg, SpoolDef};
 use cse_storage::testkit::TestRng;
 use cse_storage::{row, Catalog, DataType, Row, Schema, Table, Value};
@@ -595,7 +595,7 @@ fn joins_materialize_only_columns_an_ancestor_reads() {
 
 // ---------------------------------------------------------------------
 // What streaming could break: order, empty streams, what is held, where
-// cancellation and faults are noticed.
+// faults are noticed (cancellation: `engine::tests`).
 // ---------------------------------------------------------------------
 
 fn plan_of(root: PhysicalPlan) -> FullPlan {
@@ -745,55 +745,6 @@ fn nl_join_that_rejects_everything_holds_only_its_left_side() {
     assert!(out.results[0].rows.is_empty());
     let held = 6 * 2 * std::mem::size_of::<Value>();
     assert_eq!(out.metrics.peak_bytes, held, "six rows of l, two columns");
-}
-
-/// Cancellation is noticed by the row loops, not only where an operator
-/// starts: the token is tripped once the probe side's scan has passed its
-/// failpoint — the last operator boundary of scan → join → aggregate —
-/// so only a strided check inside the pipeline can still see it.
-#[test]
-fn cancel_mid_scan_stops_the_pipeline() {
-    let n = 32 * 4096; // CANCEL_STRIDEs of probe rows
-    let a_rows = int_rows(&[[0, 0, 1], [1, 0, 2]]);
-    let b_rows: Vec<Row> = (0..n)
-        .map(|i| row(vec![Value::Int(i % 2), Value::Null, Value::Int(i)]))
-        .collect();
-    let (cat, mut ctx, rels) = catalog_of(&[("a", &a_rows), ("b", &b_rows)]);
-    let (a, b) = (rels[0], rels[1]);
-    let blk = ctx.new_block();
-    let out = ctx.add_agg_output(&[DataType::Int], blk);
-    let agg = PhysicalPlan::HashAggregate {
-        input: Box::new(join_on_k1(&ctx, a, b)),
-        keys: vec![ColRef::new(a, 2)],
-        aggs: vec![AggExpr::sum(Scalar::col(b, 2))],
-        out,
-        layout: vec![ColRef::new(a, 2), ColRef::new(out, 0)],
-    };
-    // Armed never to fire: the registry only counts the scans that started.
-    let failpoints = FailpointRegistry::from_specs(&[FailSpec {
-        site: sites::SCAN_TABLE.to_string(),
-        probability: 0.0,
-        seed: 1,
-    }]);
-    let exec_ctx = ExecCtx {
-        failpoints: failpoints.clone(),
-        cancel: CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
-        ..ExecCtx::default()
-    };
-    let result = std::thread::scope(|s| {
-        s.spawn(|| {
-            while failpoints.counters()[sites::SCAN_TABLE].0 < 2 {
-                std::hint::spin_loop();
-            }
-            exec_ctx.cancel.cancel();
-        });
-        Engine::new(&cat, &ctx).execute_in(&plan_of(agg), &exec_ctx)
-    });
-    match result {
-        Err(ExecError::Canceled { deadline: false }) => {}
-        Ok(_) => panic!("{n} probe rows ended before the watcher's cancel was seen"),
-        Err(e) => panic!("expected a cancellation, got {e}"),
-    }
 }
 
 /// A fault on the probe side of a spool's definition — after its build

@@ -5,9 +5,18 @@
 //! to connected join orders), and eager aggregation (pre-aggregating one
 //! join input — the source of the paper's `E4`/`E5`-style pre-aggregation
 //! candidates in §6.1).
+//!
+//! Associativity and eager aggregation each rewrite a pair: an upper
+//! expression (a join, an aggregate) and a join in the group below it. The
+//! expressions form a worklist in arena order, and each pair is rewritten
+//! once, when the later of its two expressions is reached: as the upper
+//! expression, an expression pairs with the joins below it that came
+//! before it; as a join, with the upper expressions over its group that
+//! came before it. An expression a rewrite adds lands at the end of the
+//! arena and is reached in turn, so one call reaches the fixpoint.
 
-use crate::memo::Memo;
-use crate::op::{GroupExpr, GroupExprId, GroupId, Op};
+use crate::memo::{AggInput, Memo};
+use crate::op::{GroupExpr, GroupExprId, Op};
 use cse_algebra::{AggExpr, ColRef, RelSet, Scalar};
 
 /// Exploration limits.
@@ -31,22 +40,61 @@ impl Default for ExploreConfig {
 /// 2-3 tables.
 const MAX_EAGER_AGG_RELS: usize = 3;
 
-/// Exhaustively apply the rules until fixpoint (or the expression cap).
-/// Returns the number of expressions added.
+/// Apply the rules to every expression until the fixpoint (or the
+/// expression cap). Returns the number of expressions added.
 pub fn explore(memo: &mut Memo, cfg: &ExploreConfig) -> usize {
+    explore_from(memo, cfg, 0)
+}
+
+/// [`explore`] when the expressions before `from` are already at the
+/// fixpoint: only expressions from `from` on are reached, each paired with
+/// the older expressions it meets. Returns the number of expressions added.
+pub fn explore_from(memo: &mut Memo, cfg: &ExploreConfig, from: usize) -> usize {
     let start = memo.num_gexprs();
-    let mut i = 0usize;
-    while i < memo.num_gexprs() {
-        if memo.num_gexprs() >= cfg.max_gexprs {
-            break;
-        }
-        let id = GroupExprId(i as u32);
+    let mut next = from;
+    while next < memo.num_gexprs() && memo.num_gexprs() < cfg.max_gexprs {
+        let id = GroupExprId(next as u32);
         apply_join_commute(memo, id);
-        apply_join_assoc(memo, id);
-        apply_eager_agg(memo, id);
-        i += 1;
+        // As the upper expression: the joins below it reached before it.
+        let e = memo.gexpr(id);
+        if matches!(e.op, Op::Join { .. } | Op::Aggregate { .. }) {
+            let below: Vec<GroupExprId> = memo
+                .group(e.children[0])
+                .exprs
+                .iter()
+                .copied()
+                .filter(|&j| j < id && matches!(memo.gexpr(j).op, Op::Join { .. }))
+                .collect();
+            for j in below {
+                rewrite_pair(memo, id, j);
+            }
+        }
+        // As a join: the upper expressions over its group reached before it.
+        if matches!(memo.gexpr(id).op, Op::Join { .. }) {
+            let group = memo.group_of(id);
+            let above: Vec<GroupExprId> = memo
+                .group(group)
+                .parents
+                .iter()
+                .copied()
+                .filter(|&u| u < id && memo.gexpr(u).children[0] == group)
+                .collect();
+            for u in above {
+                rewrite_pair(memo, u, id);
+            }
+        }
+        next += 1;
     }
     memo.num_gexprs() - start
+}
+
+/// Rewrite `upper` over `join`, a join in `upper`'s first child group.
+fn rewrite_pair(memo: &mut Memo, upper: GroupExprId, join: GroupExprId) {
+    match memo.gexpr(upper).op {
+        Op::Join { .. } => apply_join_assoc(memo, upper, join),
+        Op::Aggregate { .. } => apply_eager_agg(memo, upper, join),
+        _ => {}
+    }
 }
 
 /// Join(p)[l, r] → Join(p)[r, l].
@@ -64,64 +112,46 @@ fn apply_join_commute(memo: &mut Memo, id: GroupExprId) {
 
 /// (ll ⋈p2 lr) ⋈p1 r  →  ll ⋈top (lr ⋈inner r), keeping only connected
 /// shapes (the inner and the top join must each have a conjunct spanning
-/// their two sides).
-fn apply_join_assoc(memo: &mut Memo, id: GroupExprId) {
-    let e = memo.gexpr(id);
-    let (p1, l, r) = match &e.op {
-        Op::Join { pred } => (pred.clone(), e.children[0], e.children[1]),
-        _ => return,
+/// their two sides). `top` is the upper join, `left` a join in its left
+/// child group.
+fn apply_join_assoc(memo: &mut Memo, top: GroupExprId, left: GroupExprId) {
+    let (top_e, left_e) = (memo.gexpr(top), memo.gexpr(left));
+    let (Op::Join { pred: p1 }, Op::Join { pred: p2 }) = (&top_e.op, &left_e.op) else {
+        return;
     };
-    // Collect candidate left-child join expressions first (borrow rules).
-    let left_joins: Vec<(Scalar, GroupId, GroupId)> = memo
-        .group(l)
-        .exprs
-        .iter()
-        .filter_map(|&eid| {
-            let le = memo.gexpr(eid);
-            match &le.op {
-                Op::Join { pred } => Some((pred.clone(), le.children[0], le.children[1])),
-                _ => None,
-            }
-        })
-        .collect();
+    let (r, ll, lr) = (top_e.children[1], left_e.children[0], left_e.children[1]);
     let r_rels = memo.group(r).props.rels;
-    let group = memo.group_of(id);
-    for (p2, ll, lr) in left_joins {
-        let ll_rels = memo.group(ll).props.rels;
-        let lr_rels = memo.group(lr).props.rels;
-        let inner_rels = lr_rels.union(r_rels);
-        let mut inner_conj = Vec::new();
-        let mut top_conj = Vec::new();
-        for c in p1.conjuncts().into_iter().chain(p2.conjuncts()) {
-            if c.rels().is_subset(inner_rels) {
-                inner_conj.push(c);
-            } else {
-                top_conj.push(c);
-            }
-        }
-        let spans = |conjs: &[Scalar], a: RelSet, b: RelSet| {
-            conjs
-                .iter()
-                .any(|c| !c.rels().intersect(a).is_empty() && !c.rels().intersect(b).is_empty())
-        };
-        if !spans(&inner_conj, lr_rels, r_rels) || !spans(&top_conj, ll_rels, inner_rels) {
-            continue; // would create a cross product
-        }
-        let inner = GroupExpr::new(
-            Op::Join {
-                pred: Scalar::and(inner_conj).normalize(),
-            },
-            vec![lr, r],
-        );
-        let (_, inner_group, _) = memo.add_gexpr(inner, None);
-        let top = GroupExpr::new(
-            Op::Join {
-                pred: Scalar::and(top_conj).normalize(),
-            },
-            vec![ll, inner_group],
-        );
-        memo.add_gexpr(top, Some(group));
+    let ll_rels = memo.group(ll).props.rels;
+    let lr_rels = memo.group(lr).props.rels;
+    let inner_rels = lr_rels.union(r_rels);
+    let (inner_conj, top_conj): (Vec<Scalar>, Vec<Scalar>) = p1
+        .conjuncts()
+        .into_iter()
+        .chain(p2.conjuncts())
+        .partition(|c| c.rels().is_subset(inner_rels));
+    let spans = |conjs: &[Scalar], a: RelSet, b: RelSet| {
+        conjs
+            .iter()
+            .any(|c| !c.rels().intersect(a).is_empty() && !c.rels().intersect(b).is_empty())
+    };
+    if !spans(&inner_conj, lr_rels, r_rels) || !spans(&top_conj, ll_rels, inner_rels) {
+        return; // would create a cross product
     }
+    let inner = GroupExpr::new(
+        Op::Join {
+            pred: Scalar::and(inner_conj).normalize(),
+        },
+        vec![lr, r],
+    );
+    let (_, inner_group, _) = memo.add_gexpr(inner, None);
+    let top_expr = GroupExpr::new(
+        Op::Join {
+            pred: Scalar::and(top_conj).normalize(),
+        },
+        vec![ll, inner_group],
+    );
+    let group = memo.group_of(top);
+    memo.add_gexpr(top_expr, Some(group));
 }
 
 /// γ_keys;aggs (l ⋈p r)  →  γ_keys;aggs' (l ⋈p γ_partial(r))
@@ -129,101 +159,87 @@ fn apply_join_assoc(memo: &mut Memo, id: GroupExprId) {
 /// are the original keys from `r` plus every `r` column the join predicate
 /// needs; the final aggregate re-aggregates partial results (SUM of partial
 /// SUMs / COUNTs, MIN of MINs, ...), which is exactly the rollup the
-/// covering-subexpression consumers use too.
-fn apply_eager_agg(memo: &mut Memo, id: GroupExprId) {
-    let e = memo.gexpr(id);
-    let (keys, aggs, out, child) = match &e.op {
-        Op::Aggregate { keys, aggs, out } => (keys.clone(), aggs.clone(), *out, e.children[0]),
-        _ => return,
+/// covering-subexpression consumers use too. `agg` is the aggregate,
+/// `join` a join in its child group.
+fn apply_eager_agg(memo: &mut Memo, agg: GroupExprId, join: GroupExprId) {
+    let (agg_e, join_e) = (memo.gexpr(agg), memo.gexpr(join));
+    let (Op::Aggregate { keys, aggs, out }, Op::Join { pred: p }) = (&agg_e.op, &join_e.op) else {
+        return;
     };
+    let (l, r) = (join_e.children[0], join_e.children[1]);
     // A scalar aggregate answers no rows with one row.
     if keys.is_empty() && !aggs.iter().all(|a| a.func.rolls_up_from_nothing()) {
         return;
     }
-    // Only direct Join children (one level is enough to seed candidates;
-    // deeper shapes arise through join reassociation first).
-    let joins: Vec<(Scalar, GroupId, GroupId)> = memo
-        .group(child)
-        .exprs
-        .iter()
-        .filter_map(|&eid| {
-            let je = memo.gexpr(eid);
-            match &je.op {
-                Op::Join { pred } => Some((pred.clone(), je.children[0], je.children[1])),
-                _ => None,
-            }
-        })
-        .collect();
-    let group = memo.group_of(id);
-    for (p, l, r) in joins {
-        let r_rels = memo.group(r).props.rels;
-        if r_rels.len() > MAX_EAGER_AGG_RELS {
-            continue;
-        }
-        // All aggregate arguments must reference only r's rels (CountStar
-        // qualifies trivially).
-        let args_from_r = aggs.iter().all(|a| match &a.arg {
-            Some(arg) => arg.rels().is_subset(r_rels),
-            None => true,
-        });
-        if !args_from_r || aggs.is_empty() {
-            continue;
-        }
-        // Partial keys: original keys from r + r columns used by the join
-        // predicate.
-        let mut partial_keys: Vec<ColRef> = keys
-            .iter()
-            .copied()
-            .filter(|k| r_rels.contains(k.rel))
-            .collect();
-        for c in p.columns() {
-            if r_rels.contains(c.rel) && !partial_keys.contains(&c) {
-                partial_keys.push(c);
-            }
-        }
-        partial_keys.sort();
-        if partial_keys.is_empty() {
-            continue; // cross join with no keys: not useful
-        }
-        // Every original key must be available above the partial aggregate.
-        let l_rels = memo.group(l).props.rels;
-        let keys_ok = keys
-            .iter()
-            .all(|k| l_rels.contains(k.rel) || partial_keys.contains(k));
-        if !keys_ok {
-            continue;
-        }
-        let partial_aggs: Vec<AggExpr> = aggs.iter().map(AggExpr::normalize).collect();
-        let partial_out =
-            memo.agg_out_for(r, &partial_keys, &partial_aggs, memo.group(r).props.block);
-        let partial = GroupExpr::new(
-            Op::Aggregate {
-                keys: partial_keys,
-                aggs: partial_aggs,
-                out: partial_out,
-            },
-            vec![r],
-        );
-        let (_, partial_group, _) = memo.add_gexpr(partial, None);
-        let join = GroupExpr::new(Op::Join { pred: p.clone() }, vec![l, partial_group]);
-        let (_, join_group, _) = memo.add_gexpr(join, None);
-        // Final aggregate: same keys and the same output rel, but each
-        // aggregate now rolls up the partial column.
-        let final_aggs: Vec<AggExpr> = aggs
-            .iter()
-            .enumerate()
-            .map(|(i, a)| a.rollup_over(Scalar::Col(ColRef::new(partial_out, i as u16))))
-            .collect();
-        let final_agg = GroupExpr::new(
-            Op::Aggregate {
-                keys: keys.clone(),
-                aggs: final_aggs,
-                out,
-            },
-            vec![join_group],
-        );
-        memo.add_gexpr(final_agg, Some(group));
+    let r_rels = memo.group(r).props.rels;
+    if r_rels.len() > MAX_EAGER_AGG_RELS {
+        return;
     }
+    // All aggregate arguments must reference only r's rels (CountStar
+    // qualifies trivially).
+    let args_from_r = aggs.iter().all(|a| match &a.arg {
+        Some(arg) => arg.rels().is_subset(r_rels),
+        None => true,
+    });
+    if !args_from_r || aggs.is_empty() {
+        return;
+    }
+    // Partial keys: original keys from r + r columns used by the join
+    // predicate.
+    let mut partial_keys: Vec<ColRef> = keys
+        .iter()
+        .copied()
+        .filter(|k| r_rels.contains(k.rel))
+        .collect();
+    for c in p.columns() {
+        if r_rels.contains(c.rel) && !partial_keys.contains(&c) {
+            partial_keys.push(c);
+        }
+    }
+    partial_keys.sort();
+    if partial_keys.is_empty() {
+        return; // cross join with no keys: not useful
+    }
+    // Every original key must be available above the partial aggregate.
+    let l_rels = memo.group(l).props.rels;
+    let keys_ok = keys
+        .iter()
+        .all(|k| l_rels.contains(k.rel) || partial_keys.contains(k));
+    if !keys_ok {
+        return;
+    }
+    let (keys, aggs, out, p) = (keys.clone(), aggs.clone(), *out, p.clone());
+    let partial_aggs: Vec<AggExpr> = aggs.iter().map(AggExpr::normalize).collect();
+    let block = memo.group(r).props.block;
+    let partial_out = memo.agg_out_for(AggInput::Group(r), &partial_keys, &partial_aggs, block);
+    let partial = GroupExpr::new(
+        Op::Aggregate {
+            keys: partial_keys,
+            aggs: partial_aggs,
+            out: partial_out,
+        },
+        vec![r],
+    );
+    let (_, partial_group, _) = memo.add_gexpr(partial, None);
+    let partial_join = GroupExpr::new(Op::Join { pred: p }, vec![l, partial_group]);
+    let (_, join_group, _) = memo.add_gexpr(partial_join, None);
+    // Final aggregate: same keys and the same output rel, but each
+    // aggregate now rolls up the partial column.
+    let final_aggs: Vec<AggExpr> = aggs
+        .iter()
+        .enumerate()
+        .map(|(i, a)| a.rollup_over(Scalar::Col(ColRef::new(partial_out, i as u16))))
+        .collect();
+    let final_agg = GroupExpr::new(
+        Op::Aggregate {
+            keys,
+            aggs: final_aggs,
+            out,
+        },
+        vec![join_group],
+    );
+    let group = memo.group_of(agg);
+    memo.add_gexpr(final_agg, Some(group));
 }
 
 #[cfg(test)]
@@ -231,6 +247,7 @@ mod tests {
     use super::*;
     use cse_algebra::{LogicalPlan, PlanContext, RelId};
     use cse_storage::{DataType, Schema};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn setup(n: usize) -> (PlanContext, Vec<RelId>) {
@@ -339,5 +356,120 @@ mod tests {
         assert!(partial.is_some(), "partial aggregate group missing");
         // And the aggregate's own group gained an eager alternative.
         assert!(memo.group(g).exprs.len() >= 2);
+    }
+
+    /// The join groups of `memo`, each described by what its first tree
+    /// computes: its rels and its conjuncts, literals told apart by kind.
+    fn join_groups(memo: &Memo) -> Vec<(RelSet, BTreeSet<String>)> {
+        fn conjuncts(p: &LogicalPlan, out: &mut BTreeSet<String>) {
+            match p {
+                LogicalPlan::Filter { input, pred } => {
+                    out.extend(pred.conjuncts().iter().map(|c| format!("{c:?}")));
+                    conjuncts(input, out);
+                }
+                LogicalPlan::Join { left, right, pred } => {
+                    out.extend(pred.conjuncts().iter().map(|c| format!("{c:?}")));
+                    conjuncts(left, out);
+                    conjuncts(right, out);
+                }
+                LogicalPlan::Aggregate { out: o, .. } => {
+                    out.insert(format!("γ{o:?}"));
+                }
+                _ => {}
+            }
+        }
+        memo.groups()
+            .filter(|g| matches!(memo.gexpr(g.exprs[0]).op, Op::Join { .. }))
+            .map(|g| {
+                let mut conj = BTreeSet::new();
+                conjuncts(&memo.extract_first_tree(g.id), &mut conj);
+                (g.props.rels, conj)
+            })
+            .collect()
+    }
+
+    fn distinct(joins: &[(RelSet, BTreeSet<String>)]) -> usize {
+        joins.iter().collect::<BTreeSet<_>>().len()
+    }
+
+    #[test]
+    fn a_join_cycle_has_one_group_per_logical_join() {
+        // Table 4's part–lineitem–supplier–partsupp shape: a 4-cycle, where
+        // a triple is reached both as (a ⋈ b) ⋈ c and as a ⋈ (b ⋈ c).
+        let (ctx, t) = setup(4);
+        let on = |a: usize, b: usize, col: u16| {
+            Scalar::eq(Scalar::col(t[a], col), Scalar::col(t[b], col))
+        };
+        let plan = LogicalPlan::get(t[0])
+            .join(LogicalPlan::get(t[1]), on(0, 1, 0))
+            .join(LogicalPlan::get(t[2]), on(1, 2, 1))
+            .join(
+                LogicalPlan::get(t[3]),
+                Scalar::and([on(2, 3, 0), on(3, 0, 1)]),
+            );
+        let mut memo = Memo::new(ctx);
+        memo.insert_plan(&plan);
+        explore(&mut memo, &ExploreConfig::default());
+        let joins = join_groups(&memo);
+        // Four edges, four connected triples, the whole cycle.
+        assert_eq!(joins.len(), 9, "{joins:?}");
+        assert_eq!(distinct(&joins), joins.len());
+        assert_eq!(explore(&mut memo, &ExploreConfig::default()), 0);
+    }
+
+    #[test]
+    fn a_join_over_a_partial_aggregate_is_not_the_join() {
+        // l ⋈ γ(r) has the rels of l ⋈ r but returns other rows.
+        let (mut ctx, rels) = setup(2);
+        let blk = ctx.new_block();
+        let out = ctx.add_agg_output(&[DataType::Float], blk);
+        let join = chain_join(&rels);
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(join.clone()),
+            keys: vec![ColRef::new(rels[0], 0)],
+            aggs: vec![AggExpr::sum(Scalar::col(rels[1], 1))],
+            out,
+        };
+        let mut memo = Memo::new(ctx);
+        memo.insert_plan(&plan);
+        explore(&mut memo, &ExploreConfig::default());
+        let joins = join_groups(&memo);
+        assert_eq!(joins.len(), 2, "l ⋈ r and l ⋈ γ(r): {joins:?}");
+        assert_eq!(distinct(&joins), 2);
+        let plain = memo.insert_plan(&join);
+        let over_partial = memo.groups().find(|g| {
+            g.exprs.iter().any(|&e| {
+                let e = memo.gexpr(e);
+                matches!(e.op, Op::Join { .. })
+                    && e.children.iter().any(|&c| {
+                        matches!(memo.gexpr(memo.group(c).exprs[0]).op, Op::Aggregate { .. })
+                    })
+            })
+        });
+        assert!(over_partial.is_some_and(|g| g.id != plain));
+    }
+
+    #[test]
+    fn joins_differing_in_a_literal_kind_stay_apart() {
+        use cse_storage::Value;
+        let (ctx, t) = setup(2);
+        let join = |v: Value, flip: bool| {
+            let filtered =
+                LogicalPlan::get(t[1]).filter(Scalar::eq(Scalar::col(t[1], 1), Scalar::lit(v)));
+            let on = Scalar::eq(Scalar::col(t[0], 0), Scalar::col(t[1], 0));
+            if flip {
+                filtered.join(LogicalPlan::get(t[0]), on)
+            } else {
+                LogicalPlan::get(t[0]).join(filtered, on)
+            }
+        };
+        let mut memo = Memo::new(ctx);
+        let int = memo.insert_plan(&join(Value::Int(1), false));
+        // The same join built the other way round finds its group by key.
+        assert_eq!(memo.insert_plan(&join(Value::Int(1), true)), int);
+        // `x = 1.0` is not `x = 1`, whichever way it is built.
+        let float = memo.insert_plan(&join(Value::Float(1.0), true));
+        assert_ne!(float, int);
+        assert_eq!(memo.insert_plan(&join(Value::Float(1.0), false)), float);
     }
 }

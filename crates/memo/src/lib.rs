@@ -13,7 +13,7 @@ pub mod memo;
 pub mod op;
 pub mod signature;
 
-pub use explore::{explore, ExploreConfig};
-pub use memo::{Group, LogicalProps, Memo, ProvenFacts};
+pub use explore::{explore, explore_from, ExploreConfig};
+pub use memo::{AggInput, Group, LogicalProps, Memo, ProvenFacts};
 pub use op::{GroupExpr, GroupExprId, GroupId, Op};
 pub use signature::{compute_signature, TableSignature};

@@ -1,7 +1,7 @@
 //! The memo: a DAG of groups of logically-equivalent expressions
 //! (Goldstein/Graefe's Cascades structure, paper §2.1).
 
-use crate::op::{GroupExpr, GroupExprId, GroupId, Op};
+use crate::op::{literal_kinds, GroupExpr, GroupExprId, GroupId, Op};
 use crate::signature::{compute_signature, TableSignature};
 use cse_algebra::{AggExpr, BlockId, ColRef, LogicalPlan, PlanContext, RelSet, Scalar};
 use std::collections::hash_map::DefaultHasher;
@@ -42,9 +42,50 @@ pub struct LogicalProps {
     pub signature: Option<TableSignature>,
     /// Globally-identified columns the group exposes.
     pub output_cols: Vec<ColRef>,
+    /// What a Get, Filter or Join group computes; `None` for other groups.
+    key: Option<LogicalKey>,
 }
 
-/// A set of logically equivalent expressions.
+/// What a Get, Filter or Join group computes, whatever its join order: the
+/// base rels it scans, the groups it reads whole (aggregates and every other
+/// non-SPJ input) and each join and filter conjunct below it. Expressions
+/// with one key return the same rows.
+///
+/// An input is named by its group, not by an aggregate's `out` rel: `out`
+/// names what an aggregate returns, not what it reads, and construction
+/// reuses one `out` for covering subexpressions that differ in their
+/// covering predicate.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+struct LogicalKey {
+    rels: RelSet,
+    /// Sorted.
+    inputs: Vec<GroupId>,
+    /// Sorted by `Ord`, then by literal kinds; each identical conjunct once.
+    conjuncts: Vec<Scalar>,
+}
+
+impl LogicalKey {
+    /// Equal, with every literal stored the same way (the rule of
+    /// [`GroupExpr::same_as`]: `x = 1` and `x = 1.0` stay apart).
+    fn same_as(&self, other: &LogicalKey) -> bool {
+        self == other && kinds(&self.conjuncts) == kinds(&other.conjuncts)
+    }
+}
+
+fn kinds<'a>(scalars: impl IntoIterator<Item = &'a Scalar>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for s in scalars {
+        literal_kinds(s, &mut out);
+    }
+    out
+}
+
+/// A group: every expression the memo knows that computes one logical
+/// result. The rules add alternatives to the group they rewrite; a rule or
+/// an insertion that builds a join no group holds yet finds the join's
+/// group by its logical key (base rels, whole inputs, conjuncts), so each
+/// logically distinct join has one group however many join orders reach
+/// it. Other operators are deduplicated by exact shape only.
 #[derive(Debug, Clone)]
 pub struct Group {
     pub id: GroupId,
@@ -55,6 +96,21 @@ pub struct Group {
     /// Group expressions (in other groups) referencing this group.
     pub parents: Vec<GroupExprId>,
 }
+
+/// What a synthetic aggregate-output rel is allocated for.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum AggInput {
+    /// A partial aggregate over a memo group (eager aggregation).
+    Group(GroupId),
+    /// A covering subexpression's group-by over these base rels, sorted
+    /// (§4.2).
+    Rels(Vec<cse_algebra::RelId>),
+}
+
+/// The cache key of a synthetic aggregate-output rel: input, group-by
+/// keys, aggregates and the kinds of the aggregates' literals.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct AggOutKey(AggInput, Vec<ColRef>, Vec<AggExpr>, Vec<u8>);
 
 /// The memo structure.
 ///
@@ -74,9 +130,12 @@ pub struct Memo {
     /// chain). Candidates are confirmed against the arena.
     dedup: HashMap<u64, GroupExprId>,
     same_hash: Vec<GroupExprId>,
-    /// Deterministic synthetic-out allocation for exploration-created
-    /// partial aggregates: (child group, keys, aggs) -> out rel.
-    agg_out_cache: HashMap<String, cse_algebra::RelId>,
+    /// Join groups by the hash of their [`LogicalKey`]; candidates are
+    /// confirmed against the stored key.
+    joins: HashMap<u64, Vec<GroupId>>,
+    /// Deterministic synthetic-out allocation for partial aggregates and
+    /// covering group-bys.
+    agg_outs: HashMap<AggOutKey, cse_algebra::RelId>,
     root: Option<GroupId>,
     /// Analyzer-proven facts (see [`ProvenFacts`]); empty unless the
     /// pipeline ran qlint over the batch.
@@ -95,7 +154,8 @@ impl Memo {
             gexpr_group: Vec::new(),
             dedup: HashMap::new(),
             same_hash: Vec::new(),
-            agg_out_cache: HashMap::new(),
+            joins: HashMap::new(),
+            agg_outs: HashMap::new(),
             root: None,
             facts: ProvenFacts::default(),
         }
@@ -135,7 +195,8 @@ impl Memo {
 
     /// Insert a group expression. If an identical expression exists, the
     /// existing (id, group) is returned. Otherwise it is appended to
-    /// `target` (when given) or to a freshly created group.
+    /// `target` when given; a join without a target goes to the group with
+    /// its logical key, and anything else to a freshly created group.
     /// Returns (gexpr id, group id, was_new).
     pub fn add_gexpr(
         &mut self,
@@ -163,7 +224,7 @@ impl Memo {
         }
         let gid = match target {
             Some(g) => g,
-            None => self.new_group_for(&e),
+            None => self.group_for(&e),
         };
         let id = GroupExprId(self.gexprs.len() as u32);
         for &c in &e.children {
@@ -177,8 +238,29 @@ impl Memo {
         (id, gid, true)
     }
 
-    fn new_group_for(&mut self, e: &GroupExpr) -> GroupId {
-        let props = self.derive_props(e);
+    /// The group a new expression without a target belongs to: a join goes
+    /// to the group with its logical key if there is one; otherwise a group
+    /// is created.
+    fn group_for(&mut self, e: &GroupExpr) -> GroupId {
+        let key = self.logical_key(e);
+        let join_hash = match (&e.op, &key) {
+            (Op::Join { .. }, Some(key)) => {
+                let mut h = DefaultHasher::new();
+                key.hash(&mut h);
+                let hash = h.finish();
+                let same = |g: &&GroupId| {
+                    let known = self.groups[g.0 as usize].props.key.as_ref();
+                    known.is_some_and(|k| k.same_as(key))
+                };
+                if let Some(&g) = self.joins.get(&hash).and_then(|gs| gs.iter().find(same)) {
+                    return g;
+                }
+                Some(hash)
+            }
+            _ => None,
+        };
+        let mut props = self.derive_props(e);
+        props.key = key;
         let id = GroupId(self.groups.len() as u32);
         self.groups.push(Group {
             id,
@@ -186,7 +268,46 @@ impl Memo {
             props,
             parents: Vec::new(),
         });
+        if let Some(hash) = join_hash {
+            self.joins.entry(hash).or_default().push(id);
+        }
         id
+    }
+
+    /// The [`LogicalKey`] of a Get, Filter or Join expression: its children's
+    /// keys (a child without one is a whole input) plus its own conjuncts.
+    fn logical_key(&self, e: &GroupExpr) -> Option<LogicalKey> {
+        let pred = match &e.op {
+            Op::Get { rel } => {
+                return Some(LogicalKey {
+                    rels: RelSet::single(*rel),
+                    ..LogicalKey::default()
+                })
+            }
+            Op::Filter { pred } | Op::Join { pred } => pred,
+            _ => return None,
+        };
+        let mut key = LogicalKey {
+            conjuncts: pred.conjuncts(),
+            ..LogicalKey::default()
+        };
+        for &c in &e.children {
+            match &self.groups[c.0 as usize].props.key {
+                Some(k) => {
+                    key.rels = key.rels.union(k.rels);
+                    key.inputs.extend(&k.inputs);
+                    key.conjuncts.extend(k.conjuncts.iter().cloned());
+                }
+                None => key.inputs.push(c),
+            }
+        }
+        key.inputs.sort();
+        let by_kind = |a: &Scalar, b: &Scalar| kinds([a]).cmp(&kinds([b]));
+        key.conjuncts
+            .sort_by(|a, b| a.cmp(b).then_with(|| by_kind(a, b)));
+        key.conjuncts
+            .dedup_by(|a, b| a == b && by_kind(a, b).is_eq());
+        Some(key)
     }
 
     fn derive_props(&self, e: &GroupExpr) -> LogicalProps {
@@ -222,6 +343,7 @@ impl Memo {
             block,
             signature,
             output_cols,
+            key: None,
         }
     }
 
@@ -315,37 +437,26 @@ impl Memo {
         gid
     }
 
-    /// Deterministic synthetic-out rel for an exploration-created partial
-    /// aggregate, so re-running a rule reuses the same rel (keeps dedup
-    /// sound).
+    /// Deterministic synthetic-out rel for an aggregate the optimizer
+    /// builds: re-running a rule, or Algorithm 1's trial constructions of
+    /// one shape, reuse one rel (keeps dedup sound and the instance budget
+    /// intact).
     pub fn agg_out_for(
         &mut self,
-        child: GroupId,
+        input: AggInput,
         keys: &[ColRef],
         aggs: &[AggExpr],
         block: Option<BlockId>,
     ) -> cse_algebra::RelId {
-        let key = format!("{child:?}|{keys:?}|{aggs:?}");
-        self.agg_out_for_key(key, aggs, block)
-    }
-
-    /// Like [`Memo::agg_out_for`] but with a caller-provided cache key —
-    /// used by covering-subexpression construction so repeated (trial)
-    /// constructions of the same aggregate shape reuse one synthetic rel
-    /// instead of exhausting the instance budget.
-    pub fn agg_out_for_key(
-        &mut self,
-        key: String,
-        aggs: &[AggExpr],
-        block: Option<BlockId>,
-    ) -> cse_algebra::RelId {
-        if let Some(&r) = self.agg_out_cache.get(&key) {
+        let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+        let key = AggOutKey(input, keys.to_vec(), aggs.to_vec(), kinds(args));
+        if let Some(&r) = self.agg_outs.get(&key) {
             return r;
         }
         let types: Vec<cse_storage::DataType> = aggs.iter().map(|a| self.ctx.agg_type(a)).collect();
         let blk = block.unwrap_or_else(|| self.ctx.new_block());
         let r = self.ctx.add_agg_output(&types, blk);
-        self.agg_out_cache.insert(key, r);
+        self.agg_outs.insert(key, r);
         r
     }
 

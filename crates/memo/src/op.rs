@@ -1,6 +1,7 @@
 //! Logical operators as stored in the memo, and group expressions.
 
 use cse_algebra::{AggExpr, ColRef, RelId, Scalar, SortOrder};
+use cse_storage::Value;
 use std::fmt;
 
 /// A memo-resident logical operator. Children are group references held by
@@ -99,17 +100,28 @@ impl GroupExpr {
     pub fn same_as(&self, other: &GroupExpr) -> bool {
         let kinds = |e: &GroupExpr| {
             let mut out = Vec::new();
-            e.op.for_each_scalar(&mut |s| {
-                s.visit(&mut |n| {
-                    if let Scalar::Lit(v) = n {
-                        out.push(std::mem::discriminant(v));
-                    }
-                })
-            });
+            e.op.for_each_scalar(&mut |s| literal_kinds(s, &mut out));
             out
         };
         self == other && kinds(self) == kinds(other)
     }
+}
+
+/// Append the kind of every literal in `s`, in traversal order: the part of
+/// a scalar's identity that `Value`'s `==` does not see.
+pub(crate) fn literal_kinds(s: &Scalar, out: &mut Vec<u8>) {
+    s.visit(&mut |n| {
+        if let Scalar::Lit(v) = n {
+            out.push(match v {
+                Value::Null => 0,
+                Value::Int(_) => 1,
+                Value::Float(_) => 2,
+                Value::Str(_) => 3,
+                Value::Date(_) => 4,
+                Value::Bool(_) => 5,
+            });
+        }
+    })
 }
 
 #[cfg(test)]

@@ -13,13 +13,16 @@
 //! statement's result. Every plan executes exactly the spools it was
 //! charged for, and the arms that share end on the full rung: a caught
 //! optimizer panic would otherwise pass on the baseline rung unnoticed.
+//! One `explore` call reaches the memo's fixpoint: a second adds nothing.
 //!
 //! A fixed seed set runs in `cargo test`; `CSE_GEN_BATCHES=<n>` runs seeds
 //! `0..n` instead (`ci.sh` runs 200 in release). A failing seed prints its
 //! batch.
 
 use similar_subexpr::govern::sites;
+use similar_subexpr::memo::{explore, ExploreConfig, Memo};
 use similar_subexpr::prelude::*;
+use similar_subexpr::sql::lower_batch_sql;
 use similar_subexpr::storage::testkit::TestRng;
 use similar_subexpr::storage::{row, Row};
 use similar_subexpr::tpch::TpchTable;
@@ -361,6 +364,20 @@ fn check_seed(seed: u64) -> bool {
     let catalog = gen_catalog(&mut rng);
     let batch = gen_batch(&mut rng);
     let tag = |arm: &str| format!("seed {seed} [{arm}]");
+
+    // One exploration reaches the fixpoint: a second adds nothing.
+    let sql = sql_of(&batch);
+    let (ctx, plan) = lower_batch_sql(&catalog, &sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+    let mut memo = Memo::new(ctx);
+    memo.insert_plan(&plan);
+    explore(&mut memo, &ExploreConfig::default());
+    let again = explore(&mut memo, &ExploreConfig::default());
+    assert_eq!(
+        again,
+        0,
+        "{}: a second explore added {again}\n{sql}",
+        tag("explore")
+    );
 
     let (_, reference) = run(
         &catalog,

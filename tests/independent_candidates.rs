@@ -88,3 +88,43 @@ fn statement_internal_sharing_has_statement_level_lca() {
     assert_eq!(o.report.candidates.len(), 1, "{:?}", o.report.candidates);
     assert_eq!(o.plan.spools.len(), 1);
 }
+
+/// A consumer is a query block or a candidate definition (§5.5), once
+/// each: one memo group per logical join, not one per join order that
+/// reaches it.
+#[test]
+fn no_candidate_has_more_consumers_than_blocks_and_definitions() {
+    use cse_bench::workloads;
+    use similar_subexpr::algebra::RelKind;
+    let catalog = generate_catalog(&TpchConfig::new(0.002));
+    let mut batches = vec![
+        workloads::table1_batch(),
+        workloads::table2_batch(),
+        workloads::NESTED.to_string(),
+        workloads::complex_join_batch(),
+        BATCH.to_string(),
+    ];
+    batches.extend((2..=10).map(workloads::scaleup_batch));
+    for sql in &batches {
+        for cfg in [CseConfig::default(), CseConfig::no_heuristics()] {
+            let o = optimize_sql(&catalog, sql, &cfg).unwrap();
+            let blocks: std::collections::BTreeSet<_> = o
+                .ctx
+                .rels()
+                .filter(|(_, r)| r.kind == RelKind::Base)
+                .map(|(_, r)| r.block)
+                .collect();
+            let most = blocks.len() + o.report.candidates.len();
+            for c in &o.report.candidates {
+                assert!(
+                    c.consumers <= most,
+                    "{}: {} consumers, {} blocks + {} definitions\n{sql}",
+                    c.id,
+                    c.consumers,
+                    blocks.len(),
+                    o.report.candidates.len()
+                );
+            }
+        }
+    }
+}
