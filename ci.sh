@@ -185,14 +185,15 @@ rm -rf "$data_dir"
 # whose first field is the correctness verdict.
 # Building benchmark/ without --locked lets cargo prune its Cargo.lock of
 # packages the tree no longer has; that file is frozen, so put it back.
-echo "==> benchmark smoke (no-share, serve-mix, share-batch, opt-heavy, view-maint: verdict; opt-heavy memo size)"
+echo "==> benchmark smoke (no-share, serve-mix, share-batch, opt-heavy, view-maint: verdict; opt-heavy memo size; view-maint sharing)"
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
 for workload in no-share serve-mix share-batch opt-heavy view-maint; do
-  # opt-heavy runs traced: its memo size is a deterministic count.
+  # opt-heavy and view-maint run traced: memo size and maintenance
+  # candidates are deterministic counts.
   trace=0
-  [[ "$workload" == opt-heavy ]] && trace=1
+  [[ "$workload" == opt-heavy || "$workload" == view-maint ]] && trace=1
   verdict=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seconds 2 --trace "$trace" | tail -n 1)
   [[ "$verdict" == '{"correct": true,'* ]] \
@@ -203,6 +204,13 @@ for workload in no-share serve-mix share-batch opt-heavy view-maint; do
     gexprs=$(grep -oE '"memo\.gexprs": \{"value": [0-9]+' <<<"$verdict" | grep -oE '[0-9]+$')
     [[ -n "$gexprs" && "$gexprs" -le 5000 ]] \
       || { echo "opt-heavy memo.gexprs is '${gexprs}', above 5000"; exit 1; }
+  fi
+  if [[ "$workload" == view-maint ]]; then
+    # The maintenance batch joins a small delta through indexes, which is
+    # cheap; it must still share (80: one candidate per traced insert).
+    candidates=$(grep -oE '"maintenance\.candidates": \{"value": [0-9]+' <<<"$verdict" | grep -oE '[0-9]+$')
+    [[ -n "$candidates" && "$candidates" -gt 0 ]] \
+      || { echo "view-maint maintenance.candidates is '${candidates}': the batch stopped sharing"; exit 1; }
   fi
 done
 

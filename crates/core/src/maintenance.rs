@@ -10,7 +10,11 @@
 //! clone of the catalog that alone sees the delta table. The delta results
 //! are merged into the stored view contents, and only then is the whole
 //! change emitted as [`CatalogMutation`]s: `ReplaceTable` per view,
-//! `ApplyDelta` for the base. The planning halves return that list, so a
+//! `ApplyDelta` for the base, which appends in place and keeps the base's
+//! stats and indexes current. Creating a view adds a hash index on both
+//! columns of each of its equijoins, so the batch joins a small delta to
+//! the other tables by index lookups at the delta's size, not by scanning
+//! them. The planning halves return that list, so a
 //! `DurableCatalog` journals exactly what a plain [`Catalog`] applies; this
 //! module changes a catalog only through [`Catalog::apply_mutation`], and a
 //! request that fails anywhere leaves the caller's catalog as it was. The
@@ -19,8 +23,9 @@
 
 use crate::config::{CseConfig, CseReport};
 use crate::pipeline::{optimize_plan, optimize_sql};
-use cse_algebra::AggFunc;
-use cse_exec::{AggState, Engine};
+use cse_algebra::{AggFunc, PlanContext, RelKind};
+use cse_exec::{AggState, Engine, ExecMetrics};
+use cse_optimizer::{FullPlan, PhysicalPlan};
 use cse_sql::ast::{AggName, Expr, ExprKind, SelectItem, Statement};
 use cse_sql::SelectStmt;
 use cse_storage::delta::{DeltaAction, DeltaTable};
@@ -42,13 +47,18 @@ pub struct MaintenanceReport {
     pub delta_rows: usize,
     /// Optimizer report of the maintenance batch (candidates, costs, ...).
     pub cse: CseReport,
+    /// The maintenance batch's plan and what executing it did; absent and
+    /// zero when no view reads the base.
+    pub plan: Option<FullPlan>,
+    pub metrics: ExecMetrics,
     /// Wall-clock of optimize + execute + merge.
     pub total_time: std::time::Duration,
 }
 
 /// Plan a materialized view: check that its definition is maintainable,
 /// execute it, and return the mutations that store the result as a table
-/// named after the view and register the definition.
+/// named after the view, index its equijoin columns and register the
+/// definition.
 pub fn plan_materialized_view(
     catalog: &Catalog,
     name: &str,
@@ -58,6 +68,7 @@ pub fn plan_materialized_view(
     // Validate mergeability now so maintenance cannot fail later.
     merge_plan_of(&parse_definition(definition_sql)?)?;
     let optimized = optimize_sql(catalog, definition_sql, cfg)?;
+    let indexes = join_indexes(catalog, &optimized.ctx, &optimized.plan)?;
     let engine = Engine::new(catalog, &optimized.ctx);
     let out = engine.execute(&optimized.plan)?;
     let result = out
@@ -66,15 +77,52 @@ pub fn plan_materialized_view(
         .next()
         .ok_or("view definition produced no result")?;
     let schema = infer_schema(&result.columns, &result.rows);
-    Ok(vec![
-        CatalogMutation::RegisterTable {
-            table: Table::with_rows(name, schema, result.rows),
-        },
-        CatalogMutation::RegisterView {
-            name: name.to_string(),
-            definition_sql: definition_sql.to_string(),
-        },
-    ])
+    let table = Table::with_rows(name, schema, result.rows);
+    let mut mutations = vec![CatalogMutation::RegisterTable { table }];
+    mutations.extend(indexes);
+    mutations.push(CatalogMutation::RegisterView {
+        name: name.to_string(),
+        definition_sql: definition_sql.to_string(),
+    });
+    Ok(mutations)
+}
+
+/// `CreateHashIndex` for both columns of every equijoin key of the
+/// definition's plan whose column has no hash index yet, each column once.
+fn join_indexes(
+    catalog: &Catalog,
+    ctx: &PlanContext,
+    plan: &FullPlan,
+) -> Result<Vec<CatalogMutation>, String> {
+    let mut cols = Vec::new();
+    let roots = std::iter::once(&plan.root).chain(plan.spools.values().map(|s| &s.plan));
+    for p in roots {
+        p.visit(&mut |op| match op {
+            PhysicalPlan::HashJoin { keys, .. } => {
+                cols.extend(keys.iter().flat_map(|(a, b)| [*a, *b]))
+            }
+            PhysicalPlan::IndexNlJoin { key: (a, b), .. } => cols.extend([*a, *b]),
+            _ => {}
+        });
+    }
+    let mut wanted: Vec<(String, String)> = Vec::new();
+    for c in cols {
+        let rel = ctx.rel(c.rel);
+        if rel.kind != RelKind::Base {
+            continue;
+        }
+        let entry = catalog.get(&rel.name)?;
+        let at = c.col as usize;
+        let key = (
+            rel.name.to_ascii_lowercase(),
+            entry.table.schema().column(at).name.clone(),
+        );
+        if !entry.hash_indexes.iter().any(|i| i.column == at) && !wanted.contains(&key) {
+            wanted.push(key);
+        }
+    }
+    let create = |(table, column)| CatalogMutation::CreateHashIndex { table, column };
+    Ok(wanted.into_iter().map(create).collect())
 }
 
 /// Create a materialized view: [`plan_materialized_view`], applied.
@@ -131,7 +179,7 @@ pub fn plan_insert(
     }
 
     let mut mutations = Vec::with_capacity(views.len() + 1);
-    let mut cse = CseReport::default();
+    let (mut cse, mut batch_plan, mut metrics) = Default::default();
     if !batch.is_empty() {
         // Only this clone ever holds the delta table (no rows are copied).
         let mut work = catalog.clone();
@@ -152,6 +200,8 @@ pub fn plan_insert(
             });
         }
         cse = optimized.report;
+        batch_plan = Some(optimized.plan);
+        metrics = out.metrics;
     }
     let delta_rows = delta.insert_count();
     mutations.push(CatalogMutation::ApplyDelta { delta });
@@ -159,6 +209,8 @@ pub fn plan_insert(
         views,
         delta_rows,
         cse,
+        plan: batch_plan,
+        metrics,
         total_time: t0.elapsed(),
     };
     Ok((mutations, report))

@@ -29,7 +29,7 @@ use cse_govern::{
     ReserveError,
 };
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan};
-use cse_storage::{Catalog, Row, Value};
+use cse_storage::{Catalog, Row, Table, Value};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound as RangeBound;
@@ -473,14 +473,8 @@ impl<'a> Engine<'a> {
                                 None => RangeBound::Unbounded,
                             }
                         }
-                        // The index can lag the table (rebuild racing a
-                        // shrink); a stale rowid must degrade to an error,
-                        // not a panic on the serving path.
-                        let stale = |rid| {
-                            let name = &self.ctx.rel(*rel).name;
-                            ExecError::Storage(format!("index rowid {rid} out of range for {name}"))
-                        };
-                        let stored = |rid| table.rows().get(rid as usize).ok_or_else(|| stale(rid));
+                        let name = &self.ctx.rel(*rel).name;
+                        let stored = |rid| stored_row(table, rid, name);
                         let hits = idx.range(side(&interval.lo), side(&interval.hi));
                         scan_rows(hits.map(stored), st, &mut sink)
                     }
@@ -502,12 +496,7 @@ impl<'a> Engine<'a> {
                 let skeys: Vec<usize> = skeys.collect::<Result<_, _>>()?;
                 // Where each emitted column is in a held or a streamed row.
                 let cols = out_cols(plan, need);
-                let from = |side: &[ColRef]| -> Vec<(usize, usize)> {
-                    let found = |c| side.iter().position(|x| x == c);
-                    let at = cols.iter().enumerate();
-                    at.filter_map(|(o, c)| Some((o, found(c)?))).collect()
-                };
-                let (from_held, from_streamed) = (from(&hcols), from(&scols));
+                let (from_held, from_streamed) = (sources(&cols, &hcols), sources(&cols, &scols));
                 let residual = residual.map(|p| Bound::bind(p, &cols, op)).transpose()?;
                 let has_null = |r: &[Value], pos: &[usize]| pos.iter().any(|p| r[*p].is_null());
 
@@ -560,6 +549,62 @@ impl<'a> Engine<'a> {
                     }
                     Ok(())
                 })
+            }
+            PhysicalPlan::IndexNlJoin {
+                outer,
+                rel,
+                key: (okey, ikey),
+                residual,
+                layout,
+            } => {
+                st.maybe_fail(sites::SCAN_INDEX)?;
+                let entry = entry_of(*rel)?;
+                let name = &self.ctx.rel(*rel).name;
+                let idx = entry
+                    .hash_indexes
+                    .iter()
+                    .find(|i| i.column == ikey.col as usize);
+                let idx = idx.ok_or_else(|| {
+                    ExecError::Storage(format!("no hash index on {name} column #{}", ikey.col))
+                })?;
+                let in_need = join_needs(need, &[(*okey, *ikey)], residual.as_ref()).1;
+                let ocols = out_cols(outer, &in_need);
+                let opos = position(&ocols, *okey, op)?;
+                let cols = out_cols(plan, need);
+                let stored_cols = &layout[outer.layout().len()..];
+                let (from_outer, from_stored) =
+                    (sources(&cols, &ocols), sources(&cols, stored_cols));
+                let residual = residual.as_ref().map(|p| Bound::bind(p, &cols, op));
+                let residual = residual.transpose()?;
+
+                // Output is in the outer side's order, row id order among
+                // one outer row's matches; a NULL key never joins. Fetched
+                // rows count as scanned, once the outer side has ended.
+                let mut scratch = vec![Value::Null; cols.len()];
+                let (mut n, mut fetched) = (0, 0);
+                let streamed = self.stream(outer, &in_need, st, &mut |orow| {
+                    ctx.check_cancel_at(n)?;
+                    n += 1;
+                    let hits = match &orow[opos] {
+                        Value::Null => return Ok(()),
+                        k => idx.lookup(k),
+                    };
+                    copy_cols(&mut scratch, &from_outer, orow);
+                    for rid in hits {
+                        fetched += 1;
+                        copy_cols(
+                            &mut scratch,
+                            &from_stored,
+                            stored_row(&entry.table, rid, name)?,
+                        );
+                        if residual.as_ref().is_none_or(|p| p.accepts(&scratch)) {
+                            sink(&scratch)?;
+                        }
+                    }
+                    Ok(())
+                });
+                st.metrics.base_rows_scanned += fetched;
+                streamed
             }
             PhysicalPlan::HashAggregate {
                 input, keys, aggs, ..
@@ -698,6 +743,21 @@ fn out_cols(plan: &PhysicalPlan, need: &Need) -> Vec<ColRef> {
             cols.retain(|c| out_need.contains(c));
             cols
         }
+        // The outer side's columns, then the stored ones, that an ancestor
+        // or the residual reads.
+        PhysicalPlan::IndexNlJoin {
+            outer,
+            key,
+            residual,
+            layout,
+            ..
+        } => {
+            let (out_need, in_need) = join_needs(need, &[*key], residual.as_ref());
+            let mut cols = out_cols(outer, &in_need);
+            cols.extend_from_slice(&layout[outer.layout().len()..]);
+            cols.retain(|c| out_need.contains(c));
+            cols
+        }
         PhysicalPlan::CseRead { output_map, .. } => {
             let outputs = output_map.iter().filter(|(c, _)| need.contains(c));
             outputs.map(|(c, _)| *c).collect()
@@ -742,6 +802,22 @@ fn join_needs(need: &Need, keys: &[(ColRef, ColRef)], residual: Option<&Scalar>)
     let mut in_need = out_need.clone();
     in_need.extend(keys.iter().flat_map(|(a, b)| [*a, *b]));
     (out_need, in_need)
+}
+
+/// Where each of `cols` is in a row of `side`: `(position in cols, position
+/// in side)` for the columns `side` has.
+fn sources(cols: &[ColRef], side: &[ColRef]) -> Vec<(usize, usize)> {
+    let found = |c| side.iter().position(|x| x == c);
+    let at = cols.iter().enumerate();
+    at.filter_map(|(o, c)| Some((o, found(c)?))).collect()
+}
+
+/// The stored row an index names. An index can lag its table (a rebuild
+/// racing a shrink): a stale row id is an error, not a panic on the
+/// serving path.
+fn stored_row<'t>(table: &'t Table, rid: u32, name: &str) -> ExecResult<&'t Row> {
+    let stale = || ExecError::Storage(format!("index rowid {rid} out of range for {name}"));
+    table.rows().get(rid as usize).ok_or_else(stale)
 }
 
 /// Push the stored rows `rows` finds, in its order, counting each as scanned.

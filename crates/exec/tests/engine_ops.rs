@@ -364,7 +364,7 @@ fn hash_join_matches_nested_loop_oracle_on_generated_inputs() {
         let nl = PhysicalPlan::NlJoin {
             left: Box::new(scan(&ctx, a)),
             right: Box::new(scan(&ctx, b)),
-            pred: Scalar::and(eqs.chain(residual)),
+            pred: Scalar::and(eqs.chain(residual.clone())),
             layout,
         };
         let nl_rows = run(&cat, &ctx, nl);
@@ -373,7 +373,97 @@ fn hash_join_matches_nested_loop_oracle_on_generated_inputs() {
             sorted(show(&want)),
             "case {case}: NL join bag"
         );
+
+        // The index join streams `b` and probes `a` through a hash index on
+        // k1: the same pairs in the same order, `b`'s columns first.
+        let mut indexed = cat.clone();
+        indexed.create_hash_index("a", "k1").unwrap();
+        let rest = keys[1..]
+            .iter()
+            .map(|(x, y)| Scalar::eq(Scalar::Col(*x), Scalar::Col(*y)));
+        let rest: Vec<Scalar> = rest.chain(residual).collect();
+        let inlj = PhysicalPlan::IndexNlJoin {
+            outer: Box::new(scan(&ctx, b)),
+            rel: a,
+            key: (keys[0].1, keys[0].0),
+            residual: (!rest.is_empty()).then(|| Scalar::and(rest)),
+            layout: [b, a]
+                .iter()
+                .flat_map(|r| (0..3).map(|i| ColRef::new(*r, i)))
+                .collect(),
+        };
+        let flipped = want
+            .iter()
+            .map(|r| row(r[3..].iter().chain(&r[..3]).cloned().collect()));
+        let flipped: Vec<Row> = flipped.collect();
+        let got = run(&indexed, &ctx, inlj);
+        assert_eq!(
+            show(&got),
+            show(&flipped),
+            "case {case}: index join rows/order"
+        );
     }
+}
+
+/// An index join draws the index failpoint once, refuses to run without
+/// its index, and reports a row id its index names but the table lacks —
+/// each as an error, never a panic and never another join.
+#[test]
+fn index_join_faults_and_missing_or_stale_indexes_are_errors() {
+    let (mut cat, ctx, l, r) = setup();
+    let cols = |rel| (0..2).map(move |i| ColRef::new(rel, i));
+    let join = PhysicalPlan::IndexNlJoin {
+        outer: Box::new(scan(&ctx, l)),
+        rel: r,
+        key: (ColRef::new(l, 0), ColRef::new(r, 0)),
+        residual: None,
+        layout: cols(l).chain(cols(r)).collect(),
+    };
+    let plan = FullPlan {
+        root: join.clone(),
+        spools: BTreeMap::new(),
+        cost: 0.0,
+        baseline: None,
+    };
+    let execute = |cat: &Catalog, failpoints| {
+        let exec_ctx = ExecCtx {
+            failpoints,
+            recover: false,
+            ..ExecCtx::default()
+        };
+        Engine::new(cat, &ctx).execute_in(&plan, &exec_ctx)
+    };
+    let missing = execute(&cat, FailpointRegistry::disabled()).unwrap_err();
+    assert!(
+        matches!(missing, cse_exec::ExecError::Storage(_)),
+        "{missing}"
+    );
+
+    cat.create_hash_index("r", "k").unwrap();
+    let out = execute(&cat, FailpointRegistry::disabled()).unwrap();
+    assert_eq!(out.results[0].rows.len(), 6);
+    // Six outer rows scanned, one stored row fetched for each.
+    assert_eq!(out.metrics.base_rows_scanned, 12);
+
+    let certain = FailpointRegistry::from_specs(&[FailSpec {
+        site: sites::SCAN_INDEX.to_string(),
+        probability: 1.0,
+        seed: 1,
+    }]);
+    let injected = execute(&cat, certain.clone()).unwrap_err();
+    assert!(
+        matches!(injected, cse_exec::ExecError::Injected { .. }),
+        "{injected}"
+    );
+    assert_eq!(certain.counters()[sites::SCAN_INDEX], (1, 1));
+
+    // An index over more rows than the table now holds.
+    let mut stale = cat.get("r").unwrap().clone();
+    let shrunk = Table::with_rows("r", stale.table.schema().as_ref().clone(), Vec::new());
+    stale.table = std::sync::Arc::new(shrunk);
+    cat.put_entry_for_test("r", stale);
+    let err = execute(&cat, FailpointRegistry::disabled()).unwrap_err();
+    assert!(matches!(err, cse_exec::ExecError::Storage(_)), "{err}");
 }
 
 /// Sort-based grouping oracle: stable-sort row indices by key, cut runs of

@@ -40,7 +40,7 @@ pub mod sites {
     pub const SPOOL_MATERIALIZE: &str = "spool.materialize";
     /// Full table scan of a base table.
     pub const SCAN_TABLE: &str = "scan.table";
-    /// B-tree index range scan.
+    /// B-tree index range scan, or an index nested-loops join's probes.
     pub const SCAN_INDEX: &str = "scan.index";
     /// Entry of the optimizer's CSE phase; a trip here *panics* on
     /// purpose, exercising the `catch_unwind` isolation of the ladder.

@@ -72,6 +72,9 @@ fn emit(
             let ks: Vec<String> = keys.iter().map(|(a, b)| format!("{a}={b}")).collect();
             format!("HashJoin\\n{}", escape(&ks.join(", ")))
         }
+        PhysicalPlan::IndexNlJoin { rel, key, .. } => {
+            format!("IndexNlJoin r{}\\n{}={}", rel.0, key.0, key.1)
+        }
         PhysicalPlan::NlJoin { pred, .. } => format!("NlJoin\\n{}", escape(&pred.to_string())),
         PhysicalPlan::HashAggregate { keys, aggs, .. } => {
             format!("HashAggregate\\nkeys={} aggs={}", keys.len(), aggs.len())
@@ -105,6 +108,7 @@ fn emit(
         | PhysicalPlan::IndexRangeScan { .. }
         | PhysicalPlan::CseRead { .. } => {}
         PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::IndexNlJoin { outer: input, .. }
         | PhysicalPlan::HashAggregate { input, .. }
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::Sort { input, .. } => {

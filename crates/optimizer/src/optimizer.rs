@@ -26,23 +26,28 @@ use cse_memo::{GroupExpr, GroupExprId, GroupId, Memo, Op};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
-/// Which (table, column ordinal) pairs have a B-tree index.
+/// Which (table, column ordinal) pairs have a B-tree and a hash index.
 #[derive(Debug, Clone, Default)]
 pub struct IndexInfo {
     pub btree: HashSet<(String, u16)>,
+    pub hash: HashSet<(String, u16)>,
 }
 
 impl IndexInfo {
     pub fn from_catalog(catalog: &cse_storage::Catalog) -> Self {
-        let mut btree = HashSet::new();
+        let mut info = IndexInfo::default();
         for name in catalog.table_names() {
             if let Ok(entry) = catalog.get(name) {
+                let name = name.to_ascii_lowercase();
                 for idx in &entry.btree_indexes {
-                    btree.insert((name.to_ascii_lowercase(), idx.column as u16));
+                    info.btree.insert((name.clone(), idx.column as u16));
+                }
+                for idx in &entry.hash_indexes {
+                    info.hash.insert((name.clone(), idx.column as u16));
                 }
             }
         }
-        IndexInfo { btree }
+        info
     }
 }
 
@@ -77,6 +82,19 @@ enum Build {
     Leaf(PhysicalPlan),
     /// A group expression over its children's winners.
     Expr(GroupExprId, Vec<Rc<PlanChoice>>),
+    /// A join expression as an index nested-loops join over the winner of
+    /// its left input; the right input is read through its index.
+    IndexJoin(GroupExprId, Rc<PlanChoice>),
+}
+
+/// What costing reads of a join expression, derived once per expression.
+#[derive(Debug, Clone, Copy)]
+struct JoinShape {
+    keyed: bool,
+    residual: bool,
+    /// The indexed column of the right input an index nested-loops join
+    /// probes, and whether anything is left for its residual.
+    probe: Option<(ColRef, bool)>,
 }
 
 /// Spool reads per CSE, indexed by `CseId.0`; a missing entry reads as 0.
@@ -141,8 +159,7 @@ pub struct Optimizer<'a> {
     relevant: HashMap<GroupId, CseMask>,
     /// Per group: mask of CSEs whose least common ancestor it is.
     lca_at: HashMap<GroupId, CseMask>,
-    /// Per join expression: (has equi-keys, has residual conjuncts).
-    join_shape: HashMap<GroupExprId, (bool, bool)>,
+    join_shape: HashMap<GroupExprId, JoinShape>,
     cache: HashMap<(GroupId, CseMask), Rc<PlanChoice>>,
     /// Number of `optimize_group` invocations that missed the cache —
     /// a proxy for optimization work, reported by the benchmarks.
@@ -321,6 +338,7 @@ impl<'a> Optimizer<'a> {
             .map(|&c| self.optimize_group(c, mask))
             .collect();
         let input: f64 = kids.iter().map(|k| k.cost).sum();
+        let mut probe = None;
         let cost = match &e.op {
             Op::Get { .. } => {
                 let width = self.rows.width(memo.group_of(eid));
@@ -328,14 +346,31 @@ impl<'a> Optimizer<'a> {
             }
             Op::Filter { .. } => input + self.model.filter(kids[0].rows),
             Op::Join { pred } => {
-                let (keyed, residual) = *self.join_shape.entry(eid).or_insert_with(|| {
+                let indexes = self.indexes;
+                let shape = *self.join_shape.entry(eid).or_insert_with(|| {
                     let (keys, residual) = split_join(memo, e, pred);
-                    (!keys.is_empty(), !residual.is_empty())
+                    // Without a hash index in the catalog this is the one
+                    // check an index join costs.
+                    let probe = (!indexes.hash.is_empty())
+                        .then(|| index_probe(memo, indexes, e, &keys))
+                        .flatten()
+                        .map(|(key, filter)| {
+                            (
+                                key.1,
+                                keys.len() > 1 || !residual.is_empty() || filter.is_some(),
+                            )
+                        });
+                    JoinShape {
+                        keyed: !keys.is_empty(),
+                        residual: !residual.is_empty(),
+                        probe,
+                    }
                 });
+                probe = shape.probe;
                 let (l, r) = (kids[0].rows, kids[1].rows);
-                if !keyed {
+                if !shape.keyed {
                     input + self.model.nl_join(l, r, out_rows)
-                } else if residual {
+                } else if shape.residual {
                     input + self.model.hash_join(l, r, out_rows) + self.model.filter(out_rows)
                 } else {
                     input + self.model.hash_join(l, r, out_rows)
@@ -352,6 +387,25 @@ impl<'a> Optimizer<'a> {
             usage.merge(&k.usage);
             merge_charged(&mut charged, &k.charged);
         }
+        // Index nested-loops join: each left row probes the right input's
+        // hash index and fetches its matches (rows / ndv of them a probe);
+        // the commuted expression offers the other side.
+        let index_join = probe.map(|(col, residual)| {
+            let (outer, ctx) = (&kids[0], &memo.ctx);
+            let per_probe = self.stats.rel_rows(ctx, col.rel) / self.stats.col_ndv(ctx, col);
+            let matches = outer.rows * per_probe;
+            let mut cost = outer.cost + self.model.index_lookup(outer.rows, matches);
+            if residual {
+                cost += self.model.filter(matches);
+            }
+            PlanChoice {
+                cost,
+                rows: out_rows,
+                usage: outer.usage.clone(),
+                charged: outer.charged.clone(),
+                build: Build::IndexJoin(eid, outer.clone()),
+            }
+        });
         alts.push(PlanChoice {
             cost,
             rows: out_rows,
@@ -364,6 +418,7 @@ impl<'a> Optimizer<'a> {
         if let Op::Filter { pred } = &e.op {
             alts.extend(self.try_index_scan(e.children[0], pred, out_rows));
         }
+        alts.extend(index_join);
     }
 
     /// `Filter(Get)` with a range/equality atom on an indexed column. The
@@ -455,6 +510,7 @@ impl<'a> Optimizer<'a> {
     pub fn extract(&self, choice: &PlanChoice) -> PhysicalPlan {
         let (eid, kids) = match &choice.build {
             Build::Leaf(plan) => return plan.clone(),
+            Build::IndexJoin(eid, outer) => return self.extract_index_join(*eid, outer),
             Build::Expr(eid, kids) => (*eid, kids),
         };
         let memo = self.memo;
@@ -516,6 +572,35 @@ impl<'a> Optimizer<'a> {
             Op::Batch => PhysicalPlan::Batch {
                 children: kids.collect(),
             },
+        }
+    }
+
+    /// The index nested-loops join of join expression `eid` over the
+    /// winner `outer` of its left input: the probed key as costed, and
+    /// every other conjunct, with the filter over the right input, as the
+    /// residual.
+    fn extract_index_join(&self, eid: GroupExprId, outer: &PlanChoice) -> PhysicalPlan {
+        let memo = self.memo;
+        let e = memo.gexpr(eid);
+        let pred = match &e.op {
+            Op::Join { pred } => Some(pred),
+            _ => None,
+        };
+        let (keys, mut residual) = pred.map(|p| split_join(memo, e, p)).unwrap_or_default();
+        let (key, filter) =
+            index_probe(memo, self.indexes, e, &keys).expect("costed as an index join");
+        let others = keys.iter().filter(|k| **k != key);
+        residual.extend(others.map(|(a, b)| Scalar::eq(Scalar::Col(*a), Scalar::Col(*b))));
+        residual.extend(filter.map(Scalar::conjuncts).unwrap_or_default());
+        let outer = Box::new(self.extract(outer));
+        let mut layout = outer.layout().to_vec();
+        layout.extend_from_slice(&memo.group(e.children[1]).props.output_cols);
+        PhysicalPlan::IndexNlJoin {
+            outer,
+            rel: key.1.rel,
+            key,
+            residual: (!residual.is_empty()).then(|| Scalar::and(residual)),
+            layout,
         }
     }
 
@@ -590,6 +675,32 @@ fn split_join(memo: &Memo, e: &GroupExpr, pred: &Scalar) -> (Vec<(ColRef, ColRef
         }
     }
     (keys, residual)
+}
+
+/// The equi-key an index nested-loops join of `e` probes with — (left
+/// column, right column), `keys` as [`split_join`] gives them — and the
+/// filter over the right input. Only a right input that scans one table,
+/// filtered or not, with a hash index on its column of the key qualifies.
+fn index_probe<'m>(
+    memo: &'m Memo,
+    indexes: &IndexInfo,
+    e: &GroupExpr,
+    keys: &[(ColRef, ColRef)],
+) -> Option<((ColRef, ColRef), Option<&'m Scalar>)> {
+    let first = |g: GroupId| memo.gexpr(memo.group(g).exprs[0]);
+    let right = first(e.children[1]);
+    let (rel, filter) = match (&right.op, right.children.first()) {
+        (Op::Get { rel }, _) => (*rel, None),
+        (Op::Filter { pred }, Some(&below)) => match first(below).op {
+            Op::Get { rel } => (rel, Some(pred)),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let table = memo.ctx.rel(rel).name.to_ascii_lowercase();
+    let indexed = |c: &ColRef| indexes.hash.contains(&(table.clone(), c.col));
+    let key = keys.iter().find(|(_, r)| r.rel == rel && indexed(r))?;
+    Some((*key, filter))
 }
 
 /// The §5.2 bookkeeping against the extracted trees: every spool read in
@@ -701,6 +812,33 @@ mod tests {
             }
         }
         panic!("expected HashJoin over TableScan build side");
+    }
+
+    /// A hash index on `fact.k` offers the join as 200 probes from `dim`
+    /// instead of a hash join over both scans, and it wins; the key is the
+    /// whole predicate, so nothing is left for a residual.
+    #[test]
+    fn hash_index_offers_an_index_join() {
+        let (memo, stats, _) = setup();
+        let mut indexes = IndexInfo::default();
+        indexes.hash.insert(("fact".into(), 0));
+        let model = CostModel::default();
+        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
+        let choice = opt.optimize_group(memo.root(), 0);
+        let PhysicalPlan::IndexNlJoin {
+            outer,
+            rel,
+            key,
+            residual,
+            layout,
+        } = opt.extract(&choice)
+        else {
+            panic!("expected an index join: {}", opt.extract(&choice).render());
+        };
+        assert_eq!(memo.ctx.rel(rel).name, "fact");
+        assert!(matches!(*outer, PhysicalPlan::TableScan { rel: d, .. } if d != rel));
+        assert_eq!((key.1, residual), (ColRef::new(rel, 0), None));
+        assert_eq!(layout.len(), 4);
     }
 
     #[test]

@@ -64,6 +64,19 @@ pub enum PhysicalPlan {
         residual: Option<Scalar>,
         layout: Vec<ColRef>,
     },
+    /// Index nested-loops join: each `outer` row meets the stored rows of
+    /// `rel` whose `key.1` equals its `key.0`, found through the catalog's
+    /// hash index on `key.1`; `residual` decides every pair. Holds nothing.
+    IndexNlJoin {
+        outer: Box<PhysicalPlan>,
+        rel: RelId,
+        /// (outer column, indexed column of `rel`).
+        key: (ColRef, ColRef),
+        /// The other join conjuncts and the filter over `rel`.
+        residual: Option<Scalar>,
+        /// The outer layout, then `rel`'s columns in stored order.
+        layout: Vec<ColRef>,
+    },
     /// Nested-loops join for non-equijoin predicates.
     NlJoin {
         left: Box<PhysicalPlan>,
@@ -111,6 +124,7 @@ impl PhysicalPlan {
             PhysicalPlan::TableScan { layout, .. }
             | PhysicalPlan::IndexRangeScan { layout, .. }
             | PhysicalPlan::HashJoin { layout, .. }
+            | PhysicalPlan::IndexNlJoin { layout, .. }
             | PhysicalPlan::NlJoin { layout, .. }
             | PhysicalPlan::HashAggregate { layout, .. }
             | PhysicalPlan::CseRead { layout, .. } => layout,
@@ -137,6 +151,7 @@ impl PhysicalPlan {
             | PhysicalPlan::IndexRangeScan { .. }
             | PhysicalPlan::CseRead { .. } => {}
             PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::IndexNlJoin { outer: input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Sort { input, .. } => input.visit(f),
@@ -160,6 +175,7 @@ impl PhysicalPlan {
             PhysicalPlan::IndexRangeScan { .. } => "IndexRangeScan",
             PhysicalPlan::Filter { .. } => "Filter",
             PhysicalPlan::HashJoin { .. } => "HashJoin",
+            PhysicalPlan::IndexNlJoin { .. } => "IndexNlJoin",
             PhysicalPlan::NlJoin { .. } => "NlJoin",
             PhysicalPlan::HashAggregate { .. } => "HashAggregate",
             PhysicalPlan::Project { .. } => "Project",
@@ -201,6 +217,15 @@ impl PhysicalPlan {
                 let _ = writeln!(out, "{pad}HashJoin [{}]", ks.join(", "));
                 left.render_into(depth + 1, out);
                 right.render_into(depth + 1, out);
+            }
+            PhysicalPlan::IndexNlJoin {
+                outer,
+                rel,
+                key: (o, i),
+                ..
+            } => {
+                let _ = writeln!(out, "{pad}IndexNlJoin r{} [{o}={i}]", rel.0);
+                outer.render_into(depth + 1, out);
             }
             PhysicalPlan::NlJoin {
                 left, right, pred, ..

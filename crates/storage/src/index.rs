@@ -3,41 +3,72 @@
 //! Two flavours: an equality [`HashIndex`] and an ordered [`BTreeIndex`]
 //! supporting range scans (e.g. TPC-H's clustered index on `o_orderdate`
 //! that makes the paper's Example 7 consumer cheap). Indexes map key values
-//! to row positions in the owning table.
+//! to row positions in the owning table. Rows appended to the table are
+//! folded in with `extend`, which leaves an index equal to a fresh build.
 
-use crate::table::Table;
+use crate::table::{Row, Table};
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// Equality index: value -> row ids.
-#[derive(Debug, Clone)]
+/// Equality index: value -> row ids, ascending. A key holds its first and
+/// last row id; every row links to the next row with its key, so an index
+/// costs one map entry a key and four bytes a row.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HashIndex {
     pub column: usize,
-    map: HashMap<Value, Vec<u32>>,
+    ends: HashMap<Value, (u32, u32)>,
+    next: Vec<u32>,
 }
+
+/// The end of a chain of row ids.
+const END: u32 = u32::MAX;
 
 impl HashIndex {
     /// Build over the given column of `table`.
     pub fn build(table: &Table, column: usize) -> Self {
-        let mut map: HashMap<Value, Vec<u32>> = HashMap::with_capacity(table.row_count());
-        for (i, r) in table.scan().enumerate() {
-            map.entry(r[column].clone()).or_default().push(i as u32);
-        }
-        HashIndex { column, map }
+        let (ends, next) = (HashMap::new(), Vec::with_capacity(table.row_count()));
+        let mut idx = HashIndex { column, ends, next };
+        idx.extend(table.rows(), 0);
+        idx
     }
 
-    pub fn lookup(&self, key: &Value) -> &[u32] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+    /// Fold in `rows`, stored at row ids `first..` (the rows indexed so far).
+    pub fn extend(&mut self, rows: &[Row], first: usize) {
+        debug_assert_eq!(first, self.next.len());
+        for r in rows {
+            let id = self.next.len() as u32;
+            self.next.push(END);
+            match self.ends.entry(r[self.column].clone()) {
+                Entry::Occupied(mut at) => {
+                    let last = std::mem::replace(&mut at.get_mut().1, id);
+                    self.next[last as usize] = id;
+                }
+                Entry::Vacant(at) => {
+                    at.insert((id, id));
+                }
+            }
+        }
+    }
+
+    /// The ids of the rows whose key equals `key`, ascending.
+    pub fn lookup(&self, key: &Value) -> impl Iterator<Item = u32> + '_ {
+        let mut at = self.ends.get(key).map_or(END, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            let id = (at != END).then_some(at)?;
+            at = self.next[id as usize];
+            Some(id)
+        })
     }
 
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.ends.len()
     }
 }
 
 /// Ordered index: supports point and range lookups.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BTreeIndex {
     pub column: usize,
     map: BTreeMap<Value, Vec<u32>>,
@@ -45,11 +76,20 @@ pub struct BTreeIndex {
 
 impl BTreeIndex {
     pub fn build(table: &Table, column: usize) -> Self {
-        let mut map: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-        for (i, r) in table.scan().enumerate() {
-            map.entry(r[column].clone()).or_default().push(i as u32);
+        let mut idx = BTreeIndex {
+            column,
+            map: BTreeMap::new(),
+        };
+        idx.extend(table.rows(), 0);
+        idx
+    }
+
+    /// Fold in `rows`, stored at row ids `first..`.
+    pub fn extend(&mut self, rows: &[Row], first: usize) {
+        for (i, r) in rows.iter().enumerate() {
+            let id = (first + i) as u32;
+            self.map.entry(r[self.column].clone()).or_default().push(id);
         }
-        BTreeIndex { column, map }
     }
 
     pub fn lookup(&self, key: &Value) -> &[u32] {
@@ -87,8 +127,9 @@ mod tests {
     fn hash_index_lookup() {
         let t = sample();
         let idx = HashIndex::build(&t, 0);
-        assert_eq!(idx.lookup(&Value::Int(5)), &[0, 2]);
-        assert_eq!(idx.lookup(&Value::Int(42)), &[] as &[u32]);
+        let ids = |k: i64| idx.lookup(&Value::Int(k)).collect::<Vec<u32>>();
+        assert_eq!(ids(5), [0, 2]);
+        assert_eq!(ids(42), [] as [u32; 0]);
         assert_eq!(idx.distinct_keys(), 4);
     }
 

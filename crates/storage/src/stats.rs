@@ -4,14 +4,18 @@
 //! and per column the min/max, an approximate distinct count and the average
 //! width. Distinct counts are exact for the table sizes used here (a hash
 //! set per column); for very large tables a sampling cut-over keeps the cost
-//! bounded.
+//! bounded. A table that grows by appends keeps what the scan accumulated,
+//! so its stats follow each append at the cost of the appended rows.
 
-use crate::table::Table;
+use crate::table::{Row, Table};
 use crate::value::Value;
 use std::collections::HashSet;
 
+/// Above this many rows, [`TableStats::analyze`] samples every 7th row.
+const SAMPLE_ABOVE: usize = 4_000_000;
+
 /// Statistics for one column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     pub min: Option<Value>,
     pub max: Option<Value>,
@@ -47,6 +51,101 @@ impl ColumnStats {
 pub struct TableStats {
     pub row_count: u64,
     pub columns: Vec<ColumnStats>,
+    /// What the scan accumulated, kept once the table has been appended to
+    /// (the distinct sets are what an append cannot recompute).
+    scan: Option<Box<Scan>>,
+}
+
+/// Stats are equal when they say the same; whether they kept their scan is
+/// how they got here, not what they say.
+impl PartialEq for TableStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.row_count == other.row_count && self.columns == other.columns
+    }
+}
+
+/// The running state of [`TableStats::analyze`]'s scan.
+#[derive(Debug, Clone)]
+struct Scan {
+    sampled: u64,
+    columns: Vec<ColumnScan>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct ColumnScan {
+    min: Option<Value>,
+    max: Option<Value>,
+    distinct: HashSet<Value>,
+    nulls: u64,
+    widths: u64,
+}
+
+impl Scan {
+    fn new(ncols: usize) -> Self {
+        Scan {
+            sampled: 0,
+            columns: vec![ColumnScan::default(); ncols],
+        }
+    }
+
+    /// Fold in one row. Nulls are counted on every row; the rest only on
+    /// sampled rows.
+    fn add(&mut self, row: &[Value], in_sample: bool) {
+        if in_sample {
+            self.sampled += 1;
+        }
+        for (c, v) in self.columns.iter_mut().zip(row) {
+            if v.is_null() {
+                c.nulls += 1;
+                continue;
+            }
+            if !in_sample {
+                continue;
+            }
+            c.widths += v.width() as u64;
+            match &c.min {
+                Some(m) if m.total_cmp(v) != std::cmp::Ordering::Greater => {}
+                _ => c.min = Some(v.clone()),
+            }
+            match &c.max {
+                Some(m) if m.total_cmp(v) != std::cmp::Ordering::Less => {}
+                _ => c.max = Some(v.clone()),
+            }
+            c.distinct.insert(v.clone());
+        }
+    }
+
+    /// The stats of a table of `nrows` rows this scan has seen.
+    fn finish(&self, nrows: usize) -> TableStats {
+        let sampled = self.sampled;
+        let scale = if sampled == 0 {
+            1.0
+        } else {
+            nrows as f64 / sampled as f64
+        };
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| ColumnStats {
+                min: c.min.clone(),
+                max: c.max.clone(),
+                distinct: ((c.distinct.len() as f64 * scale).round() as u64)
+                    .min(nrows as u64)
+                    .max(if nrows > 0 { 1 } else { 0 }),
+                null_count: c.nulls,
+                avg_width: if sampled > 0 && !c.distinct.is_empty() {
+                    c.widths as f64 / sampled as f64
+                } else {
+                    8.0
+                },
+            })
+            .collect();
+        TableStats {
+            row_count: nrows as u64,
+            columns,
+            scan: None,
+        }
+    }
 }
 
 impl TableStats {
@@ -56,74 +155,50 @@ impl TableStats {
         TableStats {
             row_count: 1,
             columns: vec![ColumnStats::empty(); num_columns],
+            scan: None,
         }
     }
 
     /// Compute statistics with a full scan of `table`.
     pub fn analyze(table: &Table) -> Self {
-        let ncols = table.schema().len();
         let nrows = table.row_count();
         // Exact distinct counting is fine up to a few million rows; above
         // that, sample deterministically.
-        let sample_every = if nrows > 4_000_000 { 7 } else { 1 };
-        let mut mins: Vec<Option<Value>> = vec![None; ncols];
-        let mut maxs: Vec<Option<Value>> = vec![None; ncols];
-        let mut sets: Vec<HashSet<Value>> = (0..ncols).map(|_| HashSet::new()).collect();
-        let mut nulls = vec![0u64; ncols];
-        let mut widths = vec![0u64; ncols];
-        let mut sampled = 0u64;
-
+        let sample_every = if nrows > SAMPLE_ABOVE { 7 } else { 1 };
+        let mut scan = Scan::new(table.schema().len());
         for (i, row) in table.scan().enumerate() {
-            let in_sample = i % sample_every == 0;
-            if in_sample {
-                sampled += 1;
-            }
-            for (c, v) in row.iter().enumerate() {
-                if v.is_null() {
-                    nulls[c] += 1;
-                    continue;
-                }
-                if !in_sample {
-                    continue;
-                }
-                widths[c] += v.width() as u64;
-                match &mins[c] {
-                    Some(m) if m.total_cmp(v) != std::cmp::Ordering::Greater => {}
-                    _ => mins[c] = Some(v.clone()),
-                }
-                match &maxs[c] {
-                    Some(m) if m.total_cmp(v) != std::cmp::Ordering::Less => {}
-                    _ => maxs[c] = Some(v.clone()),
-                }
-                sets[c].insert(v.clone());
-            }
+            scan.add(row, i % sample_every == 0);
         }
+        scan.finish(nrows)
+    }
 
-        let scale = if sampled == 0 {
-            1.0
-        } else {
-            nrows as f64 / sampled as f64
+    /// Fold `appended`, the rows just appended to `table`, into these stats
+    /// of the table before the append. The result equals
+    /// [`TableStats::analyze`] of the grown table. Stats without a kept
+    /// scan (the first append, or a table past the sampling cut-over) are
+    /// analyzed once over the whole table, keeping the scan for the next.
+    pub fn append(&mut self, table: &Table, appended: &[Row]) {
+        let nrows = table.row_count();
+        if nrows > SAMPLE_ABOVE {
+            *self = TableStats::analyze(table);
+            return;
+        }
+        let scan = match self.scan.take() {
+            Some(mut scan) => {
+                appended.iter().for_each(|r| scan.add(r, true));
+                scan
+            }
+            None => {
+                let mut scan = Box::new(Scan::new(table.schema().len()));
+                table.scan().for_each(|r| scan.add(r, true));
+                scan
+            }
         };
-        let columns = (0..ncols)
-            .map(|c| ColumnStats {
-                min: mins[c].take(),
-                max: maxs[c].take(),
-                distinct: ((sets[c].len() as f64 * scale).round() as u64)
-                    .min(nrows as u64)
-                    .max(if nrows > 0 { 1 } else { 0 }),
-                null_count: nulls[c],
-                avg_width: if sampled > 0 && !sets[c].is_empty() {
-                    widths[c] as f64 / sampled as f64
-                } else {
-                    8.0
-                },
-            })
-            .collect();
-
-        TableStats {
-            row_count: nrows as u64,
-            columns,
-        }
+        let stats = scan.finish(nrows);
+        *self = TableStats {
+            scan: Some(scan),
+            ..stats
+        };
     }
 }
 
@@ -176,5 +251,27 @@ mod tests {
         let s = TableStats::analyze(&t);
         assert_eq!(s.row_count, 0);
         assert_eq!(s.columns[0].distinct, 0);
+    }
+
+    /// Appends fold in like a fresh analysis, ties between `Int(3)` and
+    /// `Float(3.0)` and NULLs included, whether or not the stats kept a scan.
+    #[test]
+    fn appends_equal_a_fresh_analysis() {
+        let mut t = table_with_ints(&[]);
+        let mut s = TableStats::analyze(&t);
+        for batch in [
+            vec![Value::Float(3.0), Value::Null],
+            vec![Value::Int(3), Value::Int(-1), Value::Null],
+            vec![Value::Float(7.5)],
+            vec![],
+        ] {
+            let rows: Vec<Row> = batch.into_iter().map(|v| row(vec![v])).collect();
+            t.extend(rows.iter().cloned());
+            s.append(&t, &rows);
+            assert_eq!(s, TableStats::analyze(&t));
+        }
+        assert_eq!(s.columns[0].min, Some(Value::Int(-1)));
+        assert!(matches!(s.columns[0].max, Some(Value::Float(_))));
+        assert_eq!((s.columns[0].distinct, s.columns[0].null_count), (3, 2));
     }
 }

@@ -57,7 +57,7 @@ fn check_entry(report: &mut Report, name: &str, entry: &CatalogEntry) {
             let Some(key) = row.get(idx.column) else {
                 continue;
             };
-            if !idx.lookup(key).contains(&(row_id as u32)) {
+            if !idx.lookup(key).any(|id| id == row_id as u32) {
                 report.error(
                     rules::CATALOG_INDEX_STALE,
                     name,

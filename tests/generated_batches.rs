@@ -14,6 +14,13 @@
 //! charged for, and the arms that share end on the full rung: a caught
 //! optimizer panic would otherwise pass on the baseline rung unnoticed.
 //! One `explore` call reaches the memo's fixpoint: a second adds nothing.
+//! The same arms run again over a copy of the catalog with a hash index on
+//! every template join column, where plans join through
+//! `IndexNlJoin`, against the same un-indexed oracle. Last, a view over one
+//! template statement is maintained through three generated `customer`
+//! inserts (keys that exist, keys that don't, NULL and `Float` keys) and
+//! must equal its recomputation, in a catalog that verifies clean, after
+//! each.
 //!
 //! A fixed seed set runs in `cargo test`; `CSE_GEN_BATCHES=<n>` runs seeds
 //! `0..n` instead (`ci.sh` runs 200 in release). A failing seed prints its
@@ -21,10 +28,12 @@
 
 use similar_subexpr::govern::sites;
 use similar_subexpr::memo::{explore, ExploreConfig, Memo};
+use similar_subexpr::optimizer::{FullPlan, PhysicalPlan};
 use similar_subexpr::prelude::*;
 use similar_subexpr::sql::lower_batch_sql;
+use similar_subexpr::storage::delta::{DeltaAction, DeltaTable};
 use similar_subexpr::storage::testkit::TestRng;
-use similar_subexpr::storage::{row, Row};
+use similar_subexpr::storage::{row, ColumnDef, DataType, Row, Schema};
 use similar_subexpr::tpch::TpchTable;
 
 /// `NULL` with probability `p`, else `v`.
@@ -273,8 +282,40 @@ fn sql_of(batch: &[Stmt]) -> String {
     batch.iter().map(|s| format!("{};\n", s.sql)).collect()
 }
 
-/// Optimize and execute `batch` under `cfg`; the spool count of the plan,
-/// the results and the runtime recovery events. Every plan must execute
+/// Both columns of every equijoin the templates use.
+const JOIN_COLUMNS: [(&str, &str); 8] = [
+    ("customer", "c_custkey"),
+    ("orders", "o_custkey"),
+    ("orders", "o_orderkey"),
+    ("lineitem", "l_orderkey"),
+    ("customer", "c_nationkey"),
+    ("nation", "n_nationkey"),
+    ("part", "p_partkey"),
+    ("lineitem", "l_partkey"),
+];
+
+/// `catalog` with a hash index on every template join column.
+fn indexed(catalog: &Catalog) -> Catalog {
+    let mut out = catalog.clone();
+    for (table, column) in JOIN_COLUMNS {
+        out.create_hash_index(table, column)
+            .expect("template column");
+    }
+    out
+}
+
+/// Does the plan, or a spool it reads, join through an index?
+fn joins_through_index(plan: &FullPlan) -> bool {
+    let mut found = false;
+    let roots = std::iter::once(&plan.root).chain(plan.spools.values().map(|s| &s.plan));
+    for p in roots {
+        p.visit(&mut |op| found |= matches!(op, PhysicalPlan::IndexNlJoin { .. }));
+    }
+    found
+}
+
+/// Optimize and execute `batch` under `cfg`; the plan, the results and the
+/// runtime recovery events. Every plan must execute
 /// the spools it was charged for (§5.2): each spool read has its
 /// definition, and each definition is read at least twice. An arm that
 /// shares (`full`) must also end on the full rung without a caught panic —
@@ -285,7 +326,7 @@ fn run(
     cfg: &CseConfig,
     full: bool,
     what: &str,
-) -> (usize, ExecOutput) {
+) -> (FullPlan, ExecOutput) {
     let sql = sql_of(batch);
     let o = optimize_sql(catalog, &sql, cfg).unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
     let mut reads = o.plan.root.cse_reads();
@@ -314,7 +355,7 @@ fn run(
     let out = Engine::new(catalog, &o.ctx)
         .execute_in(&o.plan, &ctx)
         .unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
-    (o.plan.spools.len(), out)
+    (o.plan, out)
 }
 
 /// Statement `i` of `got` answers statement `want_of(i)` of the reference.
@@ -358,8 +399,193 @@ fn assert_same(
     }
 }
 
-/// Run one seed; whether its default plan used a spool.
-fn check_seed(seed: u64) -> bool {
+/// The sharing arms over `catalog`, each against `want`, the no-CSE results
+/// over the un-indexed catalog: whether the default plan used a spool, and
+/// whether any plan joined through an index.
+fn sharing_arms(
+    catalog: &Catalog,
+    batch: &[Stmt],
+    want: &[ResultSet],
+    (twin, perm): (usize, &[usize]),
+    seed: u64,
+    tag: &dyn Fn(&str) -> String,
+) -> (bool, bool) {
+    let (plan, cse) = run(catalog, batch, &CseConfig::default(), true, &tag("cse"));
+    assert_same(batch, &cse.results, want, |i| i, &tag("cse"));
+    let (spools, mut index_joins) = (!plan.spools.is_empty(), joins_through_index(&plan));
+    let (plan, exhaustive) = run(
+        catalog,
+        batch,
+        &CseConfig::no_heuristics(),
+        true,
+        &tag("no-heuristics"),
+    );
+    index_joins |= joins_through_index(&plan);
+    assert_same(
+        batch,
+        &exhaustive.results,
+        want,
+        |i| i,
+        &tag("no-heuristics"),
+    );
+
+    // Every spool materialization faults: each consumer statement must be
+    // answered from its retained baseline, and say so.
+    let faulty = CseConfig {
+        failpoints: FailpointRegistry::from_specs(&[FailSpec {
+            site: sites::SPOOL_MATERIALIZE.to_string(),
+            probability: 1.0,
+            seed,
+        }]),
+        ..CseConfig::default()
+    };
+    let (plan, recovered) = run(catalog, batch, &faulty, false, &tag("spool-fault"));
+    index_joins |= joins_through_index(&plan);
+    assert_same(batch, &recovered.results, want, |i| i, &tag("spool-fault"));
+    assert_eq!(
+        recovered.events.is_empty(),
+        plan.spools.is_empty(),
+        "{}: recoveries {:?} for {} spools\n{}",
+        tag("spool-fault"),
+        recovered.events,
+        plan.spools.len(),
+        sql_of(batch)
+    );
+
+    // A duplicate statement shares everything with its twin; nobody's
+    // answer may move, the twin's included.
+    let mut longer = batch.to_vec();
+    longer.push(batch[twin].clone());
+    let (plan, out) = run(
+        catalog,
+        &longer,
+        &CseConfig::default(),
+        true,
+        &tag("duplicate"),
+    );
+    index_joins |= joins_through_index(&plan);
+    let n = batch.len();
+    assert_same(
+        &longer,
+        &out.results,
+        want,
+        |i| if i == n { twin } else { i },
+        &tag("duplicate"),
+    );
+
+    // Statement order decides consumer order, LCAs and who fills a spool.
+    let permuted: Vec<Stmt> = perm.iter().map(|i| batch[*i].clone()).collect();
+    let (plan, out) = run(
+        catalog,
+        &permuted,
+        &CseConfig::default(),
+        true,
+        &tag("permuted"),
+    );
+    index_joins |= joins_through_index(&plan);
+    assert_same(&permuted, &out.results, want, |i| perm[i], &tag("permuted"));
+    (spools, index_joins)
+}
+
+/// `customer` of `catalog` under a schema a generated insert can fill:
+/// every column nullable, and the join keys `Float`, so NULL and `Float`
+/// keys pass capture (the stored rows keep their `Int` keys).
+fn insertable_customers(catalog: &mut Catalog) {
+    let float = ["c_custkey", "c_nationkey"];
+    let declared = TpchTable::Customer.schema();
+    let columns = declared.columns().iter().map(|c| {
+        let ty = if float.contains(&c.name.as_str()) {
+            DataType::Float
+        } else {
+            c.data_type
+        };
+        ColumnDef::new(c.name.clone(), ty).nullable()
+    });
+    let schema = Schema::new(columns.collect());
+    let rows = catalog.table("customer").expect("customer").rows().to_vec();
+    catalog.replace_table(Table::with_rows("customer", schema, rows));
+}
+
+/// One generated insert: keys that exist (`0..18`, as `Float`), keys that
+/// don't (past the table, or between two keys), NULL keys.
+fn gen_customers(rng: &mut TestRng) -> Vec<Row> {
+    let schema = TpchTable::Customer.schema();
+    (0..rng.range_usize(1, 7))
+        .map(|_| {
+            let mut vals = vec![Value::Null; schema.len()];
+            let mut set = |name: &str, v: Value| vals[schema.index_of(name).expect("column")] = v;
+            let k = rng.range_i64(0, 18) as f64;
+            let custkey = match rng.range_usize(0, 4) {
+                0 => Value::Null,
+                1 => Value::Float(100.0 + k),
+                2 => Value::Float(k + 0.5),
+                _ => Value::Float(k),
+            };
+            set("c_custkey", custkey);
+            let nation = Value::Float(rng.range_i64(0, 8) as f64);
+            set("c_nationkey", nullable(nation, 0.1, rng));
+            set(
+                "c_mktsegment",
+                word(rng, &["AUTO", "BUILDING", "MACHINERY"]),
+            );
+            set("c_acctbal", quarters(rng, 100));
+            row(vals)
+        })
+        .collect()
+}
+
+/// §6.4 over a generated catalog: a view over one self-maintainable
+/// statement of a `customer` template, three generated inserts, and after
+/// each the view equals its recomputation and the catalog — the indexes
+/// the view added, appended to in place — verifies clean. The view is
+/// recomputed over a copy that takes the same inserts but has no index, so
+/// the oracle never joins through one.
+fn check_maintenance(catalog: &Catalog, rng: &mut TestRng, seed: u64) {
+    let definition = loop {
+        let family = *rng.pick(&[0, 1, 3]);
+        let stmt = gen_stmt(rng, family);
+        let merges = !stmt.sql.contains(" having ") && !stmt.sql.contains("avg(");
+        if merges && stmt.order.is_none() {
+            break stmt.sql;
+        }
+    };
+    let what = format!("seed {seed} [maintenance]");
+    let mut plain = catalog.clone();
+    insertable_customers(&mut plain);
+    let mut catalog = plain.clone();
+    let cfg = CseConfig::default();
+    create_materialized_view(&mut catalog, "mv", &definition, &cfg)
+        .unwrap_or_else(|e| panic!("{what}: {e}\n{definition}"));
+    for insert in 0..3 {
+        let rows = gen_customers(rng);
+        maintain_insert(&mut catalog, "customer", rows.clone(), &cfg)
+            .unwrap_or_else(|e| panic!("{what}: insert {insert}: {e}\n{definition}"));
+        let mut delta = DeltaTable::new("customer", plain.table("customer").unwrap().schema());
+        for r in &rows {
+            delta
+                .record(DeltaAction::Insert, r.clone())
+                .expect("captured above");
+        }
+        plain.apply_delta(&delta).expect("plain insert");
+        let o = optimize_sql(&plain, &definition, &CseConfig::no_cse()).expect("recompute");
+        let fresh = Engine::new(&plain, &o.ctx)
+            .execute(&o.plan)
+            .expect("recompute");
+        let fresh = fresh.results.into_iter().next().expect("one statement");
+        let stored = catalog.table("mv").expect("view table").rows().to_vec();
+        assert!(
+            ResultSet::new(fresh.columns.clone(), stored.clone()).approx_eq(&fresh, 1e-9),
+            "{what}: insert {insert} of {rows:?}\n  stored     {stored:?}\n  recomputed {:?}\n{definition}",
+            fresh.rows
+        );
+        let report = similar_subexpr::verify::verify_catalog(&catalog);
+        assert!(report.is_clean(), "{what}: {}", report.render());
+    }
+}
+
+/// Run one seed; whether its default plan used a spool, and whether a
+/// plan over the indexed catalog joined through an index.
+fn check_seed(seed: u64) -> (bool, bool) {
     let mut rng = TestRng::new(0xBA7C_4000 + seed);
     let catalog = gen_catalog(&mut rng);
     let batch = gen_batch(&mut rng);
@@ -389,81 +615,29 @@ fn check_seed(seed: u64) -> bool {
     let want = &reference.results;
     assert_same(&batch, want, want, |i| i, &tag("no-cse"));
 
-    let (spools, cse) = run(&catalog, &batch, &CseConfig::default(), true, &tag("cse"));
-    assert_same(&batch, &cse.results, want, |i| i, &tag("cse"));
-    let (_, exhaustive) = run(
-        &catalog,
-        &batch,
-        &CseConfig::no_heuristics(),
-        true,
-        &tag("no-heuristics"),
-    );
-    assert_same(
-        &batch,
-        &exhaustive.results,
-        want,
-        |i| i,
-        &tag("no-heuristics"),
-    );
-
-    // Every spool materialization faults: each consumer statement must be
-    // answered from its retained baseline, and say so.
-    let faulty = CseConfig {
-        failpoints: FailpointRegistry::from_specs(&[FailSpec {
-            site: sites::SPOOL_MATERIALIZE.to_string(),
-            probability: 1.0,
-            seed,
-        }]),
-        ..CseConfig::default()
-    };
-    let (faulty_spools, recovered) = run(&catalog, &batch, &faulty, false, &tag("spool-fault"));
-    assert_same(&batch, &recovered.results, want, |i| i, &tag("spool-fault"));
-    assert_eq!(
-        recovered.events.is_empty(),
-        faulty_spools == 0,
-        "{}: recoveries {:?} for {faulty_spools} spools\n{}",
-        tag("spool-fault"),
-        recovered.events,
-        sql_of(&batch)
-    );
-
-    // A duplicate statement shares everything with its twin; nobody's
-    // answer may move, the twin's included.
-    let twin = rng.range_usize(0, batch.len());
-    let mut longer = batch.clone();
-    longer.push(batch[twin].clone());
-    let (_, out) = run(
-        &catalog,
-        &longer,
-        &CseConfig::default(),
-        true,
-        &tag("duplicate"),
-    );
+    // The twin a duplicate statement copies and the permuted order.
     let n = batch.len();
-    assert_same(
-        &longer,
-        &out.results,
-        want,
-        |i| if i == n { twin } else { i },
-        &tag("duplicate"),
-    );
-
-    // Statement order decides consumer order, LCAs and who fills a spool.
+    let twin = rng.range_usize(0, n);
     let mut perm: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
         perm.swap(i, rng.range_usize(0, i + 1));
     }
-    let permuted: Vec<Stmt> = perm.iter().map(|i| batch[*i].clone()).collect();
-    let (_, out) = run(
-        &catalog,
-        &permuted,
-        &CseConfig::default(),
-        true,
-        &tag("permuted"),
-    );
-    assert_same(&permuted, &out.results, want, |i| perm[i], &tag("permuted"));
+    let (spools, _) = sharing_arms(&catalog, &batch, want, (twin, &perm), seed, &tag);
 
-    spools > 0
+    let indexed = indexed(&catalog);
+    let tag = |arm: &str| format!("seed {seed} [indexed {arm}]");
+    let (plan, out) = run(
+        &indexed,
+        &batch,
+        &CseConfig::no_cse(),
+        false,
+        &tag("no-cse"),
+    );
+    assert_same(&batch, &out.results, want, |i| i, &tag("no-cse"));
+    let (_, index_joins) = sharing_arms(&indexed, &batch, want, (twin, &perm), seed, &tag);
+
+    check_maintenance(&catalog, &mut rng, seed);
+    (spools, index_joins || joins_through_index(&plan))
 }
 
 #[test]
@@ -478,11 +652,19 @@ fn generated_batches_agree_on_every_rung() {
         Some(n) => (0..n).collect(),
         None => (0..40).chain([253]).collect(),
     };
-    let shared = seeds.iter().filter(|s| check_seed(**s)).count();
-    // A generator that never produces a sharing batch tests nothing.
+    let outcomes: Vec<(bool, bool)> = seeds.iter().map(|s| check_seed(*s)).collect();
+    let shared = outcomes.iter().filter(|o| o.0).count();
+    let index_joins = outcomes.iter().filter(|o| o.1).count();
+    // A generator that never produces a sharing batch tests nothing, and
+    // an indexed arm that never joins through an index tests no index join.
     assert!(
         shared * 3 >= seeds.len(),
         "only {shared} of {} generated batches used a spool",
+        seeds.len()
+    );
+    assert!(
+        index_joins * 3 >= seeds.len(),
+        "only {index_joins} of {} indexed batches joined through an index",
         seeds.len()
     );
 }

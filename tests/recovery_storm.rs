@@ -414,6 +414,21 @@ fn journaled_view_maintenance_recovers_to_the_live_catalog() {
     assert!(info.verify.is_clean(), "{}", info.verify.render());
     catalogs_equivalent(&live, &recovered).unwrap();
     catalogs_equivalent(&plain, &recovered).unwrap();
+    // The views' join indexes were journaled with them. The live ones took
+    // every insert in place; recovery rebuilt them: the same indexes.
+    let hash_indexes = |c: &Catalog, t: &str| -> Vec<_> {
+        let e = c.get(t).unwrap();
+        e.hash_indexes.iter().map(|i| i.as_ref().clone()).collect()
+    };
+    let indexed = ["customer", "orders", "lineitem", "nation"];
+    assert_eq!(
+        indexed.map(|t| hash_indexes(&recovered, t).len()),
+        [2, 2, 1, 1]
+    );
+    for t in indexed {
+        assert_eq!(hash_indexes(&live, t), hash_indexes(&recovered, t), "{t}");
+        assert_eq!(hash_indexes(&plain, t), hash_indexes(&recovered, t), "{t}");
+    }
     assert_eq!(
         recovered.table("customer").unwrap().row_count(),
         seeded.table("customer").unwrap().row_count() + 20 + 21 + 22

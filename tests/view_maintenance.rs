@@ -89,6 +89,44 @@ fn maintenance_batch_detects_sharing() {
     assert!(report.cse.final_cost < report.cse.baseline_cost);
 }
 
+/// §6.4 at the size of the delta: the views' equijoin columns are indexed
+/// at creation, so the shared delta ⋈ orders ⋈ lineitem probes them per
+/// delta row instead of scanning both tables, and the batch still shares.
+#[test]
+fn a_small_delta_is_joined_through_indexes() {
+    let cfg = CseConfig::default();
+    let mut catalog = generate_catalog(&TpchConfig::new(0.002));
+    for (name, def) in workloads::maintenance_views() {
+        create_materialized_view(&mut catalog, name, &def, &cfg).unwrap();
+    }
+    let indexed = |t: &str| catalog.get(t).unwrap().hash_indexes.len();
+    let counts = ["customer", "orders", "lineitem", "nation"].map(indexed);
+    assert_eq!(
+        counts,
+        [2, 2, 1, 1],
+        "c_custkey, c_nationkey, o_custkey, ..."
+    );
+    let rows_of = |t: &str| catalog.table(t).unwrap().row_count();
+    let (orders, lineitem) = (rows_of("orders"), rows_of("lineitem"));
+
+    let rows = experiments::returning_customers(&catalog, 50);
+    let report = maintain_insert(&mut catalog, "customer", rows, &cfg).unwrap();
+    let scanned = report.metrics.base_rows_scanned;
+    assert!(
+        scanned * 4 < orders + lineitem,
+        "a 50-row delta scanned {scanned} rows of {orders} orders + {lineitem} lineitems"
+    );
+    let plan = report.plan.expect("the views read customer");
+    let defs: Vec<String> = plan.spools.values().map(|s| s.plan.render()).collect();
+    assert!(
+        defs.iter().any(|d| d.contains("IndexNlJoin")),
+        "spools: {defs:?}"
+    );
+    for (name, _) in workloads::maintenance_views() {
+        assert_view_is_fresh(&catalog, name);
+    }
+}
+
 #[test]
 fn maintenance_cost_factor_matches_paper_shape() {
     // Paper: maintenance time reduced by about 3x. Compare estimated costs
