@@ -185,30 +185,50 @@ rm -rf "$data_dir"
 # whose first field is the correctness verdict.
 # Building benchmark/ without --locked lets cargo prune its Cargo.lock of
 # packages the tree no longer has; that file is frozen, so put it back.
-echo "==> benchmark smoke (no-share, serve-mix, share-batch, opt-heavy, view-maint: verdict; opt-heavy memo size; view-maint sharing)"
+echo "==> benchmark smoke (every workload: verdict; share-batch and opt-heavy: candidate, spool and re-optimization counts, memo size; view-maint sharing)"
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
+# The value of one traced metric in a result line.
+metric() {
+  grep -oE "\"$1\": \{\"value\": [0-9]+" <<<"$2" | grep -oE '[0-9]+$' || true
+}
 for workload in no-share serve-mix share-batch opt-heavy view-maint; do
-  # opt-heavy and view-maint run traced: memo size and maintenance
-  # candidates are deterministic counts.
+  # share-batch, opt-heavy and view-maint run traced: their counts are
+  # deterministic.
   trace=0
-  [[ "$workload" == opt-heavy || "$workload" == view-maint ]] && trace=1
+  [[ "$workload" == share-batch || "$workload" == opt-heavy || "$workload" == view-maint ]] && trace=1
   verdict=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seconds 2 --trace "$trace" | tail -n 1)
   [[ "$verdict" == '{"correct": true,'* ]] \
     || { echo "benchmark $workload verdict: $verdict"; exit 1; }
+  # Candidate generation may get cheaper, not different: a change that
+  # drops or adds a candidate, a spool or a re-optimization fails here.
+  # Each row is "metric share-batch opt-heavy".
+  if [[ "$workload" == share-batch || "$workload" == opt-heavy ]]; then
+    while read -r name share opt; do
+      want=$share
+      [[ "$workload" == opt-heavy ]] && want=$opt
+      got=$(metric "$name" "$verdict")
+      [[ "$got" == "$want" ]] \
+        || { echo "$workload $name is '${got}', expected $want"; exit 1; }
+    done <<'COUNTS'
+core.candidates 56 45
+core.spools_used 33 15
+core.cse_optimizations 113 339
+COUNTS
+  fi
   if [[ "$workload" == opt-heavy ]]; then
     # One group per logical join: 4 137 expressions today, 15 405 when
     # every join order reached a join got a group of its own.
-    gexprs=$(grep -oE '"memo\.gexprs": \{"value": [0-9]+' <<<"$verdict" | grep -oE '[0-9]+$')
+    gexprs=$(metric memo.gexprs "$verdict")
     [[ -n "$gexprs" && "$gexprs" -le 5000 ]] \
       || { echo "opt-heavy memo.gexprs is '${gexprs}', above 5000"; exit 1; }
   fi
   if [[ "$workload" == view-maint ]]; then
     # The maintenance batch joins a small delta through indexes, which is
     # cheap; it must still share (80: one candidate per traced insert).
-    candidates=$(grep -oE '"maintenance\.candidates": \{"value": [0-9]+' <<<"$verdict" | grep -oE '[0-9]+$')
+    candidates=$(metric maintenance.candidates "$verdict")
     [[ -n "$candidates" && "$candidates" -gt 0 ]] \
       || { echo "view-maint maintenance.candidates is '${candidates}': the batch stopped sharing"; exit 1; }
   fi

@@ -10,6 +10,11 @@
 //! - disjunction on the right (`p ⇒ q1 ∨ q2` if `p ⇒ q1` or `p ⇒ q2`),
 //! - conjunction on both sides.
 //!
+//! [`Antecedent`] is the prover: it holds the left side normalized, so a
+//! caller testing one predicate against many (a covering predicate against
+//! every conjunct of every consumer) normalizes it once. `implies` is
+//! `Antecedent::new(p).implies(q)`.
+//!
 //! The single-column range is [`Interval`], the one such type in the tree:
 //! the covering hull, lint's refutation and index narrowing read it too.
 
@@ -196,8 +201,16 @@ impl Interval {
 /// Extract per-column intervals from the col-vs-literal conjuncts of `p`.
 /// Equality `c = v` pins both bounds.
 pub fn column_ranges(p: &Scalar) -> BTreeMap<ColRef, Interval> {
+    ranges_of(&p.conjuncts())
+}
+
+/// [`column_ranges`] of the conjunction of `conjuncts`, bounds tightened
+/// in list order.
+pub fn ranges_of<'a>(
+    conjuncts: impl IntoIterator<Item = &'a Scalar>,
+) -> BTreeMap<ColRef, Interval> {
     let mut out: BTreeMap<ColRef, Interval> = BTreeMap::new();
-    for conj in p.conjuncts() {
+    for conj in conjuncts {
         if let Some((col, op, v)) = conj.as_col_vs_lit() {
             out.entry(col).or_default().tighten(op, v);
         }
@@ -228,44 +241,90 @@ fn hull_side<'a>(bounds: impl Iterator<Item = &'a Side>, looser: Ordering) -> Re
 
 /// Conservative implication: true only when provable.
 pub fn implies(p: &Scalar, q: &Scalar) -> bool {
-    let q = q.normalize();
-    if q.is_true() {
-        return true;
+    Antecedent::new(p).implies(q)
+}
+
+/// The left side of [`implies`], prepared once for many right sides: `p`
+/// normalized, and either its disjuncts (each prepared the same way) or the
+/// column ranges its conjuncts bound. Nothing is normalized twice, which is
+/// sound because `normalize` is idempotent: every sub-term of a normalized
+/// predicate is its own normal form.
+#[derive(Debug, Clone)]
+pub struct Antecedent {
+    p: Scalar,
+    form: Form,
+}
+
+#[derive(Debug, Clone)]
+enum Form {
+    /// `p1 ∨ p2 ∨ …`: implies `q` iff every branch does.
+    Or(Vec<Antecedent>),
+    /// Any other predicate, read as a conjunction, with its ranges.
+    Conjuncts(BTreeMap<ColRef, Interval>),
+}
+
+/// The conjuncts of a normalized predicate: normalization keeps an AND flat.
+fn conjuncts_of(p: &Scalar) -> &[Scalar] {
+    match p {
+        Scalar::And(ps) => ps,
+        p => std::slice::from_ref(p),
     }
-    let p = p.normalize();
-    if p == q {
-        return true;
+}
+
+impl Antecedent {
+    pub fn new(p: &Scalar) -> Self {
+        Antecedent::of_normal(p.normalize())
     }
-    // Disjunction on the left: p1∨p2 ⇒ q iff p1 ⇒ q and p2 ⇒ q.
-    if let Scalar::Or(ps) = &p {
-        if !ps.is_empty() {
-            return ps.iter().all(|pi| implies(pi, &q));
+
+    fn of_normal(p: Scalar) -> Self {
+        let form = match &p {
+            Scalar::Or(ps) if !ps.is_empty() => {
+                Form::Or(ps.iter().cloned().map(Antecedent::of_normal).collect())
+            }
+            _ => Form::Conjuncts(ranges_of(conjuncts_of(&p))),
+        };
+        Antecedent { p, form }
+    }
+
+    /// The antecedent, normalized.
+    pub fn into_predicate(self) -> Scalar {
+        self.p
+    }
+
+    /// Does every row satisfying the antecedent provably satisfy `q`?
+    pub fn implies(&self, q: &Scalar) -> bool {
+        self.implies_normal(&q.normalize())
+    }
+
+    fn implies_normal(&self, q: &Scalar) -> bool {
+        if q.is_true() || self.p == *q {
+            return true;
         }
-    }
-    match &q {
-        Scalar::And(qs) => return qs.iter().all(|qi| implies(&p, qi)),
-        Scalar::Or(qs) => {
-            // p ⇒ q1∨q2 if p ⇒ some qi, or if p itself is a disjunction
-            // whose every branch implies q.
-            return qs.iter().any(|qi| implies(&p, qi));
+        let ranges = match &self.form {
+            // Disjunction on the left: p1∨p2 ⇒ q iff p1 ⇒ q and p2 ⇒ q.
+            Form::Or(branches) => return branches.iter().all(|b| b.implies_normal(q)),
+            Form::Conjuncts(ranges) => ranges,
+        };
+        match q {
+            Scalar::And(qs) => return qs.iter().all(|qi| self.implies_normal(qi)),
+            // p ⇒ q1∨q2 if p ⇒ some qi.
+            Scalar::Or(qs) => return qs.iter().any(|qi| self.implies_normal(qi)),
+            _ => {}
         }
-        _ => {}
-    }
-    // q is now an atom. Check syntactic containment among p's conjuncts.
-    let p_conjuncts = p.conjuncts();
-    if p_conjuncts.contains(&q) {
-        return true;
-    }
-    // Range reasoning for col-vs-literal atoms.
-    if let Some((qcol, qop, qv)) = q.as_col_vs_lit() {
-        let ranges = column_ranges(&p);
-        if let Some(iv) = ranges.get(&qcol) {
-            let mut target = Interval::default();
-            target.tighten(qop, qv);
-            return qop != CmpOp::Ne && iv.within(&target);
+        // q is now an atom. Check syntactic containment among p's conjuncts.
+        if conjuncts_of(&self.p).contains(q) {
+            return true;
         }
+        // Range reasoning for col-vs-literal atoms.
+        if let Some((qcol, qop, qv)) = q.as_col_vs_lit() {
+            if let Some(iv) = ranges.get(&qcol) {
+                let mut target = Interval::default();
+                target.tighten(qop, qv);
+                return qop != CmpOp::Ne && iv.within(&target);
+            }
+        }
+        false
     }
-    false
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
 //! Candidate generation (paper §4.3): Algorithm 1's greedy merging plus
 //! the four cost-based heuristics.
+//!
+//! H2's trivial candidates and Algorithm 1's merge trials are costed from
+//! their shapes (construction steps 1–5) and name their members by index
+//! into the compatible group's [`Construction`]. A definition plan and
+//! member copies are made only for a candidate that leaves a round.
 
-use crate::compat::{
-    partition_compatible, prepare_consumers, prepare_onto, CompatibleGroup, PreparedConsumer,
-};
+use crate::compat::{partition_compatible, prepare_consumers, prepare_onto, PreparedConsumer};
 use crate::config::{CostBounds, PhaseCtx};
-use crate::construct::{construct, ConstructedCse};
+use crate::construct::{ConstructedCse, Construction, CseShape};
 use crate::manager::CseManager;
 use cse_cost::{Cardinality, Selectivity, StatsCatalog};
 use cse_govern::BudgetTrip;
@@ -26,20 +29,65 @@ pub struct CostedCandidate {
     pub ce_lower: f64,
 }
 
-/// Estimate a constructed CSE's work-table cardinality and width.
-pub fn estimate_cse(memo: &Memo, stats: &StatsCatalog, cse: &ConstructedCse) -> (f64, f64) {
+/// Estimate a CSE's work-table cardinality and width from its shape.
+pub fn estimate_cse(memo: &Memo, stats: &StatsCatalog, shape: &CseShape) -> (f64, f64) {
     let card = Cardinality::new(&memo.ctx, stats);
     let sel = Selectivity::new(&memo.ctx, stats);
-    let rels = &cse.members[0].normal.spj.rels;
-    let mut rows = card.spj_rows(rels, &cse.join_conjuncts);
-    rows *= sel.of(&cse.covering).max(1e-12);
+    let mut rows = card.spj_rows(&shape.rels, &shape.join_conjuncts);
+    rows *= sel.of(&shape.covering).max(1e-12);
     rows = rows.max(1.0);
-    let rows = match &cse.group {
+    let rows = match &shape.group {
         Some((keys, _, _)) => card.group_rows(keys, rows),
         None => rows,
     };
-    let width = card.width_of(&cse.output);
+    let width = card.width_of(&shape.output);
     (rows, width)
+}
+
+/// The cost ingredients of a shape over its members.
+#[derive(Debug, Clone, Copy)]
+struct ShapeCost {
+    est_rows: f64,
+    est_width: f64,
+    cw: f64,
+    cr: f64,
+    ce_lower: f64,
+}
+
+impl ShapeCost {
+    fn of<'m>(
+        memo: &Memo,
+        ctx: &PhaseCtx,
+        shape: &CseShape,
+        members: impl IntoIterator<Item = &'m PreparedConsumer>,
+    ) -> Self {
+        let (est_rows, est_width) = estimate_cse(memo, ctx.stats, shape);
+        let model = &ctx.cfg.cost_model;
+        let bounds = members.into_iter().map(|m| ctx.bounds.lower(m.group));
+        ShapeCost {
+            est_rows,
+            est_width,
+            cw: model.spool_write(est_rows, est_width),
+            cr: model.spool_read(est_rows, est_width),
+            ce_lower: bounds.fold(0.0, f64::max),
+        }
+    }
+
+    fn shared(&self, consumers: usize) -> f64 {
+        shared(self.ce_lower, self.cw, self.cr, consumers)
+    }
+
+    fn candidate(self, cse: ConstructedCse, signature: TableSignature) -> CostedCandidate {
+        CostedCandidate {
+            cse,
+            signature,
+            est_rows: self.est_rows,
+            est_width: self.est_width,
+            cw: self.cw,
+            cr: self.cr,
+            ce_lower: self.ce_lower,
+        }
+    }
 }
 
 /// Cost a constructed CSE.
@@ -49,29 +97,16 @@ pub fn cost_candidate(
     signature: TableSignature,
     cse: ConstructedCse,
 ) -> CostedCandidate {
-    let (est_rows, est_width) = estimate_cse(memo, ctx.stats, &cse);
-    let model = &ctx.cfg.cost_model;
-    let cw = model.spool_write(est_rows, est_width);
-    let cr = model.spool_read(est_rows, est_width);
-    let ce_lower = cse
-        .members
-        .iter()
-        .map(|m| ctx.bounds.lower(m.group))
-        .fold(0.0, f64::max);
-    CostedCandidate {
-        cse,
-        signature,
-        est_rows,
-        est_width,
-        cw,
-        cr,
-        ce_lower,
-    }
+    ShapeCost::of(memo, ctx, &cse.shape, &cse.members).candidate(cse, signature)
 }
 
 /// Shared-usage cost of a candidate: C_E + C_W + N · C_R (§4.3.3).
 pub fn shared_cost(c: &CostedCandidate) -> f64 {
-    c.ce_lower + c.cw + c.cse.members.len() as f64 * c.cr
+    shared(c.ce_lower, c.cw, c.cr, c.cse.members.len())
+}
+
+fn shared(ce_lower: f64, cw: f64, cr: f64, consumers: usize) -> f64 {
+    ce_lower + cw + consumers as f64 * cr
 }
 
 /// Heuristic 1: only bother when the consumers amount to a significant
@@ -88,26 +123,28 @@ pub fn h1_worthwhile(
 
 /// Heuristic 2: drop consumers whose results are so large that
 /// materializing + reading them beats recomputation even with perfect
-/// sharing. Returns the surviving members.
+/// sharing. Returns the indices of the surviving members of `build`;
+/// `trials` counts the trivial shapes costed.
 pub fn h2_filter_consumers(
     memo: &mut Memo,
     ctx: &PhaseCtx,
-    members: Vec<PreparedConsumer>,
-) -> Vec<PreparedConsumer> {
+    build: &Construction,
+    trials: &mut u64,
+) -> Vec<usize> {
+    let members = build.members();
     let n = members.len() as f64;
     let model = &ctx.cfg.cost_model;
-    members
-        .into_iter()
-        .filter(|m| {
+    (0..members.len())
+        .filter(|&i| {
             // Trivial CSE covering this member alone gives its C_W / C_R.
-            let trivial = match construct(memo, vec![m.clone()], ctx.required) {
-                Some(t) => t,
-                None => return false,
+            let Some(trivial) = build.shape(memo, &[i]) else {
+                return false;
             };
+            *trials += 1;
             let (rows, width) = estimate_cse(memo, ctx.stats, &trivial);
             let cw = model.spool_write(rows, width);
             let cr = model.spool_read(rows, width);
-            let upper = ctx.bounds.upper(m.group);
+            let upper = ctx.bounds.upper(members[i].group);
             // Discard if computing from scratch is cheaper than even the
             // best-case shared usage: C_upper < C_R + (C_upper + C_W)/N.
             upper >= cr + (upper + cw) / n
@@ -115,8 +152,11 @@ pub fn h2_filter_consumers(
         .collect()
 }
 
-/// Algorithm 1: greedily merge trivial candidates while the benefit Δ is
-/// positive; restart over the leftovers. Returns the merged candidates.
+/// Algorithm 1 over the members of `build` at `set`: greedily merge
+/// trivial candidates while the benefit Δ is positive; restart over the
+/// leftovers. Returns the merged candidates; `trials` counts the merge
+/// trials costed. Without heuristics, the one candidate covering all of
+/// `set`.
 ///
 /// The greedy merge loop is the combinatorial heart of candidate
 /// generation (quadratic trials per round), so the budget clock's
@@ -127,20 +167,30 @@ pub fn create_candidates(
     memo: &mut Memo,
     ctx: &PhaseCtx,
     signature: &TableSignature,
-    group: &CompatibleGroup,
+    build: &Construction,
+    set: Vec<usize>,
+    trials: &mut u64,
 ) -> Result<Vec<CostedCandidate>, BudgetTrip> {
-    let members = group.members.clone();
-    if members.len() < 2 {
+    if set.len() < 2 {
         return Ok(Vec::new());
     }
+    let members = build.members();
+    let costed = |memo: &mut Memo, set: &[usize]| {
+        let shape = build.shape(memo, set)?;
+        let of_set = set.iter().map(|&i| &members[i]);
+        Some((ShapeCost::of(memo, ctx, &shape, of_set), shape))
+    };
+    let keep = |set: &[usize], (cost, shape): (ShapeCost, CseShape)| {
+        let cse = build.build(set, shape)?;
+        Some(cost.candidate(cse, signature.clone()))
+    };
     if !ctx.cfg.gen.heuristics {
         // One candidate covering every compatible consumer.
-        return Ok(construct(memo, members, ctx.required)
-            .map(|c| cost_candidate(memo, ctx, signature.clone(), c))
-            .into_iter()
-            .collect());
+        let one = costed(memo, &set).and_then(|c| keep(&set, c));
+        return Ok(one.into_iter().collect());
     }
-    let mut rest: Vec<PreparedConsumer> = members;
+    let lower = |i: usize| ctx.bounds.lower(members[i].group);
+    let mut rest = set;
     let mut out: Vec<CostedCandidate> = Vec::new();
     while rest.len() > 1 {
         ctx.clock.check_time("generation/algorithm1")?;
@@ -148,33 +198,34 @@ pub fn create_candidates(
         // scratch; once merged, the current set costs what its winning
         // trial did, and that trial is the candidate the round ends with.
         let seed = rest.remove(0);
-        let mut sep_current = ctx.bounds.lower(seed.group);
-        let mut current: Vec<PreparedConsumer> = vec![seed];
-        let mut merged: Option<CostedCandidate> = None;
+        let mut sep_current = lower(seed);
+        let mut current: Vec<usize> = vec![seed];
+        let mut merged: Option<(ShapeCost, CseShape)> = None;
         loop {
             ctx.clock.check_time("generation/algorithm1")?;
             // Pick the remaining member with the best merge benefit Δ:
             // separate costs minus the merged candidate's shared cost.
-            let mut best: Option<(usize, f64, CostedCandidate)> = None;
-            for (i, m) in rest.iter().enumerate() {
-                let mut trial_members = current.clone();
-                trial_members.push(m.clone());
-                let trial = match construct(memo, trial_members, ctx.required) {
-                    Some(t) => cost_candidate(memo, ctx, signature.clone(), t),
-                    None => continue,
+            let mut best: Option<(usize, f64, (ShapeCost, CseShape))> = None;
+            let mut trial = current.clone();
+            for (i, &m) in rest.iter().enumerate() {
+                trial.truncate(current.len());
+                trial.push(m);
+                let Some(costed) = costed(memo, &trial) else {
+                    continue;
                 };
-                let delta = sep_current + ctx.bounds.lower(m.group) - shared_cost(&trial);
-                if delta > 0.0 && best.as_ref().map(|(_, d, _)| delta > *d).unwrap_or(true) {
-                    best = Some((i, delta, trial));
+                *trials += 1;
+                let delta = sep_current + lower(m) - costed.0.shared(trial.len());
+                if delta > 0.0 && best.as_ref().is_none_or(|(_, d, _)| delta > *d) {
+                    best = Some((i, delta, costed));
                 }
             }
-            let Some((i, _, trial)) = best else { break };
+            let Some((i, _, costed)) = best else { break };
             current.push(rest.remove(i));
-            sep_current = shared_cost(&trial);
-            merged = Some(trial);
+            sep_current = costed.0.shared(current.len());
+            merged = Some(costed);
         }
         // An unmerged seed is dropped; the loop restarts over the leftovers.
-        out.extend(merged);
+        out.extend(merged.and_then(|c| keep(&current, c)));
     }
     Ok(out)
 }
@@ -232,25 +283,30 @@ pub fn is_contained(mgr: &CseManager, child: &CostedCandidate, parent: &CostedCa
 }
 
 /// Full generation for one sharable set: H1 → compatibility → H1 → H2 →
-/// Algorithm 1 (H3). H4 runs across sets afterwards.
+/// Algorithm 1 (H3). H4 runs across sets afterwards. `trials` counts the
+/// shapes H2 and Algorithm 1 cost.
 pub fn generate_for_set(
     memo: &mut Memo,
     ctx: &PhaseCtx,
     signature: &TableSignature,
     consumers: &[GroupId],
     query_cost: f64,
+    trials: &mut u64,
 ) -> Result<Vec<CostedCandidate>, BudgetTrip> {
     let (cfg, bounds) = (&ctx.cfg.gen, ctx.bounds);
     if cfg.heuristics && !h1_worthwhile(bounds, consumers, query_cost, cfg.alpha) {
         return Ok(Vec::new());
     }
     let prepared = prepare_consumers(memo, consumers);
-    // The memo performs no group merging, so logically identical
-    // expressions reached through different transformation paths can sit in
-    // distinct groups. Generation runs over one representative per normal
-    // form (quadratic merge trials over duplicates are pure waste);
-    // duplicates rejoin the constructed candidates afterwards so every
-    // group still receives its view-matching substitute.
+    // Every query block has its own rel instances, and the memo keys a
+    // group by them, so one join with the same local predicates in two
+    // blocks is two groups with one aligned normal form: `orders ⋈
+    // lineitem` under each of Table 1's statements, the outer block and the
+    // HAVING subquery of the nested query, `lineitem ⋈ supplier` in both of
+    // Table 4's. Generation runs over one representative per normal form
+    // (quadratic merge trials over duplicates are pure waste); duplicates
+    // rejoin the constructed candidates afterwards so every group still
+    // receives its view-matching substitute.
     let mut unique: Vec<PreparedConsumer> = Vec::new();
     let mut duplicates: Vec<(usize, PreparedConsumer)> = Vec::new();
     for p in prepared {
@@ -261,10 +317,9 @@ pub fn generate_for_set(
     }
     let unique_keys: Vec<cse_algebra::SpjgNormal> =
         unique.iter().map(|u| u.normal.clone()).collect();
-    let prepared = unique;
-    let groups = partition_compatible(&memo.ctx, prepared);
+    let groups = partition_compatible(&memo.ctx, unique);
     let mut out = Vec::new();
-    for mut g in groups {
+    for g in groups {
         if g.members.len() < 2 {
             continue;
         }
@@ -273,12 +328,16 @@ pub fn generate_for_set(
             if !h1_worthwhile(bounds, &ids, query_cost, cfg.alpha) {
                 continue;
             }
-            g.members = h2_filter_consumers(memo, ctx, g.members);
-            if g.members.len() < 2 {
-                continue;
-            }
         }
-        out.extend(create_candidates(memo, ctx, signature, &g)?);
+        let build = Construction::new(memo, &g.members, ctx.required);
+        let set = if cfg.heuristics {
+            h2_filter_consumers(memo, ctx, &build, trials)
+        } else {
+            (0..g.members.len()).collect()
+        };
+        out.extend(create_candidates(
+            memo, ctx, signature, &build, set, trials,
+        )?);
     }
     // Re-attach duplicate groups: a duplicate consumes the candidate
     // exactly like the representative it mirrors.
@@ -291,9 +350,9 @@ pub fn generate_for_set(
                 .iter()
                 .position(|m| &m.normal == rep_normal)
             {
-                let simplified = cand.cse.simplified[pos].clone();
+                let simplified = cand.cse.shape.simplified[pos].clone();
                 cand.cse.members.push(dup.clone());
-                cand.cse.simplified.push(simplified);
+                cand.cse.shape.simplified.push(simplified);
             }
         }
     }
@@ -323,13 +382,13 @@ pub(crate) fn extend_with_stacked_consumers(
             {
                 continue;
             }
-            let anchor = &cand.cse.members[0].normal.spj.rels;
+            let anchor = &cand.cse.shape.rels;
             let Some(consumer) = prepare_onto(memo, Some(anchor), g) else {
                 continue;
             };
             if let Some(simplified) = cand.cse.admit(&consumer) {
                 cand.cse.members.push(consumer);
-                cand.cse.simplified.push(simplified);
+                cand.cse.shape.simplified.push(simplified);
             }
         }
     }

@@ -115,6 +115,10 @@ pub struct CseReport {
     pub candidates: Vec<CandidateSummary>,
     /// CSE re-optimizations performed (paper: bracketed count).
     pub cse_optimizations: u32,
+    /// Shapes costed during generation: H2's trivial candidates and
+    /// Algorithm 1's merge trials. Deterministic, so a change to the search
+    /// shows as a count rather than as a timing.
+    pub trials: u64,
     /// `optimize_group` cache misses of the normal phases plus those of the
     /// rung that produced the plan: the size of the search, whatever one
     /// group optimization costs.

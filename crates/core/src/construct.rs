@@ -11,25 +11,35 @@
 //! 4. union group-by keys (+ covering-predicate columns) and aggregation
 //!    expressions when aggregation is required;
 //! 5. project exactly the columns consumers require;
-//! 6. (the spool operator is implicit: the optimizer charges C_W/C_R and
-//!    the executor materializes the work table).
+//! 6. build the definition plan (the spool operator is implicit: the
+//!    optimizer charges C_W/C_R and the executor materializes the work
+//!    table).
+//!
+//! Steps 1–5 make a candidate's [`CseShape`], which is everything costing
+//! reads; step 6 makes its plan. Algorithm 1 costs each merge trial from
+//! its shape and builds a plan only for the candidate a round keeps, and
+//! [`construct`] is the two in a row. A [`Construction`] holds what the
+//! shape reads of each member of one compatible group — the step-2
+//! predicate with its conjuncts and column ranges, and the columns the
+//! member's ancestors require — so that a trial over any subset of the
+//! group recomputes them only when its intersected classes differ from the
+//! group's.
 
 use crate::compat::PreparedConsumer;
-use crate::required::RequiredCols;
+use crate::required::{required_of, RequiredCols};
 use cse_algebra::{
-    classes_to_conjuncts, implies, intersect_all, AggExpr, CmpOp, ColRef, Interval, LogicalPlan,
-    RelId, RelSet, Scalar,
+    classes_to_conjuncts, implies, intersect_all, intersect_classes, ranges_of, AggExpr,
+    Antecedent, CmpOp, ColRef, Interval, LogicalPlan, RelId, RelSet, Scalar,
 };
 use cse_memo::{AggInput, Memo};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A constructed covering subexpression (pre-costing).
-#[derive(Debug, Clone)]
-pub struct ConstructedCse {
-    /// The consumers covered, in anchor space.
-    pub members: Vec<PreparedConsumer>,
-    /// SPJG definition plan (anchor space), without the spool.
-    pub plan: LogicalPlan,
+/// Steps 1–5 of a covering subexpression over a member set: everything
+/// costing reads, which is everything but the definition plan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CseShape {
+    /// The anchor rels, which every member is aligned onto.
+    pub rels: Vec<RelId>,
     /// Work-table column layout.
     pub output: Vec<ColRef>,
     /// Covering selection predicate (TRUE when consumers' predicates
@@ -39,147 +49,254 @@ pub struct ConstructedCse {
     pub join_classes: Vec<BTreeSet<ColRef>>,
     /// Equijoin conjuncts from the intersected classes.
     pub join_conjuncts: Vec<Scalar>,
-    /// Per-member simplified predicate (step 2), parallel to `members`.
+    /// Per-member simplified predicate (step 2), in member order.
     pub simplified: Vec<Scalar>,
     /// Group-by of the CSE, if aggregation is required.
     pub group: Option<(Vec<ColRef>, Vec<AggExpr>, RelId)>,
 }
 
-/// Build the CSE covering `members` (≥1). Returns `None` when members mix
-/// grouped/ungrouped shapes (cannot happen for same-signature sets) or no
-/// member survives normalization.
+/// A constructed covering subexpression (pre-costing): its members, its
+/// shape and the definition plan built from the shape.
+#[derive(Debug, Clone)]
+pub struct ConstructedCse {
+    /// The consumers covered, in anchor space; `shape.simplified` is
+    /// parallel to them.
+    pub members: Vec<PreparedConsumer>,
+    pub shape: CseShape,
+    /// SPJG definition plan (anchor space), without the spool.
+    pub plan: LogicalPlan,
+}
+
+/// Build the CSE covering `members` (≥1): its shape, then its plan.
+/// Returns `None` when members mix grouped/ungrouped shapes (cannot happen
+/// for same-signature sets) or no member survives normalization.
 pub fn construct(
     memo: &mut Memo,
     members: Vec<PreparedConsumer>,
     required: &RequiredCols,
 ) -> Option<ConstructedCse> {
-    if members.is_empty() {
-        return None;
+    let all: Vec<usize> = (0..members.len()).collect();
+    let shape = Construction::new(memo, &members, required).shape(memo, &all)?;
+    let plan = shape.plan()?;
+    Some(ConstructedCse {
+        members,
+        shape,
+        plan,
+    })
+}
+
+/// The members of one compatible group, with what construction reads of
+/// each computed once: the step-2 branch under the group's intersected
+/// classes, and the anchor-space columns the member's ancestors require.
+pub struct Construction<'a> {
+    members: &'a [PreparedConsumer],
+    classes: Vec<BTreeSet<ColRef>>,
+    branches: Vec<Branch>,
+    needs: Vec<BTreeSet<ColRef>>,
+}
+
+impl<'a> Construction<'a> {
+    pub fn new(memo: &Memo, members: &'a [PreparedConsumer], required: &RequiredCols) -> Self {
+        let classes: Vec<_> = members.iter().map(|m| m.classes.clone()).collect();
+        let classes = intersect_all(&classes);
+        let branches = members
+            .iter()
+            .map(|m| Branch::of(memo, m, &classes))
+            .collect();
+        let needs = members
+            .iter()
+            .map(|m| {
+                let need = required_of(required, m.group).into_iter();
+                need.map(|c| m.alignment.col(c)).collect()
+            })
+            .collect();
+        Construction {
+            members,
+            classes,
+            branches,
+            needs,
+        }
     }
-    let grouped = members[0].normal.has_group();
-    if members.iter().any(|m| m.normal.has_group() != grouped) {
-        return None;
+
+    pub fn members(&self) -> &'a [PreparedConsumer] {
+        self.members
     }
-    let rels: Vec<RelId> = members[0].normal.spj.rels.clone();
 
-    // Step 1: intersected equivalence classes → join conjuncts.
-    let class_collections: Vec<_> = members.iter().map(|m| m.classes.clone()).collect();
-    let inter = intersect_all(&class_collections);
-    let join_conjuncts = classes_to_conjuncts(&inter);
+    /// Steps 1–5 over the members at `set`, which become the shape's member
+    /// order. `None` as for [`construct`].
+    pub fn shape(&self, memo: &mut Memo, set: &[usize]) -> Option<CseShape> {
+        let members: Vec<&PreparedConsumer> = set.iter().map(|&i| &self.members[i]).collect();
+        let (first, rest) = members.split_first()?;
+        let grouped = first.normal.has_group();
+        if rest.iter().any(|m| m.normal.has_group() != grouped) {
+            return None;
+        }
+        let rels: Vec<RelId> = first.normal.spj.rels.clone();
+        let &anchor = rels.first()?;
 
-    // Step 2: simplify each member's predicate.
-    let simplified: Vec<Scalar> = members
-        .iter()
-        .map(|m| {
-            let pred = beyond_joins(&m.normal.spj.conjuncts, &inter);
-            // Step 2b (analyzer feedback): drop conjuncts qlint proved
-            // redundant — after re-verifying the implication locally.
-            prune_proven_redundant(&pred, &memo.facts.redundant_conjuncts)
-        })
-        .collect();
+        // Step 1: intersected equivalence classes → join conjuncts.
+        let inter = rest.iter().fold(first.classes.clone(), |inter, m| {
+            intersect_classes(&inter, &m.classes)
+        });
+        let join_conjuncts = classes_to_conjuncts(&inter);
 
-    // Step 3: covering predicate = OR of simplified predicates, factored
-    // and range-merged.
-    let covering = simplify_covering(&simplified);
+        // Step 2: each member's predicate beyond the joins. The group's
+        // branches hold it, unless this set's classes differ from the
+        // group's (a member left out enforced fewer joins).
+        let fresh: Vec<Branch>;
+        let branches: Vec<&Branch> = if inter == self.classes {
+            set.iter().map(|&i| &self.branches[i]).collect()
+        } else {
+            fresh = members
+                .iter()
+                .map(|m| Branch::of(memo, m, &inter))
+                .collect();
+            fresh.iter().collect()
+        };
 
-    // Step 4: group-by. Beyond the union of consumer keys, only columns a
-    // consumer's *compensation* predicate will re-filter on must survive
-    // the group-by — conjuncts already guaranteed by the covering predicate
-    // (e.g. a date filter common to every consumer) need no compensation,
-    // which is why the paper's E5 groups only by (c_nationkey,
-    // c_mktsegment) although its covering predicate also mentions
-    // o_orderdate.
-    let group = if grouped {
-        let mut keys: Vec<ColRef> = Vec::new();
-        let mut aggs: Vec<AggExpr> = Vec::new();
-        for (m, simp) in members.iter().zip(&simplified) {
-            let g = m.normal.group.as_ref().expect("grouped checked");
-            for k in &g.keys {
-                if !keys.contains(k) {
-                    keys.push(*k);
-                }
-            }
-            for a in &g.aggs {
-                if !aggs.contains(a) {
-                    aggs.push(a.clone());
-                }
-            }
-            for conj in simp.conjuncts() {
-                if implies(&covering, &conj) {
-                    continue; // guaranteed by the spool contents
-                }
-                for c in conj.columns() {
+        // Step 3: covering predicate = OR of simplified predicates, factored
+        // and range-merged. Steps 4 and 5 test every member conjunct
+        // against it, so it is normalized once, as their antecedent.
+        let cover = Antecedent::new(&covering_of(&branches));
+
+        // Step 4: group-by. Beyond the union of consumer keys, only columns a
+        // consumer's *compensation* predicate will re-filter on must survive
+        // the group-by — conjuncts already guaranteed by the covering predicate
+        // (e.g. a date filter common to every consumer) need no compensation,
+        // which is why the paper's E5 groups only by (c_nationkey,
+        // c_mktsegment) although its covering predicate also mentions
+        // o_orderdate.
+        let group = if grouped {
+            let mut keys: Vec<ColRef> = Vec::new();
+            let mut aggs: Vec<AggExpr> = Vec::new();
+            for (m, b) in members.iter().zip(&branches) {
+                let Some(g) = &m.normal.group else { continue };
+                for c in g.keys.iter().copied().chain(b.compensation(&cover)) {
                     if !keys.contains(&c) {
                         keys.push(c);
                     }
                 }
-            }
-        }
-        keys.sort();
-        let block = memo.ctx.rel(rels[0]).block;
-        // Reuse one synthetic rel per (rels, keys, aggs) shape: Algorithm
-        // 1's trial constructions revisit the same shapes many times.
-        let out = memo.agg_out_for(AggInput::Rels(rels.clone()), &keys, &aggs, Some(block));
-        Some((keys, aggs, out))
-    } else {
-        None
-    };
-
-    // Step 5: output columns.
-    let output: Vec<ColRef> = match &group {
-        Some((keys, aggs, out)) => {
-            let mut cols = keys.clone();
-            cols.extend((0..aggs.len()).map(|i| ColRef::new(*out, i as u16)));
-            cols
-        }
-        None => {
-            let mut set: BTreeSet<ColRef> = BTreeSet::new();
-            for (m, simp) in members.iter().zip(&simplified) {
-                for c in crate::required::required_of(required, m.group) {
-                    set.insert(m.alignment.col(c));
-                }
-                // Compensation-predicate columns only.
-                for conj in simp.conjuncts() {
-                    if !implies(&covering, &conj) {
-                        set.extend(conj.columns());
+                for a in &g.aggs {
+                    if !aggs.contains(a) {
+                        aggs.push(a.clone());
                     }
                 }
             }
-            // A consumer with no recorded requirements (shouldn't happen
-            // for real roots) falls back to every column of every rel.
-            if set.is_empty() {
-                for &r in &rels {
-                    let n = memo.ctx.rel(r).schema.len();
-                    set.extend((0..n).map(|i| ColRef::new(r, i as u16)));
-                }
+            keys.sort();
+            let block = memo.ctx.rel(anchor).block;
+            // Reuse one synthetic rel per (rels, keys, aggs) shape: Algorithm
+            // 1's trials revisit the same shapes many times.
+            let out = memo.agg_out_for(AggInput::Rels(rels.clone()), &keys, &aggs, Some(block));
+            Some((keys, aggs, out))
+        } else {
+            None
+        };
+
+        // Step 5: output columns.
+        let output: Vec<ColRef> = match &group {
+            Some((keys, aggs, out)) => {
+                let mut cols = keys.clone();
+                cols.extend((0..aggs.len()).map(|i| ColRef::new(*out, i as u16)));
+                cols
             }
-            set.into_iter().collect()
+            None => {
+                let mut cols: BTreeSet<ColRef> = BTreeSet::new();
+                for (&i, b) in set.iter().zip(&branches) {
+                    cols.extend(&self.needs[i]);
+                    cols.extend(b.compensation(&cover));
+                }
+                // A consumer with no recorded requirements (shouldn't happen
+                // for real roots) falls back to every column of every rel.
+                if cols.is_empty() {
+                    for &r in &rels {
+                        let n = memo.ctx.rel(r).schema.len();
+                        cols.extend((0..n).map(|i| ColRef::new(r, i as u16)));
+                    }
+                }
+                cols.into_iter().collect()
+            }
+        };
+
+        Some(CseShape {
+            rels,
+            output,
+            covering: cover.into_predicate(),
+            join_classes: inter,
+            join_conjuncts,
+            simplified: branches.iter().map(|b| b.simplified.clone()).collect(),
+            group,
+        })
+    }
+
+    /// The candidate over the members at `set` whose shape is `shape`:
+    /// step 6, and the members themselves.
+    pub fn build(&self, set: &[usize], shape: CseShape) -> Option<ConstructedCse> {
+        let plan = shape.plan()?;
+        let members = set.iter().map(|&i| self.members[i].clone()).collect();
+        Some(ConstructedCse {
+            members,
+            shape,
+            plan,
+        })
+    }
+}
+
+impl CseShape {
+    /// Step 6: filtered leaves, connected join order, residual covering
+    /// predicate on top, optional aggregate. `None` only without rels.
+    pub fn plan(&self) -> Option<LogicalPlan> {
+        let plan = build_join_plan(&self.rels, &self.join_conjuncts, &self.covering)?;
+        Some(match &self.group {
+            Some((keys, aggs, out)) => LogicalPlan::Aggregate {
+                input: Box::new(plan),
+                keys: keys.clone(),
+                aggs: aggs.clone(),
+                out: *out,
+            },
+            None => plan,
+        })
+    }
+}
+
+/// One member's step-2 predicate as step 3 reads it: a branch of the
+/// covering disjunction, with its conjuncts and the column ranges they
+/// bound.
+struct Branch {
+    simplified: Scalar,
+    conjuncts: Vec<Scalar>,
+    ranges: BTreeMap<ColRef, Interval>,
+}
+
+impl Branch {
+    fn new(simplified: Scalar) -> Self {
+        let conjuncts = simplified.conjuncts();
+        let ranges = ranges_of(&conjuncts);
+        Branch {
+            simplified,
+            conjuncts,
+            ranges,
         }
-    };
+    }
 
-    // Step 6 (plan shape): filtered leaves, connected join order, residual
-    // covering predicate on top, optional aggregate.
-    let plan = build_join_plan(&rels, &join_conjuncts, &covering)?;
-    let plan = match &group {
-        Some((keys, aggs, out)) => LogicalPlan::Aggregate {
-            input: Box::new(plan),
-            keys: keys.clone(),
-            aggs: aggs.clone(),
-            out: *out,
-        },
-        None => plan,
-    };
+    /// The columns of the conjuncts `cover` does not imply: what the
+    /// member's compensation predicate re-filters over the work table.
+    fn compensation<'b>(&'b self, cover: &'b Antecedent) -> impl Iterator<Item = ColRef> + 'b {
+        let conjuncts = self.conjuncts.iter();
+        conjuncts
+            .filter(|c| !cover.implies(c))
+            .flat_map(Scalar::columns)
+    }
 
-    Some(ConstructedCse {
-        members,
-        plan,
-        output,
-        covering,
-        join_classes: inter,
-        join_conjuncts,
-        simplified,
-        group,
-    })
+    /// Step 2 for `m` under the join classes `classes`, with the conjuncts
+    /// the analyzer proved redundant dropped (step 2b, re-verified
+    /// locally).
+    fn of(memo: &Memo, m: &PreparedConsumer, classes: &[BTreeSet<ColRef>]) -> Self {
+        let pred = beyond_joins(&m.normal.spj.conjuncts, classes);
+        Branch::new(prune_proven_redundant(
+            &pred,
+            &memo.facts.redundant_conjuncts,
+        ))
+    }
 }
 
 /// Do the equivalence classes put `a` and `b` in one class?
@@ -205,21 +322,22 @@ impl ConstructedCse {
     /// subsume its own. Returns the consumer's simplified predicate
     /// (step 2), the entry `simplified` holds for a member.
     pub(crate) fn admit(&self, consumer: &PreparedConsumer) -> Option<Scalar> {
-        let joins_enforced = self.join_conjuncts.iter().all(|j| {
+        let shape = &self.shape;
+        let joins_enforced = shape.join_conjuncts.iter().all(|j| {
             j.as_col_eq_col()
                 .is_some_and(|(a, b)| a == b || same_class(&consumer.classes, a, b))
         });
-        if !joins_enforced || !implies(&consumer.normal.spj.predicate(), &self.covering) {
+        if !joins_enforced || !implies(&consumer.normal.spj.predicate(), &shape.covering) {
             return None;
         }
-        let subsumed = match (&self.group, &consumer.normal.group) {
+        let subsumed = match (&shape.group, &consumer.normal.group) {
             (Some((keys, aggs, _)), Some(g)) => {
                 g.keys.iter().all(|k| keys.contains(k)) && g.aggs.iter().all(|a| aggs.contains(a))
             }
             (None, None) => true,
             _ => false,
         };
-        subsumed.then(|| beyond_joins(&consumer.normal.spj.conjuncts, &self.join_classes))
+        subsumed.then(|| beyond_joins(&consumer.normal.spj.conjuncts, &shape.join_classes))
     }
 }
 
@@ -278,56 +396,71 @@ pub fn prune_proven_redundant(pred: &Scalar, facts: &BTreeSet<Scalar>) -> Scalar
 ///   branches implies the per-column interval hull, which is added as an
 ///   extra conjunct (and branches that become fully represented drop out).
 pub fn simplify_covering(simplified: &[Scalar]) -> Scalar {
-    if simplified.iter().any(|s| s.is_true()) {
+    let branches: Vec<Branch> = simplified.iter().cloned().map(Branch::new).collect();
+    covering_of(&branches.iter().collect::<Vec<_>>()).normalize()
+}
+
+/// [`simplify_covering`] over prepared branches, not yet normalized.
+fn covering_of(branches: &[&Branch]) -> Scalar {
+    if branches.iter().any(|b| b.simplified.is_true()) {
         return Scalar::true_();
     }
-    let branch_conjuncts: Vec<Vec<Scalar>> = simplified.iter().map(|s| s.conjuncts()).collect();
+    let Some((first, rest)) = branches.split_first() else {
+        return Scalar::false_();
+    };
     // Factor common conjuncts.
-    let mut common: Vec<Scalar> = branch_conjuncts[0].clone();
-    for b in &branch_conjuncts[1..] {
-        common.retain(|c| b.contains(c));
+    let mut common: Vec<&Scalar> = first.conjuncts.iter().collect();
+    for b in rest {
+        common.retain(|c| b.conjuncts.contains(c));
     }
-    let residual_branches: Vec<Vec<Scalar>> = branch_conjuncts
+    let residual_branches: Vec<Vec<&Scalar>> = branches
         .iter()
-        .map(|b| b.iter().filter(|c| !common.contains(c)).cloned().collect())
+        .map(|b| b.conjuncts.iter().filter(|c| !common.contains(c)).collect())
         .collect();
+    let residual_or = || {
+        let branches = residual_branches.iter();
+        Scalar::or(branches.map(|b| Scalar::and(b.iter().map(|&c| c.clone()))))
+    };
 
-    let mut top_conjuncts = common;
+    let mut top_conjuncts: Vec<Scalar> = common.iter().map(|&c| c.clone()).collect();
     if residual_branches.iter().any(|b| b.is_empty()) {
         // Some branch imposes nothing beyond the common part: the OR of the
         // residuals is TRUE.
-        return Scalar::and(top_conjuncts).normalize();
+        return Scalar::and(top_conjuncts);
     }
 
     // Single-column range hull: if every residual branch constrains a
     // common set of columns with ranges only, replace the OR by per-column
     // hulls (this is exactly how the paper's E5 covering predicate looks).
     let range_only = residual_branches.iter().all(|b| {
-        b.iter().all(|c| {
-            c.as_col_vs_lit()
-                .map(|(_, op, _)| op != CmpOp::Ne)
-                .unwrap_or(false)
-        })
+        b.iter()
+            .all(|c| c.as_col_vs_lit().is_some_and(|(_, op, _)| op != CmpOp::Ne))
     });
     if range_only {
-        let mut cols: BTreeSet<ColRef> = residual_branches[0]
+        let branch_cols: Vec<BTreeSet<ColRef>> = residual_branches
             .iter()
-            .filter_map(|c| c.as_col_vs_lit().map(|(col, _, _)| col))
+            .map(|b| {
+                b.iter()
+                    .filter_map(|c| c.as_col_vs_lit().map(|(col, _, _)| col))
+                    .collect()
+            })
             .collect();
-        for b in &residual_branches[1..] {
-            let bc: BTreeSet<ColRef> = b
-                .iter()
-                .filter_map(|c| c.as_col_vs_lit().map(|(col, _, _)| col))
-                .collect();
-            cols = cols.intersection(&bc).copied().collect();
+        let mut cols: BTreeSet<ColRef> = branch_cols.first().cloned().unwrap_or_default();
+        for bc in branch_cols.iter().skip(1) {
+            cols = cols.intersection(bc).copied().collect();
         }
-        // Hull per column constrained in every branch.
+        // Hull per column constrained in every branch. A branch that lost
+        // nothing to factoring reads the ranges it was prepared with.
         let mut hull_conjuncts: Vec<Scalar> = Vec::new();
         let mut incomparable = false;
-        let branch_ranges: Vec<_> = residual_branches
-            .iter()
-            .map(|b| cse_algebra::column_ranges(&Scalar::and(b.iter().cloned())))
-            .collect();
+        let residual_ranges: Vec<BTreeMap<ColRef, Interval>>;
+        let branch_ranges: Vec<&BTreeMap<ColRef, Interval>> = if common.is_empty() {
+            branches.iter().map(|b| &b.ranges).collect()
+        } else {
+            let residual = residual_branches.iter();
+            residual_ranges = residual.map(|b| ranges_of(b.iter().copied())).collect();
+            residual_ranges.iter().collect()
+        };
         let open = Interval::default();
         for col in &cols {
             let ivs: Vec<&Interval> = branch_ranges
@@ -356,31 +489,20 @@ pub fn simplify_covering(simplified: &[Scalar]) -> Scalar {
         // The hull is sound for any branch shape; it is *exact* (no
         // residual OR needed) when each branch constrains exactly one
         // column and that column is shared — the common workload shape.
-        let exact = residual_branches.iter().all(|b| {
-            let bc: BTreeSet<ColRef> = b
-                .iter()
-                .filter_map(|c| c.as_col_vs_lit().map(|(col, _, _)| col))
-                .collect();
-            bc.len() == 1 && cols.iter().any(|c| bc.contains(c))
-        }) && cols.len() == 1
+        let exact = branch_cols
+            .iter()
+            .all(|bc| bc.len() == 1 && cols.iter().any(|c| bc.contains(c)))
+            && cols.len() == 1
             && !incomparable;
         top_conjuncts.extend(hull_conjuncts);
         if !exact {
-            top_conjuncts.push(Scalar::or(
-                residual_branches
-                    .iter()
-                    .map(|b| Scalar::and(b.iter().cloned())),
-            ));
+            top_conjuncts.push(residual_or());
         }
-        return Scalar::and(top_conjuncts).normalize();
+        return Scalar::and(top_conjuncts);
     }
 
-    top_conjuncts.push(Scalar::or(
-        residual_branches
-            .iter()
-            .map(|b| Scalar::and(b.iter().cloned())),
-    ));
-    Scalar::and(top_conjuncts).normalize()
+    top_conjuncts.push(residual_or());
+    Scalar::and(top_conjuncts)
 }
 
 /// Build a left-deep, connected join tree over `rels`: single-rel covering

@@ -26,7 +26,7 @@ use crate::enumerate::choose_best;
 use crate::manager::CseManager;
 use crate::required::{compute_required, required_of, RequiredCols};
 use crate::view_match::build_substitutes;
-use cse_algebra::{ColRef, LogicalPlan, PlanContext, Scalar};
+use cse_algebra::{ColRef, LogicalPlan, PlanContext, RelSet, Scalar};
 use cse_cost::StatsCatalog;
 use cse_diag::Report as VerifyReport;
 use cse_govern::{panic_message, sites, BudgetTrip, DegradationEvent, Reason, Rung};
@@ -506,7 +506,7 @@ fn cse_phase(
     let mut memo = explored.clone();
     found.report.stages.push(("memo-clone", t.elapsed()));
     let t = Instant::now();
-    let candidates = run_generation(&mut memo, ctx, root)?;
+    let candidates = run_generation(&mut memo, ctx, root, &mut found.report.trials)?;
     found.report.stages.push(("generation", t.elapsed()));
     if caps.trip_on_overflow {
         clock.check_candidates(candidates.len(), "generation")?;
@@ -615,7 +615,7 @@ fn cse_phase(
             id,
             def_root: *def_root,
             def_plan: c.cse.plan.clone(),
-            output: c.cse.output.clone(),
+            output: c.cse.shape.output.clone(),
             est_rows: c.est_rows,
             est_width: c.est_width,
             consumers,
@@ -694,8 +694,8 @@ fn candidate_audit(
     member_matched: &[bool],
     required: &RequiredCols,
 ) -> CandidateAudit {
-    let rel_set = c.cse.members[0].normal.spj.rel_set();
-    let (keys, aggs) = match &c.cse.group {
+    let rel_set = RelSet::from_iter(c.cse.shape.rels.iter().copied());
+    let (keys, aggs) = match &c.cse.shape.group {
         Some((k, a, _)) => (Some(k.clone()), Some(a.clone())),
         None => (None, None),
     };
@@ -721,7 +721,7 @@ fn candidate_audit(
             MemberAudit {
                 group: m.group,
                 classes: m.classes.clone(),
-                simplified: c.cse.simplified[mi].clone(),
+                simplified: c.cse.shape.simplified[mi].clone(),
                 keys: mkeys,
                 aggs: maggs,
                 required: req,
@@ -732,9 +732,9 @@ fn candidate_audit(
     CandidateAudit {
         id,
         rel_set,
-        output: c.cse.output.clone(),
-        covering: c.cse.covering.clone(),
-        join_conjuncts: c.cse.join_conjuncts.clone(),
+        output: c.cse.shape.output.clone(),
+        covering: c.cse.shape.covering.clone(),
+        join_conjuncts: c.cse.shape.join_conjuncts.clone(),
         keys,
         aggs,
         est_rows: c.est_rows,
@@ -747,17 +747,21 @@ fn candidate_audit(
 }
 
 /// Candidate generation over the explored memo's sharable sets: per-set
-/// generation (H1–H3), then H4 across sets.
+/// generation (H1–H3), then H4 across sets. `trials` counts the shapes
+/// costed.
 fn run_generation(
     memo: &mut Memo,
     ctx: &PhaseCtx,
     root: GroupId,
+    trials: &mut u64,
 ) -> Result<Vec<CostedCandidate>, BudgetTrip> {
     let query_cost = ctx.bounds.lower(root);
     let mut all: Vec<CostedCandidate> = Vec::new();
     for (sig, consumers) in ctx.sharable {
         ctx.clock.check_time("generation")?;
-        all.extend(generate_for_set(memo, ctx, sig, consumers, query_cost)?);
+        all.extend(generate_for_set(
+            memo, ctx, sig, consumers, query_cost, trials,
+        )?);
     }
     if ctx.cfg.gen.heuristics {
         all = h4_prune_contained(ctx.manager, all, ctx.cfg.gen.beta);

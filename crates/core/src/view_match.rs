@@ -14,7 +14,7 @@
 use crate::compat::PreparedConsumer;
 use crate::construct::ConstructedCse;
 use crate::required::{required_of, RequiredCols};
-use cse_algebra::{implies, ColRef, Scalar};
+use cse_algebra::{implies, Antecedent, ColRef, Scalar};
 use cse_memo::Memo;
 use cse_optimizer::{CseId, Substitute, SubstituteReAgg};
 use std::collections::HashMap;
@@ -35,7 +35,8 @@ pub fn build_substitutes(
     // its compensation, once.
     let mut covered: HashMap<Scalar, bool> = HashMap::new();
     let mut compensation: HashMap<&Scalar, Option<Scalar>> = HashMap::new();
-    let members = cse.members.iter().zip(&cse.simplified);
+    let cover = Antecedent::new(&cse.shape.covering);
+    let members = cse.members.iter().zip(&cse.shape.simplified);
     members
         .map(|(member, simplified)| {
             // Table set must match (guaranteed by same-signature detection).
@@ -44,7 +45,7 @@ pub fn build_substitutes(
             // The member's predicate must imply the covering predicate.
             let proved = covered
                 .entry(member.normal.spj.predicate())
-                .or_insert_with_key(|pred| implies(pred, &cse.covering));
+                .or_insert_with_key(|pred| implies(pred, &cse.shape.covering));
             if rels != cse_rels || !*proved {
                 return None;
             }
@@ -52,7 +53,7 @@ pub fn build_substitutes(
             // guaranteed by the covering predicate.
             let filter = compensation.entry(simplified).or_insert_with(|| {
                 let mut conjuncts = simplified.conjuncts();
-                conjuncts.retain(|c| !implies(&cse.covering, c));
+                conjuncts.retain(|c| !cover.implies(c));
                 (!conjuncts.is_empty()).then(|| Scalar::and(conjuncts).normalize())
             });
             substitute_for(memo, cse_id, cse, member, filter.clone(), required)
@@ -72,11 +73,11 @@ fn substitute_for(
     // The compensation predicate is evaluated over the work table's rows:
     // a consumer admitted after construction (§5.5) may filter on a column
     // the CSE was not built to keep.
-    let provided = |f: &Scalar| f.columns().iter().all(|c| cse.output.contains(c));
+    let provided = |f: &Scalar| f.columns().iter().all(|c| cse.shape.output.contains(c));
     if !filter.as_ref().is_none_or(provided) {
         return None;
     }
-    match (&member.normal.group, &cse.group) {
+    match (&member.normal.group, &cse.shape.group) {
         (Some(mg), Some((cse_keys, cse_aggs, cse_out))) => {
             // Grouped consumer over grouped CSE: roll up.
             // Every member key must be a CSE key; every member aggregate
@@ -158,7 +159,7 @@ fn substitute_for(
                 .iter()
                 .map(|c| {
                     let anchor = member.alignment.col(*c);
-                    if cse.output.contains(&anchor) {
+                    if cse.shape.output.contains(&anchor) {
                         Some((*c, Scalar::Col(anchor)))
                     } else {
                         None

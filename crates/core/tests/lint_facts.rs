@@ -140,6 +140,7 @@ fn construct_covering(with_facts: bool) -> Scalar {
     assert_eq!(groups.len(), 1);
     construct(&mut memo, groups[0].members.clone(), &required)
         .expect("constructible")
+        .shape
         .covering
 }
 

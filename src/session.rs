@@ -160,7 +160,8 @@ impl Session {
     }
 
     /// Human-readable explanation: chosen plan, spool definitions, the
-    /// optimizer's report and where its time went, stage by stage.
+    /// optimizer's report and where its time went, stage by stage, beside
+    /// the number of shapes candidate generation costed.
     pub fn explain(&self, sql: &str) -> Result<String, Error> {
         use std::fmt::Write as _;
         let optimized = self.plan(sql)?;
@@ -187,7 +188,11 @@ impl Session {
         for (id, spool) in &optimized.plan.spools {
             let _ = writeln!(s, "spool {id} (computed once):\n{}", spool.plan.render());
         }
-        let _ = writeln!(s, "stages ({:.3?} in all):", optimized.report.total_time);
+        let _ = writeln!(
+            s,
+            "stages ({:.3?} in all, {} generation trials):",
+            optimized.report.total_time, optimized.report.trials
+        );
         for (stage, took) in &optimized.report.stages {
             let _ = writeln!(s, "  stage {stage}: {took:.3?}");
         }

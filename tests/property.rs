@@ -2,13 +2,16 @@
 //! deterministic generator (`cse_storage::testkit::TestRng`):
 //!
 //! - scalar normalization preserves evaluation semantics and is idempotent;
-//! - proven implications hold on every concrete row;
+//! - proven implications hold on every concrete row, and one prepared
+//!   antecedent proves what a fresh one per right side proves;
 //! - covering predicates constructed from branch predicates are implied by
 //!   every branch and hold on every row any branch accepts;
 //! - `RelSet` behaves like a set of integers;
 //! - three-valued logic laws.
 
-use similar_subexpr::algebra::{column_ranges, implies, CmpOp, ColRef, RelId, RelSet, Scalar};
+use similar_subexpr::algebra::{
+    column_ranges, implies, Antecedent, CmpOp, ColRef, RelId, RelSet, Scalar,
+};
 use similar_subexpr::core::simplify_covering;
 use similar_subexpr::storage::testkit::TestRng;
 use similar_subexpr::storage::Value;
@@ -114,12 +117,39 @@ fn normalize_preserves_evaluation() {
 
 #[test]
 fn normalize_is_idempotent() {
+    // The premise `Antecedent` rests on: a normalized predicate, and every
+    // sub-term of it, is its own normal form.
     let mut rng = TestRng::new(0xB0B);
     for _ in 0..CASES {
         let p = gen_scalar(&mut rng, 3);
         let n1 = p.normalize();
         let n2 = n1.normalize();
         assert_eq!(n1, n2);
+        n1.visit(&mut |sub| assert_eq!(&sub.normalize(), sub, "in {n1}"));
+    }
+}
+
+#[test]
+fn implication_reads_its_antecedent_normalized_once() {
+    // Proving from `p` or from its normal form is the same proof, and one
+    // `Antecedent` answers every right side as a fresh one would.
+    let mut rng = TestRng::new(0xA7E);
+    for _ in 0..CASES / 10 {
+        let p = gen_scalar(&mut rng, 3);
+        let once = Antecedent::new(&p);
+        for _ in 0..50 {
+            let q = gen_scalar(&mut rng, 2);
+            let fresh = implies(&p, &q);
+            assert_eq!(implies(&p.normalize(), &q), fresh, "{p} => {q}");
+            assert_eq!(once.implies(&q), fresh, "{p} => {q}");
+        }
+        // Each of its own atoms is implied: the reused antecedent must
+        // prove something, not only agree on refusals.
+        for c in p.normalize().conjuncts() {
+            if !matches!(c, Scalar::And(_) | Scalar::Or(_)) {
+                assert!(once.implies(&c), "{p} => {c}");
+            }
+        }
     }
 }
 
