@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# Clippy is also the panic-path gate: the runtime crates deny unwrap,
+# expect, panic! and unreachable! (exec and serve also deny indexing), so
+# every exception is an #[expect(..., reason = "...")] at its site.
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -37,61 +40,6 @@ done
 if "${QLINT[@]}" --sf 0.001 --deny tests/corpus/findings.sql >/dev/null 2>&1; then
   echo "qlint --deny failed to reject tests/corpus/findings.sql"
   exit 1
-fi
-
-# qcheck gate: the lock-discipline rules over the serving-layer crates
-# plus the panic-path and contract-drift audits over every crate. The full
-# report (panic-surface summary, vocabulary counts, which findings the
-# allowlist covered, and why) must match the golden file byte-for-byte,
-# and deny mode must pass — i.e. every finding is either fixed or carries
-# a checked-in justification, zero contract drift, and no allowlist entry
-# is stale. The golden doubles as the shared-lexer refactor guard: all
-# three analyses lex through cse-source, and their output must not move.
-echo "==> qcheck (lock discipline + panic paths + contracts: golden, deny, probes)"
-QCHECK=(cargo run -q --release -p cse-audit --bin qcheck --)
-"${QCHECK[@]}" | diff -u tests/corpus/qcheck.golden - \
-  || { echo "qcheck output drifted (regenerate tests/corpus/qcheck.golden if intended)"; exit 1; }
-"${QCHECK[@]}" --deny >/dev/null
-
-# The breaker is the serving layer's hottest lock (every admit() crosses
-# it); it must stay clean with NO allowlist entries at all — a regression
-# that needs a justification here is a regression, full stop.
-"${QCHECK[@]}" --deny --allow /dev/null crates/serve/src/breaker.rs >/dev/null
-
-# Stale-allowlist detection must itself be live for both rule families:
-# an allowlist entry that matches nothing has to flip deny mode to failure.
-for stale_entry in \
-  "conc/hot-path-lock  crates/nonexistent/src/void.rs  nothing  ci stale-entry probe" \
-  "audit/hot-panic  crates/nonexistent/src/void.rs  nothing  ci stale-entry probe"; do
-  stale_allow=$(mktemp)
-  cat qcheck.allow > "$stale_allow"
-  echo "$stale_entry" >> "$stale_allow"
-  if "${QCHECK[@]}" --deny --allow "$stale_allow" >/dev/null 2>&1; then
-    rm -f "$stale_allow"
-    echo "qcheck --deny accepted a stale allowlist entry: $stale_entry"
-    exit 1
-  fi
-  rm -f "$stale_allow"
-done
-
-# The runtime crates must not link the analysis tooling: the non-dev
-# dependency graph of the root package, the server and the governor stays
-# free of the analyzer crates.
-echo "==> dependency graph (runtime crates link no analysis tooling)"
-for pkg in similar-subexpr cse-serve cse-govern; do
-  if cargo tree --offline -e normal -p "$pkg" | grep -E "cse-(conc|source|audit)"; then
-    echo "$pkg links an analysis crate in its normal dependency graph"
-    exit 1
-  fi
-done
-
-# Interleaving explorer: the exhaustive suites over the queue / breaker /
-# cancel / memory-governor models run as part of `cargo test` above; the
-# deep seeded sampling arm is opt-in because it is slow. Set
-# QCONC_SAMPLE=seed[:n] (e.g. QCONC_SAMPLE=7:20000) to run it.
-if [[ -n "${QCONC_SAMPLE:-}" ]]; then
-  echo "==> cse-conc deep sampling arm (QCONC_SAMPLE=$QCONC_SAMPLE)"
-  QCONC_SAMPLE="$QCONC_SAMPLE" cargo test -q -p cse-conc env_gated_deep_sampling_arm
 fi
 
 # Fault-injection seed matrix: the adversarial robustness suite and the

@@ -5,6 +5,22 @@
 //! classes, equijoin graphs and predicate implication. This is the shared
 //! vocabulary of the memo, the optimizer and the CSE machinery.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod agg;
 pub mod context;
 pub mod equiv;

@@ -191,11 +191,7 @@ impl Scalar {
                 other => out.push(other),
             }
         }
-        if out.len() == 1 {
-            out.pop().expect("len checked")
-        } else {
-            Scalar::And(out)
-        }
+        one_or(out, Scalar::And)
     }
 
     /// Disjunction of a list of predicates.
@@ -207,11 +203,7 @@ impl Scalar {
                 other => out.push(other),
             }
         }
-        if out.len() == 1 {
-            out.pop().expect("len checked")
-        } else {
-            Scalar::Or(out)
-        }
+        one_or(out, Scalar::Or)
     }
 
     /// Split into top-level conjuncts. TRUE splits into no conjuncts.
@@ -309,11 +301,7 @@ impl Scalar {
                 }
                 parts.sort();
                 parts.dedup();
-                if parts.len() == 1 {
-                    parts.pop().expect("len checked")
-                } else {
-                    Scalar::And(parts)
-                }
+                one_or(parts, Scalar::And)
             }
             Scalar::Or(v) => {
                 let mut parts: Vec<Scalar> = Vec::with_capacity(v.len());
@@ -325,11 +313,7 @@ impl Scalar {
                 }
                 parts.sort();
                 parts.dedup();
-                if parts.len() == 1 {
-                    parts.pop().expect("len checked")
-                } else {
-                    Scalar::Or(parts)
-                }
+                one_or(parts, Scalar::Or)
             }
             Scalar::Not(a) => {
                 // Normalize the child first so single-element conjunctions
@@ -368,6 +352,15 @@ impl Scalar {
             }
         }
         None
+    }
+}
+
+/// The only element of `parts`, or `wrap(parts)` when there are zero or
+/// several.
+fn one_or(parts: Vec<Scalar>, wrap: fn(Vec<Scalar>) -> Scalar) -> Scalar {
+    match <[Scalar; 1]>::try_from(parts) {
+        Ok([only]) => only,
+        Err(parts) => wrap(parts),
     }
 }
 

@@ -19,8 +19,21 @@
 //!   planned as `CatalogMutation`s over the storage layer's delta table.
 
 // Fallible paths must surface `Result`s, not panic; tests may unwrap.
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod align;
 pub mod candidates;

@@ -415,6 +415,10 @@ struct RungCaps {
 /// pass H1), halved β (more containment pruning), no stacked round, a
 /// short enumeration, a quartered exploration budget and a hard candidate
 /// cap of 8.
+#[expect(
+    clippy::unreachable,
+    reason = "rung ladder never runs the CSE phase for Baseline; unreachable! documents that contract"
+)]
 fn tighten(cfg: &CseConfig, rung: Rung) -> (CseConfig, RungCaps) {
     match rung {
         Rung::FullCse => (
@@ -461,6 +465,10 @@ fn abort_message(trip: BudgetTrip) -> String {
 /// (`None` when no candidate survived; the caller keeps the baseline unless
 /// the plan beats it) with the findings extended by this attempt, or the
 /// budget trip that aborted it.
+#[expect(
+    clippy::panic,
+    reason = "deliberate failpoint panic exercising catch_unwind isolation; registry disarmed outside fault-injection tests"
+)]
 fn cse_phase(
     explored: &Memo,
     ctx: &PhaseCtx,

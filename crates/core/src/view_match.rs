@@ -102,15 +102,14 @@ fn substitute_for(
                         let expr = if c.rel == mg.out {
                             // Aggregate output: same position in CSE aggs.
                             let a = &mg.aggs[c.col as usize];
-                            let idx =
-                                cse_aggs.iter().position(|x| x == a).expect("checked above") as u16;
+                            let idx = cse_aggs.iter().position(|x| x == a)? as u16;
                             Scalar::Col(ColRef::new(*cse_out, idx))
                         } else {
                             Scalar::Col(member.alignment.col(*c))
                         };
-                        (*c, expr)
+                        Some((*c, expr))
                     })
-                    .collect();
+                    .collect::<Option<_>>()?;
                 return Some(Substitute {
                     cse: cse_id,
                     consumer: member.group,

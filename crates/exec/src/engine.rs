@@ -417,6 +417,11 @@ impl<'a> Engine<'a> {
     /// Push the rows of `plan` into `sink`, in the columns [`out_cols`]
     /// names. Scans and filters hand on the stored rows; a breaker holds
     /// what it must, charges it, and pushes on through one scratch row.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "key positions validated by position() against the held and streamed columns before the loops; chain ids are row numbers of the flat build buffer, written by the same arm; join_sides is asked only in the arm that matched a join"
+    )]
     fn stream(
         &self,
         plan: &PhysicalPlan,
@@ -571,7 +576,7 @@ impl<'a> Engine<'a> {
                 let ocols = out_cols(outer, &in_need);
                 let opos = position(&ocols, *okey, op)?;
                 let cols = out_cols(plan, need);
-                let stored_cols = &layout[outer.layout().len()..];
+                let stored_cols = layout.get(outer.layout().len()..).unwrap_or_default();
                 let (from_outer, from_stored) =
                     (sources(&cols, &ocols), sources(&cols, stored_cols));
                 let residual = residual.as_ref().map(|p| Bound::bind(p, &cols, op));
@@ -673,6 +678,10 @@ impl<'a> Engine<'a> {
 
     /// Hold the rows of `plan` — the columns of them in `need` — and charge
     /// them: a join's held side, a sort's input, a spool's definition.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "keep holds positions below cols.len(), and every row the plan streams is laid out by cols"
+    )]
     fn hold(
         &self,
         plan: &PhysicalPlan,
@@ -720,6 +729,10 @@ impl<'a> Engine<'a> {
 
 /// The columns `plan` emits when its ancestors read `need`: a pure function
 /// of the two, so a parent binds its expressions before the first row.
+#[expect(
+    clippy::expect_used,
+    reason = "join_sides is asked only in the arm that matched a join"
+)]
 fn out_cols(plan: &PhysicalPlan, need: &Need) -> Vec<ColRef> {
     match plan {
         PhysicalPlan::TableScan { layout, .. }
@@ -754,7 +767,7 @@ fn out_cols(plan: &PhysicalPlan, need: &Need) -> Vec<ColRef> {
         } => {
             let (out_need, in_need) = join_needs(need, &[*key], residual.as_ref());
             let mut cols = out_cols(outer, &in_need);
-            cols.extend_from_slice(&layout[outer.layout().len()..]);
+            cols.extend_from_slice(layout.get(outer.layout().len()..).unwrap_or_default());
             cols.retain(|c| out_need.contains(c));
             cols
         }
@@ -855,6 +868,10 @@ fn projecting(exprs: Vec<Bound>, sink: Sink<'_>) -> impl FnMut(&[Value]) -> Exec
 }
 
 /// `dst[to] = src[at]` for every `(to, at)` of `from`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "(to, at) pairs are built by the join arm from out_cols: to < scratch.len(), at is a position found in the source row's own column list"
+)]
 fn copy_cols(dst: &mut [Value], from: &[(usize, usize)], src: &[Value]) {
     for (to, at) in from {
         dst[*to].clone_from(&src[*at]);
@@ -913,6 +930,10 @@ impl Groups {
     }
 
     /// A sink: the row joins its group, added if the row is its first.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "key positions were resolved by position() against the input columns; group g owns states g * args.len() .. (g + 1) * args.len(), pushed when g was added"
+    )]
     fn update(&mut self, row: &[Value]) -> ExecResult {
         let (keys, key_pos) = (&self.keys, &self.key_pos);
         let (g, added) = self.table.find_or_insert(key_hash(row, key_pos), |g| {

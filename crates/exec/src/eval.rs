@@ -52,6 +52,10 @@ impl Bound {
     }
 
     /// Evaluate over one row; columns and literals are borrowed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a column index was resolved by position() against the layout of the rows it is evaluated over"
+    )]
     pub fn eval<'a>(&'a self, row: &'a [Value]) -> Cow<'a, Value> {
         match self {
             Bound::Col(i) => Cow::Borrowed(&row[*i]),

@@ -7,6 +7,11 @@
 //! NULL equals NULL (group-by wants one NULL group; joins skip NULL keys
 //! before they get here).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slot index masked by the power-of-two table length; stored ids are < hashes.len() by construction; key positions and row numbers are the caller's, resolved against the rows they index"
+)]
+
 use cse_storage::Value;
 use std::hash::{Hash, Hasher};
 
@@ -175,6 +180,10 @@ impl RowBuf {
     }
 
     /// Append a row; `row` yields exactly `width` values.
+    #[expect(
+        clippy::expect_used,
+        reason = "a chunk is pushed above whenever the last one is full, including the first row"
+    )]
     pub(crate) fn push(&mut self, row: impl Iterator<Item = Value>) {
         if self.len.is_multiple_of(CHUNK_ROWS) {
             let reserve = if self.len == 0 { 0 } else { CHUNK_ROWS };

@@ -4,6 +4,24 @@
 //! joins, hash aggregation, sort), spool work tables computed once and
 //! shared across consumers, and execution metrics.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod engine;
 pub mod error;
 pub mod eval;

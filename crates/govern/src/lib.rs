@@ -18,6 +18,9 @@
 //!   stay branch-cheap.
 //! - [`MemoryGovernor`]: the one account for the bytes execution holds; a
 //!   refused charge degrades the statement to its retained baseline plan.
+//! - [`lock`]: the poison-recovering lock the serving path takes every
+//!   mutex through; debug builds count held guards so
+//!   [`assert_no_lock_held`] can keep locks out of planning and execution.
 
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -29,7 +32,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+mod guard;
 pub mod memory;
+pub use guard::{assert_no_lock_held, lock, Held};
 pub use memory::{MemReservation, MemScope, MemoryGovernor, Pressure, ReserveError};
 
 /// Canonical failpoint site names. Sites are dynamic strings in the

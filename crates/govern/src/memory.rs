@@ -21,20 +21,19 @@
 //!
 //! Determinism: the [`crate::sites::MEM_RESERVE`] failpoint makes grant
 //! growth fail on demand, so reservation-fault recovery is testable without
-//! a real budget squeeze. Concurrency: the pool mutex recovers from
-//! poisoning (every update leaves `Pool` valid at every step), and the
-//! blocking-reserve / release-unblocks-waiter protocol is model-checked
-//! by `cse_conc::models::GovernorModel`.
+//! a real budget squeeze. Concurrency: the pool mutex is taken through
+//! [`crate::lock`], which recovers from poisoning (every update leaves
+//! `Pool` valid at every step).
 //!
 //! Charging is lock-free in the common case: `used` and `granted` are
 //! atomics, and the pool lock is taken only when the grant must grow
 //! (amortized by [`GRANT_CHUNK`]) — execution row loops do not serialize on
 //! the governor.
 
-use crate::{sites, CancelToken, FailpointRegistry, Reason};
+use crate::{lock, sites, CancelToken, FailpointRegistry, Held, Reason};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Grant growth quantum: a reservation that outgrows its grant asks the
@@ -135,8 +134,8 @@ struct GovernorInner {
 }
 
 impl GovernorInner {
-    fn lock(&self) -> MutexGuard<'_, Pool> {
-        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> Held<'_, Pool> {
+        lock(&self.pool)
     }
 }
 
@@ -265,12 +264,7 @@ impl MemoryGovernor {
             }
             // Timed wait so a cancel with no accompanying notify is still
             // observed promptly.
-            pool = self
-                .inner
-                .released
-                .wait_timeout(pool, POLL_TICK)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+            pool = pool.wait_timeout(&self.inner.released, POLL_TICK);
         }
     }
 

@@ -161,6 +161,10 @@ impl Memo {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "read only after insert_plan or set_root; the pipeline holds the root it inserted"
+    )]
     pub fn root(&self) -> GroupId {
         self.root.expect("no plan inserted")
     }

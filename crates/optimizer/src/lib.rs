@@ -7,6 +7,22 @@
 //! search costs winners by reference to their children; operator trees are
 //! extracted once per returned plan.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod dot;
 pub mod optimizer;
 pub mod physical;

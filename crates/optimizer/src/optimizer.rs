@@ -251,6 +251,10 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Optimize a group under an enabled-CSE mask.
+    #[expect(
+        clippy::panic,
+        reason = "memo invariant: groups are never empty of implementable expressions; panic is caught by the ladder and downgraded as OPT_PANIC"
+    )]
     pub fn optimize_group(&mut self, g: GroupId, mask: CseMask) -> Rc<PlanChoice> {
         let eff_mask = mask & self.relevant_mask(g);
         if let Some(c) = self.cache.get(&(g, eff_mask)) {
@@ -311,6 +315,10 @@ impl<'a> Optimizer<'a> {
 
     /// C_E + C_W of a candidate under `mask` (E itself excluded), plus the
     /// definition's plan choice for stacked-usage propagation.
+    #[expect(
+        clippy::expect_used,
+        reason = "lca_at holds only ids of registered candidates, so every id it yields is in self.candidates"
+    )]
     fn init_cost(&mut self, e: CseId, mask: CseMask) -> (f64, Rc<PlanChoice>) {
         let cand = self.candidates.get(&e).expect("unknown candidate");
         let cw = self.model.spool_write(cand.est_rows, cand.est_width);
@@ -507,6 +515,10 @@ impl<'a> Optimizer<'a> {
 
     /// Build the operator tree of a winner. Join keys, residuals and
     /// layouts are derived here, once per returned plan.
+    #[expect(
+        clippy::expect_used,
+        reason = "a winner holds one child winner per child group of its expression"
+    )]
     pub fn extract(&self, choice: &PlanChoice) -> PhysicalPlan {
         let (eid, kids) = match &choice.build {
             Build::Leaf(plan) => return plan.clone(),
@@ -579,6 +591,10 @@ impl<'a> Optimizer<'a> {
     /// winner `outer` of its left input: the probed key as costed, and
     /// every other conjunct, with the filter over the right input, as the
     /// residual.
+    #[expect(
+        clippy::expect_used,
+        reason = "Build::IndexJoin is chosen only where index_probe found a probe, and extraction re-derives the same probe"
+    )]
     fn extract_index_join(&self, eid: GroupExprId, outer: &PlanChoice) -> PhysicalPlan {
         let memo = self.memo;
         let e = memo.gexpr(eid);

@@ -22,14 +22,13 @@
 //!             probe downgraded / failed ──▶ Open again
 //! ```
 //!
-//! The mutex around the state recovers from poisoning, matching the
-//! convention in `cse-govern`: a panicking worker must not freeze
-//! admission policy for the whole server. The trip/probe/close protocol
-//! itself is model-checked exhaustively by
-//! `cse_conc::models::BreakerModel` (single half-open probe invariant).
+//! The mutex around the state is taken through [`cse_govern::lock`], which
+//! recovers from poisoning: a panicking worker must not freeze admission
+//! policy for the whole server.
 
+use cse_govern::{lock, Held};
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Breaker tuning.
@@ -139,8 +138,8 @@ impl Breaker {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> Held<'_, Inner> {
+        lock(&self.inner)
     }
 
     /// Decide what the next request may do.
@@ -338,5 +337,46 @@ mod tests {
         b.record(true);
         b.record(false);
         assert_eq!(b.snapshot().trips, trips);
+    }
+
+    /// Workers racing `admit` against a breaker whose cooldown has elapsed:
+    /// exactly one becomes the half-open probe, every other one is served
+    /// baseline-only, round after round.
+    #[test]
+    fn concurrent_admits_on_a_half_open_breaker_start_one_probe() {
+        const WORKERS: usize = 8;
+        let b = std::sync::Arc::new(tiny());
+        for round in 1..=20 {
+            if round == 1 {
+                for _ in 0..4 {
+                    b.record(true);
+                }
+            } else {
+                b.record_probe(false);
+            }
+            assert_eq!(b.state(), BreakerState::Open);
+            std::thread::sleep(Duration::from_millis(6));
+            let start = std::sync::Arc::new(std::sync::Barrier::new(WORKERS));
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    let (b, start) = (std::sync::Arc::clone(&b), std::sync::Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        b.admit()
+                    })
+                })
+                .collect();
+            let admitted: Vec<Admission> = workers
+                .into_iter()
+                .map(|w| w.join().expect("worker thread exits cleanly"))
+                .collect();
+            let probes = admitted.iter().filter(|a| **a == Admission::Probe).count();
+            assert_eq!(probes, 1, "round {round}: {admitted:?}");
+            assert!(admitted
+                .iter()
+                .all(|a| matches!(a, Admission::Probe | Admission::BaselineOnly)));
+            assert_eq!(b.state(), BreakerState::HalfOpen);
+            assert_eq!(b.snapshot().probes, round);
+        }
     }
 }

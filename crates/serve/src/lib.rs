@@ -34,15 +34,28 @@
 //! Shared state here follows the repo's poisoned-lock convention: every
 //! lock recovers from poisoning rather than propagating it, because a
 //! worker that panicked mid-request must not take the queue or the breaker
-//! down with it. The queue, breaker and inflight-table mutexes are plain
-//! `std::sync::Mutex` behind private poison-recovering `lock()` helpers,
-//! server counters are independent atomics, and the discipline itself —
-//! no guard across planning/execution, no locks in hot paths, `stats`
-//! before `inflight` — is enforced statically by the `qcheck` binary and
-//! model-checked by `cse-conc`'s interleaving explorer.
+//! down with it. The queue, breaker and inflight-table mutexes are taken
+//! through [`cse_govern::lock`], and server counters are independent
+//! atomics. No guard may span planning or execution: debug builds count
+//! held guards and the worker asserts the count is zero before each.
 
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod breaker;
 pub mod queue;

@@ -7,9 +7,8 @@
 //! blocking push (backpressure), and a close that lets consumers drain
 //! what was already admitted before they exit.
 //!
-//! The semantics of these operations are model-checked exhaustively by
-//! `cse_conc::models::QueueModel`. Lock acquisitions and condvar waits
-//! recover from poisoning: a panicking producer or consumer must not
+//! The mutex is taken through [`cse_govern::lock`], so lock acquisitions
+//! and condvar waits recover from poisoning: a panicking producer or consumer must not
 //! wedge the whole server. Poison recovery is sound here because every
 //! critical section leaves `Inner` consistent at every statement
 //! boundary — a `VecDeque` push/pop either happens or does not.
@@ -18,8 +17,9 @@
 //! than bare `unwrap()`: when a queue invariant breaks, the panic message
 //! should say which behaviour died, not `Option::unwrap` on line N.
 
+use cse_govern::{lock, Held};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex};
 
 /// Why a push was refused.
 #[derive(Debug)]
@@ -56,8 +56,8 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> Held<'_, Inner<T>> {
+        lock(&self.inner)
     }
 
     /// Admit `item` if there is room, else refuse immediately.
@@ -89,10 +89,7 @@ impl<T> BoundedQueue<T> {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            g = self
-                .not_full
-                .wait(g)
-                .unwrap_or_else(PoisonError::into_inner);
+            g = g.wait(&self.not_full);
         }
     }
 
@@ -110,10 +107,7 @@ impl<T> BoundedQueue<T> {
             if g.closed {
                 return None;
             }
-            g = self
-                .not_empty
-                .wait(g)
-                .unwrap_or_else(PoisonError::into_inner);
+            g = g.wait(&self.not_empty);
         }
     }
 
@@ -207,5 +201,62 @@ mod tests {
         q.try_push(2).expect("poisoned queue still admits");
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(1));
+    }
+
+    /// Four producers (two shedding, two blocking) and three consumers on
+    /// a small queue: every admitted item is delivered exactly once, and
+    /// each consumer sees one producer's items in the order it pushed them.
+    #[test]
+    fn producers_and_consumers_deliver_each_admitted_item_once_in_order() {
+        const ITEMS: usize = 400;
+        let q = Arc::new(BoundedQueue::new(3));
+        let producers: Vec<_> = (0..4)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut admitted = Vec::new();
+                    for i in 0..ITEMS {
+                        let pushed = if p % 2 == 0 {
+                            q.try_push((p, i))
+                        } else {
+                            q.push_blocking((p, i))
+                        };
+                        match pushed {
+                            Ok(()) => admitted.push((p, i)),
+                            Err(PushError::Full(_)) => std::thread::yield_now(),
+                            Err(PushError::Closed(_)) => panic!("closed while producing"),
+                        }
+                    }
+                    admitted
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..3)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || std::iter::from_fn(|| q.pop()).collect::<Vec<_>>())
+            })
+            .collect();
+        let mut admitted: Vec<(usize, usize)> = Vec::new();
+        for p in producers {
+            admitted.extend(p.join().expect("producer thread exits cleanly"));
+        }
+        q.close();
+        let mut delivered = Vec::new();
+        for c in consumers {
+            let got = c.join().expect("consumer thread exits cleanly");
+            for p in 0..4 {
+                let mine: Vec<usize> = got.iter().filter(|(q, _)| *q == p).map(|x| x.1).collect();
+                assert!(mine.is_sorted(), "producer {p} delivered out of order");
+            }
+            delivered.extend(got);
+        }
+        admitted.sort_unstable();
+        delivered.sort_unstable();
+        assert_eq!(delivered, admitted, "each admitted item exactly once");
+        assert_eq!(
+            admitted.iter().filter(|(p, _)| p % 2 == 1).count(),
+            2 * ITEMS
+        );
     }
 }

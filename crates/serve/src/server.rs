@@ -37,15 +37,15 @@ use crate::queue::{BoundedQueue, PushError};
 use cse_core::CseConfig;
 use cse_exec::{Engine, ExecCtx, ExecError, ExecMetrics, ResultSet};
 use cse_govern::{
-    panic_message, sites, CancelToken, DegradationEvent, FailpointRegistry, MemReservation,
-    MemoryGovernor, Pressure, Reason, ReserveError, Rung,
+    assert_no_lock_held, lock, panic_message, sites, CancelToken, DegradationEvent,
+    FailpointRegistry, Held, MemReservation, MemoryGovernor, Pressure, Reason, ReserveError, Rung,
 };
 use cse_storage::testkit::TestRng;
 use cse_storage::Catalog;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -259,10 +259,8 @@ impl Counter {
     }
 }
 
-/// Server counters. Formerly a `Mutex<StatsInner>` that every request
-/// locked several times on its hot path — the contention `qcheck`'s
-/// `conc/hot-path-lock` rule now rejects. Independent atomic counters
-/// need no critical section at all.
+/// Server counters: independent atomic counters, so recording a request
+/// takes no lock on its hot path.
 #[derive(Debug, Default)]
 struct Stats {
     submitted: Counter,
@@ -336,8 +334,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn inflight(&self) -> MutexGuard<'_, Inflight> {
-        self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
+    fn inflight(&self) -> Held<'_, Inflight> {
+        lock(&self.inflight)
     }
 }
 
@@ -355,6 +353,10 @@ pub struct Server {
 }
 
 impl Server {
+    #[expect(
+        clippy::expect_used,
+        reason = "a thread spawn fails only when the OS is out of threads or memory at server start, before any request exists to reject"
+    )]
     pub fn new(catalog: Arc<Catalog>, cfg: ServerConfig) -> Self {
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         let breaker = Breaker::new(cfg.breaker.clone());
@@ -446,7 +448,7 @@ impl Server {
         let token = CancelToken::never();
         // Capacity 1 is exact, not an optimization: the worker sends one
         // outcome and drops the sender, so a bounded rendezvous slot is
-        // all a ticket ever needs (`conc/unbounded-channel`).
+        // all a ticket ever needs.
         let (tx, rx) = mpsc::sync_channel(1);
         let req = Request {
             id,
@@ -789,6 +791,7 @@ fn run_attempt_inner(
             DegradationEvent::opt(reason, "admission", from, to, detail)
         });
 
+    assert_no_lock_held("planning");
     let optimized = match cse_core::optimize_sql(&shared.catalog, &req.sql, &cfg) {
         Ok(o) => o,
         Err(msg) => {
@@ -812,6 +815,7 @@ fn run_attempt_inner(
         _ => {}
     }
 
+    assert_no_lock_held("execution");
     let engine = Engine::new(&shared.catalog, &optimized.ctx);
     let run = engine.execute_in(
         &optimized.plan,

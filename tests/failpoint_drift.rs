@@ -6,25 +6,7 @@
 
 use similar_subexpr::govern::sites;
 use similar_subexpr::prelude::*;
-use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// The site list this test drives is *derived from source text* by the
-/// qcheck vocabulary extractor, not copied from `sites::ALL` — so a
-/// site const added to `crates/govern/src/lib.rs` is exercised here
-/// even if its author forgot every registry. (`sites::ALL` itself is
-/// cross-checked against the same extraction below.)
-fn extracted_site_vocabulary() -> cse_audit::contract::Vocabulary {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/govern/src/lib.rs");
-    let src = std::fs::read_to_string(&path).expect("read govern source");
-    let mut vocab = cse_audit::contract::Vocabulary::default();
-    cse_audit::contract::extract_source("crates/govern/src/lib.rs", &src, &mut vocab);
-    assert!(
-        !vocab.failpoint_sites.is_empty(),
-        "extractor found no failpoint sites in govern — extraction is broken"
-    );
-    vocab
-}
 
 const CSE_BATCH: &str = "select c_nationkey, sum(l_extendedprice) as le \
      from customer, orders, lineitem \
@@ -202,13 +184,12 @@ fn exercise(site: &str) -> FailpointRegistry {
 }
 
 /// Arm each declared site at probability 1.0, drive a workload through
-/// its code path, and require a nonzero trip count. The iteration set
-/// comes from the source-text extraction, so `exercise`'s exhaustive
-/// match (which panics on unknown names) is what forces a workload to
-/// exist for every newly declared site.
+/// its code path, and require a nonzero trip count. `exercise`'s match
+/// panics on a name it does not know, so a site added to `sites::ALL`
+/// fails here until it has a workload.
 #[test]
 fn every_registered_site_has_a_live_hook() {
-    for site in extracted_site_vocabulary().failpoint_sites.keys() {
+    for &site in sites::ALL {
         let registry = exercise(site);
         let counters = registry.counters();
         let (evaluations, trips) = counters
@@ -235,27 +216,6 @@ fn site_list_and_validator_agree() {
         assert!(sites::is_known(site), "{site} not recognized by is_known");
     }
     assert!(!sites::is_known("no.such.site"));
-}
-
-/// The source-text extraction, `sites::ALL`, and the per-site consts
-/// must all name the same set. This is the same registry cross-check
-/// `qcheck` runs in CI, pinned here so a failure points at the exact
-/// direction of the drift.
-#[test]
-fn extracted_vocabulary_matches_site_registry() {
-    let vocab = extracted_site_vocabulary();
-    let extracted: BTreeSet<&str> = vocab.failpoint_sites.keys().map(|s| s.as_str()).collect();
-    let declared: BTreeSet<&str> = sites::ALL.iter().copied().collect();
-    assert_eq!(
-        extracted, declared,
-        "site consts in govern source vs sites::ALL disagree"
-    );
-    let const_names: BTreeSet<&str> = vocab.site_consts.iter().map(|(n, _)| n.as_str()).collect();
-    let all_refs: BTreeSet<&str> = vocab.site_all_refs.iter().map(|s| s.as_str()).collect();
-    assert_eq!(
-        const_names, all_refs,
-        "`mod sites` consts vs the names referenced by `sites::ALL` disagree"
-    );
 }
 
 /// The `CSE_FAIL` grammar: unknown sites and malformed probabilities are
