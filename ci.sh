@@ -133,7 +133,7 @@ rm -rf "$data_dir"
 # whose first field is the correctness verdict.
 # Building benchmark/ without --locked lets cargo prune its Cargo.lock of
 # packages the tree no longer has; that file is frozen, so put it back.
-echo "==> benchmark smoke (every workload: verdict; share-batch and opt-heavy: candidate, spool and re-optimization counts, memo size; view-maint sharing)"
+echo "==> benchmark smoke (every workload: verdict; no-share, share-batch and opt-heavy: candidate and spool counts, re-optimizations or rows scanned, memo size; view-maint sharing)"
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
@@ -142,30 +142,32 @@ metric() {
   grep -oE "\"$1\": \{\"value\": [0-9]+" <<<"$2" | grep -oE '[0-9]+$' || true
 }
 for workload in no-share serve-mix share-batch opt-heavy view-maint; do
-  # share-batch, opt-heavy and view-maint run traced: their counts are
-  # deterministic.
-  trace=0
-  [[ "$workload" == share-batch || "$workload" == opt-heavy || "$workload" == view-maint ]] && trace=1
+  # Every workload but serve-mix runs traced: its counts are deterministic.
+  trace=1
+  [[ "$workload" == serve-mix ]] && trace=0
   verdict=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seconds 2 --trace "$trace" | tail -n 1)
   [[ "$verdict" == '{"correct": true,'* ]] \
     || { echo "benchmark $workload verdict: $verdict"; exit 1; }
-  # Candidate generation may get cheaper, not different: a change that
-  # drops or adds a candidate, a spool or a re-optimization fails here.
-  # Each row is "metric share-batch opt-heavy".
-  if [[ "$workload" == share-batch || "$workload" == opt-heavy ]]; then
-    while read -r name share opt; do
-      want=$share
-      [[ "$workload" == opt-heavy ]] && want=$opt
-      got=$(metric "$name" "$verdict")
-      [[ "$got" == "$want" ]] \
-        || { echo "$workload $name is '${got}', expected $want"; exit 1; }
-    done <<'COUNTS'
-core.candidates 56 45
-core.spools_used 33 15
-core.cse_optimizations 113 339
+  # Candidate generation and scans may get cheaper, not different: a change
+  # that drops or adds a candidate, a spool, a re-optimization or a scanned
+  # row fails here. Each row is "workload metric count".
+  while read -r name_workload name want; do
+    [[ "$name_workload" == "$workload" ]] || continue
+    got=$(metric "$name" "$verdict")
+    [[ "$got" == "$want" ]] \
+      || { echo "$workload $name is '${got}', expected $want"; exit 1; }
+  done <<'COUNTS'
+no-share core.candidates 0
+no-share core.spools_used 0
+no-share exec.base_rows_scanned 5183928
+share-batch core.candidates 56
+share-batch core.spools_used 33
+share-batch core.cse_optimizations 113
+opt-heavy core.candidates 45
+opt-heavy core.spools_used 15
+opt-heavy core.cse_optimizations 339
 COUNTS
-  fi
   if [[ "$workload" == opt-heavy ]]; then
     # One group per logical join: 4 137 expressions today, 15 405 when
     # every join order reached a join got a group of its own.

@@ -436,15 +436,10 @@ impl<'a> Engine<'a> {
             entry.map_err(|e| ExecError::Storage(e.to_string()))
         };
         match plan {
-            PhysicalPlan::TableScan {
-                rel,
-                filter,
-                layout,
-            } => {
+            PhysicalPlan::TableScan { rel, layout } => {
                 st.maybe_fail(sites::SCAN_TABLE)?;
-                let filter = filter.as_ref().map(|p| Bound::bind(p, layout, op));
-                let rows = entry_of(*rel)?.table.scan().map(Ok);
-                scan_rows(rows, st, &mut filtering(filter.transpose()?, sink))
+                let reads = positions(layout, need);
+                scan_table(entry_of(*rel)?.table.rows(), &reads, st, sink)
             }
             PhysicalPlan::IndexRangeScan {
                 rel,
@@ -467,8 +462,9 @@ impl<'a> Engine<'a> {
                     .find(|i| i.column == col.col as usize)
                     .filter(|_| interval.in_class_of(ty));
                 match idx {
-                    // Index dropped since planning: degrade to a scan.
-                    None => scan_rows(table.scan().map(Ok), st, &mut sink),
+                    // Index dropped since planning: degrade to a scan, one
+                    // that prefetches nothing.
+                    None => scan_table(table.rows(), &[], st, &mut sink),
                     Some(_) if interval.emptiness(ty).is_some() => Ok(()),
                     Some(idx) => {
                         fn side(s: &Option<(Value, bool)>) -> RangeBound<&Value> {
@@ -689,8 +685,7 @@ impl<'a> Engine<'a> {
         st: &mut RunState<'_>,
     ) -> ExecResult<(Vec<ColRef>, RowBuf)> {
         let cols = out_cols(plan, need);
-        let keep = (0..cols.len()).filter(|i| need.contains(&cols[*i]));
-        let keep: Vec<usize> = keep.collect();
+        let keep = positions(&cols, need);
         let mut held = RowBuf::new(keep.len());
         self.stream(plan, need, st, &mut |r| {
             held.push(keep.iter().map(|p| r[*p].clone()));
@@ -831,6 +826,73 @@ fn sources(cols: &[ColRef], side: &[ColRef]) -> Vec<(usize, usize)> {
 fn stored_row<'t>(table: &'t Table, rid: u32, name: &str) -> ExecResult<&'t Row> {
     let stale = || ExecError::Storage(format!("index rowid {rid} out of range for {name}"));
     table.rows().get(rid as usize).ok_or_else(stale)
+}
+
+/// Push every row of a stored table, in table order, counting each as
+/// scanned. Each row is an allocation of its own, so before it pushes a row
+/// the scan prefetches the lines of the row [`PREFETCH_AHEAD`] further on
+/// that hold the columns at `reads`: that row's misses overlap the pipeline's
+/// work on the rows before it.
+fn scan_table(rows: &[Row], reads: &[usize], st: &mut RunState<'_>, sink: Sink<'_>) -> ExecResult {
+    for (i, r) in rows.iter().enumerate() {
+        if let Some(ahead) = rows.get(i + PREFETCH_AHEAD) {
+            prefetch(ahead, reads);
+        }
+        st.ctx.check_cancel_at(i)?;
+        st.metrics.base_rows_scanned += 1;
+        sink(r)?;
+    }
+    Ok(())
+}
+
+/// How many rows ahead of the row it pushes a table scan prefetches. Far
+/// enough that a row's lines have arrived by its turn, near enough that they
+/// are still cached: the smallest distance on the plateau of the sweep in
+/// DESIGN §9.1.
+const PREFETCH_AHEAD: usize = 16;
+
+/// Bytes in a cache line.
+const LINE: usize = 64;
+
+/// Ask the CPU to start loading the cache lines of `row` that hold the
+/// values at `cols`. A hint: it changes nothing the program can observe,
+/// and on other architectures than x86-64 it does nothing.
+fn prefetch(row: &[Value], cols: &[usize]) {
+    #[cfg(target_arch = "x86_64")]
+    for_each_line(row, cols, |at| {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: PREFETCHT0 needs SSE, which every x86-64 CPU has. It is a
+        // hint: it never faults, writes nothing and dereferences nothing the
+        // program can see, whatever the address; this one points inside a
+        // value of the live `row`.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(at.cast()) }
+    });
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (row, cols);
+}
+
+/// Call `f` with one address in each cache line that holds a value of `row`
+/// at `cols` (ascending positions): a value's first byte, and its last when
+/// it straddles two lines. Every address is inside a value of `row`; a
+/// position past its end names nothing.
+fn for_each_line(row: &[Value], cols: &[usize], mut f: impl FnMut(*const u8)) {
+    let mut last = None;
+    for value in cols.iter().filter_map(|c| row.get(*c)) {
+        let first = std::ptr::from_ref(value).cast::<u8>();
+        for at in [first, first.wrapping_add(CELL - 1)] {
+            let line = Some(at.addr() / LINE);
+            if line != last {
+                last = line;
+                f(at);
+            }
+        }
+    }
+}
+
+/// Where the columns in `need` are among `cols`, in order.
+fn positions(cols: &[ColRef], need: &Need) -> Vec<usize> {
+    let read = |(i, c)| need.contains(c).then_some(i);
+    cols.iter().enumerate().filter_map(read).collect()
 }
 
 /// Push the stored rows `rows` finds, in its order, counting each as scanned.
@@ -974,6 +1036,7 @@ impl Groups {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cse_algebra::CmpOp;
     use cse_govern::FailSpec;
     use cse_storage::{row, DataType, Schema, Table};
     use std::cell::RefCell;
@@ -1025,7 +1088,6 @@ mod tests {
         let cols = |r| (0..2).map(move |i| ColRef::new(r, i));
         let scan = |r| PhysicalPlan::TableScan {
             rel: r,
-            filter: None,
             layout: cols(r).collect(),
         };
         let out = ctx.add_agg_output(&[DataType::Int], blk);
@@ -1072,5 +1134,112 @@ mod tests {
             Ok(_) => panic!("the probe scan ended without seeing the cancel"),
             Err(e) => panic!("expected a cancellation, got {e}"),
         }
+    }
+
+    /// The look-ahead runs off the end of the table at every length: with
+    /// no row, fewer rows than it looks ahead, exactly as many, one more,
+    /// and past a cancellation stride. A filtered scan still returns the
+    /// table's rows in table order, and a COUNT(*) over the scan, which
+    /// reads no column, still counts them all.
+    #[test]
+    fn table_scans_return_every_row_at_the_ends_of_the_look_ahead() {
+        let d = PREFETCH_AHEAD;
+        for n in [0, 1, d - 1, d, d + 1, 3 * CANCEL_STRIDE + 1] {
+            let schema = Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]);
+            let rows: Vec<Row> = (0..n as i64)
+                .map(|i| row(vec![Value::Int(i), Value::str(format!("s{i}"))]))
+                .collect();
+            let mut cat = Catalog::new();
+            cat.register_table(Table::with_rows("t", schema.clone(), rows.clone()))
+                .unwrap();
+            let mut ctx = PlanContext::new();
+            let blk = ctx.new_block();
+            let t = ctx.add_base_rel("t", "t", std::sync::Arc::new(schema), blk);
+            let scan = PhysicalPlan::TableScan {
+                rel: t,
+                layout: vec![ColRef::new(t, 0), ColRef::new(t, 1)],
+            };
+            let out = ctx.add_agg_output(&[DataType::Int], blk);
+            let run = |root| {
+                let plan = FullPlan {
+                    root,
+                    spools: Default::default(),
+                    cost: 0.0,
+                    baseline: None,
+                };
+                Engine::new(&cat, &ctx).execute(&plan).unwrap()
+            };
+
+            let filtered = run(PhysicalPlan::Filter {
+                input: Box::new(scan.clone()),
+                pred: Scalar::cmp(CmpOp::Ge, Scalar::col(t, 0), Scalar::int(0)),
+            });
+            assert_eq!(filtered.results[0].rows, rows, "{n} rows, in table order");
+            assert_eq!(filtered.metrics.base_rows_scanned, n);
+
+            let counted = run(PhysicalPlan::HashAggregate {
+                input: Box::new(scan),
+                keys: Vec::new(),
+                aggs: vec![AggExpr::count_star()],
+                out,
+                layout: vec![ColRef::new(out, 0)],
+            });
+            let want = vec![row(vec![Value::Int(n as i64)])];
+            assert_eq!(counted.results[0].rows, want, "COUNT(*) over {n} rows");
+            assert_eq!(counted.metrics.base_rows_scanned, n);
+        }
+    }
+
+    /// The addresses `for_each_line` names, and the distinct lines they are in.
+    fn lines(row: &[Value], cols: &[usize]) -> (Vec<usize>, BTreeSet<usize>) {
+        let mut at = Vec::new();
+        for_each_line(row, cols, |p| at.push(p.addr()));
+        let lines = at.iter().map(|a| a / LINE).collect();
+        (at, lines)
+    }
+
+    /// Where value `i` of `row` starts.
+    fn start(row: &[Value], i: usize) -> usize {
+        std::ptr::from_ref(&row[i]).addr()
+    }
+
+    #[test]
+    fn a_value_that_straddles_two_lines_prefetches_both() {
+        // Eight 24-byte values cover three 64-byte lines, so some value
+        // crosses a line boundary wherever the row starts.
+        let r = row((0..8).map(Value::Int).collect());
+        let straddles = |i: &usize| start(&r, *i) / LINE != (start(&r, *i) + CELL - 1) / LINE;
+        let i = (0..8).find(straddles).expect("a straddling value");
+        let (at, got) = lines(&r, &[i]);
+        let want = [start(&r, i) / LINE, (start(&r, i) + CELL - 1) / LINE];
+        assert_eq!(got, BTreeSet::from(want));
+        assert_eq!(at.len(), 2, "one address a line");
+        // A value inside one line is one address, its start.
+        let inside = (0..8)
+            .find(|i| !straddles(i))
+            .expect("a value inside a line");
+        assert_eq!(lines(&r, &[inside]).0, vec![start(&r, inside)]);
+    }
+
+    #[test]
+    fn prefetched_lines_stay_inside_the_row_and_name_each_line_once() {
+        let r = row((0..8).map(Value::Int).collect());
+        let (begin, end) = (start(&r, 0), start(&r, 0) + r.len() * CELL);
+        let every: Vec<usize> = (0..r.len()).collect();
+        let (at, got) = lines(&r, &every);
+        assert!(at.iter().all(|a| (begin..end).contains(a)), "{at:?}");
+        let want: BTreeSet<usize> = (begin / LINE..=(end - 1) / LINE).collect();
+        assert_eq!(got, want, "every line of the row");
+        assert_eq!(at.len(), want.len(), "no line twice");
+        // Positions past the last value address nothing.
+        assert_eq!(lines(&r, &[7, 8, 40]).0, lines(&r, &[7]).0);
+        assert!(lines(&r, &[8, 9]).0.is_empty());
+    }
+
+    #[test]
+    fn an_empty_read_set_prefetches_nothing() {
+        let r = row((0..8).map(Value::Int).collect());
+        assert!(lines(&r, &[]).0.is_empty(), "COUNT(*) reads no column");
+        assert!(lines(&[], &[0, 1]).0.is_empty(), "a row with no values");
     }
 }

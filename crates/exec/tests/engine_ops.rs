@@ -40,7 +40,6 @@ fn scan(ctx: &PlanContext, rel: RelId) -> PhysicalPlan {
     let n = ctx.rel(rel).schema.len();
     PhysicalPlan::TableScan {
         rel,
-        filter: None,
         layout: (0..n).map(|i| ColRef::new(rel, i as u16)).collect(),
     }
 }

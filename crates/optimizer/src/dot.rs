@@ -60,10 +60,7 @@ fn emit(
     let id = *next_id;
     *next_id += 1;
     let label = match plan {
-        PhysicalPlan::TableScan { rel, filter, .. } => match filter {
-            Some(f) => format!("TableScan r{}\\nσ {}", rel.0, escape(&f.to_string())),
-            None => format!("TableScan r{}", rel.0),
-        },
+        PhysicalPlan::TableScan { rel, .. } => format!("TableScan r{}", rel.0),
         PhysicalPlan::IndexRangeScan { rel, col, .. } => {
             format!("IndexRangeScan r{}\\non {col}", rel.0)
         }
@@ -151,7 +148,6 @@ mod tests {
     fn dot_contains_spool_cluster_and_dashed_edges() {
         let scan = PhysicalPlan::TableScan {
             rel: RelId(0),
-            filter: None,
             layout: vec![ColRef::new(RelId(0), 0)],
         };
         let read = PhysicalPlan::CseRead {

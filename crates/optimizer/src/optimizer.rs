@@ -532,7 +532,6 @@ impl<'a> Optimizer<'a> {
         match &e.op {
             Op::Get { rel } => PhysicalPlan::TableScan {
                 rel: *rel,
-                filter: None,
                 layout: memo.group(memo.group_of(eid)).props.output_cols.clone(),
             },
             Op::Filter { pred } => PhysicalPlan::Filter {

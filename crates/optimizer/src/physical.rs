@@ -34,12 +34,8 @@ pub struct ReAgg {
 /// A physical operator tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
-    /// Full scan with an optional pushed-down filter.
-    TableScan {
-        rel: RelId,
-        filter: Option<Scalar>,
-        layout: Vec<ColRef>,
-    },
+    /// Full scan of a stored table; a filtered scan is `Filter(TableScan)`.
+    TableScan { rel: RelId, layout: Vec<ColRef> },
     /// B-tree index range scan. The index narrows the scan to the rows
     /// whose `col` lies in `interval` — a hint extracted from `pred`; every
     /// row it returns is then decided by `pred`, the whole filter.
@@ -196,12 +192,8 @@ impl PhysicalPlan {
         use std::fmt::Write as _;
         let pad = "  ".repeat(depth);
         match self {
-            PhysicalPlan::TableScan { rel, filter, .. } => {
-                let f = filter
-                    .as_ref()
-                    .map(|p| format!(" filter={p}"))
-                    .unwrap_or_default();
-                let _ = writeln!(out, "{pad}TableScan r{}{f}", rel.0);
+            PhysicalPlan::TableScan { rel, .. } => {
+                let _ = writeln!(out, "{pad}TableScan r{}", rel.0);
             }
             PhysicalPlan::IndexRangeScan { rel, col, .. } => {
                 let _ = writeln!(out, "{pad}IndexRangeScan r{} on {col}", rel.0);
@@ -323,7 +315,6 @@ mod tests {
     fn scan(rel: u32) -> PhysicalPlan {
         PhysicalPlan::TableScan {
             rel: RelId(rel),
-            filter: None,
             layout: vec![ColRef::new(RelId(rel), 0)],
         }
     }

@@ -56,7 +56,6 @@ mod tests {
     fn scan() -> PhysicalPlan {
         PhysicalPlan::TableScan {
             rel: RelId(0),
-            filter: None,
             layout: vec![ColRef::new(RelId(0), 0)],
         }
     }

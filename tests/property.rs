@@ -393,7 +393,6 @@ mod agg_reference {
         let plan = PhysicalPlan::HashAggregate {
             input: Box::new(PhysicalPlan::TableScan {
                 rel,
-                filter: None,
                 layout: vec![ColRef::new(rel, 0), ColRef::new(rel, 1)],
             }),
             keys: vec![ColRef::new(rel, 0)],
