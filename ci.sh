@@ -42,6 +42,24 @@ if "${QLINT[@]}" --sf 0.001 --deny tests/corpus/findings.sql >/dev/null 2>&1; th
   exit 1
 fi
 
+# Lint only reports: the optimizer must not link the analyzer, and the
+# gate lives in qsql, which lints a batch before planning it.
+echo "==> cse-core does not depend on cse-lint; qsql --lint=deny gate"
+core_deps=$(cargo tree --offline -e normal -p cse-core)
+if grep -q 'cse-lint' <<<"$core_deps"; then
+  echo "cse-core depends on cse-lint"
+  exit 1
+fi
+QSQL_DENY=(cargo run -q --release --bin qsql -- --sf 0.001 --lint=deny)
+denied=$("${QSQL_DENY[@]}" <tests/corpus/findings.sql 2>&1)
+grep -q "lint denied" <<<"$denied" \
+  || { echo "qsql --lint=deny accepted tests/corpus/findings.sql"; exit 1; }
+accepted=$("${QSQL_DENY[@]}" <tests/corpus/clean.sql 2>&1)
+if grep -q "lint denied" <<<"$accepted"; then
+  echo "qsql --lint=deny rejected tests/corpus/clean.sql"
+  exit 1
+fi
+
 # Fault-injection seed matrix: the adversarial robustness suite and the
 # concurrent serving stress suite must hold for every seed, not just the
 # default. Each seed reshuffles which scans / spools / worker slots fail

@@ -244,6 +244,37 @@ pub fn implies(p: &Scalar, q: &Scalar) -> bool {
     Antecedent::new(p).implies(q)
 }
 
+/// Which of `conjuncts` their siblings imply: `true` at `i` means conjunct
+/// `i` can be dropped from the conjunction without changing the rows it
+/// accepts. Each conjunct is tested against the siblings still kept, from
+/// the last to the first, so of two conjuncts that imply each other (a
+/// literal duplicate included) only the later is marked.
+///
+/// A disjunction supports only its duplicate: the range a sibling OR
+/// implies stays, because the one-column bound is what [`ranges_of`], the
+/// covering hull and this prover read, and an OR among conjuncts is opaque
+/// to them. The prover proves an atom only from a sibling on one of its
+/// columns or from an identical sibling, so only a conjunct that shares a
+/// column with a supporting sibling, or mentions no column, is tested.
+pub fn implied_by_siblings(conjuncts: &[Scalar]) -> Vec<bool> {
+    let columns: Vec<_> = conjuncts.iter().map(Scalar::columns).collect();
+    let mut implied = vec![false; conjuncts.len()];
+    for (i, q) in conjuncts.iter().enumerate().rev() {
+        let support: Vec<usize> = (0..conjuncts.len())
+            .filter(|&j| j != i && !implied[j])
+            .filter(|&j| !matches!(conjuncts[j], Scalar::Or(_)) || conjuncts[j] == *q)
+            .collect();
+        let shares_column = |&j: &usize| !columns[j].is_disjoint(&columns[i]);
+        let testable =
+            !support.is_empty() && (columns[i].is_empty() || support.iter().any(shares_column));
+        implied[i] = testable && {
+            let siblings = Scalar::and(support.iter().map(|&j| conjuncts[j].clone()));
+            Antecedent::new(&siblings).implies(q)
+        };
+    }
+    implied
+}
+
 /// The left side of [`implies`], prepared once for many right sides: `p`
 /// normalized, and either its disjuncts (each prepared the same way) or the
 /// column ranges its conjuncts bound. Nothing is normalized twice, which is
@@ -424,6 +455,37 @@ mod tests {
         // INT and FLOAT are one class.
         let lt_float = Scalar::cmp(CmpOp::Lt, c(0), Scalar::Lit(Value::Float(10.5)));
         assert!(implies(&lt(c(0), 5), &lt_float));
+    }
+
+    #[test]
+    fn implied_siblings_keep_one_of_each_pair() {
+        let le = |v| Scalar::cmp(CmpOp::Le, c(0), Scalar::Lit(v));
+        // The looser bound goes, whichever side it is on.
+        assert_eq!(
+            implied_by_siblings(&[lt(c(0), 10), lt(c(0), 5), gt(c(1), 2)]),
+            [true, false, false]
+        );
+        // A duplicate and a same-valued bound of another literal kind imply
+        // each other: the later one is marked, the earlier kept.
+        assert_eq!(
+            implied_by_siblings(&[lt(c(0), 5), lt(c(0), 5)]),
+            [false, true]
+        );
+        let pair = [le(Value::Int(9)), le(Value::Float(9.0))];
+        assert_eq!(implied_by_siblings(&pair), [false, true]);
+        // Nothing on the conjunct's column: nothing to prove it from.
+        assert_eq!(
+            implied_by_siblings(&[lt(c(0), 5), lt(c(1), 5)]),
+            [false, false]
+        );
+        assert_eq!(implied_by_siblings(&[Scalar::true_()]), [false]);
+        // The bound an OR implies stays; a duplicate OR goes.
+        let or = Scalar::or([lt(c(0), 5), Scalar::and([lt(c(0), 8), gt(c(1), 1)])]);
+        assert_eq!(
+            implied_by_siblings(&[lt(c(0), 10), or.clone()]),
+            [false, false]
+        );
+        assert_eq!(implied_by_siblings(&[or.clone(), or]), [false, true]);
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub use agg::{AggExpr, AggFunc};
 pub use context::{PlanContext, RelInfo, RelKind};
 pub use equiv::{classes_to_conjuncts, intersect_all, intersect_classes, EquivClasses};
 pub use ids::{BlockId, ColRef, RelId, RelSet};
-pub use implication::{column_ranges, implies, ranges_of, Antecedent, Empty, Interval};
+pub use implication::{
+    column_ranges, implied_by_siblings, implies, ranges_of, Antecedent, Empty, Interval,
+};
 pub use join_graph::{derive_compatibility_compositional, is_connected, join_compatible};
 pub use logical::{LogicalPlan, SortOrder};
 pub use normal_form::{GroupSpec, SpjNormal, SpjgNormal};

@@ -317,7 +317,7 @@ pub fn generate_for_set(
     }
     let unique_keys: Vec<cse_algebra::SpjgNormal> =
         unique.iter().map(|u| u.normal.clone()).collect();
-    let groups = partition_compatible(&memo.ctx, unique);
+    let groups = partition_compatible(unique);
     let mut out = Vec::new();
     for g in groups {
         if g.members.len() < 2 {
@@ -329,7 +329,7 @@ pub fn generate_for_set(
                 continue;
             }
         }
-        let build = Construction::new(memo, &g.members, ctx.required);
+        let build = Construction::new(&g.members, ctx.required);
         let set = if cfg.heuristics {
             h2_filter_consumers(memo, ctx, &build, trials)
         } else {

@@ -6,7 +6,7 @@
 //! intersected equijoin graph).
 
 use crate::align::Alignment;
-use cse_algebra::{intersect_classes, is_connected, ColRef, PlanContext, RelId, SpjgNormal};
+use cse_algebra::{intersect_classes, is_connected, ColRef, RelId, SpjgNormal};
 use cse_memo::{GroupId, Memo};
 use std::collections::BTreeSet;
 
@@ -64,10 +64,7 @@ pub(crate) fn prepare_onto(
 /// group when none accepts it. (Compatibility of pairs is not transitive
 /// in general, so membership is re-validated against the group's running
 /// intersection, which is the property construction actually needs.)
-pub fn partition_compatible(
-    _ctx: &PlanContext,
-    consumers: Vec<PreparedConsumer>,
-) -> Vec<CompatibleGroup> {
+pub fn partition_compatible(consumers: Vec<PreparedConsumer>) -> Vec<CompatibleGroup> {
     let mut groups: Vec<CompatibleGroup> = Vec::new();
     'outer: for c in consumers {
         for g in &mut groups {
@@ -141,7 +138,7 @@ mod tests {
         let (memo, groups) = build();
         let prepared = prepare_consumers(&memo, &groups);
         assert_eq!(prepared.len(), 3);
-        let parts = partition_compatible(&memo.ctx, prepared);
+        let parts = partition_compatible(prepared);
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].members.len(), 2);
         assert_eq!(parts[1].members.len(), 1);

@@ -8,7 +8,6 @@ use crate::required::RequiredCols;
 use cse_cost::{CostModel, StatsCatalog};
 use cse_diag::Report as VerifyReport;
 use cse_govern::{Budget, BudgetClock, CancelToken, DegradationEvent, FailpointRegistry, Rung};
-use cse_lint::LintMode;
 use cse_memo::{ExploreConfig, GroupId, TableSignature};
 use cse_optimizer::{CseId, IndexInfo};
 use std::collections::HashMap;
@@ -47,13 +46,6 @@ pub struct CseConfig {
     /// enumeration hot loops. Unlike a budget trip, a cancellation *fails*
     /// the optimization — a canceled request must stop, not degrade.
     pub cancel: CancelToken,
-    /// qlint mode (`--lint[=deny]`): run the static analyzer over the SQL
-    /// batch before optimization, report its diagnostics in
-    /// [`CseReport::lint`], and feed proven facts forward (redundant
-    /// conjuncts into covering construction, unsatisfiable statements
-    /// into a constant-FALSE short circuit). `Deny` additionally fails
-    /// the batch on any warning-or-worse diagnostic.
-    pub lint: LintMode,
 }
 
 impl Default for CseConfig {
@@ -68,7 +60,6 @@ impl Default for CseConfig {
             start_rung: Rung::FullCse,
             failpoints: FailpointRegistry::from_env(),
             cancel: CancelToken::never(),
-            lint: LintMode::Off,
         }
     }
 }
@@ -145,9 +136,6 @@ pub struct CseReport {
     pub rung: Rung,
     /// Every downgrade recorded on the way (empty in the common case).
     pub degradations: Vec<DegradationEvent>,
-    /// qlint diagnostics (present iff [`CseConfig::lint`] was enabled and
-    /// the batch came in as SQL text).
-    pub lint: Option<cse_lint::Report>,
 }
 
 /// Generation knobs (paper values: α = 10%, β = 90%).

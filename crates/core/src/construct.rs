@@ -3,7 +3,9 @@
 //! Given a set of aligned, join-compatible consumers:
 //! 1. intersect equivalence classes → N-ary equijoin predicate;
 //! 2. simplify each consumer's predicate by deleting conjuncts already in
-//!    the join predicate;
+//!    the join predicate, and those its other conjuncts imply
+//!    (`cse_algebra::implied_by_siblings`, which qlint's redundant-conjunct
+//!    rule reads too);
 //! 3. OR the simplified predicates into a covering predicate (with
 //!    factoring of common conjuncts and single-column range hulls, which is
 //!    how the paper's E5 ends up with `o_orderdate < '1996-07-01' AND
@@ -28,8 +30,8 @@
 use crate::compat::PreparedConsumer;
 use crate::required::{required_of, RequiredCols};
 use cse_algebra::{
-    classes_to_conjuncts, implies, intersect_all, intersect_classes, ranges_of, AggExpr,
-    Antecedent, CmpOp, ColRef, Interval, LogicalPlan, RelId, RelSet, Scalar,
+    classes_to_conjuncts, implied_by_siblings, implies, intersect_all, intersect_classes,
+    ranges_of, AggExpr, Antecedent, CmpOp, ColRef, Interval, LogicalPlan, RelId, RelSet, Scalar,
 };
 use cse_memo::{AggInput, Memo};
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,7 +78,7 @@ pub fn construct(
     required: &RequiredCols,
 ) -> Option<ConstructedCse> {
     let all: Vec<usize> = (0..members.len()).collect();
-    let shape = Construction::new(memo, &members, required).shape(memo, &all)?;
+    let shape = Construction::new(&members, required).shape(memo, &all)?;
     let plan = shape.plan()?;
     Some(ConstructedCse {
         members,
@@ -96,13 +98,10 @@ pub struct Construction<'a> {
 }
 
 impl<'a> Construction<'a> {
-    pub fn new(memo: &Memo, members: &'a [PreparedConsumer], required: &RequiredCols) -> Self {
+    pub fn new(members: &'a [PreparedConsumer], required: &RequiredCols) -> Self {
         let classes: Vec<_> = members.iter().map(|m| m.classes.clone()).collect();
         let classes = intersect_all(&classes);
-        let branches = members
-            .iter()
-            .map(|m| Branch::of(memo, m, &classes))
-            .collect();
+        let branches = members.iter().map(|m| Branch::of(m, &classes)).collect();
         let needs = members
             .iter()
             .map(|m| {
@@ -147,10 +146,7 @@ impl<'a> Construction<'a> {
         let branches: Vec<&Branch> = if inter == self.classes {
             set.iter().map(|&i| &self.branches[i]).collect()
         } else {
-            fresh = members
-                .iter()
-                .map(|m| Branch::of(memo, m, &inter))
-                .collect();
+            fresh = members.iter().map(|m| Branch::of(m, &inter)).collect();
             fresh.iter().collect()
         };
 
@@ -287,15 +283,9 @@ impl Branch {
             .flat_map(Scalar::columns)
     }
 
-    /// Step 2 for `m` under the join classes `classes`, with the conjuncts
-    /// the analyzer proved redundant dropped (step 2b, re-verified
-    /// locally).
-    fn of(memo: &Memo, m: &PreparedConsumer, classes: &[BTreeSet<ColRef>]) -> Self {
-        let pred = beyond_joins(&m.normal.spj.conjuncts, classes);
-        Branch::new(prune_proven_redundant(
-            &pred,
-            &memo.facts.redundant_conjuncts,
-        ))
+    /// Step 2 for `m` under the join classes `classes`.
+    fn of(m: &PreparedConsumer, classes: &[BTreeSet<ColRef>]) -> Self {
+        Branch::new(beyond_joins(&m.normal.spj.conjuncts, classes))
     }
 }
 
@@ -305,13 +295,21 @@ fn same_class(classes: &[BTreeSet<ColRef>], a: ColRef, b: ColRef) -> bool {
 }
 
 /// Step 2: a consumer's predicate without the column equalities the
-/// covering join (`join_classes`) already enforces.
+/// covering join (`join_classes`) already enforces, and without the
+/// conjuncts its remaining ones imply.
 fn beyond_joins(conjuncts: &[Scalar], join_classes: &[BTreeSet<ColRef>]) -> Scalar {
     let implied_by_join = |c: &Scalar| {
         c.as_col_eq_col()
             .is_some_and(|(a, b)| same_class(join_classes, a, b))
     };
-    Scalar::and(conjuncts.iter().filter(|c| !implied_by_join(c)).cloned()).normalize()
+    let rest: Vec<Scalar> = conjuncts
+        .iter()
+        .filter(|c| !implied_by_join(c))
+        .cloned()
+        .collect();
+    let implied = implied_by_siblings(&rest);
+    let kept = rest.into_iter().zip(implied).filter(|(_, i)| !i);
+    Scalar::and(kept.map(|(c, _)| c)).normalize()
 }
 
 impl ConstructedCse {
@@ -338,54 +336,6 @@ impl ConstructedCse {
             _ => false,
         };
         subsumed.then(|| beyond_joins(&consumer.normal.spj.conjuncts, &shape.join_classes))
-    }
-}
-
-/// Drop conjuncts of `pred` that the analyzer proved redundant
-/// (`facts`), keeping the predicate row-for-row equivalent.
-///
-/// Soundness: a fact alone never licenses the drop. Each candidate
-/// conjunct is **re-verified locally** — it is removed only when the AND
-/// of the *surviving* conjuncts still implies it (the conservative
-/// `cse-algebra::implies`). A stale or misrouted fact (e.g. rel ids from
-/// a different lowering) simply fails re-verification and the predicate
-/// is returned unchanged.
-pub fn prune_proven_redundant(pred: &Scalar, facts: &BTreeSet<Scalar>) -> Scalar {
-    if facts.is_empty() {
-        return pred.clone();
-    }
-    let conjuncts = pred.conjuncts();
-    if conjuncts.len() < 2 {
-        return pred.clone();
-    }
-    let mut kept: Vec<Scalar> = conjuncts.clone();
-    // Iterate over the original conjuncts; re-verify each flagged one
-    // against the others that are still kept (never against itself).
-    for c in &conjuncts {
-        if !facts.contains(&c.clone().normalize()) {
-            continue;
-        }
-        let Some(pos) = kept.iter().position(|k| k == c) else {
-            continue;
-        };
-        let rest: Vec<Scalar> = kept
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != pos)
-            .map(|(_, k)| k.clone())
-            .collect();
-        if rest.is_empty() {
-            continue;
-        }
-        let support = Scalar::and(rest).normalize();
-        if implies(&support, c) {
-            kept.remove(pos);
-        }
-    }
-    if kept.len() == conjuncts.len() {
-        pred.clone()
-    } else {
-        Scalar::and(kept).normalize()
     }
 }
 

@@ -51,9 +51,7 @@ pub use align::Alignment;
 pub use candidates::CostedCandidate;
 pub use compat::{partition_compatible, prepare_consumers, CompatibleGroup, PreparedConsumer};
 pub use config::{CandidateSummary, CostBounds, CseConfig, CseReport, GenConfig, PhaseCtx};
-pub use construct::{
-    construct, prune_proven_redundant, simplify_covering, ConstructedCse, Construction, CseShape,
-};
+pub use construct::{construct, simplify_covering, ConstructedCse, Construction, CseShape};
 pub use enumerate::{choose_best, EnumOutcome};
 pub use maintenance::{
     create_materialized_view, maintain_insert, plan_insert, plan_materialized_view,

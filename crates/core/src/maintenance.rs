@@ -18,8 +18,7 @@
 //! `DurableCatalog` journals exactly what a plain [`Catalog`] applies; this
 //! module changes a catalog only through [`Catalog::apply_mutation`], and a
 //! request that fails anywhere leaves the caller's catalog as it was. The
-//! batch is generated from definitions accepted (and, under `cfg.lint`,
-//! linted) at creation, so it is not linted again.
+//! batch is generated from definitions accepted at creation.
 
 use crate::config::{CseConfig, CseReport};
 use crate::pipeline::{optimize_plan, optimize_sql};

@@ -26,11 +26,10 @@ use crate::enumerate::choose_best;
 use crate::manager::CseManager;
 use crate::required::{compute_required, required_of, RequiredCols};
 use crate::view_match::build_substitutes;
-use cse_algebra::{ColRef, LogicalPlan, PlanContext, RelSet, Scalar};
+use cse_algebra::{ColRef, LogicalPlan, PlanContext, RelSet};
 use cse_cost::StatsCatalog;
 use cse_diag::Report as VerifyReport;
 use cse_govern::{panic_message, sites, BudgetTrip, DegradationEvent, Reason, Rung};
-use cse_lint::lint_batch;
 use cse_memo::{explore, explore_from, GroupId, Memo};
 use cse_optimizer::{CseCandidate, CseId, FullPlan, IndexInfo, Optimizer, Substitute};
 use cse_storage::Catalog;
@@ -46,136 +45,10 @@ pub struct Optimized {
     pub report: CseReport,
 }
 
-/// Optimize a SQL batch end to end.
-///
-/// When [`CseConfig::lint`] is enabled, the qlint analyzer runs over the
-/// batch first: `Deny` mode rejects the batch on any warning-or-worse
-/// diagnostic; otherwise diagnostics land in [`CseReport::lint`] and
-/// proven facts feed the optimization (statements with provably
-/// unsatisfiable WHERE clauses are short-circuited with a constant-FALSE
-/// filter, redundant conjuncts inform covering-predicate construction).
+/// Optimize a SQL batch end to end: lower it, then [`optimize_plan`].
 pub fn optimize_sql(catalog: &Catalog, sql: &str, cfg: &CseConfig) -> Result<Optimized, String> {
-    let (ctx, mut plan) = cse_sql::lower_batch_sql(catalog, sql)?;
-    let mut lint = None;
-    let mut facts = cse_memo::ProvenFacts::default();
-    if cfg.lint.enabled() {
-        let outcome = lint_batch(catalog, sql);
-        if outcome.denies(cfg.lint) {
-            return Err(format!(
-                "lint denied the batch ({} error(s), {} warning(s)):\n{}",
-                outcome.report.error_count(),
-                outcome.report.warning_count(),
-                outcome.report.render_as("lint")
-            ));
-        }
-        if !outcome.facts.unsat_statements.is_empty() {
-            // `lower_batch_sql` succeeded, so every statement parsed and
-            // lowered: lint's source-order indices equal batch children.
-            plan = short_circuit_unsat(plan, &outcome.facts.unsat_statements);
-        }
-        facts.redundant_conjuncts = outcome.facts.redundant.clone();
-        lint = Some(outcome.report);
-    }
-    let mut optimized = optimize_plan_with_facts(catalog, ctx, plan, cfg, facts)?;
-    optimized.report.lint = lint;
-    Ok(optimized)
-}
-
-/// Insert a constant-FALSE filter into each statement listed in `unsat`.
-///
-/// The filter lands *below* the statement's root aggregate (above the
-/// SPJ core), which preserves semantics exactly: a grouped aggregate
-/// over an empty input produces zero groups, and a scalar aggregate
-/// still produces its single NULL/zero row — the same rows the
-/// contradictory WHERE clause would have produced the expensive way.
-/// Statements without a root aggregate get the filter directly on their
-/// SPJ core, below the `Project`/`Sort` wrappers.
-fn short_circuit_unsat(
-    plan: LogicalPlan,
-    unsat: &std::collections::BTreeSet<usize>,
-) -> LogicalPlan {
-    fn spine_has_aggregate(p: &LogicalPlan) -> bool {
-        match p {
-            LogicalPlan::Aggregate { .. } => true,
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Filter { input, .. } => spine_has_aggregate(input),
-            // HAVING subqueries cross-join above the aggregate; the spine
-            // continues down the left side.
-            LogicalPlan::Join { left, .. } => spine_has_aggregate(left),
-            _ => false,
-        }
-    }
-    fn insert_false(p: LogicalPlan) -> LogicalPlan {
-        match p {
-            LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-                input: Box::new(insert_false(*input)),
-                exprs,
-            },
-            LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-                input: Box::new(insert_false(*input)),
-                keys,
-            },
-            LogicalPlan::Filter { input, pred } if spine_has_aggregate(&input) => {
-                LogicalPlan::Filter {
-                    input: Box::new(insert_false(*input)),
-                    pred,
-                }
-            }
-            LogicalPlan::Join { left, right, pred } if spine_has_aggregate(&left) => {
-                LogicalPlan::Join {
-                    left: Box::new(insert_false(*left)),
-                    right,
-                    pred,
-                }
-            }
-            LogicalPlan::Aggregate {
-                input,
-                keys,
-                aggs,
-                out,
-            } => LogicalPlan::Aggregate {
-                input: Box::new(LogicalPlan::Filter {
-                    input,
-                    pred: Scalar::false_(),
-                }),
-                keys,
-                aggs,
-                out,
-            },
-            other => LogicalPlan::Filter {
-                input: Box::new(other),
-                pred: Scalar::false_(),
-            },
-        }
-    }
-    match plan {
-        LogicalPlan::Batch { children } => LogicalPlan::Batch {
-            children: children
-                .into_iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if unsat.contains(&i) {
-                        insert_false(c)
-                    } else {
-                        c
-                    }
-                })
-                .collect(),
-        },
-        single if unsat.contains(&0) => insert_false(single),
-        single => single,
-    }
-}
-
-/// Optimize an already-lowered logical plan.
-pub fn optimize_plan(
-    catalog: &Catalog,
-    ctx: PlanContext,
-    plan: LogicalPlan,
-    cfg: &CseConfig,
-) -> Result<Optimized, String> {
-    optimize_plan_with_facts(catalog, ctx, plan, cfg, cse_memo::ProvenFacts::default())
+    let (ctx, plan) = cse_sql::lower_batch_sql(catalog, sql)?;
+    optimize_plan(catalog, ctx, plan, cfg)
 }
 
 /// What a request has recorded besides its plan: the report handed back to
@@ -200,19 +73,16 @@ fn optimizer_over<'a>(
     Optimizer::new(memo, stats, &cfg.cost_model, indexes)
 }
 
-/// [`optimize_plan`] with analyzer-proven facts threaded into the memo
-/// (see `cse_memo::ProvenFacts` for the soundness contract).
-fn optimize_plan_with_facts(
+/// Optimize an already-lowered logical plan.
+pub fn optimize_plan(
     catalog: &Catalog,
     ctx: PlanContext,
     plan: LogicalPlan,
     cfg: &CseConfig,
-    facts: cse_memo::ProvenFacts,
 ) -> Result<Optimized, String> {
     let t_start = Instant::now();
     cfg.cancel.check("pipeline/entry").map_err(abort_message)?;
     let mut memo = Memo::new(ctx);
-    memo.facts = facts;
     let root = memo.insert_plan(&plan);
     memo.set_root(root);
     explore(&mut memo, &cfg.explore);

@@ -233,7 +233,7 @@ mod tests {
         let (mut memo, consumers) = setup();
         let required = compute_required(&memo, &[memo.root()]);
         let prepared = prepare_consumers(&memo, &consumers);
-        let groups = partition_compatible(&memo.ctx, prepared);
+        let groups = partition_compatible(prepared);
         assert_eq!(groups.len(), 1);
         let cse = construct(&mut memo, groups[0].members.clone(), &required).unwrap();
         // The < 20 member's compensation... member 0 is < 10 (covering is
@@ -256,7 +256,7 @@ mod tests {
         let required = compute_required(&memo, &[memo.root()]);
         let prepared = prepare_consumers(&memo, &consumers);
         let anchor_rels = prepared[0].normal.spj.rels.clone();
-        let groups = partition_compatible(&memo.ctx, prepared);
+        let groups = partition_compatible(prepared);
         let cse = construct(&mut memo, groups[0].members.clone(), &required).unwrap();
         let s1 = build_substitutes(&memo, CseId(0), &cse, &required)
             .remove(1)

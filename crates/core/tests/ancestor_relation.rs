@@ -99,7 +99,7 @@ fn grow(memo: &mut Memo) {
     let required = compute_required(memo, &[memo.root()]);
     for (_, consumers) in CseManager::build(memo).sharable_sets() {
         let prepared = prepare_consumers(memo, &consumers);
-        for set in partition_compatible(&memo.ctx, prepared) {
+        for set in partition_compatible(prepared) {
             if set.members.len() < 2 {
                 continue;
             }

@@ -239,9 +239,9 @@ fn algorithm1_candidate_is_its_member_set_constructed_and_costed() {
     let phase = Phase::new(&cat, &memo, bounds);
     let sig = memo.signature_of(consumers[0]).unwrap().clone();
     let prepared = prepare_consumers(&memo, &consumers);
-    let groups = partition_compatible(&memo.ctx, prepared);
+    let groups = partition_compatible(prepared);
     assert_eq!(groups.len(), 1, "the three joins are join-compatible");
-    let build = Construction::new(&memo, &groups[0].members, &phase.required);
+    let build = Construction::new(&groups[0].members, &phase.required);
     let mut trials = 0;
     let ctx = phase.ctx();
     let out = create_candidates(&mut memo, &ctx, &sig, &build, vec![0, 1, 2], &mut trials);
@@ -266,7 +266,7 @@ fn a_trial_whose_classes_differ_from_its_group_recomputes_its_branches() {
     let cat = catalog(500);
     let (mut memo, consumers) = memo_joins_on(&cat, &[(8, false), (3, true), (5, true)]);
     let prepared = prepare_consumers(&memo, &consumers);
-    let groups = partition_compatible(&memo.ctx, prepared);
+    let groups = partition_compatible(prepared);
     assert_eq!(groups.len(), 1, "the three joins are join-compatible");
     let members = &groups[0].members;
     let (extra, plain): (Vec<usize>, Vec<usize>) =
@@ -278,7 +278,7 @@ fn a_trial_whose_classes_differ_from_its_group_recomputes_its_branches() {
     let bounds = (0..members.len()).map(|i| (members[i].group, bound(i)));
     let phase = Phase::new(&cat, &memo, CostBounds::new(bounds.collect()));
     let sig = memo.signature_of(consumers[0]).unwrap().clone();
-    let build = Construction::new(&memo, members, &phase.required);
+    let build = Construction::new(members, &phase.required);
     let group_classes = intersect_all(
         &members
             .iter()
@@ -327,8 +327,8 @@ fn check_generation(catalog: &Catalog, sql: &str, what: &str) -> usize {
                 unique.push(p);
             }
         }
-        for g in partition_compatible(&memo.ctx, unique) {
-            let build = Construction::new(&memo, &g.members, ctx.required);
+        for g in partition_compatible(unique) {
+            let build = Construction::new(&g.members, ctx.required);
             let mut trials = 0;
             let set = h2_filter_consumers(&mut memo, &ctx, &build, &mut trials);
             let out = create_candidates(&mut memo, &ctx, sig, &build, set, &mut trials);

@@ -1,17 +1,14 @@
 //! # cse-lint
 //!
 //! qlint: a multi-pass static semantic analyzer and batch linter over the
-//! SQL → logical frontend. It runs between lowering (`cse-sql`) and the
-//! CSE pipeline (`cse-core`), and does two jobs at once:
-//!
-//! 1. **diagnose** — report contradictions, tautologies, redundant
-//!    conjuncts, dead columns, binder failures and cross-statement
-//!    sharing opportunities as [`cse_diag::Diagnostic`]s with stable rule
-//!    ids and byte spans into the original SQL text;
-//! 2. **feed facts forward** — everything the analyzer *proves* (not
-//!    merely suspects) is packaged as [`LintFacts`] so the CSE
-//!    constructor can drop redundant conjuncts from covering predicates
-//!    and the pipeline can short-circuit provably-empty statements.
+//! SQL → logical frontend. It reports contradictions, tautologies,
+//! redundant conjuncts, dead columns, binder failures and cross-statement
+//! sharing opportunities as [`cse_diag::Diagnostic`]s with stable rule ids
+//! and byte spans into the original SQL text. It only reports: the
+//! optimizer never reads its findings, and proves what it needs itself
+//! with the same `cse-algebra` routines (a redundant conjunct is
+//! [`cse_algebra::implied_by_siblings`] here and in covering
+//! construction alike).
 //!
 //! ## Passes
 //!
@@ -24,18 +21,8 @@
 //!
 //! Severity conventions: resolution failures are `Error` (the statement
 //! cannot run); semantic findings are `Warning` (the statement runs but
-//! the predicate is suspicious); share hints are `Note` (advisory facts
-//! for the optimizer and the user).
-//!
-//! ## Soundness contract
-//!
-//! Facts are *proofs*, not heuristics: `redundant` holds only conjuncts
-//! implied by their statement's remaining conjuncts (checked by the
-//! conservative `cse-algebra::implies`), and `unsat_statements` holds
-//! only statements whose WHERE clause provably accepts no row (constant
-//! folding to FALSE/NULL, or an empty per-column range). Consumers that
-//! cannot re-verify a fact in their own representation must treat a
-//! mismatch as a no-op, never as license to rewrite.
+//! the predicate is suspicious); share hints are `Note` (advisory, for the
+//! user).
 
 pub mod fold;
 pub mod liveness;
@@ -44,11 +31,10 @@ pub mod share;
 
 pub use cse_diag::{Diagnostic, Report, Severity};
 
-use cse_algebra::{implies, PlanContext, Scalar, SpjgNormal};
+use cse_algebra::{implied_by_siblings, PlanContext, Scalar, SpjgNormal};
 use cse_sql::ast::Statement;
 use cse_sql::{parse_batch_recovering, LowerTrace, Span, SqlError, SqlLowerer};
 use cse_storage::{Catalog, DataType};
-use std::collections::BTreeSet;
 
 /// Stable lint rule identifiers (`lint/…` namespace; the verifier owns
 /// the memo-level namespaces, see `cse-verify::rules`).
@@ -92,75 +78,21 @@ pub mod rules {
     ];
 }
 
-/// How lint findings gate execution (CLI `--lint[=deny]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintMode {
-    /// Don't run the analyzer.
-    #[default]
-    Off,
-    /// Run it, report diagnostics, feed facts forward, never fail.
-    Warn,
-    /// Like `Warn`, but any `Warning`-or-worse diagnostic fails the batch
-    /// (the CI gate mode).
-    Deny,
-}
-
-impl LintMode {
-    pub fn enabled(&self) -> bool {
-        !matches!(self, LintMode::Off)
-    }
-}
-
-impl std::str::FromStr for LintMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(LintMode::Off),
-            "warn" => Ok(LintMode::Warn),
-            "deny" => Ok(LintMode::Deny),
-            other => Err(format!("unknown lint mode '{other}' (off|warn|deny)")),
-        }
-    }
-}
-
-/// Analyzer-proven facts handed to the CSE pipeline. See the soundness
-/// contract in the crate docs.
-#[derive(Debug, Clone, Default)]
-pub struct LintFacts {
-    /// Normalized conjuncts proven implied by their statement's sibling
-    /// conjuncts. The constructor re-verifies the implication in its own
-    /// branch before dropping anything.
-    pub redundant: BTreeSet<Scalar>,
-    /// Batch-order statement indices whose WHERE clause provably accepts
-    /// no row. The pipeline replaces their inputs with a FALSE filter.
-    pub unsat_statements: BTreeSet<usize>,
-}
-
-impl LintFacts {
-    pub fn is_empty(&self) -> bool {
-        self.redundant.is_empty() && self.unsat_statements.is_empty()
-    }
-}
-
 /// Everything one lint run produces.
 #[derive(Debug, Clone, Default)]
 pub struct LintOutcome {
     pub report: Report,
-    pub facts: LintFacts,
     /// Number of statements that parsed (including ones that then failed
     /// to bind).
     pub statements: usize,
 }
 
 impl LintOutcome {
-    /// Should the batch be rejected under the given mode?
-    pub fn denies(&self, mode: LintMode) -> bool {
-        mode == LintMode::Deny
-            && self
-                .report
-                .diagnostics
-                .iter()
-                .any(|d| d.severity >= Severity::Warning)
+    /// Is any finding a warning or worse? What `qlint --deny` and
+    /// `qsql --lint=deny` reject a batch on.
+    pub fn has_warnings(&self) -> bool {
+        let mut severities = self.report.diagnostics.iter().map(|d| d.severity);
+        severities.any(|s| s >= Severity::Warning)
     }
 }
 
@@ -171,12 +103,10 @@ fn stmt_path(i: usize) -> String {
 /// Run all analyzer passes over a SQL batch.
 ///
 /// Lowering uses a single [`SqlLowerer`] over the statements in source
-/// order — the same convention as `cse_sql::lower_batch_sql` — so when
-/// the whole batch is clean, every fact's [`Scalar`] is expressed over
-/// exactly the rel ids the pipeline will see.
+/// order — the same convention as `cse_sql::lower_batch_sql` — so a
+/// statement's diagnostics name the rel ids the pipeline will see.
 pub fn lint_batch(catalog: &Catalog, sql: &str) -> LintOutcome {
     let mut report = Report::new();
-    let mut facts = LintFacts::default();
 
     // ---- Pass 1a: parse with recovery. -------------------------------
     let parsed = parse_batch_recovering(sql);
@@ -220,16 +150,7 @@ pub fn lint_batch(catalog: &Catalog, sql: &str) -> LintOutcome {
     // ---- Passes 1c/2/3: per-statement analyses. -----------------------
     let ctx = &lowerer.ctx;
     for (index, span, plan, trace, select) in &lowered {
-        analyze_statement(
-            ctx,
-            *index,
-            *span,
-            plan,
-            trace,
-            select,
-            &mut report,
-            &mut facts,
-        );
+        analyze_statement(ctx, *index, *span, plan, trace, select, &mut report);
     }
 
     // ---- Pass 4: cross-statement share hints. -------------------------
@@ -272,7 +193,6 @@ pub fn lint_batch(catalog: &Catalog, sql: &str) -> LintOutcome {
 
     LintOutcome {
         report,
-        facts,
         statements: parsed.statements.len(),
     }
 }
@@ -294,7 +214,6 @@ fn analyze_statement(
     trace: &LowerTrace,
     select: &cse_sql::ast::SelectStmt,
     report: &mut Report,
-    facts: &mut LintFacts,
 ) {
     let path = stmt_path(index);
 
@@ -344,8 +263,8 @@ fn analyze_statement(
             );
         } else if let Scalar::Cmp(op, a, b) = &folded {
             // Reflexive comparisons: `c = c` / `c <= c` accept every row
-            // whose operand is non-NULL — suspicious, but not a fact (it
-            // still filters NULLs), so it is reported and not recorded.
+            // whose operand is non-NULL — suspicious, though it still
+            // filters NULLs.
             if a == b
                 && matches!(
                     op,
@@ -387,37 +306,20 @@ fn analyze_statement(
             stmt_unsat = true;
         }
     }
-    if stmt_unsat {
-        facts.unsat_statements.insert(index);
-    }
 
     // -- Pass 2c: implication-redundant conjuncts. -----------------------
     // Skipped for unsat statements: under an empty WHERE every conjunct is
-    // vacuously redundant and reporting them all would be noise.
-    if !stmt_unsat && trace.pred_spans.len() > 1 {
-        for (i, (conj, span)) in trace.pred_spans.iter().enumerate() {
-            // Support: every other conjunct, except *later* duplicates of
-            // this one (so exactly one of a duplicate pair is reported —
-            // the later occurrence).
-            let support: Vec<Scalar> = trace
-                .pred_spans
-                .iter()
-                .enumerate()
-                .filter(|(j, (c, _))| *j != i && (*j < i || c != conj))
-                .map(|(_, (c, _))| c.clone())
-                .collect();
-            if !support.is_empty() {
-                let p = Scalar::and(support).normalize();
-                if implies(&p, conj) {
-                    report.warn_at(
-                        rules::REDUNDANT_PRED,
-                        path.clone(),
-                        format!("conjunct is implied by the statement's other conjuncts: {conj}"),
-                        span.to_pair(),
-                    );
-                    facts.redundant.insert(conj.clone().normalize());
-                }
-            }
+    // vacuously redundant and reporting them all would be noise. Of a
+    // duplicate pair, the later occurrence is the one reported.
+    if !stmt_unsat {
+        let implied = implied_by_siblings(&conjuncts);
+        for ((conj, span), _) in trace.pred_spans.iter().zip(implied).filter(|(_, i)| *i) {
+            report.warn_at(
+                rules::REDUNDANT_PRED,
+                path.clone(),
+                format!("conjunct is implied by the statement's other conjuncts: {conj}"),
+                span.to_pair(),
+            );
         }
     }
 
@@ -501,21 +403,13 @@ mod tests {
         let (s, e) = spans[0];
         let text = &sql[s as usize..e as usize];
         assert!(text.contains("a < 5") && text.contains("a > 10"), "{text}");
-        assert_eq!(
-            out.facts
-                .unsat_statements
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![0]
-        );
+        assert_eq!(out.report.diagnostics[0].path, "stmt[0]");
     }
 
     #[test]
     fn contradiction_via_folding() {
         let out = lint_batch(&catalog(), "select a from t where 1 > 2");
         assert!(out.report.fired_rules().contains(rules::CONTRADICTION));
-        assert!(out.facts.unsat_statements.contains(&0));
     }
 
     #[test]
@@ -523,25 +417,29 @@ mod tests {
         let out = lint_batch(&catalog(), "select a from t where 1 < 2 and a = a");
         let spans = rule_spans(&out, rules::TAUTOLOGY);
         assert_eq!(spans.len(), 2, "{}", out.report.render());
-        // Tautologies are advisory: no unsat fact, no redundancy fact.
-        assert!(out.facts.unsat_statements.is_empty());
+        // Tautologies are advisory: neither a contradiction nor redundant.
+        assert!(!out.report.fired_rules().contains(rules::CONTRADICTION));
+        assert!(rule_spans(&out, rules::REDUNDANT_PRED).is_empty());
     }
 
     #[test]
-    fn redundant_conjunct_reported_and_fact_recorded() {
+    fn redundant_conjunct_reported() {
         let sql = "select a from t where a < 5 and a < 10";
         let out = lint_batch(&catalog(), sql);
         let spans = rule_spans(&out, rules::REDUNDANT_PRED);
         assert_eq!(spans.len(), 1, "{}", out.report.render());
         let (s, e) = spans[0];
         assert_eq!(&sql[s as usize..e as usize], "a < 10");
-        assert_eq!(out.facts.redundant.len(), 1);
-        let fact = out.facts.redundant.iter().next().unwrap();
-        assert!(fact.to_string().contains("10"), "{fact}");
     }
 
     #[test]
     fn duplicate_conjunct_reported_once() {
+        let sql = "select a from t where a < 5 and a < 5.0";
+        let out = lint_batch(&catalog(), sql);
+        let spans = rule_spans(&out, rules::REDUNDANT_PRED);
+        // `a < 5` and `a < 5.0` imply each other: only the later is reported.
+        assert_eq!(spans, [(32, 39)], "{}", out.report.render());
+        assert_eq!(&sql[32..39], "a < 5.0");
         let out = lint_batch(&catalog(), "select a from t where a < 5 and a < 5");
         assert_eq!(rule_spans(&out, rules::REDUNDANT_PRED).len(), 1);
     }
@@ -591,8 +489,13 @@ mod tests {
         let out = lint_batch(&catalog(), sql);
         assert!(out.report.fired_rules().contains(rules::PARSE_ERROR));
         assert!(out.report.fired_rules().contains(rules::CONTRADICTION));
-        // The contradiction fact carries the *source-order* index.
-        assert!(out.facts.unsat_statements.contains(&1));
+        // The contradiction names the *source-order* index.
+        let contradiction = out
+            .report
+            .diagnostics
+            .iter()
+            .find(|d| d.rule_id == rules::CONTRADICTION);
+        assert_eq!(contradiction.map(|d| d.path.as_str()), Some("stmt[1]"));
     }
 
     #[test]
@@ -618,16 +521,14 @@ mod tests {
     fn clean_batch_is_clean() {
         let out = lint_batch(&catalog(), "select a, b from t where a < 5 order by b");
         assert!(out.report.is_clean(), "{}", out.report.render());
-        assert!(out.facts.is_empty());
     }
 
     #[test]
-    fn deny_mode_gates_on_warnings() {
+    fn warnings_gate_but_notes_do_not() {
         let warn = lint_batch(&catalog(), "select a from t where a < 5 and a < 10");
-        assert!(warn.denies(LintMode::Deny));
-        assert!(!warn.denies(LintMode::Warn));
+        assert!(warn.has_warnings());
         let clean = lint_batch(&catalog(), "select a from t");
-        assert!(!clean.denies(LintMode::Deny));
+        assert!(!clean.has_warnings());
         // Notes alone never deny.
         let notes = lint_batch(&catalog(), "select a from t;\nselect b from t");
         assert!(notes
@@ -635,14 +536,6 @@ mod tests {
             .diagnostics
             .iter()
             .all(|d| d.severity == Severity::Note));
-        assert!(!notes.denies(LintMode::Deny));
-    }
-
-    #[test]
-    fn lint_mode_parses() {
-        assert_eq!("warn".parse::<LintMode>().unwrap(), LintMode::Warn);
-        assert_eq!("deny".parse::<LintMode>().unwrap(), LintMode::Deny);
-        assert_eq!("off".parse::<LintMode>().unwrap(), LintMode::Off);
-        assert!("nope".parse::<LintMode>().is_err());
+        assert!(!notes.has_warnings());
     }
 }

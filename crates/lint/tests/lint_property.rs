@@ -9,9 +9,11 @@
 //!
 //! A second property covers the range pass: `prove_unsat` is
 //! refutation-sound — whenever it proves a conjunction empty, no random
-//! row satisfies all conjuncts under engine evaluation.
+//! row satisfies all conjuncts under engine evaluation. A third covers the
+//! redundant-conjunct rule, which covering construction shares: dropping
+//! what `implied_by_siblings` marks never changes which rows pass.
 
-use cse_algebra::{ArithOp, CmpOp, ColRef, PlanContext, RelId, Scalar};
+use cse_algebra::{implied_by_siblings, ArithOp, CmpOp, ColRef, PlanContext, RelId, Scalar};
 use cse_exec::Bound;
 use cse_lint::fold::fold;
 use cse_lint::ranges::prove_unsat;
@@ -280,6 +282,73 @@ fn prove_unsat_is_refutation_sound() {
         }
     }
     assert!(proven > 30, "only {proven}/600 cases were proven empty");
+}
+
+#[test]
+fn dropping_implied_conjuncts_never_changes_acceptance() {
+    let (_ctx, r) = context();
+    let layout = [ColRef::new(r, 0), ColRef::new(r, 1), ColRef::new(r, 2)];
+    let mut rng = TestRng::new(0x1417);
+    let mut dropped = 0usize;
+    for case in 0..600 {
+        // 2-5 conjuncts: tight ranges on the int column (a literal on
+        // either side, sometimes of the float class or NULL), duplicates
+        // of earlier conjuncts, and the odd arbitrary predicate.
+        let n = rng.range_usize(2, 6);
+        let mut conjuncts: Vec<Scalar> = Vec::new();
+        for _ in 0..n {
+            let conjunct = match rng.range_usize(0, 10) {
+                0..=2 if !conjuncts.is_empty() => rng.pick(&conjuncts).clone(),
+                3 => random_scalar(&mut rng, r, 2),
+                _ => {
+                    let op = *rng.pick(&[
+                        CmpOp::Eq,
+                        CmpOp::Ne,
+                        CmpOp::Lt,
+                        CmpOp::Le,
+                        CmpOp::Gt,
+                        CmpOp::Ge,
+                    ]);
+                    let v = rng.range_i64(-3, 4);
+                    let lit = Scalar::Lit(match rng.range_usize(0, 10) {
+                        0 => Value::Float(v as f64 + 0.5),
+                        1 => Value::Null,
+                        _ => Value::Int(v),
+                    });
+                    let col = Scalar::col(r, 0);
+                    if rng.chance(0.5) {
+                        Scalar::cmp(op, col, lit)
+                    } else {
+                        Scalar::cmp(op, lit, col)
+                    }
+                }
+            };
+            conjuncts.push(conjunct);
+        }
+        let implied = implied_by_siblings(&conjuncts);
+        let kept = conjuncts.iter().zip(&implied).filter(|(_, i)| !**i);
+        let pruned = Scalar::and(kept.map(|(c, _)| c.clone()));
+        if implied.iter().any(|i| *i) {
+            dropped += 1;
+            assert!(
+                implied.contains(&false),
+                "case {case}: dropped every conjunct"
+            );
+        }
+        let pred = Scalar::and(conjuncts.clone());
+        for _ in 0..32 {
+            let mut row = random_row(&mut rng);
+            if row[0] != Value::Null {
+                row[0] = Value::Int(rng.range_i64(-5, 6));
+            }
+            assert_eq!(
+                accepts(&pred, &layout, &row),
+                accepts(&pruned, &layout, &row),
+                "case {case}: pruning changed acceptance\n  pred:   {pred}\n  pruned: {pruned}\n  row:    {row:?}"
+            );
+        }
+    }
+    assert!(dropped > 150, "only {dropped}/600 cases dropped a conjunct");
 }
 
 #[test]

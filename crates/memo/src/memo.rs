@@ -5,30 +5,8 @@ use crate::op::{literal_kinds, GroupExpr, GroupExprId, GroupId, Op};
 use crate::signature::{compute_signature, TableSignature};
 use cse_algebra::{AggExpr, BlockId, ColRef, LogicalPlan, PlanContext, RelSet, Scalar};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-
-/// Facts *proven* by a front-end analyzer (qlint) and threaded through
-/// the memo so construction can consult them without plumbing a parameter
-/// through every call site.
-///
-/// Soundness contract: each entry is a proof obtained upstream, but any
-/// consumer must still **re-verify the fact locally** in its own
-/// representation (e.g. via `cse-algebra::implies` over the branch it is
-/// about to rewrite) and treat a mismatch as a no-op. The facts are a
-/// trigger/cache, never a license.
-#[derive(Debug, Clone, Default)]
-pub struct ProvenFacts {
-    /// Normalized conjuncts the analyzer proved implied by their
-    /// statement's sibling conjuncts.
-    pub redundant_conjuncts: BTreeSet<Scalar>,
-}
-
-impl ProvenFacts {
-    pub fn is_empty(&self) -> bool {
-        self.redundant_conjuncts.is_empty()
-    }
-}
 
 /// Logical properties shared by all expressions of a group.
 #[derive(Debug, Clone)]
@@ -137,9 +115,6 @@ pub struct Memo {
     /// covering group-bys.
     agg_outs: HashMap<AggOutKey, cse_algebra::RelId>,
     root: Option<GroupId>,
-    /// Analyzer-proven facts (see [`ProvenFacts`]); empty unless the
-    /// pipeline ran qlint over the batch.
-    pub facts: ProvenFacts,
 }
 
 /// End of a `same_hash` chain.
@@ -157,7 +132,6 @@ impl Memo {
             joins: HashMap::new(),
             agg_outs: HashMap::new(),
             root: None,
-            facts: ProvenFacts::default(),
         }
     }
 

@@ -60,7 +60,7 @@ fn main() {
         } else {
             print!("{}", out.report.render_as("lint"));
         }
-        if out.denies(LintMode::Deny) {
+        if out.has_warnings() {
             denied = true;
             if deny {
                 eprintln!("{f}: denied (warning-or-worse findings)");

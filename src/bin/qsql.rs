@@ -39,15 +39,15 @@ fn main() {
             // default in debug builds; this forces them on in release).
             "--verify" => verify = true,
             // Run the qlint static analyzer over every batch. `--lint`
-            // reports diagnostics and feeds facts to the optimizer;
-            // `--lint=deny` additionally rejects any batch with a
-            // warning-or-worse finding (the CI gate mode).
+            // reports its diagnostics on stderr; `--lint=deny` rejects any
+            // batch with a warning-or-worse finding (the CI gate mode).
             a if a == "--lint" || a.starts_with("--lint=") => {
-                let mode = a.strip_prefix("--lint=").unwrap_or("warn");
-                lint = match mode.parse() {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("{e}");
+                lint = match a.strip_prefix("--lint=").unwrap_or("warn") {
+                    "off" => LintMode::Off,
+                    "warn" => LintMode::Warn,
+                    "deny" => LintMode::Deny,
+                    other => {
+                        eprintln!("unknown lint mode '{other}' (off|warn|deny)");
                         std::process::exit(2);
                     }
                 };
@@ -98,7 +98,6 @@ fn main() {
     let defaults = CseConfig::default();
     let mut config = CseConfig {
         verify: verify || defaults.verify,
-        lint,
         ..defaults
     };
     if forced.is_some() {
@@ -132,11 +131,21 @@ fn main() {
         buffer.push_str(&line);
         buffer.push('\n');
         if trimmed.ends_with(';') {
-            run(&session, buffer.trim(), forced.as_ref());
+            run(&session, buffer.trim(), forced.as_ref(), lint);
             buffer.clear();
         }
         prompt(&buffer);
     }
+}
+
+/// What `--lint[=deny]` does with each batch.
+#[derive(Clone, Copy, PartialEq)]
+enum LintMode {
+    Off,
+    /// Report the analyzer's findings on stderr after the results.
+    Warn,
+    /// Reject a batch with a warning-or-worse finding before planning it.
+    Deny,
 }
 
 fn prompt(buffer: &str) {
@@ -188,8 +197,23 @@ fn command(session: &Session, cmd: &str) -> bool {
     true
 }
 
-fn run(session: &Session, sql: &str, forced: Option<&DegradationEvent>) {
+fn run(session: &Session, sql: &str, forced: Option<&DegradationEvent>, lint: LintMode) {
     let started = std::time::Instant::now();
+    let findings = (lint != LintMode::Off).then(|| session.lint_batch(sql));
+    // A batch that does not parse or bind fails planning with its own error
+    // below, as it would without lint.
+    let denied = findings
+        .as_ref()
+        .filter(|f| lint == LintMode::Deny && f.has_warnings() && f.report.error_count() == 0);
+    if let Some(l) = denied.map(|f| &f.report) {
+        eprintln!(
+            "planning error: lint denied the batch ({} error(s), {} warning(s)):\n{}",
+            l.error_count(),
+            l.warning_count(),
+            l.render_as("lint")
+        );
+        return;
+    }
     match session.query(sql) {
         Ok(out) => {
             for rs in &out.results {
@@ -201,7 +225,7 @@ fn run(session: &Session, sql: &str, forced: Option<&DegradationEvent>) {
                 eprintln!("-- degraded: {ev}");
             }
             // Lint diagnostics likewise go to stderr.
-            if let Some(l) = &out.report.lint {
+            if let Some(l) = findings.as_ref().map(|f| &f.report) {
                 if !l.is_clean() {
                     eprint!("{}", l.render_as("-- lint"));
                 }

@@ -68,7 +68,7 @@ pub mod prelude {
         Budget, CancelToken, DegradationEvent, FailSpec, FailpointRegistry, MemReservation,
         MemoryGovernor, Pressure, Reason, Rung,
     };
-    pub use cse_lint::{lint_batch, LintMode, LintOutcome};
+    pub use cse_lint::{lint_batch, LintOutcome};
     pub use cse_serve::{
         AdmitPolicy, Outcome, RejectReason, Server, ServerConfig, ServerStats, Ticket,
     };
