@@ -16,7 +16,8 @@
 //!   Propositions 5.4–5.6;
 //! - [`pipeline`]: the end-to-end optimizer entry points;
 //! - [`maintenance`]: materialized-view maintenance over the pipeline,
-//!   planned as `CatalogMutation`s over the storage layer's delta table.
+//!   planned as `CatalogMutation`s over the storage layer's delta table,
+//!   with the maintenance batch cached per base table.
 
 // Fallible paths must surface `Result`s, not panic; tests may unwrap.
 #![deny(
@@ -55,7 +56,7 @@ pub use construct::{construct, simplify_covering, ConstructedCse, Construction, 
 pub use enumerate::{choose_best, EnumOutcome};
 pub use maintenance::{
     create_materialized_view, maintain_insert, plan_insert, plan_materialized_view,
-    MaintenanceReport,
+    MaintenancePlan, MaintenancePlans, MaintenanceReport,
 };
 pub use manager::CseManager;
 pub use pipeline::{optimize_plan, optimize_sql, Optimized};

@@ -2,14 +2,20 @@
 //! *plan, then apply*.
 //!
 //! Inserted tuples are captured in the storage layer's [`DeltaTable`]
-//! (arity, type and nullability errors surface there, before any work).
-//! Each affected view's definition is parsed once, its base `FROM` item is
-//! swapped for the delta's insert table at the AST level, and the rewritten
-//! statements are lowered and optimized *as one batch* — so the covering-
-//! subexpression machinery shares the common joins — against a working
-//! clone of the catalog that alone sees the delta table. The delta results
-//! are merged into the stored view contents, and only then is the whole
-//! change emitted as [`CatalogMutation`]s: `ReplaceTable` per view,
+//! (arity, type and nullability errors surface there, before any work) and
+//! registered in a working clone of the catalog that alone sees the delta
+//! table. The maintenance batch is planned once per view set, schema and
+//! size band: each affected view's definition is parsed, its base `FROM`
+//! item is swapped for the delta's insert table at the AST level, and the
+//! rewritten statements are lowered and optimized *as one batch* — so the
+//! covering-subexpression machinery shares the common joins. The
+//! [`MaintenancePlan`] is cached per base table; a later insert executes
+//! it over its own delta while the catalog has the same views, the tables
+//! it reads keep their schemas and stay within a factor `ROW_BAND` of
+//! their planned row counts, and the indexes it probes exist. The cache is
+//! never journaled: a recovered catalog plans at its first insert. The
+//! delta results are merged into the stored view contents, and only then
+//! is the whole change emitted as [`CatalogMutation`]s: `ReplaceTable` per view,
 //! `ApplyDelta` for the base, which appends in place and keeps the base's
 //! stats and indexes current. Creating a view adds a hash index on both
 //! columns of each of its equijoins, so the batch joins a small delta to
@@ -21,14 +27,14 @@
 //! batch is generated from definitions accepted at creation.
 
 use crate::config::{CseConfig, CseReport};
-use crate::pipeline::{optimize_plan, optimize_sql};
+use crate::pipeline::{abort_message, optimize_plan, optimize_sql, Optimized};
 use cse_algebra::{AggFunc, PlanContext, RelKind};
-use cse_exec::{AggState, Engine, ExecMetrics};
+use cse_exec::{AggState, Engine, ExecCtx, ExecMetrics};
 use cse_optimizer::{FullPlan, PhysicalPlan};
 use cse_sql::ast::{AggName, Expr, ExprKind, SelectItem, Statement};
 use cse_sql::SelectStmt;
 use cse_storage::delta::{DeltaAction, DeltaTable};
-use cse_storage::{row, Catalog, CatalogMutation, Row, Table, Value};
+use cse_storage::{row, Catalog, CatalogMutation, MaterializedView, Row, SchemaRef, Table, Value};
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
@@ -50,7 +56,10 @@ pub struct MaintenanceReport {
     /// zero when no view reads the base.
     pub plan: Option<FullPlan>,
     pub metrics: ExecMetrics,
-    /// Wall-clock of optimize + execute + merge.
+    /// This insert planned its batch: no cached plan fitted the catalog.
+    /// A cached plan's `cse` and `plan` are those of its planning.
+    pub planned: bool,
+    /// Wall-clock of planning (when `planned`), execute and merge.
     pub total_time: std::time::Duration,
 }
 
@@ -135,15 +144,166 @@ pub fn create_materialized_view(
     apply(catalog, &mutations)
 }
 
+/// How far a table the maintenance batch reads may grow or shrink before
+/// the batch is planned again: its row count must stay within
+/// `[est / ROW_BAND, est × ROW_BAND]` of the count it was planned at.
+const ROW_BAND: usize = 4;
+
+/// Maintenance plans by lower-cased base table, each built at the first
+/// insert into its base. A cache holds plans of one configuration: whoever
+/// changes the configuration clears it, as `Session::set_config` does.
+pub type MaintenancePlans = HashMap<String, MaintenancePlan>;
+
+/// The maintenance batch of one base table, planned over its delta table,
+/// and what the plan depends on. An insert runs it while it
+/// [`fits`](MaintenancePlan::fits) the catalog, and plans afresh otherwise.
+pub struct MaintenancePlan {
+    /// Every view of the catalog the batch was generated from, by name.
+    catalog_views: Vec<MaterializedView>,
+    /// The views the batch refreshes, in batch order, and how each merges.
+    views: Vec<String>,
+    merge_plans: Vec<Vec<MergeKind>>,
+    /// The optimized batch; `None` when no view reads the base.
+    batch: Option<Optimized>,
+    /// Each table the batch reads, the delta's included: its schema and
+    /// its row count at planning time.
+    reads: Vec<(String, SchemaRef, usize)>,
+}
+
+impl MaintenancePlan {
+    /// Plan the batch that maintains every view reading `base` from the
+    /// delta table `delta` of `work`: each such definition is parsed, its
+    /// base FROM item swapped for the delta, aliased as the base so column
+    /// references still resolve (same schema), and the rewritten
+    /// statements are lowered and optimized as one batch.
+    fn build(work: &Catalog, base: &str, delta: &str, cfg: &CseConfig) -> Result<Self, String> {
+        let catalog_views: Vec<MaterializedView> = sorted_views(work).cloned().collect();
+        let (mut views, mut merge_plans, mut batch) = (Vec::new(), Vec::new(), Vec::new());
+        for v in &catalog_views {
+            let mut select =
+                parse_definition(&v.definition_sql).map_err(|e| format!("view {}: {e}", v.name))?;
+            let Some(item) = select
+                .from
+                .iter_mut()
+                .find(|f| f.table.eq_ignore_ascii_case(base))
+            else {
+                continue;
+            };
+            let base_name = std::mem::replace(&mut item.table, delta.to_string());
+            item.alias.get_or_insert(base_name);
+            merge_plans.push(merge_plan_of(&select)?);
+            batch.push(select);
+            views.push(v.name.clone());
+        }
+        let batch = if batch.is_empty() {
+            None
+        } else {
+            let (ctx, plan) = cse_sql::lower_batch(work, &batch)?;
+            Some(optimize_plan(work, ctx, plan, cfg)?)
+        };
+        let mut reads: Vec<(String, SchemaRef, usize)> = Vec::new();
+        for (_, rel) in batch.iter().flat_map(|b| b.ctx.rels()) {
+            if rel.kind == RelKind::Base && !reads.iter().any(|(name, ..)| *name == rel.name) {
+                let rows = work.table(&rel.name)?.row_count();
+                reads.push((rel.name.clone(), rel.schema.clone(), rows));
+            }
+        }
+        Ok(MaintenancePlan {
+            catalog_views,
+            views,
+            merge_plans,
+            batch,
+            reads,
+        })
+    }
+
+    /// Can this plan maintain the views of `work`, the catalog holding the
+    /// insert's delta? Yes while the catalog has the same views, every
+    /// table the batch reads has the schema it was planned for and a row
+    /// count inside the band, and every index the batch probes exists.
+    fn fits(&self, work: &Catalog) -> bool {
+        let in_band = |now: usize, est: usize| {
+            now.saturating_mul(ROW_BAND) >= est && now <= est.saturating_mul(ROW_BAND)
+        };
+        let same_reads = self.reads.iter().all(|(name, schema, est)| {
+            work.get(name)
+                .is_ok_and(|e| e.table.schema() == schema && in_band(e.table.row_count(), *est))
+        });
+        let mut indexed = true;
+        if let Some(batch) = &self.batch {
+            let plan = &batch.plan;
+            let trees = std::iter::once(&plan.root)
+                .chain(plan.spools.values().map(|s| &s.plan))
+                .chain(plan.baseline.as_deref());
+            for tree in trees {
+                tree.visit(&mut |op| {
+                    if let PhysicalPlan::IndexNlJoin { rel, key, .. } = op {
+                        let entry = work.get(&batch.ctx.rel(*rel).name);
+                        let column = key.1.col as usize;
+                        indexed &=
+                            entry.is_ok_and(|e| e.hash_indexes.iter().any(|i| i.column == column));
+                    }
+                });
+            }
+        }
+        self.catalog_views.iter().eq(sorted_views(work)) && same_reads && indexed
+    }
+
+    /// Execute the batch over `work` under the request's cancel token and
+    /// failpoints, and merge each view's delta rows into its stored rows
+    /// in `catalog`: one `ReplaceTable` per refreshed view.
+    fn refresh(
+        &self,
+        catalog: &Catalog,
+        work: &Catalog,
+        cfg: &CseConfig,
+    ) -> Result<(Vec<CatalogMutation>, ExecMetrics), String> {
+        let Some(batch) = &self.batch else {
+            return Ok(Default::default());
+        };
+        cfg.cancel
+            .check("maintenance/execute")
+            .map_err(abort_message)?;
+        let governed = ExecCtx {
+            failpoints: cfg.failpoints.clone(),
+            cancel: cfg.cancel.clone(),
+            ..ExecCtx::default()
+        };
+        let out = Engine::new(work, &batch.ctx).execute_in(&batch.plan, &governed)?;
+        if out.results.len() != self.views.len() {
+            return Err("maintenance batch produced the wrong number of results".into());
+        }
+        let mut mutations = Vec::with_capacity(self.views.len() + 1);
+        for ((name, result), merge) in self.views.iter().zip(out.results).zip(&self.merge_plans) {
+            let stored = catalog.table(name)?;
+            let merged = merge_rows(&stored, &result.rows, merge);
+            mutations.push(CatalogMutation::ReplaceTable {
+                table: Table::with_rows(name, stored.schema().as_ref().clone(), merged),
+            });
+        }
+        Ok((mutations, out.metrics))
+    }
+}
+
+/// The catalog's views, by name.
+fn sorted_views(catalog: &Catalog) -> impl Iterator<Item = &MaterializedView> {
+    let mut views: Vec<_> = catalog.views().collect();
+    views.sort_by(|a, b| a.name.cmp(&b.name));
+    views.into_iter()
+}
+
 /// Plan the insert of `inserts` into `base`: maintain every affected
 /// materialized view through one CSE-optimized batch over the captured
 /// delta and return the whole change — `ReplaceTable` per refreshed view,
-/// then `ApplyDelta` for the base — without touching `catalog`.
+/// then `ApplyDelta` for the base — without touching `catalog`. The batch
+/// comes from `plans` when the cached one still fits the catalog; otherwise
+/// it is planned and, unless the degradation ladder lowered it, cached.
 pub fn plan_insert(
     catalog: &Catalog,
     base: &str,
     inserts: Vec<Row>,
     cfg: &CseConfig,
+    plans: &mut MaintenancePlans,
 ) -> Result<(Vec<CatalogMutation>, MaintenanceReport), String> {
     let t0 = Instant::now();
     let base_table = catalog.table(base)?;
@@ -151,67 +311,42 @@ pub fn plan_insert(
     for r in inserts {
         delta.record(DeltaAction::Insert, r)?;
     }
+    // Only this clone ever holds the delta table (no rows are copied).
+    let mut work = catalog.clone();
+    let table = delta.inserts.clone();
+    apply(&mut work, &[CatalogMutation::RegisterTable { table }])?;
 
-    // Affected views, by name: each definition that reads the base is
-    // parsed once and its base FROM item swapped for the delta, aliased as
-    // the base so column references still resolve (same schema).
-    let mut stored: Vec<_> = catalog.views().collect();
-    stored.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut views = Vec::new();
-    let mut batch = Vec::new();
-    let mut merge_plans = Vec::new();
-    for v in stored {
-        let mut select =
-            parse_definition(&v.definition_sql).map_err(|e| format!("view {}: {e}", v.name))?;
-        let Some(item) = select
-            .from
-            .iter_mut()
-            .find(|f| f.table.eq_ignore_ascii_case(base))
-        else {
-            continue;
-        };
-        let base_name = std::mem::replace(&mut item.table, delta.inserts.name().to_string());
-        item.alias.get_or_insert(base_name);
-        merge_plans.push(merge_plan_of(&select)?);
-        batch.push(select);
-        views.push(v.name.clone());
-    }
-
-    let mut mutations = Vec::with_capacity(views.len() + 1);
-    let (mut cse, mut batch_plan, mut metrics) = Default::default();
-    if !batch.is_empty() {
-        // Only this clone ever holds the delta table (no rows are copied).
-        let mut work = catalog.clone();
-        let table = delta.inserts.clone();
-        apply(&mut work, &[CatalogMutation::RegisterTable { table }])?;
-        let (ctx, plan) = cse_sql::lower_batch(&work, &batch)?;
-        let optimized = optimize_plan(&work, ctx, plan, cfg)?;
-        let engine = Engine::new(&work, &optimized.ctx);
-        let out = engine.execute(&optimized.plan)?;
-        if out.results.len() != views.len() {
-            return Err("maintenance batch produced the wrong number of results".into());
+    let key = base.to_ascii_lowercase();
+    let cached = plans.get(&key).filter(|p| p.fits(&work));
+    let planned = cached.is_none();
+    let mut built = None;
+    let plan = match cached {
+        Some(cached) => cached,
+        None => {
+            let fresh = MaintenancePlan::build(&work, base, delta.inserts.name(), cfg)?;
+            &*built.insert(fresh)
         }
-        for ((name, result), merge) in views.iter().zip(out.results).zip(&merge_plans) {
-            let stored = catalog.table(name)?;
-            let merged = merge_rows(&stored, &result.rows, merge);
-            mutations.push(CatalogMutation::ReplaceTable {
-                table: Table::with_rows(name, stored.schema().as_ref().clone(), merged),
-            });
-        }
-        cse = optimized.report;
-        batch_plan = Some(optimized.plan);
-        metrics = out.metrics;
-    }
-    let delta_rows = delta.insert_count();
-    mutations.push(CatalogMutation::ApplyDelta { delta });
-    let report = MaintenanceReport {
-        views,
-        delta_rows,
-        cse,
-        plan: batch_plan,
-        metrics,
-        total_time: t0.elapsed(),
     };
+    let (mut mutations, metrics) = plan.refresh(catalog, &work, cfg)?;
+    let mut report = MaintenanceReport {
+        views: plan.views.clone(),
+        delta_rows: delta.insert_count(),
+        cse: plan
+            .batch
+            .as_ref()
+            .map(|b| b.report.clone())
+            .unwrap_or_default(),
+        plan: plan.batch.as_ref().map(|b| b.plan.clone()),
+        metrics,
+        planned,
+        total_time: Default::default(),
+    };
+    mutations.push(CatalogMutation::ApplyDelta { delta });
+    // A plan the degradation ladder lowered serves this insert only.
+    if let Some(fresh) = built.filter(|_| report.cse.degradations.is_empty()) {
+        plans.insert(key, fresh);
+    }
+    report.total_time = t0.elapsed();
     Ok((mutations, report))
 }
 
@@ -222,9 +357,10 @@ pub fn maintain_insert(
     base: &str,
     inserts: Vec<Row>,
     cfg: &CseConfig,
+    plans: &mut MaintenancePlans,
 ) -> Result<MaintenanceReport, String> {
     let t0 = Instant::now();
-    let (mutations, mut report) = plan_insert(catalog, base, inserts, cfg)?;
+    let (mutations, mut report) = plan_insert(catalog, base, inserts, cfg, plans)?;
     apply(catalog, &mutations)?;
     report.total_time = t0.elapsed();
     Ok(report)

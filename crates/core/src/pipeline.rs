@@ -321,7 +321,7 @@ fn tighten(cfg: &CseConfig, rung: Rung) -> (CseConfig, RungCaps) {
 /// Error text for a cancellation abort. The stable reason code leads so
 /// callers (and humans) can distinguish `REQ_CANCELED` / `REQ_DEADLINE`
 /// aborts from genuine planning failures.
-fn abort_message(trip: BudgetTrip) -> String {
+pub(crate) fn abort_message(trip: BudgetTrip) -> String {
     format!(
         "[{}] optimization aborted at {}: {}",
         trip.reason.code(),

@@ -10,9 +10,10 @@ use std::sync::Arc;
 
 /// A registered materialized view: its name doubles as a table in the
 /// catalog, plus the SQL text of its definition (the maintenance planner
-/// parses it once per insert and rewrites it, at the AST level, to read
-/// the delta's insert table instead of the updated base table).
-#[derive(Debug, Clone)]
+/// parses it, once per view set, schema and size band, and rewrites it, at
+/// the AST level, to read the delta's insert table instead of the updated
+/// base table).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaterializedView {
     pub name: String,
     pub definition_sql: String,

@@ -20,7 +20,9 @@ fn main() {
 
     // Insert 500 new customers; all three views are affected.
     let inserts = cse_bench::experiments::new_customers(&catalog, 500);
-    let report = maintain_insert(&mut catalog, "customer", inserts, &cfg).expect("maintain");
+    let mut plans = MaintenancePlans::new();
+    let report =
+        maintain_insert(&mut catalog, "customer", inserts, &cfg, &mut plans).expect("maintain");
 
     println!(
         "\nmaintained {} views from a {}-row delta in {:?}",

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use crate::session::{BatchOutcome, Session};
     pub use cse_core::{
         create_materialized_view, maintain_insert, optimize_sql, CseConfig, CseReport, GenConfig,
-        Optimized,
+        MaintenancePlans, Optimized,
     };
     pub use cse_durable::{DurableCatalog, DurableOptions, FileStore, SimStore};
     pub use cse_exec::{Engine, ExecCtx, ExecOutput, ResultSet};

@@ -5,7 +5,7 @@
 //! management — all driving the covering-subexpression pipeline
 //! underneath.
 
-use cse_core::{CseConfig, CseReport, MaintenanceReport, Optimized};
+use cse_core::{CseConfig, CseReport, MaintenancePlans, MaintenanceReport, Optimized};
 use cse_exec::{Engine, ExecCtx, ExecMetrics, ResultSet};
 use cse_govern::{CancelToken, DegradationEvent};
 use cse_storage::{Catalog, Row, Table};
@@ -51,21 +51,25 @@ pub struct BatchOutcome {
 pub struct Session {
     catalog: Catalog,
     config: CseConfig,
+    /// Maintenance batches of [`Session::insert`], planned under `config`
+    /// and kept for later inserts while they still fit the catalog.
+    plans: MaintenancePlans,
 }
 
 impl Session {
     /// Session over an existing catalog with default configuration
     /// (CSE detection on, heuristics on).
     pub fn new(catalog: Catalog) -> Self {
-        Session {
-            catalog,
-            config: CseConfig::default(),
-        }
+        Session::with_config(catalog, CseConfig::default())
     }
 
     /// Session with an explicit configuration.
     pub fn with_config(catalog: Catalog, config: CseConfig) -> Self {
-        Session { catalog, config }
+        Session {
+            catalog,
+            config,
+            plans: MaintenancePlans::new(),
+        }
     }
 
     pub fn catalog(&self) -> &Catalog {
@@ -80,8 +84,11 @@ impl Session {
         &self.config
     }
 
+    /// Replace the configuration; maintenance batches planned under the
+    /// old one are dropped.
     pub fn set_config(&mut self, config: CseConfig) {
         self.config = config;
+        self.plans.clear();
     }
 
     /// Register a table (computing statistics).
@@ -209,10 +216,17 @@ impl Session {
 
     /// Insert rows into a base table, incrementally maintaining every
     /// affected materialized view (the maintenance batch shares covering
-    /// subexpressions).
+    /// subexpressions). The batch is planned at the first insert into the
+    /// table and reused while it fits the catalog.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<MaintenanceReport, Error> {
-        cse_core::maintain_insert(&mut self.catalog, table, rows, &self.config)
-            .map_err(Error::Catalog)
+        cse_core::maintain_insert(
+            &mut self.catalog,
+            table,
+            rows,
+            &self.config,
+            &mut self.plans,
+        )
+        .map_err(Error::Catalog)
     }
 }
 

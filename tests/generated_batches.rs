@@ -17,10 +17,11 @@
 //! The same arms run again over a copy of the catalog with a hash index on
 //! every template join column, where plans join through
 //! `IndexNlJoin`, against the same un-indexed oracle. Last, a view over one
-//! template statement is maintained through three generated `customer`
-//! inserts (keys that exist, keys that don't, NULL and `Float` keys) and
-//! must equal its recomputation, in a catalog that verifies clean, after
-//! each.
+//! template statement is maintained through four generated `customer`
+//! inserts of 1, 50 or 5 000 rows (keys that exist, keys that don't, NULL
+//! and `Float` keys) through one plan cache, and must equal both the view
+//! of a twin that plans every insert afresh and its recomputation, in a
+//! catalog that verifies clean, after each.
 //!
 //! A fixed seed set runs in `cargo test`; `CSE_GEN_BATCHES=<n>` runs seeds
 //! `0..n` instead (`ci.sh` runs 200 in release). A failing seed prints its
@@ -263,11 +264,12 @@ fn insertable_customers(catalog: &mut Catalog) {
     catalog.replace_table(Table::with_rows("customer", schema, rows));
 }
 
-/// One generated insert: keys that exist (`0..18`, as `Float`), keys that
-/// don't (past the table, or between two keys), NULL keys.
-fn gen_customers(rng: &mut TestRng) -> Vec<Row> {
+/// One generated insert of `n` rows: keys that exist (`0..18`, as
+/// `Float`), keys that don't (past the table, or between two keys), NULL
+/// keys.
+fn gen_customers(rng: &mut TestRng, n: usize) -> Vec<Row> {
     let schema = TpchTable::Customer.schema();
-    (0..rng.range_usize(1, 7))
+    (0..n)
         .map(|_| {
             let mut vals = vec![Value::Null; schema.len()];
             let mut set = |name: &str, v: Value| vals[schema.index_of(name).expect("column")] = v;
@@ -292,12 +294,15 @@ fn gen_customers(rng: &mut TestRng) -> Vec<Row> {
 }
 
 /// §6.4 over a generated catalog: a view over one self-maintainable
-/// statement of a `customer` template, three generated inserts, and after
-/// each the view equals its recomputation and the catalog — the indexes
-/// the view added, appended to in place — verifies clean. The view is
-/// recomputed over a copy that takes the same inserts but has no index, so
-/// the oracle never joins through one.
-fn check_maintenance(catalog: &Catalog, rng: &mut TestRng, seed: u64) {
+/// statement of a `customer` template, four generated inserts of 1, 50 or
+/// 5 000 rows through one plan cache, so that inserts run a cached plan and
+/// leave its row band both ways. After each, the view equals the view of a
+/// twin catalog that plans every insert afresh and its recomputation, and
+/// the catalog — the indexes the view added, appended to in place —
+/// verifies clean. The view is recomputed over a copy that takes the same
+/// inserts but has no index, so the oracle never joins through one.
+/// Returns whether an insert ran a cached plan.
+fn check_maintenance(catalog: &Catalog, rng: &mut TestRng, seed: u64) -> bool {
     let definition = loop {
         let family = *rng.pick(&[0, 1, 3]);
         let stmt = gen_stmt(rng, family);
@@ -313,10 +318,17 @@ fn check_maintenance(catalog: &Catalog, rng: &mut TestRng, seed: u64) {
     let cfg = CseConfig::default();
     create_materialized_view(&mut catalog, "mv", &definition, &cfg)
         .unwrap_or_else(|e| panic!("{what}: {e}\n{definition}"));
-    for insert in 0..3 {
-        let rows = gen_customers(rng);
-        maintain_insert(&mut catalog, "customer", rows.clone(), &cfg)
-            .unwrap_or_else(|e| panic!("{what}: insert {insert}: {e}\n{definition}"));
+    let (mut twin, mut plans, mut cached) = (catalog.clone(), MaintenancePlans::new(), false);
+    for insert in 0..4 {
+        let n = *rng.pick(&[1, 50, 5_000]);
+        let rows = gen_customers(rng, n);
+        let fail = |e| panic!("{what}: insert {insert} of {n} rows: {e}\n{definition}");
+        let report = maintain_insert(&mut catalog, "customer", rows.clone(), &cfg, &mut plans)
+            .unwrap_or_else(fail);
+        cached |= !report.planned;
+        let fresh_plans = &mut MaintenancePlans::new();
+        maintain_insert(&mut twin, "customer", rows.clone(), &cfg, fresh_plans)
+            .unwrap_or_else(fail);
         let mut delta = DeltaTable::new("customer", plain.table("customer").unwrap().schema());
         for r in &rows {
             delta
@@ -330,19 +342,28 @@ fn check_maintenance(catalog: &Catalog, rng: &mut TestRng, seed: u64) {
             .expect("recompute");
         let fresh = fresh.results.into_iter().next().expect("one statement");
         let stored = catalog.table("mv").expect("view table").rows().to_vec();
-        assert!(
-            ResultSet::new(fresh.columns.clone(), stored.clone()).approx_eq(&fresh, 1e-9),
-            "{what}: insert {insert} of {rows:?}\n  stored     {stored:?}\n  recomputed {:?}\n{definition}",
-            fresh.rows
-        );
+        let twin_stored = twin.table("mv").expect("view table").rows().to_vec();
+        for (oracle, want) in [
+            ("recomputed", &fresh.rows),
+            ("planned afresh", &twin_stored),
+        ] {
+            assert!(
+                ResultSet::new(fresh.columns.clone(), stored.clone())
+                    .approx_eq(&ResultSet::new(fresh.columns.clone(), want.clone()), 1e-9),
+                "{what}: insert {insert} of {n} rows (cached plan: {})\n  stored {stored:?}\n  {oracle} {want:?}\n{definition}",
+                !report.planned
+            );
+        }
         let report = similar_subexpr::verify::verify_catalog(&catalog);
         assert!(report.is_clean(), "{what}: {}", report.render());
     }
+    cached
 }
 
-/// Run one seed; whether its default plan used a spool, and whether a
-/// plan over the indexed catalog joined through an index.
-fn check_seed(seed: u64) -> (bool, bool) {
+/// Run one seed; whether its default plan used a spool, whether a plan
+/// over the indexed catalog joined through an index, and whether a view
+/// was maintained by a cached plan.
+fn check_seed(seed: u64) -> (bool, bool, bool) {
     let mut rng = batchgen::stream(seed);
     let catalog = gen_catalog(&mut rng);
     let batch = gen_batch(&mut rng);
@@ -393,8 +414,8 @@ fn check_seed(seed: u64) -> (bool, bool) {
     assert_same(&batch, &out.results, want, |i| i, &tag("no-cse"));
     let (_, index_joins) = sharing_arms(&indexed, &batch, want, (twin, &perm), seed, &tag);
 
-    check_maintenance(&catalog, &mut rng, seed);
-    (spools, index_joins || joins_through_index(&plan))
+    let cached = check_maintenance(&catalog, &mut rng, seed);
+    (spools, index_joins || joins_through_index(&plan), cached)
 }
 
 #[test]
@@ -406,11 +427,13 @@ fn generated_batches_agree_on_every_rung() {
         Some(n) => (0..n).collect(),
         None => batchgen::fixed_seeds().collect(),
     };
-    let outcomes: Vec<(bool, bool)> = seeds.iter().map(|s| check_seed(*s)).collect();
+    let outcomes: Vec<(bool, bool, bool)> = seeds.iter().map(|s| check_seed(*s)).collect();
     let shared = outcomes.iter().filter(|o| o.0).count();
     let index_joins = outcomes.iter().filter(|o| o.1).count();
-    // A generator that never produces a sharing batch tests nothing, and
-    // an indexed arm that never joins through an index tests no index join.
+    let cached = outcomes.iter().filter(|o| o.2).count();
+    // A generator that never produces a sharing batch tests nothing, an
+    // indexed arm that never joins through an index tests no index join,
+    // and a maintenance arm that never runs a cached plan tests no cache.
     assert!(
         shared * 3 >= seeds.len(),
         "only {shared} of {} generated batches used a spool",
@@ -419,6 +442,11 @@ fn generated_batches_agree_on_every_rung() {
     assert!(
         index_joins * 3 >= seeds.len(),
         "only {index_joins} of {} indexed batches joined through an index",
+        seeds.len()
+    );
+    assert!(
+        cached * 3 >= seeds.len(),
+        "only {cached} of {} maintenance arms ran a cached plan",
         seeds.len()
     );
 }

@@ -351,14 +351,17 @@ fn snapshot_published_before_truncation_skips_covered_records() {
 }
 
 /// §6.4 through the journal: the mutations `plan_insert` emits for three
-/// inserts (`ReplaceTable` per view, `ApplyDelta` for the base) go through
-/// `DurableCatalog::apply`; after a restart the recovered views and base
-/// equal the live catalog, the catalog `maintain_insert` produces on a
-/// plain `Catalog`, and a recomputation of every view.
+/// inserts (`ReplaceTable` per view, `ApplyDelta` for the base), the last
+/// two from the plan the first cached, go through `DurableCatalog::apply`;
+/// after a restart the recovered views and base equal the live catalog,
+/// the catalog `maintain_insert` produces on a plain `Catalog`, and a
+/// recomputation of every view. The plan cache is not journaled: one more
+/// insert plans afresh on the recovered catalog and runs the cached plan
+/// on the live one, and both end equal.
 #[test]
 fn journaled_view_maintenance_recovers_to_the_live_catalog() {
     use cse_bench::{experiments, workloads};
-    use similar_subexpr::core::{plan_insert, plan_materialized_view};
+    use similar_subexpr::core::{plan_insert, plan_materialized_view, MaintenancePlans};
     use similar_subexpr::prelude::*;
 
     let cfg = CseConfig::default();
@@ -386,11 +389,19 @@ fn journaled_view_maintenance_recovers_to_the_live_catalog() {
         }
         create_materialized_view(&mut plain, name, &def, &cfg).unwrap();
     }
+    let (mut live_plans, mut plain_plans) = (MaintenancePlans::new(), MaintenancePlans::new());
     for round in 0..3 {
         let rows = experiments::new_customers(dc.catalog(), 20 + round);
-        let (mutations, report) =
-            plan_insert(dc.catalog(), "customer", rows.clone(), &cfg).unwrap();
+        let (mutations, report) = plan_insert(
+            dc.catalog(),
+            "customer",
+            rows.clone(),
+            &cfg,
+            &mut live_plans,
+        )
+        .unwrap();
         assert_eq!(report.views.len(), 3);
+        assert_eq!(report.planned, round == 0);
         let kinds: Vec<&str> = mutations.iter().map(CatalogMutation::kind).collect();
         assert_eq!(
             kinds,
@@ -404,13 +415,13 @@ fn journaled_view_maintenance_recovers_to_the_live_catalog() {
         for m in &mutations {
             dc.apply(m).unwrap();
         }
-        maintain_insert(&mut plain, "customer", rows, &cfg).unwrap();
+        maintain_insert(&mut plain, "customer", rows, &cfg, &mut plain_plans).unwrap();
     }
     dc.flush().unwrap();
-    let live = dc.catalog().clone();
+    let mut live = dc.catalog().clone();
     drop(dc);
 
-    let (recovered, info) = recover(&store, &FailpointRegistry::disabled()).unwrap();
+    let (mut recovered, info) = recover(&store, &FailpointRegistry::disabled()).unwrap();
     assert!(info.verify.is_clean(), "{}", info.verify.render());
     catalogs_equivalent(&live, &recovered).unwrap();
     catalogs_equivalent(&plain, &recovered).unwrap();
@@ -447,4 +458,14 @@ fn journaled_view_maintenance_recovers_to_the_live_catalog() {
             "recovered view {name} differs from recomputation"
         );
     }
+
+    let rows = experiments::new_customers(&live, 23);
+    let empty = &mut MaintenancePlans::new();
+    let cold = maintain_insert(&mut recovered, "customer", rows.clone(), &cfg, empty);
+    let warm = maintain_insert(&mut live, "customer", rows, &cfg, &mut live_plans);
+    assert_eq!(
+        (cold.unwrap().planned, warm.unwrap().planned),
+        (true, false)
+    );
+    catalogs_equivalent(&live, &recovered).unwrap();
 }

@@ -1,6 +1,8 @@
 //! §6.4 end-to-end: maintained materialized views must equal views
-//! recomputed from scratch, and the maintenance batch must share the
-//! common delta ⋈ orders ⋈ lineitem work.
+//! recomputed from scratch, the maintenance batch must share the common
+//! delta ⋈ orders ⋈ lineitem work, and a cached batch must be planned
+//! again once a view, a schema, a table's size or an index it relies on
+//! changes.
 
 use cse_bench::{experiments, workloads};
 use similar_subexpr::prelude::*;
@@ -36,12 +38,13 @@ fn rows_approx_eq(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 #[test]
 fn maintained_views_match_recomputation() {
     let cfg = CseConfig::default();
+    let mut plans = MaintenancePlans::new();
     let mut catalog = generate_catalog(&TpchConfig::new(0.002));
     for (name, def) in workloads::maintenance_views() {
         create_materialized_view(&mut catalog, name, &def, &cfg).unwrap();
     }
     let inserts = experiments::new_customers(&catalog, 150);
-    let report = maintain_insert(&mut catalog, "customer", inserts, &cfg).unwrap();
+    let report = maintain_insert(&mut catalog, "customer", inserts, &cfg, &mut plans).unwrap();
     assert_eq!(report.views.len(), 3);
     assert_eq!(report.delta_rows, 150);
 
@@ -75,12 +78,13 @@ fn maintained_views_match_recomputation() {
 #[test]
 fn maintenance_batch_detects_sharing() {
     let cfg = CseConfig::default();
+    let mut plans = MaintenancePlans::new();
     let mut catalog = generate_catalog(&TpchConfig::new(0.002));
     for (name, def) in workloads::maintenance_views() {
         create_materialized_view(&mut catalog, name, &def, &cfg).unwrap();
     }
     let inserts = experiments::new_customers(&catalog, 150);
-    let report = maintain_insert(&mut catalog, "customer", inserts, &cfg).unwrap();
+    let report = maintain_insert(&mut catalog, "customer", inserts, &cfg, &mut plans).unwrap();
     assert!(
         !report.cse.candidates.is_empty(),
         "the three maintenance queries share delta⋈orders⋈lineitem: {:?}",
@@ -95,6 +99,7 @@ fn maintenance_batch_detects_sharing() {
 #[test]
 fn a_small_delta_is_joined_through_indexes() {
     let cfg = CseConfig::default();
+    let mut plans = MaintenancePlans::new();
     let mut catalog = generate_catalog(&TpchConfig::new(0.002));
     for (name, def) in workloads::maintenance_views() {
         create_materialized_view(&mut catalog, name, &def, &cfg).unwrap();
@@ -110,7 +115,7 @@ fn a_small_delta_is_joined_through_indexes() {
     let (orders, lineitem) = (rows_of("orders"), rows_of("lineitem"));
 
     let rows = experiments::returning_customers(&catalog, 50);
-    let report = maintain_insert(&mut catalog, "customer", rows, &cfg).unwrap();
+    let report = maintain_insert(&mut catalog, "customer", rows, &cfg, &mut plans).unwrap();
     let scanned = report.metrics.base_rows_scanned;
     assert!(
         scanned * 4 < orders + lineitem,
@@ -140,6 +145,7 @@ fn maintenance_cost_factor_matches_paper_shape() {
 #[test]
 fn unaffected_views_are_skipped() {
     let cfg = CseConfig::default();
+    let mut plans = MaintenancePlans::new();
     let mut catalog = generate_catalog(&TpchConfig::new(0.001));
     create_materialized_view(
         &mut catalog,
@@ -150,7 +156,7 @@ fn unaffected_views_are_skipped() {
     .unwrap();
     let before = sorted_rows(&catalog.table("mv_parts").unwrap());
     let inserts = experiments::new_customers(&catalog, 10);
-    let report = maintain_insert(&mut catalog, "customer", inserts, &cfg).unwrap();
+    let report = maintain_insert(&mut catalog, "customer", inserts, &cfg, &mut plans).unwrap();
     assert!(report.views.is_empty(), "part view must not be touched");
     let after = sorted_rows(&catalog.table("mv_parts").unwrap());
     assert_eq!(before, after);
@@ -173,9 +179,11 @@ fn rejects_non_self_maintainable_views() {
 // ---------------------------------------------------------------------
 // Plan-then-apply: validation at capture, atomicity, merge semantics.
 
+use similar_subexpr::core::MaintenanceReport;
 use similar_subexpr::storage::schema::{ColumnDef, Schema};
 use similar_subexpr::storage::table::row;
 use similar_subexpr::storage::value::DataType;
+use similar_subexpr::storage::CatalogMutation;
 
 /// What a caller can see of a catalog: every table with its row count
 /// (sorted), and the registered views (sorted).
@@ -238,6 +246,7 @@ fn kv(k: Option<i64>, v: i64) -> similar_subexpr::storage::Row {
 #[test]
 fn malformed_rows_are_errors_and_leave_the_catalog_untouched() {
     let cfg = CseConfig::default();
+    let mut plans = MaintenancePlans::new();
     let mut catalog = generate_catalog(&TpchConfig::new(0.001));
     for (name, def) in workloads::maintenance_views() {
         create_materialized_view(&mut catalog, name, &def, &cfg).unwrap();
@@ -247,27 +256,34 @@ fn malformed_rows_are_errors_and_leave_the_catalog_untouched() {
 
     // Wrong arity: one column short.
     let short = row(good[0].iter().skip(1).cloned().collect());
-    let err = maintain_insert(&mut catalog, "customer", vec![good[1].clone(), short], &cfg)
-        .expect_err("a short row must be refused");
+    let err = maintain_insert(
+        &mut catalog,
+        "customer",
+        vec![good[1].clone(), short],
+        &cfg,
+        &mut plans,
+    )
+    .expect_err("a short row must be refused");
     assert!(err.contains("arity"), "unexpected error: {err}");
     assert_eq!(visible(&catalog), before);
 
     // Wrong type: a string where c_custkey's integer belongs.
     let mut cells = good[0].to_vec();
     cells[0] = Value::str("not a key");
-    let err = maintain_insert(&mut catalog, "customer", vec![row(cells)], &cfg)
+    let err = maintain_insert(&mut catalog, "customer", vec![row(cells)], &cfg, &mut plans)
         .expect_err("an ill-typed row must be refused");
     assert!(err.contains("type mismatch"), "unexpected error: {err}");
     assert_eq!(visible(&catalog), before);
 
     // The same catalog still takes a well-formed insert.
-    maintain_insert(&mut catalog, "customer", good, &cfg).unwrap();
+    maintain_insert(&mut catalog, "customer", good, &cfg, &mut plans).unwrap();
     assert!(visible(&catalog).0.iter().all(|(n, _)| !n.contains('Δ')));
 }
 
 #[test]
 fn scalar_aggregate_view_merges_into_its_single_row() {
     let cfg = CseConfig::default();
+    let mut plans = MaintenancePlans::new();
     let mut catalog = generate_catalog(&TpchConfig::new(0.001));
     create_materialized_view(
         &mut catalog,
@@ -279,7 +295,7 @@ fn scalar_aggregate_view_merges_into_its_single_row() {
     .unwrap();
     for round in 0..2 {
         let inserts = experiments::new_customers(&catalog, 7);
-        maintain_insert(&mut catalog, "customer", inserts, &cfg).unwrap();
+        maintain_insert(&mut catalog, "customer", inserts, &cfg, &mut plans).unwrap();
         let stored = catalog.table("mv_totals").unwrap();
         assert_eq!(stored.row_count(), 1, "round {round}: {:?}", stored.rows());
         assert_view_is_fresh(&catalog, "mv_totals");
@@ -289,6 +305,7 @@ fn scalar_aggregate_view_merges_into_its_single_row() {
 #[test]
 fn new_groups_null_keys_empty_and_consecutive_deltas() {
     let cfg = CseConfig::default();
+    let mut plans = MaintenancePlans::new();
     let mut catalog = small_catalog();
     let stored_keys = |c: &Catalog| -> Vec<Value> {
         let t = c.table("v_by_k").unwrap();
@@ -299,7 +316,7 @@ fn new_groups_null_keys_empty_and_consecutive_deltas() {
 
     // An empty delta changes nothing and still reports the view.
     let before = sorted_rows(&catalog.table("v_by_k").unwrap());
-    let report = maintain_insert(&mut catalog, "t", Vec::new(), &cfg).unwrap();
+    let report = maintain_insert(&mut catalog, "t", Vec::new(), &cfg, &mut plans).unwrap();
     assert_eq!((report.delta_rows, report.views.len()), (0, 1));
     assert_eq!(sorted_rows(&catalog.table("v_by_k").unwrap()), before);
     assert_eq!(catalog.table("t").unwrap().row_count(), 4);
@@ -313,7 +330,7 @@ fn new_groups_null_keys_empty_and_consecutive_deltas() {
         kv(Some(9), -4),
         kv(None, 50),
     ];
-    maintain_insert(&mut catalog, "t", delta, &cfg).unwrap();
+    maintain_insert(&mut catalog, "t", delta, &cfg, &mut plans).unwrap();
     let keys = stored_keys(&catalog);
     assert_eq!(keys[..3], original[..], "stored rows keep their positions");
     assert_eq!(keys.len(), 5);
@@ -323,7 +340,7 @@ fn new_groups_null_keys_empty_and_consecutive_deltas() {
 
     // A second insert on top of the first, touching old and new groups.
     let delta = vec![kv(Some(9), 1), kv(Some(2), 2), kv(Some(11), 0)];
-    maintain_insert(&mut catalog, "t", delta, &cfg).unwrap();
+    maintain_insert(&mut catalog, "t", delta, &cfg, &mut plans).unwrap();
     assert_eq!(stored_keys(&catalog).len(), 6);
     assert_view_is_fresh(&catalog, "v_by_k");
     assert_eq!(catalog.stats("t").unwrap().row_count, 12);
@@ -335,11 +352,12 @@ fn new_groups_null_keys_empty_and_consecutive_deltas() {
 #[test]
 fn sum_past_i64_max_merges_like_recomputation() {
     let cfg = CseConfig::default();
+    let mut plans = MaintenancePlans::new();
     let mut catalog = small_catalog();
     // Group 1 holds 10 + 1; the first delta takes it just past i64::MAX,
     // the second adds to the float it became.
     for v in [i64::MAX - 10, 5] {
-        maintain_insert(&mut catalog, "t", vec![kv(Some(1), v)], &cfg).unwrap();
+        maintain_insert(&mut catalog, "t", vec![kv(Some(1), v)], &cfg, &mut plans).unwrap();
         assert_view_is_fresh(&catalog, "v_by_k");
     }
     let view = catalog.table("v_by_k").unwrap();
@@ -351,15 +369,110 @@ fn sum_past_i64_max_merges_like_recomputation() {
 #[test]
 fn a_request_that_fails_after_capture_changes_nothing() {
     let mut catalog = small_catalog();
-    let before = visible(&catalog);
-    let view_before = sorted_rows(&catalog.table("v_by_k").unwrap());
-    let cfg = CseConfig::default();
-    cfg.cancel.cancel();
-    let err = maintain_insert(&mut catalog, "t", vec![kv(Some(1), 1)], &cfg)
+    let mut plans = MaintenancePlans::new();
+    let (cfg, canceled) = (CseConfig::default(), CseConfig::default());
+    canceled.cancel.cancel();
+    // Canceled while it plans, then, once an insert has cached the batch,
+    // while it executes the cached plan: neither is applied, and the
+    // cached plan stays.
+    for (insert, stage) in [(0, "pipeline/entry"), (2, "maintenance/execute")] {
+        let before = visible(&catalog);
+        let view_before = sorted_rows(&catalog.table("v_by_k").unwrap());
+        let err = maintain_insert(
+            &mut catalog,
+            "t",
+            vec![kv(Some(1), 1)],
+            &canceled,
+            &mut plans,
+        )
         .expect_err("a canceled request must not be applied");
-    assert!(err.contains("REQ_CANCELED"), "unexpected error: {err}");
-    assert_eq!(visible(&catalog), before);
-    assert_eq!(sorted_rows(&catalog.table("v_by_k").unwrap()), view_before);
+        assert!(err.contains("REQ_CANCELED"), "insert {insert}: {err}");
+        assert!(err.contains(stage), "insert {insert}: {err}");
+        assert_eq!(visible(&catalog), before);
+        assert_eq!(sorted_rows(&catalog.table("v_by_k").unwrap()), view_before);
+        let rows = vec![kv(Some(2), 1)];
+        let report = maintain_insert(&mut catalog, "t", rows, &cfg, &mut plans).unwrap();
+        assert_eq!(report.planned, insert == 0, "insert {}", insert + 1);
+        assert_view_is_fresh(&catalog, "v_by_k");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The cached maintenance plan: used while it fits, rebuilt when not.
+
+/// A session over the three §6.4 views that has taken two 50-row inserts,
+/// the first planned and the second run from the cached plan.
+fn warm_session() -> Session {
+    let mut session = Session::new(generate_catalog(&TpchConfig::new(0.002)));
+    for (name, def) in workloads::maintenance_views() {
+        session.create_materialized_view(name, &def).unwrap();
+    }
+    for planned in [true, false] {
+        let rows = experiments::returning_customers(session.catalog(), 50);
+        let report = session.insert("customer", rows).unwrap();
+        assert_eq!(report.planned, planned);
+        assert!(!report.cse.candidates.is_empty(), "{:?}", report.cse);
+    }
+    session
+}
+
+/// Insert `rows` returning customers: the insert must plan its batch,
+/// refresh `views` views, and leave every view equal to its recomputation.
+fn assert_replans(session: &mut Session, rows: usize, views: usize) -> MaintenanceReport {
+    let delta = experiments::returning_customers(session.catalog(), rows);
+    let report = session.insert("customer", delta).unwrap();
+    assert!(report.planned, "the cached plan no longer fits");
+    assert_eq!(report.views.len(), views, "{:?}", report.views);
+    for view in session.catalog().views() {
+        assert_view_is_fresh(session.catalog(), &view.name);
+    }
+    report
+}
+
+#[test]
+fn a_new_view_replans_the_batch() {
+    let mut session = warm_session();
+    session
+        .create_materialized_view(
+            "mv_segment",
+            "select c_mktsegment, count(*) as n from customer group by c_mktsegment",
+        )
+        .unwrap();
+    assert_replans(&mut session, 50, 4);
+}
+
+#[test]
+fn a_dropped_view_replans_the_batch() {
+    let mut session = warm_session();
+    let name = "mv_region".to_string();
+    let drop = CatalogMutation::DropTable { name };
+    session.catalog_mut().apply_mutation(&drop).unwrap();
+    assert_replans(&mut session, 50, 2);
+}
+
+/// Replacing `orders` with its own rows keeps its schema and size but
+/// drops the hash indexes the cached plan probes.
+#[test]
+fn a_lost_index_replans_the_batch() {
+    let mut session = warm_session();
+    let table = session.catalog().table("orders").unwrap().as_ref().clone();
+    let replace = CatalogMutation::ReplaceTable { table };
+    session.catalog_mut().apply_mutation(&replace).unwrap();
+    assert_replans(&mut session, 50, 3);
+}
+
+#[test]
+fn a_delta_outside_the_band_replans_the_batch() {
+    let mut session = warm_session();
+    assert_replans(&mut session, 5_000, 3);
+}
+
+#[test]
+fn a_new_configuration_replans_the_batch() {
+    let mut session = warm_session();
+    session.set_config(CseConfig::no_cse());
+    let report = assert_replans(&mut session, 50, 3);
+    assert!(report.cse.candidates.is_empty(), "{:?}", report.cse);
 }
 
 #[test]
