@@ -60,6 +60,35 @@ if grep -q "lint denied" <<<"$accepted"; then
   exit 1
 fi
 
+# One retry path: a session answers a faulted batch by planning it again
+# on the baseline rung. Table 1's batch under a certain spool fault must
+# print the result lines (stdout lines not starting with `--`) that the
+# forced baseline prints, and report the fault on stderr.
+echo "==> qsql: a spool fault answers like --no-cse-fallback-only (Table 1)"
+table1="select c_nationkey, c_mktsegment, sum(l_extendedprice) as le, sum(l_quantity) as lq \
+from customer, orders, lineitem where c_custkey = o_custkey and o_orderkey = l_orderkey \
+and o_orderdate < '1996-07-01' and c_nationkey > 0 and c_nationkey < 20 \
+group by c_nationkey, c_mktsegment; \
+select c_nationkey, sum(l_extendedprice) as le, sum(l_quantity) as lq \
+from customer, orders, lineitem where c_custkey = o_custkey and o_orderkey = l_orderkey \
+and o_orderdate < '1996-07-01' and c_nationkey > 5 and c_nationkey < 25 group by c_nationkey; \
+select n_regionkey, sum(l_extendedprice) as le, sum(l_quantity) as lq \
+from customer, orders, lineitem, nation where c_custkey = o_custkey and o_orderkey = l_orderkey \
+and c_nationkey = n_nationkey and o_orderdate < '1996-07-01' \
+and c_nationkey > 2 and c_nationkey < 24 group by n_regionkey;"
+QSQL=(cargo run -q --release --bin qsql -- --sf 0.001)
+fault_log=$(mktemp)
+faulted=$(printf '%s\n:quit\n' "$table1" \
+  | "${QSQL[@]}" --fail spool.materialize:1.0 2>"$fault_log" | grep -v '^--')
+forced=$(printf '%s\n:quit\n' "$table1" \
+  | "${QSQL[@]}" --no-cse-fallback-only 2>/dev/null | grep -v '^--')
+[[ -n "$forced" && "$faulted" == "$forced" ]] \
+  || { echo "faulted Table 1 differs from the forced baseline:"; \
+       diff <(echo "$faulted") <(echo "$forced"); exit 1; }
+grep -q EXEC_FAULT_INJECTED "$fault_log" \
+  || { echo "the spool fault was not reported: $(cat "$fault_log")"; exit 1; }
+rm -f "$fault_log"
+
 # Fault-injection seed matrix: the adversarial robustness suite and the
 # concurrent serving stress suite must hold for every seed, not just the
 # default. Each seed reshuffles which scans / spools / worker slots fail

@@ -232,9 +232,7 @@ impl MaintenancePlan {
         let mut indexed = true;
         if let Some(batch) = &self.batch {
             let plan = &batch.plan;
-            let trees = std::iter::once(&plan.root)
-                .chain(plan.spools.values().map(|s| &s.plan))
-                .chain(plan.baseline.as_deref());
+            let trees = std::iter::once(&plan.root).chain(plan.spools.values().map(|s| &s.plan));
             for tree in trees {
                 tree.visit(&mut |op| {
                     if let PhysicalPlan::IndexNlJoin { rel, key, .. } = op {

@@ -244,17 +244,7 @@ pub fn optimize_plan(
     }
     found.report.rung = rung;
 
-    let final_plan = match shared {
-        // Retain the no-CSE plan alongside a sharing one: the engine
-        // retries against it per statement when a spool faults or the
-        // memory reservation refuses a charge.
-        Some(mut plan) if !plan.spools.is_empty() => {
-            plan.baseline = Some(Box::new(baseline.root));
-            plan
-        }
-        Some(plan) => plan,
-        None => baseline,
-    };
+    let final_plan = shared.unwrap_or(baseline);
     found.report.final_cost = final_plan.cost;
     found.report.spools_used = final_plan.spools.len();
     found.report.total_time = t_start.elapsed();

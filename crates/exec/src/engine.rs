@@ -6,11 +6,10 @@
 //!
 //! Execution is *governed*: [`Engine::execute_in`] threads an [`ExecCtx`]
 //! — a deterministic fault-injection registry, a cancellation token and an
-//! optional memory reservation — through the interpreter. When a spool
-//! faults or the reservation refuses a charge, the affected statement is
-//! retried against the retained baseline plan (its original non-covering
-//! expression) and the recovery is recorded in the result's provenance — a
-//! fault degrades the plan, it never degrades the answer.
+//! optional memory reservation — through the interpreter. The first fault,
+//! refused charge or cancellation ends the run with its [`ExecError`]; the
+//! caller that owns the request decides whether to retry it
+//! ([`ExecError::is_recoverable`]).
 //!
 //! Execution is *push-based*: an operator hands its rows, borrowed and one
 //! at a time, to its parent's [`Sink`]; rows are held, and charged, only at
@@ -24,10 +23,7 @@ use crate::error::ExecError;
 use crate::eval::{position, AggState, Bound};
 use crate::keys::{key_eq, key_hash, KeyTable, RowBuf};
 use cse_algebra::{AggExpr, ColRef, PlanContext, Scalar, SortOrder};
-use cse_govern::{
-    sites, CancelToken, DegradationEvent, FailpointRegistry, MemReservation, MemScope, Reason,
-    ReserveError,
-};
+use cse_govern::{sites, CancelToken, FailpointRegistry, MemReservation, MemScope, ReserveError};
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan};
 use cse_storage::{Catalog, Row, Table, Value};
 use std::cmp::Ordering;
@@ -39,19 +35,11 @@ use std::ops::Bound as RangeBound;
 pub struct ResultSet {
     pub columns: Vec<String>,
     pub rows: Vec<Row>,
-    /// Recovery records for this statement: empty in the common case; one
-    /// [`DegradationEvent`] per fault the statement was retried through.
-    pub provenance: Vec<DegradationEvent>,
 }
 
 impl ResultSet {
-    /// A result set with clean provenance.
     pub fn new(columns: Vec<String>, rows: Vec<Row>) -> Self {
-        ResultSet {
-            columns,
-            rows,
-            provenance: Vec::new(),
-        }
+        ResultSet { columns, rows }
     }
 
     /// Canonical form for comparisons in tests: rows sorted by total order.
@@ -106,12 +94,7 @@ impl ResultSet {
     }
 }
 
-/// Execution counters.
-///
-/// Under baseline-retry recovery these reflect the *final* attempt of each
-/// statement only: a failed attempt's spool/scan/byte deltas are rolled
-/// back before the retry, so dashboards see what actually produced the
-/// answer, not work that was thrown away.
+/// Execution counters of one run.
 #[derive(Debug, Clone, Default)]
 pub struct ExecMetrics {
     /// Rows produced into each spool work table.
@@ -132,9 +115,6 @@ pub struct ExecMetrics {
 pub struct ExecOutput {
     pub results: Vec<ResultSet>,
     pub metrics: ExecMetrics,
-    /// Every runtime recovery performed across the batch (union of the
-    /// per-result provenance, in statement order).
-    pub events: Vec<DegradationEvent>,
 }
 
 /// The columns an operator's ancestors read, handed down as the plan is
@@ -167,13 +147,6 @@ pub struct ExecCtx<'a> {
     /// tables, which outlive their statement) are charged to;
     /// a refused charge is a recoverable fault like an injected one.
     pub reservation: Option<&'a MemReservation>,
-    /// Retry a statement that hit a recoverable fault (injected failpoint,
-    /// refused reservation) against the retained baseline plan — or, when
-    /// the plan has no retained baseline, against the same statement with
-    /// governance suppressed — and record the recovery in
-    /// the result's provenance and [`ExecOutput::events`]. Serving layers
-    /// that own the retry policy turn this off; the fault then bubbles.
-    pub recover: bool,
 }
 
 impl ExecCtx<'_> {
@@ -203,7 +176,6 @@ impl Default for ExecCtx<'_> {
             failpoints: FailpointRegistry::disabled(),
             cancel: CancelToken::never(),
             reservation: None,
-            recover: true,
         }
     }
 }
@@ -225,28 +197,14 @@ struct RunState<'p> {
     /// reservation; recreated each statement so its bytes release on
     /// statement end. `None` when execution is not memory-governed.
     stmt_scope: Option<MemScope>,
-    /// Charge for spool work tables, which outlive their statement; bytes
-    /// are uncharged individually if a spool is rolled back.
+    /// Charge for spool work tables, which outlive their statement.
     spool_scope: Option<MemScope>,
-    /// Set while retrying a statement against its baseline plan: fault
-    /// injection is suppressed so recovery always terminates — recovery
-    /// prioritizes answering over governing.
-    /// Cancellation is *not* suppressed: a watchdog must be able to stop
-    /// a runaway baseline retry too. Memory-reservation charges switch to
-    /// unchecked mode: the retry cannot fault, but a retry that outruns
-    /// its grant becomes visible to the serving watchdog via
-    /// [`MemReservation::over_grant`].
-    recovering: bool,
 }
 
-/// Charge `bytes` to a reservation scope, if execution is memory-governed:
-/// a refusal is a fault, except while recovering, which cannot fault.
-fn charge_scope(scope: &mut Option<MemScope>, recovering: bool, bytes: usize) -> ExecResult {
+/// Charge `bytes` to a reservation scope, if execution is memory-governed;
+/// a refusal is a fault.
+fn charge_scope(scope: &mut Option<MemScope>, bytes: usize) -> ExecResult {
     let Some(scope) = scope else { return Ok(()) };
-    if recovering {
-        scope.charge_unchecked(bytes);
-        return Ok(());
-    }
     scope.charge(bytes).map_err(|e| match e {
         ReserveError::Exhausted {
             requested,
@@ -267,9 +225,9 @@ fn charge_scope(scope: &mut Option<MemScope>, recovering: bool, bytes: usize) ->
 const CANCEL_STRIDE: usize = 4096;
 
 impl RunState<'_> {
-    /// Evaluate an armed failpoint at `site` (no-op while recovering).
+    /// Evaluate an armed failpoint at `site`.
     fn maybe_fail(&self, site: &str) -> ExecResult {
-        if !self.recovering && self.ctx.failpoints.should_fail(site) {
+        if self.ctx.failpoints.should_fail(site) {
             return Err(ExecError::Injected {
                 site: site.to_string(),
             });
@@ -286,7 +244,7 @@ impl RunState<'_> {
     fn charge(&mut self, bytes: usize) -> ExecResult {
         self.bytes_materialized += bytes;
         self.note_peak();
-        charge_scope(&mut self.stmt_scope, self.recovering, bytes)
+        charge_scope(&mut self.stmt_scope, bytes)
     }
 
     /// The high-water mark sees what is held now: by the statement's
@@ -294,28 +252,6 @@ impl RunState<'_> {
     fn note_peak(&mut self) {
         let live = self.bytes_materialized + self.metrics.spool_bytes.values().sum::<usize>();
         self.metrics.peak_bytes = self.metrics.peak_bytes.max(live);
-    }
-
-    /// A statement attempt starts with nothing held: zero bytes and a fresh
-    /// per-statement scope, which releases the last attempt's transient bytes.
-    fn begin_attempt(&mut self) {
-        self.bytes_materialized = 0;
-        self.stmt_scope = self.stmt_scope.take().map(|s| s.child());
-    }
-
-    /// Undo a failed attempt's side effects before the baseline retry:
-    /// spools it materialized are dropped (and their reservation bytes
-    /// returned), and metrics revert to the pre-attempt snapshot.
-    fn rollback_attempt(&mut self, snapshot: &ExecMetrics) {
-        let (metrics, scope) = (&self.metrics, &mut self.spool_scope);
-        self.spools.retain(|id, _| {
-            let older = snapshot.spool_rows.contains_key(id);
-            if let (false, Some(scope)) = (older, scope.as_mut()) {
-                scope.uncharge(metrics.spool_bytes.get(id).copied().unwrap_or(0));
-            }
-            older
-        });
-        self.metrics = snapshot.clone();
     }
 }
 
@@ -338,57 +274,25 @@ impl<'a> Engine<'a> {
             metrics: ExecMetrics::default(),
             ctx,
             bytes_materialized: 0,
-            stmt_scope: ctx.reservation.map(MemReservation::scope),
+            stmt_scope: None,
             spool_scope: ctx.reservation.map(MemReservation::scope),
-            recovering: false,
         };
         let statements: Vec<&PhysicalPlan> = match &plan.root {
             PhysicalPlan::Batch { children } => children.iter().collect(),
             other => vec![other],
         };
         let mut results = Vec::with_capacity(statements.len());
-        let mut events = Vec::new();
-        for (i, stmt) in statements.iter().enumerate() {
+        for stmt in statements {
             ctx.check_cancel()?;
-            st.begin_attempt();
-            // Snapshot so a failed attempt's metric deltas (spools it
-            // materialized, rows it scanned, the peak it touched) can be
-            // rolled back — metrics report the final attempt only.
-            let snapshot = st.metrics.clone();
-            match self.deliver(stmt, &mut st) {
-                Ok(rs) => results.push(rs),
-                Err(e) if ctx.recover && e.is_recoverable() => {
-                    let reason = match &e {
-                        ExecError::MemReservation { .. } => Reason::MemReservation,
-                        _ => Reason::ExecFaultInjected,
-                    };
-                    let event = DegradationEvent::exec(
-                        reason,
-                        format!("statement {}", i + 1),
-                        format!("{e}; retried on baseline plan"),
-                    );
-                    st.rollback_attempt(&snapshot);
-                    st.begin_attempt();
-                    // The retained baseline is the statement's original
-                    // non-covering expression. A plan without spools has
-                    // nothing to retain: its statement *is* the baseline,
-                    // so retry it directly with governance suppressed.
-                    let base = plan.baseline_statement(i).unwrap_or(stmt);
-                    st.recovering = true;
-                    let retried = self.deliver(base, &mut st);
-                    st.recovering = false;
-                    let mut rs = retried?;
-                    rs.provenance.push(event.clone());
-                    events.push(event);
-                    results.push(rs);
-                }
-                Err(e) => return Err(e),
-            }
+            // A statement starts with nothing held: zero bytes and a fresh
+            // scope, whose drop releases the last statement's bytes.
+            st.bytes_materialized = 0;
+            st.stmt_scope = ctx.reservation.map(MemReservation::scope);
+            results.push(self.deliver(stmt, &mut st)?);
         }
         Ok(ExecOutput {
             results,
             metrics: st.metrics,
-            events,
         })
     }
 
@@ -701,9 +605,7 @@ impl<'a> Engine<'a> {
         if st.spools.contains_key(&cse) {
             return Ok(());
         }
-        // Injected before any work, and the table is inserted only after its
-        // definition has ended: a failed materialization leaves no partial
-        // spool behind for a later statement (or the baseline retry).
+        // Injected before any work.
         st.maybe_fail(sites::SPOOL_MATERIALIZE)?;
         let plan = st.plan;
         let def = plan.spools.get(&cse).ok_or(ExecError::MissingSpool(cse))?;
@@ -713,7 +615,7 @@ impl<'a> Engine<'a> {
         // double count, gone when the statement scope resets).
         let (cols, rows) = self.hold(&def.plan, &def.layout.iter().copied().collect(), st)?;
         let bytes = rows.bytes();
-        charge_scope(&mut st.spool_scope, st.recovering, bytes)?;
+        charge_scope(&mut st.spool_scope, bytes)?;
         st.metrics.spool_rows.insert(cse, rows.len());
         st.metrics.spool_bytes.insert(cse, bytes);
         st.spools.insert(cse, (cols, rows));
@@ -1108,7 +1010,6 @@ mod tests {
             root,
             spools: Default::default(),
             cost: 0.0,
-            baseline: None,
         };
         // Armed never to fire: the registry only counts the scans that
         // started. The second is the probe side's.
@@ -1165,7 +1066,6 @@ mod tests {
                     root,
                     spools: Default::default(),
                     cost: 0.0,
-                    baseline: None,
                 };
                 Engine::new(&cat, &ctx).execute(&plan).unwrap()
             };

@@ -25,21 +25,19 @@ pub enum ExecError {
     /// injection; armed only via configuration or `CSE_FAIL`).
     Injected { site: String },
     /// The request's global memory reservation could not grow: the shared
-    /// pool ([`cse_govern::MemoryGovernor`]) is exhausted. Recoverable —
-    /// the baseline retry charges without faulting, so cross-request
-    /// memory pressure degrades the plan, never the answer.
+    /// pool ([`cse_govern::MemoryGovernor`]) is exhausted. Recoverable: by
+    /// the time the request is retried, other requests may have released.
     MemReservation { requested: usize, available: usize },
     /// The request's cancellation token fired mid-execution (`deadline`
     /// distinguishes an expired deadline from an explicit watchdog/client
-    /// cancel). Never recovered in-engine: cancellation must stop the
-    /// statement — baseline retry included — and bubble to the caller,
-    /// which may resubmit with a fresh deadline.
+    /// cancel). Not recoverable: cancellation must stop the request, and
+    /// only its caller may resubmit it with a fresh deadline.
     Canceled { deadline: bool },
 }
 
 impl ExecError {
-    /// Can the statement be retried against the retained baseline plan?
-    /// Injected faults and refused reservations are transient-by-construction;
+    /// Is the failure worth a retry by whoever owns the request? Injected
+    /// faults and refused reservations are transient by construction;
     /// cancellation must abort, and everything else is a planning or
     /// catalog bug a retry cannot fix.
     pub fn is_recoverable(&self) -> bool {

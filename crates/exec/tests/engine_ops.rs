@@ -50,7 +50,6 @@ fn run(cat: &Catalog, ctx: &PlanContext, root: PhysicalPlan) -> Vec<cse_storage:
         root,
         spools: BTreeMap::new(),
         cost: 0.0,
-        baseline: None,
     };
     engine.execute(&plan).unwrap().results.remove(0).rows
 }
@@ -162,7 +161,6 @@ fn spool_computed_once_across_reads() {
             },
         )]),
         cost: 0.0,
-        baseline: None,
     };
     let engine = Engine::new(&cat, &ctx);
     let out = engine.execute(&plan).unwrap();
@@ -202,7 +200,6 @@ fn missing_spool_definition_is_an_error() {
         root: read,
         spools: BTreeMap::new(),
         cost: 0.0,
-        baseline: None,
     };
     let err = engine.execute(&plan).unwrap_err();
     assert!(matches!(err, cse_exec::ExecError::MissingSpool(_)), "{err}");
@@ -422,12 +419,10 @@ fn index_join_faults_and_missing_or_stale_indexes_are_errors() {
         root: join.clone(),
         spools: BTreeMap::new(),
         cost: 0.0,
-        baseline: None,
     };
     let execute = |cat: &Catalog, failpoints| {
         let exec_ctx = ExecCtx {
             failpoints,
-            recover: false,
             ..ExecCtx::default()
         };
         Engine::new(cat, &ctx).execute_in(&plan, &exec_ctx)
@@ -594,7 +589,6 @@ fn hash_aggregate_and_reagg_match_sort_oracle_on_generated_inputs() {
                 },
             )]),
             cost: 0.0,
-            baseline: None,
         };
         let out = Engine::new(&cat, &ctx).execute(&plan).unwrap();
         assert_eq!(
@@ -662,7 +656,6 @@ fn joins_materialize_only_columns_an_ancestor_reads() {
         root: agg,
         spools: BTreeMap::new(),
         cost: 0.0,
-        baseline: None,
     };
     let res = Engine::new(&cat, &ctx).execute(&plan).unwrap();
     let rows = &res.results[0].rows;
@@ -692,7 +685,6 @@ fn plan_of(root: PhysicalPlan) -> FullPlan {
         root,
         spools: BTreeMap::new(),
         cost: 0.0,
-        baseline: None,
     }
 }
 
@@ -834,81 +826,4 @@ fn nl_join_that_rejects_everything_holds_only_its_left_side() {
     assert!(out.results[0].rows.is_empty());
     let held = 6 * 2 * std::mem::size_of::<Value>();
     assert_eq!(out.metrics.peak_bytes, held, "six rows of l, two columns");
-}
-
-/// A fault on the probe side of a spool's definition — after its build
-/// side was held — leaves no partial spool: the statement is answered from
-/// its baseline, and the next reader fills the whole spool.
-#[test]
-fn probe_side_fault_in_a_spool_definition_leaves_no_partial_spool() {
-    let (cat, ctx, l, r) = setup();
-    let join = |ctx: &PlanContext| {
-        let cols = |rel| (0..2).map(move |i| ColRef::new(rel, i));
-        PhysicalPlan::HashJoin {
-            left: Box::new(scan(ctx, l)),
-            right: Box::new(scan(ctx, r)),
-            keys: vec![(ColRef::new(l, 0), ColRef::new(r, 0))],
-            residual: None,
-            layout: cols(l).chain(cols(r)).collect(),
-        }
-    };
-    let layout = join(&ctx).layout().to_vec();
-    let read = || PhysicalPlan::CseRead {
-        cse: CseId(0),
-        filter: None,
-        reagg: None,
-        output_map: layout.iter().map(|c| (*c, Scalar::Col(*c))).collect(),
-        layout: layout.clone(),
-    };
-    let def = SpoolDef {
-        plan: join(&ctx),
-        layout: layout.clone(),
-        est_rows: 6.0,
-    };
-    let plan = FullPlan {
-        root: PhysicalPlan::Batch {
-            children: vec![read(), read()],
-        },
-        spools: BTreeMap::from([(CseId(0), def)]),
-        cost: 0.0,
-        baseline: Some(Box::new(PhysicalPlan::Batch {
-            children: vec![join(&ctx), join(&ctx)],
-        })),
-    };
-    // A seed whose scans go: build passes, probe faults, then both pass.
-    let registry = |seed| {
-        FailpointRegistry::from_specs(&[FailSpec {
-            site: sites::SCAN_TABLE.to_string(),
-            probability: 0.5,
-            seed,
-        }])
-    };
-    let draws = |seed| {
-        let fp = registry(seed);
-        (0..4)
-            .map(|_| fp.should_fail(sites::SCAN_TABLE))
-            .collect::<Vec<_>>()
-    };
-    let seed = (0..).find(|s| draws(*s) == [false, true, false, false]);
-    let failpoints = registry(seed.expect("some seed draws it"));
-    let exec_ctx = ExecCtx {
-        failpoints,
-        ..ExecCtx::default()
-    };
-    let out = Engine::new(&cat, &ctx)
-        .execute_in(&plan, &exec_ctx)
-        .unwrap();
-
-    let want = run(&cat, &ctx, join(&ctx));
-    assert_eq!(want.len(), 6);
-    assert_eq!(show(&out.results[0].rows), show(&want), "from the baseline");
-    assert_eq!(show(&out.results[1].rows), show(&want), "from the spool");
-    assert_eq!(out.events.len(), 1, "{:?}", out.events);
-    assert_eq!(out.results[0].provenance.len(), 1);
-    assert!(out.results[1].provenance.is_empty());
-    // The failed attempt's read and scans were rolled back; the spool the
-    // second statement read holds every row.
-    assert_eq!(out.metrics.spool_rows[&CseId(0)], 6);
-    assert_eq!(out.metrics.spool_reads[&CseId(0)], 1);
-    assert_eq!(out.metrics.base_rows_scanned, 2 * (6 + 3));
 }

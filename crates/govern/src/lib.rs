@@ -17,7 +17,7 @@
 //!   disabled registry is a single `Option` check, so release hot paths
 //!   stay branch-cheap.
 //! - [`MemoryGovernor`]: the one account for the bytes execution holds; a
-//!   refused charge degrades the statement to its retained baseline plan.
+//!   refused charge is an error the request's owner retries.
 //! - [`lock`]: the poison-recovering lock the serving path takes every
 //!   mutex through; debug builds count held guards so
 //!   [`assert_no_lock_held`] can keep locks out of planning and execution.
@@ -227,8 +227,8 @@ impl DegradationEvent {
         }
     }
 
-    /// An execution-side recovery event (the runtime ladder has exactly
-    /// two rungs: the planned shared plan and the retained baseline).
+    /// An execution-side recovery event: a faulted request was planned
+    /// again on the baseline rung.
     pub fn exec(reason: Reason, stage: impl Into<String>, detail: impl Into<String>) -> Self {
         DegradationEvent {
             reason,
@@ -285,10 +285,8 @@ impl BudgetTrip {
 /// plus an optional hard deadline, checked at the optimizer's and the
 /// interpreter's loop boundaries.
 ///
-/// Cloning shares the *flag* — a watchdog holding one clone can cancel the
-/// worker holding another — while [`CancelToken::with_new_deadline`] derives
-/// a retry-attempt token that keeps the shared flag but restarts the clock.
-/// The token is plain data (`Arc<AtomicBool>` + `Option<Instant>`), so it is
+/// Cloning shares the *flag*: a watchdog holding one clone can cancel the
+/// worker holding another. The token is plain data (`Arc<AtomicBool>` + `Option<Instant>`), so it is
 /// `Send + Sync`, unwind-safe, and free when never canceled.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
@@ -306,15 +304,6 @@ impl CancelToken {
     pub fn with_deadline(d: Duration) -> Self {
         CancelToken {
             flag: Arc::new(AtomicBool::new(false)),
-            deadline: Some(Instant::now() + d),
-        }
-    }
-
-    /// Derive a token sharing this token's cancel flag but with a fresh
-    /// deadline `d` from now (used per retry attempt).
-    pub fn with_new_deadline(&self, d: Duration) -> Self {
-        CancelToken {
-            flag: Arc::clone(&self.flag),
             deadline: Some(Instant::now() + d),
         }
     }
@@ -337,12 +326,6 @@ impl CancelToken {
     /// Should the bearer stop? (explicit cancel or expired deadline)
     pub fn is_canceled(&self) -> bool {
         self.is_explicitly_canceled() || self.deadline_expired()
-    }
-
-    /// Time left until the deadline (`None` = no deadline).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// Trip if canceled. The explicit flag wins over the deadline so a
@@ -571,8 +554,7 @@ struct ArmedSite {
 /// `Clone` *shares* the armed state (the map lives behind an `Arc`): every
 /// configuration clone — per-rung ladder attempts, per-worker configs in a
 /// server — draws from one process-wide fault schedule instead of each
-/// replaying the schedule from its seed. A deep per-site copy is available
-/// via [`FailpointRegistry::fork`] for callers that want replay semantics.
+/// replaying the schedule from its seed.
 #[derive(Debug, Default, Clone)]
 pub struct FailpointRegistry {
     inner: Option<Arc<Mutex<BTreeMap<String, ArmedSite>>>>,
@@ -595,54 +577,15 @@ impl FailpointRegistry {
 
     /// Registry from the `CSE_FAIL` environment variable (validated
     /// grammar, see [`parse_fail_specs`]). Unset or empty ⇒ disabled.
-    /// A malformed value is reported on stderr and ignored as a whole —
-    /// fault injection must never turn into a crash vector itself — but
-    /// binaries that want a hard failure should use
-    /// [`FailpointRegistry::from_env_checked`] and exit on the error.
+    /// A malformed value is reported on stderr and ignored as a whole:
+    /// fault injection must never turn into a crash vector itself.
     pub fn from_env() -> Self {
-        match FailpointRegistry::from_env_checked() {
-            Ok(reg) => reg,
+        let raw = std::env::var("CSE_FAIL").unwrap_or_default();
+        match parse_fail_specs(&raw) {
+            Ok(specs) => FailpointRegistry::from_specs(&specs),
             Err(e) => {
                 eprintln!("CSE_FAIL: {e} (ignored; nothing armed)");
                 FailpointRegistry::disabled()
-            }
-        }
-    }
-
-    /// Registry from the `CSE_FAIL` environment variable, rejecting unknown
-    /// site names and malformed probabilities with a descriptive error.
-    pub fn from_env_checked() -> Result<Self, String> {
-        let raw = match std::env::var("CSE_FAIL") {
-            Ok(v) if !v.trim().is_empty() => v,
-            _ => return Ok(FailpointRegistry::disabled()),
-        };
-        Ok(FailpointRegistry::from_specs(&parse_fail_specs(&raw)?))
-    }
-
-    /// A deep copy with private per-site PRNG state (replay semantics, the
-    /// pre-sharing behaviour of `Clone`).
-    pub fn fork(&self) -> Self {
-        match &self.inner {
-            None => FailpointRegistry { inner: None },
-            Some(m) => {
-                let guard = m.lock().unwrap_or_else(|p| p.into_inner());
-                let copied: BTreeMap<String, ArmedSite> = guard
-                    .iter()
-                    .map(|(k, v)| {
-                        (
-                            k.clone(),
-                            ArmedSite {
-                                probability: v.probability,
-                                rng: v.rng.clone(),
-                                evaluations: v.evaluations,
-                                trips: v.trips,
-                            },
-                        )
-                    })
-                    .collect();
-                FailpointRegistry {
-                    inner: Some(Arc::new(Mutex::new(copied))),
-                }
             }
         }
     }
@@ -867,11 +810,6 @@ mod tests {
         let t = CancelToken::with_deadline(Duration::from_millis(0));
         assert!(t.deadline_expired());
         assert_eq!(t.check("x").unwrap_err().reason, Reason::ReqDeadline);
-        // A fresh-deadline child is live again but keeps the shared flag.
-        let child = t.with_new_deadline(Duration::from_secs(3600));
-        assert!(child.check("x").is_ok());
-        t.cancel();
-        assert_eq!(child.check("x").unwrap_err().reason, Reason::ReqCanceled);
     }
 
     #[test]
@@ -891,24 +829,19 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_fault_schedule_and_forks_do_not() {
+    fn clones_share_the_fault_schedule() {
         let mut reg = FailpointRegistry::disabled();
         reg.arm(FailSpec {
             site: sites::SCAN_TABLE.to_string(),
             probability: 0.5,
             seed: 42,
         });
-        let fork = reg.fork();
         let shared = reg.clone();
-        let a: Vec<bool> = (0..32)
-            .map(|_| reg.should_fail(sites::SCAN_TABLE))
-            .collect();
+        for _ in 0..32 {
+            reg.should_fail(sites::SCAN_TABLE);
+        }
         // The clone drew nothing itself, but its schedule advanced with the
-        // original; the fork replays from the same seed state.
-        let b: Vec<bool> = (0..32)
-            .map(|_| fork.should_fail(sites::SCAN_TABLE))
-            .collect();
-        assert_eq!(a, b, "fork replays the schedule");
+        // original.
         assert_eq!(
             shared.counters()[sites::SCAN_TABLE].0,
             32,
@@ -1003,20 +936,6 @@ mod tests {
         t.cancel();
         let second = t.check("post-cancel").expect_err("now canceled");
         assert_eq!(second.reason, Reason::ReqCanceled);
-    }
-
-    #[test]
-    fn derived_deadline_shares_the_cancel_flag_not_the_deadline() {
-        let parent = CancelToken::with_deadline(Duration::ZERO);
-        let fresh = parent.with_new_deadline(Duration::from_secs(3600));
-        assert!(parent.deadline_expired());
-        assert!(!fresh.deadline_expired(), "per-attempt deadline is fresh");
-        assert!(!fresh.is_canceled());
-        parent.cancel();
-        assert!(
-            fresh.is_explicitly_canceled(),
-            "flag is shared across derivations"
-        );
     }
 
     #[test]

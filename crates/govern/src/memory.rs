@@ -9,9 +9,9 @@
 //!   [`MemReservation`] at admission; the pool can never over-commit.
 //! - [`MemReservation`]: a request's grant. Execution charges bytes against
 //!   it (growing the grant from the pool in chunks); exceeding the pool is
-//!   a *recoverable* [`ReserveError`] that flows into the engine's
-//!   baseline-retry machinery instead of an allocation failure.
-//! - [`MemScope`]: hierarchical release-on-drop accounting — operators
+//!   a *recoverable* [`ReserveError`]: the executor returns it, and the
+//!   request's owner retries instead of an allocation failing.
+//! - [`MemScope`]: release-on-drop accounting — operators
 //!   charge into a scope, the scope returns its bytes to the reservation on
 //!   drop, the reservation returns its grant to the pool on drop. Nothing
 //!   leaks on panic or early return.
@@ -20,7 +20,7 @@
 //!   `SHED_MEMORY` admission sheds.
 //!
 //! Determinism: the [`crate::sites::MEM_RESERVE`] failpoint makes grant
-//! growth fail on demand, so reservation-fault recovery is testable without
+//! growth fail on demand, so a refused reservation is testable without
 //! a real budget squeeze. Concurrency: the pool mutex is taken through
 //! [`crate::lock`], which recovers from poisoning (every update leaves
 //! `Pool` valid at every step).
@@ -35,6 +35,14 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// Pool occupancy, as a fraction of the budget, from which pressure is
+/// [`Pressure::Elevated`].
+const ELEVATED_AT: f64 = 0.7;
+
+/// Pool occupancy, as a fraction of the budget, from which pressure is
+/// [`Pressure::Critical`].
+const CRITICAL_AT: f64 = 0.9;
 
 /// Grant growth quantum: a reservation that outgrows its grant asks the
 /// pool for this much at a time, so hot-loop charges hit the pool lock
@@ -156,20 +164,15 @@ impl fmt::Debug for MemoryGovernor {
 }
 
 impl MemoryGovernor {
-    /// A governor with the default pressure watermarks (elevated at 70% of
-    /// budget, critical at 90%).
+    /// A governor over `budget` bytes, elevated at [`ELEVATED_AT`] of it
+    /// and critical at [`CRITICAL_AT`].
     pub fn new(budget: usize) -> Self {
-        MemoryGovernor::with_thresholds(budget, 0.7, 0.9)
-    }
-
-    /// A governor with explicit watermark fractions of the budget.
-    pub fn with_thresholds(budget: usize, elevated: f64, critical: f64) -> Self {
-        let frac = |f: f64| ((budget as f64) * f.clamp(0.0, 1.0)) as usize;
+        let frac = |f: f64| ((budget as f64) * f) as usize;
         MemoryGovernor {
             inner: Arc::new(GovernorInner {
                 budget,
-                elevated_at: frac(elevated),
-                critical_at: frac(critical),
+                elevated_at: frac(ELEVATED_AT),
+                critical_at: frac(CRITICAL_AT),
                 pool: Mutex::new(Pool { reserved: 0 }),
                 released: Condvar::new(),
             }),
@@ -184,11 +187,6 @@ impl MemoryGovernor {
     /// Bytes currently reserved across all live reservations.
     pub fn reserved(&self) -> usize {
         self.inner.lock().reserved
-    }
-
-    /// Bytes still available for new reservations.
-    pub fn available(&self) -> usize {
-        self.inner.budget.saturating_sub(self.reserved())
     }
 
     /// Current pressure level from pool occupancy.
@@ -330,9 +328,9 @@ impl Drop for ReservationInner {
     }
 }
 
-/// One request's slice of the pool. Cloning shares the grant (the serving
-/// watchdog holds a clone to observe [`MemReservation::over_grant`]); the
-/// grant returns to the pool when the last clone drops.
+/// One request's slice of the pool. Cloning shares the grant (every
+/// accounting scope holds a clone); the grant returns to the pool when the
+/// last clone drops.
 #[derive(Clone)]
 pub struct MemReservation {
     inner: Arc<ReservationInner>,
@@ -356,13 +354,6 @@ impl MemReservation {
     /// Bytes held out of the pool.
     pub fn granted(&self) -> usize {
         self.inner.granted.load(Ordering::SeqCst)
-    }
-
-    /// Has usage outrun the grant? Only unchecked charges (recovery mode)
-    /// can put a reservation here; the serving watchdog cancels requests
-    /// in this state.
-    pub fn over_grant(&self) -> bool {
-        self.used() > self.granted()
     }
 
     /// The governor this reservation draws from.
@@ -412,25 +403,9 @@ impl MemReservation {
         }
     }
 
-    /// Charge without the possibility of refusal: no failpoint, and the
-    /// grant grows only if the pool has room — otherwise `used` runs past
-    /// `granted` and [`MemReservation::over_grant`] turns true. Recovery
-    /// (baseline retry) charges this way so the retry itself cannot fault,
-    /// while a runaway retry stays visible to the watchdog.
-    pub fn charge_unchecked(&self, bytes: usize) {
-        let new_used = self.inner.used.fetch_add(bytes, Ordering::SeqCst) + bytes;
-        let granted = self.inner.granted.load(Ordering::SeqCst);
-        if new_used > granted {
-            let extra = (new_used - granted).div_ceil(GRANT_CHUNK).max(1) * GRANT_CHUNK;
-            if self.inner.governor.grow(extra).is_ok() {
-                self.inner.granted.fetch_add(extra, Ordering::SeqCst);
-            }
-        }
-    }
-
     /// Return `bytes` of usage (the grant is kept — it returns to the pool
     /// when the reservation drops).
-    pub fn uncharge(&self, bytes: usize) {
+    fn uncharge(&self, bytes: usize) {
         let _ = self
             .inner
             .used
@@ -440,44 +415,21 @@ impl MemReservation {
     }
 }
 
-/// Hierarchical release-on-drop accounting: operators charge into a scope;
-/// whatever the scope accumulated flows back to the reservation when it
-/// drops, however the enclosing code exits.
+/// Release-on-drop accounting: operators charge into a scope; whatever
+/// the scope accumulated flows back to the reservation when it drops,
+/// however the enclosing code exits.
 pub struct MemScope {
     reservation: MemReservation,
     charged: usize,
 }
 
 impl MemScope {
-    /// A child scope charging the same reservation.
-    pub fn child(&self) -> MemScope {
-        self.reservation.scope()
-    }
-
-    /// Bytes this scope currently holds.
-    pub fn charged(&self) -> usize {
-        self.charged
-    }
-
     /// Charge `bytes` through to the reservation; on refusal the scope is
     /// unchanged.
     pub fn charge(&mut self, bytes: usize) -> Result<(), ReserveError> {
         self.reservation.charge(bytes)?;
         self.charged += bytes;
         Ok(())
-    }
-
-    /// Charge without the possibility of refusal (recovery mode).
-    pub fn charge_unchecked(&mut self, bytes: usize) {
-        self.reservation.charge_unchecked(bytes);
-        self.charged += bytes;
-    }
-
-    /// Return `bytes` early (e.g. a spool rolled back mid-scope).
-    pub fn uncharge(&mut self, bytes: usize) {
-        let give_back = bytes.min(self.charged);
-        self.reservation.uncharge(give_back);
-        self.charged -= give_back;
     }
 }
 
@@ -552,16 +504,7 @@ mod tests {
         let err = r.charge(GRANT_CHUNK).expect_err("pool exhausted");
         assert!(matches!(err, ReserveError::Exhausted { .. }));
         assert_eq!(r.used(), before, "refused charge rolled back");
-        assert!(!r.over_grant());
-    }
-
-    #[test]
-    fn unchecked_charge_runs_past_grant_and_watchdog_sees_it() {
-        let gov = MemoryGovernor::new(GRANT_CHUNK);
-        let r = gov.try_reserve(GRANT_CHUNK, None).expect("fits");
-        r.charge_unchecked(3 * GRANT_CHUNK);
-        assert!(r.over_grant());
-        assert_eq!(gov.reserved(), GRANT_CHUNK, "pool was not over-committed");
+        assert!(r.used() <= r.granted());
     }
 
     #[test]
@@ -589,20 +532,18 @@ mod tests {
     }
 
     #[test]
-    fn scope_releases_on_drop_and_child_nests() {
+    fn scopes_release_on_drop() {
         let gov = MemoryGovernor::new(1 << 20);
         let r = gov.try_reserve(1 << 20, None).expect("fits");
         {
             let mut outer = r.scope();
             outer.charge(100).expect("fits");
             {
-                let mut inner = outer.child();
+                let mut inner = r.scope();
                 inner.charge(50).expect("fits");
                 assert_eq!(r.used(), 150);
             }
-            assert_eq!(r.used(), 100, "child scope released on drop");
-            outer.uncharge(30);
-            assert_eq!(r.used(), 70);
+            assert_eq!(r.used(), 100, "inner scope released on drop");
         }
         assert_eq!(r.used(), 0, "outer scope released on drop");
     }

@@ -170,7 +170,6 @@ mod tests {
                 },
             )]),
             cost: 1.0,
-            baseline: None,
         };
         let dot = to_dot(&plan);
         assert!(dot.contains("cluster_spool_0"));

@@ -668,7 +668,6 @@ impl<'a> Optimizer<'a> {
                 root: self.extract(&choice),
                 spools,
                 cost: total,
-                baseline: None,
             };
             debug_assert!(reads_match_spools(&plan), "mask {mask:#b}");
             return plan;

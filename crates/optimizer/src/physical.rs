@@ -276,26 +276,6 @@ pub struct FullPlan {
     pub spools: BTreeMap<CseId, SpoolDef>,
     /// Estimated total cost (paper's "estimated cost" row).
     pub cost: f64,
-    /// The retained baseline (no-CSE) root, present whenever `root` reads
-    /// spools. The executor retries a statement against the matching
-    /// baseline child when a spool fails to materialize or the memory
-    /// reservation refuses a charge — the consumers' original, non-covering
-    /// expressions are exactly this plan's statement subtrees.
-    pub baseline: Option<Box<PhysicalPlan>>,
-}
-
-impl FullPlan {
-    /// The baseline subtree to retry statement `idx` with, if retained.
-    /// Statement indexing mirrors `root`: child `idx` of a `Batch` root,
-    /// or the whole plan for a single-statement root (`idx == 0`).
-    pub fn baseline_statement(&self, idx: usize) -> Option<&PhysicalPlan> {
-        let base = self.baseline.as_deref()?;
-        match base {
-            PhysicalPlan::Batch { children } => children.get(idx),
-            single if idx == 0 => Some(single),
-            _ => None,
-        }
-    }
 }
 
 /// A spool definition: how to compute a CSE's work table.

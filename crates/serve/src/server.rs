@@ -18,13 +18,12 @@
 //!    reports health; memory pressure may lower the starting rung too. The
 //!    server records why it lowered it as the reply's first event, since
 //!    the pipeline reports nothing for the rung it is given. Planning +
-//!    execution then run under the session pipeline; `strict_faults`
-//!    turns [`ExecCtx::recover`] off so transient faults bubble here
-//!    instead of being retried in-engine.
+//!    execution then run under the session pipeline; the executor returns
+//!    its first fault, and this loop is the one place a request is retried.
 //! 4. Transient failures (injected faults, refused reservations, expired
-//!    attempt deadlines, `serve.worker` trips) are retried after a
-//!    deterministic jittered backoff; everything else — and exhausted
-//!    retries — becomes a structured [`Rejection`]. Success becomes a
+//!    attempt deadlines, `serve.worker` trips) are retried as a new attempt
+//!    after a deterministic jittered backoff; everything else — and
+//!    exhausted retries — becomes a structured [`Rejection`]. Success becomes a
 //!    [`BatchReply`]. Either way the submitter's [`Ticket`] resolves:
 //!    every request reaches exactly one terminal outcome.
 //!
@@ -76,11 +75,6 @@ pub struct ServerConfig {
     /// Seed for the deterministic backoff jitter (testkit PRNG, mixed with
     /// the request id so concurrent requests do not share a schedule).
     pub retry_seed: u64,
-    /// Execute with [`ExecCtx::recover`] off: recoverable faults bubble to the
-    /// server's retry loop instead of being retried in-engine against the
-    /// baseline plan. Off reproduces the single-session behaviour
-    /// (faults recovered invisibly, never rejected).
-    pub strict_faults: bool,
     pub breaker: BreakerConfig,
     /// Global memory budget shared by all in-flight requests. `None`
     /// disables memory governance (the single-session behaviour). With a
@@ -107,7 +101,6 @@ impl Default for ServerConfig {
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
             retry_seed: 42,
-            strict_faults: true,
             breaker: BreakerConfig::default(),
             mem_budget: None,
             mem_grant: 1 << 20,
@@ -314,9 +307,6 @@ struct InflightEntry {
     request: CancelToken,
     /// Absolute attempt deadline, if any.
     deadline: Option<Instant>,
-    /// The attempt's memory grant; the watchdog cancels an attempt whose
-    /// usage outruns it (only unchecked recovery charges can get there).
-    reservation: Option<MemReservation>,
 }
 
 /// In-flight attempt registry for the watchdog, keyed by request id.
@@ -574,16 +564,6 @@ fn watchdog_loop(shared: &Shared) {
                     entry.attempt.cancel();
                 }
             }
-            // A reservation can only outrun its grant via unchecked
-            // recovery charges; cancel the runaway attempt rather than
-            // letting it eat into every other request's headroom.
-            if entry
-                .reservation
-                .as_ref()
-                .is_some_and(MemReservation::over_grant)
-            {
-                entry.attempt.cancel();
-            }
         }
         std::thread::sleep(WATCHDOG_TICK);
     }
@@ -743,7 +723,6 @@ fn run_attempt(shared: &Shared, req: &Request, attempt: u32) -> AttemptEnd {
             attempt: attempt_token.clone(),
             request: req.token.clone(),
             deadline: deadline_at,
-            reservation: reservation.clone(),
         },
     );
     let end = run_attempt_inner(shared, req, &attempt_token, reservation.as_ref(), attempt);
@@ -823,14 +802,12 @@ fn run_attempt_inner(
             failpoints: cfg.failpoints.clone(),
             cancel: attempt_token.clone(),
             reservation,
-            recover: !shared.cfg.strict_faults,
         },
     );
     match run {
         Ok(out) => {
             let mut events: Vec<DegradationEvent> = admitted.into_iter().collect();
             events.extend(optimized.report.degradations.iter().cloned());
-            events.extend(out.events);
             AttemptEnd::Done(Box::new(BatchReply {
                 id: req.id,
                 results: out.results,
@@ -842,22 +819,9 @@ fn run_attempt_inner(
                 latency: req.submitted.elapsed(),
             }))
         }
-        Err(ExecError::Canceled { .. }) => {
-            // A watchdog memory-kill (grant outrun by unchecked recovery
-            // charges) surfaces as a cancel; classify it as a memory shed
-            // unless the client genuinely canceled.
-            if !req.token.is_explicitly_canceled() && reservation.is_some_and(|r| r.over_grant()) {
-                AttemptEnd::Transient(
-                    RejectReason::ShedMemory,
-                    "memory grant exceeded; attempt canceled by watchdog".into(),
-                )
-            } else {
-                cancellation_end(req)
-            }
-        }
+        Err(ExecError::Canceled { .. }) => cancellation_end(req),
         Err(e @ ExecError::MemReservation { .. }) => {
-            // Strict mode bubbles reservation exhaustion here: transient,
-            // because by the retry's backoff other requests have released.
+            // Transient: by the retry's backoff other requests have released.
             AttemptEnd::Transient(RejectReason::ShedMemory, e.to_string())
         }
         // An injected `mem.reserve` fault simulates a refused grant, so it

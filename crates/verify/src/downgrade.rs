@@ -15,10 +15,8 @@ use cse_optimizer::{FullPlan, PhysicalPlan};
 /// whenever the degradation ladder bottomed out at the baseline rung.
 pub fn verify_downgrade(plan: &FullPlan) -> Report {
     let mut report = Report::new();
-    let mut reads = 0usize;
     plan.root.visit(&mut |p| {
         if let PhysicalPlan::CseRead { cse, .. } = p {
-            reads += 1;
             report.error(
                 rules::DOWNGRADE_COVERING_OP_IN_BASELINE,
                 format!("plan/{cse}"),
@@ -33,16 +31,6 @@ pub fn verify_downgrade(plan: &FullPlan) -> Report {
             format!("baseline plan retains spool definition {id}"),
         );
     }
-    // The retained-baseline pointer is only meaningful on a shared plan;
-    // on a baseline plan it would double memory for nothing.
-    if plan.baseline.is_some() {
-        report.warn(
-            rules::DOWNGRADE_SPOOL_RETAINED,
-            "plan/baseline",
-            "baseline plan carries a redundant retained baseline copy",
-        );
-    }
-    let _ = reads;
     report
 }
 
@@ -66,7 +54,6 @@ mod tests {
             root: scan(),
             spools: BTreeMap::new(),
             cost: 1.0,
-            baseline: None,
         };
         assert!(verify_downgrade(&plan).is_clean());
     }
@@ -91,7 +78,6 @@ mod tests {
                 },
             )]),
             cost: 1.0,
-            baseline: None,
         };
         let report = verify_downgrade(&plan);
         assert_eq!(report.error_count(), 2);
@@ -101,18 +87,5 @@ mod tests {
         assert!(report
             .fired_rules()
             .contains(rules::DOWNGRADE_SPOOL_RETAINED));
-    }
-
-    #[test]
-    fn redundant_baseline_copy_is_a_warning() {
-        let plan = FullPlan {
-            root: scan(),
-            spools: BTreeMap::new(),
-            cost: 1.0,
-            baseline: Some(Box::new(scan())),
-        };
-        let report = verify_downgrade(&plan);
-        assert_eq!(report.error_count(), 0);
-        assert_eq!(report.diagnostics.len(), 1);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --bin qserve -- [--sf 0.01] [--workers N] [--queue N]
-//!     [--block] [--deadline-ms N] [--retries N] [--lenient]
+//!     [--block] [--deadline-ms N] [--retries N]
 //!     [--mem-budget BYTES[k|m|g]] [--arrival-rps N] [--data-dir DIR]
 //!     [--fail <site>:<prob>[:<seed>]] [file.sql ...]
 //! ```
@@ -23,6 +23,11 @@
 //!
 //! The final server counters (completed/shed/retries/breaker) go to
 //! stderr, keeping stdout machine-consumable.
+//!
+//! A transient failure (an injected fault, a refused memory reservation, an
+//! expired `--deadline-ms`) is retried as a whole new attempt, up to
+//! `--retries` times; a request that exhausts them is rejected with its
+//! reason code.
 //!
 //! With `--data-dir DIR` the catalog is durable: mutations are journaled
 //! to a checksummed WAL under DIR (group commit), snapshots bound replay,
@@ -84,7 +89,6 @@ fn main() {
     let mut admit = AdmitPolicy::Shed;
     let mut deadline_ms: Option<u64> = None;
     let mut retries = 2u32;
-    let mut strict = true;
     let mut mem_budget: Option<usize> = None;
     let mut arrival_rps: Option<f64> = None;
     let mut data_dir: Option<String> = None;
@@ -127,9 +131,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--retries expects an integer");
             }
-            // Recover transient faults inside the engine (single-session
-            // behaviour) instead of retrying at the serving layer.
-            "--lenient" => strict = false,
             // Global memory budget (bytes, k/m/g suffixes); enables the
             // memory governor: reservations, pressure ladder, SHED_MEMORY.
             "--mem-budget" => {
@@ -169,7 +170,7 @@ fn main() {
             other if other.starts_with("--") => {
                 eprintln!(
                     "unknown flag {other}; usage: qserve [--sf N] [--workers N] [--queue N] \
-                     [--block] [--deadline-ms N] [--retries N] [--lenient] \
+                     [--block] [--deadline-ms N] [--retries N] \
                      [--mem-budget BYTES[k|m|g]] [--arrival-rps N] [--data-dir DIR] \
                      [--fail site:prob[:seed]] [file.sql ...]"
                 );
@@ -269,7 +270,6 @@ fn main() {
         admit,
         deadline: deadline_ms.map(Duration::from_millis),
         max_retries: retries,
-        strict_faults: strict,
         mem_budget,
         cse,
         ..ServerConfig::default()

@@ -6,8 +6,8 @@
 //! underneath.
 
 use cse_core::{CseConfig, CseReport, MaintenancePlans, MaintenanceReport, Optimized};
-use cse_exec::{Engine, ExecCtx, ExecMetrics, ResultSet};
-use cse_govern::{CancelToken, DegradationEvent};
+use cse_exec::{Engine, ExecCtx, ExecError, ExecMetrics, ExecOutput, ResultSet};
+use cse_govern::{CancelToken, DegradationEvent, FailpointRegistry, Reason, Rung};
 use cse_storage::{Catalog, Row, Table};
 use std::fmt;
 
@@ -35,15 +35,15 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Result of running a batch: one result set per statement plus what the
-/// optimizer and executor did.
+/// optimizer and executor did for the run that answered.
 #[derive(Debug)]
 pub struct BatchOutcome {
     pub results: Vec<ResultSet>,
     pub report: CseReport,
     pub metrics: ExecMetrics,
     /// Every degradation across planning *and* execution: optimizer-side
-    /// ladder events (budget trips, panics) followed by runtime recoveries
-    /// (injected faults, refused reservations).
+    /// ladder events (budget trips, panics), then the execution fault the
+    /// batch was re-planned on the baseline rung for, if any.
     pub events: Vec<DegradationEvent>,
 }
 
@@ -142,30 +142,58 @@ impl Session {
         self.query_under(sql, &config)
     }
 
-    /// Optimize under `config`, execute under its failpoints and
-    /// cancellation token, and merge both sides' degradation events.
+    /// Optimize under `config` and execute under its failpoints and
+    /// cancellation token. A recoverable execution fault re-plans the whole
+    /// batch on the baseline rung and runs it again with the failpoints
+    /// disarmed and the token kept: answering comes before governing, and
+    /// a canceled request still stops.
     fn query_under(&self, sql: &str, config: &CseConfig) -> Result<BatchOutcome, Error> {
-        let optimized =
-            cse_core::optimize_sql(&self.catalog, sql, config).map_err(Error::Planning)?;
-        let engine = Engine::new(&self.catalog, &optimized.ctx);
-        let out = engine
-            .execute_in(
-                &optimized.plan,
-                &ExecCtx {
-                    failpoints: config.failpoints.clone(),
-                    cancel: config.cancel.clone(),
-                    ..ExecCtx::default()
-                },
-            )
-            .map_err(|e| Error::Execution(e.to_string()))?;
+        let (optimized, run) = self.run(sql, config)?;
         let mut events = optimized.report.degradations.clone();
-        events.extend(out.events);
+        let (optimized, out) = match run {
+            Ok(out) => (optimized, out),
+            Err(e) if e.is_recoverable() => {
+                let reason = match e {
+                    ExecError::MemReservation { .. } => Reason::MemReservation,
+                    _ => Reason::ExecFaultInjected,
+                };
+                let detail = format!("{e}; re-planned on the baseline rung");
+                events.push(DegradationEvent::exec(reason, "execution", detail));
+                let baseline = CseConfig {
+                    start_rung: Rung::Baseline,
+                    failpoints: FailpointRegistry::disabled(),
+                    ..config.clone()
+                };
+                let (optimized, run) = self.run(sql, &baseline)?;
+                events.extend(optimized.report.degradations.iter().cloned());
+                (optimized, run.map_err(|e| Error::Execution(e.to_string()))?)
+            }
+            Err(e) => return Err(Error::Execution(e.to_string())),
+        };
         Ok(BatchOutcome {
             results: out.results,
             report: optimized.report,
             metrics: out.metrics,
             events,
         })
+    }
+
+    /// Optimize `sql` under `config`, then execute the plan under its
+    /// failpoints and cancellation token.
+    fn run(
+        &self,
+        sql: &str,
+        config: &CseConfig,
+    ) -> Result<(Optimized, Result<ExecOutput, ExecError>), Error> {
+        let optimized =
+            cse_core::optimize_sql(&self.catalog, sql, config).map_err(Error::Planning)?;
+        let ctx = ExecCtx {
+            failpoints: config.failpoints.clone(),
+            cancel: config.cancel.clone(),
+            ..ExecCtx::default()
+        };
+        let out = Engine::new(&self.catalog, &optimized.ctx).execute_in(&optimized.plan, &ctx);
+        Ok((optimized, out))
     }
 
     /// Human-readable explanation: chosen plan, spool definitions, the

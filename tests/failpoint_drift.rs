@@ -4,6 +4,7 @@
 //! tripped. A site added to `ALL` without a hook (or a hook whose call
 //! site was refactored away) fails here, not in production.
 
+use similar_subexpr::exec::ExecError;
 use similar_subexpr::govern::sites;
 use similar_subexpr::prelude::*;
 use std::sync::Arc;
@@ -27,6 +28,20 @@ fn certain(site: &str) -> FailpointRegistry {
     }])
 }
 
+/// An executor site at probability 1.0: executing the plan returns the
+/// injected fault, naming `site`.
+fn assert_injected(catalog: &Catalog, optimized: &Optimized, cfg: &CseConfig, site: &str) {
+    let ctx = ExecCtx {
+        failpoints: cfg.failpoints.clone(),
+        ..ExecCtx::default()
+    };
+    match Engine::new(catalog, &optimized.ctx).execute_in(&optimized.plan, &ctx) {
+        Err(ExecError::Injected { site: hit }) => assert_eq!(hit, site),
+        Err(e) => panic!("{site}: expected an injected fault, got {e}"),
+        Ok(_) => panic!("{site}: a certain fault let the plan finish"),
+    }
+}
+
 /// Exercise one site with a workload known to reach its hook. Returns the
 /// registry so the caller can inspect the counters.
 fn exercise(site: &str) -> FailpointRegistry {
@@ -38,8 +53,7 @@ fn exercise(site: &str) -> FailpointRegistry {
     match site {
         // Spool materialization and the (deliberately panicking)
         // CSE-phase hook both need a batch that actually shares a
-        // subexpression; the engine recovers the former on the baseline,
-        // the ladder isolates the latter.
+        // subexpression; the ladder isolates the latter.
         sites::SPOOL_MATERIALIZE | sites::OPT_CSE_PHASE => {
             let catalog = generate_catalog(&TpchConfig::new(0.002));
             let optimized = optimize_sql(&catalog, CSE_BATCH, &cfg).expect("optimize");
@@ -48,31 +62,15 @@ fn exercise(site: &str) -> FailpointRegistry {
                     !optimized.plan.spools.is_empty(),
                     "workload must produce a spool for the hook to fire"
                 );
+                assert_injected(&catalog, &optimized, &cfg, site);
             }
-            Engine::new(&catalog, &optimized.ctx)
-                .execute_in(
-                    &optimized.plan,
-                    &ExecCtx {
-                        failpoints: cfg.failpoints.clone(),
-                        ..ExecCtx::default()
-                    },
-                )
-                .expect("governed execution recovers");
         }
         // Any table scan reaches this hook.
         sites::SCAN_TABLE => {
             let catalog = generate_catalog(&TpchConfig::new(0.002));
             let sql = "select c_mktsegment, count(*) as n from customer group by c_mktsegment";
             let optimized = optimize_sql(&catalog, sql, &cfg).expect("optimize");
-            Engine::new(&catalog, &optimized.ctx)
-                .execute_in(
-                    &optimized.plan,
-                    &ExecCtx {
-                        failpoints: cfg.failpoints.clone(),
-                        ..ExecCtx::default()
-                    },
-                )
-                .expect("governed execution recovers");
+            assert_injected(&catalog, &optimized, &cfg, site);
         }
         // The index hook needs a plan that chooses an index: a point
         // query on an indexed column.
@@ -84,15 +82,7 @@ fn exercise(site: &str) -> FailpointRegistry {
             let sql = "select o_orderkey, o_totalprice from orders \
                        where o_orderdate = '1995-01-01'";
             let optimized = optimize_sql(&catalog, sql, &cfg).expect("optimize");
-            Engine::new(&catalog, &optimized.ctx)
-                .execute_in(
-                    &optimized.plan,
-                    &ExecCtx {
-                        failpoints: cfg.failpoints.clone(),
-                        ..ExecCtx::default()
-                    },
-                )
-                .expect("governed execution recovers");
+            assert_injected(&catalog, &optimized, &cfg, site);
         }
         // The serving-layer hook fires inside a worker's attempt loop.
         sites::SERVE_WORKER => {

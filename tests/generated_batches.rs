@@ -8,7 +8,7 @@
 //! one row and as the equal `Float` on the next) and a batch of 2–6
 //! similar SPJG statements over the customer/orders/lineitem/nation/part
 //! templates. The oracle is the plain plan: `NoCse ≡ Cse ≡
-//! CseNoHeuristics ≡ baseline-retry recovery under a spool failpoint`,
+//! CseNoHeuristics ≡ a session's baseline re-plan under a spool failpoint`,
 //! and appending a duplicate statement or permuting the batch changes no
 //! statement's result. Every plan executes exactly the spools it was
 //! charged for, and the arms that share end on the full rung: a caught
@@ -72,9 +72,8 @@ fn joins_through_index(plan: &FullPlan) -> bool {
     found
 }
 
-/// Optimize and execute `batch` under `cfg`; the plan, the results and the
-/// runtime recovery events. Every plan must execute
-/// the spools it was charged for (§5.2): each spool read has its
+/// Optimize and execute `batch` under `cfg`; the plan and what executing it
+/// did. Every plan must execute the spools it was charged for (§5.2): each spool read has its
 /// definition, and each definition is read at least twice. An arm that
 /// shares (`full`) must also end on the full rung without a caught panic —
 /// the baseline rung would hide a broken plan behind a correct answer.
@@ -187,8 +186,9 @@ fn sharing_arms(
         &tag("no-heuristics"),
     );
 
-    // Every spool materialization faults: each consumer statement must be
-    // answered from its retained baseline, and say so.
+    // Every spool materialization faults: a session answers a plan that
+    // reads a spool by re-planning the batch on the baseline rung, and says
+    // so once; a plan without spools never meets the failpoint.
     let faulty = CseConfig {
         failpoints: FailpointRegistry::from_specs(&[FailSpec {
             site: sites::SPOOL_MATERIALIZE.to_string(),
@@ -197,17 +197,22 @@ fn sharing_arms(
         }]),
         ..CseConfig::default()
     };
-    let (plan, recovered) = run(catalog, batch, &faulty, false, &tag("spool-fault"));
-    index_joins |= joins_through_index(&plan);
+    let sql = sql_of(batch);
+    let recovered = Session::with_config(catalog.clone(), faulty)
+        .query(&sql)
+        .unwrap_or_else(|e| panic!("{}: {e}\n{sql}", tag("spool-fault")));
     assert_same(batch, &recovered.results, want, |i| i, &tag("spool-fault"));
+    let faults = recovered
+        .events
+        .iter()
+        .filter(|e| e.reason == Reason::ExecFaultInjected);
     assert_eq!(
-        recovered.events.is_empty(),
-        plan.spools.is_empty(),
-        "{}: recoveries {:?} for {} spools\n{}",
+        faults.count(),
+        usize::from(spools),
+        "{}: events {:?}, the default plan {} a spool\n{sql}",
         tag("spool-fault"),
         recovered.events,
-        plan.spools.len(),
-        sql_of(batch)
+        if spools { "reads" } else { "reads no" }
     );
 
     // A duplicate statement shares everything with its twin; nobody's

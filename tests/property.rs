@@ -409,7 +409,6 @@ mod agg_reference {
             root: plan,
             spools: BTreeMap::new(),
             cost: 0.0,
-            baseline: None,
         };
         let mut rows: Vec<(i64, i64, i64)> = engine
             .execute(&full)

@@ -1,14 +1,15 @@
 //! Adversarial robustness suite: drives every degradation path — tripped
 //! optimization budgets, a baseline start, deliberate panics, injected
-//! execution faults, and refused memory reservations — and asserts that the
-//! engine always answers, that the answers match an ungoverned no-CSE
-//! baseline, and that every downgrade is reported with its stable reason
-//! code.
+//! execution faults, and refused memory reservations — and asserts that a
+//! session always answers, that the answers match an ungoverned no-CSE
+//! baseline, that every downgrade is reported with its stable reason code,
+//! and that the executor itself returns a refused reservation as an error.
 //!
 //! The fault-injection seed comes from `CSE_FAIL_SEED` (default 42) so CI
 //! can sweep a seed matrix; every assertion here must hold for *any* seed.
 
 use cse_bench::workloads;
+use similar_subexpr::exec::{ExecError, ExecMetrics};
 use similar_subexpr::govern::sites;
 use similar_subexpr::prelude::*;
 use similar_subexpr::storage::row;
@@ -49,37 +50,18 @@ fn reference(catalog: &Catalog, sql: &str) -> Vec<ResultSet> {
         .results
 }
 
-/// Optimize + execute `sql` under `cfg`'s failpoints and `reservation`,
-/// recovering in-engine, and return everything.
-fn drive_in(
-    catalog: &Catalog,
-    sql: &str,
-    cfg: &CseConfig,
-    reservation: Option<&MemReservation>,
-) -> (Optimized, ExecOutput) {
+/// Optimize + execute `sql` under `cfg`'s failpoints, and return everything.
+fn drive(catalog: &Catalog, sql: &str, cfg: &CseConfig) -> (Optimized, ExecOutput) {
     let optimized = optimize_sql(catalog, sql, cfg).expect("governed optimize must not fail");
     let engine = Engine::new(catalog, &optimized.ctx);
     let ctx = ExecCtx {
         failpoints: cfg.failpoints.clone(),
-        reservation,
         ..ExecCtx::default()
     };
     let out = engine
         .execute_in(&optimized.plan, &ctx)
         .expect("governed execute must not fail");
     (optimized, out)
-}
-
-fn drive(catalog: &Catalog, sql: &str, cfg: &CseConfig) -> (Optimized, ExecOutput) {
-    drive_in(catalog, sql, cfg, None)
-}
-
-/// A reservation out of a pool it already fills: the first breaker that
-/// holds more than 1 KiB is refused.
-fn small_reservation() -> MemReservation {
-    MemoryGovernor::new(1024)
-        .try_reserve(1024, None)
-        .expect("an empty pool grants its whole budget")
 }
 
 fn assert_matches_reference(got: &[ResultSet], want: &[ResultSet], scenario: &str) {
@@ -339,47 +321,64 @@ fn downgraded_plans_pass_the_downgrade_audit() {
 }
 
 // ---------------------------------------------------------------------------
-// Execution-side recovery
+// Execution faults: the session re-plans the batch on the baseline rung
 // ---------------------------------------------------------------------------
 
-/// Certain spool failure: every consumer retries on its retained baseline
-/// plan, answers match, and the recovery is visible in both the batch
-/// events and the per-statement provenance.
+/// Run `sql` through a session under `cfg`, which recovers a faulted batch.
+fn query(catalog: &Catalog, sql: &str, cfg: &CseConfig) -> BatchOutcome {
+    Session::with_config(catalog.clone(), cfg.clone())
+        .query(sql)
+        .expect("a session answers through a recoverable fault")
+}
+
+/// Every counter of two runs' metrics.
+fn assert_same_metrics(got: &ExecMetrics, want: &ExecMetrics, scenario: &str) {
+    assert_eq!(got.spool_rows, want.spool_rows, "{scenario}: spool rows");
+    assert_eq!(got.spool_reads, want.spool_reads, "{scenario}: spool reads");
+    assert_eq!(got.spool_bytes, want.spool_bytes, "{scenario}: spool bytes");
+    assert_eq!(
+        got.base_rows_scanned, want.base_rows_scanned,
+        "{scenario}: rows scanned"
+    );
+    assert_eq!(got.peak_bytes, want.peak_bytes, "{scenario}: peak bytes");
+}
+
+/// A certain fault at `site`: the session answers what the no-CSE plan
+/// answers, reports the fault once, and its metrics are those of a No-CSE
+/// run, because the run that answered was one.
+fn assert_recovers_on_baseline(catalog: &Catalog, sql: &str, site: &str) -> BatchOutcome {
+    let out = query(catalog, sql, &fail_config(site, 1.0));
+    assert_matches_reference(&out.results, &reference(catalog, sql), site);
+    assert_eq!(
+        codes(&out.events),
+        vec!["EXEC_FAULT_INJECTED"],
+        "{site}: {:?}",
+        out.events
+    );
+    let no_cse = query(catalog, sql, &CseConfig::no_cse());
+    assert_same_metrics(&out.metrics, &no_cse.metrics, site);
+    out
+}
+
+/// Certain spool failure: the batch is re-planned without sharing.
 #[test]
 fn spool_failure_recovers_on_baseline() {
     let catalog = catalog();
-    let want = reference(&catalog, &batch());
-    let cfg = fail_config(sites::SPOOL_MATERIALIZE, 1.0);
-    let (opt, out) = drive(&catalog, &batch(), &cfg);
+    let opt = optimize_sql(&catalog, &batch(), &CseConfig::default()).expect("optimize");
     assert!(
         !opt.plan.spools.is_empty(),
         "scenario requires a shared spool to break"
     );
-    assert_matches_reference(&out.results, &want, "spool-fault");
-    let seen = codes(&out.events);
-    assert!(
-        seen.contains(&"EXEC_FAULT_INJECTED"),
-        "recovery events: {seen:?}"
-    );
-    assert!(
-        out.results.iter().any(|r| !r.provenance.is_empty()),
-        "recovered statements must carry provenance"
-    );
+    assert_recovers_on_baseline(&catalog, &batch(), sites::SPOOL_MATERIALIZE);
 }
 
-/// Certain table-scan failure: even statements without spools retry (their
-/// own statement is the baseline), with governance suppressed during the
-/// retry so recovery always terminates.
+/// Certain table-scan failure: the retry runs with the failpoints disarmed,
+/// so it terminates although every scan of the first run faults.
 #[test]
 fn table_scan_failure_recovers_on_baseline() {
     let catalog = catalog();
-    let want = reference(&catalog, &batch());
-    let cfg = fail_config(sites::SCAN_TABLE, 1.0);
-    let (_, out) = drive(&catalog, &batch(), &cfg);
-    assert_matches_reference(&out.results, &want, "table-scan-fault");
-    assert!(codes(&out.events).contains(&"EXEC_FAULT_INJECTED"));
+    let out = assert_recovers_on_baseline(&catalog, &batch(), sites::SCAN_TABLE);
     assert_eq!(out.results.len(), 2);
-    assert!(out.results.iter().all(|r| !r.provenance.is_empty()));
 }
 
 /// Certain index-scan failure on a plan that actually chooses an index.
@@ -389,40 +388,76 @@ fn index_scan_failure_recovers_on_baseline() {
     indexed.create_btree_index("orders", "o_orderdate").unwrap();
     let sql = "select o_orderkey, o_totalprice from orders \
                where o_orderdate = '1995-01-01'";
-    let want = reference(&indexed, sql);
-    let cfg = fail_config(sites::SCAN_INDEX, 1.0);
-    let (_, out) = drive(&indexed, sql, &cfg);
-    assert_matches_reference(&out.results, &want, "index-scan-fault");
-    assert!(
-        codes(&out.events).contains(&"EXEC_FAULT_INJECTED"),
-        "index plan must have hit the failpoint: {:?}",
-        out.events
-    );
+    assert_recovers_on_baseline(&indexed, sql, sites::SCAN_INDEX);
 }
 
-/// A statement that outgrows its memory reservation is refused the charge,
-/// retried on its baseline with unchecked charges, and still answers
-/// exactly; every statement says so.
+// ---------------------------------------------------------------------------
+// Refused memory reservations: an error the reservation's owner retries
+// ---------------------------------------------------------------------------
+
+/// A pool exactly as large as the No-CSE plan's high-water mark: the
+/// baseline fits it, the sharing plan, which also holds its spools, does not.
+fn baseline_sized_pool(catalog: &Catalog, sql: &str) -> MemoryGovernor {
+    let (_, base) = drive(catalog, sql, &CseConfig::no_cse());
+    let (opt, shared) = drive(catalog, sql, &CseConfig::default());
+    assert!(!opt.plan.spools.is_empty(), "scenario needs a spool");
+    assert!(
+        shared.metrics.peak_bytes > base.metrics.peak_bytes,
+        "scenario needs the sharing plan to hold more than the baseline"
+    );
+    MemoryGovernor::new(base.metrics.peak_bytes)
+}
+
+/// Run `sql` under a reservation of `governor`'s whole pool and recover a
+/// refused charge the way its owner does: re-plan on the baseline rung and
+/// run again under a fresh reservation. Each attempt releases every byte it
+/// held, the grant included. Returns the refusal and the run that answered.
+fn run_reserved_with_retry(
+    catalog: &Catalog,
+    sql: &str,
+    governor: &MemoryGovernor,
+) -> (ExecError, ExecOutput) {
+    let attempt = |cfg: &CseConfig| {
+        let opt = optimize_sql(catalog, sql, cfg).expect("optimize");
+        let reservation = governor
+            .try_reserve(governor.budget(), None)
+            .expect("a drained pool grants its whole budget");
+        let ctx = ExecCtx {
+            reservation: Some(&reservation),
+            ..ExecCtx::default()
+        };
+        let run = Engine::new(catalog, &opt.ctx).execute_in(&opt.plan, &ctx);
+        assert_eq!(reservation.used(), 0, "every held byte was released");
+        run
+    };
+    let refused = attempt(&CseConfig::default()).expect_err("the sharing plan outgrows the pool");
+    assert_eq!(governor.reserved(), 0, "the refused attempt's grant drains");
+    let out = attempt(&CseConfig::no_cse()).expect("the baseline plan fits the pool");
+    assert_eq!(
+        governor.reserved(),
+        0,
+        "the answering attempt's grant drains"
+    );
+    (refused, out)
+}
+
+/// A statement that outgrows its memory reservation is refused the charge:
+/// the executor returns `MemReservation`, a recoverable error, and the
+/// owner's baseline re-plan, which fits the same pool, answers exactly.
 #[test]
 fn memory_budget_breach_recovers() {
     let catalog = catalog();
-    let want = reference(&catalog, &batch());
-    let reservation = small_reservation();
-    let (_, out) = drive_in(
-        &catalog,
-        &batch(),
-        &CseConfig::default(),
-        Some(&reservation),
+    let governor = baseline_sized_pool(&catalog, &batch());
+    let (refused, out) = run_reserved_with_retry(&catalog, &batch(), &governor);
+    assert!(
+        matches!(refused, ExecError::MemReservation { .. }) && refused.is_recoverable(),
+        "{refused}"
     );
-    assert_matches_reference(&out.results, &want, "mem-reservation");
-    assert_eq!(
-        codes(&out.events),
-        vec!["EXEC_MEM_RESERVATION"; 2],
-        "events: {:?}",
-        out.events
+    assert_matches_reference(
+        &out.results,
+        &reference(&catalog, &batch()),
+        "mem-reservation",
     );
-    assert!(out.results.iter().all(|r| r.provenance.len() == 1));
-    assert_eq!(reservation.used(), 0, "every held byte was released");
 }
 
 /// Probabilistic injection is deterministic per seed: two runs with the
@@ -431,12 +466,8 @@ fn memory_budget_breach_recovers() {
 fn probabilistic_injection_is_deterministic_per_seed() {
     let catalog = catalog();
     let want = reference(&catalog, &batch());
-    let run = || {
-        let cfg = fail_config(sites::SCAN_TABLE, 0.5);
-        drive(&catalog, &batch(), &cfg)
-    };
-    let (_, a) = run();
-    let (_, b) = run();
+    let run = || query(&catalog, &batch(), &fail_config(sites::SCAN_TABLE, 0.5));
+    let (a, b) = (run(), run());
     assert_eq!(
         codes(&a.events),
         codes(&b.events),
@@ -455,74 +486,58 @@ fn probabilistic_injection_is_deterministic_per_seed() {
 // Final-attempt-only metrics
 // ---------------------------------------------------------------------------
 
-/// A certain spool fault forces every statement onto its baseline: the
-/// final metrics must describe that final attempt only — no spool entries
-/// from the abandoned CSE attempt, and the same memory high-water mark as
-/// a run that never tried CSE at all.
+/// A certain spool fault: the outcome describes the run that answered, the
+/// baseline one — no spool entries from the abandoned sharing run, and its
+/// report is the baseline plan's.
 #[test]
 fn metrics_reflect_final_attempt_after_spool_fault() {
     let catalog = catalog();
-    let cfg = fail_config(sites::SPOOL_MATERIALIZE, 1.0);
-    let (opt, out) = drive(&catalog, &batch(), &cfg);
-    assert!(!opt.plan.spools.is_empty(), "scenario needs a spool");
+    let out = assert_recovers_on_baseline(&catalog, &batch(), sites::SPOOL_MATERIALIZE);
     let m = &out.metrics;
     assert!(
         m.spool_rows.is_empty() && m.spool_bytes.is_empty() && m.spool_reads.is_empty(),
-        "rolled-back spool work must not leak into the final metrics: {m:?}"
+        "the abandoned run's spool work must not leak into the metrics: {m:?}"
     );
-    // The baseline the engine retried on is the same baseline the No-CSE
-    // configuration plans, so the high-water mark must match it exactly.
-    let (_, base) = drive(&catalog, &batch(), &CseConfig::no_cse());
     assert!(m.peak_bytes > 0);
-    assert_eq!(
-        m.peak_bytes, base.metrics.peak_bytes,
-        "peak_bytes must reflect the final (baseline) attempt only"
-    );
+    assert_eq!(out.report.rung, Rung::Baseline);
+    assert_eq!(out.report.spools_used, 0);
 }
 
-/// Same contract when the retry is triggered by a refused memory
-/// reservation instead of a fault: the baseline retry (charged unchecked)
-/// is what the metrics describe.
+/// Same contract when the retry follows a refused memory reservation: the
+/// retry is a fresh run, so the metrics are a No-CSE run's, with nothing
+/// left over from the refused sharing attempt.
 #[test]
 fn metrics_reflect_final_attempt_after_reservation_refusal() {
     let catalog = catalog();
-    let reservation = small_reservation();
-    let (opt, out) = drive_in(
-        &catalog,
-        &batch(),
-        &CseConfig::default(),
-        Some(&reservation),
-    );
-    assert!(!opt.plan.spools.is_empty(), "scenario needs a spool");
-    assert!(
-        codes(&out.events).contains(&"EXEC_MEM_RESERVATION"),
-        "events: {:?}",
-        out.events
-    );
+    let governor = baseline_sized_pool(&catalog, &batch());
+    let (_, out) = run_reserved_with_retry(&catalog, &batch(), &governor);
     let m = &out.metrics;
     assert!(
-        m.spool_rows.is_empty() && m.spool_bytes.is_empty(),
-        "spools of the refused attempt must be rolled back: {m:?}"
+        m.spool_rows.is_empty() && m.spool_bytes.is_empty() && m.spool_reads.is_empty(),
+        "spools of the refused attempt must not leak into the metrics: {m:?}"
     );
     let (_, base) = drive(&catalog, &batch(), &CseConfig::no_cse());
-    assert_eq!(m.peak_bytes, base.metrics.peak_bytes);
+    assert_same_metrics(m, &base.metrics, "mem-reservation");
 }
 
-/// Seeded (probabilistic) faults: whatever mix of attempts a seed
-/// produces, the metrics stay internally consistent — every spool with
-/// reads or bytes also has rows, the high-water mark is set, and a rerun
-/// with the same seed reproduces the numbers bit-for-bit. CI sweeps
-/// `CSE_FAIL_SEED` over {1, 7, 42}.
+/// Seeded (probabilistic) faults: whatever mix of runs a seed produces,
+/// the metrics stay internally consistent — every spool with reads or
+/// bytes also has rows, the high-water mark is set, and a rerun with the
+/// same seed reproduces the numbers bit-for-bit. CI sweeps `CSE_FAIL_SEED`
+/// over {1, 7, 42}.
 #[test]
 fn seeded_fault_metrics_are_consistent_and_deterministic() {
     let catalog = catalog();
     let want = reference(&catalog, &batch());
+    // A fresh registry per run: clones share one fault schedule.
     let run = || {
-        let cfg = fail_config(sites::SPOOL_MATERIALIZE, 0.5);
-        drive(&catalog, &batch(), &cfg)
+        query(
+            &catalog,
+            &batch(),
+            &fail_config(sites::SPOOL_MATERIALIZE, 0.5),
+        )
     };
-    let (_, a) = run();
-    let (_, b) = run();
+    let (a, b) = (run(), run());
     assert_matches_reference(&a.results, &want, "seeded-metrics");
     let m = &a.metrics;
     for id in m.spool_reads.keys() {

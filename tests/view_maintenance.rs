@@ -395,6 +395,49 @@ fn a_request_that_fails_after_capture_changes_nothing() {
         assert_eq!(report.planned, insert == 0, "insert {}", insert + 1);
         assert_view_is_fresh(&catalog, "v_by_k");
     }
+
+    // A cached plan whose shared spool faults: the insert returns the fault,
+    // naming its site, and applies nothing; the cached plan stays and serves
+    // the next insert.
+    let mut catalog = generate_catalog(&TpchConfig::new(0.001));
+    let mut plans = MaintenancePlans::new();
+    for (name, def) in workloads::maintenance_views() {
+        create_materialized_view(&mut catalog, name, &def, &cfg).unwrap();
+    }
+    let insert = |catalog: &mut Catalog, cfg: &CseConfig, plans: &mut MaintenancePlans| {
+        let rows = experiments::returning_customers(catalog, 20);
+        maintain_insert(catalog, "customer", rows, cfg, plans)
+    };
+    let first = insert(&mut catalog, &cfg, &mut plans).unwrap();
+    let cached = first.plan.expect("three views read customer");
+    assert!(!cached.spools.is_empty(), "the batch must share a spool");
+    let faulty = CseConfig {
+        failpoints: FailpointRegistry::from_specs(&[FailSpec {
+            site: "spool.materialize".to_string(),
+            probability: 1.0,
+            seed: 1,
+        }]),
+        ..CseConfig::default()
+    };
+    let before = visible(&catalog);
+    let views: Vec<_> = workloads::maintenance_views()
+        .iter()
+        .map(|(name, _)| sorted_rows(&catalog.table(name).unwrap()))
+        .collect();
+    let err = insert(&mut catalog, &faulty, &mut plans)
+        .expect_err("a faulted insert must not be applied");
+    assert!(err.contains("spool.materialize"), "{err}");
+    assert_eq!(visible(&catalog), before);
+    for ((name, _), rows) in workloads::maintenance_views().iter().zip(&views) {
+        assert_eq!(&sorted_rows(&catalog.table(name).unwrap()), rows, "{name}");
+    }
+    let report = insert(&mut catalog, &cfg, &mut plans).expect("a clean insert after the fault");
+    assert!(!report.planned, "the cached plan survives the fault");
+    let plan = report.plan.expect("the cached plan");
+    assert_eq!(plan.root.render(), cached.root.render());
+    for (name, _) in workloads::maintenance_views() {
+        assert_view_is_fresh(&catalog, name);
+    }
 }
 
 // ---------------------------------------------------------------------
