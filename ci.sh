@@ -89,6 +89,20 @@ grep -q EXEC_FAULT_INJECTED "$fault_log" \
   || { echo "the spool fault was not reported: $(cat "$fault_log")"; exit 1; }
 rm -f "$fault_log"
 
+# One fallback for the CSE phase: a zero budget trips the phase once, under
+# one clock, and the batch answers from the baseline plan it already held.
+echo "==> qsql: a zero budget answers like --no-cse-fallback-only (Table 1)"
+trip_log=$(mktemp)
+tripped=$(printf '%s\n:quit\n' "$table1" \
+  | "${QSQL[@]}" --budget-ms 0 2>"$trip_log" | grep -v '^--')
+[[ -n "$forced" && "$tripped" == "$forced" ]] \
+  || { echo "tripped Table 1 differs from the forced baseline:"; \
+       diff <(echo "$tripped") <(echo "$forced"); exit 1; }
+trips=$(grep -o OPT_DEADLINE "$trip_log" | wc -l)
+[[ "$trips" -eq 1 ]] \
+  || { echo "expected OPT_DEADLINE once, saw $trips: $(cat "$trip_log")"; exit 1; }
+rm -f "$trip_log"
+
 # Fault-injection seed matrix: the adversarial robustness suite and the
 # concurrent serving stress suite must hold for every seed, not just the
 # default. Each seed reshuffles which scans / spools / worker slots fail

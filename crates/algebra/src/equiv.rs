@@ -72,19 +72,6 @@ impl EquivClasses {
         }
         groups.into_values().filter(|g| g.len() >= 2).collect()
     }
-
-    /// The class containing `c` (including `c`), or a singleton.
-    pub fn class_of(&self, c: ColRef) -> BTreeSet<ColRef> {
-        let root = self.find(c);
-        let mut out: BTreeSet<ColRef> = self
-            .parent
-            .keys()
-            .copied()
-            .filter(|&x| self.find(x) == root)
-            .collect();
-        out.insert(c);
-        out
-    }
 }
 
 /// Intersect two collections of classes "in the natural way: for every pair

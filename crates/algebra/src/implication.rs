@@ -87,7 +87,7 @@ impl Interval {
     }
 
     /// Narrow by the atom `col op v`. `<>` bounds nothing.
-    fn tighten(&mut self, op: CmpOp, v: Value) {
+    fn narrow(&mut self, op: CmpOp, v: Value) {
         match op {
             CmpOp::Eq => {
                 self.tighten_lo(v.clone(), true);
@@ -212,7 +212,7 @@ pub fn ranges_of<'a>(
     let mut out: BTreeMap<ColRef, Interval> = BTreeMap::new();
     for conj in conjuncts {
         if let Some((col, op, v)) = conj.as_col_vs_lit() {
-            out.entry(col).or_default().tighten(op, v);
+            out.entry(col).or_default().narrow(op, v);
         }
     }
     out
@@ -350,7 +350,7 @@ impl Antecedent {
         if let Some((qcol, qop, qv)) = q.as_col_vs_lit() {
             if let Some(iv) = ranges.get(&qcol) {
                 let mut target = Interval::default();
-                target.tighten(qop, qv);
+                target.narrow(qop, qv);
                 return qop != CmpOp::Ne && iv.within(&target);
             }
         }

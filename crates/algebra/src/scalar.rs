@@ -177,11 +177,6 @@ impl Scalar {
         Scalar::Or(Vec::new())
     }
 
-    pub fn is_false(&self) -> bool {
-        matches!(self, Scalar::Or(v) if v.is_empty())
-            || matches!(self, Scalar::Lit(Value::Bool(false)))
-    }
-
     /// Conjunction of a list of predicates (flattens trivially).
     pub fn and(preds: impl IntoIterator<Item = Scalar>) -> Scalar {
         let mut out = Vec::new();

@@ -109,6 +109,13 @@ fn shared(ce_lower: f64, cw: f64, cr: f64, consumers: usize) -> f64 {
     ce_lower + cw + consumers as f64 * cr
 }
 
+/// H1 threshold α (paper: 10%): consumers must sum to at least `α · C_Q`.
+const ALPHA: f64 = 0.10;
+
+/// H4 threshold β (paper: 90%): a contained candidate survives only if its
+/// result is at most `β` of the container's.
+pub(crate) const BETA: f64 = 0.90;
+
 /// Heuristic 1: only bother when the consumers amount to a significant
 /// fraction of the whole query's cost.
 pub fn h1_worthwhile(
@@ -161,8 +168,7 @@ pub fn h2_filter_consumers(
 /// The greedy merge loop is the combinatorial heart of candidate
 /// generation (quadratic trials per round), so the budget clock's
 /// wall-clock deadline is re-checked on every round and a trip aborts the
-/// whole set — the degradation ladder in `pipeline` decides what happens
-/// next.
+/// whole set — `pipeline` falls back to the baseline plan.
 pub fn create_candidates(
     memo: &mut Memo,
     ctx: &PhaseCtx,
@@ -184,7 +190,7 @@ pub fn create_candidates(
         let cse = build.build(set, shape)?;
         Some(cost.candidate(cse, signature.clone()))
     };
-    if !ctx.cfg.gen.heuristics {
+    if !ctx.cfg.heuristics {
         // One candidate covering every compatible consumer.
         let one = costed(memo, &set).and_then(|c| keep(&set, c));
         return Ok(one.into_iter().collect());
@@ -293,8 +299,8 @@ pub fn generate_for_set(
     query_cost: f64,
     trials: &mut u64,
 ) -> Result<Vec<CostedCandidate>, BudgetTrip> {
-    let (cfg, bounds) = (&ctx.cfg.gen, ctx.bounds);
-    if cfg.heuristics && !h1_worthwhile(bounds, consumers, query_cost, cfg.alpha) {
+    let (heuristics, bounds) = (ctx.cfg.heuristics, ctx.bounds);
+    if heuristics && !h1_worthwhile(bounds, consumers, query_cost, ALPHA) {
         return Ok(Vec::new());
     }
     let prepared = prepare_consumers(memo, consumers);
@@ -323,14 +329,14 @@ pub fn generate_for_set(
         if g.members.len() < 2 {
             continue;
         }
-        if cfg.heuristics {
+        if heuristics {
             let ids: Vec<GroupId> = g.members.iter().map(|m| m.group).collect();
-            if !h1_worthwhile(bounds, &ids, query_cost, cfg.alpha) {
+            if !h1_worthwhile(bounds, &ids, query_cost, ALPHA) {
                 continue;
             }
         }
         let build = Construction::new(&g.members, ctx.required);
-        let set = if cfg.heuristics {
+        let set = if heuristics {
             h2_filter_consumers(memo, ctx, &build, trials)
         } else {
             (0..g.members.len()).collect()

@@ -1,6 +1,6 @@
 //! What the pipeline and candidate generation both read: the request's
-//! configuration, the per-request facts handed down to every ladder rung,
-//! and the report handed back. This module sits below `pipeline` and
+//! configuration, the per-request facts handed down to the CSE phase, and
+//! the report handed back. This module sits below `pipeline` and
 //! `candidates` so neither imports the other's types.
 
 use crate::manager::CseManager;
@@ -16,8 +16,12 @@ use std::time::Duration;
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct CseConfig {
-    /// Candidate-generation knobs (heuristics on/off, α, β).
-    pub gen: GenConfig,
+    /// Apply the pruning heuristics H1/H2/H3/H4 (α and β are the paper's
+    /// constants, see `candidates`). When off, every join-compatible set
+    /// yields one all-covering candidate (the paper's "no heuristics"
+    /// configuration that produced 5 candidates for Example 1 and 51 for
+    /// the 8-table batch).
+    pub heuristics: bool,
     pub explore: ExploreConfig,
     pub cost_model: CostModel,
     /// Detect CSEs over candidate definitions too (§5.5).
@@ -26,16 +30,15 @@ pub struct CseConfig {
     /// the query on any error-severity diagnostic. Defaults to on in debug
     /// and test builds, off in release (the audits redo whole-memo work).
     pub verify: bool,
-    /// Optimization budget (wall-clock deadline, memo and candidate caps).
-    /// Tripping it never fails the query: the pipeline walks the
-    /// degradation ladder (full CSE → capped CSE → baseline) instead.
+    /// Optimization budget: a wall-clock deadline on the CSE phase, one
+    /// clock per request. Tripping it never fails the query: the pipeline
+    /// returns the baseline plan it computed before the phase.
     pub budget: Budget,
-    /// Where the degradation ladder starts, and the only input that decides
-    /// it: `Baseline` is the paper's "No CSE" configuration, returned
-    /// before any CSE fact is derived. The pipeline records no event for
-    /// the rung it is given; whoever lowered it (the server under an open
-    /// breaker or memory pressure, `qsql --no-cse-fallback-only`) reports
-    /// why.
+    /// Where the request starts: `FullCse` runs the CSE phase once,
+    /// `Baseline` is the paper's "No CSE" configuration, returned before
+    /// any CSE fact is derived. The pipeline records no event for the rung
+    /// it is given; whoever lowered it (the server under an open breaker or
+    /// memory pressure, `qsql --no-cse-fallback-only`) reports why.
     pub start_rung: Rung,
     /// Deterministic fault-injection registry, shared with the engine.
     /// Disabled unless armed explicitly or via the `CSE_FAIL` env var.
@@ -51,7 +54,7 @@ pub struct CseConfig {
 impl Default for CseConfig {
     fn default() -> Self {
         CseConfig {
-            gen: GenConfig::default(),
+            heuristics: true,
             explore: ExploreConfig::default(),
             cost_model: CostModel::default(),
             stacked: true,
@@ -65,7 +68,8 @@ impl Default for CseConfig {
 }
 
 impl CseConfig {
-    /// The paper's "No CSE" configuration: the ladder starts on its floor.
+    /// The paper's "No CSE" configuration: the request starts on the
+    /// baseline rung.
     pub fn no_cse() -> Self {
         CseConfig {
             start_rung: Rung::Baseline,
@@ -76,10 +80,7 @@ impl CseConfig {
     /// The paper's "Using CSEs (no heuristics)" configuration.
     pub fn no_heuristics() -> Self {
         CseConfig {
-            gen: GenConfig {
-                heuristics: false,
-                ..Default::default()
-            },
+            heuristics: false,
             ..Default::default()
         }
     }
@@ -110,9 +111,9 @@ pub struct CseReport {
     /// Algorithm 1's merge trials. Deterministic, so a change to the search
     /// shows as a count rather than as a timing.
     pub trials: u64,
-    /// `optimize_group` cache misses of the normal phases plus those of the
-    /// rung that produced the plan: the size of the search, whatever one
-    /// group optimization costs.
+    /// `optimize_group` cache misses of the normal phases plus those of a
+    /// CSE phase that produced the plan: the size of the search, whatever
+    /// one group optimization costs.
     pub group_optimizations: u64,
     /// Estimated cost of the plan without CSEs.
     pub baseline_cost: f64,
@@ -125,42 +126,18 @@ pub struct CseReport {
     /// Wall-clock of the whole optimization including the CSE phase.
     pub total_time: Duration,
     /// Where that time went: every pipeline stage in the order it ran, each
-    /// on its own timer (the verifier passes sit outside them). A rung that
-    /// tripped or panicked is one `tripped-rung` entry; `teardown` runs
-    /// after `total_time` is taken.
+    /// on its own timer (the verifier passes sit outside them). A CSE phase
+    /// that tripped or panicked is one `tripped-rung` entry; `teardown`
+    /// runs after `total_time` is taken.
     pub stages: Vec<(&'static str, Duration)>,
     /// Diagnostics of the `cse-verify` passes (present iff
     /// [`CseConfig::verify`] was set; clean when the query succeeded).
     pub verification: Option<VerifyReport>,
-    /// The degradation-ladder rung the plan was produced on.
+    /// The rung the plan was produced on.
     pub rung: Rung,
-    /// Every downgrade recorded on the way (empty in the common case).
+    /// Every downgrade recorded on the way (empty in the common case; a
+    /// tripped or panicked CSE phase adds exactly one).
     pub degradations: Vec<DegradationEvent>,
-}
-
-/// Generation knobs (paper values: α = 10%, β = 90%).
-#[derive(Debug, Clone)]
-pub struct GenConfig {
-    /// Apply the pruning heuristics H1/H2/H3/H4. When off, every
-    /// join-compatible set yields one all-covering candidate (the paper's
-    /// "no heuristics" configuration that produced 5 candidates for
-    /// Example 1 and 51 for the 8-table batch).
-    pub heuristics: bool,
-    /// H1 threshold: consumers must sum to at least `alpha · C_Q`.
-    pub alpha: f64,
-    /// H4 threshold: a contained candidate survives only if its result is
-    /// at most `beta` of the container's.
-    pub beta: f64,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            heuristics: true,
-            alpha: 0.10,
-            beta: 0.90,
-        }
-    }
 }
 
 /// Per-group baseline costs from the normal optimization phases. Both
@@ -191,12 +168,11 @@ impl CostBounds {
     }
 }
 
-/// What one ladder rung's CSE phase reads and never changes: the rung's
-/// effective configuration, the catalog's statistics and indexes, the
-/// rung's started budget clock, and the facts normal optimization left
-/// behind on the explored memo — per-group cost bounds, required columns,
-/// the CSE manager and its sharable sets — derived once per request and
-/// shared by every rung.
+/// What the CSE phase reads and never changes: the request's
+/// configuration, the catalog's statistics and indexes, the request's
+/// started budget clock, and the facts normal optimization left behind on
+/// the explored memo — per-group cost bounds, required columns, the CSE
+/// manager and its sharable sets — derived once per request.
 pub struct PhaseCtx<'a> {
     pub cfg: &'a CseConfig,
     pub stats: &'a StatsCatalog,

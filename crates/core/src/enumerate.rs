@@ -8,6 +8,9 @@ use cse_memo::GroupId;
 use cse_optimizer::{bit, CseId, CseMask, FullPlan, Optimizer};
 use std::collections::BTreeSet;
 
+/// Cap on CSE re-optimizations of one enumeration (§5.3).
+const MAX_OPTIMIZATIONS: u32 = 64;
+
 /// Outcome of the enumeration.
 pub struct EnumOutcome {
     pub plan: FullPlan,
@@ -25,19 +28,18 @@ pub struct EnumOutcome {
 /// (Prop. 5.4 reasoning), so subsets are enumerated per cluster and the
 /// winning masks combined — turning a 2^N search into a sum of small
 /// enumerations. Within a cluster, subsets are visited in descending size
-/// with Prop. 5.5/5.6 skipping, bounded by `max_optimizations`.
+/// with Prop. 5.5/5.6 skipping, bounded by [`MAX_OPTIMIZATIONS`].
 ///
 /// The wall-clock deadline in `clock` is re-checked before every full
 /// optimization pass (the expensive unit of work here). Expiry trips the
 /// whole enumeration rather than returning an anytime-best plan, so that
-/// plans produced under a tripped budget are always the ladder's clean
-/// fallbacks — never a half-enumerated hybrid.
+/// a tripped budget always yields the clean baseline plan — never a
+/// half-enumerated hybrid.
 pub fn choose_best(
     opt: &mut Optimizer<'_>,
     mgr: &CseManager,
     root: GroupId,
     candidates: &[(CseId, Option<GroupId>)],
-    max_optimizations: u32,
     clock: &BudgetClock,
 ) -> Result<EnumOutcome, BudgetTrip> {
     let mut optimizations = 0u32;
@@ -130,7 +132,7 @@ pub fn choose_best(
             if skip.contains(&mask) {
                 continue;
             }
-            if optimizations >= max_optimizations {
+            if optimizations >= MAX_OPTIMIZATIONS {
                 break;
             }
             clock.check_time("enumerate")?;

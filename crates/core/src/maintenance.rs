@@ -295,7 +295,7 @@ fn sorted_views(catalog: &Catalog) -> impl Iterator<Item = &MaterializedView> {
 /// delta and return the whole change — `ReplaceTable` per refreshed view,
 /// then `ApplyDelta` for the base — without touching `catalog`. The batch
 /// comes from `plans` when the cached one still fits the catalog; otherwise
-/// it is planned and, unless the degradation ladder lowered it, cached.
+/// it is planned and, unless it is degraded, cached.
 pub fn plan_insert(
     catalog: &Catalog,
     base: &str,
@@ -340,7 +340,7 @@ pub fn plan_insert(
         total_time: Default::default(),
     };
     mutations.push(CatalogMutation::ApplyDelta { delta });
-    // A plan the degradation ladder lowered serves this insert only.
+    // A degraded plan serves this insert only.
     if let Some(fresh) = built.filter(|_| report.cse.degradations.is_empty()) {
         plans.insert(key, fresh);
     }

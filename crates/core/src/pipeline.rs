@@ -3,23 +3,27 @@
 //! 1. lower SQL → logical plan → memo; explore; table signatures are
 //!    collected incrementally (Step 1);
 //! 2. normal optimization (baseline plan + per-group cost bounds);
-//! 3. unless the ladder starts on the baseline rung, and if the CSE
+//! 3. unless the request starts on the baseline rung, and if the CSE
 //!    manager finds sharable signatures: generate candidate CSEs (Step 2)
 //!    with heuristics H1–H4, including a second detection round over the
 //!    candidate definitions themselves (stacked CSEs, §5.5);
 //! 4. resume optimization with candidate sets enabled (Step 3, §5.3) and
 //!    return the cheapest plan.
 //!
+//! Steps 3 and 4 are the CSE phase. It runs at most once per request,
+//! under one budget clock; a budget trip or a panic returns the baseline
+//! plan of step 2 with one degradation event.
+//!
 //! Every fact is derived once per memo state and handed down. The explored
 //! memo yields, once per request, the baseline winners (read back as
 //! [`CostBounds`]), the required columns and a [`CseManager`] with its
-//! sharable sets (detection, H4); a rung copies that memo only when it has
-//! something to construct, and the copy grown by the candidate definitions
+//! sharable sets (detection, H4); the CSE phase then takes that memo and
+//! grows it in place with the candidate definitions, and the grown memo
 //! yields the second and last manager (stacked consumers, LCAs,
 //! enumeration), its required columns and the Step 3 optimizer.
 
 use crate::candidates::{
-    extend_with_stacked_consumers, generate_for_set, h4_prune_contained, CostedCandidate,
+    extend_with_stacked_consumers, generate_for_set, h4_prune_contained, CostedCandidate, BETA,
 };
 use crate::config::{CandidateSummary, CostBounds, CseConfig, CseReport, PhaseCtx};
 use crate::enumerate::choose_best;
@@ -38,6 +42,10 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+/// Candidates registered with the optimizer at most: its CSE mask is 64
+/// bits wide.
+const CANDIDATE_KEEP: usize = 60;
+
 /// Optimization output: executable plan, context for the executor, report.
 pub struct Optimized {
     pub plan: FullPlan,
@@ -53,8 +61,9 @@ pub fn optimize_sql(catalog: &Catalog, sql: &str, cfg: &CseConfig) -> Result<Opt
 
 /// What a request has recorded besides its plan: the report handed back to
 /// the caller and, under [`CseConfig::verify`], the verifier's diagnostics
-/// and the pass-5 input. A rung works on a copy and hands it back only on
-/// success, so a tripped or panicked attempt leaves no trace in it.
+/// and the pass-5 input. The CSE phase works on a copy and hands it back
+/// only on success, so a tripped or panicked phase leaves no candidates,
+/// spools or costs in it.
 #[derive(Clone)]
 struct Findings {
     report: CseReport,
@@ -63,7 +72,7 @@ struct Findings {
 }
 
 /// An optimizer over one memo state; cost model and indexes are the
-/// request's and do not change between rungs.
+/// request's and do not change between memo states.
 fn optimizer_over<'a>(
     memo: &'a Memo,
     stats: &'a StatsCatalog,
@@ -92,7 +101,7 @@ pub fn optimize_plan(
     cfg.cancel
         .check("pipeline/explored")
         .map_err(abort_message)?;
-    // The explored memo is final from here on: rungs read it and grow copies.
+    // The explored memo is only read until the CSE phase takes it.
     let memo = memo;
 
     // Pass 1+2 of the verifier: provenance + signature audit over the
@@ -129,31 +138,27 @@ pub fn optimize_plan(
         cost_audit: None,
     };
 
-    // A ladder that starts on its floor derives no CSE fact at all.
-    let mut rung = cfg.start_rung;
-    if rung == Rung::Baseline {
-        found.report.rung = rung;
-        return finish(baseline, memo.ctx.clone(), found, cfg.verify);
+    // A request that starts on the baseline rung derives no CSE fact at all.
+    let ctx = memo.ctx.clone();
+    if cfg.start_rung == Rung::Baseline {
+        found.report.rung = Rung::Baseline;
+        return finish(baseline, ctx, found, cfg.verify);
     }
 
-    // A panic is a bug, not a resource shortage: it sends the request
-    // straight to the floor instead of retrying a broken phase.
-    let panicked = |rung: Rung, payload: Box<dyn std::any::Any + Send>| {
-        DegradationEvent::opt(
+    let panicked = |payload: Box<dyn std::any::Any + Send>| {
+        DegradationEvent::new(
             Reason::OptPanic,
             "cse-phase",
-            rung,
-            Rung::Baseline,
             panic_message(payload.as_ref()),
         )
     };
-    // Facts of the explored memo every rung shares (normal-phase history,
+    // Facts of the explored memo the CSE phase reads (normal-phase history,
     // §5.4/§4.3): each group's bound is its winner under the empty CSE set,
     // which the baseline optimization above already memoized; detection
     // (Step 1/2: the signature table, the ancestor relation and the
     // sharable sets) is a read of the same memo. A group that exploration
     // left unreachable from the root is costed here for the first time, so
-    // the reads sit under the same panic net as the rungs.
+    // the reads sit under a panic net like the phase itself.
     let facts = catch_unwind(AssertUnwindSafe(|| {
         let t = Instant::now();
         let bounds = CostBounds::new(
@@ -171,141 +176,81 @@ pub fn optimize_plan(
         let sharable = manager.sharable_sets();
         (bounds, required, manager, sharable)
     }));
-    // Its winners are read; they must not sit beside the rungs' own.
+    // Its winners are read; they must not sit beside the phase's own.
     found.report.group_optimizations = normal.group_optimizations;
     drop(normal);
     cfg.cancel.check("pipeline/bounds").map_err(abort_message)?;
-    let (bounds, required, manager, sharable) = facts.unwrap_or_else(|payload| {
-        found.report.degradations.push(panicked(rung, payload));
-        rung = Rung::Baseline;
-        Default::default()
-    });
-    found.report.sharable_signatures = sharable.len();
 
-    // The degradation ladder: run the full CSE phase; if the budget trips,
-    // retry with tightened heuristics and hard caps; if that trips too (or
-    // the phase panics), fall back to the baseline plan. A rung only reads
-    // the explored memo and mutates its own copy, so a tripped or panicked
-    // attempt can never leak partial mutations into the next one, and the
-    // whole phase runs under `catch_unwind` so an optimizer bug degrades
-    // the plan instead of aborting the process.
+    // The CSE phase runs once, under one clock, and grows the explored memo
+    // in place. If the budget trips or the phase panics, the request keeps
+    // the baseline plan above — it owns its trees, so the grown memo is
+    // simply dropped — and records one event; cancellation aborts instead.
     //
     // Unwind-safety audit (re-asserted when `CancelToken` landed): the
-    // closure borrows only state that is either consumed by the attempt
-    // (the findings copy), read-only (the explored memo, `stats`, `indexes`
-    // and the facts above), or write-once-atomic (the token's cancel flag;
+    // closure consumes the memo and a copy of the findings (both dropped on
+    // unwind), borrows read-only state (`stats`, `indexes` and the facts
+    // above), and touches write-once-atomic state (the token's cancel flag;
     // the failpoint registry's mutex recovers poisoning via `into_inner`).
-    // No partially-mutated structure outlives a panicking attempt (the
+    // No partially-mutated structure outlives a panicking phase (the
     // guarded read above mutates only `normal`, dropped right after it, and
     // appends whole stage entries), so `AssertUnwindSafe` holds.
-    let mut shared: Option<FullPlan> = None;
-    while rung != Rung::Baseline {
-        let (eff, caps) = tighten(cfg, rung);
-        let clock = eff.budget.start_with(&cfg.cancel);
-        let phase = PhaseCtx {
-            cfg: &eff,
-            stats: &stats,
-            indexes: &indexes,
-            clock: &clock,
-            bounds: &bounds,
-            required: &required,
-            manager: &manager,
-            sharable: &sharable,
-        };
-        let t = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            cse_phase(&memo, &phase, &caps, root, found.clone())
-        }));
-        if !matches!(attempt, Ok(Ok(_))) {
-            // The attempt's own stages went with its findings copy.
+    let t = Instant::now();
+    let (facts, outcome) = match facts {
+        Err(payload) => (None, Err(panicked(payload))),
+        Ok(facts) => {
+            let (bounds, required, manager, sharable) = &facts;
+            found.report.sharable_signatures = sharable.len();
+            let clock = cfg.budget.start_with(&cfg.cancel);
+            let phase = PhaseCtx {
+                cfg,
+                stats: &stats,
+                indexes: &indexes,
+                clock: &clock,
+                bounds,
+                required,
+                manager,
+                sharable,
+            };
+            let copy = found.clone();
+            let attempt = catch_unwind(AssertUnwindSafe(|| cse_phase(memo, &phase, root, copy)));
+            let outcome = match attempt {
+                Ok(Ok((plan, done))) => {
+                    found = done;
+                    Ok(plan)
+                }
+                // A canceled request must stop, not fall back.
+                Ok(Err(trip)) if trip.reason.is_cancellation() => {
+                    return Err(abort_message(trip));
+                }
+                Ok(Err(trip)) => Err(trip.event()),
+                Err(payload) => Err(panicked(payload)),
+            };
+            (Some(facts), outcome)
+        }
+    };
+    let shared = match outcome {
+        Ok(plan) => plan.filter(|p| p.cost < baseline.cost),
+        Err(event) => {
+            // The phase's own stages went with its findings copy.
             found.report.stages.push(("tripped-rung", t.elapsed()));
+            found.report.degradations.push(event);
+            found.report.rung = Rung::Baseline;
+            None
         }
-        match attempt {
-            Ok(Ok((plan, done))) => {
-                shared = plan.filter(|p| p.cost < baseline.cost);
-                found = done;
-                break;
-            }
-            Ok(Err(trip)) if trip.reason.is_cancellation() => {
-                // Cancellation aborts the request outright: descending the
-                // ladder would keep burning a canceled caller's wall-clock.
-                return Err(abort_message(trip));
-            }
-            Ok(Err(trip)) => {
-                let next = rung.next_down().unwrap_or(Rung::Baseline);
-                found.report.degradations.push(trip.event(rung, next));
-                rung = next;
-            }
-            Err(payload) => {
-                found.report.degradations.push(panicked(rung, payload));
-                rung = Rung::Baseline;
-            }
-        }
-    }
-    found.report.rung = rung;
+    };
 
     let final_plan = shared.unwrap_or(baseline);
     found.report.final_cost = final_plan.cost;
     found.report.spools_used = final_plan.spools.len();
     found.report.total_time = t_start.elapsed();
 
-    let mut done = finish(final_plan, memo.ctx.clone(), found, cfg.verify);
+    let mut done = finish(final_plan, ctx, found, cfg.verify);
     let t = Instant::now();
-    drop((bounds, required, manager, sharable, memo));
+    drop(facts);
     if let Ok(optimized) = &mut done {
         optimized.report.stages.push(("teardown", t.elapsed()));
     }
     done
-}
-
-/// Per-rung candidate caps derived by [`tighten`].
-struct RungCaps {
-    /// Representational cap on registered candidates (the optimizer's CSE
-    /// mask is 64 bits wide; the full rung keeps the historical 60).
-    keep: usize,
-    /// Whether exceeding `budget.max_candidates` trips the rung (full rung)
-    /// or silently truncates the candidate list (capped rung).
-    trip_on_overflow: bool,
-    /// Cap on CSE re-optimizations (§5.3 enumeration).
-    max_cse_opts: u32,
-}
-
-/// Derive the effective configuration and caps for one ladder rung. The
-/// capped rung tightens every knob that bounds work: doubled α (fewer sets
-/// pass H1), halved β (more containment pruning), no stacked round, a
-/// short enumeration, a quartered exploration budget and a hard candidate
-/// cap of 8.
-#[expect(
-    clippy::unreachable,
-    reason = "rung ladder never runs the CSE phase for Baseline; unreachable! documents that contract"
-)]
-fn tighten(cfg: &CseConfig, rung: Rung) -> (CseConfig, RungCaps) {
-    match rung {
-        Rung::FullCse => (
-            cfg.clone(),
-            RungCaps {
-                keep: 60,
-                trip_on_overflow: true,
-                max_cse_opts: 64,
-            },
-        ),
-        Rung::CappedCse => {
-            let mut c = cfg.clone();
-            c.gen.alpha = (cfg.gen.alpha * 2.0).max(0.2);
-            c.gen.beta = cfg.gen.beta / 2.0;
-            c.stacked = false;
-            c.explore.max_gexprs = cfg.explore.max_gexprs / 4;
-            (
-                c,
-                RungCaps {
-                    keep: 8,
-                    trip_on_overflow: false,
-                    max_cse_opts: 8,
-                },
-            )
-        }
-        Rung::Baseline => unreachable!("the baseline rung never runs the CSE phase"),
-    }
 }
 
 /// Error text for a cancellation abort. The stable reason code leads so
@@ -320,19 +265,18 @@ pub(crate) fn abort_message(trip: BudgetTrip) -> String {
     )
 }
 
-/// One attempt at the CSE phase (Steps 2 + 3) under the rung's started
-/// budget clock. Returns the best plan found with candidates enabled
-/// (`None` when no candidate survived; the caller keeps the baseline unless
-/// the plan beats it) with the findings extended by this attempt, or the
-/// budget trip that aborted it.
+/// The CSE phase (Steps 2 + 3) under the request's started budget clock,
+/// growing the explored memo in place. Returns the best plan found with
+/// candidates enabled (`None` when no candidate survived; the caller keeps
+/// the baseline unless the plan beats it) with the findings extended by
+/// the phase, or the budget trip that aborted it.
 #[expect(
     clippy::panic,
     reason = "deliberate failpoint panic exercising catch_unwind isolation; registry disarmed outside fault-injection tests"
 )]
 fn cse_phase(
-    explored: &Memo,
+    mut memo: Memo,
     ctx: &PhaseCtx,
-    caps: &RungCaps,
     root: GroupId,
     mut found: Findings,
 ) -> Result<(Option<FullPlan>, Findings), BudgetTrip> {
@@ -340,17 +284,16 @@ fn cse_phase(
     clock.check_time("cse-phase")?;
     if cfg.failpoints.should_fail(sites::OPT_CSE_PHASE) {
         // The optimizer-side failpoint panics on purpose: it exercises the
-        // `catch_unwind` isolation of the ladder, not the trip path.
+        // `catch_unwind` isolation of the phase, not the trip path.
         panic!("injected failpoint: {}", sites::OPT_CSE_PHASE);
     }
-    clock.check_memo(explored.num_gexprs(), "cse-phase")?;
 
     // Pass 5 setup: snapshot the claimed per-group bounds and recompute the
     // winners independently on the memo state they were read from (later
     // exploration may legitimately find cheaper plans, which would make a
     // fresh winner undercut a bound that was correct when recorded).
     if cfg.verify {
-        let mut opt = optimizer_over(explored, ctx.stats, ctx.indexes, cfg);
+        let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, cfg);
         let bounds: Vec<(GroupId, f64)> = ctx.bounds.iter().collect();
         found.cost_audit = Some(CostAudit {
             winners: bounds
@@ -367,18 +310,12 @@ fn cse_phase(
 
     // Step 2: candidate generation (phase A) over the sharable sets the
     // request detected. Construction allocates aggregate-output rels and
-    // the definitions are inserted below, so the rung works on its own copy
-    // from here; the explored manager stays valid through generation
-    // because construction adds no groups.
-    let t = Instant::now();
-    let mut memo = explored.clone();
-    found.report.stages.push(("memo-clone", t.elapsed()));
+    // the definitions are inserted below, growing the explored memo; the
+    // explored manager stays valid through generation because construction
+    // adds no groups.
     let t = Instant::now();
     let candidates = run_generation(&mut memo, ctx, root, &mut found.report.trials)?;
     found.report.stages.push(("generation", t.elapsed()));
-    if caps.trip_on_overflow {
-        clock.check_candidates(candidates.len(), "generation")?;
-    }
     if candidates.is_empty() {
         return Ok((None, found));
     }
@@ -401,7 +338,6 @@ fn cse_phase(
         .stages
         .push(("def-insert+explore", t.elapsed()));
     clock.check_time("def-explore")?;
-    clock.check_memo(memo.num_gexprs(), "def-explore")?;
 
     // The memo is grown and stays as it is: the second and last manager
     // serves the stacked round, the LCAs and the enumeration.
@@ -424,9 +360,7 @@ fn cse_phase(
 
     // Too many candidates cannot be represented in the optimizer's mask;
     // keep the most promising (widest consumer sets, then smallest size) —
-    // in practice only the no-heuristics configuration comes close. The
-    // capped rung additionally truncates to its hard cap (and any tighter
-    // budget cap) instead of tripping.
+    // in practice only the no-heuristics configuration comes close.
     registered.sort_by(|(a, _), (b, _)| {
         b.cse
             .members
@@ -434,8 +368,7 @@ fn cse_phase(
             .cmp(&a.cse.members.len())
             .then(a.est_rows.total_cmp(&b.est_rows))
     });
-    let keep = caps.keep.min(clock.max_candidates.unwrap_or(usize::MAX));
-    registered.truncate(keep);
+    registered.truncate(CANDIDATE_KEEP);
 
     let mut roots = vec![root];
     roots.extend(registered.iter().map(|(_, d)| *d));
@@ -505,7 +438,7 @@ fn cse_phase(
     let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, cfg);
     opt.register_candidates(cse_candidates, substitutes);
     let t = Instant::now();
-    let outcome = choose_best(&mut opt, &mgr, root, &lca_list, caps.max_cse_opts, clock)?;
+    let outcome = choose_best(&mut opt, &mgr, root, &lca_list, clock)?;
     found.report.stages.push(("enumeration", t.elapsed()));
     found.report.cse_optimizations = outcome.optimizations;
     found.report.group_optimizations += opt.group_optimizations;
@@ -631,8 +564,8 @@ fn run_generation(
             memo, ctx, sig, consumers, query_cost, trials,
         )?);
     }
-    if ctx.cfg.gen.heuristics {
-        all = h4_prune_contained(ctx.manager, all, ctx.cfg.gen.beta);
+    if ctx.cfg.heuristics {
+        all = h4_prune_contained(ctx.manager, all, BETA);
     }
     Ok(all)
 }

@@ -3,10 +3,10 @@
 //! Resource governance and fault tolerance primitives shared by the
 //! optimizer pipeline (`cse-core`) and the execution engine (`cse-exec`):
 //!
-//! - [`Budget`] / [`BudgetClock`]: a wall-clock deadline plus memo-size and
-//!   candidate-count caps threaded through the CSE optimization phase.
-//!   Tripping a budget never fails a query — it walks the **degradation
-//!   ladder** (full CSE → heuristics-capped CSE → baseline no-CSE plan).
+//! - [`Budget`] / [`BudgetClock`]: a wall-clock deadline for the CSE
+//!   optimization phase, one clock per request. Tripping it never fails a
+//!   query — the pipeline returns the baseline no-CSE plan it computed
+//!   before the phase.
 //! - [`DegradationEvent`] / [`Reason`] / [`Rung`]: every downgrade, retry
 //!   or recovery is reported as a structured event with a stable reason
 //!   code, so operators can alert on fallback rates instead of parsing
@@ -48,7 +48,7 @@ pub mod sites {
     /// B-tree index range scan, or an index nested-loops join's probes.
     pub const SCAN_INDEX: &str = "scan.index";
     /// Entry of the optimizer's CSE phase; a trip here *panics* on
-    /// purpose, exercising the `catch_unwind` isolation of the ladder.
+    /// purpose, exercising the `catch_unwind` isolation of the phase.
     pub const OPT_CSE_PHASE: &str = "opt.cse-phase";
     /// A serving worker picking up a request (`cse-serve`); a trip here is
     /// a transient worker fault the server retries with backoff.
@@ -94,16 +94,13 @@ pub mod sites {
     }
 }
 
-/// A rung of the degradation ladder.
+/// Where a plan comes from: the CSE phase, or the plan without it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Rung {
     /// Full CSE optimization: detection, Algorithm 1 with the configured
     /// heuristics, stacked candidates, full enumeration.
     #[default]
     FullCse,
-    /// Heuristics-capped CSE: tightened cost bounds (doubled α, halved β),
-    /// no stacked round, a hard candidate cap and a short enumeration.
-    CappedCse,
     /// The baseline per-query plan with no covering subexpressions.
     Baseline,
 }
@@ -113,17 +110,7 @@ impl Rung {
     pub fn as_str(&self) -> &'static str {
         match self {
             Rung::FullCse => "full-cse",
-            Rung::CappedCse => "capped-cse",
             Rung::Baseline => "baseline",
-        }
-    }
-
-    /// The next rung down, if any.
-    pub fn next_down(&self) -> Option<Rung> {
-        match self {
-            Rung::FullCse => Some(Rung::CappedCse),
-            Rung::CappedCse => Some(Rung::Baseline),
-            Rung::Baseline => None,
         }
     }
 }
@@ -141,21 +128,17 @@ impl fmt::Display for Rung {
 pub enum Reason {
     /// The optimization wall-clock deadline expired.
     OptDeadline,
-    /// The memo grew past the budgeted expression cap.
-    OptMemoCap,
-    /// Candidate generation produced more candidates than budgeted.
-    OptCandidateCap,
     /// The CSE phase panicked; `catch_unwind` isolated it.
     OptPanic,
-    /// The baseline rung was forced at admission: an open breaker,
-    /// Critical memory pressure or `qsql --no-cse-fallback-only`.
+    /// The baseline rung was forced at admission: an open breaker or
+    /// `qsql --no-cse-fallback-only`.
     OptForced,
     /// A failpoint injected a fault during execution.
     ExecFaultInjected,
     /// The request's memory reservation grant could not be extended
     /// (global budget exhausted or the `mem.reserve` failpoint tripped).
     MemReservation,
-    /// Global memory pressure capped or forced down the starting rung.
+    /// Global memory pressure started the request on the baseline rung.
     MemPressure,
     /// The request was canceled explicitly (watchdog or client).
     ReqCanceled,
@@ -168,8 +151,6 @@ impl Reason {
     pub fn code(&self) -> &'static str {
         match self {
             Reason::OptDeadline => "OPT_DEADLINE",
-            Reason::OptMemoCap => "OPT_MEMO_CAP",
-            Reason::OptCandidateCap => "OPT_CAND_CAP",
             Reason::OptPanic => "OPT_PANIC",
             Reason::OptForced => "OPT_FORCED",
             Reason::ExecFaultInjected => "EXEC_FAULT_INJECTED",
@@ -180,9 +161,8 @@ impl Reason {
         }
     }
 
-    /// Cancellation reasons abort the whole request rather than walking the
-    /// degradation ladder: a canceled optimization must stop, not retry on
-    /// a cheaper rung.
+    /// Cancellation reasons abort the whole request rather than falling
+    /// back: a canceled optimization must stop, not return the baseline.
     pub fn is_cancellation(&self) -> bool {
         matches!(self, Reason::ReqCanceled | Reason::ReqDeadline)
     }
@@ -201,35 +181,18 @@ pub struct DegradationEvent {
     /// Pipeline stage or execution site ("generation", "enumerate",
     /// "statement 2", "spool E0", ...).
     pub stage: String,
-    /// Ladder rung the work was attempted on.
+    /// Rung the work was attempted on.
     pub from: Rung,
-    /// Ladder rung the work degraded to (equal to `from` for soft
-    /// degradations such as a truncated enumeration).
+    /// Rung the work degraded to.
     pub to: Rung,
     pub detail: String,
 }
 
 impl DegradationEvent {
-    /// An optimizer-side ladder event.
-    pub fn opt(
-        reason: Reason,
-        stage: impl Into<String>,
-        from: Rung,
-        to: Rung,
-        detail: impl Into<String>,
-    ) -> Self {
-        DegradationEvent {
-            reason,
-            stage: stage.into(),
-            from,
-            to,
-            detail: detail.into(),
-        }
-    }
-
-    /// An execution-side recovery event: a faulted request was planned
-    /// again on the baseline rung.
-    pub fn exec(reason: Reason, stage: impl Into<String>, detail: impl Into<String>) -> Self {
+    /// The one downgrade there is, from `full-cse` to `baseline`: a lowered
+    /// start, a tripped or panicked CSE phase, or a faulted execution
+    /// planned again on the baseline rung.
+    pub fn new(reason: Reason, stage: impl Into<String>, detail: impl Into<String>) -> Self {
         DegradationEvent {
             reason,
             stage: stage.into(),
@@ -266,8 +229,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A tripped budget: which limit, at which stage. Converted into a
-/// [`DegradationEvent`] by the ladder.
+/// A tripped budget or a cancellation, at which stage. The pipeline turns
+/// a budget trip into a [`DegradationEvent`].
 #[derive(Debug, Clone)]
 pub struct BudgetTrip {
     pub reason: Reason,
@@ -276,8 +239,8 @@ pub struct BudgetTrip {
 }
 
 impl BudgetTrip {
-    pub fn event(&self, from: Rung, to: Rung) -> DegradationEvent {
-        DegradationEvent::opt(self.reason, self.stage, from, to, self.detail.clone())
+    pub fn event(&self) -> DegradationEvent {
+        DegradationEvent::new(self.reason, self.stage, self.detail.clone())
     }
 }
 
@@ -350,18 +313,13 @@ impl CancelToken {
     }
 }
 
-/// Optimization budget: every limit is optional; the default is unlimited
+/// Optimization budget: an optional deadline; the default is unlimited
 /// (the paper's configuration).
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     /// Wall-clock limit for the *CSE phase* (the baseline plan is always
-    /// computed — it is the ladder's floor).
+    /// computed first — it is the fallback).
     pub time_limit: Option<Duration>,
-    /// Cap on memo group expressions during the CSE phase.
-    pub max_memo_gexprs: Option<usize>,
-    /// Cap on generated candidates. On the full rung exceeding it trips to
-    /// the capped rung; the capped rung truncates instead.
-    pub max_candidates: Option<usize>,
 }
 
 impl Budget {
@@ -373,7 +331,6 @@ impl Budget {
     pub fn with_time_ms(ms: u64) -> Self {
         Budget {
             time_limit: Some(Duration::from_millis(ms)),
-            ..Budget::default()
         }
     }
 
@@ -387,20 +344,16 @@ impl Budget {
     pub fn start_with(&self, cancel: &CancelToken) -> BudgetClock {
         BudgetClock {
             deadline: self.time_limit.map(|d| Instant::now() + d),
-            max_memo_gexprs: self.max_memo_gexprs,
-            max_candidates: self.max_candidates,
             cancel: cancel.clone(),
         }
     }
 }
 
-/// A started budget: deadline instant plus the structural caps and the
-/// request's cancellation token.
+/// A started budget: deadline instant plus the request's cancellation
+/// token.
 #[derive(Debug, Clone)]
 pub struct BudgetClock {
     deadline: Option<Instant>,
-    pub max_memo_gexprs: Option<usize>,
-    pub max_candidates: Option<usize>,
     cancel: CancelToken,
 }
 
@@ -409,8 +362,6 @@ impl BudgetClock {
     pub fn unlimited() -> Self {
         BudgetClock {
             deadline: None,
-            max_memo_gexprs: None,
-            max_candidates: None,
             cancel: CancelToken::never(),
         }
     }
@@ -422,8 +373,8 @@ impl BudgetClock {
 
     /// Trip if the request was canceled or the budget deadline passed.
     /// Cancellation is checked first — it aborts the request outright
-    /// (see [`Reason::is_cancellation`]) while a budget trip merely walks
-    /// the degradation ladder.
+    /// (see [`Reason::is_cancellation`]) while a budget trip merely falls
+    /// back to the baseline plan.
     pub fn check_time(&self, stage: &'static str) -> Result<(), BudgetTrip> {
         self.cancel.check(stage)?;
         if self.expired() {
@@ -434,30 +385,6 @@ impl BudgetClock {
             });
         }
         Ok(())
-    }
-
-    /// Trip if the memo has outgrown the budgeted expression cap.
-    pub fn check_memo(&self, gexprs: usize, stage: &'static str) -> Result<(), BudgetTrip> {
-        match self.max_memo_gexprs {
-            Some(cap) if gexprs > cap => Err(BudgetTrip {
-                reason: Reason::OptMemoCap,
-                stage,
-                detail: format!("memo holds {gexprs} expressions, budget caps at {cap}"),
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Trip if more candidates were generated than budgeted.
-    pub fn check_candidates(&self, n: usize, stage: &'static str) -> Result<(), BudgetTrip> {
-        match self.max_candidates {
-            Some(cap) if n > cap => Err(BudgetTrip {
-                reason: Reason::OptCandidateCap,
-                stage,
-                detail: format!("{n} candidates generated, budget caps at {cap}"),
-            }),
-            _ => Ok(()),
-        }
     }
 }
 
@@ -552,7 +479,7 @@ struct ArmedSite {
 /// schedule on every machine.
 ///
 /// `Clone` *shares* the armed state (the map lives behind an `Arc`): every
-/// configuration clone — per-rung ladder attempts, per-worker configs in a
+/// configuration clone — per-request configs, per-worker configs in a
 /// server — draws from one process-wide fault schedule instead of each
 /// replaying the schedule from its seed.
 #[derive(Debug, Default, Clone)]
@@ -755,9 +682,9 @@ mod tests {
         assert!(clock.expired());
         let trip = clock.check_time("cse-phase").unwrap_err();
         assert_eq!(trip.reason, Reason::OptDeadline);
-        let ev = trip.event(Rung::FullCse, Rung::CappedCse);
+        let ev = trip.event();
         assert_eq!(ev.reason.code(), "OPT_DEADLINE");
-        assert_eq!(ev.to, Rung::CappedCse);
+        assert_eq!(ev.to, Rung::Baseline);
     }
 
     #[test]
@@ -765,35 +692,10 @@ mod tests {
         let clock = Budget::unlimited().start();
         assert!(!clock.expired());
         assert!(clock.check_time("x").is_ok());
-        assert!(clock.check_memo(usize::MAX, "x").is_ok());
-        assert!(clock.check_candidates(usize::MAX, "x").is_ok());
-    }
-
-    #[test]
-    fn structural_caps_trip() {
-        let clock = Budget {
-            max_memo_gexprs: Some(10),
-            max_candidates: Some(2),
-            ..Budget::default()
-        }
-        .start();
-        assert!(clock.check_memo(10, "x").is_ok());
-        assert_eq!(
-            clock.check_memo(11, "x").unwrap_err().reason,
-            Reason::OptMemoCap
-        );
-        assert!(clock.check_candidates(2, "x").is_ok());
-        assert_eq!(
-            clock.check_candidates(3, "x").unwrap_err().reason,
-            Reason::OptCandidateCap
-        );
     }
 
     #[test]
     fn rung_ladder_order() {
-        assert_eq!(Rung::FullCse.next_down(), Some(Rung::CappedCse));
-        assert_eq!(Rung::CappedCse.next_down(), Some(Rung::Baseline));
-        assert_eq!(Rung::Baseline.next_down(), None);
         assert!(Rung::FullCse < Rung::Baseline);
     }
 
@@ -892,7 +794,7 @@ mod tests {
 
     #[test]
     fn event_rendering_is_stable() {
-        let ev = DegradationEvent::exec(Reason::MemReservation, "statement 1", "refused");
+        let ev = DegradationEvent::new(Reason::MemReservation, "statement 1", "refused");
         let text = ev.to_string();
         assert!(text.contains("[EXEC_MEM_RESERVATION]"));
         assert!(text.contains("statement 1"));

@@ -15,9 +15,9 @@
 //!   charge into a scope, the scope returns its bytes to the reservation on
 //!   drop, the reservation returns its grant to the pool on drop. Nothing
 //!   leaks on panic or early return.
-//! - [`Pressure`]: three levels off pool occupancy. The serving layer maps
-//!   Elevated → capped-cse planning, Critical → baseline-only planning and
-//!   `SHED_MEMORY` admission sheds.
+//! - [`Pressure`]: three levels off pool occupancy. The serving layer plans
+//!   on the baseline rung from Elevated up (`MEM_PRESSURE`), and at
+//!   Critical also sheds admissions with `SHED_MEMORY`.
 //!
 //! Determinism: the [`crate::sites::MEM_RESERVE`] failpoint makes grant
 //! growth fail on demand, so a refused reservation is testable without
@@ -55,8 +55,8 @@ pub enum Pressure {
     /// Plenty of headroom; full CSE planning.
     #[default]
     Normal,
-    /// Above the elevated watermark; sharing is capped (spools are the
-    /// memory hogs, so plan fewer of them).
+    /// Above the elevated watermark; baseline-only planning (spools are
+    /// the memory hogs, so plan none).
     Elevated,
     /// Above the critical watermark; baseline-only planning and new
     /// admissions are shed with `SHED_MEMORY`.

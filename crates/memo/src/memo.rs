@@ -92,10 +92,10 @@ struct AggOutKey(AggInput, Vec<ColRef>, Vec<AggExpr>, Vec<u8>);
 
 /// The memo structure.
 ///
-/// `Clone` exists for the degradation ladder in `cse-core`: each ladder
-/// rung runs the CSE phase on its own copy, so a panic or budget trip in
-/// one attempt can never leave the next attempt a half-mutated memo.
-#[derive(Debug, Clone)]
+/// Not `Clone`: `cse-core`'s CSE phase takes the explored memo by value
+/// and grows it in place, and a tripped or panicked phase drops it — the
+/// baseline plan it falls back to owns its trees.
+#[derive(Debug)]
 pub struct Memo {
     /// Table-instance registry; mutable because exploration (eager
     /// aggregation) allocates new synthetic output rels.

@@ -253,7 +253,7 @@ impl<'a> Optimizer<'a> {
     /// Optimize a group under an enabled-CSE mask.
     #[expect(
         clippy::panic,
-        reason = "memo invariant: groups are never empty of implementable expressions; panic is caught by the ladder and downgraded as OPT_PANIC"
+        reason = "memo invariant: groups are never empty of implementable expressions; panic is caught around the CSE phase and downgraded as OPT_PANIC"
     )]
     pub fn optimize_group(&mut self, g: GroupId, mask: CseMask) -> Rc<PlanChoice> {
         let eff_mask = mask & self.relevant_mask(g);

@@ -1,13 +1,13 @@
 //! The per-server CSE circuit breaker.
 //!
-//! PR 2's degradation ladder handles *one statement's* failures; the
-//! breaker aggregates them into fleet-level policy. Every normally-served
-//! request reports whether its CSE phase downgraded (budget trip, panic).
-//! When the downgrade rate over a sliding window of recent requests
-//! crosses a threshold, the breaker **opens**: requests are planned
-//! baseline-only (no CSE phase at all — so no per-request ladder walking,
-//! no repeated `catch_unwind` of a phase that is known to be unhealthy)
-//! until a cooldown passes. The first admission after the
+//! The pipeline's baseline fallback handles *one request's* CSE-phase
+//! failure; the breaker aggregates them into fleet-level policy. Every
+//! normally-served request reports whether its CSE phase downgraded
+//! (budget trip, panic). When the downgrade rate over a sliding window of
+//! recent requests crosses a threshold, the breaker **opens**: requests
+//! are planned baseline-only (no CSE phase at all — so no work spent on a
+//! phase that is known to be unhealthy and then thrown away) until a
+//! cooldown passes. The first admission after the
 //! cooldown becomes a **half-open probe** that runs the full CSE phase; a
 //! clean probe closes the breaker, a downgraded or failed one re-opens it.
 //!

@@ -23,7 +23,7 @@
 //! - [`breaker::Breaker`]: a per-server circuit breaker over the CSE
 //!   phase's downgrade/panic rate. When the rate trips a threshold in a
 //!   sliding window, the server serves baseline-only plans (the fleet-level
-//!   analogue of the per-statement degradation ladder) until a half-open
+//!   analogue of the per-request baseline fallback) until a half-open
 //!   probe succeeds.
 //!
 //! Every terminal state is structured: a request either completes

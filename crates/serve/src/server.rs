@@ -80,7 +80,8 @@ pub struct ServerConfig {
     /// disables memory governance (the single-session behaviour). With a
     /// budget set, every attempt takes a [`MemReservation`] before
     /// planning; Critical pool pressure sheds new admissions with
-    /// `SHED_MEMORY`, Elevated pressure caps the planning rung.
+    /// `SHED_MEMORY`, and from Elevated pressure up a request is planned
+    /// on the baseline rung.
     pub mem_budget: Option<usize>,
     /// Initial per-request reservation grant (grows on demand in
     /// [`cse_govern::memory::GRANT_CHUNK`] steps).
@@ -164,7 +165,7 @@ pub struct BatchReply {
     pub id: u64,
     pub results: Vec<ResultSet>,
     pub metrics: ExecMetrics,
-    /// Degradation-ladder rung the plan was produced on.
+    /// The rung the plan was produced on.
     pub rung: Rung,
     /// Planning + execution degradations, in order.
     pub events: Vec<DegradationEvent>,
@@ -505,11 +506,6 @@ impl Server {
         }
     }
 
-    /// Racy queue depth, for monitoring only.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Stop admissions, finish everything already queued, join the workers
     /// and the watchdog, and return the final counters. Idempotent;
     /// submissions racing with the close are rejected `SHED_SHUTDOWN`.
@@ -740,34 +736,29 @@ fn run_attempt_inner(
     let admission = shared.breaker.admit();
     let mut cfg = shared.cfg.cse.clone();
     cfg.cancel = attempt_token.clone();
-    // Where the ladder starts is decided here, and reported here: an open
+    // Where the request starts is decided here, and reported here: an open
     // breaker forces the baseline rung, so clients see they were served
-    // under it (OPT_FORCED); under memory pressure the plan holds fewer
-    // (Elevated, MEM_PRESSURE) or no (Critical, OPT_FORCED) spools —
-    // sharing is only a win when the materialization resource exists. A
-    // probe is exempt: it must run the full CSE phase to measure health,
-    // and its `record_probe` must not be skewed by the pool's state.
+    // under it (OPT_FORCED); under Elevated or Critical memory pressure the
+    // plan holds no spools (MEM_PRESSURE) — sharing is only a win when the
+    // materialization resource exists. A probe is exempt: it must run the
+    // CSE phase to measure health, and its `record_probe` must not be
+    // skewed by the pool's state.
     let lowered = match admission {
-        Admission::BaselineOnly => Some((Rung::Baseline, Reason::OptForced, "open breaker")),
+        Admission::BaselineOnly => Some((Reason::OptForced, "open breaker".to_string())),
         Admission::Probe => None,
-        Admission::Full => match shared.governor.as_ref().map(MemoryGovernor::pressure) {
-            Some(Pressure::Critical) => Some((
-                Rung::Baseline,
-                Reason::OptForced,
-                "critical memory pressure",
-            )),
-            Some(Pressure::Elevated) => {
-                Some((Rung::CappedCse, Reason::MemPressure, "memory pressure"))
-            }
-            _ => None,
-        },
+        Admission::Full => shared
+            .governor
+            .as_ref()
+            .map(MemoryGovernor::pressure)
+            .filter(|p| *p >= Pressure::Elevated)
+            .map(|p| (Reason::MemPressure, format!("{p} memory pressure"))),
     };
     let admitted = lowered
-        .filter(|(to, ..)| *to > cfg.start_rung)
-        .map(|(to, reason, why)| {
-            let from = std::mem::replace(&mut cfg.start_rung, to);
-            let detail = format!("{why} lowered the starting rung to {to}");
-            DegradationEvent::opt(reason, "admission", from, to, detail)
+        .filter(|_| cfg.start_rung != Rung::Baseline)
+        .map(|(reason, why)| {
+            cfg.start_rung = Rung::Baseline;
+            let detail = format!("{why} lowered the starting rung to baseline");
+            DegradationEvent::new(reason, "admission", detail)
         });
 
     assert_no_lock_held("planning");

@@ -1,5 +1,5 @@
-//! Pass 6: downgrade audit. When the optimization budget trips (or the
-//! ladder starts on the baseline rung), the pipeline promises a *genuine*
+//! Pass 6: downgrade audit. When the CSE phase trips (or the request
+//! starts on the baseline rung), the pipeline promises a *genuine*
 //! baseline plan: no covering-subexpression operators anywhere. This pass
 //! mechanically checks that promise on the final physical plan — a
 //! half-degraded hybrid (a `CseRead` with no spool, or a spool nobody
@@ -12,7 +12,7 @@ use cse_optimizer::{FullPlan, PhysicalPlan};
 
 /// Verify that `plan` is a valid baseline plan: no `CseRead` operators in
 /// any statement and no retained spool definitions. Run by the pipeline
-/// whenever the degradation ladder bottomed out at the baseline rung.
+/// whenever a plan came off the baseline rung.
 pub fn verify_downgrade(plan: &FullPlan) -> Report {
     let mut report = Report::new();
     plan.root.visit(&mut |p| {

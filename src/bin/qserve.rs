@@ -132,7 +132,8 @@ fn main() {
                     .expect("--retries expects an integer");
             }
             // Global memory budget (bytes, k/m/g suffixes); enables the
-            // memory governor: reservations, pressure ladder, SHED_MEMORY.
+            // memory governor: reservations, baseline planning under
+            // pressure, SHED_MEMORY.
             "--mem-budget" => {
                 let v = args.next().expect("--mem-budget expects bytes[k|m|g]");
                 mem_budget = Some(parse_bytes(&v).unwrap_or_else(|| {

@@ -52,9 +52,9 @@ fn main() {
                     }
                 };
             }
-            // Optimization budget: wall-clock deadline for the CSE phase.
-            // A tripped budget degrades (full → capped → baseline) and
-            // reports the downgrade; it never fails the query.
+            // Optimization budget: one wall-clock deadline for the CSE
+            // phase. A tripped budget returns the baseline plan and
+            // reports one OPT_DEADLINE downgrade; it never fails the query.
             "--budget-ms" => {
                 budget_ms = Some(
                     args.next()
@@ -62,14 +62,12 @@ fn main() {
                         .expect("--budget-ms expects an integer"),
                 );
             }
-            // Start the ladder on the baseline rung, skipping the CSE phase
-            // outright, and report it as OPT_FORCED with every batch.
+            // Start on the baseline rung, skipping the CSE phase outright,
+            // and report it as OPT_FORCED with every batch.
             "--no-cse-fallback-only" => {
-                forced = Some(DegradationEvent::opt(
+                forced = Some(DegradationEvent::new(
                     Reason::OptForced,
                     "admission",
-                    Rung::FullCse,
-                    Rung::Baseline,
                     "--no-cse-fallback-only forced the baseline rung",
                 ));
             }

@@ -59,7 +59,7 @@ pub use session::{BatchOutcome, Error, Session};
 pub mod prelude {
     pub use crate::session::{BatchOutcome, Session};
     pub use cse_core::{
-        create_materialized_view, maintain_insert, optimize_sql, CseConfig, CseReport, GenConfig,
+        create_materialized_view, maintain_insert, optimize_sql, CseConfig, CseReport,
         MaintenancePlans, Optimized,
     };
     pub use cse_durable::{DurableCatalog, DurableOptions, FileStore, SimStore};

@@ -7,7 +7,7 @@
 
 use cse_core::{CseConfig, CseReport, MaintenancePlans, MaintenanceReport, Optimized};
 use cse_exec::{Engine, ExecCtx, ExecError, ExecMetrics, ExecOutput, ResultSet};
-use cse_govern::{CancelToken, DegradationEvent, FailpointRegistry, Reason, Rung};
+use cse_govern::{DegradationEvent, FailpointRegistry, Reason, Rung};
 use cse_storage::{Catalog, Row, Table};
 use std::fmt;
 
@@ -41,8 +41,8 @@ pub struct BatchOutcome {
     pub results: Vec<ResultSet>,
     pub report: CseReport,
     pub metrics: ExecMetrics,
-    /// Every degradation across planning *and* execution: optimizer-side
-    /// ladder events (budget trips, panics), then the execution fault the
+    /// Every degradation across planning *and* execution: the optimizer's
+    /// event (a budget trip or a panic), then the execution fault the
     /// batch was re-planned on the baseline rung for, if any.
     pub events: Vec<DegradationEvent>,
 }
@@ -119,35 +119,13 @@ impl Session {
     }
 
     /// Optimize and execute a SQL batch (statements separated by `;`),
-    /// under the configured governance: starting rung, optimization budget
-    /// and fault injection.
+    /// under the configured governance: starting rung, optimization budget,
+    /// fault injection and cancellation token. A recoverable execution
+    /// fault re-plans the whole batch on the baseline rung and runs it
+    /// again with the failpoints disarmed and the token kept: answering
+    /// comes before governing, and a canceled request still stops.
     pub fn query(&self, sql: &str) -> Result<BatchOutcome, Error> {
-        self.query_under(sql, &self.config)
-    }
-
-    /// [`Session::query`] under a cancellation token: the token is checked
-    /// cooperatively at the optimizer's stage boundaries and hot loops and
-    /// every few thousand rows inside the interpreter, so an expired
-    /// deadline or an explicit [`CancelToken::cancel`] (e.g. from a
-    /// watchdog thread) stops the batch promptly without killing the
-    /// calling thread. A canceled request fails with a `REQ_CANCELED` /
-    /// `REQ_DEADLINE` message rather than degrading.
-    pub fn query_with_cancel(
-        &self,
-        sql: &str,
-        cancel: &CancelToken,
-    ) -> Result<BatchOutcome, Error> {
-        let mut config = self.config.clone();
-        config.cancel = cancel.clone();
-        self.query_under(sql, &config)
-    }
-
-    /// Optimize under `config` and execute under its failpoints and
-    /// cancellation token. A recoverable execution fault re-plans the whole
-    /// batch on the baseline rung and runs it again with the failpoints
-    /// disarmed and the token kept: answering comes before governing, and
-    /// a canceled request still stops.
-    fn query_under(&self, sql: &str, config: &CseConfig) -> Result<BatchOutcome, Error> {
+        let config = &self.config;
         let (optimized, run) = self.run(sql, config)?;
         let mut events = optimized.report.degradations.clone();
         let (optimized, out) = match run {
@@ -158,7 +136,7 @@ impl Session {
                     _ => Reason::ExecFaultInjected,
                 };
                 let detail = format!("{e}; re-planned on the baseline rung");
-                events.push(DegradationEvent::exec(reason, "execution", detail));
+                events.push(DegradationEvent::new(reason, "execution", detail));
                 let baseline = CseConfig {
                     start_rung: Rung::Baseline,
                     failpoints: FailpointRegistry::disabled(),

@@ -53,7 +53,7 @@ fn exercise(site: &str) -> FailpointRegistry {
     match site {
         // Spool materialization and the (deliberately panicking)
         // CSE-phase hook both need a batch that actually shares a
-        // subexpression; the ladder isolates the latter.
+        // subexpression; the CSE phase's panic net isolates the latter.
         sites::SPOOL_MATERIALIZE | sites::OPT_CSE_PHASE => {
             let catalog = generate_catalog(&TpchConfig::new(0.002));
             let optimized = optimize_sql(&catalog, CSE_BATCH, &cfg).expect("optimize");

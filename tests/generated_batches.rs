@@ -8,7 +8,8 @@
 //! one row and as the equal `Float` on the next) and a batch of 2–6
 //! similar SPJG statements over the customer/orders/lineitem/nation/part
 //! templates. The oracle is the plain plan: `NoCse ≡ Cse ≡
-//! CseNoHeuristics ≡ a session's baseline re-plan under a spool failpoint`,
+//! CseNoHeuristics ≡ a session's baseline re-plan under a spool failpoint`;
+//! a CSE phase tripped by a zero budget returns the no-CSE plan itself,
 //! and appending a duplicate statement or permuting the batch changes no
 //! statement's result. Every plan executes exactly the spools it was
 //! charged for, and the arms that share end on the full rung: a caught
@@ -388,7 +389,7 @@ fn check_seed(seed: u64) -> (bool, bool, bool) {
         tag("explore")
     );
 
-    let (_, reference) = run(
+    let (no_cse, reference) = run(
         &catalog,
         &batch,
         &CseConfig::no_cse(),
@@ -397,6 +398,37 @@ fn check_seed(seed: u64) -> (bool, bool, bool) {
     );
     let want = &reference.results;
     assert_same(&batch, want, want, |i| i, &tag("no-cse"));
+
+    // A CSE phase tripped by a zero budget returns the baseline plan the
+    // request already holds: the no-CSE arm's plan, with one event.
+    let tripped = CseConfig {
+        budget: Budget::with_time_ms(0),
+        ..CseConfig::default()
+    };
+    let o = optimize_sql(&catalog, &sql, &tripped)
+        .unwrap_or_else(|e| panic!("{}: {e}\n{sql}", tag("tripped")));
+    let codes: Vec<_> = o
+        .report
+        .degradations
+        .iter()
+        .map(|e| e.reason.code())
+        .collect();
+    assert!(
+        o.report.rung == Rung::Baseline && codes == ["OPT_DEADLINE"],
+        "{}: ended on {} after {codes:?}\n{sql}",
+        tag("tripped"),
+        o.report.rung
+    );
+    assert_eq!(
+        o.plan.root.render(),
+        no_cse.root.render(),
+        "{}: the plan differs from the no-CSE plan\n{sql}",
+        tag("tripped")
+    );
+    let out = Engine::new(&catalog, &o.ctx)
+        .execute(&o.plan)
+        .unwrap_or_else(|e| panic!("{}: {e}\n{sql}", tag("tripped")));
+    assert_same(&batch, &out.results, want, |i| i, &tag("tripped"));
 
     // The twin a duplicate statement copies and the permuted order.
     let n = batch.len();

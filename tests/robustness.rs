@@ -90,11 +90,11 @@ fn fail_config(site: &str, prob: f64) -> CseConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Optimizer-side ladder
+// Optimizer-side fallback
 // ---------------------------------------------------------------------------
 
-/// A zero-millisecond budget must land on the baseline rung with deadline
-/// events on the way down — and still answer correctly.
+/// A zero-millisecond budget must land on the baseline rung with one
+/// deadline event — and still answer correctly.
 #[test]
 fn zero_budget_degrades_to_baseline() {
     let catalog = catalog();
@@ -110,128 +110,60 @@ fn zero_budget_degrades_to_baseline() {
         "baseline plan must not retain spools"
     );
     let seen = codes(&opt.report.degradations);
-    assert!(
-        seen.iter().all(|c| *c == "OPT_DEADLINE"),
-        "only deadline events expected: {seen:?}"
-    );
-    assert!(
-        seen.len() >= 2,
-        "full and capped rungs must both trip: {seen:?}"
-    );
+    assert_eq!(seen, ["OPT_DEADLINE"], "one clock, one trip");
     assert_matches_reference(&out.results, &want, "zero-budget");
 }
 
-/// A one-group-expression memo cap trips the full rung on OPT_MEMO_CAP.
+/// A tripped or panicked CSE phase returns the baseline plan the request
+/// computed before the phase: the same plan, spools and cost as a request
+/// started on the baseline rung, with one event and no candidates. (Both
+/// run under `verify`, so pass 6 also audits the fallback plan.)
 #[test]
-fn memo_cap_trips_with_stable_code() {
-    let catalog = catalog();
-    let want = reference(&catalog, &batch());
-    let cfg = CseConfig {
-        budget: Budget {
-            max_memo_gexprs: Some(1),
-            ..Budget::unlimited()
-        },
-        ..CseConfig::default()
-    };
-    let (opt, out) = drive(&catalog, &batch(), &cfg);
-    assert_eq!(opt.report.rung, Rung::Baseline);
-    assert!(
-        codes(&opt.report.degradations).contains(&"OPT_MEMO_CAP"),
-        "events: {:?}",
-        opt.report.degradations
-    );
-    assert_matches_reference(&out.results, &want, "memo-cap");
-}
-
-/// A candidate cap of zero trips the full rung (OPT_CAND_CAP); the capped
-/// rung truncates instead of tripping, so the query still plans and runs.
-#[test]
-fn candidate_cap_trips_full_rung_then_recovers_on_capped() {
-    let catalog = catalog();
-    let want = reference(&catalog, &batch());
-    let cfg = CseConfig {
-        budget: Budget {
-            max_candidates: Some(0),
-            ..Budget::unlimited()
-        },
-        ..CseConfig::default()
-    };
-    let (opt, out) = drive(&catalog, &batch(), &cfg);
-    assert_eq!(
-        opt.report.rung,
-        Rung::CappedCse,
-        "capped rung truncates rather than trips: {:?}",
-        opt.report.degradations
-    );
-    assert!(codes(&opt.report.degradations).contains(&"OPT_CAND_CAP"));
-    assert_matches_reference(&out.results, &want, "candidate-cap");
-}
-
-/// Cost bounds and required columns are derived once per request and shared
-/// down the ladder. A request whose full rung trips on the candidate cap and
-/// lands on the capped rung must therefore plan exactly like the same request
-/// started on the capped rung, where those facts serve one rung only. (Both
-/// run under `verify`, so pass 5 also diffs the shared bounds against freshly
-/// recomputed winners.)
-#[test]
-fn tripped_full_rung_plans_like_a_capped_start() {
+fn tripped_cse_phase_plans_like_a_baseline_start() {
     let catalog = catalog();
     let summary = |o: &Optimized| {
-        let candidates: Vec<_> = o
-            .report
-            .candidates
-            .iter()
-            .map(|c| (c.tables.clone(), c.consumers, c.est_rows))
-            .collect();
         let mut plan = o.plan.root.render();
         for (id, spool) in &o.plan.spools {
             plan.push_str(&format!("spool {id}:\n{}", spool.plan.render()));
         }
-        (
-            candidates,
-            o.report.cse_optimizations,
-            o.report.final_cost,
-            plan,
-        )
+        (o.report.final_cost, plan)
     };
+    let tripping = [
+        (
+            "OPT_DEADLINE",
+            CseConfig {
+                budget: Budget::with_time_ms(0),
+                ..CseConfig::default()
+            },
+        ),
+        ("OPT_PANIC", fail_config(sites::OPT_CSE_PHASE, 1.0)),
+    ];
     for (name, sql) in [
         ("table2", workloads::table2_batch()),
         ("table4", workloads::complex_join_batch()),
     ] {
-        let capped_budget = CseConfig {
-            budget: Budget {
-                max_candidates: Some(1),
-                ..Budget::unlimited()
-            },
-            ..CseConfig::default()
-        };
-        let tripped = optimize_sql(&catalog, &sql, &capped_budget).expect("tripped optimize");
-        assert_eq!(tripped.report.rung, Rung::CappedCse, "{name}");
-        assert!(
-            codes(&tripped.report.degradations).contains(&"OPT_CAND_CAP"),
-            "{name}: the full rung must trip on the cap: {:?}",
-            tripped.report.degradations
-        );
-        assert!(
-            !tripped.report.candidates.is_empty(),
-            "{name}: the capped rung must still share"
-        );
-        let started = optimize_sql(
-            &catalog,
-            &sql,
-            &CseConfig {
-                start_rung: Rung::CappedCse,
-                ..capped_budget
-            },
-        )
-        .expect("capped-start optimize");
-        assert_eq!(started.report.rung, Rung::CappedCse, "{name}");
-        assert_eq!(summary(&tripped), summary(&started), "{name}");
+        let started = optimize_sql(&catalog, &sql, &CseConfig::no_cse()).expect("no-CSE optimize");
+        for (code, cfg) in &tripping {
+            let tripped = optimize_sql(&catalog, &sql, cfg).expect("tripped optimize");
+            assert_eq!(tripped.report.rung, Rung::Baseline, "{name} {code}");
+            assert_eq!(
+                codes(&tripped.report.degradations),
+                [*code],
+                "{name}: exactly one event"
+            );
+            assert!(
+                tripped.report.candidates.is_empty(),
+                "{name} {code}: a tripped phase leaves no candidates"
+            );
+            assert_eq!(tripped.report.spools_used, 0, "{name} {code}");
+            assert_eq!(summary(&tripped), summary(&started), "{name} {code}");
+        }
     }
 }
 
-/// A ladder started on its floor skips the CSE phase outright — detection
-/// included — and records nothing: whoever lowered the start reports why.
+/// A request started on the baseline rung skips the CSE phase outright —
+/// detection included — and records nothing: whoever lowered the start
+/// reports why.
 #[test]
 fn baseline_start_rung_skips_the_cse_phase() {
     let catalog = catalog();
@@ -281,8 +213,8 @@ fn cse_phase_panic_is_isolated_when_nothing_is_sharable() {
     assert_matches_reference(&out.results, &want, "opt-panic, nothing sharable");
 }
 
-/// Detection belongs to the request, not to a rung: a request whose rungs
-/// all trip reports the sharable signatures it reports untripped.
+/// Detection belongs to the request, not to the CSE phase: a request whose
+/// phase trips reports the sharable signatures it reports untripped.
 #[test]
 fn tripped_rungs_still_report_detection() {
     let catalog = catalog();

@@ -36,9 +36,7 @@ fn walk<T>(first: T, next: impl Fn(&T) -> Option<T>) -> Vec<T> {
 fn next_reason(r: &Reason) -> Option<Reason> {
     use Reason::*;
     Some(match r {
-        OptDeadline => OptMemoCap,
-        OptMemoCap => OptCandidateCap,
-        OptCandidateCap => OptPanic,
+        OptDeadline => OptPanic,
         OptPanic => OptForced,
         OptForced => ExecFaultInjected,
         ExecFaultInjected => MemReservation,
