@@ -5,6 +5,7 @@
 //! classes, equijoin graphs and predicate implication. This is the shared
 //! vocabulary of the memo, the optimizer and the CSE machinery.
 
+#![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -117,7 +117,7 @@ pub fn view_maintenance(sf: f64, insert_count: usize) -> (MaintenanceOutcome, Ma
             let contents: Vec<Vec<Row>> = workloads::maintenance_views()
                 .iter()
                 .map(|(vname, _)| {
-                    let mut rows = catalog.table(vname).unwrap().rows().to_vec();
+                    let mut rows = catalog.table(vname).unwrap().rows();
                     rows.sort_by(|a, b| {
                         for (x, y) in a.iter().zip(b.iter()) {
                             let o = x.total_cmp(y);

@@ -5,6 +5,8 @@
 //! measurement harness, and the experiment drivers behind the `report`
 //! binary.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod harness;
 pub mod workloads;

@@ -19,6 +19,7 @@
 //!   planned as `CatalogMutation`s over the storage layer's delta table,
 //!   with the maintenance batch cached per base table.
 
+#![forbid(unsafe_code)]
 // Fallible paths must surface `Result`s, not panic; tests may unwrap.
 #![deny(
     clippy::unwrap_used,

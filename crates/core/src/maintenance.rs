@@ -34,7 +34,7 @@ use cse_optimizer::{FullPlan, PhysicalPlan};
 use cse_sql::ast::{AggName, Expr, ExprKind, SelectItem, Statement};
 use cse_sql::SelectStmt;
 use cse_storage::delta::{DeltaAction, DeltaTable};
-use cse_storage::{row, Catalog, CatalogMutation, MaterializedView, Row, SchemaRef, Table, Value};
+use cse_storage::{Catalog, CatalogMutation, MaterializedView, Row, SchemaRef, Table, Value};
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
@@ -274,9 +274,8 @@ impl MaintenancePlan {
         let mut mutations = Vec::with_capacity(self.views.len() + 1);
         for ((name, result), merge) in self.views.iter().zip(out.results).zip(&self.merge_plans) {
             let stored = catalog.table(name)?;
-            let merged = merge_rows(&stored, &result.rows, merge);
             mutations.push(CatalogMutation::ReplaceTable {
-                table: Table::with_rows(name, stored.schema().as_ref().clone(), merged),
+                table: merge_rows(&stored, &result.rows, merge),
             });
         }
         Ok((mutations, out.metrics))
@@ -438,12 +437,12 @@ fn merge_plan_of(select: &SelectStmt) -> Result<Vec<MergeKind>, String> {
 /// Stored ⊕ delta is the executor's own aggregate merge, so a maintained
 /// view holds what recomputing it would (an integer sum that leaves the
 /// i64 range carries on as a float).
-fn merge_rows(stored: &Table, delta: &[Row], plan: &[MergeKind]) -> Vec<Row> {
+fn merge_rows(stored: &Table, delta: &[Row], plan: &[MergeKind]) -> Table {
     let key_of = |r: &[Value]| -> Vec<Value> {
         let keys = plan.iter().zip(r).filter(|(k, _)| k.is_none());
         keys.map(|(_, v)| v.clone()).collect()
     };
-    let mut rows: Vec<Vec<Value>> = stored.rows().iter().map(|r| r.to_vec()).collect();
+    let mut rows: Vec<Vec<Value>> = stored.scan().map(<[Value]>::to_vec).collect();
     let mut index: HashMap<Vec<Value>, usize> = HashMap::with_capacity(rows.len());
     for (i, r) in rows.iter().enumerate() {
         index.insert(key_of(r), i);
@@ -466,7 +465,9 @@ fn merge_rows(stored: &Table, delta: &[Row], plan: &[MergeKind]) -> Vec<Row> {
             }
         }
     }
-    rows.into_iter().map(row).collect()
+    let mut merged = Table::new(stored.name(), stored.schema().as_ref().clone());
+    rows.into_iter().for_each(|r| merged.push_values(r));
+    merged
 }
 
 /// Infer a storage schema from delivered result columns and rows.

@@ -5,6 +5,8 @@
 //! formulas (including the spool write/read costs C_W and C_R that drive
 //! the paper's heuristics).
 
+#![forbid(unsafe_code)]
+
 pub mod cardinality;
 pub mod model;
 pub mod selectivity;

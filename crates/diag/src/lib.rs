@@ -11,6 +11,8 @@
 //! `covering/…`, `costing/…`, `downgrade/…` families; `cse-lint` owns the
 //! `lint/…` family. This crate only provides the carrier types.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::fmt;
 

@@ -8,9 +8,11 @@
 use crate::DurableError;
 use cse_storage::delta::DeltaTable;
 use cse_storage::schema::{ColumnDef, Schema};
-use cse_storage::table::{row, Row, Table};
+use cse_storage::table::Table;
 use cse_storage::value::{DataType, Value};
 use cse_storage::CatalogMutation;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Decode cursor over a payload slice.
 pub struct Reader<'a> {
@@ -58,9 +60,13 @@ impl<'a> Reader<'a> {
     }
 
     fn str(&mut self, what: &'static str) -> Result<String, DurableError> {
+        Ok(self.text(what)?.to_string())
+    }
+
+    fn text(&mut self, what: &'static str) -> Result<&'a str, DurableError> {
         let len = self.u32(what)? as usize;
         let b = self.take(len, what)?;
-        String::from_utf8(b.to_vec()).map_err(|_| truncated(what))
+        std::str::from_utf8(b).map_err(|_| truncated(what))
     }
 }
 
@@ -124,12 +130,23 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn read_value(r: &mut Reader) -> Result<Value, DurableError> {
+/// The strings one decoded mutation has stored so far: each distinct text
+/// is allocated once, however many rows repeat it.
+type Strings = HashSet<Arc<str>>;
+
+fn read_value(r: &mut Reader, strings: &mut Strings) -> Result<Value, DurableError> {
     Ok(match r.u8("value tag")? {
         0 => Value::Null,
         1 => Value::Int(r.u64("int value")? as i64),
         2 => Value::Float(f64::from_bits(r.u64("float value")?)),
-        3 => Value::str(r.str("string value")?),
+        3 => {
+            let text = r.text("string value")?;
+            Value::Str(strings.get(text).cloned().unwrap_or_else(|| {
+                let s: Arc<str> = Arc::from(text);
+                strings.insert(s.clone());
+                s
+            }))
+        }
         4 => Value::Date(r.u32("date value")? as i32),
         5 => Value::Bool(r.u8("bool value")? != 0),
         _ => return Err(truncated("value tag")),
@@ -164,40 +181,39 @@ fn read_schema(r: &mut Reader) -> Result<Schema, DurableError> {
     Ok(Schema::new(cols))
 }
 
-fn put_rows(out: &mut Vec<u8>, rows: &[Row]) {
-    put_u32(out, rows.len() as u32);
-    for r in rows {
-        for v in r.iter() {
+fn put_rows(out: &mut Vec<u8>, t: &Table) {
+    put_u32(out, t.row_count() as u32);
+    for r in t.scan() {
+        for v in r {
             put_value(out, v);
         }
     }
 }
 
-fn read_rows(r: &mut Reader, arity: usize) -> Result<Vec<Row>, DurableError> {
+/// Decode rows straight into `t`'s slab.
+fn read_rows(r: &mut Reader, t: &mut Table, strings: &mut Strings) -> Result<(), DurableError> {
     let n = r.u32("row count")? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
+    let mut vals = Vec::with_capacity(t.schema().len());
     for _ in 0..n {
-        let mut vals = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            vals.push(read_value(r)?);
+        for _ in 0..t.schema().len() {
+            vals.push(read_value(r, strings)?);
         }
-        rows.push(row(vals));
+        t.push_values(vals.drain(..));
     }
-    Ok(rows)
+    Ok(())
 }
 
 fn put_table(out: &mut Vec<u8>, t: &Table) {
     put_str(out, t.name());
     put_schema(out, t.schema());
-    put_rows(out, t.rows());
+    put_rows(out, t);
 }
 
 fn read_table(r: &mut Reader) -> Result<Table, DurableError> {
     let name = r.str("table name")?;
-    let schema = read_schema(r)?;
-    let arity = schema.len();
-    let rows = read_rows(r, arity)?;
-    Ok(Table::with_rows(name, schema, rows))
+    let mut table = Table::new(name, read_schema(r)?);
+    read_rows(r, &mut table, &mut Strings::new())?;
+    Ok(table)
 }
 
 /// Serialize one catalog mutation into a WAL payload.
@@ -238,8 +254,8 @@ pub fn encode_mutation(m: &CatalogMutation) -> Vec<u8> {
             out.push(6);
             put_str(&mut out, &delta.base);
             put_schema(&mut out, delta.inserts.schema());
-            put_rows(&mut out, delta.inserts.rows());
-            put_rows(&mut out, delta.deletes.rows());
+            put_rows(&mut out, &delta.inserts);
+            put_rows(&mut out, &delta.deletes);
         }
     }
     out
@@ -274,13 +290,10 @@ pub fn decode_mutation(payload: &[u8]) -> Result<CatalogMutation, DurableError> 
         },
         6 => {
             let base = r.str("delta base")?;
-            let schema = read_schema(&mut r)?;
-            let arity = schema.len();
-            let inserts = read_rows(&mut r, arity)?;
-            let deletes = read_rows(&mut r, arity)?;
-            let mut delta = DeltaTable::new(base, &schema);
-            delta.inserts.extend(inserts);
-            delta.deletes.extend(deletes);
+            let mut delta = DeltaTable::new(base, &read_schema(&mut r)?);
+            let mut strings = Strings::new();
+            read_rows(&mut r, &mut delta.inserts, &mut strings)?;
+            read_rows(&mut r, &mut delta.deletes, &mut strings)?;
             CatalogMutation::ApplyDelta { delta }
         }
         _ => return Err(truncated("mutation tag")),
@@ -295,6 +308,7 @@ pub fn decode_mutation(payload: &[u8]) -> Result<CatalogMutation, DurableError> 
 mod tests {
     use super::*;
     use cse_storage::delta::DeltaAction;
+    use cse_storage::table::row;
 
     fn sample_table() -> Table {
         let schema = Schema::new(vec![
@@ -340,6 +354,32 @@ mod tests {
         assert_eq!(table.name(), orig.name());
         assert_eq!(table.schema().as_ref(), orig.schema().as_ref());
         assert_eq!(table.rows(), orig.rows());
+    }
+
+    /// Decoding allocates each distinct string of a table once: rows that
+    /// repeat a text share it, whether or not the encoded table did.
+    #[test]
+    fn decoded_equal_strings_share_one_allocation() {
+        let schema = Schema::from_pairs(&[("a", DataType::Str), ("b", DataType::Str)]);
+        let texts = ["MAIL", "SHIP", "MAIL", "AIR", "SHIP", "MAIL"];
+        let rows = texts.iter().map(|t| [Value::str(t), Value::str(t)]);
+        let table = Table::with_rows("t", schema, rows);
+        let m = roundtrip(&CatalogMutation::RegisterTable { table });
+        let CatalogMutation::RegisterTable { table } = m else {
+            panic!("wrong variant");
+        };
+        let mut seen: Vec<Arc<str>> = Vec::new();
+        for (r, text) in table.scan().zip(texts) {
+            for v in r {
+                let Value::Str(s) = v else { panic!("a string") };
+                assert_eq!(&**s, text);
+                match seen.iter().find(|x| ***x == **s) {
+                    Some(first) => assert!(Arc::ptr_eq(first, s), "{text} twice"),
+                    None => seen.push(s.clone()),
+                }
+            }
+        }
+        assert_eq!(seen.len(), 3);
     }
 
     #[test]

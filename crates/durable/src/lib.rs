@@ -23,6 +23,8 @@
 //!
 //! [`CatalogMutation`]: cse_storage::CatalogMutation
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 pub mod codec;

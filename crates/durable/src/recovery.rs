@@ -92,8 +92,8 @@ pub fn recover<S: Store>(
 }
 
 fn entry_signature(e: &CatalogEntry) -> (Vec<u8>, usize, Vec<usize>, Vec<usize>) {
-    let mut rows: Vec<&cse_storage::Row> = e.table.rows().iter().collect();
-    rows.sort_by(|a, b| a.as_ref().cmp(b.as_ref()));
+    let mut rows: Vec<&[cse_storage::Value]> = e.table.scan().collect();
+    rows.sort();
     let mut digest = Vec::new();
     for r in rows {
         for v in r.iter() {

@@ -21,11 +21,11 @@
 
 use crate::error::ExecError;
 use crate::eval::{position, AggState, Bound};
-use crate::keys::{key_eq, key_hash, KeyTable, RowBuf};
+use crate::keys::{key_eq, key_hash, KeyTable};
 use cse_algebra::{AggExpr, ColRef, PlanContext, Scalar, SortOrder};
 use cse_govern::{sites, CancelToken, FailpointRegistry, MemReservation, MemScope, ReserveError};
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan};
-use cse_storage::{Catalog, Row, Table, Value};
+use cse_storage::{Catalog, Row, RowBuf, Table, Value};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound as RangeBound;
@@ -340,10 +340,9 @@ impl<'a> Engine<'a> {
             entry.map_err(|e| ExecError::Storage(e.to_string()))
         };
         match plan {
-            PhysicalPlan::TableScan { rel, layout } => {
+            PhysicalPlan::TableScan { rel, .. } => {
                 st.maybe_fail(sites::SCAN_TABLE)?;
-                let reads = positions(layout, need);
-                scan_table(entry_of(*rel)?.table.rows(), &reads, st, sink)
+                scan_rows(entry_of(*rel)?.table.scan().map(Ok), st, sink)
             }
             PhysicalPlan::IndexRangeScan {
                 rel,
@@ -366,9 +365,8 @@ impl<'a> Engine<'a> {
                     .find(|i| i.column == col.col as usize)
                     .filter(|_| interval.in_class_of(ty));
                 match idx {
-                    // Index dropped since planning: degrade to a scan, one
-                    // that prefetches nothing.
-                    None => scan_table(table.rows(), &[], st, &mut sink),
+                    // Index dropped since planning: degrade to a scan.
+                    None => scan_rows(table.scan().map(Ok), st, &mut sink),
                     Some(_) if interval.emptiness(ty).is_some() => Ok(()),
                     Some(idx) => {
                         fn side(s: &Option<(Value, bool)>) -> RangeBound<&Value> {
@@ -725,70 +723,9 @@ fn sources(cols: &[ColRef], side: &[ColRef]) -> Vec<(usize, usize)> {
 /// The stored row an index names. An index can lag its table (a rebuild
 /// racing a shrink): a stale row id is an error, not a panic on the
 /// serving path.
-fn stored_row<'t>(table: &'t Table, rid: u32, name: &str) -> ExecResult<&'t Row> {
+fn stored_row<'t>(table: &'t Table, rid: u32, name: &str) -> ExecResult<&'t [Value]> {
     let stale = || ExecError::Storage(format!("index rowid {rid} out of range for {name}"));
-    table.rows().get(rid as usize).ok_or_else(stale)
-}
-
-/// Push every row of a stored table, in table order, counting each as
-/// scanned. Each row is an allocation of its own, so before it pushes a row
-/// the scan prefetches the lines of the row [`PREFETCH_AHEAD`] further on
-/// that hold the columns at `reads`: that row's misses overlap the pipeline's
-/// work on the rows before it.
-fn scan_table(rows: &[Row], reads: &[usize], st: &mut RunState<'_>, sink: Sink<'_>) -> ExecResult {
-    for (i, r) in rows.iter().enumerate() {
-        if let Some(ahead) = rows.get(i + PREFETCH_AHEAD) {
-            prefetch(ahead, reads);
-        }
-        st.ctx.check_cancel_at(i)?;
-        st.metrics.base_rows_scanned += 1;
-        sink(r)?;
-    }
-    Ok(())
-}
-
-/// How many rows ahead of the row it pushes a table scan prefetches. Far
-/// enough that a row's lines have arrived by its turn, near enough that they
-/// are still cached: the smallest distance on the plateau of the sweep in
-/// DESIGN §9.1.
-const PREFETCH_AHEAD: usize = 16;
-
-/// Bytes in a cache line.
-const LINE: usize = 64;
-
-/// Ask the CPU to start loading the cache lines of `row` that hold the
-/// values at `cols`. A hint: it changes nothing the program can observe,
-/// and on other architectures than x86-64 it does nothing.
-fn prefetch(row: &[Value], cols: &[usize]) {
-    #[cfg(target_arch = "x86_64")]
-    for_each_line(row, cols, |at| {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: PREFETCHT0 needs SSE, which every x86-64 CPU has. It is a
-        // hint: it never faults, writes nothing and dereferences nothing the
-        // program can see, whatever the address; this one points inside a
-        // value of the live `row`.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(at.cast()) }
-    });
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (row, cols);
-}
-
-/// Call `f` with one address in each cache line that holds a value of `row`
-/// at `cols` (ascending positions): a value's first byte, and its last when
-/// it straddles two lines. Every address is inside a value of `row`; a
-/// position past its end names nothing.
-fn for_each_line(row: &[Value], cols: &[usize], mut f: impl FnMut(*const u8)) {
-    let mut last = None;
-    for value in cols.iter().filter_map(|c| row.get(*c)) {
-        let first = std::ptr::from_ref(value).cast::<u8>();
-        for at in [first, first.wrapping_add(CELL - 1)] {
-            let line = Some(at.addr() / LINE);
-            if line != last {
-                last = line;
-                f(at);
-            }
-        }
-    }
+    table.get(rid as usize).ok_or_else(stale)
 }
 
 /// Where the columns in `need` are among `cols`, in order.
@@ -797,18 +734,19 @@ fn positions(cols: &[ColRef], need: &Need) -> Vec<usize> {
     cols.iter().enumerate().filter_map(read).collect()
 }
 
-/// Push the stored rows `rows` finds, in its order, counting each as scanned.
+/// Push the stored rows `rows` yields, in its order, counting each as
+/// scanned: a table's slab, chunk by chunk, or the rows an index names.
 fn scan_rows<'t>(
-    rows: impl Iterator<Item = ExecResult<&'t Row>>,
+    rows: impl Iterator<Item = ExecResult<&'t [Value]>>,
     st: &mut RunState<'_>,
     sink: Sink<'_>,
 ) -> ExecResult {
-    for (i, r) in rows.enumerate() {
+    // Internal iteration: a slab's chunks become two nested loops.
+    rows.enumerate().try_for_each(|(i, r)| {
         st.ctx.check_cancel_at(i)?;
         st.metrics.base_rows_scanned += 1;
-        sink(r?)?;
-    }
-    Ok(())
+        sink(r?)
+    })
 }
 
 /// A sink that passes on the rows `pred` accepts.
@@ -918,7 +856,7 @@ impl Groups {
     /// columns then aggregates, through one row.
     fn emit(mut self, st: &mut RunState<'_>, sink: Sink<'_>) -> ExecResult {
         // A scalar aggregate over no rows is one group.
-        if self.key_pos.is_empty() && self.keys.len() == 0 {
+        if self.key_pos.is_empty() && self.keys.is_empty() {
             self.keys.push(std::iter::empty());
             self.states.extend_from_slice(&self.fresh);
         }
@@ -1037,14 +975,14 @@ mod tests {
         }
     }
 
-    /// The look-ahead runs off the end of the table at every length: with
-    /// no row, fewer rows than it looks ahead, exactly as many, one more,
-    /// and past a cancellation stride. A filtered scan still returns the
-    /// table's rows in table order, and a COUNT(*) over the scan, which
-    /// reads no column, still counts them all.
+    /// A scan walks the table's slab chunk by chunk: with no row, within
+    /// the first chunk, on both sides of a chunk boundary, and past a
+    /// cancellation stride. A filtered scan still returns the table's rows
+    /// in table order, and a COUNT(*) over the scan, which reads no column,
+    /// still counts them all.
     #[test]
-    fn table_scans_return_every_row_at_the_ends_of_the_look_ahead() {
-        let d = PREFETCH_AHEAD;
+    fn table_scans_return_every_row_across_chunk_boundaries() {
+        let d = cse_storage::CHUNK_ROWS;
         for n in [0, 1, d - 1, d, d + 1, 3 * CANCEL_STRIDE + 1] {
             let schema = Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]);
             let rows: Vec<Row> = (0..n as i64)
@@ -1088,58 +1026,5 @@ mod tests {
             assert_eq!(counted.results[0].rows, want, "COUNT(*) over {n} rows");
             assert_eq!(counted.metrics.base_rows_scanned, n);
         }
-    }
-
-    /// The addresses `for_each_line` names, and the distinct lines they are in.
-    fn lines(row: &[Value], cols: &[usize]) -> (Vec<usize>, BTreeSet<usize>) {
-        let mut at = Vec::new();
-        for_each_line(row, cols, |p| at.push(p.addr()));
-        let lines = at.iter().map(|a| a / LINE).collect();
-        (at, lines)
-    }
-
-    /// Where value `i` of `row` starts.
-    fn start(row: &[Value], i: usize) -> usize {
-        std::ptr::from_ref(&row[i]).addr()
-    }
-
-    #[test]
-    fn a_value_that_straddles_two_lines_prefetches_both() {
-        // Eight 24-byte values cover three 64-byte lines, so some value
-        // crosses a line boundary wherever the row starts.
-        let r = row((0..8).map(Value::Int).collect());
-        let straddles = |i: &usize| start(&r, *i) / LINE != (start(&r, *i) + CELL - 1) / LINE;
-        let i = (0..8).find(straddles).expect("a straddling value");
-        let (at, got) = lines(&r, &[i]);
-        let want = [start(&r, i) / LINE, (start(&r, i) + CELL - 1) / LINE];
-        assert_eq!(got, BTreeSet::from(want));
-        assert_eq!(at.len(), 2, "one address a line");
-        // A value inside one line is one address, its start.
-        let inside = (0..8)
-            .find(|i| !straddles(i))
-            .expect("a value inside a line");
-        assert_eq!(lines(&r, &[inside]).0, vec![start(&r, inside)]);
-    }
-
-    #[test]
-    fn prefetched_lines_stay_inside_the_row_and_name_each_line_once() {
-        let r = row((0..8).map(Value::Int).collect());
-        let (begin, end) = (start(&r, 0), start(&r, 0) + r.len() * CELL);
-        let every: Vec<usize> = (0..r.len()).collect();
-        let (at, got) = lines(&r, &every);
-        assert!(at.iter().all(|a| (begin..end).contains(a)), "{at:?}");
-        let want: BTreeSet<usize> = (begin / LINE..=(end - 1) / LINE).collect();
-        assert_eq!(got, want, "every line of the row");
-        assert_eq!(at.len(), want.len(), "no line twice");
-        // Positions past the last value address nothing.
-        assert_eq!(lines(&r, &[7, 8, 40]).0, lines(&r, &[7]).0);
-        assert!(lines(&r, &[8, 9]).0.is_empty());
-    }
-
-    #[test]
-    fn an_empty_read_set_prefetches_nothing() {
-        let r = row((0..8).map(Value::Int).collect());
-        assert!(lines(&r, &[]).0.is_empty(), "COUNT(*) reads no column");
-        assert!(lines(&[], &[0, 1]).0.is_empty(), "a row with no values");
     }
 }

@@ -149,63 +149,6 @@ impl KeyTable {
     }
 }
 
-/// Rows a breaker holds: `width` values a row, no allocation per row. The
-/// first chunk grows as it fills; a full chunk is followed by one allocated
-/// at exactly its size, so held rows are never moved again and the buffer
-/// never reserves more than a chunk beyond what it holds.
-pub(crate) struct RowBuf {
-    width: usize,
-    len: usize,
-    chunks: Vec<Vec<Value>>,
-}
-
-const CHUNK_ROWS: usize = 1024;
-
-impl RowBuf {
-    pub(crate) fn new(width: usize) -> Self {
-        RowBuf {
-            width,
-            len: 0,
-            chunks: Vec::new(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// What the held rows are charged as.
-    pub(crate) fn bytes(&self) -> usize {
-        self.len * self.width.max(1) * std::mem::size_of::<Value>()
-    }
-
-    /// Append a row; `row` yields exactly `width` values.
-    #[expect(
-        clippy::expect_used,
-        reason = "a chunk is pushed above whenever the last one is full, including the first row"
-    )]
-    pub(crate) fn push(&mut self, row: impl Iterator<Item = Value>) {
-        if self.len.is_multiple_of(CHUNK_ROWS) {
-            let reserve = if self.len == 0 { 0 } else { CHUNK_ROWS };
-            self.chunks.push(Vec::with_capacity(reserve * self.width));
-        }
-        let chunk = self.chunks.last_mut().expect("a chunk was pushed above");
-        chunk.extend(row);
-        self.len += 1;
-        debug_assert_eq!(chunk.len(), ((self.len - 1) % CHUNK_ROWS + 1) * self.width);
-    }
-
-    #[inline]
-    pub(crate) fn row(&self, i: usize) -> &[Value] {
-        &self.chunks[i / CHUNK_ROWS][i % CHUNK_ROWS * self.width..][..self.width]
-    }
-
-    /// Every row, in insertion order.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = &[Value]> {
-        (0..self.len).map(|i| self.row(i))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,6 +4,7 @@
 //! joins, hash aggregation, sort), spool work tables computed once and
 //! shared across consumers, and execution metrics.
 
+#![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -453,7 +453,7 @@ fn index_join_faults_and_missing_or_stale_indexes_are_errors() {
 
     // An index over more rows than the table now holds.
     let mut stale = cat.get("r").unwrap().clone();
-    let shrunk = Table::with_rows("r", stale.table.schema().as_ref().clone(), Vec::new());
+    let shrunk = Table::new("r", stale.table.schema().as_ref().clone());
     stale.table = std::sync::Arc::new(shrunk);
     cat.put_entry_for_test("r", stale);
     let err = execute(&cat, FailpointRegistry::disabled()).unwrap_err();

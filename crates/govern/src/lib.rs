@@ -22,6 +22,7 @@
 //!   mutex through; debug builds count held guards so
 //!   [`assert_no_lock_held`] can keep locks out of planning and execution.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 

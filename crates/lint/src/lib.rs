@@ -24,6 +24,8 @@
 //! the predicate is suspicious); share hints are `Note` (advisory, for the
 //! user).
 
+#![forbid(unsafe_code)]
+
 pub mod fold;
 pub mod liveness;
 pub mod ranges;
@@ -366,20 +368,17 @@ mod tests {
         ]);
         let mut t = Table::new("t", schema.clone());
         for i in 0..8i64 {
-            t.push(
-                vec![
-                    Value::Int(i),
-                    Value::Int(i * 2),
-                    Value::str(format!("r{i}")),
-                    Value::Date(9000 + i as i32),
-                ]
-                .into(),
-            )
+            t.push([
+                Value::Int(i),
+                Value::Int(i * 2),
+                Value::str(format!("r{i}")),
+                Value::Date(9000 + i as i32),
+            ])
             .unwrap();
         }
         cat.register_table(t).unwrap();
         let mut u = Table::new("u", Schema::from_pairs(&[("k", DataType::Int)]));
-        u.push(vec![Value::Int(1)].into()).unwrap();
+        u.push([Value::Int(1)]).unwrap();
         cat.register_table(u).unwrap();
         cat
     }

@@ -4,6 +4,7 @@
 //! as a DAG (paper §2.1), transformation-rule exploration, and incremental
 //! table-signature computation (paper §3).
 
+#![forbid(unsafe_code)]
 // Fallible paths must surface `Result`s, not panic; tests may unwrap.
 #![deny(
     clippy::unwrap_used,

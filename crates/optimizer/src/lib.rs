@@ -7,6 +7,7 @@
 //! search costs winners by reference to their children; operator trees are
 //! extracted once per returned plan.
 
+#![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

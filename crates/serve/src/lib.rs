@@ -39,6 +39,7 @@
 //! atomics. No guard may span planning or execution: debug builds count
 //! held guards and the worker asserts the count is zero before each.
 
+#![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

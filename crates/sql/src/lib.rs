@@ -5,6 +5,8 @@
 //! columns. Batches share one plan context so similar subexpressions in
 //! different statements can be detected and covered.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

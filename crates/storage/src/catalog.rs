@@ -4,7 +4,8 @@ use crate::delta::DeltaTable;
 use crate::error::StorageError;
 use crate::index::{BTreeIndex, HashIndex};
 use crate::stats::TableStats;
-use crate::table::{Row, Table};
+use crate::table::Table;
+use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -74,19 +75,20 @@ pub struct CatalogEntry {
 }
 
 impl CatalogEntry {
-    /// Append `rows` in place, folding them into the stats and every index.
-    /// Each part is copied first only if a catalog clone still shares it,
-    /// so the clone keeps its snapshot.
-    fn append(&mut self, rows: &[Row]) {
+    /// Append the rows of `inserts` in place, folding them into the stats
+    /// and every index. Each part is copied first only if a catalog clone
+    /// still shares it, so the clone keeps its snapshot; a copied table
+    /// shares its full chunks and copies only its tail.
+    fn append(&mut self, inserts: &Table) {
         let first = self.table.row_count();
         let table = Arc::make_mut(&mut self.table);
-        table.extend(rows.iter().cloned());
-        Arc::make_mut(&mut self.stats).append(table, rows);
+        table.extend(inserts.scan());
+        Arc::make_mut(&mut self.stats).append(table, first);
         for idx in &mut self.hash_indexes {
-            Arc::make_mut(idx).extend(rows, first);
+            Arc::make_mut(idx).extend(table, first);
         }
         for idx in &mut self.btree_indexes {
-            Arc::make_mut(idx).extend(rows, first);
+            Arc::make_mut(idx).extend(table, first);
         }
     }
 }
@@ -265,21 +267,21 @@ impl Catalog {
             });
         }
         if delta.delete_count() == 0 {
-            entry.append(delta.inserts.rows());
+            entry.append(&delta.inserts);
             return Ok(());
         }
-        let mut pending: HashMap<Row, usize> = HashMap::new();
+        let mut pending: HashMap<&[Value], usize> = HashMap::new();
         for r in delta.deletes.scan() {
-            *pending.entry(r.clone()).or_insert(0) += 1;
+            *pending.entry(r).or_insert(0) += 1;
         }
-        let mut rows: Vec<Row> = Vec::with_capacity(base.row_count() + delta.insert_count());
-        for r in base.scan() {
-            match pending.get_mut(r) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => rows.push(r.clone()),
+        let kept = base.scan().filter(|r| match pending.get_mut(r) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                false
             }
-        }
-        rows.extend(delta.inserts.scan().cloned());
+            _ => true,
+        });
+        let rows = kept.chain(delta.inserts.scan());
         let table = Table::with_rows(base.name(), base.schema().as_ref().clone(), rows);
         let hash = entry
             .hash_indexes
@@ -336,8 +338,8 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::table::row;
-    use crate::value::{DataType, Value};
+    use crate::table::{row, Row, CHUNK_ROWS};
+    use crate::value::DataType;
 
     fn t(name: &str) -> Table {
         let mut t = Table::new(name, Schema::from_pairs(&[("a", DataType::Int)]));
@@ -485,6 +487,35 @@ mod tests {
         assert_eq!((ids(2), ids(9)), (vec![1, 4], vec![3]));
     }
 
+    /// An insert-only delta appends to a table a catalog clone still
+    /// holds: the clone keeps its rows, and both share every full chunk —
+    /// the append copied only the tail.
+    #[test]
+    fn appending_to_a_shared_table_copies_only_its_tail() {
+        use crate::delta::{DeltaAction, DeltaTable};
+        let schema = Schema::from_pairs(&[("a", DataType::Int)]);
+        let n = 2 * CHUNK_ROWS + 10;
+        let rows = (0..n as i64).map(|v| [Value::Int(v)]);
+        let mut c = Catalog::new();
+        c.register_table(Table::with_rows("foo", schema.clone(), rows))
+            .unwrap();
+        let snapshot = c.clone();
+        let mut d = DeltaTable::new("foo", &schema);
+        for v in [-1, -2] {
+            d.record(DeltaAction::Insert, [Value::Int(v)]).unwrap();
+        }
+        c.apply_mutation(&CatalogMutation::ApplyDelta { delta: d })
+            .unwrap();
+
+        let (old, new) = (snapshot.table("foo").unwrap(), c.table("foo").unwrap());
+        assert_eq!((old.row_count(), new.row_count()), (n, n + 2));
+        assert!(old.scan().zip(new.scan()).all(|(a, b)| a == b));
+        assert_eq!(new.get(n + 1), Some(&[Value::Int(-2)][..]));
+        let (a, b) = (old.slab().full_chunks(), new.slab().full_chunks());
+        assert_eq!((a.len(), b.len()), (2, 2));
+        assert!(a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y)));
+    }
+
     #[test]
     fn apply_delta_unknown_base_fails() {
         use crate::delta::DeltaTable;
@@ -529,7 +560,7 @@ mod tests {
                 let e = c.get(name).unwrap();
                 let hash = e.hash_indexes.iter().map(|i| (**i).clone()).collect();
                 let btree = e.btree_indexes.iter().map(|i| (**i).clone()).collect();
-                let rows = e.table.rows().to_vec();
+                let rows = e.table.rows();
                 (name.to_string(), rows, (*e.stats).clone(), hash, btree)
             })
             .collect();

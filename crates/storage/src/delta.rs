@@ -12,7 +12,8 @@
 
 use crate::error::StorageError;
 use crate::schema::Schema;
-use crate::table::{Row, Table};
+use crate::table::Table;
+use crate::value::Value;
 
 /// Kind of change captured by a delta row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +53,12 @@ impl DeltaTable {
     /// Arity and per-column type errors are reported here, at capture time,
     /// rather than deferred to view maintenance where the offending row is
     /// no longer identifiable. NULLs are admitted only in nullable columns.
-    pub fn record(&mut self, action: DeltaAction, row: Row) -> Result<(), StorageError> {
+    pub fn record(
+        &mut self,
+        action: DeltaAction,
+        row: impl AsRef<[Value]>,
+    ) -> Result<(), StorageError> {
+        let row = row.as_ref();
         let target = match action {
             DeltaAction::Insert => &mut self.inserts,
             DeltaAction::Delete => &mut self.deletes,
@@ -79,7 +85,7 @@ impl DeltaTable {
                 });
             }
         }
-        target.extend([row]);
+        target.push_values(row.iter().cloned());
         Ok(())
     }
 
@@ -100,7 +106,7 @@ impl DeltaTable {
 mod tests {
     use super::*;
     use crate::table::row;
-    use crate::value::{DataType, Value};
+    use crate::value::DataType;
 
     #[test]
     fn record_and_count() {

@@ -6,7 +6,7 @@
 //! to row positions in the owning table. Rows appended to the table are
 //! folded in with `extend`, which leaves an index equal to a fresh build.
 
-use crate::table::{Row, Table};
+use crate::table::Table;
 use crate::value::Value;
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
@@ -30,14 +30,15 @@ impl HashIndex {
     pub fn build(table: &Table, column: usize) -> Self {
         let (ends, next) = (HashMap::new(), Vec::with_capacity(table.row_count()));
         let mut idx = HashIndex { column, ends, next };
-        idx.extend(table.rows(), 0);
+        idx.extend(table, 0);
         idx
     }
 
-    /// Fold in `rows`, stored at row ids `first..` (the rows indexed so far).
-    pub fn extend(&mut self, rows: &[Row], first: usize) {
+    /// Fold in the rows of `table` from row id `first` on (the rows indexed
+    /// so far).
+    pub fn extend(&mut self, table: &Table, first: usize) {
         debug_assert_eq!(first, self.next.len());
-        for r in rows {
+        for r in table.scan().skip(first) {
             let id = self.next.len() as u32;
             self.next.push(END);
             match self.ends.entry(r[self.column].clone()) {
@@ -61,10 +62,6 @@ impl HashIndex {
             Some(id)
         })
     }
-
-    pub fn distinct_keys(&self) -> usize {
-        self.ends.len()
-    }
 }
 
 /// Ordered index: supports point and range lookups.
@@ -80,14 +77,13 @@ impl BTreeIndex {
             column,
             map: BTreeMap::new(),
         };
-        idx.extend(table.rows(), 0);
+        idx.extend(table, 0);
         idx
     }
 
-    /// Fold in `rows`, stored at row ids `first..`.
-    pub fn extend(&mut self, rows: &[Row], first: usize) {
-        for (i, r) in rows.iter().enumerate() {
-            let id = (first + i) as u32;
+    /// Fold in the rows of `table` from row id `first` on.
+    pub fn extend(&mut self, table: &Table, first: usize) {
+        for (id, r) in (first as u32..).zip(table.scan().skip(first)) {
             self.map.entry(r[self.column].clone()).or_default().push(id);
         }
     }
@@ -101,10 +97,6 @@ impl BTreeIndex {
         self.map
             .range::<Value, _>((lo, hi))
             .flat_map(|(_, ids)| ids.iter().copied())
-    }
-
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -130,7 +122,6 @@ mod tests {
         let ids = |k: i64| idx.lookup(&Value::Int(k)).collect::<Vec<u32>>();
         assert_eq!(ids(5), [0, 2]);
         assert_eq!(ids(42), [] as [u32; 0]);
-        assert_eq!(idx.distinct_keys(), 4);
     }
 
     #[test]

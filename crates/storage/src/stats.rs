@@ -7,7 +7,7 @@
 //! bounded. A table that grows by appends keeps what the scan accumulated,
 //! so its stats follow each append at the cost of the appended rows.
 
-use crate::table::{Row, Table};
+use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashSet;
 
@@ -36,13 +36,6 @@ impl ColumnStats {
             null_count: 0,
             avg_width: 8.0,
         }
-    }
-
-    /// Numeric range (max - min) if both bounds are numeric.
-    pub fn numeric_range(&self) -> Option<f64> {
-        let lo = self.min.as_ref()?.as_f64()?;
-        let hi = self.max.as_ref()?.as_f64()?;
-        Some((hi - lo).max(0.0))
     }
 }
 
@@ -172,12 +165,12 @@ impl TableStats {
         scan.finish(nrows)
     }
 
-    /// Fold `appended`, the rows just appended to `table`, into these stats
-    /// of the table before the append. The result equals
+    /// Fold the rows of `table` from `first` on, just appended, into these
+    /// stats of the table before the append. The result equals
     /// [`TableStats::analyze`] of the grown table. Stats without a kept
     /// scan (the first append, or a table past the sampling cut-over) are
     /// analyzed once over the whole table, keeping the scan for the next.
-    pub fn append(&mut self, table: &Table, appended: &[Row]) {
+    pub fn append(&mut self, table: &Table, first: usize) {
         let nrows = table.row_count();
         if nrows > SAMPLE_ABOVE {
             *self = TableStats::analyze(table);
@@ -185,7 +178,7 @@ impl TableStats {
         }
         let scan = match self.scan.take() {
             Some(mut scan) => {
-                appended.iter().for_each(|r| scan.add(r, true));
+                table.scan().skip(first).for_each(|r| scan.add(r, true));
                 scan
             }
             None => {
@@ -239,13 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn numeric_range() {
-        let t = table_with_ints(&[10, 30]);
-        let s = TableStats::analyze(&t);
-        assert_eq!(s.columns[0].numeric_range(), Some(20.0));
-    }
-
-    #[test]
     fn empty_table() {
         let t = table_with_ints(&[]);
         let s = TableStats::analyze(&t);
@@ -265,9 +251,9 @@ mod tests {
             vec![Value::Float(7.5)],
             vec![],
         ] {
-            let rows: Vec<Row> = batch.into_iter().map(|v| row(vec![v])).collect();
-            t.extend(rows.iter().cloned());
-            s.append(&t, &rows);
+            let first = t.row_count();
+            t.extend(batch.into_iter().map(|v| [v]));
+            s.append(&t, first);
             assert_eq!(s, TableStats::analyze(&t));
         }
         assert_eq!(s.columns[0].min, Some(Value::Int(-1)));

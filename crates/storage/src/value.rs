@@ -172,7 +172,9 @@ impl Ord for Value {
 impl Value {
     /// Total order used for sorting and map keys: NULLs first, then by type
     /// tag, then by value. Distinct from [`Value::sql_cmp`], which implements
-    /// SQL's three-valued comparison semantics.
+    /// SQL's three-valued comparison semantics. Two strings that share one
+    /// allocation are equal without a look at their bytes: a domain value
+    /// the generator or a decoded table stores once compares in O(1).
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn tag(v: &Value) -> u8 {
             match v {
@@ -189,6 +191,7 @@ impl Value {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Date(a), Value::Date(b)) => a.cmp(b),
+            (Value::Str(a), Value::Str(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
             (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
             (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
             (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
@@ -256,6 +259,23 @@ mod tests {
     fn cross_type_numeric_equality() {
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert_eq!(h(&Value::Int(3)), h(&Value::Float(3.0)));
+    }
+
+    /// The pointer test is a shortcut, not the definition: equal text in
+    /// two allocations is still equal and hashes alike, and one allocation
+    /// is equal to itself.
+    #[test]
+    fn strings_compare_by_content_whether_shared_or_not() {
+        let (a, b) = (Value::str("MAIL"), Value::str("MAIL"));
+        let (Value::Str(x), Value::Str(y)) = (&a, &b) else {
+            unreachable!()
+        };
+        assert!(!Arc::ptr_eq(x, y));
+        assert_eq!(a, b);
+        assert_eq!(h(&a), h(&b));
+        assert_eq!(a, a.clone());
+        assert_eq!(a.total_cmp(&Value::str("AIR")), Ordering::Greater);
+        assert_eq!(Value::str("AIR").total_cmp(&a), Ordering::Less);
     }
 
     #[test]

@@ -89,11 +89,11 @@ fn gen_region(cfg: &TpchConfig, pool: &CommentPool) -> Table {
     let mut rng = SplitMix64::derive(cfg.seed, "region");
     let mut t = Table::new("region", TpchTable::Region.schema());
     for (k, name) in text::REGIONS.iter().enumerate() {
-        t.extend([row(vec![
+        t.push_values([
             Value::Int(k as i64),
             Value::str(name),
             Value::Str(pool.pick(&mut rng)),
-        ])]);
+        ]);
     }
     t
 }
@@ -102,12 +102,12 @@ fn gen_nation(cfg: &TpchConfig, pool: &CommentPool) -> Table {
     let mut rng = SplitMix64::derive(cfg.seed, "nation");
     let mut t = Table::new("nation", TpchTable::Nation.schema());
     for (k, (name, region)) in text::NATIONS.iter().enumerate() {
-        t.extend([row(vec![
+        t.push_values([
             Value::Int(k as i64),
             Value::str(name),
             Value::Int(*region),
             Value::Str(pool.pick(&mut rng)),
-        ])]);
+        ]);
     }
     t
 }
@@ -116,10 +116,9 @@ fn gen_supplier(cfg: &TpchConfig, pool: &CommentPool) -> Table {
     let mut rng = SplitMix64::derive(cfg.seed, "supplier");
     let n = cfg.rows(TpchTable::Supplier);
     let mut t = Table::new("supplier", TpchTable::Supplier.schema());
-    let mut rows = Vec::with_capacity(n as usize);
     for k in 1..=n as i64 {
         let nation = rng.int_range(0, 24);
-        rows.push(row(vec![
+        t.push_values([
             Value::Int(k),
             Value::str(format!("Supplier#{k:09}")),
             Value::Str(pool.pick(&mut rng)),
@@ -127,9 +126,8 @@ fn gen_supplier(cfg: &TpchConfig, pool: &CommentPool) -> Table {
             Value::str(text::phone(&mut rng, nation)),
             Value::Float((rng.float_range(-999.99, 9999.99) * 100.0).round() / 100.0),
             Value::Str(pool.pick(&mut rng)),
-        ]));
+        ]);
     }
-    t.extend(rows);
     t
 }
 
@@ -137,67 +135,55 @@ fn gen_customer(cfg: &TpchConfig, pool: &CommentPool) -> Table {
     let mut rng = SplitMix64::derive(cfg.seed, "customer");
     let n = cfg.rows(TpchTable::Customer);
     let mut t = Table::new("customer", TpchTable::Customer.schema());
-    let mut rows = Vec::with_capacity(n as usize);
     for k in 1..=n as i64 {
         let nation = rng.int_range(0, 24);
-        rows.push(customer_row(k, nation, &mut rng, pool));
+        t.push_values(customer_values(k, nation, &mut rng, pool));
     }
-    t.extend(rows);
     t
 }
 
 /// Build a single customer row (also used by the view-maintenance
 /// experiment to fabricate inserted customers).
 pub fn customer_row(key: i64, nation: i64, rng: &mut SplitMix64, pool: &CommentPool) -> Row {
-    row(vec![
+    row(customer_values(key, nation, rng, pool).into())
+}
+
+fn customer_values(key: i64, nation: i64, rng: &mut SplitMix64, pool: &CommentPool) -> [Value; 8] {
+    [
         Value::Int(key),
         Value::str(format!("Customer#{key:09}")),
         Value::Str(pool.pick(rng)),
         Value::Int(nation),
         Value::str(text::phone(rng, nation)),
         Value::Float((rng.float_range(-999.99, 9999.99) * 100.0).round() / 100.0),
-        Value::str(*rng.pick(text::SEGMENTS)),
+        Value::Str(pool.domains().segments.pick(rng)),
         Value::Str(pool.pick(rng)),
-    ])
+    ]
 }
 
 fn gen_part(cfg: &TpchConfig, pool: &CommentPool) -> Table {
     let mut rng = SplitMix64::derive(cfg.seed, "part");
     let n = cfg.rows(TpchTable::Part);
+    let d = pool.domains();
     let mut t = Table::new("part", TpchTable::Part.schema());
-    let mut rows = Vec::with_capacity(n as usize);
     for k in 1..=n as i64 {
-        let ptype = format!(
-            "{} {} {}",
-            rng.pick(text::TYPE_SYLL_1),
-            rng.pick(text::TYPE_SYLL_2),
-            rng.pick(text::TYPE_SYLL_3)
-        );
-        let container = format!(
-            "{} {}",
-            rng.pick(text::CONTAINERS_1),
-            rng.pick(text::CONTAINERS_2)
-        );
-        rows.push(row(vec![
+        let ptype = d.types.pick(&mut rng);
+        let container = d.containers.pick(&mut rng);
+        t.push_values([
             Value::Int(k),
             Value::str(format!("part {k}")),
-            Value::str(format!("Manufacturer#{}", rng.int_range(1, 5))),
-            Value::str(format!(
-                "Brand#{}{}",
-                rng.int_range(1, 5),
-                rng.int_range(1, 5)
-            )),
-            Value::str(ptype),
+            Value::Str(d.mfgrs.pick(&mut rng)),
+            Value::Str(d.brands.pick(&mut rng)),
+            Value::Str(ptype),
             Value::Int(rng.int_range(1, 50)),
-            Value::str(container),
+            Value::Str(container),
             Value::Float(
                 (90_000.0 + (k % 200_001) as f64 * 0.01 + 100.0 * (k % 1000) as f64 * 0.01).round()
                     / 100.0,
             ),
             Value::Str(pool.pick(&mut rng)),
-        ]));
+        ]);
     }
-    t.extend(rows);
     t
 }
 
@@ -207,20 +193,18 @@ fn gen_partsupp(cfg: &TpchConfig, pool: &CommentPool) -> Table {
     let suppliers = cfg.rows(TpchTable::Supplier) as i64;
     let mut t = Table::new("partsupp", TpchTable::PartSupp.schema());
     // dbgen: 4 suppliers per part.
-    let mut rows = Vec::with_capacity((parts * 4) as usize);
     for p in 1..=parts {
         for s in 0..4 {
             let suppkey = 1 + (p + s * (suppliers / 4).max(1)) % suppliers;
-            rows.push(row(vec![
+            t.push_values([
                 Value::Int(p),
                 Value::Int(suppkey),
                 Value::Int(rng.int_range(1, 9999)),
                 Value::Float((rng.float_range(1.0, 1000.0) * 100.0).round() / 100.0),
                 Value::Str(pool.pick(&mut rng)),
-            ]));
+            ]);
         }
     }
-    t.extend(rows);
     t
 }
 
@@ -228,23 +212,22 @@ fn gen_orders(cfg: &TpchConfig, pool: &CommentPool) -> Table {
     let mut rng = SplitMix64::derive(cfg.seed, "orders");
     let n = cfg.rows(TpchTable::Orders);
     let customers = cfg.rows(TpchTable::Customer) as i64;
+    let d = pool.domains();
     let mut t = Table::new("orders", TpchTable::Orders.schema());
-    let mut rows = Vec::with_capacity(n as usize);
     for k in 1..=n as i64 {
         let orderdate = rng.int_range(START_DATE as i64, (END_DATE - 151) as i64) as i32;
-        rows.push(row(vec![
+        t.push_values([
             Value::Int(k),
             Value::Int(rng.int_range(1, customers)),
-            Value::str(*rng.pick(text::ORDER_STATUS)),
+            Value::Str(d.order_status.pick(&mut rng)),
             Value::Float((rng.float_range(850.0, 450_000.0) * 100.0).round() / 100.0),
             Value::Date(orderdate),
-            Value::str(*rng.pick(text::PRIORITIES)),
-            Value::str(format!("Clerk#{:09}", rng.int_range(1, 1000))),
+            Value::Str(d.priorities.pick(&mut rng)),
+            Value::Str(d.clerks.pick(&mut rng)),
             Value::Int(0),
             Value::Str(pool.pick(&mut rng)),
-        ]));
+        ]);
     }
-    t.extend(rows);
     t
 }
 
@@ -258,8 +241,8 @@ fn gen_lineitem(cfg: &TpchConfig, pool: &CommentPool) -> Table {
     let parts = cfg.rows(TpchTable::Part) as i64;
     let suppliers = cfg.rows(TpchTable::Supplier) as i64;
     let customers = cfg.rows(TpchTable::Customer) as i64;
+    let d = pool.domains();
     let mut t = Table::new("lineitem", TpchTable::Lineitem.schema());
-    let mut rows = Vec::with_capacity((orders * 4) as usize);
     for ok in 1..=orders as i64 {
         // Mirror gen_orders' stream usage (orderdate is drawn first there)
         // to recover o_orderdate for this order key.
@@ -279,7 +262,7 @@ fn gen_lineitem(cfg: &TpchConfig, pool: &CommentPool) -> Table {
             let shipdate = orderdate + rng.int_range(1, 121) as i32;
             let commitdate = orderdate + rng.int_range(30, 90) as i32;
             let receiptdate = shipdate + rng.int_range(1, 30) as i32;
-            rows.push(row(vec![
+            t.push_values([
                 Value::Int(ok),
                 Value::Int(rng.int_range(1, parts)),
                 Value::Int(rng.int_range(1, suppliers)),
@@ -288,24 +271,24 @@ fn gen_lineitem(cfg: &TpchConfig, pool: &CommentPool) -> Table {
                 Value::Float(extended),
                 Value::Float((rng.int_range(0, 10) as f64) / 100.0),
                 Value::Float((rng.int_range(0, 8) as f64) / 100.0),
-                Value::str(*rng.pick(text::RETURN_FLAGS)),
-                Value::str(*rng.pick(text::LINE_STATUS)),
+                Value::Str(d.return_flags.pick(&mut rng)),
+                Value::Str(d.line_status.pick(&mut rng)),
                 Value::Date(shipdate),
                 Value::Date(commitdate),
                 Value::Date(receiptdate),
-                Value::str(*rng.pick(text::SHIP_INSTRUCT)),
-                Value::str(*rng.pick(text::SHIP_MODES)),
+                Value::Str(d.ship_instruct.pick(&mut rng)),
+                Value::Str(d.ship_modes.pick(&mut rng)),
                 Value::Str(pool.pick(&mut rng)),
-            ]));
+            ]);
         }
     }
-    t.extend(rows);
     t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn tiny() -> TpchConfig {
         TpchConfig {
@@ -392,6 +375,43 @@ mod tests {
         let ns = cat.stats("nation").unwrap();
         assert_eq!(ns.row_count, 25);
         assert_eq!(ns.columns[0].distinct, 25);
+    }
+
+    /// Each enumerated column of a generated catalog stores one allocation
+    /// per distinct value, not one per row.
+    #[test]
+    fn enumerated_columns_hold_one_allocation_per_value() {
+        let cat = generate_catalog(&tiny());
+        for (table, column) in [
+            ("customer", "c_mktsegment"),
+            ("part", "p_mfgr"),
+            ("part", "p_brand"),
+            ("part", "p_type"),
+            ("part", "p_container"),
+            ("orders", "o_orderstatus"),
+            ("orders", "o_orderpriority"),
+            ("orders", "o_clerk"),
+            ("lineitem", "l_returnflag"),
+            ("lineitem", "l_linestatus"),
+            ("lineitem", "l_shipinstruct"),
+            ("lineitem", "l_shipmode"),
+        ] {
+            let t = cat.table(table).unwrap();
+            let c = t.schema().index_of(column).unwrap();
+            let (mut texts, mut allocations) = (HashSet::new(), HashSet::new());
+            for r in t.scan() {
+                let Value::Str(s) = &r[c] else {
+                    panic!("{table}.{column} holds strings")
+                };
+                texts.insert(s.to_string());
+                allocations.insert(s.as_ptr());
+            }
+            assert!(
+                texts.len() > 1 && texts.len() < t.row_count(),
+                "{table}.{column}"
+            );
+            assert_eq!(allocations.len(), texts.len(), "{table}.{column}");
+        }
     }
 
     #[test]

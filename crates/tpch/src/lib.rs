@@ -4,6 +4,8 @@
 //! paper's 1 GB dbgen database: the distributions that drive selectivity
 //! and join cardinality estimates are faithful; free text is synthetic.
 
+#![forbid(unsafe_code)]
+
 pub mod generator;
 pub mod rng;
 pub mod schema;

@@ -46,9 +46,14 @@ impl SplitMix64 {
         lo + unit * (hi - lo)
     }
 
+    /// Uniform index in `0..n`: the one draw [`SplitMix64::pick`] makes.
+    pub fn index(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
     /// Pick an element of a slice.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[(self.next_u64() % items.len() as u64) as usize]
+        &items[self.index(items.len())]
     }
 }
 

@@ -1,9 +1,9 @@
 //! Text pools for string-valued columns.
 //!
 //! Low-cardinality columns draw from the exact dbgen domains (segments,
-//! priorities, ship modes, part types, ...). Free-text comments draw from a
-//! pregenerated pool of phrases so that string allocation is shared via
-//! `Arc<str>` clones.
+//! priorities, ship modes, part types, ...), each value allocated once.
+//! Free-text comments draw from a pregenerated pool of phrases.
+//! Either way a stored string is an `Arc<str>` clone, not an allocation.
 
 use crate::rng::SplitMix64;
 use std::sync::Arc;
@@ -102,10 +102,95 @@ const WORDS: &[&str] = &[
     "excuses",
 ];
 
-/// A shared pool of pregenerated comment strings.
+/// The values of one enumerated domain, each allocated once.
+#[derive(Debug, Clone)]
+pub(crate) struct Domain {
+    values: Vec<Arc<str>>,
+    /// The choices of each draw a pick makes, first draw first; `values`
+    /// lists the domain in the order of the draws' mixed-radix number.
+    draws: Vec<usize>,
+}
+
+impl Domain {
+    fn new(draws: &[usize], values: impl Iterator<Item = String>) -> Self {
+        let values: Vec<Arc<str>> = values.map(Arc::from).collect();
+        debug_assert_eq!(values.len(), draws.iter().product::<usize>());
+        Domain {
+            values,
+            draws: draws.to_vec(),
+        }
+    }
+
+    fn list(items: &[&str]) -> Self {
+        Domain::new(&[items.len()], items.iter().map(|s| s.to_string()))
+    }
+
+    /// A uniform value, from one draw of `rng` per factor of the domain:
+    /// the draws that picked the value's parts before they were joined.
+    pub(crate) fn pick(&self, rng: &mut SplitMix64) -> Arc<str> {
+        let i = self.draws.iter().fold(0, |i, n| i * n + rng.index(*n));
+        self.values[i].clone()
+    }
+}
+
+/// Every enumerated string domain the generator draws from.
+#[derive(Debug, Clone)]
+pub(crate) struct Domains {
+    pub(crate) segments: Domain,
+    pub(crate) priorities: Domain,
+    pub(crate) order_status: Domain,
+    pub(crate) clerks: Domain,
+    pub(crate) return_flags: Domain,
+    pub(crate) line_status: Domain,
+    pub(crate) ship_instruct: Domain,
+    pub(crate) ship_modes: Domain,
+    pub(crate) mfgrs: Domain,
+    pub(crate) brands: Domain,
+    pub(crate) types: Domain,
+    pub(crate) containers: Domain,
+}
+
+impl Domains {
+    fn new() -> Self {
+        let digit = || 1..=5;
+        Domains {
+            segments: Domain::list(SEGMENTS),
+            priorities: Domain::list(PRIORITIES),
+            order_status: Domain::list(ORDER_STATUS),
+            clerks: Domain::new(&[1000], (1..=1000).map(|k| format!("Clerk#{k:09}"))),
+            return_flags: Domain::list(RETURN_FLAGS),
+            line_status: Domain::list(LINE_STATUS),
+            ship_instruct: Domain::list(SHIP_INSTRUCT),
+            ship_modes: Domain::list(SHIP_MODES),
+            mfgrs: Domain::new(&[5], digit().map(|m| format!("Manufacturer#{m}"))),
+            brands: Domain::new(
+                &[5, 5],
+                digit().flat_map(|a| digit().map(move |b| format!("Brand#{a}{b}"))),
+            ),
+            types: Domain::new(
+                &[TYPE_SYLL_1.len(), TYPE_SYLL_2.len(), TYPE_SYLL_3.len()],
+                TYPE_SYLL_1.iter().flat_map(|a| {
+                    TYPE_SYLL_2
+                        .iter()
+                        .flat_map(move |b| TYPE_SYLL_3.iter().map(move |c| format!("{a} {b} {c}")))
+                }),
+            ),
+            containers: Domain::new(
+                &[CONTAINERS_1.len(), CONTAINERS_2.len()],
+                CONTAINERS_1
+                    .iter()
+                    .flat_map(|a| CONTAINERS_2.iter().map(move |b| format!("{a} {b}"))),
+            ),
+        }
+    }
+}
+
+/// The shared strings of a generation run: a pool of pregenerated comment
+/// strings, and beside it every enumerated domain.
 #[derive(Debug, Clone)]
 pub struct CommentPool {
     pool: Vec<Arc<str>>,
+    domains: Domains,
 }
 
 impl CommentPool {
@@ -124,7 +209,14 @@ impl CommentPool {
             }
             pool.push(Arc::from(s.as_str()));
         }
-        CommentPool { pool }
+        CommentPool {
+            pool,
+            domains: Domains::new(),
+        }
+    }
+
+    pub(crate) fn domains(&self) -> &Domains {
+        &self.domains
     }
 
     pub fn pick(&self, rng: &mut SplitMix64) -> Arc<str> {
@@ -163,6 +255,28 @@ mod tests {
         let mut rb = SplitMix64::new(5);
         for _ in 0..32 {
             assert_eq!(a.pick(&mut ra), b.pick(&mut rb));
+        }
+    }
+
+    /// A domain pick makes the draws, and yields the text, that picking
+    /// its parts one by one did.
+    #[test]
+    fn domain_picks_draw_like_their_parts() {
+        let d = Domains::new();
+        let (mut a, mut b) = (SplitMix64::new(9), SplitMix64::new(9));
+        for _ in 0..200 {
+            let parts = format!(
+                "{} {} {}",
+                a.pick(TYPE_SYLL_1),
+                a.pick(TYPE_SYLL_2),
+                a.pick(TYPE_SYLL_3)
+            );
+            assert_eq!(*d.types.pick(&mut b), parts);
+            let brand = format!("Brand#{}{}", a.int_range(1, 5), a.int_range(1, 5));
+            assert_eq!(*d.brands.pick(&mut b), brand);
+            let clerk = format!("Clerk#{:09}", a.int_range(1, 1000));
+            assert_eq!(*d.clerks.pick(&mut b), clerk);
+            assert_eq!(*d.ship_modes.pick(&mut b), **a.pick(SHIP_MODES));
         }
     }
 

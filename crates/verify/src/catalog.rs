@@ -14,7 +14,7 @@ use cse_storage::{Catalog, CatalogEntry};
 
 fn check_entry(report: &mut Report, name: &str, entry: &CatalogEntry) {
     let table = entry.table.as_ref();
-    let n_rows = table.rows().len();
+    let n_rows = table.row_count();
     let n_cols = table.schema().len();
 
     if entry.stats.row_count as usize != n_rows {
@@ -52,7 +52,7 @@ fn check_entry(report: &mut Report, name: &str, entry: &CatalogEntry) {
 
     // Containment: every row must be reachable through every index on its
     // own key. A stale index (built before a replace_table) fails here.
-    for (row_id, row) in table.rows().iter().enumerate() {
+    for (row_id, row) in table.scan().enumerate() {
         for idx in &entry.hash_indexes {
             let Some(key) = row.get(idx.column) else {
                 continue;

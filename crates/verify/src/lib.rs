@@ -34,6 +34,7 @@
 //! (on by default in debug/test builds); `qsql --verify` and the
 //! `cse-bench` `verify` report expose it on demand.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 

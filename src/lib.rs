@@ -35,6 +35,8 @@
 //! assert_eq!(out.results.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod session;
 
 pub use cse_algebra as algebra;

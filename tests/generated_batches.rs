@@ -266,7 +266,7 @@ fn insertable_customers(catalog: &mut Catalog) {
         ColumnDef::new(c.name.clone(), ty).nullable()
     });
     let schema = Schema::new(columns.collect());
-    let rows = catalog.table("customer").expect("customer").rows().to_vec();
+    let rows = catalog.table("customer").expect("customer").rows();
     catalog.replace_table(Table::with_rows("customer", schema, rows));
 }
 
@@ -347,8 +347,8 @@ fn check_maintenance(catalog: &Catalog, rng: &mut TestRng, seed: u64) -> bool {
             .execute(&o.plan)
             .expect("recompute");
         let fresh = fresh.results.into_iter().next().expect("one statement");
-        let stored = catalog.table("mv").expect("view table").rows().to_vec();
-        let twin_stored = twin.table("mv").expect("view table").rows().to_vec();
+        let stored = catalog.table("mv").expect("view table").rows();
+        let twin_stored = twin.table("mv").expect("view table").rows();
         for (oracle, want) in [
             ("recomputed", &fresh.rows),
             ("planned afresh", &twin_stored),

@@ -220,7 +220,7 @@ fn index_scan_counts_the_rows_the_index_returned() {
     let o = optimize_sql(&indexed, sql, &CseConfig::default()).unwrap();
     assert!(is_index_scan(&o), "{}", o.plan.root.render());
     let t = plain.table("t").unwrap();
-    let in_interval = |r: &&similar_subexpr::storage::Row| r[0].as_i64().is_some_and(|k| k > 3);
+    let in_interval = |r: &&[Value]| r[0].as_i64().is_some_and(|k| k > 3);
     let returned = t.scan().filter(in_interval).count();
     let kept = Engine::new(&indexed, &o.ctx).execute(&o.plan).unwrap();
     let dropped = Engine::new(&plain, &o.ctx).execute(&o.plan).unwrap();

@@ -452,7 +452,7 @@ fn journaled_view_maintenance_recovers_to_the_live_catalog() {
             .results
             .remove(0);
         let stored = recovered.table(name).unwrap();
-        let maintained = ResultSet::new(fresh.columns.clone(), stored.rows().to_vec());
+        let maintained = ResultSet::new(fresh.columns.clone(), stored.rows());
         assert!(
             maintained.approx_eq(&fresh, 1e-9),
             "recovered view {name} differs from recomputation"

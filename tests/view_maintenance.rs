@@ -8,7 +8,7 @@ use cse_bench::{experiments, workloads};
 use similar_subexpr::prelude::*;
 
 fn sorted_rows(t: &Table) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = t.rows().iter().map(|r| r.to_vec()).collect();
+    let mut rows: Vec<Vec<Value>> = t.scan().map(<[Value]>::to_vec).collect();
     rows.sort_by(|a, b| {
         for (x, y) in a.iter().zip(b.iter()) {
             let o = x.total_cmp(y);
@@ -205,7 +205,7 @@ fn assert_view_is_fresh(catalog: &Catalog, view: &str) {
     let o = optimize_sql(catalog, def, &CseConfig::no_cse()).unwrap();
     let engine = Engine::new(catalog, &o.ctx);
     let fresh = engine.execute(&o.plan).unwrap().results.remove(0);
-    let stored = catalog.table(view).unwrap().rows().to_vec();
+    let stored = catalog.table(view).unwrap().rows();
     let maintained = ResultSet::new(fresh.columns.clone(), stored);
     assert!(
         maintained.approx_eq(&fresh, 1e-9),
@@ -223,8 +223,7 @@ fn small_catalog() -> Catalog {
     ]);
     let rows = [(Some(1), 10), (Some(2), 20), (None, 5), (Some(1), 1)]
         .into_iter()
-        .map(|(k, v)| row(vec![k.map_or(Value::Null, Value::Int), Value::Int(v)]))
-        .collect();
+        .map(|(k, v)| row(vec![k.map_or(Value::Null, Value::Int), Value::Int(v)]));
     let mut catalog = Catalog::new();
     catalog
         .register_table(Table::with_rows("t", schema, rows))
@@ -309,7 +308,7 @@ fn new_groups_null_keys_empty_and_consecutive_deltas() {
     let mut catalog = small_catalog();
     let stored_keys = |c: &Catalog| -> Vec<Value> {
         let t = c.table("v_by_k").unwrap();
-        t.rows().iter().map(|r| r[0].clone()).collect()
+        t.scan().map(|r| r[0].clone()).collect()
     };
     let original = stored_keys(&catalog);
     assert_eq!(original.len(), 3);
