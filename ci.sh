@@ -158,7 +158,7 @@ grep -q "done" <<<"$out" \
 echo "==> recovery smoke (crash at wal.append, restart, verify)"
 for seed in 1 7 42; do
   data_dir=$(mktemp -d)
-  if CSE_FAIL="wal.append:1.0:$seed" "${QSERVE[@]}" --sf 0.001 --data-dir "$data_dir" \
+  if "${QSERVE[@]}" --sf 0.001 --data-dir "$data_dir" --fail "wal.append:1.0:$seed" \
       tests/corpus/clean.sql >/dev/null 2>&1; then
     echo "qserve survived a certain wal.append fault (seed $seed)"
     exit 1

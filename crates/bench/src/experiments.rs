@@ -218,7 +218,7 @@ pub struct OverloadPoint {
     pub shed_memory: u64,
     /// `SHED_QUEUE_FULL` sheds at submit time.
     pub shed_queue: u64,
-    /// `REQ_DEADLINE`: watchdog-expired attempts, retries exhausted.
+    /// `REQ_DEADLINE`: attempts past their deadline, retries exhausted.
     pub deadline_expired: u64,
     /// Completed requests per second of wall clock (the goodput curve the
     /// admission controller exists to defend).

@@ -41,10 +41,10 @@ pub struct CseConfig {
     /// memory pressure, `qsql --no-cse-fallback-only`) reports why.
     pub start_rung: Rung,
     /// Deterministic fault-injection registry, shared with the engine.
-    /// Disabled unless armed explicitly or via the `CSE_FAIL` env var.
+    /// Disabled unless armed explicitly (`qsql --fail`, `qserve --fail`).
     pub failpoints: FailpointRegistry,
-    /// Cooperative cancellation for the whole request (explicit cancel or
-    /// watchdog deadline). Checked at the pipeline's stage boundaries and,
+    /// Cooperative cancellation for the whole request (client cancel or
+    /// attempt deadline). Checked at the pipeline's stage boundaries and,
     /// via the budget clock, inside the candidate-generation and
     /// enumeration hot loops. Unlike a budget trip, a cancellation *fails*
     /// the optimization — a canceled request must stop, not degrade.
@@ -61,7 +61,7 @@ impl Default for CseConfig {
             verify: cfg!(debug_assertions),
             budget: Budget::unlimited(),
             start_rung: Rung::FullCse,
-            failpoints: FailpointRegistry::from_env(),
+            failpoints: FailpointRegistry::disabled(),
             cancel: CancelToken::never(),
         }
     }

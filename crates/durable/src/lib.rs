@@ -17,7 +17,7 @@
 //! - a recovered catalog must pass the `cse-verify` catalog invariant
 //!   pass before serving resumes.
 //!
-//! Fault injection reuses the `cse-govern` failpoint registry (`CSE_FAIL`
+//! Fault injection reuses the `cse-govern` failpoint registry (`--fail`
 //! grammar) at four sites: `wal.append`, `wal.fsync`, `snapshot.write`,
 //! and `recover.replay`.
 //!

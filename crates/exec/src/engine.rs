@@ -23,7 +23,9 @@ use crate::error::ExecError;
 use crate::eval::{position, AggState, Bound};
 use crate::keys::{key_eq, key_hash, KeyTable};
 use cse_algebra::{AggExpr, ColRef, PlanContext, Scalar, SortOrder};
-use cse_govern::{sites, CancelToken, FailpointRegistry, MemReservation, MemScope, ReserveError};
+use cse_govern::{
+    sites, CancelToken, FailpointRegistry, MemReservation, MemScope, Reason, ReserveError,
+};
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan};
 use cse_storage::{Catalog, Row, RowBuf, Table, Value};
 use std::cmp::Ordering;
@@ -140,8 +142,9 @@ pub struct ExecCtx<'a> {
     /// Armed failpoints may inject faults at the executor's sites.
     pub failpoints: FailpointRegistry,
     /// Checked at every operator boundary and every [`CANCEL_STRIDE`]
-    /// rows inside scans and joins, so a watchdog can stop a runaway
-    /// batch without killing the executing thread.
+    /// rows inside scans and joins, so a client cancel or an expired
+    /// deadline stops a runaway batch without killing the executing
+    /// thread.
     pub cancel: CancelToken,
     /// Global memory reservation that all held rows (and spool work
     /// tables, which outlive their statement) are charged to;
@@ -152,13 +155,11 @@ pub struct ExecCtx<'a> {
 impl ExecCtx<'_> {
     /// Stop if the request was canceled or its deadline expired.
     fn check_cancel(&self) -> ExecResult {
-        if self.cancel.is_explicitly_canceled() {
-            return Err(ExecError::Canceled { deadline: false });
-        }
-        if self.cancel.deadline_expired() {
-            return Err(ExecError::Canceled { deadline: true });
-        }
-        Ok(())
+        self.cancel
+            .check("execution")
+            .map_err(|trip| ExecError::Canceled {
+                deadline: trip.reason == Reason::ReqDeadline,
+            })
     }
 
     /// Strided cancellation check for per-row loops.

@@ -22,16 +22,17 @@ pub enum ExecError {
     /// message reads `"<operator>: column <c> not in input layout"`.
     MissingColumn(String),
     /// A failpoint injected a fault at the named site (deterministic fault
-    /// injection; armed only via configuration or `CSE_FAIL`).
+    /// injection; armed only via configuration or `--fail`).
     Injected { site: String },
     /// The request's global memory reservation could not grow: the shared
     /// pool ([`cse_govern::MemoryGovernor`]) is exhausted. Recoverable: by
     /// the time the request is retried, other requests may have released.
     MemReservation { requested: usize, available: usize },
     /// The request's cancellation token fired mid-execution (`deadline`
-    /// distinguishes an expired deadline from an explicit watchdog/client
-    /// cancel). Not recoverable: cancellation must stop the request, and
-    /// only its caller may resubmit it with a fresh deadline.
+    /// distinguishes an expired deadline from a client cancel, as
+    /// [`cse_govern::CancelToken::check`] told them apart). Not
+    /// recoverable: cancellation must stop the request, and only its
+    /// caller may resubmit it with a fresh deadline.
     Canceled { deadline: bool },
 }
 

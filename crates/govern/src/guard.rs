@@ -1,13 +1,13 @@
 //! The one way the serving path takes a lock.
 //!
-//! The admission queue, the circuit breaker, the server's inflight table
-//! and the memory pool each take their mutex through [`lock`]. It recovers
-//! from poisoning: a worker that panicked mid-request must not take the
-//! structure down with it, and every critical section leaves its state
-//! valid at each statement boundary. Debug builds also count, per thread,
-//! the guards [`lock`] handed out and that are still alive, so
-//! [`assert_no_lock_held`] can check that no guard spans planning or
-//! execution. Release builds compile the count out.
+//! The admission queue, the circuit breaker and the memory pool each take
+//! their mutex through [`lock`]. It recovers from poisoning: a worker that
+//! panicked mid-request must not take the structure down with it, and
+//! every critical section leaves its state valid at each statement
+//! boundary. Debug builds also count, per thread, the guards [`lock`]
+//! handed out and that are still alive, so [`assert_no_lock_held`] can
+//! check that no guard spans planning or execution. Release builds compile
+//! the count out.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};

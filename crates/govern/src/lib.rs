@@ -13,9 +13,9 @@
 //!   log strings.
 //! - [`FailpointRegistry`]: a deterministic fault-injection registry seeded
 //!   by the repo's xorshift testkit PRNG. Failpoints are armed only via
-//!   explicit configuration (or the `CSE_FAIL` environment variable); a
-//!   disabled registry is a single `Option` check, so release hot paths
-//!   stay branch-cheap.
+//!   explicit configuration (`qsql --fail` and `qserve --fail` parse the
+//!   spec list with [`parse_fail_specs`]); a disabled registry is a single
+//!   `Option` check, so release hot paths stay branch-cheap.
 //! - [`MemoryGovernor`]: the one account for the bytes execution holds; a
 //!   refused charge is an error the request's owner retries.
 //! - [`lock`]: the poison-recovering lock the serving path takes every
@@ -39,7 +39,7 @@ pub use guard::{assert_no_lock_held, lock, Held};
 pub use memory::{MemReservation, MemScope, MemoryGovernor, Pressure, ReserveError};
 
 /// Canonical failpoint site names. Sites are dynamic strings in the
-/// registry (the `CSE_FAIL` grammar allows anything), but injection code
+/// registry (the `--fail` grammar allows anything), but injection code
 /// should reference these constants.
 pub mod sites {
     /// First materialization of a CSE spool work table.
@@ -141,9 +141,10 @@ pub enum Reason {
     MemReservation,
     /// Global memory pressure started the request on the baseline rung.
     MemPressure,
-    /// The request was canceled explicitly (watchdog or client).
+    /// The client canceled the request through its token.
     ReqCanceled,
-    /// The request's end-to-end deadline expired.
+    /// The deadline of the token the work ran under expired (in the
+    /// server, the attempt's deadline).
     ReqDeadline,
 }
 
@@ -175,17 +176,14 @@ impl fmt::Display for Reason {
     }
 }
 
-/// One structured downgrade / recovery record.
+/// One structured downgrade record. Every downgrade goes from
+/// [`Rung::FullCse`] to [`Rung::Baseline`], which [`fmt::Display`] prints.
 #[derive(Debug, Clone)]
 pub struct DegradationEvent {
     pub reason: Reason,
     /// Pipeline stage or execution site ("generation", "enumerate",
     /// "statement 2", "spool E0", ...).
     pub stage: String,
-    /// Rung the work was attempted on.
-    pub from: Rung,
-    /// Rung the work degraded to.
-    pub to: Rung,
     pub detail: String,
 }
 
@@ -197,8 +195,6 @@ impl DegradationEvent {
         DegradationEvent {
             reason,
             stage: stage.into(),
-            from: Rung::FullCse,
-            to: Rung::Baseline,
             detail: detail.into(),
         }
     }
@@ -211,8 +207,8 @@ impl fmt::Display for DegradationEvent {
             "[{}] {}: {} -> {}: {}",
             self.reason.code(),
             self.stage,
-            self.from,
-            self.to,
+            Rung::FullCse,
+            Rung::Baseline,
             self.detail
         )
     }
@@ -245,13 +241,15 @@ impl BudgetTrip {
     }
 }
 
-/// Cooperative cancellation: an explicit cancel flag (shared across clones)
-/// plus an optional hard deadline, checked at the optimizer's and the
-/// interpreter's loop boundaries.
+/// Cooperative cancellation: one cancel flag per request plus an optional
+/// deadline, checked at the optimizer's and the interpreter's loop
+/// boundaries and while a reservation waits for memory.
 ///
-/// Cloning shares the *flag*: a watchdog holding one clone can cancel the
-/// worker holding another. The token is plain data (`Arc<AtomicBool>` + `Option<Instant>`), so it is
-/// `Send + Sync`, unwind-safe, and free when never canceled.
+/// Clones and [`CancelToken::with_deadline`] derivations share the *flag*:
+/// a client holding the request's token cancels every attempt derived from
+/// it, wherever that attempt is waiting. The token is plain data
+/// (`Arc<AtomicBool>` + `Option<Instant>`), so it is `Send + Sync`,
+/// unwind-safe, and free when never canceled.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -264,53 +262,40 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// A token with a deadline `d` from now (plus the shared cancel flag).
-    pub fn with_deadline(d: Duration) -> Self {
+    /// A token sharing this one's flag, with a deadline `d` from now (no
+    /// deadline for `None`). This token's own deadline is neither read nor
+    /// changed.
+    pub fn with_deadline(&self, d: Option<Duration>) -> Self {
         CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: Some(Instant::now() + d),
+            flag: Arc::clone(&self.flag),
+            deadline: d.map(|d| Instant::now() + d),
         }
     }
 
-    /// Request cancellation. Idempotent; observed by every clone.
+    /// Request cancellation. Idempotent; observed by every token sharing
+    /// the flag.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Was [`CancelToken::cancel`] called (on any clone)?
-    pub fn is_explicitly_canceled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-
-    /// Has the deadline passed?
-    pub fn deadline_expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Should the bearer stop? (explicit cancel or expired deadline)
-    pub fn is_canceled(&self) -> bool {
-        self.is_explicitly_canceled() || self.deadline_expired()
-    }
-
-    /// Trip if canceled. The explicit flag wins over the deadline so a
-    /// watchdog cancel is reported as `REQ_CANCELED` even when the deadline
-    /// has also passed by the time the loop checks.
+    /// Trip if canceled or past the deadline: the one place that tells
+    /// the two apart. The flag wins over the deadline, so a client cancel
+    /// is reported as `REQ_CANCELED` even when the deadline has also
+    /// passed by the time the loop checks. The no-trip path allocates
+    /// nothing.
     pub fn check(&self, stage: &'static str) -> Result<(), BudgetTrip> {
-        if self.is_explicitly_canceled() {
-            return Err(BudgetTrip {
-                reason: Reason::ReqCanceled,
-                stage,
-                detail: "request canceled".to_string(),
-            });
-        }
-        if self.deadline_expired() {
-            return Err(BudgetTrip {
-                reason: Reason::ReqDeadline,
-                stage,
-                detail: "request deadline expired".to_string(),
-            });
-        }
-        Ok(())
+        let (reason, detail) = if self.flag.load(Ordering::Acquire) {
+            (Reason::ReqCanceled, "request canceled")
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            (Reason::ReqDeadline, "request deadline expired")
+        } else {
+            return Ok(());
+        };
+        Err(BudgetTrip {
+            reason,
+            stage,
+            detail: detail.to_string(),
+        })
     }
 }
 
@@ -430,7 +415,7 @@ impl FailSpec {
     }
 }
 
-/// Parse the full `CSE_FAIL` grammar: comma-separated `site:prob[:seed]`
+/// Parse the full `--fail` grammar: comma-separated `site:prob[:seed]`
 /// specs, optionally with the literal token `allow-unknown` anywhere in the
 /// list. Unknown site names are rejected with an error listing
 /// [`sites::ALL`] — a typo'd site used to arm nothing and silently pass —
@@ -501,21 +486,6 @@ impl FailpointRegistry {
             reg.arm(s.clone());
         }
         reg
-    }
-
-    /// Registry from the `CSE_FAIL` environment variable (validated
-    /// grammar, see [`parse_fail_specs`]). Unset or empty ⇒ disabled.
-    /// A malformed value is reported on stderr and ignored as a whole:
-    /// fault injection must never turn into a crash vector itself.
-    pub fn from_env() -> Self {
-        let raw = std::env::var("CSE_FAIL").unwrap_or_default();
-        match parse_fail_specs(&raw) {
-            Ok(specs) => FailpointRegistry::from_specs(&specs),
-            Err(e) => {
-                eprintln!("CSE_FAIL: {e} (ignored; nothing armed)");
-                FailpointRegistry::disabled()
-            }
-        }
     }
 
     /// Arm (or re-arm) one site.
@@ -685,7 +655,7 @@ mod tests {
         assert_eq!(trip.reason, Reason::OptDeadline);
         let ev = trip.event();
         assert_eq!(ev.reason.code(), "OPT_DEADLINE");
-        assert_eq!(ev.to, Rung::Baseline);
+        assert!(ev.to_string().contains("-> baseline:"), "{ev}");
     }
 
     #[test]
@@ -703,16 +673,36 @@ mod tests {
     #[test]
     fn cancel_token_explicit_and_deadline() {
         let t = CancelToken::never();
-        assert!(!t.is_canceled());
         assert!(t.check("x").is_ok());
-        let watchdog_handle = t.clone();
-        watchdog_handle.cancel();
-        assert!(t.is_explicitly_canceled(), "flag is shared across clones");
-        assert_eq!(t.check("x").unwrap_err().reason, Reason::ReqCanceled);
+        let client_handle = t.clone();
+        client_handle.cancel();
+        assert_eq!(
+            t.check("x").unwrap_err().reason,
+            Reason::ReqCanceled,
+            "flag is shared across clones"
+        );
 
-        let t = CancelToken::with_deadline(Duration::from_millis(0));
-        assert!(t.deadline_expired());
+        let t = CancelToken::never().with_deadline(Some(Duration::from_millis(0)));
         assert_eq!(t.check("x").unwrap_err().reason, Reason::ReqDeadline);
+    }
+
+    #[test]
+    fn derived_tokens_share_the_flag_not_the_deadline() {
+        let request = CancelToken::never();
+        let expired = request.with_deadline(Some(Duration::ZERO));
+        let open = request.with_deadline(Some(Duration::from_secs(3600)));
+        let unbounded = request.with_deadline(None);
+        // A derived deadline expires only the derived token: not the
+        // request token, and not a sibling derived from it.
+        assert_eq!(expired.check("x").unwrap_err().reason, Reason::ReqDeadline);
+        assert!(request.check("x").is_ok(), "request token has no deadline");
+        assert!(open.check("x").is_ok(), "sibling keeps its own deadline");
+        assert!(unbounded.check("x").is_ok());
+        // A cancel on the request token reaches every derived token.
+        request.cancel();
+        for t in [&request, &expired, &open, &unbounded] {
+            assert_eq!(t.check("x").unwrap_err().reason, Reason::ReqCanceled);
+        }
     }
 
     #[test]
@@ -807,10 +797,7 @@ mod tests {
         // The boundary is inclusive (`now >= deadline`): a zero-duration
         // deadline is expired at the instant it is minted, with no window
         // in which an attempt could sneak past it.
-        let t = CancelToken::with_deadline(Duration::ZERO);
-        assert!(t.deadline_expired());
-        assert!(t.is_canceled());
-        assert!(!t.is_explicitly_canceled(), "deadline is not a cancel");
+        let t = CancelToken::never().with_deadline(Some(Duration::ZERO));
         let trip = t.check("boundary").expect_err("zero deadline trips");
         assert_eq!(trip.reason, Reason::ReqDeadline);
     }
@@ -820,9 +807,8 @@ mod tests {
         // Explicit cancel happens first, deadline expires afterwards: the
         // explicit flag must win classification (REQ_CANCELED), matching
         // the serve layer's terminal-outcome rules.
-        let t = CancelToken::with_deadline(Duration::ZERO);
+        let t = CancelToken::never().with_deadline(Some(Duration::ZERO));
         t.cancel();
-        assert!(t.deadline_expired() && t.is_explicitly_canceled());
         let trip = t.check("both-tripped").expect_err("canceled");
         assert_eq!(trip.reason, Reason::ReqCanceled, "explicit cancel wins");
     }
@@ -833,7 +819,7 @@ mod tests {
         // explicit cancel flips subsequent checks to REQ_CANCELED — the
         // flag dominates regardless of event order, so retry classification
         // never races the client's cancel.
-        let t = CancelToken::with_deadline(Duration::ZERO);
+        let t = CancelToken::never().with_deadline(Some(Duration::ZERO));
         let first = t.check("pre-cancel").expect_err("deadline expired");
         assert_eq!(first.reason, Reason::ReqDeadline);
         t.cancel();

@@ -231,7 +231,8 @@ impl MemoryGovernor {
     /// Reserve `bytes`, waiting for other reservations to release if the
     /// pool is currently full. A request larger than the whole budget is
     /// refused immediately (it can never be satisfied); the wait polls the
-    /// cancel token so a watchdog or deadline unsticks a parked reserver.
+    /// cancel token so a client cancel or a deadline unsticks a parked
+    /// reserver.
     pub fn reserve_blocking(
         &self,
         bytes: usize,
@@ -249,11 +250,10 @@ impl MemoryGovernor {
         }
         let mut pool = self.inner.lock();
         loop {
-            if cancel.is_explicitly_canceled() {
-                return Err(ReserveError::Canceled { deadline: false });
-            }
-            if cancel.deadline_expired() {
-                return Err(ReserveError::Canceled { deadline: true });
+            if let Err(trip) = cancel.check("memory") {
+                return Err(ReserveError::Canceled {
+                    deadline: trip.reason == Reason::ReqDeadline,
+                });
             }
             if pool.reserved + bytes <= self.inner.budget {
                 pool.reserved += bytes;
@@ -577,7 +577,7 @@ mod tests {
             gov.reserve_blocking(50, None, &cancel).err(),
             Some(ReserveError::Canceled { deadline: false })
         );
-        let expired = CancelToken::with_deadline(Duration::from_millis(0));
+        let expired = CancelToken::never().with_deadline(Some(Duration::ZERO));
         assert_eq!(
             gov.reserve_blocking(50, None, &expired).err(),
             Some(ReserveError::Canceled { deadline: true })

@@ -12,10 +12,12 @@
 //!   (`Arc`), each optimizing and executing whole batches with its own
 //!   memo/optimizer state. [`Server::submit`] returns a [`Ticket`];
 //!   [`Server::drain`] finishes queued work and stops the workers.
-//! - **Cancellation & watchdog**: every attempt runs under a
-//!   [`CancelToken`] (cooperative checks in the optimizer's hot loops and
-//!   the interpreter's operator loops). A watchdog thread cancels overdue
-//!   attempts, so a runaway batch is stopped *without killing the worker*.
+//! - **Cancellation**: one [`CancelToken`] flag per request; every attempt
+//!   runs under it with a fresh deadline, polled in the optimizer's hot
+//!   loops, the interpreter's operator loops and a reservation's wait for
+//!   memory. A client cancel or an expired deadline stops a runaway batch
+//!   *without killing the worker*, and the server runs no thread but its
+//!   workers.
 //! - **Retries**: canceled-by-deadline or transiently-faulted attempts
 //!   (failpoint trips at `spool.materialize` / `scan.*` / `serve.worker`)
 //!   are retried with deterministic jittered backoff (testkit PRNG) up to
@@ -34,10 +36,10 @@
 //! Shared state here follows the repo's poisoned-lock convention: every
 //! lock recovers from poisoning rather than propagating it, because a
 //! worker that panicked mid-request must not take the queue or the breaker
-//! down with it. The queue, breaker and inflight-table mutexes are taken
-//! through [`cse_govern::lock`], and server counters are independent
-//! atomics. No guard may span planning or execution: debug builds count
-//! held guards and the worker asserts the count is zero before each.
+//! down with it. The queue and breaker mutexes are taken through
+//! [`cse_govern::lock`], and server counters are independent atomics. No
+//! guard may span planning or execution: debug builds count held guards
+//! and the worker asserts the count is zero before each.
 
 #![forbid(unsafe_code)]
 #![deny(

@@ -3,15 +3,17 @@
 //! Life of a request:
 //!
 //! 1. [`Server::submit`] assigns an id, wraps the SQL in a [`Request`] with
-//!    a request-level [`CancelToken`] (explicit cancels only) and pushes it
-//!    onto the bounded admission queue. A full queue either sheds
-//!    (`SHED_QUEUE_FULL`, [`AdmitPolicy::Shed`]) or blocks the submitter
-//!    ([`AdmitPolicy::Block`]).
+//!    the request's [`CancelToken`] (one cancel flag, no deadline; the
+//!    [`Ticket`] holds a clone) and pushes it onto the bounded admission
+//!    queue. A full queue either sheds (`SHED_QUEUE_FULL`,
+//!    [`AdmitPolicy::Shed`]) or blocks the submitter ([`AdmitPolicy::Block`]).
 //! 2. A worker pops the request and runs up to `1 + max_retries` attempts.
-//!    Each attempt gets a *fresh* attempt-level token carrying the
-//!    per-attempt deadline; the watchdog thread propagates request-level
-//!    cancels onto it and cancels it when the deadline passes, so a runaway
-//!    attempt is stopped cooperatively — the worker thread survives.
+//!    Each attempt runs under the request's token with a fresh deadline
+//!    ([`CancelToken::with_deadline`]): the same flag, so a client cancel
+//!    reaches the attempt wherever it polls — planning, execution, or a
+//!    reservation parked for memory — and a runaway attempt is stopped
+//!    cooperatively at its next poll point; the worker thread survives.
+//!    The server starts no thread but its workers.
 //! 3. Before planning, the breaker decides the attempt's [`Admission`]:
 //!    `Full` runs the whole CSE phase (and reports its downgrade bit back),
 //!    `BaselineOnly` forces the baseline rung, `Probe` runs full CSE and
@@ -36,15 +38,14 @@ use crate::queue::{BoundedQueue, PushError};
 use cse_core::CseConfig;
 use cse_exec::{Engine, ExecCtx, ExecError, ExecMetrics, ResultSet};
 use cse_govern::{
-    assert_no_lock_held, lock, panic_message, sites, CancelToken, DegradationEvent,
-    FailpointRegistry, Held, MemReservation, MemoryGovernor, Pressure, Reason, ReserveError, Rung,
+    assert_no_lock_held, panic_message, sites, CancelToken, DegradationEvent, FailpointRegistry,
+    MemoryGovernor, Pressure, Reason, ReserveError, Rung,
 };
 use cse_storage::testkit::TestRng;
 use cse_storage::Catalog;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -65,16 +66,13 @@ pub struct ServerConfig {
     /// Admission-queue capacity.
     pub queue_capacity: usize,
     pub admit: AdmitPolicy,
-    /// Per-*attempt* watchdog deadline. `None` disables the watchdog for
-    /// the request (explicit cancels still work).
+    /// Per-*attempt* deadline. `None` runs attempts without one (client
+    /// cancels still work).
     pub deadline: Option<Duration>,
     /// Retries after the first attempt; transient failures only.
     pub max_retries: u32,
     /// Base backoff; attempt `n` waits `base · 2^(n-1) · jitter`.
     pub retry_backoff: Duration,
-    /// Seed for the deterministic backoff jitter (testkit PRNG, mixed with
-    /// the request id so concurrent requests do not share a schedule).
-    pub retry_seed: u64,
     pub breaker: BreakerConfig,
     /// Global memory budget shared by all in-flight requests. `None`
     /// disables memory governance (the single-session behaviour). With a
@@ -101,7 +99,6 @@ impl Default for ServerConfig {
             deadline: None,
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
-            retry_seed: 42,
             breaker: BreakerConfig::default(),
             mem_budget: None,
             mem_grant: 1 << 20,
@@ -121,7 +118,7 @@ pub enum RejectReason {
     /// request's reservation could not be taken/grown and retries were
     /// exhausted.
     ShedMemory,
-    /// Attempt deadline expired (watchdog), retries exhausted.
+    /// Attempt deadline expired, retries exhausted.
     ReqDeadline,
     /// The client canceled via [`Ticket::cancel`].
     ReqCanceled,
@@ -213,8 +210,9 @@ impl Ticket {
     }
 
     /// Cooperatively cancel the request. Queued requests are rejected when
-    /// a worker picks them up; in-flight attempts are stopped at their next
-    /// cancellation point by the watchdog's propagation.
+    /// a worker picks them up; a running attempt shares this token's flag
+    /// and stops at its next poll point, including a reservation waiting
+    /// for memory.
     pub fn cancel(&self) {
         self.token.cancel();
     }
@@ -223,8 +221,8 @@ impl Ticket {
 struct Request {
     id: u64,
     sql: String,
-    /// Request-level token: explicit cancels only (no deadline). Attempt
-    /// tokens are derived fresh per attempt.
+    /// The request's token: the cancel flag, no deadline. Each attempt
+    /// derives its token from it with a fresh deadline.
     token: CancelToken,
     deadline: Option<Duration>,
     submitted: Instant,
@@ -299,35 +297,17 @@ pub struct ServerStats {
     pub breaker: BreakerSnapshot,
 }
 
-/// One in-flight attempt, as the watchdog sees it.
-#[derive(Clone)]
-struct InflightEntry {
-    /// Fresh per attempt; the token hot loops actually poll.
-    attempt: CancelToken,
-    /// Request-level token: explicit client cancels.
-    request: CancelToken,
-    /// Absolute attempt deadline, if any.
-    deadline: Option<Instant>,
-}
-
-/// In-flight attempt registry for the watchdog, keyed by request id.
-type Inflight = HashMap<u64, InflightEntry>;
+/// Seed for the deterministic backoff jitter (testkit PRNG, mixed with the
+/// request id so concurrent requests do not share a schedule).
+const RETRY_SEED: u64 = 42;
 
 struct Shared {
     catalog: Arc<Catalog>,
     cfg: ServerConfig,
     breaker: Breaker,
     stats: Stats,
-    inflight: Mutex<Inflight>,
-    shutdown: AtomicBool,
     /// The global memory pool (`None` = memory governance off).
     governor: Option<MemoryGovernor>,
-}
-
-impl Shared {
-    fn inflight(&self) -> Held<'_, Inflight> {
-        lock(&self.inflight)
-    }
 }
 
 /// The batch server. See the module docs for the request life cycle.
@@ -335,7 +315,6 @@ pub struct Server {
     shared: Arc<Shared>,
     queue: Arc<BoundedQueue<Request>>,
     workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
     next_id: AtomicU64,
     /// Runs exactly once inside [`Server::drain`], after the workers have
     /// quiesced. The embedder (qserve) uses it to flush durable state —
@@ -358,8 +337,6 @@ impl Server {
             cfg,
             breaker,
             stats: Stats::default(),
-            inflight: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
             governor,
         });
         let workers = (0..workers_n)
@@ -372,20 +349,10 @@ impl Server {
                     .expect("spawn worker thread")
             })
             .collect();
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("cse-serve-watchdog".into())
-                    .spawn(move || watchdog_loop(&shared))
-                    .expect("spawn watchdog thread"),
-            )
-        };
         Server {
             shared,
             queue,
             workers,
-            watchdog,
             next_id: AtomicU64::new(1),
             drain_hook: None,
         }
@@ -506,16 +473,12 @@ impl Server {
         }
     }
 
-    /// Stop admissions, finish everything already queued, join the workers
-    /// and the watchdog, and return the final counters. Idempotent;
-    /// submissions racing with the close are rejected `SHED_SHUTDOWN`.
+    /// Stop admissions, finish everything already queued, join the
+    /// workers, and return the final counters. Idempotent; submissions
+    /// racing with the close are rejected `SHED_SHUTDOWN`.
     pub fn drain(&mut self) -> ServerStats {
         self.queue.close();
         for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(w) = self.watchdog.take() {
             let _ = w.join();
         }
         if let Some(mut hook) = self.drain_hook.take() {
@@ -531,40 +494,6 @@ impl Drop for Server {
     }
 }
 
-/// Watchdog tick: fine enough that deadline enforcement is prompt relative
-/// to the millisecond-scale deadlines the tests use, coarse enough to stay
-/// invisible in profiles.
-const WATCHDOG_TICK: Duration = Duration::from_micros(500);
-
-fn watchdog_loop(shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        // Clone-out: snapshot the inflight entries under the lock (token
-        // clones are cheap Arc bumps), then act on them outside it. The
-        // critical section stays O(workers) with no token method calls
-        // inside, so a worker inserting/removing its attempt entry never
-        // waits behind a watchdog sweep.
-        let entries: Vec<InflightEntry> = shared.inflight().values().cloned().collect();
-        for entry in &entries {
-            // Propagate client cancels onto the running attempt; the
-            // attempt token's flag is fresh per attempt, so this is the
-            // only path by which an explicit cancel reaches hot loops.
-            if entry.request.is_explicitly_canceled() {
-                entry.attempt.cancel();
-            }
-            // Belt-and-braces deadline enforcement: the attempt token
-            // carries the deadline and cooperative checks normally trip
-            // on it first; canceling here additionally stops code that
-            // only polls the flag.
-            if let Some(d) = entry.deadline {
-                if Instant::now() >= d {
-                    entry.attempt.cancel();
-                }
-            }
-        }
-        std::thread::sleep(WATCHDOG_TICK);
-    }
-}
-
 fn worker_loop(shared: &Shared, queue: &BoundedQueue<Request>) {
     while let Some(req) = queue.pop() {
         // A panic anywhere in the attempt (outside the pipeline's own
@@ -572,14 +501,11 @@ fn worker_loop(shared: &Shared, queue: &BoundedQueue<Request>) {
         // structured rejection and keep serving.
         //
         // Unwind safety: `process` mutates nothing that outlives it except
-        // the shared counters (independent atomics), the inflight map
-        // (behind a poison-recovering tracked mutex whose sections are
-        // single map operations), and the breaker, whose transitions are
-        // single-lock atomic.
+        // the shared counters (independent atomics) and the breaker, whose
+        // transitions are single-lock atomic.
         let outcome = match catch_unwind(AssertUnwindSafe(|| process(shared, &req))) {
             Ok(outcome) => outcome,
             Err(payload) => {
-                shared.inflight().remove(&req.id);
                 shared.stats.worker_panics.bump();
                 Outcome::Rejected(Rejection {
                     id: req.id,
@@ -629,7 +555,7 @@ fn process(shared: &Shared, req: &Request) -> Outcome {
     // Deterministic jitter: one PRNG per request, seeded from the server
     // seed and the request id, so a replay with the same ids sleeps the
     // same schedule regardless of worker interleaving.
-    let mut rng = TestRng::new(shared.cfg.retry_seed ^ req.id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = TestRng::new(RETRY_SEED ^ req.id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut attempt = 0u32;
     loop {
         attempt += 1;
@@ -663,8 +589,9 @@ fn process(shared: &Shared, req: &Request) -> Outcome {
 
 fn run_attempt(shared: &Shared, req: &Request, attempt: u32) -> AttemptEnd {
     // A request canceled while queued (or between attempts) stops here —
-    // no planning work on behalf of a gone client.
-    if req.token.is_explicitly_canceled() {
+    // no planning work on behalf of a gone client. The request's token has
+    // no deadline, so only a cancel trips it.
+    if req.token.check("admission").is_err() {
         return AttemptEnd::Terminal(
             RejectReason::ReqCanceled,
             "canceled before the attempt started".into(),
@@ -679,29 +606,26 @@ fn run_attempt(shared: &Shared, req: &Request, attempt: u32) -> AttemptEnd {
         );
     }
 
-    // Fresh attempt token: new flag (a previous attempt's watchdog cancel
-    // must not leak in), fresh deadline.
-    let attempt_token = match req.deadline {
-        Some(d) => CancelToken::with_deadline(d),
-        None => CancelToken::never(),
-    };
-    let deadline_at = req.deadline.map(|d| Instant::now() + d);
+    // The request's flag with a fresh deadline: a client cancel reaches
+    // every poll point of this attempt, and an earlier attempt's expired
+    // deadline does not carry over.
+    let token = req.token.with_deadline(req.deadline);
 
     // Take the attempt's memory grant before any planning work. Under
     // shed admission a full pool refuses immediately (the retry loop's
     // backoff gives releases time to land); under block admission the
-    // reserve parks until room frees up or the attempt token trips.
+    // reserve parks until room frees up or the token trips.
     let reservation = match &shared.governor {
         Some(gov) => {
             let grant = shared.cfg.mem_grant.min(gov.budget());
             let fp = Some(&shared.cfg.cse.failpoints);
             let taken = match shared.cfg.admit {
                 AdmitPolicy::Shed => gov.try_reserve(grant, fp),
-                AdmitPolicy::Block => gov.reserve_blocking(grant, fp, &attempt_token),
+                AdmitPolicy::Block => gov.reserve_blocking(grant, fp, &token),
             };
             match taken {
                 Ok(r) => Some(r),
-                Err(ReserveError::Canceled { .. }) => return cancellation_end(req),
+                Err(ReserveError::Canceled { .. }) => return cancellation_end(&token),
                 Err(e) => {
                     return AttemptEnd::Transient(
                         RejectReason::ShedMemory,
@@ -713,29 +637,9 @@ fn run_attempt(shared: &Shared, req: &Request, attempt: u32) -> AttemptEnd {
         None => None,
     };
 
-    shared.inflight().insert(
-        req.id,
-        InflightEntry {
-            attempt: attempt_token.clone(),
-            request: req.token.clone(),
-            deadline: deadline_at,
-        },
-    );
-    let end = run_attempt_inner(shared, req, &attempt_token, reservation.as_ref(), attempt);
-    shared.inflight().remove(&req.id);
-    end
-}
-
-fn run_attempt_inner(
-    shared: &Shared,
-    req: &Request,
-    attempt_token: &CancelToken,
-    reservation: Option<&MemReservation>,
-    attempt: u32,
-) -> AttemptEnd {
     let admission = shared.breaker.admit();
     let mut cfg = shared.cfg.cse.clone();
-    cfg.cancel = attempt_token.clone();
+    cfg.cancel = token.clone();
     // Where the request starts is decided here, and reported here: an open
     // breaker forces the baseline rung, so clients see they were served
     // under it (OPT_FORCED); under Elevated or Critical memory pressure the
@@ -768,7 +672,7 @@ fn run_attempt_inner(
             if admission == Admission::Probe {
                 shared.breaker.record_probe(false);
             }
-            return classify_plan_failure(req, attempt_token, msg);
+            return classify_plan_failure(&token, msg);
         }
     };
     // Breaker bookkeeping happens on planning success, before execution:
@@ -791,8 +695,8 @@ fn run_attempt_inner(
         &optimized.plan,
         &ExecCtx {
             failpoints: cfg.failpoints.clone(),
-            cancel: attempt_token.clone(),
-            reservation,
+            cancel: token.clone(),
+            reservation: reservation.as_ref(),
         },
     );
     match run {
@@ -810,7 +714,7 @@ fn run_attempt_inner(
                 latency: req.submitted.elapsed(),
             }))
         }
-        Err(ExecError::Canceled { .. }) => cancellation_end(req),
+        Err(ExecError::Canceled { .. }) => cancellation_end(&token),
         Err(e @ ExecError::MemReservation { .. }) => {
             // Transient: by the retry's backoff other requests have released.
             AttemptEnd::Transient(RejectReason::ShedMemory, e.to_string())
@@ -828,24 +732,27 @@ fn run_attempt_inner(
 }
 
 /// Classify a planning failure. Cancellation aborts surface as `Err`
-/// strings from the pipeline; the token states — not the message text —
-/// decide between the client-cancel and deadline paths. Everything else is
-/// a deterministic planning failure that retrying cannot fix.
-fn classify_plan_failure(req: &Request, attempt_token: &CancelToken, msg: String) -> AttemptEnd {
-    if attempt_token.is_canceled() {
-        cancellation_end(req)
-    } else {
+/// strings from the pipeline; the token — not the message text — decides
+/// between the client-cancel and deadline paths. Everything else is a
+/// deterministic planning failure that retrying cannot fix.
+fn classify_plan_failure(token: &CancelToken, msg: String) -> AttemptEnd {
+    if token.check("planning").is_ok() {
         AttemptEnd::Terminal(RejectReason::PlanRejected, msg)
+    } else {
+        cancellation_end(token)
     }
 }
 
-/// A canceled attempt is terminal when the *client* canceled and transient
-/// (retry with a fresh deadline) when the watchdog deadline fired.
-fn cancellation_end(req: &Request) -> AttemptEnd {
-    if req.token.is_explicitly_canceled() {
-        AttemptEnd::Terminal(RejectReason::ReqCanceled, "canceled by client".into())
-    } else {
-        AttemptEnd::Transient(RejectReason::ReqDeadline, "attempt deadline expired".into())
+/// A stopped attempt is terminal when the client canceled and transient
+/// (retried with a fresh deadline) when only its deadline passed. The
+/// token is read again here, so a cancel that lands after the deadline
+/// still ends the request.
+fn cancellation_end(token: &CancelToken) -> AttemptEnd {
+    match token.check("attempt") {
+        Err(trip) if trip.reason == Reason::ReqCanceled => {
+            AttemptEnd::Terminal(RejectReason::ReqCanceled, "canceled by client".into())
+        }
+        _ => AttemptEnd::Transient(RejectReason::ReqDeadline, "attempt deadline expired".into()),
     }
 }
 

@@ -117,7 +117,7 @@ fn main() {
             }
             // Block submitters on a full queue instead of shedding.
             "--block" => admit = AdmitPolicy::Block,
-            // Per-attempt watchdog deadline.
+            // Per-attempt deadline.
             "--deadline-ms" => {
                 deadline_ms = Some(
                     args.next()
@@ -156,8 +156,8 @@ fn main() {
             "--data-dir" => {
                 data_dir = Some(args.next().expect("--data-dir expects a directory"));
             }
-            // Full CSE_FAIL grammar: comma-separated site:prob[:seed]
-            // specs, unknown sites rejected unless `allow-unknown` leads.
+            // Failpoint grammar: comma-separated site:prob[:seed] specs,
+            // unknown sites rejected unless `allow-unknown` is listed.
             "--fail" => {
                 let spec = args.next().expect("--fail expects site:prob[:seed]");
                 match similar_subexpr::govern::parse_fail_specs(&spec) {

@@ -71,8 +71,8 @@ fn main() {
                     "--no-cse-fallback-only forced the baseline rung",
                 ));
             }
-            // Arm deterministic failpoints (repeatable, full CSE_FAIL
-            // grammar): --fail spool.materialize:1.0:42
+            // Arm deterministic failpoints (repeatable, comma-separated
+            // site:prob[:seed] specs): --fail spool.materialize:1.0:42
             "--fail" => {
                 let spec = args.next().expect("--fail expects site:prob[:seed]");
                 match similar_subexpr::govern::parse_fail_specs(&spec) {

@@ -197,9 +197,9 @@ fn every_registered_site_has_a_live_hook() {
     }
 }
 
-/// `sites::ALL` and `sites::is_known` must agree — the `CSE_FAIL`
+/// `sites::ALL` and `sites::is_known` must agree — the `--fail`
 /// validator rejects based on `is_known`, so a site missing from either
-/// side silently breaks the env grammar.
+/// side silently breaks the spec grammar.
 #[test]
 fn site_list_and_validator_agree() {
     for &site in sites::ALL {
@@ -208,7 +208,7 @@ fn site_list_and_validator_agree() {
     assert!(!sites::is_known("no.such.site"));
 }
 
-/// The `CSE_FAIL` grammar: unknown sites and malformed probabilities are
+/// The `--fail` grammar: unknown sites and malformed probabilities are
 /// rejected with an error that lists the valid sites; the `allow-unknown`
 /// escape hatch restores the old permissive behaviour for out-of-tree
 /// sites.

@@ -272,3 +272,57 @@ fn critical_pressure_sheds_then_recovers() {
     let stats = server.drain();
     assert_eq!(stats.shed_memory, 1);
 }
+
+/// A client cancel reaches an attempt parked for memory: under block
+/// admission, with 80 % of the pool held elsewhere (Elevated pressure, so
+/// the request is admitted), the attempt waits in `reserve_blocking` for a
+/// grant that cannot fit. Cancelling the ticket must resolve it
+/// `REQ_CANCELED`, never retried, while the other reservation is still
+/// held.
+#[test]
+fn cancel_reaches_an_attempt_waiting_for_memory() {
+    let catalog = catalog();
+    let budget = 1 << 20;
+    let mut server = Server::new(
+        Arc::clone(&catalog),
+        ServerConfig {
+            workers: 1,
+            admit: AdmitPolicy::Block,
+            deadline: None,
+            mem_budget: Some(budget),
+            ..ServerConfig::default()
+        },
+    );
+    let governor = server.memory_governor().expect("budget set").clone();
+    // Declared after the server, so a failing assertion drops it first and
+    // the parked worker can finish before the server drains.
+    let hog = governor
+        .try_reserve(budget * 8 / 10, None)
+        .expect("pre-reservation fits");
+    assert_eq!(governor.pressure(), Pressure::Elevated);
+    let ticket = server.submit(&cse_batch()).expect("Elevated still admits");
+    std::thread::sleep(Duration::from_millis(50));
+    ticket.cancel();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(ticket.wait());
+    });
+    match rx.recv_timeout(Duration::from_secs(3)) {
+        Ok(Outcome::Rejected(r)) => {
+            assert_eq!(r.reason, RejectReason::ReqCanceled, "{}", r.detail);
+            assert_eq!(r.retries, 0, "a cancel is terminal");
+        }
+        Ok(Outcome::Done(_)) => panic!("a canceled request must not complete"),
+        Err(_) => panic!("the cancel did not reach the attempt waiting for memory"),
+    }
+    assert_eq!(
+        governor.reserved(),
+        budget * 8 / 10,
+        "the hog is still held"
+    );
+    drop(hog);
+    waiter.join().expect("waiter thread");
+    let stats = server.drain();
+    assert_eq!(stats.canceled, 1);
+    assert_eq!(governor.reserved(), 0, "pool drains");
+}

@@ -500,7 +500,7 @@ fn seeded_fault_metrics_are_consistent_and_deterministic() {
     assert_eq!(m.peak_bytes, b.metrics.peak_bytes);
 }
 
-/// The `CSE_FAIL` environment grammar round-trips through `FailSpec`.
+/// The `--fail` spec grammar round-trips through `FailSpec`.
 #[test]
 fn fail_spec_grammar() {
     let s = FailSpec::parse("spool.materialize:1.0:7").unwrap();

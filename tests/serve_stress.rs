@@ -351,11 +351,11 @@ fn explicit_cancel_rejects_with_req_canceled() {
     assert_eq!(stats.canceled, 1);
 }
 
-/// Watchdog deadlines: a deadline far too short to plan the batch expires
+/// Attempt deadlines: a deadline far too short to plan the batch expires
 /// every attempt; the request is retried (fresh deadline each time), then
 /// rejected `REQ_DEADLINE` — and the worker is alive for the next request.
 #[test]
-fn watchdog_deadline_rejects_then_worker_serves_again() {
+fn attempt_deadline_rejects_then_worker_serves_again() {
     let catalog = catalog();
     let mut server = Server::new(
         Arc::clone(&catalog),
