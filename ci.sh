@@ -194,10 +194,13 @@ rm -rf "$data_dir"
 # whose first field is the correctness verdict.
 # Building benchmark/ without --locked lets cargo prune its Cargo.lock of
 # packages the tree no longer has; that file is frozen, so put it back.
-echo "==> benchmark smoke (every workload: verdict; no-share, share-batch and opt-heavy: candidate and spool counts, re-optimizations or rows scanned, memo size; view-maint sharing)"
+echo "==> benchmark smoke (its own tests; every workload: verdict; no-share, share-batch and opt-heavy: candidate and spool counts, re-optimizations or rows scanned, memo size; view-maint sharing)"
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
+# The benchmark's own tests: its frozen golden fingerprints and its
+# result-line contract, against the tree as it is now.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 # The value of one traced metric in a result line.
 metric() {
   grep -oE "\"$1\": \{\"value\": [0-9]+" <<<"$2" | grep -oE '[0-9]+$' || true

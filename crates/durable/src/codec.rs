@@ -9,10 +9,9 @@ use crate::DurableError;
 use cse_storage::delta::DeltaTable;
 use cse_storage::schema::{ColumnDef, Schema};
 use cse_storage::table::Table;
-use cse_storage::value::{DataType, Value};
+use cse_storage::value::{DataType, Text, Value};
 use cse_storage::CatalogMutation;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Decode cursor over a payload slice.
 pub struct Reader<'a> {
@@ -132,7 +131,7 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
 
 /// The strings one decoded mutation has stored so far: each distinct text
 /// is allocated once, however many rows repeat it.
-type Strings = HashSet<Arc<str>>;
+type Strings = HashSet<Text>;
 
 fn read_value(r: &mut Reader, strings: &mut Strings) -> Result<Value, DurableError> {
     Ok(match r.u8("value tag")? {
@@ -142,7 +141,7 @@ fn read_value(r: &mut Reader, strings: &mut Strings) -> Result<Value, DurableErr
         3 => {
             let text = r.text("string value")?;
             Value::Str(strings.get(text).cloned().unwrap_or_else(|| {
-                let s: Arc<str> = Arc::from(text);
+                let s = Text::from(text);
                 strings.insert(s.clone());
                 s
             }))
@@ -368,13 +367,13 @@ mod tests {
         let CatalogMutation::RegisterTable { table } = m else {
             panic!("wrong variant");
         };
-        let mut seen: Vec<Arc<str>> = Vec::new();
+        let mut seen: Vec<Text> = Vec::new();
         for (r, text) in table.scan().zip(texts) {
             for v in r {
                 let Value::Str(s) = v else { panic!("a string") };
                 assert_eq!(&**s, text);
                 match seen.iter().find(|x| ***x == **s) {
-                    Some(first) => assert!(Arc::ptr_eq(first, s), "{text} twice"),
+                    Some(first) => assert!(Text::ptr_eq(first, s), "{text} twice"),
                     None => seen.push(s.clone()),
                 }
             }

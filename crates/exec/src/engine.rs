@@ -27,7 +27,7 @@ use cse_govern::{
     sites, CancelToken, FailpointRegistry, MemReservation, MemScope, Reason, ReserveError,
 };
 use cse_optimizer::{CseId, FullPlan, PhysicalPlan};
-use cse_storage::{Catalog, Row, RowBuf, Table, Value};
+use cse_storage::{Catalog, Row, RowBuf, Table, Value, CELL_BYTES};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound as RangeBound;
@@ -131,9 +131,6 @@ type Need = BTreeSet<ColRef>;
 type Sink<'s> = &'s mut dyn FnMut(&[Value]) -> ExecResult;
 
 type ExecResult<T = ()> = Result<T, ExecError>;
-
-/// What one held column value is charged as.
-const CELL: usize = std::mem::size_of::<Value>();
 
 /// How one [`Engine::execute_in`] call is governed. The default is
 /// ungoverned: nothing armed, never canceled, no reservation.
@@ -314,7 +311,7 @@ impl<'a> Engine<'a> {
             rows.push(bound.iter().map(|e| e.eval(r).into_owned()).collect());
             Ok(())
         })?;
-        st.charge(rows.len() * exprs.len().max(1) * CELL)?;
+        st.charge(rows.len() * exprs.len().max(1) * CELL_BYTES)?;
         let columns = exprs.iter().map(|(name, _)| name.clone()).collect();
         Ok(ResultSet::new(columns, rows))
     }
@@ -863,7 +860,7 @@ impl Groups {
         }
         let (groups, n) = (self.keys.len(), self.args.len());
         let width = self.key_pos.len() + n;
-        st.charge(groups * width.max(1) * CELL)?;
+        st.charge(groups * width.max(1) * CELL_BYTES)?;
         let (mut scratch, mut states) = (Vec::with_capacity(width), self.states.iter());
         self.keys.rows().try_for_each(|key| {
             scratch.clear();

@@ -33,4 +33,4 @@ pub use index::{BTreeIndex, HashIndex};
 pub use schema::{ColumnDef, Schema, SchemaRef};
 pub use stats::{ColumnStats, TableStats};
 pub use table::{row, Row, RowBuf, Table, CHUNK_ROWS};
-pub use value::{DataType, Value};
+pub use value::{DataType, Text, Value, CELL_BYTES};

@@ -1,8 +1,8 @@
 //! Table and column statistics used by the cardinality estimator.
 //!
 //! Statistics are computed by a single scan over a loaded table: row count,
-//! and per column the min/max, an approximate distinct count and the average
-//! width. Distinct counts are exact for the table sizes used here (a hash
+//! and per column the min/max, an approximate distinct count and the null
+//! count. Distinct counts are exact for the table sizes used here (a hash
 //! set per column); for very large tables a sampling cut-over keeps the cost
 //! bounded. A table that grows by appends keeps what the scan accumulated,
 //! so its stats follow each append at the cost of the appended rows.
@@ -22,8 +22,6 @@ pub struct ColumnStats {
     /// Approximate number of distinct non-null values.
     pub distinct: u64,
     pub null_count: u64,
-    /// Average value width in bytes.
-    pub avg_width: f64,
 }
 
 impl ColumnStats {
@@ -34,7 +32,6 @@ impl ColumnStats {
             max: None,
             distinct: 0,
             null_count: 0,
-            avg_width: 8.0,
         }
     }
 }
@@ -70,7 +67,6 @@ struct ColumnScan {
     max: Option<Value>,
     distinct: HashSet<Value>,
     nulls: u64,
-    widths: u64,
 }
 
 impl Scan {
@@ -95,7 +91,6 @@ impl Scan {
             if !in_sample {
                 continue;
             }
-            c.widths += v.width() as u64;
             match &c.min {
                 Some(m) if m.total_cmp(v) != std::cmp::Ordering::Greater => {}
                 _ => c.min = Some(v.clone()),
@@ -126,11 +121,6 @@ impl Scan {
                     .min(nrows as u64)
                     .max(if nrows > 0 { 1 } else { 0 }),
                 null_count: c.nulls,
-                avg_width: if sampled > 0 && !c.distinct.is_empty() {
-                    c.widths as f64 / sampled as f64
-                } else {
-                    8.0
-                },
             })
             .collect();
         TableStats {

@@ -2,7 +2,7 @@
 
 use crate::error::StorageError;
 use crate::schema::{Schema, SchemaRef};
-use crate::value::Value;
+use crate::value::{Value, CELL_BYTES};
 use std::sync::Arc;
 
 /// A delivered row: a result set's rows, and what a caller hands in to be
@@ -52,7 +52,7 @@ impl RowBuf {
 
     /// What the held rows are charged as.
     pub fn bytes(&self) -> usize {
-        self.len * self.width.max(1) * std::mem::size_of::<Value>()
+        self.len * self.width.max(1) * CELL_BYTES
     }
 
     /// Append a row; `row` yields exactly `width` values.

@@ -1,13 +1,25 @@
 //! Typed scalar values and data types used throughout the engine.
 //!
-//! Values are small, cheaply clonable (strings are `Arc<str>`), totally
-//! ordered (floats via IEEE total order) and hashable, so they can serve as
-//! hash-join and group-by keys directly.
+//! Values are sixteen bytes, cheaply clonable (a string is a [`Text`], one
+//! shared pointer), totally ordered (floats via IEEE total order) and
+//! hashable, so they can serve as hash-join and group-by keys directly.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// What one held column value is charged as: a stored, held or spooled
+/// row of `n` columns counts `n` cells.
+pub const CELL_BYTES: usize = std::mem::size_of::<Value>();
+
+// Every row is a run of values, so a wider variant widens every row: make
+// it a build error rather than a silent cost.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+const _: () = assert!(std::mem::size_of::<Option<Value>>() == 16);
+const _: () = assert!(std::mem::size_of::<Text>() == 8);
 
 /// The data types supported by the storage layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,6 +61,90 @@ impl fmt::Display for DataType {
     }
 }
 
+/// An immutable shared string, one pointer wide: the text lives in a box
+/// behind the count, so a [`Value`] holding it stays sixteen bytes where a
+/// fat `Arc<str>` would make it twenty-four. Clones share the text; equality,
+/// order and hash go by content, like `str`'s.
+#[derive(Clone)]
+pub struct Text(Arc<Box<str>>);
+
+impl Text {
+    /// Whether `a` and `b` are clones of one allocation: a shortcut for
+    /// equality, never its definition.
+    pub fn ptr_eq(a: &Text, b: &Text) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Text {
+    fn borrow(&self) -> &str {
+        self
+    }
+}
+
+impl AsRef<str> for Text {
+    fn as_ref(&self) -> &str {
+        self
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        Text(Arc::new(s.into()))
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text(Arc::new(s.into_boxed_str()))
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+/// Hashes like the `str` it holds, as [`Borrow<str>`] requires.
+impl Hash for Text {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&**self, f)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A runtime scalar value.
 #[derive(Debug, Clone)]
 pub enum Value {
@@ -56,16 +152,16 @@ pub enum Value {
     Null,
     Int(i64),
     Float(f64),
-    Str(Arc<str>),
+    Str(Text),
     /// Days since the Unix epoch.
     Date(i32),
     Bool(bool),
 }
 
 impl Value {
-    /// String constructor that interns into an `Arc<str>`.
+    /// String constructor: allocates a new [`Text`].
     pub fn str(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Text::from(s.as_ref()))
     }
 
     /// Parse a `YYYY-MM-DD` literal into a [`Value::Date`].
@@ -122,17 +218,6 @@ impl Value {
         }
     }
 
-    /// In-memory width estimate for materialization costing.
-    pub fn width(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Int(_) | Value::Float(_) => 8,
-            Value::Date(_) => 4,
-            Value::Bool(_) => 1,
-            Value::Str(s) => s.len().max(8),
-        }
-    }
-
     /// Three-valued-logic comparison: NULL compares as unknown (`None`),
     /// numeric types compare cross-type.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
@@ -140,7 +225,7 @@ impl Value {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
-            (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
+            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             _ => {
                 let (a, b) = (self.as_f64()?, other.as_f64()?);
@@ -191,8 +276,8 @@ impl Value {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Date(a), Value::Date(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
-            (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Value::Str(a), Value::Str(b)) if Text::ptr_eq(a, b) => Ordering::Equal,
+            (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
             (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
@@ -248,8 +333,9 @@ impl fmt::Display for Value {
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
+    use std::collections::HashSet;
 
-    fn h(v: &Value) -> u64 {
+    fn h(v: &impl Hash) -> u64 {
         let mut s = DefaultHasher::new();
         v.hash(&mut s);
         s.finish()
@@ -270,10 +356,16 @@ mod tests {
         let (Value::Str(x), Value::Str(y)) = (&a, &b) else {
             unreachable!()
         };
-        assert!(!Arc::ptr_eq(x, y));
+        assert!(!Text::ptr_eq(x, y));
+        assert!(Text::ptr_eq(x, &x.clone()));
         assert_eq!(a, b);
         assert_eq!(h(&a), h(&b));
+        assert_eq!((x, h(x)), (y, h(y)));
         assert_eq!(a, a.clone());
+        // The durable decoder finds a stored `Text` by the `&str` it read.
+        let set: HashSet<Text> = [y.clone()].into();
+        assert!(set.get(&**x).is_some_and(|t| Text::ptr_eq(t, y)));
+        assert!(!set.contains("AIR"));
         assert_eq!(a.total_cmp(&Value::str("AIR")), Ordering::Greater);
         assert_eq!(Value::str("AIR").total_cmp(&a), Ordering::Less);
     }
@@ -310,8 +402,12 @@ mod tests {
     }
 
     #[test]
-    fn width_estimates() {
-        assert_eq!(Value::Int(1).width(), 8);
-        assert!(Value::str("hello world too long").width() >= 8);
+    fn strings_print_their_text() {
+        assert_eq!(format!("{}", Value::str("MAIL")), "'MAIL'");
+        assert_eq!(format!("{:?}", Value::str("MAIL")), "Str(\"MAIL\")");
+        assert_eq!(
+            format!("{:>6}|{:?}", Text::from("AIR"), Text::from("AIR")),
+            "   AIR|\"AIR\""
+        );
     }
 }

@@ -99,11 +99,3 @@ fn sql_cmp_agrees_with_total_order_without_nulls() {
         }
     }
 }
-
-#[test]
-fn width_is_positive() {
-    let mut rng = TestRng::new(0x55);
-    for _ in 0..CASES {
-        assert!(gen_value(&mut rng).width() >= 1);
-    }
-}

@@ -3,10 +3,10 @@
 //! Low-cardinality columns draw from the exact dbgen domains (segments,
 //! priorities, ship modes, part types, ...), each value allocated once.
 //! Free-text comments draw from a pregenerated pool of phrases.
-//! Either way a stored string is an `Arc<str>` clone, not an allocation.
+//! Either way a stored string is a [`Text`] clone, not an allocation.
 
 use crate::rng::SplitMix64;
-use std::sync::Arc;
+use cse_storage::Text;
 
 pub const SEGMENTS: &[&str] = &[
     "AUTOMOBILE",
@@ -105,7 +105,7 @@ const WORDS: &[&str] = &[
 /// The values of one enumerated domain, each allocated once.
 #[derive(Debug, Clone)]
 pub(crate) struct Domain {
-    values: Vec<Arc<str>>,
+    values: Vec<Text>,
     /// The choices of each draw a pick makes, first draw first; `values`
     /// lists the domain in the order of the draws' mixed-radix number.
     draws: Vec<usize>,
@@ -113,7 +113,7 @@ pub(crate) struct Domain {
 
 impl Domain {
     fn new(draws: &[usize], values: impl Iterator<Item = String>) -> Self {
-        let values: Vec<Arc<str>> = values.map(Arc::from).collect();
+        let values: Vec<Text> = values.map(Text::from).collect();
         debug_assert_eq!(values.len(), draws.iter().product::<usize>());
         Domain {
             values,
@@ -127,7 +127,7 @@ impl Domain {
 
     /// A uniform value, from one draw of `rng` per factor of the domain:
     /// the draws that picked the value's parts before they were joined.
-    pub(crate) fn pick(&self, rng: &mut SplitMix64) -> Arc<str> {
+    pub(crate) fn pick(&self, rng: &mut SplitMix64) -> Text {
         let i = self.draws.iter().fold(0, |i, n| i * n + rng.index(*n));
         self.values[i].clone()
     }
@@ -189,7 +189,7 @@ impl Domains {
 /// strings, and beside it every enumerated domain.
 #[derive(Debug, Clone)]
 pub struct CommentPool {
-    pool: Vec<Arc<str>>,
+    pool: Vec<Text>,
     domains: Domains,
 }
 
@@ -207,7 +207,7 @@ impl CommentPool {
                 }
                 s.push_str(rng.pick::<&str>(WORDS));
             }
-            pool.push(Arc::from(s.as_str()));
+            pool.push(Text::from(s));
         }
         CommentPool {
             pool,
@@ -219,7 +219,7 @@ impl CommentPool {
         &self.domains
     }
 
-    pub fn pick(&self, rng: &mut SplitMix64) -> Arc<str> {
+    pub fn pick(&self, rng: &mut SplitMix64) -> Text {
         self.pool[(rng.next_u64() % self.pool.len() as u64) as usize].clone()
     }
 }
