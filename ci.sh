@@ -194,7 +194,7 @@ rm -rf "$data_dir"
 # whose first field is the correctness verdict.
 # Building benchmark/ without --locked lets cargo prune its Cargo.lock of
 # packages the tree no longer has; that file is frozen, so put it back.
-echo "==> benchmark smoke (its own tests; every workload: verdict; no-share, share-batch and opt-heavy: candidate and spool counts, re-optimizations or rows scanned, memo size; view-maint sharing)"
+echo "==> benchmark smoke (its own tests; every workload: verdict; no-share, share-batch and opt-heavy: candidate and spool counts, re-optimizations or rows scanned, result and spool rows, memo size; view-maint sharing)"
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
@@ -215,7 +215,9 @@ for workload in no-share serve-mix share-batch opt-heavy view-maint; do
     || { echo "benchmark $workload verdict: $verdict"; exit 1; }
   # Candidate generation and scans may get cheaper, not different: a change
   # that drops or adds a candidate, a spool, a re-optimization or a scanned
-  # row fails here. Each row is "workload metric count".
+  # row fails here, and so does one that splits or merges groups, which
+  # moves the result and spool row counts. Each row is "workload metric
+  # count".
   while read -r name_workload name want; do
     [[ "$name_workload" == "$workload" ]] || continue
     got=$(metric "$name" "$verdict")
@@ -231,6 +233,11 @@ share-batch core.cse_optimizations 113
 opt-heavy core.candidates 45
 opt-heavy core.spools_used 15
 opt-heavy core.cse_optimizations 339
+share-batch exec.result_rows 3863
+share-batch exec.spool_rows 80594
+opt-heavy exec.result_rows 2255
+opt-heavy exec.spool_rows 136169
+no-share exec.result_rows 1440
 COUNTS
   if [[ "$workload" == opt-heavy ]]; then
     # One group per logical join: 4 137 expressions today, 15 405 when

@@ -21,7 +21,7 @@
 
 use crate::error::ExecError;
 use crate::eval::{position, AggState, Bound};
-use crate::keys::{key_eq, key_hash, KeyTable};
+use crate::keys::{key_eq, key_hash, KeyTable, WordKeys};
 use cse_algebra::{AggExpr, ColRef, PlanContext, Scalar, SortOrder};
 use cse_govern::{
     sites, CancelToken, FailpointRegistry, MemReservation, MemScope, Reason, ReserveError,
@@ -800,13 +800,18 @@ fn bind_all<'s>(
 
 /// The group table of HashAggregate and of CseRead's re-aggregation: one
 /// group per distinct key (NULL is a key value like any other), in
-/// first-seen order. A group is its key values, copied when it is first
-/// seen, and the states `g * aggs.len() ..` of one flat vector.
+/// first-seen order. A group is its key, copied when it is first seen, and
+/// the states `g * aggs.len() ..` of one flat vector. Keys are machine
+/// words ([`WordKeys`]) until the first that is not; then every group is
+/// re-keyed by its values, once, ids and order kept.
 struct Groups {
     key_pos: Vec<usize>,
     args: Vec<Bound>,
     fresh: Vec<AggState>,
     table: KeyTable,
+    /// The keys while they are machine words.
+    words: Option<WordKeys>,
+    /// The keys once `words` is gone.
     keys: RowBuf,
     states: Vec<AggState>,
 }
@@ -820,6 +825,7 @@ impl Groups {
         let bind = |e| Bound::bind(e, cols, op);
         let args = aggs.iter().map(|a| a.arg.as_ref().map_or_else(one, bind));
         Ok(Groups {
+            words: WordKeys::new(key_pos.len()),
             keys: RowBuf::new(key_pos.len()),
             key_pos,
             args: args.collect::<Result<_, _>>()?,
@@ -832,39 +838,79 @@ impl Groups {
     /// A sink: the row joins its group, added if the row is its first.
     #[expect(
         clippy::indexing_slicing,
-        reason = "key positions were resolved by position() against the input columns; group g owns states g * args.len() .. (g + 1) * args.len(), pushed when g was added"
+        reason = "group g owns states g * args.len() .. (g + 1) * args.len(), pushed when g was added; a bound column is a position in the input row"
     )]
     fn update(&mut self, row: &[Value]) -> ExecResult {
-        let (keys, key_pos) = (&self.keys, &self.key_pos);
-        let (g, added) = self.table.find_or_insert(key_hash(row, key_pos), |g| {
-            keys.row(g).iter().zip(key_pos).all(|(k, p)| *k == row[*p])
-        });
-        if added {
-            self.keys.push(key_pos.iter().map(|p| row[*p].clone()));
-            self.states.extend_from_slice(&self.fresh);
-        }
+        let g = self.group(row);
         let group = &mut self.states[g * self.args.len()..][..self.args.len()];
         for (state, arg) in group.iter_mut().zip(&self.args) {
-            state.update(&arg.eval(row));
+            match arg {
+                Bound::Col(i) => state.update(&row[*i]),
+                _ => state.update(&arg.eval(row)),
+            }
         }
         Ok(())
+    }
+
+    /// The group of `row`, added with fresh states if the row is its first.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "key positions were resolved by position() against the input columns"
+    )]
+    fn group(&mut self, row: &[Value]) -> usize {
+        let (table, key_pos) = (&mut self.table, &self.key_pos);
+        let words = self.words.as_mut();
+        let (g, added) = match words.and_then(|w| w.find_or_insert(table, row, key_pos)) {
+            Some(found) => found,
+            None => {
+                if let Some(words) = self.words.take() {
+                    self.rekey(&words);
+                }
+                let (keys, key_pos) = (&self.keys, &self.key_pos);
+                let found = self.table.find_or_insert(key_hash(row, key_pos), |g| {
+                    keys.row(g).iter().zip(key_pos).all(|(k, p)| *k == row[*p])
+                });
+                if found.1 {
+                    self.keys.push(key_pos.iter().map(|p| row[*p].clone()));
+                }
+                found
+            }
+        };
+        if added {
+            self.states.extend_from_slice(&self.fresh);
+        }
+        g
+    }
+
+    /// A key arrived that is not words: key every group by its values.
+    fn rekey(&mut self, words: &WordKeys) {
+        let at: Vec<usize> = (0..self.key_pos.len()).collect();
+        let groups = self.table.len();
+        self.table = KeyTable::with_capacity(groups);
+        for g in 0..groups {
+            self.keys.push(words.decode(g));
+            let hash = key_hash(self.keys.row(g), &at);
+            self.table.find_or_insert(hash, |_| false);
+        }
     }
 
     /// The input has ended: charge the table, then push every group, key
     /// columns then aggregates, through one row.
     fn emit(mut self, st: &mut RunState<'_>, sink: Sink<'_>) -> ExecResult {
         // A scalar aggregate over no rows is one group.
-        if self.key_pos.is_empty() && self.keys.is_empty() {
-            self.keys.push(std::iter::empty());
-            self.states.extend_from_slice(&self.fresh);
+        if self.key_pos.is_empty() && self.table.len() == 0 {
+            self.group(&[]);
         }
-        let (groups, n) = (self.keys.len(), self.args.len());
+        let (groups, n) = (self.table.len(), self.args.len());
         let width = self.key_pos.len() + n;
         st.charge(groups * width.max(1) * CELL_BYTES)?;
         let (mut scratch, mut states) = (Vec::with_capacity(width), self.states.iter());
-        self.keys.rows().try_for_each(|key| {
+        (0..groups).try_for_each(|g| {
             scratch.clear();
-            scratch.extend_from_slice(key);
+            match &self.words {
+                Some(words) => scratch.extend(words.decode(g)),
+                None => scratch.extend_from_slice(self.keys.row(g)),
+            }
             scratch.extend(states.by_ref().take(n).map(AggState::finish));
             sink(&scratch)
         })

@@ -130,6 +130,9 @@ impl AggState {
         }
     }
 
+    /// Fold one value in. Inlined into a group table's row loop, which
+    /// calls it once per row and aggregate.
+    #[inline(always)]
     pub fn update(&mut self, v: &Value) {
         match self.func {
             AggFunc::CountStar => self.count += 1,

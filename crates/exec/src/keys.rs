@@ -5,11 +5,13 @@
 //! only on a hash hit, so no per-row key vector is built. Equality is
 //! [`Value`]'s total-order equality — `Int(3)` equals `Float(3.0)` and
 //! NULL equals NULL (group-by wants one NULL group; joins skip NULL keys
-//! before they get here).
+//! before they get here). A group table whose key columns each hold one of
+//! `Int`, `Date` and `Bool` keeps its keys as machine words ([`WordKeys`]),
+//! which is the same equality for such columns at a word's price.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "slot index masked by the power-of-two table length; stored ids are < hashes.len() by construction; key positions and row numbers are the caller's, resolved against the rows they index"
+    reason = "slot index masked by the power-of-two table length; stored ids are < hashes.len() by construction; key positions and row numbers are the caller's, resolved against the rows they index; a word key is k + 1 >= 1 words at a stored id's offset"
 )]
 
 use cse_storage::Value;
@@ -73,6 +75,103 @@ pub(crate) fn key_eq(a: &[Value], pa: &[usize], b: &[Value], pb: &[usize]) -> bo
     pa.iter().zip(pb).all(|(x, y)| a[*x] == b[*y])
 }
 
+/// One multiply-xorshift step of [`WordKeys`]' hash: the shift folds the
+/// product's well-mixed high half into the low bits a power-of-two table
+/// indexes by, so sequential keys and multiples of a power of two spread.
+#[inline]
+fn mix_word(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^ (x >> 31)
+}
+
+/// The fixed-width variant a word-keyed column holds.
+#[derive(Clone, Copy, PartialEq)]
+enum WordKind {
+    Int,
+    Date,
+    Bool,
+}
+
+/// Group keys held as machine words, while every key column holds one
+/// fixed-width variant — `Int`, `Date` or `Bool` — or NULL. Key `g` is the
+/// `k + 1` words `keys[g * (k + 1)..]`: a mask with bit `j` set where column
+/// `j` is NULL, then one word per column (0 for NULL). Within one variant,
+/// equal words are equal values, so grouping is what [`Value`] keys give.
+pub(crate) struct WordKeys {
+    /// The variant each key column holds; `None` while it has held only NULL.
+    kinds: Vec<Option<WordKind>>,
+    keys: Vec<u64>,
+    /// The key being looked up, laid out as a stored one.
+    probe: Vec<u64>,
+}
+
+impl WordKeys {
+    /// Keys of `k` columns; `None` past the 64 columns a mask holds.
+    pub(crate) fn new(k: usize) -> Option<Self> {
+        (k <= 64).then(|| WordKeys {
+            kinds: vec![None; k],
+            keys: Vec::new(),
+            probe: vec![0; k + 1],
+        })
+    }
+
+    /// [`KeyTable::find_or_insert`] for the key columns `pos` of `row`; an
+    /// added key is stored under its id. `None`, with nothing added, if one
+    /// of them is a float, a string or another variant than its column
+    /// holds.
+    #[inline]
+    pub(crate) fn find_or_insert(
+        &mut self,
+        table: &mut KeyTable,
+        row: &[Value],
+        pos: &[usize],
+    ) -> Option<(usize, bool)> {
+        let (mut hash, mut mask) = (0, 0);
+        let words = self.probe.iter_mut().skip(1);
+        for (j, ((p, kind), word)) in pos.iter().zip(&mut self.kinds).zip(words).enumerate() {
+            let (is, w) = match &row[*p] {
+                Value::Int(i) => (Some(WordKind::Int), *i as u64),
+                Value::Date(d) => (Some(WordKind::Date), *d as u64),
+                Value::Bool(b) => (Some(WordKind::Bool), u64::from(*b)),
+                Value::Float(_) | Value::Str(_) => return None,
+                // A NULL fits any column.
+                Value::Null => {
+                    mask |= 1 << j;
+                    (*kind, 0)
+                }
+            };
+            if kind.is_some() && *kind != is {
+                return None;
+            }
+            (*kind, *word) = (is, w);
+            hash = mix_word(hash, w);
+        }
+        self.probe[0] = mask;
+        let (n, keys, probe) = (self.probe.len(), &self.keys, &self.probe);
+        let found = table.find_or_insert(hash, |g| {
+            keys[g * n..][..n].iter().zip(probe).all(|(a, b)| a == b)
+        });
+        if found.1 {
+            self.keys.extend_from_slice(probe);
+        }
+        Some(found)
+    }
+
+    /// Key `g`'s values, each in the variant its column holds.
+    pub(crate) fn decode(&self, g: usize) -> impl Iterator<Item = Value> + '_ {
+        let key = &self.keys[g * self.probe.len()..][..self.probe.len()];
+        let (mask, words) = (key[0], &key[1..]);
+        let words = self.kinds.iter().zip(words).enumerate();
+        words.map(move |(j, (kind, w))| match kind {
+            _ if mask >> j & 1 == 1 => Value::Null,
+            Some(WordKind::Int) => Value::Int(*w as i64),
+            Some(WordKind::Date) => Value::Date(*w as i32),
+            Some(WordKind::Bool) => Value::Bool(*w != 0),
+            None => Value::Null,
+        })
+    }
+}
+
 const EMPTY: u32 = u32::MAX;
 
 /// Open-addressing index from key hash to dense entry ids `0, 1, 2, …`
@@ -110,6 +209,11 @@ impl KeyTable {
             }
             slot = (slot + 1) & mask;
         }
+    }
+
+    /// How many entries there are: the next id.
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
     }
 
     #[inline]
@@ -186,6 +290,70 @@ mod tests {
         assert!(longest_probe(&ints) <= 32, "{}", longest_probe(&ints));
         let dates = table_of((8_000..18_000).map(Value::Date));
         assert!(longest_probe(&dates) <= 32, "{}", longest_probe(&dates));
+    }
+
+    /// A table of one-column word keys, each new and found again.
+    fn word_table_of(keys: impl Iterator<Item = Value>) -> KeyTable {
+        let rows: Vec<[Value; 1]> = keys.map(|k| [k]).collect();
+        let (mut t, mut words) = (KeyTable::with_capacity(0), WordKeys::new(1).unwrap());
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(words.find_or_insert(&mut t, r, &[0]), Some((i, true)));
+        }
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(words.find_or_insert(&mut t, r, &[0]), Some((i, false)));
+        }
+        t
+    }
+
+    /// One multiply-xorshift per word must spread what a power-of-two table
+    /// indexes badly: sequential ints and dates, and multiples of 1 024,
+    /// whose low ten bits are all zero.
+    #[test]
+    fn sequential_and_strided_word_keys_do_not_pile_up() {
+        for (what, t) in [
+            ("ints", word_table_of((0..10_000).map(Value::Int))),
+            ("dates", word_table_of((8_000..18_000).map(Value::Date))),
+            (
+                "x1024",
+                word_table_of((0..10_000).map(|i| Value::Int(i * 1024))),
+            ),
+        ] {
+            assert!(longest_probe(&t) <= 32, "{what}: {}", longest_probe(&t));
+        }
+    }
+
+    /// Keys decode to the variants they were stored from, NULL included; a
+    /// float, a string or a second variant in a column is refused and adds
+    /// nothing.
+    #[test]
+    fn word_keys_decode_what_they_stored_and_refuse_what_does_not_fit() {
+        let rows = [
+            [Value::Int(-1), Value::Null, Value::Date(-5)],
+            [Value::Null, Value::Bool(true), Value::Date(3)],
+            [Value::Int(i64::MIN), Value::Bool(false), Value::Null],
+            [Value::Int(i64::MAX), Value::Null, Value::Null],
+        ];
+        let (mut t, mut words) = (KeyTable::with_capacity(0), WordKeys::new(3).unwrap());
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(words.find_or_insert(&mut t, r, &[0, 1, 2]), Some((i, true)));
+            let decoded: Vec<Value> = words.decode(i).collect();
+            assert_eq!(format!("{decoded:?}"), format!("{r:?}"), "variants too");
+        }
+        for misfit in [
+            [Value::Float(1.0), Value::Null, Value::Null],
+            [Value::Null, Value::str("x"), Value::Null],
+            [Value::Date(0), Value::Null, Value::Null],
+            [Value::Null, Value::Int(1), Value::Null],
+        ] {
+            assert_eq!(words.find_or_insert(&mut t, &misfit, &[0, 1, 2]), None);
+        }
+        assert_eq!(t.len(), rows.len());
+        // Key columns read their own positions; NULL meets NULL.
+        let r = [Value::Null, Value::Date(3), Value::Bool(true)];
+        assert_eq!(
+            words.find_or_insert(&mut t, &r, &[0, 2, 1]),
+            Some((1, false))
+        );
     }
 
     #[test]

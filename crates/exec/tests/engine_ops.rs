@@ -265,14 +265,19 @@ fn gen_kind(rng: &mut TestRng) -> KeyKind {
 fn gen_rows(rng: &mut TestRng, kinds: [KeyKind; 2], n: usize) -> Vec<Row> {
     (0..n)
         .map(|_| {
-            let v = match rng.range_usize(0, 5) {
-                0 => Value::Null,
-                1 => Value::Float(rng.range_i64(-8, 8) as f64 / 4.0),
-                _ => Value::Int(rng.range_i64(-5, 6)),
-            };
+            let v = gen_payload(rng);
             row(vec![gen_key(rng, kinds[0]), gen_key(rng, kinds[1]), v])
         })
         .collect()
+}
+
+/// A payload: an int, a float or NULL.
+fn gen_payload(rng: &mut TestRng) -> Value {
+    match rng.range_usize(0, 5) {
+        0 => Value::Null,
+        1 => Value::Float(rng.range_i64(-8, 8) as f64 / 4.0),
+        _ => Value::Int(rng.range_i64(-5, 6)),
+    }
 }
 
 /// A catalog of three-column tables (k1, k2, v) with the given contents.
@@ -526,82 +531,183 @@ fn hash_aggregate_and_reagg_match_sort_oracle_on_generated_inputs() {
         let kinds = [gen_kind(&mut rng), gen_kind(&mut rng)];
         let n = rng.range_usize(0, 24);
         let t_rows = gen_rows(&mut rng, kinds, n);
-        let (cat, mut ctx, rels) = catalog_of(&[("t", &t_rows)]);
-        let t = rels[0];
-        let blk = ctx.new_block();
-        let out = ctx.add_agg_output(&[DataType::Float; 4], blk);
         let nkeys = rng.range_usize(0, 3); // 0 = scalar aggregate
-        let keys: Vec<ColRef> = (0..nkeys as u16).map(|i| ColRef::new(t, i)).collect();
-        let key_cols: Vec<usize> = (0..nkeys).collect();
-        let mut layout = keys.clone();
-        layout.extend((0..4).map(|i| ColRef::new(out, i)));
+        check_grouping(&format!("case {case}"), &t_rows, nkeys, &mut rng);
+    }
 
-        let all: Vec<&Row> = t_rows.iter().collect();
-        let agg = PhysicalPlan::HashAggregate {
-            input: Box::new(scan(&ctx, t)),
-            keys: keys.clone(),
+    // Thousands of rows, so the group table grows: integer, boolean and
+    // date keys, which it holds as machine words, at the edges of i64 and
+    // where `f64` stops holding every integer (2^53 ± 1).
+    let p53 = 1i64 << 53;
+    let edges = [
+        p53 - 1,
+        p53,
+        p53 + 1,
+        i64::MIN,
+        i64::MIN + 1,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    let rows = |rng: &mut TestRng, n, key: &dyn Fn(&mut TestRng, usize) -> [Value; 2]| {
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            let v = gen_payload(rng);
+            let [k1, k2] = key(rng, i);
+            out.push(row(vec![k1, k2, v]));
+        }
+        out
+    };
+    let edge_or_int = |rng: &mut TestRng| match rng.range_usize(0, 3) {
+        0 => Value::Int(*rng.pick(&edges)),
+        _ => Value::Int(rng.range_i64(0, 1_200)),
+    };
+    let edge_ints = rows(&mut rng, 2_400, &|rng, _| [edge_or_int(rng), Value::Null]);
+    check_grouping("edge ints", &edge_ints, 1, &mut rng);
+    // Floats equal to the edges, one past them and one that is no integer
+    // arrive after a thousand groups.
+    let mut late_floats = edge_ints.clone();
+    for f in [
+        p53 as f64,
+        (p53 + 2) as f64,
+        -(2f64.powi(63)),
+        2f64.powi(63),
+        0.5,
+    ] {
+        for _ in 0..4 {
+            late_floats.push(row(vec![
+                Value::Float(f),
+                Value::Null,
+                gen_payload(&mut rng),
+            ]));
+        }
+        late_floats.push(row(vec![
+            edge_or_int(&mut rng),
+            Value::Null,
+            gen_payload(&mut rng),
+        ]));
+    }
+    check_grouping("edge ints, late floats", &late_floats, 1, &mut rng);
+    let bools = rows(&mut rng, 2_200, &|rng, _| {
+        let b = if rng.chance(0.1) {
+            Value::Null
+        } else {
+            Value::Bool(rng.chance(0.5))
+        };
+        [b, Value::Int(rng.range_i64(0, 1_100))]
+    });
+    check_grouping("bool, int", &bools, 2, &mut rng);
+    let int_dates = rows(&mut rng, 3_000, &|rng, _| {
+        let d = if rng.chance(0.1) {
+            Value::Null
+        } else {
+            Value::Date(9_000 + rng.range_i64(0, 5) as i32)
+        };
+        [Value::Int(rng.range_i64(-300, 300)), d]
+    });
+    check_grouping("int, date", &int_dates, 2, &mut rng);
+
+    // 1 500 word-keyed groups, then a key that is not one of them — equal
+    // to one (`Float(7.0)` joins the `Int(7)` group and keeps its key), a
+    // float, a string, a date in the int column, or a NULL, which a word
+    // key holds — then more of both.
+    let firsts = |i: usize| [Value::Int(i as i64), Value::Date(9_000 + (i % 2) as i32)];
+    for late in [
+        Value::Float(7.0),
+        Value::Float(0.5),
+        Value::str("x"),
+        Value::Date(9_000),
+        Value::Null,
+    ] {
+        let t_rows = rows(&mut rng, 2_100, &|rng, i| match i {
+            0..1_500 => firsts(i),
+            _ if i % 50 == 0 => [late.clone(), Value::Date(9_001)],
+            _ => firsts(rng.range_usize(0, 1_600)),
+        });
+        check_grouping(&format!("late {late:?}"), &t_rows, 2, &mut rng);
+    }
+}
+
+/// Group `t_rows` by their first `nkeys` columns into SUM(v), COUNT(*),
+/// MIN(v) and COUNT(v), once as a HashAggregate over the table and once as
+/// a spool consumer (compensation filter, re-aggregation, output map). Both
+/// must give the oracle's groups in its order, each under the key variant
+/// it was first seen with.
+fn check_grouping(case: &str, t_rows: &[Row], nkeys: usize, rng: &mut TestRng) {
+    let n = t_rows.len();
+    let (cat, mut ctx, rels) = catalog_of(&[("t", t_rows)]);
+    let t = rels[0];
+    let blk = ctx.new_block();
+    let out = ctx.add_agg_output(&[DataType::Float; 4], blk);
+    let keys: Vec<ColRef> = (0..nkeys as u16).map(|i| ColRef::new(t, i)).collect();
+    let key_cols: Vec<usize> = (0..nkeys).collect();
+    let mut layout = keys.clone();
+    layout.extend((0..4).map(|i| ColRef::new(out, i)));
+
+    let all: Vec<&Row> = t_rows.iter().collect();
+    let agg = PhysicalPlan::HashAggregate {
+        input: Box::new(scan(&ctx, t)),
+        keys: keys.clone(),
+        aggs: oracle_aggs(t),
+        out,
+        layout: layout.clone(),
+    };
+    let got = run(&cat, &ctx, agg);
+    assert_eq!(
+        show(&got),
+        show(&group_oracle(&all, &key_cols)),
+        "{case}: HashAggregate groups/order/values"
+    );
+
+    // The same grouping as a spool consumer: compensation filter over
+    // the stored rows, then re-aggregation, then the output map.
+    let cut = rng.range_i64(-6, 7);
+    let filter = rng
+        .chance(0.7)
+        .then(|| Scalar::cmp(CmpOp::Lt, Scalar::col(t, 2), Scalar::int(cut)));
+    let kept: Vec<&Row> = t_rows
+        .iter()
+        .filter(|r| {
+            filter.is_none()
+                || r[2]
+                    .sql_cmp(&Value::Int(cut))
+                    .is_some_and(std::cmp::Ordering::is_lt)
+        })
+        .collect();
+    let spool_layout: Vec<ColRef> = (0..3).map(|i| ColRef::new(t, i)).collect();
+    let read = PhysicalPlan::CseRead {
+        cse: CseId(0),
+        filter,
+        reagg: Some(ReAgg {
+            keys,
             aggs: oracle_aggs(t),
             out,
-            layout: layout.clone(),
-        };
-        let got = run(&cat, &ctx, agg);
-        assert_eq!(
-            show(&got),
-            show(&group_oracle(&all, &key_cols)),
-            "case {case}: HashAggregate groups/order/values"
-        );
-
-        // The same grouping as a spool consumer: compensation filter over
-        // the stored rows, then re-aggregation, then the output map.
-        let cut = rng.range_i64(-6, 7);
-        let filter = rng
-            .chance(0.7)
-            .then(|| Scalar::cmp(CmpOp::Lt, Scalar::col(t, 2), Scalar::int(cut)));
-        let kept: Vec<&Row> = t_rows
-            .iter()
-            .filter(|r| {
-                filter.is_none()
-                    || r[2]
-                        .sql_cmp(&Value::Int(cut))
-                        .is_some_and(std::cmp::Ordering::is_lt)
-            })
-            .collect();
-        let spool_layout: Vec<ColRef> = (0..3).map(|i| ColRef::new(t, i)).collect();
-        let read = PhysicalPlan::CseRead {
-            cse: CseId(0),
-            filter,
-            reagg: Some(ReAgg {
-                keys,
-                aggs: oracle_aggs(t),
-                out,
-            }),
-            output_map: layout.iter().map(|c| (*c, Scalar::Col(*c))).collect(),
-            layout,
-        };
-        let plan = FullPlan {
-            root: read,
-            spools: BTreeMap::from([(
-                CseId(0),
-                SpoolDef {
-                    plan: scan(&ctx, t),
-                    layout: spool_layout,
-                    est_rows: n as f64,
-                },
-            )]),
-            cost: 0.0,
-        };
-        let out = Engine::new(&cat, &ctx).execute(&plan).unwrap();
-        assert_eq!(
-            show(&out.results[0].rows),
-            show(&group_oracle(&kept, &key_cols)),
-            "case {case}: CseRead filter + reagg"
-        );
-        assert_eq!(
-            out.metrics.spool_rows[&CseId(0)],
-            n,
-            "spool holds every row"
-        );
-    }
+        }),
+        output_map: layout.iter().map(|c| (*c, Scalar::Col(*c))).collect(),
+        layout,
+    };
+    let plan = FullPlan {
+        root: read,
+        spools: BTreeMap::from([(
+            CseId(0),
+            SpoolDef {
+                plan: scan(&ctx, t),
+                layout: spool_layout,
+                est_rows: n as f64,
+            },
+        )]),
+        cost: 0.0,
+    };
+    let out = Engine::new(&cat, &ctx).execute(&plan).unwrap();
+    assert_eq!(
+        show(&out.results[0].rows),
+        show(&group_oracle(&kept, &key_cols)),
+        "{case}: CseRead filter + reagg"
+    );
+    assert_eq!(
+        out.metrics.spool_rows[&CseId(0)],
+        n,
+        "spool holds every row"
+    );
 }
 
 /// lineitem ⋈ orders ⋈ customer feeding SUM(l_extendedprice) GROUP BY

@@ -227,6 +227,10 @@ impl Value {
             (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+            // Exactly, as `total_cmp` does: index narrowing relies on the two
+            // orders agreeing within INT/FLOAT.
+            (Value::Int(a), Value::Float(b)) => Some(int_float_cmp(*a, *b)),
+            (Value::Float(a), Value::Int(b)) => Some(int_float_cmp(*b, *a).reverse()),
             _ => {
                 let (a, b) = (self.as_f64()?, other.as_f64()?);
                 Some(a.total_cmp(&b))
@@ -278,11 +282,24 @@ impl Value {
             (Value::Date(a), Value::Date(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) if Text::ptr_eq(a, b) => Ordering::Equal,
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => int_float_cmp(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
             _ => tag(self).cmp(&tag(other)),
         }
+    }
+}
+
+/// `i` against `f` exactly, in `f64::total_cmp`'s order: `-0.0` below every
+/// zero, NaN past every number by its sign. Rounding `i` to `f64` keeps any
+/// strict order, so only a tie can hide a difference, and a tie makes `f`
+/// an integer of at most 2^63 in magnitude, compared as one.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    match (i as f64).total_cmp(&f) {
+        // 2^63 itself is past `i64::MAX`; `f as i64` is exact below it.
+        Ordering::Equal if f >= -(i64::MIN as f64) => Ordering::Less,
+        Ordering::Equal => i.cmp(&(f as i64)),
+        strict => strict,
     }
 }
 
@@ -295,7 +312,9 @@ impl Hash for Value {
                 b.hash(state);
             }
             // Integral floats must hash like the equal integer because the
-            // total order treats them as equal.
+            // total order treats them as equal. An `Int` past 2^53 hashes
+            // like its rounded `f64`, which it may not equal: a collision,
+            // never two hashes for one value.
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
@@ -368,6 +387,63 @@ mod tests {
         assert!(!set.contains("AIR"));
         assert_eq!(a.total_cmp(&Value::str("AIR")), Ordering::Greater);
         assert_eq!(Value::str("AIR").total_cmp(&a), Ordering::Less);
+    }
+
+    /// An `Int` meets a `Float` exactly: past 2^53, where `i as f64`
+    /// rounds, equality stays transitive and equal values hash alike.
+    #[test]
+    fn int_float_equality_is_exact_and_transitive() {
+        let p53 = 1i64 << 53;
+        let (int, float) = (Value::Int, Value::Float);
+        assert_ne!(int(p53 + 1), float(p53 as f64));
+        assert_eq!(float(p53 as f64), int(p53));
+        assert_ne!(int(p53 + 1), int(p53));
+        assert!(int(p53 + 1) > float(p53 as f64) && float(p53 as f64) < int(p53 + 1));
+        assert!(int(p53 - 1) < float(p53 as f64));
+        assert!(int(i64::MAX) < float(i64::MAX as f64)); // 2^63
+        assert!(float(i64::MAX as f64) > int(i64::MAX));
+        assert_eq!(int(i64::MIN), float(i64::MIN as f64)); // -2^63
+        assert!(int(i64::MIN + 1) > float(i64::MIN as f64));
+        let vals = [
+            int(p53 - 1),
+            int(p53),
+            int(p53 + 1),
+            float(p53 as f64),
+            float((p53 + 2) as f64),
+            int(i64::MIN),
+            int(i64::MIN + 1),
+            float(i64::MIN as f64),
+            int(i64::MAX),
+            int(i64::MAX - 1),
+            float(i64::MAX as f64),
+        ];
+        for a in &vals {
+            for b in &vals {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(h(a), h(b), "{a:?} == {b:?} hash alike");
+                }
+                for c in &vals {
+                    if a == b && b == c {
+                        assert_eq!(a, c, "{a:?} == {b:?} == {c:?}");
+                    }
+                    if a < b && b < c {
+                        assert!(a < c, "{a:?} < {b:?} < {c:?}");
+                    }
+                }
+            }
+        }
+        // SQL's comparison agrees.
+        let (a, b) = (int(p53 + 1), float(p53 as f64));
+        assert_eq!(
+            (a.sql_cmp(&b), b.sql_cmp(&a)),
+            (Some(Ordering::Greater), Some(Ordering::Less))
+        );
+        // Unchanged where i as f64 is exact: -0.0 below every zero, NaN past
+        // every number by its sign.
+        assert!(float(-0.0) < int(0) && int(0) == float(0.0));
+        assert!(int(i64::MAX) < float(f64::NAN) && float(-f64::NAN) < int(i64::MIN));
+        assert!(int(p53) < float(f64::INFINITY) && float(f64::NEG_INFINITY) < int(i64::MIN));
     }
 
     #[test]
