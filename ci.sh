@@ -216,8 +216,8 @@ for workload in no-share serve-mix share-batch opt-heavy view-maint; do
   # Candidate generation and scans may get cheaper, not different: a change
   # that drops or adds a candidate, a spool, a re-optimization or a scanned
   # row fails here, and so does one that splits or merges groups, which
-  # moves the result and spool row counts. Each row is "workload metric
-  # count".
+  # moves the memo's size and the result and spool row counts. Each row is
+  # "workload metric count".
   while read -r name_workload name want; do
     [[ "$name_workload" == "$workload" ]] || continue
     got=$(metric "$name" "$verdict")
@@ -238,6 +238,12 @@ share-batch exec.spool_rows 80594
 opt-heavy exec.result_rows 2255
 opt-heavy exec.spool_rows 136169
 no-share exec.result_rows 1440
+opt-heavy memo.groups 1389
+opt-heavy memo.gexprs 4137
+share-batch memo.groups 1979
+share-batch memo.gexprs 4234
+no-share memo.groups 972
+no-share memo.gexprs 1440
 COUNTS
   if [[ "$workload" == opt-heavy ]]; then
     # One group per logical join: 4 137 expressions today, 15 405 when

@@ -1,6 +1,7 @@
 //! Multi-candidate optimization (paper §5.3): enumerate enabled-CSE sets,
 //! pruned with the competing/independent analysis and Propositions
-//! 5.4–5.6.
+//! 5.4–5.6. Every visited set is costed by the optimizer's cost pass; the
+//! plan is extracted once, for the chosen set.
 
 use crate::manager::CseManager;
 use cse_govern::{BudgetClock, BudgetTrip};
@@ -19,6 +20,8 @@ pub struct EnumOutcome {
     /// Number of CSE optimizations performed (the bracketed figure of the
     /// paper's tables).
     pub optimizations: u32,
+    /// Every mask the cost pass ran for, in order.
+    pub visited: Vec<CseMask>,
 }
 
 /// Choose the best plan over subsets of candidates.
@@ -43,14 +46,20 @@ pub fn choose_best(
     clock: &BudgetClock,
 ) -> Result<EnumOutcome, BudgetTrip> {
     let mut optimizations = 0u32;
+    let mut visited = Vec::new();
     if candidates.is_empty() {
         let plan = opt.optimize_full(root, 0);
         return Ok(EnumOutcome {
             plan,
             chosen_mask: 0,
             optimizations: 0,
+            visited,
         });
     }
+    let mut cost = |opt: &mut Optimizer<'_>, mask| {
+        visited.push(mask);
+        opt.cost_full(root, mask)
+    };
     clock.check_time("enumerate")?;
     // Build clusters of the competing relation.
     let n = candidates.len();
@@ -94,9 +103,9 @@ pub fn choose_best(
         clock.check_time("enumerate")?;
         if ids.len() == 1 {
             // One candidate: a single optimization with it enabled decides.
-            let with = opt.optimize_full(root, chosen_mask | full);
+            let with = cost(opt, chosen_mask | full);
             optimizations += 1;
-            let without = opt.optimize_full(root, chosen_mask);
+            let without = cost(opt, chosen_mask);
             if with.cost < without.cost {
                 chosen_mask |= full;
             }
@@ -127,7 +136,7 @@ pub fn choose_best(
             out
         };
         let mut skip: BTreeSet<CseMask> = BTreeSet::new();
-        let mut best: Option<(f64, CseMask, FullPlan)> = None;
+        let mut best: Option<(f64, CseMask)> = None;
         for mask in subsets {
             if skip.contains(&mask) {
                 continue;
@@ -136,9 +145,9 @@ pub fn choose_best(
                 break;
             }
             clock.check_time("enumerate")?;
-            let plan = opt.optimize_full(root, chosen_mask | mask);
+            let costed = cost(opt, chosen_mask | mask);
             optimizations += 1;
-            let used: CseMask = plan.spools.keys().fold(0, |m, id| m | bit(*id)) & mask;
+            let used: CseMask = costed.ids() & mask;
             // Proposition 5.6: the returned plan is also the answer for
             // exactly its used set.
             skip.insert(used);
@@ -159,18 +168,14 @@ pub fn choose_best(
                     }
                 }
             }
-            if best
-                .as_ref()
-                .map(|(c, _, _)| plan.cost < *c)
-                .unwrap_or(true)
-            {
-                best = Some((plan.cost, mask, plan));
+            if best.is_none_or(|(c, _)| costed.cost < c) {
+                best = Some((costed.cost, mask));
             }
         }
         // Compare with not using this cluster at all.
-        let without = opt.optimize_full(root, chosen_mask);
+        let without = cost(opt, chosen_mask);
         match best {
-            Some((c, mask, _)) if c < without.cost => {
+            Some((c, mask)) if c < without.cost => {
                 chosen_mask |= mask;
             }
             _ => {}
@@ -181,6 +186,7 @@ pub fn choose_best(
         plan,
         chosen_mask,
         optimizations,
+        visited,
     })
 }
 

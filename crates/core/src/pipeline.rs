@@ -152,28 +152,33 @@ pub fn optimize_plan(
             panic_message(payload.as_ref()),
         )
     };
-    // Facts of the explored memo the CSE phase reads (normal-phase history,
-    // §5.4/§4.3): each group's bound is its winner under the empty CSE set,
-    // which the baseline optimization above already memoized; detection
+    // Facts of the explored memo the CSE phase reads. Detection comes first
     // (Step 1/2: the signature table, the ancestor relation and the
-    // sharable sets) is a read of the same memo. A group that exploration
-    // left unreachable from the root is costed here for the first time, so
-    // the reads sit under a panic net like the phase itself.
+    // sharable sets): a phase with nothing sharable reads no other fact, so
+    // a batch without a sharable signature skips them, unless the cost
+    // audit reads the bounds. Each group's bound is its winner under the
+    // empty CSE set (normal-phase history, §5.4/§4.3), which the baseline
+    // optimization above already memoized. A group that exploration left
+    // unreachable from the root is costed here for the first time, so the
+    // reads sit under a panic net like the phase itself.
     let facts = catch_unwind(AssertUnwindSafe(|| {
-        let t = Instant::now();
-        let bounds = CostBounds::new(
-            memo.groups()
-                .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
-                .collect(),
-        );
-        found.report.stages.push(("bounds", t.elapsed()));
-        let t = Instant::now();
-        let required = compute_required(&memo, &[root]);
-        found.report.stages.push(("required", t.elapsed()));
         let t = Instant::now();
         let manager = CseManager::build(&memo);
         found.report.stages.push(("manager-explored", t.elapsed()));
         let sharable = manager.sharable_sets();
+        let (mut bounds, mut required) = Default::default();
+        if !sharable.is_empty() || cfg.verify {
+            let t = Instant::now();
+            bounds = CostBounds::new(
+                memo.groups()
+                    .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
+                    .collect(),
+            );
+            found.report.stages.push(("bounds", t.elapsed()));
+            let t = Instant::now();
+            required = compute_required(&memo, &[root]);
+            found.report.stages.push(("required", t.elapsed()));
+        }
         (bounds, required, manager, sharable)
     }));
     // Its winners are read; they must not sit beside the phase's own.
@@ -270,16 +275,53 @@ pub(crate) fn abort_message(trip: BudgetTrip) -> String {
 /// candidates enabled (`None` when no candidate survived; the caller keeps
 /// the baseline unless the plan beats it) with the findings extended by
 /// the phase, or the budget trip that aborted it.
-#[expect(
-    clippy::panic,
-    reason = "deliberate failpoint panic exercising catch_unwind isolation; registry disarmed outside fault-injection tests"
-)]
 fn cse_phase(
     mut memo: Memo,
     ctx: &PhaseCtx,
     root: GroupId,
     mut found: Findings,
 ) -> Result<(Option<FullPlan>, Findings), BudgetTrip> {
+    let Some(step3) = register(&mut memo, ctx, root, &mut found)? else {
+        return Ok((None, found));
+    };
+    // Step 3: resume optimization with candidates enabled.
+    let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, ctx.cfg);
+    opt.register_candidates(step3.candidates, step3.substitutes);
+    let t = Instant::now();
+    let outcome = choose_best(&mut opt, &step3.mgr, root, &step3.lcas, ctx.clock)?;
+    found.report.stages.push(("enumeration", t.elapsed()));
+    found.report.cse_optimizations = outcome.optimizations;
+    found.report.group_optimizations += opt.group_optimizations;
+    // The plan owns its trees; the grown memo and every winner go here.
+    let t = Instant::now();
+    drop(opt);
+    drop((step3.mgr, memo));
+    found.report.stages.push(("rung-teardown", t.elapsed()));
+    Ok((Some(outcome.plan), found))
+}
+
+/// What Step 3 optimizes with over the grown memo: its manager, the
+/// candidates with their substitutes, and each candidate's LCA.
+struct Step3 {
+    mgr: CseManager,
+    candidates: Vec<CseCandidate>,
+    substitutes: Vec<Substitute>,
+    lcas: Vec<(CseId, Option<GroupId>)>,
+}
+
+/// Step 2 of the CSE phase: generate candidates, insert their definitions
+/// into the memo and register the ones with two matchable consumers.
+/// `None` when no candidate survives.
+#[expect(
+    clippy::panic,
+    reason = "deliberate failpoint panic exercising catch_unwind isolation; registry disarmed outside fault-injection tests"
+)]
+fn register(
+    memo: &mut Memo,
+    ctx: &PhaseCtx,
+    root: GroupId,
+    found: &mut Findings,
+) -> Result<Option<Step3>, BudgetTrip> {
     let (cfg, clock) = (ctx.cfg, ctx.clock);
     clock.check_time("cse-phase")?;
     if cfg.failpoints.should_fail(sites::OPT_CSE_PHASE) {
@@ -293,7 +335,7 @@ fn cse_phase(
     // exploration may legitimately find cheaper plans, which would make a
     // fresh winner undercut a bound that was correct when recorded).
     if cfg.verify {
-        let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, cfg);
+        let mut opt = optimizer_over(memo, ctx.stats, ctx.indexes, cfg);
         let bounds: Vec<(GroupId, f64)> = ctx.bounds.iter().collect();
         found.cost_audit = Some(CostAudit {
             winners: bounds
@@ -305,7 +347,7 @@ fn cse_phase(
         });
     }
     if ctx.sharable.is_empty() {
-        return Ok((None, found));
+        return Ok(None);
     }
 
     // Step 2: candidate generation (phase A) over the sharable sets the
@@ -314,10 +356,10 @@ fn cse_phase(
     // explored manager stays valid through generation because construction
     // adds no groups.
     let t = Instant::now();
-    let candidates = run_generation(&mut memo, ctx, root, &mut found.report.trials)?;
+    let candidates = run_generation(memo, ctx, root, &mut found.report.trials)?;
     found.report.stages.push(("generation", t.elapsed()));
     if candidates.is_empty() {
-        return Ok((None, found));
+        return Ok(None);
     }
 
     // Register definitions in the memo for costing. The explored memo is at
@@ -332,7 +374,7 @@ fn cse_phase(
             (c, def_root)
         })
         .collect();
-    explore_from(&mut memo, &cfg.explore, explored_to);
+    explore_from(memo, &cfg.explore, explored_to);
     found
         .report
         .stages
@@ -342,7 +384,7 @@ fn cse_phase(
     // The memo is grown and stays as it is: the second and last manager
     // serves the stacked round, the LCAs and the enumeration.
     let t = Instant::now();
-    let mgr = CseManager::build(&memo);
+    let mgr = CseManager::build(memo);
     found.report.stages.push(("manager-grown", t.elapsed()));
 
     // Stacked round (§5.5): candidate definitions are themselves query
@@ -353,7 +395,7 @@ fn cse_phase(
     // fixed at this point; only consumer sets are extended.
     if cfg.stacked {
         let t = Instant::now();
-        extend_with_stacked_consumers(&memo, &mgr, &mut registered);
+        extend_with_stacked_consumers(memo, &mgr, &mut registered);
         found.report.stages.push(("stacked-extension", t.elapsed()));
         clock.check_time("stacked-extension")?;
     }
@@ -373,13 +415,13 @@ fn cse_phase(
     let mut roots = vec![root];
     roots.extend(registered.iter().map(|(_, d)| *d));
     let t = Instant::now();
-    let required = compute_required(&memo, &roots);
+    let required = compute_required(memo, &roots);
     found.report.stages.push(("required-grown", t.elapsed()));
 
     // Pass 1+2 again over the grown memo: candidate definitions (and the
     // exploration they triggered) must preserve the same invariants.
     if cfg.verify {
-        found.vreport.merge(cse_verify::verify_memo(&memo, &roots));
+        found.vreport.merge(cse_verify::verify_memo(memo, &roots));
     }
 
     let mut cse_candidates: Vec<CseCandidate> = Vec::new();
@@ -391,7 +433,7 @@ fn cse_phase(
         let id = CseId(i as u32);
         let consumers: Vec<GroupId> = c.cse.members.iter().map(|m| m.group).collect();
         let lca = mgr.least_common_ancestor(&consumers);
-        let subs = build_substitutes(&memo, id, &c.cse, &required);
+        let subs = build_substitutes(memo, id, &c.cse, &required);
         let member_matched: Vec<bool> = subs.iter().map(Option::is_some).collect();
         substitutes.extend(subs.into_iter().flatten());
         let matched = member_matched.iter().filter(|&&m| m).count();
@@ -431,23 +473,15 @@ fn cse_phase(
         found.vreport.merge(cse_verify::verify_candidates(&audits));
     }
     if cse_candidates.is_empty() {
-        return Ok((None, found));
+        return Ok(None);
     }
 
-    // Step 3: resume optimization with candidates enabled.
-    let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, cfg);
-    opt.register_candidates(cse_candidates, substitutes);
-    let t = Instant::now();
-    let outcome = choose_best(&mut opt, &mgr, root, &lca_list, clock)?;
-    found.report.stages.push(("enumeration", t.elapsed()));
-    found.report.cse_optimizations = outcome.optimizations;
-    found.report.group_optimizations += opt.group_optimizations;
-    // The plan owns its trees; the grown memo and every winner go here.
-    let t = Instant::now();
-    drop(opt);
-    drop((mgr, memo));
-    found.report.stages.push(("rung-teardown", t.elapsed()));
-    Ok((Some(outcome.plan), found))
+    Ok(Some(Step3 {
+        mgr,
+        candidates: cse_candidates,
+        substitutes,
+        lcas: lca_list,
+    }))
 }
 
 /// Terminate `optimize_plan`: run the end-to-end costing audit (pass 5),
@@ -568,4 +602,81 @@ fn run_generation(
         all = h4_prune_contained(ctx.manager, all, BETA);
     }
     Ok(all)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cse_bench::workloads;
+    use cse_tpch::{generate_catalog, TpchConfig};
+
+    /// For every mask the §5.3 enumeration visits, the cost pass it reads
+    /// agrees with the plan `optimize_full` extracts: the same cost to the
+    /// bit, and one spool per charged CSE. A debug build also checks the
+    /// extracted trees' spool reads against that bookkeeping.
+    #[test]
+    fn cost_pass_equals_optimize_full() {
+        let catalog = generate_catalog(&TpchConfig::new(0.01));
+        let cfg = CseConfig::default();
+        let (stats, indexes) = (
+            StatsCatalog::from_catalog(&catalog),
+            IndexInfo::from_catalog(&catalog),
+        );
+        let batches = [
+            workloads::table1_batch(),
+            workloads::table2_batch(),
+            workloads::complex_join_batch(),
+            workloads::scaleup_batch(10),
+        ];
+        for sql in batches {
+            let (ctx, plan) = cse_sql::lower_batch_sql(&catalog, &sql).unwrap();
+            let mut memo = Memo::new(ctx);
+            let root = memo.insert_plan(&plan);
+            memo.set_root(root);
+            explore(&mut memo, &cfg.explore);
+            let mut normal = optimizer_over(&memo, &stats, &indexes, &cfg);
+            let bounds = CostBounds::new(
+                memo.groups()
+                    .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
+                    .collect(),
+            );
+            drop(normal);
+            let required = compute_required(&memo, &[root]);
+            let manager = CseManager::build(&memo);
+            let sharable = manager.sharable_sets();
+            let clock = cfg.budget.start_with(&cfg.cancel);
+            let phase = PhaseCtx {
+                cfg: &cfg,
+                stats: &stats,
+                indexes: &indexes,
+                clock: &clock,
+                bounds: &bounds,
+                required: &required,
+                manager: &manager,
+                sharable: &sharable,
+            };
+            let mut found = Findings {
+                report: CseReport::default(),
+                vreport: VerifyReport::new(),
+                cost_audit: None,
+            };
+            let step3 = register(&mut memo, &phase, root, &mut found)
+                .unwrap()
+                .expect("the batch has candidates");
+            let mut opt = optimizer_over(&memo, &stats, &indexes, &cfg);
+            opt.register_candidates(step3.candidates, step3.substitutes);
+            let outcome = choose_best(&mut opt, &step3.mgr, root, &step3.lcas, &clock).unwrap();
+            assert!(outcome.visited.len() >= 2, "{sql}");
+            for &mask in &outcome.visited {
+                let costed = opt.cost_full(root, mask);
+                let plan = opt.optimize_full(root, mask);
+                assert_eq!(costed.cost.to_bits(), plan.cost.to_bits(), "{mask:#b}");
+                let spools = plan
+                    .spools
+                    .keys()
+                    .fold(0, |m, e| m | cse_optimizer::bit(*e));
+                assert_eq!(costed.ids(), spools, "{mask:#b}");
+            }
+        }
+    }
 }

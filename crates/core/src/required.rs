@@ -60,8 +60,12 @@ pub fn compute_required(memo: &Memo, roots: &[GroupId]) -> RequiredCols {
                         }
                     })
                 });
-                if let Op::Aggregate { keys, .. } = &e.op {
-                    wanted.extend_from_slice(keys);
+                match &e.op {
+                    Op::Filter { pred } | Op::Join { pred } => {
+                        wanted.extend(pred.iter().flat_map(|&c| &memo.conj(c).cols));
+                    }
+                    Op::Aggregate { keys, .. } => wanted.extend_from_slice(keys),
+                    _ => {}
                 }
                 let wanted = sorted(wanted);
                 for &c in &e.children {

@@ -65,8 +65,12 @@ fn required_by_relaxation(memo: &Memo, roots: &[GroupId]) -> HashMap<GroupId, BT
                 let e = memo.gexpr(eid);
                 let mut wanted = passed_up.clone();
                 e.op.for_each_scalar(&mut |s| wanted.extend(s.columns()));
-                if let Op::Aggregate { keys, .. } = &e.op {
-                    wanted.extend(keys);
+                match &e.op {
+                    Op::Filter { pred } | Op::Join { pred } => {
+                        wanted.extend(memo.pred(pred).columns());
+                    }
+                    Op::Aggregate { keys, .. } => wanted.extend(keys),
+                    _ => {}
                 }
                 for &c in &e.children {
                     let need: BTreeSet<ColRef> = match e.op {

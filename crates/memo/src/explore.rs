@@ -16,7 +16,7 @@
 //! arena and is reached in turn, so one call reaches the fixpoint.
 
 use crate::memo::{AggInput, Memo};
-use crate::op::{GroupExpr, GroupExprId, Op};
+use crate::op::{ConjId, GroupExpr, GroupExprId, Op};
 use cse_algebra::{AggExpr, ColRef, RelSet, Scalar};
 
 /// Exploration limits.
@@ -124,32 +124,24 @@ fn apply_join_assoc(memo: &mut Memo, top: GroupExprId, left: GroupExprId) {
     let ll_rels = memo.group(ll).props.rels;
     let lr_rels = memo.group(lr).props.rels;
     let inner_rels = lr_rels.union(r_rels);
-    let (inner_conj, top_conj): (Vec<Scalar>, Vec<Scalar>) = p1
-        .conjuncts()
-        .into_iter()
-        .chain(p2.conjuncts())
-        .partition(|c| c.rels().is_subset(inner_rels));
-    let spans = |conjs: &[Scalar], a: RelSet, b: RelSet| {
-        conjs
-            .iter()
-            .any(|c| !c.rels().intersect(a).is_empty() && !c.rels().intersect(b).is_empty())
+    let (inner_conj, top_conj): (Vec<ConjId>, Vec<ConjId>) = memo
+        .conjuncts(p1)
+        .chain(memo.conjuncts(p2))
+        .map(|(id, _)| id)
+        .partition(|&c| memo.conj(c).rels.is_subset(inner_rels));
+    let spans = |conjs: &[ConjId], a: RelSet, b: RelSet| {
+        conjs.iter().any(|&c| {
+            let rels = memo.conj(c).rels;
+            !rels.intersect(a).is_empty() && !rels.intersect(b).is_empty()
+        })
     };
     if !spans(&inner_conj, lr_rels, r_rels) || !spans(&top_conj, ll_rels, inner_rels) {
         return; // would create a cross product
     }
-    let inner = GroupExpr::new(
-        Op::Join {
-            pred: Scalar::and(inner_conj).normalize(),
-        },
-        vec![lr, r],
-    );
+    let (inner_pred, top_pred) = (memo.normal(inner_conj), memo.normal(top_conj));
+    let inner = GroupExpr::new(Op::Join { pred: inner_pred }, vec![lr, r]);
     let (_, inner_group, _) = memo.add_gexpr(inner, None);
-    let top_expr = GroupExpr::new(
-        Op::Join {
-            pred: Scalar::and(top_conj).normalize(),
-        },
-        vec![ll, inner_group],
-    );
+    let top_expr = GroupExpr::new(Op::Join { pred: top_pred }, vec![ll, inner_group]);
     let group = memo.group_of(top);
     memo.add_gexpr(top_expr, Some(group));
 }
@@ -191,7 +183,7 @@ fn apply_eager_agg(memo: &mut Memo, agg: GroupExprId, join: GroupExprId) {
         .copied()
         .filter(|k| r_rels.contains(k.rel))
         .collect();
-    for c in p.columns() {
+    for &c in p.iter().flat_map(|&c| &memo.conj(c).cols) {
         if r_rels.contains(c.rel) && !partial_keys.contains(&c) {
             partial_keys.push(c);
         }
@@ -471,5 +463,19 @@ mod tests {
         let float = memo.insert_plan(&join(Value::Float(1.0), true));
         assert_ne!(float, int);
         assert_eq!(memo.insert_plan(&join(Value::Float(1.0), false)), float);
+        // Nor is its conjunct: two filters, two ids, each rebuilt as stored.
+        let filters: Vec<Vec<ConjId>> = (0..memo.num_gexprs() as u32)
+            .filter_map(|e| match &memo.gexpr(GroupExprId(e)).op {
+                Op::Filter { pred } => Some(pred.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(filters.len(), 2);
+        assert_ne!(filters[0], filters[1]);
+        let rebuilt: Vec<String> = filters
+            .iter()
+            .map(|p| format!("{:?}", memo.pred(p)))
+            .collect();
+        assert!(rebuilt[0].contains("Int(1)") && rebuilt[1].contains("Float(1.0)"));
     }
 }

@@ -28,6 +28,6 @@ pub mod op;
 pub mod signature;
 
 pub use explore::{explore, explore_from, ExploreConfig};
-pub use memo::{AggInput, Group, LogicalProps, Memo};
-pub use op::{GroupExpr, GroupExprId, GroupId, Op};
+pub use memo::{AggInput, Conj, Group, LogicalProps, Memo};
+pub use op::{ConjId, GroupExpr, GroupExprId, GroupId, Op};
 pub use signature::{compute_signature, TableSignature};

@@ -1,12 +1,11 @@
 //! The memo: a DAG of groups of logically-equivalent expressions
 //! (Goldstein/Graefe's Cascades structure, paper §2.1).
 
-use crate::op::{literal_kinds, GroupExpr, GroupExprId, GroupId, Op};
+use crate::op::{literal_kinds, ConjId, GroupExpr, GroupExprId, GroupId, Op};
 use crate::signature::{compute_signature, TableSignature};
 use cse_algebra::{AggExpr, BlockId, ColRef, LogicalPlan, PlanContext, RelSet, Scalar};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Logical properties shared by all expressions of a group.
 #[derive(Debug, Clone)]
@@ -38,25 +37,38 @@ struct LogicalKey {
     rels: RelSet,
     /// Sorted.
     inputs: Vec<GroupId>,
-    /// Sorted by `Ord`, then by literal kinds; each identical conjunct once.
-    conjuncts: Vec<Scalar>,
+    /// Sorted, each once; TRUE is no conjunct.
+    conjuncts: Vec<ConjId>,
 }
 
-impl LogicalKey {
-    /// Equal, with every literal stored the same way (the rule of
-    /// [`GroupExpr::same_as`]: `x = 1` and `x = 1.0` stay apart).
-    fn same_as(&self, other: &LogicalKey) -> bool {
-        self == other && kinds(&self.conjuncts) == kinds(&other.conjuncts)
+/// One interned conjunct and what is derived from it once.
+#[derive(Debug)]
+pub struct Conj {
+    pub scalar: Scalar,
+    pub rels: RelSet,
+    /// Sorted, each once.
+    pub cols: Vec<ColRef>,
+    pub col_eq_col: Option<(ColRef, ColRef)>,
+}
+
+/// FxHash-style word hasher with a xorshift finish: fixed and fast, so
+/// every process assigns the same ids and walks its tables in one order.
+#[derive(Default)]
+struct Fx(u64);
+
+impl Hasher for Fx {
+    fn write(&mut self, bytes: &[u8]) {
+        for c in bytes.chunks(8) {
+            let word = c.iter().rev().fold(0, |x, b| x << 8 | u64::from(*b));
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0 ^ self.0 >> 32
     }
 }
 
-fn kinds<'a>(scalars: impl IntoIterator<Item = &'a Scalar>) -> Vec<u8> {
-    let mut out = Vec::new();
-    for s in scalars {
-        literal_kinds(s, &mut out);
-    }
-    out
-}
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<Fx>>;
 
 /// A group: every expression the memo knows that computes one logical
 /// result. The rules add alternatives to the group they rewrite; a rule or
@@ -95,7 +107,7 @@ struct AggOutKey(AggInput, Vec<ColRef>, Vec<AggExpr>, Vec<u8>);
 /// Not `Clone`: `cse-core`'s CSE phase takes the explored memo by value
 /// and grows it in place, and a tripped or panicked phase drops it — the
 /// baseline plan it falls back to owns its trees.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Memo {
     /// Table-instance registry; mutable because exploration (eager
     /// aggregation) allocates new synthetic output rels.
@@ -106,14 +118,16 @@ pub struct Memo {
     /// Duplicate detection: structural hash -> the latest expression with
     /// that hash; `same_hash[e]` links to the one before it (`NONE` ends the
     /// chain). Candidates are confirmed against the arena.
-    dedup: HashMap<u64, GroupExprId>,
+    dedup: FxMap<u64, GroupExprId>,
     same_hash: Vec<GroupExprId>,
-    /// Join groups by the hash of their [`LogicalKey`]; candidates are
-    /// confirmed against the stored key.
-    joins: HashMap<u64, Vec<GroupId>>,
+    /// Join groups by their [`LogicalKey`].
+    joins: FxMap<LogicalKey, GroupId>,
+    /// Interned conjuncts by id, and the ids by scalar and literal kinds.
+    conjs: Vec<Conj>,
+    conj_ids: FxMap<(Scalar, Vec<u8>), ConjId>,
     /// Deterministic synthetic-out allocation for partial aggregates and
     /// covering group-bys.
-    agg_outs: HashMap<AggOutKey, cse_algebra::RelId>,
+    agg_outs: FxMap<AggOutKey, cse_algebra::RelId>,
     root: Option<GroupId>,
 }
 
@@ -124,14 +138,7 @@ impl Memo {
     pub fn new(ctx: PlanContext) -> Self {
         Memo {
             ctx,
-            groups: Vec::new(),
-            gexprs: Vec::new(),
-            gexpr_group: Vec::new(),
-            dedup: HashMap::new(),
-            same_hash: Vec::new(),
-            joins: HashMap::new(),
-            agg_outs: HashMap::new(),
-            root: None,
+            ..Memo::default()
         }
     }
 
@@ -181,9 +188,8 @@ impl Memo {
         e: GroupExpr,
         target: Option<GroupId>,
     ) -> (GroupExprId, GroupId, bool) {
-        let mut h = DefaultHasher::new();
-        e.hash(&mut h);
-        self.add_gexpr_hashed(e, target, h.finish())
+        let hash = self.dedup.hasher().hash_one(&e);
+        self.add_gexpr_hashed(e, target, hash)
     }
 
     fn add_gexpr_hashed(
@@ -221,22 +227,12 @@ impl Memo {
     /// is created.
     fn group_for(&mut self, e: &GroupExpr) -> GroupId {
         let key = self.logical_key(e);
-        let join_hash = match (&e.op, &key) {
-            (Op::Join { .. }, Some(key)) => {
-                let mut h = DefaultHasher::new();
-                key.hash(&mut h);
-                let hash = h.finish();
-                let same = |g: &&GroupId| {
-                    let known = self.groups[g.0 as usize].props.key.as_ref();
-                    known.is_some_and(|k| k.same_as(key))
-                };
-                if let Some(&g) = self.joins.get(&hash).and_then(|gs| gs.iter().find(same)) {
-                    return g;
-                }
-                Some(hash)
-            }
-            _ => None,
-        };
+        let join_key = matches!(e.op, Op::Join { .. })
+            .then(|| key.clone())
+            .flatten();
+        if let Some(&g) = join_key.as_ref().and_then(|k| self.joins.get(k)) {
+            return g;
+        }
         let mut props = self.derive_props(e);
         props.key = key;
         let id = GroupId(self.groups.len() as u32);
@@ -246,8 +242,8 @@ impl Memo {
             props,
             parents: Vec::new(),
         });
-        if let Some(hash) = join_hash {
-            self.joins.entry(hash).or_default().push(id);
+        if let Some(k) = join_key {
+            self.joins.insert(k, id);
         }
         id
     }
@@ -266,7 +262,7 @@ impl Memo {
             _ => return None,
         };
         let mut key = LogicalKey {
-            conjuncts: pred.conjuncts(),
+            conjuncts: self.conjuncts(pred).map(|(id, _)| id).collect(),
             ..LogicalKey::default()
         };
         for &c in &e.children {
@@ -274,17 +270,14 @@ impl Memo {
                 Some(k) => {
                     key.rels = key.rels.union(k.rels);
                     key.inputs.extend(&k.inputs);
-                    key.conjuncts.extend(k.conjuncts.iter().cloned());
+                    key.conjuncts.extend(&k.conjuncts);
                 }
                 None => key.inputs.push(c),
             }
         }
         key.inputs.sort();
-        let by_kind = |a: &Scalar, b: &Scalar| kinds([a]).cmp(&kinds([b]));
-        key.conjuncts
-            .sort_by(|a, b| a.cmp(b).then_with(|| by_kind(a, b)));
-        key.conjuncts
-            .dedup_by(|a, b| a == b && by_kind(a, b).is_eq());
+        key.conjuncts.sort_unstable();
+        key.conjuncts.dedup();
         Some(key)
     }
 
@@ -367,21 +360,15 @@ impl Memo {
     fn insert_rec(&mut self, plan: &LogicalPlan) -> GroupId {
         let (op, children) = match plan {
             LogicalPlan::Get { rel } => (Op::Get { rel: *rel }, vec![]),
-            LogicalPlan::Filter { input, pred } => (
-                Op::Filter {
-                    pred: pred.normalize(),
-                },
-                vec![self.insert_rec(input)],
-            ),
+            LogicalPlan::Filter { input, pred } => {
+                let input = vec![self.insert_rec(input)];
+                let pred = self.intern_pred(pred);
+                (Op::Filter { pred }, input)
+            }
             LogicalPlan::Join { left, right, pred } => {
-                let l = self.insert_rec(left);
-                let r = self.insert_rec(right);
-                (
-                    Op::Join {
-                        pred: pred.normalize(),
-                    },
-                    vec![l, r],
-                )
+                let children = vec![self.insert_rec(left), self.insert_rec(right)];
+                let pred = self.intern_pred(pred);
+                (Op::Join { pred }, children)
             }
             LogicalPlan::Aggregate {
                 input,
@@ -426,8 +413,10 @@ impl Memo {
         aggs: &[AggExpr],
         block: Option<BlockId>,
     ) -> cse_algebra::RelId {
+        let mut kinds = Vec::new();
         let args = aggs.iter().filter_map(|a| a.arg.as_ref());
-        let key = AggOutKey(input, keys.to_vec(), aggs.to_vec(), kinds(args));
+        args.for_each(|a| literal_kinds(a, &mut kinds));
+        let key = AggOutKey(input, keys.to_vec(), aggs.to_vec(), kinds);
         if let Some(&r) = self.agg_outs.get(&key) {
             return r;
         }
@@ -436,6 +425,62 @@ impl Memo {
         let r = self.ctx.add_agg_output(&types, blk);
         self.agg_outs.insert(key, r);
         r
+    }
+
+    /// A predicate as an operator holds it: the conjuncts of its normal
+    /// form, in that form's order, each interned.
+    pub fn intern_pred(&mut self, pred: &Scalar) -> Vec<ConjId> {
+        match pred.normalize() {
+            Scalar::And(parts) => parts.into_iter().map(|c| self.intern(c)).collect(),
+            one => vec![self.intern(one)],
+        }
+    }
+
+    /// The id of a conjunct: `==` and the same literal kinds find one.
+    fn intern(&mut self, scalar: Scalar) -> ConjId {
+        let mut kinds = Vec::new();
+        literal_kinds(&scalar, &mut kinds);
+        let next = ConjId(self.conjs.len() as u32);
+        let id = *self.conj_ids.entry((scalar.clone(), kinds)).or_insert(next);
+        if id == next {
+            self.conjs.push(Conj {
+                rels: scalar.rels(),
+                cols: scalar.columns().into_iter().collect(),
+                col_eq_col: scalar.as_col_eq_col(),
+                scalar,
+            });
+        }
+        id
+    }
+
+    pub fn conj(&self, id: ConjId) -> &Conj {
+        &self.conjs[id.0 as usize]
+    }
+
+    /// The predicate `pred` holds, rebuilt: the normal form it was interned
+    /// from.
+    pub fn pred(&self, pred: &[ConjId]) -> Scalar {
+        Scalar::and(pred.iter().map(|&c| self.conj(c).scalar.clone()))
+    }
+
+    /// What [`Scalar::conjuncts`] splits `pred`'s predicate into, in order:
+    /// a TRUE conjunct is none.
+    pub fn conjuncts<'a>(
+        &'a self,
+        pred: &'a [ConjId],
+    ) -> impl Iterator<Item = (ConjId, &'a Conj)> + 'a {
+        let conjs = pred.iter().map(|&c| (c, self.conj(c)));
+        conjs.filter(|(_, c)| !c.scalar.is_true())
+    }
+
+    /// The normal form of the conjunction of normal conjuncts, in the order
+    /// given: [`Scalar::normalize`]'s stable sort, and its dedup keeping the
+    /// first of equal conjuncts.
+    pub(crate) fn normal(&self, mut conjs: Vec<ConjId>) -> Vec<ConjId> {
+        let scalar = |c: &ConjId| &self.conj(*c).scalar;
+        conjs.sort_by(|a, b| scalar(a).cmp(scalar(b)));
+        conjs.dedup_by(|a, b| scalar(a) == scalar(b));
+        conjs
     }
 
     /// Extract the originally-inserted operator tree of a group (first
@@ -456,14 +501,14 @@ impl Memo {
             Op::Get { rel } => LogicalPlan::Get { rel: *rel },
             Op::Filter { pred } => LogicalPlan::Filter {
                 input: Box::new(children.remove(0)),
-                pred: pred.clone(),
+                pred: self.pred(pred),
             },
             Op::Join { pred } => {
                 let right = Box::new(children.remove(1));
                 LogicalPlan::Join {
                     left: Box::new(children.remove(0)),
                     right,
-                    pred: pred.clone(),
+                    pred: self.pred(pred),
                 }
             }
             Op::Aggregate { keys, aggs, out } => LogicalPlan::Aggregate {
@@ -552,25 +597,59 @@ mod tests {
         let (ctx, rels) = setup3();
         let mut memo = Memo::new(ctx);
         let get = memo.insert_plan(&LogicalPlan::get(rels[0]));
-        let filter = |v: Value| {
-            let pred = Scalar::eq(Scalar::col(rels[0], 1), Scalar::lit(v));
+        let filter = |memo: &mut Memo, v: Value| {
+            let pred = memo.intern_pred(&Scalar::eq(Scalar::col(rels[0], 1), Scalar::lit(v)));
             GroupExpr::new(Op::Filter { pred }, vec![get])
+        };
+        let mut add = |v: Value, hash: Option<u64>| {
+            let e = filter(&mut memo, v);
+            match hash {
+                Some(h) => memo.add_gexpr_hashed(e, None, h),
+                None => memo.add_gexpr(e, None),
+            }
         };
         // `Int(1) == Float(1.0)` under `Value`'s total order, and they hash
         // alike: `x = 1` and `x = 1.0` still stay two expressions.
-        let (int_id, _, new) = memo.add_gexpr(filter(Value::Int(1)), None);
+        let (int_id, _, new) = add(Value::Int(1), None);
         assert!(new);
-        let (float_id, _, new) = memo.add_gexpr(filter(Value::Float(1.0)), None);
+        let (float_id, _, new) = add(Value::Float(1.0), None);
         assert!(new && float_id != int_id);
         // Two different expressions forced into one bucket get two ids.
-        let (a, _, new_a) = memo.add_gexpr_hashed(filter(Value::Int(2)), None, 7);
-        let (b, _, new_b) = memo.add_gexpr_hashed(filter(Value::Int(3)), None, 7);
+        let (a, _, new_a) = add(Value::Int(2), Some(7));
+        let (b, _, new_b) = add(Value::Int(3), Some(7));
         assert!(new_a && new_b && a != b);
         // Re-inserting any of them finds the old id.
-        assert_eq!(memo.add_gexpr_hashed(filter(Value::Int(2)), None, 7).0, a);
-        assert_eq!(memo.add_gexpr_hashed(filter(Value::Int(3)), None, 7).0, b);
-        assert_eq!(memo.add_gexpr(filter(Value::Int(1)), None).0, int_id);
-        assert_eq!(memo.add_gexpr(filter(Value::Float(1.0)), None).0, float_id);
+        assert_eq!(add(Value::Int(2), Some(7)).0, a);
+        assert_eq!(add(Value::Int(3), Some(7)).0, b);
+        assert_eq!(add(Value::Int(1), None).0, int_id);
+        assert_eq!(add(Value::Float(1.0), None).0, float_id);
+    }
+
+    #[test]
+    fn a_conjunct_is_interned_once() {
+        let (ctx, rels) = setup3();
+        let mut memo = Memo::new(ctx);
+        let (a, b) = (Scalar::col(rels[0], 0), Scalar::col(rels[1], 0));
+        let on = Scalar::eq(a.clone(), b.clone());
+        let once = memo.intern_pred(&on);
+        assert_eq!(once.len(), 1);
+        assert_eq!(memo.pred(&once), on.normalize());
+        // Written the other way round, beside a second conjunct: one id.
+        let filter = Scalar::eq(Scalar::col(rels[2], 0), Scalar::int(1));
+        let both = memo.intern_pred(&Scalar::and([filter.clone(), Scalar::eq(b, a)]));
+        assert_eq!(both.len(), 2);
+        assert!(both.contains(&once[0]));
+        assert_eq!(memo.pred(&both), Scalar::and([filter, on]).normalize());
+        // What is derived once per conjunct.
+        let c = memo.conj(once[0]);
+        assert_eq!(c.rels, RelSet::from_iter([rels[0], rels[1]]));
+        assert_eq!(
+            c.cols,
+            vec![ColRef::new(rels[0], 0), ColRef::new(rels[1], 0)]
+        );
+        assert!(c.col_eq_col.is_some());
+        // TRUE has no conjunct.
+        assert!(memo.intern_pred(&Scalar::true_()).is_empty());
     }
 
     #[test]

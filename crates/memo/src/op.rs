@@ -4,16 +4,23 @@ use cse_algebra::{AggExpr, ColRef, RelId, Scalar, SortOrder};
 use cse_storage::Value;
 use std::fmt;
 
+/// A conjunct interned in its memo's table ([`crate::Memo::conj`]): one id
+/// per distinct conjunct, literal kinds included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ConjId(pub u32);
+
 /// A memo-resident logical operator. Children are group references held by
-/// the enclosing [`GroupExpr`].
+/// the enclosing [`GroupExpr`]. A filter or join predicate is the list of
+/// its normal form's conjuncts, in that form's order
+/// ([`crate::Memo::intern_pred`], [`crate::Memo::pred`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Base-table (or delta-table) instance scan.
     Get { rel: RelId },
     /// Row filter (1 child).
-    Filter { pred: Scalar },
-    /// Inner join (2 children); `pred` is TRUE for a cross join.
-    Join { pred: Scalar },
+    Filter { pred: Vec<ConjId> },
+    /// Inner join (2 children); `pred` is empty (TRUE) for a cross join.
+    Join { pred: Vec<ConjId> },
     /// Group-by + aggregation (1 child). `out` is the synthetic rel of the
     /// aggregate outputs; alternative aggregate expressions in the same
     /// group (e.g. eager-aggregation rewrites) share the same `out`.
@@ -52,11 +59,11 @@ impl Op {
         }
     }
 
-    /// Every scalar expression of the payload, in a fixed order.
+    /// Every scalar expression the payload holds as a tree, in a fixed
+    /// order; filter and join conjuncts are the memo's.
     pub fn for_each_scalar<'a>(&'a self, f: &mut impl FnMut(&'a Scalar)) {
         match self {
-            Op::Get { .. } | Op::Batch => {}
-            Op::Filter { pred } | Op::Join { pred } => f(pred),
+            Op::Get { .. } | Op::Batch | Op::Filter { .. } | Op::Join { .. } => {}
             Op::Aggregate { aggs, .. } => aggs.iter().filter_map(|a| a.arg.as_ref()).for_each(f),
             Op::Project { exprs } => exprs.iter().for_each(|(_, s)| f(s)),
             Op::Sort { keys } => keys.iter().for_each(|(s, _)| f(s)),
@@ -95,7 +102,8 @@ impl GroupExpr {
     /// The memo's identity: equal, and every literal stored the same way.
     /// `Value`'s `==` is its total order, under which `Int(1)` and
     /// `Float(1.0)` are equal; the memo never merged `x = 1` with `x = 1.0`
-    /// and does not start to. Equal expressions have one shape, so their
+    /// and does not start to. Interned conjuncts carry their kinds in their
+    /// ids; the other scalars of equal expressions have one shape, so their
     /// literals pair up in traversal order.
     pub fn same_as(&self, other: &GroupExpr) -> bool {
         let kinds = |e: &GroupExpr| {
@@ -132,29 +140,13 @@ mod tests {
     #[test]
     fn arity() {
         assert_eq!(Op::Get { rel: RelId(0) }.arity(), 0);
-        assert_eq!(
-            Op::Join {
-                pred: Scalar::true_()
-            }
-            .arity(),
-            2
-        );
+        assert_eq!(Op::Join { pred: vec![] }.arity(), 2);
     }
 
     #[test]
     fn identity_distinguishes_children() {
-        let a = GroupExpr::new(
-            Op::Join {
-                pred: Scalar::true_(),
-            },
-            vec![GroupId(0), GroupId(1)],
-        );
-        let b = GroupExpr::new(
-            Op::Join {
-                pred: Scalar::true_(),
-            },
-            vec![GroupId(1), GroupId(0)],
-        );
+        let a = GroupExpr::new(Op::Join { pred: vec![] }, vec![GroupId(0), GroupId(1)]);
+        let b = GroupExpr::new(Op::Join { pred: vec![] }, vec![GroupId(1), GroupId(0)]);
         assert!(!a.same_as(&b));
         assert!(a.same_as(&a.clone()));
     }

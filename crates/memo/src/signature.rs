@@ -127,7 +127,6 @@ pub fn compute_signature(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cse_algebra::Scalar;
     use cse_storage::{DataType, Schema};
     use std::sync::Arc;
 
@@ -147,14 +146,8 @@ mod tests {
         let (ctx, rels) = ctx_with(&["b_tab", "a_tab"]);
         let sa = compute_signature(&ctx, &Op::Get { rel: rels[0] }, &[]).unwrap();
         let sb = compute_signature(&ctx, &Op::Get { rel: rels[1] }, &[]).unwrap();
-        let j = compute_signature(
-            &ctx,
-            &Op::Join {
-                pred: Scalar::true_(),
-            },
-            &[Some(&sa), Some(&sb)],
-        )
-        .unwrap();
+        let j =
+            compute_signature(&ctx, &Op::Join { pred: vec![] }, &[Some(&sa), Some(&sb)]).unwrap();
         assert_eq!(j.tables, vec!["a_tab".to_string(), "b_tab".to_string()]);
         assert!(!j.grouped);
     }
@@ -163,27 +156,13 @@ mod tests {
     fn filter_preserves_below_groupby_only() {
         let (ctx, rels) = ctx_with(&["t"]);
         let s = compute_signature(&ctx, &Op::Get { rel: rels[0] }, &[]).unwrap();
-        let f = compute_signature(
-            &ctx,
-            &Op::Filter {
-                pred: Scalar::true_(),
-            },
-            &[Some(&s)],
-        )
-        .unwrap();
+        let f = compute_signature(&ctx, &Op::Filter { pred: vec![] }, &[Some(&s)]).unwrap();
         assert_eq!(f, s);
         let grouped = TableSignature {
             grouped: true,
             tables: vec!["t".into()],
         };
-        assert!(compute_signature(
-            &ctx,
-            &Op::Filter {
-                pred: Scalar::true_()
-            },
-            &[Some(&grouped)]
-        )
-        .is_none());
+        assert!(compute_signature(&ctx, &Op::Filter { pred: vec![] }, &[Some(&grouped)]).is_none());
     }
 
     #[test]
@@ -206,14 +185,8 @@ mod tests {
         let (ctx, rels) = ctx_with(&["t", "t"]);
         let sa = compute_signature(&ctx, &Op::Get { rel: rels[0] }, &[]).unwrap();
         let sb = compute_signature(&ctx, &Op::Get { rel: rels[1] }, &[]).unwrap();
-        let j = compute_signature(
-            &ctx,
-            &Op::Join {
-                pred: Scalar::true_(),
-            },
-            &[Some(&sa), Some(&sb)],
-        )
-        .unwrap();
+        let j =
+            compute_signature(&ctx, &Op::Join { pred: vec![] }, &[Some(&sa), Some(&sb)]).unwrap();
         assert_eq!(j.tables, vec!["t".to_string(), "t".to_string()]);
         // {t} is a sub-multiset of {t,t} but not vice versa.
         assert!(sa.tables_subset_of(&j));

@@ -14,7 +14,9 @@
 //!
 //! The search only costs: a memoized winner records its cost, its spool
 //! bookkeeping and *how it is built* — a group expression over its
-//! children's winners — and the operator tree is built by one extraction
+//! children's winners. [`Optimizer::cost_full`] settles a whole statement
+//! under a mask without building a tree, and the operator tree, predicates
+//! rebuilt from the memo's interned conjuncts, is built by one extraction
 //! per returned plan ([`Optimizer::optimize_full`]).
 
 use crate::physical::{CseId, FullPlan, PhysicalPlan, ReAgg, SpoolDef};
@@ -22,7 +24,7 @@ use crate::rows::GroupRows;
 use crate::substitute::{CseCandidate, Substitute};
 use cse_algebra::{ColRef, Scalar};
 use cse_cost::{CostModel, Selectivity, StatsCatalog};
-use cse_memo::{GroupExpr, GroupExprId, GroupId, Memo, Op};
+use cse_memo::{ConjId, GroupExpr, GroupExprId, GroupId, Memo, Op};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
@@ -160,6 +162,8 @@ pub struct Optimizer<'a> {
     /// Per group: mask of CSEs whose least common ancestor it is.
     lca_at: HashMap<GroupId, CseMask>,
     join_shape: HashMap<GroupExprId, JoinShape>,
+    /// Per filter expression: its index range scan, if it has one.
+    index_scan: HashMap<GroupExprId, Option<PlanChoice>>,
     cache: HashMap<(GroupId, CseMask), Rc<PlanChoice>>,
     /// Number of `optimize_group` invocations that missed the cache —
     /// a proxy for optimization work, reported by the benchmarks.
@@ -184,6 +188,7 @@ impl<'a> Optimizer<'a> {
             relevant: HashMap::new(),
             lca_at: HashMap::new(),
             join_shape: HashMap::new(),
+            index_scan: HashMap::new(),
             cache: HashMap::new(),
             group_optimizations: 0,
         }
@@ -424,7 +429,11 @@ impl<'a> Optimizer<'a> {
         // Index range scan: Filter directly over a Get whose filtered
         // column carries a B-tree index.
         if let Op::Filter { pred } = &e.op {
-            alts.extend(self.try_index_scan(e.children[0], pred, out_rows));
+            if !self.index_scan.contains_key(&eid) {
+                let scan = self.try_index_scan(e.children[0], pred, out_rows);
+                self.index_scan.insert(eid, scan);
+            }
+            alts.extend(self.index_scan.get(&eid).cloned().flatten());
         }
         alts.extend(index_join);
     }
@@ -432,18 +441,19 @@ impl<'a> Optimizer<'a> {
     /// `Filter(Get)` with a range/equality atom on an indexed column. The
     /// interval only narrows the scan; the executor decides every row the
     /// index returns by the whole `pred`.
-    fn try_index_scan(&self, child: GroupId, pred: &Scalar, out_rows: f64) -> Option<PlanChoice> {
-        let child_expr = self.memo.gexpr(self.memo.group(child).exprs[0]);
+    fn try_index_scan(&self, child: GroupId, pred: &[ConjId], out_rows: f64) -> Option<PlanChoice> {
+        let memo = self.memo;
+        let child_expr = memo.gexpr(memo.group(child).exprs[0]);
         let rel = match child_expr.op {
             Op::Get { rel } => rel,
             _ => return None,
         };
-        let info = self.memo.ctx.rel(rel);
-        let ranges = cse_algebra::column_ranges(pred);
+        let info = memo.ctx.rel(rel);
+        let ranges = cse_algebra::ranges_of(memo.conjuncts(pred).map(|(_, c)| &c.scalar));
         let (col, interval) = ranges.iter().find(|(c, iv)| {
             c.rel == rel
                 && (iv.lo.is_some() || iv.hi.is_some())
-                && iv.in_class_of(self.memo.ctx.col_type(**c))
+                && iv.in_class_of(memo.ctx.col_type(**c))
                 && self
                     .indexes
                     .btree
@@ -451,11 +461,12 @@ impl<'a> Optimizer<'a> {
         })?;
         // Range conjuncts on the indexed column are re-checked inside the
         // per-match cost; anything else (`<>` included) costs a filter pass.
-        let only_ranges = pred.conjuncts().iter().all(|c| {
-            c.as_col_vs_lit()
+        let only_ranges = memo.conjuncts(pred).all(|(_, c)| {
+            c.scalar
+                .as_col_vs_lit()
                 .is_some_and(|(cc, op, _)| cc == *col && op != cse_algebra::CmpOp::Ne)
         });
-        let layout: Vec<ColRef> = self.memo.group(child).props.output_cols.clone();
+        let layout: Vec<ColRef> = memo.group(child).props.output_cols.clone();
         let matched = out_rows.max(1.0);
         let cost = self.model.index_lookup(1.0, matched)
             + if only_ranges {
@@ -472,7 +483,7 @@ impl<'a> Optimizer<'a> {
                 rel,
                 col: *col,
                 interval: interval.clone(),
-                pred: pred.clone(),
+                pred: memo.pred(pred),
                 layout,
             }),
         })
@@ -536,7 +547,7 @@ impl<'a> Optimizer<'a> {
             },
             Op::Filter { pred } => PhysicalPlan::Filter {
                 input: input(),
-                pred: pred.clone(),
+                pred: memo.pred(pred),
             },
             Op::Join { pred } => {
                 let (left, right) = (input(), input());
@@ -547,11 +558,11 @@ impl<'a> Optimizer<'a> {
                     PhysicalPlan::NlJoin {
                         left,
                         right,
-                        pred: pred.clone(),
+                        pred: memo.pred(pred),
                         layout,
                     }
                 } else {
-                    let residual = (!residual.is_empty()).then(|| Scalar::and(residual));
+                    let residual = (!residual.is_empty()).then(|| memo.pred(&residual));
                     PhysicalPlan::HashJoin {
                         left,
                         right,
@@ -601,12 +612,17 @@ impl<'a> Optimizer<'a> {
             Op::Join { pred } => Some(pred),
             _ => None,
         };
-        let (keys, mut residual) = pred.map(|p| split_join(memo, e, p)).unwrap_or_default();
+        let (keys, residual) = pred.map(|p| split_join(memo, e, p)).unwrap_or_default();
         let (key, filter) =
             index_probe(memo, self.indexes, e, &keys).expect("costed as an index join");
+        let mut residual: Vec<Scalar> = residual
+            .iter()
+            .map(|&c| memo.conj(c).scalar.clone())
+            .collect();
         let others = keys.iter().filter(|k| **k != key);
         residual.extend(others.map(|(a, b)| Scalar::eq(Scalar::Col(*a), Scalar::Col(*b))));
-        residual.extend(filter.map(Scalar::conjuncts).unwrap_or_default());
+        let filter = filter.into_iter().flat_map(|f| memo.conjuncts(f));
+        residual.extend(filter.map(|(_, c)| c.scalar.clone()));
         let outer = Box::new(self.extract(outer));
         let mut layout = outer.layout().to_vec();
         layout.extend_from_slice(&memo.group(e.children[1]).props.output_cols);
@@ -619,12 +635,11 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Optimize the whole statement (batch) under an enabled mask and
-    /// assemble the executable plan: validates usage counts, charges any
-    /// initial costs not already charged at an LCA, and extracts the trees —
-    /// each spool from the definition winner it was charged with, so the
-    /// plan executes exactly what it was costed as (§5.2).
-    pub fn optimize_full(&mut self, root: GroupId, mut mask: CseMask) -> FullPlan {
+    /// The cost pass over the whole statement (batch) under an enabled
+    /// mask: validates usage counts, disabling a CSE read only once and
+    /// retrying, and charges any initial costs not already charged at an
+    /// LCA (§5.2). Builds no tree.
+    pub fn cost_full(&mut self, root: GroupId, mut mask: CseMask) -> Costed {
         'retry: loop {
             let choice = self.optimize_group(root, mask);
             // Reject CSEs that ended up with exactly one uncharged consumer.
@@ -632,7 +647,7 @@ impl<'a> Optimizer<'a> {
                 mask &= !bit(e);
                 continue;
             }
-            let mut total = choice.cost;
+            let mut cost = choice.cost;
             // Charge remaining (root-charged) CSEs, lowest id first; the
             // reads of a charged definition surface here like at an LCA.
             let mut charged = choice.charged.clone();
@@ -647,49 +662,87 @@ impl<'a> Optimizer<'a> {
                     continue 'retry;
                 }
                 let (init, def) = self.init_cost(e, mask);
-                total += init;
+                cost += init;
                 merge_charged(&mut charged, &def.charged);
                 uncharged.merge(&def.usage);
                 merge_charged(&mut charged, &[(e, def)]);
             }
-            let spools = charged
-                .iter()
-                .map(|(e, def)| {
-                    let cand = &self.candidates[e];
-                    let def = SpoolDef {
-                        plan: self.extract(def),
-                        layout: cand.output.clone(),
-                        est_rows: cand.est_rows,
-                    };
-                    (*e, def)
-                })
-                .collect();
-            let plan = FullPlan {
-                root: self.extract(&choice),
-                spools,
-                cost: total,
+            return Costed {
+                cost,
+                charged,
+                choice,
             };
-            debug_assert!(reads_match_spools(&plan), "mask {mask:#b}");
-            return plan;
         }
+    }
+
+    /// The executable plan of a cost pass: the root tree, and each spool
+    /// extracted from the definition winner it was charged with, so the
+    /// plan executes exactly what it was costed as (§5.2).
+    fn extract_full(&self, costed: &Costed) -> FullPlan {
+        let spools = costed
+            .charged
+            .iter()
+            .map(|(e, def)| {
+                let cand = &self.candidates[e];
+                let def = SpoolDef {
+                    plan: self.extract(def),
+                    layout: cand.output.clone(),
+                    est_rows: cand.est_rows,
+                };
+                (*e, def)
+            })
+            .collect();
+        let plan = FullPlan {
+            root: self.extract(&costed.choice),
+            spools,
+            cost: costed.cost,
+        };
+        debug_assert!(reads_match_spools(&plan), "charged {:?}", costed.ids());
+        plan
+    }
+
+    /// [`Optimizer::cost_full`], then the extraction of its plan.
+    pub fn optimize_full(&mut self, root: GroupId, mask: CseMask) -> FullPlan {
+        let costed = self.cost_full(root, mask);
+        self.extract_full(&costed)
+    }
+}
+
+/// What the cost pass settles for a statement: its total cost, the CSEs
+/// charged with the definition winner each is costed as (ascending by id),
+/// and the root winner.
+#[derive(Debug, Clone)]
+pub struct Costed {
+    pub cost: f64,
+    pub charged: Vec<(CseId, Rc<PlanChoice>)>,
+    pub choice: Rc<PlanChoice>,
+}
+
+impl Costed {
+    /// The charged CSEs: the spools the extracted plan holds.
+    pub fn ids(&self) -> CseMask {
+        self.charged.iter().fold(0, |m, (e, _)| m | bit(*e))
     }
 }
 
 /// Split a join predicate into its (left column, right column) equi-keys
 /// and the residual conjuncts.
-fn split_join(memo: &Memo, e: &GroupExpr, pred: &Scalar) -> (Vec<(ColRef, ColRef)>, Vec<Scalar>) {
+fn split_join(memo: &Memo, e: &GroupExpr, pred: &[ConjId]) -> (Vec<(ColRef, ColRef)>, Vec<ConjId>) {
     let l_rels = memo.group(e.children[0]).props.rels;
     let r_rels = memo.group(e.children[1]).props.rels;
     let (mut keys, mut residual) = (Vec::new(), Vec::new());
-    for c in pred.conjuncts() {
-        match c.as_col_eq_col() {
+    for (id, c) in memo.conjuncts(pred) {
+        match c.col_eq_col {
             Some((a, b)) if l_rels.contains(a.rel) && r_rels.contains(b.rel) => keys.push((a, b)),
             Some((a, b)) if r_rels.contains(a.rel) && l_rels.contains(b.rel) => keys.push((b, a)),
-            _ => residual.push(c),
+            _ => residual.push(id),
         }
     }
     (keys, residual)
 }
+
+/// An index nested-loops join's equi-key and the filter over its right input.
+type Probe<'m> = ((ColRef, ColRef), Option<&'m [ConjId]>);
 
 /// The equi-key an index nested-loops join of `e` probes with — (left
 /// column, right column), `keys` as [`split_join`] gives them — and the
@@ -700,13 +753,13 @@ fn index_probe<'m>(
     indexes: &IndexInfo,
     e: &GroupExpr,
     keys: &[(ColRef, ColRef)],
-) -> Option<((ColRef, ColRef), Option<&'m Scalar>)> {
+) -> Option<Probe<'m>> {
     let first = |g: GroupId| memo.gexpr(memo.group(g).exprs[0]);
     let right = first(e.children[1]);
     let (rel, filter) = match (&right.op, right.children.first()) {
         (Op::Get { rel }, _) => (*rel, None),
         (Op::Filter { pred }, Some(&below)) => match first(below).op {
-            Op::Get { rel } => (rel, Some(pred)),
+            Op::Get { rel } => (rel, Some(pred.as_slice())),
             _ => return None,
         },
         _ => return None,

@@ -4,8 +4,8 @@
 //! the same result, so the estimate is computed once per group from its
 //! first (originally inserted) expression and cached.
 
-use cse_cost::{Cardinality, StatsCatalog};
-use cse_memo::{GroupId, Memo, Op};
+use cse_cost::{Cardinality, Selectivity, StatsCatalog};
+use cse_memo::{ConjId, GroupId, Memo, Op};
 use std::collections::HashMap;
 
 /// Caching row estimator over a memo.
@@ -42,14 +42,13 @@ impl<'a> GroupRows<'a> {
         let r = match &e.op {
             Op::Get { rel } => self.stats.rel_rows(&self.memo.ctx, *rel),
             Op::Filter { pred } => {
-                let sel = cse_cost::Selectivity::new(&self.memo.ctx, self.stats).of(pred);
+                let sel = Selectivity::new(&memo.ctx, self.stats).of(&memo.pred(pred));
                 (self.rows(e.children[0]) * sel).max(1.0)
             }
             Op::Join { pred } => {
                 let l = self.rows(e.children[0]);
                 let r = self.rows(e.children[1]);
-                let sel = join_selectivity(&card, pred, self.stats, &self.memo.ctx);
-                (l * r * sel).max(1.0)
+                (l * r * join_selectivity(memo, pred, self.stats)).max(1.0)
             }
             Op::Aggregate { keys, .. } => {
                 let input = self.rows(e.children[0]);
@@ -70,23 +69,17 @@ impl<'a> GroupRows<'a> {
 
 /// Selectivity of a join predicate: equivalence-linked equality atoms use
 /// 1/max(ndv); the rest go through the generic estimator.
-fn join_selectivity(
-    card: &Cardinality<'_>,
-    pred: &cse_algebra::Scalar,
-    stats: &StatsCatalog,
-    ctx: &cse_algebra::PlanContext,
-) -> f64 {
+fn join_selectivity(memo: &Memo, pred: &[ConjId], stats: &StatsCatalog) -> f64 {
     let mut sel = 1.0;
-    let est = cse_cost::Selectivity::new(ctx, stats);
-    for c in pred.conjuncts() {
-        if let Some((a, b)) = c.as_col_eq_col() {
+    let (ctx, est) = (&memo.ctx, Selectivity::new(&memo.ctx, stats));
+    for (_, c) in memo.conjuncts(pred) {
+        if let Some((a, b)) = c.col_eq_col {
             let nd = stats.col_ndv(ctx, a).max(stats.col_ndv(ctx, b)).max(1.0);
             sel /= nd;
         } else {
-            sel *= est.of(&c);
+            sel *= est.of(&c.scalar);
         }
     }
-    let _ = card;
     sel
 }
 

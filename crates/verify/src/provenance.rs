@@ -16,7 +16,7 @@
 //!   occurrence would silently hide sharable subexpressions.
 
 use crate::diag::rules;
-use cse_algebra::{ColRef, RelKind, Scalar};
+use cse_algebra::{ColRef, RelKind};
 use cse_diag::Report;
 use cse_memo::{GroupId, Memo, Op};
 use std::collections::BTreeSet;
@@ -37,12 +37,13 @@ pub fn verify_provenance(memo: &Memo, roots: &[GroupId]) -> Report {
 }
 
 /// Columns an operator references in its own scalars.
-fn local_refs(op: &Op) -> BTreeSet<ColRef> {
+fn local_refs(memo: &Memo, op: &Op) -> BTreeSet<ColRef> {
     let mut local: BTreeSet<ColRef> = BTreeSet::new();
-    let mut add = |s: &Scalar| local.extend(s.columns());
     match op {
         Op::Get { .. } | Op::Batch => {}
-        Op::Filter { pred } | Op::Join { pred } => add(pred),
+        Op::Filter { pred } | Op::Join { pred } => {
+            local.extend(pred.iter().flat_map(|&c| &memo.conj(c).cols));
+        }
         Op::Aggregate { keys, aggs, .. } => {
             local.extend(keys.iter().copied());
             for a in aggs {
@@ -70,7 +71,7 @@ fn check_columns(memo: &Memo, op: &Op, children: &[GroupId], path: &str, report:
         .iter()
         .flat_map(|c| memo.group(*c).props.output_cols.iter().copied())
         .collect();
-    for col in local_refs(op) {
+    for col in local_refs(memo, op) {
         if available.contains(&col) {
             continue;
         }

@@ -61,15 +61,8 @@ fn injected_filter_on_foreign_column_fires_unavailable_column() {
         .expect("get(r) group")
         .id;
     // Corrupt: a Filter over Get(r) whose predicate references t.x.
-    memo.add_gexpr(
-        GroupExpr::new(
-            Op::Filter {
-                pred: Scalar::eq(Scalar::col(t, 0), Scalar::int(1)).normalize(),
-            },
-            vec![get_r],
-        ),
-        Some(root),
-    );
+    let pred = memo.intern_pred(&Scalar::eq(Scalar::col(t, 0), Scalar::int(1)));
+    memo.add_gexpr(GroupExpr::new(Op::Filter { pred }, vec![get_r]), Some(root));
     let report = verify_memo(&memo, &[root]);
     assert_eq!(fired(&report), vec![rules::PROVENANCE_UNAVAILABLE_COLUMN]);
 }

@@ -3,8 +3,8 @@
 //! logically distinct join, and one exploration reaches the fixpoint.
 
 use cse_bench::workloads;
-use similar_subexpr::algebra::{LogicalPlan, RelSet};
-use similar_subexpr::memo::{explore, ExploreConfig, Memo, Op};
+use similar_subexpr::algebra::{LogicalPlan, RelSet, Scalar};
+use similar_subexpr::memo::{explore, ExploreConfig, GroupExprId, Memo, Op};
 use similar_subexpr::prelude::*;
 use similar_subexpr::sql::lower_batch_sql;
 use std::collections::BTreeSet;
@@ -90,5 +90,83 @@ fn a_second_explore_adds_nothing() {
         assert_eq!(groups, distinct, "{name}: duplicate join groups");
         let again = explore(&mut memo, &ExploreConfig::default());
         assert_eq!(again, 0, "{name}: a second explore added {again}");
+    }
+}
+
+/// Every Filter and Join predicate of `memo`, rebuilt from its conjunct ids,
+/// by expression id.
+fn rebuilt_preds(memo: &Memo) -> Vec<(u32, Scalar)> {
+    (0..memo.num_gexprs() as u32)
+        .filter_map(|e| match &memo.gexpr(GroupExprId(e)).op {
+            Op::Filter { pred } | Op::Join { pred } => Some((e, memo.pred(pred))),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `{:?}` tells `x = 1` from `x = 1.0`, which `==` does not.
+fn exact(s: &Scalar) -> String {
+    format!("{s:?}")
+}
+
+#[test]
+fn rebuilt_predicates_are_the_normal_forms_inserted() {
+    fn inserted(p: &LogicalPlan, out: &mut BTreeSet<String>) {
+        let mut normal = |pred: &Scalar| {
+            out.insert(exact(&Scalar::and(pred.conjuncts()).normalize()));
+        };
+        match p {
+            LogicalPlan::Get { .. } => {}
+            LogicalPlan::Filter { input, pred } => {
+                normal(pred);
+                inserted(input, out);
+            }
+            LogicalPlan::Join { left, right, pred } => {
+                normal(pred);
+                inserted(left, out);
+                inserted(right, out);
+            }
+            LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Sort { input, .. } => inserted(input, out),
+            LogicalPlan::Batch { children } => children.iter().for_each(|c| inserted(c, out)),
+        }
+    }
+    let catalog = generate_catalog(&TpchConfig::new(0.001));
+    for (name, sql) in paper_batches() {
+        let (ctx, plan) = lower_batch_sql(&catalog, &sql).expect("paper batch lowers");
+        let mut want = BTreeSet::new();
+        inserted(&plan, &mut want);
+        let mut memo = Memo::new(ctx);
+        memo.insert_plan(&plan);
+        let got: BTreeSet<String> = rebuilt_preds(&memo).iter().map(|(_, p)| exact(p)).collect();
+        assert_eq!(got, want, "{name}");
+        // Exploration's predicates are normal forms too.
+        explore(&mut memo, &ExploreConfig::default());
+        for (_, p) in rebuilt_preds(&memo) {
+            let normal = Scalar::and(p.conjuncts()).normalize();
+            assert_eq!(exact(&p), exact(&normal), "{name}");
+        }
+    }
+}
+
+#[test]
+fn two_fresh_memos_number_alike() {
+    let catalog = generate_catalog(&TpchConfig::new(0.001));
+    for (name, sql) in paper_batches() {
+        let (a, b) = (explored(&catalog, &sql), explored(&catalog, &sql));
+        assert_eq!(a.num_groups(), b.num_groups(), "{name}");
+        assert_eq!(a.num_gexprs(), b.num_gexprs(), "{name}");
+        for e in (0..a.num_gexprs() as u32).map(GroupExprId) {
+            assert_eq!(a.group_of(e), b.group_of(e), "{name}");
+            assert_eq!(a.gexpr(e), b.gexpr(e), "{name}: conjunct ids");
+        }
+        let (pa, pb) = (rebuilt_preds(&a), rebuilt_preds(&b));
+        assert!(
+            pa.iter()
+                .zip(&pb)
+                .all(|(x, y)| x.0 == y.0 && exact(&x.1) == exact(&y.1)),
+            "{name}"
+        );
     }
 }
