@@ -7,6 +7,17 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# Informational, never fails: the three size counts ROADMAP item 7 tracks
+# (lines outside tests/ dirs, the same cut at the first #[cfg(test)], and
+# `pub fn`s).
+echo "==> size"
+{
+  rs_files=$(find crates src -name '*.rs' -not -path '*/tests/*')
+  echo "    lines outside tests/ dirs: $(echo "$rs_files" | xargs cat | wc -l)"
+  echo "    lines cut at #[cfg(test)]: $(for f in $rs_files; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)"
+  echo "    pub fn: $(grep -rc "pub fn " crates/*/src src --include=*.rs | awk -F: '{s += $2} END {print s}')"
+} || true
+
 # Clippy is also the panic-path gate: the runtime crates deny unwrap,
 # expect, panic! and unreachable! (exec and serve also deny indexing), so
 # every exception is an #[expect(..., reason = "...")] at its site.

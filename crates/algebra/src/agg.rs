@@ -104,7 +104,7 @@ impl AggExpr {
     }
 
     /// Rewrite the argument's column references.
-    pub fn rewrite_cols(&self, map: &impl Fn(crate::ids::ColRef) -> Scalar) -> AggExpr {
+    pub(crate) fn rewrite_cols(&self, map: &impl Fn(crate::ids::ColRef) -> Scalar) -> AggExpr {
         AggExpr {
             func: self.func,
             arg: self.arg.as_ref().map(|a| a.rewrite_cols(map)),

@@ -7,8 +7,13 @@
 //! after sorting by (table name, rel id). For the self-join-free queries
 //! of the paper's experiments this alignment is exact; with self-joins it
 //! picks one of the possible correspondences (documented limitation).
+//! `cse-core`'s compatibility phase and `cse-lint`'s share pass both align
+//! through it.
 
-use cse_algebra::{ColRef, PlanContext, RelId, Scalar, SpjgNormal};
+use crate::context::PlanContext;
+use crate::ids::{ColRef, RelId};
+use crate::normal_form::{GroupSpec, SpjNormal, SpjgNormal};
+use crate::scalar::Scalar;
 use std::collections::HashMap;
 
 /// Column/rel mapping from one consumer's space into the anchor space.
@@ -76,8 +81,8 @@ impl Alignment {
         conjuncts.sort();
         conjuncts.dedup();
         SpjgNormal {
-            spj: cse_algebra::SpjNormal { rels, conjuncts },
-            group: n.group.as_ref().map(|g| cse_algebra::GroupSpec {
+            spj: SpjNormal { rels, conjuncts },
+            group: n.group.as_ref().map(|g| GroupSpec {
                 keys: g.keys.iter().map(|k| self.col(*k)).collect(),
                 aggs: g
                     .aggs

@@ -104,10 +104,6 @@ impl PlanContext {
         &self.rels[id.0 as usize]
     }
 
-    pub fn rel_count(&self) -> usize {
-        self.rels.len()
-    }
-
     pub fn rels(&self) -> impl Iterator<Item = (RelId, &RelInfo)> {
         self.rels
             .iter()
@@ -174,7 +170,7 @@ impl PlanContext {
 }
 
 impl RelInfo {
-    pub fn alias_or_name(&self) -> &str {
+    pub(crate) fn alias_or_name(&self) -> &str {
         if self.alias.is_empty() {
             &self.name
         } else {

@@ -131,100 +131,6 @@ impl LogicalPlan {
         }
     }
 
-    /// Check that every column referenced by an operator is produced by its
-    /// input; returns a description of the first violation.
-    pub fn validate(&self, ctx: &PlanContext) -> Result<(), String> {
-        fn check(
-            plan: &LogicalPlan,
-            ctx: &PlanContext,
-        ) -> Result<std::collections::BTreeSet<ColRef>, String> {
-            let avail: std::collections::BTreeSet<ColRef> = match plan {
-                LogicalPlan::Get { .. } => plan.output_cols(ctx).into_iter().collect(),
-                LogicalPlan::Filter { input, pred } => {
-                    let avail = check(input, ctx)?;
-                    for c in pred.columns() {
-                        if !avail.contains(&c) {
-                            return Err(format!("filter references unavailable column {c}"));
-                        }
-                    }
-                    avail
-                }
-                LogicalPlan::Join { left, right, pred } => {
-                    let mut avail = check(left, ctx)?;
-                    avail.extend(check(right, ctx)?);
-                    for c in pred.columns() {
-                        if !avail.contains(&c) {
-                            return Err(format!("join references unavailable column {c}"));
-                        }
-                    }
-                    avail
-                }
-                LogicalPlan::Aggregate {
-                    input,
-                    keys,
-                    aggs,
-                    out,
-                } => {
-                    let below = check(input, ctx)?;
-                    for k in keys {
-                        if !below.contains(k) {
-                            return Err(format!("group-by key {k} unavailable"));
-                        }
-                    }
-                    for a in aggs {
-                        if let Some(arg) = &a.arg {
-                            for c in arg.columns() {
-                                if !below.contains(&c) {
-                                    return Err(format!("aggregate arg column {c} unavailable"));
-                                }
-                            }
-                        }
-                    }
-                    let mut avail: std::collections::BTreeSet<ColRef> =
-                        keys.iter().copied().collect();
-                    avail.extend((0..aggs.len()).map(|i| ColRef::new(*out, i as u16)));
-                    avail
-                }
-                LogicalPlan::Project { input, exprs } => {
-                    let below = check(input, ctx)?;
-                    for (_, e) in exprs {
-                        for c in e.columns() {
-                            if !below.contains(&c) {
-                                return Err(format!(
-                                    "projection references unavailable column {c}"
-                                ));
-                            }
-                        }
-                    }
-                    Default::default()
-                }
-                LogicalPlan::Sort { input, keys } => {
-                    let below = check(input, ctx)?;
-                    // Sort above Project refers to projection outputs, which
-                    // we cannot see; only check when input exposes columns.
-                    if !below.is_empty() {
-                        for (k, _) in keys {
-                            for c in k.columns() {
-                                if !below.contains(&c) {
-                                    return Err(format!("sort key column {c} unavailable"));
-                                }
-                            }
-                        }
-                    }
-                    below
-                }
-                LogicalPlan::Batch { children } => {
-                    for ch in children {
-                        check(ch, ctx)?;
-                    }
-                    Default::default()
-                }
-            };
-            Ok(avail)
-        }
-        check(self, ctx).map(|_| ())
-    }
-
     /// Multi-line indented rendering for diagnostics and tests.
     pub fn display(&self, ctx: &PlanContext) -> String {
         let mut out = String::new();
@@ -307,7 +213,6 @@ mod tests {
         );
         assert_eq!(plan.rels(), RelSet::from_iter([r0, r1]));
         assert_eq!(plan.output_cols(&ctx).len(), 4);
-        assert!(plan.validate(&ctx).is_ok());
     }
 
     #[test]
@@ -323,15 +228,6 @@ mod tests {
         };
         let cols = plan.output_cols(&ctx);
         assert_eq!(cols, vec![ColRef::new(r0, 0), ColRef::new(out, 0)]);
-        assert!(plan.validate(&ctx).is_ok());
-    }
-
-    #[test]
-    fn validate_catches_bad_column() {
-        let (ctx, r0, r1) = setup();
-        // Filter on u's column while only scanning t.
-        let plan = LogicalPlan::get(r0).filter(Scalar::eq(Scalar::col(r1, 0), Scalar::int(1)));
-        assert!(plan.validate(&ctx).is_err());
     }
 
     #[test]

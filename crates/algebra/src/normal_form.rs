@@ -30,16 +30,6 @@ impl SpjNormal {
         EquivClasses::from_conjuncts(&self.conjuncts).classes()
     }
 
-    /// The conjuncts that are *not* column-equality atoms (the "local" or
-    /// residual predicate once equijoins are factored out).
-    pub fn non_equijoin_conjuncts(&self) -> Vec<Scalar> {
-        self.conjuncts
-            .iter()
-            .filter(|c| c.as_col_eq_col().is_none())
-            .cloned()
-            .collect()
-    }
-
     /// The whole predicate as one normalized conjunction.
     pub fn predicate(&self) -> Scalar {
         Scalar::and(self.conjuncts.iter().cloned()).normalize()
@@ -186,7 +176,12 @@ mod tests {
         assert_eq!(n.spj.rels, vec![a, b, c]);
         assert_eq!(n.spj.conjuncts.len(), 4);
         assert_eq!(n.spj.equiv_classes().len(), 1); // a.k = b.k = c.k chains
-        assert_eq!(n.spj.non_equijoin_conjuncts().len(), 2);
+        let local = n
+            .spj
+            .conjuncts
+            .iter()
+            .filter(|c| c.as_col_eq_col().is_none());
+        assert_eq!(local.count(), 2);
     }
 
     #[test]

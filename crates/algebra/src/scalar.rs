@@ -253,7 +253,7 @@ impl Scalar {
     /// Rewrite every column reference through `map` (bottom-up). Used for
     /// view matching (mapping consumer columns onto CSE outputs) and for
     /// aligning consumers during CSE construction.
-    pub fn rewrite_cols(&self, map: &impl Fn(ColRef) -> Scalar) -> Scalar {
+    pub(crate) fn rewrite_cols(&self, map: &impl Fn(ColRef) -> Scalar) -> Scalar {
         match self {
             Scalar::Col(c) => map(*c),
             Scalar::Lit(v) => Scalar::Lit(v.clone()),

@@ -3,36 +3,58 @@
 //!
 //! Usage: `cargo run --release -p cse-bench --bin report [-- <experiment>] [--sf <f>]`
 //! where `<experiment>` is one of `table1 table2 table3 table4 fig8
-//! viewmaint overhead verify lint overload recovery all` (default `all`).
+//! viewmaint overhead overload recovery all` (default `all`).
 //! The `overload` arm also honours `--requests <n>` (default 10000) and
-//! `--seed <u64>` (default 42). Every arm prints its rows to stdout.
+//! `--seed <u64>` (default 42). Every arm prints its rows to stdout; an
+//! unknown experiment, an unknown flag or a flag without a valid value
+//! prints the usage on stderr and exits with status 2.
 
 use cse_bench::{experiments, print_table};
+use std::str::FromStr;
+
+const EXPERIMENTS: [&str; 10] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig8",
+    "viewmaint",
+    "overhead",
+    "overload",
+    "recovery",
+    "all",
+];
+
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "report: {problem}\nusage: report [{}] [--sf <f>] [--requests <n>] [--seed <u64>]",
+        EXPERIMENTS.join("|")
+    );
+    std::process::exit(2);
+}
+
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    match args.next().map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        _ => usage(&format!("{flag} expects a value")),
+    }
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut which = "all".to_string();
     let mut sf = experiments::DEFAULT_SF;
     let mut requests = 10_000usize;
     let mut seed = 42u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sf" => {
-                i += 1;
-                sf = args[i].parse().expect("--sf expects a number");
-            }
-            "--requests" => {
-                i += 1;
-                requests = args[i].parse().expect("--requests expects an integer");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed expects a u64");
-            }
-            other => which = other.to_string(),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--sf" => sf = value(&mut args, "--sf"),
+            "--requests" => requests = value(&mut args, "--requests"),
+            "--seed" => seed = value(&mut args, "--seed"),
+            other if EXPERIMENTS.contains(&other) => which = arg,
+            other => usage(&format!("unknown experiment or flag '{other}'")),
         }
-        i += 1;
     }
     println!("TPC-H scale factor: {sf}");
     let catalog = experiments::catalog(sf);
@@ -116,39 +138,6 @@ fn main() {
             on.opt_time.as_secs_f64() * 1e3,
             on.candidates
         );
-    }
-    if run_all || which == "verify" {
-        println!("\n=== cse-verify: invariant audit over every workload ===");
-        println!(
-            "{:<18} {:<16} {:>10} {:>12}",
-            "workload", "config", "candidates", "diagnostics"
-        );
-        for v in experiments::verify_all(&catalog) {
-            println!(
-                "{:<18} {:<16} {:>10} {:>12}",
-                v.workload, v.config, v.candidates, v.diagnostics
-            );
-        }
-        println!("all workloads passed verification (errors would have aborted).");
-    }
-    if run_all || which == "lint" {
-        println!("\n=== qlint: static batch analysis over every workload ===");
-        println!(
-            "{:<18} {:>6} {:>9} {:>6} {:>12} {:>10}",
-            "workload", "stmts", "warnings", "notes", "share hints", "lint time"
-        );
-        for r in experiments::lint_all(&catalog) {
-            println!(
-                "{:<18} {:>6} {:>9} {:>6} {:>12} {:>8.2}ms",
-                r.workload,
-                r.statements,
-                r.warnings,
-                r.notes,
-                r.share_hints,
-                r.lint_time.as_secs_f64() * 1e3
-            );
-        }
-        println!("all workloads linted without errors (errors would have aborted).");
     }
     // Not part of `all`: a 10k-request open-loop run takes a while and
     // its numbers only mean something at a fixed machine + seed.

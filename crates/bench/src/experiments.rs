@@ -233,7 +233,7 @@ pub struct OverloadPoint {
 /// The overload mix: mostly light single-statement queries with an
 /// occasional heavy sharing-rich batch (the batch is what drives memory
 /// reservations up). Deterministic for a fixed seed.
-pub fn overload_requests(n: usize, seed: u64) -> Vec<String> {
+pub(crate) fn overload_requests(n: usize, seed: u64) -> Vec<String> {
     let mut rng = TestRng::new(seed ^ 0x6f76_6572_6c6f_6164); // "overload"
     let light = [
         "select c_mktsegment, count(*) as n from customer group by c_mktsegment".to_string(),
@@ -400,124 +400,6 @@ pub fn overload(catalog: &Catalog, requests: usize, seed: u64) -> Vec<OverloadPo
             }
         })
         .collect()
-}
-
-/// One row of the verification report: workload name, candidate count and
-/// the diagnostics the `cse-verify` passes produced (always zero unless an
-/// invariant regressed — errors abort optimization outright).
-#[derive(Debug)]
-pub struct VerifyOutcome {
-    pub workload: &'static str,
-    pub config: &'static str,
-    pub candidates: usize,
-    pub diagnostics: usize,
-}
-
-/// Run every paper workload with the `cse-verify` passes forced on (they
-/// default off in release builds) under both CSE configurations, and
-/// report the diagnostics. Panics if any workload fails verification.
-pub fn verify_all(catalog: &Catalog) -> Vec<VerifyOutcome> {
-    let workloads: [(&'static str, String); 5] = [
-        ("table1 batch", workloads::table1_batch()),
-        ("table2 batch", workloads::table2_batch()),
-        ("nested query", workloads::NESTED.to_string()),
-        ("complex joins", workloads::complex_join_batch()),
-        ("no-sharing batch", workloads::no_sharing_batch()),
-    ];
-    let configs: [(&'static str, CseConfig); 2] = [
-        (
-            "Using CSEs",
-            CseConfig {
-                verify: true,
-                ..CseConfig::default()
-            },
-        ),
-        (
-            "no heuristics",
-            CseConfig {
-                verify: true,
-                ..CseConfig::no_heuristics()
-            },
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (name, sql) in &workloads {
-        for (cname, cfg) in &configs {
-            let optimized = cse_core::optimize_sql(catalog, sql, cfg)
-                .unwrap_or_else(|e| panic!("{name} [{cname}] failed verification: {e}"));
-            rows.push(VerifyOutcome {
-                workload: name,
-                config: cname,
-                candidates: optimized.report.candidates.len(),
-                diagnostics: optimized
-                    .report
-                    .verification
-                    .as_ref()
-                    .map(|v| v.diagnostics.len())
-                    .unwrap_or(0),
-            });
-        }
-    }
-    rows
-}
-
-/// One row of the qlint report: analyzer findings and timing per
-/// workload.
-#[derive(Debug)]
-pub struct LintRow {
-    pub workload: &'static str,
-    pub statements: usize,
-    pub warnings: usize,
-    pub notes: usize,
-    /// `lint/share-hint` diagnostics: the analyzer's *static* prediction
-    /// of sharable pairs, before any memo exists.
-    pub share_hints: usize,
-    pub lint_time: Duration,
-}
-
-/// Run the qlint static analyzer over every paper workload. The paper
-/// batches are clean by construction, so warnings stay zero while the
-/// share hints predict the sharing the pipeline then finds — this arm is
-/// a drift alarm between the lint-time and memo-time detection paths.
-pub fn lint_all(catalog: &Catalog) -> Vec<LintRow> {
-    let workloads: [(&'static str, String); 5] = [
-        ("table1 batch", workloads::table1_batch()),
-        ("table2 batch", workloads::table2_batch()),
-        ("nested query", workloads::NESTED.to_string()),
-        ("complex joins", workloads::complex_join_batch()),
-        ("no-sharing batch", workloads::no_sharing_batch()),
-    ];
-    let mut rows = Vec::new();
-    for (name, sql) in &workloads {
-        let t = Instant::now();
-        let out = cse_lint::lint_batch(catalog, sql);
-        let lint_time = t.elapsed();
-        assert_eq!(
-            out.report.error_count(),
-            0,
-            "{name}: paper workloads must lint without errors:\n{}",
-            out.report.render_as("lint")
-        );
-        rows.push(LintRow {
-            workload: name,
-            statements: out.statements,
-            warnings: out.report.warning_count(),
-            notes: out
-                .report
-                .diagnostics
-                .iter()
-                .filter(|d| d.severity == cse_lint::Severity::Note)
-                .count(),
-            share_hints: out
-                .report
-                .diagnostics
-                .iter()
-                .filter(|d| d.rule_id == cse_lint::rules::SHARE_HINT)
-                .count(),
-            lint_time,
-        });
-    }
-    rows
 }
 
 /// One measured configuration of the durability bench: a mutation log of

@@ -63,7 +63,7 @@ pub fn run(catalog: &Catalog, sql: &str, config: &'static str, cfg: &CseConfig) 
 }
 
 /// The paper's three configurations: No CSE / Using CSEs / no heuristics.
-pub fn three_way(catalog: &Catalog, sql: &str) -> [RunOutcome; 3] {
+pub(crate) fn three_way(catalog: &Catalog, sql: &str) -> [RunOutcome; 3] {
     [
         run(catalog, sql, "No CSE", &CseConfig::no_cse()),
         run(catalog, sql, "Using CSEs", &CseConfig::default()),
@@ -78,7 +78,7 @@ pub fn three_way(catalog: &Catalog, sql: &str) -> [RunOutcome; 3] {
 
 /// Verify all configurations produced identical results (FP-tolerant);
 /// panics with a diagnostic otherwise.
-pub fn assert_results_agree(outcomes: &[RunOutcome]) {
+pub(crate) fn assert_results_agree(outcomes: &[RunOutcome]) {
     let base = &outcomes[0].output.results;
     for o in &outcomes[1..] {
         assert_eq!(

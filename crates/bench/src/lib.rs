@@ -11,4 +11,4 @@ pub mod experiments;
 pub mod harness;
 pub mod workloads;
 
-pub use harness::{assert_results_agree, print_table, run, three_way, RunOutcome};
+pub use harness::{print_table, run, RunOutcome};

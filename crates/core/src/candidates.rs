@@ -30,7 +30,7 @@ pub struct CostedCandidate {
 }
 
 /// Estimate a CSE's work-table cardinality and width from its shape.
-pub fn estimate_cse(memo: &Memo, stats: &StatsCatalog, shape: &CseShape) -> (f64, f64) {
+pub(crate) fn estimate_cse(memo: &Memo, stats: &StatsCatalog, shape: &CseShape) -> (f64, f64) {
     let card = Cardinality::new(&memo.ctx, stats);
     let sel = Selectivity::new(&memo.ctx, stats);
     let mut rows = card.spj_rows(&shape.rels, &shape.join_conjuncts);
@@ -275,7 +275,11 @@ pub fn h4_prune_contained(
 
 /// Definition 4.2: child's tables ⊆ parent's tables (multiset) and every
 /// child consumer is a memo descendant of some parent consumer.
-pub fn is_contained(mgr: &CseManager, child: &CostedCandidate, parent: &CostedCandidate) -> bool {
+pub(crate) fn is_contained(
+    mgr: &CseManager,
+    child: &CostedCandidate,
+    parent: &CostedCandidate,
+) -> bool {
     if !child.signature.tables_subset_of(&parent.signature) {
         return false;
     }
@@ -291,7 +295,7 @@ pub fn is_contained(mgr: &CseManager, child: &CostedCandidate, parent: &CostedCa
 /// Full generation for one sharable set: H1 → compatibility → H1 → H2 →
 /// Algorithm 1 (H3). H4 runs across sets afterwards. `trials` counts the
 /// shapes H2 and Algorithm 1 cost.
-pub fn generate_for_set(
+pub(crate) fn generate_for_set(
     memo: &mut Memo,
     ctx: &PhaseCtx,
     signature: &TableSignature,

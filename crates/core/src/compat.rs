@@ -5,8 +5,7 @@
 //! into groups whose members are mutually join compatible (connected
 //! intersected equijoin graph).
 
-use crate::align::Alignment;
-use cse_algebra::{intersect_classes, is_connected, ColRef, RelId, SpjgNormal};
+use cse_algebra::{intersect_classes, is_connected, Alignment, ColRef, RelId, SpjgNormal};
 use cse_memo::{GroupId, Memo};
 use std::collections::BTreeSet;
 

@@ -31,7 +31,8 @@ use crate::compat::PreparedConsumer;
 use crate::required::{required_of, RequiredCols};
 use cse_algebra::{
     classes_to_conjuncts, implied_by_siblings, implies, intersect_all, intersect_classes,
-    ranges_of, AggExpr, Antecedent, CmpOp, ColRef, Interval, LogicalPlan, RelId, RelSet, Scalar,
+    left_deep, ranges_of, AggExpr, Antecedent, CmpOp, ColRef, Interval, LogicalPlan, RelId, RelSet,
+    Scalar,
 };
 use cse_memo::{AggInput, Memo};
 use std::collections::{BTreeMap, BTreeSet};
@@ -458,13 +459,13 @@ fn covering_of(branches: &[&Branch]) -> Scalar {
 /// Build a left-deep, connected join tree over `rels`: single-rel covering
 /// conjuncts become leaf filters, join conjuncts attach at the lowest
 /// covering join, multi-rel covering residue lands in a top filter.
-pub fn build_join_plan(
+pub(crate) fn build_join_plan(
     rels: &[RelId],
     join_conjuncts: &[Scalar],
     covering: &Scalar,
 ) -> Option<LogicalPlan> {
-    let mut remaining: Vec<Scalar> = join_conjuncts.to_vec();
-    remaining.extend(covering.conjuncts());
+    let mut conjuncts: Vec<Scalar> = join_conjuncts.to_vec();
+    conjuncts.extend(covering.conjuncts());
     // Greedy connected order.
     let mut order: Vec<RelId> = vec![*rels.first()?];
     let mut left: Vec<RelId> = rels[1..].to_vec();
@@ -473,7 +474,7 @@ pub fn build_join_plan(
         let next = left
             .iter()
             .position(|r| {
-                remaining.iter().any(|c| {
+                conjuncts.iter().any(|c| {
                     let cr = c.rels();
                     cr.contains(*r) && !cr.intersect(covered).is_empty()
                 })
@@ -481,43 +482,8 @@ pub fn build_join_plan(
             .unwrap_or(0); // disconnected: cross join the first leftover
         order.push(left.remove(next));
     }
-    let mut plan: Option<LogicalPlan> = None;
-    let mut covered = RelSet::EMPTY;
-    for r in order {
-        let leaf_set = RelSet::single(r);
-        let local: Vec<Scalar> = take_covered(&mut remaining, leaf_set);
-        let mut leaf = LogicalPlan::get(r);
-        if !local.is_empty() {
-            leaf = leaf.filter(Scalar::and(local));
-        }
-        covered = covered.union(leaf_set);
-        plan = Some(match plan {
-            None => leaf,
-            Some(p) => {
-                let join_pred: Vec<Scalar> = take_covered(&mut remaining, covered);
-                p.join(leaf, Scalar::and(join_pred).normalize())
-            }
-        });
-    }
-    let mut plan = plan?;
-    if !remaining.is_empty() {
-        plan = plan.filter(Scalar::and(remaining));
-    }
-    Some(plan)
-}
-
-fn take_covered(remaining: &mut Vec<Scalar>, set: RelSet) -> Vec<Scalar> {
-    let mut out = Vec::new();
-    remaining.retain(|c| {
-        let r = c.rels();
-        if !r.is_empty() && r.is_subset(set) {
-            out.push(c.clone());
-            false
-        } else {
-            true
-        }
-    });
-    out
+    let (plan, residue) = left_deep(&order, conjuncts)?;
+    Some(plan.filter(Scalar::and(residue)))
 }
 
 #[cfg(test)]

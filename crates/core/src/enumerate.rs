@@ -38,7 +38,7 @@ pub struct EnumOutcome {
 /// whole enumeration rather than returning an anytime-best plan, so that
 /// a tripped budget always yields the clean baseline plan — never a
 /// half-enumerated hybrid.
-pub fn choose_best(
+pub(crate) fn choose_best(
     opt: &mut Optimizer<'_>,
     mgr: &CseManager,
     root: GroupId,

@@ -37,7 +37,6 @@
     )
 )]
 
-pub mod align;
 pub mod candidates;
 pub mod compat;
 pub mod config;
@@ -49,12 +48,11 @@ pub mod pipeline;
 pub mod required;
 pub mod view_match;
 
-pub use align::Alignment;
 pub use candidates::CostedCandidate;
 pub use compat::{partition_compatible, prepare_consumers, CompatibleGroup, PreparedConsumer};
 pub use config::{CandidateSummary, CostBounds, CseConfig, CseReport, PhaseCtx};
 pub use construct::{construct, simplify_covering, ConstructedCse, Construction, CseShape};
-pub use enumerate::{choose_best, EnumOutcome};
+pub use enumerate::EnumOutcome;
 pub use maintenance::{
     create_materialized_view, maintain_insert, plan_insert, plan_materialized_view,
     MaintenancePlan, MaintenancePlans, MaintenanceReport,
@@ -62,4 +60,3 @@ pub use maintenance::{
 pub use manager::CseManager;
 pub use pipeline::{optimize_plan, optimize_sql, Optimized};
 pub use required::{compute_required, RequiredCols};
-pub use view_match::build_substitutes;

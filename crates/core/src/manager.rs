@@ -100,7 +100,7 @@ impl CseManager {
     /// disconnected trees (e.g. a stacked CSE consumed from several spool
     /// definitions) — the optimizer then charges the initial cost at final
     /// assembly instead.
-    pub fn least_common_ancestor(&self, consumers: &[GroupId]) -> Option<GroupId> {
+    pub(crate) fn least_common_ancestor(&self, consumers: &[GroupId]) -> Option<GroupId> {
         let (first, rest) = consumers.split_first()?;
         let mut common: Vec<u64> = self.row(*first).to_vec();
         for c in rest {

@@ -71,17 +71,6 @@ struct Findings {
     cost_audit: Option<CostAudit>,
 }
 
-/// An optimizer over one memo state; cost model and indexes are the
-/// request's and do not change between memo states.
-fn optimizer_over<'a>(
-    memo: &'a Memo,
-    stats: &'a StatsCatalog,
-    indexes: &'a IndexInfo,
-    cfg: &'a CseConfig,
-) -> Optimizer<'a> {
-    Optimizer::new(memo, stats, &cfg.cost_model, indexes)
-}
-
 /// Optimize an already-lowered logical plan.
 pub fn optimize_plan(
     catalog: &Catalog,
@@ -117,7 +106,7 @@ pub fn optimize_plan(
     // Normal optimization phases: the baseline plan, and memoized mask-0
     // winners the CSE phase reads its cost bounds from.
     let t_baseline = Instant::now();
-    let mut normal = optimizer_over(&memo, &stats, &indexes, cfg);
+    let mut normal = Optimizer::new(&memo, &stats, &cfg.cost_model, &indexes);
     let baseline = normal.optimize_full(root, 0);
     let baseline_time = t_start.elapsed();
     stages.push(("baseline", t_baseline.elapsed()));
@@ -285,7 +274,7 @@ fn cse_phase(
         return Ok((None, found));
     };
     // Step 3: resume optimization with candidates enabled.
-    let mut opt = optimizer_over(&memo, ctx.stats, ctx.indexes, ctx.cfg);
+    let mut opt = Optimizer::new(&memo, ctx.stats, &ctx.cfg.cost_model, ctx.indexes);
     opt.register_candidates(step3.candidates, step3.substitutes);
     let t = Instant::now();
     let outcome = choose_best(&mut opt, &step3.mgr, root, &step3.lcas, ctx.clock)?;
@@ -335,7 +324,7 @@ fn register(
     // exploration may legitimately find cheaper plans, which would make a
     // fresh winner undercut a bound that was correct when recorded).
     if cfg.verify {
-        let mut opt = optimizer_over(memo, ctx.stats, ctx.indexes, cfg);
+        let mut opt = Optimizer::new(memo, ctx.stats, &cfg.cost_model, ctx.indexes);
         let bounds: Vec<(GroupId, f64)> = ctx.bounds.iter().collect();
         found.cost_audit = Some(CostAudit {
             winners: bounds
@@ -634,7 +623,7 @@ mod tests {
             let root = memo.insert_plan(&plan);
             memo.set_root(root);
             explore(&mut memo, &cfg.explore);
-            let mut normal = optimizer_over(&memo, &stats, &indexes, &cfg);
+            let mut normal = Optimizer::new(&memo, &stats, &cfg.cost_model, &indexes);
             let bounds = CostBounds::new(
                 memo.groups()
                     .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
@@ -663,7 +652,7 @@ mod tests {
             let step3 = register(&mut memo, &phase, root, &mut found)
                 .unwrap()
                 .expect("the batch has candidates");
-            let mut opt = optimizer_over(&memo, &stats, &indexes, &cfg);
+            let mut opt = Optimizer::new(&memo, &stats, &cfg.cost_model, &indexes);
             opt.register_candidates(step3.candidates, step3.substitutes);
             let outcome = choose_best(&mut opt, &step3.mgr, root, &step3.lcas, &clock).unwrap();
             assert!(outcome.visited.len() >= 2, "{sql}");

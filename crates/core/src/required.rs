@@ -98,7 +98,7 @@ pub fn compute_required(memo: &Memo, roots: &[GroupId]) -> RequiredCols {
 }
 
 /// The required columns of one group (empty set if never computed).
-pub fn required_of(required: &RequiredCols, g: GroupId) -> BTreeSet<ColRef> {
+pub(crate) fn required_of(required: &RequiredCols, g: GroupId) -> BTreeSet<ColRef> {
     required.get(&g).cloned().unwrap_or_default()
 }
 

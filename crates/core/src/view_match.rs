@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 /// Build the substitute rewriting each member of `cse` over its work table,
 /// in member order; `None` for a member that does not match.
-pub fn build_substitutes(
+pub(crate) fn build_substitutes(
     memo: &Memo,
     cse_id: CseId,
     cse: &ConstructedCse,

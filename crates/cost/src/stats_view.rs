@@ -51,7 +51,7 @@ impl StatsCatalog {
     }
 
     /// Column statistics for a catalog-table column, if known.
-    pub fn col_stats(&self, ctx: &PlanContext, c: ColRef) -> Option<&ColumnStats> {
+    pub(crate) fn col_stats(&self, ctx: &PlanContext, c: ColRef) -> Option<&ColumnStats> {
         let info = ctx.rel(c.rel);
         match info.kind {
             RelKind::Base => self

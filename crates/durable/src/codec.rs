@@ -216,7 +216,7 @@ fn read_table(r: &mut Reader) -> Result<Table, DurableError> {
 }
 
 /// Serialize one catalog mutation into a WAL payload.
-pub fn encode_mutation(m: &CatalogMutation) -> Vec<u8> {
+pub(crate) fn encode_mutation(m: &CatalogMutation) -> Vec<u8> {
     let mut out = Vec::new();
     match m {
         CatalogMutation::RegisterTable { table } => {
@@ -263,7 +263,7 @@ pub fn encode_mutation(m: &CatalogMutation) -> Vec<u8> {
 /// Decode one catalog mutation from a WAL payload. The payload has already
 /// passed the frame CRC; decode errors therefore indicate corruption that
 /// happened to checksum, and are reported, never ignored.
-pub fn decode_mutation(payload: &[u8]) -> Result<CatalogMutation, DurableError> {
+pub(crate) fn decode_mutation(payload: &[u8]) -> Result<CatalogMutation, DurableError> {
     let mut r = Reader::new(payload);
     let m = match r.u8("mutation tag")? {
         0 => CatalogMutation::RegisterTable {

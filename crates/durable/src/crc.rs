@@ -3,7 +3,7 @@
 //! crates. One 256-entry table, computed at first use.
 
 /// CRC-32/ISO-HDLC of `bytes` (same parameters as zlib's `crc32`).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let table = table();
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {

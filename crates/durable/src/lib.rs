@@ -38,7 +38,7 @@ pub mod wal;
 pub use durable::{DurableCatalog, DurableOptions};
 pub use recovery::{catalogs_equivalent, recover, RecoveryInfo};
 pub use store::{FileStore, SimStore, Store};
-pub use wal::{scan_wal, WalScan};
+pub use wal::WalScan;
 
 /// How a scanned WAL ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

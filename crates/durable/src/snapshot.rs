@@ -85,7 +85,7 @@ fn u32_at(b: &[u8], at: usize) -> Option<u32> {
 /// Decode and rebuild a snapshot. Any structural or checksum failure is
 /// [`DurableError::CorruptSnapshot`]: a snapshot is published atomically,
 /// so unlike the WAL there is no benign torn shape to tolerate.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Catalog), DurableError> {
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Catalog), DurableError> {
     let corrupt = || DurableError::CorruptSnapshot;
     if bytes.len() < 24 {
         return Err(corrupt());

@@ -101,7 +101,8 @@ impl SimStore {
     }
 
     /// Are any appends staged but not yet synced?
-    pub fn has_pending(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_pending(&self) -> bool {
         self.with(|s| !s.pending.is_empty())
     }
 
@@ -200,11 +201,11 @@ impl FileStore {
         Ok(FileStore { dir })
     }
 
-    pub fn wal_path(&self) -> PathBuf {
+    pub(crate) fn wal_path(&self) -> PathBuf {
         self.dir.join("wal")
     }
 
-    pub fn snapshot_path(&self) -> PathBuf {
+    pub(crate) fn snapshot_path(&self) -> PathBuf {
         self.dir.join("snapshot")
     }
 

@@ -33,7 +33,7 @@ pub const FRAME_HEADER: usize = 16;
 pub const MAX_PAYLOAD: usize = 1 << 28;
 
 /// Encode one record frame.
-pub fn encode_frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
     let mut body = Vec::with_capacity(8 + payload.len());
     body.extend_from_slice(&lsn.to_le_bytes());
     body.extend_from_slice(payload);
@@ -67,7 +67,7 @@ fn read_u64(b: &[u8]) -> u64 {
 
 /// Scan a WAL image into records, tolerating a torn tail and rejecting
 /// mid-log corruption.
-pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, DurableError> {
+pub(crate) fn scan_wal(bytes: &[u8]) -> Result<WalScan, DurableError> {
     let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut pos = 0usize;
     let mut last_lsn = 0u64;

@@ -67,7 +67,7 @@ impl Bound {
 
     /// Three-valued truth of the expression: `None` is SQL unknown (NULL,
     /// or a non-boolean value where a boolean is expected).
-    pub fn truth(&self, row: &[Value]) -> Option<bool> {
+    pub(crate) fn truth(&self, row: &[Value]) -> Option<bool> {
         match self {
             Bound::Cmp(op, a, b) => a.eval(row).sql_cmp(&b.eval(row)).map(|ord| op.holds(ord)),
             // Three-valued AND: false dominates, then unknown.

@@ -61,7 +61,7 @@ impl<T> Held<'_, T> {
     }
 
     /// [`Held::wait`], for at most `timeout`.
-    pub fn wait_timeout(self, cv: &Condvar, timeout: Duration) -> Self {
+    pub(crate) fn wait_timeout(self, cv: &Condvar, timeout: Duration) -> Self {
         let Held { guard, _counted } = self;
         let woken = cv.wait_timeout(guard, timeout);
         let guard = woken.unwrap_or_else(PoisonError::into_inner).0;

@@ -352,7 +352,7 @@ impl MemReservation {
     }
 
     /// Bytes held out of the pool.
-    pub fn granted(&self) -> usize {
+    pub(crate) fn granted(&self) -> usize {
         self.inner.granted.load(Ordering::SeqCst)
     }
 

@@ -25,7 +25,7 @@ use cse_algebra::Scalar;
 use cse_storage::Value;
 
 /// Is this scalar the constant FALSE (either spelling)?
-pub fn is_const_false(s: &Scalar) -> bool {
+pub(crate) fn is_const_false(s: &Scalar) -> bool {
     matches!(s, Scalar::Lit(Value::Bool(false))) || matches!(s, Scalar::Or(v) if v.is_empty())
 }
 
@@ -35,7 +35,7 @@ pub fn is_const_null(s: &Scalar) -> bool {
 }
 
 /// Is this scalar the constant TRUE (either spelling)?
-pub fn is_const_true(s: &Scalar) -> bool {
+pub(crate) fn is_const_true(s: &Scalar) -> bool {
     s.is_true()
 }
 

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 /// Group-by keys of the statement's root aggregate that nothing above the
 /// aggregate consumes. Returns an empty list when the statement has no
 /// aggregate on its root spine.
-pub fn dead_group_keys(plan: &LogicalPlan) -> Vec<ColRef> {
+pub(crate) fn dead_group_keys(plan: &LogicalPlan) -> Vec<ColRef> {
     let mut consumed: BTreeSet<ColRef> = BTreeSet::new();
     let mut node = plan;
     loop {
@@ -60,7 +60,7 @@ pub fn dead_group_keys(plan: &LogicalPlan) -> Vec<ColRef> {
 
 /// Select-list items that duplicate an earlier item's expression. Returns
 /// `(select-list index, span of the duplicate)` pairs.
-pub fn duplicate_projections(stmt: &SelectStmt) -> Vec<(usize, Span)> {
+pub(crate) fn duplicate_projections(stmt: &SelectStmt) -> Vec<(usize, Span)> {
     let mut seen: Vec<&cse_sql::Expr> = Vec::new();
     let mut out = Vec::new();
     for (i, item) in stmt.select.iter().enumerate() {

@@ -14,38 +14,19 @@
 //! tests (a `lint/share-hint` on statements that the pipeline then covers
 //! with a spool).
 
-use cse_algebra::{join_compatible, ColRef, LogicalPlan, PlanContext, RelId, SpjgNormal};
+use cse_algebra::{join_compatible, Alignment, LogicalPlan, PlanContext, SpjgNormal};
 use cse_memo::TableSignature;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 /// Strip root-level `Project`/`Sort` wrappers: `SpjgNormal::from_plan`
 /// deliberately refuses them, and every lowered statement keeps them at
 /// the root.
-pub fn strip_root(plan: &LogicalPlan) -> &LogicalPlan {
+pub(crate) fn strip_root(plan: &LogicalPlan) -> &LogicalPlan {
     let mut node = plan;
     loop {
         match node {
             LogicalPlan::Project { input, .. } | LogicalPlan::Sort { input, .. } => node = input,
             other => return other,
         }
-    }
-}
-
-/// The table signature of an SPJG normal form, computed without a memo:
-/// `grouped` from the normal form, tables as the sorted multiset of base
-/// names (matching `cse-memo::compute_signature`).
-pub fn static_signature(ctx: &PlanContext, normal: &SpjgNormal) -> TableSignature {
-    let mut tables: Vec<String> = normal
-        .spj
-        .rels
-        .iter()
-        .map(|r| ctx.rel(*r).name.clone())
-        .collect();
-    tables.sort();
-    TableSignature {
-        grouped: normal.has_group(),
-        tables,
     }
 }
 
@@ -60,70 +41,34 @@ pub struct ShareVerdict {
     pub compatible: bool,
 }
 
-/// Map statement `j`'s rel ids onto statement `i`'s, pairing instances of
-/// the same base table in sorted-name order (the same convention
-/// `cse-core`'s alignment uses for self-join disambiguation).
-fn align_rels(
-    ctx: &PlanContext,
-    rels_i: &[RelId],
-    rels_j: &[RelId],
-) -> Option<BTreeMap<RelId, RelId>> {
-    if rels_i.len() != rels_j.len() {
-        return None;
-    }
-    let by_name = |rels: &[RelId]| -> Vec<(String, RelId)> {
-        let mut v: Vec<(String, RelId)> = rels
-            .iter()
-            .map(|r| (ctx.rel(*r).name.clone(), *r))
-            .collect();
-        v.sort();
-        v
-    };
-    let (a, b) = (by_name(rels_i), by_name(rels_j));
-    let mut map = BTreeMap::new();
-    for ((na, ra), (nb, rb)) in a.iter().zip(b.iter()) {
-        if na != nb {
-            return None; // different table multisets
-        }
-        map.insert(*rb, *ra);
-    }
-    Some(map)
-}
-
 /// Compute pairwise share hints for the batch. `normals` holds
 /// `(statement index, SPJG normal form)` for every statement that lowered
 /// cleanly and has an SPJG core.
 pub fn share_hints(ctx: &PlanContext, normals: &[(usize, SpjgNormal)]) -> Vec<ShareVerdict> {
+    let signature = |n: &SpjgNormal| {
+        let tables = n.spj.rels.iter().map(|r| ctx.rel(*r).name.clone());
+        TableSignature::new(n.has_group(), tables)
+    };
     let mut out = Vec::new();
     for (a, (i, ni)) in normals.iter().enumerate() {
-        let sig_i = static_signature(ctx, ni);
+        let sig_i = signature(ni);
         for (j, nj) in normals.iter().skip(a + 1) {
-            let sig_j = static_signature(ctx, nj);
-            if sig_i != sig_j {
+            if signature(nj) != sig_i {
                 continue;
             }
-            let Some(map) = align_rels(ctx, &ni.spj.rels, &nj.spj.rels) else {
+            // j's equivalence classes in i's rel-id space.
+            let Some(alignment) = Alignment::new(ctx, &ni.spj.rels, &nj.spj.rels) else {
                 continue;
             };
-            // Rewrite j's equivalence classes into i's rel-id space.
-            let classes_i = ni.spj.equiv_classes();
-            let classes_j: Vec<BTreeSet<ColRef>> = nj
-                .spj
-                .equiv_classes()
-                .into_iter()
-                .map(|cl| {
-                    cl.into_iter()
-                        .map(|c| ColRef::new(*map.get(&c.rel).unwrap_or(&c.rel), c.col))
-                        .collect()
-                })
-                .collect();
-            let compatible =
-                join_compatible(ni.spj.rel_set(), &[classes_i.clone(), classes_j]).is_some();
+            let classes = [
+                ni.spj.equiv_classes(),
+                alignment.normal_form(nj).spj.equiv_classes(),
+            ];
             out.push(ShareVerdict {
                 i: *i,
                 j: *j,
                 signature: sig_i.clone(),
-                compatible,
+                compatible: join_compatible(ni.spj.rel_set(), &classes).is_some(),
             });
         }
     }
@@ -179,10 +124,9 @@ mod tests {
     #[test]
     fn signatures_match_across_statements() {
         let (ctx, normals) = setup();
-        let s0 = static_signature(&ctx, &normals[0].1);
-        let s2 = static_signature(&ctx, &normals[2].1);
-        assert_eq!(s0, s2);
-        assert_eq!(s0.to_string(), "[F; {customer,orders}]");
+        let hints = share_hints(&ctx, &normals);
+        assert!(hints.iter().any(|h| h.i == 0 && h.j == 2));
+        assert_eq!(hints[0].signature.to_string(), "[F; {customer,orders}]");
     }
 
     #[test]

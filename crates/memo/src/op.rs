@@ -105,7 +105,7 @@ impl GroupExpr {
     /// and does not start to. Interned conjuncts carry their kinds in their
     /// ids; the other scalars of equal expressions have one shape, so their
     /// literals pair up in traversal order.
-    pub fn same_as(&self, other: &GroupExpr) -> bool {
+    pub(crate) fn same_as(&self, other: &GroupExpr) -> bool {
         let kinds = |e: &GroupExpr| {
             let mut out = Vec::new();
             e.op.for_each_scalar(&mut |s| literal_kinds(s, &mut out));

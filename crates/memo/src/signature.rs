@@ -25,11 +25,11 @@ pub struct TableSignature {
 }
 
 impl TableSignature {
-    fn leaf(table: String) -> Self {
-        TableSignature {
-            grouped: false,
-            tables: vec![table],
-        }
+    /// `[grouped; tables]`, the tables sorted into the multiset's order.
+    pub fn new(grouped: bool, tables: impl IntoIterator<Item = String>) -> Self {
+        let mut tables: Vec<String> = tables.into_iter().collect();
+        tables.sort();
+        TableSignature { grouped, tables }
     }
 
     /// Number of source tables (with multiplicity).
@@ -82,7 +82,7 @@ pub fn compute_signature(
                 // Aggregate outputs never appear as Get leaves.
                 RelKind::AggOutput => return None,
             };
-            Some(TableSignature::leaf(name))
+            Some(TableSignature::new(false, [name]))
         }
         // Select and Project preserve the signature only below a group-by.
         Op::Filter { .. } | Op::Project { .. } => {
@@ -99,14 +99,8 @@ pub fn compute_signature(
             if l.grouped || r.grouped {
                 return None;
             }
-            let mut tables = Vec::with_capacity(l.tables.len() + r.tables.len());
-            tables.extend(l.tables.iter().cloned());
-            tables.extend(r.tables.iter().cloned());
-            tables.sort();
-            Some(TableSignature {
-                grouped: false,
-                tables,
-            })
+            let tables = l.tables.iter().chain(&r.tables).cloned();
+            Some(TableSignature::new(false, tables))
         }
         Op::Aggregate { .. } => {
             let c = children.first().copied().flatten()?;

@@ -97,33 +97,12 @@ fn emit(
         PhysicalPlan::Batch { .. } => "Batch".to_string(),
     };
     let _ = writeln!(out, "    n{id} [label=\"{label}\"];");
-    let link = |child: usize, out: &mut String| {
+    let children: Vec<usize> = plan
+        .children()
+        .map(|c| emit(c, out, next_id, pending))
+        .collect();
+    for child in children {
         let _ = writeln!(out, "    n{child} -> n{id};");
-    };
-    match plan {
-        PhysicalPlan::TableScan { .. }
-        | PhysicalPlan::IndexRangeScan { .. }
-        | PhysicalPlan::CseRead { .. } => {}
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::IndexNlJoin { outer: input, .. }
-        | PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Sort { input, .. } => {
-            let c = emit(input, out, next_id, pending);
-            link(c, out);
-        }
-        PhysicalPlan::HashJoin { left, right, .. } | PhysicalPlan::NlJoin { left, right, .. } => {
-            let l = emit(left, out, next_id, pending);
-            let r = emit(right, out, next_id, pending);
-            link(l, out);
-            link(r, out);
-        }
-        PhysicalPlan::Batch { children } => {
-            for c in children {
-                let cid = emit(c, out, next_id, pending);
-                link(cid, out);
-            }
-        }
     }
     id
 }

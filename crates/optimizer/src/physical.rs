@@ -140,27 +140,31 @@ impl PhysicalPlan {
         out
     }
 
-    pub fn visit(&self, f: &mut impl FnMut(&PhysicalPlan)) {
-        f(self);
-        match self {
+    /// The operator's inputs, in execution order. This is the one match
+    /// over each operator's children; `visit`, `render` and `to_dot` all
+    /// walk through it.
+    pub fn children(&self) -> impl Iterator<Item = &PhysicalPlan> {
+        let (pair, rest): ([Option<&PhysicalPlan>; 2], &[PhysicalPlan]) = match self {
             PhysicalPlan::TableScan { .. }
             | PhysicalPlan::IndexRangeScan { .. }
-            | PhysicalPlan::CseRead { .. } => {}
+            | PhysicalPlan::CseRead { .. } => ([None, None], &[]),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::IndexNlJoin { outer: input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Sort { input, .. } => input.visit(f),
+            | PhysicalPlan::Sort { input, .. } => ([Some(input), None], &[]),
             PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::NlJoin { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            PhysicalPlan::Batch { children } => {
-                for c in children {
-                    c.visit(f);
-                }
-            }
+            | PhysicalPlan::NlJoin { left, right, .. } => ([Some(left), Some(right)], &[]),
+            PhysicalPlan::Batch { children } => ([None, None], children),
+        };
+        pair.into_iter().flatten().chain(rest)
+    }
+
+    /// Pre-order walk: `f` sees each node before its children.
+    pub fn visit(&self, f: &mut impl FnMut(&PhysicalPlan)) {
+        f(self);
+        for c in self.children() {
+            c.visit(f);
         }
     }
 
@@ -191,63 +195,35 @@ impl PhysicalPlan {
     fn render_into(&self, depth: usize, out: &mut String) {
         use std::fmt::Write as _;
         let pad = "  ".repeat(depth);
-        match self {
-            PhysicalPlan::TableScan { rel, .. } => {
-                let _ = writeln!(out, "{pad}TableScan r{}", rel.0);
-            }
+        let _ = match self {
+            PhysicalPlan::TableScan { rel, .. } => writeln!(out, "{pad}TableScan r{}", rel.0),
             PhysicalPlan::IndexRangeScan { rel, col, .. } => {
-                let _ = writeln!(out, "{pad}IndexRangeScan r{} on {col}", rel.0);
+                writeln!(out, "{pad}IndexRangeScan r{} on {col}", rel.0)
             }
-            PhysicalPlan::Filter { input, pred } => {
-                let _ = writeln!(out, "{pad}Filter {pred}");
-                input.render_into(depth + 1, out);
-            }
-            PhysicalPlan::HashJoin {
-                left, right, keys, ..
-            } => {
+            PhysicalPlan::Filter { pred, .. } => writeln!(out, "{pad}Filter {pred}"),
+            PhysicalPlan::HashJoin { keys, .. } => {
                 let ks: Vec<String> = keys.iter().map(|(a, b)| format!("{a}={b}")).collect();
-                let _ = writeln!(out, "{pad}HashJoin [{}]", ks.join(", "));
-                left.render_into(depth + 1, out);
-                right.render_into(depth + 1, out);
+                writeln!(out, "{pad}HashJoin [{}]", ks.join(", "))
             }
             PhysicalPlan::IndexNlJoin {
-                outer,
-                rel,
-                key: (o, i),
-                ..
-            } => {
-                let _ = writeln!(out, "{pad}IndexNlJoin r{} [{o}={i}]", rel.0);
-                outer.render_into(depth + 1, out);
-            }
-            PhysicalPlan::NlJoin {
-                left, right, pred, ..
-            } => {
-                let _ = writeln!(out, "{pad}NlJoin {pred}");
-                left.render_into(depth + 1, out);
-                right.render_into(depth + 1, out);
-            }
-            PhysicalPlan::HashAggregate {
-                input, keys, aggs, ..
-            } => {
+                rel, key: (o, i), ..
+            } => writeln!(out, "{pad}IndexNlJoin r{} [{o}={i}]", rel.0),
+            PhysicalPlan::NlJoin { pred, .. } => writeln!(out, "{pad}NlJoin {pred}"),
+            PhysicalPlan::HashAggregate { keys, aggs, .. } => {
                 let ks: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
                 let ags: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
-                let _ = writeln!(
+                writeln!(
                     out,
                     "{pad}HashAggregate keys=[{}] aggs=[{}]",
                     ks.join(","),
                     ags.join(",")
-                );
-                input.render_into(depth + 1, out);
+                )
             }
-            PhysicalPlan::Project { input, exprs } => {
+            PhysicalPlan::Project { exprs, .. } => {
                 let names: Vec<&str> = exprs.iter().map(|(n, _)| n.as_str()).collect();
-                let _ = writeln!(out, "{pad}Project [{}]", names.join(", "));
-                input.render_into(depth + 1, out);
+                writeln!(out, "{pad}Project [{}]", names.join(", "))
             }
-            PhysicalPlan::Sort { input, .. } => {
-                let _ = writeln!(out, "{pad}Sort");
-                input.render_into(depth + 1, out);
-            }
+            PhysicalPlan::Sort { .. } => writeln!(out, "{pad}Sort"),
             PhysicalPlan::CseRead {
                 cse, filter, reagg, ..
             } => {
@@ -256,14 +232,12 @@ impl PhysicalPlan {
                     .map(|p| format!(" filter={p}"))
                     .unwrap_or_default();
                 let g = if reagg.is_some() { " reagg" } else { "" };
-                let _ = writeln!(out, "{pad}CseRead {cse}{f}{g}");
+                writeln!(out, "{pad}CseRead {cse}{f}{g}")
             }
-            PhysicalPlan::Batch { children } => {
-                let _ = writeln!(out, "{pad}Batch");
-                for c in children {
-                    c.render_into(depth + 1, out);
-                }
-            }
+            PhysicalPlan::Batch { .. } => writeln!(out, "{pad}Batch"),
+        };
+        for c in self.children() {
+            c.render_into(depth + 1, out);
         }
     }
 }

@@ -214,7 +214,7 @@ impl Breaker {
     /// to completion on its full rung. Anything else — downgrade, planning
     /// failure, cancellation — re-opens the breaker (fail safe: an
     /// inconclusive probe is not evidence of health).
-    pub fn record_probe(&self, ok: bool) {
+    pub(crate) fn record_probe(&self, ok: bool) {
         if !self.cfg.enabled {
             return;
         }

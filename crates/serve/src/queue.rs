@@ -61,7 +61,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Admit `item` if there is room, else refuse immediately.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut g = self.lock();
         if g.closed {
             return Err(PushError::Closed(item));
@@ -77,7 +77,7 @@ impl<T> BoundedQueue<T> {
 
     /// Admit `item`, blocking while the queue is full (backpressure).
     /// Returns the item back if the queue closes while waiting.
-    pub fn push_blocking(&self, item: T) -> Result<(), PushError<T>> {
+    pub(crate) fn push_blocking(&self, item: T) -> Result<(), PushError<T>> {
         let mut g = self.lock();
         loop {
             if g.closed {

@@ -99,7 +99,7 @@ const KEYWORDS: &[&str] = &[
 
 /// Tokenize SQL text, returning each token with the half-open byte span
 /// it was lexed from.
-pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, Span)>, LexError> {
+pub(crate) fn tokenize_spanned(input: &str) -> Result<Vec<(Token, Span)>, LexError> {
     let bytes = input.as_bytes();
     let mut i = 0usize;
     let mut out: Vec<(Token, Span)> = Vec::new();
@@ -282,16 +282,15 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, Span)>, LexError> {
     Ok(out)
 }
 
-/// Tokenize SQL text. Returns an error message with position on bad input.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
-    tokenize_spanned(input)
-        .map(|toks| toks.into_iter().map(|(t, _)| t).collect())
-        .map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tokenize(input: &str) -> Result<Vec<Token>, String> {
+        tokenize_spanned(input)
+            .map(|toks| toks.into_iter().map(|(t, _)| t).collect())
+            .map_err(|e| e.to_string())
+    }
 
     #[test]
     fn tokenizes_simple_select() {

@@ -11,8 +11,8 @@ use crate::ast::*;
 use crate::error::SqlError;
 use crate::span::Span;
 use cse_algebra::{
-    AggExpr, AggFunc, ArithOp, BlockId, CmpOp, ColRef, LogicalPlan, PlanContext, RelId, Scalar,
-    SortOrder,
+    left_deep, take_covered, AggExpr, AggFunc, ArithOp, BlockId, CmpOp, ColRef, LogicalPlan,
+    PlanContext, RelId, Scalar, SortOrder,
 };
 use cse_storage::{Catalog, DataType, Value};
 
@@ -157,7 +157,7 @@ impl<'a> SqlLowerer<'a> {
                 collect_conjunct_exprs(e, &mut parts);
                 let mut lowered = Vec::with_capacity(parts.len());
                 for part in parts {
-                    let s = self.lower_pred_with_subs(part, &scope, &mut where_subs, block)?;
+                    let s = self.lower_expr_subs(part, &scope, &Mode::Pre, &mut where_subs)?;
                     self.trace
                         .pred_spans
                         .push((s.clone().normalize(), part.span));
@@ -171,43 +171,18 @@ impl<'a> SqlLowerer<'a> {
         // Build the join tree: filtered leaves joined left-deep in FROM
         // order, predicates attached at the lowest covering join.
         let conjuncts = where_pred.map(|p| p.conjuncts()).unwrap_or_default();
-        let mut remaining: Vec<Scalar> = conjuncts;
-        let mut plan: Option<LogicalPlan> = None;
-        let mut covered = cse_algebra::RelSet::EMPTY;
-        // Rel sets of the WHERE-level subqueries (cross-joined after base
-        // rels so their conjuncts resolve).
-        for (idx, s) in scope.iter().enumerate() {
-            let mut leaf = LogicalPlan::get(s.rel);
-            let leaf_set = cse_algebra::RelSet::single(s.rel);
-            let local: Vec<Scalar> = extract_covered(&mut remaining, leaf_set);
-            if !local.is_empty() {
-                leaf = leaf.filter(Scalar::and(local));
-            }
-            covered = covered.union(leaf_set);
-            plan = Some(match plan {
-                None => leaf,
-                Some(p) => {
-                    let join_pred: Vec<Scalar> = extract_join_preds(&mut remaining, covered);
-                    let _ = idx;
-                    p.join(leaf, Scalar::and(join_pred).normalize())
-                }
-            });
-        }
-        let mut plan =
-            plan.ok_or_else(|| SqlError::Internal("FROM produced no join tree".into()))?;
-        // WHERE-level subqueries: cross join below the aggregate.
+        let order: Vec<RelId> = scope.iter().map(|s| s.rel).collect();
+        let (mut plan, mut remaining) = left_deep(&order, conjuncts)
+            .ok_or_else(|| SqlError::Internal("FROM produced no join tree".into()))?;
+        // WHERE-level subqueries: cross join below the aggregate, after the
+        // base rels, so the conjuncts over their outputs resolve.
         for sub in where_subs {
             plan = plan.join(sub, Scalar::true_());
-            covered = plan.rels();
-            let more: Vec<Scalar> = extract_covered(&mut remaining, covered);
-            if !more.is_empty() {
-                plan = plan.filter(Scalar::and(more));
-            }
+            let more = take_covered(&mut remaining, plan.rels());
+            plan = plan.filter(Scalar::and(more));
         }
-        if !remaining.is_empty() {
-            // Conjuncts referencing unknown columns at this level.
-            plan = plan.filter(Scalar::and(std::mem::take(&mut remaining)));
-        }
+        // Conjuncts over no rel (constants) filter the whole join.
+        plan = plan.filter(Scalar::and(remaining));
 
         // Aggregation analysis.
         let has_group = !stmt.group_by.is_empty();
@@ -225,7 +200,7 @@ impl<'a> SqlLowerer<'a> {
 
         if !(has_group || any_agg) {
             // Pure SPJ statement.
-            return self.finish_spj(stmt, plan, &scope, block);
+            return self.finish_spj(stmt, plan, &scope);
         }
         if stmt.select.iter().any(|i| matches!(i, SelectItem::Star)) {
             return Err(SqlError::Unsupported(
@@ -273,8 +248,12 @@ impl<'a> SqlLowerer<'a> {
         // HAVING (post-agg mode; subqueries cross-join above the aggregate).
         if let Some(h) = &stmt.having {
             let mut having_subs: Vec<LogicalPlan> = Vec::new();
-            let pred =
-                self.lower_post_with_subs(h, &scope, &keys, &aggs, out, &mut having_subs, block)?;
+            let mode = Mode::Post {
+                keys: &keys,
+                aggs: &aggs,
+                out,
+            };
+            let pred = self.lower_expr_subs(h, &scope, &mode, &mut having_subs)?;
             for sub in having_subs {
                 plan = plan.join(sub, Scalar::true_());
             }
@@ -338,7 +317,6 @@ impl<'a> SqlLowerer<'a> {
         stmt: &SelectStmt,
         mut plan: LogicalPlan,
         scope: &[ScopeRel],
-        _block: BlockId,
     ) -> Result<LogicalPlan, SqlError> {
         let mut exprs: Vec<(String, Scalar)> = Vec::new();
         for item in &stmt.select {
@@ -412,65 +390,36 @@ impl<'a> SqlLowerer<'a> {
         }
     }
 
-    /// Lower a WHERE predicate, replacing scalar subqueries by references
-    /// to their (cross-joined) single-row outputs.
-    fn lower_pred_with_subs(
-        &mut self,
-        e: &Expr,
-        scope: &[ScopeRel],
-        subs: &mut Vec<LogicalPlan>,
-        block: BlockId,
-    ) -> Result<Scalar, SqlError> {
-        // Subqueries are found during lowering; Mode::Pre forbids them, so
-        // pre-walk and rewrite.
-        self.lower_expr_subs(e, scope, &Mode::Pre, subs, block)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn lower_post_with_subs(
-        &mut self,
-        e: &Expr,
-        scope: &[ScopeRel],
-        keys: &[ColRef],
-        aggs: &[AggExpr],
-        out: RelId,
-        subs: &mut Vec<LogicalPlan>,
-        block: BlockId,
-    ) -> Result<Scalar, SqlError> {
-        let mode = Mode::Post { keys, aggs, out };
-        self.lower_expr_subs(e, scope, &mode, subs, block)
-    }
-
-    /// Expression lowering with subquery extraction.
+    /// Expression lowering with subquery extraction: each uncorrelated
+    /// scalar subquery becomes a reference to its single-row output, and
+    /// its plan goes to `subs` for the caller to cross-join.
     fn lower_expr_subs(
         &mut self,
         e: &Expr,
         scope: &[ScopeRel],
         mode: &Mode<'_>,
         subs: &mut Vec<LogicalPlan>,
-        block: BlockId,
     ) -> Result<Scalar, SqlError> {
         match &e.kind {
             ExprKind::Subquery(stmt) => {
                 let (plan, value) = self.lower_scalar_subquery(stmt)?;
-                let _ = block;
                 subs.push(plan);
                 Ok(value)
             }
             ExprKind::And(a, b) => Ok(Scalar::and([
-                self.lower_expr_subs(a, scope, mode, subs, block)?,
-                self.lower_expr_subs(b, scope, mode, subs, block)?,
+                self.lower_expr_subs(a, scope, mode, subs)?,
+                self.lower_expr_subs(b, scope, mode, subs)?,
             ])),
             ExprKind::Or(a, b) => Ok(Scalar::or([
-                self.lower_expr_subs(a, scope, mode, subs, block)?,
-                self.lower_expr_subs(b, scope, mode, subs, block)?,
+                self.lower_expr_subs(a, scope, mode, subs)?,
+                self.lower_expr_subs(b, scope, mode, subs)?,
             ])),
             ExprKind::Not(a) => Ok(Scalar::Not(Box::new(
-                self.lower_expr_subs(a, scope, mode, subs, block)?,
+                self.lower_expr_subs(a, scope, mode, subs)?,
             ))),
             ExprKind::Binary(op, a, b) => {
-                let la = self.lower_expr_subs(a, scope, mode, subs, block)?;
-                let lb = self.lower_expr_subs(b, scope, mode, subs, block)?;
+                let la = self.lower_expr_subs(a, scope, mode, subs)?;
+                let lb = self.lower_expr_subs(b, scope, mode, subs)?;
                 self.lower_binary(*op, la, lb)
             }
             _ => self.lower_expr(e, scope, mode),
@@ -780,41 +729,12 @@ impl<'a> SqlLowerer<'a> {
     }
 }
 
-/// Remove and return the conjuncts fully covered by `set`.
-fn extract_covered(remaining: &mut Vec<Scalar>, set: cse_algebra::RelSet) -> Vec<Scalar> {
-    let mut out = Vec::new();
-    remaining.retain(|c| {
-        if c.rels().is_subset(set) && !c.rels().is_empty() {
-            out.push(c.clone());
-            false
-        } else {
-            true
-        }
-    });
-    out
-}
-
-/// Join predicates covered by the joined rel set (multi-rel only).
-fn extract_join_preds(remaining: &mut Vec<Scalar>, covered: cse_algebra::RelSet) -> Vec<Scalar> {
-    let mut out = Vec::new();
-    remaining.retain(|c| {
-        let r = c.rels();
-        if !r.is_empty() && r.is_subset(covered) {
-            out.push(c.clone());
-            false
-        } else {
-            true
-        }
-    });
-    out
-}
-
 fn contains_agg(e: &Expr) -> bool {
     e.any(&|k| matches!(k, ExprKind::Agg { .. }))
 }
 
 /// Split an AST predicate into its top-level conjuncts (the `AND` spine).
-pub fn collect_conjunct_exprs<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+pub(crate) fn collect_conjunct_exprs<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     match &e.kind {
         ExprKind::And(a, b) => {
             collect_conjunct_exprs(a, out);

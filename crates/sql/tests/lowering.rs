@@ -1,7 +1,8 @@
 //! Lowered-plan *shape* tests: predicate placement, aggregate structure,
 //! subquery placement, error paths.
 
-use cse_algebra::{LogicalPlan, Scalar};
+use cse_algebra::{LogicalPlan, PlanContext, Scalar};
+use cse_memo::Memo;
 use cse_sql::lower_batch_sql;
 use cse_storage::{Catalog, DataType, Schema, Table};
 
@@ -23,6 +24,16 @@ fn catalog() -> Catalog {
             .unwrap();
     }
     cat
+}
+
+/// Every column an operator reads is produced below it: the verifier's
+/// provenance pass reports no error over the lowered plan's memo.
+fn assert_columns_available(ctx: &PlanContext, plan: &LogicalPlan) {
+    let mut memo = Memo::new(ctx.clone());
+    let root = memo.insert_plan(plan);
+    memo.set_root(root);
+    let report = cse_verify::verify_memo(&memo, &[root]);
+    assert_eq!(report.error_count(), 0, "{}", report.render());
 }
 
 /// Walk helper: count nodes matching a predicate.
@@ -52,7 +63,7 @@ fn single_table_predicates_are_pushed_to_leaves() {
         "select a_k from ta, tb where a_k = b_k and a_v < 5 and b_v > 2",
     )
     .unwrap();
-    plan.validate(&ctx).unwrap();
+    assert_columns_available(&ctx, &plan);
     // Two leaf filters (one per table), join pred on the join.
     let filters = count(&plan, &|p| matches!(p, LogicalPlan::Filter { .. }));
     assert_eq!(
@@ -108,7 +119,7 @@ fn where_subquery_joins_below_aggregate() {
          where a_v > (select sum(b_v) / 10 from tb) group by a_k",
     )
     .unwrap();
-    plan.validate(&ctx).unwrap();
+    assert_columns_available(&ctx, &plan);
     // One aggregate for the outer group-by, one for the subquery; the
     // subquery's aggregate must be *below* the outer one (inside its input).
     let mut ok = false;
@@ -137,7 +148,7 @@ fn having_subquery_joins_above_aggregate() {
          having sum(a_v) > (select sum(b_v) / 10 from tb)",
     )
     .unwrap();
-    plan.validate(&ctx).unwrap();
+    assert_columns_available(&ctx, &plan);
     // The HAVING filter sits above a join of (outer aggregate, subquery).
     let mut ok = false;
     plan_visit(&plan, &mut |p| {
@@ -193,7 +204,7 @@ fn batch_shares_one_context() {
     let (ctx, plan) = lower_batch_sql(&cat, "select a_k from ta; select a_v from ta;").unwrap();
     // Two statements, four+... two instances of ta, distinct rel ids.
     assert!(matches!(plan, LogicalPlan::Batch { .. }));
-    assert_eq!(ctx.rel_count(), 2);
+    assert_eq!(ctx.rels().count(), 2);
     assert_eq!(plan.rels().len(), 2);
 }
 

@@ -4,14 +4,14 @@
 //! correct for the whole i32 day range used here.
 
 /// True iff `year` is a Gregorian leap year.
-pub fn is_leap_year(year: i32) -> bool {
+pub(crate) fn is_leap_year(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
 const DAYS_IN_MONTH: [i32; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
 
 /// Number of days in `month` (1-based) of `year`.
-pub fn days_in_month(year: i32, month: u32) -> i32 {
+pub(crate) fn days_in_month(year: i32, month: u32) -> i32 {
     if month == 2 && is_leap_year(year) {
         29
     } else {
@@ -80,7 +80,7 @@ pub fn parse_date(s: &str) -> Option<i32> {
 }
 
 /// Format days-since-epoch as `YYYY-MM-DD`.
-pub fn format_date(days: i32) -> String {
+pub(crate) fn format_date(days: i32) -> String {
     let (y, m, d) = from_days(days);
     format!("{y:04}-{m:02}-{d:02}")
 }

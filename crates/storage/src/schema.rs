@@ -71,11 +71,6 @@ impl Schema {
             .iter()
             .position(|c| c.name.eq_ignore_ascii_case(name))
     }
-
-    /// Average row width in bytes, used by the cost model.
-    pub fn row_width(&self) -> usize {
-        self.columns.iter().map(|c| c.data_type.width()).sum()
-    }
 }
 
 impl fmt::Display for Schema {
@@ -101,12 +96,6 @@ mod tests {
         assert_eq!(s.index_of("c_custkey"), Some(0));
         assert_eq!(s.index_of("C_NAME"), Some(1));
         assert_eq!(s.index_of("missing"), None);
-    }
-
-    #[test]
-    fn row_width_sums_column_widths() {
-        let s = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Str)]);
-        assert_eq!(s.row_width(), 8 + 24);
     }
 
     #[test]

@@ -102,7 +102,8 @@ impl RowBuf {
     }
 
     /// The full chunks, each shared by every clone of this buffer.
-    pub fn full_chunks(&self) -> &[Arc<Vec<Value>>] {
+    #[cfg(test)]
+    pub(crate) fn full_chunks(&self) -> &[Arc<Vec<Value>>] {
         &self.full
     }
 

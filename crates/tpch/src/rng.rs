@@ -41,7 +41,7 @@ impl SplitMix64 {
     }
 
     /// Uniform float in `[lo, hi)`.
-    pub fn float_range(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn float_range(&mut self, lo: f64, hi: f64) -> f64 {
         let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         lo + unit * (hi - lo)
     }

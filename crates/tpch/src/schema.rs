@@ -42,7 +42,7 @@ impl TpchTable {
 
     /// Base cardinality at scale factor 1 (lineitem is approximate: dbgen
     /// produces ~6M rows as 1-7 lines per order).
-    pub fn base_rows(&self) -> u64 {
+    pub(crate) fn base_rows(&self) -> u64 {
         match self {
             TpchTable::Region => 5,
             TpchTable::Nation => 25,

@@ -225,7 +225,7 @@ impl CommentPool {
 }
 
 /// dbgen-style synthetic phone number for a nation key.
-pub fn phone(rng: &mut SplitMix64, nationkey: i64) -> String {
+pub(crate) fn phone(rng: &mut SplitMix64, nationkey: i64) -> String {
     format!(
         "{}-{}-{}-{}",
         10 + nationkey,

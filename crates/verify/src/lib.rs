@@ -31,8 +31,8 @@
 //! Each pass emits structured `cse_diag::Diagnostic`s collected into a
 //! [`cse_diag::Report`].
 //! The pipeline (`cse-core`) runs the verifier behind `CseConfig::verify`
-//! (on by default in debug/test builds); `qsql --verify` and the
-//! `cse-bench` `verify` report expose it on demand.
+//! (on by default in debug/test builds); `qsql --verify` exposes it on
+//! demand, and `tests/verification.rs` runs it over every paper batch.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
@@ -51,8 +51,8 @@ pub use catalog::verify_catalog;
 pub use costing::{verify_costs, CostAudit};
 pub use diag::rules;
 pub use downgrade::verify_downgrade;
-pub use provenance::verify_provenance;
-pub use sigcheck::verify_signatures;
+use provenance::verify_provenance;
+use sigcheck::verify_signatures;
 
 use cse_diag::Report;
 use cse_memo::{GroupId, Memo};

@@ -22,7 +22,7 @@ use cse_memo::{GroupId, Memo, Op};
 use std::collections::BTreeSet;
 
 /// Run the provenance pass. `roots` are the legal delivery positions.
-pub fn verify_provenance(memo: &Memo, roots: &[GroupId]) -> Report {
+pub(crate) fn verify_provenance(memo: &Memo, roots: &[GroupId]) -> Report {
     let mut report = Report::new();
     let root_set: BTreeSet<GroupId> = roots.iter().copied().collect();
     for g in memo.groups() {

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 /// Recompute every group's signature from scratch and diff against the
 /// incrementally maintained one.
-pub fn verify_signatures(memo: &Memo) -> Report {
+pub(crate) fn verify_signatures(memo: &Memo) -> Report {
     let mut report = Report::new();
     let mut cache: HashMap<GroupId, Option<TableSignature>> = HashMap::new();
     for g in memo.groups() {

@@ -2,8 +2,11 @@
 //! invariant passes run behind `CseConfig::verify`, attach a clean report
 //! to `CseReport`, and cover both the CSE and the no-CSE paths on real
 //! TPC-H workloads. (The adversarial corruption tests that make each rule
-//! fire live in `crates/verify/tests/corruption.rs`.)
+//! fire live in `crates/verify/tests/corruption.rs`.) Every paper batch
+//! also passes both static checkers: the verifier and the linter.
 
+use cse_bench::workloads;
+use similar_subexpr::lint::rules;
 use similar_subexpr::prelude::*;
 
 const SHARING_BATCH: &str = "\
@@ -69,4 +72,42 @@ fn verification_off_attaches_no_report() {
     };
     let optimized = optimize_sql(&catalog(), SHARING_BATCH, &cfg).expect("optimize");
     assert!(optimized.report.verification.is_none());
+}
+
+/// Tables 1–4 (Table 3 is the nested query) and the no-sharing batch.
+fn paper_batches() -> [(&'static str, String); 5] {
+    [
+        ("table1", workloads::table1_batch()),
+        ("table2", workloads::table2_batch()),
+        ("nested", workloads::NESTED.to_string()),
+        ("complex joins", workloads::complex_join_batch()),
+        ("no sharing", workloads::no_sharing_batch()),
+    ]
+}
+
+#[test]
+fn paper_batches_verify_clean() {
+    let catalog = catalog();
+    for (name, sql) in paper_batches() {
+        for base in [CseConfig::default(), CseConfig::no_heuristics()] {
+            let cfg = verified_config(base);
+            let optimized = optimize_sql(&catalog, &sql, &cfg)
+                .unwrap_or_else(|e| panic!("{name} failed verification: {e}"));
+            let report = optimized.report.verification.as_ref().expect("report");
+            assert!(report.is_clean(), "{name}: {}", report.render());
+        }
+    }
+}
+
+#[test]
+fn paper_batches_lint_without_errors() {
+    let catalog = catalog();
+    for (name, sql) in paper_batches() {
+        let report = lint_batch(&catalog, &sql).report;
+        let text = report.render_as("lint");
+        assert_eq!(report.error_count(), 0, "{name}: {text}");
+        if name == "table1" {
+            assert!(report.fired_rules().contains(rules::SHARE_HINT), "{text}");
+        }
+    }
 }
