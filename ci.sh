@@ -225,10 +225,10 @@ for workload in no-share serve-mix share-batch opt-heavy view-maint; do
   [[ "$verdict" == '{"correct": true,'* ]] \
     || { echo "benchmark $workload verdict: $verdict"; exit 1; }
   # Candidate generation and scans may get cheaper, not different: a change
-  # that drops or adds a candidate, a spool, a re-optimization or a scanned
-  # row fails here, and so does one that splits or merges groups, which
-  # moves the memo's size and the result and spool row counts. Each row is
-  # "workload metric count".
+  # that drops or adds a candidate, a spool, a re-optimization, a scanned
+  # row or a spool read fails here, and so does one that splits or merges
+  # groups, which moves the memo's size and the result and spool row
+  # counts. Each row is "workload metric count".
   while read -r name_workload name want; do
     [[ "$name_workload" == "$workload" ]] || continue
     got=$(metric "$name" "$verdict")
@@ -248,6 +248,10 @@ share-batch exec.result_rows 3863
 share-batch exec.spool_rows 80594
 opt-heavy exec.result_rows 2255
 opt-heavy exec.spool_rows 136169
+share-batch exec.base_rows_scanned 2879438
+share-batch exec.spool_reads 106
+opt-heavy exec.base_rows_scanned 747771
+opt-heavy exec.spool_reads 72
 no-share exec.result_rows 1440
 opt-heavy memo.groups 1389
 opt-heavy memo.gexprs 4137

@@ -2,7 +2,7 @@
 //! to per-table column statistics from the catalog.
 
 use cse_algebra::{ColRef, PlanContext, RelKind};
-use cse_storage::{Catalog, ColumnStats, TableStats};
+use cse_storage::{lowered, Catalog, ColumnStats, TableStats};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ impl StatsCatalog {
     }
 
     pub fn get(&self, name: &str) -> Option<&Arc<TableStats>> {
-        self.tables.get(&name.to_ascii_lowercase())
+        self.tables.get(lowered(name).as_ref())
     }
 
     /// Row count of a table instance; 1000 when unknown (so costs stay

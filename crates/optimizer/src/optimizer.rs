@@ -25,14 +25,16 @@ use crate::substitute::{CseCandidate, Substitute};
 use cse_algebra::{ColRef, Scalar};
 use cse_cost::{CostModel, Selectivity, StatsCatalog};
 use cse_memo::{ConjId, GroupExpr, GroupExprId, GroupId, Memo, Op};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use cse_storage::lowered;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-/// Which (table, column ordinal) pairs have a B-tree and a hash index.
+/// Which columns have a B-tree and a hash index: column ordinals by
+/// lower-cased table name, a table without one absent.
 #[derive(Debug, Clone, Default)]
 pub struct IndexInfo {
-    pub btree: HashSet<(String, u16)>,
-    pub hash: HashSet<(String, u16)>,
+    pub btree: HashMap<String, Vec<u16>>,
+    pub hash: HashMap<String, Vec<u16>>,
 }
 
 impl IndexInfo {
@@ -40,16 +42,27 @@ impl IndexInfo {
         let mut info = IndexInfo::default();
         for name in catalog.table_names() {
             if let Ok(entry) = catalog.get(name) {
-                let name = name.to_ascii_lowercase();
-                for idx in &entry.btree_indexes {
-                    info.btree.insert((name.clone(), idx.column as u16));
-                }
-                for idx in &entry.hash_indexes {
-                    info.hash.insert((name.clone(), idx.column as u16));
+                let btree: Vec<u16> = entry
+                    .btree_indexes
+                    .iter()
+                    .map(|i| i.column as u16)
+                    .collect();
+                let hash: Vec<u16> = entry.hash_indexes.iter().map(|i| i.column as u16).collect();
+                // Catalog keys are lower-cased names.
+                for (kind, cols) in [(&mut info.btree, btree), (&mut info.hash, hash)] {
+                    if !cols.is_empty() {
+                        kind.insert(name.to_owned(), cols);
+                    }
                 }
             }
         }
         info
+    }
+
+    /// Whether `kind` (`btree` or `hash`) indexes column `col` of `table`.
+    pub fn covers(kind: &HashMap<String, Vec<u16>>, table: &str, col: u16) -> bool {
+        kind.get(lowered(table).as_ref())
+            .is_some_and(|cols| cols.contains(&col))
     }
 }
 
@@ -454,10 +467,7 @@ impl<'a> Optimizer<'a> {
             c.rel == rel
                 && (iv.lo.is_some() || iv.hi.is_some())
                 && iv.in_class_of(memo.ctx.col_type(**c))
-                && self
-                    .indexes
-                    .btree
-                    .contains(&(info.name.to_ascii_lowercase(), c.col))
+                && IndexInfo::covers(&self.indexes.btree, &info.name, c.col)
         })?;
         // Range conjuncts on the indexed column are re-checked inside the
         // per-match cost; anything else (`<>` included) costs a filter pass.
@@ -764,8 +774,8 @@ fn index_probe<'m>(
         },
         _ => return None,
     };
-    let table = memo.ctx.rel(rel).name.to_ascii_lowercase();
-    let indexed = |c: &ColRef| indexes.hash.contains(&(table.clone(), c.col));
+    let table = &memo.ctx.rel(rel).name;
+    let indexed = |c: &ColRef| IndexInfo::covers(&indexes.hash, table, c.col);
     let key = keys.iter().find(|(_, r)| r.rel == rel && indexed(r))?;
     Some((*key, filter))
 }
@@ -888,7 +898,7 @@ mod tests {
     fn hash_index_offers_an_index_join() {
         let (memo, stats, _) = setup();
         let mut indexes = IndexInfo::default();
-        indexes.hash.insert(("fact".into(), 0));
+        indexes.hash.insert("fact".into(), vec![0]);
         let model = CostModel::default();
         let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
         let choice = opt.optimize_group(memo.root(), 0);

@@ -6,8 +6,20 @@ use crate::index::{BTreeIndex, HashIndex};
 use crate::stats::TableStats;
 use crate::table::Table;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The catalog key of a table or view name: its ASCII lower case, borrowed
+/// when the name has no ASCII capital (lowering already lower-cases every
+/// FROM name, so a lookup from a plan allocates nothing).
+pub fn lowered(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
 
 /// A registered materialized view: its name doubles as a table in the
 /// catalog, plus the SQL text of its definition (the maintenance planner
@@ -162,7 +174,7 @@ impl Catalog {
 
     pub fn get(&self, name: &str) -> Result<&CatalogEntry, StorageError> {
         self.entries
-            .get(&name.to_ascii_lowercase())
+            .get(lowered(name).as_ref())
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
@@ -175,7 +187,7 @@ impl Catalog {
     }
 
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(&name.to_ascii_lowercase())
+        self.entries.contains_key(lowered(name).as_ref())
     }
 
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
@@ -240,7 +252,7 @@ impl Catalog {
     }
 
     pub fn view(&self, name: &str) -> Option<&MaterializedView> {
-        self.views.get(&name.to_ascii_lowercase())
+        self.views.get(lowered(name).as_ref())
     }
 
     pub fn views(&self) -> impl Iterator<Item = &MaterializedView> {
@@ -345,6 +357,15 @@ mod tests {
         let mut t = Table::new(name, Schema::from_pairs(&[("a", DataType::Int)]));
         t.push(row(vec![Value::Int(7)])).unwrap();
         t
+    }
+
+    #[test]
+    fn lowered_borrows_a_lower_case_name() {
+        assert!(matches!(lowered("lineitem"), Cow::Borrowed("lineitem")));
+        assert!(matches!(lowered("LineItem"), Cow::Owned(s) if s == "lineitem"));
+        let mut c = Catalog::new();
+        c.register_table(t("Orders")).unwrap();
+        assert!(c.get("ORDERS").is_ok() && c.get("orders").is_ok() && c.contains("oRdErs"));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod table;
 pub mod testkit;
 pub mod value;
 
-pub use catalog::{Catalog, CatalogEntry, CatalogMutation, MaterializedView};
+pub use catalog::{lowered, Catalog, CatalogEntry, CatalogMutation, MaterializedView};
 pub use delta::{DeltaAction, DeltaTable};
 pub use error::StorageError;
 pub use index::{BTreeIndex, HashIndex};
