@@ -68,7 +68,7 @@ impl Alignment {
 
     /// Rewrite a scalar into anchor space.
     pub fn scalar(&self, s: &Scalar) -> Scalar {
-        s.rewrite_cols(&|c| Scalar::Col(self.col(c))).normalize()
+        s.rewrite_cols(&|c| Scalar::Col(self.col(c))).into_normal()
     }
 
     /// Align a whole normal form into anchor space (the group spec's `out`

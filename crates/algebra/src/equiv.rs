@@ -107,7 +107,7 @@ pub fn classes_to_conjuncts(classes: &[BTreeSet<ColRef>]) -> Vec<Scalar> {
     for class in classes {
         let cols: Vec<ColRef> = class.iter().copied().collect();
         for w in cols.windows(2) {
-            out.push(Scalar::eq(Scalar::Col(w[0]), Scalar::Col(w[1])).normalize());
+            out.push(Scalar::eq(Scalar::Col(w[0]), Scalar::Col(w[1])).into_normal());
         }
     }
     out

@@ -241,7 +241,7 @@ fn hull_side<'a>(bounds: impl Iterator<Item = &'a Side>, looser: Ordering) -> Re
 
 /// Conservative implication: true only when provable.
 pub fn implies(p: &Scalar, q: &Scalar) -> bool {
-    Antecedent::new(p).implies(q)
+    Antecedent::new(p.clone()).implies(q)
 }
 
 /// Which of `conjuncts` their siblings imply: `true` at `i` means conjunct
@@ -269,7 +269,7 @@ pub fn implied_by_siblings(conjuncts: &[Scalar]) -> Vec<bool> {
             !support.is_empty() && (columns[i].is_empty() || support.iter().any(shares_column));
         implied[i] = testable && {
             let siblings = Scalar::and(support.iter().map(|&j| conjuncts[j].clone()));
-            Antecedent::new(&siblings).implies(q)
+            Antecedent::new(siblings).implies(q)
         };
     }
     implied
@@ -303,8 +303,8 @@ fn conjuncts_of(p: &Scalar) -> &[Scalar] {
 }
 
 impl Antecedent {
-    pub fn new(p: &Scalar) -> Self {
-        Antecedent::of_normal(p.normalize())
+    pub fn new(p: Scalar) -> Self {
+        Antecedent::of_normal(p.into_normal())
     }
 
     fn of_normal(p: Scalar) -> Self {
@@ -327,7 +327,9 @@ impl Antecedent {
         self.implies_normal(&q.normalize())
     }
 
-    fn implies_normal(&self, q: &Scalar) -> bool {
+    /// [`Antecedent::implies`] for a `q` already normalized, such as a
+    /// conjunct of a normalized predicate.
+    pub fn implies_normal(&self, q: &Scalar) -> bool {
         if q.is_true() || self.p == *q {
             return true;
         }

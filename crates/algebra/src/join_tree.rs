@@ -42,7 +42,7 @@ pub fn left_deep(
             None => leaf,
             Some(p) => {
                 let join_pred = take_covered(&mut conjuncts, covered);
-                p.join(leaf, Scalar::and(join_pred).normalize())
+                p.join(leaf, Scalar::and(join_pred).into_normal())
             }
         });
     }

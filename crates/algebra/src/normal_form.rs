@@ -32,7 +32,7 @@ impl SpjNormal {
 
     /// The whole predicate as one normalized conjunction.
     pub fn predicate(&self) -> Scalar {
-        Scalar::and(self.conjuncts.iter().cloned()).normalize()
+        Scalar::and(self.conjuncts.iter().cloned()).into_normal()
     }
 }
 

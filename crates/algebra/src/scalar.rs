@@ -276,53 +276,59 @@ impl Scalar {
     /// identical predicates built in different orders normalize to the same
     /// value, which the memo and the CSE construction rely on.
     pub fn normalize(&self) -> Scalar {
+        self.clone().into_normal()
+    }
+
+    /// [`Scalar::normalize`] of an owned predicate: its nodes are reused,
+    /// not copied.
+    pub fn into_normal(self) -> Scalar {
+        // Normalize a boxed operand in place.
+        fn boxed(b: &mut Scalar) {
+            *b = std::mem::replace(b, Scalar::Lit(Value::Null)).into_normal();
+        }
         match self {
-            Scalar::Col(_) | Scalar::Lit(_) => self.clone(),
-            Scalar::Cmp(op, a, b) => {
-                let (a, b) = (a.normalize(), b.normalize());
+            Scalar::Col(_) | Scalar::Lit(_) => self,
+            Scalar::Cmp(op, mut a, mut b) => {
+                boxed(&mut a);
+                boxed(&mut b);
                 match op {
-                    CmpOp::Gt | CmpOp::Ge => Scalar::cmp(op.flipped(), b, a),
-                    CmpOp::Eq | CmpOp::Ne if b < a => Scalar::cmp(*op, b, a),
-                    _ => Scalar::cmp(*op, a, b),
+                    CmpOp::Gt | CmpOp::Ge => Scalar::Cmp(op.flipped(), b, a),
+                    CmpOp::Eq | CmpOp::Ne if b < a => Scalar::Cmp(op, b, a),
+                    _ => Scalar::Cmp(op, a, b),
                 }
             }
-            Scalar::And(v) => {
-                let mut parts: Vec<Scalar> = Vec::with_capacity(v.len());
-                for p in v {
-                    match p.normalize() {
-                        Scalar::And(inner) => parts.extend(inner),
-                        other => parts.push(other),
-                    }
-                }
-                parts.sort();
-                parts.dedup();
-                one_or(parts, Scalar::And)
-            }
-            Scalar::Or(v) => {
-                let mut parts: Vec<Scalar> = Vec::with_capacity(v.len());
-                for p in v {
-                    match p.normalize() {
-                        Scalar::Or(inner) => parts.extend(inner),
-                        other => parts.push(other),
-                    }
-                }
-                parts.sort();
-                parts.dedup();
-                one_or(parts, Scalar::Or)
-            }
+            Scalar::And(v) => one_or(
+                flat_sorted(v, |p| match p {
+                    Scalar::And(inner) => Ok(inner),
+                    other => Err(other),
+                }),
+                Scalar::And,
+            ),
+            Scalar::Or(v) => one_or(
+                flat_sorted(v, |p| match p {
+                    Scalar::Or(inner) => Ok(inner),
+                    other => Err(other),
+                }),
+                Scalar::Or,
+            ),
             Scalar::Not(a) => {
                 // Normalize the child first so single-element conjunctions
                 // unwrap before the negation is pushed through.
-                match a.normalize() {
-                    Scalar::Cmp(op, x, y) => Scalar::Cmp(op.negated(), x, y).normalize(),
+                match a.into_normal() {
+                    Scalar::Cmp(op, x, y) => Scalar::Cmp(op.negated(), x, y).into_normal(),
                     Scalar::Not(inner) => *inner,
                     other => Scalar::Not(Box::new(other)),
                 }
             }
-            Scalar::Arith(op, a, b) => {
-                Scalar::Arith(*op, Box::new(a.normalize()), Box::new(b.normalize()))
+            Scalar::Arith(op, mut a, mut b) => {
+                boxed(&mut a);
+                boxed(&mut b);
+                Scalar::Arith(op, a, b)
             }
-            Scalar::IsNull(a) => Scalar::IsNull(Box::new(a.normalize())),
+            Scalar::IsNull(mut a) => {
+                boxed(&mut a);
+                Scalar::IsNull(a)
+            }
         }
     }
 
@@ -348,6 +354,24 @@ impl Scalar {
         }
         None
     }
+}
+
+/// The normalized `parts`, each one a nested list of the same connective
+/// (`Ok` from `split`) flattened into the result, sorted and deduplicated.
+fn flat_sorted(
+    parts: Vec<Scalar>,
+    split: fn(Scalar) -> Result<Vec<Scalar>, Scalar>,
+) -> Vec<Scalar> {
+    let mut out: Vec<Scalar> = Vec::with_capacity(parts.len());
+    for p in parts {
+        match split(p.into_normal()) {
+            Ok(inner) => out.extend(inner),
+            Err(other) => out.push(other),
+        }
+    }
+    out.sort();
+    out.dedup();
+    out
 }
 
 /// The only element of `parts`, or `wrap(parts)` when there are zero or

@@ -3,10 +3,13 @@
 //!
 //! H2's trivial candidates and Algorithm 1's merge trials are costed from
 //! their shapes (construction steps 1–5) and name their members by index
-//! into the compatible group's [`Construction`]. A definition plan and
-//! member copies are made only for a candidate that leaves a round.
+//! into the compatible group's [`Construction`]. H4 runs on the shapes the
+//! rounds keep, and a definition plan and member copies are made only for
+//! a shape that survives it.
 
-use crate::compat::{partition_compatible, prepare_consumers, prepare_onto, PreparedConsumer};
+use crate::compat::{
+    partition_compatible, prepare_consumers, prepare_onto, CompatibleGroup, PreparedConsumer,
+};
 use crate::config::{CostBounds, PhaseCtx};
 use crate::construct::{ConstructedCse, Construction, CseShape};
 use crate::manager::CseManager;
@@ -159,10 +162,31 @@ pub fn h2_filter_consumers(
         .collect()
 }
 
+/// A candidate costed from its shape, before it is completed: the members
+/// of its compatible group it covers, by index, its shape and its cost.
+pub struct CostedShape {
+    pub set: Vec<usize>,
+    pub shape: CseShape,
+    cost: ShapeCost,
+}
+
+impl CostedShape {
+    /// Complete the shape over `members`, the compatible group's members.
+    pub fn build(
+        self,
+        members: &[PreparedConsumer],
+        signature: TableSignature,
+    ) -> Option<CostedCandidate> {
+        let covered = self.set.iter().map(|&i| members[i].clone()).collect();
+        let cse = self.shape.complete(covered)?;
+        Some(self.cost.candidate(cse, signature))
+    }
+}
+
 /// Algorithm 1 over the members of `build` at `set`: greedily merge
 /// trivial candidates while the benefit Δ is positive; restart over the
-/// leftovers. Returns the merged candidates; `trials` counts the merge
-/// trials costed. Without heuristics, the one candidate covering all of
+/// leftovers. Returns the merged candidates' shapes; `trials` counts the
+/// merge trials costed. Without heuristics, the one shape covering all of
 /// `set`.
 ///
 /// The greedy merge loop is the combinatorial heart of candidate
@@ -172,11 +196,10 @@ pub fn h2_filter_consumers(
 pub fn create_candidates(
     memo: &mut Memo,
     ctx: &PhaseCtx,
-    signature: &TableSignature,
     build: &Construction,
     set: Vec<usize>,
     trials: &mut u64,
-) -> Result<Vec<CostedCandidate>, BudgetTrip> {
+) -> Result<Vec<CostedShape>, BudgetTrip> {
     if set.len() < 2 {
         return Ok(Vec::new());
     }
@@ -186,18 +209,16 @@ pub fn create_candidates(
         let of_set = set.iter().map(|&i| &members[i]);
         Some((ShapeCost::of(memo, ctx, &shape, of_set), shape))
     };
-    let keep = |set: &[usize], (cost, shape): (ShapeCost, CseShape)| {
-        let cse = build.build(set, shape)?;
-        Some(cost.candidate(cse, signature.clone()))
-    };
+    let keep =
+        |set: Vec<usize>, (cost, shape): (ShapeCost, CseShape)| CostedShape { set, shape, cost };
     if !ctx.cfg.heuristics {
         // One candidate covering every compatible consumer.
-        let one = costed(memo, &set).and_then(|c| keep(&set, c));
+        let one = costed(memo, &set).map(|c| keep(set, c));
         return Ok(one.into_iter().collect());
     }
     let lower = |i: usize| ctx.bounds.lower(members[i].group);
     let mut rest = set;
-    let mut out: Vec<CostedCandidate> = Vec::new();
+    let mut out: Vec<CostedShape> = Vec::new();
     while rest.len() > 1 {
         ctx.clock.check_time("generation/algorithm1")?;
         // Seed with the first trivial candidate. Alone it computes from
@@ -231,81 +252,130 @@ pub fn create_candidates(
             merged = Some(costed);
         }
         // An unmerged seed is dropped; the loop restarts over the leftovers.
-        out.extend(merged.and_then(|c| keep(&current, c)));
+        out.extend(merged.map(|c| keep(current, c)));
     }
     Ok(out)
 }
 
+/// What Heuristic 4 reads of a candidate: its table signature, its
+/// consumers (re-attached duplicates included) and its result's estimated
+/// size, rows × width.
+pub struct Extent<'a> {
+    pub signature: &'a TableSignature,
+    pub consumers: &'a [GroupId],
+    pub bytes: f64,
+}
+
 /// Heuristic 4: containment pruning across candidates (possibly from
-/// different signatures). `ancestors` supplies the memo descendant
-/// relation.
-pub fn h4_prune_contained(
-    mgr: &CseManager,
-    mut candidates: Vec<CostedCandidate>,
-    beta: f64,
-) -> Vec<CostedCandidate> {
-    let mut dead = vec![false; candidates.len()];
-    for i in 0..candidates.len() {
-        for j in 0..candidates.len() {
-            if i == j || dead[i] {
-                continue;
-            }
-            if dead[j] {
-                continue;
-            }
-            let (child, parent) = (&candidates[i], &candidates[j]);
-            if !is_contained(mgr, child, parent) {
-                continue;
-            }
-            let s_child = child.est_rows * child.est_width;
-            let s_parent = parent.est_rows * parent.est_width;
-            if s_child > beta * s_parent {
-                dead[i] = true;
+/// different signatures), over the descendant relation of `mgr`'s memo.
+/// Returns which candidates survive.
+pub fn h4_prune_contained(mgr: &CseManager, candidates: &[Extent], beta: f64) -> Vec<bool> {
+    let mut alive = vec![true; candidates.len()];
+    for (i, child) in candidates.iter().enumerate() {
+        for (j, parent) in candidates.iter().enumerate() {
+            if i != j && alive[i] && alive[j] && is_contained(mgr, child, parent) {
+                alive[i] = child.bytes <= beta * parent.bytes;
             }
         }
     }
-    let mut i = 0;
-    candidates.retain(|_| {
-        let keep = !dead[i];
-        i += 1;
-        keep
-    });
-    candidates
+    alive
 }
 
 /// Definition 4.2: child's tables ⊆ parent's tables (multiset) and every
 /// child consumer is a memo descendant of some parent consumer.
-pub(crate) fn is_contained(
-    mgr: &CseManager,
-    child: &CostedCandidate,
-    parent: &CostedCandidate,
-) -> bool {
-    if !child.signature.tables_subset_of(&parent.signature) {
-        return false;
-    }
-    child.cse.members.iter().all(|cm| {
-        parent
-            .cse
-            .members
-            .iter()
-            .any(|pm| mgr.is_ancestor(pm.group, cm.group))
-    })
+fn is_contained(mgr: &CseManager, child: &Extent, parent: &Extent) -> bool {
+    child.signature.tables_subset_of(parent.signature)
+        && child.consumers.iter().all(|&c| {
+            let mut above = parent.consumers.iter();
+            above.any(|&p| mgr.is_ancestor(p, c))
+        })
 }
 
-/// Full generation for one sharable set: H1 → compatibility → H1 → H2 →
-/// Algorithm 1 (H3). H4 runs across sets afterwards. `trials` counts the
-/// shapes H2 and Algorithm 1 cost.
-pub(crate) fn generate_for_set(
+/// Candidate generation over the explored memo's sharable sets: per-set
+/// generation (H1–H3), then H4 across sets on the costed shapes; only the
+/// survivors are completed, in generation order. `trials` counts the
+/// shapes costed.
+pub(crate) fn generate(
     memo: &mut Memo,
     ctx: &PhaseCtx,
-    signature: &TableSignature,
+    root: GroupId,
+    trials: &mut u64,
+) -> Result<Vec<CostedCandidate>, BudgetTrip> {
+    let query_cost = ctx.bounds.lower(root);
+    let mut sets: Vec<SetShapes> = Vec::new();
+    for (sig, consumers) in ctx.sharable {
+        ctx.clock.check_time("generation")?;
+        sets.extend(generate_for_set(
+            memo, ctx, sig, consumers, query_cost, trials,
+        )?);
+    }
+    let extents = sets.iter().flat_map(|s| {
+        let shapes = s.shapes.iter();
+        shapes.map(|(_, c, consumers)| Extent {
+            signature: s.signature,
+            consumers,
+            bytes: c.cost.est_rows * c.cost.est_width,
+        })
+    });
+    let extents: Vec<Extent> = extents.collect();
+    let mut alive = match ctx.cfg.heuristics {
+        true => h4_prune_contained(ctx.manager, &extents, BETA),
+        false => vec![true; extents.len()],
+    }
+    .into_iter();
+    let mut out = Vec::new();
+    for set in &mut sets {
+        for (g, shape, _) in std::mem::take(&mut set.shapes) {
+            if alive.next() == Some(true) {
+                out.extend(set.build(g, shape));
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// One sharable set's generation output: its compatible groups, the
+/// duplicates of their members, and the costed shapes, each with its
+/// compatible group and its consumers, duplicates included.
+struct SetShapes<'s> {
+    signature: &'s TableSignature,
+    groups: Vec<CompatibleGroup>,
+    /// (representative's group, duplicate).
+    duplicates: Vec<(GroupId, PreparedConsumer)>,
+    shapes: Vec<(usize, CostedShape, Vec<GroupId>)>,
+}
+
+impl SetShapes<'_> {
+    /// Complete a shape of compatible group `g`, then re-attach duplicate
+    /// groups: a duplicate consumes the candidate exactly like the
+    /// representative it mirrors.
+    fn build(&self, g: usize, shape: CostedShape) -> Option<CostedCandidate> {
+        let mut cand = shape.build(&self.groups[g].members, self.signature.clone())?;
+        for (rep, dup) in &self.duplicates {
+            if let Some(pos) = cand.cse.members.iter().position(|m| m.group == *rep) {
+                let simplified = cand.cse.shape.simplified[pos].clone();
+                cand.cse.members.push(dup.clone());
+                cand.cse.shape.simplified.push(simplified);
+            }
+        }
+        Some(cand)
+    }
+}
+
+/// Generation for one sharable set: H1 → compatibility → H1 → H2 →
+/// Algorithm 1 (H3). H4 runs across sets afterwards. `trials` counts the
+/// shapes H2 and Algorithm 1 cost.
+fn generate_for_set<'s>(
+    memo: &mut Memo,
+    ctx: &PhaseCtx,
+    signature: &'s TableSignature,
     consumers: &[GroupId],
     query_cost: f64,
     trials: &mut u64,
-) -> Result<Vec<CostedCandidate>, BudgetTrip> {
+) -> Result<Option<SetShapes<'s>>, BudgetTrip> {
     let (heuristics, bounds) = (ctx.cfg.heuristics, ctx.bounds);
     if heuristics && !h1_worthwhile(bounds, consumers, query_cost, ALPHA) {
-        return Ok(Vec::new());
+        return Ok(None);
     }
     let prepared = prepare_consumers(memo, consumers);
     // Every query block has its own rel instances, and the memo keys a
@@ -315,21 +385,19 @@ pub(crate) fn generate_for_set(
     // HAVING subquery of the nested query, `lineitem ⋈ supplier` in both of
     // Table 4's. Generation runs over one representative per normal form
     // (quadratic merge trials over duplicates are pure waste); duplicates
-    // rejoin the constructed candidates afterwards so every group still
-    // receives its view-matching substitute.
+    // rejoin the completed candidates so every group still receives its
+    // view-matching substitute.
     let mut unique: Vec<PreparedConsumer> = Vec::new();
-    let mut duplicates: Vec<(usize, PreparedConsumer)> = Vec::new();
+    let mut duplicates = Vec::new();
     for p in prepared {
-        match unique.iter().position(|u| u.normal == p.normal) {
-            Some(i) => duplicates.push((i, p)),
+        match unique.iter().find(|u| u.normal == p.normal) {
+            Some(rep) => duplicates.push((rep.group, p)),
             None => unique.push(p),
         }
     }
-    let unique_keys: Vec<cse_algebra::SpjgNormal> =
-        unique.iter().map(|u| u.normal.clone()).collect();
     let groups = partition_compatible(unique);
-    let mut out = Vec::new();
-    for g in groups {
+    let mut shapes = Vec::new();
+    for (gi, g) in groups.iter().enumerate() {
         if g.members.len() < 2 {
             continue;
         }
@@ -345,28 +413,19 @@ pub(crate) fn generate_for_set(
         } else {
             (0..g.members.len()).collect()
         };
-        out.extend(create_candidates(
-            memo, ctx, signature, &build, set, trials,
-        )?);
-    }
-    // Re-attach duplicate groups: a duplicate consumes the candidate
-    // exactly like the representative it mirrors.
-    for cand in &mut out {
-        for (rep_idx, dup) in &duplicates {
-            let rep_normal = &unique_keys[*rep_idx];
-            if let Some(pos) = cand
-                .cse
-                .members
-                .iter()
-                .position(|m| &m.normal == rep_normal)
-            {
-                let simplified = cand.cse.shape.simplified[pos].clone();
-                cand.cse.members.push(dup.clone());
-                cand.cse.shape.simplified.push(simplified);
-            }
+        for c in create_candidates(memo, ctx, &build, set, trials)? {
+            let mut consumers: Vec<GroupId> = c.set.iter().map(|&i| g.members[i].group).collect();
+            let dups = duplicates.iter().filter(|(rep, _)| consumers.contains(rep));
+            consumers.extend(dups.map(|(_, d)| d.group).collect::<Vec<_>>());
+            shapes.push((gi, c, consumers));
         }
     }
-    Ok(out)
+    Ok(Some(SetShapes {
+        signature,
+        groups,
+        duplicates,
+        shapes,
+    }))
 }
 
 /// Add def-internal consumers to existing candidates (§5.5): candidate

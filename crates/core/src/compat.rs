@@ -42,12 +42,20 @@ pub(crate) fn prepare_onto(
     anchor_rels: Option<&[RelId]>,
     g: GroupId,
 ) -> Option<PreparedConsumer> {
-    let normal = SpjgNormal::from_plan(&memo.extract_first_tree(g))?;
-    let alignment = match anchor_rels {
-        None => Alignment::identity(&normal.spj.rels),
-        Some(anchor) => Alignment::new(&memo.ctx, anchor, &normal.spj.rels)?,
+    let normal = memo.first_normal(g)?;
+    let (alignment, aligned) = match anchor_rels {
+        None => {
+            // The identity alignment maps a normal form onto itself.
+            let identity = Alignment::identity(&normal.spj.rels);
+            debug_assert_eq!(identity.normal_form(&normal), normal);
+            (identity, normal)
+        }
+        Some(anchor) => {
+            let alignment = Alignment::new(&memo.ctx, anchor, &normal.spj.rels)?;
+            let aligned = alignment.normal_form(&normal);
+            (alignment, aligned)
+        }
     };
-    let aligned = alignment.normal_form(&normal);
     Some(PreparedConsumer {
         group: g,
         classes: aligned.spj.equiv_classes(),
@@ -66,16 +74,18 @@ pub(crate) fn prepare_onto(
 pub fn partition_compatible(consumers: Vec<PreparedConsumer>) -> Vec<CompatibleGroup> {
     let mut groups: Vec<CompatibleGroup> = Vec::new();
     'outer: for c in consumers {
+        let rels = c.normal.spj.rel_set();
         for g in &mut groups {
+            if rels != g.rel_set {
+                continue;
+            }
             let inter = intersect_classes(&g.intersected_classes, &c.classes);
-            let rels = c.normal.spj.rel_set();
-            if rels == g.rel_set && is_connected(rels, &inter) {
+            if is_connected(rels, &inter) {
                 g.intersected_classes = inter;
                 g.members.push(c);
                 continue 'outer;
             }
         }
-        let rels = c.normal.spj.rel_set();
         groups.push(CompatibleGroup {
             rel_set: rels,
             intersected_classes: c.classes.clone(),

@@ -18,9 +18,10 @@
 //!    table).
 //!
 //! Steps 1–5 make a candidate's [`CseShape`], which is everything costing
-//! reads; step 6 makes its plan. Algorithm 1 costs each merge trial from
-//! its shape and builds a plan only for the candidate a round keeps, and
-//! [`construct`] is the two in a row. A [`Construction`] holds what the
+//! reads; [`CseShape::complete`] adds the per-member step-2 predicates and
+//! step 6, the plan. Algorithm 1 costs each merge trial from its shape, and
+//! only a candidate that survives generation is completed; [`construct`] is
+//! the two in a row. A [`Construction`] holds what the
 //! shape reads of each member of one compatible group — the step-2
 //! predicate with its conjuncts and column ranges, and the columns the
 //! member's ancestors require — so that a trial over any subset of the
@@ -28,7 +29,7 @@
 //! group's.
 
 use crate::compat::PreparedConsumer;
-use crate::required::{required_of, RequiredCols};
+use crate::required::RequiredCols;
 use cse_algebra::{
     classes_to_conjuncts, implied_by_siblings, implies, intersect_all, intersect_classes,
     left_deep, ranges_of, AggExpr, Antecedent, CmpOp, ColRef, Interval, LogicalPlan, RelId, RelSet,
@@ -52,7 +53,8 @@ pub struct CseShape {
     pub join_classes: Vec<BTreeSet<ColRef>>,
     /// Equijoin conjuncts from the intersected classes.
     pub join_conjuncts: Vec<Scalar>,
-    /// Per-member simplified predicate (step 2), in member order.
+    /// Per-member simplified predicate (step 2), in member order; empty
+    /// until the shape is [completed](CseShape::complete).
     pub simplified: Vec<Scalar>,
     /// Group-by of the CSE, if aggregation is required.
     pub group: Option<(Vec<ColRef>, Vec<AggExpr>, RelId)>,
@@ -80,12 +82,7 @@ pub fn construct(
 ) -> Option<ConstructedCse> {
     let all: Vec<usize> = (0..members.len()).collect();
     let shape = Construction::new(&members, required).shape(memo, &all)?;
-    let plan = shape.plan()?;
-    Some(ConstructedCse {
-        members,
-        shape,
-        plan,
-    })
+    shape.complete(members)
 }
 
 /// The members of one compatible group, with what construction reads of
@@ -93,7 +90,13 @@ pub fn construct(
 /// classes, and the anchor-space columns the member's ancestors require.
 pub struct Construction<'a> {
     members: &'a [PreparedConsumer],
+    /// The group's intersected classes, and their equijoin conjuncts.
     classes: Vec<BTreeSet<ColRef>>,
+    join_conjuncts: Vec<Scalar>,
+    /// Per member: are its own classes the group's? Intersecting the
+    /// group's disjoint classes with themselves gives them back, so a set
+    /// of such members has the group's classes.
+    has_group_classes: Vec<bool>,
     branches: Vec<Branch>,
     needs: Vec<BTreeSet<ColRef>>,
 }
@@ -102,17 +105,20 @@ impl<'a> Construction<'a> {
     pub fn new(members: &'a [PreparedConsumer], required: &RequiredCols) -> Self {
         let classes: Vec<_> = members.iter().map(|m| m.classes.clone()).collect();
         let classes = intersect_all(&classes);
+        let has_group_classes = members.iter().map(|m| m.classes == classes).collect();
         let branches = members.iter().map(|m| Branch::of(m, &classes)).collect();
         let needs = members
             .iter()
             .map(|m| {
-                let need = required_of(required, m.group).into_iter();
+                let need = required.cols(m.group);
                 need.map(|c| m.alignment.col(c)).collect()
             })
             .collect();
         Construction {
             members,
+            join_conjuncts: classes_to_conjuncts(&classes),
             classes,
+            has_group_classes,
             branches,
             needs,
         }
@@ -123,7 +129,8 @@ impl<'a> Construction<'a> {
     }
 
     /// Steps 1–5 over the members at `set`, which become the shape's member
-    /// order. `None` as for [`construct`].
+    /// order, without the per-member `simplified` predicates. `None` as for
+    /// [`construct`].
     pub fn shape(&self, memo: &mut Memo, set: &[usize]) -> Option<CseShape> {
         let members: Vec<&PreparedConsumer> = set.iter().map(|&i| &self.members[i]).collect();
         let (first, rest) = members.split_first()?;
@@ -135,10 +142,15 @@ impl<'a> Construction<'a> {
         let &anchor = rels.first()?;
 
         // Step 1: intersected equivalence classes → join conjuncts.
-        let inter = rest.iter().fold(first.classes.clone(), |inter, m| {
-            intersect_classes(&inter, &m.classes)
-        });
-        let join_conjuncts = classes_to_conjuncts(&inter);
+        let (inter, join_conjuncts) = if set.iter().all(|&i| self.has_group_classes[i]) {
+            (self.classes.clone(), self.join_conjuncts.clone())
+        } else {
+            let inter = rest.iter().fold(first.classes.clone(), |inter, m| {
+                intersect_classes(&inter, &m.classes)
+            });
+            let conjuncts = classes_to_conjuncts(&inter);
+            (inter, conjuncts)
+        };
 
         // Step 2: each member's predicate beyond the joins. The group's
         // branches hold it, unless this set's classes differ from the
@@ -154,7 +166,7 @@ impl<'a> Construction<'a> {
         // Step 3: covering predicate = OR of simplified predicates, factored
         // and range-merged. Steps 4 and 5 test every member conjunct
         // against it, so it is normalized once, as their antecedent.
-        let cover = Antecedent::new(&covering_of(&branches));
+        let cover = Antecedent::new(covering_of(&branches));
 
         // Step 4: group-by. Beyond the union of consumer keys, only columns a
         // consumer's *compensation* predicate will re-filter on must survive
@@ -220,25 +232,29 @@ impl<'a> Construction<'a> {
             covering: cover.into_predicate(),
             join_classes: inter,
             join_conjuncts,
-            simplified: branches.iter().map(|b| b.simplified.clone()).collect(),
+            simplified: Vec::new(),
             group,
-        })
-    }
-
-    /// The candidate over the members at `set` whose shape is `shape`:
-    /// step 6, and the members themselves.
-    pub fn build(&self, set: &[usize], shape: CseShape) -> Option<ConstructedCse> {
-        let plan = shape.plan()?;
-        let members = set.iter().map(|&i| self.members[i].clone()).collect();
-        Some(ConstructedCse {
-            members,
-            shape,
-            plan,
         })
     }
 }
 
 impl CseShape {
+    /// The candidate over `members`, the members this shape was made over
+    /// in its order: each one's step-2 predicate under the shape's join
+    /// classes, and step 6. `None` only without rels.
+    pub fn complete(mut self, members: Vec<PreparedConsumer>) -> Option<ConstructedCse> {
+        let plan = self.plan()?;
+        let conjuncts = members.iter().map(|m| &m.normal.spj.conjuncts);
+        self.simplified = conjuncts
+            .map(|c| beyond_joins(c, &self.join_classes))
+            .collect();
+        Some(ConstructedCse {
+            members,
+            shape: self,
+            plan,
+        })
+    }
+
     /// Step 6: filtered leaves, connected join order, residual covering
     /// predicate on top, optional aggregate. `None` only without rels.
     pub fn plan(&self) -> Option<LogicalPlan> {
@@ -276,11 +292,12 @@ impl Branch {
     }
 
     /// The columns of the conjuncts `cover` does not imply: what the
-    /// member's compensation predicate re-filters over the work table.
+    /// member's compensation predicate re-filters over the work table. The
+    /// conjuncts are those of a normalized predicate, so normalized too.
     fn compensation<'b>(&'b self, cover: &'b Antecedent) -> impl Iterator<Item = ColRef> + 'b {
         let conjuncts = self.conjuncts.iter();
         conjuncts
-            .filter(|c| !cover.implies(c))
+            .filter(|c| !cover.implies_normal(c))
             .flat_map(Scalar::columns)
     }
 
@@ -310,7 +327,7 @@ fn beyond_joins(conjuncts: &[Scalar], join_classes: &[BTreeSet<ColRef>]) -> Scal
         .collect();
     let implied = implied_by_siblings(&rest);
     let kept = rest.into_iter().zip(implied).filter(|(_, i)| !i);
-    Scalar::and(kept.map(|(c, _)| c)).normalize()
+    Scalar::and(kept.map(|(c, _)| c)).into_normal()
 }
 
 impl ConstructedCse {
@@ -348,7 +365,7 @@ impl ConstructedCse {
 ///   extra conjunct (and branches that become fully represented drop out).
 pub fn simplify_covering(simplified: &[Scalar]) -> Scalar {
     let branches: Vec<Branch> = simplified.iter().cloned().map(Branch::new).collect();
-    covering_of(&branches.iter().collect::<Vec<_>>()).normalize()
+    covering_of(&branches.iter().collect::<Vec<_>>()).into_normal()
 }
 
 /// [`simplify_covering`] over prepared branches, not yet normalized.

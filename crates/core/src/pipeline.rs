@@ -22,20 +22,18 @@
 //! yields the second and last manager (stacked consumers, LCAs,
 //! enumeration), its required columns and the Step 3 optimizer.
 
-use crate::candidates::{
-    extend_with_stacked_consumers, generate_for_set, h4_prune_contained, CostedCandidate, BETA,
-};
+use crate::candidates::{extend_with_stacked_consumers, generate, CostedCandidate};
 use crate::config::{CandidateSummary, CostBounds, CseConfig, CseReport, PhaseCtx};
 use crate::enumerate::choose_best;
 use crate::manager::CseManager;
-use crate::required::{compute_required, required_of, RequiredCols};
+use crate::required::{compute_required, RequiredCols};
 use crate::view_match::build_substitutes;
 use cse_algebra::{ColRef, LogicalPlan, PlanContext, RelSet};
 use cse_cost::StatsCatalog;
 use cse_diag::Report as VerifyReport;
 use cse_govern::{panic_message, sites, BudgetTrip, DegradationEvent, Reason, Rung};
 use cse_memo::{explore, explore_from, GroupId, Memo};
-use cse_optimizer::{CseCandidate, CseId, FullPlan, IndexInfo, Optimizer, Substitute};
+use cse_optimizer::{CseCandidate, CseId, FullPlan, History, IndexInfo, Optimizer, Substitute};
 use cse_storage::Catalog;
 use cse_verify::{CandidateAudit, CostAudit, MemberAudit};
 use std::collections::BTreeSet;
@@ -170,9 +168,9 @@ pub fn optimize_plan(
         }
         (bounds, required, manager, sharable)
     }));
-    // Its winners are read; they must not sit beside the phase's own.
+    // Step 3 resumes from its estimates and winners (§5.4).
     found.report.group_optimizations = normal.group_optimizations;
-    drop(normal);
+    let history = normal.into_history();
     cfg.cancel.check("pipeline/bounds").map_err(abort_message)?;
 
     // The CSE phase runs once, under one clock, and grows the explored memo
@@ -181,13 +179,15 @@ pub fn optimize_plan(
     // simply dropped — and records one event; cancellation aborts instead.
     //
     // Unwind-safety audit (re-asserted when `CancelToken` landed): the
-    // closure consumes the memo and a copy of the findings (both dropped on
-    // unwind), borrows read-only state (`stats`, `indexes` and the facts
-    // above), and touches write-once-atomic state (the token's cancel flag;
-    // the failpoint registry's mutex recovers poisoning via `into_inner`).
-    // No partially-mutated structure outlives a panicking phase (the
-    // guarded read above mutates only `normal`, dropped right after it, and
-    // appends whole stage entries), so `AssertUnwindSafe` holds.
+    // closure consumes the memo, the normal phase's history and a copy of
+    // the findings (all dropped on unwind), borrows read-only state
+    // (`stats`, `indexes` and the facts above), and touches
+    // write-once-atomic state (the token's cancel flag; the failpoint
+    // registry's mutex recovers poisoning via `into_inner`). No
+    // partially-mutated structure outlives a panicking phase (the guarded
+    // read above mutates only `normal`, whose history the phase reads only
+    // if that read returned, and appends whole stage entries), so
+    // `AssertUnwindSafe` holds.
     let t = Instant::now();
     let (facts, outcome) = match facts {
         Err(payload) => (None, Err(panicked(payload))),
@@ -206,7 +206,9 @@ pub fn optimize_plan(
                 sharable,
             };
             let copy = found.clone();
-            let attempt = catch_unwind(AssertUnwindSafe(|| cse_phase(memo, &phase, root, copy)));
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                cse_phase(memo, &phase, root, history, copy)
+            }));
             let outcome = match attempt {
                 Ok(Ok((plan, done))) => {
                     found = done;
@@ -260,7 +262,8 @@ pub(crate) fn abort_message(trip: BudgetTrip) -> String {
 }
 
 /// The CSE phase (Steps 2 + 3) under the request's started budget clock,
-/// growing the explored memo in place. Returns the best plan found with
+/// growing the explored memo in place; Step 3 resumes from the normal
+/// phase's `history`. Returns the best plan found with
 /// candidates enabled (`None` when no candidate survived; the caller keeps
 /// the baseline unless the plan beats it) with the findings extended by
 /// the phase, or the budget trip that aborted it.
@@ -268,13 +271,15 @@ fn cse_phase(
     mut memo: Memo,
     ctx: &PhaseCtx,
     root: GroupId,
+    history: History,
     mut found: Findings,
 ) -> Result<(Option<FullPlan>, Findings), BudgetTrip> {
     let Some(step3) = register(&mut memo, ctx, root, &mut found)? else {
         return Ok((None, found));
     };
     // Step 3: resume optimization with candidates enabled.
-    let mut opt = Optimizer::new(&memo, ctx.stats, &ctx.cfg.cost_model, ctx.indexes);
+    let (stats, model) = (ctx.stats, &ctx.cfg.cost_model);
+    let mut opt = Optimizer::resume(&memo, stats, model, ctx.indexes, history);
     opt.register_candidates(step3.candidates, step3.substitutes);
     let t = Instant::now();
     let outcome = choose_best(&mut opt, &step3.mgr, root, &step3.lcas, ctx.clock)?;
@@ -345,7 +350,7 @@ fn register(
     // explored manager stays valid through generation because construction
     // adds no groups.
     let t = Instant::now();
-    let candidates = run_generation(memo, ctx, root, &mut found.report.trials)?;
+    let candidates = generate(memo, ctx, root, &mut found.report.trials)?;
     found.report.stages.push(("generation", t.elapsed()));
     if candidates.is_empty() {
         return Ok(None);
@@ -533,8 +538,8 @@ fn candidate_audit(
             // anchor space and restricted to the CSE's base rels (a grouped
             // member's synthetic agg-output columns are not served by the
             // work table directly).
-            let req: BTreeSet<ColRef> = required_of(required, m.group)
-                .into_iter()
+            let req: BTreeSet<ColRef> = required
+                .cols(m.group)
                 .map(|col| m.alignment.col(col))
                 .filter(|col| rel_set.contains(col.rel))
                 .collect();
@@ -570,29 +575,6 @@ fn candidate_audit(
     }
 }
 
-/// Candidate generation over the explored memo's sharable sets: per-set
-/// generation (H1–H3), then H4 across sets. `trials` counts the shapes
-/// costed.
-fn run_generation(
-    memo: &mut Memo,
-    ctx: &PhaseCtx,
-    root: GroupId,
-    trials: &mut u64,
-) -> Result<Vec<CostedCandidate>, BudgetTrip> {
-    let query_cost = ctx.bounds.lower(root);
-    let mut all: Vec<CostedCandidate> = Vec::new();
-    for (sig, consumers) in ctx.sharable {
-        ctx.clock.check_time("generation")?;
-        all.extend(generate_for_set(
-            memo, ctx, sig, consumers, query_cost, trials,
-        )?);
-    }
-    if ctx.cfg.heuristics {
-        all = h4_prune_contained(ctx.manager, all, BETA);
-    }
-    Ok(all)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,7 +584,9 @@ mod tests {
     /// For every mask the §5.3 enumeration visits, the cost pass it reads
     /// agrees with the plan `optimize_full` extracts: the same cost to the
     /// bit, and one spool per charged CSE. A debug build also checks the
-    /// extracted trees' spool reads against that bookkeeping.
+    /// extracted trees' spool reads against that bookkeeping. The Step 3
+    /// optimizer resumes from the normal phase's history, and every cost
+    /// is what a fresh optimizer over the grown memo gives, to the bit.
     #[test]
     fn cost_pass_equals_optimize_full() {
         let catalog = generate_catalog(&TpchConfig::new(0.01));
@@ -629,7 +613,7 @@ mod tests {
                     .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
                     .collect(),
             );
-            drop(normal);
+            let history = normal.into_history();
             let required = compute_required(&memo, &[root]);
             let manager = CseManager::build(&memo);
             let sharable = manager.sharable_sets();
@@ -652,12 +636,17 @@ mod tests {
             let step3 = register(&mut memo, &phase, root, &mut found)
                 .unwrap()
                 .expect("the batch has candidates");
-            let mut opt = Optimizer::new(&memo, &stats, &cfg.cost_model, &indexes);
+            let model = &cfg.cost_model;
+            let mut fresh = Optimizer::new(&memo, &stats, model, &indexes);
+            fresh.register_candidates(step3.candidates.clone(), step3.substitutes.clone());
+            let mut opt = Optimizer::resume(&memo, &stats, model, &indexes, history);
             opt.register_candidates(step3.candidates, step3.substitutes);
             let outcome = choose_best(&mut opt, &step3.mgr, root, &step3.lcas, &clock).unwrap();
             assert!(outcome.visited.len() >= 2, "{sql}");
             for &mask in &outcome.visited {
                 let costed = opt.cost_full(root, mask);
+                let anew = fresh.cost_full(root, mask).cost;
+                assert_eq!(costed.cost.to_bits(), anew.to_bits(), "{mask:#b}");
                 let plan = opt.optimize_full(root, mask);
                 assert_eq!(costed.cost.to_bits(), plan.cost.to_bits(), "{mask:#b}");
                 let spools = plan

@@ -13,7 +13,7 @@
 
 use crate::compat::PreparedConsumer;
 use crate::construct::ConstructedCse;
-use crate::required::{required_of, RequiredCols};
+use crate::required::RequiredCols;
 use cse_algebra::{implies, Antecedent, ColRef, Scalar};
 use cse_memo::Memo;
 use cse_optimizer::{CseId, Substitute, SubstituteReAgg};
@@ -35,7 +35,7 @@ pub(crate) fn build_substitutes(
     // its compensation, once.
     let mut covered: HashMap<Scalar, bool> = HashMap::new();
     let mut compensation: HashMap<&Scalar, Option<Scalar>> = HashMap::new();
-    let cover = Antecedent::new(&cse.shape.covering);
+    let cover = Antecedent::new(cse.shape.covering.clone());
     let members = cse.members.iter().zip(&cse.shape.simplified);
     members
         .map(|(member, simplified)| {
@@ -54,7 +54,7 @@ pub(crate) fn build_substitutes(
             let filter = compensation.entry(simplified).or_insert_with(|| {
                 let mut conjuncts = simplified.conjuncts();
                 conjuncts.retain(|c| !cover.implies(c));
-                (!conjuncts.is_empty()).then(|| Scalar::and(conjuncts).normalize())
+                (!conjuncts.is_empty()).then(|| Scalar::and(conjuncts).into_normal())
             });
             substitute_for(memo, cse_id, cse, member, filter.clone(), required)
         })
@@ -149,7 +149,7 @@ fn substitute_for(
         }
         (None, None) => {
             // SPJ over SPJ: filter + column remap.
-            let mut need: Vec<ColRef> = required_of(required, member.group).into_iter().collect();
+            let mut need: Vec<ColRef> = required.cols(member.group).collect();
             if need.is_empty() {
                 need = memo.group(member.group).props.output_cols.clone();
             }

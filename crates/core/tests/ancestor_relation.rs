@@ -88,6 +88,13 @@ fn required_by_relaxation(memo: &Memo, roots: &[GroupId]) -> HashMap<GroupId, BT
     required
 }
 
+/// `compute_required` as one set per reached group.
+fn required_sets(memo: &Memo, roots: &[GroupId]) -> HashMap<GroupId, BTreeSet<ColRef>> {
+    let required = compute_required(memo, roots);
+    let sets = required.groups().map(|g| (g, required.cols(g).collect()));
+    sets.collect()
+}
+
 fn explored(catalog: &Catalog, sql: &str) -> Memo {
     let (ctx, plan) = cse_sql::lower_batch_sql(catalog, sql).expect("lower");
     let mut memo = Memo::new(ctx);
@@ -130,7 +137,7 @@ fn memo_sweeps_equal_their_references_on_the_paper_batches() {
         assert_matrix_is_the_walk(&memo, &format!("{name} explored"));
         let root = memo.root();
         assert_eq!(
-            compute_required(&memo, &[root]),
+            required_sets(&memo, &[root]),
             required_by_relaxation(&memo, &[root]),
             "{name} explored"
         );
@@ -147,7 +154,7 @@ fn memo_sweeps_equal_their_references_on_the_paper_batches() {
             .chain((before..memo.num_groups() as u32).map(GroupId))
             .collect();
         assert_eq!(
-            compute_required(&memo, &roots),
+            required_sets(&memo, &roots),
             required_by_relaxation(&memo, &roots),
             "{name} grown"
         );

@@ -11,7 +11,7 @@ use cse_algebra::{intersect_all, CmpOp, LogicalPlan, PlanContext, Scalar};
 use cse_bench::workloads;
 use cse_core::candidates::{
     cost_candidate, create_candidates, h1_worthwhile, h2_filter_consumers, h4_prune_contained,
-    shared_cost, CostedCandidate,
+    shared_cost, CostedCandidate, CostedShape, Extent,
 };
 use cse_core::{
     compute_required, construct, optimize_sql, partition_compatible, prepare_consumers,
@@ -192,14 +192,34 @@ fn h4_discards_contained_candidate_with_larger_result() {
     let cse = construct(&mut memo, prepared, &phase.required).unwrap();
     // Two copies of the same candidate: mutually contained, equal size —
     // with β=0.9, size_c > 0.9·size_p holds, so one dies.
-    let a = cost_candidate(&memo, &phase.ctx(), sig.clone(), cse.clone());
-    let b = cost_candidate(&memo, &phase.ctx(), sig, cse);
-    let kept = h4_prune_contained(mgr, vec![a.clone(), b.clone()], 0.90);
-    assert_eq!(kept.len(), 1, "one of two identical candidates must die");
+    let c = cost_candidate(&memo, &phase.ctx(), sig.clone(), cse);
+    let consumers: Vec<GroupId> = c.cse.members.iter().map(|m| m.group).collect();
+    let extent = || Extent {
+        signature: &sig,
+        consumers: &consumers,
+        bytes: c.est_rows * c.est_width,
+    };
+    let (a, b) = (extent(), extent());
+    let kept = h4_prune_contained(mgr, &[a, b], 0.90);
+    assert_eq!(
+        kept,
+        [false, true],
+        "one of two identical candidates must die"
+    );
     // With β above 1.0 nothing dies (a candidate is never bigger than
     // itself times >1).
-    let kept = h4_prune_contained(mgr, vec![a, b], 1.5);
-    assert_eq!(kept.len(), 2);
+    let kept = h4_prune_contained(mgr, &[extent(), extent()], 1.5);
+    assert_eq!(kept, [true, true]);
+}
+
+/// Algorithm 1's shapes over `build`'s members, completed.
+fn completed(
+    shapes: Vec<CostedShape>,
+    build: &Construction,
+    sig: &TableSignature,
+) -> Vec<CostedCandidate> {
+    let complete = |c: CostedShape| c.build(build.members(), sig.clone()).expect("completes");
+    shapes.into_iter().map(complete).collect()
 }
 
 /// `got`, a candidate Algorithm 1 emitted, must be what constructing and
@@ -244,8 +264,8 @@ fn algorithm1_candidate_is_its_member_set_constructed_and_costed() {
     let build = Construction::new(&groups[0].members, &phase.required);
     let mut trials = 0;
     let ctx = phase.ctx();
-    let out = create_candidates(&mut memo, &ctx, &sig, &build, vec![0, 1, 2], &mut trials);
-    let out = out.unwrap();
+    let out = create_candidates(&mut memo, &ctx, &build, vec![0, 1, 2], &mut trials);
+    let out = completed(out.unwrap(), &build, &sig);
     assert_eq!(out.len(), 1, "expensive consumers merge into one candidate");
     assert_eq!(out[0].cse.members.len(), 3);
     // Two trials in the first round, one in the second.
@@ -287,7 +307,8 @@ fn a_trial_whose_classes_differ_from_its_group_recomputes_its_branches() {
     );
     let set: Vec<usize> = extra.iter().chain(&plain).copied().collect();
     let (ctx, mut trials) = (phase.ctx(), 0);
-    let out = create_candidates(&mut memo, &ctx, &sig, &build, set, &mut trials).unwrap();
+    let out = create_candidates(&mut memo, &ctx, &build, set, &mut trials).unwrap();
+    let out = completed(out, &build, &sig);
     assert_eq!(out.len(), 1);
     let got = &out[0];
     let groups_of = |ids: &[usize]| ids.iter().map(|&i| members[i].group).collect::<Vec<_>>();
@@ -331,8 +352,8 @@ fn check_generation(catalog: &Catalog, sql: &str, what: &str) -> usize {
             let build = Construction::new(&g.members, ctx.required);
             let mut trials = 0;
             let set = h2_filter_consumers(&mut memo, &ctx, &build, &mut trials);
-            let out = create_candidates(&mut memo, &ctx, sig, &build, set, &mut trials);
-            for got in out.expect("no budget") {
+            let out = create_candidates(&mut memo, &ctx, &build, set, &mut trials);
+            for got in completed(out.expect("no budget"), &build, sig) {
                 checked += 1;
                 assert_rebuilt(
                     &mut memo,

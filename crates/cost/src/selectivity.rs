@@ -60,12 +60,12 @@ impl<'a> Selectivity<'a> {
                 _ => DEFAULT_SEL,
             };
         }
-        // Column vs literal.
-        let col_lit = Scalar::Cmp(op, Box::new(a.clone()), Box::new(b.clone()));
-        if let Some((col, op, lit)) = col_lit.as_col_vs_lit() {
-            return self.col_vs_lit(col, op, &lit);
+        // Column vs literal, the column on the left.
+        match (a, b) {
+            (Scalar::Col(col), Scalar::Lit(lit)) => self.col_vs_lit(*col, op, lit),
+            (Scalar::Lit(lit), Scalar::Col(col)) => self.col_vs_lit(*col, op.flipped(), lit),
+            _ => DEFAULT_SEL,
         }
-        DEFAULT_SEL
     }
 
     fn col_vs_lit(&self, col: ColRef, op: CmpOp, lit: &Value) -> f64 {

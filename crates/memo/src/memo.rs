@@ -3,7 +3,10 @@
 
 use crate::op::{literal_kinds, ConjId, GroupExpr, GroupExprId, GroupId, Op};
 use crate::signature::{compute_signature, TableSignature};
-use cse_algebra::{AggExpr, BlockId, ColRef, LogicalPlan, PlanContext, RelSet, Scalar};
+use cse_algebra::{
+    AggExpr, BlockId, ColRef, GroupSpec, LogicalPlan, PlanContext, RelId, RelSet, Scalar,
+    SpjNormal, SpjgNormal,
+};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
@@ -481,6 +484,60 @@ impl Memo {
         conjs.sort_by(|a, b| scalar(a).cmp(scalar(b)));
         conjs.dedup_by(|a, b| scalar(a) == scalar(b));
         conjs
+    }
+
+    /// The SPJG normal form of a group's originally inserted tree,
+    /// `SpjgNormal::from_plan(&self.extract_first_tree(g))`, read off the
+    /// first expressions without building the tree. Interned conjuncts are
+    /// normalized already.
+    pub fn first_normal(&self, g: GroupId) -> Option<SpjgNormal> {
+        let e = self.gexpr(self.group(g).exprs[0]);
+        let (spj, group) = match &e.op {
+            Op::Aggregate { keys, aggs, out } => {
+                let aggs = aggs.iter().map(AggExpr::normalize).collect();
+                let keys = keys.clone();
+                (
+                    e.children[0],
+                    Some(GroupSpec {
+                        keys,
+                        aggs,
+                        out: *out,
+                    }),
+                )
+            }
+            _ => (g, None),
+        };
+        let (mut rels, mut conjuncts) = (Vec::new(), Vec::new());
+        self.first_spj(spj, &mut rels, &mut conjuncts)?;
+        rels.sort();
+        conjuncts.sort();
+        conjuncts.dedup();
+        let normal = SpjgNormal {
+            spj: SpjNormal { rels, conjuncts },
+            group,
+        };
+        debug_assert_eq!(
+            Some(&normal),
+            SpjgNormal::from_plan(&self.extract_first_tree(g)).as_ref()
+        );
+        Some(normal)
+    }
+
+    /// The rels and conjuncts of `g`'s first tree, predicates before
+    /// inputs; `None` unless it is Get/Filter/Join throughout.
+    fn first_spj(&self, g: GroupId, rels: &mut Vec<RelId>, conj: &mut Vec<Scalar>) -> Option<()> {
+        let e = self.gexpr(self.group(g).exprs[0]);
+        match &e.op {
+            Op::Get { rel } => rels.push(*rel),
+            Op::Filter { pred } | Op::Join { pred } => {
+                conj.extend(self.conjuncts(pred).map(|(_, c)| c.scalar.clone()));
+                for &c in &e.children {
+                    self.first_spj(c, rels, conj)?;
+                }
+            }
+            _ => return None,
+        }
+        Some(())
     }
 
     /// Extract the originally-inserted operator tree of a group (first

@@ -162,6 +162,18 @@ fn ids(mask: CseMask) -> impl Iterator<Item = CseId> {
     (0..64).filter(move |i| mask >> i & 1 == 1).map(CseId)
 }
 
+/// An optimizer's derived facts, owned, from [`Optimizer::into_history`].
+#[derive(Default)]
+pub struct History {
+    /// Expressions of the memo they were derived on.
+    gexprs: usize,
+    rows: HashMap<GroupId, f64>,
+    join_shape: HashMap<GroupExprId, JoinShape>,
+    index_scan: HashMap<GroupExprId, Option<PlanChoice>>,
+    /// Winners under the empty mask.
+    winners: HashMap<(GroupId, CseMask), Rc<PlanChoice>>,
+}
+
 pub struct Optimizer<'a> {
     pub memo: &'a Memo,
     pub stats: &'a StatsCatalog,
@@ -190,20 +202,60 @@ impl<'a> Optimizer<'a> {
         model: &'a CostModel,
         indexes: &'a IndexInfo,
     ) -> Self {
+        Self::resume(memo, stats, model, indexes, History::default())
+    }
+
+    /// An optimizer over `memo` that starts from what another one derived
+    /// on the memo `memo` grew from by appending (§5.4): its row estimates,
+    /// join shapes and index scans, and its winners under the empty mask,
+    /// except those of a group that gained an expression since, or lies
+    /// above one that did.
+    pub fn resume(
+        memo: &'a Memo,
+        stats: &'a StatsCatalog,
+        model: &'a CostModel,
+        indexes: &'a IndexInfo,
+        history: History,
+    ) -> Self {
+        let mut stale = vec![false; memo.num_groups()];
+        let gained = (history.gexprs..memo.num_gexprs()).map(|e| GroupExprId(e as u32));
+        let mut work: Vec<GroupId> = gained.map(|e| memo.group_of(e)).collect();
+        while let Some(g) = work.pop() {
+            if !std::mem::replace(&mut stale[g.0 as usize], true) {
+                work.extend(memo.group(g).parents.iter().map(|&e| memo.group_of(e)));
+            }
+        }
+        let mut cache = history.winners;
+        cache.retain(|(g, _), _| !stale[g.0 as usize]);
         Optimizer {
             memo,
             stats,
-            rows: GroupRows::new(memo, stats),
+            rows: GroupRows::resume(memo, stats, history.rows),
             model,
             indexes,
             candidates: BTreeMap::new(),
             substitutes: HashMap::new(),
             relevant: HashMap::new(),
             lca_at: HashMap::new(),
-            join_shape: HashMap::new(),
-            index_scan: HashMap::new(),
-            cache: HashMap::new(),
+            join_shape: history.join_shape,
+            index_scan: history.index_scan,
+            cache,
             group_optimizations: 0,
+        }
+    }
+
+    /// What this optimizer derived that holds for any memo grown from its
+    /// own by appending, for [`Optimizer::resume`]: everything but the
+    /// candidates and the winners under a non-empty mask.
+    pub fn into_history(self) -> History {
+        let mut winners = self.cache;
+        winners.retain(|&(_, mask), _| mask == 0);
+        History {
+            gexprs: self.memo.num_gexprs(),
+            rows: self.rows.into_cache(),
+            join_shape: self.join_shape,
+            index_scan: self.index_scan,
+            winners,
         }
     }
 
@@ -806,6 +858,13 @@ mod tests {
 
     /// fact(k, v): 2000 rows, k in 0..200; dim(k): 200 rows unique.
     fn setup() -> (Memo, StatsCatalog, IndexInfo) {
+        let (mut memo, stats, indexes) = setup_unexplored();
+        explore(&mut memo, &ExploreConfig::default());
+        (memo, stats, indexes)
+    }
+
+    /// [`setup`]'s `fact ⋈ dim` as inserted: one join expression.
+    fn setup_unexplored() -> (Memo, StatsCatalog, IndexInfo) {
         let mut fact = Table::new(
             "fact",
             Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Float)]),
@@ -845,8 +904,34 @@ mod tests {
         );
         let mut memo = Memo::new(ctx);
         memo.insert_plan(&plan);
-        explore(&mut memo, &ExploreConfig::default());
         (memo, stats, IndexInfo::from_catalog(&cat))
+    }
+
+    /// A resumed optimizer keeps the winners of the groups growth left as
+    /// they were and recosts a group that gained an expression, and every
+    /// group above one; its costs are a fresh optimizer's to the bit.
+    #[test]
+    fn resume_recosts_only_groups_that_gained_an_expression() {
+        let (mut memo, stats, indexes) = setup_unexplored();
+        let model = CostModel::default();
+        let root = memo.root();
+        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
+        opt.optimize_group(root, 0);
+        assert_eq!(opt.group_optimizations, 3);
+        let history = opt.into_history();
+        // Exploration adds the commuted join to the root's group only.
+        let groups = memo.num_groups();
+        explore(&mut memo, &ExploreConfig::default());
+        assert_eq!(
+            (memo.num_groups(), memo.group(root).exprs.len()),
+            (groups, 2)
+        );
+        let mut resumed = Optimizer::resume(&memo, &stats, &model, &indexes, history);
+        let got = resumed.cost_full(root, 0).cost;
+        assert_eq!(resumed.group_optimizations, 1, "only the root is recosted");
+        let mut fresh = Optimizer::new(&memo, &stats, &model, &indexes);
+        assert_eq!(got.to_bits(), fresh.cost_full(root, 0).cost.to_bits());
+        assert_eq!(fresh.group_optimizations, 3);
     }
 
     #[test]

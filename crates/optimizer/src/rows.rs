@@ -17,11 +17,22 @@ pub struct GroupRows<'a> {
 
 impl<'a> GroupRows<'a> {
     pub fn new(memo: &'a Memo, stats: &'a StatsCatalog) -> Self {
-        GroupRows {
-            memo,
-            stats,
-            cache: HashMap::new(),
-        }
+        Self::resume(memo, stats, HashMap::new())
+    }
+
+    /// An estimator over `memo` that starts from `cache`, estimates taken
+    /// on a memo `memo` grew from by appending: a group's estimate reads
+    /// its first expression, which growth never changes.
+    pub(crate) fn resume(
+        memo: &'a Memo,
+        stats: &'a StatsCatalog,
+        cache: HashMap<GroupId, f64>,
+    ) -> Self {
+        GroupRows { memo, stats, cache }
+    }
+
+    pub(crate) fn into_cache(self) -> HashMap<GroupId, f64> {
+        self.cache
     }
 
     fn card(&self) -> Cardinality<'a> {

@@ -136,7 +136,7 @@ fn implication_reads_its_antecedent_normalized_once() {
     let mut rng = TestRng::new(0xA7E);
     for _ in 0..CASES / 10 {
         let p = gen_scalar(&mut rng, 3);
-        let once = Antecedent::new(&p);
+        let once = Antecedent::new(p.clone());
         for _ in 0..50 {
             let q = gen_scalar(&mut rng, 2);
             let fresh = implies(&p, &q);
