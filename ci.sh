@@ -205,7 +205,7 @@ rm -rf "$data_dir"
 # whose first field is the correctness verdict.
 # Building benchmark/ without --locked lets cargo prune its Cargo.lock of
 # packages the tree no longer has; that file is frozen, so put it back.
-echo "==> benchmark smoke (its own tests; every workload: verdict; no-share, share-batch and opt-heavy: candidate and spool counts, re-optimizations or rows scanned, result and spool rows, memo size; view-maint sharing)"
+echo "==> benchmark smoke (its own tests; every workload: verdict; no-share, share-batch and opt-heavy: sharable signatures, candidate and spool counts, re-optimizations or rows scanned, result and spool rows, memo size; view-maint sharing)"
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
@@ -225,10 +225,11 @@ for workload in no-share serve-mix share-batch opt-heavy view-maint; do
   [[ "$verdict" == '{"correct": true,'* ]] \
     || { echo "benchmark $workload verdict: $verdict"; exit 1; }
   # Candidate generation and scans may get cheaper, not different: a change
-  # that drops or adds a candidate, a spool, a re-optimization, a scanned
-  # row or a spool read fails here, and so does one that splits or merges
-  # groups, which moves the memo's size and the result and spool row
-  # counts. Each row is "workload metric count".
+  # that moves generation's input (the sharable signatures), or drops or
+  # adds a candidate, a spool, a re-optimization, a scanned row or a spool
+  # read fails here, and so does one that splits or merges groups, which
+  # moves the memo's size and the result and spool row counts. Each row is
+  # "workload metric count".
   while read -r name_workload name want; do
     [[ "$name_workload" == "$workload" ]] || continue
     got=$(metric "$name" "$verdict")
@@ -259,6 +260,8 @@ share-batch memo.groups 1979
 share-batch memo.gexprs 4234
 no-share memo.groups 972
 no-share memo.gexprs 1440
+opt-heavy core.sharable_signatures 186
+share-batch core.sharable_signatures 181
 COUNTS
   if [[ "$workload" == opt-heavy ]]; then
     # One group per logical join: 4 137 expressions today, 15 405 when

@@ -273,8 +273,9 @@ pub fn h4_prune_contained(mgr: &CseManager, candidates: &[Extent], beta: f64) ->
     let mut alive = vec![true; candidates.len()];
     for (i, child) in candidates.iter().enumerate() {
         for (j, parent) in candidates.iter().enumerate() {
-            if i != j && alive[i] && alive[j] && is_contained(mgr, child, parent) {
-                alive[i] = child.bytes <= beta * parent.bytes;
+            let contained = i != j && alive[i] && alive[j] && is_contained(mgr, child, parent);
+            if contained && child.bytes > beta * parent.bytes {
+                alive[i] = false;
             }
         }
     }

@@ -20,7 +20,8 @@
 //! sharable sets (detection, H4); the CSE phase then takes that memo and
 //! grows it in place with the candidate definitions, and the grown memo
 //! yields the second and last manager (stacked consumers, LCAs,
-//! enumeration), its required columns and the Step 3 optimizer.
+//! enumeration), its required columns and the Step 3 optimizer, which
+//! resumes from the baseline optimizer's estimates and winners (§5.4).
 
 use crate::candidates::{extend_with_stacked_consumers, generate, CostedCandidate};
 use crate::config::{CandidateSummary, CostBounds, CseConfig, CseReport, PhaseCtx};

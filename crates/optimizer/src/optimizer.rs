@@ -217,16 +217,18 @@ impl<'a> Optimizer<'a> {
         indexes: &'a IndexInfo,
         history: History,
     ) -> Self {
-        let mut stale = vec![false; memo.num_groups()];
-        let gained = (history.gexprs..memo.num_gexprs()).map(|e| GroupExprId(e as u32));
-        let mut work: Vec<GroupId> = gained.map(|e| memo.group_of(e)).collect();
-        while let Some(g) = work.pop() {
-            if !std::mem::replace(&mut stale[g.0 as usize], true) {
-                work.extend(memo.group(g).parents.iter().map(|&e| memo.group_of(e)));
-            }
-        }
         let mut cache = history.winners;
-        cache.retain(|(g, _), _| !stale[g.0 as usize]);
+        if !cache.is_empty() {
+            let mut stale = vec![false; memo.num_groups()];
+            let gained = (history.gexprs..memo.num_gexprs()).map(|e| GroupExprId(e as u32));
+            let mut work: Vec<GroupId> = gained.map(|e| memo.group_of(e)).collect();
+            while let Some(g) = work.pop() {
+                if !std::mem::replace(&mut stale[g.0 as usize], true) {
+                    work.extend(memo.group(g).parents.iter().map(|&e| memo.group_of(e)));
+                }
+            }
+            cache.retain(|(g, _), _| !stale[g.0 as usize]);
+        }
         Optimizer {
             memo,
             stats,

@@ -1,25 +1,24 @@
 //! Table and column statistics used by the cardinality estimator.
 //!
 //! Statistics are computed by a single scan over a loaded table: row count,
-//! and per column the min/max, an approximate distinct count and the null
-//! count. Distinct counts are exact for the table sizes used here (a hash
-//! set per column); for very large tables a sampling cut-over keeps the cost
-//! bounded. A table that grows by appends keeps what the scan accumulated,
-//! so its stats follow each append at the cost of the appended rows.
+//! and per column the min/max, the distinct count and the null count. The
+//! distinct count is that of the values' 64-bit hashes, every row counted
+//! at every table size; two values that share a hash count once, which an
+//! estimate can afford. A table that grows by appends keeps what the scan
+//! accumulated, so its stats follow each append at the cost of the appended
+//! rows.
 
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashSet;
-
-/// Above this many rows, [`TableStats::analyze`] samples every 7th row.
-const SAMPLE_ABOVE: usize = 4_000_000;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Statistics for one column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     pub min: Option<Value>,
     pub max: Option<Value>,
-    /// Approximate number of distinct non-null values.
+    /// Number of distinct non-null values (of distinct hashes, exactly).
     pub distinct: u64,
     pub null_count: u64,
 }
@@ -57,74 +56,166 @@ impl PartialEq for TableStats {
 /// The running state of [`TableStats::analyze`]'s scan.
 #[derive(Debug, Clone)]
 struct Scan {
-    sampled: u64,
     columns: Vec<ColumnScan>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ColumnScan {
     min: Option<Value>,
     max: Option<Value>,
-    distinct: HashSet<Value>,
+    /// The hash of every non-null value seen, through `Value`'s own `Hash`
+    /// (consistent with its `Eq`) and [`Fold`].
+    distinct: HashSet<u64, BuildHasherDefault<Prehashed>>,
+    /// The last hash seen in each of `RECENT` slots (a hash `h` in slot
+    /// `h % RECENT`), which answers most repeats without probing
+    /// `distinct`. Slot `i` starts at a value no hash of that slot has.
+    recent: Box<[u64; RECENT]>,
     nulls: u64,
+}
+
+/// Slots of [`ColumnScan::recent`].
+const RECENT: usize = 256;
+
+/// Rows [`Scan::add`] counts a column at a time.
+const BLOCK: usize = 1024;
+
+impl ColumnScan {
+    /// Fold in one value.
+    fn add(&mut self, v: &Value) {
+        if v.is_null() {
+            self.nulls += 1;
+            return;
+        }
+        let mut h = Fold::default();
+        v.hash(&mut h);
+        let h = h.finish();
+        // A value whose hash was seen, lately or ever, was already compared
+        // with the bounds.
+        let recent = &mut self.recent[(h % RECENT as u64) as usize];
+        let seen = *recent == h || !self.distinct.insert(h);
+        *recent = h;
+        if seen {
+            return;
+        }
+        match &self.min {
+            Some(m) if m.total_cmp(v) != std::cmp::Ordering::Greater => {}
+            _ => self.min = Some(v.clone()),
+        }
+        match &self.max {
+            Some(m) if m.total_cmp(v) != std::cmp::Ordering::Less => {}
+            _ => self.max = Some(v.clone()),
+        }
+    }
+}
+
+impl Default for ColumnScan {
+    fn default() -> Self {
+        ColumnScan {
+            min: None,
+            max: None,
+            distinct: HashSet::default(),
+            recent: Box::new(std::array::from_fn(|i| i as u64 + 1)),
+            nulls: 0,
+        }
+    }
+}
+
+/// The fixed hasher of distinct counting: each word is folded in with a
+/// 128-bit multiply (the high half XOR-ed onto the low), so every input bit
+/// reaches every output bit and two distinct values share a hash about as
+/// often as two random 64-bit numbers. A byte string is its length, then
+/// its little-endian words.
+#[derive(Default)]
+struct Fold(u64);
+
+impl Hasher for Fold {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_u64(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let m = u128::from(self.0 ^ x ^ K) * u128::from(K.rotate_left(31) | 1);
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The hasher of a set of hashes: a key is its own hash.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Scan {
     fn new(ncols: usize) -> Self {
         Scan {
-            sampled: 0,
             columns: vec![ColumnScan::default(); ncols],
         }
     }
 
-    /// Fold in one row. Nulls are counted on every row; the rest only on
-    /// sampled rows.
-    fn add(&mut self, row: &[Value], in_sample: bool) {
-        if in_sample {
-            self.sampled += 1;
-        }
-        for (c, v) in self.columns.iter_mut().zip(row) {
-            if v.is_null() {
-                c.nulls += 1;
-                continue;
+    /// Fold in `rows` a block at a time, column by column within a block,
+    /// so that one column's sets stay in cache while it is counted.
+    fn add<'r>(&mut self, mut rows: impl Iterator<Item = &'r [Value]>) {
+        let mut block: Vec<&[Value]> = Vec::with_capacity(BLOCK);
+        loop {
+            block.clear();
+            block.extend(rows.by_ref().take(BLOCK));
+            if block.is_empty() {
+                return;
             }
-            if !in_sample {
-                continue;
+            for (c, column) in self.columns.iter_mut().enumerate() {
+                block
+                    .iter()
+                    .filter_map(|row| row.get(c))
+                    .for_each(|v| column.add(v));
             }
-            match &c.min {
-                Some(m) if m.total_cmp(v) != std::cmp::Ordering::Greater => {}
-                _ => c.min = Some(v.clone()),
-            }
-            match &c.max {
-                Some(m) if m.total_cmp(v) != std::cmp::Ordering::Less => {}
-                _ => c.max = Some(v.clone()),
-            }
-            c.distinct.insert(v.clone());
         }
     }
 
     /// The stats of a table of `nrows` rows this scan has seen.
     fn finish(&self, nrows: usize) -> TableStats {
-        let sampled = self.sampled;
-        let scale = if sampled == 0 {
-            1.0
-        } else {
-            nrows as f64 / sampled as f64
-        };
+        let nrows = nrows as u64;
         let columns = self
             .columns
             .iter()
             .map(|c| ColumnStats {
                 min: c.min.clone(),
                 max: c.max.clone(),
-                distinct: ((c.distinct.len() as f64 * scale).round() as u64)
-                    .min(nrows as u64)
-                    .max(if nrows > 0 { 1 } else { 0 }),
+                distinct: (c.distinct.len() as u64)
+                    .min(nrows)
+                    .max(u64::from(nrows > 0)),
                 null_count: c.nulls,
             })
             .collect();
         TableStats {
-            row_count: nrows as u64,
+            row_count: nrows,
             columns,
             scan: None,
         }
@@ -144,40 +235,29 @@ impl TableStats {
 
     /// Compute statistics with a full scan of `table`.
     pub fn analyze(table: &Table) -> Self {
-        let nrows = table.row_count();
-        // Exact distinct counting is fine up to a few million rows; above
-        // that, sample deterministically.
-        let sample_every = if nrows > SAMPLE_ABOVE { 7 } else { 1 };
         let mut scan = Scan::new(table.schema().len());
-        for (i, row) in table.scan().enumerate() {
-            scan.add(row, i % sample_every == 0);
-        }
-        scan.finish(nrows)
+        scan.add(table.scan());
+        scan.finish(table.row_count())
     }
 
     /// Fold the rows of `table` from `first` on, just appended, into these
     /// stats of the table before the append. The result equals
     /// [`TableStats::analyze`] of the grown table. Stats without a kept
-    /// scan (the first append, or a table past the sampling cut-over) are
-    /// analyzed once over the whole table, keeping the scan for the next.
+    /// scan (the first append) are analyzed once over the whole table,
+    /// keeping the scan for the next.
     pub fn append(&mut self, table: &Table, first: usize) {
-        let nrows = table.row_count();
-        if nrows > SAMPLE_ABOVE {
-            *self = TableStats::analyze(table);
-            return;
-        }
         let scan = match self.scan.take() {
             Some(mut scan) => {
-                table.scan().skip(first).for_each(|r| scan.add(r, true));
+                scan.add(table.scan().skip(first));
                 scan
             }
             None => {
                 let mut scan = Box::new(Scan::new(table.schema().len()));
-                table.scan().for_each(|r| scan.add(r, true));
+                scan.add(table.scan());
                 scan
             }
         };
-        let stats = scan.finish(nrows);
+        let stats = scan.finish(table.row_count());
         *self = TableStats {
             scan: Some(scan),
             ..stats
