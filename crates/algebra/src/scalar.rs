@@ -356,22 +356,30 @@ impl Scalar {
     }
 }
 
-/// The normalized `parts`, each one a nested list of the same connective
-/// (`Ok` from `split`) flattened into the result, sorted and deduplicated.
+/// `parts` normalized in place, each one that is a nested list of the same
+/// connective (`Ok` from `split`) flattened into them, then sorted and
+/// deduplicated.
 fn flat_sorted(
-    parts: Vec<Scalar>,
+    mut parts: Vec<Scalar>,
     split: fn(Scalar) -> Result<Vec<Scalar>, Scalar>,
 ) -> Vec<Scalar> {
-    let mut out: Vec<Scalar> = Vec::with_capacity(parts.len());
-    for p in parts {
-        match split(p.into_normal()) {
-            Ok(inner) => out.extend(inner),
-            Err(other) => out.push(other),
+    let mut i = 0;
+    while let Some(p) = parts.get_mut(i) {
+        match split(std::mem::replace(p, Scalar::Lit(Value::Null)).into_normal()) {
+            Ok(inner) => {
+                let n = inner.len();
+                parts.splice(i..=i, inner);
+                i += n;
+            }
+            Err(normal) => {
+                *p = normal;
+                i += 1;
+            }
         }
     }
-    out.sort();
-    out.dedup();
-    out
+    parts.sort();
+    parts.dedup();
+    parts
 }
 
 /// The only element of `parts`, or `wrap(parts)` when there are zero or

@@ -160,7 +160,7 @@ impl<'a> SqlLowerer<'a> {
                     let s = self.lower_expr_subs(part, &scope, &Mode::Pre, &mut where_subs)?;
                     self.trace
                         .pred_spans
-                        .push((s.clone().normalize(), part.span));
+                        .push((s.clone().into_normal(), part.span));
                     lowered.push(s);
                 }
                 Some(Scalar::and(lowered))
@@ -601,7 +601,7 @@ impl<'a> SqlLowerer<'a> {
         match func {
             AggName::Avg => {
                 let arg = arg.ok_or_else(|| SqlError::Bind("AVG requires an argument".into()))?;
-                let larg = self.lower_expr(arg, scope, &Mode::Pre)?.normalize();
+                let larg = self.lower_expr(arg, scope, &Mode::Pre)?.into_normal();
                 let sum_i = find(&AggExpr::sum(larg.clone()))?;
                 let cnt_i = find(&AggExpr::new(AggFunc::Count, larg))?;
                 Ok(Scalar::Arith(
@@ -628,16 +628,16 @@ impl<'a> SqlLowerer<'a> {
             (AggName::Count, None) => AggExpr::count_star(),
             (AggName::Count, Some(a)) => AggExpr::new(
                 AggFunc::Count,
-                self.lower_expr(a, scope, &Mode::Pre)?.normalize(),
+                self.lower_expr(a, scope, &Mode::Pre)?.into_normal(),
             ),
             (AggName::Sum, Some(a)) => {
-                AggExpr::sum(self.lower_expr(a, scope, &Mode::Pre)?.normalize())
+                AggExpr::sum(self.lower_expr(a, scope, &Mode::Pre)?.into_normal())
             }
             (AggName::Min, Some(a)) => {
-                AggExpr::min(self.lower_expr(a, scope, &Mode::Pre)?.normalize())
+                AggExpr::min(self.lower_expr(a, scope, &Mode::Pre)?.into_normal())
             }
             (AggName::Max, Some(a)) => {
-                AggExpr::max(self.lower_expr(a, scope, &Mode::Pre)?.normalize())
+                AggExpr::max(self.lower_expr(a, scope, &Mode::Pre)?.into_normal())
             }
             (AggName::Avg, _) => {
                 return Err(SqlError::Internal("AVG is decomposed by the caller".into()))
@@ -659,7 +659,7 @@ impl<'a> SqlLowerer<'a> {
                     let a = arg
                         .as_deref()
                         .ok_or_else(|| SqlError::Bind("AVG requires an argument".into()))?;
-                    let larg = self.lower_expr(a, scope, &Mode::Pre)?.normalize();
+                    let larg = self.lower_expr(a, scope, &Mode::Pre)?.into_normal();
                     for target in [
                         AggExpr::sum(larg.clone()),
                         AggExpr::new(AggFunc::Count, larg),
