@@ -79,6 +79,14 @@ pub fn partition_compatible(consumers: Vec<PreparedConsumer>) -> Vec<CompatibleG
             if rels != g.rel_set {
                 continue;
             }
+            // Disjoint classes intersected with themselves are themselves.
+            if c.classes == g.intersected_classes {
+                if is_connected(rels, &g.intersected_classes) {
+                    g.members.push(c);
+                    continue 'outer;
+                }
+                continue;
+            }
             let inter = intersect_classes(&g.intersected_classes, &c.classes);
             if is_connected(rels, &inter) {
                 g.intersected_classes = inter;

@@ -180,11 +180,13 @@ impl<'a> Construction<'a> {
             let mut aggs: Vec<AggExpr> = Vec::new();
             for (m, b) in members.iter().zip(&branches) {
                 let Some(g) = &m.normal.group else { continue };
-                for c in g.keys.iter().copied().chain(b.compensation(&cover)) {
+                let mut add = |c: ColRef| {
                     if !keys.contains(&c) {
                         keys.push(c);
                     }
-                }
+                };
+                g.keys.iter().for_each(|&c| add(c));
+                b.compensation(&cover, add);
                 for a in &g.aggs {
                     if !aggs.contains(a) {
                         aggs.push(a.clone());
@@ -212,7 +214,9 @@ impl<'a> Construction<'a> {
                 let mut cols: BTreeSet<ColRef> = BTreeSet::new();
                 for (&i, b) in set.iter().zip(&branches) {
                     cols.extend(&self.needs[i]);
-                    cols.extend(b.compensation(&cover));
+                    b.compensation(&cover, |c| {
+                        cols.insert(c);
+                    });
                 }
                 // A consumer with no recorded requirements (shouldn't happen
                 // for real roots) falls back to every column of every rel.
@@ -291,14 +295,18 @@ impl Branch {
         }
     }
 
-    /// The columns of the conjuncts `cover` does not imply: what the
-    /// member's compensation predicate re-filters over the work table. The
-    /// conjuncts are those of a normalized predicate, so normalized too.
-    fn compensation<'b>(&'b self, cover: &'b Antecedent) -> impl Iterator<Item = ColRef> + 'b {
-        let conjuncts = self.conjuncts.iter();
-        conjuncts
-            .filter(|c| !cover.implies_normal(c))
-            .flat_map(Scalar::columns)
+    /// Hand `col` each column of the conjuncts `cover` does not imply
+    /// (repeats included): what the member's compensation predicate
+    /// re-filters over the work table. The conjuncts are those of a
+    /// normalized predicate, so normalized too.
+    fn compensation(&self, cover: &Antecedent, mut col: impl FnMut(ColRef)) {
+        for c in self.conjuncts.iter().filter(|c| !cover.implies_normal(c)) {
+            c.visit(&mut |n| {
+                if let Scalar::Col(c) = n {
+                    col(*c);
+                }
+            });
+        }
     }
 
     /// Step 2 for `m` under the join classes `classes`.
