@@ -1,12 +1,10 @@
 //! Table and column statistics used by the cardinality estimator.
 //!
 //! Statistics are computed by a single scan over a loaded table: row count,
-//! and per column the min/max, the distinct count and the null count. The
-//! distinct count is that of the values' 64-bit hashes, every row counted
-//! at every table size; two values that share a hash count once, which an
-//! estimate can afford. A table that grows by appends keeps what the scan
-//! accumulated, so its stats follow each append at the cost of the appended
-//! rows.
+//! and per column the min/max, the distinct count and the null count. Every
+//! row is counted at every table size. A table that grows by appends keeps
+//! what the scan accumulated, so its stats follow each append at the cost
+//! of the appended rows.
 
 use crate::table::Table;
 use crate::value::Value;
@@ -18,7 +16,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 pub struct ColumnStats {
     pub min: Option<Value>,
     pub max: Option<Value>,
-    /// Number of distinct non-null values (of distinct hashes, exactly).
+    /// Number of distinct non-null values.
     pub distinct: u64,
     pub null_count: u64,
 }
@@ -63,9 +61,13 @@ struct Scan {
 struct ColumnScan {
     min: Option<Value>,
     max: Option<Value>,
-    /// The hash of every non-null value seen, through `Value`'s own `Hash`
-    /// (consistent with its `Eq`) and [`Fold`].
-    distinct: HashSet<u64, BuildHasherDefault<Prehashed>>,
+    /// Every distinct non-null value seen, hashed through `Value`'s own
+    /// `Hash` (consistent with its `Eq`) and [`Fold`]. A set of the values'
+    /// hashes alone is half the size, but freeing that smaller set lowers
+    /// glibc's dynamic mmap and trim thresholds, and the executor's
+    /// per-request buffers then page-fault (EXPERIMENTS *Planner: the CSE
+    /// phase derives each fact once*).
+    distinct: HashSet<Value, BuildHasherDefault<Fold>>,
     /// The last hash seen in each of `RECENT` slots (a hash `h` in slot
     /// `h % RECENT`), which answers most repeats without probing
     /// `distinct`. Slot `i` starts at a value no hash of that slot has.
@@ -89,10 +91,10 @@ impl ColumnScan {
         let mut h = Fold::default();
         v.hash(&mut h);
         let h = h.finish();
-        // A value whose hash was seen, lately or ever, was already compared
-        // with the bounds.
+        // A value seen before (its hash lately in its slot, or the value in
+        // the set) was already compared with the bounds.
         let recent = &mut self.recent[(h % RECENT as u64) as usize];
-        let seen = *recent == h || !self.distinct.insert(h);
+        let seen = *recent == h || !self.distinct.insert(v.clone());
         *recent = h;
         if seen {
             return;
@@ -123,8 +125,8 @@ impl Default for ColumnScan {
 /// The fixed hasher of distinct counting: each word is folded in with a
 /// 128-bit multiply (the high half XOR-ed onto the low), so every input bit
 /// reaches every output bit and two distinct values share a hash about as
-/// often as two random 64-bit numbers. A byte string is its length, then
-/// its little-endian words.
+/// often as two random 64-bit numbers, which [`ColumnScan::recent`] relies
+/// on. A byte string is its length, then its little-endian words.
 #[derive(Default)]
 struct Fold(u64);
 
@@ -146,26 +148,6 @@ impl Hasher for Fold {
         const K: u64 = 0x9e37_79b9_7f4a_7c15;
         let m = u128::from(self.0 ^ x ^ K) * u128::from(K.rotate_left(31) | 1);
         self.0 = (m as u64) ^ ((m >> 64) as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The hasher of a set of hashes: a key is its own hash.
-#[derive(Default)]
-struct Prehashed(u64);
-
-impl Hasher for Prehashed {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
     }
 
     fn finish(&self) -> u64 {
