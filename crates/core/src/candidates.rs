@@ -319,11 +319,12 @@ pub(crate) fn generate(
         })
     });
     let extents: Vec<Extent> = extents.collect();
-    let mut alive = match ctx.cfg.heuristics {
-        true => h4_prune_contained(ctx.manager, &extents, BETA),
-        false => vec![true; extents.len()],
-    }
-    .into_iter();
+    let alive = if ctx.cfg.heuristics {
+        h4_prune_contained(ctx.manager, &extents, BETA)
+    } else {
+        vec![true; extents.len()]
+    };
+    let mut alive = alive.into_iter();
     let mut out = Vec::new();
     for set in &mut sets {
         for (g, shape, _) in std::mem::take(&mut set.shapes) {

@@ -80,16 +80,12 @@ pub fn partition_compatible(consumers: Vec<PreparedConsumer>) -> Vec<CompatibleG
                 continue;
             }
             // Disjoint classes intersected with themselves are themselves.
-            if c.classes == g.intersected_classes {
-                if is_connected(rels, &g.intersected_classes) {
-                    g.members.push(c);
-                    continue 'outer;
+            let inter = (c.classes != g.intersected_classes)
+                .then(|| intersect_classes(&g.intersected_classes, &c.classes));
+            if is_connected(rels, inter.as_ref().unwrap_or(&g.intersected_classes)) {
+                if let Some(inter) = inter {
+                    g.intersected_classes = inter;
                 }
-                continue;
-            }
-            let inter = intersect_classes(&g.intersected_classes, &c.classes);
-            if is_connected(rels, &inter) {
-                g.intersected_classes = inter;
                 g.members.push(c);
                 continue 'outer;
             }
