@@ -205,7 +205,7 @@ rm -rf "$data_dir"
 # whose first field is the correctness verdict.
 # Building benchmark/ without --locked lets cargo prune its Cargo.lock of
 # packages the tree no longer has; that file is frozen, so put it back.
-echo "==> benchmark smoke (its own tests; every workload: verdict; no-share, share-batch and opt-heavy: sharable signatures, candidate and spool counts, re-optimizations or rows scanned, result and spool rows, memo size; view-maint sharing)"
+echo "==> benchmark smoke (its own tests; every workload: verdict; no-share, share-batch and opt-heavy: sharable signatures, candidate and spool counts, re-optimizations or rows scanned, result and spool rows, memo size; estimated-cost ratios and spool-row q-errors; view-maint sharing)"
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
@@ -215,6 +215,12 @@ cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 # The value of one traced metric in a result line.
 metric() {
   grep -oE "\"$1\": \{\"value\": [0-9]+" <<<"$2" | grep -oE '[0-9]+$' || true
+}
+# The same for a float metric, to 6 significant digits.
+fmetric() {
+  local value
+  value=$(grep -oE "\"$1\": \{\"value\": [-+.0-9eE]+" <<<"$2" | grep -oE '[-+.0-9eE]+$' || true)
+  [[ -z "$value" ]] || printf '%.6g' "$value"
 }
 for workload in no-share serve-mix share-batch opt-heavy view-maint; do
   # Every workload but serve-mix runs traced: its counts are deterministic.
@@ -263,6 +269,22 @@ no-share memo.gexprs 1440
 opt-heavy core.sharable_signatures 186
 share-batch core.sharable_signatures 181
 COUNTS
+  # Row estimates, to 6 significant digits: the estimated-cost ratio and
+  # the spool rows' q-error read every estimate a plan choice made. A change
+  # to the row estimator moves them and must update these rows on purpose.
+  while read -r name_workload name want; do
+    [[ "$name_workload" == "$workload" ]] || continue
+    got=$(fmetric "$name" "$verdict")
+    [[ "$got" == "$want" ]] \
+      || { echo "$workload $name is '${got}', expected $want"; exit 1; }
+  done <<'ESTIMATES'
+share-batch core.est_cost_ratio 2.11826
+opt-heavy core.est_cost_ratio 2.25712
+view-maint core.est_cost_ratio 2.02592
+no-share core.est_cost_ratio 1
+share-batch cost.spool_rows_qerr 1.41133
+opt-heavy cost.spool_rows_qerr 3.00364
+ESTIMATES
   if [[ "$workload" == opt-heavy ]]; then
     # One group per logical join: 4 137 expressions today, 15 405 when
     # every join order reached a join got a group of its own.

@@ -134,10 +134,13 @@ impl RelSet {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = RelId> + '_ {
-        (0..MAX_RELS)
-            .filter(|i| self.contains(RelId(*i)))
-            .map(RelId)
+        let words = self.0.iter().enumerate().filter(|(_, w)| **w != 0);
+        words.flat_map(|(i, &w)| {
+            let bits = (0..64).filter(move |b| w >> b & 1 == 1);
+            bits.map(move |b| RelId(i as u32 * 64 + b))
+        })
     }
 }
 
@@ -167,8 +170,12 @@ mod tests {
         assert!(s.contains(RelId(3)));
         assert!(!s.contains(RelId(4)));
         assert_eq!(s.len(), 2);
+        for r in [0, 63, 64, MAX_RELS - 1] {
+            s.insert(RelId(r));
+        }
         let items: Vec<_> = s.iter().collect();
-        assert_eq!(items, vec![RelId(3), RelId(100)]);
+        let want = [0, 3, 63, 64, 100, MAX_RELS - 1].map(RelId);
+        assert_eq!(items, want);
     }
 
     #[test]

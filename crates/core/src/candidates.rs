@@ -13,7 +13,8 @@ use crate::compat::{
 use crate::config::{CostBounds, PhaseCtx};
 use crate::construct::{ConstructedCse, Construction, CseShape};
 use crate::manager::CseManager;
-use cse_cost::{Cardinality, Selectivity, StatsCatalog};
+use cse_algebra::classes_to_conjuncts;
+use cse_cost::{join_rows, Cardinality, StatsCatalog};
 use cse_govern::BudgetTrip;
 use cse_memo::{GroupId, Memo, TableSignature};
 
@@ -32,19 +33,20 @@ pub struct CostedCandidate {
     pub ce_lower: f64,
 }
 
-/// Estimate a CSE's work-table cardinality and width from its shape.
+/// Estimate a CSE's work-table cardinality and width from its shape, with
+/// the conjuncts its definition's group in the memo has.
 pub(crate) fn estimate_cse(memo: &Memo, stats: &StatsCatalog, shape: &CseShape) -> (f64, f64) {
     let card = Cardinality::new(&memo.ctx, stats);
-    let sel = Selectivity::new(&memo.ctx, stats);
-    let mut rows = card.spj_rows(&shape.rels, &shape.join_conjuncts);
-    rows *= sel.of(&shape.covering).max(1e-12);
-    rows = rows.max(1.0);
+    let rel_rows = shape.rels.iter().map(|r| stats.rel_rows(&memo.ctx, *r));
+    let base = rel_rows.product();
+    let mut conjuncts = classes_to_conjuncts(&shape.join_classes);
+    conjuncts.extend(shape.covering.conjuncts());
+    let rows = join_rows(base, conjuncts.iter().map(|c| card.factor(c)));
     let rows = match &shape.group {
         Some((keys, _, _)) => card.group_rows(keys, rows),
         None => rows,
     };
-    let width = card.width_of(&shape.output);
-    (rows, width)
+    (rows, card.width_of(&shape.output))
 }
 
 /// The cost ingredients of a shape over its members.
@@ -143,7 +145,6 @@ pub fn h2_filter_consumers(
 ) -> Vec<usize> {
     let members = build.members();
     let n = members.len() as f64;
-    let model = &ctx.cfg.cost_model;
     (0..members.len())
         .filter(|&i| {
             // Trivial CSE covering this member alone gives its C_W / C_R.
@@ -151,13 +152,11 @@ pub fn h2_filter_consumers(
                 return false;
             };
             *trials += 1;
-            let (rows, width) = estimate_cse(memo, ctx.stats, &trivial);
-            let cw = model.spool_write(rows, width);
-            let cr = model.spool_read(rows, width);
+            let cost = ShapeCost::of(memo, ctx, &trivial, [&members[i]]);
             let upper = ctx.bounds.upper(members[i].group);
             // Discard if computing from scratch is cheaper than even the
             // best-case shared usage: C_upper < C_R + (C_upper + C_W)/N.
-            upper >= cr + (upper + cw) / n
+            upper >= cost.cr + (upper + cost.cw) / n
         })
         .collect()
 }

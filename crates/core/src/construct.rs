@@ -49,10 +49,9 @@ pub struct CseShape {
     /// Covering selection predicate (TRUE when consumers' predicates
     /// union to everything).
     pub covering: Scalar,
-    /// The members' intersected equivalence classes (step 1).
+    /// The members' intersected equivalence classes (step 1): the
+    /// covering join, whose conjuncts are `classes_to_conjuncts` of them.
     pub join_classes: Vec<BTreeSet<ColRef>>,
-    /// Equijoin conjuncts from the intersected classes.
-    pub join_conjuncts: Vec<Scalar>,
     /// Per-member simplified predicate (step 2), in member order; empty
     /// until the shape is [completed](CseShape::complete).
     pub simplified: Vec<Scalar>,
@@ -90,9 +89,8 @@ pub fn construct(
 /// classes, and the anchor-space columns the member's ancestors require.
 pub struct Construction<'a> {
     members: &'a [PreparedConsumer],
-    /// The group's intersected classes, and their equijoin conjuncts.
+    /// The group's intersected classes.
     classes: Vec<BTreeSet<ColRef>>,
-    join_conjuncts: Vec<Scalar>,
     /// Per member: are its own classes the group's? Intersecting the
     /// group's disjoint classes with themselves gives them back, so a set
     /// of such members has the group's classes.
@@ -116,7 +114,6 @@ impl<'a> Construction<'a> {
             .collect();
         Construction {
             members,
-            join_conjuncts: classes_to_conjuncts(&classes),
             classes,
             has_group_classes,
             branches,
@@ -141,15 +138,13 @@ impl<'a> Construction<'a> {
         let rels: Vec<RelId> = first.normal.spj.rels.clone();
         let &anchor = rels.first()?;
 
-        // Step 1: intersected equivalence classes → join conjuncts.
-        let (inter, join_conjuncts) = if set.iter().all(|&i| self.has_group_classes[i]) {
-            (self.classes.clone(), self.join_conjuncts.clone())
+        // Step 1: intersected equivalence classes, the covering join.
+        let inter = if set.iter().all(|&i| self.has_group_classes[i]) {
+            self.classes.clone()
         } else {
-            let inter = rest.iter().fold(first.classes.clone(), |inter, m| {
+            rest.iter().fold(first.classes.clone(), |inter, m| {
                 intersect_classes(&inter, &m.classes)
-            });
-            let conjuncts = classes_to_conjuncts(&inter);
-            (inter, conjuncts)
+            })
         };
 
         // Step 2: each member's predicate beyond the joins. The group's
@@ -235,7 +230,6 @@ impl<'a> Construction<'a> {
             output,
             covering: cover.into_predicate(),
             join_classes: inter,
-            join_conjuncts,
             simplified: Vec::new(),
             group,
         })
@@ -262,7 +256,8 @@ impl CseShape {
     /// Step 6: filtered leaves, connected join order, residual covering
     /// predicate on top, optional aggregate. `None` only without rels.
     pub fn plan(&self) -> Option<LogicalPlan> {
-        let plan = build_join_plan(&self.rels, &self.join_conjuncts, &self.covering)?;
+        let joins = classes_to_conjuncts(&self.join_classes);
+        let plan = build_join_plan(&self.rels, &joins, &self.covering)?;
         Some(match &self.group {
             Some((keys, aggs, out)) => LogicalPlan::Aggregate {
                 input: Box::new(plan),
@@ -315,18 +310,17 @@ impl Branch {
     }
 }
 
-/// Do the equivalence classes put `a` and `b` in one class?
-fn same_class(classes: &[BTreeSet<ColRef>], a: ColRef, b: ColRef) -> bool {
-    classes.iter().any(|cl| cl.contains(&a) && cl.contains(&b))
-}
-
 /// Step 2: a consumer's predicate without the column equalities the
 /// covering join (`join_classes`) already enforces, and without the
 /// conjuncts its remaining ones imply.
 fn beyond_joins(conjuncts: &[Scalar], join_classes: &[BTreeSet<ColRef>]) -> Scalar {
     let implied_by_join = |c: &Scalar| {
-        c.as_col_eq_col()
-            .is_some_and(|(a, b)| same_class(join_classes, a, b))
+        let same_class = |(a, b)| {
+            join_classes
+                .iter()
+                .any(|cl| cl.contains(&a) && cl.contains(&b))
+        };
+        c.as_col_eq_col().is_some_and(same_class)
     };
     let rest: Vec<Scalar> = conjuncts
         .iter()
@@ -347,9 +341,9 @@ impl ConstructedCse {
     /// (step 2), the entry `simplified` holds for a member.
     pub(crate) fn admit(&self, consumer: &PreparedConsumer) -> Option<Scalar> {
         let shape = &self.shape;
-        let joins_enforced = shape.join_conjuncts.iter().all(|j| {
-            j.as_col_eq_col()
-                .is_some_and(|(a, b)| a == b || same_class(&consumer.classes, a, b))
+        let joins_enforced = shape.join_classes.iter().all(|j| {
+            let mut within = consumer.classes.iter();
+            within.any(|c| j.is_subset(c))
         });
         if !joins_enforced || !implies(&consumer.normal.spj.predicate(), &shape.covering) {
             return None;

@@ -21,7 +21,7 @@
 //! grows it in place with the candidate definitions, and the grown memo
 //! yields the second and last manager (stacked consumers, LCAs,
 //! enumeration), its required columns and the Step 3 optimizer, which
-//! resumes from the baseline optimizer's estimates and winners (§5.4).
+//! resumes from the baseline optimizer's join shapes and winners (§5.4).
 
 use crate::candidates::{extend_with_stacked_consumers, generate, CostedCandidate};
 use crate::config::{CandidateSummary, CostBounds, CseConfig, CseReport, PhaseCtx};
@@ -29,7 +29,7 @@ use crate::enumerate::choose_best;
 use crate::manager::CseManager;
 use crate::required::{compute_required, RequiredCols};
 use crate::view_match::build_substitutes;
-use cse_algebra::{ColRef, LogicalPlan, PlanContext, RelSet};
+use cse_algebra::{classes_to_conjuncts, ColRef, LogicalPlan, PlanContext, RelSet};
 use cse_cost::StatsCatalog;
 use cse_diag::Report as VerifyReport;
 use cse_govern::{panic_message, sites, BudgetTrip, DegradationEvent, Reason, Rung};
@@ -63,7 +63,7 @@ pub fn optimize_sql(catalog: &Catalog, sql: &str, cfg: &CseConfig) -> Result<Opt
 /// and the pass-5 input. The CSE phase works on a copy and hands it back
 /// only on success, so a tripped or panicked phase leaves no candidates,
 /// spools or costs in it.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct Findings {
     report: CseReport,
     vreport: VerifyReport,
@@ -169,7 +169,7 @@ pub fn optimize_plan(
         }
         (bounds, required, manager, sharable)
     }));
-    // Step 3 resumes from its estimates and winners (§5.4).
+    // Step 3 resumes from its join shapes and winners (§5.4).
     found.report.group_optimizations = normal.group_optimizations;
     let history = normal.into_history();
     cfg.cancel.check("pipeline/bounds").map_err(abort_message)?;
@@ -564,7 +564,7 @@ fn candidate_audit(
         rel_set,
         output: c.cse.shape.output.clone(),
         covering: c.cse.shape.covering.clone(),
-        join_conjuncts: c.cse.shape.join_conjuncts.clone(),
+        join_conjuncts: classes_to_conjuncts(&c.cse.shape.join_classes),
         keys,
         aggs,
         est_rows: c.est_rows,
@@ -582,6 +582,51 @@ mod tests {
     use cse_bench::workloads;
     use cse_tpch::{generate_catalog, TpchConfig};
 
+    /// The TPC-H catalog at SF 0.01, its statistics and indexes.
+    fn tpch() -> (Catalog, StatsCatalog, IndexInfo) {
+        let catalog = generate_catalog(&TpchConfig::new(0.01));
+        let stats = StatsCatalog::from_catalog(&catalog);
+        let indexes = IndexInfo::from_catalog(&catalog);
+        (catalog, stats, indexes)
+    }
+
+    /// Steps 1 and 2 over `sql` as [`optimize_plan`] runs them under the
+    /// default configuration: the grown memo, its root, the normal phase's
+    /// history and what Step 3 resumes with (`None` without candidates).
+    fn registered(
+        (catalog, stats, indexes): &(Catalog, StatsCatalog, IndexInfo),
+        sql: &str,
+    ) -> (Memo, GroupId, History, Option<Step3>) {
+        let cfg = CseConfig::default();
+        let (ctx, plan) = cse_sql::lower_batch_sql(catalog, sql).unwrap();
+        let mut memo = Memo::new(ctx);
+        let root = memo.insert_plan(&plan);
+        memo.set_root(root);
+        explore(&mut memo, &cfg.explore);
+        let mut normal = Optimizer::new(&memo, stats, &cfg.cost_model, indexes);
+        let groups = memo
+            .groups()
+            .map(|g| (g.id, normal.optimize_group(g.id, 0).cost));
+        let bounds = CostBounds::new(groups.collect());
+        let history = normal.into_history();
+        let required = compute_required(&memo, &[root]);
+        let manager = CseManager::build(&memo);
+        let sharable = manager.sharable_sets();
+        let clock = cfg.budget.start_with(&cfg.cancel);
+        let phase = PhaseCtx {
+            cfg: &cfg,
+            stats,
+            indexes,
+            clock: &clock,
+            bounds: &bounds,
+            required: &required,
+            manager: &manager,
+            sharable: &sharable,
+        };
+        let step3 = register(&mut memo, &phase, root, &mut Findings::default()).unwrap();
+        (memo, root, history, step3)
+    }
+
     /// For every mask the §5.3 enumeration visits, the cost pass it reads
     /// agrees with the plan `optimize_full` extracts: the same cost to the
     /// bit, and one spool per charged CSE. A debug build also checks the
@@ -590,12 +635,9 @@ mod tests {
     /// is what a fresh optimizer over the grown memo gives, to the bit.
     #[test]
     fn cost_pass_equals_optimize_full() {
-        let catalog = generate_catalog(&TpchConfig::new(0.01));
+        let tpch = tpch();
+        let (_, stats, indexes) = &tpch;
         let cfg = CseConfig::default();
-        let (stats, indexes) = (
-            StatsCatalog::from_catalog(&catalog),
-            IndexInfo::from_catalog(&catalog),
-        );
         let batches = [
             workloads::table1_batch(),
             workloads::table2_batch(),
@@ -603,44 +645,13 @@ mod tests {
             workloads::scaleup_batch(10),
         ];
         for sql in batches {
-            let (ctx, plan) = cse_sql::lower_batch_sql(&catalog, &sql).unwrap();
-            let mut memo = Memo::new(ctx);
-            let root = memo.insert_plan(&plan);
-            memo.set_root(root);
-            explore(&mut memo, &cfg.explore);
-            let mut normal = Optimizer::new(&memo, &stats, &cfg.cost_model, &indexes);
-            let bounds = CostBounds::new(
-                memo.groups()
-                    .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
-                    .collect(),
-            );
-            let history = normal.into_history();
-            let required = compute_required(&memo, &[root]);
-            let manager = CseManager::build(&memo);
-            let sharable = manager.sharable_sets();
+            let (memo, root, history, step3) = registered(&tpch, &sql);
+            let step3 = step3.expect("the batch has candidates");
             let clock = cfg.budget.start_with(&cfg.cancel);
-            let phase = PhaseCtx {
-                cfg: &cfg,
-                stats: &stats,
-                indexes: &indexes,
-                clock: &clock,
-                bounds: &bounds,
-                required: &required,
-                manager: &manager,
-                sharable: &sharable,
-            };
-            let mut found = Findings {
-                report: CseReport::default(),
-                vreport: VerifyReport::new(),
-                cost_audit: None,
-            };
-            let step3 = register(&mut memo, &phase, root, &mut found)
-                .unwrap()
-                .expect("the batch has candidates");
             let model = &cfg.cost_model;
-            let mut fresh = Optimizer::new(&memo, &stats, model, &indexes);
+            let mut fresh = Optimizer::new(&memo, stats, model, indexes);
             fresh.register_candidates(step3.candidates.clone(), step3.substitutes.clone());
-            let mut opt = Optimizer::resume(&memo, &stats, model, &indexes, history);
+            let mut opt = Optimizer::resume(&memo, stats, model, indexes, history);
             opt.register_candidates(step3.candidates, step3.substitutes);
             let outcome = choose_best(&mut opt, &step3.mgr, root, &step3.lcas, &clock).unwrap();
             assert!(outcome.visited.len() >= 2, "{sql}");
@@ -657,5 +668,33 @@ mod tests {
                 assert_eq!(costed.ids(), spools, "{mask:#b}");
             }
         }
+    }
+
+    /// One estimator, one answer: a registered candidate's work-table rows,
+    /// estimated from its shape, are the rows the optimizer estimates for
+    /// its definition's group in the grown memo.
+    #[test]
+    fn candidate_rows_equal_definition_group_rows() {
+        let tpch = tpch();
+        let model = CseConfig::default().cost_model;
+        let mut batches = vec![
+            workloads::table1_batch(),
+            workloads::table2_batch(),
+            workloads::NESTED.to_string(),
+            workloads::complex_join_batch(),
+        ];
+        batches.extend((2..=10).map(workloads::scaleup_batch));
+        let mut checked = 0;
+        for sql in batches {
+            let (memo, _, _, step3) = registered(&tpch, &sql);
+            let mut opt = Optimizer::new(&memo, &tpch.1, &model, &tpch.2);
+            for c in step3.map(|s| s.candidates).unwrap_or_default() {
+                let rows = opt.group_rows(c.def_root);
+                let err = (c.est_rows - rows).abs() / rows;
+                assert!(err <= 1e-9, "{sql}\n{:?}: {} vs {rows}", c.id, c.est_rows);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 30, "{checked} candidates");
     }
 }

@@ -237,7 +237,7 @@ fn assert_rebuilt(memo: &mut Memo, ctx: &PhaseCtx, got: &CostedCandidate, what: 
     assert_eq!(a.output, b.output, "{what}: output");
     assert_eq!(a.group, b.group, "{what}: group");
     assert_eq!(a.simplified, b.simplified, "{what}: simplified");
-    assert_eq!(a.join_conjuncts, b.join_conjuncts, "{what}: join conjuncts");
+    assert_eq!(a.join_classes, b.join_classes, "{what}: join classes");
     assert_eq!(a, b, "{what}: shape");
     let costs =
         |c: &CostedCandidate| [c.est_rows, c.est_width, c.cw, c.cr, c.ce_lower].map(f64::to_bits);

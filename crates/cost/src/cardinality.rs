@@ -2,9 +2,61 @@
 
 use crate::selectivity::Selectivity;
 use crate::stats_view::StatsCatalog;
-use cse_algebra::{ColRef, EquivClasses, PlanContext, RelId, Scalar};
+use cse_algebra::{ColRef, PlanContext, Scalar};
+
+/// What one conjunct contributes to [`join_rows`].
+#[derive(Debug, Clone, Copy)]
+pub enum Factor {
+    /// A column equality, each side with its distinct count.
+    Eq([(ColRef, f64); 2]),
+    /// Any other conjunct's selectivity.
+    Sel(f64),
+}
+
+/// The one join estimator, of memo groups and covering subexpressions
+/// alike: rows of `σ_p(I1 × … × In)`, `base` being Π rows(Ii). Each class
+/// of columns `p`'s equalities make equal divides by every member's
+/// distinct count but the smallest; the other conjuncts multiply by their
+/// selectivities; the result is clamped to ≥ 1 once.
+pub fn join_rows(base: f64, factors: impl IntoIterator<Item = Factor>) -> f64 {
+    // Each equated column once, with its distinct count and a class label
+    // that merges as the equalities arrive.
+    let factors = factors.into_iter();
+    let mut cols: Vec<(ColRef, f64, usize)> = Vec::with_capacity(2 * factors.size_hint().0);
+    let mut sel = 1.0;
+    for f in factors {
+        let pair = match f {
+            Factor::Eq(pair) => pair,
+            Factor::Sel(s) => {
+                sel *= s;
+                continue;
+            }
+        };
+        let [x, y] = pair.map(|(c, ndv)| match cols.iter().find(|x| x.0 == c) {
+            Some(x) => x.2,
+            None => {
+                cols.push((c, ndv, cols.len()));
+                cols.len() - 1
+            }
+        });
+        let (lo, hi) = (x.min(y), x.max(y));
+        cols.iter_mut().filter(|c| c.2 == hi).for_each(|c| c.2 = lo);
+    }
+    // Name each class by its smallest column, and take the classes in that
+    // order; within one, the smallest distinct count first, which is the
+    // one not divided by.
+    for i in 0..cols.len() {
+        let class = cols.iter().filter(|c| c.2 == cols[i].2);
+        cols[i].0 = class.map(|c| c.0).min().unwrap_or(cols[i].0);
+    }
+    cols.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let links = cols.windows(2).filter(|w| w[0].0 == w[1].0);
+    let rows = links.fold(base, |rows, w| rows / w[1].1.max(1.0));
+    (rows * sel).max(1.0)
+}
 
 /// Cardinality estimator.
+#[derive(Clone, Copy)]
 pub struct Cardinality<'a> {
     pub ctx: &'a PlanContext,
     pub stats: &'a StatsCatalog,
@@ -15,47 +67,13 @@ impl<'a> Cardinality<'a> {
         Cardinality { ctx, stats }
     }
 
-    fn sel(&self) -> Selectivity<'a> {
-        Selectivity::new(self.ctx, self.stats)
-    }
-
-    /// Estimated rows of `σ_conjuncts(rel1 × rel2 × ...)`.
-    ///
-    /// Equijoin atoms contribute `1/max(ndv)` per *merged equivalence
-    /// link* (an equivalence class of k columns contributes k-1 links, like
-    /// a chain of equality predicates); other conjuncts use the selectivity
-    /// estimator.
-    pub fn spj_rows(&self, rels: &[RelId], conjuncts: &[Scalar]) -> f64 {
-        let mut rows: f64 = rels
-            .iter()
-            .map(|r| self.stats.rel_rows(self.ctx, *r))
-            .product();
-        if rels.is_empty() {
-            rows = 1.0;
+    /// What `conjunct`, a conjunct of a normalized predicate, contributes to
+    /// [`join_rows`].
+    pub fn factor(&self, conjunct: &Scalar) -> Factor {
+        match conjunct.as_col_eq_col() {
+            Some((a, b)) => Factor::Eq([a, b].map(|c| (c, self.stats.col_ndv(self.ctx, c)))),
+            None => Factor::Sel(Selectivity::new(self.ctx, self.stats).of(conjunct)),
         }
-        // Equivalence-class based join selectivity (dedups redundant
-        // equality atoms).
-        let ec = EquivClasses::from_conjuncts(conjuncts.iter());
-        for class in ec.classes() {
-            let mut ndvs: Vec<f64> = class
-                .iter()
-                .map(|c| self.stats.col_ndv(self.ctx, *c))
-                .collect();
-            ndvs.sort_by(|a, b| a.total_cmp(b));
-            // k columns equal: multiply by Π 1/ndv over all but the
-            // smallest (standard System-R style generalization).
-            for ndv in ndvs.iter().skip(1) {
-                rows /= ndv.max(1.0);
-            }
-        }
-        let sel = self.sel();
-        for c in conjuncts {
-            if c.as_col_eq_col().is_some() {
-                continue; // already handled through equivalence classes
-            }
-            rows *= sel.of(c);
-        }
-        rows.max(1.0)
     }
 
     /// Estimated number of groups for a group-by over `input_rows` with the
@@ -87,77 +105,48 @@ impl<'a> Cardinality<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
-    use std::sync::Arc;
+    use cse_algebra::RelId;
+    use cse_storage::{DataType, Value};
 
-    fn setup() -> (PlanContext, StatsCatalog, RelId, RelId) {
-        // fact: 1000 rows, key uniform 0..99; dim: 100 rows, key unique.
-        let mut fact = Table::new(
-            "fact",
-            Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Float)]),
-        );
-        for i in 0..1000i64 {
-            t_push(&mut fact, i % 100, i as f64);
-        }
-        let mut dim = Table::new(
-            "dim",
-            Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Float)]),
-        );
-        for i in 0..100i64 {
-            t_push(&mut dim, i, i as f64);
-        }
-        let mut cat = Catalog::new();
-        cat.register_table(fact).unwrap();
-        cat.register_table(dim).unwrap();
-        let stats = StatsCatalog::from_catalog(&cat);
-        let mut ctx = PlanContext::new();
-        let b = ctx.new_block();
-        let schema = Arc::new(Schema::from_pairs(&[
-            ("k", DataType::Int),
-            ("v", DataType::Float),
-        ]));
-        let f = ctx.add_base_rel("fact", "fact", schema.clone(), b);
-        let d = ctx.add_base_rel("dim", "dim", schema, b);
-        (ctx, stats, f, d)
+    /// 1000 rows: an int key uniform over 0..99 and a float.
+    fn setup() -> (PlanContext, StatsCatalog, RelId) {
+        let rows = (0..1000).map(|i| [Value::Int(i % 100), Value::Float(i as f64)]);
+        crate::one_table(&[("k", DataType::Int), ("v", DataType::Float)], rows)
     }
 
-    fn t_push(t: &mut Table, k: i64, v: f64) {
-        t.push(row(vec![Value::Int(k), Value::Float(v)])).unwrap();
+    fn eq(a: (u32, f64), b: (u32, f64)) -> Factor {
+        Factor::Eq([a, b].map(|(rel, ndv)| (ColRef::new(RelId(rel), 0), ndv)))
     }
 
     #[test]
     fn equijoin_cardinality() {
-        let (ctx, stats, f, d) = setup();
-        let card = Cardinality::new(&ctx, &stats);
-        let conj = vec![Scalar::eq(Scalar::col(f, 0), Scalar::col(d, 0))];
-        let rows = card.spj_rows(&[f, d], &conj);
-        // 1000 * 100 / max(100,100) = 1000.
-        assert!((900.0..1100.0).contains(&rows), "{rows}");
+        // fact (1000 rows) ⋈ dim (100 rows) on a key with 100 values each.
+        let on_key = eq((0, 100.0), (1, 100.0));
+        assert_eq!(join_rows(100_000.0, [on_key]), 1000.0);
+        assert_eq!(join_rows(100_000.0, []), 100_000.0);
+        assert_eq!(join_rows(100_000.0, [on_key, Factor::Sel(0.5)]), 500.0);
     }
 
+    /// A class of three columns is two links, whatever the order of its
+    /// equalities and however many state it: divide by all but the
+    /// smallest distinct count. Another class divides on its own, and the
+    /// clamp is once, at the end.
     #[test]
-    fn cross_product_cardinality() {
-        let (ctx, stats, f, d) = setup();
-        let card = Cardinality::new(&ctx, &stats);
-        let rows = card.spj_rows(&[f, d], &[]);
-        assert_eq!(rows, 100_000.0);
-    }
-
-    #[test]
-    fn filter_reduces_rows() {
-        let (ctx, stats, f, d) = setup();
-        let card = Cardinality::new(&ctx, &stats);
-        let conj = vec![
-            Scalar::eq(Scalar::col(f, 0), Scalar::col(d, 0)),
-            Scalar::cmp(cse_algebra::CmpOp::Lt, Scalar::col(d, 0), Scalar::int(50)),
-        ];
-        let rows = card.spj_rows(&[f, d], &conj);
-        assert!((400.0..600.0).contains(&rows), "{rows}");
+    fn a_class_divides_by_all_but_its_smallest_ndv() {
+        let (a, b, c, d) = ((0, 10.0), (1, 1000.0), (2, 100.0), (3, 50.0));
+        let want = 1e9 / 100.0 / 1000.0;
+        assert_eq!(join_rows(1e9, [eq(a, b), eq(b, c)]), want);
+        assert_eq!(join_rows(1e9, [eq(c, b), eq(b, a), eq(a, c)]), want);
+        assert_eq!(
+            join_rows(1e9, [eq(b, c), eq(d, (4, 40.0)), eq(a, b)]),
+            want / 50.0
+        );
+        assert_eq!(join_rows(1e9, [eq(a, b), eq(b, c), Factor::Sel(1e-6)]), 1.0);
     }
 
     #[test]
     fn group_rows_caps_at_input() {
-        let (ctx, stats, f, _) = setup();
+        let (ctx, stats, f) = setup();
         let card = Cardinality::new(&ctx, &stats);
         // 100 distinct keys over 1000 rows -> close to 100 groups.
         let g = card.group_rows(&[ColRef::new(f, 0)], 1000.0);
@@ -171,8 +160,8 @@ mod tests {
 
     #[test]
     fn width_sums_types() {
-        let (ctx, _, f, _) = setup();
-        let stats = StatsCatalog::new();
+        let (ctx, _, f) = setup();
+        let stats = StatsCatalog::default();
         let card = Cardinality::new(&ctx, &stats);
         let w = card.width_of(&[ColRef::new(f, 0), ColRef::new(f, 1)]);
         assert_eq!(w, 16.0);

@@ -12,7 +12,23 @@ pub mod model;
 pub mod selectivity;
 pub mod stats_view;
 
-pub use cardinality::Cardinality;
+pub use cardinality::{join_rows, Cardinality, Factor};
 pub use model::CostModel;
 pub use selectivity::{Selectivity, DEFAULT_EQ_SEL, DEFAULT_SEL};
 pub use stats_view::StatsCatalog;
+
+/// One table `t` with `schema` and `rows`, its statistics and its rel.
+#[cfg(test)]
+fn one_table<R: AsRef<[cse_storage::Value]>>(
+    schema: &[(&str, cse_storage::DataType)],
+    rows: impl IntoIterator<Item = R>,
+) -> (cse_algebra::PlanContext, StatsCatalog, cse_algebra::RelId) {
+    let schema = cse_storage::Schema::from_pairs(schema);
+    let mut cat = cse_storage::Catalog::new();
+    let t = cse_storage::Table::with_rows("t", schema.clone(), rows);
+    cat.register_table(t).unwrap();
+    let mut ctx = cse_algebra::PlanContext::new();
+    let blk = ctx.new_block();
+    let rel = ctx.add_base_rel("t", "t", std::sync::Arc::new(schema), blk);
+    (ctx, StatsCatalog::from_catalog(&cat), rel)
+}

@@ -109,29 +109,12 @@ impl<'a> Selectivity<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cse_storage::{row, Catalog, DataType, Schema, Table};
-    use std::sync::Arc;
+    use cse_storage::DataType::Int;
 
+    /// `t(a, b)`: 100 rows, `a` in 0..99 and `b` in 0..9.
     fn setup() -> (PlanContext, StatsCatalog, cse_algebra::RelId) {
-        let mut t = Table::new(
-            "t",
-            Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]),
-        );
-        for i in 0..100 {
-            t.push(row(vec![Value::Int(i), Value::Int(i % 10)]))
-                .unwrap();
-        }
-        let mut cat = Catalog::new();
-        cat.register_table(t).unwrap();
-        let stats = StatsCatalog::from_catalog(&cat);
-        let mut ctx = PlanContext::new();
-        let blk = ctx.new_block();
-        let schema = Arc::new(Schema::from_pairs(&[
-            ("a", DataType::Int),
-            ("b", DataType::Int),
-        ]));
-        let r = ctx.add_base_rel("t", "t", schema, blk);
-        (ctx, stats, r)
+        let rows = (0..100).map(|i| [Value::Int(i), Value::Int(i % 10)]);
+        crate::one_table(&[("a", Int), ("b", Int)], rows)
     }
 
     #[test]

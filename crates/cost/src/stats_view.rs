@@ -13,10 +13,6 @@ pub struct StatsCatalog {
 }
 
 impl StatsCatalog {
-    pub fn new() -> Self {
-        StatsCatalog::default()
-    }
-
     /// Snapshot all statistics from a storage catalog.
     pub fn from_catalog(catalog: &Catalog) -> Self {
         let mut tables = HashMap::new();
@@ -26,10 +22,6 @@ impl StatsCatalog {
             }
         }
         StatsCatalog { tables }
-    }
-
-    pub fn insert(&mut self, name: impl Into<String>, stats: Arc<TableStats>) {
-        self.tables.insert(name.into().to_ascii_lowercase(), stats);
     }
 
     pub fn get(&self, name: &str) -> Option<&Arc<TableStats>> {
@@ -74,42 +66,29 @@ impl StatsCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cse_storage::{row, DataType, Schema, Table, Value};
-    use std::sync::Arc as SArc;
+    use cse_storage::{DataType, Schema, Value};
 
-    fn catalog() -> Catalog {
-        let mut t = Table::new("t", Schema::from_pairs(&[("a", DataType::Int)]));
-        for i in 0..10 {
-            t.push(row(vec![Value::Int(i % 3)])).unwrap();
-        }
-        let mut c = Catalog::new();
-        c.register_table(t).unwrap();
-        c
+    /// `t(a)`: 10 rows, 3 distinct values.
+    fn setup() -> (PlanContext, StatsCatalog, cse_algebra::RelId) {
+        let rows = (0..10).map(|i| [Value::Int(i % 3)]);
+        crate::one_table(&[("a", DataType::Int)], rows)
     }
 
     #[test]
     fn snapshot_and_lookup() {
-        let sc = StatsCatalog::from_catalog(&catalog());
+        let (_, sc, _) = setup();
         assert_eq!(sc.get("T").unwrap().row_count, 10);
         assert!(sc.get("missing").is_none());
     }
 
     #[test]
     fn rel_rows_and_ndv() {
-        let sc = StatsCatalog::from_catalog(&catalog());
-        let mut ctx = PlanContext::new();
-        let b = ctx.new_block();
-        let schema = SArc::new(Schema::from_pairs(&[("a", DataType::Int)]));
-        let r = ctx.add_base_rel("t", "t", schema, b);
+        let (mut ctx, sc, r) = setup();
         assert_eq!(sc.rel_rows(&ctx, r), 10.0);
         assert_eq!(sc.col_ndv(&ctx, ColRef::new(r, 0)), 3.0);
         // Unknown table defaults.
-        let r2 = ctx.add_base_rel(
-            "ghost",
-            "ghost",
-            SArc::new(Schema::from_pairs(&[("x", DataType::Int)])),
-            b,
-        );
+        let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
+        let r2 = ctx.add_base_rel("ghost", "ghost", schema, ctx.rel(r).block);
         assert_eq!(sc.rel_rows(&ctx, r2), 1000.0);
     }
 }

@@ -17,17 +17,17 @@
 use cse_storage::Value;
 use std::hash::{Hash, Hasher};
 
-/// Multiply-rotate hasher (FxHash style) with a final avalanche.
-/// `Value::hash` feeds integers as `f64` bits, whose low ~40 bits are zero
-/// for small values; without the finalizer every such key would land in
-/// the same slot of a power-of-two table.
+/// Word hasher with a final avalanche: each word is a [`mix_word`] step,
+/// as in [`WordKeys`]. `Value::hash` feeds integers as `f64` bits, whose low
+/// ~40 bits are zero for small values; without the finalizer every such
+/// key would land in the same slot of a power-of-two table.
 #[derive(Default)]
 struct KeyHasher(u64);
 
 impl KeyHasher {
     #[inline]
     fn mix(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+        self.0 = mix_word(self.0, x);
     }
 }
 
@@ -354,6 +354,15 @@ mod tests {
             words.find_or_insert(&mut t, &r, &[0, 2, 1]),
             Some((1, false))
         );
+    }
+
+    /// `Customer#000000001` and its neighbours differ in the high bytes of
+    /// one word and the low bytes of the next: all 1 500 must hash apart.
+    #[test]
+    fn strings_that_differ_in_two_words_hash_apart() {
+        let key = |k| key_hash(&[Value::str(format!("Customer#{k:09}"))], &[0]);
+        let hashes: std::collections::HashSet<u64> = (0..1500).map(key).collect();
+        assert_eq!(hashes.len(), 1500);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use crate::op::{literal_kinds, ConjId, GroupExpr, GroupExprId, GroupId, Op};
 use crate::signature::{compute_signature, TableSignature};
 use cse_algebra::{
-    AggExpr, BlockId, ColRef, GroupSpec, LogicalPlan, PlanContext, RelId, RelSet, Scalar,
-    SpjNormal, SpjgNormal,
+    AggExpr, BlockId, ColRef, GroupSpec, LogicalPlan, PlanContext, RelSet, Scalar, SpjNormal,
+    SpjgNormal,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -23,7 +23,7 @@ pub struct LogicalProps {
     /// Globally-identified columns the group exposes.
     pub output_cols: Vec<ColRef>,
     /// What a Get, Filter or Join group computes; `None` for other groups.
-    key: Option<LogicalKey>,
+    pub key: Option<LogicalKey>,
 }
 
 /// What a Get, Filter or Join group computes, whatever its join order: the
@@ -36,12 +36,12 @@ pub struct LogicalProps {
 /// reuses one `out` for covering subexpressions that differ in their
 /// covering predicate.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-struct LogicalKey {
-    rels: RelSet,
+pub struct LogicalKey {
+    pub rels: RelSet,
     /// Sorted.
-    inputs: Vec<GroupId>,
+    pub inputs: Vec<GroupId>,
     /// Sorted, each once; TRUE is no conjunct.
-    conjuncts: Vec<ConjId>,
+    pub conjuncts: Vec<ConjId>,
 }
 
 /// One interned conjunct and what is derived from it once.
@@ -460,6 +460,11 @@ impl Memo {
         &self.conjs[id.0 as usize]
     }
 
+    /// Every interned conjunct, by id.
+    pub fn conjs(&self) -> &[Conj] {
+        &self.conjs
+    }
+
     /// The predicate `pred` holds, rebuilt: the normal form it was interned
     /// from.
     pub fn pred(&self, pred: &[ConjId]) -> Scalar {
@@ -488,8 +493,8 @@ impl Memo {
 
     /// The SPJG normal form of a group's originally inserted tree,
     /// `SpjgNormal::from_plan(&self.extract_first_tree(g))`, read off the
-    /// first expressions without building the tree. Interned conjuncts are
-    /// normalized already.
+    /// SPJ part's logical key without building the tree: `None` unless that
+    /// part reads no whole input. Interned conjuncts are normalized already.
     pub fn first_normal(&self, g: GroupId) -> Option<SpjgNormal> {
         let e = self.gexpr(self.group(g).exprs[0]);
         let (spj, group) = match &e.op {
@@ -507,9 +512,11 @@ impl Memo {
             }
             _ => (g, None),
         };
-        let (mut rels, mut conjuncts) = (Vec::new(), Vec::new());
-        self.first_spj(spj, &mut rels, &mut conjuncts)?;
-        rels.sort();
+        let key = self.group(spj).props.key.as_ref();
+        let key = key.filter(|k| k.inputs.is_empty())?;
+        let rels = key.rels.iter().collect();
+        let conj = key.conjuncts.iter().map(|&c| self.conj(c).scalar.clone());
+        let mut conjuncts: Vec<Scalar> = conj.collect();
         conjuncts.sort();
         conjuncts.dedup();
         let normal = SpjgNormal {
@@ -521,23 +528,6 @@ impl Memo {
             SpjgNormal::from_plan(&self.extract_first_tree(g)).as_ref()
         );
         Some(normal)
-    }
-
-    /// The rels and conjuncts of `g`'s first tree, predicates before
-    /// inputs; `None` unless it is Get/Filter/Join throughout.
-    fn first_spj(&self, g: GroupId, rels: &mut Vec<RelId>, conj: &mut Vec<Scalar>) -> Option<()> {
-        let e = self.gexpr(self.group(g).exprs[0]);
-        match &e.op {
-            Op::Get { rel } => rels.push(*rel),
-            Op::Filter { pred } | Op::Join { pred } => {
-                conj.extend(self.conjuncts(pred).map(|(_, c)| c.scalar.clone()));
-                for &c in &e.children {
-                    self.first_spj(c, rels, conj)?;
-                }
-            }
-            _ => return None,
-        }
-        Some(())
     }
 
     /// Extract the originally-inserted operator tree of a group (first

@@ -167,7 +167,6 @@ fn ids(mask: CseMask) -> impl Iterator<Item = CseId> {
 pub struct History {
     /// Expressions of the memo they were derived on.
     gexprs: usize,
-    rows: HashMap<GroupId, f64>,
     join_shape: HashMap<GroupExprId, JoinShape>,
     index_scan: HashMap<GroupExprId, Option<PlanChoice>>,
     /// Winners under the empty mask.
@@ -206,8 +205,8 @@ impl<'a> Optimizer<'a> {
     }
 
     /// An optimizer over `memo` that starts from what another one derived
-    /// on the memo `memo` grew from by appending (§5.4): its row estimates,
-    /// join shapes and index scans, and its winners under the empty mask,
+    /// on the memo `memo` grew from by appending (§5.4): its join shapes
+    /// and index scans, and its winners under the empty mask,
     /// except those of a group that gained an expression since, or lies
     /// above one that did.
     pub fn resume(
@@ -232,7 +231,7 @@ impl<'a> Optimizer<'a> {
         Optimizer {
             memo,
             stats,
-            rows: GroupRows::resume(memo, stats, history.rows),
+            rows: GroupRows::new(memo, stats),
             model,
             indexes,
             candidates: BTreeMap::new(),
@@ -254,7 +253,6 @@ impl<'a> Optimizer<'a> {
         winners.retain(|&(_, mask), _| mask == 0);
         History {
             gexprs: self.memo.num_gexprs(),
-            rows: self.rows.into_cache(),
             join_shape: self.join_shape,
             index_scan: self.index_scan,
             winners,
