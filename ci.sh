@@ -24,6 +24,11 @@ echo "==> size"
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc links are checked too: a link to a renamed or deleted item, or a
+# public doc that links a private one, fails here instead of rotting.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

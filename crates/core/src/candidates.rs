@@ -14,30 +14,24 @@ use crate::config::{CostBounds, PhaseCtx};
 use crate::construct::{ConstructedCse, Construction, CseShape};
 use crate::manager::CseManager;
 use cse_algebra::classes_to_conjuncts;
-use cse_cost::{join_rows, Cardinality, StatsCatalog};
+use cse_cost::{join_rows, rel_rows, Cardinality, MODEL};
 use cse_govern::BudgetTrip;
 use cse_memo::{GroupId, Memo, TableSignature};
+use cse_storage::Catalog;
 
 /// A constructed candidate plus its cost ingredients.
 #[derive(Debug, Clone)]
 pub struct CostedCandidate {
     pub cse: ConstructedCse,
     pub signature: TableSignature,
-    pub est_rows: f64,
-    pub est_width: f64,
-    /// C_W / C_R of the work table.
-    pub cw: f64,
-    pub cr: f64,
-    /// Lower bound on the evaluation cost C_E (highest of the members'
-    /// lower cost bounds, per §4.3.3).
-    pub ce_lower: f64,
+    pub cost: ShapeCost,
 }
 
 /// Estimate a CSE's work-table cardinality and width from its shape, with
 /// the conjuncts its definition's group in the memo has.
-pub(crate) fn estimate_cse(memo: &Memo, stats: &StatsCatalog, shape: &CseShape) -> (f64, f64) {
-    let card = Cardinality::new(&memo.ctx, stats);
-    let rel_rows = shape.rels.iter().map(|r| stats.rel_rows(&memo.ctx, *r));
+pub(crate) fn estimate_cse(memo: &Memo, catalog: &Catalog, shape: &CseShape) -> (f64, f64) {
+    let card = Cardinality::new(&memo.ctx, catalog);
+    let rel_rows = shape.rels.iter().map(|r| rel_rows(catalog, &memo.ctx, *r));
     let base = rel_rows.product();
     let mut conjuncts = classes_to_conjuncts(&shape.join_classes);
     conjuncts.extend(shape.covering.conjuncts());
@@ -49,14 +43,19 @@ pub(crate) fn estimate_cse(memo: &Memo, stats: &StatsCatalog, shape: &CseShape) 
     (rows, card.width_of(&shape.output))
 }
 
-/// The cost ingredients of a shape over its members.
+/// The cost ingredients of a shape over its members, computed once: what
+/// the heuristics read, and the C_W and C_R the optimizer charges.
 #[derive(Debug, Clone, Copy)]
-struct ShapeCost {
-    est_rows: f64,
-    est_width: f64,
-    cw: f64,
-    cr: f64,
-    ce_lower: f64,
+pub struct ShapeCost {
+    /// Estimated work-table rows and row width (bytes).
+    pub est_rows: f64,
+    pub est_width: f64,
+    /// C_W / C_R of the work table.
+    pub cw: f64,
+    pub cr: f64,
+    /// Lower bound on the evaluation cost C_E (highest of the members'
+    /// lower cost bounds, per §4.3.3).
+    pub ce_lower: f64,
 }
 
 impl ShapeCost {
@@ -66,31 +65,28 @@ impl ShapeCost {
         shape: &CseShape,
         members: impl IntoIterator<Item = &'m PreparedConsumer>,
     ) -> Self {
-        let (est_rows, est_width) = estimate_cse(memo, ctx.stats, shape);
-        let model = &ctx.cfg.cost_model;
+        let (est_rows, est_width) = estimate_cse(memo, ctx.catalog, shape);
         let bounds = members.into_iter().map(|m| ctx.bounds.lower(m.group));
         ShapeCost {
             est_rows,
             est_width,
-            cw: model.spool_write(est_rows, est_width),
-            cr: model.spool_read(est_rows, est_width),
+            cw: MODEL.spool_write(est_rows, est_width),
+            cr: MODEL.spool_read(est_rows, est_width),
             ce_lower: bounds.fold(0.0, f64::max),
         }
     }
 
+    /// Shared-usage cost over `consumers` consumers: C_E + C_W + N · C_R
+    /// (§4.3.3).
     fn shared(&self, consumers: usize) -> f64 {
-        shared(self.ce_lower, self.cw, self.cr, consumers)
+        self.ce_lower + self.cw + consumers as f64 * self.cr
     }
 
     fn candidate(self, cse: ConstructedCse, signature: TableSignature) -> CostedCandidate {
         CostedCandidate {
             cse,
             signature,
-            est_rows: self.est_rows,
-            est_width: self.est_width,
-            cw: self.cw,
-            cr: self.cr,
-            ce_lower: self.ce_lower,
+            cost: self,
         }
     }
 }
@@ -107,11 +103,7 @@ pub fn cost_candidate(
 
 /// Shared-usage cost of a candidate: C_E + C_W + N · C_R (§4.3.3).
 pub fn shared_cost(c: &CostedCandidate) -> f64 {
-    shared(c.ce_lower, c.cw, c.cr, c.cse.members.len())
-}
-
-fn shared(ce_lower: f64, cw: f64, cr: f64, consumers: usize) -> f64 {
-    ce_lower + cw + consumers as f64 * cr
+    c.cost.shared(c.cse.members.len())
 }
 
 /// H1 threshold α (paper: 10%): consumers must sum to at least `α · C_Q`.
@@ -408,7 +400,7 @@ fn generate_for_set<'s>(
                 continue;
             }
         }
-        let build = Construction::new(&g.members, ctx.required);
+        let build = Construction::new(&g.members, &g.intersected_classes, ctx.required);
         let set = if heuristics {
             h2_filter_consumers(memo, ctx, &build, trials)
         } else {

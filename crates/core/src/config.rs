@@ -5,11 +5,11 @@
 
 use crate::manager::CseManager;
 use crate::required::RequiredCols;
-use cse_cost::{CostModel, StatsCatalog};
 use cse_diag::Report as VerifyReport;
 use cse_govern::{Budget, BudgetClock, CancelToken, DegradationEvent, FailpointRegistry, Rung};
 use cse_memo::{ExploreConfig, GroupId, TableSignature};
-use cse_optimizer::{CseId, IndexInfo};
+use cse_optimizer::CseId;
+use cse_storage::Catalog;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -23,7 +23,6 @@ pub struct CseConfig {
     /// the 8-table batch).
     pub heuristics: bool,
     pub explore: ExploreConfig,
-    pub cost_model: CostModel,
     /// Detect CSEs over candidate definitions too (§5.5).
     pub stacked: bool,
     /// Run the `cse-verify` invariant passes during optimization and fail
@@ -56,7 +55,6 @@ impl Default for CseConfig {
         CseConfig {
             heuristics: true,
             explore: ExploreConfig::default(),
-            cost_model: CostModel::default(),
             stacked: true,
             verify: cfg!(debug_assertions),
             budget: Budget::unlimited(),
@@ -94,7 +92,6 @@ pub struct CandidateSummary {
     pub grouped: bool,
     pub consumers: usize,
     pub est_rows: f64,
-    pub est_width: f64,
 }
 
 /// What happened during optimization — the numbers the paper's tables
@@ -169,14 +166,13 @@ impl CostBounds {
 }
 
 /// What the CSE phase reads and never changes: the request's
-/// configuration, the catalog's statistics and indexes, the request's
+/// configuration, the catalog it plans against, the request's
 /// started budget clock, and the facts normal optimization left behind on
 /// the explored memo — per-group cost bounds, required columns, the CSE
 /// manager and its sharable sets — derived once per request.
 pub struct PhaseCtx<'a> {
     pub cfg: &'a CseConfig,
-    pub stats: &'a StatsCatalog,
-    pub indexes: &'a IndexInfo,
+    pub catalog: &'a Catalog,
     pub clock: &'a BudgetClock,
     pub bounds: &'a CostBounds,
     pub required: &'a RequiredCols,

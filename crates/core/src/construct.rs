@@ -80,7 +80,9 @@ pub fn construct(
     required: &RequiredCols,
 ) -> Option<ConstructedCse> {
     let all: Vec<usize> = (0..members.len()).collect();
-    let shape = Construction::new(&members, required).shape(memo, &all)?;
+    let classes: Vec<_> = members.iter().map(|m| m.classes.clone()).collect();
+    let classes = intersect_all(&classes);
+    let shape = Construction::new(&members, &classes, required).shape(memo, &all)?;
     shape.complete(members)
 }
 
@@ -90,7 +92,7 @@ pub fn construct(
 pub struct Construction<'a> {
     members: &'a [PreparedConsumer],
     /// The group's intersected classes.
-    classes: Vec<BTreeSet<ColRef>>,
+    classes: &'a [BTreeSet<ColRef>],
     /// Per member: are its own classes the group's? Intersecting the
     /// group's disjoint classes with themselves gives them back, so a set
     /// of such members has the group's classes.
@@ -100,11 +102,16 @@ pub struct Construction<'a> {
 }
 
 impl<'a> Construction<'a> {
-    pub fn new(members: &'a [PreparedConsumer], required: &RequiredCols) -> Self {
-        let classes: Vec<_> = members.iter().map(|m| m.classes.clone()).collect();
-        let classes = intersect_all(&classes);
+    /// The construction over `members` of a compatible group, `classes`
+    /// being their intersected classes in member order
+    /// ([`CompatibleGroup::intersected_classes`](crate::CompatibleGroup::intersected_classes)).
+    pub fn new(
+        members: &'a [PreparedConsumer],
+        classes: &'a [BTreeSet<ColRef>],
+        required: &RequiredCols,
+    ) -> Self {
         let has_group_classes = members.iter().map(|m| m.classes == classes).collect();
-        let branches = members.iter().map(|m| Branch::of(m, &classes)).collect();
+        let branches = members.iter().map(|m| Branch::of(m, classes)).collect();
         let needs = members
             .iter()
             .map(|m| {
@@ -140,7 +147,7 @@ impl<'a> Construction<'a> {
 
         // Step 1: intersected equivalence classes, the covering join.
         let inter = if set.iter().all(|&i| self.has_group_classes[i]) {
-            self.classes.clone()
+            self.classes.to_vec()
         } else {
             rest.iter().fold(first.classes.clone(), |inter, m| {
                 intersect_classes(&inter, &m.classes)

@@ -24,7 +24,8 @@ pub struct EnumOutcome {
     pub visited: Vec<CseMask>,
 }
 
-/// Choose the best plan over subsets of candidates.
+/// Choose the best plan over subsets of the candidates registered with
+/// `opt`.
 ///
 /// Candidates are first split into *clusters*: connected components of the
 /// competing relation. Independent clusters cannot influence each other
@@ -42,9 +43,11 @@ pub(crate) fn choose_best(
     opt: &mut Optimizer<'_>,
     mgr: &CseManager,
     root: GroupId,
-    candidates: &[(CseId, Option<GroupId>)],
     clock: &BudgetClock,
 ) -> Result<EnumOutcome, BudgetTrip> {
+    // The registered candidates with their LCAs, by id.
+    let candidates: Vec<(CseId, Option<GroupId>)> =
+        opt.candidates().map(|c| (c.id, c.lca)).collect();
     let mut optimizations = 0u32;
     let mut visited = Vec::new();
     if candidates.is_empty() {
@@ -158,7 +161,7 @@ pub(crate) fn choose_best(
                 // Proposition 5.5: with T the members of `s` independent of
                 // every other enabled member, any proper submask of T (and
                 // nothing from R = s \ T) needs no further optimization.
-                let t = independent_part(members, s, candidates, &comp);
+                let t = independent_part(members, s, &candidates, &comp);
                 let mut sub = t;
                 while sub != 0 {
                     sub = (sub - 1) & t;

@@ -8,7 +8,8 @@
 //!   stage reads;
 //! - [`manager`]: table-signature hash table, sharable-set detection, and
 //!   the memo's ancestor relation with least-common-ancestor lookup;
-//! - [`align`] / [`compat`]: consumer alignment and join compatibility;
+//! - [`cse_algebra::align`] / [`compat`]: consumer alignment and join
+//!   compatibility;
 //! - [`mod@construct`]: the six-step covering-subexpression builder;
 //! - [`candidates`]: Algorithm 1 with heuristics H1–H4;
 //! - [`view_match`]: substitute (compensation) construction;

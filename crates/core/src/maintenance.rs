@@ -125,7 +125,7 @@ fn join_indexes(
             rel.name.to_ascii_lowercase(),
             entry.table.schema().column(at).name.clone(),
         );
-        if !entry.hash_indexes.iter().any(|i| i.column == at) && !wanted.contains(&key) {
+        if !entry.indexed(at).0 && !wanted.contains(&key) {
             wanted.push(key);
         }
     }
@@ -155,8 +155,8 @@ const ROW_BAND: usize = 4;
 pub type MaintenancePlans = HashMap<String, MaintenancePlan>;
 
 /// The maintenance batch of one base table, planned over its delta table,
-/// and what the plan depends on. An insert runs it while it
-/// [`fits`](MaintenancePlan::fits) the catalog, and plans afresh otherwise.
+/// and what the plan depends on. An insert runs it while it fits the
+/// catalog, and plans afresh otherwise.
 pub struct MaintenancePlan {
     /// Every view of the catalog the batch was generated from, by name.
     catalog_views: Vec<MaterializedView>,
@@ -237,9 +237,7 @@ impl MaintenancePlan {
                 tree.visit(&mut |op| {
                     if let PhysicalPlan::IndexNlJoin { rel, key, .. } = op {
                         let entry = work.get(&batch.ctx.rel(*rel).name);
-                        let column = key.1.col as usize;
-                        indexed &=
-                            entry.is_ok_and(|e| e.hash_indexes.iter().any(|i| i.column == column));
+                        indexed &= entry.is_ok_and(|e| e.indexed(key.1.col as usize).0);
                     }
                 });
             }

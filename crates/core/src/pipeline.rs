@@ -30,11 +30,10 @@ use crate::manager::CseManager;
 use crate::required::{compute_required, RequiredCols};
 use crate::view_match::build_substitutes;
 use cse_algebra::{classes_to_conjuncts, ColRef, LogicalPlan, PlanContext, RelSet};
-use cse_cost::StatsCatalog;
 use cse_diag::Report as VerifyReport;
 use cse_govern::{panic_message, sites, BudgetTrip, DegradationEvent, Reason, Rung};
 use cse_memo::{explore, explore_from, GroupId, Memo};
-use cse_optimizer::{CseCandidate, CseId, FullPlan, History, IndexInfo, Optimizer, Substitute};
+use cse_optimizer::{CseCandidate, CseId, FullPlan, History, Optimizer, Substitute};
 use cse_storage::Catalog;
 use cse_verify::{CandidateAudit, CostAudit, MemberAudit};
 use std::collections::BTreeSet;
@@ -99,13 +98,10 @@ pub fn optimize_plan(
         vreport.merge(cse_verify::verify_memo(&memo, &[root]));
     }
 
-    let stats = StatsCatalog::from_catalog(catalog);
-    let indexes = IndexInfo::from_catalog(catalog);
-
     // Normal optimization phases: the baseline plan, and memoized mask-0
     // winners the CSE phase reads its cost bounds from.
     let t_baseline = Instant::now();
-    let mut normal = Optimizer::new(&memo, &stats, &cfg.cost_model, &indexes);
+    let mut normal = Optimizer::new(&memo, catalog);
     let baseline = normal.optimize_full(root, 0);
     let baseline_time = t_start.elapsed();
     stages.push(("baseline", t_baseline.elapsed()));
@@ -181,8 +177,8 @@ pub fn optimize_plan(
     //
     // Unwind-safety audit (re-asserted when `CancelToken` landed): the
     // closure consumes the memo, the normal phase's history and a copy of
-    // the findings (all dropped on unwind), borrows read-only state
-    // (`stats`, `indexes` and the facts above), and touches
+    // the findings (all dropped on unwind), borrows read-only state (the
+    // catalog and the facts above), and touches
     // write-once-atomic state (the token's cancel flag; the failpoint
     // registry's mutex recovers poisoning via `into_inner`). No
     // partially-mutated structure outlives a panicking phase (the guarded
@@ -198,8 +194,7 @@ pub fn optimize_plan(
             let clock = cfg.budget.start_with(&cfg.cancel);
             let phase = PhaseCtx {
                 cfg,
-                stats: &stats,
-                indexes: &indexes,
+                catalog,
                 clock: &clock,
                 bounds,
                 required,
@@ -279,11 +274,10 @@ fn cse_phase(
         return Ok((None, found));
     };
     // Step 3: resume optimization with candidates enabled.
-    let (stats, model) = (ctx.stats, &ctx.cfg.cost_model);
-    let mut opt = Optimizer::resume(&memo, stats, model, ctx.indexes, history);
+    let mut opt = Optimizer::resume(&memo, ctx.catalog, history);
     opt.register_candidates(step3.candidates, step3.substitutes);
     let t = Instant::now();
-    let outcome = choose_best(&mut opt, &step3.mgr, root, &step3.lcas, ctx.clock)?;
+    let outcome = choose_best(&mut opt, &step3.mgr, root, ctx.clock)?;
     found.report.stages.push(("enumeration", t.elapsed()));
     found.report.cse_optimizations = outcome.optimizations;
     found.report.group_optimizations += opt.group_optimizations;
@@ -295,13 +289,12 @@ fn cse_phase(
     Ok((Some(outcome.plan), found))
 }
 
-/// What Step 3 optimizes with over the grown memo: its manager, the
-/// candidates with their substitutes, and each candidate's LCA.
+/// What Step 3 optimizes with over the grown memo: its manager and the
+/// candidates with their substitutes.
 struct Step3 {
     mgr: CseManager,
     candidates: Vec<CseCandidate>,
     substitutes: Vec<Substitute>,
-    lcas: Vec<(CseId, Option<GroupId>)>,
 }
 
 /// Step 2 of the CSE phase: generate candidates, insert their definitions
@@ -330,7 +323,7 @@ fn register(
     // exploration may legitimately find cheaper plans, which would make a
     // fresh winner undercut a bound that was correct when recorded).
     if cfg.verify {
-        let mut opt = Optimizer::new(memo, ctx.stats, &cfg.cost_model, ctx.indexes);
+        let mut opt = Optimizer::new(memo, ctx.catalog);
         let bounds: Vec<(GroupId, f64)> = ctx.bounds.iter().collect();
         found.cost_audit = Some(CostAudit {
             winners: bounds
@@ -403,7 +396,7 @@ fn register(
             .members
             .len()
             .cmp(&a.cse.members.len())
-            .then(a.est_rows.total_cmp(&b.est_rows))
+            .then(a.cost.est_rows.total_cmp(&b.cost.est_rows))
     });
     registered.truncate(CANDIDATE_KEEP);
 
@@ -421,7 +414,6 @@ fn register(
 
     let mut cse_candidates: Vec<CseCandidate> = Vec::new();
     let mut substitutes: Vec<Substitute> = Vec::new();
-    let mut lca_list: Vec<(CseId, Option<GroupId>)> = Vec::new();
     let mut audits: Vec<CandidateAudit> = Vec::new();
     let t = Instant::now();
     for (i, (c, def_root)) in registered.iter().enumerate() {
@@ -445,17 +437,15 @@ fn register(
             tables: c.signature.tables.clone(),
             grouped: c.signature.grouped,
             consumers: consumers.len(),
-            est_rows: c.est_rows,
-            est_width: c.est_width,
+            est_rows: c.cost.est_rows,
         });
-        lca_list.push((id, lca));
         cse_candidates.push(CseCandidate {
             id,
             def_root: *def_root,
-            def_plan: c.cse.plan.clone(),
             output: c.cse.shape.output.clone(),
-            est_rows: c.est_rows,
-            est_width: c.est_width,
+            est_rows: c.cost.est_rows,
+            cw: c.cost.cw,
+            cr: c.cost.cr,
             consumers,
             lca,
         });
@@ -475,7 +465,6 @@ fn register(
         mgr,
         candidates: cse_candidates,
         substitutes,
-        lcas: lca_list,
     }))
 }
 
@@ -567,11 +556,11 @@ fn candidate_audit(
         join_conjuncts: classes_to_conjuncts(&c.cse.shape.join_classes),
         keys,
         aggs,
-        est_rows: c.est_rows,
-        est_width: c.est_width,
-        cw: c.cw,
-        cr: c.cr,
-        ce_lower: c.ce_lower,
+        est_rows: c.cost.est_rows,
+        est_width: c.cost.est_width,
+        cw: c.cost.cw,
+        cr: c.cost.cr,
+        ce_lower: c.cost.ce_lower,
         members,
     }
 }
@@ -582,28 +571,22 @@ mod tests {
     use cse_bench::workloads;
     use cse_tpch::{generate_catalog, TpchConfig};
 
-    /// The TPC-H catalog at SF 0.01, its statistics and indexes.
-    fn tpch() -> (Catalog, StatsCatalog, IndexInfo) {
-        let catalog = generate_catalog(&TpchConfig::new(0.01));
-        let stats = StatsCatalog::from_catalog(&catalog);
-        let indexes = IndexInfo::from_catalog(&catalog);
-        (catalog, stats, indexes)
+    /// The TPC-H catalog at SF 0.01.
+    fn tpch() -> Catalog {
+        generate_catalog(&TpchConfig::new(0.01))
     }
 
     /// Steps 1 and 2 over `sql` as [`optimize_plan`] runs them under the
     /// default configuration: the grown memo, its root, the normal phase's
     /// history and what Step 3 resumes with (`None` without candidates).
-    fn registered(
-        (catalog, stats, indexes): &(Catalog, StatsCatalog, IndexInfo),
-        sql: &str,
-    ) -> (Memo, GroupId, History, Option<Step3>) {
+    fn registered(catalog: &Catalog, sql: &str) -> (Memo, GroupId, History, Option<Step3>) {
         let cfg = CseConfig::default();
         let (ctx, plan) = cse_sql::lower_batch_sql(catalog, sql).unwrap();
         let mut memo = Memo::new(ctx);
         let root = memo.insert_plan(&plan);
         memo.set_root(root);
         explore(&mut memo, &cfg.explore);
-        let mut normal = Optimizer::new(&memo, stats, &cfg.cost_model, indexes);
+        let mut normal = Optimizer::new(&memo, catalog);
         let groups = memo
             .groups()
             .map(|g| (g.id, normal.optimize_group(g.id, 0).cost));
@@ -615,8 +598,7 @@ mod tests {
         let clock = cfg.budget.start_with(&cfg.cancel);
         let phase = PhaseCtx {
             cfg: &cfg,
-            stats,
-            indexes,
+            catalog,
             clock: &clock,
             bounds: &bounds,
             required: &required,
@@ -636,7 +618,6 @@ mod tests {
     #[test]
     fn cost_pass_equals_optimize_full() {
         let tpch = tpch();
-        let (_, stats, indexes) = &tpch;
         let cfg = CseConfig::default();
         let batches = [
             workloads::table1_batch(),
@@ -648,12 +629,11 @@ mod tests {
             let (memo, root, history, step3) = registered(&tpch, &sql);
             let step3 = step3.expect("the batch has candidates");
             let clock = cfg.budget.start_with(&cfg.cancel);
-            let model = &cfg.cost_model;
-            let mut fresh = Optimizer::new(&memo, stats, model, indexes);
+            let mut fresh = Optimizer::new(&memo, &tpch);
             fresh.register_candidates(step3.candidates.clone(), step3.substitutes.clone());
-            let mut opt = Optimizer::resume(&memo, stats, model, indexes, history);
+            let mut opt = Optimizer::resume(&memo, &tpch, history);
             opt.register_candidates(step3.candidates, step3.substitutes);
-            let outcome = choose_best(&mut opt, &step3.mgr, root, &step3.lcas, &clock).unwrap();
+            let outcome = choose_best(&mut opt, &step3.mgr, root, &clock).unwrap();
             assert!(outcome.visited.len() >= 2, "{sql}");
             for &mask in &outcome.visited {
                 let costed = opt.cost_full(root, mask);
@@ -676,7 +656,6 @@ mod tests {
     #[test]
     fn candidate_rows_equal_definition_group_rows() {
         let tpch = tpch();
-        let model = CseConfig::default().cost_model;
         let mut batches = vec![
             workloads::table1_batch(),
             workloads::table2_batch(),
@@ -687,7 +666,7 @@ mod tests {
         let mut checked = 0;
         for sql in batches {
             let (memo, _, _, step3) = registered(&tpch, &sql);
-            let mut opt = Optimizer::new(&memo, &tpch.1, &model, &tpch.2);
+            let mut opt = Optimizer::new(&memo, &tpch);
             for c in step3.map(|s| s.candidates).unwrap_or_default() {
                 let rows = opt.group_rows(c.def_root);
                 let err = (c.est_rows - rows).abs() / rows;

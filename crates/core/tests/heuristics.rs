@@ -7,7 +7,7 @@
 #[path = "../../../tests/batchgen/mod.rs"]
 mod batchgen;
 
-use cse_algebra::{intersect_all, CmpOp, LogicalPlan, PlanContext, Scalar};
+use cse_algebra::{CmpOp, LogicalPlan, PlanContext, Scalar};
 use cse_bench::workloads;
 use cse_core::candidates::{
     cost_candidate, create_candidates, h1_worthwhile, h2_filter_consumers, h4_prune_contained,
@@ -17,10 +17,9 @@ use cse_core::{
     compute_required, construct, optimize_sql, partition_compatible, prepare_consumers,
     Construction, CostBounds, CseConfig, CseManager, PhaseCtx, PreparedConsumer, RequiredCols,
 };
-use cse_cost::StatsCatalog;
 use cse_govern::BudgetClock;
 use cse_memo::{explore, ExploreConfig, GroupId, Memo, TableSignature};
-use cse_optimizer::{IndexInfo, Optimizer};
+use cse_optimizer::Optimizer;
 use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
 use cse_tpch::{generate_catalog, TpchConfig};
 use std::collections::HashMap;
@@ -89,12 +88,11 @@ fn memo_joins_on(catalog: &Catalog, joins: &[(i64, bool)]) -> (Memo, Vec<GroupId
     (memo, sets.into_iter().next().unwrap().1)
 }
 
-/// Owner of what a [`PhaseCtx`] borrows: default configuration, no
-/// indexes, an unlimited clock, and the bounds a test dictates.
+/// Owner of what a [`PhaseCtx`] borrows: default configuration, the
+/// catalog, an unlimited clock, and the bounds a test dictates.
 struct Phase {
     cfg: CseConfig,
-    stats: StatsCatalog,
-    indexes: IndexInfo,
+    catalog: Catalog,
     clock: BudgetClock,
     bounds: CostBounds,
     required: RequiredCols,
@@ -107,8 +105,7 @@ impl Phase {
         let manager = CseManager::build(memo);
         Phase {
             cfg: CseConfig::default(),
-            stats: StatsCatalog::from_catalog(cat),
-            indexes: IndexInfo::default(),
+            catalog: cat.clone(),
             clock: BudgetClock::unlimited(),
             bounds,
             required: compute_required(memo, &[memo.root()]),
@@ -120,8 +117,7 @@ impl Phase {
     fn ctx(&self) -> PhaseCtx<'_> {
         PhaseCtx {
             cfg: &self.cfg,
-            stats: &self.stats,
-            indexes: &self.indexes,
+            catalog: &self.catalog,
             clock: &self.clock,
             bounds: &self.bounds,
             required: &self.required,
@@ -166,6 +162,8 @@ fn shared_cost_includes_all_three_components() {
         .clone();
     let cse = construct(&mut memo, prepared, &phase.required).unwrap();
     let costed = cost_candidate(&memo, &phase.ctx(), sig, cse);
+    let sc = shared_cost(&costed);
+    let costed = costed.cost;
     // ce_lower = max of member bounds = 150.
     assert_eq!(costed.ce_lower, 150.0);
     assert!(costed.cw > 0.0);
@@ -174,7 +172,6 @@ fn shared_cost_includes_all_three_components() {
         costed.cr < costed.cw,
         "reading must be cheaper than writing"
     );
-    let sc = shared_cost(&costed);
     assert!(
         (sc - (costed.ce_lower + costed.cw + 2.0 * costed.cr)).abs() < 1e-9,
         "shared cost formula"
@@ -197,7 +194,7 @@ fn h4_discards_contained_candidate_with_larger_result() {
     let extent = || Extent {
         signature: &sig,
         consumers: &consumers,
-        bytes: c.est_rows * c.est_width,
+        bytes: c.cost.est_rows * c.cost.est_width,
     };
     let (a, b) = (extent(), extent());
     let kept = h4_prune_contained(mgr, &[a, b], 0.90);
@@ -239,8 +236,10 @@ fn assert_rebuilt(memo: &mut Memo, ctx: &PhaseCtx, got: &CostedCandidate, what: 
     assert_eq!(a.simplified, b.simplified, "{what}: simplified");
     assert_eq!(a.join_classes, b.join_classes, "{what}: join classes");
     assert_eq!(a, b, "{what}: shape");
-    let costs =
-        |c: &CostedCandidate| [c.est_rows, c.est_width, c.cw, c.cr, c.ce_lower].map(f64::to_bits);
+    let costs = |c: &CostedCandidate| {
+        let c = c.cost;
+        [c.est_rows, c.est_width, c.cw, c.cr, c.ce_lower].map(f64::to_bits)
+    };
     assert_eq!(
         costs(got),
         costs(&fresh),
@@ -261,7 +260,8 @@ fn algorithm1_candidate_is_its_member_set_constructed_and_costed() {
     let prepared = prepare_consumers(&memo, &consumers);
     let groups = partition_compatible(prepared);
     assert_eq!(groups.len(), 1, "the three joins are join-compatible");
-    let build = Construction::new(&groups[0].members, &phase.required);
+    let group = &groups[0];
+    let build = Construction::new(&group.members, &group.intersected_classes, &phase.required);
     let mut trials = 0;
     let ctx = phase.ctx();
     let out = create_candidates(&mut memo, &ctx, &build, vec![0, 1, 2], &mut trials);
@@ -272,7 +272,7 @@ fn algorithm1_candidate_is_its_member_set_constructed_and_costed() {
     assert_eq!(trials, 3);
     assert_rebuilt(&mut memo, &ctx, &out[0], "three joins");
     assert_eq!(shared_cost(&out[0]), {
-        let c = &out[0];
+        let c = &out[0].cost;
         c.ce_lower + c.cw + 3.0 * c.cr
     });
 }
@@ -298,13 +298,8 @@ fn a_trial_whose_classes_differ_from_its_group_recomputes_its_branches() {
     let bounds = (0..members.len()).map(|i| (members[i].group, bound(i)));
     let phase = Phase::new(&cat, &memo, CostBounds::new(bounds.collect()));
     let sig = memo.signature_of(consumers[0]).unwrap().clone();
-    let build = Construction::new(members, &phase.required);
-    let group_classes = intersect_all(
-        &members
-            .iter()
-            .map(|m| m.classes.clone())
-            .collect::<Vec<_>>(),
-    );
+    let group_classes = &groups[0].intersected_classes;
+    let build = Construction::new(members, group_classes, &phase.required);
     let set: Vec<usize> = extra.iter().chain(&plain).copied().collect();
     let (ctx, mut trials) = (phase.ctx(), 0);
     let out = create_candidates(&mut memo, &ctx, &build, set, &mut trials).unwrap();
@@ -315,7 +310,7 @@ fn a_trial_whose_classes_differ_from_its_group_recomputes_its_branches() {
     let kept: Vec<GroupId> = got.cse.members.iter().map(|m| m.group).collect();
     assert_eq!(kept, groups_of(&extra), "the plain join stays out");
     assert_eq!(got.cse.shape.join_classes.len(), 2);
-    assert_ne!(got.cse.shape.join_classes, group_classes);
+    assert_ne!(&got.cse.shape.join_classes, group_classes);
     assert_rebuilt(&mut memo, &ctx, got, "extra equality");
 }
 
@@ -329,10 +324,7 @@ fn check_generation(catalog: &Catalog, sql: &str, what: &str) -> usize {
     let root = memo.insert_plan(&plan);
     memo.set_root(root);
     explore(&mut memo, &ExploreConfig::default());
-    let cfg = CseConfig::default();
-    let stats = StatsCatalog::from_catalog(catalog);
-    let indexes = IndexInfo::from_catalog(catalog);
-    let mut normal = Optimizer::new(&memo, &stats, &cfg.cost_model, &indexes);
+    let mut normal = Optimizer::new(&memo, catalog);
     let costs = memo
         .groups()
         .map(|g| (g.id, normal.optimize_group(g.id, 0).cost));
@@ -349,7 +341,7 @@ fn check_generation(catalog: &Catalog, sql: &str, what: &str) -> usize {
             }
         }
         for g in partition_compatible(unique) {
-            let build = Construction::new(&g.members, ctx.required);
+            let build = Construction::new(&g.members, &g.intersected_classes, ctx.required);
             let mut trials = 0;
             let set = h2_filter_consumers(&mut memo, &ctx, &build, &mut trials);
             let out = create_candidates(&mut memo, &ctx, &build, set, &mut trials);

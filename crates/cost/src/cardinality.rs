@@ -1,8 +1,50 @@
 //! Cardinality estimation for SPJ blocks and aggregations.
 
 use crate::selectivity::Selectivity;
-use crate::stats_view::StatsCatalog;
-use cse_algebra::{ColRef, PlanContext, Scalar};
+use cse_algebra::{ColRef, PlanContext, RelId, RelKind, Scalar};
+use cse_storage::{Catalog, ColumnStats, TableStats};
+
+/// The statistics of a catalog table, if it has one.
+fn table_stats<'c>(catalog: &'c Catalog, name: &str) -> Option<&'c TableStats> {
+    catalog.get(name).ok().map(|e| &*e.stats)
+}
+
+/// Row count of a table instance; 1000 when the catalog does not know the
+/// table (so costs stay finite and comparisons remain meaningful).
+pub fn rel_rows(catalog: &Catalog, ctx: &PlanContext, rel: RelId) -> f64 {
+    let info = ctx.rel(rel);
+    match info.kind {
+        RelKind::Base => table_stats(catalog, &info.name)
+            .map(|s| s.row_count as f64)
+            .unwrap_or(1000.0)
+            .max(1.0),
+        RelKind::AggOutput => 1.0,
+    }
+}
+
+/// Column statistics for a catalog-table column, if known.
+pub(crate) fn col_stats<'c>(
+    catalog: &'c Catalog,
+    ctx: &PlanContext,
+    c: ColRef,
+) -> Option<&'c ColumnStats> {
+    let info = ctx.rel(c.rel);
+    match info.kind {
+        RelKind::Base => table_stats(catalog, &info.name)?
+            .columns
+            .get(c.col as usize),
+        RelKind::AggOutput => None,
+    }
+}
+
+/// Number of distinct values of a column; sqrt(rows) for a column without
+/// statistics.
+pub fn col_ndv(catalog: &Catalog, ctx: &PlanContext, c: ColRef) -> f64 {
+    match col_stats(catalog, ctx, c) {
+        Some(s) => (s.distinct as f64).max(1.0),
+        None => rel_rows(catalog, ctx, c.rel).sqrt().max(1.0),
+    }
+}
 
 /// What one conjunct contributes to [`join_rows`].
 #[derive(Debug, Clone, Copy)]
@@ -59,20 +101,20 @@ pub fn join_rows(base: f64, factors: impl IntoIterator<Item = Factor>) -> f64 {
 #[derive(Clone, Copy)]
 pub struct Cardinality<'a> {
     pub ctx: &'a PlanContext,
-    pub stats: &'a StatsCatalog,
+    pub catalog: &'a Catalog,
 }
 
 impl<'a> Cardinality<'a> {
-    pub fn new(ctx: &'a PlanContext, stats: &'a StatsCatalog) -> Self {
-        Cardinality { ctx, stats }
+    pub fn new(ctx: &'a PlanContext, catalog: &'a Catalog) -> Self {
+        Cardinality { ctx, catalog }
     }
 
     /// What `conjunct`, a conjunct of a normalized predicate, contributes to
     /// [`join_rows`].
     pub fn factor(&self, conjunct: &Scalar) -> Factor {
         match conjunct.as_col_eq_col() {
-            Some((a, b)) => Factor::Eq([a, b].map(|c| (c, self.stats.col_ndv(self.ctx, c)))),
-            None => Factor::Sel(Selectivity::new(self.ctx, self.stats).of(conjunct)),
+            Some((a, b)) => Factor::Eq([a, b].map(|c| (c, col_ndv(self.catalog, self.ctx, c)))),
+            None => Factor::Sel(Selectivity::new(self.ctx, self.catalog).of(conjunct)),
         }
     }
 
@@ -85,7 +127,7 @@ impl<'a> Cardinality<'a> {
         }
         let d: f64 = keys
             .iter()
-            .map(|k| self.stats.col_ndv(self.ctx, *k))
+            .map(|k| col_ndv(self.catalog, self.ctx, *k))
             .product::<f64>()
             .max(1.0);
         let n = input_rows.max(1.0);
@@ -105,11 +147,11 @@ impl<'a> Cardinality<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cse_algebra::RelId;
-    use cse_storage::{DataType, Value};
+    use cse_storage::{DataType, Schema, Value};
+    use std::sync::Arc;
 
     /// 1000 rows: an int key uniform over 0..99 and a float.
-    fn setup() -> (PlanContext, StatsCatalog, RelId) {
+    fn setup() -> (PlanContext, Catalog, RelId) {
         let rows = (0..1000).map(|i| [Value::Int(i % 100), Value::Float(i as f64)]);
         crate::one_table(&[("k", DataType::Int), ("v", DataType::Float)], rows)
     }
@@ -145,9 +187,21 @@ mod tests {
     }
 
     #[test]
+    fn rel_rows_and_ndv() {
+        let (mut ctx, cat, r) = setup();
+        assert_eq!(rel_rows(&cat, &ctx, r), 1000.0);
+        assert_eq!(col_ndv(&cat, &ctx, ColRef::new(r, 0)), 100.0);
+        // A table the catalog does not know: 1000 rows, sqrt of them distinct.
+        let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
+        let ghost = ctx.add_base_rel("ghost", "ghost", schema, ctx.rel(r).block);
+        assert_eq!(rel_rows(&cat, &ctx, ghost), 1000.0);
+        assert_eq!(col_ndv(&cat, &ctx, ColRef::new(ghost, 0)), 1000f64.sqrt());
+    }
+
+    #[test]
     fn group_rows_caps_at_input() {
-        let (ctx, stats, f) = setup();
-        let card = Cardinality::new(&ctx, &stats);
+        let (ctx, cat, f) = setup();
+        let card = Cardinality::new(&ctx, &cat);
         // 100 distinct keys over 1000 rows -> close to 100 groups.
         let g = card.group_rows(&[ColRef::new(f, 0)], 1000.0);
         assert!((90.0..=100.0).contains(&g), "{g}");
@@ -161,8 +215,8 @@ mod tests {
     #[test]
     fn width_sums_types() {
         let (ctx, _, f) = setup();
-        let stats = StatsCatalog::default();
-        let card = Cardinality::new(&ctx, &stats);
+        let cat = Catalog::new();
+        let card = Cardinality::new(&ctx, &cat);
         let w = card.width_of(&[ColRef::new(f, 0), ColRef::new(f, 1)]);
         assert_eq!(w, 16.0);
     }

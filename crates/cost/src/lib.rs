@@ -1,6 +1,6 @@
 //! # cse-cost
 //!
-//! Cost model and cardinality estimation: table statistics snapshots,
+//! Cost model and cardinality estimation over the catalog's statistics:
 //! predicate selectivity, SPJ/aggregate cardinality, and per-operator cost
 //! formulas (including the spool write/read costs C_W and C_R that drive
 //! the paper's heuristics).
@@ -10,19 +10,21 @@
 pub mod cardinality;
 pub mod model;
 pub mod selectivity;
-pub mod stats_view;
 
-pub use cardinality::{join_rows, Cardinality, Factor};
-pub use model::CostModel;
+pub use cardinality::{col_ndv, join_rows, rel_rows, Cardinality, Factor};
+pub use model::{CostModel, MODEL};
 pub use selectivity::{Selectivity, DEFAULT_EQ_SEL, DEFAULT_SEL};
-pub use stats_view::StatsCatalog;
 
-/// One table `t` with `schema` and `rows`, its statistics and its rel.
+/// One table `t` with `schema` and `rows` in a catalog, and its rel.
 #[cfg(test)]
 fn one_table<R: AsRef<[cse_storage::Value]>>(
     schema: &[(&str, cse_storage::DataType)],
     rows: impl IntoIterator<Item = R>,
-) -> (cse_algebra::PlanContext, StatsCatalog, cse_algebra::RelId) {
+) -> (
+    cse_algebra::PlanContext,
+    cse_storage::Catalog,
+    cse_algebra::RelId,
+) {
     let schema = cse_storage::Schema::from_pairs(schema);
     let mut cat = cse_storage::Catalog::new();
     let t = cse_storage::Table::with_rows("t", schema.clone(), rows);
@@ -30,5 +32,5 @@ fn one_table<R: AsRef<[cse_storage::Value]>>(
     let mut ctx = cse_algebra::PlanContext::new();
     let blk = ctx.new_block();
     let rel = ctx.add_base_rel("t", "t", std::sync::Arc::new(schema), blk);
-    (ctx, StatsCatalog::from_catalog(&cat), rel)
+    (ctx, cat, rel)
 }

@@ -5,61 +5,62 @@
 //! per byte, which is what makes Heuristic 2 (exclude consumers with huge
 //! results) meaningful: a cheap-to-compute but wide expression has a spool
 //! cost exceeding its computation cost.
+//!
+//! There is one model, [`MODEL`]: the optimizer and candidate generation
+//! both read it, so a plan's costs and the heuristics' C_W and C_R always
+//! come from the same constants.
 
-/// Tunable cost constants.
+/// Cost constants, per row or per byte.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Per-row CPU cost of producing a tuple from a scan.
-    pub scan_row: f64,
+    scan_row: f64,
     /// Per-byte IO-ish cost of a scan.
-    pub scan_byte: f64,
+    scan_byte: f64,
     /// Per-row cost of evaluating a filter predicate.
-    pub filter_row: f64,
+    filter_row: f64,
     /// Per-row cost of projection/expression evaluation.
-    pub project_row: f64,
+    project_row: f64,
     /// Per-row cost of building a hash table.
-    pub hash_build_row: f64,
+    hash_build_row: f64,
     /// Per-row cost of probing a hash table.
-    pub hash_probe_row: f64,
+    hash_probe_row: f64,
     /// Per-output-row cost of a join.
-    pub join_out_row: f64,
+    join_out_row: f64,
     /// Per-input-row cost of hash aggregation.
-    pub agg_row: f64,
+    agg_row: f64,
     /// Per-output-row cost of aggregation.
-    pub agg_out_row: f64,
+    agg_out_row: f64,
     /// Per-row + per-byte cost of writing a spool work table (C_W).
-    pub spool_write_row: f64,
-    pub spool_write_byte: f64,
+    spool_write_row: f64,
+    spool_write_byte: f64,
     /// Per-row + per-byte cost of reading a spool work table (C_R).
-    pub spool_read_row: f64,
-    pub spool_read_byte: f64,
+    spool_read_row: f64,
+    spool_read_byte: f64,
     /// Sort cost multiplier (n log2 n * this).
-    pub sort_row: f64,
+    sort_row: f64,
     /// Per-probe cost of an index lookup.
-    pub index_probe: f64,
+    index_probe: f64,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            scan_row: 1.0,
-            scan_byte: 0.01,
-            filter_row: 0.1,
-            project_row: 0.05,
-            hash_build_row: 1.5,
-            hash_probe_row: 1.0,
-            join_out_row: 0.5,
-            agg_row: 1.2,
-            agg_out_row: 0.5,
-            spool_write_row: 1.0,
-            spool_write_byte: 0.05,
-            spool_read_row: 0.5,
-            spool_read_byte: 0.02,
-            sort_row: 0.3,
-            index_probe: 3.0,
-        }
-    }
-}
+/// The cost model every plan is costed with.
+pub const MODEL: CostModel = CostModel {
+    scan_row: 1.0,
+    scan_byte: 0.01,
+    filter_row: 0.1,
+    project_row: 0.05,
+    hash_build_row: 1.5,
+    hash_probe_row: 1.0,
+    join_out_row: 0.5,
+    agg_row: 1.2,
+    agg_out_row: 0.5,
+    spool_write_row: 1.0,
+    spool_write_byte: 0.05,
+    spool_read_row: 0.5,
+    spool_read_byte: 0.02,
+    sort_row: 0.3,
+    index_probe: 3.0,
+};
 
 impl CostModel {
     pub fn scan(&self, rows: f64, width: f64) -> f64 {
@@ -114,20 +115,20 @@ mod tests {
 
     #[test]
     fn wide_spool_costs_more() {
-        let m = CostModel::default();
+        let m = MODEL;
         assert!(m.spool_write(1000.0, 200.0) > m.spool_write(1000.0, 16.0));
         assert!(m.spool_read(1000.0, 200.0) > m.spool_read(1000.0, 16.0));
     }
 
     #[test]
     fn hash_join_beats_nl_on_big_inputs() {
-        let m = CostModel::default();
+        let m = MODEL;
         assert!(m.hash_join(1e4, 1e5, 1e5) < m.nl_join(1e4, 1e5, 1e5));
     }
 
     #[test]
     fn costs_are_monotone_in_rows() {
-        let m = CostModel::default();
+        let m = MODEL;
         assert!(m.scan(2000.0, 8.0) > m.scan(1000.0, 8.0));
         assert!(m.hash_agg(2000.0, 10.0) > m.hash_agg(1000.0, 10.0));
         assert!(m.sort(2000.0) > m.sort(1000.0));
@@ -137,7 +138,7 @@ mod tests {
     fn spool_write_dearer_than_read() {
         // Writing must cost more than reading so sharing pays only with
         // multiple consumers.
-        let m = CostModel::default();
+        let m = MODEL;
         assert!(m.spool_write(1000.0, 64.0) > m.spool_read(1000.0, 64.0));
     }
 }

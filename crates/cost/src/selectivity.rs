@@ -1,23 +1,24 @@
 //! Predicate selectivity estimation.
 
-use crate::stats_view::StatsCatalog;
+use crate::cardinality::{col_ndv, col_stats, rel_rows};
 use cse_algebra::{CmpOp, ColRef, PlanContext, Scalar};
-use cse_storage::Value;
+use cse_storage::{Catalog, Value};
 
 /// Default selectivity for predicates the estimator cannot analyze.
 pub const DEFAULT_SEL: f64 = 1.0 / 3.0;
 /// Default equality selectivity without statistics.
 pub const DEFAULT_EQ_SEL: f64 = 0.1;
 
-/// Estimator bundling context and statistics.
+/// Estimator bundling the plan context and the catalog whose statistics
+/// it reads.
 pub struct Selectivity<'a> {
     pub ctx: &'a PlanContext,
-    pub stats: &'a StatsCatalog,
+    pub catalog: &'a Catalog,
 }
 
 impl<'a> Selectivity<'a> {
-    pub fn new(ctx: &'a PlanContext, stats: &'a StatsCatalog) -> Self {
-        Selectivity { ctx, stats }
+    pub fn new(ctx: &'a PlanContext, catalog: &'a Catalog) -> Self {
+        Selectivity { ctx, catalog }
     }
 
     /// Selectivity of an arbitrary predicate (in [0, 1]).
@@ -38,8 +39,8 @@ impl<'a> Selectivity<'a> {
             Scalar::Lit(Value::Bool(false)) => 0.0,
             Scalar::IsNull(inner) => {
                 if let Scalar::Col(c) = inner.as_ref() {
-                    if let Some(s) = self.stats.col_stats(self.ctx, *c) {
-                        let rows = self.stats.rel_rows(self.ctx, c.rel);
+                    if let Some(s) = col_stats(self.catalog, self.ctx, *c) {
+                        let rows = rel_rows(self.catalog, self.ctx, c.rel);
                         return (s.null_count as f64 / rows).clamp(0.0, 1.0);
                     }
                 }
@@ -52,8 +53,8 @@ impl<'a> Selectivity<'a> {
     fn cmp_selectivity(&self, op: CmpOp, a: &Scalar, b: &Scalar) -> f64 {
         // Column vs column: equijoin-style local selectivity.
         if let (Scalar::Col(x), Scalar::Col(y)) = (a, b) {
-            let ndx = self.stats.col_ndv(self.ctx, *x);
-            let ndy = self.stats.col_ndv(self.ctx, *y);
+            let ndx = col_ndv(self.catalog, self.ctx, *x);
+            let ndy = col_ndv(self.catalog, self.ctx, *y);
             return match op {
                 CmpOp::Eq => 1.0 / ndx.max(ndy),
                 CmpOp::Ne => 1.0 - 1.0 / ndx.max(ndy),
@@ -69,7 +70,7 @@ impl<'a> Selectivity<'a> {
     }
 
     fn col_vs_lit(&self, col: ColRef, op: CmpOp, lit: &Value) -> f64 {
-        let stats = match self.stats.col_stats(self.ctx, col) {
+        let stats = match col_stats(self.catalog, self.ctx, col) {
             Some(s) => s,
             None => {
                 return match op {
@@ -112,7 +113,7 @@ mod tests {
     use cse_storage::DataType::Int;
 
     /// `t(a, b)`: 100 rows, `a` in 0..99 and `b` in 0..9.
-    fn setup() -> (PlanContext, StatsCatalog, cse_algebra::RelId) {
+    fn setup() -> (PlanContext, Catalog, cse_algebra::RelId) {
         let rows = (0..100).map(|i| [Value::Int(i), Value::Int(i % 10)]);
         crate::one_table(&[("a", Int), ("b", Int)], rows)
     }

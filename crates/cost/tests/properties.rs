@@ -4,14 +4,14 @@
 //! (`cse_storage::testkit::TestRng`).
 
 use cse_algebra::{CmpOp, PlanContext, RelId, Scalar};
-use cse_cost::{CostModel, Selectivity, StatsCatalog};
+use cse_cost::{Selectivity, MODEL};
 use cse_storage::testkit::TestRng;
 use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
 use std::sync::Arc;
 
 const CASES: usize = 200;
 
-fn setup(n: i64) -> (PlanContext, StatsCatalog, RelId) {
+fn setup(n: i64) -> (PlanContext, Catalog, RelId) {
     let mut t = Table::new(
         "t",
         Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Float)]),
@@ -22,7 +22,6 @@ fn setup(n: i64) -> (PlanContext, StatsCatalog, RelId) {
     }
     let mut cat = Catalog::new();
     cat.register_table(t).unwrap();
-    let stats = StatsCatalog::from_catalog(&cat);
     let mut ctx = PlanContext::new();
     let b = ctx.new_block();
     let schema = Arc::new(Schema::from_pairs(&[
@@ -30,7 +29,7 @@ fn setup(n: i64) -> (PlanContext, StatsCatalog, RelId) {
         ("b", DataType::Float),
     ]));
     let r = ctx.add_base_rel("t", "t", schema, b);
-    (ctx, stats, r)
+    (ctx, cat, r)
 }
 
 fn gen_pred(rng: &mut TestRng, rel: RelId, depth: usize) -> Scalar {
@@ -110,7 +109,7 @@ fn disjunction_never_less_selective_than_parts() {
 
 #[test]
 fn costs_nonnegative_and_monotone() {
-    let m = CostModel::default();
+    let m = MODEL;
     let mut rng = TestRng::new(0x64);
     for _ in 0..CASES {
         let rows = rng.range_f64(1.0, 1e7);

@@ -12,12 +12,13 @@
 //! ([`ExecError::is_recoverable`]).
 //!
 //! Execution is *push-based*: an operator hands its rows, borrowed and one
-//! at a time, to its parent's [`Sink`]; rows are held, and charged, only at
+//! at a time, to its parent's `Sink`; rows are held, and charged, only at
 //! the breakers — a join's held side, a group table, a sort buffer, a
 //! spool, a result set. Operators bind their expressions once against their
-//! input's columns ([`Bound`]; [`out_cols`] names them before the first
-//! row), hash join and group-by keys in place ([`crate::keys`]), and are
-//! told which columns their ancestors read ([`Need`]) so they hold only those.
+//! input's columns ([`Bound`]; `out_cols` names them before the first
+//! row), hash join and group-by keys in place (the `keys` module), and
+//! are told which columns their ancestors read (`Need`) so they hold only
+//! those.
 
 use crate::error::ExecError;
 use crate::eval::{position, AggState, Bound};
@@ -121,7 +122,7 @@ pub struct ExecOutput {
 
 /// The columns an operator's ancestors read, handed down as the plan is
 /// walked. An operator may emit more than is needed (scans hand out stored
-/// rows as they are), never less: a parent binds against what [`out_cols`]
+/// rows as they are), never less: a parent binds against what `out_cols`
 /// says its input emits, so an over-pruned column is a bind error.
 type Need = BTreeSet<ColRef>;
 
@@ -138,7 +139,7 @@ type ExecResult<T = ()> = Result<T, ExecError>;
 pub struct ExecCtx<'a> {
     /// Armed failpoints may inject faults at the executor's sites.
     pub failpoints: FailpointRegistry,
-    /// Checked at every operator boundary and every [`CANCEL_STRIDE`]
+    /// Checked at every operator boundary and every `CANCEL_STRIDE`
     /// rows inside scans and joins, so a client cancel or an expired
     /// deadline stops a runaway batch without killing the executing
     /// thread.
@@ -316,7 +317,7 @@ impl<'a> Engine<'a> {
         Ok(ResultSet::new(columns, rows))
     }
 
-    /// Push the rows of `plan` into `sink`, in the columns [`out_cols`]
+    /// Push the rows of `plan` into `sink`, in the columns `out_cols`
     /// names. Scans and filters hand on the stored rows; a breaker holds
     /// what it must, charges it, and pushes on through one scratch row.
     #[expect(

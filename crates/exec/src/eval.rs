@@ -6,7 +6,7 @@
 //! form *by reference*: columns and literals are read in place, an owned
 //! [`Value`] exists only for arithmetic results and for a boolean asked
 //! for as a value ([`Bound::eval`] of a predicate); a predicate asked for
-//! its truth ([`Bound::truth`]) makes none.
+//! its truth (`Bound::truth`) makes none.
 //!
 //! Binding compiles `col op literal` and `literal op col` into one kernel,
 //! [`Bound::CmpLit`]: an integer or a date against a literal of its own

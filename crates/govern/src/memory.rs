@@ -164,8 +164,8 @@ impl fmt::Debug for MemoryGovernor {
 }
 
 impl MemoryGovernor {
-    /// A governor over `budget` bytes, elevated at [`ELEVATED_AT`] of it
-    /// and critical at [`CRITICAL_AT`].
+    /// A governor over `budget` bytes, elevated at `ELEVATED_AT` of it
+    /// and critical at `CRITICAL_AT`.
     pub fn new(budget: usize) -> Self {
         let frac = |f: f64| ((budget as f64) * f) as usize;
         MemoryGovernor {

@@ -87,7 +87,7 @@ pub struct GroupExprId(pub u32);
 
 /// A single operator referencing child groups: the memo's unit of sharing.
 /// `Hash` and `==` find the memo's duplicates; `==` alone is too coarse for
-/// that (see [`GroupExpr::same_as`]).
+/// that (see `GroupExpr::same_as`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupExpr {
     pub op: Op,

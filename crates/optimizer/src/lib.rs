@@ -31,7 +31,7 @@ pub mod rows;
 pub mod substitute;
 
 pub use dot::to_dot;
-pub use optimizer::{bit, Costed, CseMask, History, IndexInfo, Optimizer, PlanChoice, Usage};
+pub use optimizer::{bit, Costed, CseMask, History, Optimizer, PlanChoice, Usage};
 pub use physical::{CseId, FullPlan, PhysicalPlan, ReAgg, SpoolDef};
 pub use rows::GroupRows;
 pub use substitute::{CseCandidate, Substitute, SubstituteReAgg};

@@ -23,48 +23,11 @@ use crate::physical::{CseId, FullPlan, PhysicalPlan, ReAgg, SpoolDef};
 use crate::rows::GroupRows;
 use crate::substitute::{CseCandidate, Substitute};
 use cse_algebra::{ColRef, Scalar};
-use cse_cost::{CostModel, Selectivity, StatsCatalog};
+use cse_cost::{col_ndv, rel_rows, Selectivity, MODEL};
 use cse_memo::{ConjId, GroupExpr, GroupExprId, GroupId, Memo, Op};
-use cse_storage::lowered;
+use cse_storage::Catalog;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
-
-/// Which columns have a B-tree and a hash index: column ordinals by
-/// lower-cased table name, a table without one absent.
-#[derive(Debug, Clone, Default)]
-pub struct IndexInfo {
-    pub btree: HashMap<String, Vec<u16>>,
-    pub hash: HashMap<String, Vec<u16>>,
-}
-
-impl IndexInfo {
-    pub fn from_catalog(catalog: &cse_storage::Catalog) -> Self {
-        let mut info = IndexInfo::default();
-        for name in catalog.table_names() {
-            if let Ok(entry) = catalog.get(name) {
-                let btree: Vec<u16> = entry
-                    .btree_indexes
-                    .iter()
-                    .map(|i| i.column as u16)
-                    .collect();
-                let hash: Vec<u16> = entry.hash_indexes.iter().map(|i| i.column as u16).collect();
-                // Catalog keys are lower-cased names.
-                for (kind, cols) in [(&mut info.btree, btree), (&mut info.hash, hash)] {
-                    if !cols.is_empty() {
-                        kind.insert(name.to_owned(), cols);
-                    }
-                }
-            }
-        }
-        info
-    }
-
-    /// Whether `kind` (`btree` or `hash`) indexes column `col` of `table`.
-    pub fn covers(kind: &HashMap<String, Vec<u16>>, table: &str, col: u16) -> bool {
-        kind.get(lowered(table).as_ref())
-            .is_some_and(|cols| cols.contains(&col))
-    }
-}
 
 /// An optimized (sub)plan: its cost, its CSE bookkeeping and how it is
 /// built. The operator tree is [`Optimizer::extract`]'s to build.
@@ -175,9 +138,8 @@ pub struct History {
 
 pub struct Optimizer<'a> {
     pub memo: &'a Memo,
-    pub stats: &'a StatsCatalog,
-    pub model: &'a CostModel,
-    pub indexes: &'a IndexInfo,
+    /// What the plans read: row counts, column statistics and indexes.
+    pub catalog: &'a Catalog,
     rows: GroupRows<'a>,
     candidates: BTreeMap<CseId, CseCandidate>,
     substitutes: HashMap<GroupId, Vec<Substitute>>,
@@ -195,13 +157,8 @@ pub struct Optimizer<'a> {
 }
 
 impl<'a> Optimizer<'a> {
-    pub fn new(
-        memo: &'a Memo,
-        stats: &'a StatsCatalog,
-        model: &'a CostModel,
-        indexes: &'a IndexInfo,
-    ) -> Self {
-        Self::resume(memo, stats, model, indexes, History::default())
+    pub fn new(memo: &'a Memo, catalog: &'a Catalog) -> Self {
+        Self::resume(memo, catalog, History::default())
     }
 
     /// An optimizer over `memo` that starts from what another one derived
@@ -209,13 +166,7 @@ impl<'a> Optimizer<'a> {
     /// and index scans, and its winners under the empty mask,
     /// except those of a group that gained an expression since, or lies
     /// above one that did.
-    pub fn resume(
-        memo: &'a Memo,
-        stats: &'a StatsCatalog,
-        model: &'a CostModel,
-        indexes: &'a IndexInfo,
-        history: History,
-    ) -> Self {
+    pub fn resume(memo: &'a Memo, catalog: &'a Catalog, history: History) -> Self {
         let mut cache = history.winners;
         if !cache.is_empty() {
             let mut stale = vec![false; memo.num_groups()];
@@ -230,10 +181,8 @@ impl<'a> Optimizer<'a> {
         }
         Optimizer {
             memo,
-            stats,
-            rows: GroupRows::new(memo, stats),
-            model,
-            indexes,
+            catalog,
+            rows: GroupRows::new(memo, catalog),
             candidates: BTreeMap::new(),
             substitutes: HashMap::new(),
             relevant: HashMap::new(),
@@ -288,6 +237,11 @@ impl<'a> Optimizer<'a> {
             }
         }
         self.compute_relevant();
+    }
+
+    /// The registered candidates, ascending by id.
+    pub fn candidates(&self) -> impl Iterator<Item = &CseCandidate> {
+        self.candidates.values()
     }
 
     /// Propagate "has a consumer below" masks upward through the memo DAG.
@@ -391,10 +345,9 @@ impl<'a> Optimizer<'a> {
     )]
     fn init_cost(&mut self, e: CseId, mask: CseMask) -> (f64, Rc<PlanChoice>) {
         let cand = self.candidates.get(&e).expect("unknown candidate");
-        let cw = self.model.spool_write(cand.est_rows, cand.est_width);
+        let (cw, def_root) = (cand.cw, cand.def_root);
         // The definition sees only the candidates relevant to it; its
         // winner is memoized like any group's.
-        let def_root = cand.def_root;
         let def = self.optimize_group(def_root, mask & !bit(e) & self.relevant_mask(def_root));
         (def.cost + cw, def)
     }
@@ -420,24 +373,19 @@ impl<'a> Optimizer<'a> {
         let cost = match &e.op {
             Op::Get { .. } => {
                 let width = self.rows.width(memo.group_of(eid));
-                self.model.scan(out_rows, width)
+                MODEL.scan(out_rows, width)
             }
-            Op::Filter { .. } => input + self.model.filter(kids[0].rows),
+            Op::Filter { .. } => input + MODEL.filter(kids[0].rows),
             Op::Join { pred } => {
-                let indexes = self.indexes;
+                let catalog = self.catalog;
                 let shape = *self.join_shape.entry(eid).or_insert_with(|| {
                     let (keys, residual) = split_join(memo, e, pred);
-                    // Without a hash index in the catalog this is the one
-                    // check an index join costs.
-                    let probe = (!indexes.hash.is_empty())
-                        .then(|| index_probe(memo, indexes, e, &keys))
-                        .flatten()
-                        .map(|(key, filter)| {
-                            (
-                                key.1,
-                                keys.len() > 1 || !residual.is_empty() || filter.is_some(),
-                            )
-                        });
+                    let probe = index_probe(memo, catalog, e, &keys).map(|(key, filter)| {
+                        (
+                            key.1,
+                            keys.len() > 1 || !residual.is_empty() || filter.is_some(),
+                        )
+                    });
                     JoinShape {
                         keyed: !keys.is_empty(),
                         residual: !residual.is_empty(),
@@ -447,16 +395,16 @@ impl<'a> Optimizer<'a> {
                 probe = shape.probe;
                 let (l, r) = (kids[0].rows, kids[1].rows);
                 if !shape.keyed {
-                    input + self.model.nl_join(l, r, out_rows)
+                    input + MODEL.nl_join(l, r, out_rows)
                 } else if shape.residual {
-                    input + self.model.hash_join(l, r, out_rows) + self.model.filter(out_rows)
+                    input + MODEL.hash_join(l, r, out_rows) + MODEL.filter(out_rows)
                 } else {
-                    input + self.model.hash_join(l, r, out_rows)
+                    input + MODEL.hash_join(l, r, out_rows)
                 }
             }
-            Op::Aggregate { .. } => input + self.model.hash_agg(kids[0].rows, out_rows),
-            Op::Project { .. } => input + self.model.project(kids[0].rows),
-            Op::Sort { .. } => input + self.model.sort(kids[0].rows),
+            Op::Aggregate { .. } => input + MODEL.hash_agg(kids[0].rows, out_rows),
+            Op::Project { .. } => input + MODEL.project(kids[0].rows),
+            Op::Sort { .. } => input + MODEL.sort(kids[0].rows),
             Op::Batch => input,
         };
         let mut usage = Usage::default();
@@ -469,12 +417,12 @@ impl<'a> Optimizer<'a> {
         // hash index and fetches its matches (rows / ndv of them a probe);
         // the commuted expression offers the other side.
         let index_join = probe.map(|(col, residual)| {
-            let (outer, ctx) = (&kids[0], &memo.ctx);
-            let per_probe = self.stats.rel_rows(ctx, col.rel) / self.stats.col_ndv(ctx, col);
+            let (outer, ctx, catalog) = (&kids[0], &memo.ctx, self.catalog);
+            let per_probe = rel_rows(catalog, ctx, col.rel) / col_ndv(catalog, ctx, col);
             let matches = outer.rows * per_probe;
-            let mut cost = outer.cost + self.model.index_lookup(outer.rows, matches);
+            let mut cost = outer.cost + MODEL.index_lookup(outer.rows, matches);
             if residual {
-                cost += self.model.filter(matches);
+                cost += MODEL.filter(matches);
             }
             PlanChoice {
                 cost,
@@ -513,13 +461,13 @@ impl<'a> Optimizer<'a> {
             Op::Get { rel } => rel,
             _ => return None,
         };
-        let info = memo.ctx.rel(rel);
+        let entry = self.catalog.get(&memo.ctx.rel(rel).name).ok()?;
         let ranges = cse_algebra::ranges_of(memo.conjuncts(pred).map(|(_, c)| &c.scalar));
         let (col, interval) = ranges.iter().find(|(c, iv)| {
             c.rel == rel
                 && (iv.lo.is_some() || iv.hi.is_some())
                 && iv.in_class_of(memo.ctx.col_type(**c))
-                && IndexInfo::covers(&self.indexes.btree, &info.name, c.col)
+                && entry.indexed(c.col as usize).1
         })?;
         // Range conjuncts on the indexed column are re-checked inside the
         // per-match cost; anything else (`<>` included) costs a filter pass.
@@ -530,11 +478,11 @@ impl<'a> Optimizer<'a> {
         });
         let layout: Vec<ColRef> = memo.group(child).props.output_cols.clone();
         let matched = out_rows.max(1.0);
-        let cost = self.model.index_lookup(1.0, matched)
+        let cost = MODEL.index_lookup(1.0, matched)
             + if only_ranges {
                 0.0
             } else {
-                self.model.filter(matched)
+                MODEL.filter(matched)
             };
         Some(PlanChoice {
             cost,
@@ -554,17 +502,17 @@ impl<'a> Optimizer<'a> {
     /// Build the consumer-side spool read alternative for a substitute.
     fn implement_cse_read(&self, out_rows: f64, s: &Substitute) -> Option<PlanChoice> {
         let cand = self.candidates.get(&s.cse)?;
-        let mut cost = self.model.spool_read(cand.est_rows, cand.est_width);
+        let mut cost = cand.cr;
         let mut rows_after = cand.est_rows;
         if let Some(f) = &s.filter {
-            cost += self.model.filter(cand.est_rows);
-            let sel = Selectivity::new(&self.memo.ctx, self.stats).of(f);
+            cost += MODEL.filter(cand.est_rows);
+            let sel = Selectivity::new(&self.memo.ctx, self.catalog).of(f);
             rows_after *= sel.max(1e-9);
         }
         if s.reagg.is_some() {
-            cost += self.model.hash_agg(rows_after, out_rows);
+            cost += MODEL.hash_agg(rows_after, out_rows);
         }
-        cost += self.model.project(out_rows);
+        cost += MODEL.project(out_rows);
         let mut usage = Usage::default();
         usage.add(s.cse, 1);
         Some(PlanChoice {
@@ -676,7 +624,7 @@ impl<'a> Optimizer<'a> {
         };
         let (keys, residual) = pred.map(|p| split_join(memo, e, p)).unwrap_or_default();
         let (key, filter) =
-            index_probe(memo, self.indexes, e, &keys).expect("costed as an index join");
+            index_probe(memo, self.catalog, e, &keys).expect("costed as an index join");
         let mut residual: Vec<Scalar> = residual
             .iter()
             .map(|&c| memo.conj(c).scalar.clone())
@@ -812,7 +760,7 @@ type Probe<'m> = ((ColRef, ColRef), Option<&'m [ConjId]>);
 /// filtered or not, with a hash index on its column of the key qualifies.
 fn index_probe<'m>(
     memo: &'m Memo,
-    indexes: &IndexInfo,
+    catalog: &Catalog,
     e: &GroupExpr,
     keys: &[(ColRef, ColRef)],
 ) -> Option<Probe<'m>> {
@@ -826,9 +774,10 @@ fn index_probe<'m>(
         },
         _ => return None,
     };
-    let table = &memo.ctx.rel(rel).name;
-    let indexed = |c: &ColRef| IndexInfo::covers(&indexes.hash, table, c.col);
-    let key = keys.iter().find(|(_, r)| r.rel == rel && indexed(r))?;
+    let entry = catalog.get(&memo.ctx.rel(rel).name).ok()?;
+    let key = keys
+        .iter()
+        .find(|(_, r)| r.rel == rel && entry.indexed(r.col as usize).0)?;
     Some((*key, filter))
 }
 
@@ -853,18 +802,18 @@ mod tests {
     use super::*;
     use cse_algebra::{LogicalPlan, PlanContext};
     use cse_memo::{explore, ExploreConfig};
-    use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
+    use cse_storage::{row, DataType, Schema, Table, Value};
     use std::sync::Arc;
 
     /// fact(k, v): 2000 rows, k in 0..200; dim(k): 200 rows unique.
-    fn setup() -> (Memo, StatsCatalog, IndexInfo) {
-        let (mut memo, stats, indexes) = setup_unexplored();
+    fn setup() -> (Memo, Catalog) {
+        let (mut memo, cat) = setup_unexplored();
         explore(&mut memo, &ExploreConfig::default());
-        (memo, stats, indexes)
+        (memo, cat)
     }
 
     /// [`setup`]'s `fact ⋈ dim` as inserted: one join expression.
-    fn setup_unexplored() -> (Memo, StatsCatalog, IndexInfo) {
+    fn setup_unexplored() -> (Memo, Catalog) {
         let mut fact = Table::new(
             "fact",
             Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Float)]),
@@ -884,7 +833,6 @@ mod tests {
         let mut cat = Catalog::new();
         cat.register_table(fact).unwrap();
         cat.register_table(dim).unwrap();
-        let stats = StatsCatalog::from_catalog(&cat);
 
         let mut ctx = PlanContext::new();
         let b = ctx.new_block();
@@ -904,7 +852,7 @@ mod tests {
         );
         let mut memo = Memo::new(ctx);
         memo.insert_plan(&plan);
-        (memo, stats, IndexInfo::from_catalog(&cat))
+        (memo, cat)
     }
 
     /// A resumed optimizer keeps the winners of the groups growth left as
@@ -912,10 +860,9 @@ mod tests {
     /// group above one; its costs are a fresh optimizer's to the bit.
     #[test]
     fn resume_recosts_only_groups_that_gained_an_expression() {
-        let (mut memo, stats, indexes) = setup_unexplored();
-        let model = CostModel::default();
+        let (mut memo, cat) = setup_unexplored();
         let root = memo.root();
-        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
+        let mut opt = Optimizer::new(&memo, &cat);
         opt.optimize_group(root, 0);
         assert_eq!(opt.group_optimizations, 3);
         let history = opt.into_history();
@@ -926,19 +873,18 @@ mod tests {
             (memo.num_groups(), memo.group(root).exprs.len()),
             (groups, 2)
         );
-        let mut resumed = Optimizer::resume(&memo, &stats, &model, &indexes, history);
+        let mut resumed = Optimizer::resume(&memo, &cat, history);
         let got = resumed.cost_full(root, 0).cost;
         assert_eq!(resumed.group_optimizations, 1, "only the root is recosted");
-        let mut fresh = Optimizer::new(&memo, &stats, &model, &indexes);
+        let mut fresh = Optimizer::new(&memo, &cat);
         assert_eq!(got.to_bits(), fresh.cost_full(root, 0).cost.to_bits());
         assert_eq!(fresh.group_optimizations, 3);
     }
 
     #[test]
     fn baseline_optimization_produces_hash_join() {
-        let (memo, stats, indexes) = setup();
-        let model = CostModel::default();
-        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
+        let (memo, cat) = setup();
+        let mut opt = Optimizer::new(&memo, &cat);
         let choice = opt.optimize_group(memo.root(), 0);
         assert!(matches!(
             opt.extract(&choice),
@@ -950,9 +896,8 @@ mod tests {
 
     #[test]
     fn cache_hits_on_second_call() {
-        let (memo, stats, indexes) = setup();
-        let model = CostModel::default();
-        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
+        let (memo, cat) = setup();
+        let mut opt = Optimizer::new(&memo, &cat);
         opt.optimize_group(memo.root(), 0);
         let n = opt.group_optimizations;
         opt.optimize_group(memo.root(), 0);
@@ -963,9 +908,8 @@ mod tests {
     fn build_side_choice_prefers_smaller_build() {
         // With commuted alternatives explored, the optimizer should build
         // on the smaller (dim) side.
-        let (memo, stats, indexes) = setup();
-        let model = CostModel::default();
-        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
+        let (memo, cat) = setup();
+        let mut opt = Optimizer::new(&memo, &cat);
         let choice = opt.optimize_group(memo.root(), 0);
         if let PhysicalPlan::HashJoin { left, .. } = opt.extract(&choice) {
             if let PhysicalPlan::TableScan { rel, .. } = left.as_ref() {
@@ -981,11 +925,9 @@ mod tests {
     /// whole predicate, so nothing is left for a residual.
     #[test]
     fn hash_index_offers_an_index_join() {
-        let (memo, stats, _) = setup();
-        let mut indexes = IndexInfo::default();
-        indexes.hash.insert("fact".into(), vec![0]);
-        let model = CostModel::default();
-        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
+        let (memo, mut cat) = setup();
+        cat.create_hash_index("fact", "k").unwrap();
+        let mut opt = Optimizer::new(&memo, &cat);
         let choice = opt.optimize_group(memo.root(), 0);
         let PhysicalPlan::IndexNlJoin {
             outer,
@@ -1005,9 +947,8 @@ mod tests {
 
     #[test]
     fn optimize_full_without_candidates() {
-        let (memo, stats, indexes) = setup();
-        let model = CostModel::default();
-        let mut opt = Optimizer::new(&memo, &stats, &model, &indexes);
+        let (memo, cat) = setup();
+        let mut opt = Optimizer::new(&memo, &cat);
         let full = opt.optimize_full(memo.root(), 0);
         assert!(full.spools.is_empty());
         assert!(full.cost > 0.0);

@@ -5,8 +5,9 @@
 //! A Get, Filter or Join group is estimated from its logical key, whatever
 //! join order was inserted first; other groups from their first expression.
 
-use cse_cost::{join_rows, Cardinality, Factor, StatsCatalog};
+use cse_cost::{join_rows, rel_rows, Cardinality, Factor};
 use cse_memo::{GroupId, LogicalKey, Memo, Op};
+use cse_storage::Catalog;
 
 /// Caching row estimator over a memo.
 pub struct GroupRows<'a> {
@@ -20,14 +21,14 @@ pub struct GroupRows<'a> {
 }
 
 impl<'a> GroupRows<'a> {
-    pub fn new(memo: &'a Memo, stats: &'a StatsCatalog) -> Self {
-        let (ctx, card) = (&memo.ctx, Cardinality::new(&memo.ctx, stats));
+    pub fn new(memo: &'a Memo, catalog: &'a Catalog) -> Self {
+        let (ctx, card) = (&memo.ctx, Cardinality::new(&memo.ctx, catalog));
         let factors = memo.conjs().iter().map(|c| card.factor(&c.scalar));
         GroupRows {
             memo,
             card,
             cache: vec![None; memo.num_groups()],
-            rels: ctx.rels().map(|(r, _)| stats.rel_rows(ctx, r)).collect(),
+            rels: ctx.rels().map(|(r, _)| rel_rows(catalog, ctx, r)).collect(),
             factors: factors.collect(),
         }
     }
@@ -78,14 +79,12 @@ impl<'a> GroupRows<'a> {
 mod tests {
     use super::*;
     use cse_algebra::{LogicalPlan, PlanContext, RelId, Scalar};
-    use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
+    use cse_storage::{row, DataType, Schema, Table, Value};
     use std::sync::Arc;
 
     /// One-int-column tables of (name, rows, distinct values), and their
     /// rels in one block.
-    fn tables<const N: usize>(
-        specs: [(&str, i64, i64); N],
-    ) -> (PlanContext, StatsCatalog, [RelId; N]) {
+    fn tables<const N: usize>(specs: [(&str, i64, i64); N]) -> (PlanContext, Catalog, [RelId; N]) {
         let (mut cat, mut ctx) = (Catalog::new(), PlanContext::new());
         let (blk, schema) = (ctx.new_block(), Schema::from_pairs(&[("k", DataType::Int)]));
         let rels = specs.map(|(name, rows, ndv)| {
@@ -94,7 +93,7 @@ mod tests {
             cat.register_table(t).unwrap();
             ctx.add_base_rel(name, name, Arc::new(schema.clone()), blk)
         });
-        (ctx, StatsCatalog::from_catalog(&cat), rels)
+        (ctx, cat, rels)
     }
 
     fn eq(x: RelId, y: RelId) -> Scalar {
@@ -102,7 +101,7 @@ mod tests {
     }
 
     /// fact (1 000 rows, 100 keys) ⋈ dim (100 rows, 100 keys).
-    fn setup() -> (Memo, StatsCatalog) {
+    fn setup() -> (Memo, Catalog) {
         let (ctx, stats, [f, d]) = tables([("fact", 1000, 100), ("dim", 100, 100)]);
         let mut memo = Memo::new(ctx);
         memo.insert_plan(&LogicalPlan::get(f).join(LogicalPlan::get(d), eq(f, d)));

@@ -2,25 +2,25 @@
 //! covering subexpressions and per-consumer view-matching substitutes.
 
 use crate::physical::CseId;
-use cse_algebra::{AggExpr, ColRef, LogicalPlan, RelId, Scalar};
+use cse_algebra::{AggExpr, ColRef, RelId, Scalar};
 use cse_memo::GroupId;
 
 /// A candidate covering subexpression registered for the CSE optimization
 /// phase. The definition has been inserted into the memo (`def_root`) so
-/// its evaluation cost C_E falls out of ordinary group optimization.
+/// its evaluation cost C_E falls out of ordinary group optimization; C_W
+/// and C_R are candidate generation's, computed once from the shape.
 #[derive(Debug, Clone)]
 pub struct CseCandidate {
     pub id: CseId,
     /// Root group of the definition in the memo.
     pub def_root: GroupId,
-    /// The definition as a logical plan (kept for diagnostics and for the
-    /// executor's spool construction).
-    pub def_plan: LogicalPlan,
     /// Columns materialized into the work table, in order.
     pub output: Vec<ColRef>,
-    /// Estimated work-table rows and row width (bytes).
+    /// Estimated work-table rows.
     pub est_rows: f64,
-    pub est_width: f64,
+    /// C_W and C_R: writing the work table once, and reading it once.
+    pub cw: f64,
+    pub cr: f64,
     /// Consumer groups this candidate can serve.
     pub consumers: Vec<GroupId>,
     /// Least common ancestor group of all consumers; `None` when consumers

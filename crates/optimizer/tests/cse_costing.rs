@@ -3,18 +3,16 @@
 //! single-consumer discarding, and assembly-level spool collection.
 
 use cse_algebra::{ColRef, LogicalPlan, PlanContext, Scalar};
-use cse_cost::{CostModel, StatsCatalog};
+use cse_cost::MODEL;
 use cse_memo::{explore, ExploreConfig, GroupId, Memo};
-use cse_optimizer::{bit, CseCandidate, CseId, IndexInfo, Optimizer, PhysicalPlan, Substitute};
+use cse_optimizer::{bit, CseCandidate, CseId, Optimizer, PhysicalPlan, Substitute};
 use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
 
 /// Two identical-shape joins (different instances) under a batch root,
 /// with a CSE candidate covering both.
 struct Fixture {
     memo: Memo,
-    stats: StatsCatalog,
-    model: CostModel,
-    indexes: IndexInfo,
+    catalog: Catalog,
     root: GroupId,
     consumers: [GroupId; 2],
     candidate: CseCandidate,
@@ -38,7 +36,6 @@ fn fixture(rows: usize) -> Fixture {
     let mut catalog = Catalog::new();
     catalog.register_table(a).unwrap();
     catalog.register_table(b).unwrap();
-    let stats = StatsCatalog::from_catalog(&catalog);
 
     let mut ctx = PlanContext::new();
     let schema_a = catalog.table("ta").unwrap().schema().clone();
@@ -71,13 +68,14 @@ fn fixture(rows: usize) -> Fixture {
     let def_root = memo.insert_plan(&q1);
     assert_eq!(def_root, g1, "definition dedups onto consumer 1's group");
     let output: Vec<ColRef> = vec![ColRef::new(a1, 0), ColRef::new(a1, 1), ColRef::new(b1, 1)];
+    let (est_rows, est_width) = (rows as f64, 24.0);
     let candidate = CseCandidate {
         id: CseId(0),
         def_root,
-        def_plan: q1,
         output: output.clone(),
-        est_rows: rows as f64,
-        est_width: 24.0,
+        est_rows,
+        cw: MODEL.spool_write(est_rows, est_width),
+        cr: MODEL.spool_read(est_rows, est_width),
         consumers: vec![g1, g2],
         lca: Some(root),
     };
@@ -103,9 +101,7 @@ fn fixture(rows: usize) -> Fixture {
     ];
     Fixture {
         memo,
-        stats,
-        model: CostModel::default(),
-        indexes: IndexInfo::default(),
+        catalog,
         root,
         consumers: [g1, g2],
         candidate,
@@ -114,7 +110,7 @@ fn fixture(rows: usize) -> Fixture {
 }
 
 fn optimizer(f: &Fixture) -> Optimizer<'_> {
-    Optimizer::new(&f.memo, &f.stats, &f.model, &f.indexes)
+    Optimizer::new(&f.memo, &f.catalog)
 }
 
 #[test]
@@ -192,14 +188,15 @@ fn expensive_spools_are_declined() {
     // the optimizer must decline the CSE and recompute instead — the
     // "may conclude that the most efficient solution is not to use any
     // CSEs at all" case of §2.2.
+    // C_W and C_R here are those of 10 cost units a byte.
     let f = fixture(1000);
-    let model = CostModel {
-        spool_write_byte: 10.0,
-        spool_read_byte: 10.0,
-        ..Default::default()
+    let expensive = CseCandidate {
+        cw: 1000.0 + 1000.0 * 24.0 * 10.0,
+        cr: 500.0 + 1000.0 * 24.0 * 10.0,
+        ..f.candidate.clone()
     };
-    let mut opt = Optimizer::new(&f.memo, &f.stats, &model, &f.indexes);
-    opt.register_candidates(vec![f.candidate.clone()], f.substitutes.clone());
+    let mut opt = optimizer(&f);
+    opt.register_candidates(vec![expensive], f.substitutes.clone());
     let full = opt.optimize_full(f.root, bit(CseId(0)));
     let baseline = opt.optimize_full(f.root, 0);
     assert_eq!(full.cost, baseline.cost);

@@ -2,7 +2,7 @@
 //!
 //! Life of a request:
 //!
-//! 1. [`Server::submit`] assigns an id, wraps the SQL in a [`Request`] with
+//! 1. [`Server::submit`] assigns an id, wraps the SQL in a `Request` with
 //!    the request's [`CancelToken`] (one cancel flag, no deadline; the
 //!    [`Ticket`] holds a clone) and pushes it onto the bounded admission
 //!    queue. A full queue either sheds (`SHED_QUEUE_FULL`,
@@ -76,7 +76,7 @@ pub struct ServerConfig {
     pub breaker: BreakerConfig,
     /// Global memory budget shared by all in-flight requests. `None`
     /// disables memory governance (the single-session behaviour). With a
-    /// budget set, every attempt takes a [`MemReservation`] before
+    /// budget set, every attempt takes a [`MemReservation`](cse_govern::MemReservation) before
     /// planning; Critical pool pressure sheds new admissions with
     /// `SHED_MEMORY`, and from Elevated pressure up a request is planned
     /// on the baseline rung.

@@ -87,6 +87,15 @@ pub struct CatalogEntry {
 }
 
 impl CatalogEntry {
+    /// Whether column `col` has a hash index and whether it has a B-tree
+    /// index, in that order.
+    pub fn indexed(&self, col: usize) -> (bool, bool) {
+        (
+            self.hash_indexes.iter().any(|i| i.column == col),
+            self.btree_indexes.iter().any(|i| i.column == col),
+        )
+    }
+
     /// Append the rows of `inserts` in place, folding them into the stats
     /// and every index. Each part is copied first only if a catalog clone
     /// still shares it, so the clone keeps its snapshot; a copied table

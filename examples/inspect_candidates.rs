@@ -28,8 +28,8 @@ fn main() {
         );
         for c in &o.report.candidates {
             println!(
-                "  {} tables={:?} grouped={} consumers={} rows={:.0} width={:.0}",
-                c.id.0, c.tables, c.grouped, c.consumers, c.est_rows, c.est_width
+                "  {} tables={:?} grouped={} consumers={} rows={:.0}",
+                c.id.0, c.tables, c.grouped, c.consumers, c.est_rows
             );
         }
     }

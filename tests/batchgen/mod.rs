@@ -3,7 +3,8 @@
 //! differential suite (`tests/generated_batches.rs`) runs, and what the
 //! generation oracle (`crates/core/tests/heuristics.rs`) constructs over.
 //!
-//! A seed's [`stream`] draws its catalog first and its batch second.
+//! A seed's [`stream`] draws its catalog first and its batch second;
+//! [`seed_indexes`] indexes the catalog without drawing from it.
 
 // Each suite that includes this module uses a different part of it.
 #![allow(dead_code)]
@@ -141,6 +142,25 @@ pub fn gen_catalog(rng: &mut TestRng) -> Catalog {
         catalog.register_table(table).expect("fresh catalog");
     }
     catalog
+}
+
+/// Give the catalog of `seed` its indexes, chosen from the seed alone so
+/// that its stream, and with it every row and statement, stays as it is:
+/// two seeds in three get a hash index on a join key and a B-tree index on
+/// a filtered column, the third none. Whether any index was added.
+pub fn seed_indexes(seed: u64, catalog: &mut Catalog) -> bool {
+    let [(hash, on), (btree, filtered)] = match seed % 3 {
+        0 => return false,
+        1 => [("orders", "o_custkey"), ("customer", "c_nationkey")],
+        _ => [("lineitem", "l_orderkey"), ("orders", "o_orderdate")],
+    };
+    catalog
+        .create_hash_index(hash, on)
+        .expect("template column");
+    catalog
+        .create_btree_index(btree, filtered)
+        .expect("template column");
+    true
 }
 
 /// One generated statement and, if it has an ORDER BY, the output column

@@ -15,9 +15,13 @@
 //! charged for, and the arms that share end on the full rung: a caught
 //! optimizer panic would otherwise pass on the baseline rung unnoticed.
 //! One `explore` call reaches the memo's fixpoint: a second adds nothing.
-//! The same arms run again over a copy of the catalog with a hash index on
-//! every template join column, where plans join through
-//! `IndexNlJoin`, against the same un-indexed oracle. Last, a view over one
+//! Two seeds in three index their catalog (`batchgen::seed_indexes`): a
+//! hash index on a join key and a B-tree index on a filtered column, so
+//! that those arms plan `IndexNlJoin`s and `IndexRangeScan`s; the oracle
+//! is the no-CSE plan over the catalog without them. The sharing arms run
+//! again over a copy of the un-indexed catalog with a hash index on every
+//! template join column, where plans join through `IndexNlJoin`, against
+//! the same oracle. Last, a view over one
 //! template statement is maintained through four generated `customer`
 //! inserts of 1, 50 or 5 000 rows (keys that exist, keys that don't, NULL
 //! and `Float` keys) through one plan cache, and must equal both the view
@@ -63,14 +67,16 @@ fn indexed(catalog: &Catalog) -> Catalog {
     out
 }
 
-/// Does the plan, or a spool it reads, join through an index?
-fn joins_through_index(plan: &FullPlan) -> bool {
-    let mut found = false;
+/// Note in `seen` whether the plan, or a spool it reads, joins through an
+/// index (`seen[0]`) and whether it scans a range of one (`seen[1]`).
+fn note_index_ops(plan: &FullPlan, seen: &mut [bool; 2]) {
     let roots = std::iter::once(&plan.root).chain(plan.spools.values().map(|s| &s.plan));
     for p in roots {
-        p.visit(&mut |op| found |= matches!(op, PhysicalPlan::IndexNlJoin { .. }));
+        p.visit(&mut |op| {
+            seen[0] |= matches!(op, PhysicalPlan::IndexNlJoin { .. });
+            seen[1] |= matches!(op, PhysicalPlan::IndexRangeScan { .. });
+        });
     }
-    found
 }
 
 /// Optimize and execute `batch` under `cfg`; the plan and what executing it
@@ -159,7 +165,7 @@ fn assert_same(
 
 /// The sharing arms over `catalog`, each against `want`, the no-CSE results
 /// over the un-indexed catalog: whether the default plan used a spool, and
-/// whether any plan joined through an index.
+/// which index operators any plan had, as [`note_index_ops`] notes them.
 fn sharing_arms(
     catalog: &Catalog,
     batch: &[Stmt],
@@ -167,10 +173,11 @@ fn sharing_arms(
     (twin, perm): (usize, &[usize]),
     seed: u64,
     tag: &dyn Fn(&str) -> String,
-) -> (bool, bool) {
+) -> (bool, [bool; 2]) {
     let (plan, cse) = run(catalog, batch, &CseConfig::default(), true, &tag("cse"));
     assert_same(batch, &cse.results, want, |i| i, &tag("cse"));
-    let (spools, mut index_joins) = (!plan.spools.is_empty(), joins_through_index(&plan));
+    let (spools, mut index_ops) = (!plan.spools.is_empty(), [false; 2]);
+    note_index_ops(&plan, &mut index_ops);
     let (plan, exhaustive) = run(
         catalog,
         batch,
@@ -178,7 +185,7 @@ fn sharing_arms(
         true,
         &tag("no-heuristics"),
     );
-    index_joins |= joins_through_index(&plan);
+    note_index_ops(&plan, &mut index_ops);
     assert_same(
         batch,
         &exhaustive.results,
@@ -227,7 +234,7 @@ fn sharing_arms(
         true,
         &tag("duplicate"),
     );
-    index_joins |= joins_through_index(&plan);
+    note_index_ops(&plan, &mut index_ops);
     let n = batch.len();
     assert_same(
         &longer,
@@ -246,9 +253,9 @@ fn sharing_arms(
         true,
         &tag("permuted"),
     );
-    index_joins |= joins_through_index(&plan);
+    note_index_ops(&plan, &mut index_ops);
     assert_same(&permuted, &out.results, want, |i| perm[i], &tag("permuted"));
-    (spools, index_joins)
+    (spools, index_ops)
 }
 
 /// `customer` of `catalog` under a schema a generated insert can fill:
@@ -366,13 +373,25 @@ fn check_maintenance(catalog: &Catalog, rng: &mut TestRng, seed: u64) -> bool {
     cached
 }
 
-/// Run one seed; whether its default plan used a spool, whether a plan
-/// over the indexed catalog joined through an index, and whether a view
-/// was maintained by a cached plan.
-fn check_seed(seed: u64) -> (bool, bool, bool) {
+/// What one seed's arms did: whether its default plan used a spool, which
+/// index operators the arms over the seed's own indexes planned (`None`
+/// when the seed has none), whether a plan over the all-join-indexed
+/// catalog joined through an index, and whether a view was maintained by a
+/// cached plan.
+struct SeedOutcome {
+    spools: bool,
+    seed_index_ops: Option<[bool; 2]>,
+    index_joins: bool,
+    cached: bool,
+}
+
+/// Run one seed.
+fn check_seed(seed: u64) -> SeedOutcome {
     let mut rng = batchgen::stream(seed);
-    let catalog = gen_catalog(&mut rng);
+    let plain = gen_catalog(&mut rng);
     let batch = gen_batch(&mut rng);
+    let mut catalog = plain.clone();
+    let seed_indexed = batchgen::seed_indexes(seed, &mut catalog);
     let tag = |arm: &str| format!("seed {seed} [{arm}]");
 
     // One exploration reaches the fixpoint: a second adds nothing.
@@ -389,15 +408,18 @@ fn check_seed(seed: u64) -> (bool, bool, bool) {
         tag("explore")
     );
 
-    let (no_cse, reference) = run(
-        &catalog,
-        &batch,
-        &CseConfig::no_cse(),
-        false,
-        &tag("no-cse"),
-    );
+    // The oracle: the no-CSE plan over the catalog without indexes.
+    let (mut no_cse, reference) = run(&plain, &batch, &CseConfig::no_cse(), false, &tag("no-cse"));
     let want = &reference.results;
     assert_same(&batch, want, want, |i| i, &tag("no-cse"));
+    let mut seed_index_ops = [false; 2];
+    if seed_indexed {
+        let what = tag("seed-indexed no-cse");
+        let (plan, out) = run(&catalog, &batch, &CseConfig::no_cse(), false, &what);
+        assert_same(&batch, &out.results, want, |i| i, &what);
+        note_index_ops(&plan, &mut seed_index_ops);
+        no_cse = plan;
+    }
 
     // A CSE phase tripped by a zero budget returns the baseline plan the
     // request already holds: the no-CSE arm's plan, with one event.
@@ -437,9 +459,11 @@ fn check_seed(seed: u64) -> (bool, bool, bool) {
     for i in (1..n).rev() {
         perm.swap(i, rng.range_usize(0, i + 1));
     }
-    let (spools, _) = sharing_arms(&catalog, &batch, want, (twin, &perm), seed, &tag);
+    let (spools, ops) = sharing_arms(&catalog, &batch, want, (twin, &perm), seed, &tag);
+    seed_index_ops[0] |= ops[0];
+    seed_index_ops[1] |= ops[1];
 
-    let indexed = indexed(&catalog);
+    let indexed = indexed(&plain);
     let tag = |arm: &str| format!("seed {seed} [indexed {arm}]");
     let (plan, out) = run(
         &indexed,
@@ -449,10 +473,16 @@ fn check_seed(seed: u64) -> (bool, bool, bool) {
         &tag("no-cse"),
     );
     assert_same(&batch, &out.results, want, |i| i, &tag("no-cse"));
-    let (_, index_joins) = sharing_arms(&indexed, &batch, want, (twin, &perm), seed, &tag);
+    let (_, mut index_ops) = sharing_arms(&indexed, &batch, want, (twin, &perm), seed, &tag);
+    note_index_ops(&plan, &mut index_ops);
 
-    let cached = check_maintenance(&catalog, &mut rng, seed);
-    (spools, index_joins || joins_through_index(&plan), cached)
+    let cached = check_maintenance(&plain, &mut rng, seed);
+    SeedOutcome {
+        spools,
+        seed_index_ops: seed_indexed.then_some(seed_index_ops),
+        index_joins: index_ops[0],
+        cached,
+    }
 }
 
 #[test]
@@ -464,13 +494,19 @@ fn generated_batches_agree_on_every_rung() {
         Some(n) => (0..n).collect(),
         None => batchgen::fixed_seeds().collect(),
     };
-    let outcomes: Vec<(bool, bool, bool)> = seeds.iter().map(|s| check_seed(*s)).collect();
-    let shared = outcomes.iter().filter(|o| o.0).count();
-    let index_joins = outcomes.iter().filter(|o| o.1).count();
-    let cached = outcomes.iter().filter(|o| o.2).count();
+    let outcomes: Vec<SeedOutcome> = seeds.iter().map(|s| check_seed(*s)).collect();
+    let count = |f: fn(&SeedOutcome) -> bool| outcomes.iter().filter(|o| f(o)).count();
+    let shared = count(|o| o.spools);
+    let index_joins = count(|o| o.index_joins);
+    let cached = count(|o| o.cached);
+    let seed_indexed = count(|o| o.seed_index_ops.is_some());
+    let seed_joins = count(|o| o.seed_index_ops.is_some_and(|ops| ops[0]));
+    let range_scans = count(|o| o.seed_index_ops.is_some_and(|ops| ops[1]));
     // A generator that never produces a sharing batch tests nothing, an
     // indexed arm that never joins through an index tests no index join,
-    // and a maintenance arm that never runs a cached plan tests no cache.
+    // seed indexes no plan reads test no index operator against the
+    // oracle, and a maintenance arm that never runs a cached plan tests no
+    // cache.
     assert!(
         shared * 3 >= seeds.len(),
         "only {shared} of {} generated batches used a spool",
@@ -480,6 +516,11 @@ fn generated_batches_agree_on_every_rung() {
         index_joins * 3 >= seeds.len(),
         "only {index_joins} of {} indexed batches joined through an index",
         seeds.len()
+    );
+    assert!(
+        seed_joins * 3 >= seed_indexed && range_scans * 3 >= seed_indexed,
+        "of {seed_indexed} seed-indexed batches, {seed_joins} joined through an index \
+         and {range_scans} scanned one"
     );
     assert!(
         cached * 3 >= seeds.len(),
