@@ -428,7 +428,7 @@ pub struct RecoveryPoint {
 /// produces (views refreshing, maintenance trickle), not pathological
 /// bulk registration.
 fn recovery_workload(n: usize) -> Vec<cse_storage::CatalogMutation> {
-    use cse_storage::delta::{DeltaAction, DeltaTable};
+    use cse_storage::delta::DeltaTable;
     use cse_storage::schema::Schema;
     use cse_storage::table::{row, Table};
     use cse_storage::value::{DataType, Value};
@@ -446,10 +446,7 @@ fn recovery_workload(n: usize) -> Vec<cse_storage::CatalogMutation> {
         let b = i % BASES;
         let mut delta = DeltaTable::new(format!("base{b}"), &schema);
         delta
-            .record(
-                DeltaAction::Insert,
-                row(vec![Value::Int(i as i64), Value::str(format!("r{i}"))]),
-            )
+            .record(row(vec![Value::Int(i as i64), Value::str(format!("r{i}"))]))
             .expect("delta row");
         out.push(cse_storage::CatalogMutation::ApplyDelta { delta });
         i += 1;

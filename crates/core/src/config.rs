@@ -23,8 +23,6 @@ pub struct CseConfig {
     /// the 8-table batch).
     pub heuristics: bool,
     pub explore: ExploreConfig,
-    /// Detect CSEs over candidate definitions too (§5.5).
-    pub stacked: bool,
     /// Run the `cse-verify` invariant passes during optimization and fail
     /// the query on any error-severity diagnostic. Defaults to on in debug
     /// and test builds, off in release (the audits redo whole-memo work).
@@ -55,7 +53,6 @@ impl Default for CseConfig {
         CseConfig {
             heuristics: true,
             explore: ExploreConfig::default(),
-            stacked: true,
             verify: cfg!(debug_assertions),
             budget: Budget::unlimited(),
             start_rung: Rung::FullCse,

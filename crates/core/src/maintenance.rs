@@ -33,7 +33,7 @@ use cse_exec::{AggState, Engine, ExecCtx, ExecMetrics};
 use cse_optimizer::{FullPlan, PhysicalPlan};
 use cse_sql::ast::{AggName, Expr, ExprKind, SelectItem, Statement};
 use cse_sql::SelectStmt;
-use cse_storage::delta::{DeltaAction, DeltaTable};
+use cse_storage::delta::DeltaTable;
 use cse_storage::{Catalog, CatalogMutation, MaterializedView, Row, SchemaRef, Table, Value};
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
@@ -304,7 +304,7 @@ pub fn plan_insert(
     let base_table = catalog.table(base)?;
     let mut delta = DeltaTable::new(base_table.name(), base_table.schema());
     for r in inserts {
-        delta.record(DeltaAction::Insert, r)?;
+        delta.record(r)?;
     }
     // Only this clone ever holds the delta table (no rows are copied).
     let mut work = catalog.clone();

@@ -381,12 +381,10 @@ fn register(
     // where the pre-aggregated orders⋈lineitem CSE also feeds the
     // customer⋈orders⋈lineitem CSE's definition). The candidate set is
     // fixed at this point; only consumer sets are extended.
-    if cfg.stacked {
-        let t = Instant::now();
-        extend_with_stacked_consumers(memo, &mgr, &mut registered);
-        found.report.stages.push(("stacked-extension", t.elapsed()));
-        clock.check_time("stacked-extension")?;
-    }
+    let t = Instant::now();
+    extend_with_stacked_consumers(memo, &mgr, &mut registered);
+    found.report.stages.push(("stacked-extension", t.elapsed()));
+    clock.check_time("stacked-extension")?;
 
     // Too many candidates cannot be represented in the optimizer's mask;
     // keep the most promising (widest consumer sets, then smallest size) —

@@ -227,10 +227,6 @@ pub(crate) fn encode_mutation(m: &CatalogMutation) -> Vec<u8> {
             out.push(1);
             put_table(&mut out, table);
         }
-        CatalogMutation::DropTable { name } => {
-            out.push(2);
-            put_str(&mut out, name);
-        }
         CatalogMutation::CreateBtreeIndex { table, column } => {
             out.push(3);
             put_str(&mut out, table);
@@ -254,7 +250,8 @@ pub(crate) fn encode_mutation(m: &CatalogMutation) -> Vec<u8> {
             put_str(&mut out, &delta.base);
             put_schema(&mut out, delta.inserts.schema());
             put_rows(&mut out, &delta.inserts);
-            put_rows(&mut out, &delta.deletes);
+            // An empty delete section: the layout every log was written in.
+            put_u32(&mut out, 0);
         }
     }
     out
@@ -272,9 +269,6 @@ pub(crate) fn decode_mutation(payload: &[u8]) -> Result<CatalogMutation, Durable
         1 => CatalogMutation::ReplaceTable {
             table: read_table(&mut r)?,
         },
-        2 => CatalogMutation::DropTable {
-            name: r.str("table name")?,
-        },
         3 => CatalogMutation::CreateBtreeIndex {
             table: r.str("table name")?,
             column: r.str("column name")?,
@@ -290,11 +284,13 @@ pub(crate) fn decode_mutation(payload: &[u8]) -> Result<CatalogMutation, Durable
         6 => {
             let base = r.str("delta base")?;
             let mut delta = DeltaTable::new(base, &read_schema(&mut r)?);
-            let mut strings = Strings::new();
-            read_rows(&mut r, &mut delta.inserts, &mut strings)?;
-            read_rows(&mut r, &mut delta.deletes, &mut strings)?;
+            read_rows(&mut r, &mut delta.inserts, &mut Strings::new())?;
+            if r.u32("delete count")? != 0 {
+                return Err(truncated("delta deletes"));
+            }
             CatalogMutation::ApplyDelta { delta }
         }
+        // Tag 2, a table drop, is no longer written and never reused.
         _ => return Err(truncated("mutation tag")),
     };
     if !r.is_done() {
@@ -306,7 +302,7 @@ pub(crate) fn decode_mutation(payload: &[u8]) -> Result<CatalogMutation, Durable
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cse_storage::delta::DeltaAction;
+    use crate::wal::{encode_frame, scan_wal};
     use cse_storage::table::row;
 
     fn sample_table() -> Table {
@@ -384,10 +380,6 @@ mod tests {
     #[test]
     fn scalar_mutations_roundtrip() {
         assert!(matches!(
-            roundtrip(&CatalogMutation::DropTable { name: "x".into() }),
-            CatalogMutation::DropTable { name } if name == "x"
-        ));
-        assert!(matches!(
             roundtrip(&CatalogMutation::CreateBtreeIndex {
                 table: "t".into(),
                 column: "c".into()
@@ -407,17 +399,13 @@ mod tests {
     fn delta_roundtrips() {
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
         let mut d = DeltaTable::new("base", &schema);
-        d.record(DeltaAction::Insert, row(vec![Value::Int(1)]))
-            .unwrap();
-        d.record(DeltaAction::Delete, row(vec![Value::Int(2)]))
-            .unwrap();
+        d.record(row(vec![Value::Int(1)])).unwrap();
         let m = roundtrip(&CatalogMutation::ApplyDelta { delta: d });
         let CatalogMutation::ApplyDelta { delta } = m else {
             panic!("wrong variant");
         };
         assert_eq!(delta.base, "base");
         assert_eq!(delta.insert_count(), 1);
-        assert_eq!(delta.delete_count(), 1);
     }
 
     #[test]
@@ -426,8 +414,102 @@ mod tests {
         assert!(decode_mutation(&[99]).is_err());
         assert!(decode_mutation(&[2, 255, 255, 255, 255]).is_err());
         // Trailing junk after a valid mutation is corruption, not slack.
-        let mut bytes = encode_mutation(&CatalogMutation::DropTable { name: "t".into() });
+        let mut bytes = encode_mutation(&CatalogMutation::RegisterView {
+            name: "v".into(),
+            definition_sql: "select 1".into(),
+        });
         bytes.push(0);
         assert!(decode_mutation(&bytes).is_err());
+    }
+
+    /// One frame of each record kind, as the log has always written it
+    /// (`len crc lsn | tag | fields`, little-endian): the encoder must
+    /// write these bytes exactly and the decoder must read them back, so
+    /// every existing log and snapshot still recovers.
+    const PINNED: [&str; 6] = [
+        "35000000 d29f25d3 0100000000000000 | 00 | 01000000 74 | 02000000 \
+         01000000 6b 00 00 | 01000000 73 02 01 | 02000000 \
+         01 0100000000000000 03 01000000 78 | 01 feffffffffffffff 00",
+        "33000000 28109cc9 0200000000000000 | 01 | 01000000 75 | 03000000 \
+         01000000 64 03 00 | 01000000 66 01 00 | 01000000 62 04 00 | 01000000 \
+         04 fbffffff 02 000000000000f83f 05 01",
+        "0b000000 4e9ccd78 0300000000000000 | 03 | 01000000 74 | 01000000 6b",
+        "0b000000 d09aa408 0400000000000000 | 04 | 01000000 74 | 01000000 73",
+        "19000000 2f8c8e31 0500000000000000 | 05 | 01000000 76 \
+         0f000000 73656c656374206b2066726f6d2074",
+        "2f000000 779b81ea 0600000000000000 | 06 | 01000000 74 | 02000000 \
+         01000000 6b 00 00 | 01000000 73 02 01 | 01000000 \
+         01 0400000000000000 03 01000000 79 | 00000000",
+    ];
+
+    fn hex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(u8::is_ascii_hexdigit).collect();
+        let pair = |p: &[u8]| u8::from_str_radix(std::str::from_utf8(p).unwrap(), 16).unwrap();
+        digits.chunks(2).map(pair).collect()
+    }
+
+    fn pinned_mutations() -> [CatalogMutation; 6] {
+        let two = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("s", DataType::Str).nullable(),
+        ]);
+        let three = Schema::from_pairs(&[
+            ("d", DataType::Date),
+            ("f", DataType::Float),
+            ("b", DataType::Bool),
+        ]);
+        let mut delta = DeltaTable::new("t", &two);
+        delta.record([Value::Int(4), Value::str("y")]).unwrap();
+        let rows = [
+            [Value::Int(1), Value::str("x")],
+            [Value::Int(-2), Value::Null],
+        ];
+        let row = [[Value::Date(-5), Value::Float(1.5), Value::Bool(true)]];
+        [
+            CatalogMutation::RegisterTable {
+                table: Table::with_rows("t", two, rows),
+            },
+            CatalogMutation::ReplaceTable {
+                table: Table::with_rows("u", three, row),
+            },
+            CatalogMutation::CreateBtreeIndex {
+                table: "t".into(),
+                column: "k".into(),
+            },
+            CatalogMutation::CreateHashIndex {
+                table: "t".into(),
+                column: "s".into(),
+            },
+            CatalogMutation::RegisterView {
+                name: "v".into(),
+                definition_sql: "select k from t".into(),
+            },
+            CatalogMutation::ApplyDelta { delta },
+        ]
+    }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        let mut log = Vec::new();
+        for (lsn, (m, pinned)) in (1..).zip(pinned_mutations().iter().zip(PINNED)) {
+            let frame = encode_frame(lsn, &encode_mutation(m));
+            assert_eq!(frame, hex(pinned), "{}", m.kind());
+            log.extend(frame);
+        }
+        let scan = scan_wal(&log).unwrap();
+        assert_eq!(scan.records.len(), 6);
+        for ((_, payload), m) in scan.records.iter().zip(pinned_mutations()) {
+            let decoded = decode_mutation(payload).unwrap();
+            assert_eq!(decoded.kind(), m.kind());
+            assert_eq!(encode_mutation(&decoded), *payload, "{}", m.kind());
+        }
+        // Tag 2, the table drop no catalog writes, and a delta with a
+        // delete row are both corrupt payloads.
+        let codec = |p: &[u8]| decode_mutation(p).unwrap_err().code();
+        assert_eq!(codec(&hex("02 01000000 74")), "WAL_CODEC");
+        let mut delta = scan.records[5].1.clone();
+        let n = delta.len();
+        delta.splice(n - 4.., hex("01000000 01 0500000000000000 03 01000000 7a"));
+        assert_eq!(codec(&delta), "WAL_CODEC");
     }
 }

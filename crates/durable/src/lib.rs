@@ -177,7 +177,7 @@ mod tests {
             },
             DurableError::ReplayApply {
                 lsn: 1,
-                kind: "drop_table",
+                kind: "create_hash_index",
                 detail: "missing".into(),
             },
             DurableError::VerifyFailed { errors: 2 },

@@ -416,28 +416,16 @@ impl FailSpec {
 }
 
 /// Parse the full `--fail` grammar: comma-separated `site:prob[:seed]`
-/// specs, optionally with the literal token `allow-unknown` anywhere in the
-/// list. Unknown site names are rejected with an error listing
-/// [`sites::ALL`] — a typo'd site used to arm nothing and silently pass —
-/// unless `allow-unknown` is present (the escape hatch tests use to inject
-/// at sites that only exist in a branch under development).
+/// specs. Unknown site names are rejected with an error listing
+/// [`sites::ALL`]: a site without a hook would arm nothing and silently
+/// pass.
 pub fn parse_fail_specs(raw: &str) -> Result<Vec<FailSpec>, String> {
-    let parts: Vec<&str> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .collect();
-    let allow_unknown = parts.contains(&"allow-unknown");
     let mut specs = Vec::new();
-    for part in parts {
-        if part == "allow-unknown" {
-            continue;
-        }
+    for part in raw.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         let spec = FailSpec::parse(part)?;
-        if !allow_unknown && !sites::is_known(&spec.site) {
+        if !sites::is_known(&spec.site) {
             return Err(format!(
-                "unknown failpoint site '{}'; known sites: {} \
-                 (add 'allow-unknown' to the spec list to bypass)",
+                "unknown failpoint site '{}'; known sites: {}",
                 spec.site,
                 sites::ALL.join(", ")
             ));
@@ -535,11 +523,6 @@ impl FailpointRegistry {
         guard.remove(site).is_some()
     }
 
-    /// Anything armed at all?
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Should the given site fail now? Draws from the site's PRNG (and
     /// advances it), so repeated evaluations follow the seeded schedule.
     pub fn should_fail(&self, site: &str) -> bool {
@@ -586,7 +569,6 @@ mod tests {
     #[test]
     fn disabled_registry_never_fails() {
         let reg = FailpointRegistry::disabled();
-        assert!(!reg.enabled());
         for site in sites::ALL {
             assert!(!reg.should_fail(site));
         }
@@ -767,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn fail_grammar_rejects_unknown_sites_unless_allowed() {
+    fn fail_grammar_rejects_unknown_sites() {
         let specs = parse_fail_specs("spool.materialize:1.0, scan.table:0.5:7").unwrap();
         assert_eq!(specs.len(), 2);
         let err = parse_fail_specs("spool.materialze:1.0").unwrap_err();
@@ -775,10 +757,7 @@ mod tests {
         for site in sites::ALL {
             assert!(err.contains(site), "error must list {site}: {err}");
         }
-        let specs = parse_fail_specs("allow-unknown,future.site:1.0").unwrap();
-        assert_eq!(specs[0].site, "future.site");
-        // Malformed probabilities stay rejected even with the escape hatch.
-        assert!(parse_fail_specs("allow-unknown,scan.table:2.0").is_err());
+        assert!(parse_fail_specs("scan.table:2.0").is_err());
         assert!(parse_fail_specs("scan.table:nope").is_err());
         assert!(parse_fail_specs("").unwrap().is_empty());
     }

@@ -14,7 +14,7 @@
 //! State machine (reason codes in the server's reply/stat stream):
 //!
 //! ```text
-//!          rate ≥ trip_ratio over ≥ min_samples
+//!          rate ≥ TRIP_RATIO over ≥ MIN_SAMPLES
 //! Closed ──────────────────────────────────────▶ Open (BREAKER_TRIPPED)
 //!   ▲                                             │ cooldown elapses
 //!   │ probe ran full-CSE cleanly                  ▼
@@ -31,32 +31,14 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Breaker tuning.
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Master switch; disabled means every admission is `Full`.
-    pub enabled: bool,
-    /// Sliding-window length (recent normally-served requests).
-    pub window: usize,
-    /// Minimum window occupancy before the rate is meaningful.
-    pub min_samples: usize,
-    /// Downgrade-rate threshold that opens the breaker.
-    pub trip_ratio: f64,
-    /// How long the breaker stays open before probing.
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            enabled: true,
-            window: 32,
-            min_samples: 8,
-            trip_ratio: 0.5,
-            cooldown: Duration::from_millis(100),
-        }
-    }
-}
+/// Sliding-window length (recent normally-served requests).
+const WINDOW: usize = 32;
+/// Minimum window occupancy before the rate is meaningful.
+const MIN_SAMPLES: usize = 8;
+/// Downgrade-rate threshold that opens the breaker.
+const TRIP_RATIO: f64 = 0.5;
+/// How long the breaker stays open before probing.
+pub const COOLDOWN: Duration = Duration::from_millis(100);
 
 /// Public view of the breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,14 +102,24 @@ pub struct BreakerSnapshot {
 /// mutex.
 #[derive(Debug)]
 pub struct Breaker {
-    cfg: BreakerConfig,
+    window: usize,
+    min_samples: usize,
+    trip_ratio: f64,
+    cooldown: Duration,
     inner: Mutex<Inner>,
 }
 
 impl Breaker {
-    pub fn new(cfg: BreakerConfig) -> Self {
+    pub(crate) fn new() -> Self {
+        Breaker::with(WINDOW, MIN_SAMPLES, TRIP_RATIO, COOLDOWN)
+    }
+
+    fn with(window: usize, min_samples: usize, trip_ratio: f64, cooldown: Duration) -> Self {
         Breaker {
-            cfg,
+            window,
+            min_samples,
+            trip_ratio,
+            cooldown,
             inner: Mutex::new(Inner {
                 state: St::Closed,
                 window: VecDeque::new(),
@@ -144,9 +136,6 @@ impl Breaker {
 
     /// Decide what the next request may do.
     pub fn admit(&self) -> Admission {
-        if !self.cfg.enabled {
-            return Admission::Full;
-        }
         // Read the clock before taking the lock: the cooldown comparison
         // needs "now", but the clock call must not stretch the critical
         // section — at 8 workers the serve bench measured a 26 ms
@@ -183,24 +172,21 @@ impl Breaker {
 
     /// Report a normal-mode (`Admission::Full`) planning outcome.
     pub fn record(&self, degraded: bool) {
-        if !self.cfg.enabled {
-            return;
-        }
         // Cooldown expiry computed outside the lock (see `admit`): one
         // clock read per record is cheaper than every contended waiter
         // inheriting the syscall's latency.
-        let reopen_until = Instant::now() + self.cfg.cooldown;
+        let reopen_until = Instant::now() + self.cooldown;
         let mut g = self.lock();
         if !matches!(g.state, St::Closed) {
             return;
         }
         g.window.push_back(degraded);
-        while g.window.len() > self.cfg.window {
+        while g.window.len() > self.window {
             g.window.pop_front();
         }
-        if g.window.len() >= self.cfg.min_samples {
+        if g.window.len() >= self.min_samples {
             let bad = g.window.iter().filter(|&&d| d).count();
-            if bad as f64 / g.window.len() as f64 >= self.cfg.trip_ratio {
+            if bad as f64 / g.window.len() as f64 >= self.trip_ratio {
                 g.state = St::Open {
                     until: reopen_until,
                 };
@@ -215,14 +201,11 @@ impl Breaker {
     /// failure, cancellation — re-opens the breaker (fail safe: an
     /// inconclusive probe is not evidence of health).
     pub(crate) fn record_probe(&self, ok: bool) {
-        if !self.cfg.enabled {
-            return;
-        }
         // The probe path is the one the 8-worker hold-time spike came
         // from: every worker's admit() waits on this lock while the probe
         // reports, so the clock read happens before acquisition and the
         // critical section is down to two field stores.
-        let reopen_until = Instant::now() + self.cfg.cooldown;
+        let reopen_until = Instant::now() + self.cooldown;
         let mut g = self.lock();
         if ok {
             g.state = St::Closed;
@@ -264,13 +247,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> Breaker {
-        Breaker::new(BreakerConfig {
-            enabled: true,
-            window: 4,
-            min_samples: 4,
-            trip_ratio: 0.5,
-            cooldown: Duration::from_millis(5),
-        })
+        Breaker::with(4, 4, 0.5, Duration::from_millis(5))
     }
 
     #[test]
@@ -310,19 +287,6 @@ mod tests {
         b.record_probe(false);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.snapshot().trips, 2);
-    }
-
-    #[test]
-    fn disabled_breaker_always_admits_fully() {
-        let b = Breaker::new(BreakerConfig {
-            enabled: false,
-            ..BreakerConfig::default()
-        });
-        for _ in 0..64 {
-            b.record(true);
-            assert_eq!(b.admit(), Admission::Full);
-        }
-        assert_eq!(b.snapshot().trips, 0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod breaker;
 pub mod queue;
 pub mod server;
 
-pub use breaker::{Admission, Breaker, BreakerConfig, BreakerSnapshot, BreakerState};
+pub use breaker::{Admission, Breaker, BreakerSnapshot, BreakerState};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{
     AdmitPolicy, BatchReply, Outcome, RejectReason, Rejection, Server, ServerConfig, ServerStats,

@@ -33,7 +33,7 @@
 //! the pipeline's own `catch_unwind`) converts the panic into an
 //! `EXEC_INTERNAL` rejection and keeps serving.
 
-use crate::breaker::{Admission, Breaker, BreakerConfig, BreakerSnapshot};
+use crate::breaker::{Admission, Breaker, BreakerSnapshot};
 use crate::queue::{BoundedQueue, PushError};
 use cse_core::CseConfig;
 use cse_exec::{Engine, ExecCtx, ExecError, ExecMetrics, ResultSet};
@@ -73,7 +73,6 @@ pub struct ServerConfig {
     pub max_retries: u32,
     /// Base backoff; attempt `n` waits `base · 2^(n-1) · jitter`.
     pub retry_backoff: Duration,
-    pub breaker: BreakerConfig,
     /// Global memory budget shared by all in-flight requests. `None`
     /// disables memory governance (the single-session behaviour). With a
     /// budget set, every attempt takes a [`MemReservation`](cse_govern::MemReservation) before
@@ -99,7 +98,6 @@ impl Default for ServerConfig {
             deadline: None,
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
-            breaker: BreakerConfig::default(),
             mem_budget: None,
             mem_grant: 1 << 20,
             cse: CseConfig::default(),
@@ -329,7 +327,7 @@ impl Server {
     )]
     pub fn new(catalog: Arc<Catalog>, cfg: ServerConfig) -> Self {
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
-        let breaker = Breaker::new(cfg.breaker.clone());
+        let breaker = Breaker::new();
         let workers_n = cfg.workers.max(1);
         let governor = cfg.mem_budget.map(MemoryGovernor::new);
         let shared = Arc::new(Shared {

@@ -5,7 +5,6 @@ use crate::error::StorageError;
 use crate::index::{BTreeIndex, HashIndex};
 use crate::stats::TableStats;
 use crate::table::Table;
-use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -46,8 +45,6 @@ pub enum CatalogMutation {
     RegisterTable { table: Table },
     /// Replace a table's contents; stale stats and indexes are dropped.
     ReplaceTable { table: Table },
-    /// Drop a table (and a registered view of the same name, if any).
-    DropTable { name: String },
     /// Build a B-tree index on `table.column`.
     CreateBtreeIndex { table: String, column: String },
     /// Build a hash index on `table.column`.
@@ -57,8 +54,8 @@ pub enum CatalogMutation {
         name: String,
         definition_sql: String,
     },
-    /// Apply a captured delta (inserts minus deletes) to its base table;
-    /// its stats and indexes follow the new contents.
+    /// Append a captured delta's inserts to its base table; its stats and
+    /// indexes follow the new contents.
     ApplyDelta { delta: DeltaTable },
 }
 
@@ -68,7 +65,6 @@ impl CatalogMutation {
         match self {
             CatalogMutation::RegisterTable { .. } => "register_table",
             CatalogMutation::ReplaceTable { .. } => "replace_table",
-            CatalogMutation::DropTable { .. } => "drop_table",
             CatalogMutation::CreateBtreeIndex { .. } => "create_btree_index",
             CatalogMutation::CreateHashIndex { .. } => "create_hash_index",
             CatalogMutation::RegisterView { .. } => "register_view",
@@ -172,15 +168,6 @@ impl Catalog {
         );
     }
 
-    /// Drop a table. A materialized view registered under the same name is
-    /// dropped with it (its contents table is what is being removed), so
-    /// the catalog never holds a view definition without backing storage.
-    pub fn drop_table(&mut self, name: &str) -> Option<CatalogEntry> {
-        let key = name.to_ascii_lowercase();
-        self.views.remove(&key);
-        self.entries.remove(&key)
-    }
-
     pub fn get(&self, name: &str) -> Result<&CatalogEntry, StorageError> {
         self.entries
             .get(lowered(name).as_ref())
@@ -268,56 +255,39 @@ impl Catalog {
         self.views.values()
     }
 
-    /// Apply a captured delta to its base table: base rows minus the
-    /// delta's deletes (multiset semantics) plus its inserts. An insert-only
-    /// delta appends in place, folding its rows into the stats and indexes;
-    /// one with deletes rewrites the table, recomputes the stats and
-    /// rebuilds every index the table had. Either way the entry ends equal
-    /// to registering the new contents and building those indexes afresh.
+    /// Apply a captured delta to its base table: append its inserts in
+    /// place, folding them into the stats and every index the table has, so
+    /// the entry ends equal to registering the new contents and building
+    /// those indexes afresh. A delta whose schema differs from the base's
+    /// changes nothing: a different column count is an `ArityMismatch`,
+    /// otherwise the first differing column is a `TypeMismatch`.
     pub fn apply_delta(&mut self, delta: &DeltaTable) -> Result<(), StorageError> {
         let entry = self
             .entries
             .get_mut(&delta.base.to_ascii_lowercase())
             .ok_or_else(|| StorageError::UnknownTable(delta.base.clone()))?;
-        let base = &entry.table;
-        if delta.inserts.schema().as_ref() != base.schema().as_ref() {
+        let (base, got) = (entry.table.schema(), delta.inserts.schema());
+        if base.len() != got.len() {
             return Err(StorageError::ArityMismatch {
                 table: delta.base.clone(),
-                expected: base.schema().len(),
-                got: delta.inserts.schema().len(),
+                expected: base.len(),
+                got: got.len(),
             });
         }
-        if delta.delete_count() == 0 {
-            entry.append(&delta.inserts);
-            return Ok(());
-        }
-        let mut pending: HashMap<&[Value], usize> = HashMap::new();
-        for r in delta.deletes.scan() {
-            *pending.entry(r).or_insert(0) += 1;
-        }
-        let kept = base.scan().filter(|r| match pending.get_mut(r) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                false
-            }
-            _ => true,
-        });
-        let rows = kept.chain(delta.inserts.scan());
-        let table = Table::with_rows(base.name(), base.schema().as_ref().clone(), rows);
-        let hash = entry
-            .hash_indexes
+        let differs = base
+            .columns()
             .iter()
-            .map(|i| HashIndex::build(&table, i.column));
-        let btree = entry
-            .btree_indexes
-            .iter()
-            .map(|i| BTreeIndex::build(&table, i.column));
-        *entry = CatalogEntry {
-            hash_indexes: hash.map(Arc::new).collect(),
-            btree_indexes: btree.map(Arc::new).collect(),
-            stats: Arc::new(TableStats::analyze(&table)),
-            table: Arc::new(table),
-        };
+            .zip(got.columns())
+            .find(|(b, g)| b != g);
+        if let Some((b, g)) = differs {
+            return Err(StorageError::TypeMismatch {
+                table: delta.base.clone(),
+                column: b.name.clone(),
+                expected: b.data_type,
+                got: Some(g.data_type),
+            });
+        }
+        entry.append(&delta.inserts);
         Ok(())
     }
 
@@ -328,10 +298,6 @@ impl Catalog {
             CatalogMutation::RegisterTable { table } => self.register_table(table.clone()),
             CatalogMutation::ReplaceTable { table } => {
                 self.replace_table(table.clone());
-                Ok(())
-            }
-            CatalogMutation::DropTable { name } => {
-                self.drop_table(name);
                 Ok(())
             }
             CatalogMutation::CreateBtreeIndex { table, column } => {
@@ -360,7 +326,7 @@ mod tests {
     use super::*;
     use crate::schema::Schema;
     use crate::table::{row, Row, CHUNK_ROWS};
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn t(name: &str) -> Table {
         let mut t = Table::new(name, Schema::from_pairs(&[("a", DataType::Int)]));
@@ -462,36 +428,19 @@ mod tests {
     }
 
     #[test]
-    fn drop_table_removes_same_named_view() {
-        let mut c = Catalog::new();
-        c.register_table(t("v1")).unwrap();
-        c.register_view(MaterializedView {
-            name: "v1".into(),
-            definition_sql: "select a from foo".into(),
-        });
-        assert!(c.view("v1").is_some());
-        assert!(c.drop_table("V1").is_some());
-        // The view definition must not dangle without backing storage.
-        assert!(c.view("v1").is_none());
-        assert!(!c.contains("v1"));
-    }
-
-    #[test]
-    fn apply_delta_inserts_and_deletes() {
-        use crate::delta::{DeltaAction, DeltaTable};
+    fn apply_delta_appends_and_extends_indexes() {
+        use crate::delta::DeltaTable;
         let mut c = Catalog::new();
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
         let mut base = Table::new("foo", schema.clone());
-        for v in [1i64, 2, 2, 3] {
+        for v in [1i64, 2, 3] {
             base.push(row(vec![Value::Int(v)])).unwrap();
         }
         c.register_table(base).unwrap();
         c.create_hash_index("foo", "a").unwrap();
         let mut d = DeltaTable::new("foo", &schema);
-        d.record(DeltaAction::Insert, row(vec![Value::Int(9)]))
-            .unwrap();
-        d.record(DeltaAction::Delete, row(vec![Value::Int(2)]))
-            .unwrap();
+        d.record(row(vec![Value::Int(9)])).unwrap();
+        d.record(row(vec![Value::Int(2)])).unwrap();
         c.apply_delta(&d).unwrap();
         let got: Vec<i64> = c
             .table("foo")
@@ -499,15 +448,9 @@ mod tests {
             .scan()
             .map(|r| r[0].as_i64().unwrap())
             .collect();
-        // Multiset delete: only one of the two 2s is removed.
-        assert_eq!(got, vec![1, 2, 3, 9]);
-        assert_eq!(c.stats("foo").unwrap().row_count, 4);
-        // The rewritten table keeps its index, rebuilt over the new rows;
-        // an insert-only delta appends to it.
-        let mut d = DeltaTable::new("foo", &schema);
-        d.record(DeltaAction::Insert, row(vec![Value::Int(2)]))
-            .unwrap();
-        c.apply_delta(&d).unwrap();
+        assert_eq!(got, vec![1, 2, 3, 9, 2]);
+        assert_eq!(c.stats("foo").unwrap().row_count, 5);
+        // The appended rows are in the index the table had.
         let e = c.get("foo").unwrap();
         let ids = |k: i64| {
             e.hash_indexes[0]
@@ -517,12 +460,45 @@ mod tests {
         assert_eq!((ids(2), ids(9)), (vec![1, 4], vec![3]));
     }
 
+    /// A delta whose schema differs from its base's in one column's type
+    /// names that column and leaves the catalog as it was.
+    #[test]
+    fn apply_delta_reports_the_differing_column() {
+        use crate::delta::DeltaTable;
+        let mut c = Catalog::new();
+        let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]);
+        c.register_table(Table::with_rows(
+            "foo",
+            schema,
+            [[Value::Int(1), Value::Int(2)]],
+        ))
+        .unwrap();
+        let before = held(&c);
+        let other = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Str)]);
+        let mut d = DeltaTable::new("foo", &other);
+        d.record([Value::Int(3), Value::str("x")]).unwrap();
+        let err = c.apply_delta(&d).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                StorageError::TypeMismatch {
+                    column,
+                    expected: DataType::Int,
+                    got: Some(DataType::Str),
+                    ..
+                } if column == "b"
+            ),
+            "{err:?}"
+        );
+        assert_eq!(held(&c), before);
+    }
+
     /// An insert-only delta appends to a table a catalog clone still
     /// holds: the clone keeps its rows, and both share every full chunk —
     /// the append copied only the tail.
     #[test]
     fn appending_to_a_shared_table_copies_only_its_tail() {
-        use crate::delta::{DeltaAction, DeltaTable};
+        use crate::delta::DeltaTable;
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
         let n = 2 * CHUNK_ROWS + 10;
         let rows = (0..n as i64).map(|v| [Value::Int(v)]);
@@ -532,7 +508,7 @@ mod tests {
         let snapshot = c.clone();
         let mut d = DeltaTable::new("foo", &schema);
         for v in [-1, -2] {
-            d.record(DeltaAction::Insert, [Value::Int(v)]).unwrap();
+            d.record([Value::Int(v)]).unwrap();
         }
         c.apply_mutation(&CatalogMutation::ApplyDelta { delta: d })
             .unwrap();
@@ -606,7 +582,7 @@ mod tests {
     /// what it held.
     #[test]
     fn random_mutation_sequences_stay_consistent() {
-        use crate::delta::{DeltaAction, DeltaTable};
+        use crate::delta::DeltaTable;
         use crate::testkit::TestRng;
 
         let names = ["alpha", "beta", "gamma"];
@@ -615,14 +591,14 @@ mod tests {
             let (a, b) = (rng.range_i64(0, 10), rng.range_i64(0, 4));
             row(vec![Value::Int(a), Value::Int(b)])
         };
-        let mut deltas = [0usize; 2];
+        let mut appends = 0usize;
         for seed in [1u64, 7, 42, 1234] {
             let mut rng = TestRng::new(seed);
             let mut c = Catalog::new();
             for _ in 0..200 {
                 let name = *rng.pick(&names);
                 let column = rng.pick(&["a", "b"]).to_string();
-                let m = match rng.range_usize(0, 9) {
+                let m = match rng.range_usize(0, 8) {
                     0 => {
                         let mut tbl = Table::new(name, schema.clone());
                         for _ in 0..rng.range_usize(0, 5) {
@@ -637,28 +613,24 @@ mod tests {
                         }
                         CatalogMutation::ReplaceTable { table: tbl }
                     }
-                    2 => CatalogMutation::DropTable { name: name.into() },
-                    3 => CatalogMutation::CreateBtreeIndex {
+                    2 => CatalogMutation::CreateBtreeIndex {
                         table: name.into(),
                         column,
                     },
-                    4 => CatalogMutation::CreateHashIndex {
+                    3 => CatalogMutation::CreateHashIndex {
                         table: name.into(),
                         column,
                     },
-                    5 => CatalogMutation::RegisterView {
+                    4 => CatalogMutation::RegisterView {
                         name: name.into(),
                         definition_sql: format!("select a from {name}"),
                     },
                     _ => {
                         let mut d = DeltaTable::new(name, &schema);
                         for _ in 0..rng.range_usize(0, 4) {
-                            d.record(DeltaAction::Insert, cells(&mut rng)).unwrap();
+                            d.record(cells(&mut rng)).unwrap();
                         }
-                        for _ in 0..rng.range_usize(0, 3).saturating_sub(1) {
-                            d.record(DeltaAction::Delete, cells(&mut rng)).unwrap();
-                        }
-                        deltas[usize::from(d.delete_count() > 0)] += 1;
+                        appends += 1;
                         CatalogMutation::ApplyDelta { delta: d }
                     }
                 };
@@ -671,7 +643,6 @@ mod tests {
                 assert_eq!(held(&snapshot), before, "a clone must keep its snapshot");
             }
         }
-        // Both delta paths ran: in-place appends and rewrites.
-        assert!(deltas.iter().all(|&n| n > 50), "{deltas:?}");
+        assert!(appends > 50, "{appends}");
     }
 }

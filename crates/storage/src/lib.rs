@@ -27,7 +27,7 @@ pub mod testkit;
 pub mod value;
 
 pub use catalog::{lowered, Catalog, CatalogEntry, CatalogMutation, MaterializedView};
-pub use delta::{DeltaAction, DeltaTable};
+pub use delta::DeltaTable;
 pub use error::StorageError;
 pub use index::{BTreeIndex, HashIndex};
 pub use schema::{ColumnDef, Schema, SchemaRef};

@@ -74,8 +74,7 @@ fn mutation_target(m: &CatalogMutation) -> Option<String> {
         CatalogMutation::RegisterTable { table } | CatalogMutation::ReplaceTable { table } => {
             Some(table.name().to_ascii_lowercase())
         }
-        CatalogMutation::DropTable { name }
-        | CatalogMutation::CreateBtreeIndex { table: name, .. }
+        CatalogMutation::CreateBtreeIndex { table: name, .. }
         | CatalogMutation::CreateHashIndex { table: name, .. }
         | CatalogMutation::RegisterView { name, .. } => Some(name.to_ascii_lowercase()),
         CatalogMutation::ApplyDelta { .. } => None,
@@ -157,7 +156,7 @@ fn main() {
                 data_dir = Some(args.next().expect("--data-dir expects a directory"));
             }
             // Failpoint grammar: comma-separated site:prob[:seed] specs,
-            // unknown sites rejected unless `allow-unknown` is listed.
+            // unknown sites rejected.
             "--fail" => {
                 let spec = args.next().expect("--fail expects site:prob[:seed]");
                 match similar_subexpr::govern::parse_fail_specs(&spec) {

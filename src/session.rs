@@ -76,10 +76,6 @@ impl Session {
         &self.catalog
     }
 
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     pub fn config(&self) -> &CseConfig {
         &self.config
     }

@@ -209,9 +209,7 @@ fn site_list_and_validator_agree() {
 }
 
 /// The `--fail` grammar: unknown sites and malformed probabilities are
-/// rejected with an error that lists the valid sites; the `allow-unknown`
-/// escape hatch restores the old permissive behaviour for out-of-tree
-/// sites.
+/// rejected with an error that lists the valid sites.
 #[test]
 fn env_grammar_rejects_unknown_sites_with_helpful_error() {
     use similar_subexpr::govern::parse_fail_specs;
@@ -233,9 +231,4 @@ fn env_grammar_rejects_unknown_sites_with_helpful_error() {
     // Malformed probability: rejected even for a known site.
     assert!(parse_fail_specs("scan.table:2.5").is_err());
     assert!(parse_fail_specs("scan.table:nan").is_err());
-
-    // Escape hatch: the `allow-unknown` token admits out-of-tree sites.
-    let specs = parse_fail_specs("allow-unknown,my.plugin.site:0.5").expect("escape hatch admits");
-    assert_eq!(specs.len(), 1);
-    assert_eq!(specs[0].site, "my.plugin.site");
 }

@@ -40,7 +40,7 @@ use similar_subexpr::memo::{explore, ExploreConfig, Memo};
 use similar_subexpr::optimizer::{FullPlan, PhysicalPlan};
 use similar_subexpr::prelude::*;
 use similar_subexpr::sql::lower_batch_sql;
-use similar_subexpr::storage::delta::{DeltaAction, DeltaTable};
+use similar_subexpr::storage::delta::DeltaTable;
 use similar_subexpr::storage::testkit::TestRng;
 use similar_subexpr::storage::{row, ColumnDef, DataType, Row, Schema};
 use similar_subexpr::tpch::TpchTable;
@@ -344,9 +344,7 @@ fn check_maintenance(catalog: &Catalog, rng: &mut TestRng, seed: u64) -> bool {
             .unwrap_or_else(fail);
         let mut delta = DeltaTable::new("customer", plain.table("customer").unwrap().schema());
         for r in &rows {
-            delta
-                .record(DeltaAction::Insert, r.clone())
-                .expect("captured above");
+            delta.record(r).expect("captured above");
         }
         plain.apply_delta(&delta).expect("plain insert");
         let o = optimize_sql(&plain, &definition, &CseConfig::no_cse()).expect("recompute");

@@ -94,7 +94,6 @@ fn memory_storm_completes_with_recoverable_outcomes_only() {
                 }]),
                 ..CseConfig::default()
             },
-            ..ServerConfig::default()
         },
     );
     let governor = server.memory_governor().expect("budget set").clone();

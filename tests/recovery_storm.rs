@@ -21,7 +21,7 @@ use similar_subexpr::durable::{
     TailStatus,
 };
 use similar_subexpr::govern::{sites, FailSpec, FailpointRegistry};
-use similar_subexpr::storage::delta::{DeltaAction, DeltaTable};
+use similar_subexpr::storage::delta::DeltaTable;
 use similar_subexpr::storage::schema::Schema;
 use similar_subexpr::storage::table::{row, Table};
 use similar_subexpr::storage::value::{DataType, Value};
@@ -45,8 +45,8 @@ fn table_named(name: &str, vals: &[i64]) -> Table {
 }
 
 /// A deterministic mutation workload covering every journaled kind:
-/// registrations, replacements, index builds, view registration, delta
-/// application, and a drop. Applying any prefix to a fresh catalog is
+/// registrations, replacements, index builds, view registration and
+/// delta application. Applying any prefix to a fresh catalog is
 /// valid, which is exactly what the oracle needs.
 fn workload() -> Vec<CatalogMutation> {
     let mut out = Vec::new();
@@ -75,19 +75,9 @@ fn workload() -> Vec<CatalogMutation> {
         &Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]),
     );
     delta
-        .record(
-            DeltaAction::Insert,
-            row(vec![Value::Int(77), Value::str("row-77")]),
-        )
-        .unwrap();
-    delta
-        .record(
-            DeltaAction::Delete,
-            row(vec![Value::Int(4), Value::str("row-4")]),
-        )
+        .record(row(vec![Value::Int(77), Value::str("row-77")]))
         .unwrap();
     out.push(CatalogMutation::ApplyDelta { delta });
-    out.push(CatalogMutation::DropTable { name: "t5".into() });
     for i in 6..10i64 {
         out.push(CatalogMutation::RegisterTable {
             table: table_named(&format!("t{i}"), &[i]),

@@ -10,7 +10,8 @@
 
 use similar_subexpr::govern::sites;
 use similar_subexpr::prelude::*;
-use similar_subexpr::serve::{Admission, BreakerConfig, BreakerState};
+use similar_subexpr::serve::breaker::COOLDOWN;
+use similar_subexpr::serve::{Admission, BreakerState};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -213,23 +214,14 @@ fn results_identical_across_worker_counts_and_seeds() {
 fn breaker_trips_serves_baseline_and_recovers_via_probe() {
     let catalog = catalog();
     let want = reference(&catalog, &cse_batch());
-    // Generous cooldown: on a loaded single-core CI box the test thread
-    // can lose tens of milliseconds between requests, and a cooldown that
-    // elapses "spuriously" turns an expected baseline-only admission into
-    // a (failing) probe. The phases below tolerate that reordering, but a
-    // longer cooldown keeps the common path deterministic.
-    let cooldown = Duration::from_millis(200);
+    // On a loaded single-core box the test thread can lose tens of
+    // milliseconds between requests, and a cooldown that elapses
+    // "spuriously" turns an expected baseline-only admission into a
+    // (failing) probe. The phases below tolerate that reordering.
     let mut server = Server::new(
         Arc::clone(&catalog),
         ServerConfig {
             workers: 1, // sequential: breaker transitions are deterministic
-            breaker: BreakerConfig {
-                enabled: true,
-                window: 8,
-                min_samples: 4,
-                trip_ratio: 0.5,
-                cooldown,
-            },
             cse: CseConfig {
                 failpoints: FailpointRegistry::from_specs(&[FailSpec {
                     site: sites::OPT_CSE_PHASE.to_string(),
@@ -249,8 +241,9 @@ fn breaker_trips_serves_baseline_and_recovers_via_probe() {
     };
 
     // Phase 1: the panicking CSE phase degrades every request to the
-    // baseline rung (worker survives each panic) until the breaker trips.
-    for _ in 0..4 {
+    // baseline rung (worker survives each panic) until the breaker trips:
+    // eight downgrades fill its minimum sample.
+    for _ in 0..8 {
         let reply = ask(&server);
         assert_eq!(reply.admission, Admission::Full);
         assert_eq!(reply.rung, Rung::Baseline);
@@ -293,7 +286,7 @@ fn breaker_trips_serves_baseline_and_recovers_via_probe() {
     assert!(server.failpoints().disarm(sites::OPT_CSE_PHASE));
     let mut recovered = false;
     for _ in 0..3 {
-        std::thread::sleep(cooldown + Duration::from_millis(50));
+        std::thread::sleep(COOLDOWN + Duration::from_millis(50));
         let reply = ask(&server);
         if reply.admission == Admission::Probe {
             assert_eq!(reply.rung, Rung::FullCse, "healthy probe runs full CSE");

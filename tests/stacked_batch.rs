@@ -74,22 +74,6 @@ fn stacked_candidate_has_def_internal_consumer() {
 }
 
 #[test]
-fn stacked_off_is_still_correct() {
-    let catalog = catalog();
-    let cfg = CseConfig {
-        stacked: false,
-        ..Default::default()
-    };
-    let (_, base) = run(&catalog, &CseConfig::no_cse());
-    let o = optimize_sql(&catalog, &workloads::table2_batch(), &cfg).unwrap();
-    let engine = Engine::new(&catalog, &o.ctx);
-    let out = engine.execute(&o.plan).unwrap();
-    for (b, s) in base.results.iter().zip(out.results.iter()) {
-        assert!(b.approx_eq(s, 1e-9));
-    }
-}
-
-#[test]
 fn batch_cost_improves_about_2x() {
     let catalog = catalog();
     let (no, _) = run(&catalog, &CseConfig::no_cse());
