@@ -7,15 +7,17 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-# Informational, never fails: the three size counts ROADMAP item 7 tracks
-# (lines outside tests/ dirs, the same cut at the first #[cfg(test)], and
-# `pub fn`s).
+# Informational, never fails: the size counts ROADMAP item 9 tracks (lines
+# outside tests/ dirs, the same cut at the first #[cfg(test)], `pub fn`s,
+# and the line counts of DESIGN.md and EXPERIMENTS.md).
 echo "==> size"
 {
   rs_files=$(find crates src -name '*.rs' -not -path '*/tests/*')
   echo "    lines outside tests/ dirs: $(echo "$rs_files" | xargs cat | wc -l)"
   echo "    lines cut at #[cfg(test)]: $(for f in $rs_files; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)"
   echo "    pub fn: $(grep -rc "pub fn " crates/*/src src --include=*.rs | awk -F: '{s += $2} END {print s}')"
+  echo "    DESIGN.md lines: $(wc -l <DESIGN.md)"
+  echo "    EXPERIMENTS.md lines: $(wc -l <EXPERIMENTS.md)"
 } || true
 
 # Clippy is also the panic-path gate: the runtime crates deny unwrap,

@@ -49,7 +49,13 @@ fn main() {
     let mut seed = 42u64;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--sf" => sf = value(&mut args, "--sf"),
+            "--sf" => {
+                sf = args
+                    .next()
+                    .as_deref()
+                    .and_then(cse_tpch::parse_scale)
+                    .unwrap_or_else(|| usage("--sf expects a finite scale factor above 0"))
+            }
             "--requests" => requests = value(&mut args, "--requests"),
             "--seed" => seed = value(&mut args, "--seed"),
             other if EXPERIMENTS.contains(&other) => which = arg,
@@ -57,6 +63,12 @@ fn main() {
         }
     }
     println!("TPC-H scale factor: {sf}");
+    // Not part of `all`: the durability bench needs no catalog and its
+    // absolute numbers are machine-dependent; run it on demand.
+    if which == "recovery" {
+        recovery();
+        return;
+    }
     let catalog = experiments::catalog(sf);
 
     let run_all = which == "all";
@@ -114,7 +126,7 @@ fn main() {
     }
     if run_all || which == "viewmaint" {
         println!("\n=== §6.4: materialized view maintenance ===");
-        let (no, yes) = experiments::view_maintenance(sf, 200);
+        let (no, yes) = experiments::view_maintenance(&catalog, 200);
         for o in [&no, &yes] {
             println!(
                 "{:<12} maintain {:>10.3} ms  candidates {}  views {}",
@@ -175,39 +187,38 @@ fn main() {
             );
         }
     }
+}
 
-    // Not part of `all`: the durability bench needs no catalog and its
-    // absolute numbers are machine-dependent; run it on demand.
-    if which == "recovery" {
-        println!("\n=== recovery: WAL commit overhead and replay throughput ===");
+/// The durability bench: WAL commit overhead and replay throughput.
+fn recovery() {
+    println!("\n=== recovery: WAL commit overhead and replay throughput ===");
+    println!(
+        "{:>9} {:>6} {:>9} {:>9} {:>10} {:>9} {:>9} {:>8} {:>11} {:>12}",
+        "mutations",
+        "group",
+        "snap",
+        "plain",
+        "commit",
+        "overhead",
+        "wal",
+        "replayed",
+        "recovery",
+        "replay"
+    );
+    let rows = experiments::recovery(&[256, 1024, 4096]);
+    for r in &rows {
         println!(
-            "{:>9} {:>6} {:>9} {:>9} {:>10} {:>9} {:>9} {:>8} {:>11} {:>12}",
-            "mutations",
-            "group",
-            "snap",
-            "plain",
-            "commit",
-            "overhead",
-            "wal",
-            "replayed",
-            "recovery",
-            "replay"
+            "{:>9} {:>6} {:>9} {:>7.0}ns {:>8.0}ns {:>8.2}x {:>8}B {:>8} {:>9.2}ms {:>8.0}/s",
+            r.mutations,
+            r.group_commit,
+            r.snapshot_every,
+            r.plain_ns_per_mutation,
+            r.commit_ns_per_mutation,
+            r.commit_ns_per_mutation / r.plain_ns_per_mutation.max(1.0),
+            r.wal_bytes,
+            r.replayed,
+            r.recovery_ms,
+            r.replay_rps
         );
-        let rows = experiments::recovery(&[256, 1024, 4096]);
-        for r in &rows {
-            println!(
-                "{:>9} {:>6} {:>9} {:>7.0}ns {:>8.0}ns {:>8.2}x {:>8}B {:>8} {:>9.2}ms {:>8.0}/s",
-                r.mutations,
-                r.group_commit,
-                r.snapshot_every,
-                r.plain_ns_per_mutation,
-                r.commit_ns_per_mutation,
-                r.commit_ns_per_mutation / r.plain_ns_per_mutation.max(1.0),
-                r.wal_bytes,
-                r.replayed,
-                r.recovery_ms,
-                r.replay_rps
-            );
-        }
     }
 }

@@ -5,6 +5,7 @@
 use crate::harness::{self, RunOutcome};
 use crate::workloads;
 use cse_core::{create_materialized_view, maintain_insert, CseConfig, MaintenancePlans};
+use cse_exec::ResultSet;
 use cse_storage::testkit::TestRng;
 use cse_storage::{Catalog, Row};
 use cse_tpch::{generate_catalog, TpchConfig};
@@ -89,72 +90,54 @@ pub struct MaintenanceOutcome {
 /// inserts as many).
 const ROWS_PER_INSERT: usize = 50;
 
-/// §6.4: create the three views, insert `insert_count` customers, 50 to an
-/// insert, whose keys repeat existing ones (so every delta joins real
-/// orders), and maintain the views with and without CSEs. Each arm keeps
-/// one plan cache, so its first insert plans the batch and the others run
-/// it. Returns (no-CSE, with-CSE) outcomes, each with the total over its
-/// inserts; correctness is verified by comparing the refreshed view
-/// contents.
-pub fn view_maintenance(sf: f64, insert_count: usize) -> (MaintenanceOutcome, MaintenanceOutcome) {
-    let run =
-        |cfg: &CseConfig, name: &'static str| -> (MaintenanceOutcome, Vec<Vec<cse_storage::Row>>) {
-            let mut catalog = catalog(sf);
-            for (vname, def) in workloads::maintenance_views() {
-                create_materialized_view(&mut catalog, vname, &def, cfg).expect("create view");
-            }
-            let inserts = returning_customers(&catalog, insert_count);
-            let (mut maintain_time, mut candidates, mut views) = (Duration::ZERO, 0, 0);
-            let mut plans = MaintenancePlans::new();
-            for rows in inserts.chunks(ROWS_PER_INSERT) {
-                let rows = rows.to_vec();
-                let report = maintain_insert(&mut catalog, "customer", rows, cfg, &mut plans)
-                    .expect("maintain");
-                maintain_time += report.total_time;
-                candidates = report.cse.candidates.len();
-                views = report.views.len();
-            }
-            let contents: Vec<Vec<Row>> = workloads::maintenance_views()
-                .iter()
-                .map(|(vname, _)| {
-                    let mut rows = catalog.table(vname).unwrap().rows();
-                    rows.sort_by(|a, b| {
-                        for (x, y) in a.iter().zip(b.iter()) {
-                            let o = x.total_cmp(y);
-                            if !o.is_eq() {
-                                return o;
-                            }
-                        }
-                        std::cmp::Ordering::Equal
-                    });
-                    rows
-                })
-                .collect();
-            (
-                MaintenanceOutcome {
-                    config: name,
-                    maintain_time,
-                    candidates,
-                    views,
-                },
-                contents,
-            )
+/// §6.4: on clones of `catalog`, create the three views, insert
+/// `insert_count` customers, 50 to an insert, whose keys repeat existing
+/// ones (so every delta joins real orders), and maintain the views with and
+/// without CSEs. Tables are shared, so a clone copies only the tables it
+/// writes. Each arm keeps one plan cache, so its first insert plans the
+/// batch and the others run it. Returns (no-CSE, with-CSE) outcomes, each
+/// with the total over its inserts; correctness is verified by comparing
+/// the refreshed view contents.
+pub fn view_maintenance(
+    catalog: &Catalog,
+    insert_count: usize,
+) -> (MaintenanceOutcome, MaintenanceOutcome) {
+    let run = |cfg: &CseConfig, name: &'static str| -> (MaintenanceOutcome, Vec<ResultSet>) {
+        let mut catalog = catalog.clone();
+        for (vname, def) in workloads::maintenance_views() {
+            create_materialized_view(&mut catalog, vname, &def, cfg).expect("create view");
+        }
+        let inserts = returning_customers(&catalog, insert_count);
+        let (mut maintain_time, mut candidates, mut views) = (Duration::ZERO, 0, 0);
+        let mut plans = MaintenancePlans::new();
+        for rows in inserts.chunks(ROWS_PER_INSERT) {
+            let rows = rows.to_vec();
+            let report =
+                maintain_insert(&mut catalog, "customer", rows, cfg, &mut plans).expect("maintain");
+            maintain_time += report.total_time;
+            candidates = report.cse.candidates.len();
+            views = report.views.len();
+        }
+        let contents = workloads::maintenance_views()
+            .into_iter()
+            .map(|(vname, _)| {
+                let view = catalog.table(vname).expect("view exists");
+                let columns = view.schema().columns().iter().map(|c| c.name.clone());
+                ResultSet::new(columns.collect(), view.rows())
+            });
+        let outcome = MaintenanceOutcome {
+            config: name,
+            maintain_time,
+            candidates,
+            views,
         };
+        (outcome, contents.collect())
+    };
     let (no, c_no) = run(&CseConfig::no_cse(), "No CSE");
     let (yes, c_yes) = run(&CseConfig::default(), "Using CSEs");
     // Refreshed contents must agree (FP tolerance on sums).
-    for (a, b) in c_no.iter().zip(c_yes.iter()) {
-        assert_eq!(a.len(), b.len(), "view row counts diverged");
-        for (ra, rb) in a.iter().zip(b.iter()) {
-            for (x, y) in ra.iter().zip(rb.iter()) {
-                match (x.as_f64(), y.as_f64()) {
-                    (Some(fx), Some(fy)) => {
-                        assert!((fx - fy).abs() <= 1e-6 * fx.abs().max(fy.abs()).max(1.0))
-                    }
-                    _ => assert_eq!(x, y),
-                }
-            }
-        }
+    for (a, b) in c_no.iter().zip(&c_yes) {
+        assert!(a.approx_eq(b, 1e-6), "view contents diverged");
     }
     (no, yes)
 }

@@ -10,7 +10,7 @@
 use crate::compat::{
     partition_compatible, prepare_consumers, prepare_onto, CompatibleGroup, PreparedConsumer,
 };
-use crate::config::{CostBounds, PhaseCtx};
+use crate::config::PhaseCtx;
 use crate::construct::{ConstructedCse, Construction, CseShape};
 use crate::manager::CseManager;
 use cse_algebra::classes_to_conjuncts;
@@ -54,7 +54,7 @@ pub struct ShapeCost {
     pub cw: f64,
     pub cr: f64,
     /// Lower bound on the evaluation cost C_E (highest of the members'
-    /// lower cost bounds, per §4.3.3).
+    /// costs, per §4.3.3).
     pub ce_lower: f64,
 }
 
@@ -66,13 +66,13 @@ impl ShapeCost {
         members: impl IntoIterator<Item = &'m PreparedConsumer>,
     ) -> Self {
         let (est_rows, est_width) = estimate_cse(memo, ctx.catalog, shape);
-        let bounds = members.into_iter().map(|m| ctx.bounds.lower(m.group));
+        let costs = members.into_iter().map(|m| ctx.costs[m.group.0 as usize]);
         ShapeCost {
             est_rows,
             est_width,
             cw: MODEL.spool_write(est_rows, est_width),
             cr: MODEL.spool_read(est_rows, est_width),
-            ce_lower: bounds.fold(0.0, f64::max),
+            ce_lower: costs.fold(0.0, f64::max),
         }
     }
 
@@ -111,18 +111,13 @@ const ALPHA: f64 = 0.10;
 
 /// H4 threshold β (paper: 90%): a contained candidate survives only if its
 /// result is at most `β` of the container's.
-pub(crate) const BETA: f64 = 0.90;
+const BETA: f64 = 0.90;
 
 /// Heuristic 1: only bother when the consumers amount to a significant
-/// fraction of the whole query's cost.
-pub fn h1_worthwhile(
-    bounds: &CostBounds,
-    consumers: &[GroupId],
-    query_cost: f64,
-    alpha: f64,
-) -> bool {
-    let total: f64 = consumers.iter().map(|g| bounds.lower(*g)).sum();
-    total >= alpha * query_cost
+/// fraction of the whole query's cost, `costs` by `GroupId`.
+pub fn h1_worthwhile(costs: &[f64], consumers: &[GroupId], query_cost: f64) -> bool {
+    let total: f64 = consumers.iter().map(|g| costs[g.0 as usize]).sum();
+    total >= ALPHA * query_cost
 }
 
 /// Heuristic 2: drop consumers whose results are so large that
@@ -145,7 +140,7 @@ pub fn h2_filter_consumers(
             };
             *trials += 1;
             let cost = ShapeCost::of(memo, ctx, &trivial, [&members[i]]);
-            let upper = ctx.bounds.upper(members[i].group);
+            let upper = ctx.costs[members[i].group.0 as usize];
             // Discard if computing from scratch is cheaper than even the
             // best-case shared usage: C_upper < C_R + (C_upper + C_W)/N.
             upper >= cost.cr + (upper + cost.cw) / n
@@ -207,7 +202,7 @@ pub fn create_candidates(
         let one = costed(memo, &set).map(|c| keep(set, c));
         return Ok(one.into_iter().collect());
     }
-    let lower = |i: usize| ctx.bounds.lower(members[i].group);
+    let cost = |i: usize| ctx.costs[members[i].group.0 as usize];
     let mut rest = set;
     let mut out: Vec<CostedShape> = Vec::new();
     while rest.len() > 1 {
@@ -216,7 +211,7 @@ pub fn create_candidates(
         // scratch; once merged, the current set costs what its winning
         // trial did, and that trial is the candidate the round ends with.
         let seed = rest.remove(0);
-        let mut sep_current = lower(seed);
+        let mut sep_current = cost(seed);
         let mut current: Vec<usize> = vec![seed];
         let mut merged: Option<(ShapeCost, CseShape)> = None;
         loop {
@@ -232,7 +227,7 @@ pub fn create_candidates(
                     continue;
                 };
                 *trials += 1;
-                let delta = sep_current + lower(m) - costed.0.shared(trial.len());
+                let delta = sep_current + cost(m) - costed.0.shared(trial.len());
                 if delta > 0.0 && best.as_ref().is_none_or(|(_, d, _)| delta > *d) {
                     best = Some((i, delta, costed));
                 }
@@ -260,12 +255,12 @@ pub struct Extent<'a> {
 /// Heuristic 4: containment pruning across candidates (possibly from
 /// different signatures), over the descendant relation of `mgr`'s memo.
 /// Returns which candidates survive.
-pub fn h4_prune_contained(mgr: &CseManager, candidates: &[Extent], beta: f64) -> Vec<bool> {
+pub fn h4_prune_contained(mgr: &CseManager, candidates: &[Extent]) -> Vec<bool> {
     let mut alive = vec![true; candidates.len()];
     for (i, child) in candidates.iter().enumerate() {
         for (j, parent) in candidates.iter().enumerate() {
             let contained = i != j && alive[i] && alive[j] && is_contained(mgr, child, parent);
-            if contained && child.bytes > beta * parent.bytes {
+            if contained && child.bytes > BETA * parent.bytes {
                 alive[i] = false;
             }
         }
@@ -293,7 +288,7 @@ pub(crate) fn generate(
     root: GroupId,
     trials: &mut u64,
 ) -> Result<Vec<CostedCandidate>, BudgetTrip> {
-    let query_cost = ctx.bounds.lower(root);
+    let query_cost = ctx.costs[root.0 as usize];
     let mut sets: Vec<SetShapes> = Vec::new();
     for (sig, consumers) in ctx.sharable {
         ctx.clock.check_time("generation")?;
@@ -311,7 +306,7 @@ pub(crate) fn generate(
     });
     let extents: Vec<Extent> = extents.collect();
     let alive = if ctx.cfg.heuristics {
-        h4_prune_contained(ctx.manager, &extents, BETA)
+        h4_prune_contained(ctx.manager, &extents)
     } else {
         vec![true; extents.len()]
     };
@@ -366,8 +361,8 @@ fn generate_for_set<'s>(
     query_cost: f64,
     trials: &mut u64,
 ) -> Result<Option<SetShapes<'s>>, BudgetTrip> {
-    let (heuristics, bounds) = (ctx.cfg.heuristics, ctx.bounds);
-    if heuristics && !h1_worthwhile(bounds, consumers, query_cost, ALPHA) {
+    let (heuristics, costs) = (ctx.cfg.heuristics, ctx.costs);
+    if heuristics && !h1_worthwhile(costs, consumers, query_cost) {
         return Ok(None);
     }
     let prepared = prepare_consumers(memo, consumers);
@@ -396,7 +391,7 @@ fn generate_for_set<'s>(
         }
         if heuristics {
             let ids: Vec<GroupId> = g.members.iter().map(|m| m.group).collect();
-            if !h1_worthwhile(bounds, &ids, query_cost, ALPHA) {
+            if !h1_worthwhile(costs, &ids, query_cost) {
                 continue;
             }
         }

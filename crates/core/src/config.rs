@@ -10,7 +10,6 @@ use cse_govern::{Budget, BudgetClock, CancelToken, DegradationEvent, FailpointRe
 use cse_memo::{ExploreConfig, GroupId, TableSignature};
 use cse_optimizer::CseId;
 use cse_storage::Catalog;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Pipeline configuration.
@@ -134,44 +133,22 @@ pub struct CseReport {
     pub degradations: Vec<DegradationEvent>,
 }
 
-/// Per-group baseline costs from the normal optimization phases. Both
-/// bounds coincide here because the baseline search is exhaustive over the
-/// explored memo; the API keeps them separate to mirror the paper.
-#[derive(Debug, Clone, Default)]
-pub struct CostBounds {
-    costs: HashMap<GroupId, f64>,
-}
-
-impl CostBounds {
-    pub fn new(costs: HashMap<GroupId, f64>) -> Self {
-        CostBounds { costs }
-    }
-
-    pub fn lower(&self, g: GroupId) -> f64 {
-        self.costs.get(&g).copied().unwrap_or(f64::INFINITY)
-    }
-
-    pub fn upper(&self, g: GroupId) -> f64 {
-        self.costs.get(&g).copied().unwrap_or(0.0)
-    }
-
-    /// Iterate the recorded per-group costs (used by the costing audit in
-    /// `cse-verify` to diff bounds against freshly recomputed winners).
-    pub fn iter(&self) -> impl Iterator<Item = (GroupId, f64)> + '_ {
-        self.costs.iter().map(|(&g, &c)| (g, c))
-    }
-}
-
 /// What the CSE phase reads and never changes: the request's
 /// configuration, the catalog it plans against, the request's
 /// started budget clock, and the facts normal optimization left behind on
-/// the explored memo — per-group cost bounds, required columns, the CSE
-/// manager and its sharable sets — derived once per request.
+/// the explored memo — per-group costs, required columns, the CSE manager
+/// and its sharable sets — derived once per request.
 pub struct PhaseCtx<'a> {
     pub cfg: &'a CseConfig,
     pub catalog: &'a Catalog,
     pub clock: &'a BudgetClock,
-    pub bounds: &'a CostBounds,
+    /// Each explored-memo group's winner cost under the empty CSE set, by
+    /// `GroupId`. The paper's lower and upper cost bounds (§4.3.3) coincide
+    /// here because the baseline search is exhaustive over the explored
+    /// memo. Generation reads only explored groups: a read past the end is
+    /// an invariant breach, and its panic lands in the CSE phase's
+    /// `catch_unwind` (`OPT_PANIC`, baseline plan).
+    pub costs: &'a [f64],
     pub required: &'a RequiredCols,
     /// Signature table and ancestor relation of the explored memo.
     pub manager: &'a CseManager,

@@ -51,7 +51,7 @@ pub mod view_match;
 
 pub use candidates::CostedCandidate;
 pub use compat::{partition_compatible, prepare_consumers, CompatibleGroup, PreparedConsumer};
-pub use config::{CandidateSummary, CostBounds, CseConfig, CseReport, PhaseCtx};
+pub use config::{CandidateSummary, CseConfig, CseReport, PhaseCtx};
 pub use construct::{construct, simplify_covering, ConstructedCse, Construction, CseShape};
 pub use enumerate::EnumOutcome;
 pub use maintenance::{

@@ -2,7 +2,7 @@
 //!
 //! 1. lower SQL → logical plan → memo; explore; table signatures are
 //!    collected incrementally (Step 1);
-//! 2. normal optimization (baseline plan + per-group cost bounds);
+//! 2. normal optimization (baseline plan + per-group winner costs);
 //! 3. unless the request starts on the baseline rung, and if the CSE
 //!    manager finds sharable signatures: generate candidate CSEs (Step 2)
 //!    with heuristics H1–H4, including a second detection round over the
@@ -15,8 +15,8 @@
 //! plan of step 2 with one degradation event.
 //!
 //! Every fact is derived once per memo state and handed down. The explored
-//! memo yields, once per request, the baseline winners (read back as
-//! [`CostBounds`]), the required columns and a [`CseManager`] with its
+//! memo yields, once per request, the baseline winners' costs
+//! ([`PhaseCtx::costs`]), the required columns and a [`CseManager`] with its
 //! sharable sets (detection, H4); the CSE phase then takes that memo and
 //! grows it in place with the candidate definitions, and the grown memo
 //! yields the second and last manager (stacked consumers, LCAs,
@@ -24,7 +24,7 @@
 //! resumes from the baseline optimizer's join shapes and winners (§5.4).
 
 use crate::candidates::{extend_with_stacked_consumers, generate, CostedCandidate};
-use crate::config::{CandidateSummary, CostBounds, CseConfig, CseReport, PhaseCtx};
+use crate::config::{CandidateSummary, CseConfig, CseReport, PhaseCtx};
 use crate::enumerate::choose_best;
 use crate::manager::CseManager;
 use crate::required::{compute_required, RequiredCols};
@@ -99,7 +99,7 @@ pub fn optimize_plan(
     }
 
     // Normal optimization phases: the baseline plan, and memoized mask-0
-    // winners the CSE phase reads its cost bounds from.
+    // winners the CSE phase reads its per-group costs from.
     let t_baseline = Instant::now();
     let mut normal = Optimizer::new(&memo, catalog);
     let baseline = normal.optimize_full(root, 0);
@@ -140,7 +140,7 @@ pub fn optimize_plan(
     // (Step 1/2: the signature table, the ancestor relation and the
     // sharable sets): a phase with nothing sharable reads no other fact, so
     // a batch without a sharable signature skips them, unless the cost
-    // audit reads the bounds. Each group's bound is its winner under the
+    // audit reads the costs. Each group's cost is its winner under the
     // empty CSE set (normal-phase history, §5.4/§4.3), which the baseline
     // optimization above already memoized. A group that exploration left
     // unreachable from the root is costed here for the first time, so the
@@ -150,20 +150,17 @@ pub fn optimize_plan(
         let manager = CseManager::build(&memo);
         found.report.stages.push(("manager-explored", t.elapsed()));
         let sharable = manager.sharable_sets();
-        let (mut bounds, mut required) = Default::default();
+        let (mut costs, mut required) = (Vec::new(), Default::default());
         if !sharable.is_empty() || cfg.verify {
             let t = Instant::now();
-            bounds = CostBounds::new(
-                memo.groups()
-                    .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
-                    .collect(),
-            );
+            let winners = memo.groups().map(|g| normal.optimize_group(g.id, 0).cost);
+            costs = winners.collect();
             found.report.stages.push(("bounds", t.elapsed()));
             let t = Instant::now();
             required = compute_required(&memo, &[root]);
             found.report.stages.push(("required", t.elapsed()));
         }
-        (bounds, required, manager, sharable)
+        (costs, required, manager, sharable)
     }));
     // Step 3 resumes from its join shapes and winners (§5.4).
     found.report.group_optimizations = normal.group_optimizations;
@@ -189,14 +186,14 @@ pub fn optimize_plan(
     let (facts, outcome) = match facts {
         Err(payload) => (None, Err(panicked(payload))),
         Ok(facts) => {
-            let (bounds, required, manager, sharable) = &facts;
+            let (costs, required, manager, sharable) = &facts;
             found.report.sharable_signatures = sharable.len();
             let clock = cfg.budget.start_with(&cfg.cancel);
             let phase = PhaseCtx {
                 cfg,
                 catalog,
                 clock: &clock,
-                bounds,
+                costs,
                 required,
                 manager,
                 sharable,
@@ -318,19 +315,17 @@ fn register(
         panic!("injected failpoint: {}", sites::OPT_CSE_PHASE);
     }
 
-    // Pass 5 setup: snapshot the claimed per-group bounds and recompute the
-    // winners independently on the memo state they were read from (later
+    // Pass 5 setup: pair each group's claimed cost with its winner
+    // recomputed independently on the memo state it was read from (later
     // exploration may legitimately find cheaper plans, which would make a
-    // fresh winner undercut a bound that was correct when recorded).
+    // fresh winner undercut a cost that was correct when recorded).
     if cfg.verify {
         let mut opt = Optimizer::new(memo, ctx.catalog);
-        let bounds: Vec<(GroupId, f64)> = ctx.bounds.iter().collect();
+        let costs = ctx.costs.iter().zip(memo.groups());
         found.cost_audit = Some(CostAudit {
-            winners: bounds
-                .iter()
-                .map(|&(g, _)| (g, opt.optimize_group(g, 0).cost))
+            costs: costs
+                .map(|(&c, g)| (c, opt.optimize_group(g.id, 0).cost))
                 .collect(),
-            bounds,
             ..Default::default()
         });
     }
@@ -585,10 +580,8 @@ mod tests {
         memo.set_root(root);
         explore(&mut memo, &cfg.explore);
         let mut normal = Optimizer::new(&memo, catalog);
-        let groups = memo
-            .groups()
-            .map(|g| (g.id, normal.optimize_group(g.id, 0).cost));
-        let bounds = CostBounds::new(groups.collect());
+        let winners = memo.groups().map(|g| normal.optimize_group(g.id, 0).cost);
+        let costs: Vec<f64> = winners.collect();
         let history = normal.into_history();
         let required = compute_required(&memo, &[root]);
         let manager = CseManager::build(&memo);
@@ -598,7 +591,7 @@ mod tests {
             cfg: &cfg,
             catalog,
             clock: &clock,
-            bounds: &bounds,
+            costs: &costs,
             required: &required,
             manager: &manager,
             sharable: &sharable,

@@ -15,14 +15,13 @@ use cse_core::candidates::{
 };
 use cse_core::{
     compute_required, construct, optimize_sql, partition_compatible, prepare_consumers,
-    Construction, CostBounds, CseConfig, CseManager, PhaseCtx, PreparedConsumer, RequiredCols,
+    Construction, CseConfig, CseManager, PhaseCtx, PreparedConsumer, RequiredCols,
 };
 use cse_govern::BudgetClock;
 use cse_memo::{explore, ExploreConfig, GroupId, Memo, TableSignature};
 use cse_optimizer::Optimizer;
 use cse_storage::{row, Catalog, DataType, Schema, Table, Value};
 use cse_tpch::{generate_catalog, TpchConfig};
-use std::collections::HashMap;
 
 /// Catalog with two tables of `n` rows each.
 fn catalog(n: i64) -> Catalog {
@@ -89,25 +88,31 @@ fn memo_joins_on(catalog: &Catalog, joins: &[(i64, bool)]) -> (Memo, Vec<GroupId
 }
 
 /// Owner of what a [`PhaseCtx`] borrows: default configuration, the
-/// catalog, an unlimited clock, and the bounds a test dictates.
+/// catalog, an unlimited clock, and the per-group costs a test dictates.
 struct Phase {
     cfg: CseConfig,
     catalog: Catalog,
     clock: BudgetClock,
-    bounds: CostBounds,
+    costs: Vec<f64>,
     required: RequiredCols,
     manager: CseManager,
     sharable: Vec<(TableSignature, Vec<GroupId>)>,
 }
 
 impl Phase {
-    fn new(cat: &Catalog, memo: &Memo, bounds: CostBounds) -> Self {
+    /// A phase over `memo` whose groups cost what `costs` pairs them with,
+    /// and 0 when unlisted.
+    fn new(cat: &Catalog, memo: &Memo, costs: impl IntoIterator<Item = (GroupId, f64)>) -> Self {
         let manager = CseManager::build(memo);
+        let mut by_group = vec![0.0; memo.groups().count()];
+        for (g, c) in costs {
+            by_group[g.0 as usize] = c;
+        }
         Phase {
             cfg: CseConfig::default(),
             catalog: cat.clone(),
             clock: BudgetClock::unlimited(),
-            bounds,
+            costs: by_group,
             required: compute_required(memo, &[memo.root()]),
             sharable: manager.sharable_sets(),
             manager,
@@ -119,7 +124,7 @@ impl Phase {
             cfg: &self.cfg,
             catalog: &self.catalog,
             clock: &self.clock,
-            bounds: &self.bounds,
+            costs: &self.costs,
             required: &self.required,
             manager: &self.manager,
             sharable: &self.sharable,
@@ -129,32 +134,19 @@ impl Phase {
 
 #[test]
 fn h1_rejects_cheap_sets_and_accepts_expensive_ones() {
-    let bounds = CostBounds::new(HashMap::from([(GroupId(1), 10.0), (GroupId(2), 15.0)]));
+    let costs = [0.0, 10.0, 15.0];
     // Query cost 1000, alpha 10%: 25 < 100 -> reject.
-    assert!(!h1_worthwhile(
-        &bounds,
-        &[GroupId(1), GroupId(2)],
-        1000.0,
-        0.10
-    ));
+    assert!(!h1_worthwhile(&costs, &[GroupId(1), GroupId(2)], 1000.0));
     // Query cost 200: 25 >= 20 -> accept.
-    assert!(h1_worthwhile(
-        &bounds,
-        &[GroupId(1), GroupId(2)],
-        200.0,
-        0.10
-    ));
+    assert!(h1_worthwhile(&costs, &[GroupId(1), GroupId(2)], 200.0));
 }
 
 #[test]
 fn shared_cost_includes_all_three_components() {
     let cat = catalog(500);
     let (mut memo, consumers) = memo_two_joins(&cat);
-    let bounds = CostBounds::new(HashMap::from([
-        (consumers[0], 100.0),
-        (consumers[1], 150.0),
-    ]));
-    let phase = Phase::new(&cat, &memo, bounds);
+    let costs = [(consumers[0], 100.0), (consumers[1], 150.0)];
+    let phase = Phase::new(&cat, &memo, costs);
     let prepared = prepare_consumers(&memo, &consumers);
     let sig = memo
         .signature_of(consumers[0])
@@ -164,7 +156,7 @@ fn shared_cost_includes_all_three_components() {
     let costed = cost_candidate(&memo, &phase.ctx(), sig, cse);
     let sc = shared_cost(&costed);
     let costed = costed.cost;
-    // ce_lower = max of member bounds = 150.
+    // ce_lower = max of member costs = 150.
     assert_eq!(costed.ce_lower, 150.0);
     assert!(costed.cw > 0.0);
     assert!(costed.cr > 0.0);
@@ -182,7 +174,7 @@ fn shared_cost_includes_all_three_components() {
 fn h4_discards_contained_candidate_with_larger_result() {
     let cat = catalog(500);
     let (mut memo, consumers) = memo_two_joins(&cat);
-    let phase = Phase::new(&cat, &memo, CostBounds::default());
+    let phase = Phase::new(&cat, &memo, []);
     let mgr = &phase.manager;
     let sig = memo.signature_of(consumers[0]).unwrap().clone();
     let prepared = prepare_consumers(&memo, &consumers);
@@ -191,22 +183,23 @@ fn h4_discards_contained_candidate_with_larger_result() {
     // with β=0.9, size_c > 0.9·size_p holds, so one dies.
     let c = cost_candidate(&memo, &phase.ctx(), sig.clone(), cse);
     let consumers: Vec<GroupId> = c.cse.members.iter().map(|m| m.group).collect();
-    let extent = || Extent {
+    let bytes = c.cost.est_rows * c.cost.est_width;
+    let extent = |bytes: f64| Extent {
         signature: &sig,
         consumers: &consumers,
-        bytes: c.cost.est_rows * c.cost.est_width,
+        bytes,
     };
-    let (a, b) = (extent(), extent());
-    let kept = h4_prune_contained(mgr, &[a, b], 0.90);
+    let kept = h4_prune_contained(mgr, &[extent(bytes), extent(bytes)]);
     assert_eq!(
         kept,
         [false, true],
         "one of two identical candidates must die"
     );
-    // With β above 1.0 nothing dies (a candidate is never bigger than
-    // itself times >1).
-    let kept = h4_prune_contained(mgr, &[extent(), extent()], 1.5);
-    assert_eq!(kept, [true, true]);
+    // A copy at half the size is at most β of the full-size one and
+    // survives; the full-size copy, contained in the half-size one too, is
+    // above β of it and dies.
+    let kept = h4_prune_contained(mgr, &[extent(bytes / 2.0), extent(bytes)]);
+    assert_eq!(kept, [true, false]);
 }
 
 /// Algorithm 1's shapes over `build`'s members, completed.
@@ -254,8 +247,7 @@ fn algorithm1_candidate_is_its_member_set_constructed_and_costed() {
     // from scratch gives, over two merge rounds.
     let cat = catalog(500);
     let (mut memo, consumers) = memo_joins(&cat, &[3, 5, 8]);
-    let bounds = CostBounds::new(consumers.iter().map(|&g| (g, 1e6)).collect());
-    let phase = Phase::new(&cat, &memo, bounds);
+    let phase = Phase::new(&cat, &memo, consumers.iter().map(|&g| (g, 1e6)));
     let sig = memo.signature_of(consumers[0]).unwrap().clone();
     let prepared = prepare_consumers(&memo, &consumers);
     let groups = partition_compatible(prepared);
@@ -294,9 +286,9 @@ fn a_trial_whose_classes_differ_from_its_group_recomputes_its_branches() {
     assert_eq!((extra.len(), plain.len()), (2, 1));
     // The joins with the extra equality are worth sharing; the plain one
     // costs next to nothing alone, so merging it never pays.
-    let bound = |i: usize| if extra.contains(&i) { 1e6 } else { 1.0 };
-    let bounds = (0..members.len()).map(|i| (members[i].group, bound(i)));
-    let phase = Phase::new(&cat, &memo, CostBounds::new(bounds.collect()));
+    let cost = |i: usize| if extra.contains(&i) { 1e6 } else { 1.0 };
+    let costs = (0..members.len()).map(|i| (members[i].group, cost(i)));
+    let phase = Phase::new(&cat, &memo, costs);
     let sig = memo.signature_of(consumers[0]).unwrap().clone();
     let group_classes = &groups[0].intersected_classes;
     let build = Construction::new(members, group_classes, &phase.required);
@@ -325,12 +317,12 @@ fn check_generation(catalog: &Catalog, sql: &str, what: &str) -> usize {
     memo.set_root(root);
     explore(&mut memo, &ExploreConfig::default());
     let mut normal = Optimizer::new(&memo, catalog);
-    let costs = memo
+    let costs: Vec<(GroupId, f64)> = memo
         .groups()
-        .map(|g| (g.id, normal.optimize_group(g.id, 0).cost));
-    let bounds = CostBounds::new(costs.collect());
+        .map(|g| (g.id, normal.optimize_group(g.id, 0).cost))
+        .collect();
     drop(normal);
-    let phase = Phase::new(catalog, &memo, bounds);
+    let phase = Phase::new(catalog, &memo, costs);
     let ctx = phase.ctx();
     let mut checked = 0;
     for (sig, consumers) in &phase.sharable {

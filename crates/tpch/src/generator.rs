@@ -47,6 +47,15 @@ impl TpchConfig {
     }
 }
 
+/// A scale factor as the command line gives it: a finite number above 0,
+/// else `None`. NaN, 0 or a negative factor would run on 1-row tables, and
+/// an infinite one saturates the row counts, so generation never ends.
+pub fn parse_scale(s: &str) -> Option<f64> {
+    s.parse()
+        .ok()
+        .filter(|sf: &f64| sf.is_finite() && *sf > 0.0)
+}
+
 /// First order date in dbgen (1992-01-01, days since epoch).
 pub const START_DATE: i32 = 8035;
 /// Last order date in dbgen (1998-08-02).
@@ -294,6 +303,15 @@ mod tests {
         TpchConfig {
             scale: 0.001,
             seed: 42,
+        }
+    }
+
+    #[test]
+    fn parse_scale_accepts_only_finite_positive_factors() {
+        assert_eq!(parse_scale("0.01"), Some(0.01));
+        assert_eq!(parse_scale("1"), Some(1.0));
+        for bad in ["nan", "NaN", "0", "-0", "-1", "inf", "-inf", "tiny", ""] {
+            assert_eq!(parse_scale(bad), None, "{bad}");
         }
     }
 

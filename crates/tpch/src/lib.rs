@@ -12,6 +12,6 @@ pub mod schema;
 pub mod text;
 
 pub use generator::{
-    customer_row, generate_catalog, generate_table, TpchConfig, END_DATE, START_DATE,
+    customer_row, generate_catalog, generate_table, parse_scale, TpchConfig, END_DATE, START_DATE,
 };
 pub use schema::TpchTable;

@@ -1,10 +1,10 @@
 //! Pass 5: costing sanity.
 //!
 //! The CSE phase reuses the normal optimization phase's per-group winner
-//! costs as *lower bounds* (paper §4.3.3: the H1 worthwhileness test and
-//! the C_E lower bound of each candidate both trust them). This pass
-//! checks the claimed bounds against freshly recomputed winner costs —
-//! every bound must be finite, nonnegative, and no greater than the true
+//! costs as the paper's cost bounds (§4.3.3: the H1 worthwhileness test
+//! and the C_E lower bound of each candidate both trust them). This pass
+//! checks each claimed cost against a freshly recomputed winner cost —
+//! every cost must be finite, nonnegative, and no greater than the true
 //! winner cost of its group — plus end-to-end monotonicity: the final plan
 //! never costs more than the baseline (the pipeline takes the min).
 //!
@@ -15,7 +15,6 @@
 use crate::diag::rules;
 use cse_diag::Report;
 use cse_memo::GroupId;
-use std::collections::HashMap;
 
 /// Relative + absolute slack for float comparisons: re-deriving a cost on
 /// a (possibly further explored) memo may differ in the last ulps.
@@ -24,10 +23,9 @@ const EPS: f64 = 1e-6;
 /// Inputs of the costing audit.
 #[derive(Debug, Clone, Default)]
 pub struct CostAudit {
-    /// Per-group lower bounds recorded during candidate generation.
-    pub bounds: Vec<(GroupId, f64)>,
-    /// Freshly recomputed baseline (no-CSE) winner cost per group.
-    pub winners: HashMap<GroupId, f64>,
+    /// By `GroupId`: the cost candidate generation read, and the freshly
+    /// recomputed baseline (no-CSE) winner cost.
+    pub costs: Vec<(f64, f64)>,
     /// Baseline plan cost (no CSEs).
     pub baseline_cost: f64,
     /// Final chosen plan cost.
@@ -37,8 +35,8 @@ pub struct CostAudit {
 /// Run the costing audit.
 pub fn verify_costs(a: &CostAudit) -> Report {
     let mut report = Report::new();
-    for &(g, bound) in &a.bounds {
-        let path = g.to_string();
+    for (g, &(bound, winner)) in (0..).zip(&a.costs) {
+        let path = GroupId(g).to_string();
         if !bound.is_finite() {
             report.error(
                 rules::COSTING_NONFINITE,
@@ -54,14 +52,12 @@ pub fn verify_costs(a: &CostAudit) -> Report {
                 format!("lower bound {bound} is negative"),
             );
         }
-        if let Some(&winner) = a.winners.get(&g) {
-            if winner.is_finite() && bound > winner * (1.0 + EPS) + EPS {
-                report.error(
-                    rules::COSTING_BOUND_EXCEEDS_WINNER,
-                    &path,
-                    format!("lower bound {bound} exceeds recomputed winner cost {winner}"),
-                );
-            }
+        if winner.is_finite() && bound > winner * (1.0 + EPS) + EPS {
+            report.error(
+                rules::COSTING_BOUND_EXCEEDS_WINNER,
+                &path,
+                format!("lower bound {bound} exceeds recomputed winner cost {winner}"),
+            );
         }
     }
     for (name, v) in [
@@ -105,10 +101,7 @@ mod tests {
     #[test]
     fn healthy_costs_are_clean() {
         let audit = CostAudit {
-            bounds: vec![(GroupId(0), 10.0), (GroupId(1), 20.0)],
-            winners: [(GroupId(0), 10.0), (GroupId(1), 25.0)]
-                .into_iter()
-                .collect(),
+            costs: vec![(10.0, 10.0), (20.0, 25.0)],
             baseline_cost: 100.0,
             final_cost: 80.0,
         };
@@ -119,8 +112,7 @@ mod tests {
     #[test]
     fn bound_above_winner_fires() {
         let audit = CostAudit {
-            bounds: vec![(GroupId(0), 50.0)],
-            winners: [(GroupId(0), 10.0)].into_iter().collect(),
+            costs: vec![(50.0, 10.0)],
             baseline_cost: 100.0,
             final_cost: 100.0,
         };

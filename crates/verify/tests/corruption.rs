@@ -307,8 +307,7 @@ fn unmatched_member_skips_projection_checks() {
 #[test]
 fn nan_bound_fires_nonfinite() {
     let audit = CostAudit {
-        bounds: vec![(GroupId(3), f64::NAN)],
-        winners: [(GroupId(3), 10.0)].into_iter().collect(),
+        costs: vec![(f64::NAN, 10.0)],
         baseline_cost: 100.0,
         final_cost: 90.0,
     };
@@ -327,8 +326,7 @@ fn negative_candidate_cost_fires_negative() {
 #[test]
 fn bound_above_winner_fires_bound_exceeds_winner() {
     let audit = CostAudit {
-        bounds: vec![(GroupId(3), 50.0)],
-        winners: [(GroupId(3), 10.0)].into_iter().collect(),
+        costs: vec![(50.0, 10.0)],
         baseline_cost: 100.0,
         final_cost: 100.0,
     };
@@ -339,8 +337,7 @@ fn bound_above_winner_fires_bound_exceeds_winner() {
 #[test]
 fn final_cost_above_baseline_fires_bound_exceeds_winner() {
     let audit = CostAudit {
-        bounds: vec![],
-        winners: Default::default(),
+        costs: vec![],
         baseline_cost: 100.0,
         final_cost: 120.0,
     };

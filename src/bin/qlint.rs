@@ -17,6 +17,12 @@
 
 use similar_subexpr::prelude::*;
 
+/// Print `problem` and the usage on stderr, and exit with status 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}; usage: qlint [--sf N] [--deny] file.sql ...");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut sf = 0.01f64;
     let mut deny = false;
@@ -27,20 +33,17 @@ fn main() {
             "--sf" => {
                 sf = args
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sf expects a number");
+                    .as_deref()
+                    .and_then(similar_subexpr::tpch::parse_scale)
+                    .unwrap_or_else(|| usage("--sf expects a finite scale factor above 0"));
             }
             "--deny" => deny = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}; usage: qlint [--sf N] [--deny] file.sql ...");
-                std::process::exit(2);
-            }
+            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
             file => files.push(file.to_string()),
         }
     }
     if files.is_empty() {
-        eprintln!("usage: qlint [--sf N] [--deny] file.sql ...");
-        std::process::exit(2);
+        usage("no input file");
     }
 
     let catalog = generate_catalog(&TpchConfig::new(sf));

@@ -81,6 +81,16 @@ fn mutation_target(m: &CatalogMutation) -> Option<String> {
     }
 }
 
+/// Print `problem` and the usage on stderr, and exit with status 2.
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "{problem}; usage: qserve [--sf N] [--workers N] [--queue N] [--block] \
+         [--deadline-ms N] [--retries N] [--mem-budget BYTES[k|m|g]] \
+         [--arrival-rps N] [--data-dir DIR] [--fail site:prob[:seed]] [file.sql ...]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut sf = 0.01f64;
     let mut workers = 4usize;
@@ -99,8 +109,9 @@ fn main() {
             "--sf" => {
                 sf = args
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sf expects a number");
+                    .as_deref()
+                    .and_then(similar_subexpr::tpch::parse_scale)
+                    .unwrap_or_else(|| usage("--sf expects a finite scale factor above 0"));
             }
             "--workers" => {
                 workers = args
@@ -167,15 +178,7 @@ fn main() {
                     }
                 }
             }
-            other if other.starts_with("--") => {
-                eprintln!(
-                    "unknown flag {other}; usage: qserve [--sf N] [--workers N] [--queue N] \
-                     [--block] [--deadline-ms N] [--retries N] \
-                     [--mem-budget BYTES[k|m|g]] [--arrival-rps N] [--data-dir DIR] \
-                     [--fail site:prob[:seed]] [file.sql ...]"
-                );
-                std::process::exit(2);
-            }
+            other if other.starts_with("--") => usage(&format!("unknown flag {other}")),
             file => files.push(file.to_string()),
         }
     }

@@ -19,6 +19,15 @@
 use similar_subexpr::prelude::*;
 use std::io::{BufRead, Write};
 
+/// Print `problem` and the usage on stderr, and exit with status 2.
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "{problem}; usage: qsql [--sf N] [--verify] [--lint[=deny]] [--budget-ms N] \
+         [--no-cse-fallback-only] [--fail site:prob[:seed]]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut sf = 0.01f64;
     let mut verify = false;
@@ -32,8 +41,9 @@ fn main() {
             "--sf" => {
                 sf = args
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sf expects a number");
+                    .as_deref()
+                    .and_then(similar_subexpr::tpch::parse_scale)
+                    .unwrap_or_else(|| usage("--sf expects a finite scale factor above 0"));
             }
             // Run the cse-verify invariant passes on every statement (on by
             // default in debug builds; this forces them on in release).
@@ -83,13 +93,7 @@ fn main() {
                     }
                 }
             }
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: qsql [--sf N] [--verify] [--lint[=deny]] \
-                     [--budget-ms N] [--no-cse-fallback-only] [--fail site:prob[:seed]]"
-                );
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown flag {other}")),
         }
     }
     eprintln!("loading TPC-H at SF={sf} ...");

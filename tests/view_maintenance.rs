@@ -136,7 +136,7 @@ fn a_small_delta_is_joined_through_indexes() {
 fn maintenance_cost_factor_matches_paper_shape() {
     // Paper: maintenance time reduced by about 3x. Compare estimated costs
     // of the maintenance batch (robust against wall-clock noise).
-    let (no, yes) = experiments::view_maintenance(0.002, 150);
+    let (no, yes) = experiments::view_maintenance(&experiments::catalog(0.002), 150);
     assert_eq!(no.views, 3);
     assert_eq!(yes.views, 3);
     assert!(yes.candidates >= 1);
