@@ -6,15 +6,16 @@
 //! [`Value`]'s total-order equality — `Int(3)` equals `Float(3.0)` and
 //! NULL equals NULL (group-by wants one NULL group; joins skip NULL keys
 //! before they get here). A group table whose key columns each hold one of
-//! `Int`, `Date` and `Bool` keeps its keys as machine words ([`WordKeys`]),
+//! `Int`, `Date`, `Bool` and `Str` keeps its keys as machine words
+//! ([`WordKeys`]; a string is a code local to the table, [`StrCodes`]),
 //! which is the same equality for such columns at a word's price.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "slot index masked by the power-of-two table length; stored ids are < hashes.len() by construction; key positions and row numbers are the caller's, resolved against the rows they index; a word key is k + 1 >= 1 words at a stored id's offset"
+    reason = "slot index masked by the power-of-two table length; stored ids are < hashes.len() by construction; key positions and row numbers are the caller's, resolved against the rows they index; a word key is k + 1 >= 1 words at a stored id's offset; a string code is < texts.len(), pushed when it was assigned"
 )]
 
-use cse_storage::Value;
+use cse_storage::{Text, Value};
 use std::hash::{Hash, Hasher};
 
 /// Word hasher with a final avalanche: each word is a [`mix_word`] step,
@@ -32,9 +33,15 @@ impl KeyHasher {
 }
 
 impl Hasher for KeyHasher {
+    /// One word per 8 bytes, little-endian; a shorter last chunk is the word
+    /// of its bytes, the first lowest.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            self.mix(chunk.iter().rev().fold(0, |x, b| (x << 8) | u64::from(*b)));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for word in words {
+            self.mix(u64::from_le_bytes(*word));
+        }
+        if !rest.is_empty() {
+            self.mix(rest.iter().rev().fold(0, |x, b| (x << 8) | u64::from(*b)));
         }
     }
     #[inline]
@@ -84,25 +91,125 @@ fn mix_word(h: u64, w: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The fixed-width variant a word-keyed column holds.
+/// The variant a word-keyed column holds.
 #[derive(Clone, Copy, PartialEq)]
 enum WordKind {
     Int,
     Date,
     Bool,
+    /// A string, as its [`StrCodes`] code.
+    Str,
+}
+
+/// How many texts a [`StrCodes`] holds beside the first-seen ones. Past
+/// it, a string key is refused and the group table converts to values.
+const MAX_PINS: usize = 4_096;
+
+/// String codes by content, local to one group table: code `c` stands for
+/// `texts[c]`, the first text seen with its bytes, so equal text in two
+/// allocations has one code. An index from a text's address to its code
+/// skips hashing and comparing bytes when an allocation comes again — the
+/// rule, since the generator and the durable decoder store one [`Text`]
+/// per distinct value. The address is a shortcut, never the definition:
+/// every address indexed is that of a text this table holds a clone of (a
+/// first-seen text or a pin), so it cannot be freed and reused for other
+/// bytes while the table lives.
+struct StrCodes {
+    /// Code by the [`KeyHasher`] hash of the bytes.
+    by_text: KeyTable,
+    texts: Vec<Text>,
+    /// Later allocations of a coded text, held so their addresses stay theirs.
+    pins: Vec<Text>,
+    /// `(address, code)` of every text held: open addressing over a
+    /// power-of-two array at most half full, address 0 marking an empty
+    /// slot. One load finds a hot text.
+    by_addr: Vec<(usize, u32)>,
+}
+
+impl StrCodes {
+    fn new() -> Self {
+        StrCodes {
+            by_text: KeyTable::with_capacity(0),
+            texts: Vec::new(),
+            pins: Vec::new(),
+            by_addr: vec![(0, 0); 256],
+        }
+    }
+
+    /// The code of `text`, assigned if its bytes are new; `None`, with
+    /// nothing added, if it is a new allocation of a coded text and the
+    /// pins are full.
+    #[inline]
+    fn code(&mut self, text: &Text) -> Option<u64> {
+        let addr = text.as_ptr() as usize;
+        let slot = self.addr_slot(addr);
+        match self.by_addr[slot] {
+            (held, code) if held == addr => Some(u64::from(code)),
+            _ => self.add(text, slot),
+        }
+    }
+
+    /// [`StrCodes::code`] for an allocation not indexed yet, whose address
+    /// goes in `slot`: out of line, so that the hot path stays small.
+    #[cold]
+    #[inline(never)]
+    fn add(&mut self, text: &Text, slot: usize) -> Option<u64> {
+        let mut h = KeyHasher::default();
+        (**text).hash(&mut h);
+        let texts = &self.texts;
+        let (code, added) = self
+            .by_text
+            .find_or_insert(h.finish(), |c| *texts[c] == **text);
+        if added {
+            self.texts.push(text.clone());
+        } else {
+            if self.pins.len() == MAX_PINS {
+                return None;
+            }
+            self.pins.push(text.clone());
+        }
+        self.by_addr[slot] = (text.as_ptr() as usize, code as u32);
+        if (self.texts.len() + self.pins.len()) * 2 > self.by_addr.len() {
+            let grown = vec![(0, 0); self.by_addr.len() * 2];
+            let old = std::mem::replace(&mut self.by_addr, grown);
+            for (addr, code) in old.into_iter().filter(|(addr, _)| *addr != 0) {
+                let slot = self.addr_slot(addr);
+                self.by_addr[slot] = (addr, code);
+            }
+        }
+        Some(code as u64)
+    }
+
+    /// The slot of `by_addr` holding `addr`, or the empty one where it goes.
+    /// The home slot is the address in 16-byte units, folded once: the texts
+    /// of one domain are allocated together, so they get distinct slots,
+    /// where a multiplicative hash put two hot ones in one slot in some
+    /// processes and not in others.
+    #[inline]
+    fn addr_slot(&self, addr: usize) -> usize {
+        let mask = self.by_addr.len() - 1;
+        let mut slot = ((addr >> 4) ^ (addr >> 16)) & mask;
+        while self.by_addr[slot].0 != addr && self.by_addr[slot].0 != 0 {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
 }
 
 /// Group keys held as machine words, while every key column holds one
-/// fixed-width variant — `Int`, `Date` or `Bool` — or NULL. Key `g` is the
+/// variant — `Int`, `Date`, `Bool` or `Str` — or NULL. Key `g` is the
 /// `k + 1` words `keys[g * (k + 1)..]`: a mask with bit `j` set where column
-/// `j` is NULL, then one word per column (0 for NULL). Within one variant,
-/// equal words are equal values, so grouping is what [`Value`] keys give.
+/// `j` is NULL, then one word per column (0 for NULL; a string's code).
+/// Within one variant, equal words are equal values, so grouping is what
+/// [`Value`] keys give.
 pub(crate) struct WordKeys {
     /// The variant each key column holds; `None` while it has held only NULL.
     kinds: Vec<Option<WordKind>>,
     keys: Vec<u64>,
     /// The key being looked up, laid out as a stored one.
     probe: Vec<u64>,
+    /// The codes of the string columns, once one has held a string.
+    strs: Option<StrCodes>,
 }
 
 impl WordKeys {
@@ -112,13 +219,14 @@ impl WordKeys {
             kinds: vec![None; k],
             keys: Vec::new(),
             probe: vec![0; k + 1],
+            strs: None,
         })
     }
 
     /// [`KeyTable::find_or_insert`] for the key columns `pos` of `row`; an
-    /// added key is stored under its id. `None`, with nothing added, if one
-    /// of them is a float, a string or another variant than its column
-    /// holds.
+    /// added key is stored under its id. `None`, with no key added, if one
+    /// of them is a float or another variant than its column holds, or a
+    /// string [`StrCodes`] refuses.
     #[inline]
     pub(crate) fn find_or_insert(
         &mut self,
@@ -133,7 +241,11 @@ impl WordKeys {
                 Value::Int(i) => (Some(WordKind::Int), *i as u64),
                 Value::Date(d) => (Some(WordKind::Date), *d as u64),
                 Value::Bool(b) => (Some(WordKind::Bool), u64::from(*b)),
-                Value::Float(_) | Value::Str(_) => return None,
+                Value::Str(s) => {
+                    let strs = self.strs.get_or_insert_with(StrCodes::new);
+                    (Some(WordKind::Str), strs.code(s)?)
+                }
+                Value::Float(_) => return None,
                 // A NULL fits any column.
                 Value::Null => {
                     mask |= 1 << j;
@@ -157,7 +269,8 @@ impl WordKeys {
         Some(found)
     }
 
-    /// Key `g`'s values, each in the variant its column holds.
+    /// Key `g`'s values, each in the variant its column holds; a string is
+    /// the first-seen text of its code.
     pub(crate) fn decode(&self, g: usize) -> impl Iterator<Item = Value> + '_ {
         let key = &self.keys[g * self.probe.len()..][..self.probe.len()];
         let (mask, words) = (key[0], &key[1..]);
@@ -167,6 +280,10 @@ impl WordKeys {
             Some(WordKind::Int) => Value::Int(*w as i64),
             Some(WordKind::Date) => Value::Date(*w as i32),
             Some(WordKind::Bool) => Value::Bool(*w != 0),
+            Some(WordKind::Str) => self
+                .strs
+                .as_ref()
+                .map_or(Value::Null, |s| Value::Str(s.texts[*w as usize].clone())),
             None => Value::Null,
         })
     }
@@ -323,8 +440,8 @@ mod tests {
     }
 
     /// Keys decode to the variants they were stored from, NULL included; a
-    /// float, a string or a second variant in a column is refused and adds
-    /// nothing.
+    /// float or a second variant in a column — a string in a bool column —
+    /// is refused and adds nothing.
     #[test]
     fn word_keys_decode_what_they_stored_and_refuse_what_does_not_fit() {
         let rows = [
@@ -354,6 +471,111 @@ mod tests {
             words.find_or_insert(&mut t, &r, &[0, 2, 1]),
             Some((1, false))
         );
+    }
+
+    /// One text in two allocations is one key, decoded as the first-seen
+    /// allocation; another text is another key.
+    #[test]
+    fn a_text_in_two_allocations_gets_one_code() {
+        let (first, again) = (Value::str("MAIL"), Value::str("MAIL"));
+        let (mut t, mut words) = (KeyTable::with_capacity(0), WordKeys::new(2).unwrap());
+        let key = |s: &Value| [s.clone(), Value::Int(1)];
+        assert_eq!(
+            words.find_or_insert(&mut t, &key(&first), &[0, 1]),
+            Some((0, true))
+        );
+        assert_eq!(
+            words.find_or_insert(&mut t, &key(&again), &[0, 1]),
+            Some((0, false))
+        );
+        let ship = Value::str("SHIP");
+        assert_eq!(
+            words.find_or_insert(&mut t, &key(&ship), &[0, 1]),
+            Some((1, true))
+        );
+        let (Value::Str(a), [Value::Str(b), _]) =
+            (&first, &words.decode(0).collect::<Vec<_>>()[..])
+        else {
+            panic!("a string key decodes to a string");
+        };
+        assert!(Text::ptr_eq(a, b), "decoded as the first-seen text");
+        assert_eq!(words.strs.as_ref().unwrap().pins.len(), 1);
+    }
+
+    /// Enough distinct texts that both indexes grow, each seen as its
+    /// first allocation and as a fresh one: every code resolves, and the
+    /// fresh allocations are pinned, not coded anew.
+    #[test]
+    fn codes_resolve_as_the_indexes_grow() {
+        let n = 768;
+        let texts: Vec<[Value; 1]> = (0..n).map(|i| [Value::str(format!("t{i}"))]).collect();
+        let (mut t, mut words) = (KeyTable::with_capacity(0), WordKeys::new(1).unwrap());
+        for (i, r) in texts.iter().enumerate() {
+            assert_eq!(words.find_or_insert(&mut t, r, &[0]), Some((i, true)));
+        }
+        for (i, r) in texts.iter().enumerate().rev() {
+            assert_eq!(words.find_or_insert(&mut t, r, &[0]), Some((i, false)));
+            let fresh = [Value::str(format!("t{i}"))];
+            assert_eq!(words.find_or_insert(&mut t, &fresh, &[0]), Some((i, false)));
+            assert_eq!(
+                format!("{:?}", words.decode(i).collect::<Vec<_>>()),
+                format!("{r:?}")
+            );
+        }
+        let strs = words.strs.as_ref().unwrap();
+        assert_eq!((strs.texts.len(), strs.pins.len()), (n, n));
+    }
+
+    /// Past `MAX_PINS` fresh allocations of coded texts, a string key is
+    /// refused and adds nothing; the allocations seen first still resolve.
+    #[test]
+    fn full_pins_refuse_a_fresh_allocation() {
+        let firsts: Vec<[Value; 1]> = (0..10).map(|i| [Value::str(format!("t{i}"))]).collect();
+        let (mut t, mut words) = (KeyTable::with_capacity(0), WordKeys::new(1).unwrap());
+        for r in &firsts {
+            words.find_or_insert(&mut t, r, &[0]).unwrap();
+        }
+        // Held, so no allocation's address is reused for the next.
+        let fresh: Vec<[Value; 1]> = (0..MAX_PINS)
+            .map(|i| [Value::str(format!("t{}", i % 10))])
+            .collect();
+        for (i, r) in fresh.iter().enumerate() {
+            assert_eq!(words.find_or_insert(&mut t, r, &[0]), Some((i % 10, false)));
+        }
+        assert_eq!(
+            words.find_or_insert(&mut t, &[Value::str("t3")], &[0]),
+            None
+        );
+        assert_eq!(
+            words.find_or_insert(&mut t, &firsts[3], &[0]),
+            Some((3, false))
+        );
+        assert_eq!(t.len(), 10);
+    }
+
+    /// Whole words read as little-endian `u64`s hash exactly as the byte
+    /// fold they replaced.
+    #[test]
+    fn word_reads_hash_as_the_byte_fold() {
+        struct Fold(KeyHasher);
+        impl Hasher for Fold {
+            fn write(&mut self, bytes: &[u8]) {
+                for chunk in bytes.chunks(8) {
+                    self.0
+                        .mix(chunk.iter().rev().fold(0, |x, b| (x << 8) | u64::from(*b)));
+                }
+            }
+            fn finish(&self) -> u64 {
+                self.0.finish()
+            }
+        }
+        let bytes: Vec<u8> = (0..17u8).map(|b| b.wrapping_mul(37) ^ 0xa5).collect();
+        for len in 0..=17 {
+            let (mut new, mut old) = (KeyHasher::default(), Fold(KeyHasher::default()));
+            new.write(&bytes[..len]);
+            old.write(&bytes[..len]);
+            assert_eq!(new.finish(), old.finish(), "{len} bytes");
+        }
     }
 
     /// `Customer#000000001` and its neighbours differ in the high bytes of

@@ -625,6 +625,41 @@ fn hash_aggregate_and_reagg_match_sort_oracle_on_generated_inputs() {
         });
         check_grouping(&format!("late {late:?}"), &t_rows, 2, &mut rng);
     }
+
+    // String keys, which a group table holds as codes by content: each
+    // text arrives both as clones of one allocation and as allocations of
+    // its own, beside `""`, NULL, an int and a date key.
+    let texts: Vec<Value> = (0..40).map(|i| Value::str(format!("s{i}"))).collect();
+    let text = |rng: &mut TestRng| match rng.range_usize(0, 10) {
+        0 => Value::Null,
+        1 => Value::str(""),
+        2..5 => Value::str(format!("s{}", rng.range_usize(0, 40))),
+        _ => rng.pick(&texts).clone(),
+    };
+    let str_int = rows(&mut rng, 3_000, &|rng, _| {
+        [text(rng), Value::Int(rng.range_i64(0, 30))]
+    });
+    check_grouping("str, int", &str_int, 2, &mut rng);
+    let date_str = rows(&mut rng, 3_000, &|rng, _| {
+        [Value::Date(9_000 + rng.range_i64(0, 20) as i32), text(rng)]
+    });
+    check_grouping("date, str", &date_str, 2, &mut rng);
+    // 1 500 string groups, then an int in the string column now and then.
+    let late_int = rows(&mut rng, 2_100, &|rng, i| match i {
+        0..1_500 => [Value::str(format!("g{i}")), Value::Null],
+        _ if i % 50 == 0 => [Value::Int(7), Value::Null],
+        _ => [text(rng), Value::Null],
+    });
+    check_grouping("str, late int", &late_int, 1, &mut rng);
+    // Every row a fresh allocation of one of ten texts: past the pins a
+    // table holds, it converts to value keys partway through the stream.
+    let fresh = rows(&mut rng, 6_000, &|rng, i| {
+        [
+            Value::str(format!("f{}", i % 10)),
+            Value::Int(rng.range_i64(0, 60)),
+        ]
+    });
+    check_grouping("fresh strs past the pins", &fresh, 2, &mut rng);
 }
 
 /// Group `t_rows` by their first `nkeys` columns into SUM(v), COUNT(*),

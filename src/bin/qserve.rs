@@ -91,6 +91,14 @@ fn usage(problem: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The next argument as a `T`, or the usage after `problem` if it is
+/// missing or does not parse.
+fn parse_next<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, problem: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage(problem))
+}
+
 fn main() {
     let mut sf = 0.01f64;
     let mut workers = 4usize;
@@ -113,69 +121,50 @@ fn main() {
                     .and_then(similar_subexpr::tpch::parse_scale)
                     .unwrap_or_else(|| usage("--sf expects a finite scale factor above 0"));
             }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers expects an integer");
-            }
-            "--queue" => {
-                queue = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queue expects an integer");
-            }
+            "--workers" => workers = parse_next(&mut args, "--workers expects an integer"),
+            "--queue" => queue = parse_next(&mut args, "--queue expects an integer"),
             // Block submitters on a full queue instead of shedding.
             "--block" => admit = AdmitPolicy::Block,
             // Per-attempt deadline.
             "--deadline-ms" => {
-                deadline_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--deadline-ms expects an integer"),
-                );
+                deadline_ms = Some(parse_next(&mut args, "--deadline-ms expects an integer"));
             }
-            "--retries" => {
-                retries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retries expects an integer");
-            }
+            "--retries" => retries = parse_next(&mut args, "--retries expects an integer"),
             // Global memory budget (bytes, k/m/g suffixes); enables the
             // memory governor: reservations, baseline planning under
             // pressure, SHED_MEMORY.
             "--mem-budget" => {
-                let v = args.next().expect("--mem-budget expects bytes[k|m|g]");
-                mem_budget = Some(parse_bytes(&v).unwrap_or_else(|| {
-                    eprintln!("--mem-budget: cannot parse {v:?} (expect e.g. 64m, 512k, 8388608)");
-                    std::process::exit(2);
+                let bytes = args.next().as_deref().and_then(parse_bytes);
+                mem_budget = Some(bytes.unwrap_or_else(|| {
+                    usage("--mem-budget expects bytes[k|m|g], e.g. 64m, 512k, 8388608")
                 }));
             }
             // Open-loop submission: Poisson arrivals at this rate instead
             // of submitting every request up front.
             "--arrival-rps" => {
+                let rps = args.next().and_then(|v| v.parse().ok());
                 arrival_rps = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r: &f64| *r > 0.0)
-                        .expect("--arrival-rps expects a positive number"),
+                    rps.filter(|r: &f64| r.is_finite() && *r > 0.0)
+                        .unwrap_or_else(|| usage("--arrival-rps expects a finite number above 0")),
                 );
             }
             // Durable catalog rooted at this directory: WAL + snapshots,
             // recovered (and verified) on startup.
             "--data-dir" => {
-                data_dir = Some(args.next().expect("--data-dir expects a directory"));
+                data_dir = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage("--data-dir expects a directory")),
+                );
             }
             // Failpoint grammar: comma-separated site:prob[:seed] specs,
             // unknown sites rejected.
             "--fail" => {
-                let spec = args.next().expect("--fail expects site:prob[:seed]");
+                let spec = args
+                    .next()
+                    .unwrap_or_else(|| usage("--fail expects site:prob[:seed]"));
                 match similar_subexpr::govern::parse_fail_specs(&spec) {
                     Ok(s) => fail_specs.extend(s),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
+                    Err(e) => usage(&format!("--fail: {e}")),
                 }
             }
             other if other.starts_with("--") => usage(&format!("unknown flag {other}")),
@@ -400,7 +389,8 @@ fn main() {
     }
 }
 
-/// Parse a byte count with an optional k/m/g suffix (binary multiples).
+/// Parse a byte count with an optional k/m/g suffix (binary multiples);
+/// `None` past `usize`.
 fn parse_bytes(s: &str) -> Option<usize> {
     let t = s.trim().to_ascii_lowercase();
     let (digits, mult) = match t.strip_suffix(['k', 'm', 'g']) {
@@ -411,7 +401,7 @@ fn parse_bytes(s: &str) -> Option<usize> {
         },
         None => (t.as_str(), 1),
     };
-    digits.parse::<usize>().ok().map(|n| n * mult)
+    digits.parse::<usize>().ok()?.checked_mul(mult)
 }
 
 /// Split input into requests on blank lines; `--`-prefixed lines are

@@ -66,11 +66,8 @@ fn main() {
             // phase. A tripped budget returns the baseline plan and
             // reports one OPT_DEADLINE downgrade; it never fails the query.
             "--budget-ms" => {
-                budget_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--budget-ms expects an integer"),
-                );
+                let ms = args.next().and_then(|v| v.parse().ok());
+                budget_ms = Some(ms.unwrap_or_else(|| usage("--budget-ms expects an integer")));
             }
             // Start on the baseline rung, skipping the CSE phase outright,
             // and report it as OPT_FORCED with every batch.
@@ -84,13 +81,12 @@ fn main() {
             // Arm deterministic failpoints (repeatable, comma-separated
             // site:prob[:seed] specs): --fail spool.materialize:1.0:42
             "--fail" => {
-                let spec = args.next().expect("--fail expects site:prob[:seed]");
+                let spec = args
+                    .next()
+                    .unwrap_or_else(|| usage("--fail expects site:prob[:seed]"));
                 match similar_subexpr::govern::parse_fail_specs(&spec) {
                     Ok(s) => fail_specs.extend(s),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
+                    Err(e) => usage(&format!("--fail: {e}")),
                 }
             }
             other => usage(&format!("unknown flag {other}")),
